@@ -230,7 +230,7 @@ func runBenchKernels(fs *flag.FlagSet, args []string) error {
 	}
 	sel := rep.Sweep[best]
 	rep.FusionSelected = sel.K
-	rep.Dispatch = fmt.Sprintf("strict > fused(k=%d) > lazy radix-2", sel.K)
+	rep.Dispatch = fmt.Sprintf("fused(k=%d) by default; sweep selects k=%d; strict and lazy radix-2 by toggle", ntt.DefaultFusionDegree, sel.K)
 	for i := 1; i < len(rep.Sweep)-1; i++ {
 		if total(rep.Sweep[i]) < total(rep.Sweep[i-1]) && total(rep.Sweep[i]) < total(rep.Sweep[i+1]) {
 			rep.Inflection = true
@@ -286,6 +286,11 @@ func runBenchKernels(fs *flag.FlagSet, args []string) error {
 	}
 	for _, w := range workerCounts {
 		evw := ev.WithWorkers(w)
+		// The default dispatch is the fused kernel; strict and lazy are
+		// measured on the plain radix-2 transform (degree 1).
+		if err := params.SetFusionDegree(1); err != nil {
+			return err
+		}
 		params.SetStrictKernels(true)
 		add("keyswitch", "strict", w, func() { evw.KeySwitch(ct, &rlk.SwitchingKey) })
 		params.SetStrictKernels(false)

@@ -3,15 +3,50 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"poseidon/internal/tracing"
 )
 
+// smallArgs scales each artifact-writing harness down to a smoke run; the
+// test appends -o under t.TempDir() so nothing lands in the source tree.
+// Full-size, gated runs are CI steps, not tier-1.
+var smallArgs = map[string][]string{
+	"benchalloc":     {"-logn", "8"},
+	"benchlinalg":    {"-logn", "9", "-trials", "1", "-miniters", "1"},
+	"benchtelemetry": {"-logn", "8"},
+	"benchtrace":     {"-logn", "8"},
+	"chaoscampaign":  {"-tenants", "4", "-keysets", "2", "-requests", "6", "-sticky", "1"},
+	"faultcampaign":  {"-trials", "20", "-clean", "10"},
+}
+
+// dirState fingerprints the package directory (the tests' working
+// directory): name, size and modification time of every entry.
+func dirState(t *testing.T) string {
+	t.Helper()
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d %d\n", e.Name(), info.Size(), info.ModTime().UnixNano())
+	}
+	return b.String()
+}
+
 // Every registered experiment (except the slow CPU measurement) must run
-// without error — the harness stays wired as the models evolve.
+// without error — the harness stays wired as the models evolve — and must
+// leave the source tree exactly as it found it: the committed BENCH_*.json
+// artifacts are regenerated only by explicit, gated CLI runs.
 func TestAllExperimentsRun(t *testing.T) {
 	// Silence the experiment output during the test.
 	old := os.Stdout
@@ -25,6 +60,7 @@ func TestAllExperimentsRun(t *testing.T) {
 		devnull.Close()
 	}()
 
+	before := dirState(t)
 	for _, e := range experiments {
 		if e.name == "cpu" || e.name == "benchkernels" || e.name == "benchserve" {
 			continue // slow measurement loops; exercised by their own tests/CI steps
@@ -34,11 +70,18 @@ func TestAllExperimentsRun(t *testing.T) {
 		}
 		e := e
 		t.Run(e.name, func(t *testing.T) {
+			args := smallArgs[e.name]
+			if args != nil {
+				args = append(args[:len(args):len(args)], "-o", filepath.Join(t.TempDir(), e.name+".json"))
+			}
 			fs := flag.NewFlagSet(e.name, flag.ContinueOnError)
-			if err := e.run(fs, nil); err != nil {
+			if err := e.run(fs, args); err != nil {
 				t.Fatalf("%s: %v", e.name, err)
 			}
 		})
+	}
+	if after := dirState(t); after != before {
+		t.Errorf("experiments modified the source tree:\nbefore:\n%safter:\n%s", before, after)
 	}
 }
 

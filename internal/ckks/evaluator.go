@@ -25,8 +25,9 @@ import (
 // Concurrency: an Evaluator is safe for concurrent use by multiple
 // goroutines — keys and parameters are read-only, per-operation scratch is
 // checked out of mutex-guarded arenas (each checkout is exclusively owned
-// until returned), and the shared caches (HFAuto routing maps, NTT-domain
-// permutations, keyswitch digit extenders) are internally locked — provided
+// until returned), the shared caches (HFAuto routing maps, NTT-domain
+// permutations) are internally locked, and the keyswitch digit extenders
+// are immutable tables built with the parameters — provided
 // any installed OpObserver is itself safe (TraceRecorder is). Evaluators
 // derived via WithWorkers share keys but not pools.
 type Evaluator struct {

@@ -17,9 +17,10 @@ import (
 //
 // Aliasing: the destination may alias an operand for every method except
 // MulRelinInto (whose degree-2 product reads both operands while writing
-// the destination limb by limb); Rescale/Rotate/Conjugate/KeySwitch copy
-// their inputs into arena scratch before touching the destination, and the
-// remaining methods are elementwise. MulRelinInto panics on aliasing.
+// the destination limb by limb); Rotate/Conjugate/KeySwitch copy their
+// inputs into arena scratch before touching the destination, and the
+// remaining methods (Rescale included) are elementwise. MulRelinInto panics
+// on aliasing.
 //
 // Together with the ring arena these methods make the steady state
 // allocation-free: at a fixed level with workers=1, AddInto, MulPlainInto
@@ -252,57 +253,69 @@ func (ev *Evaluator) MulRelinInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext
 }
 
 // RescaleInto divides ct by the last active prime, writing the level−1
-// result into out. out may alias ct (the inputs are copied to arena scratch
-// before the destination is reshaped).
+// result into out. out may alias ct (each remaining limb is rescaled
+// elementwise, and the dropped limb is read before the destination is
+// reshaped).
+//
+// Only the dropped limb leaves the NTT domain. Rescale is
+// out_i = (a_i − [a_l]_{q_i})·q_l^{-1} with [a_l] the centered last limb; it
+// is linear, so instead of inverse-transforming all l+1 limbs, rescaling
+// coefficients and forward-transforming l results (2l+1 transforms per
+// polynomial), the last limb alone is inverse-transformed, re-reduced modulo
+// each q_i, forward-transformed, and subtracted in the NTT domain: l+1
+// transforms, bit-identical output.
 func (ev *Evaluator) RescaleInto(out *Ciphertext, ct *Ciphertext) *Ciphertext {
 	if ct.Level == 0 {
 		panic("ckks: cannot rescale at level 0")
 	}
 	sp := ev.beginOp("Rescale")
-	rq := ev.params.RingQ
 	level := ct.Level
-	// c0/c1 are never reassigned once acquired so the worker-pool closure
-	// below captures them by value; the panic sweep tracks releases through
-	// the *Live shadows, which only the non-escaping defer closure touches
-	// (reassigning c0/c1 directly would move them to the heap and break the
-	// zero-alloc gates).
-	c0 := ev.inttCopy(ct.C0)
-	c0Live := c0
-	var c1Live *ring.Poly
-	defer func() {
-		if c0Live != nil {
-			rq.PutPoly(c0Live)
-		}
-		if c1Live != nil {
-			rq.PutPoly(c1Live)
-		}
-	}()
-	c1 := ev.inttCopy(ct.C1)
-	c1Live = c1
-
+	src0, src1 := ct.C0.Coeffs, ct.C1.Coeffs // all level+1 rows, even when out is ct
 	reshapeCt(out, level-1)
-	// The rescale of each coefficient is self-contained, so it chunks
-	// across the pool without changing a single bit of the output.
-	rescaler := ev.params.rescaler
-	if ev.pool.Workers() <= 1 {
-		rescaler.Rescale(out.C0.Coeffs, c0.Coeffs)
-		rescaler.Rescale(out.C1.Coeffs, c1.Coeffs)
-	} else {
-		ev.pool.ForEachChunk(ev.params.N, func(lo, hi int) {
-			rescaler.Rescale(rangeView(out.C0.Coeffs, lo, hi), rangeView(c0.Coeffs, lo, hi))
-			rescaler.Rescale(rangeView(out.C1.Coeffs, lo, hi), rangeView(c1.Coeffs, lo, hi))
-		})
-	}
-	rq.PutPoly(c0)
-	c0Live = nil
-	rq.PutPoly(c1)
-	c1Live = nil
-	out.C0.IsNTT, out.C1.IsNTT = false, false
-	ev.nttParallelGuarded("Rescale", out.C0)
-	ev.nttParallelGuarded("Rescale", out.C1)
+	ev.rescalePolyInto(out.C0, src0, level)
+	ev.rescalePolyInto(out.C1, src1, level)
 	out.Scale = ct.Scale / float64(ev.params.Q[level])
 	ev.endOp("Rescale", level, sp)
 	return out
+}
+
+// rescalePolyInto writes the NTT-domain rescale of src (level+1 NTT-domain
+// rows) into dst (level limbs; rows may be src's own). The forward
+// transforms of the re-reduced last limb go through nttParallelGuarded, so
+// the spot-check samples exactly the transforms this operation runs.
+func (ev *Evaluator) rescalePolyInto(dst *ring.Poly, src [][]uint64, level int) {
+	rq := ev.params.RingQ
+	rescaler := ev.params.rescaler
+	serial := ev.pool.Workers() <= 1
+
+	last := rq.GetVec()
+	defer rq.PutVec(last)
+	copy(last, src[level])
+	rq.InverseLimb(level, last)
+
+	c := rq.GetPolyDirty(level)
+	defer rq.PutPoly(c)
+	if serial {
+		for i := 0; i < level; i++ {
+			rescaler.CenterLast(c.Coeffs[i], last, level, i)
+		}
+	} else {
+		ev.pool.ForEach(level, func(i int) {
+			rescaler.CenterLast(c.Coeffs[i], last, level, i)
+		})
+	}
+	c.IsNTT = false
+	ev.nttParallelGuarded("Rescale", c)
+	if serial {
+		for i := 0; i < level; i++ {
+			rescaler.SubScale(dst.Coeffs[i], src[i], c.Coeffs[i], level, i)
+		}
+	} else {
+		ev.pool.ForEach(level, func(i int) {
+			rescaler.SubScale(dst.Coeffs[i], src[i], c.Coeffs[i], level, i)
+		})
+	}
+	dst.IsNTT = true
 }
 
 // RotateInto rotates the slot vector by `steps`, writing into out. out may

@@ -6,8 +6,9 @@ import (
 )
 
 // Differential suite for the fused radix-2^k NTT kernels: every evaluator
-// operation must be BIT-IDENTICAL between the plain radix-2 kernels (k=0,
-// lazy and strict) and the fused plans at every supported degree. The modes
+// operation must be BIT-IDENTICAL between the plain radix-2 kernels (k=1
+// lazy, and strict), the default dispatch (fused k=3) and the fused plans at
+// every other supported degree. The modes
 // run on ONE Parameters instance toggled via SetFusionDegree, so keys,
 // encryption randomness, and inputs are literally the same objects — any
 // coefficient difference is a kernel bug, not setup noise. This is the
@@ -15,12 +16,13 @@ import (
 // counts and strictness, the fusion degree is an execution detail, never a
 // numerical one.
 
-// fusedDiffDegrees are the fusion degrees checked against the k=0 reference.
-// k=3 is the dispatch sweet spot; k=4 exercises the generic (non-specialized)
-// kernel path; k=1 degenerates to per-stage passes.
+// fusedDiffDegrees are the fusion degrees checked against the default
+// dispatch (SetFusionDegree(0), the fused k=3 kernels). k=1 is the plain
+// lazy radix-2 transform — the side that makes this a differential test;
+// k=4 exercises the generic (non-specialized) kernel path.
 var fusedDiffDegrees = []int{1, 2, 3, 4}
 
-// withFusionCkks runs f under fusion degree k and restores degree 0.
+// withFusionCkks runs f under fusion degree k and restores the default.
 func withFusionCkks(t testing.TB, params *Parameters, k int, f func()) {
 	t.Helper()
 	if err := params.SetFusionDegree(k); err != nil {
@@ -35,9 +37,9 @@ func withFusionCkks(t testing.TB, params *Parameters, k int, f func()) {
 }
 
 // TestFusedDiffEvaluatorOps is the differential table: every op × both
-// parameter sets × k ∈ {1,2,3,4}, bit-compared against the k=0 lazy
-// reference — which is itself pinned to the strict reference first, so the
-// fused outputs are transitively proven against the fully reduced kernels.
+// parameter sets × k ∈ {1,2,3,4}, bit-compared against the default-dispatch
+// output — which is itself pinned to the strict reference first, so every
+// degree is transitively proven against the fully reduced kernels.
 func TestFusedDiffEvaluatorOps(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
@@ -48,7 +50,7 @@ func TestFusedDiffEvaluatorOps(t *testing.T) {
 			withStrictCkks(params, true, func() {
 				strict = op.run(dc.serial, ct1, ct2, pt, dc)
 			})
-			requireCtEqual(t, want, strict, op.name+" lazy vs strict baseline")
+			requireCtEqual(t, want, strict, op.name+" default vs strict baseline")
 			for _, k := range fusedDiffDegrees {
 				t.Run(fmt.Sprintf("%s/%s/k=%d", pname, op.name, k), func(t *testing.T) {
 					var got *Ciphertext
@@ -63,9 +65,8 @@ func TestFusedDiffEvaluatorOps(t *testing.T) {
 }
 
 // TestFusedDiffStrictPrecedence pins the dispatch priority: while strict
-// kernels are selected, a nonzero fusion degree must not change the
-// execution (strict > fused > lazy), and the flag must survive the round
-// trip.
+// kernels are selected, the fusion degree must not change the execution
+// (strict wins), and the degree must survive the round trip.
 func TestFusedDiffStrictPrecedence(t *testing.T) {
 	params := diffParamSets(t)["LogN8-L2"]
 	dc := newDiffContext(t, params)
@@ -77,8 +78,8 @@ func TestFusedDiffStrictPrecedence(t *testing.T) {
 	})
 	var got *Ciphertext
 	withStrictCkks(params, true, func() {
-		withFusionCkks(t, params, 3, func() {
-			if params.FusionDegree() != 3 {
+		withFusionCkks(t, params, 2, func() {
+			if params.FusionDegree() != 2 {
 				t.Fatal("FusionDegree not reported while strict")
 			}
 			got = dc.serial.MulRelin(ct1, ct2)
@@ -91,7 +92,7 @@ func TestFusedDiffStrictPrecedence(t *testing.T) {
 // TestFusedDiffIntoDirtyAndAliased runs the destination-passing forms under
 // fusion: a dirty max-level destination (garbage residues, wrong
 // bookkeeping) and an in-place aliased destination (out == a's copy) must
-// both reproduce the k=0 allocating output bit-for-bit.
+// both reproduce the default-dispatch allocating output bit-for-bit.
 func TestFusedDiffIntoDirtyAndAliased(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
@@ -158,28 +159,36 @@ func TestFusedDecryptIdentity(t *testing.T) {
 }
 
 // TestFusionDegreeLiteralFlag checks the ParametersLiteral plumbing, the
-// range validation, and that a fused-from-birth instance produces the same
-// ciphertext bits as one toggled after construction.
+// range validation, and that the zero value of the literal and of
+// SetFusionDegree both mean the fused radix-8 default — reported as the
+// degree actually running, never 0.
 func TestFusionDegreeLiteralFlag(t *testing.T) {
 	lit := ParametersLiteral{
-		LogN:         8,
-		LogQ:         []int{50, 40, 40},
-		LogP:         []int{51},
-		LogScale:     40,
-		FusionDegree: 3,
+		LogN:     8,
+		LogQ:     []int{50, 40, 40},
+		LogP:     []int{51},
+		LogScale: 40,
 	}
 	params, err := NewParameters(lit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if params.FusionDegree() != 3 {
+	if params.FusionDegree() != 3 || params.RingP.FusionDegree() != 3 {
+		t.Fatalf("zero-value literal runs degree %d/%d, want the fused radix-8 default",
+			params.FusionDegree(), params.RingP.FusionDegree())
+	}
+	lit.FusionDegree = 1
+	if params, err = NewParameters(lit); err != nil {
+		t.Fatal(err)
+	}
+	if params.FusionDegree() != 1 {
 		t.Fatalf("FusionDegree literal flag not applied: got %d", params.FusionDegree())
 	}
 	if err := params.SetFusionDegree(0); err != nil {
 		t.Fatal(err)
 	}
-	if params.FusionDegree() != 0 {
-		t.Fatal("SetFusionDegree(0) did not clear the degree")
+	if params.FusionDegree() != 3 {
+		t.Fatal("SetFusionDegree(0) did not restore the default degree")
 	}
 	if err := params.SetFusionDegree(7); err == nil {
 		t.Fatal("SetFusionDegree(7) should error")

@@ -109,14 +109,14 @@ func TestDoubleHoistedLinearTransform(t *testing.T) {
 			withStrictCkks(params, false, func() { lazyOut = ev.EvaluateLinearTransform(fx.ct, lt) })
 			requireCtEqual(t, lazyOut, strictOut, "double-hoisted strict vs lazy")
 
-			if err := params.SetFusionDegree(3); err != nil {
+			if err := params.SetFusionDegree(1); err != nil {
 				t.Fatal(err)
 			}
-			fused := ev.EvaluateLinearTransform(fx.ct, lt)
+			radix2 := ev.EvaluateLinearTransform(fx.ct, lt)
 			if err := params.SetFusionDegree(0); err != nil {
 				t.Fatal(err)
 			}
-			requireCtEqual(t, fused, lazyOut, "double-hoisted fused k=3 vs radix-2")
+			requireCtEqual(t, lazyOut, radix2, "double-hoisted fused k=3 (default) vs radix-2")
 
 			// A destination full of stale coefficients must be fully
 			// overwritten, including the implicit zero rows.

@@ -213,10 +213,12 @@ type ParametersLiteral struct {
 	// and before/after benchmarking (see Parameters.SetStrictKernels).
 	StrictKernels bool
 
-	// FusionDegree starts the instance on the fused radix-2^k NTT kernels:
-	// k in [1, 6] fuses k butterfly stages per memory pass (0 = plain
-	// radix-2). Outputs are bit-identical for every setting; k=3 is the
-	// measured sweet spot (see Parameters.SetFusionDegree).
+	// FusionDegree is the radix-2^k degree of the NTT kernels. The zero
+	// value runs the fused radix-8 kernels (k=3, the measured sweet spot);
+	// k in [2, 6] fuses k butterfly stages per memory pass and k=1 is the
+	// plain radix-2 transform. Outputs are bit-identical for every setting,
+	// so this is a differential-testing knob, not a tuning one (see
+	// Parameters.SetFusionDegree).
 	FusionDegree int
 }
 
@@ -320,11 +322,12 @@ func (p *Parameters) SetStrictKernels(strict bool) {
 // StrictKernels reports whether the strict reference kernels are selected.
 func (p *Parameters) StrictKernels() bool { return p.RingQ.StrictKernels() }
 
-// SetFusionDegree switches both rings onto the fused radix-2^k NTT kernels
-// (k in [1, 6]; 0 restores plain radix-2). Plans are built once per (ring,
-// k) and cached, shared by every evaluator on these parameters; outputs are
-// bit-identical for every setting and strict mode takes precedence while
-// set. See ring.Ring.SetFusionDegree for the concurrency caveat.
+// SetFusionDegree switches both rings to the radix-2^k NTT kernels: k in
+// [2, 6] fused, 1 plain radix-2, 0 back to the default fused radix-8.
+// Selecting a degree builds nothing — the kernels read the NTT tables'
+// twiddles in place — outputs are bit-identical for every setting and
+// strict mode takes precedence while set. See ring.Ring.SetFusionDegree for
+// the concurrency caveat.
 func (p *Parameters) SetFusionDegree(k int) error {
 	if err := p.RingQ.SetFusionDegree(k); err != nil {
 		return err
@@ -332,7 +335,8 @@ func (p *Parameters) SetFusionDegree(k int) error {
 	return p.RingP.SetFusionDegree(k)
 }
 
-// FusionDegree reports the selected fusion degree (0 = plain radix-2).
+// FusionDegree reports the degree the NTT kernels run at (default 3; 1 =
+// plain radix-2).
 func (p *Parameters) FusionDegree() int { return p.RingQ.FusionDegree() }
 
 // Workers reports the limb-parallel worker bound evaluators inherit from

@@ -5,6 +5,11 @@ import (
 	"math/bits"
 )
 
+// DefaultFusionDegree is the fusion degree production transforms run at:
+// radix-8 passes, the paper's Fig-10 inflection and the measured sweet spot
+// of the register kernels.
+const DefaultFusionDegree = 3
+
 // FusedPlan is a radix-2^k execution plan for the forward NTT of one Table —
 // the software form of the paper's "fused TAM" (§IV-B). Each pass fuses up
 // to k consecutive radix-2 stages into one sweep over the coefficient
@@ -18,33 +23,15 @@ import (
 //
 // Where the hardware TAM pays for fusion with precomputed twiddle-product
 // storage (the dense matrices of Table II, modeled by FusedBlockCosts), the
-// CPU kernel pays with register pressure and code size: the per-pass
-// twiddles are the ordinary stage twiddles, re-laid-out per segment so the
-// inner loop reads them from a handful of locals. Plans are immutable after
-// construction and safe for concurrent use; Forward/Inverse allocate
-// nothing.
+// CPU kernel pays with register pressure and code size. A plan holds no
+// twiddles of its own: the factors a pass needs are the ordinary stage
+// twiddles, and the table's bit-reversed layout already stores each
+// segment's run contiguously (see fused_kernels.go), so the plan is just the
+// pair (table, k) — free to build, nothing to keep alive. Forward allocates
+// nothing and is safe for concurrent use.
 type FusedPlan struct {
 	Table *Table
 	K     int
-
-	passes []fusedPass
-}
-
-// fusedPass is one stage-group sweep. For the forward plan m0 is the first
-// stage parameter of the group; for the inverse plan it is the group's
-// starting span. Blocks gather 2^kappa elements at spacing stride; segments
-// (segLen = stride·2^kappa) share one twiddle set of 2^kappa−1 factors.
-type fusedPass struct {
-	kappa  int
-	m0     int
-	stride int
-	segLen int
-	segs   int
-
-	// tw holds (w, wShoup) pairs, (2^kappa − 1) per segment, stage-major
-	// within the segment, so one segment's twiddles are a single contiguous
-	// read hoisted into locals before its inner loop.
-	tw []uint64
 }
 
 // NewFusedPlan constructs the radix-2^k plan. k must be in [1, 6]; values
@@ -56,91 +43,23 @@ func NewFusedPlan(t *Table, k int) (*FusedPlan, error) {
 	if k < 1 || k > 6 {
 		return nil, fmt.Errorf("ntt: fusion degree k=%d out of range [1,6]", k)
 	}
-	p := &FusedPlan{Table: t, K: k}
-
-	n := t.N
-	numPasses := (t.LogN + k - 1) / k
-	first := t.LogN - k*(numPasses-1) // in [1, k]
-	m0 := 1
-	for pi := 0; pi < numPasses; pi++ {
-		kappa := k
-		if pi == 0 {
-			kappa = first
-		}
-		pass := fusedPass{kappa: kappa, m0: m0}
-		pass.stride = n / (m0 << uint(kappa))
-		pass.segLen = pass.stride << uint(kappa)
-		pass.segs = m0
-		pass.tw = p.buildPassTwiddles(pass)
-		p.passes = append(p.passes, pass)
-		m0 <<= uint(kappa)
-	}
-	return p, nil
+	return &FusedPlan{Table: t, K: k}, nil
 }
 
 func log2(x int) int { return bits.Len(uint(x)) - 1 }
 
-// buildPassTwiddles lays out the pass's stage twiddles segment-major: for
-// segment g, stage s of the group (global stage parameter m0·2^s)
-// contributes the 2^s factors psiBR[m0·2^s + g·2^s + c], c < 2^s, each
-// stored with its Shoup dual.
-func (p *FusedPlan) buildPassTwiddles(pass fusedPass) []uint64 {
-	t := p.Table
-	pairs := (1 << uint(pass.kappa)) - 1
-	tw := make([]uint64, 2*pairs*pass.segs)
-	for g := 0; g < pass.segs; g++ {
-		off := 2 * pairs * g
-		for s := 0; s < pass.kappa; s++ {
-			m := pass.m0 << uint(s)
-			for c := 0; c < 1<<uint(s); c++ {
-				idx := m + (g << uint(s)) + c
-				tw[off] = t.psiBR[idx]
-				tw[off+1] = t.psiBRShoup[idx]
-				off += 2
-			}
-		}
-	}
-	return tw
+// fusedPasses returns the pass count ceil(logN/k) and the width of the one
+// remainder pass, logN − k·(passes−1) ∈ [1, k].
+func fusedPasses(logN, k int) (passes, rem int) {
+	passes = (logN + k - 1) / k
+	return passes, logN - k*(passes-1)
 }
 
 // Forward computes the forward negacyclic NTT of a via the fused plan.
 // Output is bit-identical to Table.Forward (bit-reversed order, fully
 // reduced). Zero allocations.
-func (p *FusedPlan) Forward(a []uint64) {
-	t := p.Table
-	if len(a) != t.N {
-		panic(fmt.Sprintf("ntt: length %d != N=%d", len(a), t.N))
-	}
-	mod := t.Mod
-	last := len(p.passes) - 1
-	for pi := range p.passes {
-		pass := &p.passes[pi]
-		if pi == last {
-			// The final pass always lands on stride 1 (contiguous blocks)
-			// and performs the one deferred normalization per coefficient.
-			switch pass.kappa {
-			case 3:
-				fwdPass8Last(mod, a, pass.tw, pass.segs)
-			case 2:
-				fwdPass4Last(mod, a, pass.tw, pass.segs)
-			case 1:
-				fwdPass2Last(mod, a, pass.tw, pass.segs)
-			default:
-				p.runPassGeneric(a, pass, true, nil)
-			}
-			continue
-		}
-		switch pass.kappa {
-		case 3:
-			fwdPass8(mod, a, pass.tw, pass.stride, pass.segs)
-		case 2:
-			fwdPass4(mod, a, pass.tw, pass.stride, pass.segs)
-		case 1:
-			fwdPass2(mod, a, pass.tw, pass.stride, pass.segs)
-		default:
-			p.runPassGeneric(a, pass, false, nil)
-		}
-	}
+func (p FusedPlan) Forward(a []uint64) {
+	p.forward(a, nil)
 }
 
 // ForwardCounted is Forward with operation accounting into s. The counted
@@ -148,44 +67,67 @@ func (p *FusedPlan) Forward(a []uint64) {
 // to the fast path; counting follows the TAM convention of Stats — one
 // reduction slot per block output per pass, so fusion's deferral shows up as
 // a Reductions total of N per pass instead of N per stage.
-func (p *FusedPlan) ForwardCounted(a []uint64, s *Stats) {
+func (p FusedPlan) ForwardCounted(a []uint64, s *Stats) {
+	p.forward(a, s)
+}
+
+func (p FusedPlan) forward(a []uint64, st *Stats) {
 	t := p.Table
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: length %d != N=%d", len(a), t.N))
 	}
-	if s == nil {
-		p.Forward(a)
-		return
-	}
-	last := len(p.passes) - 1
-	for pi := range p.passes {
-		p.runPassGeneric(a, &p.passes[pi], pi == last, s)
+	mod, psi, sh := t.Mod, t.psiBR, t.psiBRShoup
+	// m0 is the pass's first stage parameter (= its segment count); the
+	// remainder pass runs first, every later pass fuses exactly K stages.
+	_, kappa := fusedPasses(t.LogN, p.K)
+	for m0 := 1; m0 < t.N; m0, kappa = m0<<uint(kappa), p.K {
+		stride := t.N / (m0 << uint(kappa))
+		// The final pass always lands on stride 1 (contiguous blocks) and
+		// performs the one deferred normalization per coefficient.
+		last := stride == 1
+		switch {
+		case st != nil || kappa > 3:
+			t.fwdPassGeneric(a, kappa, m0, last, st)
+		case kappa == 3 && last:
+			fwdPass8Last(mod, a, psi, sh, m0)
+		case kappa == 3:
+			fwdPass8(mod, a, psi, sh, m0, stride)
+		case kappa == 2 && last:
+			fwdPass4Last(mod, a, psi, sh, m0)
+		case kappa == 2:
+			fwdPass4(mod, a, psi, sh, m0, stride)
+		case last:
+			fwdPass2Last(mod, a, psi, sh, m0)
+		default:
+			fwdPass2(mod, a, psi, sh, m0, stride)
+		}
 	}
 }
 
-// runPassGeneric executes one fused pass through a stack block buffer —
-// the reference path for arbitrary kappa (up to 6), also used for counted
-// runs. Bit-identical to the specialized kernels.
-func (p *FusedPlan) runPassGeneric(a []uint64, pass *fusedPass, final bool, st *Stats) {
-	mod := p.Table.Mod
+// fwdPassGeneric executes one fused pass of kappa stages starting at stage
+// parameter m0 through a stack block buffer — the reference path for
+// arbitrary kappa (up to 6), also used for counted runs. Bit-identical to
+// the specialized kernels.
+func (t *Table) fwdPassGeneric(a []uint64, kappa, m0 int, final bool, st *Stats) {
+	mod := t.Mod
 	q := mod.Q
 	twoQ := q << 1
-	size := 1 << uint(pass.kappa)
-	pairs := size - 1
+	size := 1 << uint(kappa)
+	stride := t.N / (m0 * size)
 	var buf [64]uint64
-	for seg := 0; seg < pass.segs; seg++ {
-		tw := pass.tw[seg*2*pairs : (seg+1)*2*pairs]
-		base := seg * pass.segLen
-		for r := 0; r < pass.stride; r++ {
+	for seg := 0; seg < m0; seg++ {
+		base := seg * stride * size
+		for r := 0; r < stride; r++ {
 			for tt := 0; tt < size; tt++ {
-				buf[tt] = a[base+r+tt*pass.stride]
+				buf[tt] = a[base+r+tt*stride]
 			}
-			twOff := 0
-			for s := 0; s < pass.kappa; s++ {
+			for s := 0; s < kappa; s++ {
 				groups := 1 << uint(s)
 				span := size >> uint(s+1)
+				// Stage s of segment seg reads psiBR[(m0+seg)·2^s + c].
+				tw := (m0 + seg) << uint(s)
 				for c := 0; c < groups; c++ {
-					w, ws := tw[2*(twOff+c)], tw[2*(twOff+c)+1]
+					w, ws := t.psiBR[tw+c], t.psiBRShoup[tw+c]
 					lb := c * 2 * span
 					for lj := lb; lj < lb+span; lj++ {
 						u := buf[lj]
@@ -199,73 +141,64 @@ func (p *FusedPlan) runPassGeneric(a []uint64, pass *fusedPass, final bool, st *
 						buf[lj+span] = u + twoQ - v
 					}
 				}
-				twOff += groups
 			}
 			if final {
 				for tt := 0; tt < size; tt++ {
-					a[base+r+tt*pass.stride] = mod.ReduceFourQ(buf[tt])
+					a[base+r+tt*stride] = mod.ReduceFourQ(buf[tt])
 				}
 			} else {
 				for tt := 0; tt < size; tt++ {
-					a[base+r+tt*pass.stride] = buf[tt]
+					a[base+r+tt*stride] = buf[tt]
 				}
 			}
 		}
 	}
 	if st != nil {
-		n := int64(p.Table.N)
-		kappa := int64(pass.kappa)
-		// TAM convention: two mult/add slots per butterfly (one per output),
-		// size/2 butterflies per block per stage.
-		st.Mults += n * kappa
-		st.Adds += n * kappa
-		// One reduction slot per block output per pass; only the final
-		// pass's band-edge normalizations are performed.
-		st.Reductions += n
-		if final {
-			st.Normalizations += n
-		} else {
-			st.Deferred += n
-		}
-		st.TwiddleLoads += int64(pairs * pass.segs)
-		st.FusedPasses++
+		st.countFusedPass(t.N, kappa, m0, final)
 	}
 }
 
+// countFusedPass books one fused pass of kappa stages over n coefficients
+// in `segs` segments under the TAM convention: two mult/add slots per
+// butterfly (one per output), one reduction slot per block output per pass
+// — performed only by the normalizing pass — and 2^kappa − 1 twiddle loads
+// per segment.
+func (s *Stats) countFusedPass(n, kappa, segs int, normalizes bool) {
+	s.Mults += int64(n * kappa)
+	s.Adds += int64(n * kappa)
+	s.Reductions += int64(n)
+	if normalizes {
+		s.Normalizations += int64(n)
+	} else {
+		s.Deferred += int64(n)
+	}
+	s.TwiddleLoads += int64(((1 << uint(kappa)) - 1) * segs)
+	s.FusedPasses++
+}
+
 // DistinctTwiddles returns the number of distinct non-trivial (≠0, ≠1)
-// twiddle values held by each pass — the empirical counterpart of the
-// paper's W column in Table II.
-func (p *FusedPlan) DistinctTwiddles() []int {
-	res := make([]int, len(p.passes))
-	for i := range p.passes {
-		res[i] = distinctTwiddles(p.passes[i].tw)
+// twiddle values each pass reads — the empirical counterpart of the
+// paper's W column in Table II. A pass starting at stage parameter m0 reads
+// exactly psiBR[m0 : m0·2^κ].
+func (p FusedPlan) DistinctTwiddles() []int {
+	t := p.Table
+	var res []int
+	_, kappa := fusedPasses(t.LogN, p.K)
+	for m0 := 1; m0 < t.N; m0, kappa = m0<<uint(kappa), p.K {
+		set := map[uint64]struct{}{}
+		for _, w := range t.psiBR[m0 : m0<<uint(kappa)] {
+			if w != 0 && w != 1 {
+				set[w] = struct{}{}
+			}
+		}
+		res = append(res, len(set))
 	}
 	return res
 }
 
-func distinctTwiddles(tw []uint64) int {
-	set := map[uint64]struct{}{}
-	for i := 0; i < len(tw); i += 2 {
-		if w := tw[i]; w != 0 && w != 1 {
-			set[w] = struct{}{}
-		}
-	}
-	return len(set)
-}
-
 // Passes returns the number of fused passes (the paper's "iterations":
 // ceil(logN / k)).
-func (p *FusedPlan) Passes() int { return len(p.passes) }
-
-// TwiddleStorage returns the total number of uint64 words of precomputed
-// twiddle state held by the plan (factors plus Shoup duals). The register
-// kernel stores each stage twiddle exactly once — 2(N−1) pairs across all
-// passes regardless of k — unlike the hardware TAM's dense matrices, whose
-// modeled k-dependent growth is FusedBlockCosts(k).Twiddles.
-func (p *FusedPlan) TwiddleStorage() int {
-	total := 0
-	for i := range p.passes {
-		total += len(p.passes[i].tw)
-	}
-	return total
+func (p FusedPlan) Passes() int {
+	n, _ := fusedPasses(p.Table.LogN, p.K)
+	return n
 }

@@ -13,13 +13,12 @@ import (
 // final stage of the final pass via exact Shoup products (nInv on the sum
 // output, nInv·psiInv on the difference output), so the inverse costs no
 // separate scaling sweep and the output is fully reduced — bit-identical to
-// Table.Inverse. Plans are immutable after construction and safe for
-// concurrent use; Inverse allocates nothing.
+// Table.Inverse. Like FusedPlan it is just (table, k): the kernels read the
+// table's psiInvBR runs directly. Inverse allocates nothing and is safe for
+// concurrent use.
 type InverseFusedPlan struct {
 	Table *Table
 	K     int
-
-	passes []fusedPass
 }
 
 // NewInverseFusedPlan constructs the inverse plan for fusion degree k in
@@ -29,161 +28,102 @@ func NewInverseFusedPlan(t *Table, k int) (*InverseFusedPlan, error) {
 	if k < 1 || k > 6 {
 		return nil, fmt.Errorf("ntt: fusion degree k=%d out of range [1,6]", k)
 	}
-	p := &InverseFusedPlan{Table: t, K: k}
-
-	n := t.N
-	numPasses := (t.LogN + k - 1) / k
-	s0 := 1 // starting span of the pass (m0 field reused as span)
-	for pi := 0; pi < numPasses; pi++ {
-		kappa := k
-		if pi == numPasses-1 {
-			kappa = t.LogN - k*(numPasses-1) // remainder in [1, k]
-		}
-		pass := fusedPass{kappa: kappa, m0: s0, stride: s0}
-		pass.segLen = s0 << uint(kappa)
-		pass.segs = n / pass.segLen
-		pass.tw = p.buildPassTwiddles(pass, pi == numPasses-1)
-		p.passes = append(p.passes, pass)
-		s0 <<= uint(kappa)
-	}
-	return p, nil
-}
-
-// buildPassTwiddles lays out the pass's GS stage twiddles segment-major:
-// for segment g, stage s of the group (global span m0·2^s, stage parameter
-// m = N/(2·m0·2^s)) contributes the 2^(kappa−1−s) factors
-// psiInvBR[m + g·2^(kappa−1−s) + c], each with its Shoup dual. For the
-// final (folding) pass, the last stage's single twiddle is replaced by
-// nInv·psiInv so the difference outputs absorb the N^-1 scaling in place.
-func (p *InverseFusedPlan) buildPassTwiddles(pass fusedPass, fold bool) []uint64 {
-	t := p.Table
-	pairs := (1 << uint(pass.kappa)) - 1
-	tw := make([]uint64, 2*pairs*pass.segs)
-	for g := 0; g < pass.segs; g++ {
-		off := 2 * pairs * g
-		for s := 0; s < pass.kappa; s++ {
-			m := t.N / (2 * (pass.m0 << uint(s)))
-			cnt := 1 << uint(pass.kappa-1-s)
-			for c := 0; c < cnt; c++ {
-				idx := m + g*cnt + c
-				w, ws := t.psiInvBR[idx], t.psiInvBRShoup[idx]
-				if fold && s == pass.kappa-1 {
-					w, ws = t.nInvPsiInv, t.nInvPsiInvShoup
-				}
-				tw[off] = w
-				tw[off+1] = ws
-				off += 2
-			}
-		}
-	}
-	return tw
+	return &InverseFusedPlan{Table: t, K: k}, nil
 }
 
 // Inverse computes the inverse negacyclic NTT of a (input bit-reversed,
 // output natural order, scaled by N^-1) via the fused plan. Output is
 // bit-identical to Table.Inverse. Zero allocations.
-func (p *InverseFusedPlan) Inverse(a []uint64) {
-	t := p.Table
-	if len(a) != t.N {
-		panic(fmt.Sprintf("ntt: length %d != N=%d", len(a), t.N))
-	}
-	mod := t.Mod
-	last := len(p.passes) - 1
-	for pi := range p.passes {
-		pass := &p.passes[pi]
-		if pi == last {
-			// The final pass carries the N^-1 fold on its last stage.
-			switch pass.kappa {
-			case 3:
-				invPass8Fold(mod, a, pass.tw, pass.stride, t.nInv, t.nInvShoup)
-			case 2:
-				invPass4Fold(mod, a, pass.tw, pass.stride, t.nInv, t.nInvShoup)
-			case 1:
-				invPass2Fold(mod, a, pass.tw, pass.stride, t.nInv, t.nInvShoup)
-			default:
-				p.runPassGeneric(a, pass, true, nil)
-			}
-			continue
-		}
-		if pi == 0 {
-			// The first pass always lands on stride 1: contiguous blocks.
-			switch pass.kappa {
-			case 3:
-				invPass8First(mod, a, pass.tw, pass.segs)
-			case 2:
-				invPass4First(mod, a, pass.tw, pass.segs)
-			case 1:
-				invPass2First(mod, a, pass.tw, pass.segs)
-			default:
-				p.runPassGeneric(a, pass, false, nil)
-			}
-			continue
-		}
-		switch pass.kappa {
-		case 3:
-			invPass8(mod, a, pass.tw, pass.stride, pass.segs)
-		case 2:
-			invPass4(mod, a, pass.tw, pass.stride, pass.segs)
-		case 1:
-			invPass2(mod, a, pass.tw, pass.stride, pass.segs)
-		default:
-			p.runPassGeneric(a, pass, false, nil)
-		}
-	}
+func (p InverseFusedPlan) Inverse(a []uint64) {
+	p.inverse(a, nil)
 }
 
 // InverseCounted is Inverse with operation accounting into s, following the
 // same TAM convention as FusedPlan.ForwardCounted: one reduction slot per
 // block output per pass. The counted run executes the generic kernels,
 // which are bit-identical to the fast path.
-func (p *InverseFusedPlan) InverseCounted(a []uint64, s *Stats) {
+func (p InverseFusedPlan) InverseCounted(a []uint64, s *Stats) {
+	p.inverse(a, s)
+}
+
+func (p InverseFusedPlan) inverse(a []uint64, st *Stats) {
 	t := p.Table
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: length %d != N=%d", len(a), t.N))
 	}
-	if s == nil {
-		p.Inverse(a)
-		return
-	}
-	last := len(p.passes) - 1
-	for pi := range p.passes {
-		p.runPassGeneric(a, &p.passes[pi], pi == last, s)
+	mod, psi, sh := t.Mod, t.psiInvBR, t.psiInvBRShoup
+	// stride is the pass's starting span; the first pass is contiguous
+	// (stride 1), the last one — the remainder group — is a single segment
+	// and carries the N^-1 fold on its last stage.
+	passes, rem := fusedPasses(t.LogN, p.K)
+	stride := 1
+	for pi := 0; pi < passes; pi++ {
+		kappa := p.K
+		if pi == passes-1 {
+			kappa = rem
+		}
+		segs := t.N / (stride << uint(kappa))
+		fold := segs == 1
+		switch {
+		case st != nil || kappa > 3:
+			t.invPassGeneric(a, kappa, stride, fold, st)
+		case kappa == 3 && fold:
+			invPass8Fold(t, a, stride)
+		case kappa == 3 && stride == 1:
+			invPass8First(mod, a, psi, sh, segs)
+		case kappa == 3:
+			invPass8(mod, a, psi, sh, stride, segs)
+		case kappa == 2 && fold:
+			invPass4Fold(t, a, stride)
+		case kappa == 2 && stride == 1:
+			invPass4First(mod, a, psi, sh, segs)
+		case kappa == 2:
+			invPass4(mod, a, psi, sh, stride, segs)
+		case fold:
+			invPass2Fold(t, a, stride)
+		case stride == 1:
+			invPass2First(mod, a, psi, sh, segs)
+		default:
+			invPass2(mod, a, psi, sh, stride, segs)
+		}
+		stride <<= uint(kappa)
 	}
 }
 
-// runPassGeneric executes one fused GS pass through a stack block buffer —
-// the reference path for arbitrary kappa (up to 6), also used for counted
-// runs. Bit-identical to the specialized kernels.
-func (p *InverseFusedPlan) runPassGeneric(a []uint64, pass *fusedPass, fold bool, st *Stats) {
-	t := p.Table
+// invPassGeneric executes one fused GS pass of kappa stages starting at span
+// `stride` through a stack block buffer — the reference path for arbitrary
+// kappa (up to 6), also used for counted runs. Bit-identical to the
+// specialized kernels.
+func (t *Table) invPassGeneric(a []uint64, kappa, stride int, fold bool, st *Stats) {
 	mod := t.Mod
 	q := mod.Q
 	twoQ := q << 1
-	size := 1 << uint(pass.kappa)
-	pairs := size - 1
+	size := 1 << uint(kappa)
+	segs := t.N / (stride * size)
 	nI, nIS := t.nInv, t.nInvShoup
 	var buf [64]uint64
-	for seg := 0; seg < pass.segs; seg++ {
-		tw := pass.tw[seg*2*pairs : (seg+1)*2*pairs]
-		base := seg * pass.segLen
-		for r := 0; r < pass.stride; r++ {
+	for seg := 0; seg < segs; seg++ {
+		base := seg * stride * size
+		for r := 0; r < stride; r++ {
 			for tt := 0; tt < size; tt++ {
-				buf[tt] = a[base+r+tt*pass.stride]
+				buf[tt] = a[base+r+tt*stride]
 			}
-			twOff := 0
-			for s := 0; s < pass.kappa; s++ {
+			for s := 0; s < kappa; s++ {
 				span := 1 << uint(s)
 				cnt := size >> uint(s+1)
-				lastStage := fold && s == pass.kappa-1
+				lastStage := fold && s == kappa-1
+				// Stage s of segment seg reads psiInvBR[(segs+seg)·cnt + c].
+				tw := (segs + seg) * cnt
 				for c := 0; c < cnt; c++ {
-					w, ws := tw[2*(twOff+c)], tw[2*(twOff+c)+1]
+					w, ws := t.psiInvBR[tw+c], t.psiInvBRShoup[tw+c]
 					lb := c * 2 * span
 					for lj := lb; lj < lb+span; lj++ {
 						u, v := buf[lj], buf[lj+span]
 						if lastStage {
-							// Exact Shoup products fold N^-1 and fully reduce.
+							// Exact Shoup products fold N^-1 (the stage's one
+							// twiddle becomes N^-1·psiInv) and fully reduce.
 							buf[lj] = mod.MulShoup(u+v, nI, nIS)
-							buf[lj+span] = mod.MulShoup(u+twoQ-v, w, ws)
+							buf[lj+span] = mod.MulShoup(u+twoQ-v, t.nInvPsiInv, t.nInvPsiInvShoup)
 							continue
 						}
 						xx := u + v
@@ -196,39 +136,19 @@ func (p *InverseFusedPlan) runPassGeneric(a []uint64, pass *fusedPass, fold bool
 						buf[lj+span] = d*w - hi*q
 					}
 				}
-				twOff += cnt
 			}
 			for tt := 0; tt < size; tt++ {
-				a[base+r+tt*pass.stride] = buf[tt]
+				a[base+r+tt*stride] = buf[tt]
 			}
 		}
 	}
 	if st != nil {
-		n := int64(t.N)
-		kappa := int64(pass.kappa)
-		st.Mults += n * kappa
-		st.Adds += n * kappa
-		st.Reductions += n
-		if fold {
-			st.Normalizations += n
-		} else {
-			st.Deferred += n
-		}
-		st.TwiddleLoads += int64(pairs * pass.segs)
-		st.FusedPasses++
+		st.countFusedPass(t.N, kappa, segs, fold)
 	}
 }
 
 // Passes returns the number of fused passes (ceil(logN / k)).
-func (p *InverseFusedPlan) Passes() int { return len(p.passes) }
-
-// TwiddleStorage returns the total uint64 words of precomputed twiddle
-// state held by the plan (factors plus Shoup duals); like the forward plan
-// this is 2(N−1) pairs regardless of k.
-func (p *InverseFusedPlan) TwiddleStorage() int {
-	total := 0
-	for i := range p.passes {
-		total += len(p.passes[i].tw)
-	}
-	return total
+func (p InverseFusedPlan) Passes() int {
+	n, _ := fusedPasses(p.Table.LogN, p.K)
+	return n
 }

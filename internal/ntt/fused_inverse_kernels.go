@@ -12,24 +12,25 @@ import (
 // difference output is a lazy Shoup product of u−v+2q. The fold kernels run
 // the final pass: their last stage multiplies sums by N^-1 and differences
 // by N^-1·psiInv through exact Shoup products, leaving outputs fully
-// reduced.
+// reduced. Twiddles come straight from the table's psiInvBR/psiInvBRShoup
+// (psi/sh below): with `segs` segments in the pass, segment g reads the runs
+// at (segs+g)·2^(κ−1−s) for stage s — the mirror of the forward indexing.
 
 // --- inverse, κ=3 -----------------------------------------------------------
 
 // invPass8First runs the first 8-point pass: stride is 1 by construction,
 // so blocks are contiguous.
-func invPass8First(mod numeric.Modulus, a, tw []uint64, segs int) {
+func invPass8First(mod numeric.Modulus, a, psi, sh []uint64, segs int) {
 	q := mod.Q
 	twoQ := q << 1
 	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*14 : seg*14+14 : seg*14+14]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
-		w4, s4 := t[6], t[7]
-		w5, s5 := t[8], t[9]
-		w6, s6 := t[10], t[11]
-		w7, s7 := t[12], t[13]
+		i := segs + seg
+		p4, z4 := psi[4*i:4*i+4:4*i+4], sh[4*i:4*i+4:4*i+4]
+		w1, s1, w2, s2 := p4[0], z4[0], p4[1], z4[1]
+		w3, s3, w4, s4 := p4[2], z4[2], p4[3], z4[3]
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w5, s5, w6, s6 := p2[0], z2[0], p2[1], z2[1]
+		w7, s7 := psi[i], sh[i]
 		x := a[seg*8 : seg*8+8 : seg*8+8]
 		a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
 		a4, a5, a6, a7 := x[4], x[5], x[6], x[7]
@@ -130,19 +131,18 @@ func invPass8First(mod numeric.Modulus, a, tw []uint64, segs int) {
 }
 
 // invPass8 runs a middle 8-point pass at the given stride.
-func invPass8(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
+func invPass8(mod numeric.Modulus, a, psi, sh []uint64, stride, segs int) {
 	q := mod.Q
 	twoQ := q << 1
 	segLen := stride << 3
 	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*14 : seg*14+14 : seg*14+14]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
-		w4, s4 := t[6], t[7]
-		w5, s5 := t[8], t[9]
-		w6, s6 := t[10], t[11]
-		w7, s7 := t[12], t[13]
+		i := segs + seg
+		p4, z4 := psi[4*i:4*i+4:4*i+4], sh[4*i:4*i+4:4*i+4]
+		w1, s1, w2, s2 := p4[0], z4[0], p4[1], z4[1]
+		w3, s3, w4, s4 := p4[2], z4[2], p4[3], z4[3]
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w5, s5, w6, s6 := p2[0], z2[0], p2[1], z2[1]
+		w7, s7 := psi[i], sh[i]
 		base := seg * segLen
 		x0 := a[base : base+stride : base+stride]
 		x1 := a[base+stride : base+2*stride : base+2*stride]
@@ -251,18 +251,17 @@ func invPass8(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
 
 // invPass8Fold runs the final 8-point pass (one segment spanning the whole
 // vector): stages 1–2 stay lazy, stage 3 folds N^-1 through exact Shoup
-// products so every output is fully reduced.
-func invPass8Fold(mod numeric.Modulus, a, tw []uint64, stride int, nInv, nInvShoup uint64) {
-	q := mod.Q
+// products — sums × N^-1, differences × N^-1·psiInv in place of the stage
+// twiddle — so every output is fully reduced.
+func invPass8Fold(t *Table, a []uint64, stride int) {
+	q := t.Mod.Q
 	twoQ := q << 1
-	t := tw[0:14:14]
-	w1, s1 := t[0], t[1]
-	w2, s2 := t[2], t[3]
-	w3, s3 := t[4], t[5]
-	w4, s4 := t[6], t[7]
-	w5, s5 := t[8], t[9]
-	w6, s6 := t[10], t[11]
-	w7, s7 := t[12], t[13]
+	psi, sh := t.psiInvBR[:8:8], t.psiInvBRShoup[:8:8]
+	w1, s1, w2, s2 := psi[4], sh[4], psi[5], sh[5]
+	w3, s3, w4, s4 := psi[6], sh[6], psi[7], sh[7]
+	w5, s5, w6, s6 := psi[2], sh[2], psi[3], sh[3]
+	w7, s7 := t.nInvPsiInv, t.nInvPsiInvShoup
+	nInv, nInvShoup := t.nInv, t.nInvShoup
 	x0 := a[0:stride:stride]
 	x1 := a[stride : 2*stride : 2*stride]
 	x2 := a[2*stride : 3*stride : 3*stride]
@@ -357,14 +356,14 @@ func mulShoupExact(a, w, ws, q uint64) uint64 {
 
 // --- inverse, κ=2 -----------------------------------------------------------
 
-func invPass4First(mod numeric.Modulus, a, tw []uint64, segs int) {
+func invPass4First(mod numeric.Modulus, a, psi, sh []uint64, segs int) {
 	q := mod.Q
 	twoQ := q << 1
 	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*6 : seg*6+6 : seg*6+6]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
+		i := segs + seg
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w1, s1, w2, s2 := p2[0], z2[0], p2[1], z2[1]
+		w3, s3 := psi[i], sh[i]
 		x := a[seg*4 : seg*4+4 : seg*4+4]
 		a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
 
@@ -404,15 +403,15 @@ func invPass4First(mod numeric.Modulus, a, tw []uint64, segs int) {
 	}
 }
 
-func invPass4(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
+func invPass4(mod numeric.Modulus, a, psi, sh []uint64, stride, segs int) {
 	q := mod.Q
 	twoQ := q << 1
 	segLen := stride << 2
 	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*6 : seg*6+6 : seg*6+6]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
+		i := segs + seg
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w1, s1, w2, s2 := p2[0], z2[0], p2[1], z2[1]
+		w3, s3 := psi[i], sh[i]
 		base := seg * segLen
 		x0 := a[base : base+stride : base+stride]
 		x1 := a[base+stride : base+2*stride : base+2*stride]
@@ -456,13 +455,13 @@ func invPass4(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
 	}
 }
 
-func invPass4Fold(mod numeric.Modulus, a, tw []uint64, stride int, nInv, nInvShoup uint64) {
-	q := mod.Q
+func invPass4Fold(t *Table, a []uint64, stride int) {
+	q := t.Mod.Q
 	twoQ := q << 1
-	t := tw[0:6:6]
-	w1, s1 := t[0], t[1]
-	w2, s2 := t[2], t[3]
-	w3, s3 := t[4], t[5]
+	w1, s1 := t.psiInvBR[2], t.psiInvBRShoup[2]
+	w2, s2 := t.psiInvBR[3], t.psiInvBRShoup[3]
+	w3, s3 := t.nInvPsiInv, t.nInvPsiInvShoup
+	nInv, nInvShoup := t.nInv, t.nInvShoup
 	x0 := a[0:stride:stride]
 	x1 := a[stride : 2*stride : 2*stride]
 	x2 := a[2*stride : 3*stride : 3*stride]
@@ -494,11 +493,11 @@ func invPass4Fold(mod numeric.Modulus, a, tw []uint64, stride int, nInv, nInvSho
 
 // --- inverse, κ=1 -----------------------------------------------------------
 
-func invPass2First(mod numeric.Modulus, a, tw []uint64, segs int) {
+func invPass2First(mod numeric.Modulus, a, psi, sh []uint64, segs int) {
 	q := mod.Q
 	twoQ := q << 1
 	for seg := 0; seg < segs; seg++ {
-		w, ws := tw[seg*2], tw[seg*2+1]
+		w, ws := psi[segs+seg], sh[segs+seg]
 		x := a[seg*2 : seg*2+2 : seg*2+2]
 		u, v := x[0], x[1]
 		s := u + v
@@ -512,11 +511,11 @@ func invPass2First(mod numeric.Modulus, a, tw []uint64, segs int) {
 	}
 }
 
-func invPass2(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
+func invPass2(mod numeric.Modulus, a, psi, sh []uint64, stride, segs int) {
 	q := mod.Q
 	twoQ := q << 1
 	for seg := 0; seg < segs; seg++ {
-		w, ws := tw[seg*2], tw[seg*2+1]
+		w, ws := psi[segs+seg], sh[segs+seg]
 		base := seg * stride * 2
 		x0 := a[base : base+stride : base+stride]
 		x1 := a[base+stride : base+2*stride : base+2*stride]
@@ -534,10 +533,11 @@ func invPass2(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
 	}
 }
 
-func invPass2Fold(mod numeric.Modulus, a, tw []uint64, stride int, nInv, nInvShoup uint64) {
-	q := mod.Q
+func invPass2Fold(t *Table, a []uint64, stride int) {
+	q := t.Mod.Q
 	twoQ := q << 1
-	w, ws := tw[0], tw[1]
+	w, ws := t.nInvPsiInv, t.nInvPsiInvShoup
+	nInv, nInvShoup := t.nInv, t.nInvShoup
 	x0 := a[0:stride:stride]
 	x1 := a[stride : 2*stride : 2*stride]
 	for j := 0; j < stride; j++ {

@@ -10,7 +10,10 @@ import (
 // and InverseFusedPlan for block widths 2, 4 and 8 (κ = 1, 2, 3). Each
 // kernel keeps its whole block in registers across the fused stages —
 // [8]uint64-shaped register blocks for the κ=3 kernels — with the segment's
-// twiddles hoisted into locals and every slice pre-cut to its exact extent
+// twiddles hoisted into locals straight from the table's psiBR/psiBRShoup
+// (psi/sh below): stage s of segment g of a pass starting at stage parameter
+// m0 reads the contiguous run of 2^s factors at (m0+g)·2^s, so no per-plan
+// copy of the twiddles exists. Every slice is pre-cut to its exact extent
 // so the inner loops carry no bounds checks, no twiddle reloads, and no
 // per-butterfly reduction beyond the single conditional band correction the
 // Harvey schedule requires. The Shoup products are written out inline
@@ -27,20 +30,19 @@ import (
 // --- forward, κ=3 -----------------------------------------------------------
 
 // fwdPass8 runs one non-final 8-point fused pass: blocks gathered at
-// `stride`, segments of 8·stride sharing the 7 hoisted twiddles.
-func fwdPass8(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
+// `stride`, m0 segments of 8·stride each sharing 7 hoisted twiddles.
+func fwdPass8(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 	q := mod.Q
 	twoQ := q << 1
 	segLen := stride << 3
-	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*14 : seg*14+14 : seg*14+14]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
-		w4, s4 := t[6], t[7]
-		w5, s5 := t[8], t[9]
-		w6, s6 := t[10], t[11]
-		w7, s7 := t[12], t[13]
+	for seg := 0; seg < m0; seg++ {
+		i := m0 + seg
+		w1, s1 := psi[i], sh[i]
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w2, s2, w3, s3 := p2[0], z2[0], p2[1], z2[1]
+		p4, z4 := psi[4*i:4*i+4:4*i+4], sh[4*i:4*i+4:4*i+4]
+		w4, s4, w5, s5 := p4[0], z4[0], p4[1], z4[1]
+		w6, s6, w7, s7 := p4[2], z4[2], p4[3], z4[3]
 		base := seg * segLen
 		x0 := a[base : base+stride : base+stride]
 		x1 := a[base+stride : base+2*stride : base+2*stride]
@@ -141,18 +143,17 @@ func fwdPass8(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
 // fwdPass8Last runs the final 8-point pass: stride is 1 by construction
 // (blocks are contiguous), and each output takes its single deferred
 // normalization before the store.
-func fwdPass8Last(mod numeric.Modulus, a, tw []uint64, segs int) {
+func fwdPass8Last(mod numeric.Modulus, a, psi, sh []uint64, m0 int) {
 	q := mod.Q
 	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*14 : seg*14+14 : seg*14+14]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
-		w4, s4 := t[6], t[7]
-		w5, s5 := t[8], t[9]
-		w6, s6 := t[10], t[11]
-		w7, s7 := t[12], t[13]
+	for seg := 0; seg < m0; seg++ {
+		i := m0 + seg
+		w1, s1 := psi[i], sh[i]
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w2, s2, w3, s3 := p2[0], z2[0], p2[1], z2[1]
+		p4, z4 := psi[4*i:4*i+4:4*i+4], sh[4*i:4*i+4:4*i+4]
+		w4, s4, w5, s5 := p4[0], z4[0], p4[1], z4[1]
+		w6, s6, w7, s7 := p4[2], z4[2], p4[3], z4[3]
 		x := a[seg*8 : seg*8+8 : seg*8+8]
 		a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
 		a4, a5, a6, a7 := x[4], x[5], x[6], x[7]
@@ -257,15 +258,15 @@ func reduceFourQ(x, q, twoQ uint64) uint64 {
 
 // --- forward, κ=2 -----------------------------------------------------------
 
-func fwdPass4(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
+func fwdPass4(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 	q := mod.Q
 	twoQ := q << 1
 	segLen := stride << 2
-	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*6 : seg*6+6 : seg*6+6]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
+	for seg := 0; seg < m0; seg++ {
+		i := m0 + seg
+		w1, s1 := psi[i], sh[i]
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w2, s2, w3, s3 := p2[0], z2[0], p2[1], z2[1]
 		base := seg * segLen
 		x0 := a[base : base+stride : base+stride]
 		x1 := a[base+stride : base+2*stride : base+2*stride]
@@ -307,14 +308,14 @@ func fwdPass4(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
 	}
 }
 
-func fwdPass4Last(mod numeric.Modulus, a, tw []uint64, segs int) {
+func fwdPass4Last(mod numeric.Modulus, a, psi, sh []uint64, m0 int) {
 	q := mod.Q
 	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		t := tw[seg*6 : seg*6+6 : seg*6+6]
-		w1, s1 := t[0], t[1]
-		w2, s2 := t[2], t[3]
-		w3, s3 := t[4], t[5]
+	for seg := 0; seg < m0; seg++ {
+		i := m0 + seg
+		w1, s1 := psi[i], sh[i]
+		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
+		w2, s2, w3, s3 := p2[0], z2[0], p2[1], z2[1]
 		x := a[seg*4 : seg*4+4 : seg*4+4]
 		a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
 
@@ -356,11 +357,11 @@ func fwdPass4Last(mod numeric.Modulus, a, tw []uint64, segs int) {
 // fwdPass2 is a single radix-2 stage in fused-pass clothing — the remainder
 // pass when log2(N) is not a multiple of k (run first, where the stride and
 // the inner loop are longest).
-func fwdPass2(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
+func fwdPass2(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 	q := mod.Q
 	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		w, ws := tw[seg*2], tw[seg*2+1]
+	for seg := 0; seg < m0; seg++ {
+		w, ws := psi[m0+seg], sh[m0+seg]
 		base := seg * stride * 2
 		x0 := a[base : base+stride : base+stride]
 		x1 := a[base+stride : base+2*stride : base+2*stride]
@@ -378,11 +379,11 @@ func fwdPass2(mod numeric.Modulus, a, tw []uint64, stride, segs int) {
 	}
 }
 
-func fwdPass2Last(mod numeric.Modulus, a, tw []uint64, segs int) {
+func fwdPass2Last(mod numeric.Modulus, a, psi, sh []uint64, m0 int) {
 	q := mod.Q
 	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		w, ws := tw[seg*2], tw[seg*2+1]
+	for seg := 0; seg < m0; seg++ {
+		w, ws := psi[m0+seg], sh[m0+seg]
 		x := a[seg*2 : seg*2+2 : seg*2+2]
 		u := x[0]
 		if u >= twoQ {

@@ -81,6 +81,51 @@ func TestInverseLazyMatchesStrict(t *testing.T) {
 	}
 }
 
+// The fused kernels — the default degree the ring layer runs and every other
+// selectable one — must be bit-identical to the strict reference for every
+// transform length a table supports up to 2^14, at every band edge. Sizes
+// below 8 never reach a full radix-8 block: N=2 and N=4 run entirely as the
+// remainder pass; above that every logN mod 3 remainder (first pass forward,
+// last pass inverse), the specialized kernels (k ≤ 3) and the generic one
+// (k ≥ 4, and every counted run) are covered.
+func TestFusedMatchesStrictEveryLogN(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for logN := 1; logN <= 14; logN++ {
+		n := 1 << uint(logN)
+		for _, bitSize := range []int{31, 61} {
+			tab := mustTable(t, n, bitSize)
+			polys := edgePolys(rng, n, tab.Mod.Q)
+			if logN > 10 {
+				polys = polys[2:5] // all q−1, alternating, one random
+			}
+			for pi, p := range polys {
+				wantF := append([]uint64(nil), p...)
+				wantI := append([]uint64(nil), p...)
+				tab.ForwardStrict(wantF)
+				tab.InverseStrict(wantI)
+				for k := 1; k <= 6; k++ {
+					for _, counted := range []bool{false, true} {
+						var st *Stats
+						if counted {
+							st = new(Stats)
+						}
+						gotF := append([]uint64(nil), p...)
+						gotI := append([]uint64(nil), p...)
+						FusedPlan{Table: tab, K: k}.ForwardCounted(gotF, st)
+						InverseFusedPlan{Table: tab, K: k}.InverseCounted(gotI, st)
+						for i := range p {
+							if gotF[i] != wantF[i] || gotI[i] != wantI[i] {
+								t.Fatalf("logN=%d bits=%d poly=%d k=%d counted=%v: fused diverges from strict at %d (fwd %d want %d, inv %d want %d)",
+									logN, bitSize, pi, k, counted, i, gotF[i], wantF[i], gotI[i], wantI[i])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // MulEval now routes through the Montgomery path; it must keep matching the
 // Barrett product bit-for-bit.
 func TestMulEvalMontgomeryMatchesBarrett(t *testing.T) {

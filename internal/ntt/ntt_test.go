@@ -296,28 +296,6 @@ func TestAccessStride(t *testing.T) {
 	}
 }
 
-// The register-blocked plan stores each stage twiddle exactly once — with
-// Shoup duals that is 4(N−1) words for any k, forward and inverse alike —
-// unlike the hardware TAM's dense matrices whose k-dependent growth stays
-// modeled in FusedBlockCosts(k).Twiddles.
-func TestTwiddleStorageConstantInK(t *testing.T) {
-	tab := mustTable(t, 1024, 30)
-	want := 4 * (tab.N - 1)
-	for k := 1; k <= 6; k++ {
-		plan, err := NewFusedPlan(tab, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := NewInverseFusedPlan(tab, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st := plan.TwiddleStorage() + inv.TwiddleStorage(); st != want {
-			t.Errorf("k=%d: twiddle storage %d words, want %d", k, st, want)
-		}
-	}
-}
-
 func TestDistinctTwiddles(t *testing.T) {
 	tab := mustTable(t, 64, 30)
 	plan, err := NewFusedPlan(tab, 3)

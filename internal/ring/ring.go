@@ -46,21 +46,11 @@ type Ring struct {
 	// pointer compare. See SetFaultInjector.
 	injector *fault.Injector
 
-	// fusionK selects the fused radix-2^k NTT kernels (0 = plain radix-2).
-	// fwdPlans/invPlans hold the active per-limb plans; planCache keeps one
-	// plan set per fusion degree so toggling k is free after the first build.
-	// Strict mode wins over fusion: strict > fused > lazy radix-2. See
-	// SetFusionDegree.
-	fusionK   int
-	fwdPlans  []*ntt.FusedPlan
-	invPlans  []*ntt.InverseFusedPlan
-	planCache map[int]*fusedPlanSet
-}
-
-// fusedPlanSet is one fusion degree's per-limb plan pair.
-type fusedPlanSet struct {
-	fwd []*ntt.FusedPlan
-	inv []*ntt.InverseFusedPlan
+	// fusionK is the radix-2^k degree every limb transform runs at:
+	// ntt.DefaultFusionDegree unless SetFusionDegree says otherwise, 1 for
+	// the plain lazy radix-2 kernels. The fused kernels read the tables'
+	// own twiddle arrays, so the ring holds no per-limb plan state.
+	fusionK int
 }
 
 // HFCache caches precomputed HFAuto routing maps per Galois element.
@@ -86,7 +76,7 @@ func NewRing(n int, moduli []uint64, laneC int) (*Ring, error) {
 			laneC = n
 		}
 	}
-	r := &Ring{N: n}
+	r := &Ring{N: n, fusionK: ntt.DefaultFusionDegree}
 	for n>>uint(r.LogN+1) > 0 {
 		r.LogN++
 	}
@@ -131,47 +121,27 @@ func (r *Ring) SetStrictKernels(strict bool) { r.strict = strict }
 // StrictKernels reports whether the strict reference kernels are selected.
 func (r *Ring) StrictKernels() bool { return r.strict }
 
-// SetFusionDegree selects the fused radix-2^k NTT kernels for every limb
-// transform: k in [1, 6] fuses k butterfly stages per memory pass (k=3 is
-// the paper's Fig-10 sweet spot and the measured one on amd64 — see
-// BENCH_kernels.json); k=0 restores the plain lazy radix-2 kernels. Plans
-// are built once per (table, k) on first selection and cached for the life
-// of the ring, shared by every evaluator on it; the fused and plain paths
-// are bit-identical. Strict mode overrides fusion while set. Like
-// SetStrictKernels, call before sharing the ring across goroutines.
+// SetFusionDegree selects the radix-2^k NTT kernels for every limb
+// transform: k in [2, 6] fuses k butterfly stages per memory pass, k=1 is
+// the plain lazy radix-2 transform (the differential baseline), and k=0
+// restores the default, ntt.DefaultFusionDegree — the paper's Fig-10 sweet
+// spot and the measured one on amd64. Every degree is bit-identical and
+// costs nothing to select: the kernels index the tables' twiddles directly.
+// Strict mode overrides the degree while set. Like SetStrictKernels, call
+// before sharing the ring across goroutines.
 func (r *Ring) SetFusionDegree(k int) error {
 	if k == 0 {
-		r.fusionK, r.fwdPlans, r.invPlans = 0, nil, nil
-		return nil
+		k = ntt.DefaultFusionDegree
 	}
-	if set, ok := r.planCache[k]; ok {
-		r.fusionK, r.fwdPlans, r.invPlans = k, set.fwd, set.inv
-		return nil
+	if _, err := ntt.NewFusedPlan(r.Tables[0], k); err != nil {
+		return fmt.Errorf("ring: %w", err)
 	}
-	set := &fusedPlanSet{
-		fwd: make([]*ntt.FusedPlan, len(r.Tables)),
-		inv: make([]*ntt.InverseFusedPlan, len(r.Tables)),
-	}
-	for i, tab := range r.Tables {
-		fwd, err := ntt.NewFusedPlan(tab, k)
-		if err != nil {
-			return fmt.Errorf("ring: limb %d: %w", i, err)
-		}
-		inv, err := ntt.NewInverseFusedPlan(tab, k)
-		if err != nil {
-			return fmt.Errorf("ring: limb %d: %w", i, err)
-		}
-		set.fwd[i], set.inv[i] = fwd, inv
-	}
-	if r.planCache == nil {
-		r.planCache = make(map[int]*fusedPlanSet)
-	}
-	r.planCache[k] = set
-	r.fusionK, r.fwdPlans, r.invPlans = k, set.fwd, set.inv
+	r.fusionK = k
 	return nil
 }
 
-// FusionDegree returns the selected fusion degree (0 = plain radix-2).
+// FusionDegree returns the degree limb transforms run at (1 = plain
+// radix-2; never 0).
 func (r *Ring) FusionDegree() int { return r.fusionK }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector on the
@@ -183,11 +153,12 @@ func (r *Ring) SetFaultInjector(in *fault.Injector) { r.injector = in }
 // FaultInjector returns the installed injector (nil when faults are off).
 func (r *Ring) FaultInjector() *fault.Injector { return r.injector }
 
-// ForwardLimb / InverseLimb dispatch one limb's transform to the selected
-// kernel (exported for the evaluator, whose keyswitch pipeline drives
-// per-limb transforms directly); mulLimb / mulAddLimb likewise for the elementwise products. All
-// serial and parallel ring operations funnel through these four, so the
-// strict toggle covers every execution path.
+// ForwardLimb / InverseLimb run one limb's transform — the fused radix-2^k
+// kernel unless a differential test selected strict or plain radix-2
+// (exported for the evaluator, whose keyswitch pipeline drives per-limb
+// transforms directly); mulLimb / mulAddLimb likewise for the elementwise
+// products. All serial and parallel ring operations funnel through these
+// four, so the toggles cover every execution path.
 func (r *Ring) ForwardLimb(i int, c []uint64) {
 	if r.injector != nil {
 		r.injector.OnLimbRead(fault.SiteNTT, i, c)
@@ -195,10 +166,10 @@ func (r *Ring) ForwardLimb(i int, c []uint64) {
 	switch {
 	case r.strict:
 		r.Tables[i].ForwardStrict(c)
-	case r.fwdPlans != nil:
-		r.fwdPlans[i].Forward(c)
-	default:
+	case r.fusionK == 1:
 		r.Tables[i].Forward(c)
+	default:
+		ntt.FusedPlan{Table: r.Tables[i], K: r.fusionK}.Forward(c)
 	}
 }
 
@@ -209,10 +180,10 @@ func (r *Ring) InverseLimb(i int, c []uint64) {
 	switch {
 	case r.strict:
 		r.Tables[i].InverseStrict(c)
-	case r.invPlans != nil:
-		r.invPlans[i].Inverse(c)
-	default:
+	case r.fusionK == 1:
 		r.Tables[i].Inverse(c)
+	default:
+		ntt.InverseFusedPlan{Table: r.Tables[i], K: r.fusionK}.Inverse(c)
 	}
 }
 

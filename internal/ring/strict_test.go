@@ -2,7 +2,11 @@ package ring
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"poseidon/internal/ntt"
+	"poseidon/internal/numeric"
 )
 
 // withStrict runs f twice — once per kernel mode — and returns the two
@@ -142,5 +146,55 @@ func TestPolyEqual(t *testing.T) {
 	short := &Poly{Coeffs: p.Coeffs[:1], IsNTT: p.IsNTT}
 	if p.Equal(short) {
 		t.Fatal("limb count should break equality")
+	}
+}
+
+// What ForwardLimb/InverseLimb run when nobody selects anything must be the
+// fused radix-8 kernel, and it — like the plain radix-2 transform a
+// differential test can still select — must agree bit for bit with the
+// strict per-table reference, for every ring degree the scheme admits up to
+// 2^14 and on a wide and a narrow prime.
+func TestDefaultDispatchMatchesStrict(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for logN := 3; logN <= 14; logN++ {
+		n := 1 << uint(logN)
+		var qs []uint64
+		for _, bits := range []int{61, 40} {
+			ps, err := numeric.GenerateNTTPrimes(bits, logN, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs = append(qs, ps[0])
+		}
+		r, err := NewRing(n, qs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.FusionDegree() != ntt.DefaultFusionDegree {
+			t.Fatalf("logN=%d: a fresh ring runs degree %d, want the default %d", logN, r.FusionDegree(), ntt.DefaultFusionDegree)
+		}
+		src := randPoly(r, rng, 2, false)
+		for i, q := range qs {
+			src.Coeffs[i][0], src.Coeffs[i][1], src.Coeffs[i][n-1] = 0, q-1, q-1
+		}
+		for _, k := range []int{0, 1} {
+			if err := r.SetFusionDegree(k); err != nil {
+				t.Fatal(err)
+			}
+			for i := range qs {
+				got := slices.Clone(src.Coeffs[i])
+				want := slices.Clone(src.Coeffs[i])
+				r.ForwardLimb(i, got)
+				r.Tables[i].ForwardStrict(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("logN=%d limb %d degree %d: ForwardLimb differs from ForwardStrict", logN, i, r.FusionDegree())
+				}
+				r.InverseLimb(i, got)
+				r.Tables[i].InverseStrict(want)
+				if !slices.Equal(got, want) || !slices.Equal(got, src.Coeffs[i]) {
+					t.Fatalf("logN=%d limb %d degree %d: InverseLimb differs from InverseStrict", logN, i, r.FusionDegree())
+				}
+			}
+		}
 	}
 }

@@ -1,0 +1,382 @@
+package rns
+
+import (
+	"fmt"
+	"math/big"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"poseidon/internal/numeric"
+)
+
+// Exact-CRT oracle for the conversions in rns.go. Everything here is
+// math/big: values are reconstructed with big-integer CRT, centered, divided
+// and reduced without touching a single routine (or constant table) of the
+// package under test, so a defect in the lazy limb-major kernels cannot hide
+// behind a matching defect in the reference.
+//
+// The one place the fast path is allowed latitude is the float-assisted
+// overflow count: a value within 2^-40·B of ±B/2 may round to either side.
+// The oracle then accepts x or x∓B — but the same choice on every
+// destination limb, since k is computed once per coefficient.
+
+// oracleShape is a (Q, P, alpha) triple shaped like one of the benchmark
+// parameter sets, at a ring degree small enough for big-integer checking.
+type oracleShape struct {
+	name  string
+	q, p  []numeric.Modulus
+	alpha int
+}
+
+func oracleShapes(t testing.TB) []oracleShape {
+	t.Helper()
+	build := func(name string, qBits, pBits []int) oracleShape {
+		need := map[int]int{}
+		for _, b := range append(append([]int{}, qBits...), pBits...) {
+			need[b]++
+		}
+		pool := map[int][]uint64{}
+		for b, c := range need {
+			ps, err := numeric.GenerateNTTPrimes(b, 4, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool[b] = ps
+		}
+		take := func(bits []int) []numeric.Modulus {
+			var ms []numeric.Modulus
+			for _, b := range bits {
+				ms = append(ms, numeric.NewModulus(pool[b][0]))
+				pool[b] = pool[b][1:]
+			}
+			return ms
+		}
+		s := oracleShape{name: name, alpha: len(pBits)}
+		s.q, s.p = take(qBits), take(pBits)
+		return s
+	}
+	rep := func(b, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = b
+		}
+		return out
+	}
+	return []oracleShape{
+		build("P13", append([]int{55}, rep(45, 5)...), []int{58, 58}),
+		build("B9", append([]int{55}, rep(45, 27)...), rep(52, 5)),
+		build("S11", []int{50, 40, 40, 40}, []int{51, 51}),
+	}
+}
+
+// bigBasis is the oracle's view of an RNS basis.
+type bigBasis struct {
+	prod *big.Int
+	w    []*big.Int // CRT weights (B/b_j)·[(B/b_j)^-1]_{b_j}
+}
+
+func newBigBasis(ms []numeric.Modulus) *bigBasis {
+	b := &bigBasis{prod: productOf(ms)}
+	for _, m := range ms {
+		bj := new(big.Int).SetUint64(m.Q)
+		hat := new(big.Int).Div(b.prod, bj)
+		b.w = append(b.w, hat.Mul(hat, new(big.Int).ModInverse(hat, bj)))
+	}
+	return b
+}
+
+// centered returns the centered CRT value of coefficient t and, when that
+// value lies within 2^-40·B of the ±B/2 rounding boundary, the other
+// representative a correct float estimate may also select (else nil).
+func (b *bigBasis) centered(limbs [][]uint64, t int) (x, alt *big.Int) {
+	x = new(big.Int)
+	for j, w := range b.w {
+		x.Add(x, new(big.Int).Mul(w, new(big.Int).SetUint64(limbs[j][t])))
+	}
+	x.Mod(x, b.prod)
+	dist := new(big.Int).Lsh(x, 1)
+	dist.Sub(dist, b.prod) // 2x − B: negative below the boundary
+	if dist.Sign() > 0 {
+		x.Sub(x, b.prod)
+	}
+	if dist.Abs(dist).Lsh(dist, 40).Cmp(b.prod) < 0 {
+		if x.Sign() > 0 {
+			alt = new(big.Int).Sub(x, b.prod)
+		} else {
+			alt = new(big.Int).Add(x, b.prod)
+		}
+	}
+	return x, alt
+}
+
+func bigMod(v *big.Int, q uint64) uint64 {
+	return new(big.Int).Mod(v, new(big.Int).SetUint64(q)).Uint64()
+}
+
+// adversarial fills coefficient columns of a fresh len(ms)×n matrix with the
+// residues the conversions are most likely to get wrong — 0, q−1 on every
+// limb, ±1, and values hugging the ±B/2 rounding boundary both inside and
+// just outside the float estimate's resolution — then random residues.
+func adversarial(rng *rand.Rand, ms []numeric.Modulus, n int) [][]uint64 {
+	out := allocLimbs(len(ms), n)
+	prod := productOf(ms)
+	half := new(big.Int).Rsh(prod, 1) // (B−1)/2 for odd B
+	off := new(big.Int).Rsh(prod, 35) // 2^-35·B: outside the 2^-40 window
+	vals := []*big.Int{
+		big.NewInt(0),
+		big.NewInt(-1), // q−1 on every limb
+		big.NewInt(1),
+		half,
+		new(big.Int).Add(half, big.NewInt(1)),
+		new(big.Int).Sub(half, big.NewInt(1)),
+		new(big.Int).Add(half, big.NewInt(2)),
+		new(big.Int).Sub(half, off),
+		new(big.Int).Add(half, off),
+		new(big.Int).Neg(half),
+	}
+	for t := 0; t < n; t++ {
+		if t < len(vals) {
+			residues(vals[t], ms, t, out)
+			continue
+		}
+		for i, m := range ms {
+			out[i][t] = rng.Uint64() % m.Q
+		}
+	}
+	return out
+}
+
+// checkConverted verifies got[r][t] ≡ x (mod mods[r]) on every row, or — only
+// when alt is offered — ≡ alt on every row.
+func checkConverted(t *testing.T, label string, got [][]uint64, mods []numeric.Modulus, col int, x, alt *big.Int) {
+	t.Helper()
+	match := func(v *big.Int) bool {
+		for r, m := range mods {
+			if got[r][col] != bigMod(v, m.Q) {
+				return false
+			}
+		}
+		return true
+	}
+	if match(x) || (alt != nil && match(alt)) {
+		return
+	}
+	for r, m := range mods {
+		t.Errorf("%s coeff %d row %d: got %d, exact CRT gives %d (boundary alternative offered: %v)",
+			label, col, r, got[r][col], bigMod(x, m.Q), alt != nil)
+	}
+	t.FailNow()
+}
+
+// chunked runs call on irregular coefficient sub-ranges of an n-coefficient
+// problem, the way the evaluator's rangeView chunks do: sizes straddle the
+// 4-wide emit group and the kernel's block length.
+func chunked(n int, call func(lo, hi int)) {
+	sizes := []int{1, 3, 5, 17, 255, 256, 163, 2}
+	for lo, k := 0, 0; lo < n; k++ {
+		hi := min(n, lo+sizes[k%len(sizes)])
+		call(lo, hi)
+		lo = hi
+	}
+}
+
+func view(m [][]uint64, lo, hi int) [][]uint64 {
+	v := make([][]uint64, len(m))
+	for i := range m {
+		v[i] = m[i][lo:hi]
+	}
+	return v
+}
+
+func requireSameLimbs(t *testing.T, label string, got, want [][]uint64) {
+	t.Helper()
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("%s: limb %d differs between whole-vector and chunked calls", label, i)
+		}
+	}
+}
+
+// oracleN spans several kernel blocks and leaves a tail that is not a
+// multiple of four coefficients.
+const oracleN = 2*maxBlock + 91
+
+func TestOracleExtend(t *testing.T) {
+	for _, s := range oracleShapes(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(11))
+			// P → Q (ModDown's direction) and first digit → everything else.
+			for _, c := range []struct{ src, dst []numeric.Modulus }{
+				{s.p, s.q},
+				{s.q[:s.alpha], append(append([]numeric.Modulus{}, s.q[s.alpha:]...), s.p...)},
+			} {
+				e := NewExtender(c.src, c.dst)
+				in := adversarial(rng, c.src, oracleN)
+				out := allocLimbs(len(c.dst), oracleN)
+				e.Extend(out, in)
+				src := newBigBasis(c.src)
+				for col := 0; col < oracleN; col++ {
+					x, alt := src.centered(in, col)
+					checkConverted(t, "Extend", out, c.dst, col, x, alt)
+				}
+				again := allocLimbs(len(c.dst), oracleN)
+				chunked(oracleN, func(lo, hi int) { e.Extend(view(again, lo, hi), view(in, lo, hi)) })
+				requireSameLimbs(t, "Extend", again, out)
+			}
+		})
+	}
+}
+
+func TestOracleDecomposeAndExtend(t *testing.T) {
+	for _, s := range oracleShapes(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(12))
+			d := NewDecomposer(s.q, s.p, s.alpha)
+			for level := 0; level < len(s.q); level++ {
+				// The top level runs the multi-block size; the rest stay small
+				// so every (level, digit) pair is covered quickly.
+				n := 23
+				if level == len(s.q)-1 {
+					n = oracleN
+				}
+				active := append(append([]numeric.Modulus{}, s.q[:level+1]...), s.p...)
+				for dig := 0; dig < d.Digits(level); dig++ {
+					label := fmt.Sprintf("level %d digit %d", level, dig)
+					lo, hi := d.DigitRange(level, dig)
+					in := allocLimbs(level+1, n)
+					for i, row := range adversarial(rng, s.q[lo:hi], n) {
+						copy(in[lo+i], row)
+					}
+					for i := range in {
+						if i < lo || i >= hi { // other digits: ignored by this call
+							for col := range in[i] {
+								in[i][col] = rng.Uint64() % s.q[i].Q
+							}
+						}
+					}
+					const sentinel = ^uint64(0)
+					out := allocLimbs(len(active), n)
+					for i := range out {
+						for col := range out[i] {
+							out[i][col] = sentinel
+						}
+					}
+					d.DecomposeAndExtend(level, dig, in, out)
+					src := newBigBasis(s.q[lo:hi])
+					for col := 0; col < n; col++ {
+						x, alt := src.centered(in[lo:hi], col)
+						checkConverted(t, label, out, active, col, x, alt)
+						for i := lo; i < hi; i++ {
+							if out[i][col] != in[i][col] {
+								t.Fatalf("%s: digit-own limb %d not copied verbatim", label, i)
+							}
+						}
+					}
+					again := allocLimbs(len(active), n)
+					chunked(n, func(a, b int) { d.DecomposeAndExtend(level, dig, view(in, a, b), view(again, a, b)) })
+					requireSameLimbs(t, label, again, out)
+				}
+			}
+		})
+	}
+}
+
+func TestOracleModDown(t *testing.T) {
+	for _, s := range oracleShapes(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(13))
+			pBasis := newBigBasis(s.p)
+			for level := 0; level < len(s.q); level++ {
+				n := 23
+				if level == len(s.q)-1 {
+					n = oracleN
+				}
+				q := s.q[:level+1]
+				md := NewModDownParams(q, s.p)
+				aP := adversarial(rng, s.p, n)
+				aQ := adversarial(rng, q, n)
+				slices.Reverse(aQ[0]) // decorrelate the two adversarial prefixes
+				out := allocLimbs(len(q), n)
+				md.ModDown(out, aQ, aP)
+				for col := 0; col < n; col++ {
+					x, alt := pBasis.centered(aP, col)
+					expect := func(conv *big.Int, i int) uint64 {
+						qi := new(big.Int).SetUint64(q[i].Q)
+						v := new(big.Int).SetUint64(aQ[i][col])
+						v.Sub(v, conv).Mul(v, new(big.Int).ModInverse(pBasis.prod, qi))
+						return v.Mod(v, qi).Uint64()
+					}
+					match := func(conv *big.Int) bool {
+						for i := range q {
+							if out[i][col] != expect(conv, i) {
+								return false
+							}
+						}
+						return true
+					}
+					if !match(x) && (alt == nil || !match(alt)) {
+						t.Fatalf("level %d coeff %d: ModDown disagrees with exact (aQ − [aP]_P)/P (limb 0: got %d want %d)",
+							level, col, out[0][col], expect(x, 0))
+					}
+				}
+				// Chunked, and in place (out aliasing aQ) as the evaluator allows.
+				chunked(n, func(a, b int) { md.ModDown(view(aQ, a, b), view(aQ, a, b), view(aP, a, b)) })
+				requireSameLimbs(t, fmt.Sprintf("ModDown level %d", level), aQ, out)
+			}
+		})
+	}
+}
+
+func TestOracleRescale(t *testing.T) {
+	for _, s := range oracleShapes(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(14))
+			rs := NewRescaler(s.q)
+			for l := 1; l < len(s.q); l++ {
+				const n = 29
+				in := allocLimbs(l+1, n)
+				ql := s.q[l].Q
+				edge := []uint64{0, ql - 1, ql >> 1, ql>>1 + 1, ql>>1 - 1, 1}
+				for i := range in {
+					for col := range in[i] {
+						in[i][col] = rng.Uint64() % s.q[i].Q
+					}
+					// 0 and q_i−1 against every last-limb edge value.
+					for col := range edge {
+						in[i][col] = uint64(col%2) * (s.q[i].Q - 1)
+					}
+				}
+				copy(in[l], edge)
+				out := allocLimbs(l, n)
+				rs.Rescale(out, in)
+				bigQl := new(big.Int).SetUint64(ql)
+				for col := 0; col < n; col++ {
+					c := new(big.Int).SetUint64(in[l][col])
+					if in[l][col] > ql>>1 {
+						c.Sub(c, bigQl)
+					}
+					for i := 0; i < l; i++ {
+						qi := new(big.Int).SetUint64(s.q[i].Q)
+						v := new(big.Int).SetUint64(in[i][col])
+						v.Sub(v, c).Mul(v, new(big.Int).ModInverse(bigQl, qi))
+						if want := v.Mod(v, qi).Uint64(); out[i][col] != want {
+							t.Fatalf("drop %d limb %d coeff %d: got %d want %d", l, i, col, out[i][col], want)
+						}
+					}
+				}
+				// The two-step form the evaluator runs around a forward NTT
+				// must be the same map, and Rescale must work chunked and in
+				// place.
+				split := allocLimbs(l, n)
+				for i := 0; i < l; i++ {
+					rs.CenterLast(split[i], in[l], l, i)
+					rs.SubScale(split[i], in[i], split[i], l, i)
+				}
+				requireSameLimbs(t, fmt.Sprintf("CenterLast+SubScale drop %d", l), split, out)
+				chunked(n, func(a, b int) { rs.Rescale(view(in[:l], a, b), view(in, a, b)) })
+				requireSameLimbs(t, fmt.Sprintf("Rescale drop %d", l), in[:l], out)
+			}
+		})
+	}
+}

@@ -14,7 +14,7 @@ package rns
 import (
 	"fmt"
 	"math"
-	"sync"
+	"math/bits"
 
 	"poseidon/internal/numeric"
 )
@@ -24,6 +24,13 @@ import (
 // extension exact for inputs bounded away from ±B/2 (the standard
 // HPS-style conversion); without correction the result may exceed the true
 // value by a small multiple of B, which hybrid keyswitching tolerates.
+//
+// The conversion is the paper's RNSconv dataflow: per block of coefficients
+// the y_j = [x_j·(B/b_j)^-1]_{b_j} and the overflow count k are computed once
+// (stage), then every destination limb the caller reads is one chain of raw
+// 128-bit multiply-accumulates Σ y_j·(B/b_j) + k·(c_i − B mod c_i) closed by
+// a single shared Barrett reduction (emit) — no per-term reduction, no
+// intermediate matrix.
 type Extender struct {
 	src []numeric.Modulus // source basis B
 	dst []numeric.Modulus // destination moduli C (any set)
@@ -31,17 +38,43 @@ type Extender struct {
 	bHatInv      []uint64   // [ (B/b_j)^-1 ]_{b_j}
 	bHatInvShoup []uint64   // Shoup duals of bHatInv
 	bHatModC     [][]uint64 // [i][j] = (B/b_j) mod c_i
-	bModC        []uint64   // B mod c_i
+	negBModC     []uint64   // c_i − (B mod c_i): k of these cancel the CRT overflow k·B
 	invB         []float64  // 1 / b_j, for the rounding estimate
+
+	blockLen int // coefficients per block: a multiple of 4, (len(src)+1)·blockLen ≤ stageWords
+}
+
+const (
+	// stageWords bounds the y_j staging of one block (len(src)·blockLen
+	// words), and maxBlock the block itself: together ≈ 12 KB of stack, so a
+	// block's working set stays L1-resident and no conversion touches the heap.
+	stageWords = 1024
+	maxBlock   = 256
+)
+
+// block is the per-call staging of one coefficient block; it lives on the
+// caller's stack. Rows are padded to a multiple of four coefficients so emit
+// can run four independent accumulator chains per step; the pad lanes hold
+// leftovers whose results are never stored.
+type block struct {
+	ys     [stageWords]uint64 // y_j of coefficient t at ys[j·stride + t]
+	k      [maxBlock]uint64   // overflow count of coefficient t
+	n      int                // coefficients staged
+	stride int                // n rounded up to a multiple of 4
 }
 
 // NewExtender builds the extension tables from basis src to moduli dst.
 func NewExtender(src, dst []numeric.Modulus) *Extender {
-	if len(src) == 0 {
+	l := len(src)
+	if l == 0 {
 		panic("rns: empty source basis")
 	}
-	e := &Extender{src: src, dst: dst}
-	l := len(src)
+	// l products below 2^122, ModDown's seed term and the k·(c_i − B mod c_i)
+	// term must fit the 128-bit accumulator emit closes with one reduction.
+	if l+2 > numeric.MaxLazyProducts {
+		panic(fmt.Sprintf("rns: source basis of %d primes exceeds %d", l, numeric.MaxLazyProducts-2))
+	}
+	e := &Extender{src: src, dst: dst, blockLen: min(maxBlock, stageWords/(l+1)&^3)}
 	e.bHatInv = make([]uint64, l)
 	e.bHatInvShoup = make([]uint64, l)
 	e.invB = make([]float64, l)
@@ -59,14 +92,14 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 		e.invB[j] = 1.0 / float64(bj.Q)
 	}
 	e.bHatModC = make([][]uint64, len(dst))
-	e.bModC = make([]uint64, len(dst))
+	e.negBModC = make([]uint64, len(dst))
 	for i, ci := range dst {
 		e.bHatModC[i] = make([]uint64, l)
 		bMod := uint64(1)
 		for t := 0; t < l; t++ {
 			bMod = ci.Mul(bMod, ci.Reduce(src[t].Q))
 		}
-		e.bModC[i] = bMod
+		e.negBModC[i] = ci.Q - bMod
 		for j := 0; j < l; j++ {
 			prod := uint64(1)
 			for t := 0; t < l; t++ {
@@ -80,117 +113,119 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 	return e
 }
 
+// stage computes, for the n ≤ blockLen coefficients starting at t0, the
+// y_j = [x_j·(B/b_j)^-1]_{b_j} of every source limb and the overflow count
+// k = round(Σ_j y_j/b_j), summed in source-limb order.
+func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
+	b.n, b.stride = n, (n+3)&^3
+	var v [maxBlock]float64
+	for j, bj := range e.src {
+		w, ws, inv := e.bHatInv[j], e.bHatInvShoup[j], e.invB[j]
+		x := in[j][t0 : t0+n]
+		y := b.ys[j*b.stride:][:n]
+		for t, xt := range x {
+			r := bj.MulShoup(xt, w, ws)
+			y[t] = r
+			v[t] += float64(r) * inv
+		}
+	}
+	for t := 0; t < n; t++ {
+		b.k[t] = uint64(math.Round(v[t]))
+	}
+}
+
+// emit writes the staged block's residues modulo destination i into out
+// (len b.n): Σ_j y_j·(B/b_j) − k·B accumulated unreduced in 128 bits and
+// closed by one Barrett reduction (numeric.Modulus.ReduceWide written out
+// with hoisted constants), so the result is the canonical residue.
+func (e *Extender) emit(out []uint64, i int, b *block) {
+	ci := e.dst[i]
+	q, bHi, bLo := ci.Q, ci.BarrettHi, ci.BarrettLo
+	row, nb := e.bHatModC[i], e.negBModC[i]
+	out = out[:b.n]
+	for t := 0; t < b.n; t += 4 {
+		var hi, lo, r [4]uint64
+		kb := (*[4]uint64)(b.k[t:])
+		for u := 0; u < 4; u++ {
+			hi[u], lo[u] = bits.Mul64(kb[u], nb)
+		}
+		for j, w := range row {
+			yb := (*[4]uint64)(b.ys[j*b.stride+t:])
+			for u := 0; u < 4; u++ {
+				ph, pl := bits.Mul64(yb[u], w)
+				var c uint64
+				lo[u], c = bits.Add64(lo[u], pl, 0)
+				hi[u] += ph + c
+			}
+		}
+		for u := 0; u < 4; u++ {
+			h, l := hi[u], lo[u]
+			mh1, _ := bits.Mul64(l, bLo)
+			h2, l2 := bits.Mul64(l, bHi)
+			h3, l3 := bits.Mul64(h, bLo)
+			s, c1 := bits.Add64(mh1, l2, 0)
+			_, c2 := bits.Add64(s, l3, 0)
+			x := l - (h*bHi+h2+h3+c1+c2)*q
+			if x >= q {
+				x -= q
+			}
+			if x >= q {
+				x -= q
+			}
+			r[u] = x
+		}
+		if t+4 <= b.n {
+			*(*[4]uint64)(out[t:]) = r
+		} else {
+			copy(out[t:], r[:])
+		}
+	}
+}
+
 // Extend converts the residue vectors in[j][·] (one slice per source prime)
 // into out[i][·] (one slice per destination modulus). Residues are treated
 // as centered values in (−B/2, B/2]; the float correction removes the
 // overflow multiples of B, making the conversion exact for |x| < B/2·(1−ε).
 func (e *Extender) Extend(out, in [][]uint64) {
-	l := len(e.src)
-	if len(in) != l {
-		panic(fmt.Sprintf("rns: %d input limbs, want %d", len(in), l))
+	if len(in) != len(e.src) {
+		panic(fmt.Sprintf("rns: %d input limbs, want %d", len(in), len(e.src)))
 	}
 	if len(out) != len(e.dst) {
 		panic(fmt.Sprintf("rns: %d output limbs, want %d", len(out), len(e.dst)))
 	}
-	n := len(in[0])
-	// Digit bases are tiny (≤ a handful of primes), so the per-coefficient
-	// y_j staging lives in a stack array — no heap traffic per call.
-	var ysArr [maxStackBasis]uint64
-	var ys []uint64
-	if l <= maxStackBasis {
-		ys = ysArr[:l]
-	} else {
-		ys = make([]uint64, l)
-	}
-	for t := 0; t < n; t++ {
-		// y_j = [x_j · (B/b_j)^-1]_{b_j}; v estimates the overflow count.
-		v := 0.0
-		for j := 0; j < l; j++ {
-			y := e.src[j].MulShoup(in[j][t], e.bHatInv[j], e.bHatInvShoup[j])
-			ys[j] = y
-			v += float64(y) * e.invB[j]
-		}
-		k := uint64(math.Round(v))
+	var b block
+	for t0, n := 0, len(in[0]); t0 < n; t0 += e.blockLen {
+		cnt := min(e.blockLen, n-t0)
+		e.stage(&b, in, t0, cnt)
 		for i := range e.dst {
-			ci := e.dst[i]
-			acc := uint64(0)
-			row := e.bHatModC[i]
-			for j := 0; j < l; j++ {
-				acc = ci.Add(acc, ci.Mul(ys[j], row[j]))
-			}
-			// Subtract k·B to cancel the CRT overflow.
-			acc = ci.Sub(acc, ci.Mul(ci.Reduce(k), e.bModC[i]))
-			out[i][t] = acc
+			e.emit(out[i][t0:t0+cnt], i, &b)
 		}
 	}
-}
-
-// maxStackBasis bounds the source-basis size for which Extend stages its
-// per-coefficient y_j values on the stack. Real digit bases (alpha primes)
-// are far smaller.
-const maxStackBasis = 32
-
-// scratchStack is a mutex-guarded free list of limbs×n residue matrices —
-// the rns layer's private arena for conversion scratch. Deterministic
-// (never GC-cleared) and boxing-free, so steady-state ModDown and
-// DecomposeAndExtend calls perform no heap allocation.
-type scratchStack struct {
-	mu   sync.Mutex
-	free [][][]uint64
-}
-
-// get returns a limbs×n matrix with unspecified contents (every entry is
-// overwritten by the conversions that use it).
-func (s *scratchStack) get(limbs, n int) [][]uint64 {
-	s.mu.Lock()
-	for i := len(s.free) - 1; i >= 0; i-- {
-		m := s.free[i]
-		if len(m) == limbs && len(m[0]) == n {
-			s.free[i] = s.free[len(s.free)-1]
-			s.free[len(s.free)-1] = nil
-			s.free = s.free[:len(s.free)-1]
-			s.mu.Unlock()
-			return m
-		}
-	}
-	s.mu.Unlock()
-	backing := make([]uint64, limbs*n)
-	m := make([][]uint64, limbs)
-	for i := range m {
-		m[i] = backing[i*n : (i+1)*n]
-	}
-	return m
-}
-
-func (s *scratchStack) put(m [][]uint64) {
-	s.mu.Lock()
-	s.free = append(s.free, m)
-	s.mu.Unlock()
 }
 
 // ModDownParams precomputes the constants for exact division by the special
 // basis P over the main basis Q.
 type ModDownParams struct {
-	Q, P    []numeric.Modulus
-	ext     *Extender // P → Q
-	pInvQ   []uint64  // [P^-1]_{q_i}
-	pInvQSh []uint64
-	scratch scratchStack // recycled conv matrices
+	Q, P []numeric.Modulus
+	// ext is the P → Q extender with P^-1 folded in and a seed column
+	// appended: row i reads −(P/p_j)·P^-1 per source limb, then P^-1 for the
+	// a_i term, and its k weight is +P·P^-1 — so one emit chain yields
+	// (a_i − conv_i)·P^-1 directly.
+	ext *Extender
 }
 
 // NewModDownParams builds ModDown tables for main basis Q and special
 // basis P.
 func NewModDownParams(q, p []numeric.Modulus) *ModDownParams {
 	m := &ModDownParams{Q: q, P: p, ext: NewExtender(p, q)}
-	m.pInvQ = make([]uint64, len(q))
-	m.pInvQSh = make([]uint64, len(q))
 	for i, qi := range q {
-		prod := uint64(1)
-		for _, pj := range p {
-			prod = qi.Mul(prod, qi.Reduce(pj.Q))
+		pInv := qi.Inv(qi.Q - m.ext.negBModC[i])
+		row := m.ext.bHatModC[i]
+		for j := range row {
+			row[j] = qi.Neg(qi.Mul(row[j], pInv))
 		}
-		m.pInvQ[i] = qi.Inv(prod)
-		m.pInvQSh[i] = qi.ShoupConstant(m.pInvQ[i])
+		m.ext.bHatModC[i] = append(row, pInv)
+		m.ext.negBModC[i] = 1 // (P mod q_i)·P^-1
 	}
 	return m
 }
@@ -198,30 +233,75 @@ func NewModDownParams(q, p []numeric.Modulus) *ModDownParams {
 // ModDown computes out_i = (aQ_i − conv(aP)_i) · P^{-1} mod q_i — Eq. 2 of
 // the paper — realizing rounding division of the Q∪P value by P.
 // aQ has len(Q) limbs, aP has len(P) limbs; out has len(Q) limbs and may
-// alias aQ.
+// alias aQ. conv(aP) is never materialized: each a_i block rides the
+// accumulation as one more term and the sum takes a single reduction.
 func (m *ModDownParams) ModDown(out, aQ, aP [][]uint64) {
-	n := len(aQ[0])
-	conv := m.scratch.get(len(m.Q), n)
-	m.ext.Extend(conv, aP)
-	for i, qi := range m.Q {
-		o, a, c := out[i], aQ[i], conv[i]
-		inv, invSh := m.pInvQ[i], m.pInvQSh[i]
-		for t := range o {
-			o[t] = qi.MulShoup(qi.Sub(a[t], c[t]), inv, invSh)
+	var b block
+	e := m.ext
+	for t0, n := 0, len(aQ[0]); t0 < n; t0 += e.blockLen {
+		cnt := min(e.blockLen, n-t0)
+		e.stage(&b, aP, t0, cnt)
+		seed := b.ys[len(m.P)*b.stride:]
+		for i := range m.Q {
+			copy(seed, aQ[i][t0:t0+cnt])
+			e.emit(out[i][t0:t0+cnt], i, &b)
 		}
 	}
-	m.scratch.put(conv)
 }
 
 // Rescaler divides by the last prime of a chain with rounding — the CKKS
 // Rescale operation.
 type Rescaler struct {
 	moduli []numeric.Modulus
+	// consts[l][i], i < l: the constants of dropping prime l from limb i.
+	consts [][]rescaleConst
+}
+
+type rescaleConst struct {
+	qlInv, qlInvShoup uint64 // [q_l^-1]_{q_i} and its Shoup dual
+	qlModQi           uint64 // q_l mod q_i
 }
 
 // NewRescaler builds a rescaler over the full modulus chain.
 func NewRescaler(moduli []numeric.Modulus) *Rescaler {
-	return &Rescaler{moduli: moduli}
+	r := &Rescaler{moduli: moduli, consts: make([][]rescaleConst, len(moduli))}
+	for l, ql := range moduli {
+		r.consts[l] = make([]rescaleConst, l)
+		for i, qi := range moduli[:l] {
+			c := &r.consts[l][i]
+			c.qlModQi = qi.Reduce(ql.Q)
+			c.qlInv = qi.Inv(c.qlModQi)
+			c.qlInvShoup = qi.ShoupConstant(c.qlInv)
+		}
+	}
+	return r
+}
+
+// CenterLast writes into dst the centered representative of each last-limb
+// residue (modulo q_l, coefficient domain) reduced modulo q_i, i < l — the
+// value Rescale subtracts from limb i.
+func (r *Rescaler) CenterLast(dst, last []uint64, l, i int) {
+	qi, half, qlModQi := r.moduli[i], r.moduli[l].Q>>1, r.consts[l][i].qlModQi
+	last = last[:len(dst)]
+	for t := range dst {
+		c := qi.Reduce(last[t])
+		if last[t] > half {
+			c = qi.Sub(c, qlModQi)
+		}
+		dst[t] = c
+	}
+}
+
+// SubScale computes out = (a − c)·q_l^{-1} mod q_i — the tail of Rescale on
+// limb i. It is linear, so it holds in the NTT domain as well: with c the
+// forward transform of CenterLast's output, out is the NTT image of the
+// rescaled limb. out may alias a or c.
+func (r *Rescaler) SubScale(out, a, c []uint64, l, i int) {
+	qi, k := r.moduli[i], r.consts[l][i]
+	a, c = a[:len(out)], c[:len(out)]
+	for t := range out {
+		out[t] = qi.MulShoup(qi.Sub(a[t], c[t]), k.qlInv, k.qlInvShoup)
+	}
 }
 
 // Rescale computes out_i = q_l^{-1} · (a_i − a_l) mod q_i for i < l, where
@@ -232,21 +312,17 @@ func (r *Rescaler) Rescale(out, in [][]uint64) {
 	if l < 1 {
 		panic("rns: rescale needs at least two limbs")
 	}
-	ql := r.moduli[l]
-	half := ql.Q >> 1
+	half := r.moduli[l].Q >> 1
 	for i := 0; i < l; i++ {
-		qi := r.moduli[i]
-		qlInv := qi.Inv(qi.Reduce(ql.Q))
-		qlInvSh := qi.ShoupConstant(qlInv)
-		qlModQi := qi.Reduce(ql.Q)
+		qi, k := r.moduli[i], r.consts[l][i]
 		o, a, last := out[i], in[i], in[l]
 		for t := range o {
 			// Centered representative of a_l modulo q_i.
 			c := qi.Reduce(last[t])
 			if last[t] > half {
-				c = qi.Sub(c, qlModQi)
+				c = qi.Sub(c, k.qlModQi)
 			}
-			o[t] = qi.MulShoup(qi.Sub(a[t], c), qlInv, qlInvSh)
+			o[t] = qi.MulShoup(qi.Sub(a[t], c), k.qlInv, k.qlInvShoup)
 		}
 	}
 }
@@ -258,12 +334,10 @@ type Decomposer struct {
 	Q, P  []numeric.Modulus
 	Alpha int
 
-	// extenders[d][size-1] extends digit d (of `size` primes) to all
-	// moduli (Q then P); built lazily under mu so concurrent (and
-	// limb-parallel) keyswitches can share one decomposer.
-	mu        sync.Mutex
-	extenders map[[2]int]*Extender
-	scratch   scratchStack // recycled full-basis extension matrices
+	// extenders[d][size-1] extends digit d when it holds `size` primes (the
+	// last digit of a level may be short) to all moduli, Q then P, so one
+	// table serves every level. Built eagerly: the hot path takes no lock.
+	extenders [][]*Extender
 }
 
 // NewDecomposer creates a decomposer for main basis Q, special basis P and
@@ -272,7 +346,18 @@ func NewDecomposer(q, p []numeric.Modulus, alpha int) *Decomposer {
 	if alpha < 1 {
 		panic("rns: alpha must be ≥ 1")
 	}
-	return &Decomposer{Q: q, P: p, Alpha: alpha, extenders: map[[2]int]*Extender{}}
+	d := &Decomposer{Q: q, P: p, Alpha: alpha}
+	dst := make([]numeric.Modulus, 0, len(q)+len(p))
+	dst = append(append(dst, q...), p...)
+	for lo := 0; lo < len(q); lo += alpha {
+		hi := min(lo+alpha, len(q))
+		sizes := make([]*Extender, hi-lo)
+		for size := range sizes {
+			sizes[size] = NewExtender(q[lo:lo+size+1], dst)
+		}
+		d.extenders = append(d.extenders, sizes)
+	}
+	return d
 }
 
 // Digits returns the number of digits at level l: ceil((l+1)/alpha).
@@ -293,42 +378,29 @@ func (d *Decomposer) DigitRange(level, dig int) (lo, hi int) {
 // DecomposeAndExtend extracts digit dig of the level-l input (limbs over Q,
 // coefficient domain) and extends it to the active basis: out must have
 // level+1+len(P) limbs ordered Q_0..Q_level, P_0..P_{alpha-1}. Digit-own
-// limbs are copied verbatim; the rest are produced by RNSconv.
+// limbs are copied verbatim; the rest — and only those — are produced by
+// RNSconv, written straight into out.
 func (d *Decomposer) DecomposeAndExtend(level, dig int, in, out [][]uint64) {
 	lo, hi := d.DigitRange(level, dig)
-	size := hi - lo
-	key := [2]int{dig, size}
-	d.mu.Lock()
-	ext, ok := d.extenders[key]
-	if !ok {
-		src := d.Q[lo:hi]
-		dst := make([]numeric.Modulus, 0, len(d.Q)+len(d.P))
-		dst = append(dst, d.Q...)
-		dst = append(dst, d.P...)
-		ext = NewExtender(src, dst)
-		d.extenders[key] = ext
-	}
-	d.mu.Unlock()
-
+	e := d.extenders[dig][hi-lo-1]
 	nQP := level + 1 + len(d.P)
 	if len(out) != nQP {
 		panic(fmt.Sprintf("rns: out has %d limbs, want %d", len(out), nQP))
 	}
-	n := len(in[0])
-	// Full extension into a scratch covering all |Q|+|P| moduli, then copy
-	// out the active ones. (The extender targets the full list so one table
-	// serves every level.) Scratch is recycled across calls.
-	scratch := d.scratch.get(len(d.Q)+len(d.P), n)
-	ext.Extend(scratch, in[lo:hi])
-	for i := 0; i <= level; i++ {
-		if i >= lo && i < hi {
-			copy(out[i], in[i])
-		} else {
-			copy(out[i], scratch[i])
+	for i := lo; i < hi; i++ {
+		copy(out[i], in[i])
+	}
+	var b block
+	for t0, n := 0, len(in[0]); t0 < n; t0 += e.blockLen {
+		cnt := min(e.blockLen, n-t0)
+		e.stage(&b, in[lo:hi], t0, cnt)
+		for i := 0; i <= level; i++ {
+			if i < lo || i >= hi {
+				e.emit(out[i][t0:t0+cnt], i, &b)
+			}
+		}
+		for j := range d.P {
+			e.emit(out[level+1+j][t0:t0+cnt], len(d.Q)+j, &b)
 		}
 	}
-	for j := 0; j < len(d.P); j++ {
-		copy(out[level+1+j], scratch[len(d.Q)+j])
-	}
-	d.scratch.put(scratch)
 }

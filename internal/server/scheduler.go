@@ -66,18 +66,17 @@ type job struct {
 	attempt int
 
 	// trace is the request's span tree (nil with tracing off; every use is
-	// a nil check). queueSpan is the currently-open queue-wait span: opened
-	// at enqueue (and re-opened per retry), closed when the dispatcher
-	// picks the job up. deliverSpan covers the result hand-back: opened by
-	// the executor just before it sends on done, closed by the caller when
-	// it receives — on a saturated machine the caller goroutine's wake-up
-	// can lag the result by many milliseconds, and that wait is request
-	// wall-clock the tree must account for. Both cross goroutines but
-	// never concurrently — the enqueue → channel → dispatch edge (and the
-	// send → receive edge on done) orders each hand-off.
-	trace       *tracing.RequestTrace
-	queueSpan   tracing.SpanRef
-	deliverSpan tracing.SpanRef
+	// a nil check). The request moves through it as a sequence of stage
+	// transitions (RequestTrace.NextStage): queue opens at enqueue (and per
+	// retry) and ends where the dispatcher opens exec; deliver opens just
+	// before the executor sends on done and ends where the caller, having
+	// received, opens finalize — on a saturated machine the caller
+	// goroutine's wake-up can lag the result by many milliseconds, and that
+	// wait is request wall-clock the tree must account for. Transitions
+	// cross goroutines but never concurrently — the enqueue → channel →
+	// dispatch edge (and the send → receive edge on done) orders each
+	// hand-off.
+	trace *tracing.RequestTrace
 
 	done chan jobResult // buffered(1): the executor never blocks delivering
 }
@@ -154,13 +153,11 @@ func newScheduler(cfg Config, params *ckks.Parameters, tracer *tracing.Tracer, s
 	return s
 }
 
-// beginExec closes the job's queue-wait span and opens its exec span,
+// beginExec moves the job from its queue-wait stage into its exec stage,
 // pointing the evaluator's observation sink at this job's trace. Called
 // only from the dispatcher goroutine; nil-safe throughout.
 func (s *scheduler) beginExec(j *job, batchSize int) tracing.SpanRef {
-	j.trace.EndSpan(j.queueSpan)
-	j.queueSpan = 0
-	ex := j.trace.StartSpan(0, "exec")
+	ex := j.trace.NextStage("exec")
 	j.trace.AnnotateInt(ex, "batch", int64(batchSize))
 	if j.attempt > 0 {
 		j.trace.AnnotateInt(ex, "attempt", int64(j.attempt+1))
@@ -171,19 +168,20 @@ func (s *scheduler) beginExec(j *job, batchSize int) tracing.SpanRef {
 	return ex
 }
 
-// endExec detaches the sink and closes the exec span.
-func (s *scheduler) endExec(j *job, ex tracing.SpanRef, err error) {
+// endExec detaches the sink and records the outcome on the exec stage,
+// which stays open until the job is delivered or backs off.
+func (s *scheduler) endExec(j *job, err error) {
 	if s.sink != nil {
 		s.sink.Deactivate()
 	}
-	j.trace.EndSpanErr(ex, err)
+	j.trace.StageErr(err)
 }
 
 // deliver hands the job's outcome back to the waiting caller, opening the
-// deliver span the caller closes on receive (EvalCtx). done is buffered,
+// deliver stage the caller leaves on receive (EvalCtx). done is buffered,
 // so the send never blocks the dispatcher.
 func (s *scheduler) deliver(j *job, res jobResult) {
-	j.deliverSpan = j.trace.StartSpan(0, "deliver")
+	j.trace.NextStage("deliver")
 	j.done <- res
 }
 
@@ -389,12 +387,11 @@ func (s *scheduler) execHoistGroup(group []*job, batchSize int) {
 		return
 	}
 	lead := group[0]
-	lead.trace.EndSpan(lead.queueSpan) // the shared hoist is the leader's first exec work
-	hs := lead.trace.StartSpan(0, "hoist")
+	hs := lead.trace.NextStage("hoist") // the shared hoist is the leader's first exec work
 	lead.trace.AnnotateInt(hs, "group", int64(len(group)))
 	h, err := ev.TryHoist(group[0].ct)
 	if err != nil {
-		lead.trace.EndSpanErr(hs, err)
+		lead.trace.StageErr(err)
 		// The fallback re-executes each member individually, where the
 		// job-retry path applies; with retries off, the failure drives the
 		// ladder here as before (execOne sees per-job errors itself).
@@ -406,7 +403,6 @@ func (s *scheduler) execHoistGroup(group []*job, batchSize int) {
 		}
 		return
 	}
-	lead.trace.EndSpan(hs)
 	defer h.Release()
 	s.hoistGroups.Add(1)
 	s.hoistShared.Add(uint64(len(group) - 1))
@@ -418,7 +414,7 @@ func (s *scheduler) execHoistGroup(group []*job, batchSize int) {
 			j.trace.Annotate(ex, "hoist", "shared")
 		}
 		res, err := h.TryRotate(j.steps)
-		s.endExec(j, ex, err)
+		s.endExec(j, err)
 		s.finish(j, res, batchSize, err)
 	}
 }
@@ -426,12 +422,11 @@ func (s *scheduler) execHoistGroup(group []*job, batchSize int) {
 // execOne runs a single job through its tenant's evaluator.
 func (s *scheduler) execOne(j *job, batchSize int) {
 	if err := j.ctxErr(); err != nil {
-		j.trace.EndSpanErr(j.queueSpan, err) // abandoned while queued
-		j.queueSpan = 0
+		j.trace.StageErr(err) // abandoned while queued
 		s.deliver(j, jobResult{batch: batchSize, err: err})
 		return
 	}
-	ex := s.beginExec(j, batchSize)
+	s.beginExec(j, batchSize)
 	var res *ckks.Ciphertext
 	var err error
 	if s.testExec != nil {
@@ -440,7 +435,7 @@ func (s *scheduler) execOne(j *job, batchSize int) {
 	if err == nil {
 		res, err = s.eval(j)
 	}
-	s.endExec(j, ex, err)
+	s.endExec(j, err)
 	s.finish(j, res, batchSize, err)
 }
 
@@ -487,9 +482,8 @@ func (s *scheduler) retryJob(j *job, batchSize int, cause error) bool {
 	if lim := 250 * time.Millisecond; backoff > lim {
 		backoff = lim
 	}
-	var bo tracing.SpanRef
 	if j.trace != nil {
-		bo = j.trace.StartSpan(0, "backoff")
+		bo := j.trace.NextStage("backoff")
 		j.trace.AnnotateInt(bo, "attempt", int64(j.attempt))
 		j.trace.Annotate(bo, "cause", cause.Error())
 		s.tracer.Emit(tracing.Event{
@@ -502,10 +496,9 @@ func (s *scheduler) retryJob(j *job, batchSize int, cause error) bool {
 		})
 	}
 	time.AfterFunc(backoff, func() {
-		j.trace.EndSpan(bo)
-		j.queueSpan = j.trace.StartSpan(0, "queue")
+		j.trace.NextStage("queue")
 		if err := s.enqueue(j); err != nil {
-			j.trace.EndSpanErr(j.queueSpan, err)
+			j.trace.StageErr(err)
 			s.deliver(j, jobResult{batch: batchSize,
 				err: fmt.Errorf("%w (retry %d not enqueued: %v)", cause, j.attempt, err)})
 		}

@@ -299,34 +299,34 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 			s.opErrors.Add(1)
 		}
 		if err == nil {
-			t0 := time.Now()
+			// Runs inside the finalize stage opened on receive: the
+			// noise-budget estimate walks the ciphertext.
 			s.health.sample(req.Tenant, ct, s.params)
 			if rt != nil && ct != nil {
 				rt.AnnotateInt(rt.Root(), "ct_level", int64(ct.Level))
 				rt.AnnotateInt(rt.Root(), "noise_budget_bits", int64(ckks.BudgetBits(s.params, ct)))
-				// The noise-budget estimate walks the ciphertext; charge it
-				// to the tree rather than leaving a coverage gap.
-				rt.AddSpan(0, "finalize", time.Since(t0), nil)
 			}
 		}
 		if ownTrace {
 			s.tracer.Offer(rt.Finish(statusOf(err), err))
 		}
 	}()
-	ingest := rt.StartSpan(0, "ingest")
+	// Each stage below ends where the next begins (NextStage), so the
+	// stages tile the root span whatever the goroutine scheduler does.
+	rt.NextStage("ingest")
 	if err := s.validateEval(req); err != nil {
 		s.badRequests.Add(1)
-		rt.EndSpanErr(ingest, err)
+		rt.StageErr(err)
 		return nil, 0, err
 	}
 	if err := s.admit(); err != nil {
 		s.rejected.Add(1)
-		rt.EndSpanErr(ingest, err)
+		rt.StageErr(err)
 		return nil, 0, err
 	}
 	entry, err := s.registry.Acquire(req.Tenant)
 	if err != nil {
-		rt.EndSpanErr(ingest, err)
+		rt.StageErr(err)
 		return nil, 0, err
 	}
 	defer s.registry.Release(entry)
@@ -344,7 +344,7 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 	if err := j.ct.UnmarshalBinary(req.Ct); err != nil {
 		s.badRequests.Add(1)
 		err = fmt.Errorf("%w: ciphertext: %w", ErrBadRequest, err)
-		rt.EndSpanErr(ingest, err)
+		rt.StageErr(err)
 		return nil, 0, err
 	}
 	if req.Op.twoOperand() {
@@ -352,7 +352,7 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		if err := j.ct2.UnmarshalBinary(req.Ct2); err != nil {
 			s.badRequests.Add(1)
 			err = fmt.Errorf("%w: second ciphertext: %w", ErrBadRequest, err)
-			rt.EndSpanErr(ingest, err)
+			rt.StageErr(err)
 			return nil, 0, err
 		}
 	}
@@ -372,19 +372,18 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		j.digest = sha256.Sum256(req.Ct)
 		j.hasDigest = true
 	}
-	rt.EndSpan(ingest)
-	j.queueSpan = rt.StartSpan(0, "queue")
+	rt.NextStage("queue")
 	if err := s.sched.enqueue(j); err != nil {
 		s.rejected.Add(1)
-		rt.EndSpanErr(j.queueSpan, err)
+		rt.StageErr(err)
 		return nil, 0, err
 	}
 	select {
 	case res := <-j.done:
-		// Close the hand-back span the executor opened at delivery: on a
+		// Leave the hand-back stage the executor opened at delivery: on a
 		// loaded machine this goroutine's wake-up lags the result, and
 		// that wait is part of the request's wall-clock.
-		rt.EndSpan(j.deliverSpan)
+		rt.NextStage("finalize")
 		s.requests.Add(1)
 		if res.err != nil {
 			return nil, res.batch, res.err
@@ -594,21 +593,20 @@ func (s *EvalServer) handleEval(w http.ResponseWriter, r *http.Request) {
 // request trace is finished (and tail-sampled into the flight recorder)
 // on exactly one path.
 func (s *EvalServer) serveEval(w http.ResponseWriter, r *http.Request, rt *tracing.RequestTrace) error {
-	dec := rt.StartSpan(0, "decode")
+	rt.NextStage("decode")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		err = badf("reading body: %v", err)
-		rt.EndSpanErr(dec, err)
+		rt.StageErr(err)
 		return err
 	}
 	s.bytesIn.Add(uint64(len(body)))
 	req, err := DecodeEvalRequest(body)
 	if err != nil {
 		s.badRequests.Add(1)
-		rt.EndSpanErr(dec, err)
+		rt.StageErr(err)
 		return err
 	}
-	rt.EndSpan(dec)
 	ctx := r.Context()
 	deadline := s.cfg.DefaultDeadline
 	if h := r.Header.Get("X-Poseidon-Deadline"); h != "" {
@@ -628,17 +626,16 @@ func (s *EvalServer) serveEval(w http.ResponseWriter, r *http.Request, rt *traci
 	if err != nil {
 		return err
 	}
-	enc := rt.StartSpan(0, "encode")
+	rt.NextStage("encode")
 	out, err := ct.MarshalBinary()
 	if err != nil {
-		rt.EndSpanErr(enc, err)
+		rt.StageErr(err)
 		return err
 	}
 	s.bytesOut.Add(uint64(len(out)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Poseidon-Batch", fmt.Sprint(batch))
 	w.Write(out)
-	rt.EndSpan(enc)
 	return nil
 }
 

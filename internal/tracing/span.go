@@ -46,13 +46,19 @@ type RequestTrace struct {
 	start    time.Time
 	spans    []Span
 	finished bool
+
+	// stage is the request's open stage — the root child NextStage opened
+	// last, 0 before the first. now is the unix-nanosecond clock stage
+	// transitions and Finish read; tests script it.
+	stage SpanRef
+	now   func() int64
 }
 
 // NewRequest starts a trace whose root span is named name. The context's
 // span ID (the caller's span, when propagated) is recorded as the root's
 // remote parent attribute.
 func NewRequest(tc Context, name string) *RequestTrace {
-	rt := &RequestTrace{tc: tc, start: time.Now()}
+	rt := &RequestTrace{tc: tc, start: time.Now(), now: wallClock}
 	rt.spans = append(rt.spans, Span{
 		Ref:     1,
 		Name:    name,
@@ -64,6 +70,8 @@ func NewRequest(tc Context, name string) *RequestTrace {
 	}
 	return rt
 }
+
+func wallClock() int64 { return time.Now().UnixNano() }
 
 // Context returns the trace's propagation context.
 func (rt *RequestTrace) Context() Context {
@@ -112,6 +120,50 @@ func (rt *RequestTrace) StartSpan(parent SpanRef, name string) SpanRef {
 		DurNs:   -1,
 	})
 	return ref
+}
+
+// NextStage moves the request into its next stage: one clock reading closes
+// the open stage and starts the new one (the first stage starts with the
+// root), and Finish closes the last stage at the instant it closes the root.
+// Stages — ingest, queue, exec, deliver, … — are root children that
+// therefore tile the root by construction: whatever happens between two
+// transitions, a scheduler preemption included, is charged to the stage it
+// hit, and Coverage is 1 without any appeal to the clock. The returned ref
+// is for annotations and child spans; never End it (use StageErr to fail a
+// stage). Returns 0 on a nil or finished trace.
+func (rt *RequestTrace) NextStage(name string) SpanRef {
+	if rt == nil {
+		return 0
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if rt.finished {
+		return 0
+	}
+	at := rt.spans[0].StartNs
+	if rt.stage != 0 {
+		prev := &rt.spans[rt.stage-1]
+		if prev.DurNs < 0 {
+			prev.DurNs = rt.now() - prev.StartNs
+		}
+		at = prev.StartNs + prev.DurNs
+	}
+	rt.stage = SpanRef(len(rt.spans) + 1)
+	rt.spans = append(rt.spans, Span{Ref: rt.stage, Parent: 1, Name: name, StartNs: at, DurNs: -1})
+	return rt.stage
+}
+
+// StageErr records err (if any) on the open stage without closing it: the
+// stage still ends where the next one starts, or at Finish.
+func (rt *RequestTrace) StageErr(err error) {
+	if rt == nil || err == nil {
+		return
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	if !rt.finished && rt.stage != 0 {
+		rt.spans[rt.stage-1].Err = err.Error()
+	}
 }
 
 // EndSpan closes a span opened with StartSpan.
@@ -247,12 +299,12 @@ func (rt *RequestTrace) Finish(status int, err error) *Finished {
 	if rt == nil {
 		return nil
 	}
-	now := time.Now().UnixNano()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.finished {
 		return nil
 	}
+	now := rt.now()
 	rt.finished = true
 	for i := range rt.spans {
 		if rt.spans[i].DurNs < 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -185,6 +186,76 @@ func TestCoverage(t *testing.T) {
 	f := rt.Finish(200, nil)
 	if cov := f.Coverage(); cov < 0.9 || cov > 1 {
 		t.Fatalf("coverage = %.3f, want ~1 (back-to-back children)", cov)
+	}
+}
+
+// Stages tile the root by construction: under a scripted clock that jumps
+// by arbitrary amounts between any two readings (a preempted goroutine, a
+// stalled dispatcher), with transitions issued from several goroutines in
+// hand-off order, op spans and annotations interleaved, a failed stage and a
+// late transition after Finish, every stage still starts exactly where the
+// previous one ended, the first starts with the root and the last ends with
+// it — so Coverage is exactly 1 and no assertion here reads the wall clock.
+func TestStagesTileRoot(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var clock int64 = 1_000_000
+		rt := NewRequest(NewContext(), "eval")
+		rt.now = func() int64 {
+			clock += rng.Int63n(50_000_000) // up to 50 ms lost between any two readings
+			return clock
+		}
+		rt.spans[0].StartNs = rt.now()
+
+		names := []string{"ingest", "queue", "hoist", "exec", "backoff", "queue", "exec", "deliver", "finalize", "encode"}
+		names = names[:2+rng.Intn(len(names)-1)]
+		// Each transition runs on its own goroutine, handed off in order
+		// like the caller → dispatcher → retry-timer → caller chain.
+		for _, name := range names {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				ref := rt.NextStage(name)
+				rt.AnnotateInt(ref, "batch", 4)
+				rt.AddOpSpan(ref, "HAdd", 3, time.Microsecond, nil)
+				if rng.Intn(4) == 0 {
+					rt.StageErr(errors.New("integrity"))
+				}
+			}()
+			<-done
+		}
+		f := rt.Finish(200, nil)
+		if ref := rt.NextStage("late"); ref != 0 {
+			t.Fatalf("seed %d: NextStage after Finish returned %d", seed, ref)
+		}
+
+		at := f.StartNs
+		var stages int
+		for _, sp := range f.Spans[1:] {
+			if sp.Parent != 1 {
+				continue
+			}
+			if sp.Name != names[stages] {
+				t.Fatalf("seed %d: stage %d is %q, want %q", seed, stages, sp.Name, names[stages])
+			}
+			if sp.StartNs != at {
+				t.Fatalf("seed %d: stage %q starts at %d, previous ended at %d", seed, sp.Name, sp.StartNs, at)
+			}
+			if sp.DurNs < 0 {
+				t.Fatalf("seed %d: stage %q left open", seed, sp.Name)
+			}
+			at += sp.DurNs
+			stages++
+		}
+		if stages != len(names) {
+			t.Fatalf("seed %d: %d stages recorded, want %d", seed, stages, len(names))
+		}
+		if end := f.StartNs + f.DurNs; at != end {
+			t.Fatalf("seed %d: last stage ends at %d, root at %d", seed, at, end)
+		}
+		if cov := f.Coverage(); cov != 1 {
+			t.Fatalf("seed %d: coverage %v, want exactly 1", seed, cov)
+		}
 	}
 }
 
