@@ -3,6 +3,7 @@ package ckks
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // BootstrapConfig tunes the packed bootstrapping pipeline.
@@ -67,8 +68,15 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 
 	top := params.MaxLevel()
 	var err error
+	// Both transforms are dense and share one rotation-key set, which the
+	// per-matrix planner cannot see: pin the √n split, where their baby and
+	// giant steps coincide and the key set is smallest.
+	n1 := 1
+	for n1*n1 < n {
+		n1 <<= 1
+	}
 	// Encode CtS diagonals at scale q_top so its rescale is scale-neutral.
-	b.ctsLT, err = NewLinearTransform(enc, einv, top, float64(params.Q[top]))
+	b.ctsLT, err = NewLinearTransformBSGS(enc, einv, top, float64(params.Q[top]), n1)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +84,7 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 	// encode at a safe low level and let evaluation drop to it; we pick
 	// level 3 and require EvalMod to finish at ≥ 3.
 	const stcLevel = 3
-	b.stcLT, err = NewLinearTransform(enc, e, stcLevel, float64(params.Q[stcLevel]))
+	b.stcLT, err = NewLinearTransformBSGS(enc, e, stcLevel, float64(params.Q[stcLevel]), n1)
 	if err != nil {
 		return nil, err
 	}
@@ -85,18 +93,11 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 		return math.Sin(2*math.Pi*x) / (2 * math.Pi)
 	}, -float64(cfg.K), float64(cfg.K), cfg.Degree)
 
-	// Keys: union of both transforms' rotations plus conjugation.
-	rotSet := map[int]bool{}
-	for _, r := range b.ctsLT.Rotations() {
-		rotSet[r] = true
-	}
-	for _, r := range b.stcLT.Rotations() {
-		rotSet[r] = true
-	}
-	rots := make([]int, 0, len(rotSet))
-	for r := range rotSet {
-		rots = append(rots, r)
-	}
+	// Keys: union of both transforms' rotations plus conjugation, generated
+	// in ascending step order (GenRotationKeys skips repeats) so one seed
+	// yields one key set — and one refreshed ciphertext — on every run.
+	rots := append(b.ctsLT.Rotations(), b.stcLT.Rotations()...)
+	sort.Ints(rots)
 	rtks := kgen.GenRotationKeys(sk, rots, true)
 	rlk := kgen.GenRelinearizationKey(sk)
 	b.ev = NewEvaluator(params, rlk, rtks)

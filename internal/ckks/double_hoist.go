@@ -16,15 +16,18 @@ import (
 // decomposition across the baby steps; double-hoisting additionally defers
 // every basis reduction to the group boundary:
 //
-//   - each baby rotation is kept lazy: the accumulate-only keyswitch replay
-//     (rotateHoistedAccum) plus the P·σ_g(c0) correction leave the rotation
-//     as NTT-domain residues of P·rot_g(ct) over the extended basis Q_l ∪ P
-//     — no inverse NTT, no ModDown;
+//   - each baby rotation is kept lazy: the keyswitch inner product of the
+//     shared digits against the rotation key plus the P·σ_g(c0) correction
+//     leave the rotation as NTT-domain residues of P·rot_g(ct) over the
+//     extended basis Q_l ∪ P — no inverse NTT, no ModDown. The whole baby
+//     phase is one limb-major sweep (babySweepStage): each worker walks every
+//     baby rotation of its limb while that limb's digit rows stay
+//     cache-resident;
 //   - a giant-step group MACs its plaintext diagonals against those lazy
 //     images into 128-bit columns over the full extended basis, then spends
 //     exactly ONE ModDown (and one inverse-NTT sweep) on the group's c1 to
 //     re-enter the Q basis for the giant rotation's own keyswitch, whose
-//     MACs accumulate straight into the output residues;
+//     inner product accumulates straight into the output residues;
 //   - the output accumulator is itself kept in the extended basis until the
 //     very end: one inverse-NTT sweep and two ModDowns close the whole
 //     transform.
@@ -81,42 +84,36 @@ func addVec(mod numeric.Modulus, out, a []uint64) {
 // slice capacities across checkouts, so a steady-state transform loop
 // allocates nothing beyond the result ciphertext.
 type ltState struct {
+	// ksDigits.digits is whichever decomposition the running keyswitch
+	// stage reads: hd.digits during the baby sweep, gd during a giant step.
+	ksDigits
 	ev   *Evaluator
 	plan *LinearTransformPlan
 
-	level  int
-	qLimbs int
 	alpha  int
-	ext1   int // extended limb count qLimbs + alpha
 	n      int
-	strict bool
 	serial bool
 
 	hd hoistedDecomposition // shared baby-step digit decomposition
+	gd [][][]uint64         // digit matrices of the giant-step keyswitch
 
 	// ctP0/ctP1 hold P·ct over the Q rows (NTT domain) — the lazy QP image
 	// of the identity rotation; its P rows are identically zero, which the
 	// MAC stage exploits by skipping identity terms on P limbs.
 	ctP0, ctP1 *ring.Poly
 
-	babies []qpAccum // lazy QP rotations, one per plan baby step
+	babies   []qpAccum       // lazy QP rotations, one per plan baby step
+	babyKeys []*SwitchingKey // their rotation keys, resolved before the sweep
 
 	out qpAccum // running transform result over the extended basis
 
 	grp   qpAccum    // per-group staging (strict residues / reduction target)
 	c1Std *ring.Poly // group c1 after its single ModDown (coeff domain, Q)
-	ext   [][]uint64 // extended digit scratch for the group keyswitch
 
 	wideG *wideAcc // 128-bit columns for the group's plaintext MACs
-	wideK *wideAcc // 128-bit columns for the group's key-switch MACs
 
-	// current-group / current-baby context for the stage methods
-	terms        []ltPlanTerm
-	permQ, permP []int
-	key          *SwitchingKey
-	d            int
-	srcC0        *ring.Poly
-	cur          qpAccum
+	g   *ltGroup      // current group
+	key *SwitchingKey // its giant rotation's key
 
 	dst0, dst1 *ring.Poly // final destination rows
 
@@ -126,14 +123,11 @@ type ltState struct {
 // reset binds the record to one evaluation; acquire draws the scratch.
 func (st *ltState) reset(ev *Evaluator, plan *LinearTransformPlan, level int) {
 	params := ev.params
+	st.bind(params, level)
 	st.ev = ev
 	st.plan = plan
-	st.level = level
-	st.qLimbs = level + 1
 	st.alpha = params.Alpha()
-	st.ext1 = st.qLimbs + st.alpha
 	st.n = params.N
-	st.strict = params.RingQ.StrictKernels()
 	st.serial = ev.pool.Workers() <= 1
 	st.stats = LinTransStats{}
 }
@@ -143,15 +137,21 @@ func (st *ltState) acquire() {
 	rq, rp := params.RingQ, params.RingP
 	st.ctP0 = rq.GetPolyDirty(st.qLimbs)
 	st.ctP1 = rq.GetPolyDirty(st.qLimbs)
-	// Accumulators start zeroed: the output sum and (under strict kernels)
-	// the per-baby and per-group residues are built by modular adds.
+	// The output sum is built by modular adds and starts zeroed; every other
+	// accumulator is fully written (or cleared, under strict kernels) by the
+	// stage that fills it.
 	st.out = qpAccum{c0Q: rq.GetPoly(st.qLimbs), c1Q: rq.GetPoly(st.qLimbs), c0P: rp.GetPoly(st.alpha), c1P: rp.GetPoly(st.alpha)}
-	st.grp = qpAccum{c0Q: rq.GetPoly(st.qLimbs), c1Q: rq.GetPoly(st.qLimbs), c0P: rp.GetPoly(st.alpha), c1P: rp.GetPoly(st.alpha)}
+	st.grp = st.dirtyAccum()
 	st.c1Std = rq.GetPolyDirty(st.qLimbs)
-	st.ext = params.getExt(st.ext1)
+	st.gd = params.getDigits(st.gd, st.level)
 	for range st.plan.babySteps {
-		st.babies = append(st.babies, qpAccum{c0Q: rq.GetPoly(st.qLimbs), c1Q: rq.GetPoly(st.qLimbs), c0P: rp.GetPoly(st.alpha), c1P: rp.GetPoly(st.alpha)})
+		st.babies = append(st.babies, st.dirtyAccum())
 	}
+}
+
+func (st *ltState) dirtyAccum() qpAccum {
+	rq, rp := st.ev.params.RingQ, st.ev.params.RingP
+	return qpAccum{c0Q: rq.GetPolyDirty(st.qLimbs), c1Q: rq.GetPolyDirty(st.qLimbs), c0P: rp.GetPolyDirty(st.alpha), c1P: rp.GetPolyDirty(st.alpha)}
 }
 
 func (st *ltState) putAccum(a *qpAccum) {
@@ -177,13 +177,10 @@ func (st *ltState) putAccum(a *qpAccum) {
 func (st *ltState) release() {
 	params := st.ev.params
 	rq := params.RingQ
-	for i, ext := range st.hd.digits {
-		if ext != nil {
-			params.putExt(ext)
-		}
-		st.hd.digits[i] = nil
-	}
-	st.hd.digits = st.hd.digits[:0]
+	st.hd.digits = params.putDigits(st.hd.digits)
+	st.gd = params.putDigits(st.gd)
+	st.digits = nil
+	clear(st.rows)
 	if st.hd.c0 != nil {
 		rq.PutPoly(st.hd.c0)
 		st.hd.c0 = nil
@@ -200,30 +197,20 @@ func (st *ltState) release() {
 		st.putAccum(&st.babies[k])
 	}
 	st.babies = st.babies[:0]
+	clear(st.babyKeys)
+	st.babyKeys = st.babyKeys[:0]
 	st.putAccum(&st.out)
 	st.putAccum(&st.grp)
 	if st.c1Std != nil {
 		rq.PutPoly(st.c1Std)
 		st.c1Std = nil
 	}
-	if st.ext != nil {
-		params.putExt(st.ext)
-		st.ext = nil
-	}
 	if st.wideG != nil {
 		params.putWide(st.wideG)
 		st.wideG = nil
 	}
-	if st.wideK != nil {
-		params.putWide(st.wideK)
-		st.wideK = nil
-	}
-	st.terms = nil
-	st.permQ, st.permP = nil, nil
-	st.key = nil
+	st.g, st.key = nil, nil
 	st.plan = nil
-	st.srcC0 = nil
-	st.cur = qpAccum{}
 	st.dst0, st.dst1 = nil, nil
 	ev := st.ev
 	st.ev = nil
@@ -312,6 +299,13 @@ func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform)
 	st := params.getLtState()
 	defer st.release()
 	st.reset(ev, plan, level)
+	for k, g := range plan.babyGal {
+		key, ok := ev.rtks.Keys[g]
+		if !ok {
+			panic(fmt.Sprintf("ckks: no rotation key for step %d (g=%d)", plan.babySteps[k], g))
+		}
+		st.babyKeys = append(st.babyKeys, key)
+	}
 	st.acquire()
 	st.stats.BabySteps = len(plan.babySteps)
 	st.stats.GiantSteps = len(plan.groups)
@@ -321,7 +315,7 @@ func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform)
 	ev.phaseSpan("LinTrans/hoist", level, t)
 
 	t = ev.phaseStart()
-	st.babyPhase(ct)
+	st.babyPhase()
 	ev.phaseSpan("LinTrans/baby", level, t)
 
 	t = ev.phaseStart()
@@ -352,178 +346,96 @@ func (st *ltState) hoist(ct *Ciphertext) {
 	st.ctP0.IsNTT, st.ctP1.IsNTT = true, true
 }
 
-// babyPhase materializes each baby step as a lazy extended-basis rotation:
-// the accumulate-only keyswitch replay, then the P·σ_g(c0) correction
-// (NTT-domain Galois permutation of the raw c0 limb, multiply-added by the
-// per-limb scalar [P]_{q_i}). P rows need no correction — P·x vanishes mod
-// every p_j.
-func (st *ltState) babyPhase(ct *Ciphertext) {
-	ev := st.ev
-	plan := st.plan
-	if len(plan.babySteps) == 0 {
+// babyPhase materializes every baby step as a lazy extended-basis rotation
+// in ONE limb-major sweep: a task owns an extended limb and walks all of the
+// plan's baby rotations on it, so the limb's digit rows are fetched once and
+// stay cache-resident while every rotation key streams past them.
+func (st *ltState) babyPhase() {
+	if len(st.plan.babySteps) == 0 {
 		return
 	}
-	rq := ev.params.RingQ
-	st.srcC0 = ct.C0
-	for k := range plan.babySteps {
-		g := plan.babyGal[k]
-		key, ok := ev.rtks.Keys[g]
-		if !ok {
-			panic(fmt.Sprintf("ckks: no rotation key for step %d (g=%d)", plan.babySteps[k], g))
+	st.digits = st.hd.digits
+	if st.serial {
+		for i := 0; i < st.ext1; i++ {
+			st.babySweepStage(i)
 		}
-		ev.rotateHoistedAccum(&st.hd, g, key, st.babies[k])
-		st.stats.KeySwitches++
-		st.permQ = rq.NTTGaloisPermutation(g)
-		st.cur = st.babies[k]
-		if st.serial {
-			for l := 0; l < st.qLimbs; l++ {
-				st.babyC0Stage(l)
-			}
-		} else {
-			ev.pool.ForEach(st.qLimbs, st.babyC0Stage)
-		}
+	} else {
+		st.ev.pool.ForEach(st.ext1, st.babySweepStage)
 	}
-	st.srcC0 = nil
-	st.cur = qpAccum{}
+	st.stats.KeySwitches += len(st.plan.babySteps)
 }
 
-func (st *ltState) babyC0Stage(l int) {
-	params := st.ev.params
-	rq := params.RingQ
-	buf := rq.GetVec()
-	ring.ApplyPermutationNTT(buf, st.srcC0.Coeffs[l], st.permQ)
-	rq.Moduli[l].VecMulShoupAdd(st.cur.c0Q.Coeffs[l], buf, params.pModQ[l], params.pModQShoup[l])
-	rq.PutVec(buf)
+// babySweepStage builds extended limb i of every baby rotation: the
+// keyswitch inner product of the shared digits (gathered through the
+// rotation's permutation) against the rotation key, then on Q limbs the
+// P·σ_g(c0) correction — the same gather applied to the precomputed P·c0
+// image. P rows need no correction: P·x vanishes mod every p_j.
+func (st *ltState) babySweepStage(i int) {
+	mod := st.modulus(i)
+	for k, perm := range st.plan.babyPerm {
+		b := &st.babies[k]
+		o0 := b.row0(st.qLimbs, i)
+		st.innerProduct(i, st.babyKeys[k], perm, o0, b.row1(st.qLimbs, i), false)
+		if i < st.qLimbs {
+			addVecGather(mod, o0, st.ctP0.Coeffs[i], perm)
+		}
+	}
 }
 
 // giantPhase evaluates the groups in plan order. Each group MACs its
 // diagonals against the lazy rotations over the full extended basis; a j=0
 // group folds straight into the output accumulator, while a j≠0 group
 // spends its single ModDown on the group c1, runs the giant rotation's
-// keyswitch MACs into the output residues, and permute-adds the group c0.
+// keyswitch inner product into the output residues, and permute-adds the
+// group c0. Three pool dispatches per j≠0 group: limbs, coefficient chunks,
+// limbs.
 func (st *ltState) giantPhase() {
 	ev := st.ev
 	params := ev.params
-	rq, rp := params.RingQ, params.RingP
-	digits := params.Digits(st.level)
+	st.digits = st.gd
 	for gi := range st.plan.groups {
 		g := &st.plan.groups[gi]
 		sp := ev.beginOp("LinTrans")
-		st.terms = g.terms
+		st.g = g
 		st.stats.PlainMACs += len(g.terms)
-		if st.strict {
-			if st.serial {
-				for i := 0; i < st.ext1; i++ {
-					st.clearGrpStage(i)
-				}
-			} else {
-				ev.pool.ForEach(st.ext1, st.clearGrpStage)
-			}
-		} else {
-			st.wideG = params.getWide(2 * st.ext1)
-		}
-		if st.serial {
-			for i := 0; i < st.ext1; i++ {
-				st.groupMacStage(i)
-			}
-		} else {
-			ev.pool.ForEach(st.ext1, st.groupMacStage)
-		}
-
-		if g.j == 0 {
-			if st.serial {
-				for i := 0; i < st.ext1; i++ {
-					st.groupAddStage(i)
-				}
-			} else {
-				ev.pool.ForEach(st.ext1, st.groupAddStage)
-			}
-		} else {
+		if g.j != 0 {
 			key, ok := ev.rtks.Keys[g.gal]
 			if !ok {
 				panic(fmt.Sprintf("ckks: no rotation key for step %d (g=%d)", g.j, g.gal))
 			}
 			st.key = key
-			st.permQ = rq.NTTGaloisPermutation(g.gal)
-			st.permP = rp.NTTGaloisPermutation(g.gal)
-
-			// Close the group c1 and leave the extended basis — the ONE
-			// ModDown this group pays.
+		}
+		if !st.strict {
+			st.wideG = params.getWide(2 * st.ext1)
+		}
+		if st.serial {
+			for i := 0; i < st.ext1; i++ {
+				st.groupSumStage(i)
+			}
+		} else {
+			ev.pool.ForEach(st.ext1, st.groupSumStage)
+		}
+		if g.j != 0 {
 			if st.serial {
+				st.groupBasisChunk(0, st.n)
 				for i := 0; i < st.ext1; i++ {
-					st.groupC1Stage(i)
+					st.groupKsStage(i)
 				}
-				st.groupModDownChunk(0, st.n)
 			} else {
-				ev.pool.ForEach(st.ext1, st.groupC1Stage)
-				ev.pool.ForEachChunk(st.n, st.groupModDownChunk)
+				ev.pool.ForEachChunk(st.n, st.groupBasisChunk)
+				ev.pool.ForEach(st.ext1, st.groupKsStage)
 			}
 			st.stats.InverseNTTLimbs += st.ext1
 			st.stats.ModDownSweeps++
-
-			// Giant rotation: decompose the group c1 digit by digit, forward
-			// transform, permute by σ_j, MAC against the rotation key —
-			// accumulating straight into the output residues.
-			if !st.strict {
-				st.wideK = params.getWide(2 * st.ext1)
-			}
-			for d := 0; d < digits; d++ {
-				st.d = d
-				if st.wideK != nil && d > 0 && d%(numeric.MaxLazyProducts-1) == 0 {
-					if st.serial {
-						for i := 0; i < st.ext1; i++ {
-							st.groupKsFoldStage(i)
-						}
-					} else {
-						ev.pool.ForEach(st.ext1, st.groupKsFoldStage)
-					}
-				}
-				if st.serial {
-					st.groupDecomposeChunk(0, st.n)
-					for i := 0; i < st.ext1; i++ {
-						st.groupKsMacStage(i)
-					}
-				} else {
-					ev.pool.ForEachChunk(st.n, st.groupDecomposeChunk)
-					ev.pool.ForEach(st.ext1, st.groupKsMacStage)
-				}
-			}
-			st.stats.NTTLimbs += digits * st.ext1
+			st.stats.NTTLimbs += len(st.gd) * st.ext1
 			st.stats.KeySwitches++
-			if st.wideK != nil {
-				if st.serial {
-					for i := 0; i < st.ext1; i++ {
-						st.groupKsAddStage(i)
-					}
-				} else {
-					ev.pool.ForEach(st.ext1, st.groupKsAddStage)
-				}
-				params.putWide(st.wideK)
-				st.wideK = nil
-			}
-
-			// The group c0 rides along as σ_j(c0_group) added in the
-			// extended basis — no keyswitch, just the permutation.
-			if st.serial {
-				for i := 0; i < st.ext1; i++ {
-					st.groupC0Stage(i)
-				}
-			} else {
-				ev.pool.ForEach(st.ext1, st.groupC0Stage)
-			}
 		}
 		if st.wideG != nil {
 			params.putWide(st.wideG)
 			st.wideG = nil
 		}
-		st.terms = nil
 		ev.endOp("LinTrans", st.level, sp)
 	}
-}
-
-func (st *ltState) clearGrpStage(i int) {
-	clear(st.grp.row0(st.qLimbs, i))
-	clear(st.grp.row1(st.qLimbs, i))
 }
 
 // ltMacBlock is the column-block width of the lazy plaintext-MAC loop: the
@@ -552,21 +464,50 @@ func (st *ltState) resolveTerm(t *ltPlanTerm, i int) (ptc, r0, r1 []uint64, ok b
 	return t.ptP.Coeffs[r], b.c0P.Coeffs[r], b.c1P.Coeffs[r], true
 }
 
-// groupMacStage MACs every diagonal of the current group on extended limb
-// i: lazy 128-bit columns in production (rows i for c0, ext1+i for c1),
-// exact residues in st.grp under strict kernels. Identity terms read the
+// groupSumStage is the plaintext half of a group on extended limb i: MAC
+// every diagonal against its lazy rotation, then either fold the sums into
+// the output accumulator (j = 0) or close the group c1 and return it to the
+// coefficient domain, feeding the group's single ModDown.
+func (st *ltState) groupSumStage(i int) {
+	st.groupMac(i)
+	mod := st.modulus(i)
+	if st.g.j == 0 {
+		o0, o1 := st.out.row0(st.qLimbs, i), st.out.row1(st.qLimbs, i)
+		if st.strict {
+			addVec(mod, o0, st.grp.row0(st.qLimbs, i))
+			addVec(mod, o1, st.grp.row1(st.qLimbs, i))
+		} else {
+			mod.VecReduceWideAdd(o0, st.wideG.hi[i], st.wideG.lo[i])
+			mod.VecReduceWideAdd(o1, st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i])
+		}
+		return
+	}
+	c1 := st.grp.row1(st.qLimbs, i)
+	if !st.strict {
+		st.wideG.reduce(mod, st.ext1+i, c1)
+	}
+	r, li := st.extRing(i)
+	r.InverseLimb(li, c1)
+}
+
+// groupMac MACs every diagonal of the current group on extended limb i:
+// lazy 128-bit columns in production (rows i for c0, ext1+i for c1), exact
+// residues in st.grp under strict kernels. Identity terms read the
 // precomputed P·ct image and contribute nothing on P limbs.
-func (st *ltState) groupMacStage(i int) {
-	params := st.ev.params
-	mod := extModulus(params.RingQ, params.RingP, st.qLimbs, i)
+func (st *ltState) groupMac(i int) {
+	terms := st.g.terms
+	mod := st.modulus(i)
 	if st.strict {
-		for k := range st.terms {
-			ptc, r0, r1, ok := st.resolveTerm(&st.terms[k], i)
+		g0, g1 := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i)
+		clear(g0)
+		clear(g1)
+		for k := range terms {
+			ptc, r0, r1, ok := st.resolveTerm(&terms[k], i)
 			if !ok {
 				continue
 			}
-			macLimb(st.grp.row0(st.qLimbs, i), r0, ptc, mod)
-			macLimb(st.grp.row1(st.qLimbs, i), r1, ptc, mod)
+			macLimb(g0, r0, ptc, nil, mod)
+			macLimb(g1, r1, ptc, nil, mod)
 		}
 		return
 	}
@@ -588,8 +529,8 @@ func (st *ltState) groupMacStage(i int) {
 		bh0, bl0 := hi0[jlo:jhi], lo0[jlo:jhi]
 		bh1, bl1 := hi1[jlo:jhi], lo1[jlo:jhi]
 		cnt := 0
-		for k := range st.terms {
-			ptc, r0, r1, ok := st.resolveTerm(&st.terms[k], i)
+		for k := range terms {
+			ptc, r0, r1, ok := st.resolveTerm(&terms[k], i)
 			if !ok {
 				continue
 			}
@@ -603,115 +544,29 @@ func (st *ltState) groupMacStage(i int) {
 	}
 }
 
-// groupAddStage folds a j=0 group straight into the output accumulator.
-func (st *ltState) groupAddStage(i int) {
-	params := st.ev.params
-	mod := extModulus(params.RingQ, params.RingP, st.qLimbs, i)
-	o0, o1 := st.out.row0(st.qLimbs, i), st.out.row1(st.qLimbs, i)
-	if st.strict {
-		addVec(mod, o0, st.grp.row0(st.qLimbs, i))
-		addVec(mod, o1, st.grp.row1(st.qLimbs, i))
-	} else {
-		mod.VecReduceWideAdd(o0, st.wideG.hi[i], st.wideG.lo[i])
-		mod.VecReduceWideAdd(o1, st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i])
-	}
+// groupBasisChunk takes the group c1 out of the extended basis on the
+// coefficient range [lo, hi) — the ONE ModDown this group pays — and
+// extends it again digit by digit for the giant rotation's keyswitch.
+func (st *ltState) groupBasisChunk(lo, hi int) {
+	c1 := rangeView(st.c1Std.Coeffs, lo, hi)
+	st.params.modDown[st.level].ModDown(c1, rangeView(st.grp.c1Q.Coeffs, lo, hi), rangeView(st.grp.c1P.Coeffs, lo, hi))
+	st.decomposeRange(c1, lo, hi)
 }
 
-// groupC1Stage closes the group c1 on extended limb i and returns it to
-// the coefficient domain, feeding the group's single ModDown.
-func (st *ltState) groupC1Stage(i int) {
-	params := st.ev.params
-	rq, rp := params.RingQ, params.RingP
-	dst := st.grp.row1(st.qLimbs, i)
+// groupKsStage is the giant rotation on extended limb i: forward transform
+// of the limb's digit rows, keyswitch inner product under σ_j accumulated
+// straight into the output rows, and the group c0 riding along as
+// σ_j(c0_group) added in the extended basis — no keyswitch, just the gather.
+func (st *ltState) groupKsStage(i int) {
+	st.forwardLimb(i)
+	o0 := st.out.row0(st.qLimbs, i)
+	st.innerProduct(i, st.key, st.g.perm, o0, st.out.row1(st.qLimbs, i), true)
+	mod := st.modulus(i)
+	c0 := st.grp.row0(st.qLimbs, i)
 	if !st.strict {
-		st.wideG.reduce(extModulus(rq, rp, st.qLimbs, i), st.ext1+i, dst)
+		st.wideG.reduce(mod, i, c0)
 	}
-	if i < st.qLimbs {
-		rq.InverseLimb(i, dst)
-	} else {
-		rp.InverseLimb(i-st.qLimbs, dst)
-	}
-}
-
-func (st *ltState) groupModDownChunk(lo, hi int) {
-	md := st.ev.params.modDown[st.level]
-	md.ModDown(rangeView(st.c1Std.Coeffs, lo, hi), rangeView(st.grp.c1Q.Coeffs, lo, hi), rangeView(st.grp.c1P.Coeffs, lo, hi))
-}
-
-func (st *ltState) groupDecomposeChunk(lo, hi int) {
-	st.ev.params.decomposer.DecomposeAndExtend(
-		st.level, st.d, rangeView(st.c1Std.Coeffs, lo, hi), rangeView(st.ext, lo, hi))
-}
-
-func (st *ltState) groupKsFoldStage(i int) {
-	mod := extModulus(st.ev.params.RingQ, st.ev.params.RingP, st.qLimbs, i)
-	st.wideK.fold(mod, i)
-	st.wideK.fold(mod, st.ext1+i)
-}
-
-// groupKsMacStage processes extended limb i of the current digit of the
-// giant rotation's keyswitch: forward NTT of the decomposed limb, Galois
-// permutation through an arena staging vector, MAC against the digit keys.
-// Strict kernels accumulate exact residues directly into the output rows;
-// the lazy path defers through wideK.
-func (st *ltState) groupKsMacStage(i int) {
-	params := st.ev.params
-	rq, rp := params.RingQ, params.RingP
-	bd, ad := st.key.B[st.d], st.key.A[st.d]
-	src := st.ext[i]
-	buf := rq.GetVec()
-	if i < st.qLimbs {
-		rq.ForwardLimb(i, src)
-		ring.ApplyPermutationNTT(buf, src, st.permQ)
-		if st.strict {
-			mod := rq.Moduli[i]
-			macLimb(st.out.c0Q.Coeffs[i], buf, bd.Q.Coeffs[i], mod)
-			macLimb(st.out.c1Q.Coeffs[i], buf, ad.Q.Coeffs[i], mod)
-		} else {
-			st.wideK.macPair(i, st.ext1+i, bd.Q.Coeffs[i], ad.Q.Coeffs[i], buf)
-		}
-	} else {
-		j := i - st.qLimbs
-		rp.ForwardLimb(j, src)
-		ring.ApplyPermutationNTT(buf, src, st.permP)
-		if st.strict {
-			mod := rp.Moduli[j]
-			macLimb(st.out.c0P.Coeffs[j], buf, bd.P.Coeffs[j], mod)
-			macLimb(st.out.c1P.Coeffs[j], buf, ad.P.Coeffs[j], mod)
-		} else {
-			st.wideK.macPair(i, st.ext1+i, bd.P.Coeffs[j], ad.P.Coeffs[j], buf)
-		}
-	}
-	rq.PutVec(buf)
-}
-
-// groupKsAddStage closes the lazy keyswitch columns of extended limb i into
-// the output accumulator (one deferred Barrett reduction + modular add).
-func (st *ltState) groupKsAddStage(i int) {
-	params := st.ev.params
-	mod := extModulus(params.RingQ, params.RingP, st.qLimbs, i)
-	mod.VecReduceWideAdd(st.out.row0(st.qLimbs, i), st.wideK.hi[i], st.wideK.lo[i])
-	mod.VecReduceWideAdd(st.out.row1(st.qLimbs, i), st.wideK.hi[st.ext1+i], st.wideK.lo[st.ext1+i])
-}
-
-// groupC0Stage closes the group c0 on extended limb i, permutes it by the
-// giant rotation's Galois element, and adds it to the output accumulator.
-func (st *ltState) groupC0Stage(i int) {
-	params := st.ev.params
-	rq, rp := params.RingQ, params.RingP
-	mod := extModulus(rq, rp, st.qLimbs, i)
-	src := st.grp.row0(st.qLimbs, i)
-	if !st.strict {
-		st.wideG.reduce(mod, i, src)
-	}
-	buf := rq.GetVec()
-	if i < st.qLimbs {
-		ring.ApplyPermutationNTT(buf, src, st.permQ)
-	} else {
-		ring.ApplyPermutationNTT(buf, src, st.permP)
-	}
-	addVec(mod, st.out.row0(st.qLimbs, i), buf)
-	rq.PutVec(buf)
+	addVecGather(mod, o0, c0, st.g.perm)
 }
 
 // finish closes the output accumulator: one inverse-NTT sweep over the
@@ -743,20 +598,13 @@ func (st *ltState) finish(dst *Ciphertext, scale float64) {
 }
 
 func (st *ltState) finishInttStage(t int) {
-	params := st.ev.params
-	rq, rp := params.RingQ, params.RingP
 	c, i := t/st.ext1, t%st.ext1
-	var row []uint64
-	if c == 0 {
-		row = st.out.row0(st.qLimbs, i)
-	} else {
+	row := st.out.row0(st.qLimbs, i)
+	if c == 1 {
 		row = st.out.row1(st.qLimbs, i)
 	}
-	if i < st.qLimbs {
-		rq.InverseLimb(i, row)
-	} else {
-		rp.InverseLimb(i-st.qLimbs, row)
-	}
+	r, li := st.extRing(i)
+	r.InverseLimb(li, row)
 }
 
 func (st *ltState) finishModDownChunk(lo, hi int) {

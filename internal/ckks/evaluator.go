@@ -234,156 +234,191 @@ func (ev *Evaluator) KeySwitch(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
 	return ev.KeySwitchInto(NewCiphertext(ev.params, ct.Level), ct, swk)
 }
 
+// ksDigits is the operand every keyswitch inner product shares: the digit
+// decomposition of one polynomial over the extended basis Q_l ∪ P, with the
+// three things done to it — RNSconv/ModUp of a coefficient range, forward
+// transform of a limb, and the inner product of a limb against a switching
+// key. The plain keyswitch, the hoisted replay and both keyswitch sites of
+// the double-hoisted linear-transform engine run these same methods; they
+// differ only in where the digits come from and where the sums go.
+type ksDigits struct {
+	params *Parameters
+	level  int
+	qLimbs int
+	ext1   int // extended limb count qLimbs + alpha
+	strict bool
+
+	digits [][][]uint64 // [digit][extended limb][coeff]
+
+	// rows is slice-header scratch for the inner product: 3·len(digits)
+	// headers per extended limb (the limb's digit rows and both key rows),
+	// so concurrent limb tasks never share an entry. Capacity is kept across
+	// checkouts of the owning state record.
+	rows [][]uint64
+}
+
+// bind sizes the record for a keyswitch at the given level.
+func (k *ksDigits) bind(params *Parameters, level int) {
+	k.params = params
+	k.level = level
+	k.qLimbs = level + 1
+	k.ext1 = k.qLimbs + params.Alpha()
+	k.strict = params.RingQ.StrictKernels()
+	need := 3 * params.Digits(level) * k.ext1
+	if cap(k.rows) < need {
+		k.rows = make([][]uint64, need)
+	}
+	k.rows = k.rows[:need]
+}
+
+// decomposeRange performs the RNSconv/ModUp of every digit on the
+// coefficient range [lo, hi) — every coefficient's basis extension is
+// self-contained. src is that range of the input (coefficient domain,
+// qLimbs limbs), already cut out with rangeView.
+func (k *ksDigits) decomposeRange(src [][]uint64, lo, hi int) {
+	for d, ext := range k.digits {
+		k.params.decomposer.DecomposeAndExtend(k.level, d, src, rangeView(ext, lo, hi))
+	}
+}
+
+// extRing resolves extended-limb index i to its ring and the limb's index
+// there: Q limbs first, then P limbs.
+func (k *ksDigits) extRing(i int) (*ring.Ring, int) {
+	if i < k.qLimbs {
+		return k.params.RingQ, i
+	}
+	return k.params.RingP, i - k.qLimbs
+}
+
+// modulus resolves extended-limb index i to its modulus.
+func (k *ksDigits) modulus(i int) numeric.Modulus {
+	r, li := k.extRing(i)
+	return r.Moduli[li]
+}
+
+// forwardLimb transforms extended limb i of every digit to the NTT domain.
+func (k *ksDigits) forwardLimb(i int) {
+	r, li := k.extRing(i)
+	for _, ext := range k.digits {
+		r.ForwardLimb(li, ext[i])
+	}
+}
+
+// innerProduct is the ONE keyswitch inner-product stage. On extended limb i
+// it sets, per coefficient j,
+//
+//	out0[j] (+)= Σ_d digit_d[perm[j]]·key.B_d[j]    out1[j] (+)= Σ_d digit_d[perm[j]]·key.A_d[j]
+//
+// — both sums over the digits carried in registers and closed by a single
+// Barrett reduction (numeric.VecInnerProductPair), the Galois permutation of
+// a hoisted replay gathered in the same pass (perm nil = plain keyswitch),
+// add folding onto the residues already in the out rows (the giant step of a
+// linear transform accumulates straight into the transform's output). With
+// q < 2^61 up to numeric.MaxLazyProducts−1 products fit one 128-bit sum;
+// deeper digit chains fold in between. Under StrictKernels the
+// reduce-every-term reference chain (macLimb) runs instead; both leave the
+// canonical residue of the same sum, bit for bit.
+func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1 []uint64, add bool) {
+	nd := len(k.digits)
+	mod := k.modulus(i)
+	rows := k.rows[3*nd*i : 3*nd*(i+1)]
+	x, kb, ka := rows[:nd], rows[nd:2*nd], rows[2*nd:]
+	for d, ext := range k.digits {
+		x[d] = ext[i]
+		if i < k.qLimbs {
+			kb[d], ka[d] = key.B[d].Q.Coeffs[i], key.A[d].Q.Coeffs[i]
+		} else {
+			kb[d], ka[d] = key.B[d].P.Coeffs[i-k.qLimbs], key.A[d].P.Coeffs[i-k.qLimbs]
+		}
+	}
+	if !k.strict {
+		mod.VecInnerProductPair(out0, out1, x, kb, ka, perm, add)
+		return
+	}
+	if !add {
+		clear(out0)
+		clear(out1)
+	}
+	for d := range x {
+		macLimb(out0, x[d], kb[d], perm, mod)
+		macLimb(out1, x[d], ka[d], perm, mod)
+	}
+}
+
 // ksState bundles the keyswitch pipeline's per-call state so each stage can
 // run either as a plain serial loop (no closure, no allocation) or as a
 // method value fanned out across the worker pool. Records are recycled
 // through the Parameters free list; every field is (re)assigned per call.
 type ksState struct {
-	ev     *Evaluator
-	level  int
-	qLimbs int
-	alpha  int
-	ext1   int // extLimbs = qLimbs + alpha
-	n      int
-	strict bool
+	ksDigits
+	ev    *Evaluator
+	alpha int
+	n     int
 
-	cx  *ring.Poly    // coefficient-domain input (non-hoisted path)
-	key *SwitchingKey // digit key material
-	d   int           // current digit
+	// cx is the coefficient-domain input the direct path decomposes. A
+	// hoisted replay leaves it nil: its digits are the shared NTT-domain
+	// decomposition, borrowed from a hoistedDecomposition (whose owner
+	// releases them), and perm is the rotation's NTT-domain Galois
+	// permutation.
+	cx       *ring.Poly
+	borrowed bool
+	perm     []int
+	key      *SwitchingKey
 
 	acc0Q, acc1Q *ring.Poly
 	acc0P, acc1P *ring.Poly
-	wide         *wideAcc   // nil under strict kernels
-	ext          [][]uint64 // current extended digit (NTT domain after mac)
 
 	p0, p1 *ring.Poly // destinations (qLimbs limbs each)
-
-	// Hoisted replay: when hoisted is true, ext already holds the
-	// NTT-domain shared decomposition and the mac stage permutes it through
-	// permQ/permP instead of decomposing and transforming.
-	hoisted      bool
-	permQ, permP []int
-
-	// accumOnly marks an accumulate-only run: the pipeline stops after
-	// reducing the digit MACs to NTT-domain residues over the extended
-	// basis (reduceResidueStage) — no inverse NTT, no ModDown. The acc
-	// polys are then caller-owned accumulator destinations, and neither
-	// ksFinish nor ksRelease may touch them. The double-hoisted
-	// linear-transform engine runs baby-step rotations in this mode.
-	accumOnly bool
 }
 
-// foldStage folds accumulator columns to residues, restarting the lazy
-// 128-bit product budget (rows i and extLimbs+i for extended limb i).
-func (s *ksState) foldStage(i int) {
-	mod := extModulus(s.ev.params.RingQ, s.ev.params.RingP, s.qLimbs, i)
-	s.wide.fold(mod, i)
-	s.wide.fold(mod, s.ext1+i)
+// newKsState checks a state record out and binds it to one keyswitch at the
+// given level, accumulators drawn dirty from the arena — the inner-product
+// stage overwrites every row. Release with ksRelease.
+func (ev *Evaluator) newKsState(level int, key *SwitchingKey, p0, p1 *ring.Poly) *ksState {
+	params := ev.params
+	s := params.getKsState()
+	s.bind(params, level)
+	s.ev = ev
+	s.alpha = params.Alpha()
+	s.n = params.N
+	s.key = key
+	s.p0, s.p1 = p0, p1
+	s.acc0Q = params.RingQ.GetPolyDirty(s.qLimbs)
+	s.acc1Q = params.RingQ.GetPolyDirty(s.qLimbs)
+	s.acc0P = params.RingP.GetPolyDirty(s.alpha)
+	s.acc1P = params.RingP.GetPolyDirty(s.alpha)
+	return s
 }
 
-// decomposeChunk performs the RNSconv/ModUp of the current digit on the
-// coefficient range [lo, hi) — every coefficient's basis extension is
-// self-contained.
+// borrow points the pipeline at a shared NTT-domain decomposition whose owner
+// releases it.
+func (s *ksState) borrow(digits [][][]uint64) {
+	s.borrowed = true
+	s.digits = append(s.digits, digits...)
+}
+
+// decomposeChunk is decomposeRange as a coefficient-chunk stage.
 func (s *ksState) decomposeChunk(lo, hi int) {
-	s.ev.params.decomposer.DecomposeAndExtend(
-		s.level, s.d, rangeView(s.cx.Coeffs, lo, hi), rangeView(s.ext, lo, hi))
+	s.decomposeRange(rangeView(s.cx.Coeffs, lo, hi), lo, hi)
 }
 
-// macStage processes extended limb i of the current digit: forward NTT
-// (or, hoisted, the NTT-domain Galois permutation through an arena staging
-// vector) followed by the multiply-accumulate against the digit keys —
-// fused lazy 128-bit columns in production, reduce-then-add under strict.
-func (s *ksState) macStage(i int) {
-	rq, rp := s.ev.params.RingQ, s.ev.params.RingP
-	bd, ad := s.key.B[s.d], s.key.A[s.d]
-	src := s.ext[i]
-	var permBuf []uint64
-	if s.hoisted {
-		permBuf = rq.GetVec()
-		if i < s.qLimbs {
-			ring.ApplyPermutationNTT(permBuf, src, s.permQ)
-		} else {
-			ring.ApplyPermutationNTT(permBuf, src, s.permP)
-		}
-		src = permBuf
+// limbStage runs everything extended limb i needs between the basis
+// extension and the ModDown in one task, so the limb's digit rows are
+// transformed, multiplied and dropped while they are cache-resident: the
+// forward NTT of each digit row (direct path only), the inner product
+// against the key, and the inverse NTT of both sums.
+func (s *ksState) limbStage(i int) {
+	if s.cx != nil {
+		s.forwardLimb(i)
 	}
-	if i < s.qLimbs {
-		if !s.hoisted {
-			rq.ForwardLimb(i, src)
-		}
-		if s.strict {
-			mod := rq.Moduli[i]
-			macLimb(s.acc0Q.Coeffs[i], src, bd.Q.Coeffs[i], mod)
-			macLimb(s.acc1Q.Coeffs[i], src, ad.Q.Coeffs[i], mod)
-		} else {
-			s.wide.macPair(i, s.ext1+i, bd.Q.Coeffs[i], ad.Q.Coeffs[i], src)
-		}
-	} else {
-		j := i - s.qLimbs
-		if !s.hoisted {
-			rp.ForwardLimb(j, src)
-		}
-		if s.strict {
-			mod := rp.Moduli[j]
-			macLimb(s.acc0P.Coeffs[j], src, bd.P.Coeffs[j], mod)
-			macLimb(s.acc1P.Coeffs[j], src, ad.P.Coeffs[j], mod)
-		} else {
-			s.wide.macPair(i, s.ext1+i, bd.P.Coeffs[j], ad.P.Coeffs[j], src)
-		}
+	r, li := s.extRing(i)
+	out0, out1 := s.acc0Q.Coeffs, s.acc1Q.Coeffs
+	if i >= s.qLimbs {
+		out0, out1 = s.acc0P.Coeffs, s.acc1P.Coeffs
 	}
-	if permBuf != nil {
-		rq.PutVec(permBuf)
-	}
-}
-
-// reduceResidueStage closes the accumulator columns of extended limb i to
-// NTT-domain residues in the acc polys without leaving the extended basis —
-// the accumulate-only pipeline tail. Under strict kernels the mac stage
-// already maintained exact residues in the acc polys, so there is nothing
-// to reduce; both paths leave identical values (the lazy columns hold the
-// exact same modular sum, closed by one deferred Barrett reduction).
-func (s *ksState) reduceResidueStage(i int) {
-	if s.wide == nil {
-		return
-	}
-	mod := extModulus(s.ev.params.RingQ, s.ev.params.RingP, s.qLimbs, i)
-	if i < s.qLimbs {
-		s.wide.reduce(mod, i, s.acc0Q.Coeffs[i])
-		s.wide.reduce(mod, s.ext1+i, s.acc1Q.Coeffs[i])
-	} else {
-		j := i - s.qLimbs
-		s.wide.reduce(mod, i, s.acc0P.Coeffs[j])
-		s.wide.reduce(mod, s.ext1+i, s.acc1P.Coeffs[j])
-	}
-}
-
-// inttReduceStage closes accumulator row t (2·qLimbs Q rows then 2·alpha P
-// rows): the lazy path's single deferred Barrett reduction per coefficient,
-// fused with the inverse transform of the same limb.
-func (s *ksState) inttReduceStage(t int) {
-	rq, rp := s.ev.params.RingQ, s.ev.params.RingP
-	if t < 2*s.qLimbs {
-		c, i := t/s.qLimbs, t%s.qLimbs
-		acc := s.acc0Q
-		if c == 1 {
-			acc = s.acc1Q
-		}
-		if s.wide != nil {
-			s.wide.reduce(rq.Moduli[i], c*s.ext1+i, acc.Coeffs[i])
-		}
-		rq.InverseLimb(i, acc.Coeffs[i])
-	} else {
-		t -= 2 * s.qLimbs
-		c, j := t/s.alpha, t%s.alpha
-		acc := s.acc0P
-		if c == 1 {
-			acc = s.acc1P
-		}
-		if s.wide != nil {
-			s.wide.reduce(rp.Moduli[j], c*s.ext1+s.qLimbs+j, acc.Coeffs[j])
-		}
-		rp.InverseLimb(j, acc.Coeffs[j])
-	}
+	s.innerProduct(i, s.key, s.perm, out0[li], out1[li], false)
+	r.InverseLimb(li, out0[li])
+	r.InverseLimb(li, out1[li])
 }
 
 // modDownChunk divides the accumulated (Q, P) pair by P on coefficient
@@ -411,111 +446,50 @@ func (s *ksState) nttOutStage(t int) {
 // ModDown by P. Writes (p0, p1) — NTT domain, qLimbs limbs, fully
 // overwritten — into the caller-provided destinations.
 //
-// The digit inner product is the fused lazy accumulation: each extended
-// limb keeps a 128-bit (hi, lo) column pair per coefficient, every digit's
-// product is a raw multiply-accumulate (VecMACWide), and one Barrett
-// reduction per coefficient (VecReduceWide) closes the sum — instead of a
-// full reduction plus modular add per digit. ReduceWide is valid for any
-// 128-bit value and q < 2^61 bounds each product below 2^122, so up to
-// numeric.MaxLazyProducts digits accumulate safely; deeper chains fold the
-// accumulator to a residue and continue. Under StrictKernels the per-digit
-// reduce-then-add reference path (macLimb) runs instead; both are
-// bit-identical.
-//
-// Parallel structure: the RNSconv/ModUp of a digit chunks across
-// coefficients; the forward NTT and multiply-accumulate of its extended
-// limbs fan out limb-wise (each limb is one independent lane group);
-// ModDown chunks across coefficients again. Digits run sequentially so the
-// accumulator update order — hence every bit of the result — matches the
-// serial schedule. At workers=1 every stage runs as a plain loop over the
+// Loop order is limb-major, the order that keeps the working set on chip:
+// all digits are extended first (chunked across coefficients), then each
+// extended limb is one task (limbStage) that transforms its digit rows,
+// sums Σ_d digit_d·key_d for both key rows in registers and inverse
+// transforms the two results — where a digit-major order streams every
+// partial sum through memory once per digit. ModDown chunks across
+// coefficients again. Every sum is the canonical residue of an exact
+// integer, so the result is bit-identical for every worker count and
+// kernel tier. At workers=1 every stage runs as a plain loop over the
 // pooled ksState's methods: no closures, no allocations — all scratch
-// (accumulators, wide columns, extended digits, the state record itself)
-// is recycled through the arena and the Parameters free lists.
+// (accumulators, extended digits, the state record itself) is recycled
+// through the arena and the Parameters free lists.
 func (ev *Evaluator) keySwitchCoreInto(p0, p1 *ring.Poly, level int, cx *ring.Poly, key *SwitchingKey) {
-	params := ev.params
-	pool := ev.pool
-	serial := pool.Workers() <= 1
-	rq, rp := params.RingQ, params.RingP
-	digits := params.Digits(level)
-
-	s := params.getKsState()
+	s := ev.newKsState(level, key, p0, p1)
 	// Leak-proof discipline: every piece of scratch attached to s is
 	// released by this deferred call whether the pipeline completes (fields
-	// already nilled by the eager Puts in ksFinish) or panics mid-digit.
+	// already nilled by the eager Puts in ksRun) or panics mid-stage.
 	defer ev.ksRelease(s)
-	s.ev = ev
-	s.level = level
-	s.qLimbs = level + 1
-	s.alpha = params.Alpha()
-	s.ext1 = s.qLimbs + s.alpha
-	s.n = params.N
-	s.strict = rq.StrictKernels()
 	s.cx = cx
-	s.key = key
-	s.p0, s.p1 = p0, p1
-
-	// Accumulators over Q_l and P, NTT domain, drawn zeroed from the arena.
-	s.acc0Q = rq.GetPoly(s.qLimbs)
-	s.acc1Q = rq.GetPoly(s.qLimbs)
-	s.acc0P = rp.GetPoly(s.alpha)
-	s.acc1P = rp.GetPoly(s.alpha)
-	s.acc0Q.IsNTT, s.acc1Q.IsNTT, s.acc0P.IsNTT, s.acc1P.IsNTT = true, true, true, true
-
-	// Lazy path: 128-bit accumulator columns, rows [0, extLimbs) for the
-	// b-key sum and [extLimbs, 2·extLimbs) for the a-key sum.
-	if !s.strict {
-		s.wide = params.getWide(2 * s.ext1)
+	s.digits = s.params.getDigits(s.digits, level)
+	if ev.pool.Workers() <= 1 {
+		s.decomposeChunk(0, s.n)
+	} else {
+		ev.pool.ForEachChunk(s.n, s.decomposeChunk)
 	}
-	s.ext = params.getExt(s.ext1)
-
-	for d := 0; d < digits; d++ {
-		s.d = d
-		if s.wide != nil && d > 0 && d%(numeric.MaxLazyProducts-1) == 0 {
-			// Deep digit chains: fold each column to its residue so the
-			// next MaxLazyProducts−1 products cannot overflow 128 bits.
-			if serial {
-				for i := 0; i < s.ext1; i++ {
-					s.foldStage(i)
-				}
-			} else {
-				pool.ForEach(s.ext1, s.foldStage)
-			}
-		}
-		if serial {
-			s.decomposeChunk(0, s.n)
-			for i := 0; i < s.ext1; i++ {
-				s.macStage(i)
-			}
-		} else {
-			pool.ForEachChunk(s.n, s.decomposeChunk)
-			pool.ForEach(s.ext1, s.macStage)
-		}
-	}
-
-	ev.ksFinish(s, serial)
+	ev.ksRun(s)
 }
 
-// ksFinish runs the tail of the keyswitch pipeline shared by the direct and
-// hoisted paths: close the accumulators (deferred reduction + inverse NTT),
-// ModDown by P into (p0, p1), return them to the NTT domain, and release
-// every piece of scratch.
-func (ev *Evaluator) ksFinish(s *ksState, serial bool) {
+// ksRun runs the pipeline from the extended digits on, shared by the direct
+// and hoisted paths: the limb-major inner product between its transforms,
+// ModDown by P into (p0, p1), and the return to the NTT domain.
+func (ev *Evaluator) ksRun(s *ksState) {
 	params := ev.params
 	pool := ev.pool
 	rq, rp := params.RingQ, params.RingP
+	serial := pool.Workers() <= 1
 
 	if serial {
-		for t := 0; t < 2*s.qLimbs+2*s.alpha; t++ {
-			s.inttReduceStage(t)
+		for i := 0; i < s.ext1; i++ {
+			s.limbStage(i)
 		}
-	} else {
-		pool.ForEach(2*s.qLimbs+2*s.alpha, s.inttReduceStage)
-	}
-	s.acc0Q.IsNTT, s.acc1Q.IsNTT, s.acc0P.IsNTT, s.acc1P.IsNTT = false, false, false, false
-
-	if serial {
 		s.modDownChunk(0, s.n)
 	} else {
+		pool.ForEach(s.ext1, s.limbStage)
 		pool.ForEachChunk(s.n, s.modDownChunk)
 	}
 	// Eager accumulator release (shrinks peak arena use before the output
@@ -539,59 +513,37 @@ func (ev *Evaluator) ksFinish(s *ksState, serial bool) {
 
 // ksRelease returns every piece of scratch still attached to s to its arena
 // or free list and recycles the state record. Safe to run after a normal
-// ksFinish (completed stages nil their fields) and after a panic anywhere in
-// the pipeline; hoisted replays never release s.ext here because the digits
-// are borrowed from the shared hoistedDecomposition.
+// ksRun (completed stages nil their fields) and after a panic anywhere in
+// the pipeline. Digits are released only when this pipeline drew them: a
+// hoisted replay borrows them from the shared decomposition.
 func (ev *Evaluator) ksRelease(s *ksState) {
 	params := ev.params
 	rq, rp := params.RingQ, params.RingP
-	if s.accumOnly {
-		// Accumulate-only runs borrow caller-owned accumulator polys; the
-		// caller's own deferred sweep releases them (a Put here would
-		// double-free on the panic path).
-		s.acc0Q, s.acc1Q, s.acc0P, s.acc1P = nil, nil, nil, nil
-	}
 	if s.acc0Q != nil {
 		rq.PutPoly(s.acc0Q)
-		s.acc0Q = nil
 	}
 	if s.acc1Q != nil {
 		rq.PutPoly(s.acc1Q)
-		s.acc1Q = nil
 	}
 	if s.acc0P != nil {
 		rp.PutPoly(s.acc0P)
-		s.acc0P = nil
 	}
 	if s.acc1P != nil {
 		rp.PutPoly(s.acc1P)
-		s.acc1P = nil
 	}
-	if s.ext != nil && !s.hoisted {
-		params.putExt(s.ext)
-	}
-	s.ext = nil
-	if s.wide != nil {
-		params.putWide(s.wide)
-		s.wide = nil
+	if !s.borrowed {
+		s.digits = params.putDigits(s.digits)
 	}
 	params.putKsState(s)
 }
 
-// extModulus resolves extended-limb index i to its modulus: Q limbs first,
-// then P limbs.
-func extModulus(rq, rp *ring.Ring, qLimbs, i int) numeric.Modulus {
-	if i < qLimbs {
-		return rq.Moduli[i]
-	}
-	return rp.Moduli[i-qLimbs]
-}
-
 // wideAcc is a bank of 128-bit accumulator columns: rows of N (hi, lo)
-// pairs backing the fused lazy inner products of the keyswitch and
-// linear-transform pipelines. Rows are touched by at most one worker at a
-// time (the parallel loops partition by row), so no locking is needed.
-// Banks are recycled through the Parameters free list (getWide/putWide).
+// pairs backing the fused plaintext sums of the linear-transform paths,
+// whose terms are too many to carry in registers. (Keyswitch sums never
+// touch one: see ksDigits.innerProduct.) Rows are touched by at most one
+// worker at a time (the parallel loops partition by row), so no locking is
+// needed. Banks are recycled through the Parameters free list
+// (getWide/putWide).
 type wideAcc struct {
 	hi [][]uint64
 	lo [][]uint64
@@ -607,11 +559,6 @@ func newWideAcc(rows, n int) *wideAcc {
 		w.lo[r] = loSlab[r*n : (r+1)*n]
 	}
 	return w
-}
-
-// mac accumulates a[j]·b[j] onto row r.
-func (w *wideAcc) mac(r int, a, b []uint64) {
-	numeric.VecMACWide(w.hi[r], w.lo[r], a, b)
 }
 
 // macPair accumulates a0[j]·b[j] onto row r0 and a1[j]·b[j] onto row r1 in
@@ -631,10 +578,25 @@ func (w *wideAcc) reduce(mod numeric.Modulus, r int, out []uint64) {
 	mod.VecReduceWide(out, w.hi[r], w.lo[r])
 }
 
-// macLimb computes acc[j] += a[j]·b[j] mod q over one limb — the strict
-// reference schedule (one full reduction and modular add per digit).
-func macLimb(acc, a, b []uint64, mod numeric.Modulus) {
-	for j := range acc {
-		acc[j] = mod.Add(acc[j], mod.Mul(a[j], b[j]))
+// macLimb computes acc[j] += a[perm[j]]·b[j] mod q over one limb (perm nil
+// reads a in order) — the strict reference schedule: one full reduction and
+// modular add per term.
+func macLimb(acc, a, b []uint64, perm []int, mod numeric.Modulus) {
+	if perm == nil {
+		for j := range acc {
+			acc[j] = mod.Add(acc[j], mod.Mul(a[j], b[j]))
+		}
+		return
+	}
+	for j, p := range perm {
+		acc[j] = mod.Add(acc[j], mod.Mul(a[p], b[j]))
+	}
+}
+
+// addVecGather accumulates a[perm[j]] into out[j] modulo mod — a modular
+// add with an NTT-domain Galois permutation gathered in the same pass.
+func addVecGather(mod numeric.Modulus, out, a []uint64, perm []int) {
+	for j, p := range perm {
+		out[j] = mod.Add(out[j], a[p])
 	}
 }

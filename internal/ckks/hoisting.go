@@ -3,7 +3,6 @@ package ckks
 import (
 	"fmt"
 
-	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
 
@@ -15,13 +14,14 @@ import (
 // once and replays it per rotation as a cheap NTT-domain permutation,
 // because the decomposition commutes with the automorphism.
 //
-// Both phases run on the evaluator's worker pool: the shared decomposition
-// chunks across coefficients and fans limbs out per digit, and each
-// rotation's permuted multiply-accumulate replays through the pooled
-// keyswitch state (ksState with hoisted=true), with per-task permutation
-// buffers drawn from the ring arena. All per-rotation scratch — extended
-// digits, accumulators, 128-bit columns — is recycled, so the steady-state
-// cost of a hoisted batch is the output ciphertexts themselves.
+// Both phases run on the evaluator's worker pool through the pooled
+// keyswitch state's stage methods: the shared decomposition chunks across
+// coefficients and then transforms limb by limb, and each rotation replays
+// the limb-major inner product (ksDigits.innerProduct) over the borrowed
+// digits with the rotation's permutation gathered inside the multiply — no
+// permuted copy is staged. All per-rotation scratch is recycled, so the
+// steady-state cost of a hoisted batch is the output ciphertexts
+// themselves.
 
 // hoistedDecomposition caches the shared per-input keyswitch state. The
 // digit matrices are borrowed from the parameter set's free list; call
@@ -35,12 +35,7 @@ type hoistedDecomposition struct {
 // release returns the borrowed digit matrices and the C0 copy. Nil-safe so
 // it can double as the panic-path sweep of a partially built decomposition.
 func (hd *hoistedDecomposition) release(params *Parameters) {
-	for _, ext := range hd.digits {
-		if ext != nil {
-			params.putExt(ext)
-		}
-	}
-	hd.digits = nil
+	hd.digits = params.putDigits(hd.digits)
 	if hd.c0 != nil {
 		params.RingQ.PutPoly(hd.c0)
 		hd.c0 = nil
@@ -67,65 +62,36 @@ func (ev *Evaluator) decomposeHoisted(ct *Ciphertext) (hdOut *hoistedDecompositi
 // controls whether the coefficient-domain C0 copy is taken: the
 // double-hoisted path permutes C0 in the NTT domain and skips it, saving
 // qLimbs inverse transforms. The caller owns the release of hd (panic paths
-// included); the c1 scratch acquired here is swept locally.
+// included); the c1 scratch and the state record borrowed for its stage
+// methods are swept locally.
 func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Ciphertext, withC0 bool) {
 	params := ev.params
-	pool := ev.pool
-	serial := pool.Workers() <= 1
-	rq, rp := params.RingQ, params.RingP
+	rq := params.RingQ
 	level := ct.Level
-	alpha := params.Alpha()
-	digits := params.Digits(level)
-	n := params.N
-	qLimbs := level + 1
-	extLimbs := qLimbs + alpha
 
 	hd.level = level
-	hd.digits = hd.digits[:0]
-	// c1 is captured by the worker-pool closures below, so it is never
-	// reassigned (a reassignment would force a by-reference capture and a
-	// heap move); the panic sweep tracks its release through c1Live, which
-	// only the non-escaping defer closure touches.
-	var c1Live *ring.Poly
-	defer func() {
-		if c1Live != nil {
-			rq.PutPoly(c1Live)
-		}
-	}()
 	c1 := ev.inttCopy(ct.C1)
-	c1Live = c1
+	defer rq.PutPoly(c1)
 	if withC0 {
 		hd.c0 = ev.inttCopy(ct.C0)
 	}
 
-	decomposer := params.decomposer
-	for d := 0; d < digits; d++ {
-		ext := params.getExt(extLimbs)
-		hd.digits = append(hd.digits, ext)
-		if serial {
-			decomposer.DecomposeAndExtend(level, d, c1.Coeffs, ext)
-			for i := 0; i < extLimbs; i++ {
-				if i < qLimbs {
-					rq.ForwardLimb(i, ext[i])
-				} else {
-					rp.ForwardLimb(i-qLimbs, ext[i])
-				}
-			}
-		} else {
-			pool.ForEachChunk(n, func(lo, hi int) {
-				decomposer.DecomposeAndExtend(level, d, rangeView(c1.Coeffs, lo, hi), rangeView(ext, lo, hi))
-			})
-			pool.ForEach(extLimbs, func(i int) {
-				if i < qLimbs {
-					rq.ForwardLimb(i, ext[i])
-				} else {
-					rp.ForwardLimb(i-qLimbs, ext[i])
-				}
-			})
+	s := params.getKsState()
+	defer ev.ksRelease(s)
+	s.bind(params, level)
+	s.ev = ev
+	s.cx = c1
+	hd.digits = params.getDigits(hd.digits[:0], level)
+	s.borrow(hd.digits) // hd owns the digits from the moment they are drawn
+	if ev.pool.Workers() <= 1 {
+		s.decomposeChunk(0, params.N)
+		for i := 0; i < s.ext1; i++ {
+			s.forwardLimb(i)
 		}
+	} else {
+		ev.pool.ForEachChunk(params.N, s.decomposeChunk)
+		ev.pool.ForEach(s.ext1, s.forwardLimb)
 	}
-	rq.PutPoly(c1)
-	c1Live = nil
 }
 
 // Hoisted is a reusable handle over one ciphertext's shared keyswitch
@@ -250,159 +216,34 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 }
 
 // rotateHoistedOne replays the shared decomposition through the keyswitch
-// pipeline for one Galois element: the mac stage permutes each cached
-// NTT-domain digit limb by the rotation's Galois permutation instead of
-// decomposing again. Same accumulator discipline as keySwitchCoreInto —
-// raw 128-bit MACs per digit, one deferred Barrett reduction per
-// coefficient folded into the inverse-NTT pass (strict kernels run macLimb
-// instead). Scratch is released by the deferred sweeps on every exit,
-// panic paths included; the borrowed digit matrices stay owned by hd.
+// pipeline for one Galois element: the same limb-major inner product as
+// keySwitchCoreInto, gathering each cached NTT-domain digit row through the
+// rotation's Galois permutation (resolved once, here) instead of decomposing
+// again. Scratch is released by the deferred sweeps on every exit, panic
+// paths included; the borrowed digit matrices stay owned by hd.
 func (ev *Evaluator) rotateHoistedOne(hd *hoistedDecomposition, ct *Ciphertext, g uint64, key *SwitchingKey) *Ciphertext {
 	sp := ev.beginOp("Rotation")
 	params := ev.params
 	pool := ev.pool
-	serial := pool.Workers() <= 1
-	rq, rp := params.RingQ, params.RingP
+	rq := params.RingQ
 	level := hd.level
-	qLimbs := level + 1
-
-	s := params.getKsState()
-	defer ev.ksRelease(s)
-	s.ev = ev
-	s.level = level
-	s.qLimbs = qLimbs
-	s.alpha = params.Alpha()
-	s.ext1 = qLimbs + s.alpha
-	s.n = params.N
-	s.strict = rq.StrictKernels()
-	s.key = key
-	s.hoisted = true
-	s.permQ = rq.NTTGaloisPermutation(g)
-	s.permP = rp.NTTGaloisPermutation(g)
-
-	s.acc0Q = rq.GetPoly(qLimbs)
-	s.acc1Q = rq.GetPoly(qLimbs)
-	s.acc0P = rp.GetPoly(s.alpha)
-	s.acc1P = rp.GetPoly(s.alpha)
-	s.acc0Q.IsNTT, s.acc1Q.IsNTT, s.acc0P.IsNTT, s.acc1P.IsNTT = true, true, true, true
-	if !s.strict {
-		s.wide = params.getWide(2 * s.ext1)
-	}
 
 	res := NewCiphertext(params, level)
 	res.Scale = ct.Scale
-	var p0 *ring.Poly
-	defer func() {
-		if p0 != nil {
-			rq.PutPoly(p0)
-		}
-	}()
-	p0 = rq.GetPolyDirty(qLimbs)
-	s.p0, s.p1 = p0, res.C1
+	p0 := rq.GetPolyDirty(level + 1)
+	defer rq.PutPoly(p0)
 
-	for di := range hd.digits {
-		s.d = di
-		s.ext = hd.digits[di]
-		if s.wide != nil && di > 0 && di%(numeric.MaxLazyProducts-1) == 0 {
-			if serial {
-				for i := 0; i < s.ext1; i++ {
-					s.foldStage(i)
-				}
-			} else {
-				pool.ForEach(s.ext1, s.foldStage)
-			}
-		}
-		if serial {
-			for i := 0; i < s.ext1; i++ {
-				s.macStage(i)
-			}
-		} else {
-			pool.ForEach(s.ext1, s.macStage)
-		}
-	}
-	s.ext = nil // borrowed from hd — not the pipeline's to release
+	s := ev.newKsState(level, key, p0, res.C1)
+	defer ev.ksRelease(s)
+	s.borrow(hd.digits)
+	s.perm = rq.NTTGaloisPermutation(g)
 
 	rq.AutomorphismParallel(res.C0, hd.c0, g, pool)
-	ev.ksFinish(s, serial)
+	ev.ksRun(s)
 	rq.NTTParallel(res.C0, pool)
 	rq.AddParallel(res.C0, res.C0, p0, pool)
-	rq.PutPoly(p0)
-	p0 = nil
 	ev.endOp("Rotation", level, sp)
 	return res
-}
-
-// rotateHoistedAccum is the group-level sibling of rotateHoistedOne: it
-// replays the shared decomposition for one Galois element in accumulate-only
-// mode, leaving the key-switch MACs as NTT-domain residues over the extended
-// basis Q_l ∪ P in the caller-owned accumulator acc — no inverse NTT, no
-// ModDown. Together with the P·σ_g(c0) correction (which the caller folds in
-// via the parameter set's pModQ scalars) the residues form the lazy QP-basis
-// image P·rot_g(ct) that double-hoisted giant-step groups multiply
-// plaintext diagonals against, deferring the entire basis reduction to one
-// ModDown per group.
-func (ev *Evaluator) rotateHoistedAccum(hd *hoistedDecomposition, g uint64, key *SwitchingKey, acc qpAccum) {
-	params := ev.params
-	pool := ev.pool
-	serial := pool.Workers() <= 1
-	rq, rp := params.RingQ, params.RingP
-	level := hd.level
-	qLimbs := level + 1
-
-	s := params.getKsState()
-	defer ev.ksRelease(s)
-	s.ev = ev
-	s.level = level
-	s.qLimbs = qLimbs
-	s.alpha = params.Alpha()
-	s.ext1 = qLimbs + s.alpha
-	s.n = params.N
-	s.strict = rq.StrictKernels()
-	s.key = key
-	s.hoisted = true
-	s.accumOnly = true
-	s.permQ = rq.NTTGaloisPermutation(g)
-	s.permP = rp.NTTGaloisPermutation(g)
-
-	// Caller-owned destinations (zeroed by the caller): under strict kernels
-	// the mac stage accumulates exact residues directly into them; on the
-	// lazy path they receive the deferred reductions of the wide columns.
-	s.acc0Q, s.acc1Q = acc.c0Q, acc.c1Q
-	s.acc0P, s.acc1P = acc.c0P, acc.c1P
-	if !s.strict {
-		s.wide = params.getWide(2 * s.ext1)
-	}
-
-	for di := range hd.digits {
-		s.d = di
-		s.ext = hd.digits[di]
-		if s.wide != nil && di > 0 && di%(numeric.MaxLazyProducts-1) == 0 {
-			if serial {
-				for i := 0; i < s.ext1; i++ {
-					s.foldStage(i)
-				}
-			} else {
-				pool.ForEach(s.ext1, s.foldStage)
-			}
-		}
-		if serial {
-			for i := 0; i < s.ext1; i++ {
-				s.macStage(i)
-			}
-		} else {
-			pool.ForEach(s.ext1, s.macStage)
-		}
-	}
-	s.ext = nil // borrowed from hd
-
-	if serial {
-		for i := 0; i < s.ext1; i++ {
-			s.reduceResidueStage(i)
-		}
-	} else {
-		pool.ForEach(s.ext1, s.reduceResidueStage)
-	}
-	acc.c0Q.IsNTT, acc.c1Q.IsNTT, acc.c0P.IsNTT, acc.c1P.IsNTT = true, true, true, true
 }
 
 // galoisForRotation mirrors automorph.GaloisElementForRotation without the

@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"fmt"
-	"math/cmplx"
 	"sort"
 	"sync"
 
@@ -21,11 +20,13 @@ type LinearTransform struct {
 	Level int // evaluation level (input must be at this level)
 	Scale float64
 
-	n int // ring degree, fixed at construction
+	ringQ *ring.Ring // fixes the ring degree and resolves Galois permutations
 
-	// diag[d] is the plaintext of diagonal d (already rotated by −(d/N1)·N1
-	// for the giant-step regrouping); absent for all-zero diagonals.
-	// diagP[d] is the same message encoded over the special primes P.
+	// ds lists the non-zero diagonals, ascending. diag[d] is the plaintext
+	// of diagonal d (already rotated by −(d/N1)·N1 for the giant-step
+	// regrouping); diagP[d] is the same message encoded over the special
+	// primes P.
+	ds    []int
 	diag  map[int]*Plaintext
 	diagP map[int]*ring.Poly
 
@@ -37,15 +38,18 @@ type LinearTransform struct {
 
 // LinearTransformPlan is the precomputed evaluation schedule of one
 // transform: baby steps and giant-step groups in deterministic (sorted)
-// order, with the Galois element of every rotation resolved once. Both
-// evaluation paths (double-hoisted and per-rotation) run off the plan, so
-// operator traces and telemetry spans are reproducible run-to-run.
+// order, with the Galois element and the NTT-domain permutation of every
+// rotation resolved once, so the engine's hot loops never touch the
+// process-wide permutation cache. Both evaluation paths (double-hoisted and
+// per-rotation) run off the plan, so operator traces and telemetry spans are
+// reproducible run-to-run.
 type LinearTransformPlan struct {
 	lt *LinearTransform
 	n1 int
 
 	babySteps []int    // sorted nonzero inner rotation steps
 	babyGal   []uint64 // Galois element per baby step
+	babyPerm  [][]int  // its NTT-domain permutation
 
 	groups []ltGroup // giant-step groups, sorted by outer step j
 
@@ -57,6 +61,7 @@ type LinearTransformPlan struct {
 type ltGroup struct {
 	j     int
 	gal   uint64 // Galois element of the giant rotation (1 when j == 0)
+	perm  []int  // its NTT-domain permutation (nil when j == 0)
 	terms []ltPlanTerm
 }
 
@@ -81,11 +86,8 @@ func (lt *LinearTransform) Plan() *LinearTransformPlan {
 
 func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	n1 := lt.N1
-	ds := make([]int, 0, len(lt.diag))
-	for d := range lt.diag {
-		ds = append(ds, d)
-	}
-	sort.Ints(ds)
+	ds := lt.ds
+	ringN := lt.ringQ.N
 
 	p := &LinearTransformPlan{lt: lt, n1: n1}
 
@@ -100,9 +102,11 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	sort.Ints(p.babySteps)
 	babyIdx := make(map[int]int, len(p.babySteps))
 	p.babyGal = make([]uint64, len(p.babySteps))
+	p.babyPerm = make([][]int, len(p.babySteps))
 	for k, s := range p.babySteps {
 		babyIdx[s] = k
-		p.babyGal[k] = galoisForRotation(s, lt.n)
+		p.babyGal[k] = galoisForRotation(s, ringN)
+		p.babyPerm[k] = lt.ringQ.NTTGaloisPermutation(p.babyGal[k])
 	}
 
 	// Giant-step groups: ds is sorted, so j = ⌊d/n1⌋·n1 is nondecreasing
@@ -111,7 +115,11 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 		i := d % n1
 		j := d - i
 		if len(p.groups) == 0 || p.groups[len(p.groups)-1].j != j {
-			p.groups = append(p.groups, ltGroup{j: j, gal: galoisForRotation(j, lt.n)})
+			g := ltGroup{j: j, gal: galoisForRotation(j, ringN)}
+			if j != 0 {
+				g.perm = lt.ringQ.NTTGaloisPermutation(g.gal)
+			}
+			p.groups = append(p.groups, g)
 		}
 		g := &p.groups[len(p.groups)-1]
 		bi := -1
@@ -129,7 +137,7 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	}
 	sort.Ints(p.rotations)
 	for _, s := range p.rotations {
-		if g := galoisForRotation(s, lt.n); g != 1 {
+		if g := galoisForRotation(s, ringN); g != 1 {
 			p.galois = append(p.galois, g)
 		}
 	}
@@ -157,18 +165,24 @@ func (lt *LinearTransform) Rotations() []int {
 }
 
 // NewLinearTransform encodes matrix M (row-major, n×n with n = Slots) for
-// evaluation at the given level, with the baby-step width chosen as the
-// smallest power of two whose square covers the slot count. scale is the
-// plaintext scale of the diagonals (the evaluation multiplies the
-// ciphertext scale by it; rescale afterwards). Zero diagonals are skipped.
+// evaluation at the given level, with the baby-step width planned from the
+// matrix: the power-of-two split that minimises the double-hoisted engine's
+// modeled cost over the non-zero diagonals actually present (see
+// ltShape.splitCost). scale is the plaintext scale of the diagonals (the
+// evaluation multiplies the ciphertext scale by it; rescale afterwards).
+// Zero diagonals are skipped.
 func NewLinearTransform(enc *Encoder, m [][]complex128, level int, scale float64) (*LinearTransform, error) {
 	return NewLinearTransformBSGS(enc, m, level, scale, 0)
 }
 
+// ltZeroSq is the squared magnitude at or below which a matrix entry counts
+// as zero when diagonals are detected.
+const ltZeroSq = 1e-28
+
 // NewLinearTransformBSGS is NewLinearTransform with an explicit baby-step
-// width n1 (a power of two in [1, Slots]; 0 selects the default √n split).
-// The double-hoisted path's baby steps cost no transforms, so widths above
-// √n often win there — benchlinalg sweeps this.
+// width n1 (a power of two in [1, Slots]; 0 lets the planner choose). Pin
+// the width when several transforms must share one rotation-key set — the
+// planner sees one matrix at a time — or to sweep it (benchlinalg does).
 func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
 	n := enc.params.Slots
 	if len(m) != n {
@@ -179,49 +193,144 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 			return nil, fmt.Errorf("ckks: matrix row %d has %d columns, want %d", t, len(m[t]), n)
 		}
 	}
-	if n1 == 0 {
-		n1 = 1
-		for n1*n1 < n {
-			n1 <<= 1
-		}
-	}
-	if n1 < 1 || n1 > n || n1&(n1-1) != 0 {
+	if n1 != 0 && (n1 < 1 || n1 > n || n1&(n1-1) != 0) {
 		return nil, fmt.Errorf("ckks: baby-step width %d must be a power of two in [1, %d]", n1, n)
 	}
+
+	// One row-major pass over the matrix finds the non-zero diagonals; the
+	// planner and the gather below both work from that list, so the matrix
+	// is streamed once and only populated diagonals are ever walked
+	// column-strided.
+	nz := make([]bool, n)
+	for r, row := range m {
+		for c, v := range row {
+			if re, im := real(v), imag(v); re*re+im*im > ltZeroSq {
+				d := c - r
+				if d < 0 {
+					d += n
+				}
+				nz[d] = true
+			}
+		}
+	}
+	var ds []int
+	for d, ok := range nz {
+		if ok {
+			ds = append(ds, d)
+		}
+	}
+	if n1 == 0 {
+		n1 = enc.params.ltShape(level).planSplit(ds, n)
+	}
 	lt := &LinearTransform{
-		N1: n1, Level: level, Scale: scale, n: enc.params.N,
-		diag:  map[int]*Plaintext{},
-		diagP: map[int]*ring.Poly{},
+		N1: n1, Level: level, Scale: scale, ringQ: enc.params.RingQ,
+		ds:    ds,
+		diag:  make(map[int]*Plaintext, len(ds)),
+		diagP: make(map[int]*ring.Poly, len(ds)),
 	}
 
 	// One scratch vector serves every diagonal: the pre-rotation by −j·n1
 	// is folded into the gather itself (rot[t] = diag_d[t−j]), so nothing
-	// is copied — j=0 diagonals included — and all-zero diagonals cost one
-	// scan. encodeQP clobbers the scratch in place; it is refilled each
-	// iteration.
+	// is copied — j=0 diagonals included. encodeQP clobbers the scratch in
+	// place; it is refilled each iteration.
 	rot := make([]complex128, n)
-	for d := 0; d < n; d++ {
+	for _, d := range ds {
 		j := (d / n1) * n1
-		nonZero := false
 		for t := 0; t < n; t++ {
 			src := t - j
 			if src < 0 {
 				src += n
 			}
-			v := m[src][(src+d)%n]
-			rot[t] = v
-			if cmplx.Abs(v) > 1e-14 {
-				nonZero = true
-			}
+			rot[t] = m[src][(src+d)%n]
 		}
-		if !nonZero {
-			continue
-		}
-		pt, ptP := enc.encodeQP(rot, level, scale)
-		lt.diag[d] = pt
-		lt.diagP[d] = ptP
+		lt.diag[d], lt.diagP[d] = enc.encodeQP(rot, level, scale)
 	}
 	return lt, nil
+}
+
+// ltShape is what the cost of a baby-step/giant-step split depends on
+// besides the diagonals themselves: the keyswitch geometry at the
+// transform's level.
+type ltShape struct {
+	digits    int // keyswitch digits
+	ext1      int // extended limbs qLimbs + alpha
+	qLimbs    int
+	nttPasses int // memory passes of one limb transform: ⌈logN/3⌉, fused radix-8
+}
+
+func (p *Parameters) ltShape(level int) ltShape {
+	return ltShape{
+		digits:    p.Digits(level),
+		ext1:      level + 1 + p.Alpha(),
+		qLimbs:    level + 1,
+		nttPasses: (p.LogN + 2) / 3,
+	}
+}
+
+// splitCost prices the double-hoisted evaluation of the non-zero diagonals
+// ds (ascending) at baby-step width n1, in row traversals: every N-word row
+// a stage of evalDoubleHoisted loads or stores counts one, a gathered read
+// included, a read-modify-write two, and an in-place transform pass two per
+// limb. One line per stage the engine executes; stages whose cost does not
+// depend on the split (the P·ct lift, the final close) are left out. keys
+// is the number of rotation keys the split needs — the tie-break.
+func (sh ltShape) splitCost(ds []int, n1 int) (rows, keys int) {
+	D, E, Q := sh.digits, sh.ext1, sh.qLimbs
+	A := E - Q
+	ntt := 2 * sh.nttPasses
+
+	baby := make([]bool, n1)
+	babies, groups, identity, lastJ := 0, 0, 0, -1
+	for _, d := range ds {
+		i := d % n1
+		if i == 0 {
+			identity++
+		} else if !baby[i] {
+			baby[i] = true
+			babies++
+		}
+		if j := d - i; j != lastJ {
+			lastJ = j
+			groups++
+		}
+	}
+	rotated := groups // groups with j ≠ 0
+	if len(ds) > 0 && ds[0] < n1 {
+		rotated--
+	}
+
+	if babies > 0 {
+		// hoist: inverse-transformed copy of c1, decomposition, digit transforms.
+		rows += Q*(2+ntt) + (Q + D*E) + D*E*ntt
+	}
+	// babySweepStage, per rotation: D gathered digit rows, 2D key rows and
+	// two stores per limb; the gathered P·c0 add on the Q limbs.
+	rows += babies * (E*(3*D+2) + 3*Q)
+	// groupMac: plaintext, c0 and c1 rows per term; identity terms skip P limbs.
+	rows += 3 * (len(ds)*E - identity*A)
+	// groupSumStage, j = 0: both sums folded into the output rows.
+	rows += (groups - rotated) * 4 * E
+	// j ≠ 0 — groupSumStage: c1 stored and inverse-transformed;
+	// groupBasisChunk: ModDown (E in, Q out) and decomposition (Q in, D·E
+	// out); groupKsStage: digit transforms, the inner product folded into
+	// the output rows (3D in, 2 in, 2 out per limb) and the gathered c0 add
+	// (store, gather, read-modify-write).
+	rows += rotated * (E*(1+ntt) + (E + Q) + (Q + D*E) + D*E*ntt + E*(3*D+4) + 4*E)
+	return rows, babies + rotated
+}
+
+// planSplit returns the power-of-two baby-step width in [1, n] of least
+// splitCost for the diagonals ds, ties going to fewer rotation keys, then to
+// the narrower width.
+func (sh ltShape) planSplit(ds []int, n int) int {
+	best, bestRows, bestKeys := 1, 0, 0
+	for n1 := 1; n1 <= n; n1 <<= 1 {
+		rows, keys := sh.splitCost(ds, n1)
+		if n1 == 1 || rows < bestRows || (rows == bestRows && keys < bestKeys) {
+			best, bestRows, bestKeys = n1, rows, keys
+		}
+	}
+	return best
 }
 
 // LinTransStats counts the work one linear-transform evaluation performed —

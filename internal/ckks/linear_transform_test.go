@@ -3,6 +3,7 @@ package ckks
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -383,7 +384,9 @@ func TestLinearTransformZeroAlloc(t *testing.T) {
 // patterns and baby-step widths and checks the structural invariants every
 // consumer (both evaluation paths, key provisioning, the arch model)
 // relies on: sorted deterministic ordering, group/term consistency, and
-// exact accounting of the nonzero diagonals.
+// exact accounting of the nonzero diagonals — and that the width the
+// planner picks for the same pattern has the least modeled cost of all
+// power-of-two widths, with the model's key count matching the real plan.
 func FuzzLinearTransformPlan(f *testing.F) {
 	params, err := NewParameters(ParametersLiteral{
 		LogN:     8,
@@ -486,6 +489,20 @@ func FuzzLinearTransformPlan(f *testing.F) {
 		}
 		if terms != len(ds) {
 			t.Fatalf("plan covers %d diagonals, matrix has %d", terms, len(ds))
+		}
+
+		sh := params.ltShape(params.MaxLevel())
+		sort.Ints(ds)
+		if _, keys := sh.splitCost(ds, n1); keys != len(p.galois) {
+			t.Fatalf("n1=%d: model counts %d rotation keys, plan needs %d", n1, keys, len(p.galois))
+		}
+		auto := sh.planSplit(ds, n)
+		autoRows, autoKeys := sh.splitCost(ds, auto)
+		for w := 1; w <= n; w <<= 1 {
+			if rows, keys := sh.splitCost(ds, w); rows < autoRows || (rows == autoRows && keys < autoKeys) {
+				t.Fatalf("planner chose n1=%d (%d rows, %d keys) but n1=%d costs %d rows, %d keys",
+					auto, autoRows, autoKeys, w, rows, keys)
+			}
 		}
 	})
 }

@@ -93,6 +93,24 @@ func (p *Parameters) putExt(ext [][]uint64) {
 	p.scratchMu.Unlock()
 }
 
+// getDigits appends one extended-digit matrix per keyswitch digit of the
+// given level to ds — the scratch a full decomposition over Q_l ∪ P needs —
+// and putDigits returns them, handing back ds emptied with its capacity.
+func (p *Parameters) getDigits(ds [][][]uint64, level int) [][][]uint64 {
+	for d := p.Digits(level); d > 0; d-- {
+		ds = append(ds, p.getExt(level+1+p.Alpha()))
+	}
+	return ds
+}
+
+func (p *Parameters) putDigits(ds [][][]uint64) [][][]uint64 {
+	for d, ext := range ds {
+		p.putExt(ext)
+		ds[d] = nil
+	}
+	return ds[:0]
+}
+
 // getWide returns a wideAcc with the first `rows` accumulator rows zeroed
 // (capacity always covers 2·(|Q|+|P|) rows, the deepest consumer).
 func (p *Parameters) getWide(rows int) *wideAcc {
@@ -141,9 +159,13 @@ func (p *Parameters) getKsState() *ksState {
 	return s
 }
 
-// putKsState clears and recycles a keyswitch state record.
+// putKsState clears and recycles a keyswitch state record. The digit and
+// row-header tables keep their capacity (emptied, so nothing they pointed at
+// stays reachable through the free list).
 func (p *Parameters) putKsState(s *ksState) {
-	*s = ksState{}
+	clear(s.digits)
+	clear(s.rows)
+	*s = ksState{ksDigits: ksDigits{digits: s.digits[:0], rows: s.rows[:0]}}
 	p.scratchMu.Lock()
 	p.ksFree = append(p.ksFree, s)
 	p.scratchMu.Unlock()

@@ -1,0 +1,82 @@
+package ckks
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// parentHashes are the SHA-256 digests of the serialized outputs of the
+// seeded program below, as produced by the commit before the keyswitch inner
+// product became one register-resident limb-major stage (3fb52a2: digit-major
+// 128-bit accumulator rows, staged permutations). The rewrite changes loop
+// order and where sums live, never a residue, so every keyswitch path must
+// still reproduce them — at 1 and 2 workers, on the default and the strict
+// kernels. Regenerate only for a change that is meant to alter ciphertext
+// bits: empty the table, run the test, paste what it prints.
+var parentHashes = map[string]string{
+	"EvaluateLinearTransformInto": "13ef041cceb82c417151887b7b4f051e0cd46cb8a16d610bef62cf33e2ce1072",
+	"RotateInto":                  "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
+	"Hoisted.Rotate":              "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
+	"MulRelinInto":                "87d5349b8bd00411fb57d309f0477b1070ea3daa4c322f835cc53edee16a0814",
+}
+
+func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
+	for _, strict := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("strict=%v/workers=%d", strict, workers), func(t *testing.T) {
+				params, err := NewParameters(ParametersLiteral{
+					LogN:          10,
+					LogQ:          []int{55, 45, 45, 45, 45},
+					LogP:          []int{58, 58},
+					LogScale:      45,
+					Workers:       workers,
+					StrictKernels: strict,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := params.Slots
+				rng := rand.New(rand.NewSource(97))
+				enc := NewEncoder(params)
+				// Babies {1,2,3,5}, groups j ∈ {0, 8, 40}: both keyswitch sites
+				// of the engine and a j = 0 fold, with the split pinned.
+				m := ltMatFromDiags(n, ltRandDiags(rng, n, []int{0, 1, 2, 3, 9, 13, 42}))
+				lt, err := NewLinearTransformBSGS(enc, m, params.MaxLevel(), params.Scale, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				kgen := NewKeyGenerator(params, 42)
+				sk := kgen.GenSecretKey()
+				rlk := kgen.GenRelinearizationKey(sk)
+				rtk := kgen.GenRotationKeys(sk, append(lt.Rotations(), 7), false)
+				ev := NewEvaluator(params, rlk, rtk)
+				encr := NewEncryptor(params, kgen.GenPublicKey(sk), 29)
+				ct := encr.Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
+				ct2 := encr.Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
+
+				h := ev.Hoist(ct)
+				defer h.Release()
+				got := map[string]*Ciphertext{
+					"EvaluateLinearTransformInto": ev.EvaluateLinearTransformInto(NewCiphertext(params, lt.Level), ct, lt),
+					"RotateInto":                  ev.RotateInto(NewCiphertext(params, ct.Level), ct, 7),
+					"Hoisted.Rotate":              h.Rotate(7),
+					"MulRelinInto":                ev.MulRelinInto(NewCiphertext(params, ct.Level), ct, ct2),
+				}
+				for name, out := range got {
+					blob, err := out.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(blob)
+					if hx := hex.EncodeToString(sum[:]); hx != parentHashes[name] {
+						t.Errorf("%s: output hash differs from the parent commit\n\t%q: %q,", name, name, hx)
+					}
+				}
+			})
+		}
+	}
+}

@@ -211,26 +211,116 @@ func (m Modulus) VecFoldWide(hi, lo []uint64) {
 	}
 }
 
-// VecMulShoupAdd sets out[j] = (out[j] + a[j]·w) mod q using the
-// precomputed Shoup constant for w — the scalar-multiply-accumulate that
-// adds P·σ(c0) onto a running residue sum in the double-hoisted baby-step
-// construction. The lazy product lands in [0, 2q); one conditional
-// subtraction re-normalizes before the modular add.
-func (m Modulus) VecMulShoupAdd(out, a []uint64, w, wShoup uint64) {
-	q := m.Q
-	n := len(out)
-	a = a[:n]
-	for j := range out {
-		hi, _ := bits.Mul64(a[j], wShoup)
-		r := a[j]*w - hi*q
-		if r >= q {
-			r -= q
+// VecInnerProductPair is the keyswitch inner product of one RNS limb, summed
+// in registers: for every coefficient j
+//
+//	out0[j] = Σ_d x[d][perm[j]]·k0[d][j] mod q
+//	out1[j] = Σ_d x[d][perm[j]]·k1[d][j] mod q
+//
+// with both 128-bit sums carried through the digit loop in registers, closed
+// by one Barrett reduction each and stored once — no accumulator row ever
+// reaches memory. perm gathers the digit rows through an NTT-domain Galois
+// permutation in the same pass (nil reads them in order); add folds the
+// reduced sums onto the residues already in out0/out1 instead of overwriting
+// them. Every x/k0/k1 row must span len(out0) words and hold residues below
+// q; out rows must not alias an input row. A run of MaxLazyProducts−1 digits
+// is the most one 128-bit sum may hold, so longer chains are closed run by
+// run, each later run folding onto the residue of the ones before — the
+// result is the canonical residue of the whole sum either way.
+func (m Modulus) VecInnerProductPair(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
+	for len(x) > innerProductRun {
+		m.innerProductRun(out0, out1, x[:innerProductRun], k0[:innerProductRun], k1[:innerProductRun], perm, add)
+		x, k0, k1, add = x[innerProductRun:], k0[innerProductRun:], k1[innerProductRun:], true
+	}
+	m.innerProductRun(out0, out1, x, k0, k1, perm, add)
+}
+
+const innerProductRun = MaxLazyProducts - 1
+
+// innerProductRun is VecInnerProductPair on at most innerProductRun digits.
+// The row headers are copied to the frame first: indexing a local array
+// keeps them out of reach of the stores to out0/out1, so they are not
+// re-read from the caller's slices on every coefficient. Digits are taken
+// two at a time, which gives four independent multiply/carry chains per
+// coefficient.
+func (m Modulus) innerProductRun(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
+	q, bHi, bLo := m.Q, m.BarrettHi, m.BarrettLo
+	n := len(out0)
+	out1 = out1[:n]
+	if perm != nil {
+		perm = perm[:n]
+	}
+	var xs, as, bs [innerProductRun][]uint64
+	nd := copy(xs[:], x)
+	for d := 0; d < nd; d++ {
+		as[d], bs[d] = k0[d][:n], k1[d][:n]
+	}
+	for j := 0; j < n; j++ {
+		p := j
+		if perm != nil {
+			p = perm[j]
 		}
-		r += out[j]
-		if r >= q {
-			r -= q
+		var h0, l0, h1, l1, c uint64
+		d := 0
+		for ; d+2 <= nd; d += 2 {
+			u, v := xs[d][p], xs[d+1][p]
+			ph, pl := bits.Mul64(u, as[d][j])
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(u, bs[d][j])
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
+			ph, pl = bits.Mul64(v, as[d+1][j])
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(v, bs[d+1][j])
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
 		}
-		out[j] = r
+		if d < nd {
+			u := xs[d][p]
+			ph, pl := bits.Mul64(u, as[d][j])
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(u, bs[d][j])
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
+		}
+		// The ReduceWide body, written out twice: a call per coefficient
+		// costs more than the reduction it makes.
+		mh1, _ := bits.Mul64(l0, bLo)
+		h2, l2 := bits.Mul64(l0, bHi)
+		h3, l3 := bits.Mul64(h0, bLo)
+		s, c1 := bits.Add64(mh1, l2, 0)
+		_, c2 := bits.Add64(s, l3, 0)
+		r0 := l0 - (h0*bHi+h2+h3+c1+c2)*q
+		if r0 >= q {
+			r0 -= q
+		}
+		if r0 >= q {
+			r0 -= q
+		}
+		mh1, _ = bits.Mul64(l1, bLo)
+		h2, l2 = bits.Mul64(l1, bHi)
+		h3, l3 = bits.Mul64(h1, bLo)
+		s, c1 = bits.Add64(mh1, l2, 0)
+		_, c2 = bits.Add64(s, l3, 0)
+		r1 := l1 - (h1*bHi+h2+h3+c1+c2)*q
+		if r1 >= q {
+			r1 -= q
+		}
+		if r1 >= q {
+			r1 -= q
+		}
+		if add {
+			if r0 += out0[j]; r0 >= q {
+				r0 -= q
+			}
+			if r1 += out1[j]; r1 >= q {
+				r1 -= q
+			}
+		}
+		out0[j], out1[j] = r0, r1
 	}
 }
 

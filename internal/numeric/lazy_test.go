@@ -196,10 +196,9 @@ func TestVecWideKernels(t *testing.T) {
 	}
 }
 
-// VecReduceWideAdd must match Add(out, ReduceWide) column-wise, and
-// VecMulShoupAdd must match Add(out, MulShoup), including maximal residues —
-// these close the giant-step accumulation of double-hoisted linear
-// transforms.
+// VecReduceWideAdd must match Add(out, ReduceWide) column-wise, including
+// maximal residues — it closes the plaintext group sums of double-hoisted
+// linear transforms.
 func TestVecWideAddKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	const n = 32
@@ -221,24 +220,6 @@ func TestVecWideAddKernels(t *testing.T) {
 		for j := 0; j < n; j++ {
 			if out[j] != want[j] {
 				t.Fatalf("q=%d col %d: VecReduceWideAdd %d want %d", q, j, out[j], want[j])
-			}
-		}
-
-		a := make([]uint64, n)
-		for j := 0; j < n; j++ {
-			a[j] = rng.Uint64() % q
-			out[j] = rng.Uint64() % q
-		}
-		a[0], out[0] = q-1, q-1
-		w := q - 1
-		ws := m.ShoupConstant(w)
-		for j := 0; j < n; j++ {
-			want[j] = m.Add(out[j], m.Mul(a[j], w))
-		}
-		m.VecMulShoupAdd(out, a, w, ws)
-		for j := 0; j < n; j++ {
-			if out[j] != want[j] {
-				t.Fatalf("q=%d col %d: VecMulShoupAdd %d want %d", q, j, out[j], want[j])
 			}
 		}
 	}
@@ -333,6 +314,66 @@ func TestVecMACWidePairMatchesSingle(t *testing.T) {
 		for j := 0; j < n; j++ {
 			if hi0[j] != wantHi0[j] || lo0[j] != wantLo0[j] || hi1[j] != wantHi1[j] || lo1[j] != wantLo1[j] {
 				t.Fatalf("n=%d j=%d pair kernel diverges from single-row kernel", n, j)
+			}
+		}
+	}
+}
+
+// VecInnerProductPair must leave the canonical residue of the exact integer
+// sum Σ_d x[d][perm[j]]·k[d][j] for both key rows — below, at and past the
+// run length at which the 128-bit sums are closed and reopened, gathered or
+// in order, overwriting or folding onto the previous residues — including
+// all-maximal columns.
+func TestVecInnerProductPair(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const n = 16
+	perm := rng.Perm(n)
+	for _, q := range testModuli {
+		m := NewModulus(q)
+		bq := new(big.Int).SetUint64(q)
+		for _, digits := range []int{0, 1, 2, 3, MaxLazyProducts - 1, MaxLazyProducts, MaxLazyProducts + 7} {
+			rows := func() [][]uint64 {
+				rs := make([][]uint64, digits)
+				for d := range rs {
+					rs[d] = make([]uint64, n)
+					for j := range rs[d] {
+						rs[d][j] = rng.Uint64() % q
+					}
+					rs[d][0], rs[d][perm[0]] = q-1, q-1 // one maximal column, gathered or not
+				}
+				return rs
+			}
+			x, k0, k1 := rows(), rows(), rows()
+			for _, p := range [][]int{nil, perm} {
+				for _, add := range []bool{false, true} {
+					out0, out1 := make([]uint64, n), make([]uint64, n)
+					for j := range out0 {
+						out0[j], out1[j] = rng.Uint64()%q, rng.Uint64()%q
+					}
+					out0[0], out1[0] = q-1, q-1
+					prev0, prev1 := append([]uint64(nil), out0...), append([]uint64(nil), out1...)
+					m.VecInnerProductPair(out0, out1, x, k0, k1, p, add)
+					for j := 0; j < n; j++ {
+						src := j
+						if p != nil {
+							src = p[j]
+						}
+						w0, w1 := new(big.Int), new(big.Int)
+						if add {
+							w0.SetUint64(prev0[j])
+							w1.SetUint64(prev1[j])
+						}
+						for d := 0; d < digits; d++ {
+							v := new(big.Int).SetUint64(x[d][src])
+							w0.Add(w0, new(big.Int).Mul(v, new(big.Int).SetUint64(k0[d][j])))
+							w1.Add(w1, new(big.Int).Mul(v, new(big.Int).SetUint64(k1[d][j])))
+						}
+						if w0.Mod(w0, bq).Uint64() != out0[j] || w1.Mod(w1, bq).Uint64() != out1[j] {
+							t.Fatalf("q=%d digits=%d gather=%v add=%v col %d: got (%d, %d) want (%d, %d)",
+								q, digits, p != nil, add, j, out0[j], out1[j], w0, w1)
+						}
+					}
+				}
 			}
 		}
 	}

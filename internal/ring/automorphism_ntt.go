@@ -12,36 +12,41 @@ import (
 // output layout. This enables rotation hoisting: decomposed keyswitch
 // digits can be permuted after their (shared) forward NTT.
 
-type nttPermCache struct {
-	mu    sync.Mutex
-	perms map[uint64][]int
-}
-
-var nttPerms nttPermCache
+// nttPerms caches one permutation per (N, g), process-wide. It is
+// read-mostly: after the first use of an element every caller only reads,
+// so lookups take the read lock and limb workers never serialise on it.
+var nttPerms = struct {
+	sync.RWMutex
+	m map[uint64][]int
+}{m: map[uint64][]int{}}
 
 // nttPermutation returns perm with dst[j] = src[perm[j]].
 func (r *Ring) nttPermutation(g uint64) []int {
-	key := uint64(r.N)<<32 | (g % uint64(2*r.N))
-	nttPerms.mu.Lock()
-	defer nttPerms.mu.Unlock()
-	if nttPerms.perms == nil {
-		nttPerms.perms = map[uint64][]int{}
-	}
-	if p, ok := nttPerms.perms[key]; ok {
-		return p
-	}
 	n := r.N
-	logn := uint(r.LogN)
 	twoN := uint64(2 * n)
 	g %= twoN
-	perm := make([]int, n)
+	key := uint64(n)<<32 | g
+	nttPerms.RLock()
+	perm, ok := nttPerms.m[key]
+	nttPerms.RUnlock()
+	if ok {
+		return perm
+	}
+	logn := uint(r.LogN)
+	perm = make([]int, n)
 	for j := 0; j < n; j++ {
 		ej := 2*(bits.Reverse64(uint64(j))>>(64-logn)) + 1
 		t := (ej * g) % twoN
 		i := bits.Reverse64((t-1)/2) >> (64 - logn)
 		perm[j] = int(i)
 	}
-	nttPerms.perms[key] = perm
+	nttPerms.Lock()
+	if first, ok := nttPerms.m[key]; ok {
+		perm = first // a concurrent builder won: every caller shares one table
+	} else {
+		nttPerms.m[key] = perm
+	}
+	nttPerms.Unlock()
 	return perm
 }
 
@@ -74,5 +79,7 @@ func ApplyPermutationNTT(dst, src []uint64, perm []int) {
 }
 
 // NTTGaloisPermutation exposes the permutation for element g (for callers
-// operating on raw limb slices).
+// operating on raw limb slices). It depends on N and g alone, so rings of
+// one degree — RingQ and RingP — share the table; hot loops resolve it once
+// and keep the slice.
 func (r *Ring) NTTGaloisPermutation(g uint64) []int { return r.nttPermutation(g) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -230,4 +231,38 @@ func BenchmarkNTTSerialVsParallel(b *testing.B) {
 			r.INTTParallel(p, pool)
 		}
 	})
+}
+
+// TestNTTGaloisPermutationConcurrent: limb workers of several evaluators
+// resolve permutations at once. First use of an element from many goroutines
+// must hand every caller the same table, and it must be the permutation a
+// serial caller gets.
+func TestNTTGaloisPermutationConcurrent(t *testing.T) {
+	r := testRing(t, 1<<6, 1)
+	const workers = 8
+	for _, g := range []uint64{5, 25, 2*64 - 1, 5 * 5 * 5 * 5 * 5 % (2 * 64)} {
+		got := make([][]int, workers)
+		var wg sync.WaitGroup
+		for w := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[w] = r.NTTGaloisPermutation(g)
+			}()
+		}
+		wg.Wait()
+		want := r.NTTGaloisPermutation(g)
+		for w := range got {
+			if &got[w][0] != &want[0] {
+				t.Fatalf("g=%d: worker %d holds a different table than the cache", g, w)
+			}
+		}
+		seen := make([]bool, len(want))
+		for _, p := range want {
+			if seen[p] {
+				t.Fatalf("g=%d: not a permutation", g)
+			}
+			seen[p] = true
+		}
+	}
 }

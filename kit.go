@@ -61,18 +61,24 @@ func NewKit(params *Parameters, seed int64) *Kit {
 	}
 }
 
-// LinearTransformKeys provisions rotation keys for exactly the Galois
-// elements lt's evaluation plan needs (lt.Plan().GaloisElements()) and
-// merges them into the kit's key set. The kit's evaluator holds the same
-// RotationKeySet, so the new keys are usable immediately — no rebuild,
-// observers and guards stay installed. Elements already covered by the
-// power-of-two ladder are regenerated harmlessly (same secret, fresh
-// randomness). Returns the Galois elements provisioned — the list a serving
-// tenant uploads alongside the transform.
+// LinearTransformKeys provisions rotation keys for the Galois elements lt's
+// evaluation plan needs (lt.Plan().GaloisElements()) and merges them into
+// the kit's key set. The kit's evaluator holds the same RotationKeySet, so
+// the new keys are usable immediately — no rebuild, observers and guards
+// stay installed. Elements the kit already holds a key for (the
+// power-of-two ladder, an earlier transform's steps) are skipped: a second
+// key for the same element would be several megabytes of garbage. Returns
+// every Galois element the plan needs — the list a serving tenant uploads
+// alongside the transform.
 func (k *Kit) LinearTransformKeys(lt *LinearTransform) []uint64 {
 	gals := lt.Plan().GaloisElements()
-	fresh := k.kgen.GenGaloisKeys(k.SK, gals)
-	for g, swk := range fresh.Keys {
+	var missing []uint64
+	for _, g := range gals {
+		if _, held := k.RTK.Keys[g]; !held {
+			missing = append(missing, g)
+		}
+	}
+	for g, swk := range k.kgen.GenGaloisKeys(k.SK, missing).Keys {
 		k.RTK.Keys[g] = swk
 	}
 	return gals

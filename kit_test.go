@@ -98,3 +98,59 @@ func TestPublicAPIEndToEndMultiply(t *testing.T) {
 		}
 	}
 }
+
+// LinearTransformKeys generates keys only for Galois elements the kit does
+// not hold yet: the power-of-two ladder keys NewKit made survive untouched
+// (same pointers), a second call generates nothing, and the transform
+// evaluates correctly on the merged set.
+func TestKitLinearTransformKeysSkipsHeld(t *testing.T) {
+	kit := testKit(t)
+	n := kit.Params.Slots
+	m := make([][]complex128, n)
+	for r := range m {
+		m[r] = make([]complex128, n)
+		for d := 0; d < 12; d++ { // band 0..11: steps 1, 2, 4, 8 are ladder keys
+			m[r][(r+d)%n] = complex(float64(d+1)/16, 0)
+		}
+	}
+	lt, err := NewLinearTransformBSGS(kit.Enc, m, kit.Params.MaxLevel(), kit.Params.Scale, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := map[uint64]any{}
+	for g, k := range kit.RTK.Keys {
+		before[g] = k
+	}
+	gals := kit.LinearTransformKeys(lt)
+	if len(gals) != 11 {
+		t.Fatalf("plan needs %d Galois elements, want 11", len(gals))
+	}
+	if got, want := len(kit.RTK.Keys), len(before)+11-4; got != want {
+		t.Errorf("key set grew to %d, want %d (4 of the 11 steps were already held)", got, want)
+	}
+	for g, k := range before {
+		if any(kit.RTK.Keys[g]) != k {
+			t.Errorf("held key for Galois element %d was regenerated", g)
+		}
+	}
+	after := len(kit.RTK.Keys)
+	kit.LinearTransformKeys(lt)
+	if len(kit.RTK.Keys) != after {
+		t.Error("second provisioning of the same transform changed the key set")
+	}
+
+	z := make([]complex128, n)
+	for i := range z {
+		z[i] = complex(float64(i%7)/8, 0)
+	}
+	out := kit.DecryptValues(kit.Eval.Rescale(kit.Eval.EvaluateLinearTransform(kit.EncryptValues(z), lt)))
+	for r := 0; r < n; r += 37 {
+		var want complex128
+		for d := 0; d < 12; d++ {
+			want += m[r][(r+d)%n] * z[(r+d)%n]
+		}
+		if cmplx.Abs(out[r]-want) > 1e-4 {
+			t.Errorf("slot %d: %v != %v", r, out[r], want)
+		}
+	}
+}

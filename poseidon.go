@@ -94,19 +94,20 @@ type (
 
 // Scheme constructors.
 var (
-	NewEncoder          = ckks.NewEncoder
-	NewKeyGenerator     = ckks.NewKeyGenerator
-	NewEncryptor        = ckks.NewEncryptor
-	NewDecryptor        = ckks.NewDecryptor
-	NewEvaluator        = ckks.NewEvaluator
-	NewCiphertext       = ckks.NewCiphertext
-	NewLinearTransform  = ckks.NewLinearTransform
-	// NewLinearTransformBSGS exposes the baby-step width n1 (0 = auto √n);
-	// the double-hoisted path often profits from widths above √n.
+	NewEncoder         = ckks.NewEncoder
+	NewKeyGenerator    = ckks.NewKeyGenerator
+	NewEncryptor       = ckks.NewEncryptor
+	NewDecryptor       = ckks.NewDecryptor
+	NewEvaluator       = ckks.NewEvaluator
+	NewCiphertext      = ckks.NewCiphertext
+	NewLinearTransform = ckks.NewLinearTransform
+	// NewLinearTransformBSGS pins the baby-step width n1 (0 = planned from
+	// the matrix, as NewLinearTransform does) — for transforms that must
+	// share one rotation-key set, and for sweeps.
 	NewLinearTransformBSGS = ckks.NewLinearTransformBSGS
-	NewBootstrapper     = ckks.NewBootstrapper
-	ChebyshevCoeffsOf   = ckks.ChebyshevCoefficients
-	EvalChebyshevScalar = ckks.EvalChebyshevScalar
+	NewBootstrapper        = ckks.NewBootstrapper
+	ChebyshevCoeffsOf      = ckks.ChebyshevCoefficients
+	EvalChebyshevScalar    = ckks.EvalChebyshevScalar
 )
 
 // --- Typed error surface ----------------------------------------------------
