@@ -58,7 +58,9 @@ func newAllocFixture(t testing.TB) *allocFixture {
 }
 
 // TestZeroAllocSteadyState gates every destination-passing op at 0 heap
-// allocations per run on a serial evaluator at fixed level.
+// allocations per run on a serial evaluator at fixed level — the panicking
+// and the error-returning surface alike: both are exec, whose per-call record
+// is pooled.
 func TestZeroAllocSteadyState(t *testing.T) {
 	fx := newAllocFixture(t)
 	ev, params := fx.ev, fx.params
@@ -82,6 +84,16 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		{"RotateInto", func() { ev.RotateInto(out, fx.ct1, 1) }},
 		{"ConjugateInto", func() { ev.ConjugateInto(out, fx.ct1) }},
 		{"KeySwitchInto", func() { ev.KeySwitchInto(out, fx.ct1, fx.swk) }},
+		{"TryAddInto", func() { ev.TryAddInto(out, fx.ct1, fx.ct2) }},
+		{"TrySubInto", func() { ev.TrySubInto(out, fx.ct1, fx.ct2) }},
+		{"TryNegInto", func() { ev.TryNegInto(out, fx.ct1) }},
+		{"TryAddPlainInto", func() { ev.TryAddPlainInto(out, fx.ct1, fx.pt) }},
+		{"TryMulPlainInto", func() { ev.TryMulPlainInto(out, fx.ct1, fx.pt) }},
+		{"TryMulRelinInto", func() { ev.TryMulRelinInto(out, fx.ct1, fx.ct2) }},
+		{"TryRescaleInto", func() { ev.TryRescaleInto(outLow, mulIn) }},
+		{"TryRotateInto", func() { ev.TryRotateInto(out, fx.ct1, 1) }},
+		{"TryConjugateInto", func() { ev.TryConjugateInto(out, fx.ct1) }},
+		{"TryKeySwitchInto", func() { ev.TryKeySwitchInto(out, fx.ct1, fx.swk) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

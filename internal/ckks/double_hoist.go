@@ -78,21 +78,19 @@ func addVec(mod numeric.Modulus, out, a []uint64) {
 }
 
 // ltState bundles the double-hoisted engine's per-call state so every stage
-// runs either as a plain serial loop over its methods (no closures, no
-// allocations) or fanned out across the worker pool. Records are recycled
+// is a method the stage runner (ring.Run) dispatches — a plain loop at
+// workers=1, no closures, no allocations. Records are recycled
 // through the Parameters free list (getLtState/putLtState) and keep their
 // slice capacities across checkouts, so a steady-state transform loop
 // allocates nothing beyond the result ciphertext.
 type ltState struct {
 	// ksDigits.digits is whichever decomposition the running keyswitch
 	// stage reads: hd.digits during the baby sweep, gd during a giant step.
+	// ksDigits.acc is the running transform result over the extended basis,
+	// closed into the destination rows (p0, p1) by finish.
 	ksDigits
 	ev   *Evaluator
 	plan *LinearTransformPlan
-
-	alpha  int
-	n      int
-	serial bool
 
 	hd hoistedDecomposition // shared baby-step digit decomposition
 	gd [][][]uint64         // digit matrices of the giant-step keyswitch
@@ -105,8 +103,6 @@ type ltState struct {
 	babies   []qpAccum       // lazy QP rotations, one per plan baby step
 	babyKeys []*SwitchingKey // their rotation keys, resolved before the sweep
 
-	out qpAccum // running transform result over the extended basis
-
 	grp   qpAccum    // per-group staging (strict residues / reduction target)
 	c1Std *ring.Poly // group c1 after its single ModDown (coeff domain, Q)
 
@@ -115,60 +111,32 @@ type ltState struct {
 	g   *ltGroup      // current group
 	key *SwitchingKey // its giant rotation's key
 
-	dst0, dst1 *ring.Poly // final destination rows
-
 	stats LinTransStats
 }
 
 // reset binds the record to one evaluation; acquire draws the scratch.
 func (st *ltState) reset(ev *Evaluator, plan *LinearTransformPlan, level int) {
-	params := ev.params
-	st.bind(params, level)
+	st.bind(ev.params, level)
 	st.ev = ev
 	st.plan = plan
-	st.alpha = params.Alpha()
-	st.n = params.N
-	st.serial = ev.pool.Workers() <= 1
 	st.stats = LinTransStats{}
 }
 
 func (st *ltState) acquire() {
 	params := st.ev.params
-	rq, rp := params.RingQ, params.RingP
+	rq := params.RingQ
 	st.ctP0 = rq.GetPolyDirty(st.qLimbs)
 	st.ctP1 = rq.GetPolyDirty(st.qLimbs)
 	// The output sum is built by modular adds and starts zeroed; every other
 	// accumulator is fully written (or cleared, under strict kernels) by the
 	// stage that fills it.
-	st.out = qpAccum{c0Q: rq.GetPoly(st.qLimbs), c1Q: rq.GetPoly(st.qLimbs), c0P: rp.GetPoly(st.alpha), c1P: rp.GetPoly(st.alpha)}
-	st.grp = st.dirtyAccum()
+	st.acc = params.getAccum(st.qLimbs, true)
+	st.grp = params.getAccum(st.qLimbs, false)
 	st.c1Std = rq.GetPolyDirty(st.qLimbs)
 	st.gd = params.getDigits(st.gd, st.level)
 	for range st.plan.babySteps {
-		st.babies = append(st.babies, st.dirtyAccum())
+		st.babies = append(st.babies, params.getAccum(st.qLimbs, false))
 	}
-}
-
-func (st *ltState) dirtyAccum() qpAccum {
-	rq, rp := st.ev.params.RingQ, st.ev.params.RingP
-	return qpAccum{c0Q: rq.GetPolyDirty(st.qLimbs), c1Q: rq.GetPolyDirty(st.qLimbs), c0P: rp.GetPolyDirty(st.alpha), c1P: rp.GetPolyDirty(st.alpha)}
-}
-
-func (st *ltState) putAccum(a *qpAccum) {
-	rq, rp := st.ev.params.RingQ, st.ev.params.RingP
-	if a.c0Q != nil {
-		rq.PutPoly(a.c0Q)
-	}
-	if a.c1Q != nil {
-		rq.PutPoly(a.c1Q)
-	}
-	if a.c0P != nil {
-		rp.PutPoly(a.c0P)
-	}
-	if a.c1P != nil {
-		rp.PutPoly(a.c1P)
-	}
-	*a = qpAccum{}
 }
 
 // release returns every borrowed buffer and recycles the record. Nil-safe
@@ -177,44 +145,30 @@ func (st *ltState) putAccum(a *qpAccum) {
 func (st *ltState) release() {
 	params := st.ev.params
 	rq := params.RingQ
-	st.hd.digits = params.putDigits(st.hd.digits)
+	st.hd.release(params)
 	st.gd = params.putDigits(st.gd)
 	st.digits = nil
 	clear(st.rows)
-	if st.hd.c0 != nil {
-		rq.PutPoly(st.hd.c0)
-		st.hd.c0 = nil
-	}
-	if st.ctP0 != nil {
-		rq.PutPoly(st.ctP0)
-		st.ctP0 = nil
-	}
-	if st.ctP1 != nil {
-		rq.PutPoly(st.ctP1)
-		st.ctP1 = nil
-	}
+	releasePoly(rq, &st.ctP0)
+	releasePoly(rq, &st.ctP1)
 	for k := range st.babies {
-		st.putAccum(&st.babies[k])
+		params.putAccum(&st.babies[k])
 	}
 	st.babies = st.babies[:0]
 	clear(st.babyKeys)
 	st.babyKeys = st.babyKeys[:0]
-	st.putAccum(&st.out)
-	st.putAccum(&st.grp)
-	if st.c1Std != nil {
-		rq.PutPoly(st.c1Std)
-		st.c1Std = nil
-	}
+	params.putAccum(&st.acc)
+	params.putAccum(&st.grp)
+	releasePoly(rq, &st.c1Std)
 	if st.wideG != nil {
 		params.putWide(st.wideG)
 		st.wideG = nil
 	}
 	st.g, st.key = nil, nil
 	st.plan = nil
-	st.dst0, st.dst1 = nil, nil
-	ev := st.ev
+	st.p0, st.p1 = nil, nil
 	st.ev = nil
-	ev.params.putLtState(st)
+	pushFree(params, &params.ltFree, st)
 }
 
 // EvaluateLinearTransform applies lt to ct with the double-hoisted schedule
@@ -292,19 +246,12 @@ func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform)
 		dst.Scale = scale
 		return LinTransStats{BabySteps: 0, GiantSteps: 0}
 	}
-	if len(plan.galois) > 0 && ev.rtks == nil {
-		panic("ckks: rotation requires rotation keys")
-	}
 
-	st := params.getLtState()
+	st := popFree(params, &params.ltFree)
 	defer st.release()
 	st.reset(ev, plan, level)
-	for k, g := range plan.babyGal {
-		key, ok := ev.rtks.Keys[g]
-		if !ok {
-			panic(fmt.Sprintf("ckks: no rotation key for step %d (g=%d)", plan.babySteps[k], g))
-		}
-		st.babyKeys = append(st.babyKeys, key)
+	for _, g := range plan.babyGal {
+		st.babyKeys = append(st.babyKeys, must(ev.rotationKey("LinTrans", level, g)))
 	}
 	st.acquire()
 	st.stats.BabySteps = len(plan.babySteps)
@@ -355,13 +302,7 @@ func (st *ltState) babyPhase() {
 		return
 	}
 	st.digits = st.hd.digits
-	if st.serial {
-		for i := 0; i < st.ext1; i++ {
-			st.babySweepStage(i)
-		}
-	} else {
-		st.ev.pool.ForEach(st.ext1, st.babySweepStage)
-	}
+	ring.Run(st.ev.pool, st.ext1, st, (*ltState).babySweepStage)
 	st.stats.KeySwitches += len(st.plan.babySteps)
 }
 
@@ -391,7 +332,7 @@ func (st *ltState) babySweepStage(i int) {
 // limbs.
 func (st *ltState) giantPhase() {
 	ev := st.ev
-	params := ev.params
+	params, pool := ev.params, ev.pool
 	st.digits = st.gd
 	for gi := range st.plan.groups {
 		g := &st.plan.groups[gi]
@@ -399,32 +340,15 @@ func (st *ltState) giantPhase() {
 		st.g = g
 		st.stats.PlainMACs += len(g.terms)
 		if g.j != 0 {
-			key, ok := ev.rtks.Keys[g.gal]
-			if !ok {
-				panic(fmt.Sprintf("ckks: no rotation key for step %d (g=%d)", g.j, g.gal))
-			}
-			st.key = key
+			st.key = must(ev.rotationKey("LinTrans", st.level, g.gal))
 		}
 		if !st.strict {
 			st.wideG = params.getWide(2 * st.ext1)
 		}
-		if st.serial {
-			for i := 0; i < st.ext1; i++ {
-				st.groupSumStage(i)
-			}
-		} else {
-			ev.pool.ForEach(st.ext1, st.groupSumStage)
-		}
+		ring.Run(pool, st.ext1, st, (*ltState).groupSumStage)
 		if g.j != 0 {
-			if st.serial {
-				st.groupBasisChunk(0, st.n)
-				for i := 0; i < st.ext1; i++ {
-					st.groupKsStage(i)
-				}
-			} else {
-				ev.pool.ForEachChunk(st.n, st.groupBasisChunk)
-				ev.pool.ForEach(st.ext1, st.groupKsStage)
-			}
+			ring.RunChunks(pool, st.params.N, st, (*ltState).groupBasisChunk)
+			ring.Run(pool, st.ext1, st, (*ltState).groupKsStage)
 			st.stats.InverseNTTLimbs += st.ext1
 			st.stats.ModDownSweeps++
 			st.stats.NTTLimbs += len(st.gd) * st.ext1
@@ -434,7 +358,7 @@ func (st *ltState) giantPhase() {
 			params.putWide(st.wideG)
 			st.wideG = nil
 		}
-		ev.endOp("LinTrans", st.level, sp)
+		ev.endOp("LinTrans", st.level, sp, nil)
 	}
 }
 
@@ -472,7 +396,7 @@ func (st *ltState) groupSumStage(i int) {
 	st.groupMac(i)
 	mod := st.modulus(i)
 	if st.g.j == 0 {
-		o0, o1 := st.out.row0(st.qLimbs, i), st.out.row1(st.qLimbs, i)
+		o0, o1 := st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i)
 		if st.strict {
 			addVec(mod, o0, st.grp.row0(st.qLimbs, i))
 			addVec(mod, o1, st.grp.row1(st.qLimbs, i))
@@ -521,10 +445,10 @@ func (st *ltState) groupMac(i int) {
 	// result is bit-identical.
 	hi0, lo0 := st.wideG.hi[i], st.wideG.lo[i]
 	hi1, lo1 := st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i]
-	for jlo := 0; jlo < st.n; jlo += ltMacBlock {
+	for jlo := 0; jlo < st.params.N; jlo += ltMacBlock {
 		jhi := jlo + ltMacBlock
-		if jhi > st.n {
-			jhi = st.n
+		if jhi > st.params.N {
+			jhi = st.params.N
 		}
 		bh0, bl0 := hi0[jlo:jhi], lo0[jlo:jhi]
 		bh1, bl1 := hi1[jlo:jhi], lo1[jlo:jhi]
@@ -559,8 +483,8 @@ func (st *ltState) groupBasisChunk(lo, hi int) {
 // σ_j(c0_group) added in the extended basis — no keyswitch, just the gather.
 func (st *ltState) groupKsStage(i int) {
 	st.forwardLimb(i)
-	o0 := st.out.row0(st.qLimbs, i)
-	st.innerProduct(i, st.key, st.g.perm, o0, st.out.row1(st.qLimbs, i), true)
+	o0 := st.acc.row0(st.qLimbs, i)
+	st.innerProduct(i, st.key, st.g.perm, o0, st.acc.row1(st.qLimbs, i), true)
 	mod := st.modulus(i)
 	c0 := st.grp.row0(st.qLimbs, i)
 	if !st.strict {
@@ -570,54 +494,28 @@ func (st *ltState) groupKsStage(i int) {
 }
 
 // finish closes the output accumulator: one inverse-NTT sweep over the
-// extended basis, two ModDowns (c0, c1) into the destination, and the
-// forward transforms of the result.
+// extended basis, then the tail every keyswitch ends with (closeAccum) — two
+// ModDowns (c0, c1) into the destination and the forward transforms of the
+// result.
 func (st *ltState) finish(dst *Ciphertext, scale float64) {
-	ev := st.ev
+	pool := st.ev.pool
 	reshapeCt(dst, st.level)
-	st.dst0, st.dst1 = dst.C0, dst.C1
-	if st.serial {
-		for t := 0; t < 2*st.ext1; t++ {
-			st.finishInttStage(t)
-		}
-		st.finishModDownChunk(0, st.n)
-		for t := 0; t < 2*st.qLimbs; t++ {
-			st.finishNttStage(t)
-		}
-	} else {
-		ev.pool.ForEach(2*st.ext1, st.finishInttStage)
-		ev.pool.ForEachChunk(st.n, st.finishModDownChunk)
-		ev.pool.ForEach(2*st.qLimbs, st.finishNttStage)
-	}
+	st.p0, st.p1 = dst.C0, dst.C1
+	ring.Run(pool, 2*st.ext1, st, (*ltState).finishInttStage)
+	st.closeAccum(pool)
 	st.stats.InverseNTTLimbs += 2 * st.ext1
 	st.stats.ModDownSweeps += 2
 	st.stats.NTTLimbs += 2 * st.qLimbs
-	dst.C0.IsNTT, dst.C1.IsNTT = true, true
 	dst.Scale = scale
-	st.dst0, st.dst1 = nil, nil
+	st.p0, st.p1 = nil, nil
 }
 
 func (st *ltState) finishInttStage(t int) {
 	c, i := t/st.ext1, t%st.ext1
-	row := st.out.row0(st.qLimbs, i)
+	row := st.acc.row0(st.qLimbs, i)
 	if c == 1 {
-		row = st.out.row1(st.qLimbs, i)
+		row = st.acc.row1(st.qLimbs, i)
 	}
 	r, li := st.extRing(i)
 	r.InverseLimb(li, row)
-}
-
-func (st *ltState) finishModDownChunk(lo, hi int) {
-	md := st.ev.params.modDown[st.level]
-	md.ModDown(rangeView(st.dst0.Coeffs, lo, hi), rangeView(st.out.c0Q.Coeffs, lo, hi), rangeView(st.out.c0P.Coeffs, lo, hi))
-	md.ModDown(rangeView(st.dst1.Coeffs, lo, hi), rangeView(st.out.c1Q.Coeffs, lo, hi), rangeView(st.out.c1P.Coeffs, lo, hi))
-}
-
-func (st *ltState) finishNttStage(t int) {
-	rq := st.ev.params.RingQ
-	if t < st.qLimbs {
-		rq.ForwardLimb(t, st.dst0.Coeffs[t])
-	} else {
-		rq.ForwardLimb(t-st.qLimbs, st.dst1.Coeffs[t-st.qLimbs])
-	}
 }

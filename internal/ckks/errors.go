@@ -5,10 +5,10 @@ import (
 	"fmt"
 )
 
-// Sentinel errors of the typed error surface. The Try* evaluator methods
-// (safe.go) and the kit-level wrappers return these — wrapped in an *OpError
-// carrying operation and limb context — instead of panicking, so callers
-// dispatch with errors.Is:
+// Sentinel errors of the typed error surface. Every evaluator surface reports
+// failure with these — wrapped in an *OpError carrying operation and limb
+// context; the Try* methods and the kit-level wrappers return it, the
+// panicking forms panic with it — so callers dispatch with errors.Is:
 //
 //	if errors.Is(err, ckks.ErrIntegrity) { retry the batch }
 var (
@@ -44,7 +44,7 @@ var (
 	// (bad magic, truncation, geometry outside the parameter caps).
 	ErrCorrupt = errors.New("corrupt serialized data")
 
-	// ErrInternal wraps a panic recovered at the Try* boundary that does not
+	// ErrInternal wraps a panic recovered at the op boundary that does not
 	// map to a known sentinel — a bug, not a usage error.
 	ErrInternal = errors.New("internal error")
 )
@@ -84,17 +84,18 @@ func opErr(op string, level int, sentinel error, format string, args ...any) *Op
 	return &OpError{Op: op, Level: level, Limb: -1, Err: sentinel, Detail: fmt.Sprintf(format, args...)}
 }
 
-// recoverOp is the recovery boundary deferred by every Try* method: a panic
-// raised anywhere in the operation body is translated into a returned error
-// — an *OpError passes through as-is, anything else wraps ErrInternal — so
-// the Try API never panics on malformed input. The panicking path of the
-// direct *Into API is unaffected.
-func recoverOp(op string, level int, err *error) {
+// recoverOp is the recovery boundary, deferred by exec and by each attempt
+// inside it: a panic raised anywhere in the operation body is translated
+// into a returned error — an *OpError passes through as-is, anything else
+// wraps ErrInternal — so no surface ever lets a raw panic value out. level
+// is read when the panic arrives, not when the boundary was set up: exec
+// learns the result level only after validating the operands.
+func recoverOp(op string, level *int, err *error) {
 	if r := recover(); r != nil {
 		if oe, ok := r.(*OpError); ok {
 			*err = oe
 			return
 		}
-		*err = &OpError{Op: op, Level: level, Limb: -1, Err: ErrInternal, Detail: fmt.Sprint(r)}
+		*err = &OpError{Op: op, Level: *level, Limb: -1, Err: ErrInternal, Detail: fmt.Sprint(r)}
 	}
 }

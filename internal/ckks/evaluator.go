@@ -3,6 +3,7 @@ package ckks
 import (
 	"math"
 
+	"poseidon/internal/automorph"
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
@@ -13,14 +14,14 @@ import (
 // 512-lane datapath over limbs. Results are bit-identical for every worker
 // count; the differential suite in parallel_diff_test.go enforces this.
 //
-// Every operation exists in two forms: an allocating method (Add, MulRelin,
-// Rescale, …) that returns a fresh ciphertext, and a destination-passing
-// *Into variant (AddInto, MulRelinInto, RescaleInto, …) that writes into a
-// caller-owned ciphertext. The allocating methods are thin wrappers over the
-// *Into forms. All internal scratch is drawn from the ring arena, so a
-// steady-state *Into loop at fixed level performs zero heap allocations at
-// workers=1 (the alloc gates in alloc_test.go enforce this); see
-// evaluator_into.go.
+// Every basic operation has up to four surfaces — X and XInto panic on
+// failure, TryX and TryXInto return the error; X and TryX allocate the
+// result, the *Into forms write a caller-owned ciphertext — and all of them
+// are one-line calls of exec (exec.go), which validates, guards, runs the
+// op's kernel (evaluator_into.go) and reports it. All internal scratch is
+// drawn from the ring arena, so a steady-state *Into loop at fixed level
+// performs zero heap allocations at workers=1 (the alloc gates in
+// alloc_test.go enforce this, Try forms included).
 //
 // Concurrency: an Evaluator is safe for concurrent use by multiple
 // goroutines — keys and parameters are read-only, per-operation scratch is
@@ -43,11 +44,11 @@ type Evaluator struct {
 
 	// guards, when non-nil, activates the runtime integrity guards
 	// (residue-checksum seals, noise-budget checks, the opt-in
-	// redundant-limb spot-check) used by the Try* API; see guard.go. Shared
-	// by pointer with evaluators derived via WithWorkers.
+	// redundant-limb spot-check) exec runs around every op; see guard.go.
+	// Shared by pointer with evaluators derived via WithWorkers.
 	guards *guardState
 
-	// recovery, when non-nil, re-executes Try* operations that fail with
+	// recovery, when non-nil, re-executes operations that fail with
 	// ErrIntegrity, transactionally (attempts run into arena scratch; the
 	// destination is only written from a verified attempt); see
 	// recovery.go. Shared by pointer with evaluators derived via
@@ -86,19 +87,13 @@ func sameScale(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// alignLevels drops limbs from the deeper ciphertext so both operands live
-// at the same level, returning aligned views. At equal levels the inputs
-// are returned unchanged (no view allocation).
-func (ev *Evaluator) alignLevels(a, b *Ciphertext) (*Ciphertext, *Ciphertext) {
-	if a.Level == b.Level {
-		return a, b
+// atLevel returns ct cut down to the given level: ct itself when it is
+// already there (no view allocation), a prefix view otherwise.
+func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
+	if ct.Level == level {
+		return ct
 	}
-	if a.Level > b.Level {
-		a = &Ciphertext{C0: prefix(a.C0, b.Level+1), C1: prefix(a.C1, b.Level+1), Scale: a.Scale, Level: b.Level}
-	} else {
-		b = &Ciphertext{C0: prefix(b.C0, a.Level+1), C1: prefix(b.C1, a.Level+1), Scale: b.Scale, Level: a.Level}
-	}
-	return a, b
+	return ev.DropLevel(ct, level)
 }
 
 // DropLevel returns a view of ct at the lower level newLevel.
@@ -114,25 +109,218 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, newLevel int) *Ciphertext {
 	}
 }
 
+// The surfaces of the basic ops. A destination (out) is a caller-owned
+// ciphertext created with NewCiphertext, typically at the operand level or
+// above: it is reshaped to the result level through its slice capacity — a
+// ciphertext created at level l can host any result at level ≤ l — its
+// Scale/Level/IsNTT bookkeeping is fully overwritten, and it is returned. A
+// nil out asks for a fresh one. out may alias an operand for every op except
+// MulRelin, whose degree-2 product reads both operands while writing the
+// destination limb by limb (ErrAliasedDestination); Rotate, Conjugate and
+// KeySwitch copy their inputs into arena scratch before touching the
+// destination, and the rest (Rescale included) are elementwise.
+
 // Add returns a + b (HAdd, ciphertext-ciphertext). Operand scales must
-// match; levels are aligned automatically.
+// match (ErrScaleMismatch); levels are aligned automatically.
 func (ev *Evaluator) Add(a, b *Ciphertext) *Ciphertext {
-	return ev.AddInto(NewCiphertext(ev.params, min(a.Level, b.Level)), a, b)
+	return must(ev.exec(&opAdd, nil, operands{a: a, b: b}))
+}
+
+// AddInto computes out = a + b.
+func (ev *Evaluator) AddInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opAdd, out, operands{a: a, b: b}))
+}
+
+// TryAdd returns a + b or a typed error.
+func (ev *Evaluator) TryAdd(a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opAdd, nil, operands{a: a, b: b})
+}
+
+// TryAddInto computes out = a + b or returns a typed error.
+func (ev *Evaluator) TryAddInto(out, a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opAdd, out, operands{a: a, b: b})
 }
 
 // Sub returns a − b.
 func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
-	return ev.SubInto(NewCiphertext(ev.params, min(a.Level, b.Level)), a, b)
+	return must(ev.exec(&opSub, nil, operands{a: a, b: b}))
+}
+
+// SubInto computes out = a − b.
+func (ev *Evaluator) SubInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opSub, out, operands{a: a, b: b}))
+}
+
+// TrySub returns a − b or a typed error.
+func (ev *Evaluator) TrySub(a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opSub, nil, operands{a: a, b: b})
+}
+
+// TrySubInto computes out = a − b or returns a typed error.
+func (ev *Evaluator) TrySubInto(out, a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opSub, out, operands{a: a, b: b})
 }
 
 // Neg returns −a.
 func (ev *Evaluator) Neg(a *Ciphertext) *Ciphertext {
-	return ev.NegInto(NewCiphertext(ev.params, a.Level), a)
+	return must(ev.exec(&opNeg, nil, operands{a: a}))
+}
+
+// NegInto computes out = −a.
+func (ev *Evaluator) NegInto(out *Ciphertext, a *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opNeg, out, operands{a: a}))
+}
+
+// TryNegInto computes out = −a or returns a typed error.
+func (ev *Evaluator) TryNegInto(out, a *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opNeg, out, operands{a: a})
 }
 
 // AddPlain returns ct + pt (HAdd, ciphertext-plaintext): only C0 changes.
 func (ev *Evaluator) AddPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	return ev.AddPlainInto(NewCiphertext(ev.params, min(ct.Level, pt.Level)), ct, pt)
+	return must(ev.exec(&opAddPlain, nil, operands{a: ct, pt: pt}))
+}
+
+// AddPlainInto computes out = ct + pt.
+func (ev *Evaluator) AddPlainInto(out *Ciphertext, ct *Ciphertext, pt *Plaintext) *Ciphertext {
+	return must(ev.exec(&opAddPlain, out, operands{a: ct, pt: pt}))
+}
+
+// TryAddPlainInto computes out = ct + pt or returns a typed error.
+func (ev *Evaluator) TryAddPlainInto(out *Ciphertext, ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	return ev.exec(&opAddPlain, out, operands{a: ct, pt: pt})
+}
+
+// MulPlain returns ct · pt (PMult). The output scale is the product of the
+// operand scales; follow with Rescale to restore Δ. With guards on, a product
+// scale the active modulus chain cannot hold is ErrLevelExhausted.
+func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
+	return must(ev.exec(&opMulPlain, nil, operands{a: ct, pt: pt}))
+}
+
+// MulPlainInto computes out = ct · pt.
+func (ev *Evaluator) MulPlainInto(out *Ciphertext, ct *Ciphertext, pt *Plaintext) *Ciphertext {
+	return must(ev.exec(&opMulPlain, out, operands{a: ct, pt: pt}))
+}
+
+// TryMulPlainInto computes out = ct · pt or returns a typed error.
+func (ev *Evaluator) TryMulPlainInto(out *Ciphertext, ct *Ciphertext, pt *Plaintext) (*Ciphertext, error) {
+	return ev.exec(&opMulPlain, out, operands{a: ct, pt: pt})
+}
+
+// MulRelin returns a·b with relinearization (CMult): the degree-2 term d2
+// is switched back to degree 1 with the relinearization key (ErrKeyMissing
+// without one). The output scale is the product of the operand scales; with
+// guards on, one the chain cannot hold is ErrLevelExhausted.
+func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opMulRelin, nil, operands{a: a, b: b}))
+}
+
+// MulRelinInto computes out = a·b with relinearization. out must NOT alias
+// a or b.
+func (ev *Evaluator) MulRelinInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opMulRelin, out, operands{a: a, b: b}))
+}
+
+// TryMulRelin returns a·b with relinearization or a typed error.
+func (ev *Evaluator) TryMulRelin(a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opMulRelin, nil, operands{a: a, b: b})
+}
+
+// TryMulRelinInto computes out = a·b with relinearization or returns a
+// typed error.
+func (ev *Evaluator) TryMulRelinInto(out, a, b *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opMulRelin, out, operands{a: a, b: b})
+}
+
+// Rescale divides the ciphertext by the last active prime, dropping one
+// level (the Rescale basic operation). At level 0 it is ErrLevelExhausted.
+func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opRescale, nil, operands{a: ct}))
+}
+
+// RescaleInto divides ct by the last active prime, writing the level−1
+// result into out.
+func (ev *Evaluator) RescaleInto(out *Ciphertext, ct *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opRescale, out, operands{a: ct}))
+}
+
+// TryRescale returns ct rescaled one level down or a typed error.
+func (ev *Evaluator) TryRescale(ct *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opRescale, nil, operands{a: ct})
+}
+
+// TryRescaleInto divides ct by the last active prime into out or returns a
+// typed error.
+func (ev *Evaluator) TryRescaleInto(out *Ciphertext, ct *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opRescale, out, operands{a: ct})
+}
+
+// rotG and conjG are the Galois elements of a slot rotation and of the
+// conjugation.
+func (ev *Evaluator) rotG(steps int) uint64 {
+	return automorph.GaloisElementForRotation(steps, ev.params.N)
+}
+func (ev *Evaluator) conjG() uint64 { return automorph.GaloisElementConjugate(ev.params.N) }
+
+// Rotate rotates the slot vector by `steps` positions (Rotation =
+// automorphism + keyswitch). Requires the corresponding rotation key
+// (ErrKeyMissing).
+func (ev *Evaluator) Rotate(ct *Ciphertext, steps int) *Ciphertext {
+	return must(ev.exec(&opGalois, nil, operands{a: ct, g: ev.rotG(steps)}))
+}
+
+// RotateInto rotates the slot vector by `steps`, writing into out.
+func (ev *Evaluator) RotateInto(out *Ciphertext, ct *Ciphertext, steps int) *Ciphertext {
+	return must(ev.exec(&opGalois, out, operands{a: ct, g: ev.rotG(steps)}))
+}
+
+// TryRotate returns the slot vector rotated by steps or a typed error.
+func (ev *Evaluator) TryRotate(ct *Ciphertext, steps int) (*Ciphertext, error) {
+	return ev.exec(&opGalois, nil, operands{a: ct, g: ev.rotG(steps)})
+}
+
+// TryRotateInto rotates the slot vector by steps into out or returns a
+// typed error.
+func (ev *Evaluator) TryRotateInto(out *Ciphertext, ct *Ciphertext, steps int) (*Ciphertext, error) {
+	return ev.exec(&opGalois, out, operands{a: ct, g: ev.rotG(steps)})
+}
+
+// Conjugate conjugates every slot.
+func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opGalois, nil, operands{a: ct, g: ev.conjG()}))
+}
+
+// ConjugateInto conjugates every slot, writing into out.
+func (ev *Evaluator) ConjugateInto(out *Ciphertext, ct *Ciphertext) *Ciphertext {
+	return must(ev.exec(&opGalois, out, operands{a: ct, g: ev.conjG()}))
+}
+
+// TryConjugate returns the slot-wise conjugate or a typed error.
+func (ev *Evaluator) TryConjugate(ct *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opGalois, nil, operands{a: ct, g: ev.conjG()})
+}
+
+// TryConjugateInto conjugates every slot into out or returns a typed error.
+func (ev *Evaluator) TryConjugateInto(out *Ciphertext, ct *Ciphertext) (*Ciphertext, error) {
+	return ev.exec(&opGalois, out, operands{a: ct, g: ev.conjG()})
+}
+
+// KeySwitch re-encrypts ct from the key underlying swk's target to s —
+// exposed for tests and for the trace generator.
+func (ev *Evaluator) KeySwitch(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
+	return must(ev.exec(&opKeySwitch, nil, operands{a: ct, key: swk}))
+}
+
+// KeySwitchInto re-encrypts ct under swk, writing into out.
+func (ev *Evaluator) KeySwitchInto(out *Ciphertext, ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
+	return must(ev.exec(&opKeySwitch, out, operands{a: ct, key: swk}))
+}
+
+// TryKeySwitchInto re-encrypts ct under swk into out or returns a typed
+// error (a nil or empty key is ErrKeyMissing).
+func (ev *Evaluator) TryKeySwitchInto(out *Ciphertext, ct *Ciphertext, swk *SwitchingKey) (*Ciphertext, error) {
+	return ev.exec(&opKeySwitch, out, operands{a: ct, key: swk})
 }
 
 func copyInto(dst, src *ring.Poly) {
@@ -142,63 +330,28 @@ func copyInto(dst, src *ring.Poly) {
 	dst.IsNTT = src.IsNTT
 }
 
-// MulPlain returns ct · pt (PMult). The output scale is the product of the
-// operand scales; follow with Rescale to restore Δ.
-func (ev *Evaluator) MulPlain(ct *Ciphertext, pt *Plaintext) *Ciphertext {
-	return ev.MulPlainInto(NewCiphertext(ev.params, min(ct.Level, pt.Level)), ct, pt)
+// inttJob is the fused copy + inverse transform of one polynomial, a limb
+// per task. It lives inside the pooled records (opCall, ksState) so that
+// dispatching it through the stage runner allocates nothing.
+type inttJob struct {
+	rq       *ring.Ring
+	dst, src *ring.Poly
 }
 
-// MulRelin returns a·b with relinearization (CMult): the degree-2 term d2
-// is switched back to degree 1 with the relinearization key. The output
-// scale is the product of the operand scales.
-func (ev *Evaluator) MulRelin(a, b *Ciphertext) *Ciphertext {
-	return ev.MulRelinInto(NewCiphertext(ev.params, min(a.Level, b.Level)), a, b)
-}
-
-// Rescale divides the ciphertext by the last active prime, dropping one
-// level (the Rescale basic operation).
-func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
-	if ct.Level == 0 {
-		panic("ckks: cannot rescale at level 0")
-	}
-	return ev.RescaleInto(NewCiphertext(ev.params, ct.Level-1), ct)
-}
-
-// inttCopy returns an arena copy of the NTT-domain polynomial p,
-// transformed to the coefficient domain, with copy and inverse transform
-// fused into one limb-parallel pass. Release with RingQ.PutPoly. If the
-// transform panics mid-way (a worker fault, an injected abort), the scratch
-// is returned to the arena before the panic propagates.
-func (ev *Evaluator) inttCopy(p *ring.Poly) (out *ring.Poly) {
-	dst := ev.params.RingQ.GetPolyDirty(len(p.Coeffs))
-	defer func() {
-		if out == nil {
-			ev.params.RingQ.PutPoly(dst)
-		}
-	}()
-	ev.inttCopyInto(dst, p)
-	return dst
+func (j *inttJob) limb(i int) {
+	copy(j.dst.Coeffs[i], j.src.Coeffs[i])
+	j.rq.InverseLimb(i, j.dst.Coeffs[i])
 }
 
 // inttCopyInto writes the coefficient-domain image of the NTT-domain
-// polynomial p into dst (same limb count, fully overwritten).
-func (ev *Evaluator) inttCopyInto(dst, p *ring.Poly) {
-	rq := ev.params.RingQ
+// polynomial p into dst (same limb count, fully overwritten), with copy and
+// inverse transform fused into one limb-parallel pass.
+func (ev *Evaluator) inttCopyInto(j *inttJob, dst, p *ring.Poly) {
 	if !p.IsNTT {
 		panic("ckks: inttCopy requires NTT-domain input")
 	}
-	limbs := len(p.Coeffs)
-	if ev.pool.Workers() <= 1 {
-		for i := 0; i < limbs; i++ {
-			copy(dst.Coeffs[i], p.Coeffs[i])
-			rq.InverseLimb(i, dst.Coeffs[i])
-		}
-	} else {
-		ev.pool.ForEach(limbs, func(i int) {
-			copy(dst.Coeffs[i], p.Coeffs[i])
-			rq.InverseLimb(i, dst.Coeffs[i])
-		})
-	}
+	*j = inttJob{rq: ev.params.RingQ, dst: dst, src: p}
+	ring.Run(ev.pool, len(p.Coeffs), j, (*inttJob).limb)
 	dst.IsNTT = false
 }
 
@@ -217,30 +370,14 @@ func rangeView(coeffs [][]uint64, lo, hi int) [][]uint64 {
 	return v
 }
 
-// Rotate rotates the slot vector by `steps` positions (Rotation =
-// automorphism + keyswitch). Requires the corresponding rotation key.
-func (ev *Evaluator) Rotate(ct *Ciphertext, steps int) *Ciphertext {
-	return ev.RotateInto(NewCiphertext(ev.params, ct.Level), ct, steps)
-}
-
-// Conjugate conjugates every slot.
-func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
-	return ev.ConjugateInto(NewCiphertext(ev.params, ct.Level), ct)
-}
-
-// KeySwitch re-encrypts ct from the key underlying swk's target to s —
-// exposed for tests and for the trace generator.
-func (ev *Evaluator) KeySwitch(ct *Ciphertext, swk *SwitchingKey) *Ciphertext {
-	return ev.KeySwitchInto(NewCiphertext(ev.params, ct.Level), ct, swk)
-}
-
-// ksDigits is the operand every keyswitch inner product shares: the digit
-// decomposition of one polynomial over the extended basis Q_l ∪ P, with the
-// three things done to it — RNSconv/ModUp of a coefficient range, forward
-// transform of a limb, and the inner product of a limb against a switching
-// key. The plain keyswitch, the hoisted replay and both keyswitch sites of
-// the double-hoisted linear-transform engine run these same methods; they
-// differ only in where the digits come from and where the sums go.
+// ksDigits is the datapath every keyswitch shares: the digit decomposition
+// of one polynomial over the extended basis Q_l ∪ P with the three things
+// done to it — RNSconv/ModUp of a coefficient range, forward transform of a
+// limb, and the inner product of a limb against a switching key — and the
+// extended-basis accumulator a pipeline ends by closing (ModDown by P, back
+// to the NTT domain). The plain keyswitch, the hoisted replay and the
+// double-hoisted linear-transform engine run these same methods; they
+// differ only in where the digits come from and what is summed into acc.
 type ksDigits struct {
 	params *Parameters
 	level  int
@@ -255,6 +392,11 @@ type ksDigits struct {
 	// so concurrent limb tasks never share an entry. Capacity is kept across
 	// checkouts of the owning state record.
 	rows [][]uint64
+
+	// acc holds the sums over Q_l ∪ P (coefficient domain by the time it is
+	// closed); closeAccum divides it by P into (p0, p1), qLimbs limbs each.
+	acc    qpAccum
+	p0, p1 *ring.Poly
 }
 
 // bind sizes the record for a keyswitch at the given level.
@@ -345,15 +487,43 @@ func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1
 	}
 }
 
-// ksState bundles the keyswitch pipeline's per-call state so each stage can
-// run either as a plain serial loop (no closure, no allocation) or as a
-// method value fanned out across the worker pool. Records are recycled
-// through the Parameters free list; every field is (re)assigned per call.
+// modDownChunk divides the accumulated (Q, P) pair by P on coefficient
+// range [lo, hi), writing the Q-basis results into p0/p1.
+func (k *ksDigits) modDownChunk(lo, hi int) {
+	md := k.params.modDown[k.level]
+	md.ModDown(rangeView(k.p0.Coeffs, lo, hi), rangeView(k.acc.c0Q.Coeffs, lo, hi), rangeView(k.acc.c0P.Coeffs, lo, hi))
+	md.ModDown(rangeView(k.p1.Coeffs, lo, hi), rangeView(k.acc.c1Q.Coeffs, lo, hi), rangeView(k.acc.c1P.Coeffs, lo, hi))
+}
+
+// nttOutStage returns output limb t (p0 rows first, then p1) to the NTT
+// domain.
+func (k *ksDigits) nttOutStage(t int) {
+	rq := k.params.RingQ
+	if t < k.qLimbs {
+		rq.ForwardLimb(t, k.p0.Coeffs[t])
+	} else {
+		rq.ForwardLimb(t-k.qLimbs, k.p1.Coeffs[t-k.qLimbs])
+	}
+}
+
+// closeAccum is the tail of every extended-basis pipeline: ModDown by P of
+// the coefficient-domain accumulator into (p0, p1), chunked across
+// coefficients, then the forward transforms of the result.
+func (k *ksDigits) closeAccum(pool *ring.Pool) {
+	ring.RunChunks(pool, k.params.N, k, (*ksDigits).modDownChunk)
+	// Eager release (shrinks peak arena use before the output NTTs); the
+	// owner's deferred release finds the fields nil and never double-Puts.
+	k.params.putAccum(&k.acc)
+	ring.Run(pool, 2*k.qLimbs, k, (*ksDigits).nttOutStage)
+	k.p0.IsNTT, k.p1.IsNTT = true, true
+}
+
+// ksState bundles the keyswitch pipeline's per-call state so every stage is
+// a method the stage runner (ring.Run) can dispatch without a closure.
+// Records are recycled through the Parameters free list; every field is
+// (re)assigned per call.
 type ksState struct {
 	ksDigits
-	ev    *Evaluator
-	alpha int
-	n     int
 
 	// cx is the coefficient-domain input the direct path decomposes. A
 	// hoisted replay leaves it nil: its digits are the shared NTT-domain
@@ -365,28 +535,19 @@ type ksState struct {
 	perm     []int
 	key      *SwitchingKey
 
-	acc0Q, acc1Q *ring.Poly
-	acc0P, acc1P *ring.Poly
-
-	p0, p1 *ring.Poly // destinations (qLimbs limbs each)
+	intt inttJob // the hoisted decomposition's input copies
 }
 
 // newKsState checks a state record out and binds it to one keyswitch at the
-// given level, accumulators drawn dirty from the arena — the inner-product
-// stage overwrites every row. Release with ksRelease.
+// given level writing (p0, p1), accumulators drawn dirty from the arena —
+// the inner-product stage overwrites every row. Release with ksRelease.
 func (ev *Evaluator) newKsState(level int, key *SwitchingKey, p0, p1 *ring.Poly) *ksState {
 	params := ev.params
-	s := params.getKsState()
+	s := popFree(params, &params.ksFree)
 	s.bind(params, level)
-	s.ev = ev
-	s.alpha = params.Alpha()
-	s.n = params.N
 	s.key = key
 	s.p0, s.p1 = p0, p1
-	s.acc0Q = params.RingQ.GetPolyDirty(s.qLimbs)
-	s.acc1Q = params.RingQ.GetPolyDirty(s.qLimbs)
-	s.acc0P = params.RingP.GetPolyDirty(s.alpha)
-	s.acc1P = params.RingP.GetPolyDirty(s.alpha)
+	s.acc = params.getAccum(s.qLimbs, false)
 	return s
 }
 
@@ -412,32 +573,10 @@ func (s *ksState) limbStage(i int) {
 		s.forwardLimb(i)
 	}
 	r, li := s.extRing(i)
-	out0, out1 := s.acc0Q.Coeffs, s.acc1Q.Coeffs
-	if i >= s.qLimbs {
-		out0, out1 = s.acc0P.Coeffs, s.acc1P.Coeffs
-	}
-	s.innerProduct(i, s.key, s.perm, out0[li], out1[li], false)
-	r.InverseLimb(li, out0[li])
-	r.InverseLimb(li, out1[li])
-}
-
-// modDownChunk divides the accumulated (Q, P) pair by P on coefficient
-// range [lo, hi), writing the Q-basis results into p0/p1.
-func (s *ksState) modDownChunk(lo, hi int) {
-	md := s.ev.params.modDown[s.level]
-	md.ModDown(rangeView(s.p0.Coeffs, lo, hi), rangeView(s.acc0Q.Coeffs, lo, hi), rangeView(s.acc0P.Coeffs, lo, hi))
-	md.ModDown(rangeView(s.p1.Coeffs, lo, hi), rangeView(s.acc1Q.Coeffs, lo, hi), rangeView(s.acc1P.Coeffs, lo, hi))
-}
-
-// nttOutStage returns output limb t (p0 rows first, then p1) to the NTT
-// domain.
-func (s *ksState) nttOutStage(t int) {
-	rq := s.ev.params.RingQ
-	if t < s.qLimbs {
-		rq.ForwardLimb(t, s.p0.Coeffs[t])
-	} else {
-		rq.ForwardLimb(t-s.qLimbs, s.p1.Coeffs[t-s.qLimbs])
-	}
+	out0, out1 := s.acc.row0(s.qLimbs, i), s.acc.row1(s.qLimbs, i)
+	s.innerProduct(i, s.key, s.perm, out0, out1, false)
+	r.InverseLimb(li, out0)
+	r.InverseLimb(li, out1)
 }
 
 // keySwitchCoreInto is the paper's Keyswitch pipeline: decompose cx (coeff
@@ -454,87 +593,48 @@ func (s *ksState) nttOutStage(t int) {
 // partial sum through memory once per digit. ModDown chunks across
 // coefficients again. Every sum is the canonical residue of an exact
 // integer, so the result is bit-identical for every worker count and
-// kernel tier. At workers=1 every stage runs as a plain loop over the
-// pooled ksState's methods: no closures, no allocations — all scratch
-// (accumulators, extended digits, the state record itself) is recycled
-// through the arena and the Parameters free lists.
+// kernel tier. Every stage is a method of the pooled ksState dispatched by
+// the stage runner: at workers=1 that is a plain loop — no closures, no
+// allocations — and all scratch (accumulators, extended digits, the state
+// record itself) is recycled through the arena and the Parameters free
+// lists.
 func (ev *Evaluator) keySwitchCoreInto(p0, p1 *ring.Poly, level int, cx *ring.Poly, key *SwitchingKey) {
 	s := ev.newKsState(level, key, p0, p1)
 	// Leak-proof discipline: every piece of scratch attached to s is
-	// released by this deferred call whether the pipeline completes (fields
-	// already nilled by the eager Puts in ksRun) or panics mid-stage.
+	// released by this deferred call whether the pipeline completes (the
+	// accumulator already returned by closeAccum) or panics mid-stage.
 	defer ev.ksRelease(s)
 	s.cx = cx
 	s.digits = s.params.getDigits(s.digits, level)
-	if ev.pool.Workers() <= 1 {
-		s.decomposeChunk(0, s.n)
-	} else {
-		ev.pool.ForEachChunk(s.n, s.decomposeChunk)
-	}
+	ring.RunChunks(ev.pool, s.params.N, s, (*ksState).decomposeChunk)
 	ev.ksRun(s)
 }
 
 // ksRun runs the pipeline from the extended digits on, shared by the direct
 // and hoisted paths: the limb-major inner product between its transforms,
-// ModDown by P into (p0, p1), and the return to the NTT domain.
+// then the accumulator's close into (p0, p1).
 func (ev *Evaluator) ksRun(s *ksState) {
-	params := ev.params
-	pool := ev.pool
-	rq, rp := params.RingQ, params.RingP
-	serial := pool.Workers() <= 1
-
-	if serial {
-		for i := 0; i < s.ext1; i++ {
-			s.limbStage(i)
-		}
-		s.modDownChunk(0, s.n)
-	} else {
-		pool.ForEach(s.ext1, s.limbStage)
-		pool.ForEachChunk(s.n, s.modDownChunk)
-	}
-	// Eager accumulator release (shrinks peak arena use before the output
-	// NTTs); fields are nilled so the caller's deferred ksRelease — which
-	// handles the remaining scratch and the state record — never double-Puts.
-	rq.PutPoly(s.acc0Q)
-	rq.PutPoly(s.acc1Q)
-	rp.PutPoly(s.acc0P)
-	rp.PutPoly(s.acc1P)
-	s.acc0Q, s.acc1Q, s.acc0P, s.acc1P = nil, nil, nil, nil
-
-	if serial {
-		for t := 0; t < 2*s.qLimbs; t++ {
-			s.nttOutStage(t)
-		}
-	} else {
-		pool.ForEach(2*s.qLimbs, s.nttOutStage)
-	}
-	s.p0.IsNTT, s.p1.IsNTT = true, true
+	ring.Run(ev.pool, s.ext1, s, (*ksState).limbStage)
+	s.closeAccum(ev.pool)
 }
 
 // ksRelease returns every piece of scratch still attached to s to its arena
 // or free list and recycles the state record. Safe to run after a normal
-// ksRun (completed stages nil their fields) and after a panic anywhere in
-// the pipeline. Digits are released only when this pipeline drew them: a
-// hoisted replay borrows them from the shared decomposition.
+// ksRun and after a panic anywhere in the pipeline. Digits are released only
+// when this pipeline drew them: a hoisted replay borrows them from the
+// shared decomposition.
 func (ev *Evaluator) ksRelease(s *ksState) {
 	params := ev.params
-	rq, rp := params.RingQ, params.RingP
-	if s.acc0Q != nil {
-		rq.PutPoly(s.acc0Q)
-	}
-	if s.acc1Q != nil {
-		rq.PutPoly(s.acc1Q)
-	}
-	if s.acc0P != nil {
-		rp.PutPoly(s.acc0P)
-	}
-	if s.acc1P != nil {
-		rp.PutPoly(s.acc1P)
-	}
+	params.putAccum(&s.acc)
 	if !s.borrowed {
 		s.digits = params.putDigits(s.digits)
 	}
-	params.putKsState(s)
+	// The digit and row-header tables keep their capacity (emptied, so
+	// nothing they pointed at stays reachable through the free list).
+	clear(s.digits)
+	clear(s.rows)
+	*s = ksState{ksDigits: ksDigits{digits: s.digits[:0], rows: s.rows[:0]}}
+	pushFree(params, &params.ksFree, s)
 }
 
 // wideAcc is a bank of 128-bit accumulator columns: rows of N (hi, lo)

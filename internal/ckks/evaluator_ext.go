@@ -64,6 +64,25 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) *Ciphertext {
 	return ev.AddPlain(ct, pt)
 }
 
+// TryInnerSum is the rotate-and-add reduction every rotation-based workload
+// builds on: log2(n) rotations by 1, 2, 4, … each added back, after which
+// slot i holds the sum of slots i … i+n−1 (n a power of two; the caller
+// checks that). Requires the power-of-two rotation keys below n; the first
+// failing Rotate or Add is returned as is.
+func (ev *Evaluator) TryInnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
+	acc := ct
+	for s := 1; s < n; s <<= 1 {
+		rot, err := ev.TryRotate(acc, s)
+		if err != nil {
+			return nil, err
+		}
+		if acc, err = ev.TryAdd(acc, rot); err != nil {
+			return nil, err
+		}
+	}
+	return acc, nil
+}
+
 // MulByI multiplies every slot by the imaginary unit i — a multiplication
 // by the monomial X^{N/2}, which is a noise-free negacyclic coefficient
 // shift: no scale change, no level consumed.

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"poseidon/internal/fault"
-	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
 
@@ -18,7 +17,7 @@ import (
 // when off — the hot paths pay one nil pointer compare:
 //
 //   - Residue checksums: SealIntegrity records a sum-mod-q checksum per limb
-//     of each ciphertext polynomial; every Try* operation re-verifies its
+//     of each ciphertext polynomial; every operation re-verifies its
 //     sealed inputs at the operator boundary (modeling the read-back from
 //     HBM, which is also where the fault injector's SiteHBM hook fires) and
 //     seals its output. A single-bit flip anywhere in a sealed limb is
@@ -35,8 +34,10 @@ import (
 //     cannot see. Probabilistic by design: it samples one limb per
 //     operation.
 //
-// Guard failures surface as ErrIntegrity through the Try API; a direct
-// *Into call with guards enabled panics with the same *OpError.
+// The guards are steps of exec (exec.go), not wrappers around the kernels, so
+// every surface of every op runs them: a guard failure is an *OpError
+// wrapping ErrIntegrity, returned by the Try forms and panicked with by the
+// others.
 
 // GuardStats counts guard activity, exported into traces and the fault
 // campaign report.
@@ -53,8 +54,9 @@ type GuardStats struct {
 // atomics, not a mutex-guarded struct: noteSeal/noteVerify fire on every
 // operator boundary of every worker, and a shared lock there would
 // serialize exactly the multi-worker batches the scheduler fuses. (The
-// single-worker faultcampaign overhead — ~15%, see BENCH_fault.json — is
-// checksum and spot-check arithmetic, the same under either variant.) Only
+// single-worker faultcampaign overhead — guard_overhead in
+// cmd/poseidon/BENCH_fault.json — is checksum and spot-check arithmetic, the
+// same under either variant.) Only
 // the spot-check's limb sampling keeps a lock, and only because
 // math/rand.Rand is not concurrency-safe.
 type guardState struct {
@@ -89,14 +91,14 @@ func (g *guardState) snapshot() GuardStats {
 }
 
 // integritySeal stores the per-limb residue checksums of a ciphertext's two
-// polynomials. Seals are attached by SealIntegrity / the Try* output
-// boundary and invalidated whenever a destination is reshaped.
+// polynomials. Seals are attached by SealIntegrity / exec's output boundary
+// and invalidated whenever a destination is reshaped.
 type integritySeal struct {
 	c0, c1 []uint64
 }
 
-// EnableGuards turns the runtime integrity guards on: Try* operations
-// verify sealed inputs, seal outputs, and run the noise-budget check. The
+// EnableGuards turns the runtime integrity guards on: operations verify
+// sealed inputs, seal outputs, and run the noise-budget check. The
 // seed fixes the spot-check's limb sampling. Guards are shared with
 // evaluators later derived via WithWorkers.
 func (ev *Evaluator) EnableGuards(seed int64) {
@@ -135,7 +137,7 @@ func (ev *Evaluator) NoiseBudget(ct *Ciphertext) float64 {
 }
 
 // SealIntegrity records per-limb residue checksums for ct, arming the
-// checksum guard: every subsequent Try* operation consuming ct re-verifies
+// checksum guard: every subsequent operation consuming ct re-verifies
 // the seal at its input boundary. Re-sealing an already-sealed ciphertext
 // reuses the seal storage.
 func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
@@ -163,12 +165,12 @@ func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
 // hooks); a mismatch returns an *OpError wrapping ErrIntegrity naming the
 // first corrupted limb. Never panics.
 func (ev *Evaluator) VerifyIntegrity(ct *Ciphertext) (err error) {
-	defer recoverOp("VerifyIntegrity", ct.Level, &err)
+	defer recoverOp("VerifyIntegrity", &ct.Level, &err)
 	return ev.verifySealed("VerifyIntegrity", ct)
 }
 
 // verifySealed is the input-boundary guard shared by VerifyIntegrity and
-// the Try* methods: fire the HBM read-back injection hooks, then check the
+// exec's attempt step: fire the HBM read-back injection hooks, then check the
 // seal if one is attached.
 func (ev *Evaluator) verifySealed(op string, ct *Ciphertext) error {
 	rq := ev.params.RingQ
@@ -198,29 +200,6 @@ func (ev *Evaluator) verifySealed(op string, ct *Ciphertext) error {
 	return nil
 }
 
-// guardInputs runs the input-boundary guard over each operand of a Try*
-// operation.
-func (ev *Evaluator) guardInputs(op string, cts ...*Ciphertext) error {
-	if ev.guards == nil {
-		return nil
-	}
-	for _, ct := range cts {
-		if err := ev.verifySealed(op, ct); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// guardSeal is the output-boundary guard: seal the freshly produced result
-// so the next operation's input boundary can vouch for it.
-func (ev *Evaluator) guardSeal(out *Ciphertext) {
-	if ev.guards == nil {
-		return
-	}
-	ev.SealIntegrity(out)
-}
-
 // guardNoise flags noise-budget exhaustion for a result about to be
 // produced at the given level and scale.
 func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
@@ -236,23 +215,20 @@ func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
 	return nil
 }
 
-// spotElementwise recomputes one random limb of an elementwise result with
-// the strict reference arithmetic and panics with ErrIntegrity on mismatch
-// (the Try* recovery boundary converts this to a returned error). check
-// returns whether limb i agrees with its recomputation.
-func (ev *Evaluator) spotElementwise(op string, level int, check func(mod numeric.Modulus, i int) bool) {
+// spotCheck recomputes one random limb of an elementwise result with the
+// strict reference arithmetic (the op's spot predicate) and reports a
+// mismatch as ErrIntegrity.
+func (ev *Evaluator) spotCheck(c *opCall) error {
 	g := ev.guards
-	if !g.spotOn() {
-		return
-	}
-	i := g.pickLimb(level + 1)
-	ok := check(ev.params.RingQ.Moduli[i], i)
+	i := g.pickLimb(c.level + 1)
+	ok := c.d.spot(c, ev.params.RingQ.Moduli[i], i)
 	g.noteSpot()
 	if !ok {
 		g.noteFault()
-		panic(&OpError{Op: op, Level: level, Limb: i, Err: ErrIntegrity,
-			Detail: "redundant limb recomputation mismatch"})
+		return &OpError{Op: c.d.name, Level: c.level, Limb: i, Err: ErrIntegrity,
+			Detail: "redundant limb recomputation mismatch"}
 	}
+	return nil
 }
 
 // nttParallelGuarded transforms p to the NTT domain like ring.NTTParallel

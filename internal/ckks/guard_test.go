@@ -3,9 +3,13 @@ package ckks
 import (
 	"errors"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"poseidon/internal/fault"
+	"poseidon/internal/ring"
 )
 
 // guardContext builds a small instance with every key loaded, a serial
@@ -111,63 +115,133 @@ func TestTryOpsCleanNoFalsePositives(t *testing.T) {
 	}
 }
 
-// Each misuse maps to its sentinel, via errors.Is, without panicking.
+// sentinelCase is one cell of the sentinel table before it is run: the
+// evaluator, the operands and the destination a condition has tampered with.
+type sentinelCase struct {
+	ev   *Evaluator
+	a, b *Ciphertext
+	pt   *Plaintext
+	swk  *SwitchingKey
+	out  *Ciphertext
+}
+
+// opErrorOf extracts the *OpError a surface delivered: returned by the Try
+// forms, panicked with by the others. Anything else — no failure, a raw
+// panic value — is nil.
+func opErrorOf(f func() error) (oe *OpError) {
+	defer func() {
+		if r := recover(); r != nil {
+			oe, _ = r.(*OpError)
+		}
+	}()
+	errors.As(f(), &oe)
+	return oe
+}
+
+// TestTrySentinels is one table over the op list: for every op × every misuse
+// that applies to it, every surface the op has must deliver the *same*
+// *OpError — same sentinel (errors.Is), same Op, same Level — the Try forms
+// by returning it, the others by panicking with it.
 func TestTrySentinels(t *testing.T) {
 	gc := newGuardContext(t)
-	ev := gc.ev
-	a, b, pt := gc.inputs(t, 2, gc.params.MaxLevel())
-	out := NewCiphertext(gc.params, gc.params.MaxLevel())
+	params := gc.params
+	top := params.MaxLevel()
+	a0, b0, pt0 := gc.inputs(t, 2, top)
+	kgen := NewKeyGenerator(params, 43)
+	swk0 := kgen.genSwitchingKey(gc.sk.Value.Q, kgen.GenSecretKey())
 
-	bad := b.CopyNew()
-	bad.Scale *= 3
-	if _, err := ev.TryAddInto(out, a, bad); !errors.Is(err, ErrScaleMismatch) {
-		t.Fatalf("scale mismatch: got %v", err)
+	noKeys := NewEvaluator(params, nil, nil)
+	otherKeys := NewEvaluator(params, gc.ev.rlk, NewKeyGenerator(params, 44).GenRotationKeys(gc.sk, []int{2}, false))
+	guarded := NewEvaluator(params, gc.ev.rlk, gc.ev.rtks)
+	guarded.EnableGuards(1)
+
+	shortRows := func(p *ring.Poly) *ring.Poly { // limb 1 cut to N/2 words
+		q := &ring.Poly{Coeffs: append([][]uint64(nil), p.Coeffs...), IsNTT: p.IsNTT}
+		q.Coeffs[1] = q.Coeffs[1][:params.N/2]
+		return q
 	}
-	badPt := &Plaintext{Value: pt.Value, Scale: pt.Scale * 2, Level: pt.Level}
-	if _, err := ev.TryAddPlainInto(out, a, badPt); !errors.Is(err, ErrScaleMismatch) {
-		t.Fatalf("plain scale mismatch: got %v", err)
+	conds := []struct {
+		name     string
+		want     error
+		ops      string // space-separated intoOps rows it applies to; "" = all
+		intoOnly bool   // a condition on the destination: only the *Into surfaces see it
+		arm      func(c *sentinelCase)
+	}{
+		{"nil operand", ErrInvalidInput, "", false, func(c *sentinelCase) { c.a = nil }},
+		{"over-level operand", ErrInvalidInput, "", false, func(c *sentinelCase) {
+			c.a = c.a.CopyNew()
+			c.a.Level = 99
+		}},
+		{"short-limb operand", ErrInvalidInput, "", false, func(c *sentinelCase) {
+			c.a = &Ciphertext{C0: prefix(c.a.C0, 1), C1: prefix(c.a.C1, 1), Scale: c.a.Scale, Level: top}
+		}},
+		{"short-row operand", ErrInvalidInput, "", false, func(c *sentinelCase) {
+			c.a = &Ciphertext{C0: c.a.C0, C1: shortRows(c.a.C1), Scale: c.a.Scale, Level: top}
+		}},
+		{"short-row plaintext", ErrInvalidInput, "AddPlain MulPlain", false, func(c *sentinelCase) {
+			c.pt = &Plaintext{Value: shortRows(c.pt.Value), Scale: c.pt.Scale, Level: c.pt.Level}
+		}},
+		{"undersized destination", ErrInvalidInput, "", true, func(c *sentinelCase) { c.out = NewCiphertext(params, 0) }},
+		{"short-row destination", ErrInvalidInput, "", true, func(c *sentinelCase) { c.out.C1 = shortRows(c.out.C1) }},
+		{"scale mismatch", ErrScaleMismatch, "Add Sub AddPlain", false, func(c *sentinelCase) {
+			c.b = c.b.CopyNew()
+			c.b.Scale *= 3
+			c.pt = &Plaintext{Value: c.pt.Value, Scale: c.pt.Scale * 2, Level: c.pt.Level}
+		}},
+		{"missing relin key", ErrKeyMissing, "MulRelin", false, func(c *sentinelCase) { c.ev = noKeys }},
+		{"rotation keys not loaded", ErrKeyMissing, "Rotate+1 Conjugate", false, func(c *sentinelCase) { c.ev = noKeys }},
+		{"ungenerated rotation key", ErrKeyMissing, "Rotate+1 Conjugate", false, func(c *sentinelCase) { c.ev = otherKeys }},
+		{"missing switching key", ErrKeyMissing, "KeySwitch", false, func(c *sentinelCase) { c.swk = nil }},
+		{"aliased destination", ErrAliasedDestination, "MulRelin", true, func(c *sentinelCase) {
+			c.a = c.a.CopyNew()
+			c.out = c.a
+		}},
+		{"rescale at level 0", ErrLevelExhausted, "Rescale", false, func(c *sentinelCase) { c.a = c.ev.DropLevel(c.a, 0) }},
+		// At level 0 the chain holds ~2^50; a squared scale of 2^80 cannot fit.
+		{"exhausted noise budget", ErrLevelExhausted, "MulPlain MulRelin", false, func(c *sentinelCase) {
+			c.ev = guarded
+			c.a, c.b = c.ev.DropLevel(c.a, 0), c.ev.DropLevel(c.b, 0)
+			c.pt = &Plaintext{Value: c.pt.Value, Scale: c.pt.Scale, Level: 0}
+		}},
 	}
 
-	low := ev.DropLevel(a, 0)
-	if _, err := ev.TryRescale(low); !errors.Is(err, ErrLevelExhausted) {
-		t.Fatalf("rescale at level 0: got %v", err)
-	}
-
-	if _, err := ev.TryMulRelinInto(a, a, b); !errors.Is(err, ErrAliasedDestination) {
-		t.Fatalf("aliased MulRelin dest: got %v", err)
-	}
-
-	noKeys := NewEvaluator(gc.params, nil, nil)
-	if _, err := noKeys.TryMulRelin(a, b); !errors.Is(err, ErrKeyMissing) {
-		t.Fatalf("missing rlk: got %v", err)
-	}
-	if _, err := noKeys.TryRotate(a, 1); !errors.Is(err, ErrKeyMissing) {
-		t.Fatalf("missing rotation key: got %v", err)
-	}
-	if _, err := ev.TryRotate(a, 7); !errors.Is(err, ErrKeyMissing) {
-		t.Fatalf("ungenerated rotation step: got %v", err)
-	}
-	if _, err := ev.TryKeySwitchInto(out, a, nil); !errors.Is(err, ErrKeyMissing) {
-		t.Fatalf("nil switching key: got %v", err)
-	}
-
-	if _, err := ev.TryAddInto(out, nil, b); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("nil operand: got %v", err)
-	}
-	mangled := a.CopyNew()
-	mangled.Level = 99
-	if _, err := ev.TryAdd(mangled, b); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("absurd level: got %v", err)
-	}
-	small := NewCiphertext(gc.params, 0)
-	if _, err := ev.TryAddInto(small, a, b); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("undersized destination: got %v", err)
-	}
-
-	var oe *OpError
-	_, err := ev.TryMulRelinInto(a, a, b)
-	if !errors.As(err, &oe) || oe.Op != "CMult" {
-		t.Fatalf("error lacks op context: %v", err)
+	for _, op := range intoOps {
+		for _, cond := range conds {
+			if cond.ops != "" && !slices.Contains(strings.Fields(cond.ops), op.name) {
+				continue
+			}
+			t.Run(op.name+"/"+cond.name, func(t *testing.T) {
+				c := &sentinelCase{ev: gc.ev, a: a0, b: b0, pt: pt0, swk: swk0, out: NewCiphertext(params, top)}
+				cond.arm(c)
+				dc := &diffContext{swk: c.swk}
+				surfaces := map[string]func() error{
+					op.name + "Into": func() error { op.into(c.ev, c.out, c.a, c.b, c.pt, dc); return nil },
+					"Try" + op.name + "Into": func() error {
+						_, err := op.tryInto(c.ev, c.out, c.a, c.b, c.pt, dc)
+						return err
+					},
+				}
+				if !cond.intoOnly {
+					surfaces[op.name] = func() error { op.alloc(c.ev, c.a, c.b, c.pt, dc); return nil }
+					if op.try != nil {
+						surfaces["Try"+op.name] = func() error { _, err := op.try(c.ev, c.a, c.b, c.pt, dc); return err }
+					}
+				}
+				var first *OpError
+				for name, f := range surfaces {
+					oe := opErrorOf(f)
+					if oe == nil || !errors.Is(oe, cond.want) || oe.Op != op.d.name {
+						t.Fatalf("%s delivered %v, want an *OpError{Op: %q} wrapping %v", name, oe, op.d.name, cond.want)
+					}
+					if first == nil {
+						first = oe
+					}
+					if oe.Level != first.Level {
+						t.Fatalf("%s reports level %d, another surface %d", name, oe.Level, first.Level)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -307,14 +381,31 @@ func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 	}
 }
 
+// spanLog records every span the evaluator reports.
+type spanLog struct {
+	ops    []string
+	levels []int
+	errs   []error
+}
+
+func (l *spanLog) Observe(op string, level int) { l.ObserveSpan(op, level, 0, nil) }
+func (l *spanLog) ObserveSpan(op string, level int, _ time.Duration, err error) {
+	l.ops, l.levels, l.errs = append(l.ops, op), append(l.levels, level), append(l.errs, err)
+}
+
 // An injected mid-operation panic (the Panic fault class) is converted by
 // the recovery boundary into an ErrInternal-wrapped error; the process — and
-// the arena — survive.
+// the arena — survive. The failure is reported once, at the level the op ran
+// at — the lower operand's, not the first operand's — and an op that is not
+// observed when it succeeds (Neg) is not observed when it fails either.
 func TestInjectedPanicRecovered(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
 	ev.EnableGuards(17)
 	a, b, _ := gc.inputs(t, 7, gc.params.MaxLevel())
+	b = ev.DropLevel(b, a.Level-1)
+	spans := &spanLog{}
+	ev.SetObserver(spans)
 
 	in := fault.NewInjector(1)
 	gc.params.RingQ.SetFaultInjector(in)
@@ -328,5 +419,20 @@ func TestInjectedPanicRecovered(t *testing.T) {
 	}
 	if got := gc.params.ArenaStats().BytesInUse; got != base {
 		t.Fatalf("arena leaked across recovered panic: in-use %d, baseline %d", got, base)
+	}
+	var oe *OpError
+	if !errors.As(err, &oe) || oe.Level != b.Level {
+		t.Fatalf("internal failure reports level %d, the op ran at %d", oe.Level, b.Level)
+	}
+	if len(spans.ops) != 1 || spans.ops[0] != "CMult" || spans.levels[0] != b.Level || spans.errs[0] != err {
+		t.Fatalf("observer saw %v at %v with %v, want the one failed CMult at level %d", spans.ops, spans.levels, spans.errs, b.Level)
+	}
+
+	ev.NegInto(NewCiphertext(gc.params, a.Level), a)
+	if _, err := ev.TryNegInto(NewCiphertext(gc.params, a.Level), nil); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("TryNegInto(nil operand) = %v, want ErrInvalidInput", err)
+	}
+	if len(spans.ops) != 1 {
+		t.Fatalf("Neg reported spans %v: it is observed on neither outcome", spans.ops[1:])
 	}
 }

@@ -1,10 +1,6 @@
 package ckks
 
-import (
-	"fmt"
-
-	"poseidon/internal/ring"
-)
+import "poseidon/internal/ring"
 
 // Rotation hoisting (Halevi–Shoup): when one ciphertext feeds many
 // rotations — the BSGS linear transform and every matrix-heavy workload —
@@ -36,24 +32,7 @@ type hoistedDecomposition struct {
 // it can double as the panic-path sweep of a partially built decomposition.
 func (hd *hoistedDecomposition) release(params *Parameters) {
 	hd.digits = params.putDigits(hd.digits)
-	if hd.c0 != nil {
-		params.RingQ.PutPoly(hd.c0)
-		hd.c0 = nil
-	}
-}
-
-// decomposeHoisted performs the shared phase on ct.C1. On a panic anywhere
-// in the decomposition, every digit matrix acquired so far and both arena
-// copies are returned before the panic propagates.
-func (ev *Evaluator) decomposeHoisted(ct *Ciphertext) (hdOut *hoistedDecomposition) {
-	hd := &hoistedDecomposition{digits: make([][][]uint64, 0, ev.params.Digits(ct.Level))}
-	defer func() {
-		if hdOut == nil {
-			hd.release(ev.params)
-		}
-	}()
-	ev.decomposeHoistedInto(hd, ct, true)
-	return hd
+	releasePoly(params.RingQ, &hd.c0)
 }
 
 // decomposeHoistedInto performs the shared phase on ct.C1 into a
@@ -69,29 +48,23 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 	rq := params.RingQ
 	level := ct.Level
 
-	hd.level = level
-	c1 := ev.inttCopy(ct.C1)
-	defer rq.PutPoly(c1)
-	if withC0 {
-		hd.c0 = ev.inttCopy(ct.C0)
-	}
-
-	s := params.getKsState()
+	s := popFree(params, &params.ksFree)
 	defer ev.ksRelease(s)
 	s.bind(params, level)
-	s.ev = ev
-	s.cx = c1
+
+	hd.level = level
+	s.cx = rq.GetPolyDirty(level + 1)
+	defer rq.PutPoly(s.cx)
+	ev.inttCopyInto(&s.intt, s.cx, ct.C1)
+	if withC0 {
+		hd.c0 = rq.GetPolyDirty(level + 1) // hd owns it from here: its release sweeps a half-made copy
+		ev.inttCopyInto(&s.intt, hd.c0, ct.C0)
+	}
+
 	hd.digits = params.getDigits(hd.digits[:0], level)
 	s.borrow(hd.digits) // hd owns the digits from the moment they are drawn
-	if ev.pool.Workers() <= 1 {
-		s.decomposeChunk(0, params.N)
-		for i := 0; i < s.ext1; i++ {
-			s.forwardLimb(i)
-		}
-	} else {
-		ev.pool.ForEachChunk(params.N, s.decomposeChunk)
-		ev.pool.ForEach(s.ext1, s.forwardLimb)
-	}
+	ring.RunChunks(ev.pool, params.N, s, (*ksState).decomposeChunk)
+	ring.Run(ev.pool, s.ext1, &s.ksDigits, (*ksDigits).forwardLimb)
 }
 
 // Hoisted is a reusable handle over one ciphertext's shared keyswitch
@@ -110,87 +83,54 @@ type Hoisted struct {
 }
 
 // Hoist performs the shared decomposition phase for ct and returns the
-// handle. Panics on malformed input; TryHoist is the error-returning form.
-func (ev *Evaluator) Hoist(ct *Ciphertext) *Hoisted {
-	if ev.rtks == nil {
-		panic("ckks: rotation requires rotation keys")
-	}
-	return &Hoisted{ev: ev, ct: ct, hd: ev.decomposeHoisted(ct)}
-}
+// handle, through exec like every basic op: ct is validated and, with
+// guards on, its seal re-verified — under a recovery policy that
+// verification is what gets retried, since a corrupted input read is the
+// recoverable failure here. (Failures *inside* a hoisted rotation of the
+// serving layer are recovered one level up, by the scheduler's job retry: a
+// re-enqueue rebuilds the decomposition.) Panics with the *OpError TryHoist
+// returns.
+func (ev *Evaluator) Hoist(ct *Ciphertext) *Hoisted { return must(ev.TryHoist(ct)) }
 
-// TryHoist is Hoist with input validation, guard verification of ct, and
-// panic recovery — the serving layer's entry point, where ciphertexts
-// arrive from the wire.
-func (ev *Evaluator) TryHoist(ct *Ciphertext) (h *Hoisted, err error) {
-	const op = "Rotation"
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
+// TryHoist is the error-returning form of Hoist — the serving layer's entry
+// point, where ciphertexts arrive from the wire. Evaluators without rotation
+// keys report ErrKeyMissing.
+func (ev *Evaluator) TryHoist(ct *Ciphertext) (*Hoisted, error) {
+	h := &Hoisted{ev: ev, ct: ct}
+	if _, err := ev.exec(&opHoist, nil, operands{a: ct, h: h}); err != nil {
 		return nil, err
 	}
-	if ev.rtks == nil {
-		return nil, opErr(op, ct.Level, ErrKeyMissing, "rotation keys not loaded")
-	}
-	if err := ev.guardInputs(op, ct); err != nil {
-		// A corrupted input read is the recoverable failure mode here: each
-		// re-verification re-reads every limb through the HBM hooks, which
-		// is the read a transient fault decays on. Failures *inside* a
-		// hoisted rotation are recovered one level up, by the scheduler's
-		// job retry (a re-enqueue rebuilds the decomposition).
-		if err = ev.retryVerify(op, ct, err); err != nil {
-			return nil, err
+	return h, nil
+}
+
+// kernHoist performs the shared phase for a handle. On a panic anywhere in
+// the decomposition, every digit matrix acquired so far and both arena
+// copies are returned before the panic propagates.
+func kernHoist(c *opCall) {
+	params := c.ev.params
+	hd := &hoistedDecomposition{digits: make([][][]uint64, 0, params.Digits(c.level))}
+	defer func() {
+		if c.h.hd == nil {
+			hd.release(params)
 		}
-	}
-	return &Hoisted{ev: ev, ct: ct, hd: ev.decomposeHoisted(ct)}, nil
+	}()
+	c.ev.decomposeHoistedInto(hd, c.x, true)
+	c.h.hd = hd
 }
 
 // Level reports the level the decomposition was taken at.
 func (h *Hoisted) Level() int { return h.hd.level }
 
-// Rotate applies one rotation through the shared decomposition. Panics on
-// a missing key or a released handle; TryRotate is the error-returning
-// form.
-func (h *Hoisted) Rotate(steps int) *Ciphertext {
-	if h.hd == nil {
-		panic("ckks: Rotate on a released Hoisted handle")
-	}
-	ev := h.ev
-	g := galoisForRotation(steps, ev.params.N)
-	if g == 1 {
-		return h.ct.CopyNew()
-	}
-	key, ok := ev.rtks.Keys[g]
-	if !ok {
-		panic(fmt.Sprintf("ckks: no rotation key for step %d (g=%d)", steps, g))
-	}
-	return ev.rotateHoistedOne(h.hd, h.ct, g, key)
-}
+// Rotate applies one rotation through the shared decomposition. Panics with
+// the *OpError TryRotate returns.
+func (h *Hoisted) Rotate(steps int) *Ciphertext { return must(h.TryRotate(steps)) }
 
-// TryRotate applies one rotation through the shared decomposition with the
-// Try* error contract: a missing key is ErrKeyMissing, a released handle
-// is ErrInvalidInput, internal panics surface as typed errors, and the
-// result is sealed when integrity guards are on.
-func (h *Hoisted) TryRotate(steps int) (res *Ciphertext, err error) {
-	const op = "Rotation"
-	ev := h.ev
-	level := lvlOf(h.ct)
-	defer ev.observeTryErr(op, level, &err)
-	defer recoverOp(op, level, &err)
-	if h.hd == nil {
-		return nil, opErr(op, level, ErrInvalidInput, "hoisted handle already released")
-	}
-	g := galoisForRotation(steps, ev.params.N)
-	if g == 1 {
-		out := h.ct.CopyNew()
-		ev.guardSeal(out)
-		return out, nil
-	}
-	key, ok := ev.rtks.Keys[g]
-	if !ok {
-		return nil, opErr(op, level, ErrKeyMissing, "no rotation key for step %d (Galois element %d)", steps, g)
-	}
-	out := ev.rotateHoistedOne(h.hd, h.ct, g, key)
-	ev.guardSeal(out)
-	return out, nil
+// TryRotate applies one rotation through the shared decomposition: a
+// missing key is ErrKeyMissing, a released handle is ErrInvalidInput,
+// internal panics surface as typed errors, and the result is sealed when
+// integrity guards are on.
+func (h *Hoisted) TryRotate(steps int) (*Ciphertext, error) {
+	return h.ev.exec(&opHoistedRotate, nil, operands{a: h.ct, h: h, g: h.ev.rotG(steps)})
 }
 
 // Release returns the borrowed digit matrices to the parameter free lists.
@@ -215,50 +155,29 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 	return out
 }
 
-// rotateHoistedOne replays the shared decomposition through the keyswitch
+// kernHoistedRotate replays the shared decomposition through the keyswitch
 // pipeline for one Galois element: the same limb-major inner product as
 // keySwitchCoreInto, gathering each cached NTT-domain digit row through the
 // rotation's Galois permutation (resolved once, here) instead of decomposing
-// again. Scratch is released by the deferred sweeps on every exit, panic
-// paths included; the borrowed digit matrices stay owned by hd.
-func (ev *Evaluator) rotateHoistedOne(hd *hoistedDecomposition, ct *Ciphertext, g uint64, key *SwitchingKey) *Ciphertext {
-	sp := ev.beginOp("Rotation")
-	params := ev.params
-	pool := ev.pool
-	rq := params.RingQ
-	level := hd.level
-
-	res := NewCiphertext(params, level)
-	res.Scale = ct.Scale
-	p0 := rq.GetPolyDirty(level + 1)
-	defer rq.PutPoly(p0)
-
-	s := ev.newKsState(level, key, p0, res.C1)
+// again. The borrowed digit matrices stay owned by the handle.
+func kernHoistedRotate(c *opCall) {
+	ev, out, hd, level := c.ev, c.out, c.h.hd, c.level
+	rq, pool := ev.params.RingQ, ev.pool
+	reshapeCt(out, level)
+	if c.g == 1 {
+		c.copyIdentity()
+		return
+	}
+	p0 := c.scratch(0, level+1)
+	s := ev.newKsState(level, c.key, p0, out.C1)
 	defer ev.ksRelease(s)
 	s.borrow(hd.digits)
-	s.perm = rq.NTTGaloisPermutation(g)
+	s.perm = rq.NTTGaloisPermutation(c.g)
 
-	rq.AutomorphismParallel(res.C0, hd.c0, g, pool)
+	rq.AutomorphismParallel(out.C0, hd.c0, c.g, pool)
 	ev.ksRun(s)
-	rq.NTTParallel(res.C0, pool)
-	rq.AddParallel(res.C0, res.C0, p0, pool)
-	ev.endOp("Rotation", level, sp)
-	return res
-}
-
-// galoisForRotation mirrors automorph.GaloisElementForRotation without the
-// import cycle risk growing (kept local for clarity).
-func galoisForRotation(steps, n int) uint64 {
-	half := n / 2
-	s := ((steps % half) + half) % half
-	twoN := uint64(2 * n)
-	g := uint64(1)
-	base := uint64(5)
-	for e := s; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			g = g * base % twoN
-		}
-		base = base * base % twoN
-	}
-	return g
+	rq.NTTParallel(out.C0, pool)
+	rq.AddParallel(out.C0, out.C0, p0, pool)
+	c.release(0)
+	out.Scale = c.x.Scale
 }

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -8,14 +9,15 @@ import (
 	"poseidon/internal/ring"
 )
 
-// Differential suite for the destination-passing API: every *Into method
-// must be BIT-IDENTICAL to its allocating counterpart — including when the
-// destination is a dirty, previously used container created at a higher
-// level (exercising the reshape path), when the destination aliases the
-// input, and under both kernel schedules. The allocating methods are thin
-// wrappers over *Into, so the comparison pins the wrapper contract: a
-// destination's prior contents, scale, level, and domain flags must be
-// fully overwritten.
+// Differential suite for the op surfaces: every surface of an op — X, XInto,
+// TryX, TryXInto, whichever of them it has — must be BIT-IDENTICAL to the
+// others, including when the destination is a dirty, previously used
+// container created at a higher level (exercising the reshape path), when the
+// destination aliases the input, and under both kernel schedules. All of
+// them are one-line calls of exec, so the comparison pins the wrapper
+// contract: a destination's prior contents, scale, level, and domain flags
+// must be fully overwritten, and nothing but how the outcome is delivered
+// may depend on the surface.
 
 // dirtyDest builds a max-level destination full of garbage residues with
 // deliberately wrong bookkeeping, so any state leaking through an Into
@@ -35,94 +37,193 @@ func dirtyDest(params *Parameters, seed int64) *Ciphertext {
 	return out
 }
 
-// intoOps pairs each allocating op with its destination-passing form.
+// intoOps lists every surface of every basic op next to its descriptor: the
+// one table the differential suites and the sentinel table in guard_test.go
+// walk. try is nil for the ops that have no allocating Try form. Rows read
+// the operands their op takes (the switching key rides in dc) and ignore the
+// rest.
 var intoOps = []struct {
-	name  string
-	alloc func(ev *Evaluator, a, b *Ciphertext, pt *Plaintext, dc *diffContext) *Ciphertext
-	into  func(ev *Evaluator, out *Ciphertext, a, b *Ciphertext, pt *Plaintext, dc *diffContext) *Ciphertext
+	name    string
+	d       *opDesc
+	alloc   func(ev *Evaluator, a, b *Ciphertext, pt *Plaintext, dc *diffContext) *Ciphertext
+	into    func(ev *Evaluator, out *Ciphertext, a, b *Ciphertext, pt *Plaintext, dc *diffContext) *Ciphertext
+	try     func(ev *Evaluator, a, b *Ciphertext, pt *Plaintext, dc *diffContext) (*Ciphertext, error)
+	tryInto func(ev *Evaluator, out *Ciphertext, a, b *Ciphertext, pt *Plaintext, dc *diffContext) (*Ciphertext, error)
 }{
-	{"Add",
+	{"Add", &opAdd,
 		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Add(a, b) },
 		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 			return ev.AddInto(out, a, b)
+		},
+		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryAdd(a, b)
+		},
+		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryAddInto(out, a, b)
 		}},
-	{"Sub",
+	{"Sub", &opSub,
 		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Sub(a, b) },
 		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 			return ev.SubInto(out, a, b)
+		},
+		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TrySub(a, b)
+		},
+		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TrySubInto(out, a, b)
 		}},
-	{"Neg",
+	{"Neg", &opNeg,
 		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Neg(a) },
 		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 			return ev.NegInto(out, a)
+		},
+		nil,
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryNegInto(out, a)
 		}},
-	{"AddPlain",
-		func(ev *Evaluator, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext { return ev.AddPlain(a, pt) },
-		func(ev *Evaluator, out, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext {
-			return ev.AddPlainInto(out, a, pt)
-		}},
-	{"MulPlain",
-		func(ev *Evaluator, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext { return ev.MulPlain(a, pt) },
-		func(ev *Evaluator, out, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext {
-			return ev.MulPlainInto(out, a, pt)
-		}},
-	{"MulRelin",
-		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.MulRelin(a, b) },
-		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
-			return ev.MulRelinInto(out, a, b)
-		}},
-	{"Rescale",
+	{"AddPlain", &opAddPlain,
 		func(ev *Evaluator, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext {
-			return ev.Rescale(ev.MulPlain(a, pt))
+			return ev.AddPlain(a, pt)
 		},
 		func(ev *Evaluator, out, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext {
-			return ev.RescaleInto(out, ev.MulPlain(a, pt))
+			return ev.AddPlainInto(out, a, pt)
+		},
+		nil,
+		func(ev *Evaluator, out, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryAddPlainInto(out, a, pt)
 		}},
-	{"Rotate+1",
-		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Rotate(a, 1) },
+	{"MulPlain", &opMulPlain,
+		func(ev *Evaluator, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.MulPlain(a, pt)
+		},
+		func(ev *Evaluator, out, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.MulPlainInto(out, a, pt)
+		},
+		nil,
+		func(ev *Evaluator, out, a, _ *Ciphertext, pt *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryMulPlainInto(out, a, pt)
+		}},
+	{"MulRelin", &opMulRelin,
+		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.MulRelin(a, b)
+		},
+		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.MulRelinInto(out, a, b)
+		},
+		func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryMulRelin(a, b)
+		},
+		func(ev *Evaluator, out, a, b *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryMulRelinInto(out, a, b)
+		}},
+	{"Rescale", &opRescale,
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Rescale(a) },
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.RescaleInto(out, a)
+		},
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryRescale(a)
+		},
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryRescaleInto(out, a)
+		}},
+	{"Rotate+1", &opGalois,
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.Rotate(a, 1)
+		},
 		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 			return ev.RotateInto(out, a, 1)
+		},
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryRotate(a, 1)
+		},
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryRotateInto(out, a, 1)
 		}},
-	{"Rotate0",
-		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Rotate(a, 0) },
+	{"Rotate0", &opGalois,
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.Rotate(a, 0)
+		},
 		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 			return ev.RotateInto(out, a, 0)
+		},
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryRotate(a, 0)
+		},
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryRotateInto(out, a, 0)
 		}},
-	{"Conjugate",
-		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext { return ev.Conjugate(a) },
+	{"Conjugate", &opGalois,
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+			return ev.Conjugate(a)
+		},
 		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 			return ev.ConjugateInto(out, a)
+		},
+		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryConjugate(a)
+		},
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) (*Ciphertext, error) {
+			return ev.TryConjugateInto(out, a)
 		}},
-	{"KeySwitch",
+	{"KeySwitch", &opKeySwitch,
 		func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, dc *diffContext) *Ciphertext {
 			return ev.KeySwitch(a, dc.swk)
 		},
 		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, dc *diffContext) *Ciphertext {
 			return ev.KeySwitchInto(out, a, dc.swk)
+		},
+		nil,
+		func(ev *Evaluator, out, a, _ *Ciphertext, _ *Plaintext, dc *diffContext) (*Ciphertext, error) {
+			return ev.TryKeySwitchInto(out, a, dc.swk)
 		}},
+}
+
+// requireSurfacesMatch runs every surface of one intoOps row on ev, the
+// destination-passing ones into the shared dirty container out, and
+// bit-compares each result against want.
+func requireSurfacesMatch(t *testing.T, ev *Evaluator, row int, out, a, b *Ciphertext, pt *Plaintext, dc *diffContext, want *Ciphertext) {
+	t.Helper()
+	op := intoOps[row]
+	requireCtEqual(t, op.alloc(ev, a, b, pt, dc), want, op.name)
+	got := op.into(ev, out, a, b, pt, dc)
+	requireCtEqual(t, got, want, op.name+"Into")
+	if got != out {
+		t.Fatalf("%s: Into did not return its destination", op.name)
+	}
+	if op.try != nil {
+		got, err := op.try(ev, a, b, pt, dc)
+		if err != nil {
+			t.Fatalf("Try%s: %v", op.name, err)
+		}
+		requireCtEqual(t, got, want, "Try"+op.name)
+	}
+	got, err := op.tryInto(ev, out, a, b, pt, dc)
+	if err != nil {
+		t.Fatalf("Try%sInto: %v", op.name, err)
+	}
+	requireCtEqual(t, got, want, "Try"+op.name+"Into")
+	if got != out {
+		t.Fatalf("Try%sInto did not return its destination", op.name)
+	}
 }
 
 // TestIntoMatchesAllocating reuses ONE dirty destination across every op in
 // sequence — the steady-state pattern the API exists for — and bit-compares
-// each result against the allocating form, under both kernel schedules and
-// on both parameter sets.
+// every surface's result against the allocating form, under both kernel
+// schedules and on both parameter sets.
 func TestIntoMatchesAllocating(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
 		ct1, ct2, pt := dc.freshInputs(41)
 		for _, strict := range []bool{false, true} {
 			out := dirtyDest(params, 7)
-			for _, op := range intoOps {
+			for row, op := range intoOps {
 				t.Run(fmt.Sprintf("%s/%s/strict=%v", pname, op.name, strict), func(t *testing.T) {
-					var want, got *Ciphertext
 					withStrictCkks(params, strict, func() {
-						want = op.alloc(dc.serial, ct1, ct2, pt, dc)
-						got = op.into(dc.serial, out, ct1, ct2, pt, dc)
+						want := op.alloc(dc.serial, ct1, ct2, pt, dc)
+						requireSurfacesMatch(t, dc.serial, row, out, ct1, ct2, pt, dc, want)
 					})
-					requireCtEqual(t, got, want, op.name)
-					if got != out {
-						t.Fatalf("%s: Into did not return its destination", op.name)
-					}
 				})
 			}
 		}
@@ -130,19 +231,19 @@ func TestIntoMatchesAllocating(t *testing.T) {
 }
 
 // TestIntoMatchesAllocatingParallel repeats the destination-reuse sweep on
-// a parallel evaluator: fan-out must not change what lands in the
-// destination.
+// parallel evaluators (2 and 3 workers) against the serial reference:
+// fan-out must not change what any surface produces.
 func TestIntoMatchesAllocatingParallel(t *testing.T) {
 	params := diffParamSets(t)["LogN9-L4-alpha2"]
 	dc := newDiffContext(t, params)
 	ct1, ct2, pt := dc.freshInputs(43)
-	ev := dc.serial.WithWorkers(3)
 	out := dirtyDest(params, 11)
-	for _, op := range intoOps {
+	for row, op := range intoOps {
 		t.Run(op.name, func(t *testing.T) {
 			want := op.alloc(dc.serial, ct1, ct2, pt, dc)
-			got := op.into(ev, out, ct1, ct2, pt, dc)
-			requireCtEqual(t, got, want, op.name)
+			for _, workers := range []int{2, 3} {
+				requireSurfacesMatch(t, dc.serial.WithWorkers(workers), row, out, ct1, ct2, pt, dc, want)
+			}
 		})
 	}
 }
@@ -196,8 +297,8 @@ func TestMulRelinIntoAliasPanics(t *testing.T) {
 	dc := newDiffContext(t, params)
 	ct1, ct2, _ := dc.freshInputs(53)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("MulRelinInto with out aliasing an operand did not panic")
+		if err, _ := recover().(error); !errors.Is(err, ErrAliasedDestination) {
+			t.Fatalf("MulRelinInto with out aliasing an operand panicked with %v, want ErrAliasedDestination", err)
 		}
 	}()
 	x := ct1.CopyNew()

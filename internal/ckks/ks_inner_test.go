@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"poseidon/internal/automorph"
 )
 
 // Tests of the one keyswitch inner-product stage (ksDigits.innerProduct):
@@ -51,7 +53,7 @@ func newKsInnerFixture(params *Parameters, level, digits int, rng *rand.Rand) *k
 	f := &ksInnerFixture{
 		k:    k,
 		key:  &SwitchingKey{},
-		perm: rq.NTTGaloisPermutation(galoisForRotation(3, params.N)),
+		perm: rq.NTTGaloisPermutation(automorph.GaloisElementForRotation(3, params.N)),
 	}
 	for d := 0; d < digits; d++ {
 		ext := make([][]uint64, ext1)
@@ -163,7 +165,7 @@ func TestInnerProductBigOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := galoisForRotation(1+si, params.N)
+		g := automorph.GaloisElementForRotation(1+si, params.N)
 		perm := oracleGaloisPermutation(logN, g)
 		if !slices.Equal(perm, params.RingQ.NTTGaloisPermutation(g)) {
 			t.Fatalf("shape %d: ring permutation for g=%d disagrees with the definition", si, g)

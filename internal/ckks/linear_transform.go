@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"poseidon/internal/automorph"
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
@@ -105,7 +106,7 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	p.babyPerm = make([][]int, len(p.babySteps))
 	for k, s := range p.babySteps {
 		babyIdx[s] = k
-		p.babyGal[k] = galoisForRotation(s, ringN)
+		p.babyGal[k] = automorph.GaloisElementForRotation(s, ringN)
 		p.babyPerm[k] = lt.ringQ.NTTGaloisPermutation(p.babyGal[k])
 	}
 
@@ -115,7 +116,7 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 		i := d % n1
 		j := d - i
 		if len(p.groups) == 0 || p.groups[len(p.groups)-1].j != j {
-			g := ltGroup{j: j, gal: galoisForRotation(j, ringN)}
+			g := ltGroup{j: j, gal: automorph.GaloisElementForRotation(j, ringN)}
 			if j != 0 {
 				g.perm = lt.ringQ.NTTGaloisPermutation(g.gal)
 			}
@@ -137,7 +138,7 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	}
 	sort.Ints(p.rotations)
 	for _, s := range p.rotations {
-		if g := galoisForRotation(s, ringN); g != 1 {
+		if g := automorph.GaloisElementForRotation(s, ringN); g != 1 {
 			p.galois = append(p.galois, g)
 		}
 	}
@@ -356,8 +357,7 @@ type LinTransStats struct {
 // per giant-step group. The result encrypts M·slots(ct) with scale
 // ct.Scale·lt.Scale (rescale afterwards). Requires the rotation keys
 // reported by lt.Rotations(). EvaluateLinearTransform is the double-hoisted
-// production path; this one is kept as the differential baseline and for
-// level-0 edge cases where the extended-basis traffic does not pay off.
+// production path; this one is kept as the differential baseline.
 func (ev *Evaluator) EvaluateLinearTransformPerRotation(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
 	out, _ := ev.evalPerRotation(ct, lt)
 	return out

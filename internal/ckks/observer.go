@@ -16,10 +16,11 @@ type OpObserver interface {
 }
 
 // SpanObserver widens OpObserver to timed spans: the evaluator reports the
-// measured wall time of each basic op, plus the error outcome for ops
-// executed through the Try* surface (dur 0 for failed or count-only
-// observations). Installing a SpanObserver via SetObserver switches the
-// evaluator into timed mode: every basic op is wrapped in a nanosecond
+// measured wall time of each basic op, plus the error outcome of a failed
+// one (dur 0 for failed or count-only observations). Installing a
+// SpanObserver via SetObserver switches the evaluator into timed mode: every
+// basic op — exec opens the span before validating and closes it after the
+// output seal — is wrapped in a nanosecond
 // timestamp pair and a runtime/trace region named after the op, so
 // execution traces (`go tool trace`) attribute time to FHE operators
 // instead of Go internals. When no SpanObserver is installed, the timing
@@ -68,49 +69,30 @@ func (ev *Evaluator) beginOp(op string) (s opSpan) {
 	return
 }
 
-// endOp closes the span and reports it: a timed ObserveSpan when a
-// SpanObserver opened the span, the legacy count-only Observe otherwise.
-func (ev *Evaluator) endOp(op string, level int, s opSpan) {
+// endOp closes the span and reports the op's outcome: a timed ObserveSpan
+// when a SpanObserver opened the span (zero-duration and carrying the error
+// for a failed op), the legacy count-only Observe for a plain observer —
+// which hears of successes only.
+func (ev *Evaluator) endOp(op string, level int, s opSpan, err error) {
 	if sp := ev.spans; sp != nil && s.region != nil {
 		d := time.Since(s.start)
 		s.region.End()
-		sp.ObserveSpan(op, level, d, nil)
+		if err != nil {
+			d = 0
+		}
+		sp.ObserveSpan(op, level, d, err)
 		return
 	}
-	if o := ev.observer; o != nil {
+	if o := ev.observer; o != nil && err == nil {
 		o.Observe(op, level)
 	}
 }
 
-// observeTryErr reports a failed Try* operation to the span observer as a
-// zero-duration errored span. Deferred (before recoverOp, so it runs after
-// the panic→error translation) by every Try*Into method.
-func (ev *Evaluator) observeTryErr(op string, level int, err *error) {
-	if *err == nil {
-		return
+// cancel closes a span that turned out to have nothing to report.
+func (s opSpan) cancel() {
+	if s.region != nil {
+		s.region.End()
 	}
-	if sp := ev.spans; sp != nil {
-		sp.ObserveSpan(op, level, 0, *err)
-	}
-}
-
-// spanAdapter lifts a plain OpObserver to the SpanObserver interface by
-// dropping the duration and error — the backward-compatible shim for code
-// that needs a SpanObserver but holds a legacy observer.
-type spanAdapter struct{ OpObserver }
-
-func (a spanAdapter) ObserveSpan(op string, level int, _ time.Duration, _ error) {
-	a.Observe(op, level)
-}
-
-// AsSpanObserver adapts any OpObserver to SpanObserver: observers that
-// already implement it are returned unchanged, legacy observers are wrapped
-// so they keep receiving count-only callbacks.
-func AsSpanObserver(o OpObserver) SpanObserver {
-	if s, ok := o.(SpanObserver); ok {
-		return s
-	}
-	return spanAdapter{o}
 }
 
 // fanout broadcasts observations to several observers; it implements

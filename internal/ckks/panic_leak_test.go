@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,12 +9,14 @@ import (
 )
 
 // Mid-op panic injection: every destination-passing op acquires arena
-// scratch, and the deferred sweeps must return all of it even when the op
-// panics halfway through. These tests arm the fault injector's Panic class
-// at every NTT/INTT visit of every op and assert that after the recovered
-// panic the arena's BytesInUse is back at its pre-op baseline — with poison
-// mode on, so a double-Put on the unwind path (a sweep racing an eager
-// release) fails loudly instead of silently corrupting the free lists.
+// scratch, and the sweeps must return all of it even when the op panics
+// halfway through. These tests arm the fault injector's Panic class at every
+// NTT/INTT visit of every op and assert that after the recovered panic the
+// arena's BytesInUse is back at its pre-op baseline — with poison mode on, so
+// a double-Put on the unwind path (a sweep racing an eager release) fails
+// loudly instead of silently corrupting the free lists. The panicking
+// surfaces speak the one error vocabulary: what they panic with is the
+// *OpError the Try surfaces would have returned.
 
 type panicLeakFixture struct {
 	params *Parameters
@@ -84,6 +87,15 @@ func (fx *panicLeakFixture) ops() []struct {
 	}
 }
 
+// isInjectedPanic reports whether a recovered panic value is the injected
+// fault as exec reports it — an *OpError wrapping ErrInternal whose detail
+// carries the injector's message — and not a secondary panic (a poison-mode
+// double-Put) raised on the unwind path, which would carry its own text.
+func isInjectedPanic(rec any) bool {
+	oe, ok := rec.(*OpError)
+	return ok && errors.Is(oe, ErrInternal) && strings.Contains(oe.Detail, "fault: injected panic")
+}
+
 // runWithInjectedPanic executes f once with the injector armed to panic at
 // the given visit of the given site, recovers, and returns the recovered
 // value (nil when the visit number was past the op's last visit, in which
@@ -120,8 +132,7 @@ func TestMidOpPanicArenaBaseline(t *testing.T) {
 					if rec == nil {
 						t.Fatalf("%s: armed panic at %v visit %d/%d never fired", op.name, site, v, visits)
 					}
-					msg, ok := rec.(string)
-					if !ok || !strings.Contains(msg, "fault: injected panic") {
+					if !isInjectedPanic(rec) {
 						t.Fatalf("%s: %v visit %d: recovered %v, want the injected panic (a secondary panic on the unwind path?)", op.name, site, v, rec)
 					}
 					if inUse := fx.params.ArenaStats().BytesInUse; inUse != baseline {
@@ -160,7 +171,7 @@ func FuzzMidOpPanicArena(f *testing.F) {
 		baseline := fx.params.ArenaStats().BytesInUse
 		rec := fx.runWithInjectedPanic(site, uint64(visit), op.f)
 		if rec != nil {
-			if msg, ok := rec.(string); !ok || !strings.Contains(msg, "fault: injected panic") {
+			if !isInjectedPanic(rec) {
 				t.Fatalf("%s: %v visit %d: recovered %v, want the injected panic", op.name, site, visit, rec)
 			}
 		}

@@ -58,6 +58,7 @@ type Parameters struct {
 	wideFree  []*wideAcc   // full-capacity 128-bit accumulator banks
 	ksFree    []*ksState   // keyswitch pipeline state records
 	ltFree    []*ltState   // double-hoisted linear-transform state records
+	opFree    []*opCall    // exec's per-call records
 }
 
 // getExt returns a `limbs`-row extended-digit scratch buffer (each row N
@@ -114,16 +115,9 @@ func (p *Parameters) putDigits(ds [][][]uint64) [][][]uint64 {
 // getWide returns a wideAcc with the first `rows` accumulator rows zeroed
 // (capacity always covers 2·(|Q|+|P|) rows, the deepest consumer).
 func (p *Parameters) getWide(rows int) *wideAcc {
-	p.scratchMu.Lock()
-	var w *wideAcc
-	if n := len(p.wideFree); n > 0 {
-		w = p.wideFree[n-1]
-		p.wideFree[n-1] = nil
-		p.wideFree = p.wideFree[:n-1]
-	}
-	p.scratchMu.Unlock()
-	if w == nil {
-		w = newWideAcc(2*(len(p.Q)+len(p.P)), p.N)
+	w := popFree(p, &p.wideFree)
+	if w.hi == nil {
+		*w = *newWideAcc(2*(len(p.Q)+len(p.P)), p.N)
 		return w // fresh slabs are already zero
 	}
 	for r := 0; r < rows; r++ {
@@ -135,67 +129,64 @@ func (p *Parameters) getWide(rows int) *wideAcc {
 
 // putWide returns a wideAcc to the free list.
 func (p *Parameters) putWide(w *wideAcc) {
-	if w == nil {
-		return
+	if w != nil {
+		pushFree(p, &p.wideFree, w)
 	}
-	p.scratchMu.Lock()
-	p.wideFree = append(p.wideFree, w)
-	p.scratchMu.Unlock()
 }
 
-// getKsState returns a (possibly recycled) keyswitch pipeline state record.
-func (p *Parameters) getKsState() *ksState {
-	p.scratchMu.Lock()
-	var s *ksState
-	if n := len(p.ksFree); n > 0 {
-		s = p.ksFree[n-1]
-		p.ksFree[n-1] = nil
-		p.ksFree = p.ksFree[:n-1]
-	}
-	p.scratchMu.Unlock()
-	if s == nil {
-		s = &ksState{}
-	}
-	return s
-}
-
-// putKsState clears and recycles a keyswitch state record. The digit and
-// row-header tables keep their capacity (emptied, so nothing they pointed at
-// stays reachable through the free list).
-func (p *Parameters) putKsState(s *ksState) {
-	clear(s.digits)
-	clear(s.rows)
-	*s = ksState{ksDigits: ksDigits{digits: s.digits[:0], rows: s.rows[:0]}}
-	p.scratchMu.Lock()
-	p.ksFree = append(p.ksFree, s)
-	p.scratchMu.Unlock()
-}
-
-// getLtState returns a (possibly recycled) double-hoisted linear-transform
-// state record. Unlike ksState records, ltState keeps its slice capacities
-// across checkouts — the per-call reset happens in ltState.reset — so the
+// popFree pops a recycled record off one of the scratchMu-guarded free lists,
+// or hands out a fresh zero one. ksState and opCall records come back zeroed
+// (their owners reset them on release); ltState keeps its slice capacities
+// across checkouts — its per-call reset happens in ltState.reset — so the
 // baby-step tables never reallocate in steady state.
-func (p *Parameters) getLtState() *ltState {
+func popFree[T any](p *Parameters, list *[]*T) *T {
 	p.scratchMu.Lock()
-	var s *ltState
-	if n := len(p.ltFree); n > 0 {
-		s = p.ltFree[n-1]
-		p.ltFree[n-1] = nil
-		p.ltFree = p.ltFree[:n-1]
+	defer p.scratchMu.Unlock()
+	n := len(*list)
+	if n == 0 {
+		return new(T)
 	}
-	p.scratchMu.Unlock()
-	if s == nil {
-		s = &ltState{}
-	}
+	s := (*list)[n-1]
+	(*list)[n-1] = nil
+	*list = (*list)[:n-1]
 	return s
 }
 
-// putLtState recycles a linear-transform state record (already reset by its
-// release path).
-func (p *Parameters) putLtState(s *ltState) {
+// pushFree recycles a record (already reset by its release path).
+func pushFree[T any](p *Parameters, list *[]*T, s *T) {
 	p.scratchMu.Lock()
-	p.ltFree = append(p.ltFree, s)
+	*list = append(*list, s)
 	p.scratchMu.Unlock()
+}
+
+// getAccum draws an extended-basis accumulator for qLimbs Q limbs from the
+// arenas — zeroed for one that is built up by modular adds, dirty for one
+// whose every row is overwritten by the stage that fills it.
+func (p *Parameters) getAccum(qLimbs int, zeroed bool) qpAccum {
+	rq, rp, alpha := p.RingQ, p.RingP, p.Alpha()
+	if zeroed {
+		return qpAccum{c0Q: rq.GetPoly(qLimbs), c1Q: rq.GetPoly(qLimbs), c0P: rp.GetPoly(alpha), c1P: rp.GetPoly(alpha)}
+	}
+	return qpAccum{c0Q: rq.GetPolyDirty(qLimbs), c1Q: rq.GetPolyDirty(qLimbs), c0P: rp.GetPolyDirty(alpha), c1P: rp.GetPolyDirty(alpha)}
+}
+
+// putAccum returns an accumulator's polynomials and empties it. Nil-safe
+// field by field, so it doubles as the panic-path sweep of a half-built or
+// already-closed accumulator.
+func (p *Parameters) putAccum(a *qpAccum) {
+	releasePoly(p.RingQ, &a.c0Q)
+	releasePoly(p.RingQ, &a.c1Q)
+	releasePoly(p.RingP, &a.c0P)
+	releasePoly(p.RingP, &a.c1P)
+}
+
+// releasePoly returns *q to r's arena and forgets it; a nil *q is a no-op. Every
+// release path that must also serve as a panic-path sweep is built from it.
+func releasePoly(r *ring.Ring, q **ring.Poly) {
+	if *q != nil {
+		r.PutPoly(*q)
+		*q = nil
+	}
 }
 
 // ArenaStats aggregates the scratch-arena counters of both rings — the

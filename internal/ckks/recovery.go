@@ -7,29 +7,30 @@ import (
 )
 
 // Op-level fault recovery: the detect→recover half of the fault-tolerance
-// story. PR 4's guards *detect* corruption (residue checksums at operator
-// boundaries, the redundant-limb spot-check) and surface it as
-// ErrIntegrity; with a RecoveryPolicy installed the evaluator additionally
-// *re-executes* the failed operation from its inputs, which recovers every
-// transient fault — an HBM word that scrubs clean on re-read, a datapath
-// glitch that corrupted one attempt's scratch — while sticky corruption
-// still fails after the attempt budget and propagates to the caller.
+// story. The guards (guard.go) *detect* corruption — residue checksums at
+// operator boundaries, the redundant-limb spot-check — and surface it as
+// ErrIntegrity; with a RecoveryPolicy installed, exec's attempt step
+// (exec.go) becomes the retry loop below, which *re-executes* the failed
+// operation from its inputs. That recovers every transient fault — an HBM
+// word that scrubs clean on re-read, a datapath glitch that corrupted one
+// attempt's scratch — while sticky corruption still fails after the attempt
+// budget and propagates to the caller. Recovery is a step of exec, not a
+// wrapper around it, so it applies to every surface of every op alike.
 //
 // Correctness rests on transactional destination semantics: with recovery
 // armed, every attempt executes into arena scratch and the caller's
 // destination is written only from a verified attempt. A failed attempt
 // therefore never leaves a partially-written destination, and a
 // destination that aliases an input never destroys the operand a retry
-// needs. The scratch follows PR 3/4's panic-leak discipline: it is
-// released on every exit path, including attempts that die in an injected
-// panic.
+// needs. The scratch is released on every exit path, including attempts
+// that die in an injected panic.
 //
-// With no policy installed (the default) the Try* methods run exactly the
-// pre-recovery direct path — no scratch, no copies, zero additional heap
-// allocations — so the alloc gates hold unchanged.
+// With no policy installed (the default) exec runs its one attempt straight
+// into the destination — no scratch, no copies, zero heap allocations; the
+// alloc gates cover the Try*Into surfaces too.
 
-// RecoveryPolicy configures transparent re-execution of Try* operations
-// that fail with ErrIntegrity.
+// RecoveryPolicy configures transparent re-execution of operations that
+// fail with ErrIntegrity.
 type RecoveryPolicy struct {
 	// MaxAttempts is the total execution budget per operation, first try
 	// included. Values ≤ 1 disable recovery.
@@ -106,68 +107,47 @@ func (ev *Evaluator) observeRecovery(op string, retries int, recovered bool, dur
 	}
 }
 
-// attemptFunc is one guarded execution of an op into dst: input-boundary
-// guard, the *Into kernel, and the spot-check. The caller owns sealing dst
-// and the panic→error boundary around the call.
-type attemptFunc func(dst *Ciphertext) error
-
-// runAttempt executes one attempt inside its own recovery boundary, so an
-// injected panic fails the attempt instead of the whole Try* call — the
-// retry loop can inspect the error and re-execute.
-func (ev *Evaluator) runAttempt(op string, level int, dst *Ciphertext, run attemptFunc) (err error) {
-	defer recoverOp(op, level, &err)
-	return run(dst)
-}
-
-// execTry is the shared tail of every Try*Into method: run the guarded
-// attempt (with re-execution per the recovery policy), seal the verified
-// result, and return it. level is the result level; out is the caller's
-// destination.
-func (ev *Evaluator) execTry(op string, level int, out *Ciphertext, run attemptFunc) (*Ciphertext, error) {
+// attemptRecovering is exec's step 3 under a recovery policy: the
+// transactional retry loop. Every attempt executes into arena scratch; only
+// a verified attempt is copied into out. An op without a ciphertext result
+// (Hoist) has nothing to stage and simply re-runs: its recoverable failure
+// is the corrupted *input* read, and each re-verification re-reads every
+// limb through the HBM hooks — exactly the read a transient fault decays on.
+func (c *opCall) attemptRecovering(out *Ciphertext) (err error) {
+	ev, op := c.ev, c.d.name
 	rec := ev.recovery
-	if rec == nil {
-		// Direct path: execute straight into the caller's destination.
-		if err := ev.runAttempt(op, level, out, run); err != nil {
-			return nil, err
-		}
-		ev.guardSeal(out)
-		return out, nil
+	dst := out
+	if out != nil {
+		rq := ev.params.RingQ
+		dst = &Ciphertext{C0: rq.GetPolyDirty(c.level + 1), C1: rq.GetPolyDirty(c.level + 1), Level: c.level}
+		defer func() {
+			rq.PutPoly(dst.C0)
+			rq.PutPoly(dst.C1)
+		}()
 	}
-	return ev.execTryRecover(op, level, out, run)
-}
-
-// execTryRecover is the transactional retry path. Every attempt executes
-// into arena scratch; only a verified attempt is copied into out.
-func (ev *Evaluator) execTryRecover(op string, level int, out *Ciphertext, run attemptFunc) (res *Ciphertext, err error) {
-	rec := ev.recovery
-	rq := ev.params.RingQ
-	scratch := &Ciphertext{C0: rq.GetPolyDirty(level + 1), C1: rq.GetPolyDirty(level + 1), Level: level}
-	defer func() {
-		rq.PutPoly(scratch.C0)
-		rq.PutPoly(scratch.C1)
-	}()
 
 	var start time.Time
 	for attempt := 1; ; attempt++ {
-		err = ev.runAttempt(op, level, scratch, run)
+		err = c.attempt(dst)
 		if err == nil {
-			ev.commitScratch(out, scratch)
-			ev.guardSeal(out)
+			if out != nil {
+				commitScratch(out, dst)
+			}
 			if attempt > 1 {
 				rec.recovered.Add(1)
 				ev.observeRecovery(op, attempt-1, true, time.Since(start))
 			}
-			return out, nil
+			return nil
 		}
 		if !errors.Is(err, ErrIntegrity) {
-			return nil, err // not a fault-detection failure: retry cannot help
+			return err // not a fault-detection failure: retry cannot help
 		}
 		if attempt >= rec.policy.MaxAttempts {
 			rec.unrecoverable.Add(1)
 			if attempt > 1 {
 				ev.observeRecovery(op, attempt-1, false, time.Since(start))
 			}
-			return nil, err
+			return err
 		}
 		if attempt == 1 {
 			start = time.Now()
@@ -183,7 +163,7 @@ func (ev *Evaluator) execTryRecover(op string, level int, out *Ciphertext, run a
 // destination. Sized writes through reshapeCt, like every *Into kernel;
 // the seal is recomputed by the caller over the destination's own storage
 // so it vouches for the copy, not the discarded scratch.
-func (ev *Evaluator) commitScratch(out, scratch *Ciphertext) {
+func commitScratch(out, scratch *Ciphertext) {
 	reshapeCt(out, scratch.Level)
 	for i := 0; i <= scratch.Level; i++ {
 		copy(out.C0.Coeffs[i], scratch.C0.Coeffs[i])
@@ -192,36 +172,4 @@ func (ev *Evaluator) commitScratch(out, scratch *Ciphertext) {
 	out.C0.IsNTT = scratch.C0.IsNTT
 	out.C1.IsNTT = scratch.C1.IsNTT
 	out.Scale = scratch.Scale
-}
-
-// retryVerify re-runs the input-boundary verification of ct under the
-// recovery policy — the recovery path for operations whose failure mode is
-// a corrupted *input* read rather than a corrupted execution (TryHoist's
-// shared decomposition). Each re-verification re-reads every limb through
-// the HBM hooks, which is exactly the read that lets a transient fault
-// decay. firstErr is the verification failure that triggered the retry.
-func (ev *Evaluator) retryVerify(op string, ct *Ciphertext, firstErr error) error {
-	rec := ev.recovery
-	if rec == nil || !errors.Is(firstErr, ErrIntegrity) {
-		return firstErr
-	}
-	start := time.Now()
-	err := firstErr
-	for attempt := 2; attempt <= rec.policy.MaxAttempts; attempt++ {
-		rec.attempts.Add(1)
-		if h := rec.policy.OnRetry; h != nil {
-			h(op, attempt, err)
-		}
-		if err = ev.verifySealed(op, ct); err == nil {
-			rec.recovered.Add(1)
-			ev.observeRecovery(op, attempt-1, true, time.Since(start))
-			return nil
-		}
-		if !errors.Is(err, ErrIntegrity) {
-			return err
-		}
-	}
-	rec.unrecoverable.Add(1)
-	ev.observeRecovery(op, rec.policy.MaxAttempts-1, false, time.Since(start))
-	return err
 }

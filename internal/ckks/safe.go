@@ -1,23 +1,11 @@
 package ckks
 
-import (
-	"poseidon/internal/automorph"
-	"poseidon/internal/numeric"
-)
+import "poseidon/internal/numeric"
 
-// Try* evaluator API: error-returning variants of the destination-passing
-// operations. Each method validates its arguments up front (returning
-// sentinel errors wrapped in *OpError instead of panicking), then hands an
-// attempt closure — input-boundary integrity guard, the *Into kernel, the
-// spot-check — to execTry (recovery.go), which executes it inside the
-// recovery boundary (so an internal panic — including one injected by the
-// fault harness — comes back as an error, never takes the process down),
-// re-executes on ErrIntegrity when a RecoveryPolicy is installed, and
-// seals the output when guards are enabled.
-//
-// The direct *Into methods keep their panicking contract for hot loops that
-// have already validated; the Try* forms are the public, fallible surface
-// kit-level code builds on.
+// The validators exec (exec.go) runs before any kernel, and the table of
+// basic-op descriptors it runs them for. Everything here reports through
+// sentinel errors wrapped in *OpError; which surface was called only decides
+// whether that error is returned (Try*) or panicked with.
 
 func lvlOf(ct *Ciphertext) int {
 	if ct == nil {
@@ -31,6 +19,20 @@ func aliasCt(out, in *Ciphertext) bool {
 	return out == in || aliases(out.C0, in.C0) || aliases(out.C1, in.C1)
 }
 
+// validRows checks that the first `limbs` rows of a polynomial exist and
+// have length N — the shape every kernel indexes without looking.
+func (ev *Evaluator) validRows(op, what string, level int, rows [][]uint64, limbs int) error {
+	if len(rows) < limbs {
+		return opErr(op, level, ErrInvalidInput, "%s holds %d limbs, level %d needs %d", what, len(rows), level, limbs)
+	}
+	for i := 0; i < limbs; i++ {
+		if len(rows[i]) != ev.params.N {
+			return opErr(op, level, ErrInvalidInput, "%s limb %d length != N=%d", what, i, ev.params.N)
+		}
+	}
+	return nil
+}
+
 // validIn checks a ciphertext operand for structural sanity: non-nil, level
 // within the modulus chain, enough limbs for its level, rows of length N.
 func (ev *Evaluator) validIn(op string, ct *Ciphertext) error {
@@ -40,21 +42,13 @@ func (ev *Evaluator) validIn(op string, ct *Ciphertext) error {
 	if ct.Level < 0 || ct.Level > ev.params.MaxLevel() {
 		return opErr(op, ct.Level, ErrInvalidInput, "level %d outside [0, %d]", ct.Level, ev.params.MaxLevel())
 	}
-	limbs := ct.Level + 1
-	if len(ct.C0.Coeffs) < limbs || len(ct.C1.Coeffs) < limbs {
-		return opErr(op, ct.Level, ErrInvalidInput,
-			"polynomial holds %d limbs, level %d needs %d",
-			min(len(ct.C0.Coeffs), len(ct.C1.Coeffs)), ct.Level, limbs)
+	if err := ev.validRows(op, "polynomial", ct.Level, ct.C0.Coeffs, ct.Level+1); err != nil {
+		return err
 	}
-	for i := 0; i < limbs; i++ {
-		if len(ct.C0.Coeffs[i]) != ev.params.N || len(ct.C1.Coeffs[i]) != ev.params.N {
-			return opErr(op, ct.Level, ErrInvalidInput, "limb %d length != N=%d", i, ev.params.N)
-		}
-	}
-	return nil
+	return ev.validRows(op, "polynomial", ct.Level, ct.C1.Coeffs, ct.Level+1)
 }
 
-// validPt checks a plaintext operand.
+// validPt checks a plaintext operand the same way.
 func (ev *Evaluator) validPt(op string, pt *Plaintext) error {
 	if pt == nil || pt.Value == nil {
 		return opErr(op, -1, ErrInvalidInput, "nil plaintext")
@@ -62,427 +56,160 @@ func (ev *Evaluator) validPt(op string, pt *Plaintext) error {
 	if pt.Level < 0 || pt.Level > ev.params.MaxLevel() {
 		return opErr(op, pt.Level, ErrInvalidInput, "plaintext level %d outside [0, %d]", pt.Level, ev.params.MaxLevel())
 	}
-	if len(pt.Value.Coeffs) < pt.Level+1 {
-		return opErr(op, pt.Level, ErrInvalidInput,
-			"plaintext holds %d limbs, level %d needs %d", len(pt.Value.Coeffs), pt.Level, pt.Level+1)
-	}
-	return nil
+	return ev.validRows(op, "plaintext", pt.Level, pt.Value.Coeffs, pt.Level+1)
 }
 
-// validDest checks that the destination can hold a level-`level` result
-// through its capacity.
+// validDest checks that the destination can hold a level-`level` result:
+// reshapeCt reslices it through its capacity, so the capacity must cover the
+// limbs and the rows it will expose must have length N.
 func (ev *Evaluator) validDest(op string, out *Ciphertext, level int) error {
 	if out == nil || out.C0 == nil || out.C1 == nil {
 		return opErr(op, level, ErrInvalidInput, "nil destination")
 	}
-	if cap(out.C0.Coeffs) < level+1 || cap(out.C1.Coeffs) < level+1 {
+	limbs := level + 1
+	if cap(out.C0.Coeffs) < limbs || cap(out.C1.Coeffs) < limbs {
 		return opErr(op, level, ErrInvalidInput,
 			"destination capacity %d limbs, result needs %d — create it at a higher level",
-			min(cap(out.C0.Coeffs), cap(out.C1.Coeffs)), level+1)
+			min(cap(out.C0.Coeffs), cap(out.C1.Coeffs)), limbs)
+	}
+	if err := ev.validRows(op, "destination", level, out.C0.Coeffs[:limbs], limbs); err != nil {
+		return err
+	}
+	return ev.validRows(op, "destination", level, out.C1.Coeffs[:limbs], limbs)
+}
+
+// The ten basic ops plus the two halves of a hoisted rotation, each described
+// once. Sub shares HAdd's trace name (the accelerator prices them alike);
+// Rotate and Conjugate are one descriptor and differ in the Galois element
+// their surfaces pass. HNeg is not a traced kind, so Neg is not observed.
+var (
+	opAdd       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernAdd, spot: spotAdd}
+	opSub       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernSub, spot: spotSub}
+	opNeg       = opDesc{name: "HNeg", kernel: kernNeg, spot: spotNeg}
+	opAddPlain  = opDesc{name: "HAddPlain", observe: true, plain: true, pre: preSameScale, kernel: kernAddPlain, spot: spotAddPlain}
+	opMulPlain  = opDesc{name: "PMult", observe: true, plain: true, pre: preNoise, kernel: kernMulPlain, spot: spotMulPlain}
+	opMulRelin  = opDesc{name: "CMult", observe: true, binary: true, noAlias: true, pre: preMulRelin, kernel: kernMulRelin}
+	opRescale   = opDesc{name: "Rescale", observe: true, drop: 1, pre: preRescale, kernel: kernRescale}
+	opGalois    = opDesc{name: "Rotation", observe: true, pre: preGalois, kernel: kernGalois}
+	opKeySwitch = opDesc{name: "Keyswitch", observe: true, pre: preKeySwitch, kernel: kernKeySwitch}
+
+	opHoist         = opDesc{name: "Rotation", noDest: true, pre: preHoist, kernel: kernHoist}
+	opHoistedRotate = opDesc{name: "Rotation", observe: true, trusted: true, pre: preHoistedRotate, kernel: kernHoistedRotate}
+)
+
+// otherScale is the scale of the second operand, whichever kind it is.
+func (c *opCall) otherScale() float64 {
+	if c.d.plain {
+		return c.pt.Scale
+	}
+	return c.b.Scale
+}
+
+func preSameScale(c *opCall) error {
+	if !sameScale(c.a.Scale, c.otherScale()) {
+		return opErr(c.d.name, c.level, ErrScaleMismatch, "scales %g vs %g", c.a.Scale, c.otherScale())
 	}
 	return nil
 }
 
-// TryAddInto computes out = a + b, returning typed errors instead of
-// panicking. out may alias a or b.
-func (ev *Evaluator) TryAddInto(out, a, b *Ciphertext) (res *Ciphertext, err error) {
-	const op = "HAdd"
-	defer ev.observeTryErr(op, lvlOf(a), &err)
-	defer recoverOp(op, lvlOf(a), &err)
-	if err := ev.validIn(op, a); err != nil {
-		return nil, err
-	}
-	if err := ev.validIn(op, b); err != nil {
-		return nil, err
-	}
-	level := min(a.Level, b.Level)
-	if err := ev.validDest(op, out, level); err != nil {
-		return nil, err
-	}
-	if !sameScale(a.Scale, b.Scale) {
-		return nil, opErr(op, level, ErrScaleMismatch, "scales %g vs %g", a.Scale, b.Scale)
-	}
-	return ev.execTry(op, level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, a, b); err != nil {
-			return err
-		}
-		aliased := aliasCt(dst, a) || aliasCt(dst, b)
-		aa, bb := ev.alignLevels(a, b)
-		ev.AddInto(dst, a, b)
-		if !aliased {
-			ev.spotElementwise(op, level, func(mod numeric.Modulus, i int) bool {
-				o0, o1 := dst.C0.Coeffs[i], dst.C1.Coeffs[i]
-				a0, a1 := aa.C0.Coeffs[i], aa.C1.Coeffs[i]
-				b0, b1 := bb.C0.Coeffs[i], bb.C1.Coeffs[i]
-				for j := range o0 {
-					if o0[j] != mod.Add(a0[j], b0[j]) || o1[j] != mod.Add(a1[j], b1[j]) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
+// preNoise flags a product scale the active modulus chain cannot hold.
+func preNoise(c *opCall) error {
+	return c.ev.guardNoise(c.d.name, c.level, c.a.Scale*c.otherScale())
 }
 
-// TrySubInto computes out = a − b. out may alias a or b.
-func (ev *Evaluator) TrySubInto(out, a, b *Ciphertext) (res *Ciphertext, err error) {
-	const op = "HAdd"
-	defer ev.observeTryErr(op, lvlOf(a), &err)
-	defer recoverOp(op, lvlOf(a), &err)
-	if err := ev.validIn(op, a); err != nil {
-		return nil, err
+func preMulRelin(c *opCall) error {
+	if c.ev.rlk == nil {
+		return opErr(c.d.name, c.level, ErrKeyMissing, "relinearization key not loaded")
 	}
-	if err := ev.validIn(op, b); err != nil {
-		return nil, err
-	}
-	level := min(a.Level, b.Level)
-	if err := ev.validDest(op, out, level); err != nil {
-		return nil, err
-	}
-	if !sameScale(a.Scale, b.Scale) {
-		return nil, opErr(op, level, ErrScaleMismatch, "scales %g vs %g", a.Scale, b.Scale)
-	}
-	return ev.execTry(op, level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, a, b); err != nil {
-			return err
-		}
-		aliased := aliasCt(dst, a) || aliasCt(dst, b)
-		aa, bb := ev.alignLevels(a, b)
-		ev.SubInto(dst, a, b)
-		if !aliased {
-			ev.spotElementwise(op, level, func(mod numeric.Modulus, i int) bool {
-				o0, o1 := dst.C0.Coeffs[i], dst.C1.Coeffs[i]
-				a0, a1 := aa.C0.Coeffs[i], aa.C1.Coeffs[i]
-				b0, b1 := bb.C0.Coeffs[i], bb.C1.Coeffs[i]
-				for j := range o0 {
-					if o0[j] != mod.Sub(a0[j], b0[j]) || o1[j] != mod.Sub(a1[j], b1[j]) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
+	return preNoise(c)
 }
 
-// TryNegInto computes out = −a. out may alias a.
-func (ev *Evaluator) TryNegInto(out, a *Ciphertext) (res *Ciphertext, err error) {
-	const op = "HNeg"
-	defer ev.observeTryErr(op, lvlOf(a), &err)
-	defer recoverOp(op, lvlOf(a), &err)
-	if err := ev.validIn(op, a); err != nil {
-		return nil, err
+func preRescale(c *opCall) error {
+	if c.run == 0 {
+		return opErr(c.d.name, 0, ErrLevelExhausted, "cannot rescale at level 0")
 	}
-	if err := ev.validDest(op, out, a.Level); err != nil {
-		return nil, err
-	}
-	return ev.execTry(op, a.Level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, a); err != nil {
-			return err
-		}
-		aliased := aliasCt(dst, a)
-		ev.NegInto(dst, a)
-		if !aliased {
-			ev.spotElementwise(op, a.Level, func(mod numeric.Modulus, i int) bool {
-				o0, o1 := dst.C0.Coeffs[i], dst.C1.Coeffs[i]
-				a0, a1 := a.C0.Coeffs[i], a.C1.Coeffs[i]
-				for j := range o0 {
-					if o0[j] != mod.Neg(a0[j]) || o1[j] != mod.Neg(a1[j]) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
+	return nil
 }
 
-// TryAddPlainInto computes out = ct + pt. out may alias ct.
-func (ev *Evaluator) TryAddPlainInto(out *Ciphertext, ct *Ciphertext, pt *Plaintext) (res *Ciphertext, err error) {
-	const op = "HAddPlain"
-	defer ev.observeTryErr(op, lvlOf(ct), &err)
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
-		return nil, err
+// preGalois resolves the rotation key of c.g; the identity needs none.
+func preGalois(c *opCall) (err error) {
+	if c.g != 1 {
+		c.key, err = c.ev.rotationKey(c.d.name, c.level, c.g)
 	}
-	if err := ev.validPt(op, pt); err != nil {
-		return nil, err
-	}
-	level := min(ct.Level, pt.Level)
-	if err := ev.validDest(op, out, level); err != nil {
-		return nil, err
-	}
-	if !sameScale(ct.Scale, pt.Scale) {
-		return nil, opErr(op, level, ErrScaleMismatch, "scales %g vs %g", ct.Scale, pt.Scale)
-	}
-	return ev.execTry(op, level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, ct); err != nil {
-			return err
-		}
-		aliased := aliasCt(dst, ct)
-		ev.AddPlainInto(dst, ct, pt)
-		if !aliased {
-			ev.spotElementwise(op, level, func(mod numeric.Modulus, i int) bool {
-				o0 := dst.C0.Coeffs[i]
-				c0, pv := ct.C0.Coeffs[i], pt.Value.Coeffs[i]
-				for j := range o0 {
-					if o0[j] != mod.Add(c0[j], pv[j]) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
+	return err
 }
 
-// TryMulPlainInto computes out = ct · pt. out may alias ct. The noise guard
-// flags a product scale the active modulus chain cannot hold.
-func (ev *Evaluator) TryMulPlainInto(out *Ciphertext, ct *Ciphertext, pt *Plaintext) (res *Ciphertext, err error) {
-	const op = "PMult"
-	defer ev.observeTryErr(op, lvlOf(ct), &err)
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
-		return nil, err
+func preKeySwitch(c *opCall) error {
+	if c.key == nil || len(c.key.B) == 0 || len(c.key.A) == 0 {
+		return opErr(c.d.name, c.level, ErrKeyMissing, "nil or empty switching key")
 	}
-	if err := ev.validPt(op, pt); err != nil {
-		return nil, err
-	}
-	level := min(ct.Level, pt.Level)
-	if err := ev.validDest(op, out, level); err != nil {
-		return nil, err
-	}
-	if err := ev.guardNoise(op, level, ct.Scale*pt.Scale); err != nil {
-		return nil, err
-	}
-	return ev.execTry(op, level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, ct); err != nil {
-			return err
-		}
-		aliased := aliasCt(dst, ct)
-		ev.MulPlainInto(dst, ct, pt)
-		if !aliased {
-			// The recompute uses the strict Barrett product — a genuinely
-			// different kernel from the memoized Montgomery path, proven
-			// bit-identical by the differential suites.
-			ev.spotElementwise(op, level, func(mod numeric.Modulus, i int) bool {
-				o0, o1 := dst.C0.Coeffs[i], dst.C1.Coeffs[i]
-				c0, c1 := ct.C0.Coeffs[i], ct.C1.Coeffs[i]
-				pv := pt.Value.Coeffs[i]
-				for j := range o0 {
-					if o0[j] != mod.Mul(c0[j], pv[j]) || o1[j] != mod.Mul(c1[j], pv[j]) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-		return nil
-	})
+	return nil
 }
 
-// TryMulRelinInto computes out = a·b with relinearization. out must not
-// alias an operand (ErrAliasedDestination); a missing relinearization key is
-// ErrKeyMissing; a product scale the chain cannot hold is ErrLevelExhausted.
-func (ev *Evaluator) TryMulRelinInto(out, a, b *Ciphertext) (res *Ciphertext, err error) {
-	const op = "CMult"
-	defer ev.observeTryErr(op, lvlOf(a), &err)
-	defer recoverOp(op, lvlOf(a), &err)
-	if err := ev.validIn(op, a); err != nil {
-		return nil, err
+func preHoist(c *opCall) error {
+	if c.ev.rtks == nil {
+		return opErr(c.d.name, c.level, ErrKeyMissing, "rotation keys not loaded")
 	}
-	if err := ev.validIn(op, b); err != nil {
-		return nil, err
-	}
-	level := min(a.Level, b.Level)
-	if err := ev.validDest(op, out, level); err != nil {
-		return nil, err
-	}
-	if ev.rlk == nil {
-		return nil, opErr(op, level, ErrKeyMissing, "relinearization key not loaded")
-	}
-	if aliasCt(out, a) || aliasCt(out, b) {
-		return nil, opErr(op, level, ErrAliasedDestination, "MulRelin destination must not alias an operand")
-	}
-	if err := ev.guardNoise(op, level, a.Scale*b.Scale); err != nil {
-		return nil, err
-	}
-	return ev.execTry(op, level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, a, b); err != nil {
-			return err
-		}
-		ev.MulRelinInto(dst, a, b)
-		return nil
-	})
+	return nil
 }
 
-// TryRescaleInto divides ct by the last active prime into out. A rescale at
-// level 0 is ErrLevelExhausted. out may alias ct.
-func (ev *Evaluator) TryRescaleInto(out *Ciphertext, ct *Ciphertext) (res *Ciphertext, err error) {
-	const op = "Rescale"
-	defer ev.observeTryErr(op, lvlOf(ct), &err)
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
-		return nil, err
+func preHoistedRotate(c *opCall) error {
+	if c.h.hd == nil {
+		return opErr(c.d.name, c.level, ErrInvalidInput, "hoisted handle already released")
 	}
-	if ct.Level == 0 {
-		return nil, opErr(op, 0, ErrLevelExhausted, "cannot rescale at level 0")
-	}
-	if err := ev.validDest(op, out, ct.Level-1); err != nil {
-		return nil, err
-	}
-	return ev.execTry(op, ct.Level-1, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, ct); err != nil {
-			return err
-		}
-		ev.RescaleInto(dst, ct)
-		return nil
-	})
+	return preGalois(c)
 }
 
-// TryRotateInto rotates the slot vector by steps into out. A missing
-// rotation key is ErrKeyMissing. out may alias ct.
-func (ev *Evaluator) TryRotateInto(out *Ciphertext, ct *Ciphertext, steps int) (res *Ciphertext, err error) {
-	const op = "Rotation"
-	defer ev.observeTryErr(op, lvlOf(ct), &err)
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
-		return nil, err
+// rotationKey resolves the switching key of Galois element g — the one place
+// a missing rotation key is reported, for the basic ops, the hoisted handle
+// and the linear-transform engines alike.
+func (ev *Evaluator) rotationKey(op string, level int, g uint64) (*SwitchingKey, error) {
+	if ev.rtks == nil {
+		return nil, opErr(op, level, ErrKeyMissing, "rotation keys not loaded")
 	}
-	if err := ev.validDest(op, out, ct.Level); err != nil {
-		return nil, err
+	key, ok := ev.rtks.Keys[g]
+	if !ok {
+		return nil, opErr(op, level, ErrKeyMissing, "no rotation key for Galois element %d", g)
 	}
-	if g := automorph.GaloisElementForRotation(steps, ev.params.N); g != 1 {
-		if ev.rtks == nil {
-			return nil, opErr(op, ct.Level, ErrKeyMissing, "rotation keys not loaded")
-		}
-		if _, ok := ev.rtks.Keys[g]; !ok {
-			return nil, opErr(op, ct.Level, ErrKeyMissing, "no rotation key for step %d (Galois element %d)", steps, g)
+	return key, nil
+}
+
+// The spot-check predicates: limb i of the elementwise result against the
+// strict reference arithmetic, row by row. MulPlain's recompute is the
+// Barrett product — a genuinely different kernel from the memoized
+// Montgomery path, proven bit-identical by the differential suites.
+
+// rowsAgree reports whether, on limb i, out.C0 == f(x.C0, b0) and
+// out.C1 == f(x.C1, b1) coefficient by coefficient.
+func (c *opCall) rowsAgree(i int, b0, b1 []uint64, f func(x, y uint64) uint64) bool {
+	return rowAgrees(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], b0, f) && rowAgrees(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], b1, f)
+}
+
+func rowAgrees(o, a, b []uint64, f func(x, y uint64) uint64) bool {
+	for j := range o {
+		if o[j] != f(a[j], b[j]) {
+			return false
 		}
 	}
-	return ev.execTry(op, ct.Level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, ct); err != nil {
-			return err
-		}
-		ev.RotateInto(dst, ct, steps)
-		return nil
-	})
+	return true
 }
 
-// TryConjugateInto conjugates every slot into out. out may alias ct.
-func (ev *Evaluator) TryConjugateInto(out *Ciphertext, ct *Ciphertext) (res *Ciphertext, err error) {
-	const op = "Rotation"
-	defer ev.observeTryErr(op, lvlOf(ct), &err)
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
-		return nil, err
-	}
-	if err := ev.validDest(op, out, ct.Level); err != nil {
-		return nil, err
-	}
-	if g := automorph.GaloisElementConjugate(ev.params.N); g != 1 {
-		if ev.rtks == nil {
-			return nil, opErr(op, ct.Level, ErrKeyMissing, "rotation keys not loaded")
-		}
-		if _, ok := ev.rtks.Keys[g]; !ok {
-			return nil, opErr(op, ct.Level, ErrKeyMissing, "no conjugation key (Galois element %d)", g)
-		}
-	}
-	return ev.execTry(op, ct.Level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, ct); err != nil {
-			return err
-		}
-		ev.ConjugateInto(dst, ct)
-		return nil
-	})
+func spotAdd(c *opCall, mod numeric.Modulus, i int) bool {
+	return c.rowsAgree(i, c.y.C0.Coeffs[i], c.y.C1.Coeffs[i], mod.Add)
 }
 
-// TryKeySwitchInto re-encrypts ct under swk into out. out may alias ct.
-func (ev *Evaluator) TryKeySwitchInto(out *Ciphertext, ct *Ciphertext, swk *SwitchingKey) (res *Ciphertext, err error) {
-	const op = "Keyswitch"
-	defer ev.observeTryErr(op, lvlOf(ct), &err)
-	defer recoverOp(op, lvlOf(ct), &err)
-	if err := ev.validIn(op, ct); err != nil {
-		return nil, err
-	}
-	if err := ev.validDest(op, out, ct.Level); err != nil {
-		return nil, err
-	}
-	if swk == nil || len(swk.B) == 0 || len(swk.A) == 0 {
-		return nil, opErr(op, ct.Level, ErrKeyMissing, "nil or empty switching key")
-	}
-	return ev.execTry(op, ct.Level, out, func(dst *Ciphertext) error {
-		if err := ev.guardInputs(op, ct); err != nil {
-			return err
-		}
-		ev.KeySwitchInto(dst, ct, swk)
-		return nil
-	})
+func spotSub(c *opCall, mod numeric.Modulus, i int) bool {
+	return c.rowsAgree(i, c.y.C0.Coeffs[i], c.y.C1.Coeffs[i], mod.Sub)
 }
 
-// Allocating conveniences over the Try* destination-passing forms.
-
-// TryAdd returns a + b or a typed error.
-func (ev *Evaluator) TryAdd(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.validIn("HAdd", a); err != nil {
-		return nil, err
-	}
-	if err := ev.validIn("HAdd", b); err != nil {
-		return nil, err
-	}
-	return ev.TryAddInto(NewCiphertext(ev.params, min(a.Level, b.Level)), a, b)
+func spotNeg(c *opCall, mod numeric.Modulus, i int) bool {
+	return c.rowsAgree(i, c.x.C0.Coeffs[i], c.x.C1.Coeffs[i], func(x, _ uint64) uint64 { return mod.Neg(x) })
 }
 
-// TrySub returns a − b or a typed error.
-func (ev *Evaluator) TrySub(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.validIn("HAdd", a); err != nil {
-		return nil, err
-	}
-	if err := ev.validIn("HAdd", b); err != nil {
-		return nil, err
-	}
-	return ev.TrySubInto(NewCiphertext(ev.params, min(a.Level, b.Level)), a, b)
+func spotAddPlain(c *opCall, mod numeric.Modulus, i int) bool {
+	return rowAgrees(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pt.Value.Coeffs[i], mod.Add)
 }
 
-// TryMulRelin returns a·b with relinearization or a typed error.
-func (ev *Evaluator) TryMulRelin(a, b *Ciphertext) (*Ciphertext, error) {
-	if err := ev.validIn("CMult", a); err != nil {
-		return nil, err
-	}
-	if err := ev.validIn("CMult", b); err != nil {
-		return nil, err
-	}
-	return ev.TryMulRelinInto(NewCiphertext(ev.params, min(a.Level, b.Level)), a, b)
-}
-
-// TryRescale returns ct rescaled one level down or a typed error.
-func (ev *Evaluator) TryRescale(ct *Ciphertext) (*Ciphertext, error) {
-	if err := ev.validIn("Rescale", ct); err != nil {
-		return nil, err
-	}
-	if ct.Level == 0 {
-		return nil, opErr("Rescale", 0, ErrLevelExhausted, "cannot rescale at level 0")
-	}
-	return ev.TryRescaleInto(NewCiphertext(ev.params, ct.Level-1), ct)
-}
-
-// TryRotate returns the slot vector rotated by steps or a typed error.
-func (ev *Evaluator) TryRotate(ct *Ciphertext, steps int) (*Ciphertext, error) {
-	if err := ev.validIn("Rotation", ct); err != nil {
-		return nil, err
-	}
-	return ev.TryRotateInto(NewCiphertext(ev.params, ct.Level), ct, steps)
-}
-
-// TryConjugate returns the slot-wise conjugate or a typed error.
-func (ev *Evaluator) TryConjugate(ct *Ciphertext) (*Ciphertext, error) {
-	if err := ev.validIn("Rotation", ct); err != nil {
-		return nil, err
-	}
-	return ev.TryConjugateInto(NewCiphertext(ev.params, ct.Level), ct)
+func spotMulPlain(c *opCall, mod numeric.Modulus, i int) bool {
+	return c.rowsAgree(i, c.pt.Value.Coeffs[i], c.pt.Value.Coeffs[i], mod.Mul)
 }

@@ -182,6 +182,36 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int)) error {
 	return fail
 }
 
+// Run is the stage runner for pipelines that keep their per-call state in one
+// record: it calls stage(s, i) for every i in [0, n) — a plain loop on a
+// serial pool, ForEach otherwise. Handing it a method expression
+// ((*T).stage) and a pooled record means the serial path builds no closure
+// and allocates nothing, so a pipeline stage is written once instead of as a
+// loop and a ForEach twin. s escapes (the parallel branch captures it): pass
+// heap records, not the address of a local.
+func Run[S any](p *Pool, n int, s *S, stage func(*S, int)) {
+	if p.Workers() <= 1 {
+		for i := 0; i < n; i++ {
+			stage(s, i)
+		}
+		return
+	}
+	p.ForEach(n, func(i int) { stage(s, i) })
+}
+
+// RunChunks is Run for stages whose unit of independence is a coefficient
+// range: stage(s, lo, hi) covers [0, n) exactly once, as the single range
+// [0, n) on a serial pool and as ForEachChunk's ranges otherwise.
+func RunChunks[S any](p *Pool, n int, s *S, stage func(*S, int, int)) {
+	if p.Workers() <= 1 {
+		if n > 0 {
+			stage(s, 0, n)
+		}
+		return
+	}
+	p.ForEachChunk(n, func(lo, hi int) { stage(s, lo, hi) })
+}
+
 // ForEachChunk partitions [0, n) into contiguous ranges and runs
 // fn(lo, hi) on each, parallelized like ForEach. Used for operations whose
 // unit of independence is the coefficient rather than the limb (RNSconv,

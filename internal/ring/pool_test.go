@@ -112,3 +112,95 @@ func TestPoolWorkers(t *testing.T) {
 		t.Error("DefaultPool must return a stable singleton")
 	}
 }
+
+// runProbe is the state record the stage-runner tests dispatch over: a stage
+// is a method expression on it, exactly how the evaluator's pipelines use
+// Run and RunChunks.
+type runProbe struct {
+	hits  []int32
+	boom  int // index at which a stage panics; −1 never
+	calls atomic.Int32
+}
+
+func (p *runProbe) stage(i int) {
+	if i == p.boom {
+		panic("boom")
+	}
+	atomic.AddInt32(&p.hits[i], 1)
+}
+
+func (p *runProbe) chunk(lo, hi int) {
+	p.calls.Add(1)
+	for i := lo; i < hi; i++ {
+		p.stage(i)
+	}
+}
+
+func (p *runProbe) requireOnce(t *testing.T, what string, workers int) {
+	t.Helper()
+	for i, h := range p.hits {
+		if h != 1 {
+			t.Fatalf("%s workers=%d n=%d: index %d covered %d times", what, workers, len(p.hits), i, h)
+		}
+	}
+}
+
+// TestRun: every index is visited exactly once at workers 1, 2, 7 and
+// n ∈ {0, 1, prime}; a stage panic is re-raised on the caller; and the serial
+// path allocates nothing — the property the evaluator's 0 allocs/op gates
+// rest on.
+func TestRun(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		pool := NewPool(workers)
+		for _, n := range []int{0, 1, 13, 1009} {
+			p := &runProbe{hits: make([]int32, n), boom: -1}
+			Run(pool, n, p, (*runProbe).stage)
+			p.requireOnce(t, "Run", workers)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("Run workers=%d: recovered %v, want \"boom\"", workers, r)
+				}
+			}()
+			Run(pool, 64, &runProbe{hits: make([]int32, 64), boom: 13}, (*runProbe).stage)
+		}()
+	}
+	p := &runProbe{hits: make([]int32, 64), boom: -1}
+	for _, pool := range []*Pool{nil, NewPool(1)} {
+		if allocs := testing.AllocsPerRun(10, func() { Run(pool, 64, p, (*runProbe).stage) }); allocs != 0 {
+			t.Errorf("Run at workers=1: %v allocs/op, want 0", allocs)
+		}
+	}
+}
+
+// TestRunChunks: the ranges cover [0, n) exactly once (a serial pool gets the
+// one range [0, n), n = 0 gets no call at all), a stage panic is re-raised on
+// the caller, and the serial path allocates nothing.
+func TestRunChunks(t *testing.T) {
+	for _, workers := range []int{1, 2, 7} {
+		pool := NewPool(workers)
+		for _, n := range []int{0, 1, 13, 1009} {
+			p := &runProbe{hits: make([]int32, n), boom: -1}
+			RunChunks(pool, n, p, (*runProbe).chunk)
+			p.requireOnce(t, "RunChunks", workers)
+			if calls := int(p.calls.Load()); (n == 0 && calls != 0) || (workers == 1 && n > 0 && calls != 1) {
+				t.Errorf("RunChunks workers=%d n=%d: %d stage calls", workers, n, calls)
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != "boom" {
+					t.Errorf("RunChunks workers=%d: recovered %v, want \"boom\"", workers, r)
+				}
+			}()
+			RunChunks(pool, 64, &runProbe{hits: make([]int32, 64), boom: 13}, (*runProbe).chunk)
+		}()
+	}
+	p := &runProbe{hits: make([]int32, 64), boom: -1}
+	for _, pool := range []*Pool{nil, NewPool(1)} {
+		if allocs := testing.AllocsPerRun(10, func() { RunChunks(pool, 64, p, (*runProbe).chunk) }); allocs != 0 {
+			t.Errorf("RunChunks at workers=1: %v allocs/op, want 0", allocs)
+		}
+	}
+}

@@ -525,19 +525,7 @@ func (s *scheduler) eval(j *job) (*ckks.Ciphertext, error) {
 		out := ckks.NewCiphertext(s.params, j.ct.Level)
 		return ev.TryNegInto(out, j.ct)
 	case OpInnerSum:
-		acc := j.ct
-		for st := 1; st < j.width; st <<= 1 {
-			rot, err := ev.TryRotate(acc, st)
-			if err != nil {
-				return nil, err
-			}
-			sum, err := ev.TryAdd(acc, rot)
-			if err != nil {
-				return nil, err
-			}
-			acc = sum
-		}
-		return acc, nil
+		return ev.TryInnerSum(j.ct, j.width) // width checked at admission
 	}
 	return nil, badf("unexecutable opcode %d", uint64(j.op))
 }

@@ -206,19 +206,7 @@ func (k *Kit) TryInnerSum(ct *Ciphertext, n int) (out *Ciphertext, err error) {
 			Detail: fmt.Sprintf("width %d is not a power of two", n),
 		}
 	}
-	acc := ct
-	for s := 1; s < n; s <<= 1 {
-		rot, rerr := k.Eval.TryRotate(acc, s)
-		if rerr != nil {
-			return nil, rerr
-		}
-		sum, aerr := k.Eval.TryAdd(acc, rot)
-		if aerr != nil {
-			return nil, aerr
-		}
-		acc = sum
-	}
-	return acc, nil
+	return k.Eval.TryInnerSum(ct, n)
 }
 
 // EnableGuards switches the kit's evaluator into fault-detecting mode:
