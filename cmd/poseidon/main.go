@@ -6,8 +6,7 @@
 //
 //	poseidon <experiment> [flags]
 //
-// Experiments: table2 table3 table4 table5 table6 table7 table8 table9
-// table10 table11 table12 fig7 fig8 fig9 fig10 fig11 fig12 cpu all
+// Experiments: table1 … table12, fig7 … fig12, cpu, tracereport, all
 package main
 
 import (
@@ -38,8 +37,8 @@ func main() {
 	if name == "all" {
 		sort.Slice(experiments, func(i, j int) bool { return experiments[i].name < experiments[j].name })
 		for _, e := range experiments {
-			if e.name == "cpu" || e.name == "benchkernels" || e.name == "benchalloc" || e.name == "faultcampaign" || e.name == "benchtelemetry" || e.name == "benchserve" || e.name == "benchlinalg" || e.name == "chaoscampaign" || e.name == "benchtrace" || e.name == "tracereport" {
-				continue // slow (or, for tracereport, needs an input dump); run explicitly
+			if e.name == "cpu" || e.name == "tracereport" {
+				continue // slow / needs an input dump; run explicitly
 			}
 			fs := flag.NewFlagSet(e.name, flag.ExitOnError)
 			if err := e.run(fs, nil); err != nil {
@@ -72,5 +71,5 @@ func usage() {
 	for _, e := range sorted {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.name, e.desc)
 	}
-	fmt.Fprintln(os.Stderr, "  all        run every experiment except cpu")
+	fmt.Fprintln(os.Stderr, "  all        run every experiment except cpu and tracereport")
 }

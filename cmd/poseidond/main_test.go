@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"net/http"
 	"os"
 	"sync"
 	"testing"
@@ -35,7 +36,13 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	sk := kgen.GenSecretKey()
 	pk := kgen.GenPublicKey(sk)
 	rtk := kgen.GenRotationKeys(sk, []int{1}, false)
-	cl := &server.Client{Base: "http://" + d.Addr()}
+	// One connection per request: a keep-alive pool dials spares that never
+	// carry a request, and http.Server.Shutdown waits 5 s on each before it
+	// counts it idle.
+	cl := &server.Client{
+		Base: "http://" + d.Addr(),
+		HTTP: &http.Client{Transport: &http.Transport{DisableKeepAlives: true}},
+	}
 	if err := cl.UploadKeys("tenant", nil, rtk); err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +60,15 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 
 	const inflight = 12
+	req := &server.EvalRequest{Tenant: "tenant", Op: server.OpRotate, Steps: 1, Ct: ctBytes}
+	admitted := d.srv.Stats().BytesIn + uint64(inflight*len(server.EncodeEvalRequest(req)))
 	errs := make([]error, inflight)
 	var wg sync.WaitGroup
 	for i := 0; i < inflight; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ct, _, err := cl.Eval(&server.EvalRequest{Tenant: "tenant", Op: server.OpRotate, Steps: 1, Ct: ctBytes})
+			ct, _, err := cl.Eval(req)
 			if err != nil {
 				errs[i] = err
 				return
@@ -74,9 +83,12 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 			}
 		}(i)
 	}
-	// Let the burst reach the server before draining; Shutdown must then
-	// wait for every admitted request rather than cutting them off.
-	time.Sleep(20 * time.Millisecond)
+	// Shutdown must wait for every admitted request rather than cutting it
+	// off, so hold it until the whole burst is inside a handler: BytesIn
+	// counts a request once its body is read, before it is queued.
+	for limit := time.Now().Add(30 * time.Second); d.srv.Stats().BytesIn < admitted && time.Now().Before(limit); {
+		time.Sleep(time.Millisecond)
+	}
 	if err := d.Shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}

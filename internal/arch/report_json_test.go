@@ -8,8 +8,7 @@ import (
 )
 
 // TestReportCalibJSONRoundTrip proves the calibration block survives the
-// Report's JSON encoding unchanged — the benchtelemetry artifact depends on
-// these numbers arriving intact.
+// Report's JSON encoding unchanged.
 func TestReportCalibJSONRoundTrip(t *testing.T) {
 	rep := Report{
 		Name:      "calib-roundtrip",

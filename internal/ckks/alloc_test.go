@@ -104,9 +104,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestZeroAllocChain gates the composed fixed-level loop (the benchalloc
-// chain shape): multiply-relinearize, rescale, rotate, accumulate — all in
-// pre-created containers.
+// TestZeroAllocChain gates the composed fixed-level loop: multiply-
+// relinearize, rescale, rotate, accumulate — all in pre-created containers
+// (with observers installed: the root package's TestZeroAllocChainObserved).
 func TestZeroAllocChain(t *testing.T) {
 	fx := newAllocFixture(t)
 	ev, params := fx.ev, fx.params

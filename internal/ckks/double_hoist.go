@@ -37,7 +37,7 @@ import (
 // g+1 (j≠0 groups plus the final close, +1 when a j=0 group exists). The
 // digit-MAC arithmetic is identical — the win is entirely in basis
 // reductions and (inverse-)NTT passes, which is what LinTransStats makes
-// visible and cmd/poseidon benchlinalg gates on.
+// visible (the ckks.lintrans.* counts in bench/).
 //
 // Numerically the two schedules are NOT bit-identical: ModDown rounds once
 // per reduction, so regrouping the reductions shifts the rounding noise by

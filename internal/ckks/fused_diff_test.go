@@ -158,31 +158,29 @@ func TestFusedDecryptIdentity(t *testing.T) {
 	}
 }
 
-// TestFusionDegreeLiteralFlag checks the ParametersLiteral plumbing, the
-// range validation, and that the zero value of the literal and of
-// SetFusionDegree both mean the fused radix-8 default — reported as the
-// degree actually running, never 0.
+// TestFusionDegreeLiteralFlag: the literal carries no degree — a fresh
+// instance runs the fused radix-8 default on both rings — and
+// SetFusionDegree validates its range, with 0 meaning that default,
+// reported as the degree actually running, never 0.
 func TestFusionDegreeLiteralFlag(t *testing.T) {
-	lit := ParametersLiteral{
+	params, err := NewParameters(ParametersLiteral{
 		LogN:     8,
 		LogQ:     []int{50, 40, 40},
 		LogP:     []int{51},
 		LogScale: 40,
-	}
-	params, err := NewParameters(lit)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if params.FusionDegree() != 3 || params.RingP.FusionDegree() != 3 {
-		t.Fatalf("zero-value literal runs degree %d/%d, want the fused radix-8 default",
+		t.Fatalf("a fresh instance runs degree %d/%d, want the fused radix-8 default",
 			params.FusionDegree(), params.RingP.FusionDegree())
 	}
-	lit.FusionDegree = 1
-	if params, err = NewParameters(lit); err != nil {
+	if err := params.SetFusionDegree(1); err != nil {
 		t.Fatal(err)
 	}
-	if params.FusionDegree() != 1 {
-		t.Fatalf("FusionDegree literal flag not applied: got %d", params.FusionDegree())
+	if params.FusionDegree() != 1 || params.RingP.FusionDegree() != 1 {
+		t.Fatal("SetFusionDegree(1) not applied to both rings")
 	}
 	if err := params.SetFusionDegree(0); err != nil {
 		t.Fatal(err)
@@ -195,10 +193,5 @@ func TestFusionDegreeLiteralFlag(t *testing.T) {
 	}
 	if err := params.SetFusionDegree(-1); err == nil {
 		t.Fatal("SetFusionDegree(-1) should error")
-	}
-
-	lit.FusionDegree = 9
-	if _, err := NewParameters(lit); err == nil {
-		t.Fatal("literal FusionDegree=9 should fail construction")
 	}
 }

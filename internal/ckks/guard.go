@@ -39,8 +39,7 @@ import (
 // wrapping ErrIntegrity, returned by the Try forms and panicked with by the
 // others.
 
-// GuardStats counts guard activity, exported into traces and the fault
-// campaign report.
+// GuardStats counts guard activity, exported into traces.
 type GuardStats struct {
 	Seals           uint64 // limb checksum sets recorded
 	Verifies        uint64 // sealed inputs re-verified at operator boundaries
@@ -54,11 +53,10 @@ type GuardStats struct {
 // atomics, not a mutex-guarded struct: noteSeal/noteVerify fire on every
 // operator boundary of every worker, and a shared lock there would
 // serialize exactly the multi-worker batches the scheduler fuses. (The
-// single-worker faultcampaign overhead — guard_overhead in
-// cmd/poseidon/BENCH_fault.json — is checksum and spot-check arithmetic, the
-// same under either variant.) Only
-// the spot-check's limb sampling keeps a lock, and only because
-// math/rand.Rand is not concurrency-safe.
+// single-worker cost — ckks.guard_overhead_pct in bench/ — is checksum
+// arithmetic, the same under either variant.) Only the spot-check's limb
+// sampling keeps a lock, and only because math/rand.Rand is not
+// concurrency-safe.
 type guardState struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand

@@ -277,8 +277,85 @@ func TestSealDetectsCorruption(t *testing.T) {
 	}
 }
 
+// faultChain is the injection campaign's workload: multiply-relinearize,
+// rescale, rotate, accumulate, final read-back, on fresh sealed copies of
+// the inputs (an injected fault corrupts the copies, never a and b). It
+// returns the first guard error.
+func (gc *guardContext) faultChain(a, b *Ciphertext) error {
+	ev := gc.ev
+	a, b = a.CopyNew(), b.CopyNew()
+	ev.SealIntegrity(a)
+	ev.SealIntegrity(b)
+	var drop, rot, acc *Ciphertext
+	prod, err := ev.TryMulRelin(a, b)
+	if err == nil {
+		drop, err = ev.TryRescale(prod)
+	}
+	if err == nil {
+		rot, err = ev.TryRotate(drop, 1)
+	}
+	if err == nil {
+		acc, err = ev.TryAdd(drop, rot)
+	}
+	if err == nil {
+		err = ev.VerifyIntegrity(acc)
+	}
+	return err
+}
+
+// faultCampaign runs faultChain under guards and the spot-check with one
+// fault armed per trial (fewer trials under -short), at a visit of site drawn
+// from the injector's seed over the visits a clean chain makes, and returns
+// how many trials of each class answered ErrIntegrity — a function of the
+// seeds alone. Disarmed chains before and after must come back clean.
+func faultCampaign(t *testing.T, site fault.Site, classes ...fault.Class) (detected []int, trials int) {
+	t.Helper()
+	trials = 200
+	if testing.Short() {
+		trials = 60
+	}
+	gc := newGuardContext(t)
+	gc.ev.EnableGuards(102)
+	gc.ev.EnableSpotCheck()
+	a, b, _ := gc.inputs(t, 100, gc.params.MaxLevel())
+	in := fault.NewInjector(101)
+	gc.params.RingQ.SetFaultInjector(in)
+	gc.params.RingP.SetFaultInjector(in)
+
+	clean := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := gc.faultChain(a, b); err != nil {
+				t.Fatalf("false positive: clean chain %d answered %v", i, err)
+			}
+		}
+	}
+	clean(1)
+	visits := in.Stats().VisitsAt(site)
+	detected = make([]int, len(classes))
+	for ci, class := range classes {
+		for i := 0; i < trials; i++ {
+			in.ResetVisits()
+			in.ArmRandom(site, class, visits)
+			if err := gc.faultChain(a, b); errors.Is(err, ErrIntegrity) {
+				detected[ci]++
+			} else if err != nil {
+				t.Fatalf("%s %s trial %d: %v, want ErrIntegrity or nil", site, class, i, err)
+			}
+		}
+		t.Logf("%s %-14s %d/%d detected", site, class, detected[ci], trials)
+	}
+	if got := in.Stats().Injected; got != uint64(trials*len(classes)) {
+		t.Fatalf("%d faults fired in %d trials", got, trials*len(classes))
+	}
+	clean(trials / 4)
+	return detected, trials
+}
+
 // An injector-driven single-bit HBM fault during an operation's input
-// read-back surfaces as ErrIntegrity — an error, not a panic.
+// read-back surfaces as ErrIntegrity — an error, not a panic — at every
+// visit of one op and at every sampled visit of the campaign chain; the
+// multi-coefficient classes can collide in a sum-mod-q checksum, so they are
+// counted, logged and only required to be seen.
 func TestInjectedHBMFaultDetected(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
@@ -326,11 +403,19 @@ func TestInjectedHBMFaultDetected(t *testing.T) {
 		ev.SealIntegrity(a)
 		ev.SealIntegrity(b)
 	}
+
+	got, trials := faultCampaign(t, fault.SiteHBM, fault.BitFlip, fault.MultiBitFlip, fault.StuckLane)
+	if got[0] != trials || got[1] == 0 || got[2] == 0 {
+		t.Fatalf("HBM detections %v of %d: want every single-bit flip and some of each other class", got, trials)
+	}
 }
 
 // The NTT spot-check catches a datapath fault injected into the forward
 // transform of a rescale output (deterministic here: the level-0 output has
-// a single limb, so the sampled limb is always the corrupted one).
+// a single limb, so the sampled limb is always the corrupted one). Over the
+// campaign chain it samples one limb of one transform per op and sees a
+// fraction of the faults: every class at least once — a dead spot-check
+// reads zero — and never on a clean chain.
 func TestSpotCheckDetectsNTTFault(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
@@ -352,6 +437,13 @@ func TestSpotCheckDetectsNTTFault(t *testing.T) {
 	}
 	if ev.GuardStats().SpotChecks == 0 {
 		t.Fatal("spot check did not run")
+	}
+
+	got, trials := faultCampaign(t, fault.SiteNTT, fault.BitFlip, fault.StuckLane, fault.DroppedTwiddle)
+	for ci, n := range got {
+		if n == 0 {
+			t.Fatalf("NTT class %d: none of %d datapath faults detected", ci, trials)
+		}
 	}
 }
 

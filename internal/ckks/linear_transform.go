@@ -183,7 +183,7 @@ const ltZeroSq = 1e-28
 // NewLinearTransformBSGS is NewLinearTransform with an explicit baby-step
 // width n1 (a power of two in [1, Slots]; 0 lets the planner choose). Pin
 // the width when several transforms must share one rotation-key set — the
-// planner sees one matrix at a time — or to sweep it (benchlinalg does).
+// planner sees one matrix at a time — or to sweep it.
 func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
 	n := enc.params.Slots
 	if len(m) != n {
@@ -334,8 +334,8 @@ func (sh ltShape) planSplit(ds []int, n int) int {
 	return best
 }
 
-// LinTransStats counts the work one linear-transform evaluation performed —
-// the observable behind the benchlinalg gate. KeySwitches counts key-switch
+// LinTransStats counts the work one linear-transform evaluation performed
+// (bench/ reports it as ckks.lintrans.*). KeySwitches counts key-switch
 // MAC pipelines (digit inner products against a switching key); the
 // double-hoisted path runs the same number of MACs as the per-rotation
 // baseline but collapses their basis reductions, which ModDownSweeps (one

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// Benchmarks at the cmd/poseidon benchlinalg configuration (LogN=13, dense
-// 4096×4096, both schedules), mainly for profiling the engines:
+// Benchmarks of a dense 4096×4096 transform at LogN=13 on both schedules,
+// mainly for profiling the engines:
 //
 //	go test ./internal/ckks -run xx -bench LinearTransformDense/double-hoisted/n1=128 \
 //	    -benchtime 3x -cpuprofile cpu.out

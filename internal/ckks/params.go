@@ -219,20 +219,6 @@ type ParametersLiteral struct {
 	// 1 forces fully serial execution, n > 1 creates a dedicated pool of
 	// that width. Results are bit-identical for every setting.
 	Workers int
-
-	// StrictKernels starts the instance on the fully reduced reference
-	// kernels instead of the lazy-reduction production kernels. Outputs are
-	// bit-identical either way; the flag exists for differential testing
-	// and before/after benchmarking (see Parameters.SetStrictKernels).
-	StrictKernels bool
-
-	// FusionDegree is the radix-2^k degree of the NTT kernels. The zero
-	// value runs the fused radix-8 kernels (k=3, the measured sweet spot);
-	// k in [2, 6] fuses k butterfly stages per memory pass and k=1 is the
-	// plain radix-2 transform. Outputs are bit-identical for every setting,
-	// so this is a differential-testing knob, not a tuning one (see
-	// Parameters.SetFusionDegree).
-	FusionDegree int
 }
 
 // NewParameters instantiates the literal: generates distinct NTT-friendly
@@ -315,10 +301,6 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		p.pool = ring.DefaultPool()
 	} else {
 		p.pool = ring.NewPool(lit.Workers)
-	}
-	p.SetStrictKernels(lit.StrictKernels)
-	if err := p.SetFusionDegree(lit.FusionDegree); err != nil {
-		return nil, err
 	}
 	return p, nil
 }

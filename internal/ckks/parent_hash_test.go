@@ -28,16 +28,16 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			t.Run(fmt.Sprintf("strict=%v/workers=%d", strict, workers), func(t *testing.T) {
 				params, err := NewParameters(ParametersLiteral{
-					LogN:          10,
-					LogQ:          []int{55, 45, 45, 45, 45},
-					LogP:          []int{58, 58},
-					LogScale:      45,
-					Workers:       workers,
-					StrictKernels: strict,
+					LogN:     10,
+					LogQ:     []int{55, 45, 45, 45, 45},
+					LogP:     []int{58, 58},
+					LogScale: 45,
+					Workers:  workers,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				params.SetStrictKernels(strict)
 				n := params.Slots
 				rng := rand.New(rand.NewSource(97))
 				enc := NewEncoder(params)

@@ -41,8 +41,7 @@ type RecoveryPolicy struct {
 	OnRetry func(op string, attempt int, err error)
 }
 
-// RecoveryStats counts recovery activity, exported into traces and the
-// chaos campaign report.
+// RecoveryStats counts recovery activity, exported into traces.
 type RecoveryStats struct {
 	Attempts      uint64 // re-executions performed (first tries not counted)
 	Recovered     uint64 // ops that succeeded after ≥1 re-execution

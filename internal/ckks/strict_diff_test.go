@@ -162,23 +162,25 @@ func TestStrictLazyLinearTransform(t *testing.T) {
 	assertClose(t, enc.Decode(decr.Decrypt(ev.Rescale(got))), expect, 1e-3, "linear transform decrypts to M·z")
 }
 
-// TestStrictKernelsLiteralFlag checks the ParametersLiteral plumbing and
-// that a strict-from-birth instance produces the same ciphertext bits as a
-// lazy instance toggled strict (kernels are a pure execution detail).
+// TestStrictKernelsLiteralFlag: the literal carries no kernel switch — a
+// fresh instance runs the lazy production kernels, and SetStrictKernels
+// selects the reference on both rings and back.
 func TestStrictKernelsLiteralFlag(t *testing.T) {
-	lit := ParametersLiteral{
-		LogN:          8,
-		LogQ:          []int{50, 40, 40},
-		LogP:          []int{51},
-		LogScale:      40,
-		StrictKernels: true,
-	}
-	params, err := NewParameters(lit)
+	params, err := NewParameters(ParametersLiteral{
+		LogN:     8,
+		LogQ:     []int{50, 40, 40},
+		LogP:     []int{51},
+		LogScale: 40,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !params.StrictKernels() {
-		t.Fatal("StrictKernels literal flag not applied")
+	if params.StrictKernels() {
+		t.Fatal("a fresh instance runs the strict reference kernels")
+	}
+	params.SetStrictKernels(true)
+	if !params.StrictKernels() || !params.RingP.StrictKernels() {
+		t.Fatal("SetStrictKernels(true) not applied to both rings")
 	}
 	params.SetStrictKernels(false)
 	if params.StrictKernels() {

@@ -122,14 +122,6 @@ const (
 	Transient
 )
 
-// String names the persistence mode for reports.
-func (p Persistence) String() string {
-	if p == Transient {
-		return "transient"
-	}
-	return "sticky"
-}
-
 // healRecord tracks one pending transient corruption: the slice identity
 // (arena storage is reused, so &c[0] plus the corrupted values pin the
 // match), the indices touched, and both the original and corrupted words.
@@ -139,8 +131,6 @@ func (p Persistence) String() string {
 // a corruption).
 type healRecord struct {
 	site      Site
-	class     Class // fault class, carried so the heal event names it
-	visit     uint64
 	limb      int
 	ptr       *uint64
 	idx       []int
@@ -161,19 +151,6 @@ func (h *healRecord) matches(site Site, limb int, c []uint64) bool {
 		}
 	}
 	return true
-}
-
-// Event reports one injector action to the campaign event sink: a fault
-// applied ("injected") or a transient corruption restored ("healed").
-// Campaign drivers serialize these as JSONL and join them against the
-// server's flight recorder and retry events by timestamp and site.
-type Event struct {
-	Kind  string `json:"kind"` // "injected" or "healed"
-	Site  string `json:"site"`
-	Class string `json:"class"`
-	Mode  string `json:"mode"` // persistence: "sticky" or "transient"
-	Visit uint64 `json:"visit"`
-	Limb  int    `json:"limb"`
 }
 
 // Injection records one applied fault, for campaign attribution.
@@ -216,12 +193,6 @@ type Injector struct {
 	healed     uint64
 	injections []Injection
 	heals      []*healRecord // pending transient corruptions awaiting decay
-
-	// sink, when set, observes every injection and heal. Events are
-	// collected under the mutex but delivered after it is released, so a
-	// sink may call back into the injector (Stats, Pending) or block on
-	// I/O without deadlocking the injection point.
-	sink func(Event)
 }
 
 // NewInjector creates an injector whose corruption choices (coefficient,
@@ -303,16 +274,6 @@ func (in *Injector) ArmWithin(site Site, class Class, window uint64, mode Persis
 	return v
 }
 
-// SetEventSink installs fn as the injector's event observer (nil removes
-// it). fn is invoked once per applied fault and once per transient heal,
-// outside the injector lock, on the goroutine whose read triggered the
-// action — it must be safe for concurrent use when the injector is shared.
-func (in *Injector) SetEventSink(fn func(Event)) {
-	in.mu.Lock()
-	in.sink = fn
-	in.mu.Unlock()
-}
-
 // Pending reports whether a fault is armed and has not fired yet.
 func (in *Injector) Pending() bool {
 	in.mu.Lock()
@@ -350,50 +311,27 @@ func (in *Injector) Injections() []Injection {
 // class) and disarms.
 func (in *Injector) OnLimbRead(site Site, limb int, c []uint64) {
 	in.mu.Lock()
+	defer in.mu.Unlock()
 	v := in.visits[site]
 	in.visits[site]++
-	var healEv Event
-	var didHeal bool
 	if len(in.heals) > 0 {
-		healEv, didHeal = in.decayHeals(site, limb, c)
+		in.decayHeals(site, limb, c)
 	}
-	fire := in.armed && site == in.armSite && v == in.armVisit
-	if !fire {
-		sink := in.sink
-		in.mu.Unlock()
-		if didHeal && sink != nil {
-			sink(healEv)
-		}
+	if !in.armed || site != in.armSite || v != in.armVisit {
 		return
 	}
 	in.armed = false
 	class := in.armClass
-	mode := in.armMode
-	sink := in.sink
-	injEv := Event{
-		Kind: "injected", Site: site.String(), Class: class.String(),
-		Mode: mode.String(), Visit: v, Limb: limb,
-	}
+	in.injected++
 	if class == Panic {
-		in.injected++
 		in.injections = append(in.injections, Injection{
 			Site: site, Class: class, Visit: v, Limb: limb, Coeff: -1, Bit: -1,
 		})
-		in.mu.Unlock()
-		// Deliver before panicking: the unwind may never return control
-		// to the campaign driver's loop, and an unreported panic fault is
-		// exactly the event the JSONL log exists to attribute.
-		if didHeal && sink != nil {
-			sink(healEv)
-		}
-		if sink != nil {
-			sink(injEv)
-		}
 		panic(fmt.Sprintf("fault: injected panic at %s visit %d (limb %d)", site, v, limb))
 	}
 	var h *healRecord
 	if in.armMode == Transient {
-		h = &healRecord{site: site, class: class, visit: v, limb: limb, remaining: in.armDecay}
+		h = &healRecord{site: site, limb: limb, remaining: in.armDecay}
 		if len(c) > 0 {
 			h.ptr = &c[0]
 		}
@@ -403,24 +341,15 @@ func (in *Injector) OnLimbRead(site Site, limb int, c []uint64) {
 	if h != nil && len(h.idx) > 0 {
 		in.heals = append(in.heals, h)
 	}
-	in.injected++
 	in.injections = append(in.injections, rec)
-	in.mu.Unlock()
-	if didHeal && sink != nil {
-		sink(healEv)
-	}
-	if sink != nil {
-		sink(injEv)
-	}
 }
 
 // decayHeals walks the pending transient corruptions for one that matches
 // this read. A match still within its decay window stays corrupted for
 // this read; one whose window has elapsed is restored in place (the caller
 // reads clean data). Records whose data was rewritten since injection are
-// dropped without touching memory. Caller holds the lock; a heal is
-// reported as an Event for the caller to deliver after unlock.
-func (in *Injector) decayHeals(site Site, limb int, c []uint64) (Event, bool) {
+// dropped without touching memory. Caller holds the lock.
+func (in *Injector) decayHeals(site Site, limb int, c []uint64) {
 	for i := 0; i < len(in.heals); i++ {
 		h := in.heals[i]
 		if !h.matches(site, limb, c) {
@@ -434,19 +363,15 @@ func (in *Injector) decayHeals(site Site, limb int, c []uint64) (Event, bool) {
 		}
 		if h.remaining > 0 {
 			h.remaining--
-			return Event{}, false
+			return
 		}
 		for k, j := range h.idx {
 			c[j] = h.orig[k]
 		}
 		in.healed++
 		in.heals = append(in.heals[:i], in.heals[i+1:]...)
-		return Event{
-			Kind: "healed", Site: h.site.String(), Class: h.class.String(),
-			Mode: Transient.String(), Visit: h.visit, Limb: h.limb,
-		}, true
+		return
 	}
-	return Event{}, false
 }
 
 // corrupt applies one fault of the given class to c, recording undo

@@ -265,58 +265,3 @@ func TestArmWithinFiresInsideWindow(t *testing.T) {
 		t.Fatal("injector still pending after firing")
 	}
 }
-
-// The event sink must see one "injected" event per applied fault and one
-// "healed" event per transient restore, delivered outside the injector
-// lock (the sink calls Stats, which would deadlock if delivered inside).
-func TestEventSinkReportsInjectionsAndHeals(t *testing.T) {
-	mod := testModulus(t)
-	in := NewInjector(11)
-	var events []Event
-	in.SetEventSink(func(ev Event) {
-		_ = in.Stats() // must not deadlock: sink runs outside the lock
-		events = append(events, ev)
-	})
-	in.ArmAtMode(SiteHBM, BitFlip, 1, Transient, 0)
-	c := testLimb(mod, 128)
-	in.OnLimbRead(SiteHBM, 4, c) // visit 0: counts only
-	in.OnLimbRead(SiteHBM, 4, c) // visit 1: injects
-	in.OnLimbRead(SiteHBM, 4, c) // decay 0: heals on next read
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want injected+healed: %+v", len(events), events)
-	}
-	inj, heal := events[0], events[1]
-	if inj.Kind != "injected" || inj.Site != "hbm" || inj.Class != "bitflip" ||
-		inj.Mode != "transient" || inj.Visit != 1 || inj.Limb != 4 {
-		t.Fatalf("injected event malformed: %+v", inj)
-	}
-	if heal.Kind != "healed" || heal.Site != "hbm" || heal.Class != "bitflip" ||
-		heal.Mode != "transient" || heal.Visit != 1 || heal.Limb != 4 {
-		t.Fatalf("healed event malformed: %+v", heal)
-	}
-	in.SetEventSink(nil)
-	in.ArmAt(SiteHBM, BitFlip, 3)
-	in.OnLimbRead(SiteHBM, 0, c)
-	if len(events) != 2 {
-		t.Fatal("removed sink still receiving events")
-	}
-}
-
-// A Panic-class fault must reach the sink before the panic unwinds.
-func TestEventSinkSeesPanicBeforeUnwind(t *testing.T) {
-	mod := testModulus(t)
-	in := NewInjector(5)
-	var got []Event
-	in.SetEventSink(func(ev Event) { got = append(got, ev) })
-	in.ArmAt(SiteNTT, Panic, 0)
-	c := testLimb(mod, 64)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("injected panic did not fire")
-		}
-		if len(got) != 1 || got[0].Kind != "injected" || got[0].Class != "panic" {
-			t.Fatalf("sink missed the panic injection: %+v", got)
-		}
-	}()
-	in.OnLimbRead(SiteNTT, 0, c)
-}

@@ -7,8 +7,8 @@ import "fmt"
 // Add/Sub and per Shoup multiply — exactly the schedule the paper's
 // unfused TAM row of Table II prices. The lazy Harvey kernels in ntt.go are
 // the production path; these remain as the bit-identity reference for the
-// differential suite, the before/after baseline for BENCH_kernels.json,
-// and the execution mode selected by ring.SetStrictKernels.
+// differential suite and the execution mode selected by
+// ring.SetStrictKernels.
 
 // ForwardStrict computes the in-place negacyclic NTT with per-butterfly
 // reductions. Output is bit-identical to Forward.

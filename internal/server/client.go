@@ -55,7 +55,7 @@ type RetryEvent struct {
 }
 
 // Client is a thin typed client over the poseidond HTTP API, used by the
-// soak tests and the benchserve load harness. Safe for concurrent use
+// soak tests and the daemon's shutdown test. Safe for concurrent use
 // (http.Client is).
 type Client struct {
 	Base  string // e.g. "http://127.0.0.1:8080"

@@ -126,11 +126,10 @@ type scheduler struct {
 	jobRecovered     atomic.Uint64
 	jobUnrecoverable atomic.Uint64
 
-	// tracer receives job-retry events; sink is the evaluator-observation
-	// bridge the dispatcher activates around each job's evaluator call so
-	// per-op spans land on that job's trace. Both nil with tracing off.
-	tracer *tracing.Tracer
-	sink   *tracing.EvalObserver
+	// sink is the evaluator-observation bridge the dispatcher activates
+	// around each job's evaluator call so per-op spans land on that job's
+	// trace. Nil with tracing off.
+	sink *tracing.EvalObserver
 
 	// testExec, when set (tests only), replaces the evaluator call for a
 	// job: a non-nil return is delivered as the op's failure. It lets the
@@ -139,14 +138,13 @@ type scheduler struct {
 	testExec func(*job) error
 }
 
-func newScheduler(cfg Config, params *ckks.Parameters, tracer *tracing.Tracer, sink *tracing.EvalObserver) *scheduler {
+func newScheduler(cfg Config, params *ckks.Parameters, sink *tracing.EvalObserver) *scheduler {
 	s := &scheduler{
 		cfg:       cfg,
 		params:    params,
 		queue:     make(chan *job, cfg.QueueDepth),
 		done:      make(chan struct{}),
 		occupancy: make([]atomic.Uint64, cfg.MaxBatch+1),
-		tracer:    tracer,
 		sink:      sink,
 	}
 	go s.run()
@@ -486,14 +484,6 @@ func (s *scheduler) retryJob(j *job, batchSize int, cause error) bool {
 		bo := j.trace.NextStage("backoff")
 		j.trace.AnnotateInt(bo, "attempt", int64(j.attempt))
 		j.trace.Annotate(bo, "cause", cause.Error())
-		s.tracer.Emit(tracing.Event{
-			TimeNs:  time.Now().UnixNano(),
-			Kind:    "job-retry",
-			Trace:   j.trace.TraceID(),
-			Layer:   "job",
-			Attempt: j.attempt,
-			Err:     cause.Error(),
-		})
 	}
 	time.AfterFunc(backoff, func() {
 		j.trace.NextStage("queue")

@@ -151,11 +151,11 @@ func NewEvalServer(cfg Config) (*EvalServer, error) {
 		// tenant evaluator; the scheduler activates it per job so per-op
 		// spans land on the right request's tree.
 		s.tracer = cfg.Tracer
-		s.sink = tracing.NewEvalObserver(cfg.Tracer)
+		s.sink = new(tracing.EvalObserver)
 		obs = ckks.Fanout(obs, s.sink)
 	}
 	s.registry = newRegistry(cfg.Params, cfg.RegistryCap, obs, cfg.GuardSeed, cfg.OpMaxAttempts)
-	s.sched = newScheduler(cfg, cfg.Params, s.tracer, s.sink)
+	s.sched = newScheduler(cfg, cfg.Params, s.sink)
 	s.initGauges()
 	return s, nil
 }

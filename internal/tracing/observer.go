@@ -1,7 +1,6 @@
 package tracing
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -18,20 +17,12 @@ import (
 // arriving with no active scope (warm-up, registry smoke tests) fall
 // through to a nil trace and cost one atomic load.
 type EvalObserver struct {
-	tracer *Tracer
 	active atomic.Pointer[scope]
 }
 
 type scope struct {
 	rt     *RequestTrace
 	parent SpanRef
-}
-
-// NewEvalObserver builds the sink. The tracer (which may be nil) receives
-// op-recovery events so chaos campaigns can join op-level recoveries to
-// trace IDs.
-func NewEvalObserver(t *Tracer) *EvalObserver {
-	return &EvalObserver{tracer: t}
 }
 
 // Activate points evaluator observations at rt, parenting op spans under
@@ -62,7 +53,7 @@ func (o *EvalObserver) ObserveSpan(op string, level int, dur time.Duration, err 
 }
 
 // ObserveRecovery records an op-level recovery outcome as a span on the
-// active trace and emits a structured event carrying the trace ID.
+// active trace.
 func (o *EvalObserver) ObserveRecovery(op string, retries int, recovered bool, dur time.Duration) {
 	sc := o.active.Load()
 	if sc == nil {
@@ -76,15 +67,4 @@ func (o *EvalObserver) ObserveRecovery(op string, retries int, recovered bool, d
 	} else {
 		sc.rt.Annotate(ref, "outcome", "unrecoverable")
 	}
-	ev := Event{
-		TimeNs:  time.Now().UnixNano(),
-		Kind:    "op-recovery",
-		Trace:   sc.rt.TraceID(),
-		Layer:   "op",
-		Attempt: retries,
-	}
-	if !recovered {
-		ev.Err = fmt.Sprintf("%s unrecoverable after %d re-executions", op, retries)
-	}
-	o.tracer.Emit(ev)
 }

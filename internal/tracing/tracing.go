@@ -11,7 +11,7 @@
 // Every entry point is nil-receiver safe: a disabled tracer hands out nil
 // *RequestTrace values and every method on them is a cheap nil check, so
 // call sites on the evaluator hot path stay zero-allocation when tracing
-// is off (the alloc gates in cmd/poseidon benchtrace enforce exactly 0).
+// is off (the root package's TestZeroAllocChainObserved enforces exactly 0).
 package tracing
 
 import (
@@ -144,26 +144,11 @@ func NewContext() Context {
 	return Context{Trace: TraceID{Hi: nextID(), Lo: nextID()}}
 }
 
-// Event is a structured tracing event for out-of-band sinks (the chaos
-// campaign's JSONL stream). Events carry the trace ID so campaign output
-// joins against the flight recorder.
-type Event struct {
-	TimeNs  int64  `json:"ts_ns"`
-	Kind    string `json:"kind"`              // "job-retry", "op-recovery", ...
-	Trace   string `json:"trace,omitempty"`   // 32-hex trace ID
-	Layer   string `json:"layer,omitempty"`   // "op" | "job" | "client"
-	Attempt int    `json:"attempt,omitempty"` // retry ordinal, 1-based
-	Err     string `json:"err,omitempty"`
-}
-
-// Tracer bundles a flight recorder with an optional structured-event hook.
+// Tracer owns the flight recorder finished request traces are offered to.
 // A nil *Tracer disables tracing: NewRequest returns a nil *RequestTrace
 // and every downstream call degrades to a nil check.
 type Tracer struct {
 	Recorder *FlightRecorder
-	// Events, when set, receives structured retry/recovery events as they
-	// happen. Must be safe for concurrent use and must not block.
-	Events func(Event)
 }
 
 // NewRequest starts a request trace rooted at a span named name. Returns
@@ -182,12 +167,4 @@ func (t *Tracer) Offer(f *Finished) {
 		return
 	}
 	t.Recorder.Offer(f)
-}
-
-// Emit forwards a structured event to the Events hook, if any.
-func (t *Tracer) Emit(ev Event) {
-	if t == nil || t.Events == nil {
-		return
-	}
-	t.Events(ev)
 }

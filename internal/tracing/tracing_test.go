@@ -85,7 +85,6 @@ func TestNilTraceIsSafe(t *testing.T) {
 		t.Fatal("nil Tracer minted a trace")
 	}
 	tr.Offer(nil)
-	tr.Emit(Event{Kind: "x"})
 }
 
 func TestSpanTree(t *testing.T) {
@@ -359,9 +358,7 @@ func TestRecorderSnapshotNewestFirst(t *testing.T) {
 }
 
 func TestEvalObserverAttachesToActiveScope(t *testing.T) {
-	var events []Event
-	tr := &Tracer{Events: func(ev Event) { events = append(events, ev) }}
-	o := NewEvalObserver(tr)
+	o := new(EvalObserver)
 
 	// No scope: observations fall through.
 	o.ObserveSpan("HAdd", 1, time.Microsecond, nil)
@@ -391,9 +388,6 @@ func TestEvalObserverAttachesToActiveScope(t *testing.T) {
 	}
 	if ops != 1 || recov != 1 {
 		t.Fatalf("ops=%d recovery=%d, want 1/1", ops, recov)
-	}
-	if len(events) != 1 || events[0].Kind != "op-recovery" || events[0].Trace != f.TraceID {
-		t.Fatalf("events = %+v, want one op-recovery with trace ID", events)
 	}
 }
 

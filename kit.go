@@ -93,20 +93,6 @@ func (k *Kit) SetWorkers(n int) { k.Eval = k.Eval.WithWorkers(n) }
 // Workers reports the evaluator's current limb-parallel worker bound.
 func (k *Kit) Workers() int { return k.Eval.Workers() }
 
-// SetFusionDegree switches every NTT in the kit to the radix-2^k kernels:
-// k in [2, 6] fused, 1 plain radix-2, 0 back to the default. A kit runs the
-// fused radix-8 kernels (k=3, the measured sweet spot on amd64) without
-// being asked; the toggle is free — fused kernels keep no tables of their
-// own — and results are bit-identical for every setting, so it exists for
-// differential tests and before/after benchmarks.
-func (k *Kit) SetFusionDegree(degree int) error {
-	return k.Params.SetFusionDegree(degree)
-}
-
-// FusionDegree reports the degree the kit's NTTs run at (default 3; 1 =
-// plain radix-2).
-func (k *Kit) FusionDegree() int { return k.Params.FusionDegree() }
-
 // EncryptValues encodes and encrypts a complex vector at the top level and
 // default scale.
 func (k *Kit) EncryptValues(values []complex128) *Ciphertext {

@@ -84,7 +84,8 @@ type (
 	// set to provision keys for (GaloisElements).
 	LinearTransformPlan = ckks.LinearTransformPlan
 	// LinTransStats counts the work one linear-transform evaluation did
-	// (keyswitches, ModDown sweeps, NTT limbs) — the benchlinalg observable.
+	// (keyswitches, ModDown sweeps, NTT limbs) — bench/ reads them as the
+	// ckks.lintrans.* counts.
 	LinTransStats = ckks.LinTransStats
 	// Bootstrapper refreshes exhausted ciphertexts.
 	Bootstrapper = ckks.Bootstrapper
