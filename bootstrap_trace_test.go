@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"poseidon/internal/trace"
+	"poseidon/internal/tracing"
 )
 
 // Validate the hand-built PackedBootstrapping workload trace against the
@@ -14,9 +15,6 @@ import (
 // and plaintext multiplications in the transforms, ciphertext products in
 // EvalMod, rescales throughout — must match.
 func TestWorkloadTraceMatchesRealBootstrap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("functional bootstrap is expensive")
-	}
 	logQ := []int{55}
 	for i := 0; i < 27; i++ {
 		logQ = append(logQ, 45)
@@ -40,8 +38,15 @@ func TestWorkloadTraceMatchesRealBootstrap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// All three in-tree observers ride the evaluator. Bootstrap runs its two
+	// EvalMod halves concurrently, so each hears from two goroutines at once:
+	// that they can is what this test is for under -race.
 	rec := NewTraceRecorder("recorded-bootstrap")
-	boot.Evaluator().SetObserver(rec)
+	collector := NewCollector("recorded-bootstrap")
+	rt := tracing.NewRequest(tracing.NewContext(), "bootstrap")
+	spans := new(tracing.EvalObserver)
+	spans.Activate(rt, rt.Root())
+	boot.Evaluator().SetObserver(Fanout(rec, collector, spans))
 
 	rng := rand.New(rand.NewSource(702))
 	z := make([]complex128, params.Slots)
@@ -55,6 +60,12 @@ func TestWorkloadTraceMatchesRealBootstrap(t *testing.T) {
 
 	recorded := rec.Trace().CountByKind()
 	t.Logf("recorded bootstrap op mix: %v", recorded)
+	if got := collector.Snapshot().ByKind()[trace.CMult].Ops; float64(got) != recorded[trace.CMult] {
+		t.Errorf("collector counted %d CMult, recorder %v", got, recorded[trace.CMult])
+	}
+	if got := len(rt.Finish(200, nil).Spans); got <= int(recorded[trace.CMult]) {
+		t.Errorf("request trace holds %d spans for %v CMult alone", got, recorded[trace.CMult])
+	}
 
 	// Structural claims the workload generator encodes:
 	// every kind it emits must actually occur in the real pipeline.

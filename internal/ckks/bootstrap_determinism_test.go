@@ -11,9 +11,6 @@ import (
 // bit-identical output; and pinning the √n split keeps the key set on the
 // benchmark's B9 shape at exactly 30 rotations plus conjugation.
 func TestBootstrapperDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bootstrapping test is expensive")
-	}
 	params := bootstrapParams(t)
 	enc := NewEncoder(params)
 

@@ -84,18 +84,17 @@ func TestEvalChebyshevHomomorphic(t *testing.T) {
 	}
 }
 
-func bootstrapParams(t testing.TB) *Parameters {
+func bootstrapParams(t testing.TB) *Parameters { return b9Params(t, 9, 0) }
+
+// b9Params is the benchmark's B9 chain — 28 + 5 limbs, Δ = 2^45 — on a ring
+// of the given size: the shape at any N, the numbers only at log N = 9.
+func b9Params(t testing.TB, logN, workers int) *Parameters {
 	t.Helper()
-	logQ := []int{55}
+	lit := ParametersLiteral{LogN: logN, LogQ: []int{55}, LogP: []int{52, 52, 52, 52, 52}, LogScale: 45, Workers: workers}
 	for i := 0; i < 27; i++ {
-		logQ = append(logQ, 45)
+		lit.LogQ = append(lit.LogQ, 45)
 	}
-	params, err := NewParameters(ParametersLiteral{
-		LogN:     9,
-		LogQ:     logQ,
-		LogP:     []int{52, 52, 52, 52, 52},
-		LogScale: 45,
-	})
+	params, err := NewParameters(lit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +102,6 @@ func bootstrapParams(t testing.TB) *Parameters {
 }
 
 func TestBootstrap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bootstrapping test is expensive")
-	}
 	params := bootstrapParams(t)
 	enc := NewEncoder(params)
 	kgen := NewKeyGenerator(params, 11)
@@ -144,7 +140,7 @@ func TestBootstrap(t *testing.T) {
 		}
 	}
 	t.Logf("bootstrap precision: max slot error %.3e (~%.1f bits)", worst, -math.Log2(worst))
-	if worst > 1e-2 {
+	if worst > math.Exp2(-12) { // the floor bench/reference_test.go holds bootstrap_deep to
 		t.Errorf("bootstrap error %g too large", worst)
 	}
 
@@ -180,9 +176,11 @@ func TestModRaisePreservesPlaintext(t *testing.T) {
 	z := randomComplex(rng, params.Slots, 1.0)
 	pt := enc.Encode(z, 0, params.Scale)
 	ct := encr.Encrypt(pt)
+	// No higher than the plan needs: SlotToCoeff's level, one for CoeffToSlot,
+	// and the (degree-20) sine's depth.
 	raised := boot.ModRaise(ct)
-	if raised.Level != params.MaxLevel() {
-		t.Fatalf("raised level %d want %d", raised.Level, params.MaxLevel())
+	if want := stcLevel + 1 + boot.sine.depth(); raised.Level != want || want != stcLevel-1+boot.MinLevelBudget() {
+		t.Fatalf("raised level %d, planned %d (budget %d)", raised.Level, want, boot.MinLevelBudget())
 	}
 
 	// Decrypting the raised ciphertext and reducing coefficients mod q0

@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -19,18 +20,24 @@ type BootstrapConfig struct {
 
 // Bootstrapper refreshes exhausted ciphertexts: ModRaise → CoeffToSlot →
 // EvalMod (scaled sine) → SlotToCoeff, the paper's packed bootstrapping
-// [30]. One Bootstrapper owns the two encoded DFT transforms and the
-// evaluation keys they need.
+// [30]. One Bootstrapper owns the two encoded DFT transforms, the compiled
+// sine, and the evaluation keys they need. The level schedule is read off
+// the sine's plan: SlotToCoeff runs at stcLevel, EvalMod ends there,
+// CoeffToSlot one level above where it starts, and ModRaise raises no higher
+// — limbs above that would ride through every op only to be dropped.
 type Bootstrapper struct {
 	params *Parameters
-	enc    *Encoder
 	ev     *Evaluator
-	cfg    BootstrapConfig
 
-	ctsLT  *LinearTransform // E^{-1}/2, applied at the top level
-	stcLT  *LinearTransform // E, applied after EvalMod
-	coeffs []float64        // Chebyshev expansion of sin(2πx)/(2π)
+	raise int              // level ModRaise raises to: stcLevel + 1 + sine.depth()
+	ctsLT *LinearTransform // E^{-1}/2, applied at the raise level
+	stcLT *LinearTransform // E, applied after EvalMod
+	sine  *polyPlan        // Chebyshev expansion of sin(2πx)/(2π) on [−K, K], at scale q0
 }
+
+// stcLevel is the level SlotToCoeff runs at: a refreshed ciphertext comes
+// out one below, with two multiplicative levels to spend.
+const stcLevel = 3
 
 // NewBootstrapper builds the transforms and generates the rotation keys the
 // pipeline needs (using kgen/sk). The relinearization key is generated here
@@ -42,7 +49,7 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 	if cfg.Degree == 0 {
 		cfg.Degree = int(math.Ceil(2*math.Pi*float64(cfg.K))) + 40
 	}
-	b := &Bootstrapper{params: params, enc: enc, cfg: cfg}
+	b := &Bootstrapper{params: params}
 
 	n := params.Slots
 	// E: v ↦ slots (the decode FFT); E^{-1}: its inverse. Built by pushing
@@ -66,7 +73,21 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 		}
 	}
 
-	top := params.MaxLevel()
+	// EvalMod reads its Δ-scaled slots M/Δ as x = M/q0 at scale q0 and
+	// evaluates g(x) = sin(2πx)/(2π) ≈ (M mod q0)/q0 for |m| ≪ q0.
+	k := float64(cfg.K)
+	b.sine = newPolyPlan(params, true, ChebyshevCoefficients(func(x float64) float64 {
+		return math.Sin(2*math.Pi*x) / (2 * math.Pi)
+	}, -k, k, cfg.Degree), 1/k, 0, float64(params.Q[0]))
+	b.raise = stcLevel + 1 + b.sine.depth()
+	if b.raise > params.MaxLevel() {
+		return nil, fmt.Errorf("ckks: bootstrapping consumes %d levels (EvalMod %d of them) and returns level %d: the chain needs %d levels, has %d",
+			b.MinLevelBudget(), b.sine.depth(), stcLevel-1, b.raise, params.MaxLevel())
+	}
+	if err := b.sine.size(b.raise - 1); err != nil {
+		return nil, err
+	}
+
 	var err error
 	// Both transforms are dense and share one rotation-key set, which the
 	// per-matrix planner cannot see: pin the √n split, where their baby and
@@ -75,23 +96,16 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 	for n1*n1 < n {
 		n1 <<= 1
 	}
-	// Encode CtS diagonals at scale q_top so its rescale is scale-neutral.
-	b.ctsLT, err = NewLinearTransformBSGS(enc, einv, top, float64(params.Q[top]), n1)
+	// Diagonals are encoded at the scale of the prime their rescale drops,
+	// so both transforms are scale-neutral.
+	b.ctsLT, err = NewLinearTransformBSGS(enc, einv, b.raise, float64(params.Q[b.raise]), n1)
 	if err != nil {
 		return nil, err
 	}
-	// StC level is only known at run time (depends on EvalMod's depth), so
-	// encode at a safe low level and let evaluation drop to it; we pick
-	// level 3 and require EvalMod to finish at ≥ 3.
-	const stcLevel = 3
 	b.stcLT, err = NewLinearTransformBSGS(enc, e, stcLevel, float64(params.Q[stcLevel]), n1)
 	if err != nil {
 		return nil, err
 	}
-
-	b.coeffs = ChebyshevCoefficients(func(x float64) float64 {
-		return math.Sin(2*math.Pi*x) / (2 * math.Pi)
-	}, -float64(cfg.K), float64(cfg.K), cfg.Degree)
 
 	// Keys: union of both transforms' rotations plus conjugation, generated
 	// in ascending step order (GenRotationKeys skips repeats) so one seed
@@ -104,13 +118,12 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 	return b, nil
 }
 
-// MinLevelBudget is the approximate number of levels the pipeline consumes.
-func (b *Bootstrapper) MinLevelBudget() int {
-	return 2*int(math.Ceil(math.Log2(float64(b.cfg.Degree)))) + 6
-}
+// MinLevelBudget is the number of levels the pipeline consumes: one for
+// CoeffToSlot, the sine plan's depth, one for SlotToCoeff.
+func (b *Bootstrapper) MinLevelBudget() int { return b.sine.depth() + 2 }
 
-// ModRaise reinterprets a level-0 ciphertext modulo the full chain: the
-// underlying plaintext becomes m + q0·I for a small integer polynomial I.
+// ModRaise reinterprets a level-0 ciphertext modulo the chain up to the raise
+// level: the plaintext becomes m + q0·I for a small integer polynomial I.
 func (b *Bootstrapper) ModRaise(ct *Ciphertext) *Ciphertext {
 	if ct.Level != 0 {
 		ct = b.ev.DropLevel(ct, 0)
@@ -121,7 +134,7 @@ func (b *Bootstrapper) ModRaise(ct *Ciphertext) *Ciphertext {
 	rq.INTT(c0)
 	rq.INTT(c1)
 
-	top := b.params.MaxLevel()
+	top := b.raise
 	out := &Ciphertext{C0: rq.NewPoly(top + 1), C1: rq.NewPoly(top + 1), Scale: ct.Scale, Level: top}
 	q0 := rq.Moduli[0]
 	for j := 0; j < b.params.N; j++ {
@@ -145,52 +158,65 @@ func (b *Bootstrapper) CoeffToSlot(ct *Ciphertext) (ct0, ct1 *Ciphertext) {
 	v := ev.EvaluateLinearTransform(ct, b.ctsLT)
 	ev.RescaleInto(v, v) // scale returns to Δ (diagonals encoded at q_top); v is owned here
 	vc := ev.Conjugate(v)
-	ct0 = ev.Add(v, vc)            // Re(v)·2·(1/2) = M₀ part
-	ct1 = ev.MulByI(ev.Sub(vc, v)) // Im(v) part: −i(v−v̄)/... = M₁
+	ct0 = ev.Add(v, vc)        // Re(v)·2·(1/2) = M₀ part
+	ct1 = ev.SubInto(v, vc, v) // Im(v) part: −i(v−v̄)/... = M₁
+	must(ev.exec(&opMulByI, ct1, operands{a: ct1}))
 	return ct0, ct1
 }
 
 // EvalMod applies the scaled-sine approximation slot-wise, removing the
-// q0·I overflow: input slots M/Δ at scale s, output slots (M mod q0)/Δ.
+// q0·I overflow: input slots M/Δ at scale Δ (what CoeffToSlot returns and
+// the sine is compiled for), output slots (M mod q0)/Δ.
 func (b *Bootstrapper) EvalMod(ct *Ciphertext) *Ciphertext {
-	q0 := float64(b.params.Q[0])
-	delta := b.params.Scale
-	// Reinterpret so slots become x = M/q0 (free scale change).
-	in := ct.CopyNew()
-	in.Scale = ct.Scale * q0 / delta
-	// g(x) = sin(2πx)/(2π) ≈ (M mod q0)/q0 for |m| ≪ q0.
-	out := b.ev.EvalChebyshev(in, b.coeffs, -float64(b.cfg.K), float64(b.cfg.K))
-	// Reinterpret back: slots (M mod q0)/q0 → (M mod q0)/Δ.
-	out.Scale = out.Scale * delta / q0
-	return out
+	return must(b.evalMod(b.ev, ct))
+}
+
+func (b *Bootstrapper) evalMod(ev *Evaluator, ct *Ciphertext) (*Ciphertext, error) {
+	// Slots M/Δ read as x = M/q0 (a free scale change), and back on the way
+	// out: the plan returns its input's scale.
+	in := *ct
+	in.Scale = ct.Scale * float64(b.params.Q[0]) / b.params.Scale
+	out := NewCiphertext(b.params, stcLevel)
+	err := b.sine.evalInto(ev, out, &in)
+	out.Scale = ct.Scale
+	return out, err
 }
 
 // SlotToCoeff moves slot values back into coefficients: the result's
 // coefficient vector is (slots(ct0), slots(ct1))·Δ.
 func (b *Bootstrapper) SlotToCoeff(ct0, ct1 *Ciphertext) *Ciphertext {
 	ev := b.ev
-	v := ev.Add(ct0, ev.MulByI(ct1))
-	out := ev.EvaluateLinearTransform(v, b.stcLT)
+	v := ev.MulByI(ct1)
+	out := ev.EvaluateLinearTransform(ev.AddInto(v, ct0, v), b.stcLT)
 	return ev.RescaleInto(out, out) // out is owned here
 }
 
-// Bootstrap refreshes ct (level 0, scale Δ) to a high-level ciphertext
-// encrypting the same plaintext. The output level is
-// stcLevel−1 ≥ 2 fresh multiplicative levels.
+// Bootstrap refreshes ct (level 0, scale Δ) to a ciphertext encrypting the
+// same plaintext at level stcLevel−1, scale Δ, leaving ct untouched.
+//
+// The two EvalMod halves share nothing, so they run as the two items of one
+// ForEach on the evaluator's pool: a plain loop at one worker, two streams
+// otherwise. On a pool of two those streams are the whole bound — their limb
+// stages would find it saturated and run inline — so they get a serial
+// evaluator and skip the dispatch; on a wider pool spare tokens, and the
+// early finisher's, flow to the inner stages.
 func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
-	if !sameScale(ct.Scale, b.params.Scale) {
-		return nil, fmt.Errorf("ckks: bootstrap expects scale Δ=%g, got %g", b.params.Scale, ct.Scale)
+	if ct == nil || !sameScale(ct.Scale, b.params.Scale) {
+		return nil, fmt.Errorf("ckks: bootstrap expects a ciphertext at scale Δ=%g", b.params.Scale)
 	}
-	raised := b.ModRaise(ct)
-	ct0, ct1 := b.CoeffToSlot(raised)
-	ct0 = b.EvalMod(ct0)
-	ct1 = b.EvalMod(ct1)
-	if ct0.Level < b.stcLT.Level || ct1.Level < b.stcLT.Level {
-		return nil, fmt.Errorf("ckks: EvalMod exhausted levels (at %d, need ≥ %d) — lengthen the chain",
-			ct0.Level, b.stcLT.Level)
+	var half [2]*Ciphertext
+	half[0], half[1] = b.CoeffToSlot(b.ModRaise(ct))
+	ev := b.ev
+	if ev.pool.Workers() == 2 {
+		ev = ev.WithWorkers(1)
 	}
-	out := b.SlotToCoeff(ct0, ct1)
-	out.Scale = b.params.Scale // residual bookkeeping drift is below noise
+	var errs [2]error
+	b.ev.pool.ForEach(2, func(i int) { half[i], errs[i] = b.evalMod(ev, half[i]) })
+	if err := errors.Join(errs[:]...); err != nil {
+		return nil, err
+	}
+	out := b.SlotToCoeff(half[0], half[1])
+	out.Scale = b.params.Scale // the transforms' Δ·q/q, to the last bit
 	return out, nil
 }
 

@@ -1,9 +1,6 @@
 package ckks
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // ChebyshevCoefficients interpolates f on [a, b] with a degree-`degree`
 // Chebyshev expansion (coefficients in the Chebyshev basis of the
@@ -44,146 +41,15 @@ func EvalChebyshevScalar(coeffs []float64, a, b, x float64) float64 {
 }
 
 // EvalChebyshev homomorphically evaluates the Chebyshev expansion on every
-// slot of ct, whose values must lie in [a, b]. The evaluation uses
-// baby-step/giant-step Paterson–Stockmeyer over the Chebyshev basis with
-// exact scale management: the result keeps ct's scale. Consumes roughly
-// 2·log2(degree) levels.
+// slot of ct, whose values must lie in [a, b], from a plan compiled for this
+// call (polyplan.go): baby-step/giant-step Paterson–Stockmeyer over the
+// Chebyshev basis, every scale tracked exactly, the result on ct's own
+// scale. Consumes one level for the change of variable, one per doubling of
+// the degree (two where the scale exceeds the primes) and one for the
+// coefficients; a chain too short for that is ErrLevelExhausted.
 func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
-	degree := len(coeffs) - 1
-	for degree > 0 && coeffs[degree] == 0 {
-		degree--
-	}
-	if degree == 0 {
-		out := ev.MulConstRescale(ct, 0)
-		return ev.AddConst(out, complex(coeffs[0], 0))
-	}
-	target := ct.Scale
-
-	// u = (2x − (a+b)) / (b − a), same scale as ct (one level).
-	u := ev.MulConstRescale(ct, complex(2/(b-a), 0))
-	u = ev.AddConst(u, complex(-(a+b)/(b-a), 0))
-
-	// Baby-step width: power of two near √degree.
-	n1 := 1
-	for n1*n1 < degree {
-		n1 <<= 1
-	}
-	if n1 > 32 {
-		n1 = 32
-	}
-
-	c := &chebyEval{ev: ev, target: target, T: map[int]*Ciphertext{1: u}}
-	for k := 2; k <= n1; k++ {
-		c.power(k)
-	}
-	for m := 2 * n1; m <= degree; m *= 2 {
-		c.power(m)
-	}
-	return c.eval(coeffs[:degree+1], n1)
-}
-
-// chebyEval carries the shared Chebyshev basis ciphertexts T_k.
-type chebyEval struct {
-	ev     *Evaluator
-	target float64
-	T      map[int]*Ciphertext
-}
-
-// power materializes T_k from smaller powers via
-// T_{a+b} = 2·T_a·T_b − T_{|a−b|}.
-func (c *chebyEval) power(k int) *Ciphertext {
-	if t, ok := c.T[k]; ok {
-		return t
-	}
-	ha := k / 2
-	hb := k - ha
-	ta := c.power(ha)
-	tb := c.power(hb)
-	// 2·T_ha·T_hb at exact target scale.
-	t := c.mulExact(ta, tb, 2)
-	if ha == hb {
-		t = c.ev.AddConst(t, -1) // T_{2a} = 2T_a² − T_0
-	} else {
-		d := hb - ha
-		t = c.subAligned(t, c.power(d))
-	}
-	c.T[k] = t
-	return t
-}
-
-// mulExact returns factor·a·b at exactly the target scale, consuming two
-// levels: the correction constant is folded into a plaintext multiplication
-// so the two rescales land on target.
-func (c *chebyEval) mulExact(a, b *Ciphertext, factor float64) *Ciphertext {
-	ev := c.ev
-	p := ev.MulRelin(a, b)
-	if p.Level < 2 {
-		panic(fmt.Sprintf("ckks: chebyshev out of levels at level %d", p.Level))
-	}
-	ql := float64(ev.params.Q[p.Level])
-	ql1 := float64(ev.params.Q[p.Level-1])
-	cscale := c.target * ql * ql1 / p.Scale
-	pt := ev.encodeConst(complex(factor, 0), p.Level, cscale)
-	// Destination-passing chain: p is fresh (owned here), so the correction
-	// multiply and both rescales run in place without fresh ciphertexts.
-	ev.MulPlainInto(p, p, pt)
-	ev.RescaleInto(p, p)
-	ev.RescaleInto(p, p)
-	p.Scale = c.target // bookkeeping is exact by construction
-	return p
-}
-
-// subAligned subtracts with level alignment (scales already equal).
-func (c *chebyEval) subAligned(a, b *Ciphertext) *Ciphertext {
-	return c.ev.Sub(a, b)
-}
-
-// eval evaluates the Chebyshev-basis polynomial recursively:
-// p = q·T_m + r for the largest available giant step m ≤ deg(p).
-func (c *chebyEval) eval(coeffs []float64, n1 int) *Ciphertext {
-	deg := len(coeffs) - 1
-	for deg > 0 && math.Abs(coeffs[deg]) < 1e-14 {
-		deg--
-	}
-	coeffs = coeffs[:deg+1]
-
-	if deg < n1 {
-		return c.evalBase(coeffs)
-	}
-	m := n1
-	for m*2 <= deg {
-		m *= 2
-	}
-	q, r := chebDiv(coeffs, m)
-	qc := c.eval(q, n1)
-	rc := c.eval(r, n1)
-	out := c.mulExact(qc, c.T[m], 1)
-	return c.ev.Add(out, rc)
-}
-
-// evalBase evaluates a low-degree expansion directly against the baby-step
-// basis: Σ c_k·T_k via constant multiplications.
-func (c *chebyEval) evalBase(coeffs []float64) *Ciphertext {
-	ev := c.ev
-	var acc *Ciphertext
-	for k := len(coeffs) - 1; k >= 1; k-- {
-		if math.Abs(coeffs[k]) < 1e-14 {
-			continue
-		}
-		term := ev.MulConstRescale(c.T[k], complex(coeffs[k], 0))
-		term.Scale = c.target
-		if acc == nil {
-			acc = term
-		} else {
-			acc = ev.Add(acc, term)
-		}
-	}
-	if acc == nil {
-		// Constant polynomial: anchor on T_1 scaled by zero.
-		acc = ev.MulConstRescale(c.T[1], 0)
-		acc.Scale = c.target
-	}
-	return ev.AddConst(acc, complex(coeffs[0], 0))
+	p := newPolyPlan(ev.params, true, coeffs, 2/(b-a), -(a+b)/(b-a), ct.Scale)
+	return must(p.eval(ev, ct))
 }
 
 // chebDiv divides a Chebyshev-basis polynomial by T_m:

@@ -45,10 +45,6 @@ type Plaintext struct {
 	Scale float64
 	Level int
 
-	// ephemeral marks single-use plaintexts (evaluator-internal constants)
-	// for which memoizing the Montgomery image would be pure overhead.
-	ephemeral bool
-
 	// mont memoizes the lazy Montgomery lift of Value (limb i holds
 	// Value.Coeffs[i]·2^64 mod q_i, entries < 2q_i) so repeated plaintext
 	// multiplications — the BSGS inner loop — skip the per-element lift
@@ -70,15 +66,11 @@ func (pt *Plaintext) Invalidate() {
 }
 
 // montImage returns the memoized lazy Montgomery lift of pt.Value, building
-// (or rebuilding, after a level drop) it on first use. Returns nil for
-// ephemeral plaintexts. The composition VecMFormLazy + VecMRed is
-// bit-identical to VecMontMul — it is the same arithmetic split at the same
-// intermediate value — so multiplying against the memo changes no output
-// bit. Safe for concurrent use.
+// (or rebuilding, after a level drop) it on first use. The composition
+// VecMFormLazy + VecMRed is bit-identical to VecMontMul — it is the same
+// arithmetic split at the same intermediate value — so multiplying against
+// the memo changes no output bit. Safe for concurrent use.
 func (pt *Plaintext) montImage(rq *ring.Ring) *ring.Poly {
-	if pt.ephemeral {
-		return nil
-	}
 	limbs := len(pt.Value.Coeffs)
 	pt.montMu.Lock()
 	defer pt.montMu.Unlock()

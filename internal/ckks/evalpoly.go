@@ -1,96 +1,10 @@
 package ckks
 
-import (
-	"fmt"
-	"math"
-)
-
 // EvalPoly evaluates a polynomial Σ coeffs[k]·x^k (standard power basis,
-// real coefficients) on every slot of ct, using a balanced product tree
-// with exact scale management. Depth is ~2·ceil(log2 degree) levels; for
-// high degrees or wide input ranges prefer EvalChebyshev, which is better
-// conditioned.
+// real coefficients) on every slot of ct: the plan EvalChebyshev compiles,
+// with x^{a+b} = x^a·x^b as its basis rule. The result keeps ct's scale and
+// sits ⌈log2 degree⌉ + 1 levels down for a Δ-scaled input; for high degrees
+// or wide input ranges prefer EvalChebyshev, which is better conditioned.
 func (ev *Evaluator) EvalPoly(ct *Ciphertext, coeffs []float64) *Ciphertext {
-	degree := len(coeffs) - 1
-	for degree > 0 && coeffs[degree] == 0 {
-		degree--
-	}
-	coeffs = coeffs[:degree+1]
-	if degree == 0 {
-		out := ev.MulConstRescale(ct, 0)
-		return ev.AddConst(out, complex(coeffs[0], 0))
-	}
-	e := &polyEval{ev: ev, target: ct.Scale, pow: map[int]*Ciphertext{1: ct}}
-	return e.eval(coeffs)
-}
-
-// polyEval shares the power basis x, x², x⁴, … across the product tree.
-type polyEval struct {
-	ev     *Evaluator
-	target float64
-	pow    map[int]*Ciphertext
-}
-
-// power returns x^k, built by halving (keeps depth logarithmic).
-func (e *polyEval) power(k int) *Ciphertext {
-	if p, ok := e.pow[k]; ok {
-		return p
-	}
-	ha := k / 2
-	hb := k - ha
-	p := e.mulExact(e.power(ha), e.power(hb))
-	e.pow[k] = p
-	return p
-}
-
-// mulExact multiplies two ciphertexts back to the canonical scale
-// (two levels, same construction as the Chebyshev evaluator).
-func (e *polyEval) mulExact(a, b *Ciphertext) *Ciphertext {
-	ev := e.ev
-	p := ev.MulRelin(a, b)
-	if p.Level < 2 {
-		panic(fmt.Sprintf("ckks: EvalPoly out of levels at level %d", p.Level))
-	}
-	ql := float64(ev.params.Q[p.Level])
-	ql1 := float64(ev.params.Q[p.Level-1])
-	cscale := e.target * ql * ql1 / p.Scale
-	pt := ev.encodeConst(1, p.Level, cscale)
-	// Destination-passing chain: p is fresh (owned here), so the correction
-	// multiply and both rescales run in place without fresh ciphertexts.
-	ev.MulPlainInto(p, p, pt)
-	ev.RescaleInto(p, p)
-	ev.RescaleInto(p, p)
-	p.Scale = e.target
-	return p
-}
-
-// eval evaluates by splitting at the largest power of two ≤ degree:
-// p(x) = q(x)·x^m + r(x).
-func (e *polyEval) eval(coeffs []float64) *Ciphertext {
-	deg := len(coeffs) - 1
-	for deg > 0 && math.Abs(coeffs[deg]) < 1e-300 {
-		deg--
-	}
-	coeffs = coeffs[:deg+1]
-
-	if deg <= 1 {
-		if deg == 0 || coeffs[1] == 0 {
-			out := e.ev.MulConstRescale(e.pow[1], 0)
-			out.Scale = e.target
-			return e.ev.AddConst(out, complex(coeffs[0], 0))
-		}
-		out := e.ev.MulConstRescale(e.pow[1], complex(coeffs[1], 0))
-		out.Scale = e.target
-		return e.ev.AddConst(out, complex(coeffs[0], 0))
-	}
-	m := 1
-	for m*2 <= deg {
-		m *= 2
-	}
-	q := coeffs[m:]
-	r := coeffs[:m]
-	qc := e.eval(append([]float64(nil), q...))
-	rc := e.eval(append([]float64(nil), r...))
-	out := e.mulExact(qc, e.power(m))
-	return e.ev.Add(out, rc)
+	return must(newPolyPlan(ev.params, false, coeffs, 1, 0, ct.Scale).eval(ev, ct))
 }

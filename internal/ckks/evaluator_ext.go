@@ -1,21 +1,16 @@
 package ckks
 
-import (
-	"math"
+import "math"
 
-	"poseidon/internal/ring"
-)
-
-// encodeConst builds a plaintext whose every slot equals c, at the given
-// level. The returned plaintext's Scale is the *realized* integer scale so
-// downstream bookkeeping stays consistent with the actual coefficients.
+// encodeConst builds a plaintext whose every slot equals the complex
+// constant c, at the given level. Its coefficients are round(Re c·scale) and
+// round(Im c·scale) and its Scale is the requested one: the constant the
+// slots actually hold is c perturbed by at most 1/(√2·scale).
 // A constant needs no FFT: slots all c ⇔ polynomial Re(c) + Im(c)·X^{N/2}.
 func (ev *Evaluator) encodeConst(c complex128, level int, scale float64) *Plaintext {
 	rq := ev.params.RingQ
 	n := ev.params.Slots
-	// Ephemeral: evaluator-internal constants are used once, so memoizing
-	// their Montgomery image would be pure overhead.
-	pt := &Plaintext{Value: rq.NewPoly(level + 1), Scale: scale, Level: level, ephemeral: true}
+	pt := &Plaintext{Value: rq.NewPoly(level + 1), Scale: scale, Level: level}
 	re := int64(math.Round(real(c) * scale))
 	im := int64(math.Round(imag(c) * scale))
 	for i := 0; i <= level; i++ {
@@ -26,14 +21,22 @@ func (ev *Evaluator) encodeConst(c complex128, level int, scale float64) *Plaint
 	return pt
 }
 
+// mulConst is ct·c with c encoded at the given scale: a scalar pass for a
+// real constant, a plaintext product only for a genuinely complex one.
+func (ev *Evaluator) mulConst(ct *Ciphertext, c complex128, scale float64) *Ciphertext {
+	if imag(c) == 0 {
+		s := ev.params.newScalar(real(c), scale, ct.Level)
+		return must(ev.exec(&opMulScalar, nil, operands{a: ct, s: &s}))
+	}
+	return ev.MulPlain(ct, ev.encodeConst(c, ct.Level, scale))
+}
+
 // MulConst multiplies every slot by the constant c. The constant is encoded
 // at the next prime's size so a following Rescale restores the input scale;
 // the returned ciphertext has scale ct.Scale·q_level and must be rescaled
 // by the caller (or use MulConstRescale).
 func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
-	constScale := float64(ev.params.Q[ct.Level])
-	pt := ev.encodeConst(c, ct.Level, constScale)
-	return ev.MulPlain(ct, pt)
+	return ev.mulConst(ct, c, float64(ev.params.Q[ct.Level]))
 }
 
 // MulConstRescale multiplies by a constant and rescales, returning a
@@ -51,17 +54,19 @@ func (ev *Evaluator) MulConstToScale(ct *Ciphertext, c complex128, targetScale f
 	if cscale < 1 {
 		panic("ckks: MulConstToScale target too small for this level")
 	}
-	pt := ev.encodeConst(c, ct.Level, cscale)
-	out := ev.Rescale(ev.MulPlain(ct, pt))
+	out := ev.mulConst(ct, c, cscale)
+	ev.RescaleInto(out, out)
 	out.Scale = targetScale
 	return out
 }
 
 // AddConst adds the constant c to every slot without consuming a level.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) *Ciphertext {
-	pt := ev.encodeConst(c, ct.Level, ct.Scale)
-	pt.Scale = ct.Scale
-	return ev.AddPlain(ct, pt)
+	if imag(c) == 0 {
+		s := ev.params.newScalar(real(c), ct.Scale, ct.Level)
+		return must(ev.exec(&opAddScalar, nil, operands{a: ct, s: &s}))
+	}
+	return ev.AddPlain(ct, ev.encodeConst(c, ct.Level, ct.Scale))
 }
 
 // TryInnerSum is the rotate-and-add reduction every rotation-based workload
@@ -84,47 +89,8 @@ func (ev *Evaluator) TryInnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 }
 
 // MulByI multiplies every slot by the imaginary unit i — a multiplication
-// by the monomial X^{N/2}, which is a noise-free negacyclic coefficient
-// shift: no scale change, no level consumed.
+// by the monomial X^{N/2}, noise-free: no scale change, no level consumed,
+// and in the NTT domain no transform either (see kernMulByI).
 func (ev *Evaluator) MulByI(ct *Ciphertext) *Ciphertext {
-	out := ct.CopyNew()
-	rq := ev.params.RingQ
-	rq.INTTParallel(out.C0, ev.pool)
-	rq.INTTParallel(out.C1, ev.pool)
-	ev.mulByMonomial(out.C0, ev.params.N/2)
-	ev.mulByMonomial(out.C1, ev.params.N/2)
-	rq.NTTParallel(out.C0, ev.pool)
-	rq.NTTParallel(out.C1, ev.pool)
-	return out
-}
-
-// mulByMonomial multiplies a coefficient-domain polynomial by X^k
-// (0 ≤ k < 2N) in place, with negacyclic wraparound, one limb per task.
-func (ev *Evaluator) mulByMonomial(p *ring.Poly, k int) {
-	rq := ev.params.RingQ
-	n := ev.params.N
-	k = ((k % (2 * n)) + 2*n) % (2 * n)
-	ev.pool.ForEach(len(p.Coeffs), func(i int) {
-		mod := rq.Moduli[i]
-		src := p.Coeffs[i]
-		dst := rq.GetVec()
-		for j := 0; j < n; j++ {
-			t := j + k
-			neg := false
-			if t >= 2*n {
-				t -= 2 * n
-			}
-			if t >= n {
-				t -= n
-				neg = true
-			}
-			if neg {
-				dst[t] = mod.Neg(src[j])
-			} else {
-				dst[t] = src[j]
-			}
-		}
-		copy(src, dst)
-		rq.PutVec(dst)
-	})
+	return must(ev.exec(&opMulByI, nil, operands{a: ct}))
 }

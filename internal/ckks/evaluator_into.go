@@ -117,6 +117,63 @@ func (c *opCall) mulPlainLimb(i int) {
 	mod.VecMRed(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.pv.Coeffs[i])
 }
 
+// pointwise is the kernel of the scalar ops: one per-limb stage over
+// NTT-domain operands, where a constant polynomial c is the constant vector c
+// and X^{N/2} a vector of two values. Residues stay canonical, so each pass
+// is bit-identical to the op it stands for on the encoded constant.
+func (c *opCall) pointwise(stage func(*opCall, int), scale float64) {
+	if !c.x.C0.IsNTT || !c.x.C1.IsNTT || c.d.binary && !(c.y.C0.IsNTT && c.y.C1.IsNTT) {
+		panic("ckks: " + c.d.name + ": operands must be in NTT domain")
+	}
+	reshapeCt(c.out, c.level)
+	ring.Run(c.ev.pool, c.level+1, c, stage)
+	c.out.C0.IsNTT, c.out.C1.IsNTT = true, true
+	c.out.Scale = scale
+}
+
+func kernMulScalar(c *opCall) { c.pointwise((*opCall).mulScalarLimb, c.x.Scale*c.s.scale) }
+func kernMacScalar(c *opCall) { c.pointwise((*opCall).macScalarLimb, c.x.Scale) }
+func kernAddScalar(c *opCall) { c.pointwise((*opCall).addScalarLimb, c.x.Scale) }
+func kernMulByI(c *opCall)    { c.pointwise((*opCall).mulByILimb, c.x.Scale) }
+
+// mulScalarLimb is out = s·x.
+func (c *opCall) mulScalarLimb(i int) {
+	mod, s, ss := c.ev.params.RingQ.Moduli[i], c.s.q[i], c.s.qs[i]
+	mod.VecMulShoup(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], s, ss)
+	mod.VecMulShoup(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], s, ss)
+}
+
+// macScalarLimb is out = x + s·y.
+func (c *opCall) macScalarLimb(i int) {
+	mod, s, ss := c.ev.params.RingQ.Moduli[i], c.s.q[i], c.s.qs[i]
+	mod.VecMulShoupAdd(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.y.C0.Coeffs[i], s, ss)
+	mod.VecMulShoupAdd(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.y.C1.Coeffs[i], s, ss)
+}
+
+// addScalarLimb is out = x + s: the constant joins every NTT point of C0.
+func (c *opCall) addScalarLimb(i int) {
+	mod, s := c.ev.params.RingQ.Moduli[i], c.s.q[i]
+	o, x := c.out.C0.Coeffs[i], c.x.C0.Coeffs[i]
+	for j := range o {
+		o[j] = mod.Add(x[j], s)
+	}
+	copy(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i])
+}
+
+// mulByILimb is out = X^{N/2}·x. At NTT point j the monomial takes the value
+// ψ^{(2·brv(j)+1)·N/2}: the fourth root of unity ψ^{N/2} on the first half of
+// the bit-reversed points, its negative on the second.
+func (c *opCall) mulByILimb(i int) {
+	params := c.ev.params
+	mod, w, h := params.RingQ.Moduli[i], params.imagUnit[i], params.N/2
+	nw := mod.Neg(w)
+	ws, nws := mod.ShoupConstant(w), mod.ShoupConstant(nw)
+	for _, p := range [2][2][]uint64{{c.out.C0.Coeffs[i], c.x.C0.Coeffs[i]}, {c.out.C1.Coeffs[i], c.x.C1.Coeffs[i]}} {
+		mod.VecMulShoup(p[0][:h], p[1][:h], w, ws)
+		mod.VecMulShoup(p[0][h:], p[1][h:], nw, nws)
+	}
+}
+
 // mulRelinLimb computes limb i of the degree-2 product: o0 = a0·b0,
 // o1 = a0·b1 + a1·b0, o2 = a1·b1 (all NTT-domain, element-wise — the
 // paper's batched MM operator across limbs). o2 is scratch slot 0.

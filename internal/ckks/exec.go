@@ -49,6 +49,7 @@ type opDesc struct {
 type operands struct {
 	a, b *Ciphertext
 	pt   *Plaintext
+	s    *rnsScalar // integer constant of the scalar ops
 	key  *SwitchingKey
 	g    uint64   // Galois element of a rotation or conjugation
 	h    *Hoisted // hoisted handle (Hoist fills it, Hoisted.Rotate replays it)

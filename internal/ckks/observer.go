@@ -10,7 +10,9 @@ import (
 // executes, with the level it ran at. Observers let application code be
 // profiled into operation traces that the accelerator model can price —
 // write the FHE program once, run it functionally, and cost it on the
-// modeled hardware.
+// modeled hardware. Implementations must be safe for concurrent use: an
+// evaluator may be shared between goroutines, and Bootstrap reports its two
+// EvalMod halves from two of them.
 type OpObserver interface {
 	Observe(op string, level int)
 }

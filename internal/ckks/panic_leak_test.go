@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"poseidon/internal/fault"
+	"poseidon/internal/ring"
 )
 
 // Mid-op panic injection: every destination-passing op acquires arena
@@ -179,4 +180,50 @@ func FuzzMidOpPanicArena(f *testing.F) {
 			t.Fatalf("%s: %v visit %d: arena leaked: in-use %d, baseline %d (panicked: %v)", op.name, site, visit, inUse, baseline, rec != nil)
 		}
 	})
+}
+
+// TestMidOpPanicEvalMod extends the sweep to the compiled sine: a panic at a
+// transform inside either EvalMod half of one Bootstrap — wherever in the
+// plan that is, with whatever slots are checked out — comes back as the
+// error of the op it hit, and the plan's sweep returns every slot. The two
+// halves are thousands of visits, so the sweep strides through them; serial, so the numbering is deterministic and the second half's
+// visits follow the first's.
+func TestMidOpPanicEvalMod(t *testing.T) {
+	fx := newBootFixture(t, 5, 1)
+	params, boot := fx.params, fx.boot
+	inj := fault.NewInjector(424)
+	for _, r := range []*ring.Ring{params.RingQ, params.RingP} {
+		r.SetFaultInjector(inj)
+		r.Arena().SetPoison(true)
+	}
+	if _, err := boot.Bootstrap(fx.ct); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	for _, site := range []fault.Site{fault.SiteNTT, fault.SiteINTT} {
+		inj.ResetVisits()
+		c0, c1 := boot.CoeffToSlot(boot.ModRaise(fx.ct))
+		lo := inj.Stats().VisitsAt(site)
+		boot.EvalMod(c0)
+		mid := inj.Stats().VisitsAt(site)
+		boot.EvalMod(c1)
+		hi := inj.Stats().VisitsAt(site)
+		baseline := params.ArenaStats().BytesInUse
+		visits := []uint64{lo, mid - 1, mid, hi - 1} // both halves' first and last …
+		for v := lo + 1; v < hi; v += (hi - lo) / 24 {
+			visits = append(visits, v) // … and a stride through everything between
+		}
+		for _, v := range visits {
+			inj.ResetVisits()
+			inj.ArmAt(site, fault.Panic, v)
+			_, err := boot.Bootstrap(fx.ct)
+			inj.Disarm()
+			var oe *OpError
+			if !errors.As(err, &oe) || !isInjectedPanic(oe) {
+				t.Fatalf("%v visit %d of [%d, %d): Bootstrap returned %v, want the injected panic as an op error", site, v, lo, hi, err)
+			}
+			if inUse := params.ArenaStats().BytesInUse; inUse != baseline {
+				t.Fatalf("%v visit %d: plan slots leaked across the panic: in-use %d, baseline %d", site, v, inUse, baseline)
+			}
+		}
+	}
 }

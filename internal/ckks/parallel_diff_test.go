@@ -164,6 +164,15 @@ var diffOps = []struct {
 	{"MulByI", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 		return ev.MulByI(a)
 	}},
+	{"MulConstReal", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+		return ev.MulConstRescale(a, -0.625)
+	}},
+	{"AddConstReal", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+		return ev.AddConst(a, 1.5)
+	}},
+	{"EvalPoly", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
+		return ev.EvalPoly(a, []float64{0.5, -1, 2}) // two levels: fits the shallow set
+	}},
 	{"MulRelinRescale", func(ev *Evaluator, a, b *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 		return ev.Rescale(ev.MulRelin(a, b))
 	}},

@@ -48,6 +48,10 @@ type Parameters struct {
 	pModQ      []uint64
 	pModQShoup []uint64
 
+	// imagUnit[i] = ψ_i^{N/2}, the square root of −1 modulo q_i that
+	// X^{N/2} — the slot-wise factor i — evaluates to at the NTT points.
+	imagUnit []uint64
+
 	// Deterministic scratch free lists for the keyswitch pipeline. Like the
 	// ring arena these are mutex-guarded typed stacks, not sync.Pools: they
 	// are never cleared by the GC and pushing onto them does not box, so a
@@ -281,7 +285,9 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 
 	p.pModQ = make([]uint64, len(p.Q))
 	p.pModQShoup = make([]uint64, len(p.Q))
+	p.imagUnit = make([]uint64, len(p.Q))
 	for i, qi := range p.RingQ.Moduli {
+		p.imagUnit[i] = qi.Pow(p.RingQ.Tables[i].Psi, uint64(p.N/2))
 		prod := uint64(1)
 		for _, pj := range p.RingP.Moduli {
 			prod = qi.Mul(prod, qi.Reduce(pj.Q))

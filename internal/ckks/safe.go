@@ -82,6 +82,8 @@ func (ev *Evaluator) validDest(op string, out *Ciphertext, level int) error {
 // once. Sub shares HAdd's trace name (the accelerator prices them alike);
 // Rotate and Conjugate are one descriptor and differ in the Galois element
 // their surfaces pass. HNeg is not a traced kind, so Neg is not observed.
+// The scalar ops are PMult and HAddPlain by a real constant with no
+// polynomial built or transformed (see opCall.pointwise).
 var (
 	opAdd       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernAdd, spot: spotAdd}
 	opSub       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernSub, spot: spotSub}
@@ -93,16 +95,27 @@ var (
 	opGalois    = opDesc{name: "Rotation", observe: true, pre: preGalois, kernel: kernGalois}
 	opKeySwitch = opDesc{name: "Keyswitch", observe: true, pre: preKeySwitch, kernel: kernKeySwitch}
 
+	opMulScalar = opDesc{name: "PMult", observe: true, pre: preNoise, kernel: kernMulScalar}                   // s·a
+	opMacScalar = opDesc{name: "PMult", observe: true, binary: true, pre: preSameScale, kernel: kernMacScalar} // a + s·b
+	opAddScalar = opDesc{name: "HAddPlain", observe: true, pre: preSameScale, kernel: kernAddScalar}           // a + s
+	opMulByI    = opDesc{name: "MulByI", kernel: kernMulByI}                                                   // not a traced kind
+
 	opHoist         = opDesc{name: "Rotation", noDest: true, pre: preHoist, kernel: kernHoist}
 	opHoistedRotate = opDesc{name: "Rotation", observe: true, trusted: true, pre: preHoistedRotate, kernel: kernHoistedRotate}
 )
 
-// otherScale is the scale of the second operand, whichever kind it is.
+// otherScale is the scale of the second operand, whichever kind it is: for
+// a scalar multiply-accumulate, that of the scaled addend.
 func (c *opCall) otherScale() float64 {
-	if c.d.plain {
+	switch {
+	case c.d.plain:
 		return c.pt.Scale
+	case c.s == nil:
+		return c.b.Scale
+	case c.d.binary:
+		return c.b.Scale * c.s.scale
 	}
-	return c.b.Scale
+	return c.s.scale
 }
 
 func preSameScale(c *opCall) error {

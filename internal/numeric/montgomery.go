@@ -213,3 +213,37 @@ func (m Modulus) VecMontMulAdd(c, a, b []uint64) {
 		c[i] = s
 	}
 }
+
+// VecMulShoup sets c[i] = a[i]·w mod q for the fixed operand w < q with its
+// Shoup constant (see MulShoup): the scalar pass of a polynomial multiplied
+// by a constant, every residue canonical.
+func (m Modulus) VecMulShoup(c, a []uint64, w, wShoup uint64) {
+	q := m.Q
+	a = a[:len(c)]
+	for i := range c {
+		hi, _ := bits.Mul64(a[i], wShoup)
+		r := a[i]*w - hi*q
+		if r >= q {
+			r -= q
+		}
+		c[i] = r
+	}
+}
+
+// VecMulShoupAdd sets c[i] = (acc[i] + a[i]·w) mod q — the
+// multiply-accumulate companion of VecMulShoup; c may be acc.
+func (m Modulus) VecMulShoupAdd(c, acc, a []uint64, w, wShoup uint64) {
+	q := m.Q
+	acc, a = acc[:len(c)], a[:len(c)]
+	for i := range c {
+		hi, _ := bits.Mul64(a[i], wShoup)
+		r := a[i]*w - hi*q
+		if r >= q {
+			r -= q
+		}
+		if r += acc[i]; r >= q {
+			r -= q
+		}
+		c[i] = r
+	}
+}

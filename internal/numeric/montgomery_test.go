@@ -134,6 +134,33 @@ func TestVecMontMulMatchesMul(t *testing.T) {
 	}
 }
 
+// The Shoup scalar kernels against the same reference, edge residues and the
+// in-place accumulate included.
+func TestVecMulShoupMatchesMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 33
+	for _, q := range oddTestModuli() {
+		m := NewModulus(q)
+		a, acc := make([]uint64, n), make([]uint64, n)
+		for j := range a {
+			a[j], acc[j] = rng.Uint64()%q, rng.Uint64()%q
+		}
+		a[0], acc[0], a[1] = q-1, q-1, 0
+		for _, w := range []uint64{0, 1, q - 1, rng.Uint64() % q} {
+			ws := m.ShoupConstant(w)
+			c := make([]uint64, n)
+			m.VecMulShoup(c, a, w, ws)
+			got := append([]uint64(nil), acc...)
+			m.VecMulShoupAdd(got, got, a, w, ws)
+			for j := range a {
+				if want := m.Mul(a[j], w); c[j] != want || got[j] != m.Add(acc[j], want) {
+					t.Fatalf("q=%d w=%d [%d]: product %d want %d, accumulated %d want %d", q, w, j, c[j], want, got[j], m.Add(acc[j], want))
+				}
+			}
+		}
+	}
+}
+
 // Property over full residue range on a 61-bit modulus.
 func TestMontMulProperty(t *testing.T) {
 	m := NewModulus(2305843009213554689)
