@@ -25,8 +25,9 @@ func main() {
 	}
 	kit := poseidon.NewKit(params, 314)
 
-	// Telemetry measures each op's wall time; the recorder captures the op
-	// sequence for accelerator pricing. EnableTelemetry fans out to both.
+	// Two sinks on one evaluator, each hearing every OpEvent: the recorder
+	// keeps the op sequence for accelerator pricing, the collector each op's
+	// wall time. EnableTelemetry fans the collector in beside the recorder.
 	rec := poseidon.NewTraceRecorder("weighted-score")
 	rec.SetWorkers(kit.Workers())
 	kit.Eval.SetObserver(rec)

@@ -3,22 +3,8 @@ package ckks
 import (
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// syncCounter is traceCounter for an evaluator observed from two goroutines,
-// as Bootstrap's is.
-type syncCounter struct {
-	mu sync.Mutex
-	n  traceCounter
-}
-
-func (c *syncCounter) Observe(op string, level int) {
-	c.mu.Lock()
-	c.n[op]++
-	c.mu.Unlock()
-}
 
 // bootFixture is a B9-shaped bootstrapper (K = 28) on a ring of the given
 // size with one level-0 input.
@@ -112,14 +98,14 @@ func TestBootstrapWorkersBitIdentical(t *testing.T) {
 func TestBootstrapOpCounts(t *testing.T) {
 	fx := newBootFixture(t, 9, 0)
 	boot := fx.boot
-	obs := &syncCounter{n: traceCounter{}}
+	obs := &eventLog{}
 	boot.Evaluator().SetObserver(obs)
 	out, err := boot.Bootstrap(fx.ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := obs.n
-	for op, n := range (traceCounter{"CMult": 54, "Rescale": 140, "LinTrans": 32, "Rotation": 1}) {
+	counts := obs.counts()
+	for op, n := range map[string]int{"CMult": 54, "Rescale": 140, "LinTrans": 32, "Rotation": 1} {
 		if counts[op] != n {
 			t.Errorf("%s: %d per Bootstrap, want %d (all: %v)", op, counts[op], n, counts)
 		}

@@ -2,10 +2,10 @@ package ckks
 
 import (
 	"fmt"
-	"time"
 
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
+	"poseidon/internal/trace"
 )
 
 // Double-hoisted linear transforms.
@@ -201,28 +201,10 @@ func (ev *Evaluator) EvaluateLinearTransformWithStats(ct *Ciphertext, lt *Linear
 	return out, stats
 }
 
-// phaseSpan reports a timed engine sub-phase ("LinTrans/hoist", …) to the
-// installed SpanObserver. Phase names carry a '/' so kind-based consumers
-// (the trace recorder) can tell them apart from basic ops; the telemetry
-// collector files them into its phase table. No observer, no work.
-func (ev *Evaluator) phaseSpan(op string, level int, start time.Time) {
-	if ev.spans != nil {
-		ev.spans.ObserveSpan(op, level, time.Since(start), nil)
-	}
-}
-
-// phaseStart timestamps a sub-phase only when someone is listening.
-func (ev *Evaluator) phaseStart() (t time.Time) {
-	if ev.spans != nil {
-		t = time.Now()
-	}
-	return
-}
-
 // evalDoubleHoisted is the engine driver. One timed "LinTrans" op is
 // reported per giant-step group — matching the accelerator model, whose
-// trace.LinTrans profile prices one group — plus the '/'-tagged phase spans
-// when a SpanObserver is installed.
+// trace.LinTrans profile prices one group — plus one event per engine phase,
+// timing detail nested around those ops.
 func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform) LinTransStats {
 	if ct.Level < lt.Level {
 		panic(fmt.Sprintf("ckks: transform needs level %d, ciphertext at %d", lt.Level, ct.Level))
@@ -257,21 +239,21 @@ func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform)
 	st.stats.BabySteps = len(plan.babySteps)
 	st.stats.GiantSteps = len(plan.groups)
 
-	t := ev.phaseStart()
+	sp := ev.beginOp("hoist")
 	st.hoist(ct)
-	ev.phaseSpan("LinTrans/hoist", level, t)
+	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "hoist", Level: level})
 
-	t = ev.phaseStart()
+	sp = ev.beginOp("baby")
 	st.babyPhase()
-	ev.phaseSpan("LinTrans/baby", level, t)
+	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "baby", Level: level})
 
-	t = ev.phaseStart()
+	sp = ev.beginOp("giant")
 	st.giantPhase()
-	ev.phaseSpan("LinTrans/giant", level, t)
+	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: level})
 
-	t = ev.phaseStart()
+	sp = ev.beginOp("finish")
 	st.finish(dst, scale)
-	ev.phaseSpan("LinTrans/finish", level, t)
+	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "finish", Level: level})
 
 	return st.stats
 }
@@ -358,7 +340,7 @@ func (st *ltState) giantPhase() {
 			params.putWide(st.wideG)
 			st.wideG = nil
 		}
-		ev.endOp("LinTrans", st.level, sp, nil)
+		ev.emit(sp, trace.OpEvent{Op: "LinTrans", Level: st.level})
 	}
 }
 
@@ -408,7 +390,7 @@ func (st *ltState) groupSumStage(i int) {
 	}
 	c1 := st.grp.row1(st.qLimbs, i)
 	if !st.strict {
-		st.wideG.reduce(mod, st.ext1+i, c1)
+		mod.VecReduceWide(c1, st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i])
 	}
 	r, li := st.extRing(i)
 	r.InverseLimb(li, c1)
@@ -488,7 +470,7 @@ func (st *ltState) groupKsStage(i int) {
 	mod := st.modulus(i)
 	c0 := st.grp.row0(st.qLimbs, i)
 	if !st.strict {
-		st.wideG.reduce(mod, i, c0)
+		mod.VecReduceWide(c0, st.wideG.hi[i], st.wideG.lo[i])
 	}
 	addVecGather(mod, o0, c0, st.g.perm)
 }

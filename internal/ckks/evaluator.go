@@ -6,6 +6,7 @@ import (
 	"poseidon/internal/automorph"
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
+	"poseidon/internal/trace"
 )
 
 // Evaluator executes homomorphic operations, fanning independent RNS limbs
@@ -29,18 +30,14 @@ import (
 // until returned), the shared caches (HFAuto routing maps, NTT-domain
 // permutations) are internally locked, and the keyswitch digit extenders
 // are immutable tables built with the parameters — provided
-// any installed OpObserver is itself safe (TraceRecorder is). Evaluators
+// any installed trace.OpSink is itself safe (TraceRecorder is). Evaluators
 // derived via WithWorkers share keys but not pools.
 type Evaluator struct {
-	params   *Parameters
-	rlk      *RelinearizationKey
-	rtks     *RotationKeySet
-	observer OpObserver
-	// spans is the observer re-typed when it also implements SpanObserver:
-	// non-nil switches every basic op into timed-span mode (see observer.go).
-	// Kept as a separate field so the per-op gate is a single nil check.
-	spans SpanObserver
-	pool  *ring.Pool
+	params *Parameters
+	rlk    *RelinearizationKey
+	rtks   *RotationKeySet
+	sink   trace.OpSink // where emit reports; nil means ops are neither timed nor reported (observer.go)
+	pool   *ring.Pool
 
 	// guards, when non-nil, activates the runtime integrity guards
 	// (residue-checksum seals, noise-budget checks, the opt-in
@@ -638,12 +635,12 @@ func (ev *Evaluator) ksRelease(s *ksState) {
 }
 
 // wideAcc is a bank of 128-bit accumulator columns: rows of N (hi, lo)
-// pairs backing the fused plaintext sums of the linear-transform paths,
-// whose terms are too many to carry in registers. (Keyswitch sums never
-// touch one: see ksDigits.innerProduct.) Rows are touched by at most one
-// worker at a time (the parallel loops partition by row), so no locking is
-// needed. Banks are recycled through the Parameters free list
-// (getWide/putWide).
+// pairs backing the fused plaintext sums of the linear-transform engine
+// (double_hoist.go), whose terms are too many to carry in registers.
+// (Keyswitch sums never touch one: see ksDigits.innerProduct.) Rows are
+// touched by at most one worker at a time (the parallel loops partition by
+// row), so no locking is needed. Banks are recycled through the Parameters
+// free list (getWide/putWide).
 type wideAcc struct {
 	hi [][]uint64
 	lo [][]uint64
@@ -659,23 +656,6 @@ func newWideAcc(rows, n int) *wideAcc {
 		w.lo[r] = loSlab[r*n : (r+1)*n]
 	}
 	return w
-}
-
-// macPair accumulates a0[j]·b[j] onto row r0 and a1[j]·b[j] onto row r1 in
-// one pass over the shared multiplicand b (see numeric.VecMACWidePair).
-func (w *wideAcc) macPair(r0, r1 int, a0, a1, b []uint64) {
-	numeric.VecMACWidePair(w.hi[r0], w.lo[r0], w.hi[r1], w.lo[r1], a0, a1, b)
-}
-
-// fold reduces row r to residues, restarting the lazy-product budget.
-func (w *wideAcc) fold(mod numeric.Modulus, r int) {
-	mod.VecFoldWide(w.hi[r], w.lo[r])
-}
-
-// reduce closes row r with the single deferred Barrett reduction per
-// coefficient, writing residues into out.
-func (w *wideAcc) reduce(mod numeric.Modulus, r int, out []uint64) {
-	mod.VecReduceWide(out, w.hi[r], w.lo[r])
 }
 
 // macLimb computes acc[j] += a[perm[j]]·b[j] mod q over one limb (perm nil

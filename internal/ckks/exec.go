@@ -1,8 +1,11 @@
 package ckks
 
 import (
+	"time"
+
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
+	"poseidon/internal/trace"
 )
 
 // How an op runs. The accelerator has one control path that issues every
@@ -21,15 +24,15 @@ import (
 //     RecoveryPolicy installed attempts run into arena scratch and are
 //     re-executed on ErrIntegrity (recovery.go);
 //  4. the output seal;
-//  5. the span / Observe callback, for either outcome.
+//  5. the op's one event, for either outcome, retries included (observer.go).
 //
 // The surfaces differ only in how the outcome is delivered: the Try forms
 // return the *OpError, the others panic with that same *OpError (must).
 
 // opDesc describes one basic operation.
 type opDesc struct {
-	name    string // trace name: the span, the Observe callback, OpError.Op
-	observe bool   // whether the op is reported to the observer at all (both outcomes, or neither)
+	name    string // trace name: the span, OpEvent.Op, OpError.Op
+	observe bool   // whether the op is reported to the sink on its own account (both outcomes, or neither)
 	binary  bool   // takes a second ciphertext operand b
 	plain   bool   // takes a plaintext operand pt
 	noDest  bool   // produces no ciphertext (Hoist fills a handle instead)
@@ -70,6 +73,9 @@ type opCall struct {
 	x, y  *Ciphertext // a and b cut to the run level
 	out   *Ciphertext // destination of the running attempt
 	span  opSpan
+
+	retries  int           // re-executions the recovery loop performed …
+	recovery time.Duration // … and the time from the first failure to its outcome
 
 	// Kernel state. tmp and vec are RingQ scratch the kernel has checked out;
 	// sweep returns whatever is still held when the attempt ends, however it
@@ -223,16 +229,20 @@ func (c *opCall) sweep() {
 }
 
 // finish is step 5 and the end of the record's life. The identity
-// automorphism (g = 1) is a copy: no keyswitch ran, so a successful one is
-// not reported — the accelerator model must not be charged a Rotation for it.
+// automorphism (g = 1) is a copy: no keyswitch ran, so a successful one is no
+// more an op of the model's trace than one the descriptor leaves unobserved —
+// the accelerator model must not be charged a Rotation for it. Such an op is
+// reported only when the recovery loop re-executed it, and marked.
 func (c *opCall) finish(err *error) {
 	ev := c.ev
-	if c.d.observe {
-		if *err == nil && c.g == 1 {
-			c.span.cancel()
-		} else {
-			ev.endOp(c.d.name, c.run, c.span, *err)
-		}
+	unpriced := !c.d.observe || (*err == nil && c.g == 1)
+	if !unpriced || c.retries > 0 {
+		ev.emit(c.span, trace.OpEvent{
+			Op: c.d.name, Level: c.run, Err: *err,
+			Retries: c.retries, Recovery: c.recovery, Unpriced: unpriced,
+		})
+	} else {
+		c.span.cancel()
 	}
 	*c = opCall{}
 	pushFree(ev.params, &ev.params.opFree, c)

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"poseidon/internal/fault"
 	"poseidon/internal/ring"
@@ -473,18 +472,6 @@ func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 	}
 }
 
-// spanLog records every span the evaluator reports.
-type spanLog struct {
-	ops    []string
-	levels []int
-	errs   []error
-}
-
-func (l *spanLog) Observe(op string, level int) { l.ObserveSpan(op, level, 0, nil) }
-func (l *spanLog) ObserveSpan(op string, level int, _ time.Duration, err error) {
-	l.ops, l.levels, l.errs = append(l.ops, op), append(l.levels, level), append(l.errs, err)
-}
-
 // An injected mid-operation panic (the Panic fault class) is converted by
 // the recovery boundary into an ErrInternal-wrapped error; the process — and
 // the arena — survive. The failure is reported once, at the level the op ran
@@ -496,8 +483,8 @@ func TestInjectedPanicRecovered(t *testing.T) {
 	ev.EnableGuards(17)
 	a, b, _ := gc.inputs(t, 7, gc.params.MaxLevel())
 	b = ev.DropLevel(b, a.Level-1)
-	spans := &spanLog{}
-	ev.SetObserver(spans)
+	log := &eventLog{}
+	ev.SetObserver(log)
 
 	in := fault.NewInjector(1)
 	gc.params.RingQ.SetFaultInjector(in)
@@ -516,15 +503,15 @@ func TestInjectedPanicRecovered(t *testing.T) {
 	if !errors.As(err, &oe) || oe.Level != b.Level {
 		t.Fatalf("internal failure reports level %d, the op ran at %d", oe.Level, b.Level)
 	}
-	if len(spans.ops) != 1 || spans.ops[0] != "CMult" || spans.levels[0] != b.Level || spans.errs[0] != err {
-		t.Fatalf("observer saw %v at %v with %v, want the one failed CMult at level %d", spans.ops, spans.levels, spans.errs, b.Level)
+	if got := log.all(); len(got) != 1 || got[0].Op != "CMult" || got[0].Level != b.Level || got[0].Err != err {
+		t.Fatalf("sink saw %+v, want the one failed CMult at level %d", got, b.Level)
 	}
 
 	ev.NegInto(NewCiphertext(gc.params, a.Level), a)
 	if _, err := ev.TryNegInto(NewCiphertext(gc.params, a.Level), nil); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("TryNegInto(nil operand) = %v, want ErrInvalidInput", err)
 	}
-	if len(spans.ops) != 1 {
-		t.Fatalf("Neg reported spans %v: it is observed on neither outcome", spans.ops[1:])
+	if got := log.all(); len(got) != 1 {
+		t.Fatalf("Neg reported %+v: it is observed on neither outcome", got[1:])
 	}
 }

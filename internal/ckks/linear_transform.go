@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"poseidon/internal/automorph"
-	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
 
@@ -415,21 +414,25 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 		stats.NTTLimbs += nb * 3 * qLimbs
 	}
 
-	// Giant steps in sorted order: multiply-accumulate each group, rotate
-	// its sum, add into the running result.
+	// Giant steps in sorted order: each group is the literal MulPlain/Add
+	// chain over its diagonals (k PMult and k−1 HAdd, each reported by exec),
+	// then its sum is rotated and added into the running result.
 	var out *Ciphertext
-	terms := make([]ltTerm, 0, len(plan.groups[0].terms))
 	for _, g := range plan.groups {
-		terms = terms[:0]
+		var acc *Ciphertext
 		for _, t := range g.terms {
 			c := ct
 			if t.babyIdx >= 0 {
 				c = inner[t.babyIdx]
 			}
-			terms = append(terms, ltTerm{ct: c, pt: t.pt})
+			prod := ev.MulPlain(c, t.pt)
+			if acc == nil {
+				acc = prod
+			} else {
+				acc = ev.Add(acc, prod)
+			}
 		}
-		stats.PlainMACs += len(terms)
-		acc := ev.mulPlainSum(terms)
+		stats.PlainMACs += len(g.terms)
 		if g.j != 0 {
 			acc = ev.Rotate(acc, g.j)
 			// A full keyswitch per giant step: INTT both components,
@@ -446,67 +449,4 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 		}
 	}
 	return out, stats
-}
-
-// ltTerm is one diagonal's contribution to a giant-step group sum.
-type ltTerm struct {
-	ct *Ciphertext
-	pt *Plaintext
-}
-
-// mulPlainSum computes Σ_m terms[m].ct · terms[m].pt (a PMult digit sum).
-// All terms must share one level and one ciphertext scale — the giant-step
-// groups of a linear transform satisfy this by construction.
-//
-// The lazy path accumulates every product limb-wise into 128-bit columns
-// and spends a single Barrett reduction per coefficient on the whole sum,
-// instead of one reduction plus modular add per term; groups deeper than
-// numeric.MaxLazyProducts fold mid-sum. Under StrictKernels it is the
-// literal MulPlain/Add reference chain. Both paths emit identical operator
-// traces: k PMult and k−1 HAdd for a k-term group.
-func (ev *Evaluator) mulPlainSum(terms []ltTerm) *Ciphertext {
-	rq := ev.params.RingQ
-	if rq.StrictKernels() || len(terms) == 1 {
-		out := ev.MulPlain(terms[0].ct, terms[0].pt)
-		for _, t := range terms[1:] {
-			out = ev.Add(out, ev.MulPlain(t.ct, t.pt))
-		}
-		return out
-	}
-
-	level := terms[0].ct.Level
-	if terms[0].pt.Level < level {
-		level = terms[0].pt.Level
-	}
-	qLimbs := level + 1
-	scale := terms[0].ct.Scale * terms[0].pt.Scale
-	out := &Ciphertext{C0: rq.NewPoly(qLimbs), C1: rq.NewPoly(qLimbs), Scale: scale, Level: level}
-
-	// Rows [0, qLimbs) accumulate C0, rows [qLimbs, 2·qLimbs) C1. The
-	// accumulator bank is recycled through the parameter set's free list.
-	wide := ev.params.getWide(2 * qLimbs)
-	ev.pool.ForEach(qLimbs, func(l int) {
-		mod := rq.Moduli[l]
-		for m, t := range terms {
-			if m > 0 && m%(numeric.MaxLazyProducts-1) == 0 {
-				wide.fold(mod, l)
-				wide.fold(mod, qLimbs+l)
-			}
-			ptc := t.pt.Value.Coeffs[l]
-			wide.macPair(l, qLimbs+l, t.ct.C0.Coeffs[l], t.ct.C1.Coeffs[l], ptc)
-		}
-		wide.reduce(mod, l, out.C0.Coeffs[l])
-		wide.reduce(mod, qLimbs+l, out.C1.Coeffs[l])
-	})
-	ev.params.putWide(wide)
-	out.C0.IsNTT, out.C1.IsNTT = true, true
-
-	// Operator-trace parity with the strict MulPlain/Add chain.
-	for range terms {
-		ev.observe("PMult", level)
-	}
-	for i := 1; i < len(terms); i++ {
-		ev.observe("HAdd", level)
-	}
-	return out
 }

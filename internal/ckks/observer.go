@@ -4,90 +4,47 @@ import (
 	"context"
 	rttrace "runtime/trace"
 	"time"
+
+	"poseidon/internal/trace"
 )
 
-// OpObserver receives a callback for every basic operation the evaluator
-// executes, with the level it ran at. Observers let application code be
-// profiled into operation traces that the accelerator model can price —
-// write the FHE program once, run it functionally, and cost it on the
-// modeled hardware. Implementations must be safe for concurrent use: an
-// evaluator may be shared between goroutines, and Bootstrap reports its two
-// EvalMod halves from two of them.
-type OpObserver interface {
-	Observe(op string, level int)
-}
+// What the evaluator reports, and to whom. Every emit site — exec's finish
+// for the basic ops, the linear-transform engine for its per-group LinTrans
+// op and its four phases — builds one trace.OpEvent and hands it to emit,
+// the only function that calls the installed trace.OpSink. Sinks let
+// application code be profiled into operation traces the accelerator model
+// can price (TraceRecorder), into latency histograms (telemetry.Collector)
+// and into request span trees (tracing.EvalObserver): write the FHE program
+// once, run it functionally, and cost it on the modeled hardware.
 
-// SpanObserver widens OpObserver to timed spans: the evaluator reports the
-// measured wall time of each basic op, plus the error outcome of a failed
-// one (dur 0 for failed or count-only observations). Installing a
-// SpanObserver via SetObserver switches the evaluator into timed mode: every
-// basic op — exec opens the span before validating and closes it after the
-// output seal — is wrapped in a nanosecond
-// timestamp pair and a runtime/trace region named after the op, so
-// execution traces (`go tool trace`) attribute time to FHE operators
-// instead of Go internals. When no SpanObserver is installed, the timing
-// path is a nil check — the zero-allocation gates in alloc_test.go run with
-// observers off and still hold with a span observer on (after warm-up).
-type SpanObserver interface {
-	OpObserver
-	ObserveSpan(op string, level int, dur time.Duration, err error)
-}
+// SetObserver installs (or clears, with nil) the evaluator's sink. With one
+// installed every reported op is wrapped in a nanosecond timestamp pair and
+// a runtime/trace region named after it, so execution traces (`go tool
+// trace`) attribute time to FHE operators instead of Go internals; with none
+// the instrumentation is a nil check. Either way the path allocates nothing
+// (alloc_test.go, and the root package's TestZeroAllocChainObserved).
+func (ev *Evaluator) SetObserver(s trace.OpSink) { ev.sink = s }
 
-// SetObserver installs (or clears, with nil) the evaluator's observer. An
-// observer that also implements SpanObserver receives timed spans; a plain
-// OpObserver keeps the legacy count-only callbacks.
-func (ev *Evaluator) SetObserver(o OpObserver) {
-	ev.observer = o
-	ev.spans, _ = o.(SpanObserver)
-}
+// Observer returns the installed sink (nil if none) — so callers layering
+// telemetry on top of an existing recorder can preserve it through Fanout.
+func (ev *Evaluator) Observer() trace.OpSink { return ev.sink }
 
-// Observer returns the currently installed observer (nil if none) — so
-// callers layering telemetry on top of an existing recorder can preserve it
-// through Fanout.
-func (ev *Evaluator) Observer() OpObserver { return ev.observer }
-
-func (ev *Evaluator) observe(op string, level int) {
-	if ev.observer != nil {
-		ev.observer.Observe(op, level)
-	}
-}
-
-// opSpan carries the per-op timing state between beginOp and endOp: the
-// start timestamp and the runtime/trace region. It is a stack value — the
-// span path performs zero heap allocations (StartRegion returns a shared
-// no-op region while tracing is off).
+// opSpan carries an op's timing state from beginOp to emit: the start
+// timestamp and the runtime/trace region. It is a stack value (StartRegion
+// returns a shared no-op region while tracing is off).
 type opSpan struct {
 	start  time.Time
 	region *rttrace.Region
 }
 
-// beginOp opens a timed span when a SpanObserver is installed; otherwise it
-// is two nil checks and returns the zero span.
-func (ev *Evaluator) beginOp(op string) (s opSpan) {
-	if ev.spans != nil {
-		s.region = rttrace.StartRegion(context.Background(), op)
+// beginOp opens a span when a sink is installed; otherwise it is a nil check
+// and returns the zero span.
+func (ev *Evaluator) beginOp(name string) (s opSpan) {
+	if ev.sink != nil {
+		s.region = rttrace.StartRegion(context.Background(), name)
 		s.start = time.Now()
 	}
 	return
-}
-
-// endOp closes the span and reports the op's outcome: a timed ObserveSpan
-// when a SpanObserver opened the span (zero-duration and carrying the error
-// for a failed op), the legacy count-only Observe for a plain observer —
-// which hears of successes only.
-func (ev *Evaluator) endOp(op string, level int, s opSpan, err error) {
-	if sp := ev.spans; sp != nil && s.region != nil {
-		d := time.Since(s.start)
-		s.region.End()
-		if err != nil {
-			d = 0
-		}
-		sp.ObserveSpan(op, level, d, err)
-		return
-	}
-	if o := ev.observer; o != nil && err == nil {
-		o.Observe(op, level)
-	}
 }
 
 // cancel closes a span that turned out to have nothing to report.
@@ -97,49 +54,38 @@ func (s opSpan) cancel() {
 	}
 }
 
-// fanout broadcasts observations to several observers; it implements
-// SpanObserver so that one timed measurement feeds a trace recorder and a
-// telemetry collector simultaneously.
-type fanout struct{ obs []OpObserver }
-
-func (f *fanout) Observe(op string, level int) {
-	for _, o := range f.obs {
-		o.Observe(op, level)
-	}
-}
-
-// ObserveRecovery forwards recovery outcomes to every member that
-// implements RecoveryObserver. Without this, fanning a request-trace sink
-// next to the telemetry collector would silently sever the collector's
-// recovery feed — the evaluator type-asserts RecoveryObserver on whatever
-// single observer is installed.
-func (f *fanout) ObserveRecovery(op string, retries int, recovered bool, dur time.Duration) {
-	for _, o := range f.obs {
-		if r, ok := o.(RecoveryObserver); ok {
-			r.ObserveRecovery(op, retries, recovered, dur)
+// emit closes the span and reports the event: a success carries the span's
+// duration, a failure none. The zero span (an op that is reported only
+// because it was retried) reports no duration either.
+func (ev *Evaluator) emit(s opSpan, e trace.OpEvent) {
+	if s.region != nil {
+		if e.Err == nil {
+			e.Dur = time.Since(s.start)
 		}
+		s.region.End()
+	}
+	if ev.sink != nil {
+		ev.sink.ObserveOp(e)
 	}
 }
 
-func (f *fanout) ObserveSpan(op string, level int, dur time.Duration, err error) {
-	for _, o := range f.obs {
-		if s, ok := o.(SpanObserver); ok {
-			s.ObserveSpan(op, level, dur, err)
-		} else {
-			o.Observe(op, level)
-		}
+// fanout delivers each event to every member, in order.
+type fanout []trace.OpSink
+
+func (f fanout) ObserveOp(e trace.OpEvent) {
+	for _, s := range f {
+		s.ObserveOp(e)
 	}
 }
 
-// Fanout combines observers into one: spans are timed once and delivered to
-// every SpanObserver in the list, while plain OpObservers receive the legacy
-// count-only callback. Nil entries are skipped; a single non-nil observer is
-// returned as-is.
-func Fanout(obs ...OpObserver) OpObserver {
-	kept := make([]OpObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
+// Fanout combines sinks into one, so that one timed measurement feeds a
+// trace recorder, a telemetry collector and a request tracer together. Nil
+// entries are skipped; a single non-nil sink is returned as-is.
+func Fanout(sinks ...trace.OpSink) trace.OpSink {
+	var kept fanout
+	for _, s := range sinks {
+		if s != nil {
+			kept = append(kept, s)
 		}
 	}
 	switch len(kept) {
@@ -148,5 +94,5 @@ func Fanout(obs ...OpObserver) OpObserver {
 	case 1:
 		return kept[0]
 	}
-	return &fanout{obs: kept}
+	return kept
 }

@@ -35,10 +35,6 @@ type RecoveryPolicy struct {
 	// MaxAttempts is the total execution budget per operation, first try
 	// included. Values ≤ 1 disable recovery.
 	MaxAttempts int
-	// OnRetry, when set, is called before each re-execution with the op
-	// name, the attempt number about to run (2-based: the first retry is
-	// attempt 2) and the error that failed the previous attempt.
-	OnRetry func(op string, attempt int, err error)
 }
 
 // RecoveryStats counts recovery activity, exported into traces.
@@ -46,14 +42,6 @@ type RecoveryStats struct {
 	Attempts      uint64 // re-executions performed (first tries not counted)
 	Recovered     uint64 // ops that succeeded after ≥1 re-execution
 	Unrecoverable uint64 // ops that exhausted the budget still failing integrity
-}
-
-// RecoveryObserver extends the observer surface with op-level recovery
-// outcomes: retries is the number of re-executions performed, recovered
-// whether the op eventually succeeded, dur the wall time from first
-// failure to final outcome. telemetry.Collector implements it.
-type RecoveryObserver interface {
-	ObserveRecovery(op string, retries int, recovered bool, dur time.Duration)
 }
 
 // recoveryState is shared by evaluators derived via WithWorkers (pointer
@@ -98,22 +86,15 @@ func (ev *Evaluator) RecoveryStats() RecoveryStats {
 	}
 }
 
-// observeRecovery reports one recovery outcome to the observer when it
-// implements RecoveryObserver.
-func (ev *Evaluator) observeRecovery(op string, retries int, recovered bool, dur time.Duration) {
-	if ro, ok := ev.observer.(RecoveryObserver); ok {
-		ro.ObserveRecovery(op, retries, recovered, dur)
-	}
-}
-
 // attemptRecovering is exec's step 3 under a recovery policy: the
 // transactional retry loop. Every attempt executes into arena scratch; only
 // a verified attempt is copied into out. An op without a ciphertext result
 // (Hoist) has nothing to stage and simply re-runs: its recoverable failure
 // is the corrupted *input* read, and each re-verification re-reads every
 // limb through the HBM hooks — exactly the read a transient fault decays on.
+// What the loop did rides the op's event: c.retries and c.recovery.
 func (c *opCall) attemptRecovering(out *Ciphertext) (err error) {
-	ev, op := c.ev, c.d.name
+	ev := c.ev
 	rec := ev.recovery
 	dst := out
 	if out != nil {
@@ -126,36 +107,33 @@ func (c *opCall) attemptRecovering(out *Ciphertext) (err error) {
 	}
 
 	var start time.Time
-	for attempt := 1; ; attempt++ {
+	for {
 		err = c.attempt(dst)
-		if err == nil {
-			if out != nil {
-				commitScratch(out, dst)
-			}
-			if attempt > 1 {
-				rec.recovered.Add(1)
-				ev.observeRecovery(op, attempt-1, true, time.Since(start))
-			}
-			return nil
+		// Only a fault-detection failure is retried, and only within budget.
+		if !errors.Is(err, ErrIntegrity) || c.retries+1 >= rec.policy.MaxAttempts {
+			break
 		}
-		if !errors.Is(err, ErrIntegrity) {
-			return err // not a fault-detection failure: retry cannot help
-		}
-		if attempt >= rec.policy.MaxAttempts {
-			rec.unrecoverable.Add(1)
-			if attempt > 1 {
-				ev.observeRecovery(op, attempt-1, false, time.Since(start))
-			}
-			return err
-		}
-		if attempt == 1 {
+		if c.retries == 0 {
 			start = time.Now()
 		}
+		c.retries++
 		rec.attempts.Add(1)
-		if h := rec.policy.OnRetry; h != nil {
-			h(op, attempt+1, err)
-		}
 	}
+	if c.retries > 0 {
+		c.recovery = time.Since(start)
+	}
+	switch {
+	case err == nil:
+		if out != nil {
+			commitScratch(out, dst)
+		}
+		if c.retries > 0 {
+			rec.recovered.Add(1)
+		}
+	case errors.Is(err, ErrIntegrity):
+		rec.unrecoverable.Add(1)
+	}
+	return err
 }
 
 // commitScratch copies a verified attempt's result into the caller's

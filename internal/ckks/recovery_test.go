@@ -3,25 +3,22 @@ package ckks
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"poseidon/internal/fault"
 )
 
 // armRecovery wires a guarded context to a fault injector and installs a
-// recovery policy, returning the injector and a hook-call log.
-func armRecovery(t *testing.T, gc *guardContext, maxAttempts int) (*fault.Injector, *[]int) {
+// recovery policy and an event log, returning the injector and the log.
+func armRecovery(t *testing.T, gc *guardContext, maxAttempts int) (*fault.Injector, *eventLog) {
 	t.Helper()
 	gc.ev.EnableGuards(21)
 	in := fault.NewInjector(101)
 	gc.params.RingQ.SetFaultInjector(in)
 	t.Cleanup(func() { gc.params.RingQ.SetFaultInjector(nil) })
-	var retries []int
-	gc.ev.SetRecoveryPolicy(&RecoveryPolicy{
-		MaxAttempts: maxAttempts,
-		OnRetry:     func(op string, attempt int, err error) { retries = append(retries, attempt) },
-	})
-	return in, &retries
+	gc.ev.SetRecoveryPolicy(&RecoveryPolicy{MaxAttempts: maxAttempts})
+	log := &eventLog{}
+	gc.ev.SetObserver(log)
+	return in, log
 }
 
 // A transient HBM fault that decays on re-read must be recovered by one
@@ -34,7 +31,7 @@ func TestRecoveryTransientFaultRecovered(t *testing.T) {
 	ref := NewEvaluator(gc.params, ev.rlk, ev.rtks)
 	want := ref.Add(a, b) // clean reference before any corruption
 
-	in, retries := armRecovery(t, gc, 3)
+	in, log := armRecovery(t, gc, 3)
 	ev.SealIntegrity(a)
 	ev.SealIntegrity(b)
 
@@ -56,8 +53,8 @@ func TestRecoveryTransientFaultRecovered(t *testing.T) {
 	if st.Attempts != 1 || st.Recovered != 1 || st.Unrecoverable != 0 {
 		t.Fatalf("stats = %+v, want 1 attempt, 1 recovered", st)
 	}
-	if len(*retries) != 1 || (*retries)[0] != 2 {
-		t.Fatalf("OnRetry calls = %v, want one call announcing attempt 2", *retries)
+	if got := log.all(); len(got) != 1 || got[0].Retries != 1 || got[0].Err != nil {
+		t.Fatalf("events = %+v, want the one HAdd reporting 1 retry and no error", got)
 	}
 	if in.Stats().Healed != 1 {
 		t.Fatalf("injector stats %+v: transient fault did not heal", in.Stats())
@@ -70,7 +67,7 @@ func TestRecoveryStickyFaultExhaustsBudget(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
 	a, b, _ := gc.inputs(t, 12, gc.params.MaxLevel())
-	in, retries := armRecovery(t, gc, 3)
+	in, log := armRecovery(t, gc, 3)
 	ev.SealIntegrity(a)
 	ev.SealIntegrity(b)
 
@@ -85,8 +82,8 @@ func TestRecoveryStickyFaultExhaustsBudget(t *testing.T) {
 	if st.Attempts != 2 || st.Recovered != 0 || st.Unrecoverable != 1 {
 		t.Fatalf("stats = %+v, want 2 attempts, 1 unrecoverable", st)
 	}
-	if got := len(*retries); got != 2 {
-		t.Fatalf("OnRetry called %d times, want 2", got)
+	if got := log.all(); len(got) != 1 || got[0].Retries != 2 || got[0].Err != err {
+		t.Fatalf("events = %+v, want the one HAdd reporting 2 retries and the call's error", got)
 	}
 }
 
@@ -147,30 +144,15 @@ func TestRecoveryPolicyInstallAndClear(t *testing.T) {
 	}
 }
 
-// recoveryObserver records ObserveRecovery notifications alongside the
-// base OpObserver surface.
-type recoveryObserver struct {
-	ops       []string
-	recovered []bool
-	retries   []int
-}
-
-func (r *recoveryObserver) Observe(op string, level int) {}
-func (r *recoveryObserver) ObserveRecovery(op string, retries int, recovered bool, dur time.Duration) {
-	r.ops = append(r.ops, op)
-	r.retries = append(r.retries, retries)
-	r.recovered = append(r.recovered, recovered)
-}
-
-// An observer implementing RecoveryObserver receives one notification per
-// recovery episode — the wire telemetry.Collector rides into /metrics.
-func TestRecoveryObserverNotified(t *testing.T) {
+// The recovery outcome rides the op's own event — one report per episode, not
+// a second callback: the retry count, no error, the latency from the first
+// failure to the recovered result, and the op still priced. This is the wire
+// telemetry.Collector rides into /metrics.
+func TestRecoveryRidesOpEvent(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
 	a, b, _ := gc.inputs(t, 14, gc.params.MaxLevel())
-	obs := &recoveryObserver{}
-	ev.SetObserver(obs)
-	in, _ := armRecovery(t, gc, 3)
+	in, log := armRecovery(t, gc, 3)
 	ev.SealIntegrity(a)
 	ev.SealIntegrity(b)
 
@@ -179,23 +161,33 @@ func TestRecoveryObserverNotified(t *testing.T) {
 	if _, err := ev.TryAddInto(out, a, b); err != nil {
 		t.Fatalf("recovered call failed: %v", err)
 	}
-	if len(obs.ops) != 1 || !obs.recovered[0] || obs.retries[0] != 1 {
-		t.Fatalf("observer saw %v/%v/%v, want one recovered episode with 1 retry",
-			obs.ops, obs.retries, obs.recovered)
+	got := log.all()
+	if len(got) != 1 {
+		t.Fatalf("sink saw %+v, want one event for the recovered op", got)
+	}
+	if e := got[0]; e.Op != "HAdd" || e.Retries != 1 || e.Err != nil || e.Recovery <= 0 || e.Dur < e.Recovery || e.Unpriced {
+		t.Fatalf("event %+v, want a priced HAdd with 1 retry, no error and a recovery latency inside its duration", e)
+	}
+
+	// The next op reports a clean record, not a recycled one.
+	if _, err := ev.TryAddInto(out, a, b); err != nil {
+		t.Fatal(err)
+	}
+	if e := log.all()[1]; e.Retries != 0 || e.Recovery != 0 {
+		t.Fatalf("op after a recovered one reports %+v", e)
 	}
 }
 
-// A fanout must forward recovery notifications to every member that
-// implements RecoveryObserver — the serving layer installs
-// Fanout(collector, traceSink) on tenant evaluators and both sides need
-// the recovery feed.
+// A fanout must deliver the recovery outcome to every member — the serving
+// layer installs Fanout(collector, traceSink) on tenant evaluators and both
+// sides need the recovery feed.
 func TestFanoutForwardsRecovery(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
 	a, b, _ := gc.inputs(t, 14, gc.params.MaxLevel())
-	first, second := &recoveryObserver{}, &recoveryObserver{}
-	ev.SetObserver(Fanout(first, second))
-	in, _ := armRecovery(t, gc, 3)
+	in, first := armRecovery(t, gc, 3)
+	second := &eventLog{}
+	ev.SetObserver(Fanout(first, nil, second))
 	ev.SealIntegrity(a)
 	ev.SealIntegrity(b)
 
@@ -204,9 +196,9 @@ func TestFanoutForwardsRecovery(t *testing.T) {
 	if _, err := ev.TryAddInto(out, a, b); err != nil {
 		t.Fatalf("recovered call failed: %v", err)
 	}
-	for i, obs := range []*recoveryObserver{first, second} {
-		if len(obs.ops) != 1 || !obs.recovered[0] {
-			t.Fatalf("fanout member %d saw %v/%v, want one recovered episode", i, obs.ops, obs.recovered)
+	for i, log := range []*eventLog{first, second} {
+		if got := log.all(); len(got) != 1 || got[0].Retries != 1 || got[0].Err != nil {
+			t.Fatalf("fanout member %d saw %+v, want one recovered op", i, got)
 		}
 	}
 }

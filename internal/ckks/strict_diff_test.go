@@ -72,14 +72,9 @@ func TestStrictLazyRotateHoisted(t *testing.T) {
 	}
 }
 
-// traceCounter tallies observed operations per opcode.
-type traceCounter map[string]int
-
-func (tc traceCounter) Observe(op string, level int) { tc[op]++ }
-
 // TestStrictLazyLinearTransform runs a BSGS linear transform whose
-// giant-step groups hold several diagonals each, so the fused mulPlainSum
-// path (k-term lazy digit sums) is exercised. Checks three things: lazy
+// giant-step groups hold several diagonals each, so the fused group MAC
+// (k-term lazy digit sums) is exercised. Checks three things: lazy
 // output is bit-identical to strict, both emit identical operator traces
 // (the fused sum must not change what the accelerator model prices), and
 // the result still decrypts to M·z.
@@ -124,16 +119,17 @@ func TestStrictLazyLinearTransform(t *testing.T) {
 	ct := encr.Encrypt(enc.Encode(z, params.MaxLevel(), params.Scale))
 
 	var want, got *Ciphertext
-	strictTrace, lazyTrace := traceCounter{}, traceCounter{}
+	strictLog, lazyLog := &eventLog{}, &eventLog{}
 	withStrictCkks(params, true, func() {
-		ev.SetObserver(strictTrace)
+		ev.SetObserver(strictLog)
 		want = ev.EvaluateLinearTransform(ct, lt)
 	})
 	withStrictCkks(params, false, func() {
-		ev.SetObserver(lazyTrace)
+		ev.SetObserver(lazyLog)
 		got = ev.EvaluateLinearTransform(ct, lt)
 	})
 	ev.SetObserver(nil)
+	strictTrace, lazyTrace := strictLog.counts(), lazyLog.counts()
 
 	requireCtEqual(t, got, want, "linear transform strict vs lazy")
 

@@ -41,19 +41,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// RetryEvent reports one client-side retry decision: which attempt just
-// failed with what, and how long the client will wait before the next
-// send. Trace is the request's trace ID (constant across its attempts),
-// so client-side retries join against server-side 503 counters and the
-// flight recorder.
-type RetryEvent struct {
-	Trace      string        // 32-hex trace ID the attempts share
-	Attempt    int           // the attempt that just failed (1-based)
-	Err        error         // the overload rejection that triggered the retry
-	Backoff    time.Duration // wait before the next attempt
-	RetryAfter bool          // true when the server's Retry-After hint set the wait
-}
-
 // Client is a thin typed client over the poseidond HTTP API, used by the
 // soak tests and the daemon's shutdown test. Safe for concurrent use
 // (http.Client is).
@@ -61,12 +48,6 @@ type Client struct {
 	Base  string // e.g. "http://127.0.0.1:8080"
 	HTTP  *http.Client
 	Retry RetryPolicy // zero value: single-shot, no retry
-
-	// OnRetry, when set, observes every retry decision before its backoff
-	// wait begins — retries were previously silent and impossible to
-	// correlate with server-side overload. Must be safe for concurrent
-	// use when the client is shared.
-	OnRetry func(RetryEvent)
 
 	// sleep is the backoff wait, injectable so the retry tests don't
 	// spend wall time. nil means wait on a real timer or ctx, whichever
@@ -166,17 +147,7 @@ func (c *Client) EvalCtx(ctx context.Context, req *EvalRequest) (*ckks.Ciphertex
 		if !errors.Is(err, ErrOverloaded) || attempt >= pol.MaxAttempts {
 			return nil, meta, traceErr(err, meta.Trace)
 		}
-		d := backoff(pol, attempt, retryAfter)
-		if c.OnRetry != nil {
-			c.OnRetry(RetryEvent{
-				Trace:      meta.Trace,
-				Attempt:    attempt,
-				Err:        err,
-				Backoff:    d,
-				RetryAfter: retryAfter > 0,
-			})
-		}
-		if werr := c.wait(ctx, d); werr != nil {
+		if werr := c.wait(ctx, backoff(pol, attempt, retryAfter)); werr != nil {
 			return nil, meta, traceErr(
 				fmt.Errorf("%w (giving up after %d attempts: %v)", werr, attempt, lastErr), meta.Trace)
 		}

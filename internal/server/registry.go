@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"poseidon/internal/ckks"
+	"poseidon/internal/trace"
 )
 
 // Registry caches per-tenant evaluation state: the deserialized
@@ -22,9 +23,9 @@ type Registry struct {
 	mu         sync.Mutex
 	params     *ckks.Parameters
 	capacity   int
-	observer   ckks.OpObserver // installed on every tenant evaluator (telemetry)
-	guardSeed  int64           // non-zero arms integrity guards on every tenant evaluator
-	opAttempts int             // >1 installs an op-level recovery policy on every tenant evaluator
+	observer   trace.OpSink // installed on every tenant evaluator (telemetry, request tracing)
+	guardSeed  int64        // non-zero arms integrity guards on every tenant evaluator
+	opAttempts int          // >1 installs an op-level recovery policy on every tenant evaluator
 
 	entries map[string]*tenantEntry
 	lru     *list.List // front = most recently used
@@ -47,7 +48,7 @@ type tenantEntry struct {
 // Evaluator returns the tenant's keyed evaluator.
 func (e *tenantEntry) Evaluator() *ckks.Evaluator { return e.ev }
 
-func newRegistry(params *ckks.Parameters, capacity int, observer ckks.OpObserver, guardSeed int64, opAttempts int) *Registry {
+func newRegistry(params *ckks.Parameters, capacity int, observer trace.OpSink, guardSeed int64, opAttempts int) *Registry {
 	return &Registry{
 		params:     params,
 		capacity:   capacity,
@@ -71,9 +72,7 @@ func (r *Registry) Register(tenant string, rlk *ckks.RelinearizationKey, rtk *ck
 	if r.guardSeed != 0 {
 		ev.EnableGuards(r.guardSeed)
 	}
-	if r.observer != nil {
-		ev.SetObserver(r.observer)
-	}
+	ev.SetObserver(r.observer)
 	if r.opAttempts > 1 {
 		ev.SetRecoveryPolicy(&ckks.RecoveryPolicy{MaxAttempts: r.opAttempts})
 	}

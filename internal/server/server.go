@@ -13,6 +13,7 @@ import (
 
 	"poseidon/internal/ckks"
 	"poseidon/internal/telemetry"
+	"poseidon/internal/trace"
 	"poseidon/internal/tracing"
 )
 
@@ -142,7 +143,7 @@ func NewEvalServer(cfg Config) (*EvalServer, error) {
 		p99Mu:   make(chan struct{}, 1),
 		health:  newHealthTracker(),
 	}
-	var obs ckks.OpObserver
+	var obs trace.OpSink
 	if cfg.Collector != nil {
 		obs = cfg.Collector
 	}

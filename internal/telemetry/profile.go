@@ -2,17 +2,15 @@ package telemetry
 
 import (
 	"context"
-	"io"
 	"runtime/pprof"
-	rttrace "runtime/trace"
 )
 
 // Profiling hooks. Two mechanisms cooperate:
 //
-//   - The evaluator's span path (installed with any SpanObserver) opens a
-//     runtime/trace region named after each basic op, so `go tool trace`
-//     execution traces attribute time to FHE operators — the software
-//     analogue of HF-NTT-style per-operator stall attribution.
+//   - The evaluator, with any sink installed, opens a runtime/trace region
+//     named after each op it reports, so `go tool trace` execution traces
+//     attribute time to FHE operators — the software analogue of
+//     HF-NTT-style per-operator stall attribution.
 //   - Do wraps a workload phase in pprof labels, so CPU flamegraphs can be
 //     filtered by workload and phase (`pprof -tagfocus phase=bootstrap`).
 
@@ -22,11 +20,3 @@ import (
 func Do(ctx context.Context, workload, phase string, fn func(context.Context)) {
 	pprof.Do(ctx, pprof.Labels("workload", workload, "phase", phase), fn)
 }
-
-// StartTrace begins a runtime execution trace written to w; while active,
-// every evaluator basic op (under a span observer) appears as a named
-// region. Stop with StopTrace.
-func StartTrace(w io.Writer) error { return rttrace.Start(w) }
-
-// StopTrace ends the execution trace started with StartTrace.
-func StopTrace() { rttrace.Stop() }

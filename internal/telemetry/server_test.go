@@ -119,7 +119,7 @@ func TestGaugeSetWritePrometheus(t *testing.T) {
 // after the collector's own families.
 func TestCollectorAuxWriters(t *testing.T) {
 	c := NewCollector("aux-test")
-	c.ObserveSpan("HAdd", 3, 42*time.Microsecond, nil)
+	c.ObserveOp(op("HAdd", 3, 42*time.Microsecond))
 	gs := NewGaugeSet()
 	gs.New("poseidon_serve_mode", "Dispatch mode.").Set(1)
 	c.RegisterAux(gs.WritePrometheus)

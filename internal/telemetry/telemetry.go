@@ -1,27 +1,25 @@
 // Package telemetry is the runtime observability layer of the Poseidon
 // reproduction: low-overhead per-operation latency histograms keyed by
 // (op kind, limb count), profiling hooks (pprof labels, runtime/trace
-// regions — the regions themselves are opened by the evaluator's span
-// path), live exporters (Prometheus text format, expvar, an optional HTTP
-// endpoint with /debug/pprof), a structured JSONL event stream for offline
-// analysis, and a model-vs-measured calibration that joins measured wall
-// time with the accelerator model's predictions — the software analogue of
-// the comparison Poseidon's Table VII evaluation rests on.
+// regions — the regions themselves are opened by the evaluator around every
+// op it reports), live exporters (Prometheus text format, expvar, an
+// optional HTTP endpoint with /debug/pprof), and a model-vs-measured
+// calibration that joins measured wall time with the accelerator model's
+// predictions — the software analogue of the comparison Poseidon's Table VII
+// evaluation rests on.
 //
-// The Collector implements the ckks.SpanObserver interface without
-// importing ckks: install it with Eval.SetObserver (or Kit.EnableTelemetry)
-// and every basic op's wall time lands in a lock-free sharded histogram.
-// When no collector is installed the evaluator's instrumentation is a nil
-// check; with one installed, the steady-state record path performs zero
-// heap allocations after warm-up (the root package's
-// TestZeroAllocChainObserved; the time it costs is
+// The Collector is a trace.OpSink: install it with Eval.SetObserver (or
+// Kit.EnableTelemetry) and every basic op's wall time lands in a lock-free
+// sharded histogram. When no sink is installed the evaluator's
+// instrumentation is a nil check; with the collector installed, the
+// steady-state record path performs zero heap allocations after warm-up
+// (the root package's TestZeroAllocChainObserved; the time it costs is
 // ckks.observer_overhead_pct in bench/).
 package telemetry
 
 import (
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,44 +32,39 @@ import (
 // kinds × (MaxLimbs+1) regardless of parameter set.
 const MaxLimbs = 64
 
-// Collector accumulates per-(kind, limbs) operation counts and latency
-// histograms. It is safe for concurrent use by any number of evaluator
-// goroutines; the hot path is a map-free table lookup plus atomic adds.
+// Collector accumulates per-(kind, limbs) latency histograms. It is safe for
+// concurrent use by any number of evaluator goroutines; the hot path is a
+// map-free table lookup plus atomic adds.
 type Collector struct {
 	workload string
 
-	// ops counts every observed operation, including count-only
-	// observations that carry no timing (legacy Observe callbacks and the
-	// trace-parity observes inside fused kernels). hists holds the latency
-	// histograms, populated lazily on the first timed span of a key — so
-	// the table costs pointers, not histograms, for kinds that never run.
-	ops   []atomic.Uint64
+	// hists holds one latency histogram per key, populated lazily on the
+	// key's first successful op — so the table costs pointers, not
+	// histograms, for kinds that never run.
 	hists []atomic.Pointer[Histogram]
 
-	// unknown counts spans whose op name is not a trace kind (dropped
-	// rather than mis-binned); errs counts failed Try* operations by the
-	// op name they failed under.
+	// unknown counts ops whose name is not a trace kind (dropped rather
+	// than mis-binned); errs counts failed operations by the op name they
+	// failed under.
 	unknown atomic.Uint64
 	errMu   sync.Mutex
 	errs    map[string]uint64
 
-	// phases accumulates '/'-tagged engine sub-phase spans (e.g.
-	// "LinTrans/giant"): timing detail nested inside ops that are already
-	// counted, so they get their own table instead of the kind histograms
-	// (and are not "unknown" — a phase name is intentional, not a typo).
+	// phases accumulates engine sub-phase events (LinTrans's "giant", …):
+	// timing detail nested inside ops that are already counted, so they get
+	// their own table instead of the kind histograms.
 	phaseMu sync.Mutex
-	phases  map[string]PhaseStat
+	phases  map[phaseKey]PhaseStat
 
-	// recovery counters (ckks.RecoveryObserver): op re-executions under a
-	// recovery policy, their outcomes, and the latency of recovered ops
-	// from first failure to final success.
+	// recovery counters: op re-executions under a recovery policy, their
+	// outcomes, and the latency of recovered ops from first failure to
+	// final success.
 	recAttempts      atomic.Uint64
 	recRecovered     atomic.Uint64
 	recUnrecoverable atomic.Uint64
 	recHist          *Histogram
 
-	events atomic.Pointer[EventLog]
-	start  time.Time
+	start time.Time
 
 	// aux holds auxiliary metric writers appended to every /metrics scrape
 	// (see RegisterAux) — the hook the serving layer uses to export its
@@ -83,30 +76,13 @@ type Collector struct {
 // NewCollector creates a collector for a named workload (the `workload`
 // label on every exported metric).
 func NewCollector(workload string) *Collector {
-	n := trace.NumKinds() * (MaxLimbs + 1)
 	return &Collector{
 		workload: workload,
-		ops:      make([]atomic.Uint64, n),
-		hists:    make([]atomic.Pointer[Histogram], n),
+		hists:    make([]atomic.Pointer[Histogram], trace.NumKinds()*(MaxLimbs+1)),
 		errs:     map[string]uint64{},
-		phases:   map[string]PhaseStat{},
+		phases:   map[phaseKey]PhaseStat{},
 		recHist:  NewHistogram(),
 		start:    time.Now(),
-	}
-}
-
-// ObserveRecovery implements the ckks.RecoveryObserver interface: one call
-// per operation that entered the recovery loop, carrying the number of
-// re-executions performed, whether the op eventually succeeded, and the
-// wall time from first failure to final outcome. Recovered ops contribute
-// a latency sample; unrecoverable ones only count.
-func (c *Collector) ObserveRecovery(op string, retries int, recovered bool, dur time.Duration) {
-	c.recAttempts.Add(uint64(retries))
-	if recovered {
-		c.recRecovered.Add(1)
-		c.recHist.Observe(uint64(dur))
-	} else {
-		c.recUnrecoverable.Add(1)
 	}
 }
 
@@ -128,23 +104,16 @@ type PhaseStat struct {
 	SumNs uint64 `json:"sum_ns"`
 }
 
-// phase files a sub-phase observation (dur 0 for count-only callbacks).
-func (c *Collector) phase(op string, dur time.Duration) {
-	c.phaseMu.Lock()
-	ps := c.phases[op]
-	ps.Count++
-	ps.SumNs += uint64(dur)
-	c.phases[op] = ps
-	c.phaseMu.Unlock()
-}
+// phaseKey names a sub-phase without building a string on the record path.
+type phaseKey struct{ op, phase string }
 
-// Phases returns a copy of the sub-phase table.
+// Phases returns a copy of the sub-phase table, keyed "<op>/<phase>".
 func (c *Collector) Phases() map[string]PhaseStat {
 	c.phaseMu.Lock()
 	defer c.phaseMu.Unlock()
 	out := make(map[string]PhaseStat, len(c.phases))
 	for k, v := range c.phases {
-		out[k] = v
+		out[k.op+"/"+k.phase] = v
 	}
 	return out
 }
@@ -177,51 +146,44 @@ func (c *Collector) hist(idx int) *Histogram {
 	return c.hists[idx].Load()
 }
 
-// Observe implements the legacy count-only observer callback: the op is
-// counted but contributes no latency sample.
-func (c *Collector) Observe(op string, level int) {
-	kind, ok := trace.KindByName(op)
-	if !ok {
-		if strings.ContainsRune(op, '/') {
-			c.phase(op, 0)
-			return
+// ObserveOp implements trace.OpSink. What the recovery loop did is counted
+// whatever the op: recovered ops contribute a latency sample, unrecoverable
+// ones only count. Then a failed op counts as an error under its name and
+// contributes no latency sample, a phase lands in the phase table, and a
+// successful basic op in its (kind, limbs) histogram.
+func (c *Collector) ObserveOp(e trace.OpEvent) {
+	if e.Retries > 0 {
+		c.recAttempts.Add(uint64(e.Retries))
+		if e.Err == nil {
+			c.recRecovered.Add(1)
+			c.recHist.Observe(uint64(e.Recovery))
+		} else {
+			c.recUnrecoverable.Add(1)
 		}
-		c.unknown.Add(1)
+	}
+	if e.Unpriced {
 		return
 	}
-	c.ops[keyIdx(kind, level)].Add(1)
-}
-
-// ObserveSpan implements the timed span observer: successful spans record
-// their duration in the key's histogram; failed spans count as errors under
-// their op name and contribute no latency sample.
-func (c *Collector) ObserveSpan(op string, level int, dur time.Duration, err error) {
-	if err != nil {
+	switch {
+	case e.Err != nil:
 		c.errMu.Lock()
-		c.errs[op]++
+		c.errs[e.Op]++
 		c.errMu.Unlock()
-		if ev := c.events.Load(); ev != nil {
-			ev.emit(op, level, dur, err)
-		}
-		return
-	}
-	kind, ok := trace.KindByName(op)
-	if !ok {
-		if strings.ContainsRune(op, '/') {
-			c.phase(op, dur)
-			if ev := c.events.Load(); ev != nil {
-				ev.emit(op, level, dur, nil)
-			}
+	case e.Phase != "":
+		k := phaseKey{e.Op, e.Phase}
+		c.phaseMu.Lock()
+		ps := c.phases[k]
+		ps.Count++
+		ps.SumNs += uint64(e.Dur)
+		c.phases[k] = ps
+		c.phaseMu.Unlock()
+	default:
+		kind, ok := trace.KindByName(e.Op)
+		if !ok {
+			c.unknown.Add(1)
 			return
 		}
-		c.unknown.Add(1)
-		return
-	}
-	idx := keyIdx(kind, level)
-	c.ops[idx].Add(1)
-	c.hist(idx).Observe(uint64(dur))
-	if ev := c.events.Load(); ev != nil {
-		ev.emit(op, level, dur, nil)
+		c.hist(keyIdx(kind, e.Level)).Observe(uint64(e.Dur))
 	}
 }
 
@@ -229,15 +191,15 @@ func (c *Collector) ObserveSpan(op string, level int, dur time.Duration, err err
 // trace kind set (and were therefore dropped from the histograms).
 func (c *Collector) UnknownOps() uint64 { return c.unknown.Load() }
 
-// KeyStat is one (kind, limbs) row of a snapshot: total observed ops, the
-// timed-sample summary, and the merged bucket counts.
+// KeyStat is one (kind, limbs) row of a snapshot: the ops observed, their
+// latency summary, and the merged bucket counts.
 type KeyStat struct {
 	Kind  trace.Kind `json:"kind"`
 	Op    string     `json:"op"`
 	Limbs int        `json:"limbs"`
 
-	Ops   uint64 `json:"ops"`   // all observations, timed or not
-	Count uint64 `json:"count"` // timed latency samples
+	Ops   uint64 `json:"ops"`   // successful operations …
+	Count uint64 `json:"count"` // … each of which is a latency sample
 	SumNs uint64 `json:"sum_ns"`
 	MaxNs uint64 `json:"max_ns"`
 
@@ -267,28 +229,26 @@ func (c *Collector) Snapshot() *Snapshot {
 		UptimeSec:  time.Since(c.start).Seconds(),
 		UnknownOps: c.unknown.Load(),
 	}
-	for idx := range c.ops {
-		ops := c.ops[idx].Load()
+	for idx := range c.hists {
 		h := c.hists[idx].Load()
-		if ops == 0 && h == nil {
+		if h == nil {
 			continue
 		}
+		hs := h.Snapshot()
 		kind := trace.Kind(idx / (MaxLimbs + 1))
-		ks := KeyStat{
+		snap.Keys = append(snap.Keys, KeyStat{
 			Kind:  kind,
 			Op:    kind.String(),
 			Limbs: idx % (MaxLimbs + 1),
-			Ops:   ops,
-		}
-		if h != nil {
-			hs := h.Snapshot()
-			ks.Count, ks.SumNs, ks.MaxNs = hs.Count, hs.SumNs, hs.MaxNs
-			ks.P50Ns = hs.Quantile(0.50)
-			ks.P95Ns = hs.Quantile(0.95)
-			ks.P99Ns = hs.Quantile(0.99)
-			ks.Hist = hs
-		}
-		snap.Keys = append(snap.Keys, ks)
+			Ops:   hs.Count,
+			Count: hs.Count,
+			SumNs: hs.SumNs,
+			MaxNs: hs.MaxNs,
+			P50Ns: hs.Quantile(0.50),
+			P95Ns: hs.Quantile(0.95),
+			P99Ns: hs.Quantile(0.99),
+			Hist:  hs,
+		})
 	}
 	sort.Slice(snap.Keys, func(i, j int) bool {
 		if snap.Keys[i].Kind != snap.Keys[j].Kind {

@@ -2,10 +2,12 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -14,14 +16,26 @@ import (
 	"poseidon/internal/trace"
 )
 
+// op is a successful basic op's event.
+func op(name string, level int, dur time.Duration) trace.OpEvent {
+	return trace.OpEvent{Op: name, Level: level, Dur: dur}
+}
+
 func TestCollectorObserve(t *testing.T) {
 	c := NewCollector("unit")
-	c.ObserveSpan("CMult", 5, 100*time.Microsecond, nil)
-	c.ObserveSpan("CMult", 5, 200*time.Microsecond, nil)
-	c.ObserveSpan("Rescale", 5, 50*time.Microsecond, nil)
-	c.Observe("HAdd", 3) // count-only, no timing
-	c.Observe("NoSuchOp", 3)
-	c.ObserveSpan("HAdd", 3, time.Microsecond, errors.New("boom"))
+	c.ObserveOp(op("CMult", 5, 100*time.Microsecond))
+	c.ObserveOp(op("CMult", 5, 200*time.Microsecond))
+	c.ObserveOp(op("Rescale", 5, 50*time.Microsecond))
+	c.ObserveOp(op("NoSuchOp", 3, time.Microsecond))
+	c.ObserveOp(trace.OpEvent{Op: "HAdd", Level: 3, Err: errors.New("boom")})
+	c.ObserveOp(trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: 5, Dur: time.Millisecond})
+	c.ObserveOp(trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: 5, Dur: time.Millisecond})
+	// One recovered op, one that exhausted its budget, and one the evaluator
+	// reports only because it was retried: all three are recovery outcomes,
+	// the first two are also an op and an error.
+	c.ObserveOp(trace.OpEvent{Op: "HAdd", Level: 3, Dur: 5 * time.Microsecond, Retries: 1, Recovery: 3 * time.Microsecond})
+	c.ObserveOp(trace.OpEvent{Op: "PMult", Level: 3, Err: errors.New("sticky"), Retries: 2, Recovery: time.Microsecond})
+	c.ObserveOp(trace.OpEvent{Op: "HNeg", Level: 3, Retries: 1, Recovery: time.Microsecond, Unpriced: true})
 
 	snap := c.Snapshot()
 	if snap.Workload != "unit" {
@@ -30,8 +44,14 @@ func TestCollectorObserve(t *testing.T) {
 	if snap.UnknownOps != 1 {
 		t.Fatalf("UnknownOps = %d, want 1", snap.UnknownOps)
 	}
-	if snap.Errors["HAdd"] != 1 {
-		t.Fatalf("Errors = %v, want HAdd:1", snap.Errors)
+	if snap.Errors["HAdd"] != 1 || snap.Errors["PMult"] != 1 || len(snap.Errors) != 2 {
+		t.Fatalf("Errors = %v, want HAdd:1 PMult:1", snap.Errors)
+	}
+	if ps := snap.Phases["LinTrans/giant"]; ps.Count != 2 || ps.SumNs != uint64(2*time.Millisecond) || len(snap.Phases) != 1 {
+		t.Fatalf("Phases = %v, want LinTrans/giant twice", snap.Phases)
+	}
+	if r := snap.Recovery; r == nil || r.Attempts != 4 || r.Recovered != 2 || r.Unrecoverable != 1 || r.MaxNs != uint64(3*time.Microsecond) {
+		t.Fatalf("Recovery = %+v, want 4 attempts, 2 recovered (≤ 3µs), 1 unrecoverable", r)
 	}
 	byKey := map[string]KeyStat{}
 	for _, ks := range snap.Keys {
@@ -44,16 +64,18 @@ func TestCollectorObserve(t *testing.T) {
 	if cm.SumNs != uint64(300*time.Microsecond) {
 		t.Fatalf("CMult SumNs = %d", cm.SumNs)
 	}
-	ha := byKey["HAdd"]
-	if ha.Ops != 1 || ha.Count != 0 {
-		t.Fatalf("HAdd stat = %+v (count-only observe must not add a sample)", ha)
+	if ha := byKey["HAdd"]; ha.Ops != 1 || ha.Count != 1 || ha.SumNs != uint64(5*time.Microsecond) {
+		t.Fatalf("HAdd stat = %+v: the failed one must not add a sample, the recovered one must", ha)
+	}
+	if len(snap.Keys) != 3 {
+		t.Fatalf("keys = %+v, want CMult, Rescale, HAdd: phases, failures and unpriced reports are not ops", snap.Keys)
 	}
 }
 
 func TestCollectorByKind(t *testing.T) {
 	c := NewCollector("unit")
-	c.ObserveSpan("Rotation", 3, time.Millisecond, nil)
-	c.ObserveSpan("Rotation", 7, 3*time.Millisecond, nil)
+	c.ObserveOp(op("Rotation", 3, time.Millisecond))
+	c.ObserveOp(op("Rotation", 7, 3*time.Millisecond))
 	agg := c.Snapshot().ByKind()
 	rot, ok := agg[trace.Rotation]
 	if !ok {
@@ -69,8 +91,8 @@ func TestCollectorByKind(t *testing.T) {
 
 func TestLimbClamp(t *testing.T) {
 	c := NewCollector("unit")
-	c.ObserveSpan("HAdd", MaxLimbs+100, time.Microsecond, nil) // clamps high
-	c.ObserveSpan("HAdd", -5, time.Microsecond, nil)           // clamps low
+	c.ObserveOp(op("HAdd", MaxLimbs+100, time.Microsecond)) // clamps high
+	c.ObserveOp(op("HAdd", -5, time.Microsecond))           // clamps low
 	snap := c.Snapshot()
 	if len(snap.Keys) != 2 {
 		t.Fatalf("keys = %+v, want clamped 0 and MaxLimbs rows", snap.Keys)
@@ -82,8 +104,8 @@ func TestLimbClamp(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	c := NewCollector("wl")
-	c.ObserveSpan("CMult", 5, time.Millisecond, nil)
-	c.Observe("BadName", 1)
+	c.ObserveOp(op("CMult", 5, time.Millisecond))
+	c.ObserveOp(op("BadName", 1, time.Microsecond))
 	var buf bytes.Buffer
 	c.Snapshot().WritePrometheus(&buf)
 	out := buf.String()
@@ -100,46 +122,37 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-func TestEventStream(t *testing.T) {
+// TestMetricsFamilies pins the families /metrics serves once every branch of
+// the collector has seen traffic — the list read off the endpoint before the
+// three observer entry points became ObserveOp.
+func TestMetricsFamilies(t *testing.T) {
 	c := NewCollector("wl")
-	var buf bytes.Buffer
-	ev := c.StreamTo(&buf)
-	c.ObserveSpan("Rescale", 4, 123*time.Microsecond, nil)
-	c.ObserveSpan("CMult", 4, 0, errors.New(`bad "input"`))
-	if err := ev.Flush(); err != nil {
-		t.Fatal(err)
+	c.ObserveOp(op("CMult", 5, time.Millisecond))
+	c.ObserveOp(trace.OpEvent{Op: "Rescale", Err: errors.New("level 0")})
+	c.ObserveOp(trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: 5, Dur: time.Millisecond})
+	c.ObserveOp(trace.OpEvent{Op: "HAdd", Level: 5, Dur: time.Millisecond, Retries: 1, Recovery: time.Microsecond})
+	rr := httptest.NewRecorder()
+	c.MetricsHandler().ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var got []string
+	for _, line := range strings.Split(rr.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			got = append(got, f[2]+" "+f[3])
+		}
 	}
-	if ev.Events() != 2 {
-		t.Fatalf("Events = %d, want 2", ev.Events())
+	sort.Strings(got)
+	want := []string{
+		"poseidon_op_errors_total counter",
+		"poseidon_op_latency_seconds summary",
+		"poseidon_op_total counter",
+		"poseidon_recovery_attempts_total counter",
+		"poseidon_recovery_latency_seconds summary",
+		"poseidon_recovery_recovered_total counter",
+		"poseidon_recovery_unrecoverable_total counter",
+		"poseidon_unknown_ops_total counter",
+		"poseidon_uptime_seconds gauge",
 	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines: %q", len(lines), buf.String())
-	}
-	var rec struct {
-		TsNs  int64  `json:"ts_ns"`
-		Op    string `json:"op"`
-		Limbs int    `json:"limbs"`
-		DurNs int64  `json:"dur_ns"`
-		Err   string `json:"err"`
-	}
-	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
-		t.Fatalf("line 0 not JSON: %v", err)
-	}
-	if rec.Op != "Rescale" || rec.Limbs != 5 || rec.DurNs != 123000 {
-		t.Fatalf("event 0 = %+v", rec)
-	}
-	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
-		t.Fatalf("line 1 not JSON: %v", err)
-	}
-	if rec.Err == "" {
-		t.Fatalf("event 1 lost the error: %+v", rec)
-	}
-	// Detach and confirm no more lines arrive.
-	c.StreamTo(nil)
-	c.ObserveSpan("Rescale", 4, time.Microsecond, nil)
-	if ev.Events() != 2 {
-		t.Fatalf("detached stream still receiving: %d", ev.Events())
+	if !slices.Equal(got, want) {
+		t.Fatalf("/metrics families:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -152,8 +165,8 @@ func TestCalibrate(t *testing.T) {
 	// Measured = 2× modeled for CMult, exactly modeled for Rescale.
 	cmModeled := model.Latency(model.ProfileFor(trace.CMult, 6))
 	rsModeled := model.Latency(model.ProfileFor(trace.Rescale, 6))
-	c.ObserveSpan("CMult", 5, time.Duration(2*cmModeled*1e9), nil)
-	c.ObserveSpan("Rescale", 5, time.Duration(rsModeled*1e9), nil)
+	c.ObserveOp(op("CMult", 5, time.Duration(2*cmModeled*1e9)))
+	c.ObserveOp(op("Rescale", 5, time.Duration(rsModeled*1e9)))
 
 	cs := Calibrate(c.Snapshot(), model)
 	if cs.Workload != "calib" {
@@ -197,7 +210,7 @@ func TestCalibrateEmpty(t *testing.T) {
 
 func TestServerEndpoints(t *testing.T) {
 	c := NewCollector("http")
-	c.ObserveSpan("HAdd", 2, time.Microsecond, nil)
+	c.ObserveOp(op("HAdd", 2, time.Microsecond))
 	srv, err := StartServer("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
@@ -238,12 +251,13 @@ func TestServerEndpoints(t *testing.T) {
 
 func TestRecordPathZeroAlloc(t *testing.T) {
 	c := NewCollector("alloc")
-	// Warm up: materialize the histogram for the key.
-	c.ObserveSpan("CMult", 5, time.Microsecond, nil)
+	phase := trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: 5, Dur: time.Microsecond}
+	// AllocsPerRun's warm-up run materializes the histogram and the phase row.
 	allocs := testing.AllocsPerRun(1000, func() {
-		c.ObserveSpan("CMult", 5, time.Microsecond, nil)
+		c.ObserveOp(op("CMult", 5, time.Microsecond))
+		c.ObserveOp(phase)
 	})
 	if allocs != 0 {
-		t.Fatalf("ObserveSpan allocates %g allocs/op after warm-up, want 0", allocs)
+		t.Fatalf("ObserveOp allocates %g allocs/op after warm-up, want 0", allocs)
 	}
 }

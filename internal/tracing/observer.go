@@ -2,20 +2,19 @@ package tracing
 
 import (
 	"sync/atomic"
-	"time"
+
+	"poseidon/internal/trace"
 )
 
-// EvalObserver bridges the ckks observer plumbing into request traces.
-// It structurally implements ckks.OpObserver, ckks.SpanObserver and
-// ckks.RecoveryObserver (no ckks import — the evaluator asserts the
-// interfaces), so it can ride a ckks.Fanout next to the telemetry
-// collector on every tenant evaluator.
+// EvalObserver bridges the evaluator's op events into request traces: a
+// trace.OpSink that rides a ckks.Fanout next to the telemetry collector on
+// every tenant evaluator.
 //
 // The scheduler activates a scope (trace + parent span) around each job's
 // evaluator call and deactivates it after; evaluation happens on the
-// single dispatcher goroutine, so one atomic slot suffices. Observations
-// arriving with no active scope (warm-up, registry smoke tests) fall
-// through to a nil trace and cost one atomic load.
+// single dispatcher goroutine, so one atomic slot suffices. Events
+// arriving with no active scope (warm-up, registry smoke tests, every
+// unsampled request) cost one atomic load.
 type EvalObserver struct {
 	active atomic.Pointer[scope]
 }
@@ -38,33 +37,30 @@ func (o *EvalObserver) Activate(rt *RequestTrace, parent SpanRef) {
 // Deactivate detaches the current scope.
 func (o *EvalObserver) Deactivate() { o.active.Store(nil) }
 
-// Observe implements the count-only OpObserver method; per-op counting is
-// the collector's job, so this is a no-op.
-func (o *EvalObserver) Observe(op string, level int) {}
-
-// ObserveSpan attaches one completed op (or '/'-tagged phase) span to the
-// active request's tree.
-func (o *EvalObserver) ObserveSpan(op string, level int, dur time.Duration, err error) {
+// ObserveOp implements trace.OpSink: one completed op (or, named
+// "<op>/<phase>", engine phase) becomes a span on the active request's tree,
+// after a "recovery" span when the recovery loop re-executed it.
+func (o *EvalObserver) ObserveOp(e trace.OpEvent) {
 	sc := o.active.Load()
 	if sc == nil {
 		return
 	}
-	sc.rt.AddOpSpan(sc.parent, op, level, dur, err)
-}
-
-// ObserveRecovery records an op-level recovery outcome as a span on the
-// active trace.
-func (o *EvalObserver) ObserveRecovery(op string, retries int, recovered bool, dur time.Duration) {
-	sc := o.active.Load()
-	if sc == nil {
+	if e.Retries > 0 {
+		ref := sc.rt.AddSpan(sc.parent, "recovery", e.Recovery, nil)
+		sc.rt.Annotate(ref, "op", e.Op)
+		sc.rt.AnnotateInt(ref, "retries", int64(e.Retries))
+		if e.Err == nil {
+			sc.rt.Annotate(ref, "outcome", "recovered")
+		} else {
+			sc.rt.Annotate(ref, "outcome", "unrecoverable")
+		}
+	}
+	if e.Unpriced {
 		return
 	}
-	ref := sc.rt.AddSpan(sc.parent, "recovery", dur, nil)
-	sc.rt.Annotate(ref, "op", op)
-	sc.rt.AnnotateInt(ref, "retries", int64(retries))
-	if recovered {
-		sc.rt.Annotate(ref, "outcome", "recovered")
-	} else {
-		sc.rt.Annotate(ref, "outcome", "unrecoverable")
+	name := e.Op
+	if e.Phase != "" {
+		name += "/" + e.Phase
 	}
+	sc.rt.AddOpSpan(sc.parent, name, e.Level, e.Dur, e.Err)
 }

@@ -197,8 +197,8 @@ func (rt *RequestTrace) AddSpan(parent SpanRef, name string, dur time.Duration, 
 }
 
 // AddOpSpan records a completed evaluator-op span: name is the op (or
-// '/'-tagged phase) and level the FHE level it ran at. This is the
-// SpanObserver fan-in path.
+// "<op>/<phase>") and level the FHE level it ran at. This is EvalObserver's
+// fan-in path.
 func (rt *RequestTrace) AddOpSpan(parent SpanRef, op string, level int, dur time.Duration, err error) {
 	rt.addCompleted(parent, op, level+1, dur, err)
 }

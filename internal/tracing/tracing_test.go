@@ -6,10 +6,13 @@ import (
 	"errors"
 	"math/rand"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"poseidon/internal/trace"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -359,35 +362,41 @@ func TestRecorderSnapshotNewestFirst(t *testing.T) {
 
 func TestEvalObserverAttachesToActiveScope(t *testing.T) {
 	o := new(EvalObserver)
+	hadd := trace.OpEvent{Op: "HAdd", Level: 1, Dur: time.Microsecond}
 
-	// No scope: observations fall through.
-	o.ObserveSpan("HAdd", 1, time.Microsecond, nil)
+	// No scope: events fall through.
+	o.ObserveOp(hadd)
 
 	rt := NewRequest(NewContext(), "request")
 	ex := rt.StartSpan(0, "exec")
 	o.Activate(rt, ex)
-	o.ObserveSpan("PMult", 2, time.Millisecond, nil)
-	o.ObserveRecovery("PMult", 2, true, 3*time.Millisecond)
+	// A recovered op is its own span after a recovery span; a phase is named
+	// "<op>/<phase>"; an unpriced report is only its recovery span.
+	o.ObserveOp(trace.OpEvent{Op: "PMult", Level: 2, Dur: 4 * time.Millisecond, Retries: 2, Recovery: 3 * time.Millisecond})
+	o.ObserveOp(trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: 2, Dur: time.Millisecond})
+	o.ObserveOp(trace.OpEvent{Op: "HNeg", Level: 2, Err: errors.New("sticky"), Retries: 1, Recovery: time.Millisecond, Unpriced: true})
 	o.Deactivate()
-	o.ObserveSpan("HAdd", 1, time.Microsecond, nil) // after deactivate: dropped
+	o.ObserveOp(hadd) // after deactivate: dropped
 
-	f := rt.Finish(200, nil)
-	var ops, recov int
-	for _, sp := range f.Spans {
-		switch sp.Name {
-		case "PMult":
-			ops++
-			if sp.Parent != ex {
-				t.Fatalf("op span parent = %d, want exec %d", sp.Parent, ex)
-			}
-		case "recovery":
-			recov++
-		case "HAdd":
-			t.Fatal("observation outside active scope leaked into trace")
+	var got []string
+	for _, sp := range rt.Finish(200, nil).Spans[2:] { // past the root and exec
+		if sp.Parent != ex {
+			t.Fatalf("span %q parent = %d, want exec %d", sp.Name, sp.Parent, ex)
 		}
+		name := sp.Name
+		for _, a := range sp.Attrs {
+			name += " " + a.Key + "=" + a.Value
+		}
+		got = append(got, name)
 	}
-	if ops != 1 || recov != 1 {
-		t.Fatalf("ops=%d recovery=%d, want 1/1", ops, recov)
+	want := []string{
+		"recovery op=PMult retries=2 outcome=recovered",
+		"PMult",
+		"LinTrans/giant",
+		"recovery op=HNeg retries=1 outcome=unrecoverable",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("spans under exec:\n got %q\nwant %q", got, want)
 	}
 }
 

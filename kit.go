@@ -22,10 +22,10 @@ type Kit struct {
 	Eval   *Evaluator
 
 	// tele is the kit's installed telemetry collector (nil when telemetry
-	// is off); telePrev remembers the observer that was installed before
+	// is off); telePrev remembers the sink that was installed before
 	// EnableTelemetry so DisableTelemetry can restore it.
 	tele     *telemetry.Collector
-	telePrev ckks.OpObserver
+	telePrev OpSink
 
 	// kgen is retained so key material generated after construction
 	// (LinearTransformKeys) continues the same deterministic random stream
@@ -210,8 +210,8 @@ func (k *Kit) GuardStats() ckks.GuardStats { return k.Eval.GuardStats() }
 // EnableTelemetry installs a telemetry collector on the kit's evaluator:
 // every basic operation's wall time lands in a per-(op, limb-count) latency
 // histogram, ready for Prometheus/expvar export and model calibration. Any
-// observer already installed (e.g. a TraceRecorder) keeps receiving its
-// callbacks via a fanout. Returns the collector; calling again while
+// sink already installed (e.g. a TraceRecorder) keeps receiving its events
+// via a fanout. Returns the collector; calling again while
 // telemetry is enabled returns the existing collector unchanged.
 func (k *Kit) EnableTelemetry(workload string) *telemetry.Collector {
 	if k.tele != nil {
@@ -227,7 +227,7 @@ func (k *Kit) EnableTelemetry(workload string) *telemetry.Collector {
 // is off.
 func (k *Kit) Metrics() *telemetry.Collector { return k.tele }
 
-// DisableTelemetry removes the collector and restores whatever observer was
+// DisableTelemetry removes the collector and restores whatever sink was
 // installed before EnableTelemetry. The detached collector (and its
 // accumulated histograms) remains readable.
 func (k *Kit) DisableTelemetry() {

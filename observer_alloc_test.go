@@ -42,7 +42,7 @@ func TestZeroAllocChainObserved(t *testing.T) {
 	collector := NewCollector("alloc")
 	for _, row := range []struct {
 		name string
-		obs  OpObserver
+		obs  OpSink
 	}{
 		{"collector", collector},
 		{"collector+idle-tracer", Fanout(collector, new(tracing.EvalObserver))},

@@ -219,11 +219,13 @@ const (
 
 // --- Telemetry --------------------------------------------------------------
 
-// OpObserver receives a count-only callback per evaluator basic operation.
-type OpObserver = ckks.OpObserver
+// OpEvent is the evaluator's report of one operation: name, level, wall time,
+// outcome, and what the recovery loop did.
+type OpEvent = trace.OpEvent
 
-// SpanObserver additionally receives each operation's wall time and outcome.
-type SpanObserver = ckks.SpanObserver
+// OpSink receives every OpEvent of the evaluator it is installed on with
+// Eval.SetObserver; TraceRecorder and Collector are sinks.
+type OpSink = trace.OpSink
 
 // Collector accumulates per-(op, limb-count) latency histograms; install it
 // with Kit.EnableTelemetry or Eval.SetObserver.
@@ -250,8 +252,8 @@ var (
 	StartMetricsServer = telemetry.StartServer
 	// Calibrate computes per-kind measured/modeled ratios for a snapshot.
 	Calibrate = telemetry.Calibrate
-	// Fanout combines observers so a recorder and a collector can watch the
-	// same evaluator.
+	// Fanout combines sinks so a recorder and a collector can watch the same
+	// evaluator.
 	Fanout = ckks.Fanout
 	// ProfileDo runs fn under pprof labels {workload, phase}.
 	ProfileDo = telemetry.Do

@@ -2,7 +2,6 @@ package poseidon
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -46,24 +45,24 @@ func (r *TraceRecorder) SetWorkers(n int) {
 	r.mu.Unlock()
 }
 
-// Observe implements the evaluator observer.
-func (r *TraceRecorder) Observe(op string, level int) {
-	kind, ok := trace.KindByName(op)
+// ObserveOp implements OpSink. The model prices completed basic operations:
+// a failed op did no work the accelerator would be charged for, an engine
+// phase is timing detail inside ops that are reported themselves, and an
+// unpriced report is only a recovery outcome — whoever else rides the same
+// Fanout.
+func (r *TraceRecorder) ObserveOp(e OpEvent) {
+	if e.Err != nil || e.Phase != "" || e.Unpriced {
+		return
+	}
+	kind, ok := trace.KindByName(e.Op)
 	if !ok {
-		// '/'-tagged names are engine sub-phases (e.g. "LinTrans/giant"):
-		// informational timing detail nested inside an op the evaluator
-		// already reports, so they are silently skipped — counting them as
-		// dropped would make every instrumented transform look lossy.
-		if strings.ContainsRune(op, '/') {
-			return
-		}
 		// Unknown ops are excluded from the priced trace rather than
 		// mis-binned — but counted, so a renamed op can't vanish silently.
 		r.dropped.Add(1)
 		return
 	}
 	r.mu.Lock()
-	r.tr.AddTagged(kind, level+1, 1, r.tag)
+	r.tr.AddTagged(kind, e.Level+1, 1, r.tag)
 	r.mu.Unlock()
 }
 

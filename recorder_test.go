@@ -1,9 +1,11 @@
 package poseidon
 
 import (
+	"errors"
 	"testing"
 
 	"poseidon/internal/trace"
+	"poseidon/internal/tracing"
 )
 
 // Running a real FHE program under a recorder must produce a priceable
@@ -65,12 +67,15 @@ func TestTraceRecorderCapturesProgram(t *testing.T) {
 }
 
 // Unknown op names must be counted on the drop counter, not silently lost,
-// and must not enter the priced trace.
+// and must not enter the priced trace. An engine phase and an unpriced
+// recovery report are neither: they are not ops, and not lost ones.
 func TestTraceRecorderDropped(t *testing.T) {
 	rec := NewTraceRecorder("drops")
-	rec.Observe("CMult", 3)
-	rec.Observe("NotAnOp", 3)
-	rec.Observe("AlsoNotAnOp", 2)
+	rec.ObserveOp(OpEvent{Op: "CMult", Level: 3})
+	rec.ObserveOp(OpEvent{Op: "NotAnOp", Level: 3})
+	rec.ObserveOp(OpEvent{Op: "AlsoNotAnOp", Level: 2})
+	rec.ObserveOp(OpEvent{Op: "LinTrans", Phase: "giant", Level: 3})
+	rec.ObserveOp(OpEvent{Op: "HNeg", Level: 3, Retries: 1, Unpriced: true})
 	if got := rec.Dropped(); got != 2 {
 		t.Fatalf("Dropped() = %d, want 2", got)
 	}
@@ -81,6 +86,54 @@ func TestTraceRecorderDropped(t *testing.T) {
 	}
 	if counts[trace.CMult] != 1 || total != 1 {
 		t.Fatalf("trace counts = %v, want exactly one CMult", counts)
+	}
+}
+
+// A failed op must never enter a recorded model trace, whoever rides the
+// Fanout beside the recorder: the accelerator did no work for it. (With the
+// collector fanned in, the old span path forwarded failures to the recorder's
+// count-only callback and the trace priced them.)
+func TestTraceRecorderSkipsFailedOps(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{
+		LogN:     10,
+		LogQ:     []int{50, 40},
+		LogP:     []int{51},
+		LogScale: 40,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kit := NewKit(params, 603)
+	ct := kit.Eval.DropLevel(kit.EncryptReals([]float64{1}), 0)
+	for _, row := range []struct {
+		name              string
+		collector, tracer bool
+	}{
+		{"recorder alone", false, false},
+		{"recorder+collector", true, false},
+		{"recorder+collector+idle tracer", true, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rec, collector := NewTraceRecorder("failed"), NewCollector("failed")
+			sinks := []OpSink{rec}
+			if row.collector {
+				sinks = append(sinks, collector)
+			}
+			if row.tracer {
+				sinks = append(sinks, new(tracing.EvalObserver))
+			}
+			kit.Eval.SetObserver(Fanout(sinks...))
+			defer kit.Eval.SetObserver(nil)
+			if _, err := kit.Eval.TryRescale(ct); !errors.Is(err, ErrLevelExhausted) {
+				t.Fatalf("TryRescale at level 0: %v, want ErrLevelExhausted", err)
+			}
+			if n := rec.Trace().TotalOps(); n != 0 || rec.Dropped() != 0 {
+				t.Errorf("recorder holds %v ops and dropped %d after one failed Rescale, want 0 and 0", n, rec.Dropped())
+			}
+			if got := collector.Snapshot().Errors["Rescale"]; row.collector && got != 1 {
+				t.Errorf("collector counted %d Rescale errors, want 1", got)
+			}
+		})
 	}
 }
 
