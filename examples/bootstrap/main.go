@@ -14,7 +14,8 @@ import (
 )
 
 func main() {
-	// A long chain: bootstrapping consumes ~20 levels internally.
+	// A long chain: bootstrapping consumes 11 levels internally and returns
+	// level 2; the rest is headroom the refresh never touches.
 	logQ := []int{55}
 	for i := 0; i < 27; i++ {
 		logQ = append(logQ, 45)

@@ -43,7 +43,7 @@ func newAllocFixture(t testing.TB) *allocFixture {
 	sk2 := kgen.GenSecretKey()
 	rlk := kgen.GenRelinearizationKey(sk)
 	rtk := kgen.GenRotationKeys(sk, []int{1}, true)
-	swk := kgen.genSwitchingKey(sk.Value.Q, sk2)
+	swk := kgen.genSwitchingKey(sk.Value.Q, sk2, params.MaxLevel())
 	ev := NewEvaluator(params, rlk, rtk)
 
 	rng := rand.New(rand.NewSource(17))

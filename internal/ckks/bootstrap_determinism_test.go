@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -8,8 +9,9 @@ import (
 // TestBootstrapperDeterministic: the bootstrapper's rotation keys are
 // generated in ascending step order, not map order, so two bootstrappers
 // built from one seed hold the same keys and refresh one ciphertext to
-// bit-identical output; and pinning the √n split keeps the key set on the
-// benchmark's B9 shape at exactly 30 rotations plus conjugation.
+// bit-identical output; the key set is the union of what its two transforms'
+// plans ask for plus conjugation (sharing one baby-step width: 38 + 1 on the
+// benchmark's B9 shape), each key cut to the raise level.
 func TestBootstrapperDeterministic(t *testing.T) {
 	params := bootstrapParams(t)
 	enc := NewEncoder(params)
@@ -29,8 +31,29 @@ func TestBootstrapperDeterministic(t *testing.T) {
 	bootB, ctB := build()
 	requireCtEqual(t, ctA, ctB, "same seed, same input ciphertext")
 
-	if got, want := len(bootA.Evaluator().rtks.Keys), 30+1; got != want {
-		t.Errorf("bootstrapper holds %d Galois keys, want %d (30 rotations + conjugation)", got, want)
+	steps := map[int]bool{}
+	for _, s := range append(bootA.ctsLT.Plan().Rotations(), bootA.stcLT.Plan().Rotations()...) {
+		steps[s] = true
+	}
+	keys := bootA.Evaluator().rtks.Keys
+	if got, want := len(keys), len(steps)+1; got != want || want != 39 {
+		t.Errorf("bootstrapper holds %d Galois keys, its plans ask for %d rotations + conjugation (39 at B9)", got, want-1)
+	}
+	limbs, digits := bootA.raise+1, params.Digits(bootA.raise)
+	for g, key := range keys {
+		if len(key.B) != digits || len(key.A) != digits || len(key.B[0].Q.Coeffs) != limbs || len(key.A[0].Q.Coeffs) != limbs {
+			t.Errorf("Galois key %d: %d digits × %d Q limbs, want %d × %d (cut to the raise level)", g, len(key.B), len(key.B[0].Q.Coeffs), digits, limbs)
+		}
+	}
+	// Above the raise level those keys hold nothing: a typed error, not an
+	// index out of range inside a worker.
+	above := NewCiphertext(params, bootA.raise+1)
+	above.Scale = params.Scale
+	if _, err := bootA.Evaluator().TryMulRelin(above, above); !errors.Is(err, ErrKeyMissing) {
+		t.Errorf("MulRelin at level %d on keys cut at %d: %v, want ErrKeyMissing", above.Level, bootA.raise, err)
+	}
+	if _, err := bootA.Evaluator().TryConjugate(above); !errors.Is(err, ErrKeyMissing) {
+		t.Errorf("Conjugate at level %d on keys cut at %d: %v, want ErrKeyMissing", above.Level, bootA.raise, err)
 	}
 
 	outA, err := bootA.Bootstrap(ctA)

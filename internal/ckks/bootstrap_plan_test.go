@@ -93,7 +93,7 @@ func TestBootstrapWorkersBitIdentical(t *testing.T) {
 }
 
 // TestBootstrapOpCounts pins the op mix of one Bootstrap at the B9 shape —
-// the counts ISSUE 17 named before the change — and the level schedule read
+// the counts ISSUE 19 named before the change — and the level schedule read
 // off the plan.
 func TestBootstrapOpCounts(t *testing.T) {
 	fx := newBootFixture(t, 9, 0)
@@ -105,31 +105,38 @@ func TestBootstrapOpCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := obs.counts()
-	for op, n := range map[string]int{"CMult": 54, "Rescale": 140, "LinTrans": 32, "Rotation": 1} {
+	for op, n := range map[string]int{"CMult": 54, "HAdd": 29, "HAddPlain": 14, "Rotation": 1, "Rescale": 86, "PMult": 260, "LinTrans": 16} {
 		if counts[op] != n {
 			t.Errorf("%s: %d per Bootstrap, want %d (all: %v)", op, counts[op], n, counts)
 		}
 	}
-	if boot.MinLevelBudget() != 19 || boot.raise != 21 || boot.ModRaise(fx.ct).Level != 21 || out.Level != 2 {
-		t.Errorf("level schedule: budget %d, raise %d, refreshed %d; want 19, 21, 2", boot.MinLevelBudget(), boot.raise, out.Level)
+	if boot.MinLevelBudget() != 11 || boot.raise != 13 || boot.ModRaise(fx.ct).Level != 13 || out.Level != 2 {
+		t.Errorf("level schedule: budget %d, raise %d, refreshed %d; want 11, 13, 2", boot.MinLevelBudget(), boot.raise, out.Level)
 	}
 }
 
 // TestNewBootstrapperShortChain: a chain that cannot hold the plan is
-// refused at construction, naming what is needed and what there is.
+// refused at construction, naming what is needed and what there is; one limb
+// more and it is built.
 func TestNewBootstrapperShortChain(t *testing.T) {
-	lit := ParametersLiteral{LogN: 5, LogQ: []int{55}, LogP: []int{52, 52, 52, 52, 52}, LogScale: 45}
-	for i := 0; i < 20; i++ {
-		lit.LogQ = append(lit.LogQ, 45)
+	build := func(limbs int) error {
+		lit := ParametersLiteral{LogN: 5, LogQ: []int{55}, LogP: []int{52, 52, 52, 52, 52}, LogScale: 45}
+		for len(lit.LogQ) < limbs {
+			lit.LogQ = append(lit.LogQ, 45)
+		}
+		params, err := NewParameters(lit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kgen := NewKeyGenerator(params, 1)
+		_, err = NewBootstrapper(params, NewEncoder(params), kgen, kgen.GenSecretKey(), BootstrapConfig{K: 28})
+		return err
 	}
-	params, err := NewParameters(lit)
-	if err != nil {
-		t.Fatal(err)
+	if err := build(13); err == nil || !strings.Contains(err.Error(), "needs 13 levels, has 12") {
+		t.Errorf("13-limb chain: error %v, want one naming 13 needed vs 12 available", err)
 	}
-	kgen := NewKeyGenerator(params, 1)
-	_, err = NewBootstrapper(params, NewEncoder(params), kgen, kgen.GenSecretKey(), BootstrapConfig{K: 28})
-	if err == nil || !strings.Contains(err.Error(), "needs 21 levels, has 20") {
-		t.Errorf("21-limb chain: error %v, want one naming 21 needed vs 20 available", err)
+	if err := build(14); err != nil {
+		t.Errorf("14-limb chain: %v", err)
 	}
 }
 

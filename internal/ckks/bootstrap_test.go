@@ -159,6 +159,45 @@ func TestBootstrap(t *testing.T) {
 	}
 }
 
+// TestBootstrapPrecisionSeeds is the precision gate of the one-prime-per-
+// product schedule, seeded and clock-free: on four key seeds a full Bootstrap
+// of a unit-circle message at the B9 shape keeps at least 13.5 bits in its
+// worst slot (bench/reference_test.go's floor is 12; DESIGN.md §16 has what
+// the schedule costs), and the refreshed ciphertext squares on the
+// bootstrapper's own keys, cut to the raise level.
+func TestBootstrapPrecisionSeeds(t *testing.T) {
+	params := bootstrapParams(t)
+	enc := NewEncoder(params)
+	for _, seed := range []int64{5, 11, 23, 29} {
+		kgen := NewKeyGenerator(params, seed)
+		sk := kgen.GenSecretKey()
+		boot, err := NewBootstrapper(params, enc, kgen, sk, BootstrapConfig{K: 28})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed + 2))
+		z, z2 := make([]complex128, params.Slots), make([]complex128, params.Slots)
+		for i := range z {
+			z[i] = cmplx.Rect(1, 2*math.Pi*rng.Float64())
+			z2[i] = z[i] * z[i]
+		}
+		decr := NewDecryptor(params, sk)
+		ct := NewEncryptor(params, kgen.GenPublicKey(sk), seed+1).Encrypt(enc.Encode(z, 0, params.Scale))
+		refreshed, err := boot.Bootstrap(ct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev := boot.Evaluator()
+		sq := ev.Rescale(ev.MulRelin(refreshed, refreshed))
+		bits := -math.Log2(maxErr(enc.Decode(decr.Decrypt(refreshed)), z))
+		sqBits := -math.Log2(maxErr(enc.Decode(decr.Decrypt(sq)), z2))
+		t.Logf("seed %d: refreshed %.3f bits, squared after it %.3f bits", seed, bits, sqBits)
+		if bits < 13.5 || sqBits < 12.5 {
+			t.Errorf("seed %d: refreshed %.3f bits (want ≥ 13.5), squared %.3f bits (want ≥ 12.5)", seed, bits, sqBits)
+		}
+	}
+}
+
 func TestModRaisePreservesPlaintext(t *testing.T) {
 	params := bootstrapParams(t)
 	enc := NewEncoder(params)

@@ -24,7 +24,8 @@ type BootstrapConfig struct {
 // sine, and the evaluation keys they need. The level schedule is read off
 // the sine's plan: SlotToCoeff runs at stcLevel, EvalMod ends there,
 // CoeffToSlot one level above where it starts, and ModRaise raises no higher
-// — limbs above that would ride through every op only to be dropped.
+// — limbs above that would ride through every op only to be dropped, so the
+// keys are not generated there either: they cover levels ≤ raise.
 type Bootstrapper struct {
 	params *Parameters
 	ev     *Evaluator
@@ -32,16 +33,17 @@ type Bootstrapper struct {
 	raise int              // level ModRaise raises to: stcLevel + 1 + sine.depth()
 	ctsLT *LinearTransform // E^{-1}/2, applied at the raise level
 	stcLT *LinearTransform // E, applied after EvalMod
-	sine  *polyPlan        // Chebyshev expansion of sin(2πx)/(2π) on [−K, K], at scale q0
+	sine  *polyPlan        // Chebyshev expansion of sin(2πx)/(2π) on [−K, K], input at scale q0
 }
 
 // stcLevel is the level SlotToCoeff runs at: a refreshed ciphertext comes
-// out one below, with two multiplicative levels to spend.
+// out one below, with two multiplicative levels to spend (the bootstrapper's
+// own keys cover them: they reach the raise level).
 const stcLevel = 3
 
 // NewBootstrapper builds the transforms and generates the rotation keys the
 // pipeline needs (using kgen/sk). The relinearization key is generated here
-// too; the internal evaluator owns all key material.
+// too; the internal evaluator owns all key material, cut to the raise level.
 func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *SecretKey, cfg BootstrapConfig) (*Bootstrapper, error) {
 	if cfg.K <= 0 {
 		cfg.K = 40
@@ -89,31 +91,27 @@ func NewBootstrapper(params *Parameters, enc *Encoder, kgen *KeyGenerator, sk *S
 	}
 
 	var err error
-	// Both transforms are dense and share one rotation-key set, which the
-	// per-matrix planner cannot see: pin the √n split, where their baby and
-	// giant steps coincide and the key set is smallest.
-	n1 := 1
-	for n1*n1 < n {
-		n1 <<= 1
-	}
 	// Diagonals are encoded at the scale of the prime their rescale drops,
-	// so both transforms are scale-neutral.
-	b.ctsLT, err = NewLinearTransformBSGS(enc, einv, b.raise, float64(params.Q[b.raise]), n1)
+	// so both transforms are scale-neutral. Both are dense: the planner splits
+	// the one at the raise level, where a rotation costs most, and the other
+	// takes its width so the two share one rotation-key set.
+	b.ctsLT, err = NewLinearTransform(enc, einv, b.raise, float64(params.Q[b.raise]))
 	if err != nil {
 		return nil, err
 	}
-	b.stcLT, err = NewLinearTransformBSGS(enc, e, stcLevel, float64(params.Q[stcLevel]), n1)
+	b.stcLT, err = NewLinearTransformBSGS(enc, e, stcLevel, float64(params.Q[stcLevel]), b.ctsLT.N1)
 	if err != nil {
 		return nil, err
 	}
 
 	// Keys: union of both transforms' rotations plus conjugation, generated
-	// in ascending step order (GenRotationKeys skips repeats) so one seed
-	// yields one key set — and one refreshed ciphertext — on every run.
+	// in ascending step order (repeats skipped) so one seed yields one key
+	// set — and one refreshed ciphertext — on every run; and only up to the
+	// raise level, above which no op of the pipeline runs.
 	rots := append(b.ctsLT.Rotations(), b.stcLT.Rotations()...)
 	sort.Ints(rots)
-	rtks := kgen.GenRotationKeys(sk, rots, true)
-	rlk := kgen.GenRelinearizationKey(sk)
+	rtks := kgen.genRotationKeys(sk, rots, true, b.raise)
+	rlk := kgen.genRelinearizationKey(sk, b.raise)
 	b.ev = NewEvaluator(params, rlk, rtks)
 	return b, nil
 }
@@ -221,7 +219,8 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
 }
 
 // Evaluator exposes the bootstrapper's key-loaded evaluator (for chaining
-// computation after a refresh in examples and tests).
+// computation after a refresh in examples and tests). Its keys cover levels
+// ≤ the raise level: a keyswitch op above it is ErrKeyMissing.
 func (b *Bootstrapper) Evaluator() *Evaluator { return b.ev }
 
 // SetWorkers re-routes the bootstrapper's internal evaluator through a

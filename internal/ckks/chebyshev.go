@@ -44,8 +44,8 @@ func EvalChebyshevScalar(coeffs []float64, a, b, x float64) float64 {
 // slot of ct, whose values must lie in [a, b], from a plan compiled for this
 // call (polyplan.go): baby-step/giant-step Paterson–Stockmeyer over the
 // Chebyshev basis, every scale tracked exactly, the result on ct's own
-// scale. Consumes one level for the change of variable, one per doubling of
-// the degree (two where the scale exceeds the primes) and one for the
+// scale. Consumes one level for the change of variable (which also brings a
+// scale above Δ down to it), one per doubling of the degree and one for the
 // coefficients; a chain too short for that is ErrLevelExhausted.
 func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
 	p := newPolyPlan(ev.params, true, coeffs, 2/(b-a), -(a+b)/(b-a), ct.Scale)

@@ -91,11 +91,26 @@ func FuzzKeyUnmarshal(f *testing.F) {
 	hostile2 := append([]byte(nil), skBytes...)
 	binary.LittleEndian.PutUint64(hostile2[headerWords*8:], 1<<60) // absurd limbsP
 	f.Add(hostile2)
+	// Well-formed and shorter than the chain: 2 limbs, 1 of its 2 digits.
+	short, err := (&SwitchingKey{B: rlk.B[:1], A: rlk.A[:1]}).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(short)
 
+	ev := NewEvaluator(params, nil, nil)
+	ct := NewEncryptor(params, kgen.GenPublicKey(sk), 105).EncryptZero(params.MaxLevel(), params.Scale)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var swk SwitchingKey
 		if err := swk.UnmarshalBinary(data); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("switching key rejection not wrapping ErrCorrupt: %v", err)
+		} else if err == nil {
+			// Whatever geometry its header named, a key that parsed either
+			// switches at the top of this chain or is refused before a kernel
+			// indexes it.
+			if _, err := ev.TryKeySwitchInto(NewCiphertext(params, ct.Level), ct, &swk); err != nil && !errors.Is(err, ErrKeyMissing) {
+				t.Fatalf("keyswitch on a parsed key: %v, want success or ErrKeyMissing", err)
+			}
 		}
 		var set RotationKeySet
 		if err := set.UnmarshalBinary(data); err != nil && !errors.Is(err, ErrCorrupt) {

@@ -147,7 +147,7 @@ func TestTrySentinels(t *testing.T) {
 	top := params.MaxLevel()
 	a0, b0, pt0 := gc.inputs(t, 2, top)
 	kgen := NewKeyGenerator(params, 43)
-	swk0 := kgen.genSwitchingKey(gc.sk.Value.Q, kgen.GenSecretKey())
+	swk0 := kgen.genSwitchingKey(gc.sk.Value.Q, kgen.GenSecretKey(), top)
 
 	noKeys := NewEvaluator(params, nil, nil)
 	otherKeys := NewEvaluator(params, gc.ev.rlk, NewKeyGenerator(params, 44).GenRotationKeys(gc.sk, []int{2}, false))

@@ -139,14 +139,19 @@ func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) *PublicKey {
 	return &PublicKey{B: b, A: a}
 }
 
-// genSwitchingKey builds a key switching target → s, where target is an
-// NTT-domain polynomial over the full Q chain (e.g. s² or σ_g(s)).
-func (kg *KeyGenerator) genSwitchingKey(target *ring.Poly, sk *SecretKey) *SwitchingKey {
+// genSwitchingKey builds a key switching target → s for ciphertexts at or
+// below level, where target is an NTT-domain polynomial (e.g. s² or σ_g(s))
+// over the chain up to that level: level+1 Q limbs and Digits(level) digits.
+// The gadget residue is [P]_{q_i} on a digit's own limbs and 0 elsewhere, so
+// a key cut this way is the full key restricted, and a keyswitch at a covered
+// level reads nothing else.
+func (kg *KeyGenerator) genSwitchingKey(target *ring.Poly, sk *SecretKey, level int) *SwitchingKey {
 	params := kg.params
 	rq, rp := params.RingQ, params.RingP
-	limbsQ, limbsP := len(params.Q), len(params.P)
+	limbsQ, limbsP := level+1, len(params.P)
 	alpha := params.Alpha()
-	digits := (limbsQ + alpha - 1) / alpha
+	digits := params.Digits(level)
+	skQ := prefix(sk.Value.Q, limbsQ)
 
 	// [P]_{q_i}: the factor applied to the target on digit-own limbs
 	// (precomputed once on the parameter set).
@@ -166,7 +171,7 @@ func (kg *KeyGenerator) genSwitchingKey(target *ring.Poly, sk *SecretKey) *Switc
 		rp.NTT(eP)
 
 		bQ := rq.NewPoly(limbsQ)
-		rq.MulCoeffwise(bQ, aQ, sk.Value.Q)
+		rq.MulCoeffwise(bQ, aQ, skQ)
 		rq.Neg(bQ, bQ)
 		rq.Add(bQ, bQ, eQ)
 
@@ -198,15 +203,23 @@ func (kg *KeyGenerator) genSwitchingKey(target *ring.Poly, sk *SecretKey) *Switc
 
 // GenRelinearizationKey builds the s² → s key.
 func (kg *KeyGenerator) GenRelinearizationKey(sk *SecretKey) *RelinearizationKey {
+	return kg.genRelinearizationKey(sk, kg.params.MaxLevel())
+}
+
+func (kg *KeyGenerator) genRelinearizationKey(sk *SecretKey, level int) *RelinearizationKey {
 	rq := kg.params.RingQ
-	s2 := rq.NewPoly(len(kg.params.Q))
-	rq.MulCoeffwise(s2, sk.Value.Q, sk.Value.Q)
-	return &RelinearizationKey{SwitchingKey: *kg.genSwitchingKey(s2, sk)}
+	s, s2 := prefix(sk.Value.Q, level+1), rq.NewPoly(level+1)
+	rq.MulCoeffwise(s2, s, s)
+	return &RelinearizationKey{SwitchingKey: *kg.genSwitchingKey(s2, sk, level)}
 }
 
 // GenRotationKeys builds switching keys for the given rotation steps (and
 // optionally conjugation).
 func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugate bool) *RotationKeySet {
+	return kg.genRotationKeys(sk, steps, conjugate, kg.params.MaxLevel())
+}
+
+func (kg *KeyGenerator) genRotationKeys(sk *SecretKey, steps []int, conjugate bool, level int) *RotationKeySet {
 	set := &RotationKeySet{Keys: map[uint64]*SwitchingKey{}}
 	gs := make([]uint64, 0, len(steps)+1)
 	for _, s := range steps {
@@ -219,7 +232,7 @@ func (kg *KeyGenerator) GenRotationKeys(sk *SecretKey, steps []int, conjugate bo
 		if _, ok := set.Keys[g]; ok {
 			continue
 		}
-		set.Keys[g] = kg.genGaloisKey(sk, g)
+		set.Keys[g] = kg.genGaloisKey(sk, g, level)
 	}
 	return set
 }
@@ -238,17 +251,17 @@ func (kg *KeyGenerator) GenGaloisKeys(sk *SecretKey, galEls []uint64) *RotationK
 		if _, ok := set.Keys[g]; ok {
 			continue
 		}
-		set.Keys[g] = kg.genGaloisKey(sk, g)
+		set.Keys[g] = kg.genGaloisKey(sk, g, kg.params.MaxLevel())
 	}
 	return set
 }
 
-func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, g uint64) *SwitchingKey {
+func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, g uint64, level int) *SwitchingKey {
 	rq := kg.params.RingQ
-	sCoeff := sk.Value.Q.CopyNew()
+	sCoeff := prefix(sk.Value.Q, level+1).CopyNew()
 	rq.INTT(sCoeff)
-	sG := rq.NewPoly(len(kg.params.Q))
+	sG := rq.NewPoly(level + 1)
 	rq.Automorphism(sG, sCoeff, g)
 	rq.NTT(sG)
-	return kg.genSwitchingKey(sG, sk)
+	return kg.genSwitchingKey(sG, sk, level)
 }

@@ -182,7 +182,8 @@ const ltZeroSq = 1e-28
 // NewLinearTransformBSGS is NewLinearTransform with an explicit baby-step
 // width n1 (a power of two in [1, Slots]; 0 lets the planner choose). Pin
 // the width when several transforms must share one rotation-key set — the
-// planner sees one matrix at a time — or to sweep it.
+// planner sees one matrix at a time, so plan the costliest and pass its N1 to
+// the rest — or to sweep it.
 func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
 	n := enc.params.Slots
 	if len(m) != n {

@@ -45,7 +45,7 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 	sk2 := kgen.GenSecretKey()
 	rlk := kgen.GenRelinearizationKey(sk)
 	rtk := kgen.GenRotationKeys(sk, []int{1}, true)
-	swk := kgen.genSwitchingKey(sk.Value.Q, sk2)
+	swk := kgen.genSwitchingKey(sk.Value.Q, sk2, params.MaxLevel())
 	ev := NewEvaluator(params, rlk, rtk)
 
 	pk := kgen.GenPublicKey(sk)

@@ -73,7 +73,7 @@ func newDiffContext(t testing.TB, params *Parameters) *diffContext {
 		params: params,
 		enc:    NewEncoder(params),
 		sk:     sk,
-		swk:    kgen.genSwitchingKey(sk.Value.Q, sk2),
+		swk:    kgen.genSwitchingKey(sk.Value.Q, sk2, params.MaxLevel()),
 		serial: NewEvaluator(params, rlk, rtk).WithWorkers(1),
 	}
 }

@@ -16,12 +16,14 @@ import (
 //
 // Scale rule: a node's scale says what was multiplied. Every constant is the
 // integer round(c·σ) for the σ that lands its term on the sum it joins. Basis
-// elements realise their scale bottom-up: operands at S_a, S_b, times the
-// integer n, over the dropped primes Πq, hold factor·a·b at
-// S_a·S_b·n/(factor·Πq), and the T_{|a−b|} or −1 completing them is scaled onto
-// exactly that. Tree nodes have theirs imposed top-down from the root, which
-// lands on the input's scale; a leaf lands anywhere, its rounding a
-// perturbation of its coefficients below 1/q. DESIGN.md §16 has the rest.
+// elements live at the working scale S_w = min(input scale, Δ) — the chain's
+// own prime size, so a product comes back under one prime — and realise their
+// scale bottom-up: the input map lands on S_w whatever label the input wears,
+// and operands at S_a, S_b, times the integer n, over the dropped prime q, hold
+// factor·a·b at S_a·S_b·n/(factor·q), the T_{|a−b|} or −1 completing them
+// scaled onto exactly that. Tree nodes have theirs imposed top-down from the
+// root, which lands on the input's scale; a leaf lands anywhere, its rounding
+// a perturbation of its coefficients below 1/q. DESIGN.md §16 has the rest.
 
 // rnsScalar is an integer constant as the scalar ops consume it: reduced
 // modulo every chain prime up to its level, each residue with its Shoup dual.
@@ -34,7 +36,7 @@ type rnsScalar struct {
 func (p *Parameters) newScalar(c, scale float64, level int) rnsScalar {
 	s := rnsScalar{val: math.Round(c * scale), scale: scale, q: make([]uint64, 2*(level+1))}
 	s.q, s.qs = s.q[:level+1:level+1], s.q[level+1:]
-	// Through math/big: a T_{|a−b|} lifted onto a product's 2^145 is no int64.
+	// Through math/big: a leaf coefficient sized for a 2^100 sum is no int64.
 	v, _ := big.NewFloat(s.val).Int(nil)
 	var r, q big.Int
 	for i, mod := range p.RingQ.Moduli[:level+1] {
@@ -64,7 +66,7 @@ type planTerm struct {
 	s   rnsScalar
 }
 
-// planNode holds rescale^drop(mul·(a⊗b) + Σ terms) + sum + c0.
+// planNode holds rescale(mul·(a⊗b) + Σ terms) + sum + c0.
 type planNode struct {
 	a, b   int        // product operands; a < 0: none
 	factor float64    // the product stands for factor·a·b
@@ -74,7 +76,6 @@ type planNode struct {
 	c0     float64    // constant added last
 	add    rnsScalar
 	basis  bool // scale realised bottom-up (basis element, input map), not imposed by the tree
-	drop   int  // primes the rescale drops
 	pre    int  // levels below the input at which the sum is formed
 	depth  int  // … and at which the value lives
 	scale  float64
@@ -87,12 +88,12 @@ type polyPlan struct {
 	alpha, beta float64 // the Chebyshev variable is u = αx + β
 	eps         float64 // coefficients this small are no term
 	n1          int     // baby-step width
-	drop        int     // primes a ciphertext product drops
 	nodes       []planNode
 	power       map[int]int // degree k → node holding T_k (x^k)
 
 	level int     // what size bound the scalars to
 	scale float64 // (the input's level and scale)
+	work  float64 // scale basis elements are realised at: min(scale, Δ)
 
 	free []*planRun // recycled under params.scratchMu
 }
@@ -100,18 +101,15 @@ type polyPlan struct {
 // newPolyPlan compiles Σ coeffs[k]·T_k(αx+β) (cheb) or Σ coeffs[k]·x^k for
 // inputs at the given scale; size binds it to a level.
 func newPolyPlan(params *Parameters, cheb bool, coeffs []float64, alpha, beta, scale float64) *polyPlan {
-	p := &polyPlan{params: params, cheb: cheb, alpha: alpha, beta: beta, n1: 2, drop: 1, power: map[int]int{}, scale: scale}
+	p := &polyPlan{params: params, cheb: cheb, alpha: alpha, beta: beta, n1: 2, power: map[int]int{}, scale: scale, work: min(scale, params.Scale)}
 	p.nodes = []planNode{{a: -1, sum: -1}} // node 0 is the input
 	if cheb {
 		p.eps = 1e-14
-	} else {
-		p.power[1] = 0 // the monomial basis starts at the input itself
-	}
-	// Sized against the top of the chain: the plan's own level follows from
-	// its depth, which follows from this.
-	top := params.MaxLevel()
-	for prod := float64(params.Q[top]); prod < scale/2 && p.drop < top; p.drop++ {
-		prod *= float64(params.Q[top-p.drop])
+	} else if scale < math.Sqrt2*params.Scale {
+		// The monomial basis starts at the input itself, unless x·x would not
+		// come back under one prime (its integer round(qΔ/S²) would be 0): then
+		// it takes the input map too (1·x + 0).
+		p.power[1] = 0
 	}
 	for p.n1*p.n1 < len(coeffs)-1 && p.n1 < 32 {
 		p.n1 <<= 1
@@ -148,7 +146,7 @@ func (p *polyPlan) push(n planNode) int {
 			n.pre = max(n.pre, p.nodes[x].depth)
 		}
 	})
-	n.depth = n.pre + n.drop
+	n.depth = n.pre + 1
 	if n.sum >= 0 {
 		n.depth = max(n.depth, p.nodes[n.sum].depth)
 	}
@@ -163,15 +161,15 @@ func (p *polyPlan) basisNode(k int) int {
 	if i, ok := p.power[k]; ok {
 		return i
 	}
-	if k == 1 { // Chebyshev only: T_1 = αx + β
-		p.power[1] = p.push(planNode{a: -1, sum: -1, basis: true, drop: 1, c0: p.beta, terms: []planTerm{{src: 0, c: p.alpha}}})
+	if k == 1 { // the input map: T_1 = αx + β, onto the working scale
+		p.power[1] = p.push(planNode{a: -1, sum: -1, basis: true, c0: p.beta, terms: []planTerm{{src: 0, c: p.alpha}}})
 		return p.power[1]
 	}
 	a := 1
 	for 2*a < k {
 		a *= 2
 	}
-	n := planNode{a: p.basisNode(a), b: p.basisNode(k - a), factor: 1, sum: -1, basis: true, drop: p.drop}
+	n := planNode{a: p.basisNode(a), b: p.basisNode(k - a), factor: 1, sum: -1, basis: true}
 	if p.cheb {
 		n.factor = 2
 		if 2*a == k {
@@ -193,7 +191,7 @@ func (p *polyPlan) tree(c []float64) int {
 	}
 	c = c[:deg+1]
 	if deg < p.n1 {
-		n := planNode{a: -1, sum: -1, drop: 1}
+		n := planNode{a: -1, sum: -1}
 		if math.Abs(c[0]) > p.eps {
 			n.c0 = c[0]
 		}
@@ -216,7 +214,7 @@ func (p *polyPlan) tree(c []float64) int {
 		q, r = chebDiv(c, m)
 	}
 	qi, ri := p.tree(q), p.tree(r)
-	return p.push(planNode{a: qi, b: p.basisNode(m), factor: 1, sum: ri, drop: p.drop})
+	return p.push(planNode{a: qi, b: p.basisNode(m), factor: 1, sum: ri})
 }
 
 // depth is the number of levels between the input and the result.
@@ -249,39 +247,46 @@ func (p *polyPlan) size(level int) error {
 
 func (p *polyPlan) sizeNode(n *planNode) error {
 	nodes, l := p.nodes, p.level-n.pre
-	qs := make([]float64, n.drop)
-	for d := range qs {
-		qs[d] = float64(p.params.Q[l-d])
+	q := float64(p.params.Q[l])
+	tooLarge := func(v float64) error {
+		if v >= 1 {
+			return nil
+		}
+		return opErr("EvalPoly", l, ErrLevelExhausted, "scale 2^%.0f is too large for the chain's primes", math.Log2(p.scale))
 	}
 	switch {
 	case n.a >= 0:
 		// The integer lands the product as near its target as an integer can:
 		// the working scale for a basis element, which records where it landed;
 		// the imposed scale for a tree node, which asks the rest of its quotient.
-		sa, sb, want := nodes[n.a].scale, nodes[n.b].scale, p.scale
+		sa, sb, want := nodes[n.a].scale, nodes[n.b].scale, p.work
 		if !n.basis {
 			sa, want = p.scale, n.scale
 		}
-		n.mul = p.params.newScalar(n.factor, ratio(append(qs, want), []float64{sa, sb}), l)
-		if n.mul.val < 1 {
-			return opErr("EvalPoly", l, ErrLevelExhausted, "scale 2^%.0f is too large for the chain's primes", math.Log2(p.scale))
+		n.mul = p.params.newScalar(n.factor, ratio([]float64{q, want}, []float64{sa, sb}), l)
+		if err := tooLarge(n.mul.val); err != nil {
+			return err
 		}
 		n.mul.scale = n.mul.val / n.factor
 		if n.basis {
-			n.scale = ratio([]float64{sa, sb, n.mul.scale}, qs)
+			n.scale = ratio([]float64{sa, sb, n.mul.scale}, []float64{q})
 		} else {
-			nodes[n.a].scale = ratio(append(qs, n.scale), []float64{sb, n.mul.scale})
+			nodes[n.a].scale = ratio([]float64{q, n.scale}, []float64{sb, n.mul.scale})
 		}
 	case n.basis: // the input map: its one integer decides its scale
-		t := n.terms[0]
-		n.scale = ratio([]float64{nodes[t.src].scale, math.Round(t.c * qs[0])}, []float64{t.c, qs[0]})
+		t, in := n.terms[0], nodes[0].scale
+		mul := math.Round(t.c * ratio([]float64{q, p.work}, []float64{in}))
+		if err := tooLarge(math.Abs(mul)); err != nil {
+			return err
+		}
+		n.scale = ratio([]float64{in, mul}, []float64{t.c, q})
 	}
 	if n.sum >= 0 {
 		nodes[n.sum].scale = n.scale
 	}
 	for k := range n.terms {
 		t := &n.terms[k]
-		t.s = p.params.newScalar(t.c, ratio(append(qs, n.scale), []float64{nodes[t.src].scale}), l)
+		t.s = p.params.newScalar(t.c, ratio([]float64{q, n.scale}, []float64{nodes[t.src].scale}), l)
 	}
 	n.add = p.params.newScalar(n.c0, n.scale, p.level-n.depth)
 	return nil
@@ -378,9 +383,6 @@ func (p *polyPlan) evalInto(ev *Evaluator, out, in *Ciphertext) error {
 		home := acc
 		if i == last {
 			home = out
-		}
-		for d := 1; d < n.drop; d++ {
-			r.do(&opRescale, acc, operands{a: acc})
 		}
 		r.do(&opRescale, home, operands{a: acc})
 		if n.sum >= 0 {

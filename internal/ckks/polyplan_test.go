@@ -29,9 +29,7 @@ func (p *polyPlan) interpret(x float64) float64 {
 		for _, t := range n.terms {
 			acc.Add(acc, f(0).Mul(raw[t.src], f(t.s.val)))
 		}
-		for d := 0; d < n.drop; d++ {
-			acc.Quo(acc, f(float64(p.params.Q[p.level-n.pre-d])))
-		}
+		acc.Quo(acc, f(float64(p.params.Q[p.level-n.pre])))
 		if n.sum >= 0 {
 			acc.Add(acc, raw[n.sum])
 		}
@@ -66,9 +64,9 @@ func (c *planCase) reference(x float64) float64 {
 }
 
 // planCases are the polynomials the clear-text checks run over: the B9 sine
-// at its q0-sized working scale (two primes per product), and constant,
-// linear, dense and even ones in both bases at that scale and at Δ (one
-// prime per product) — each sized one level above its depth.
+// on its q0-scaled input, and constant, linear, dense and even ones in both
+// bases on inputs at that scale and at 2Δ (brought to Δ by the input map) and
+// at Δ (the working scale already) — each sized one level above its depth.
 func planCases(t *testing.T, params *Parameters) []planCase {
 	rng := rand.New(rand.NewSource(5))
 	dense := func(deg int) []float64 {
@@ -86,7 +84,7 @@ func planCases(t *testing.T, params *Parameters) []planCase {
 	cases := []planCase{{name: "sine-K28-deg216", coeffs: sineCoeffs(28, 216), lo: -28, hi: 28,
 		plan: newPolyPlan(params, true, sineCoeffs(28, 216), 1.0/28, 0, q0)}}
 	for _, c := range [][]float64{dense(0), dense(1), dense(7), dense(23), even} {
-		for _, scale := range []float64{q0, params.Scale} {
+		for _, scale := range []float64{q0, 2 * params.Scale, params.Scale} {
 			name := fmt.Sprintf("deg%d-scale2^%.0f", len(c)-1, math.Log2(scale))
 			cases = append(cases,
 				planCase{"cheb-" + name, c, -2, 3, newPolyPlan(params, true, c, 2.0/5, -1.0/5, scale)},
@@ -101,9 +99,10 @@ func planCases(t *testing.T, params *Parameters) []planCase {
 	return cases
 }
 
-// TestPlanInterpreterMatchesScalar: 1 000 points per plan, agreement 2^−40 at
-// the q0-sized scale. At Δ every constant — the −1 of a doubling included — is
-// an integer over 2^45, and the doublings carry that 2^−46 up to 2^−38.
+// TestPlanInterpreterMatchesScalar: 1 000 points per plan. Every constant of
+// the basis — the −1 of a doubling included — is an integer over the working
+// scale, and the doublings carry that half-unit rounding up by 2^8 or so: at
+// Δ = 2^45 agreement is 2^−34 or better, whatever scale the input wears.
 func TestPlanInterpreterMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, c := range planCases(t, bootstrapParams(t)) {
@@ -112,11 +111,7 @@ func TestPlanInterpreterMatchesScalar(t *testing.T) {
 			x := c.lo + (c.hi-c.lo)*rng.Float64()
 			worst = math.Max(worst, math.Abs(c.plan.interpret(x)-c.reference(x)))
 		}
-		tol := math.Exp2(-40)
-		if c.plan.scale == c.plan.params.Scale {
-			tol = math.Exp2(-34)
-		}
-		if worst > tol {
+		if tol := math.Exp2(11) / c.plan.work; worst > tol {
 			t.Errorf("%s: plan and scalar evaluation disagree by 2^%.1f", c.name, math.Log2(worst))
 		}
 	}
@@ -144,9 +139,7 @@ func TestPlanScalesSayWhatWasMultiplied(t *testing.T) {
 			default:
 				continue // a leaf lands where it is told to
 			}
-			for d := 0; d < n.drop; d++ {
-				want.Quo(want, rat(float64(p.params.Q[p.level-n.pre-d])))
-			}
+			want.Quo(want, rat(float64(p.params.Q[p.level-n.pre])))
 			exact, _ := want.Float64()
 			if ulp := math.Nextafter(exact, math.Inf(1)) - exact; math.Abs(n.scale-exact) > ulp {
 				t.Errorf("%s node %d: recorded scale %v, multiplied scale %v (%.1f ulp)", c.name, i, n.scale, exact, (n.scale-exact)/ulp)
@@ -163,12 +156,13 @@ func TestPlanScalesSayWhatWasMultiplied(t *testing.T) {
 
 // TestPlanShapeB9Sine pins what the B9 sine compiles to: the odd series
 // builds eleven baby products and three giant ones (not fifteen and three),
-// its 14 leaves and 13 tree products sit under them, and the whole is the 17
-// levels the interpreted recursion took.
+// its 14 leaves and 13 tree products sit under them, and — every product
+// coming back under one prime although the input wears a q0-sized scale — the
+// whole is 9 levels: the input map, ⌈log2 128⌉ doublings and the root.
 func TestPlanShapeB9Sine(t *testing.T) {
 	params := bootstrapParams(t)
 	p := newPolyPlan(params, true, sineCoeffs(28, 216), 1.0/28, 0, float64(params.Q[0]))
-	var basis, tree, leaves int
+	var basis, tree, leaves, primes int
 	for _, n := range p.nodes[1:] {
 		switch {
 		case n.a >= 0 && n.basis:
@@ -178,17 +172,20 @@ func TestPlanShapeB9Sine(t *testing.T) {
 		case !n.basis:
 			leaves++
 		}
+		if n.a >= 0 {
+			primes = max(primes, n.depth-max(p.nodes[n.a].depth, p.nodes[n.b].depth))
+		}
 	}
-	if basis != 14 || tree != 13 || leaves != 14 || p.depth() != 17 || p.drop != 2 {
-		t.Errorf("B9 sine: %d basis products, %d tree products, %d leaves, depth %d, %d primes per product; want 14, 13, 14, 17, 2",
-			basis, tree, leaves, p.depth(), p.drop)
+	if basis != 14 || tree != 13 || leaves != 14 || p.depth() != 9 || primes != 1 {
+		t.Errorf("B9 sine: %d basis products, %d tree products, %d leaves, depth %d, %d primes per product; want 14, 13, 14, 9, 1",
+			basis, tree, leaves, p.depth(), primes)
 	}
 	for k := range p.power {
 		if k%2 == 0 && k&(k-1) != 0 {
 			t.Errorf("odd series built T_%d", k)
 		}
 	}
-	if err := p.size(16); err == nil {
-		t.Error("sizing a 17-level plan at level 16 succeeded")
+	if err := p.size(8); err == nil {
+		t.Error("sizing a 9-level plan at level 8 succeeded")
 	}
 }

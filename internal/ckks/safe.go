@@ -1,6 +1,9 @@
 package ckks
 
-import "poseidon/internal/numeric"
+import (
+	"poseidon/internal/numeric"
+	"poseidon/internal/ring"
+)
 
 // The validators exec (exec.go) runs before any kernel, and the table of
 // basic-op descriptors it runs them for. Everything here reports through
@@ -134,6 +137,9 @@ func preMulRelin(c *opCall) error {
 	if c.ev.rlk == nil {
 		return opErr(c.d.name, c.level, ErrKeyMissing, "relinearization key not loaded")
 	}
+	if err := c.ev.rlk.covers(c.ev.params, c.d.name, c.level); err != nil {
+		return err
+	}
 	return preNoise(c)
 }
 
@@ -153,10 +159,41 @@ func preGalois(c *opCall) (err error) {
 }
 
 func preKeySwitch(c *opCall) error {
-	if c.key == nil || len(c.key.B) == 0 || len(c.key.A) == 0 {
-		return opErr(c.d.name, c.level, ErrKeyMissing, "nil or empty switching key")
+	if c.key == nil {
+		return opErr(c.d.name, c.level, ErrKeyMissing, "nil switching key")
+	}
+	return c.key.covers(c.ev.params, c.d.name, c.level)
+}
+
+// covers reports whether the key holds what a keyswitch of op at the given
+// level indexes without looking — level+1 Q rows and α P rows of length N in
+// each of Digits(level) digits — as the ErrKeyMissing of that op when not.
+// Keys arrive from the wire (their header names their own limbs and digits,
+// not the chain's) and the bootstrapper cuts its own to the raise level.
+func (swk *SwitchingKey) covers(params *Parameters, op string, level int) error {
+	digits := min(len(swk.B), len(swk.A))
+	upTo := digits*params.Alpha() - 1
+	for d := 0; d < digits; d++ {
+		for _, c := range [2]PolyQP{swk.B[d], swk.A[d]} {
+			if c.Q == nil || c.P == nil || len(c.P.Coeffs) != params.Alpha() || !rowsOfN(c.Q, params.N) || !rowsOfN(c.P, params.N) {
+				return opErr(op, level, ErrKeyMissing, "switching key digit %d does not fit the parameter set", d)
+			}
+			upTo = min(upTo, len(c.Q.Coeffs)-1)
+		}
+	}
+	if upTo < level {
+		return opErr(op, level, ErrKeyMissing, "key covers levels ≤ %d, op runs at %d", upTo, level)
 	}
 	return nil
+}
+
+func rowsOfN(p *ring.Poly, n int) bool {
+	for _, row := range p.Coeffs {
+		if len(row) != n {
+			return false
+		}
+	}
+	return true
 }
 
 func preHoist(c *opCall) error {
@@ -184,7 +221,7 @@ func (ev *Evaluator) rotationKey(op string, level int, g uint64) (*SwitchingKey,
 	if !ok {
 		return nil, opErr(op, level, ErrKeyMissing, "no rotation key for Galois element %d", g)
 	}
-	return key, nil
+	return key, key.covers(ev.params, op, level)
 }
 
 // The spot-check predicates: limb i of the elementwise result against the

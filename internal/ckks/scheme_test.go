@@ -1,8 +1,10 @@
 package ckks
 
 import (
+	"errors"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -250,7 +252,7 @@ func TestKeySwitchToFreshKey(t *testing.T) {
 	tc := newTestContext(t)
 	sk2 := tc.kgen.GenSecretKey()
 	// Key encrypting P·s (old secret) under s2.
-	swk := tc.kgen.genSwitchingKey(tc.sk.Value.Q, sk2)
+	swk := tc.kgen.genSwitchingKey(tc.sk.Value.Q, sk2, tc.params.MaxLevel())
 	ev := NewEvaluator(tc.params, nil, nil)
 	rng := rand.New(rand.NewSource(10))
 	z := randomComplex(rng, tc.params.Slots, 1.0)
@@ -264,6 +266,52 @@ func TestKeySwitchToFreshKey(t *testing.T) {
 	dec2 := NewDecryptor(tc.params, sk2)
 	got := tc.enc.Decode(dec2.Decrypt(swct))
 	assertClose(t, got, z, 1e-4, "keyswitch to fresh key")
+}
+
+// TestCutKeyCoversItsLevels: a relinearisation, rotation or explicit
+// switching key generated for level 2 of a 5-limb chain (3 Q limbs, 2 digits)
+// is the full key restricted — at its level and below it switches correctly —
+// and above it the op's precondition refuses it as ErrKeyMissing, naming both
+// levels, before any kernel indexes a row the key does not hold.
+func TestCutKeyCoversItsLevels(t *testing.T) {
+	tc := newTestContext(t)
+	params := tc.params
+	const cut = 2
+	sk2 := tc.kgen.GenSecretKey()
+	swk := tc.kgen.genSwitchingKey(tc.sk.Value.Q, sk2, cut)
+	ev := NewEvaluator(params, tc.kgen.genRelinearizationKey(tc.sk, cut), tc.kgen.genRotationKeys(tc.sk, []int{1}, false, cut))
+
+	n := params.Slots
+	z := randomComplex(rand.New(rand.NewSource(12)), n, 1.0)
+	sq, rot := make([]complex128, n), make([]complex128, n)
+	for i := range z {
+		sq[i], rot[i] = z[i]*z[i], z[(i+1)%n]
+	}
+	ops := []struct {
+		name string
+		run  func(ct *Ciphertext) (*Ciphertext, error)
+		decr *Decryptor
+		want []complex128
+	}{
+		{"MulRelin", func(ct *Ciphertext) (*Ciphertext, error) { return ev.TryMulRelin(ct, ct) }, tc.decr, sq},
+		{"Rotate", func(ct *Ciphertext) (*Ciphertext, error) { return ev.TryRotate(ct, 1) }, tc.decr, rot},
+		{"KeySwitch", func(ct *Ciphertext) (*Ciphertext, error) {
+			return ev.TryKeySwitchInto(NewCiphertext(params, ct.Level), ct, swk)
+		}, NewDecryptor(params, sk2), z},
+	}
+	for _, op := range ops {
+		for level := cut - 1; level <= cut+1; level++ {
+			out, err := op.run(ev.DropLevel(tc.encryptVec(z), level))
+			if level <= cut {
+				if err != nil {
+					t.Fatalf("%s at level %d on a key cut at %d: %v", op.name, level, cut, err)
+				}
+				assertClose(t, tc.enc.Decode(op.decr.Decrypt(out)), op.want, 1e-4, op.name+" on a cut key")
+			} else if !errors.Is(err, ErrKeyMissing) || !strings.Contains(err.Error(), "key covers levels ≤ 2, op runs at 3") {
+				t.Errorf("%s at level %d on a key cut at %d: %v, want ErrKeyMissing naming both levels", op.name, level, cut, err)
+			}
+		}
+	}
 }
 
 func TestDropLevelAndAlign(t *testing.T) {

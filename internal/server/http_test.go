@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"poseidon/internal/ckks"
+	"poseidon/internal/ring"
 	"poseidon/internal/telemetry"
 )
 
@@ -184,6 +186,64 @@ func TestHTTPStatusMapping(t *testing.T) {
 	if st.GuardTrips != 2 {
 		t.Fatalf("health guard trips = %d, want 2", st.GuardTrips)
 	}
+}
+
+// A well-formed key shorter than the server's chain — its header names its
+// own 2 Q limbs and 1 digit — is accepted at upload and covers levels ≤ 1: a
+// rotation there is served, one at level 3 is 422 at the op's precondition,
+// not an index out of range inside a pool worker answered 500.
+func TestHTTPShortKeyIs422(t *testing.T) {
+	params := newServeParams(t, 1)
+	_, hs, cli := newHTTPFixture(t, Config{Params: params})
+	tt := newTestTenant(t, params, "alice", 16, []int{1}, false)
+	// The full key restricted to its first digit's limbs is the level-1 key.
+	keys := new(ckks.RotationKeySet)
+	if err := keys.UnmarshalBinary(tt.rtkBytes); err != nil {
+		t.Fatal(err)
+	}
+	cut := func(c ckks.PolyQP) []ckks.PolyQP {
+		return []ckks.PolyQP{{Q: &ring.Poly{Coeffs: c.Q.Coeffs[:2], IsNTT: true}, P: c.P}}
+	}
+	for g, key := range keys.Keys {
+		keys.Keys[g] = &ckks.SwitchingKey{B: cut(key.B[0]), A: cut(key.A[0])}
+	}
+	var err error
+	if tt.rtkBytes, err = keys.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	kgenUpload(t, cli, tt)
+
+	z := randomVec(rand.New(rand.NewSource(17)), params.Slots)
+	rotateAt := func(level int) *http.Response {
+		t.Helper()
+		ct, err := tt.encr.Encrypt(tt.enc.Encode(z, level, params.Scale)).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := hs.Client().Post(hs.URL+"/v1/eval", "application/octet-stream",
+			bytes.NewReader(EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpRotate, Steps: 1, Ct: ct})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	if resp := rotateAt(3); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("level-3 rotation on a key covering levels ≤ 1: HTTP %d, want 422", resp.StatusCode)
+	}
+	resp := rotateAt(1)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("level-1 rotation on a key covering levels ≤ 1: HTTP %d, want 200", resp.StatusCode)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := new(ckks.Ciphertext)
+	if err := out.UnmarshalBinary(body); err != nil {
+		t.Fatal(err)
+	}
+	assertVecClose(t, tt.decrypt(out), expected(OpRotate, z, nil, 1, 0), 1e-4, "rotation on the short key")
 }
 
 // Admission ceilings: an absurdly low arena-bytes ceiling rejects with

@@ -103,8 +103,11 @@ var (
 	NewCiphertext      = ckks.NewCiphertext
 	NewLinearTransform = ckks.NewLinearTransform
 	// NewLinearTransformBSGS pins the baby-step width n1 (0 = planned from
-	// the matrix, as NewLinearTransform does) — for transforms that must
-	// share one rotation-key set, and for sweeps.
+	// the matrix, as NewLinearTransform does). Pin it to give a second
+	// transform the width the planner chose for the first (LinearTransform.N1)
+	// when the two must share one rotation-key set — the bootstrapper plans
+	// CoeffToSlot and hands its width to SlotToCoeff, no fixed √n — to
+	// bit-compare two engines on one split, and for sweeps.
 	NewLinearTransformBSGS = ckks.NewLinearTransformBSGS
 	NewBootstrapper        = ckks.NewBootstrapper
 	ChebyshevCoeffsOf      = ckks.ChebyshevCoefficients
