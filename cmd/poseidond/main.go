@@ -2,9 +2,10 @@
 // FHE-as-a-service front end to this repository's evaluator. Tenants
 // upload evaluation keys to /v1/keys, post binary evaluation envelopes to
 // /v1/eval, and scrape scheduler/arena/latency gauges from the telemetry
-// endpoint. Compatible requests are batched through one evaluator pass
-// with hoisted-rotation sharing; admission control sheds load when arena
-// bytes or the request p99 cross their ceilings.
+// endpoint. One dispatch lane per worker takes requests off one queue, and
+// queued rotations of the same ciphertext share one hoisted decomposition;
+// admission control sheds load when arena bytes or the request p99 cross
+// their ceilings.
 //
 // Quickstart:
 //
@@ -42,7 +43,6 @@ type daemonConfig struct {
 	logN        int
 	workers     int
 	maxBatch    int
-	flush       time.Duration
 	queueDepth  int
 	registryCap int
 	maxArenaMB  int64
@@ -93,7 +93,6 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 	srv, err := server.NewEvalServer(server.Config{
 		Params:          params,
 		MaxBatch:        cfg.maxBatch,
-		FlushTimeout:    cfg.flush,
 		QueueDepth:      cfg.queueDepth,
 		RegistryCap:     cfg.registryCap,
 		MaxArenaBytes:   cfg.maxArenaMB << 20,
@@ -173,9 +172,8 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "evaluation API listen address")
 	flag.StringVar(&cfg.metricsAddr, "metrics", "127.0.0.1:9090", "telemetry listen address ('' disables)")
 	flag.IntVar(&cfg.logN, "logn", 11, "ring degree log2")
-	flag.IntVar(&cfg.workers, "workers", 0, "evaluator worker goroutines (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.maxBatch, "max-batch", 16, "max requests fused into one batch")
-	flag.DurationVar(&cfg.flush, "flush", 2*time.Millisecond, "max wait for a batch to fill")
+	flag.IntVar(&cfg.workers, "workers", 0, "evaluator workers, one dispatch lane each (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.maxBatch, "max-batch", 16, "max same-ciphertext rotations sharing one hoist")
 	flag.IntVar(&cfg.queueDepth, "queue", 256, "dispatch queue depth")
 	flag.IntVar(&cfg.registryCap, "registry-cap", 64, "resident tenant key sets")
 	flag.Int64Var(&cfg.maxArenaMB, "max-arena-mb", 0, "arena-bytes admission ceiling in MiB (0 = off)")
@@ -206,8 +204,8 @@ func main() {
 			log.Printf("request traces on http://%s/debug/requests", d.ms.Addr())
 		}
 	}
-	log.Printf("poseidond serving LogN=%d on http://%s (batch ≤%d, flush %v, registry cap %d)",
-		cfg.logN, d.Addr(), cfg.maxBatch, cfg.flush, cfg.registryCap)
+	log.Printf("poseidond serving LogN=%d on http://%s (%d lanes, hoist group ≤%d, registry cap %d)",
+		cfg.logN, d.Addr(), d.params.Workers(), cfg.maxBatch, cfg.registryCap)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

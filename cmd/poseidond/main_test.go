@@ -15,14 +15,21 @@ import (
 // TestShutdownDrainsInFlight starts the daemon on ephemeral ports, puts a
 // burst of evaluation requests in flight, and shuts down while they run:
 // every request must complete with a decryptable result — graceful drain
-// means responses, not connection resets.
+// means responses, not connection resets — from one dispatch lane and from
+// two.
 func TestShutdownDrainsInFlight(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) { shutdownDrainsInFlight(t, workers) })
+	}
+}
+
+func shutdownDrainsInFlight(t *testing.T, workers int) {
 	d, err := startDaemon(daemonConfig{
 		addr:        "127.0.0.1:0",
 		metricsAddr: "", // no telemetry listener in tests
 		logN:        8,
+		workers:     workers,
 		maxBatch:    4,
-		flush:       time.Millisecond,
 		queueDepth:  64,
 		registryCap: 4,
 		guardSeed:   1,

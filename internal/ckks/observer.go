@@ -25,6 +25,16 @@ import (
 // (alloc_test.go, and the root package's TestZeroAllocChainObserved).
 func (ev *Evaluator) SetObserver(s trace.OpSink) { ev.sink = s }
 
+// WithObserver returns a view of the evaluator that reports to s instead:
+// keys, pool, guards and recovery are shared with the receiver (the
+// WithWorkers pattern), only the sink differs. It is how callers that run
+// one key set from several goroutines at once give each its own sink.
+func (ev *Evaluator) WithObserver(s trace.OpSink) *Evaluator {
+	e2 := *ev
+	e2.sink = s
+	return &e2
+}
+
 // Observer returns the installed sink (nil if none) — so callers layering
 // telemetry on top of an existing recorder can preserve it through Fanout.
 func (ev *Evaluator) Observer() trace.OpSink { return ev.sink }

@@ -71,7 +71,7 @@ func (c *Client) wait(ctx context.Context, d time.Duration) error {
 
 // EvalMeta reports transfer- and scheduling-side facts about one call.
 type EvalMeta struct {
-	Batch    int    // occupancy of the batch the request rode in
+	Batch    int    // size of the unit the request was dispatched in (>1: a shared hoist)
 	BytesIn  int    // request body size
 	BytesOut int    // response body size
 	Trace    string // trace ID the call carried (echoed by a tracing server)

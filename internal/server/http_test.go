@@ -188,6 +188,52 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
+// The body is read at its declared length when there is one: an exact
+// length is served, a body shorter or longer than it declared is 400, and an
+// absent or over-limit declaration falls back to the capped ReadAll, which
+// answers from the bytes actually sent rather than sizing a buffer by the
+// header.
+func TestHTTPBodyLength(t *testing.T) {
+	params := newServeParams(t, 1)
+	srv, _, cli := newHTTPFixture(t, Config{Params: params})
+	tt := newTestTenant(t, params, "alice", 18, []int{1}, false)
+	kgenUpload(t, cli, tt)
+	ctBytes := tt.encryptBytes(t, randomVec(rand.New(rand.NewSource(19)), params.Slots))
+	eval := EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpNegate, Ct: ctBytes})
+	keys := EncodeKeyUpload(&KeyUpload{Tenant: "bob", Relin: tt.rlkBytes})
+
+	for _, tc := range []struct {
+		name     string
+		path     string
+		body     []byte
+		declared func(n int) int64 // Content-Length for a body of n bytes
+		want     int
+	}{
+		{"exact", "/v1/eval", eval, func(n int) int64 { return int64(n) }, http.StatusOK},
+		{"short body", "/v1/eval", eval, func(n int) int64 { return int64(n) + 5 }, http.StatusBadRequest},
+		{"long body", "/v1/eval", eval, func(n int) int64 { return int64(n) - 5 }, http.StatusBadRequest},
+		{"absent", "/v1/eval", eval, func(int) int64 { return -1 }, http.StatusOK},
+		{"over limit", "/v1/eval", eval, func(int) int64 { return maxBodyBytes + 1 }, http.StatusOK},
+		{"keys exact", "/v1/keys", keys, func(n int) int64 { return int64(n) }, http.StatusNoContent},
+		{"keys short body", "/v1/keys", keys, func(n int) int64 { return int64(n) + 1 }, http.StatusBadRequest},
+		{"keys absent", "/v1/keys", keys, func(int) int64 { return -1 }, http.StatusNoContent},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := httptest.NewRequest(http.MethodPost, tc.path, bytes.NewReader(tc.body))
+			req.ContentLength = tc.declared(len(tc.body))
+			w := httptest.NewRecorder()
+			before := srv.Stats().BytesIn
+			srv.Handler().ServeHTTP(w, req)
+			if w.Code != tc.want {
+				t.Fatalf("HTTP %d, want %d: %s", w.Code, tc.want, w.Body)
+			}
+			if got := srv.Stats().BytesIn - before; tc.want < 300 && got != uint64(len(tc.body)) {
+				t.Fatalf("bytes_in grew by %d for a served body of %d bytes", got, len(tc.body))
+			}
+		})
+	}
+}
+
 // A well-formed key shorter than the server's chain — its header names its
 // own 2 Q limbs and 1 digit — is accepted at upload and covers levels ≤ 1: a
 // rotation there is served, one at level 3 is 422 at the op's precondition,

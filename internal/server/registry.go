@@ -23,9 +23,9 @@ type Registry struct {
 	mu         sync.Mutex
 	params     *ckks.Parameters
 	capacity   int
-	observer   trace.OpSink // installed on every tenant evaluator (telemetry, request tracing)
-	guardSeed  int64        // non-zero arms integrity guards on every tenant evaluator
-	opAttempts int          // >1 installs an op-level recovery policy on every tenant evaluator
+	observers  []trace.OpSink // one per evaluator view of a tenant (telemetry, request tracing); never empty
+	guardSeed  int64          // non-zero arms integrity guards on every tenant evaluator
+	opAttempts int            // >1 installs an op-level recovery policy on every tenant evaluator
 
 	entries map[string]*tenantEntry
 	lru     *list.List // front = most recently used
@@ -40,19 +40,26 @@ type Registry struct {
 // the requests that pinned it — only residency is gone).
 type tenantEntry struct {
 	name string
-	ev   *ckks.Evaluator
+	evs  []*ckks.Evaluator // views of one keyed evaluator, one per registry observer
 	refs int
 	elem *list.Element
 }
 
-// Evaluator returns the tenant's keyed evaluator.
-func (e *tenantEntry) Evaluator() *ckks.Evaluator { return e.ev }
+// evaluator returns the view of the tenant's keyed evaluator that dispatch
+// lane `lane` runs on. Views share keys, guards and recovery and differ only
+// in the sink they report to: with request tracing on there is one per lane,
+// so concurrent jobs of one tenant attribute their op spans separately;
+// otherwise a single evaluator serves every lane.
+func (e *tenantEntry) evaluator(lane int) *ckks.Evaluator { return e.evs[lane%len(e.evs)] }
 
-func newRegistry(params *ckks.Parameters, capacity int, observer trace.OpSink, guardSeed int64, opAttempts int) *Registry {
+// newRegistry builds an empty registry. observers holds the sink of each
+// evaluator view a tenant gets — one entry (nil for no sink) when every
+// dispatch lane may share an evaluator, one per lane otherwise.
+func newRegistry(params *ckks.Parameters, capacity int, observers []trace.OpSink, guardSeed int64, opAttempts int) *Registry {
 	return &Registry{
 		params:     params,
 		capacity:   capacity,
-		observer:   observer,
+		observers:  observers,
 		guardSeed:  guardSeed,
 		opAttempts: opAttempts,
 		entries:    map[string]*tenantEntry{},
@@ -72,9 +79,12 @@ func (r *Registry) Register(tenant string, rlk *ckks.RelinearizationKey, rtk *ck
 	if r.guardSeed != 0 {
 		ev.EnableGuards(r.guardSeed)
 	}
-	ev.SetObserver(r.observer)
 	if r.opAttempts > 1 {
 		ev.SetRecoveryPolicy(&ckks.RecoveryPolicy{MaxAttempts: r.opAttempts})
+	}
+	evs := make([]*ckks.Evaluator, len(r.observers))
+	for i, obs := range r.observers {
+		evs[i] = ev.WithObserver(obs)
 	}
 
 	r.mu.Lock()
@@ -87,7 +97,7 @@ func (r *Registry) Register(tenant string, rlk *ckks.RelinearizationKey, rtk *ck
 			old.elem = nil
 		}
 	}
-	e := &tenantEntry{name: tenant, ev: ev}
+	e := &tenantEntry{name: tenant, evs: evs}
 	e.elem = r.lru.PushFront(e)
 	r.entries[tenant] = e
 	r.evictLocked(e)

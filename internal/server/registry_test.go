@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"poseidon/internal/trace"
 )
 
 func newTestRegistry(t *testing.T, capacity int) *Registry {
 	t.Helper()
-	return newRegistry(newServeParams(t, 1), capacity, nil, 0, 0)
+	return newRegistry(newServeParams(t, 1), capacity, []trace.OpSink{nil}, 0, 0)
 }
 
 func TestRegistryEvictsLRU(t *testing.T) {
@@ -113,7 +115,7 @@ func TestRegistryReplaceKeepsInFlightEntry(t *testing.T) {
 	if old == fresh {
 		t.Fatal("replacement returned the same entry")
 	}
-	if old.Evaluator() == fresh.Evaluator() {
+	if old.evaluator(0) == fresh.evaluator(0) {
 		t.Fatal("replacement kept the same evaluator")
 	}
 	r.Release(old)

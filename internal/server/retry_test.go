@@ -23,9 +23,6 @@ func retryServer(t *testing.T, cfg Config) (*EvalServer, *testTenant) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 4
 	}
-	if cfg.FlushTimeout == 0 {
-		cfg.FlushTimeout = time.Millisecond
-	}
 	if cfg.DegradeCooldown == 0 {
 		cfg.DegradeCooldown = time.Minute
 	}
@@ -191,12 +188,13 @@ func TestHTTPDeadlineReturns504(t *testing.T) {
 func TestTripDuringDecayRestartsCooldown(t *testing.T) {
 	const cool = 200 * time.Millisecond
 	s := bareScheduler(Config{DegradeCooldown: cool})
+	advance := scriptClock(s)
 	s.tripGuard()
 	s.tripGuard() // batched → serial → shed
 	if m := s.currentMode(); m != modeShed {
 		t.Fatalf("after two trips: %s, want shed", modeName(m))
 	}
-	time.Sleep(cool + 50*time.Millisecond) // one cooldown elapses: shed → serial
+	advance(cool + 50*time.Millisecond) // one cooldown elapses: shed → serial
 	if m := s.currentMode(); m != modeSerial {
 		t.Fatalf("after one cooldown: %s, want serial", modeName(m))
 	}
@@ -204,11 +202,11 @@ func TestTripDuringDecayRestartsCooldown(t *testing.T) {
 	if m := s.currentMode(); m != modeShed {
 		t.Fatalf("after mid-decay trip: %s, want shed", modeName(m))
 	}
-	time.Sleep(cool / 2) // half the fresh cooldown: must still be shed
+	advance(cool / 2) // half the fresh cooldown: must still be shed
 	if m := s.currentMode(); m != modeShed {
 		t.Fatalf("cooldown did not restart: %s at half-cooldown, want shed", modeName(m))
 	}
-	time.Sleep(cool/2 + 50*time.Millisecond) // fresh cooldown complete: one rung down
+	advance(cool/2 + 50*time.Millisecond) // fresh cooldown complete: one rung down
 	if m := s.currentMode(); m != modeSerial {
 		t.Fatalf("after full fresh cooldown: %s, want serial", modeName(m))
 	}

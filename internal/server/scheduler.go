@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,22 +15,23 @@ import (
 	"poseidon/internal/tracing"
 )
 
-// The scheduler is the software analogue of the paper's operator
-// time-multiplexing: one execution resource (a single dispatcher
-// goroutine driving the evaluator) serves many tenant request streams by
-// interleaving them in batches. A batch holds requests at the same level
-// (same limb count → the same arena size classes stay hot and one
-// evaluator pass covers the batch); rotations of the same input
-// ciphertext within a batch share one hoisted digit decomposition, the
-// dominant cost of a keyswitch. Batch formation waits at most
-// FlushTimeout for a batch to fill, flushes early when full, and splits
-// on a level mismatch — the mismatched request opens the next batch, it
-// is never dropped.
+// The scheduler is the software analogue of the paper's lanes that are
+// never idle: at serving ring sizes a ciphertext has too few limbs for the
+// limb pool to fill the machine, so the independent dimension that does is
+// the request. One dispatch lane per evaluator worker loops take → execute →
+// yield over one FIFO. The unit a lane takes is the hoist group — the head
+// job plus, when it is a rotation, every queued rotation of the same tenant
+// and the same input bytes, which then share one hoisted digit
+// decomposition, the dominant cost of a keyswitch and the only thing two
+// requests have ever shared. Dispatch is work-conserving: a lane never waits
+// while a job is queued, so groups form from backlog, not from a timer, and
+// there is no level rule — a unit is a loop of independent ops, and
+// byte-identical inputs are at one level by construction.
 
 // dispatch modes — the degradation ladder.
 const (
-	modeBatched int32 = iota // normal: batches up to MaxBatch
-	modeSerial               // after a guard trip: one request per batch
+	modeBatched int32 = iota // normal: hoist groups up to MaxBatch
+	modeSerial               // after a guard trip: units of one request
 	modeShed                 // repeated trips: admission rejects new work
 )
 
@@ -51,12 +54,12 @@ type job struct {
 	ct    *ckks.Ciphertext
 	ct2   *ckks.Ciphertext
 
-	// digest identifies the raw input ciphertext bytes of a rotation so
-	// the batch executor can recognize same-input rotations and run them
-	// through one hoisted decomposition. Tenant-scoped: requests from
-	// different tenants never share (their keys differ).
-	digest    [sha256.Size]byte
-	hasDigest bool
+	// input is a rotation's ciphertext as it arrived (nil for any other op;
+	// the request holds the bytes until it is answered anyway), inputHash
+	// their seeded hash: take matches queued rotations of one tenant and one
+	// input on them, to run through one hoisted decomposition.
+	input     []byte
+	inputHash uint64
 
 	// ctx is the request's context (nil = none): an expired job is skipped
 	// cheaply by the executor and never re-enqueued by the retry path.
@@ -68,20 +71,34 @@ type job struct {
 	// trace is the request's span tree (nil with tracing off; every use is
 	// a nil check). The request moves through it as a sequence of stage
 	// transitions (RequestTrace.NextStage): queue opens at enqueue (and per
-	// retry) and ends where the dispatcher opens exec; deliver opens just
+	// retry) and ends where a lane opens exec; deliver opens just
 	// before the executor sends on done and ends where the caller, having
 	// received, opens finalize — on a saturated machine the caller
 	// goroutine's wake-up can lag the result by many milliseconds, and that
 	// wait is request wall-clock the tree must account for. Transitions
-	// cross goroutines but never concurrently — the enqueue → channel →
-	// dispatch edge (and the send → receive edge on done) orders each
-	// hand-off.
+	// cross goroutines but never concurrently — the enqueue → queue lock →
+	// take edge (and the send → receive edge on done) orders each hand-off.
 	trace *tracing.RequestTrace
 
 	done chan jobResult // buffered(1): the executor never blocks delivering
 }
 
-func (j *job) level() int { return j.ct.Level }
+// inputSeed keys inputHash for the life of the process, so a tenant cannot
+// craft rotations that collide and lengthen take's scan under the queue lock.
+var inputSeed = maphash.MakeSeed()
+
+// setInput records a rotation's raw ciphertext bytes for sibling matching.
+func (j *job) setInput(raw []byte) {
+	j.input = raw
+	j.inputHash = maphash.Bytes(inputSeed, raw)
+}
+
+// sharesHoist reports whether j and k are rotations of one tenant entry and
+// the same input bytes: the hash is a prefilter, equality is exact.
+func (j *job) sharesHoist(k *job) bool {
+	return j.input != nil && k.input != nil && j.entry == k.entry &&
+		j.inputHash == k.inputHash && bytes.Equal(j.input, k.input)
+}
 
 // ctxErr reports the job's context expiry, wrapped for the HTTP layer
 // (context.DeadlineExceeded maps to 504).
@@ -97,7 +114,7 @@ func (j *job) ctxErr() error {
 
 type jobResult struct {
 	ct    *ckks.Ciphertext
-	batch int // occupancy of the batch the job rode in
+	batch int // size of the unit the job was taken in
 	err   error
 }
 
@@ -105,17 +122,23 @@ type scheduler struct {
 	cfg    Config
 	params *ckks.Parameters
 
-	queue  chan *job
-	qmu    sync.RWMutex
+	// The dispatch queue: admitted jobs in arrival order (capacity
+	// QueueDepth, compacted in place) under one mutex. Lanes sleep on ready
+	// while it is empty; closed refuses new work, and done closes once every
+	// lane has drained the backlog and exited.
+	qmu    sync.Mutex
+	ready  sync.Cond
+	queue  []*job
 	closed bool
 	done   chan struct{}
 
 	mode      atomic.Int32
-	coolUntil atomic.Int64 // unix nanos; mode decays one rung per elapsed cooldown
+	coolUntil atomic.Int64     // unix nanos; mode decays one rung per elapsed cooldown
+	now       func() time.Time // the ladder's clock: time.Now, scripted by tests
 
-	batches     atomic.Uint64
-	occupancy   []atomic.Uint64 // index = batch size, [0] unused
-	hoistGroups atomic.Uint64   // batches of ≥2 rotations sharing a decomposition
+	batches     atomic.Uint64   // units taken
+	occupancy   []atomic.Uint64 // index = unit size, [0] unused
+	hoistGroups atomic.Uint64   // units of ≥2 rotations sharing a decomposition
 	hoistShared atomic.Uint64   // decompositions saved by sharing
 	guardTrips  atomic.Uint64
 
@@ -126,58 +149,81 @@ type scheduler struct {
 	jobRecovered     atomic.Uint64
 	jobUnrecoverable atomic.Uint64
 
-	// sink is the evaluator-observation bridge the dispatcher activates
-	// around each job's evaluator call so per-op spans land on that job's
-	// trace. Nil with tracing off.
-	sink *tracing.EvalObserver
-
-	// testExec, when set (tests only), replaces the evaluator call for a
-	// job: a non-nil return is delivered as the op's failure. It lets the
-	// degradation tests inject a deterministic mid-batch integrity fault
-	// without arming the global fault injector.
+	// testExec, when set (tests only), runs before a job's evaluator call; a
+	// non-nil return is delivered as the op's failure in place of evaluating.
+	// Degradation tests inject a deterministic integrity fault with it (no
+	// global fault injector), dispatch tests hold a lane to build a backlog.
 	testExec func(*job) error
 }
 
-func newScheduler(cfg Config, params *ckks.Parameters, sink *tracing.EvalObserver) *scheduler {
+// lane is one dispatch goroutine: id selects the view of a tenant's
+// evaluator it runs on, and sink (nil with tracing off) is the observer that
+// view reports to, pointed at each job's trace around its evaluator call.
+type lane struct {
+	id   int
+	sink *tracing.EvalObserver
+}
+
+// newScheduler builds a scheduler with no lane running; start launches them.
+func newScheduler(cfg Config, params *ckks.Parameters) *scheduler {
 	s := &scheduler{
 		cfg:       cfg,
 		params:    params,
-		queue:     make(chan *job, cfg.QueueDepth),
+		queue:     make([]*job, 0, cfg.QueueDepth),
 		done:      make(chan struct{}),
 		occupancy: make([]atomic.Uint64, cfg.MaxBatch+1),
-		sink:      sink,
+		now:       time.Now,
 	}
-	go s.run()
+	s.ready.L = &s.qmu
 	return s
 }
 
+// start launches one lane per entry of sinks (each nil with tracing off) —
+// the caller sizes it by params.Workers(), the one statement of how many
+// cores evaluation may use; done closes when the last lane exits.
+func (s *scheduler) start(sinks []*tracing.EvalObserver) {
+	var wg sync.WaitGroup
+	for i, sink := range sinks {
+		ln := &lane{id: i, sink: sink}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.run(ln)
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(s.done)
+	}()
+}
+
 // beginExec moves the job from its queue-wait stage into its exec stage,
-// pointing the evaluator's observation sink at this job's trace. Called
-// only from the dispatcher goroutine; nil-safe throughout.
-func (s *scheduler) beginExec(j *job, batchSize int) tracing.SpanRef {
+// pointing the lane's observation sink at this job's trace. Nil-safe
+// throughout.
+func (ln *lane) beginExec(j *job, batchSize int) tracing.SpanRef {
 	ex := j.trace.NextStage("exec")
 	j.trace.AnnotateInt(ex, "batch", int64(batchSize))
 	if j.attempt > 0 {
 		j.trace.AnnotateInt(ex, "attempt", int64(j.attempt+1))
 	}
-	if s.sink != nil && j.trace != nil {
-		s.sink.Activate(j.trace, ex)
+	if ln.sink != nil && j.trace != nil {
+		ln.sink.Activate(j.trace, ex)
 	}
 	return ex
 }
 
 // endExec detaches the sink and records the outcome on the exec stage,
 // which stays open until the job is delivered or backs off.
-func (s *scheduler) endExec(j *job, err error) {
-	if s.sink != nil {
-		s.sink.Deactivate()
+func (ln *lane) endExec(j *job, err error) {
+	if ln.sink != nil {
+		ln.sink.Deactivate()
 	}
 	j.trace.StageErr(err)
 }
 
 // deliver hands the job's outcome back to the waiting caller, opening the
 // deliver stage the caller leaves on receive (EvalCtx). done is buffered,
-// so the send never blocks the dispatcher.
+// so the send never blocks a lane.
 func (s *scheduler) deliver(j *job, res jobResult) {
 	j.trace.NextStage("deliver")
 	j.done <- res
@@ -186,41 +232,46 @@ func (s *scheduler) deliver(j *job, res jobResult) {
 // enqueue admits a job to the dispatch queue without blocking: a full
 // queue is backpressure, reported as ErrOverloaded.
 func (s *scheduler) enqueue(j *job) error {
-	s.qmu.RLock()
-	defer s.qmu.RUnlock()
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
 	if s.closed {
 		return errOverloadedf("shutting down")
 	}
-	select {
-	case s.queue <- j:
-		return nil
-	default:
+	if len(s.queue) >= s.cfg.QueueDepth {
 		return errOverloadedf("dispatch queue full (%d)", s.cfg.QueueDepth)
 	}
+	s.queue = append(s.queue, j)
+	s.ready.Signal()
+	return nil
 }
 
-// stop closes the queue and waits for the dispatcher to drain every
-// admitted job — graceful: queued work completes, new work is refused.
+// queued returns the number of jobs waiting for a lane.
+func (s *scheduler) queued() int {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.queue)
+}
+
+// stop closes the queue and waits for the lanes to drain every admitted
+// job — graceful: queued work completes, new work is refused.
 func (s *scheduler) stop() { s.stopCtx(context.Background()) }
 
-// stopCtx is stop with a drain bound: when ctx expires before the
-// dispatcher has drained the queue, stopCtx returns the expiry error with
-// the dispatcher still running (it keeps draining in the background —
-// abandoning it would strand queued requesters on their done channels).
-// Jobs parked in retry backoff are not waited for: their re-enqueue fails
-// against the closed queue and delivers the original failure.
+// stopCtx is stop with a drain bound: when ctx expires before the lanes
+// have drained the queue, stopCtx returns the expiry error with the lanes
+// still running (they keep draining in the background — abandoning them
+// would strand queued requesters on their done channels). Jobs parked in
+// retry backoff are not waited for: their re-enqueue fails against the
+// closed queue and delivers the original failure.
 func (s *scheduler) stopCtx(ctx context.Context) error {
 	s.qmu.Lock()
-	if !s.closed {
-		s.closed = true
-		close(s.queue)
-	}
+	s.closed = true
+	s.ready.Broadcast()
 	s.qmu.Unlock()
 	select {
 	case <-s.done:
 		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("server: drain: %w (%d jobs still queued)", ctx.Err(), len(s.queue))
+		return fmt.Errorf("server: drain: %w (%d jobs still queued)", ctx.Err(), s.queued())
 	}
 }
 
@@ -228,7 +279,7 @@ func (s *scheduler) stopCtx(ctx context.Context) error {
 // each elapsed DegradeCooldown since the last escalation steps the ladder
 // down one rung.
 func (s *scheduler) currentMode() int32 {
-	now := time.Now().UnixNano()
+	now := s.now().UnixNano()
 	for {
 		m := s.mode.Load()
 		if m == modeBatched {
@@ -254,186 +305,135 @@ func (s *scheduler) tripGuard() {
 			next = modeShed
 		}
 		if s.mode.CompareAndSwap(m, next) {
-			s.coolUntil.Store(time.Now().Add(s.cfg.DegradeCooldown).UnixNano())
+			s.coolUntil.Store(s.now().Add(s.cfg.DegradeCooldown).UnixNano())
 			return
 		}
 	}
 }
 
-func (s *scheduler) maxBatchNow() int {
-	if s.currentMode() != modeBatched {
-		return 1 // degraded: serial dispatch, queued work still drains
+// run is one lane's loop: take a unit, execute it, until the queue is closed
+// and drained.
+func (s *scheduler) run(ln *lane) {
+	for unit := s.take(); unit != nil; unit = s.take() {
+		s.execUnit(ln, unit)
 	}
-	return s.cfg.MaxBatch
 }
 
-// run is the dispatcher: one goroutine, one batch at a time — the single
-// time-multiplexed datapath.
-func (s *scheduler) run() {
-	defer close(s.done)
-	var pending *job
-	for {
-		first := pending
-		pending = nil
-		if first == nil {
-			j, ok := <-s.queue
-			if !ok {
-				return
-			}
-			first = j
+// take blocks until a job is queued and removes the next unit of dispatch:
+// the head job and, when dispatch is batched and the head is a rotation,
+// every queued rotation that shares its hoist (same tenant entry, same
+// input bytes), in arrival order, at most MaxBatch in all. Everything else
+// stays queued in arrival order for the other lanes. It returns nil once
+// the queue is closed and drained.
+func (s *scheduler) take() []*job {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	for len(s.queue) == 0 {
+		if s.closed {
+			return nil
 		}
-		batch := s.collect(first, &pending)
-		s.execBatch(batch)
+		s.ready.Wait()
 	}
-}
-
-// collect forms one batch: same level throughout, at most maxBatchNow
-// jobs, waiting at most FlushTimeout for laggards. A level-mismatched job
-// flushes the batch and is carried into the next one via pending.
-func (s *scheduler) collect(first *job, pending **job) []*job {
-	batch := []*job{first}
-	level := first.level()
-	max := s.maxBatchNow()
-	if max <= 1 {
-		return batch
+	head := s.queue[0]
+	unit := []*job{head}
+	max := 1 // degraded to serial, queued work still drains, one job a unit
+	if head.input != nil && s.currentMode() == modeBatched {
+		max = s.cfg.MaxBatch
 	}
-	timer := time.NewTimer(s.cfg.FlushTimeout)
-	defer timer.Stop()
-	for len(batch) < max {
-		select {
-		case j, ok := <-s.queue:
-			if !ok {
-				return batch
-			}
-			if j.level() != level {
-				*pending = j // level mismatch splits the batch; the job opens the next one
-				return batch
-			}
-			batch = append(batch, j)
-		case <-timer.C:
-			return batch // timeout flush of a partial batch
+	rest := s.queue[:0]
+	for _, j := range s.queue[1:] {
+		if len(unit) < max && head.sharesHoist(j) {
+			unit = append(unit, j)
+		} else {
+			rest = append(rest, j)
 		}
 	}
-	return batch
+	clear(s.queue[len(rest):]) // the vacated tail must not pin answered jobs
+	s.queue = rest
+	return unit
 }
 
-// groupKey identifies a hoist-sharing group within a batch: same tenant
-// entry, same input ciphertext bytes.
-type groupKey struct {
-	entry  *tenantEntry
-	digest [sha256.Size]byte
-}
-
-// execBatch runs every job of a batch, amortizing hoisted-rotation
-// decompositions across same-input rotations. An integrity failure
-// degrades the dispatch mode but never drops the rest of the batch or the
-// queue: remaining jobs still execute (serially, on the next batches).
-func (s *scheduler) execBatch(batch []*job) {
+// execUnit runs one taken unit on a lane. Members whose context expired
+// while queued are answered with that error and skipped; two or more that
+// remain share one digit decomposition, and a lone job — or every member,
+// when the shared phase fails: none sees a worse outcome than serial
+// dispatch — runs through its tenant's evaluator. An integrity failure
+// degrades the dispatch mode but never drops the rest of the unit or queue.
+func (s *scheduler) execUnit(ln *lane, unit []*job) {
+	size := len(unit)
 	s.batches.Add(1)
-	occ := len(batch)
-	if occ >= len(s.occupancy) {
-		occ = len(s.occupancy) - 1
-	}
-	s.occupancy[occ].Add(1)
-
-	// Pass 1: find hoist-sharing groups (≥2 rotations of identical input
-	// bytes from the same tenant).
-	var groups map[groupKey][]*job
-	for _, j := range batch {
-		if !j.hasDigest {
+	s.occupancy[min(size, len(s.occupancy)-1)].Add(1)
+	live := unit[:0]
+	for _, j := range unit {
+		if err := j.ctxErr(); err != nil {
+			j.trace.StageErr(err) // abandoned while queued
+			s.deliver(j, jobResult{batch: size, err: err})
 			continue
 		}
-		if groups == nil {
-			groups = map[groupKey][]*job{}
-		}
-		k := groupKey{entry: j.entry, digest: j.digest}
-		groups[k] = append(groups[k], j)
+		live = append(live, j)
 	}
-
-	// Pass 2: execute in arrival order; a job in a shared group executes
-	// the whole group at its first member.
-	ran := map[*job]bool{}
-	for _, j := range batch {
-		if ran[j] {
-			continue
+	var h *ckks.Hoisted
+	if len(live) >= 2 {
+		if h = s.hoist(ln, live); h != nil {
+			defer h.Release()
 		}
-		if j.hasDigest {
-			k := groupKey{entry: j.entry, digest: j.digest}
-			if g := groups[k]; len(g) >= 2 {
-				s.execHoistGroup(g, len(batch))
-				for _, gj := range g {
-					ran[gj] = true
-				}
-				continue
-			}
-		}
-		s.execOne(j, len(batch))
-		ran[j] = true
+	}
+	for _, j := range live {
+		s.execOne(ln, j, size, h, j == live[0])
+		// The yield after each answer is load-bearing. With every core
+		// running a lane that goes straight on to its next job, the request
+		// goroutine just answered — which must wake, encode the reply and
+		// send the next request — waits for a preemption tick instead: p50
+		// falls while p99 and the deliver stage balloon, a burst's siblings
+		// are never queued together, and throughput drops (DESIGN.md §11).
+		runtime.Gosched()
 	}
 }
 
-// execHoistGroup runs ≥2 same-input rotations through one shared digit
-// decomposition. Any failure of the shared phase falls back to individual
-// rotations so a group member never sees a worse outcome than serial
-// dispatch.
-func (s *scheduler) execHoistGroup(group []*job, batchSize int) {
-	ev := group[0].entry.ev
-	if s.testExec != nil {
-		for _, j := range group {
-			s.execOne(j, batchSize)
-		}
-		return
-	}
+// hoist takes the digit decomposition a group's live members share, as the
+// leader's first exec work. It returns nil when that fails: the members
+// then run individually, where the job-retry path applies; with retries off
+// the failure drives the ladder here (execOne sees per-job errors itself).
+func (s *scheduler) hoist(ln *lane, group []*job) *ckks.Hoisted {
 	lead := group[0]
-	hs := lead.trace.NextStage("hoist") // the shared hoist is the leader's first exec work
+	hs := lead.trace.NextStage("hoist")
 	lead.trace.AnnotateInt(hs, "group", int64(len(group)))
-	h, err := ev.TryHoist(group[0].ct)
+	h, err := lead.entry.evaluator(ln.id).TryHoist(lead.ct)
 	if err != nil {
 		lead.trace.StageErr(err)
-		// The fallback re-executes each member individually, where the
-		// job-retry path applies; with retries off, the failure drives the
-		// ladder here as before (execOne sees per-job errors itself).
-		if !s.retryEnabled() {
-			s.noteErr(err)
+		if !s.retryEnabled() && errors.Is(err, ckks.ErrIntegrity) {
+			s.tripGuard()
 		}
-		for _, j := range group {
-			s.execOne(j, batchSize)
-		}
-		return
+		return nil
 	}
-	defer h.Release()
 	s.hoistGroups.Add(1)
 	s.hoistShared.Add(uint64(len(group) - 1))
-	for _, j := range group {
-		ex := s.beginExec(j, batchSize)
-		if j == lead {
-			j.trace.Annotate(ex, "hoist", "leader")
-		} else {
-			j.trace.Annotate(ex, "hoist", "shared")
-		}
-		res, err := h.TryRotate(j.steps)
-		s.endExec(j, err)
-		s.finish(j, res, batchSize, err)
-	}
+	return h
 }
 
-// execOne runs a single job through its tenant's evaluator.
-func (s *scheduler) execOne(j *job, batchSize int) {
-	if err := j.ctxErr(); err != nil {
-		j.trace.StageErr(err) // abandoned while queued
-		s.deliver(j, jobResult{batch: batchSize, err: err})
-		return
-	}
-	s.beginExec(j, batchSize)
+// execOne is one job's exec stage: a rotation through h, its unit's shared
+// decomposition, when there is one, anything else through the lane's view of
+// its tenant's evaluator.
+func (s *scheduler) execOne(ln *lane, j *job, batchSize int, h *ckks.Hoisted, lead bool) {
+	ex := ln.beginExec(j, batchSize)
 	var res *ckks.Ciphertext
 	var err error
 	if s.testExec != nil {
 		err = s.testExec(j)
 	}
-	if err == nil {
-		res, err = s.eval(j)
+	switch {
+	case err != nil:
+	case h != nil:
+		role := "shared"
+		if lead {
+			role = "leader"
+		}
+		j.trace.Annotate(ex, "hoist", role)
+		res, err = h.TryRotate(j.steps)
+	default:
+		res, err = s.eval(j.entry.evaluator(ln.id), j)
 	}
-	s.endExec(j, err)
+	ln.endExec(j, err)
 	s.finish(j, res, batchSize, err)
 }
 
@@ -465,7 +465,7 @@ func (s *scheduler) finish(j *job, res *ckks.Ciphertext, batchSize int, err erro
 
 // retryJob re-enqueues an integrity-failed job with exponential backoff,
 // bounded by MaxJobAttempts and the job's context. The backoff runs on a
-// timer so the dispatcher never sleeps; if the re-enqueue races a closed
+// timer so a lane never sleeps; if the re-enqueue races a closed
 // or full queue, the original failure is delivered instead of being lost.
 func (s *scheduler) retryJob(j *job, batchSize int, cause error) bool {
 	if !s.retryEnabled() || j.attempt+1 >= s.cfg.MaxJobAttempts {
@@ -496,8 +496,7 @@ func (s *scheduler) retryJob(j *job, batchSize int, cause error) bool {
 	return true
 }
 
-func (s *scheduler) eval(j *job) (*ckks.Ciphertext, error) {
-	ev := j.entry.ev
+func (s *scheduler) eval(ev *ckks.Evaluator, j *job) (*ckks.Ciphertext, error) {
 	switch j.op {
 	case OpAdd:
 		return ev.TryAdd(j.ct, j.ct2)
@@ -518,14 +517,6 @@ func (s *scheduler) eval(j *job) (*ckks.Ciphertext, error) {
 		return ev.TryInnerSum(j.ct, j.width) // width checked at admission
 	}
 	return nil, badf("unexecutable opcode %d", uint64(j.op))
-}
-
-// noteErr inspects an op failure: integrity faults drive the degradation
-// ladder.
-func (s *scheduler) noteErr(err error) {
-	if errors.Is(err, ckks.ErrIntegrity) {
-		s.tripGuard()
-	}
 }
 
 func errOverloadedf(format string, args ...any) error {

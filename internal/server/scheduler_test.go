@@ -1,141 +1,211 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"poseidon/internal/ckks"
+	"poseidon/internal/tracing"
 )
 
-// bareScheduler builds a scheduler without starting its dispatcher so
-// batch formation can be driven deterministically from the test.
-func bareScheduler(cfg Config) *scheduler {
-	cfg = cfg.withDefaults()
-	return &scheduler{
-		cfg:       cfg,
-		queue:     make(chan *job, cfg.QueueDepth),
-		done:      make(chan struct{}),
-		occupancy: make([]atomic.Uint64, cfg.MaxBatch+1),
+// bareScheduler builds a scheduler with no lane running, so a test can
+// drive take and execUnit itself or start lanes over a backlog it chose.
+func bareScheduler(cfg Config) *scheduler { return newScheduler(cfg.withDefaults(), nil) }
+
+// scriptClock replaces the scheduler's ladder clock with one that moves only
+// when the returned function is called.
+func scriptClock(s *scheduler) (advance func(time.Duration)) {
+	at := time.Unix(1_700_000_000, 0)
+	s.now = func() time.Time { return at }
+	return func(d time.Duration) { at = at.Add(d) }
+}
+
+// fakeJob makes a dispatchable job no evaluator ever sees (tests that run it
+// answer it from testExec): a rotation of the given input bytes for the
+// given tenant entry, or — with a nil input — any other op.
+func fakeJob(entry *tenantEntry, input []byte) *job {
+	j := &job{entry: entry, done: make(chan jobResult, 1)}
+	if input != nil {
+		j.op = OpRotate
+		j.setInput(input)
 	}
+	return j
 }
 
-// levelJob makes a dispatchable job whose only meaningful field is the
-// ciphertext level batch formation keys on.
-func levelJob(level int) *job {
-	return &job{ct: &ckks.Ciphertext{Level: level}, done: make(chan jobResult, 1)}
-}
-
-// Batch formation edge cases, table-driven: the level-mismatch split, the
-// max-batch cap, and the timeout flush of a partial batch.
+// What one take removes from the queue, table-driven on a scheduler with no
+// lane running: the head and its hoist siblings, everything else left in
+// arrival order.
 func TestCollectEdgeCases(t *testing.T) {
+	a, b := &tenantEntry{name: "a"}, &tenantEntry{name: "b"}
+	x, y := []byte("ciphertext x"), []byte("ciphertext y")
+	rot := func(e *tenantEntry, in []byte) func() *job { return func() *job { return fakeJob(e, in) } }
+	add := func() *job { return fakeJob(a, nil) }
 	cases := []struct {
-		name        string
-		maxBatch    int
-		flush       time.Duration
-		levels      []int // enqueued in order; collect starts from the first
-		wantBatch   int
-		wantPending bool
-		wantQueued  int // jobs left in the queue after one collect
-		wantWait    time.Duration
+		name     string
+		maxBatch int
+		serial   bool
+		queue    []func() *job // enqueued in order
+		wantUnit []int         // indices into queue, in unit order
+		wantRest []int         // indices left queued, in queue order
 	}{
 		{
-			name:     "level mismatch splits the batch",
-			maxBatch: 8, flush: time.Second,
-			levels:    []int{3, 3, 2, 2},
-			wantBatch: 2, wantPending: true, wantQueued: 1,
-		},
-		{
-			name:     "mismatch on second job yields a singleton",
-			maxBatch: 8, flush: time.Second,
-			levels:    []int{3, 1},
-			wantBatch: 1, wantPending: true, wantQueued: 0,
+			name:     "siblings are gathered from anywhere in the queue",
+			maxBatch: 8,
+			queue:    []func() *job{rot(a, x), rot(a, y), add, rot(a, x), rot(b, y), rot(a, x)},
+			wantUnit: []int{0, 3, 5}, wantRest: []int{1, 2, 4},
 		},
 		{
 			name:     "max batch size caps collection",
-			maxBatch: 4, flush: time.Second,
-			levels:    []int{2, 2, 2, 2, 2, 2},
-			wantBatch: 4, wantQueued: 2,
+			maxBatch: 4,
+			queue:    []func() *job{rot(a, x), rot(a, x), rot(a, x), rot(a, x), rot(a, x), rot(a, x)},
+			wantUnit: []int{0, 1, 2, 3}, wantRest: []int{4, 5},
 		},
 		{
-			name:     "timeout flushes a partial batch",
-			maxBatch: 8, flush: 40 * time.Millisecond,
-			levels:    []int{2, 2},
-			wantBatch: 2, wantWait: 30 * time.Millisecond,
+			name:     "mismatch on second job yields a singleton",
+			maxBatch: 8,
+			queue:    []func() *job{rot(a, x), rot(a, y)},
+			wantUnit: []int{0}, wantRest: []int{1},
+		},
+		{
+			name:     "another tenant's identical bytes are not siblings",
+			maxBatch: 8,
+			queue:    []func() *job{rot(a, x), rot(b, x), rot(a, x)},
+			wantUnit: []int{0, 2}, wantRest: []int{1},
+		},
+		{
+			name:     "a non-rotation head is a singleton",
+			maxBatch: 8,
+			queue:    []func() *job{add, rot(a, x), add, rot(a, x)},
+			wantUnit: []int{0}, wantRest: []int{1, 2, 3},
+		},
+		{
+			name:     "serial mode yields singletons",
+			maxBatch: 8, serial: true,
+			queue:    []func() *job{rot(a, x), rot(a, x), rot(a, x)},
+			wantUnit: []int{0}, wantRest: []int{1, 2},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := bareScheduler(Config{MaxBatch: tc.maxBatch, FlushTimeout: tc.flush, QueueDepth: 64})
-			for _, lvl := range tc.levels {
-				if err := s.enqueue(levelJob(lvl)); err != nil {
+			s := bareScheduler(Config{MaxBatch: tc.maxBatch, QueueDepth: 64, DegradeCooldown: time.Minute})
+			if tc.serial {
+				s.tripGuard() // batched → serial
+			}
+			jobs := make([]*job, len(tc.queue))
+			for i, mk := range tc.queue {
+				jobs[i] = mk()
+				if err := s.enqueue(jobs[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			first := <-s.queue
-			var pending *job
-			start := time.Now()
-			batch := s.collect(first, &pending)
-			elapsed := time.Since(start)
-			if len(batch) != tc.wantBatch {
-				t.Fatalf("batch size = %d, want %d", len(batch), tc.wantBatch)
-			}
-			for _, j := range batch {
-				if j.level() != batch[0].level() {
-					t.Fatal("mixed levels within one batch")
+			pick := func(idx []int) []*job {
+				out := make([]*job, len(idx))
+				for i, k := range idx {
+					out[i] = jobs[k]
 				}
+				return out
 			}
-			if (pending != nil) != tc.wantPending {
-				t.Fatalf("pending = %v, want pending %v", pending, tc.wantPending)
+			if unit := s.take(); !slices.Equal(unit, pick(tc.wantUnit)) {
+				t.Fatalf("unit has %d jobs, want queue positions %v in that order", len(unit), tc.wantUnit)
 			}
-			if pending != nil && pending.level() == batch[0].level() {
-				t.Fatal("pending job has the batch's level — split for no reason")
-			}
-			if len(s.queue) != tc.wantQueued {
-				t.Fatalf("queued = %d, want %d", len(s.queue), tc.wantQueued)
-			}
-			if elapsed < tc.wantWait {
-				t.Fatalf("collect returned after %v, want at least %v (timeout flush)", elapsed, tc.wantWait)
+			if !slices.Equal(s.queue, pick(tc.wantRest)) {
+				t.Fatalf("%d jobs left queued, want positions %v in arrival order", len(s.queue), tc.wantRest)
 			}
 		})
 	}
+	t.Run("closed and drained returns nil", func(t *testing.T) {
+		s := bareScheduler(Config{})
+		s.enqueue(fakeJob(a, nil))
+		s.qmu.Lock()
+		s.closed = true
+		s.qmu.Unlock()
+		if unit := s.take(); len(unit) != 1 {
+			t.Fatalf("closed queue with a backlog: took %d jobs, want the queued one", len(unit))
+		}
+		if unit := s.take(); unit != nil {
+			t.Fatalf("closed and drained: took %d jobs, want nil", len(unit))
+		}
+	})
 }
 
-func TestCollectSerialModeSingleton(t *testing.T) {
-	s := bareScheduler(Config{MaxBatch: 8, FlushTimeout: time.Second, QueueDepth: 8, DegradeCooldown: time.Minute})
-	s.tripGuard() // batched → serial
-	for i := 0; i < 3; i++ {
-		s.enqueue(levelJob(2))
+// Sibling matching is exact equality of the ciphertext bytes, not a digest:
+// two rotations of one tenant that differ only in the last byte are not
+// grouped, identical ones are, and identical bytes from two tenants are not.
+func TestSiblingMatchIsExact(t *testing.T) {
+	a, b := &tenantEntry{name: "a"}, &tenantEntry{name: "b"}
+	ct := make([]byte, 131<<10)
+	rand.New(rand.NewSource(5)).Read(ct)
+	same := slices.Clone(ct)
+	lastByte := slices.Clone(ct)
+	lastByte[len(lastByte)-1] ^= 1
+
+	s := bareScheduler(Config{MaxBatch: 8})
+	head, twin := fakeJob(a, ct), fakeJob(a, same)
+	differs, otherTenant := fakeJob(a, lastByte), fakeJob(b, same)
+	for _, j := range []*job{head, differs, otherTenant, twin} {
+		s.enqueue(j)
 	}
-	var pending *job
-	start := time.Now()
-	batch := s.collect(<-s.queue, &pending)
-	if len(batch) != 1 {
-		t.Fatalf("serial-mode batch size = %d, want 1", len(batch))
+	if unit := s.take(); !slices.Equal(unit, []*job{head, twin}) {
+		t.Fatalf("unit of %d jobs, want the head and its byte-identical twin only", len(unit))
 	}
-	if time.Since(start) > 500*time.Millisecond {
-		t.Fatal("serial-mode collect waited on the flush timer")
+	if !slices.Equal(s.queue, []*job{differs, otherTenant}) {
+		t.Fatalf("%d jobs left queued, want the last-byte variant and the other tenant's copy", len(s.queue))
+	}
+}
+
+// Lanes overlap: each of two jobs waits inside testExec for the other to
+// have started, which can only happen if two lanes run them at once.
+func TestLanesOverlap(t *testing.T) {
+	s := bareScheduler(Config{})
+	var started sync.WaitGroup
+	started.Add(2)
+	s.testExec = func(*job) error {
+		started.Done()
+		started.Wait()
+		return errors.New("benign: not evaluated in this test")
+	}
+	s.start(make([]*tracing.EvalObserver, 2))
+	defer s.stop()
+	jobs := []*job{fakeJob(nil, nil), fakeJob(nil, nil)}
+	for _, j := range jobs {
+		if err := s.enqueue(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, j := range jobs {
+		select {
+		case <-j.done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("job %d never answered: the two jobs did not run concurrently", i)
+		}
 	}
 }
 
 func TestEnqueueBackpressure(t *testing.T) {
 	s := bareScheduler(Config{QueueDepth: 2})
 	for i := 0; i < 2; i++ {
-		if err := s.enqueue(levelJob(1)); err != nil {
+		if err := s.enqueue(fakeJob(nil, nil)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := s.enqueue(levelJob(1)); !errors.Is(err, ErrOverloaded) {
+	if err := s.enqueue(fakeJob(nil, nil)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("full queue: %v, want ErrOverloaded", err)
+	}
+	s.take() // a lane taking a job makes room again
+	if err := s.enqueue(fakeJob(nil, nil)); err != nil {
+		t.Fatalf("queue with room: %v", err)
 	}
 	s.qmu.Lock()
 	s.closed = true
 	s.qmu.Unlock()
-	if err := s.enqueue(levelJob(1)); !errors.Is(err, ErrOverloaded) {
+	if err := s.enqueue(fakeJob(nil, nil)); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("closed queue: %v, want ErrOverloaded", err)
 	}
 }
@@ -144,15 +214,13 @@ func TestEnqueueBackpressure(t *testing.T) {
 // saturate; each elapsed cooldown decays one rung.
 func TestModeLadderEscalationAndDecay(t *testing.T) {
 	s := bareScheduler(Config{DegradeCooldown: 40 * time.Millisecond})
+	advance := scriptClock(s)
 	if m := s.currentMode(); m != modeBatched {
 		t.Fatalf("initial mode %s", modeName(m))
 	}
 	s.tripGuard()
 	if m := s.currentMode(); m != modeSerial {
 		t.Fatalf("after one trip: %s, want serial", modeName(m))
-	}
-	if s.maxBatchNow() != 1 {
-		t.Fatal("serial mode must dispatch singletons")
 	}
 	s.tripGuard()
 	if m := s.currentMode(); m != modeShed {
@@ -162,11 +230,11 @@ func TestModeLadderEscalationAndDecay(t *testing.T) {
 	if m := s.currentMode(); m != modeShed {
 		t.Fatalf("ladder overflowed: %s", modeName(m))
 	}
-	time.Sleep(55 * time.Millisecond)
+	advance(55 * time.Millisecond)
 	if m := s.currentMode(); m != modeSerial {
 		t.Fatalf("after one cooldown: %s, want serial", modeName(m))
 	}
-	time.Sleep(55 * time.Millisecond)
+	advance(55 * time.Millisecond)
 	if m := s.currentMode(); m != modeBatched {
 		t.Fatalf("after two cooldowns: %s, want batched", modeName(m))
 	}
@@ -175,126 +243,240 @@ func TestModeLadderEscalationAndDecay(t *testing.T) {
 	}
 }
 
-// A guard trip mid-batch degrades the dispatch mode but drops nothing:
-// every job of the tripping batch and every job queued behind it still
-// gets a response, with post-trip batches dispatched serially.
-func TestGuardTripMidBatchDegradesWithoutDropping(t *testing.T) {
-	s := bareScheduler(Config{MaxBatch: 8, FlushTimeout: time.Second, QueueDepth: 16, DegradeCooldown: time.Minute})
-	var poisoned *job
-	s.testExec = func(j *job) error {
-		if j == poisoned {
-			return fmt.Errorf("%w: injected residue mismatch", ckks.ErrIntegrity)
+// holdLanes parks every dispatch lane inside a negate request's testExec and
+// returns the function that lets them go (and waits for those requests), so
+// a test can queue a known backlog first: the units the lanes then take form
+// from exactly that backlog, whatever the goroutine scheduler does. Jobs of
+// any other op go to next (nil = evaluate normally).
+func holdLanes(t *testing.T, srv *EvalServer, tt *testTenant, next func(*job) error) (release func()) {
+	t.Helper()
+	lanes := srv.params.Workers()
+	gate := make(chan struct{})
+	var parked, answered sync.WaitGroup
+	parked.Add(lanes)
+	srv.sched.testExec = func(j *job) error {
+		if j.op == OpNegate {
+			parked.Done()
+			<-gate
+			return nil
 		}
-		return fmt.Errorf("benign: not evaluated in this test")
-	}
-
-	jobs := make([]*job, 6)
-	for i := range jobs {
-		jobs[i] = levelJob(2)
-		if err := s.enqueue(jobs[i]); err != nil {
-			t.Fatal(err)
+		if next != nil {
+			return next(j)
 		}
+		return nil
 	}
-	poisoned = jobs[2]
-
-	var pending *job
-	batch := s.collect(<-s.queue, &pending)
-	if len(batch) != 6 {
-		t.Fatalf("batch size = %d, want 6", len(batch))
-	}
-	s.execBatch(batch)
-
-	for i, j := range jobs {
-		select {
-		case res := <-j.done:
-			if j == poisoned {
-				if !errors.Is(res.err, ckks.ErrIntegrity) {
-					t.Fatalf("poisoned job error = %v", res.err)
-				}
-			} else if res.err == nil {
-				t.Fatalf("job %d: testExec error swallowed", i)
+	ct := tt.encryptBytes(t, make([]complex128, tt.params.Slots))
+	for i := 0; i < lanes; i++ {
+		answered.Add(1)
+		go func() {
+			defer answered.Done()
+			if _, _, err := srv.Eval(&EvalRequest{Tenant: tt.name, Op: OpNegate, Ct: ct}); err != nil {
+				t.Errorf("lane-holding request: %v", err)
 			}
-		default:
-			t.Fatalf("job %d dropped: no response delivered", i)
-		}
+		}()
 	}
-	if m := s.currentMode(); m != modeSerial {
-		t.Fatalf("mode after mid-batch trip = %s, want serial", modeName(m))
-	}
-
-	// Requests queued after the trip drain serially, none dropped.
-	late := []*job{levelJob(2), levelJob(2)}
-	for _, j := range late {
-		if err := s.enqueue(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for len(s.queue) > 0 {
-		b := s.collect(<-s.queue, &pending)
-		if len(b) != 1 {
-			t.Fatalf("post-trip batch size = %d, want 1 (serial)", len(b))
-		}
-		s.execBatch(b)
-	}
-	for i, j := range late {
-		select {
-		case <-j.done:
-		default:
-			t.Fatalf("post-trip job %d dropped", i)
-		}
-	}
-	if got := s.occupancy[1].Load(); got < 2 {
-		t.Fatalf("occupancy[1] = %d, want ≥ 2 serial batches", got)
+	parked.Wait()
+	return func() {
+		close(gate)
+		answered.Wait()
 	}
 }
 
-// Same-input rotations inside one batch must share a single hoisted
+// waitQueued returns once exactly n jobs wait for a lane.
+func waitQueued(t *testing.T, srv *EvalServer, n int) {
+	t.Helper()
+	for limit := time.Now().Add(30 * time.Second); srv.sched.queued() != n; time.Sleep(50 * time.Microsecond) {
+		if time.Now().After(limit) {
+			t.Fatalf("%d jobs queued after 30s, want %d", srv.sched.queued(), n)
+		}
+	}
+}
+
+// rotation is one in-flight rotate request of a test: its outcome lands in
+// ct / batch / err once wg is done.
+type rotation struct {
+	steps int
+	ct    *ckks.Ciphertext
+	batch int
+	err   error
+}
+
+// rotateAll issues one rotation of ctBytes per entry of steps, concurrently,
+// and returns them with the WaitGroup that completes when all are answered.
+func rotateAll(srv *EvalServer, tenant string, ctBytes []byte, steps []int) ([]*rotation, *sync.WaitGroup) {
+	rots := make([]*rotation, len(steps))
+	wg := new(sync.WaitGroup)
+	for i, st := range steps {
+		r := &rotation{steps: st}
+		rots[i] = r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.ct, r.batch, r.err = srv.Eval(&EvalRequest{Tenant: tenant, Op: OpRotate, Steps: r.steps, Ct: ctBytes})
+		}()
+	}
+	return rots, wg
+}
+
+// A guard trip in the middle of a hoist group, on two lanes, degrades the
+// dispatch mode but drops nothing: every member of the tripping group still
+// gets its answer — the right one, for all but the poisoned job — and
+// rotations arriving after the trip are dispatched in units of one.
+func TestGuardTripMidBatchDegradesWithoutDropping(t *testing.T) {
+	params := newServeParams(t, 2)
+	srv, err := NewEvalServer(Config{Params: params, MaxBatch: 8, QueueDepth: 16, GuardSeed: 5, DegradeCooldown: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tt := newTestTenant(t, params, "alice", 110, []int{1, 2}, false)
+	tt.upload(t, srv)
+	z := randomVec(rand.New(rand.NewSource(111)), params.Slots)
+	ctBytes := tt.encryptBytes(t, z)
+
+	var rotationsRun atomic.Int32
+	release := holdLanes(t, srv, tt, func(j *job) error {
+		if rotationsRun.Add(1) == 3 { // the third member of the group
+			return fmt.Errorf("%w: injected residue mismatch", ckks.ErrIntegrity)
+		}
+		return nil
+	})
+	rots, wg := rotateAll(srv, "alice", ctBytes, []int{1, 2, 1, 2, 1, 2})
+	waitQueued(t, srv, len(rots))
+	release()
+	wg.Wait()
+
+	poisoned := 0
+	for i, r := range rots {
+		if r.batch != len(rots) {
+			t.Errorf("rotation %d rode a unit of %d, want the whole group of %d", i, r.batch, len(rots))
+		}
+		if errors.Is(r.err, ckks.ErrIntegrity) {
+			poisoned++
+			continue
+		}
+		if r.err != nil {
+			t.Fatalf("rotation %d dropped by its sibling's trip: %v", i, r.err)
+		}
+		assertVecClose(t, tt.decrypt(r.ct), expected(OpRotate, z, nil, r.steps, 0), 1e-4, fmt.Sprintf("group member %d", i))
+	}
+	if poisoned != 1 {
+		t.Fatalf("%d rotations answered ErrIntegrity, want exactly the poisoned one", poisoned)
+	}
+	if st := srv.Stats(); st.Mode != "serial" || st.GuardTrips != 1 {
+		t.Fatalf("after the mid-group trip: mode %s, %d trips; want serial, 1", st.Mode, st.GuardTrips)
+	}
+
+	// Siblings queued after the trip drain in units of one, none dropped.
+	release = holdLanes(t, srv, tt, nil)
+	late, wg := rotateAll(srv, "alice", ctBytes, []int{1, 2, 1})
+	waitQueued(t, srv, len(late))
+	release()
+	wg.Wait()
+	for i, r := range late {
+		if r.err != nil {
+			t.Fatalf("post-trip rotation %d: %v", i, r.err)
+		}
+		if r.batch != 1 {
+			t.Fatalf("post-trip rotation %d rode a unit of %d, want 1 (serial)", i, r.batch)
+		}
+	}
+}
+
+// Same-input rotations queued together must share a single hoisted
 // decomposition, and the shared path must agree with plain rotation.
 func TestHoistSharingAcrossBatch(t *testing.T) {
-	params := newServeParams(t, 1)
-	srv, err := NewEvalServer(Config{
-		Params:       params,
-		MaxBatch:     8,
-		FlushTimeout: 200 * time.Millisecond,
-		QueueDepth:   32,
-	})
+	params := newServeParams(t, 2)
+	srv, err := NewEvalServer(Config{Params: params, MaxBatch: 8, QueueDepth: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	tt := newTestTenant(t, params, "alice", 100, []int{1, 2}, false)
 	tt.upload(t, srv)
-
 	z := randomVec(rand.New(rand.NewSource(101)), params.Slots)
+
+	release := holdLanes(t, srv, tt, nil)
+	rots, wg := rotateAll(srv, "alice", tt.encryptBytes(t, z), []int{1, 1, 2, 2})
+	waitQueued(t, srv, len(rots))
+	release()
+	wg.Wait()
+	for i, r := range rots {
+		if r.err != nil {
+			t.Fatalf("rotate %d: %v", r.steps, r.err)
+		}
+		assertVecClose(t, tt.decrypt(r.ct), expected(OpRotate, z, nil, r.steps, 0), 1e-4,
+			fmt.Sprintf("shared-hoist rotation %d (by %d)", i, r.steps))
+	}
+	if st := srv.Stats(); st.HoistGroups != 1 || st.HoistShared != 3 {
+		t.Fatalf("groups=%d shared=%d, want the four siblings in one group sharing 3 decompositions (occupancy %v)",
+			st.HoistGroups, st.HoistShared, st.Occupancy)
+	}
+}
+
+// A hoist-group member whose context expired while it was queued is
+// answered with that error and skipped — not rotated, sealed and delivered
+// to nobody — and the hoist itself is skipped when fewer than two members
+// are still wanted.
+func TestHoistGroupSkipsExpiredMember(t *testing.T) {
+	params := newServeParams(t, 1)
+	srv, err := NewEvalServer(Config{Params: params, MaxBatch: 8, GuardSeed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tt := newTestTenant(t, params, "alice", 120, []int{1, 2, 4}, false)
+	tt.upload(t, srv)
+	z := randomVec(rand.New(rand.NewSource(121)), params.Slots)
 	ctBytes := tt.encryptBytes(t, z)
 
-	steps := []int{1, 1, 2, 2}
-	results := make([]*ckks.Ciphertext, len(steps))
-	var wg sync.WaitGroup
-	for i, st := range steps {
-		wg.Add(1)
-		go func(i, st int) {
-			defer wg.Done()
-			ct, _, err := srv.Eval(&EvalRequest{Tenant: "alice", Op: OpRotate, Steps: st, Ct: ctBytes})
-			if err != nil {
-				t.Errorf("rotate %d: %v", st, err)
-				return
+	for _, tc := range []struct {
+		name                   string
+		live                   []int // steps of the siblings that stay wanted
+		wantGroups, wantShared uint64
+	}{
+		{name: "two live siblings still share", live: []int{1, 2}, wantGroups: 1, wantShared: 1},
+		{name: "one live sibling runs alone", live: []int{4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := srv.Stats()
+			var rotationsRun atomic.Int32
+			release := holdLanes(t, srv, tt, func(*job) error { rotationsRun.Add(1); return nil })
+			ctx, cancel := context.WithCancel(context.Background())
+			abandoned := make(chan error, 1)
+			go func() {
+				_, _, err := srv.EvalCtx(ctx, &EvalRequest{Tenant: "alice", Op: OpRotate, Steps: 1, Ct: ctBytes})
+				abandoned <- err
+			}()
+			waitQueued(t, srv, 1) // the doomed job heads the group
+			rots, wg := rotateAll(srv, "alice", ctBytes, tc.live)
+			waitQueued(t, srv, 1+len(rots))
+			cancel()
+			if err := <-abandoned; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled sibling: %v, want context.Canceled", err)
 			}
-			results[i] = ct
-		}(i, st)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for i, st := range steps {
-		assertVecClose(t, tt.decrypt(results[i]), expected(OpRotate, z, nil, st, 0), 1e-4,
-			fmt.Sprintf("shared-hoist rotate %d", st))
-	}
-	stats := srv.Stats()
-	if stats.HoistGroups < 1 || stats.HoistShared < 1 {
-		t.Logf("occupancy: %v", stats.Occupancy)
-		t.Fatalf("no hoist sharing recorded: groups=%d shared=%d (timing may have split the batch)",
-			stats.HoistGroups, stats.HoistShared)
+			release()
+			wg.Wait()
+
+			for _, r := range rots {
+				if r.err != nil {
+					t.Fatalf("live sibling (by %d): %v", r.steps, r.err)
+				}
+				if r.batch != 1+len(rots) {
+					t.Errorf("live sibling rode a unit of %d, want %d", r.batch, 1+len(rots))
+				}
+				assertVecClose(t, tt.decrypt(r.ct), expected(OpRotate, z, nil, r.steps, 0), 1e-4, "live sibling")
+			}
+			if got := int(rotationsRun.Load()); got != len(rots) {
+				t.Errorf("%d rotations reached the evaluator, want only the %d live ones", got, len(rots))
+			}
+			st := srv.Stats()
+			if st.Timeouts-before.Timeouts != 1 {
+				t.Errorf("timeouts +%d, want +1", st.Timeouts-before.Timeouts)
+			}
+			if g, sh := st.HoistGroups-before.HoistGroups, st.HoistShared-before.HoistShared; g != tc.wantGroups || sh != tc.wantShared {
+				t.Errorf("hoist groups +%d shared +%d, want +%d +%d: sharing counts live members only", g, sh, tc.wantGroups, tc.wantShared)
+			}
+		})
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,10 +21,13 @@ import (
 type Config struct {
 	Params *ckks.Parameters
 
-	MaxBatch     int           // max requests per batch (default 16)
-	FlushTimeout time.Duration // max wait for a batch to fill (default 2ms)
-	QueueDepth   int           // dispatch queue capacity (default 256)
-	RegistryCap  int           // resident tenant key sets (default 64)
+	MaxBatch    int // max same-input rotations sharing one hoist (default 16)
+	QueueDepth  int // dispatch queue capacity (default 256)
+	RegistryCap int // resident tenant key sets (default 64)
+
+	// FlushTimeout is accepted and ignored: dispatch is work-conserving;
+	// deleted together with bench's mention by the next `benchmark` PR.
+	FlushTimeout time.Duration
 
 	// Admission ceilings. A request is rejected with 503 when live arena
 	// bytes exceed MaxArenaBytes or the windowed request p99 exceeds
@@ -74,9 +76,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-	if c.FlushTimeout <= 0 {
-		c.FlushTimeout = 2 * time.Millisecond
-	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
@@ -96,9 +95,10 @@ func (c Config) withDefaults() Config {
 }
 
 // EvalServer is the multi-tenant evaluation service: a key registry, a
-// batching scheduler, and the HTTP surface over both. One EvalServer owns
-// one parameter set; every tenant shares its arena and worker pool the way
-// the paper's operators share one set of physical kernels.
+// scheduler of dispatch lanes, and the HTTP surface over both. One
+// EvalServer owns one parameter set; every tenant shares its arena and
+// worker pool the way the paper's operators share one set of physical
+// kernels.
 type EvalServer struct {
 	cfg      Config
 	params   *ckks.Parameters
@@ -122,15 +122,14 @@ type EvalServer struct {
 	bytesIn     atomic.Uint64
 	bytesOut    atomic.Uint64
 
-	// tracer/sink are nil when tracing is disabled; health is always on.
+	// tracer is nil when tracing is disabled; health is always on.
 	tracer *tracing.Tracer
-	sink   *tracing.EvalObserver
 	health *healthTracker
 
 	gauges *telemetry.GaugeSet
 }
 
-// NewEvalServer builds the service and starts its dispatcher.
+// NewEvalServer builds the service and starts its dispatch lanes.
 func NewEvalServer(cfg Config) (*EvalServer, error) {
 	if cfg.Params == nil {
 		return nil, errors.New("server: Config.Params is required")
@@ -143,20 +142,29 @@ func NewEvalServer(cfg Config) (*EvalServer, error) {
 		p99Mu:   make(chan struct{}, 1),
 		health:  newHealthTracker(),
 	}
-	var obs trace.OpSink
+	var collector trace.OpSink
 	if cfg.Collector != nil {
-		obs = cfg.Collector
+		collector = cfg.Collector
 	}
+	// One dispatch lane per evaluator worker; sinks[i] is lane i's trace
+	// sink, nil with tracing off, when one evaluator serves every lane.
+	sinks := make([]*tracing.EvalObserver, cfg.Params.Workers())
+	observers := []trace.OpSink{collector}
 	if cfg.Tracer != nil {
-		// The trace sink rides a fanout next to the collector on every
-		// tenant evaluator; the scheduler activates it per job so per-op
-		// spans land on the right request's tree.
+		// Each lane's sink rides a fanout next to the collector on that
+		// lane's view of every tenant evaluator; the lane activates it per
+		// job so per-op spans land on the right request's tree even while
+		// another lane runs the same tenant.
 		s.tracer = cfg.Tracer
-		s.sink = new(tracing.EvalObserver)
-		obs = ckks.Fanout(obs, s.sink)
+		observers = make([]trace.OpSink, len(sinks))
+		for i := range sinks {
+			sinks[i] = new(tracing.EvalObserver)
+			observers[i] = ckks.Fanout(collector, sinks[i])
+		}
 	}
-	s.registry = newRegistry(cfg.Params, cfg.RegistryCap, obs, cfg.GuardSeed, cfg.OpMaxAttempts)
-	s.sched = newScheduler(cfg, cfg.Params, s.sink)
+	s.registry = newRegistry(cfg.Params, cfg.RegistryCap, observers, cfg.GuardSeed, cfg.OpMaxAttempts)
+	s.sched = newScheduler(cfg, cfg.Params)
+	s.sched.start(sinks)
 	s.initGauges()
 	return s, nil
 }
@@ -168,7 +176,7 @@ func (s *EvalServer) initGauges() {
 	g.NewFunc("poseidon_serve_mode", "dispatch mode: 0 batched, 1 serial, 2 shed",
 		func() float64 { return float64(s.sched.currentMode()) })
 	g.NewFunc("poseidon_serve_queue_depth", "jobs waiting for dispatch",
-		func() float64 { return float64(len(s.sched.queue)) })
+		func() float64 { return float64(s.sched.queued()) })
 	g.NewFunc("poseidon_serve_arena_bytes", "live arena bytes (admission signal)",
 		func() float64 { return float64(s.params.ArenaStats().BytesInUse) })
 	g.NewFunc("poseidon_serve_resident_tenants", "tenant key sets resident in the registry",
@@ -199,14 +207,14 @@ func (s *EvalServer) initGauges() {
 	}
 }
 
-// Close drains the dispatch queue and stops the dispatcher. In-flight and
+// Close drains the dispatch queue and stops the lanes. In-flight and
 // queued requests complete; new ones are refused with ErrOverloaded.
 func (s *EvalServer) Close() { s.sched.stop() }
 
 // Shutdown closes the dispatch queue and waits for queued jobs to drain,
-// bounded by ctx. On expiry it returns the drain error while the dispatcher
-// keeps working in the background; jobs already dispatched still complete
-// and deliver their results.
+// bounded by ctx. On expiry it returns the drain error while the lanes keep
+// working in the background; jobs already dispatched still complete and
+// deliver their results.
 func (s *EvalServer) Shutdown(ctx context.Context) error { return s.sched.stopCtx(ctx) }
 
 // Registry exposes the tenant key registry (tests, in-process embedding).
@@ -261,7 +269,7 @@ func (s *EvalServer) admit() error {
 }
 
 // Eval runs one decoded request through admission, the registry, and the
-// batch scheduler with no deadline. This is the in-process entry point;
+// scheduler with no deadline. This is the in-process entry point;
 // the HTTP handler wraps EvalCtx.
 func (s *EvalServer) Eval(req *EvalRequest) (*ckks.Ciphertext, int, error) {
 	return s.EvalCtx(context.Background(), req)
@@ -271,8 +279,10 @@ func (s *EvalServer) Eval(req *EvalRequest) (*ckks.Ciphertext, int, error) {
 // the job's result is delivered, EvalCtx returns ctx's error immediately
 // (the HTTP layer maps DeadlineExceeded to 504) and the scheduler notices
 // the abandoned job at dispatch or retry time and skips the evaluation.
-// Returns the result ciphertext and the occupancy of the batch that
-// carried it.
+// Returns the result ciphertext and the size of the unit it was dispatched
+// in. A rotation's req.Ct is compared against other queued rotations until
+// the job is taken — which an expired ctx does not wait for — so callers
+// must not overwrite it after the call.
 func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ciphertext, batch int, err error) {
 	start := time.Now()
 	// Adopt the trace the HTTP layer put on the context; in-process
@@ -357,21 +367,20 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 			return nil, 0, err
 		}
 	}
-	if entry.ev.GuardsEnabled() {
+	if ev := entry.evaluator(0); ev.GuardsEnabled() { // guards are shared by every view
 		// Seal inputs at ingest so faults corrupting request operands while
 		// they sit queued (the serving analogue of resident-HBM corruption)
 		// are caught at the operator's input boundary — and so a scheduler
 		// retry re-verifies the operands it re-executes from.
-		entry.ev.SealIntegrity(j.ct)
+		ev.SealIntegrity(j.ct)
 		if j.ct2 != nil {
-			entry.ev.SealIntegrity(j.ct2)
+			ev.SealIntegrity(j.ct2)
 		}
 	}
 	if req.Op == OpRotate {
-		// Digest the raw bytes so the executor can recognize same-input
-		// rotations and share one hoisted decomposition across them.
-		j.digest = sha256.Sum256(req.Ct)
-		j.hasDigest = true
+		// Keep the raw bytes so take can recognize same-input rotations and
+		// share one hoisted decomposition across them.
+		j.setInput(req.Ct)
 	}
 	rt.NextStage("queue")
 	if err := s.sched.enqueue(j); err != nil {
@@ -445,8 +454,8 @@ type Stats struct {
 	Rejected       uint64   `json:"rejected"`
 	BadRequests    uint64   `json:"bad_requests"`
 	OpErrors       uint64   `json:"op_errors"`
-	Batches        uint64   `json:"batches"`
-	Occupancy      []uint64 `json:"occupancy"` // index = batch size; [0] unused
+	Batches        uint64   `json:"batches"`   // units dispatched: a hoist group or a lone request
+	Occupancy      []uint64 `json:"occupancy"` // index = unit size; [0] unused
 	HoistGroups    uint64   `json:"hoist_groups"`
 	HoistShared    uint64   `json:"hoist_shared"` // decompositions saved by sharing
 	GuardTrips     uint64   `json:"guard_trips"`
@@ -463,7 +472,7 @@ type Stats struct {
 	BytesIn        uint64   `json:"bytes_in"`
 	BytesOut       uint64   `json:"bytes_out"`
 	MeanBatch      float64  `json:"mean_batch"`
-	BatchedFrac    float64  `json:"batched_frac"` // fraction of requests served in batches ≥2
+	BatchedFrac    float64  `json:"batched_frac"` // fraction of requests served in units ≥2
 	RequestMeanNs  float64  `json:"request_mean_ns"`
 	RequestCount   uint64   `json:"request_count"`
 	RequestTotalNs uint64   `json:"request_total_ns"`
@@ -499,7 +508,7 @@ func (s *EvalServer) Stats() Stats {
 		ResidentKeys:   s.registry.Resident(),
 		Evictions:      s.registry.Evictions(),
 		PinnedSkips:    s.registry.PinnedSkips(),
-		QueueLen:       len(s.sched.queue),
+		QueueLen:       s.sched.queued(),
 		ArenaBytes:     s.params.ArenaStats().BytesInUse,
 		RequestP99Ns:   s.windowedP99(),
 		BytesIn:        s.bytesIn.Load(),
@@ -520,6 +529,32 @@ func (s *EvalServer) Stats() Stats {
 // maxBodyBytes bounds any request body: the largest legitimate payload is
 // a key upload (a rotation key set is tens of switching keys).
 const maxBodyBytes = 1 << 30
+
+// readBody reads a request body and counts it into bytesIn. A declared
+// length within the cap is read into one buffer of exactly that size —
+// io.ReadAll grows through some twenty reallocations and five times the
+// bytes for a ciphertext envelope — and a body shorter or longer than it
+// declared is refused; chunked and undeclared bodies keep the capped ReadAll.
+func (s *EvalServer) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var body []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		body = make([]byte, n)
+		if _, err = io.ReadFull(r.Body, body); err == nil {
+			var extra [1]byte
+			if m, _ := r.Body.Read(extra[:]); m > 0 {
+				err = fmt.Errorf("more than the declared %d bytes", n)
+			}
+		}
+	} else {
+		body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	}
+	if err != nil {
+		return nil, badf("reading body: %v", err)
+	}
+	s.bytesIn.Add(uint64(len(body)))
+	return body, nil
+}
 
 // Handler returns the HTTP surface: POST /v1/eval, POST /v1/keys,
 // GET /v1/health.
@@ -595,13 +630,11 @@ func (s *EvalServer) handleEval(w http.ResponseWriter, r *http.Request) {
 // on exactly one path.
 func (s *EvalServer) serveEval(w http.ResponseWriter, r *http.Request, rt *tracing.RequestTrace) error {
 	rt.NextStage("decode")
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
-		err = badf("reading body: %v", err)
 		rt.StageErr(err)
 		return err
 	}
-	s.bytesIn.Add(uint64(len(body)))
 	req, err := DecodeEvalRequest(body)
 	if err != nil {
 		s.badRequests.Add(1)
@@ -646,12 +679,11 @@ func (s *EvalServer) handleKeys(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := s.readBody(w, r)
 	if err != nil {
-		s.fail(w, badf("reading body: %v", err))
+		s.fail(w, err)
 		return
 	}
-	s.bytesIn.Add(uint64(len(body)))
 	u, err := DecodeKeyUpload(body)
 	if err != nil {
 		s.badRequests.Add(1)

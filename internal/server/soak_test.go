@@ -79,12 +79,11 @@ func TestSoakMultiTenant(t *testing.T) {
 	)
 	params := newServeParams(t, 2)
 	srv, err := NewEvalServer(Config{
-		Params:       params,
-		MaxBatch:     8,
-		FlushTimeout: 300 * time.Microsecond,
-		QueueDepth:   256,
-		RegistryCap:  registryCap,
-		GuardSeed:    0xB0A7,
+		Params:      params,
+		MaxBatch:    8,
+		QueueDepth:  256,
+		RegistryCap: registryCap,
+		GuardSeed:   0xB0A7,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +203,6 @@ func TestChaosSoakSiteHBM(t *testing.T) {
 	srv, _, cli := newHTTPFixture(t, Config{
 		Params:          params,
 		MaxBatch:        8,
-		FlushTimeout:    300 * time.Microsecond,
 		RegistryCap:     tenants,
 		GuardSeed:       78,
 		OpMaxAttempts:   3,

@@ -37,13 +37,12 @@ func TestTraceSoakCoverage(t *testing.T) {
 	params := newServeParams(t, 2)
 	tracer := &tracing.Tracer{Recorder: tracing.NewFlightRecorder(2048, 1, 0.95)}
 	srv, err := NewEvalServer(Config{
-		Params:       params,
-		MaxBatch:     8,
-		FlushTimeout: 300 * time.Microsecond,
-		QueueDepth:   256,
-		RegistryCap:  tenants + 1,
-		GuardSeed:    0xB0A7,
-		Tracer:       tracer,
+		Params:      params,
+		MaxBatch:    8,
+		QueueDepth:  256,
+		RegistryCap: tenants + 1,
+		GuardSeed:   0xB0A7,
+		Tracer:      tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,6 +143,74 @@ func TestTraceSoakCoverage(t *testing.T) {
 			below, total, 100*minCoverage, maxGapNs/1000, 100*worst)
 	}
 	t.Logf("%d traces retained, worst coverage %.1f%%", total, 100*worst)
+}
+
+// Op spans land on the request that caused them while two lanes evaluate at
+// once — for one tenant, whose two lanes therefore run views of the same
+// evaluator. Content, not clock: every request's trace must hold exactly the
+// op span its own operation emits (an add never shows a Rotation, and none
+// goes missing to a neighbour), inside its exec stage. A shared observer
+// would pass -race — its slot is atomic — and fail here.
+func TestTraceOpSpansStayOnTheirLane(t *testing.T) {
+	const perOp = 150
+	params := newServeParams(t, 2)
+	tracer := &tracing.Tracer{Recorder: tracing.NewFlightRecorder(1024, 1, 0.95)}
+	srv, err := NewEvalServer(Config{Params: params, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tt := newTestTenant(t, params, "solo", 51, []int{1}, false)
+	tt.upload(t, srv)
+	rng := rand.New(rand.NewSource(52))
+	a, b := tt.encryptBytes(t, randomVec(rng, params.Slots)), tt.encryptBytes(t, randomVec(rng, params.Slots))
+
+	wantSpan := map[string]string{"add": "HAdd", "rotate": "Rotation"}
+	var wg sync.WaitGroup
+	for _, req := range []*EvalRequest{
+		{Tenant: "solo", Op: OpAdd, Ct: a, Ct2: b},
+		{Tenant: "solo", Op: OpRotate, Steps: 1, Ct: a},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perOp; i++ {
+				if _, _, err := srv.Eval(req); err != nil {
+					t.Errorf("%s %d: %v", req.Op, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	traces := tracer.Recorder.Snapshot()
+	if len(traces) != 2*perOp {
+		t.Fatalf("recorder retained %d traces, want all %d", len(traces), 2*perOp)
+	}
+	for _, f := range traces {
+		op := f.RootAttr("op")
+		var exec *tracing.Span
+		var opSpans []tracing.Span
+		for i, sp := range f.Spans {
+			switch {
+			case sp.Name == "exec" && sp.Parent == 1:
+				exec = &f.Spans[i]
+			case sp.Limbs > 0:
+				opSpans = append(opSpans, sp)
+			}
+		}
+		if exec == nil {
+			t.Fatalf("trace %s (%s): no exec stage: %+v", f.TraceID, op, f.Spans)
+		}
+		if len(opSpans) != 1 || opSpans[0].Name != wantSpan[op] || opSpans[0].Parent != exec.Ref {
+			t.Fatalf("trace %s: a %s request holds op spans %+v, want one %s under its exec stage",
+				f.TraceID, op, opSpans, wantSpan[op])
+		}
+		if opSpans[0].DurNs > exec.DurNs {
+			t.Fatalf("trace %s (%s): op span of %d ns inside an exec stage of %d ns", f.TraceID, op, opSpans[0].DurNs, exec.DurNs)
+		}
+	}
 }
 
 // Tail-sampling contract over HTTP: with an aggressive sample rate that

@@ -1,11 +1,11 @@
 // Package server is the FHE-as-a-service layer of the Poseidon
 // reproduction: an HTTP evaluation API over the hardened ckks
 // deserializers, a refcounted per-tenant key registry, and a request
-// scheduler that batches compatible operations onto the single evaluation
-// datapath — the software analogue of the paper's operator
-// time-multiplexing (§IV): one execution resource, many interleaved
-// request streams, with the expensive shared phase of hoisted rotations
-// amortized across a batch.
+// scheduler with one dispatch lane per evaluator worker — the software
+// analogue of the paper's lanes that are never idle: many interleaved
+// request streams over a fixed set of execution resources, with the
+// expensive shared phase of hoisted rotations amortized across the queued
+// rotations of one ciphertext.
 //
 // Endpoints:
 //
@@ -14,7 +14,7 @@
 //	GET  /v1/health  scheduler mode, queue depth, stats (JSON)
 //	GET  /metrics    Prometheus exposition (when a telemetry collector is attached)
 //
-// Degradation ladder: batched dispatch → serial dispatch (after an
+// Degradation ladder: hoist-group dispatch → serial dispatch (after an
 // integrity-guard trip) → load shedding with Retry-After (repeated trips
 // or admission-control pressure), recovering one rung per cooldown.
 package server
@@ -123,8 +123,8 @@ func (op Op) twoOperand() bool { return op == OpAdd || op == OpSub || op == OpMu
 
 // EvalRequest is one decoded evaluation request. Ciphertexts stay as raw
 // serialized bytes here: the handler deserializes them against the
-// server's parameter set, and the scheduler hashes Ct to recognize
-// same-input rotations it can run through one hoisted decomposition.
+// server's parameter set, and the scheduler compares the Ct bytes of queued
+// rotations to find the ones it can run through one hoisted decomposition.
 type EvalRequest struct {
 	Tenant string
 	Op     Op

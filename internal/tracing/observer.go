@@ -8,13 +8,16 @@ import (
 
 // EvalObserver bridges the evaluator's op events into request traces: a
 // trace.OpSink that rides a ckks.Fanout next to the telemetry collector on
-// every tenant evaluator.
+// a tenant evaluator.
 //
-// The scheduler activates a scope (trace + parent span) around each job's
-// evaluator call and deactivates it after; evaluation happens on the
-// single dispatcher goroutine, so one atomic slot suffices. Events
-// arriving with no active scope (warm-up, registry smoke tests, every
-// unsampled request) cost one atomic load.
+// One observer holds one scope (trace + parent span), so it serves one
+// evaluation at a time: the scheduler gives every dispatch lane its own
+// observer, reached through that lane's view of each tenant's evaluator,
+// and a lane activates the scope around each job's evaluator call and
+// deactivates it after. Two lanes sharing an observer would not race — the
+// slot is atomic — but op spans would land on whichever request activated
+// last. Events arriving with no active scope (warm-up, registry smoke
+// tests) cost one atomic load.
 type EvalObserver struct {
 	active atomic.Pointer[scope]
 }

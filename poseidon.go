@@ -268,17 +268,18 @@ var (
 // Evaluator.Hoist (or TryHoist), rotate by many step counts, then Release.
 type Hoisted = ckks.Hoisted
 
-// EvalServer is the multi-tenant batching evaluation server behind
-// cmd/poseidond: hardened wire decoding, a refcounted LRU key registry,
-// and a scheduler that fuses compatible requests into one evaluator pass.
+// EvalServer is the multi-tenant evaluation server behind cmd/poseidond:
+// hardened wire decoding, a refcounted LRU key registry, and one dispatch
+// lane per evaluator worker, with queued rotations of one ciphertext sharing
+// a hoisted decomposition.
 type EvalServer = server.EvalServer
 
-// EvalServerConfig sizes an EvalServer (batching, queue depth, registry
-// capacity, admission-control thresholds).
+// EvalServerConfig sizes an EvalServer (hoist-group cap, queue depth,
+// registry capacity, admission-control thresholds).
 type EvalServerConfig = server.Config
 
 // EvalServerStats is a point-in-time snapshot of serving counters
-// (batch occupancy, hoist sharing, degradation mode, rejections).
+// (dispatch-unit occupancy, hoist sharing, degradation mode, rejections).
 type EvalServerStats = server.Stats
 
 // ServeClient is a thin HTTP client for the poseidond wire protocol.
