@@ -147,7 +147,7 @@ func (st *ltState) release() {
 	rq := params.RingQ
 	st.hd.release(params)
 	st.gd = params.putDigits(st.gd)
-	st.digits = nil
+	st.digits, st.own = nil, nil
 	clear(st.rows)
 	releasePoly(rq, &st.ctP0)
 	releasePoly(rq, &st.ctP1)
@@ -266,9 +266,9 @@ func (st *ltState) hoist(ct *Ciphertext) {
 	ev := st.ev
 	params := ev.params
 	if len(st.plan.babySteps) > 0 {
-		ev.decomposeHoistedInto(&st.hd, ct, false)
+		ev.decomposeHoistedInto(&st.hd, ct)
 		st.stats.InverseNTTLimbs += st.qLimbs
-		st.stats.NTTLimbs += params.Digits(st.level) * st.ext1
+		st.stats.NTTLimbs += params.Digits(st.level)*st.ext1 - st.qLimbs // digit-own rows are ct.C1's
 	}
 	params.RingQ.MulScalarRNSParallel(st.ctP0, ct.C0, params.pModQ[:st.qLimbs], ev.pool)
 	params.RingQ.MulScalarRNSParallel(st.ctP1, ct.C1, params.pModQ[:st.qLimbs], ev.pool)
@@ -283,7 +283,7 @@ func (st *ltState) babyPhase() {
 	if len(st.plan.babySteps) == 0 {
 		return
 	}
-	st.digits = st.hd.digits
+	st.digits, st.own = st.hd.digits, st.hd.own
 	ring.Run(st.ev.pool, st.ext1, st, (*ltState).babySweepStage)
 	st.stats.KeySwitches += len(st.plan.babySteps)
 }
@@ -315,7 +315,7 @@ func (st *ltState) babySweepStage(i int) {
 func (st *ltState) giantPhase() {
 	ev := st.ev
 	params, pool := ev.params, ev.pool
-	st.digits = st.gd
+	st.digits, st.own = st.gd, nil
 	for gi := range st.plan.groups {
 		g := &st.plan.groups[gi]
 		sp := ev.beginOp("LinTrans")
@@ -452,11 +452,16 @@ func (st *ltState) groupMac(i int) {
 
 // groupBasisChunk takes the group c1 out of the extended basis on the
 // coefficient range [lo, hi) — the ONE ModDown this group pays — and
-// extends it again digit by digit for the giant rotation's keyswitch.
+// extends it again digit by digit for the giant rotation's keyswitch. This
+// ModDown stays in the coefficient domain, where the decomposition wants its
+// result at once; nothing holds that result's NTT image, so the digits are
+// extended own rows included and groupKsStage transforms them all.
 func (st *ltState) groupBasisChunk(lo, hi int) {
 	c1 := rangeView(st.c1Std.Coeffs, lo, hi)
 	st.params.modDown[st.level].ModDown(c1, rangeView(st.grp.c1Q.Coeffs, lo, hi), rangeView(st.grp.c1P.Coeffs, lo, hi))
-	st.decomposeRange(c1, lo, hi)
+	for d, ext := range st.gd {
+		st.params.decomposer.DecomposeAndExtend(st.level, d, c1, rangeView(ext, lo, hi))
+	}
 }
 
 // groupKsStage is the giant rotation on extended limb i: forward transform
@@ -475,29 +480,19 @@ func (st *ltState) groupKsStage(i int) {
 	addVecGather(mod, o0, c0, st.g.perm)
 }
 
-// finish closes the output accumulator: one inverse-NTT sweep over the
-// extended basis, then the tail every keyswitch ends with (closeAccum) — two
-// ModDowns (c0, c1) into the destination and the forward transforms of the
-// result.
+// finish closes the output accumulator with the tail every keyswitch ends
+// with (closeAccum): its P rows to the coefficient domain, then two ModDowns
+// (c0, c1) in the NTT domain straight into the destination.
 func (st *ltState) finish(dst *Ciphertext, scale float64) {
 	pool := st.ev.pool
 	reshapeCt(dst, st.level)
 	st.p0, st.p1 = dst.C0, dst.C1
-	ring.Run(pool, 2*st.ext1, st, (*ltState).finishInttStage)
+	alpha := st.ext1 - st.qLimbs
+	ring.Run(pool, 2*alpha, &st.ksDigits, (*ksDigits).inverseRowP)
 	st.closeAccum(pool)
-	st.stats.InverseNTTLimbs += 2 * st.ext1
+	st.stats.InverseNTTLimbs += 2 * alpha
 	st.stats.ModDownSweeps += 2
 	st.stats.NTTLimbs += 2 * st.qLimbs
 	dst.Scale = scale
 	st.p0, st.p1 = nil, nil
-}
-
-func (st *ltState) finishInttStage(t int) {
-	c, i := t/st.ext1, t%st.ext1
-	row := st.acc.row0(st.qLimbs, i)
-	if c == 1 {
-		row = st.acc.row1(st.qLimbs, i)
-	}
-	r, li := st.extRing(i)
-	r.InverseLimb(li, row)
 }

@@ -114,8 +114,10 @@ func (ev *Evaluator) DropLevel(ct *Ciphertext, newLevel int) *Ciphertext {
 // nil out asks for a fresh one. out may alias an operand for every op except
 // MulRelin, whose degree-2 product reads both operands while writing the
 // destination limb by limb (ErrAliasedDestination); Rotate, Conjugate and
-// KeySwitch copy their inputs into arena scratch before touching the
-// destination, and the rest (Rescale included) are elementwise.
+// KeySwitch read their operand's rows for the last time in the keyswitch's
+// limb stages (c1) and as the close forms each output row (c0, gathered
+// through scratch when permuted), before that row is written, and the rest
+// (Rescale included) are elementwise.
 
 // Add returns a + b (HAdd, ciphertext-ciphertext). Operand scales must
 // match (ErrScaleMismatch); levels are aligned automatically.
@@ -371,8 +373,8 @@ func rangeView(coeffs [][]uint64, lo, hi int) [][]uint64 {
 // of one polynomial over the extended basis Q_l ∪ P with the three things
 // done to it — RNSconv/ModUp of a coefficient range, forward transform of a
 // limb, and the inner product of a limb against a switching key — and the
-// extended-basis accumulator a pipeline ends by closing (ModDown by P, back
-// to the NTT domain). The plain keyswitch, the hoisted replay and the
+// extended-basis accumulator a pipeline ends by closing (ModDown by P, in the
+// NTT domain). The plain keyswitch, the hoisted replay and the
 // double-hoisted linear-transform engine run these same methods; they
 // differ only in where the digits come from and what is summed into acc.
 type ksDigits struct {
@@ -384,16 +386,36 @@ type ksDigits struct {
 
 	digits [][][]uint64 // [digit][extended limb][coeff]
 
+	// own, when set, is the NTT image of the decomposed polynomial (qLimbs
+	// rows): limb i of digit i/alpha is the input's own limb, so its transform
+	// is own[i] — the row the caller already holds. The digit matrices then
+	// leave that row unwritten and untransformed and the inner product reads
+	// own[i] in its place. Nil for the giant step of a linear transform, whose
+	// input comes out of a ModDown in the coefficient domain: all its rows are
+	// copied and transformed.
+	own [][]uint64
+
 	// rows is slice-header scratch for the inner product: 3·len(digits)
 	// headers per extended limb (the limb's digit rows and both key rows),
 	// so concurrent limb tasks never share an entry. Capacity is kept across
 	// checkouts of the owning state record.
 	rows [][]uint64
 
-	// acc holds the sums over Q_l ∪ P (coefficient domain by the time it is
-	// closed); closeAccum divides it by P into (p0, p1), qLimbs limbs each.
+	// acc holds the sums over Q_l ∪ P — Q rows in the NTT domain, P rows in
+	// the coefficient domain by the time it is closed; closeAccum divides it
+	// by P into (p0, p1), qLimbs limbs each.
 	acc    qpAccum
 	p0, p1 *ring.Poly
+
+	// sum[c], when set, is what the close does with result component c
+	// (p0, p1) while its row is still in cache: dst = σ(src) + p_c, limb by
+	// limb — the addition every keyswitch kernel ends with (MulRelin's d0/d1,
+	// KeySwitch's c0, a rotation's σ(c0)). perm is that σ as an NTT-domain
+	// gather, nil for the identity: the Galois permutation a rotation's
+	// pipeline replays under, which its limb stage also gathers the digits
+	// through.
+	sum  [2]struct{ dst, src *ring.Poly }
+	perm []int
 }
 
 // bind sizes the record for a keyswitch at the given level.
@@ -408,16 +430,6 @@ func (k *ksDigits) bind(params *Parameters, level int) {
 		k.rows = make([][]uint64, need)
 	}
 	k.rows = k.rows[:need]
-}
-
-// decomposeRange performs the RNSconv/ModUp of every digit on the
-// coefficient range [lo, hi) — every coefficient's basis extension is
-// self-contained. src is that range of the input (coefficient domain,
-// qLimbs limbs), already cut out with rangeView.
-func (k *ksDigits) decomposeRange(src [][]uint64, lo, hi int) {
-	for d, ext := range k.digits {
-		k.params.decomposer.DecomposeAndExtend(k.level, d, src, rangeView(ext, lo, hi))
-	}
 }
 
 // extRing resolves extended-limb index i to its ring and the limb's index
@@ -435,11 +447,23 @@ func (k *ksDigits) modulus(i int) numeric.Modulus {
 	return r.Moduli[li]
 }
 
-// forwardLimb transforms extended limb i of every digit to the NTT domain.
+// ownDigit is the digit whose row on extended limb i is own[i], or −1.
+func (k *ksDigits) ownDigit(i int) int {
+	if k.own == nil || i >= k.qLimbs {
+		return -1
+	}
+	return i / k.params.Alpha()
+}
+
+// forwardLimb transforms extended limb i of every digit to the NTT domain,
+// the one own stands for excepted.
 func (k *ksDigits) forwardLimb(i int) {
 	r, li := k.extRing(i)
-	for _, ext := range k.digits {
-		r.ForwardLimb(li, ext[i])
+	skip := k.ownDigit(i)
+	for d, ext := range k.digits {
+		if d != skip {
+			r.ForwardLimb(li, ext[i])
+		}
 	}
 }
 
@@ -470,6 +494,9 @@ func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1
 			kb[d], ka[d] = key.B[d].P.Coeffs[i-k.qLimbs], key.A[d].P.Coeffs[i-k.qLimbs]
 		}
 	}
+	if d := k.ownDigit(i); d >= 0 {
+		x[d] = k.own[i]
+	}
 	if !k.strict {
 		mod.VecInnerProductPair(out0, out1, x, kb, ka, perm, add)
 		return
@@ -484,35 +511,81 @@ func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1
 	}
 }
 
-// modDownChunk divides the accumulated (Q, P) pair by P on coefficient
-// range [lo, hi), writing the Q-basis results into p0/p1.
-func (k *ksDigits) modDownChunk(lo, hi int) {
-	md := k.params.modDown[k.level]
-	md.ModDown(rangeView(k.p0.Coeffs, lo, hi), rangeView(k.acc.c0Q.Coeffs, lo, hi), rangeView(k.acc.c0P.Coeffs, lo, hi))
-	md.ModDown(rangeView(k.p1.Coeffs, lo, hi), rangeView(k.acc.c1Q.Coeffs, lo, hi), rangeView(k.acc.c1P.Coeffs, lo, hi))
+// inverseRowP takes P row t of the accumulator (c0's alpha rows first, then
+// c1's) to the coefficient domain — the only rows ModDown reads there. The Q
+// rows stay as they are: closeAccum divides them in the NTT domain.
+func (k *ksDigits) inverseRowP(t int) {
+	p, li := k.acc.c0P, t
+	if alpha := k.ext1 - k.qLimbs; t >= alpha {
+		p, li = k.acc.c1P, t-alpha
+	}
+	k.params.RingP.InverseLimb(li, p.Coeffs[li])
 }
 
-// nttOutStage returns output limb t (p0 rows first, then p1) to the NTT
-// domain.
+// modDownChunk writes, on coefficient range [lo, hi), the part of the
+// ModDown of both accumulators that reads their P rows — c = −conv(a_P)·P⁻¹,
+// coefficient domain — into p0/p1.
+func (k *ksDigits) modDownChunk(lo, hi int) {
+	md := k.params.modDown[k.level]
+	md.Correction(rangeView(k.p0.Coeffs, lo, hi), rangeView(k.acc.c0P.Coeffs, lo, hi))
+	md.Correction(rangeView(k.p1.Coeffs, lo, hi), rangeView(k.acc.c1P.Coeffs, lo, hi))
+}
+
+// nttOutStage closes output limb t (p0 rows first, then p1): the row holds
+// c, and
+//
+//	NTT(ModDown(a_Q, a_P)) = NTT(c) + P⁻¹·NTT(a_Q)
+//
+// is an identity on canonical residues (the transform is linear and ModDown's
+// sum takes one reduction either way), so the accumulator's Q row is used as
+// it lies and was never inverse-transformed. A component with a sum target
+// is added into it here.
 func (k *ksDigits) nttOutStage(t int) {
+	c, i := t/k.qLimbs, t%k.qLimbs
+	p, aQ := k.p0, k.acc.c0Q
+	if c == 1 {
+		p, aQ = k.p1, k.acc.c1Q
+	}
 	rq := k.params.RingQ
-	if t < k.qLimbs {
-		rq.ForwardLimb(t, k.p0.Coeffs[t])
-	} else {
-		rq.ForwardLimb(t-k.qLimbs, k.p1.Coeffs[t-k.qLimbs])
+	mod, row := rq.Moduli[i], p.Coeffs[i]
+	rq.ForwardLimb(i, row)
+	w, ws := k.params.modDown[k.level].PInv(i)
+	mod.VecMulShoupAdd(row, row, aQ.Coeffs[i], w, ws)
+
+	sum := &k.sum[c]
+	switch {
+	case sum.dst == nil:
+	case k.perm == nil:
+		dst, src := sum.dst.Coeffs[i], sum.src.Coeffs[i]
+		for j := range dst {
+			dst[j] = mod.Add(src[j], row[j])
+		}
+	default:
+		// Gathered in the scratch row, then copied: dst may be src (a rotation
+		// into its own operand), which a gather must not overwrite as it reads.
+		addVecGather(mod, row, sum.src.Coeffs[i], k.perm)
+		copy(sum.dst.Coeffs[i], row)
 	}
 }
 
 // closeAccum is the tail of every extended-basis pipeline: ModDown by P of
-// the coefficient-domain accumulator into (p0, p1), chunked across
-// coefficients, then the forward transforms of the result.
+// the accumulator — its P rows in the coefficient domain (inverseRowP), its
+// Q rows still in the NTT domain — into (p0, p1), NTT domain. The P rows'
+// share is computed chunked across coefficients, then each output limb is
+// transformed and closed in one task.
 func (k *ksDigits) closeAccum(pool *ring.Pool) {
 	ring.RunChunks(pool, k.params.N, k, (*ksDigits).modDownChunk)
-	// Eager release (shrinks peak arena use before the output NTTs); the
-	// owner's deferred release finds the fields nil and never double-Puts.
-	k.params.putAccum(&k.acc)
 	ring.Run(pool, 2*k.qLimbs, k, (*ksDigits).nttOutStage)
 	k.p0.IsNTT, k.p1.IsNTT = true, true
+	for _, sum := range k.sum {
+		if sum.dst != nil {
+			sum.dst.IsNTT = true
+		}
+	}
+	// Eager release; the owner's deferred release finds the fields nil and
+	// never double-Puts. Nothing is drawn from the arena between the two
+	// stages, so holding the Q rows through the second costs no peak.
+	k.params.putAccum(&k.acc)
 }
 
 // ksState bundles the keyswitch pipeline's per-call state so every stage is
@@ -525,14 +598,12 @@ type ksState struct {
 	// cx is the coefficient-domain input the direct path decomposes. A
 	// hoisted replay leaves it nil: its digits are the shared NTT-domain
 	// decomposition, borrowed from a hoistedDecomposition (whose owner
-	// releases them), and perm is the rotation's NTT-domain Galois
-	// permutation.
+	// releases them).
 	cx       *ring.Poly
 	borrowed bool
-	perm     []int
 	key      *SwitchingKey
 
-	intt inttJob // the hoisted decomposition's input copies
+	intt inttJob // the coefficient-domain copy of the input
 }
 
 // newKsState checks a state record out and binds it to one keyswitch at the
@@ -550,76 +621,86 @@ func (ev *Evaluator) newKsState(level int, key *SwitchingKey, p0, p1 *ring.Poly)
 
 // borrow points the pipeline at a shared NTT-domain decomposition whose owner
 // releases it.
-func (s *ksState) borrow(digits [][][]uint64) {
+func (s *ksState) borrow(hd *hoistedDecomposition) {
 	s.borrowed = true
-	s.digits = append(s.digits, digits...)
+	s.digits = append(s.digits, hd.digits...)
+	s.own = hd.own
 }
 
-// decomposeChunk is decomposeRange as a coefficient-chunk stage.
+// replayUnder makes the pipeline a rotation's: the digits are gathered
+// through perm — σ_g in the NTT domain; nil is the identity, a plain
+// keyswitch — and the close sets dst = σ_g(c0) + p0 through the same
+// permutation.
+func (s *ksState) replayUnder(perm []int, dst, c0 *ring.Poly) {
+	s.perm = perm
+	s.sum[0].dst, s.sum[0].src = dst, c0
+}
+
+// decompose takes the coefficient-domain copy of x into cx (scratch of x's
+// shape, fully overwritten), draws the digit matrices and extends the digits
+// — x itself, NTT domain, standing for the digit-own rows — chunked across
+// coefficients: every coefficient's basis extension is self-contained. The
+// forward transforms are left to the limb stage.
+func (ev *Evaluator) decompose(s *ksState, cx, x *ring.Poly) {
+	ev.inttCopyInto(&s.intt, cx, x)
+	s.cx, s.own = cx, x.Coeffs
+	s.digits = s.params.getDigits(s.digits, s.level)
+	ring.RunChunks(ev.pool, s.params.N, s, (*ksState).decomposeChunk)
+}
+
+// decomposeChunk is the RNSconv/ModUp of every digit on the coefficient
+// range [lo, hi).
 func (s *ksState) decomposeChunk(lo, hi int) {
-	s.decomposeRange(rangeView(s.cx.Coeffs, lo, hi), lo, hi)
+	src := rangeView(s.cx.Coeffs, lo, hi)
+	for d, ext := range s.digits {
+		s.params.decomposer.ExtendDigit(s.level, d, src, rangeView(ext, lo, hi))
+	}
 }
 
 // limbStage runs everything extended limb i needs between the basis
 // extension and the ModDown in one task, so the limb's digit rows are
 // transformed, multiplied and dropped while they are cache-resident: the
 // forward NTT of each digit row (direct path only), the inner product
-// against the key, and the inverse NTT of both sums.
+// against the key, and — on a P limb — the inverse NTT of both sums.
 func (s *ksState) limbStage(i int) {
 	if s.cx != nil {
 		s.forwardLimb(i)
 	}
-	r, li := s.extRing(i)
-	out0, out1 := s.acc.row0(s.qLimbs, i), s.acc.row1(s.qLimbs, i)
-	s.innerProduct(i, s.key, s.perm, out0, out1, false)
-	r.InverseLimb(li, out0)
-	r.InverseLimb(li, out1)
+	s.innerProduct(i, s.key, s.perm, s.acc.row0(s.qLimbs, i), s.acc.row1(s.qLimbs, i), false)
+	if li := i - s.qLimbs; li >= 0 {
+		s.inverseRowP(li)
+		s.inverseRowP(s.ext1 - s.qLimbs + li)
+	}
 }
 
-// keySwitchCoreInto is the paper's Keyswitch pipeline: decompose cx (coeff
-// domain, level limbs over Q) into digits, RNSconv/ModUp each digit to
-// Q_l ∪ P, inner-product with the key digits in the NTT domain, then
-// ModDown by P. Writes (p0, p1) — NTT domain, qLimbs limbs, fully
-// overwritten — into the caller-provided destinations.
+// ksRun is the paper's Keyswitch pipeline from the extended digits on, shared
+// by the direct and hoisted paths: inner product with the key digits in the
+// NTT domain, then ModDown by P — (p0, p1), NTT domain, qLimbs limbs, fully
+// overwritten — and the sums the kernel asked for.
 //
 // Loop order is limb-major, the order that keeps the working set on chip:
-// all digits are extended first (chunked across coefficients), then each
-// extended limb is one task (limbStage) that transforms its digit rows,
-// sums Σ_d digit_d·key_d for both key rows in registers and inverse
-// transforms the two results — where a digit-major order streams every
-// partial sum through memory once per digit. ModDown chunks across
-// coefficients again. Every sum is the canonical residue of an exact
-// integer, so the result is bit-identical for every worker count and
-// kernel tier. Every stage is a method of the pooled ksState dispatched by
-// the stage runner: at workers=1 that is a plain loop — no closures, no
-// allocations — and all scratch (accumulators, extended digits, the state
-// record itself) is recycled through the arena and the Parameters free
-// lists.
-func (ev *Evaluator) keySwitchCoreInto(p0, p1 *ring.Poly, level int, cx *ring.Poly, key *SwitchingKey) {
-	s := ev.newKsState(level, key, p0, p1)
-	// Leak-proof discipline: every piece of scratch attached to s is
-	// released by this deferred call whether the pipeline completes (the
-	// accumulator already returned by closeAccum) or panics mid-stage.
-	defer ev.ksRelease(s)
-	s.cx = cx
-	s.digits = s.params.getDigits(s.digits, level)
-	ring.RunChunks(ev.pool, s.params.N, s, (*ksState).decomposeChunk)
-	ev.ksRun(s)
-}
-
-// ksRun runs the pipeline from the extended digits on, shared by the direct
-// and hoisted paths: the limb-major inner product between its transforms,
-// then the accumulator's close into (p0, p1).
+// all digits are extended first (decompose, chunked across coefficients),
+// then each extended limb is one task (limbStage) that transforms its digit
+// rows and sums Σ_d digit_d·key_d for both key rows in registers — where a
+// digit-major order streams every partial sum through memory once per digit.
+// The close chunks across coefficients again. Every sum is the canonical
+// residue of an exact integer, so the result is bit-identical for every
+// worker count and kernel tier. Every stage is a method of the pooled ksState
+// dispatched by the stage runner: at workers=1 that is a plain loop — no
+// closures, no allocations — and all scratch (accumulators, extended digits,
+// the state record itself) is recycled through the arena and the Parameters
+// free lists.
 func (ev *Evaluator) ksRun(s *ksState) {
 	ring.Run(ev.pool, s.ext1, s, (*ksState).limbStage)
 	s.closeAccum(ev.pool)
 }
 
 // ksRelease returns every piece of scratch still attached to s to its arena
-// or free list and recycles the state record. Safe to run after a normal
-// ksRun and after a panic anywhere in the pipeline. Digits are released only
-// when this pipeline drew them: a hoisted replay borrows them from the
-// shared decomposition.
+// or free list and recycles the state record. Kernels defer it — the
+// leak-proof discipline: it is safe after a normal ksRun (the accumulator
+// already returned by closeAccum) and after a panic anywhere in the
+// pipeline. Digits are released only when this pipeline drew them: a hoisted
+// replay borrows them from the shared decomposition.
 func (ev *Evaluator) ksRelease(s *ksState) {
 	params := ev.params
 	params.putAccum(&s.acc)

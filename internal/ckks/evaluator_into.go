@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"fmt"
+	"slices"
 
 	"poseidon/internal/ring"
 )
@@ -199,23 +200,27 @@ func (c *opCall) mulRelinLimb(i int) {
 }
 
 // kernMulRelin is CMult: the degree-2 product, then the keyswitch of its d2
-// term back to degree 1 under the relinearization key.
+// term back to degree 1 under the relinearization key, whose close adds its
+// two results (p0, p1) ≈ (d2·s² − p1·s, p1) onto d0 and d1 where they lie.
 func kernMulRelin(c *opCall) {
 	ev, out, level := c.ev, c.out, c.level
-	rq, pool := ev.params.RingQ, ev.pool
 	reshapeCt(out, level)
 	d2 := c.scratch(0, level+1)
-	ring.Run(pool, level+1, c, (*opCall).mulRelinLimb)
+	ring.Run(ev.pool, level+1, c, (*opCall).mulRelinLimb)
 	out.C0.IsNTT, out.C1.IsNTT, d2.IsNTT = true, true, true
 
-	// Keyswitch d2: contributes (p0, p1) ≈ (d2·s² − p1·s, p1).
-	rq.INTTParallel(d2, pool)
+	// The tensor product left d2 in the NTT domain, which is where the
+	// digit-own rows are wanted; the coefficient-domain copy the basis
+	// extension reads goes into p0's rows, which nothing writes before the
+	// close.
 	p0, p1 := c.scratch(1, level+1), c.scratch(2, level+1)
-	ev.keySwitchCoreInto(p0, p1, level, d2, &ev.rlk.SwitchingKey)
+	s := ev.newKsState(level, &ev.rlk.SwitchingKey, p0, p1)
+	defer ev.ksRelease(s)
+	s.sum[0].dst, s.sum[0].src = out.C0, out.C0
+	s.sum[1].dst, s.sum[1].src = out.C1, out.C1
+	ev.decompose(s, p0, d2)
+	ev.ksRun(s)
 	c.release(0)
-
-	rq.AddParallel(out.C0, out.C0, p0, pool)
-	rq.AddParallel(out.C1, out.C1, p1, pool)
 	c.release(1)
 	c.release(2)
 	out.Scale = c.x.Scale * c.y.Scale
@@ -242,9 +247,10 @@ func kernRescale(c *opCall) {
 }
 
 // rescalePoly writes the NTT-domain rescale of src (run+1 NTT-domain rows)
-// into dst (run limbs; rows may be src's own). The forward transforms of the
-// re-reduced last limb go through nttParallelGuarded, so the spot-check
-// samples exactly the transforms this operation runs.
+// into dst (run limbs; rows may be src's own): the last limb to the
+// coefficient domain, then one stage per remaining limb. When the spot-check
+// is armed it samples one of exactly the transforms this operation runs
+// (rescaleLimb) and a disagreement fails the op here.
 func (c *opCall) rescalePoly(dst *ring.Poly, src [][]uint64) {
 	ev, last := c.ev, c.run
 	rq := ev.params.RingQ
@@ -254,23 +260,48 @@ func (c *opCall) rescalePoly(dst *ring.Poly, src [][]uint64) {
 	copy(c.vec, src[last])
 	rq.InverseLimb(last, c.vec)
 
-	mid := c.scratch(0, last)
-	ring.Run(ev.pool, last, c, (*opCall).centerLastLimb)
-	mid.IsNTT = false
-	ev.nttParallelGuarded("Rescale", mid)
-	ring.Run(ev.pool, last, c, (*opCall).subScaleLimb)
+	c.spotLimb, c.spotBad = -1, false
+	if g := ev.guards; g.spotOn() {
+		c.spotLimb = g.pickLimb(last)
+	}
+	c.scratch(0, last)
+	ring.Run(ev.pool, last, c, (*opCall).rescaleLimb)
 	dst.IsNTT = true
 	c.release(0)
 	rq.PutVec(c.vec)
 	c.vec = nil
+	if c.spotLimb >= 0 {
+		ev.guards.noteSpot()
+		if c.spotBad {
+			ev.guards.noteFault()
+			panic(&OpError{Op: c.d.name, Level: last - 1, Limb: c.spotLimb, Err: ErrIntegrity,
+				Detail: "redundant NTT limb recomputation mismatch"})
+		}
+	}
 }
 
-func (c *opCall) centerLastLimb(i int) {
-	c.ev.params.rescaler.CenterLast(c.tmp[0].Coeffs[i], c.vec, c.run, i)
-}
-
-func (c *opCall) subScaleLimb(i int) {
-	c.ev.params.rescaler.SubScale(c.dst.Coeffs[i], c.src[i], c.tmp[0].Coeffs[i], c.run, i)
+// rescaleLimb is Rescale on limb i, start to finish while the row is in
+// cache: the centered last limb re-reduced modulo q_i, its forward
+// transform, and out_i = (a_i − that)·q_l^{-1}. On the limb the spot-check
+// picked, the coefficient-domain pre-image is saved and the strict reference
+// transform of the copy must agree bit for bit with what the datapath made
+// (the strict and lazy kernels are proven bit-identical by the differential
+// suites, so a disagreement is a datapath fault, not a rounding artifact).
+func (c *opCall) rescaleLimb(i int) {
+	rq, mid := c.ev.params.RingQ, c.tmp[0].Coeffs[i]
+	rs := c.ev.params.rescaler
+	rs.CenterLast(mid, c.vec, c.run, i)
+	if i != c.spotLimb {
+		rq.ForwardLimb(i, mid)
+	} else {
+		pre := rq.GetVec()
+		copy(pre, mid)
+		rq.ForwardLimb(i, mid)
+		rq.Tables[i].ForwardStrict(pre[:len(mid)])
+		c.spotBad = !slices.Equal(pre[:len(mid)], mid)
+		rq.PutVec(pre)
+	}
+	rs.SubScale(c.dst.Coeffs[i], c.src[i], mid, c.run, i)
 }
 
 // copyIdentity is the identity automorphism: the operand itself.
@@ -282,54 +313,39 @@ func (c *opCall) copyIdentity() {
 	c.out.Scale = c.x.Scale
 }
 
-// inttScratch checks slot k out as the coefficient-domain copy of p.
-func (c *opCall) inttScratch(k int, p *ring.Poly) *ring.Poly {
-	dst := c.scratch(k, len(p.Coeffs))
-	c.ev.inttCopyInto(&c.intt, dst, p)
-	return dst
-}
-
-// kernGalois is Rotation and Conjugation: the automorphism X ↦ X^g on both
-// components, then the keyswitch of σ_g(c1) from σ_g(s) back to s. The
-// operand is copied into scratch before the destination is touched, so the
-// two may alias.
+// kernGalois is Rotation and Conjugation, a hoist of one: by Halevi–Shoup
+// the decomposition commutes with the automorphism, so c1 is decomposed as it
+// lies and the pipeline replays it under σ_g exactly as a hoisted rotation
+// does (kernHoistedRotate). No polynomial is taken out of the NTT domain to
+// be permuted.
 func kernGalois(c *opCall) {
-	ev, out, level, g := c.ev, c.out, c.level, c.g
-	if g == 1 {
-		reshapeCt(out, level)
+	if c.g == 1 {
+		reshapeCt(c.out, c.level)
 		c.copyIdentity()
 		return
 	}
-	rq, pool := ev.params.RingQ, ev.pool
-	c0, c1 := c.inttScratch(0, c.x.C0), c.inttScratch(1, c.x.C1)
-	reshapeCt(out, level)
-	a1 := c.scratch(2, level+1)
-	a1.IsNTT = false
-	rq.AutomorphismParallel(out.C0, c0, g, pool)
-	rq.AutomorphismParallel(a1, c1, g, pool)
-	c.release(0)
-	c.release(1)
-
-	// Keyswitch σ_g(c1) from σ_g(s) to s; p1 lands directly in out.C1.
-	p0 := c.scratch(3, level+1)
-	ev.keySwitchCoreInto(p0, out.C1, level, a1, c.key)
-	c.release(2)
-	ev.nttParallelGuarded("Rotation", out.C0)
-	rq.AddParallel(out.C0, out.C0, p0, pool)
-	c.release(3)
-	out.Scale = c.x.Scale
+	c.switchC1(c.ev.params.RingQ.NTTGaloisPermutation(c.g))
 }
 
-// kernKeySwitch re-encrypts the operand under c.key. The destination may
-// alias it: c1 is copied out first and c0 is only read elementwise.
-func kernKeySwitch(c *opCall) {
+// kernKeySwitch re-encrypts the operand under c.key: a rotation under the
+// identity permutation.
+func kernKeySwitch(c *opCall) { c.switchC1(nil) }
+
+// switchC1 sets out = (σ(c0) + p0, p1) with (p0, p1) the keyswitch of σ(c1)
+// under c.key and σ the NTT-domain permutation perm (nil: the identity) —
+// gathered inside the inner product and, for c0, in the close. The
+// destination may be the operand: c1's rows are last read by the limb
+// stages, before the close writes out.C1, and the close reads each row of c0
+// before it writes it (through scratch when permuted).
+func (c *opCall) switchC1(perm []int) {
 	ev, out, level := c.ev, c.out, c.level
-	c1 := c.inttScratch(0, c.x.C1)
 	reshapeCt(out, level)
-	p0 := c.scratch(1, level+1)
-	ev.keySwitchCoreInto(p0, out.C1, level, c1, c.key)
+	s := ev.newKsState(level, c.key, c.scratch(1, level+1), out.C1)
+	defer ev.ksRelease(s)
+	s.replayUnder(perm, out.C0, c.x.C0)
+	ev.decompose(s, c.scratch(0, level+1), c.x.C1)
+	ev.ksRun(s)
 	c.release(0)
-	ev.params.RingQ.AddParallel(out.C0, c.x.C0, p0, ev.pool)
 	c.release(1)
 	out.Scale = c.x.Scale
 }

@@ -37,7 +37,6 @@ type opDesc struct {
 	plain   bool   // takes a plaintext operand pt
 	noDest  bool   // produces no ciphertext (Hoist fills a handle instead)
 	noAlias bool   // the destination must not share storage with an operand
-	trusted bool   // the operand was verified when its hoisted handle was built; a replay does not re-read it
 	drop    int    // levels consumed: result level = lowest operand level − drop
 
 	pre    func(c *opCall) error // op-specific preconditions; may resolve c.g and c.key
@@ -80,12 +79,16 @@ type opCall struct {
 	// Kernel state. tmp and vec are RingQ scratch the kernel has checked out;
 	// sweep returns whatever is still held when the attempt ends, however it
 	// ends. The rest are stage operands.
-	tmp  [4]*ring.Poly
-	vec  []uint64
-	pv   *ring.Poly // plaintext rows (or their Montgomery image) at the run level
-	dst  *ring.Poly // rescale: the polynomial being written …
-	src  [][]uint64 // … and the rows it is computed from
-	intt inttJob
+	tmp [4]*ring.Poly
+	vec []uint64
+	pv  *ring.Poly // plaintext rows (or their Montgomery image) at the run level
+	dst *ring.Poly // rescale: the polynomial being written …
+	src [][]uint64 // … and the rows it is computed from
+
+	// The armed spot-check of a rescale: the limb whose forward transform is
+	// recomputed (−1: none) and whether the recomputation disagreed.
+	spotLimb int
+	spotBad  bool
 }
 
 // must turns the error outcome of exec into the panicking surfaces'
@@ -184,7 +187,7 @@ func (c *opCall) attempt(dst *Ciphertext) (err error) {
 	defer recoverOp(c.d.name, &c.level, &err)
 	defer c.sweep()
 	ev, d := c.ev, c.d
-	if ev.guards != nil && !d.trusted {
+	if ev.guards != nil {
 		if err := ev.verifySealed(d.name, c.a); err != nil {
 			return err
 		}

@@ -3,12 +3,10 @@ package ckks
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"sync"
 	"sync/atomic"
 
 	"poseidon/internal/fault"
-	"poseidon/internal/ring"
 )
 
 // Runtime integrity guards: the software counterpart of the redundancy a
@@ -28,8 +26,8 @@ import (
 //     as ErrLevelExhausted before results silently degrade into noise.
 //   - Redundant-limb spot-check (EnableSpotCheck): recomputes one random
 //     limb of each elementwise output with the strict reference kernels,
-//     and one random limb of each final forward NTT (Rescale, Rotation)
-//     from its saved coefficient-domain pre-image — catching datapath
+//     and one random limb of Rescale's forward NTTs from its saved
+//     coefficient-domain pre-image (opCall.rescaleLimb) — catching datapath
 //     faults (stuck lanes, dropped twiddles) checksums sealed earlier
 //     cannot see. Probabilistic by design: it samples one limb per
 //     operation.
@@ -227,34 +225,4 @@ func (ev *Evaluator) spotCheck(c *opCall) error {
 			Detail: "redundant limb recomputation mismatch"}
 	}
 	return nil
-}
-
-// nttParallelGuarded transforms p to the NTT domain like ring.NTTParallel
-// while, when the spot-check is armed, redundantly recomputing one random
-// limb: the coefficient-domain pre-image of the chosen limb is saved, the
-// strict reference transform is applied to the copy, and the two NTT images
-// must agree bit for bit (the strict and lazy kernels are proven
-// bit-identical by the differential suites, so any disagreement is a
-// datapath fault, not a rounding artifact).
-func (ev *Evaluator) nttParallelGuarded(op string, p *ring.Poly) {
-	rq := ev.params.RingQ
-	g := ev.guards
-	if !g.spotOn() {
-		rq.NTTParallel(p, ev.pool)
-		return
-	}
-	i := g.pickLimb(len(p.Coeffs))
-	n := len(p.Coeffs[i])
-	buf := rq.GetVec()
-	copy(buf[:n], p.Coeffs[i])
-	rq.NTTParallel(p, ev.pool)
-	rq.Tables[i].ForwardStrict(buf[:n])
-	ok := slices.Equal(buf[:n], p.Coeffs[i])
-	rq.PutVec(buf)
-	g.noteSpot()
-	if !ok {
-		g.noteFault()
-		panic(&OpError{Op: op, Level: len(p.Coeffs) - 1, Limb: i, Err: ErrIntegrity,
-			Detail: "redundant NTT limb recomputation mismatch"})
-	}
 }

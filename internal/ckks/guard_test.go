@@ -276,6 +276,41 @@ func TestSealDetectsCorruption(t *testing.T) {
 	}
 }
 
+// A Hoisted handle holds no copy of its ciphertext: every rotation reads
+// ct.C0 (and ct.C1, the digit-own rows of the decomposition) where they lie.
+// With guards on each TryRotate therefore re-verifies the seal, so a
+// ciphertext modified while the handle is live answers ErrIntegrity naming
+// the limb — not a wrong rotation — and the handle works again once the
+// ciphertext is what was hoisted.
+func TestHoistedRotateDetectsMutatedCiphertext(t *testing.T) {
+	gc := newGuardContext(t)
+	ev := gc.ev
+	ev.EnableGuards(17)
+	a, _, _ := gc.inputs(t, 8, gc.params.MaxLevel())
+	ev.SealIntegrity(a)
+	want := ev.Rotate(a, 1)
+
+	h, err := ev.TryHoist(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	for _, p := range []*ring.Poly{a.C0, a.C1} {
+		p.Coeffs[2][5] ^= 1 << 13
+		_, err := h.TryRotate(1)
+		var oe *OpError
+		if !errors.Is(err, ErrIntegrity) || !errors.As(err, &oe) || oe.Limb != 2 {
+			t.Fatalf("rotation of a mutated ciphertext: got %v, want ErrIntegrity on limb 2", err)
+		}
+		p.Coeffs[2][5] ^= 1 << 13
+	}
+	got, err := h.TryRotate(1)
+	if err != nil {
+		t.Fatalf("rotation after the ciphertext was restored: %v", err)
+	}
+	requireCtEqual(t, got, want, "Hoisted.TryRotate")
+}
+
 // faultChain is the injection campaign's workload: multiply-relinearize,
 // rescale, rotate, accumulate, final read-back, on fresh sealed copies of
 // the inputs (an injected fault corrupts the copies, never a and b). It

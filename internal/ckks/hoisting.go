@@ -24,26 +24,24 @@ import "poseidon/internal/ring"
 // release when every rotation has been evaluated.
 type hoistedDecomposition struct {
 	level  int
-	digits [][][]uint64 // [digit][limb][coeff], NTT domain over Q_l ∪ P
-	c0     *ring.Poly   // coefficient-domain copy of C0
+	digits [][][]uint64 // [digit][limb][coeff], NTT domain over Q_l ∪ P, digit-own rows unwritten
+	own    [][]uint64   // the digit-own rows: the decomposed C1 itself, as the ciphertext holds it
 }
 
-// release returns the borrowed digit matrices and the C0 copy. Nil-safe so
-// it can double as the panic-path sweep of a partially built decomposition.
+// release returns the borrowed digit matrices. Nil-safe so it can double as
+// the panic-path sweep of a partially built decomposition.
 func (hd *hoistedDecomposition) release(params *Parameters) {
 	hd.digits = params.putDigits(hd.digits)
-	releasePoly(params.RingQ, &hd.c0)
+	hd.own = nil
 }
 
 // decomposeHoistedInto performs the shared phase on ct.C1 into a
 // caller-owned record, reusing hd.digits capacity across calls — the
-// zero-allocation entry the pooled linear-transform state uses. withC0
-// controls whether the coefficient-domain C0 copy is taken: the
-// double-hoisted path permutes C0 in the NTT domain and skips it, saving
-// qLimbs inverse transforms. The caller owns the release of hd (panic paths
-// included); the c1 scratch and the state record borrowed for its stage
-// methods are swept locally.
-func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Ciphertext, withC0 bool) {
+// zero-allocation entry the pooled linear-transform state uses. The
+// decomposition keeps reading ct.C1's rows (hd.own) until it is released. The
+// caller owns the release of hd (panic paths included); the c1 scratch and
+// the state record borrowed for its stage methods are swept locally.
+func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Ciphertext) {
 	params := ev.params
 	rq := params.RingQ
 	level := ct.Level
@@ -52,17 +50,13 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 	defer ev.ksRelease(s)
 	s.bind(params, level)
 
-	hd.level = level
 	s.cx = rq.GetPolyDirty(level + 1)
 	defer rq.PutPoly(s.cx)
 	ev.inttCopyInto(&s.intt, s.cx, ct.C1)
-	if withC0 {
-		hd.c0 = rq.GetPolyDirty(level + 1) // hd owns it from here: its release sweeps a half-made copy
-		ev.inttCopyInto(&s.intt, hd.c0, ct.C0)
-	}
 
+	hd.level, hd.own = level, ct.C1.Coeffs
 	hd.digits = params.getDigits(hd.digits[:0], level)
-	s.borrow(hd.digits) // hd owns the digits from the moment they are drawn
+	s.borrow(hd) // hd owns the digits from the moment they are drawn
 	ring.RunChunks(ev.pool, params.N, s, (*ksState).decomposeChunk)
 	ring.Run(ev.pool, s.ext1, &s.ksDigits, (*ksDigits).forwardLimb)
 }
@@ -74,8 +68,12 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 // steps incrementally) pay the decomposition once and request rotations one
 // at a time, possibly interleaved with other work. The handle borrows digit
 // matrices from the parameter set's free lists: call Release when done, or
-// the arena reports the bytes as permanently in use. A Hoisted is bound to
-// the evaluator that created it and is not safe for concurrent use.
+// the arena reports the bytes as permanently in use. It holds no copy of the
+// ciphertext: every rotation reads ct.C0, and the digit-own rows of the
+// decomposition are ct.C1's, where they lie — the ciphertext must not be
+// modified while the handle is live; with guards on, every TryRotate
+// re-verifies its seal. A Hoisted is bound to the evaluator that created it
+// and is not safe for concurrent use.
 type Hoisted struct {
 	ev *Evaluator
 	ct *Ciphertext
@@ -104,8 +102,8 @@ func (ev *Evaluator) TryHoist(ct *Ciphertext) (*Hoisted, error) {
 }
 
 // kernHoist performs the shared phase for a handle. On a panic anywhere in
-// the decomposition, every digit matrix acquired so far and both arena
-// copies are returned before the panic propagates.
+// the decomposition, every digit matrix acquired so far and the arena copy
+// of C1 are returned before the panic propagates.
 func kernHoist(c *opCall) {
 	params := c.ev.params
 	hd := &hoistedDecomposition{digits: make([][][]uint64, 0, params.Digits(c.level))}
@@ -114,7 +112,7 @@ func kernHoist(c *opCall) {
 			hd.release(params)
 		}
 	}()
-	c.ev.decomposeHoistedInto(hd, c.x, true)
+	c.ev.decomposeHoistedInto(hd, c.x)
 	c.h.hd = hd
 }
 
@@ -156,28 +154,23 @@ func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphert
 }
 
 // kernHoistedRotate replays the shared decomposition through the keyswitch
-// pipeline for one Galois element: the same limb-major inner product as
-// keySwitchCoreInto, gathering each cached NTT-domain digit row through the
-// rotation's Galois permutation (resolved once, here) instead of decomposing
-// again. The borrowed digit matrices stay owned by the handle.
+// pipeline for one Galois element: the limb-major inner product gathers each
+// cached NTT-domain digit row through the rotation's Galois permutation
+// (resolved once, here) instead of decomposing again, and the close sets
+// out.C0 = σ_g(c0) + p0 through the same permutation. The borrowed digit
+// matrices stay owned by the handle.
 func kernHoistedRotate(c *opCall) {
-	ev, out, hd, level := c.ev, c.out, c.h.hd, c.level
-	rq, pool := ev.params.RingQ, ev.pool
+	ev, out, level := c.ev, c.out, c.level
 	reshapeCt(out, level)
 	if c.g == 1 {
 		c.copyIdentity()
 		return
 	}
-	p0 := c.scratch(0, level+1)
-	s := ev.newKsState(level, c.key, p0, out.C1)
+	s := ev.newKsState(level, c.key, c.scratch(0, level+1), out.C1)
 	defer ev.ksRelease(s)
-	s.borrow(hd.digits)
-	s.perm = rq.NTTGaloisPermutation(c.g)
-
-	rq.AutomorphismParallel(out.C0, hd.c0, c.g, pool)
+	s.borrow(c.h.hd)
+	s.replayUnder(ev.params.RingQ.NTTGaloisPermutation(c.g), out.C0, c.x.C0)
 	ev.ksRun(s)
-	rq.NTTParallel(out.C0, pool)
-	rq.AddParallel(out.C0, out.C0, p0, pool)
 	c.release(0)
 	out.Scale = c.x.Scale
 }

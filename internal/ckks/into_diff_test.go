@@ -249,43 +249,49 @@ func TestIntoMatchesAllocatingParallel(t *testing.T) {
 }
 
 // TestIntoInPlace checks the documented aliasing contract: out == input is
-// legal for everything except MulRelinInto.
+// legal for everything except MulRelinInto, and gives the bits of the
+// non-aliased call. The keyswitch-bearing ops read the operand's own rows
+// deep into the pipeline (c1's as the digit-own limbs of the inner product,
+// c0's in the close), so they also run on two workers, where a stage that
+// wrote the destination too early would race the ones still reading it.
 func TestIntoInPlace(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
 		ct1, ct2, pt := dc.freshInputs(47)
 		cases := []struct {
 			name string
-			want func() *Ciphertext
-			run  func(x *Ciphertext) *Ciphertext // x is a private copy of ct1
+			want func(ev *Evaluator) *Ciphertext
+			run  func(ev *Evaluator, x *Ciphertext) *Ciphertext // x is a private copy of ct1
 		}{
-			{"AddInto", func() *Ciphertext { return dc.serial.Add(ct1, ct2) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.AddInto(x, x, ct2) }},
-			{"SubInto", func() *Ciphertext { return dc.serial.Sub(ct1, ct2) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.SubInto(x, x, ct2) }},
-			{"NegInto", func() *Ciphertext { return dc.serial.Neg(ct1) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.NegInto(x, x) }},
-			{"AddPlainInto", func() *Ciphertext { return dc.serial.AddPlain(ct1, pt) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.AddPlainInto(x, x, pt) }},
-			{"MulPlainInto", func() *Ciphertext { return dc.serial.MulPlain(ct1, pt) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.MulPlainInto(x, x, pt) }},
-			{"RescaleInto", func() *Ciphertext { return dc.serial.Rescale(dc.serial.MulPlain(ct1, pt)) },
-				func(x *Ciphertext) *Ciphertext {
-					dc.serial.MulPlainInto(x, x, pt)
-					return dc.serial.RescaleInto(x, x)
+			{"AddInto", func(ev *Evaluator) *Ciphertext { return ev.Add(ct1, ct2) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.AddInto(x, x, ct2) }},
+			{"SubInto", func(ev *Evaluator) *Ciphertext { return ev.Sub(ct1, ct2) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.SubInto(x, x, ct2) }},
+			{"NegInto", func(ev *Evaluator) *Ciphertext { return ev.Neg(ct1) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.NegInto(x, x) }},
+			{"AddPlainInto", func(ev *Evaluator) *Ciphertext { return ev.AddPlain(ct1, pt) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.AddPlainInto(x, x, pt) }},
+			{"MulPlainInto", func(ev *Evaluator) *Ciphertext { return ev.MulPlain(ct1, pt) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.MulPlainInto(x, x, pt) }},
+			{"RescaleInto", func(ev *Evaluator) *Ciphertext { return ev.Rescale(ev.MulPlain(ct1, pt)) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext {
+					ev.MulPlainInto(x, x, pt)
+					return ev.RescaleInto(x, x)
 				}},
-			{"RotateInto", func() *Ciphertext { return dc.serial.Rotate(ct1, 1) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.RotateInto(x, x, 1) }},
-			{"ConjugateInto", func() *Ciphertext { return dc.serial.Conjugate(ct1) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.ConjugateInto(x, x) }},
-			{"KeySwitchInto", func() *Ciphertext { return dc.serial.KeySwitch(ct1, dc.swk) },
-				func(x *Ciphertext) *Ciphertext { return dc.serial.KeySwitchInto(x, x, dc.swk) }},
+			{"RotateInto", func(ev *Evaluator) *Ciphertext { return ev.Rotate(ct1, 1) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.RotateInto(x, x, 1) }},
+			{"ConjugateInto", func(ev *Evaluator) *Ciphertext { return ev.Conjugate(ct1) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.ConjugateInto(x, x) }},
+			{"KeySwitchInto", func(ev *Evaluator) *Ciphertext { return ev.KeySwitch(ct1, dc.swk) },
+				func(ev *Evaluator, x *Ciphertext) *Ciphertext { return ev.KeySwitchInto(x, x, dc.swk) }},
 		}
 		for _, c := range cases {
 			t.Run(fmt.Sprintf("%s/%s", pname, c.name), func(t *testing.T) {
-				want := c.want()
-				got := c.run(ct1.CopyNew())
-				requireCtEqual(t, got, want, c.name)
+				want := c.want(dc.serial)
+				for _, workers := range []int{1, 2} {
+					got := c.run(dc.serial.WithWorkers(workers), ct1.CopyNew())
+					requireCtEqual(t, got, want, fmt.Sprintf("%s in place, %d workers", c.name, workers))
+				}
 			})
 		}
 	}

@@ -301,8 +301,10 @@ func (sh ltShape) splitCost(ds []int, n1 int) (rows, keys int) {
 	}
 
 	if babies > 0 {
-		// hoist: inverse-transformed copy of c1, decomposition, digit transforms.
-		rows += Q*(2+ntt) + (Q + D*E) + D*E*ntt
+		// hoist: inverse-transformed copy of c1, decomposition (Q in, D·E−Q
+		// out) and digit transforms — the Q digit-own rows are c1's rows
+		// themselves, neither written nor transformed.
+		rows += Q*(2+ntt) + D*E + (D*E-Q)*ntt
 	}
 	// babySweepStage, per rotation: D gathered digit rows, 2D key rows and
 	// two stores per limb; the gathered P·c0 add on the Q limbs.
@@ -404,15 +406,17 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 			inner[k] = h.Rotate(s)
 		}
 		h.Release()
-		// Shared phase: INTT of C0 and C1 copies, digit forward NTTs.
-		stats.InverseNTTLimbs += 2 * qLimbs
-		stats.NTTLimbs += digits * ext1
-		// Per rotation: close accumulators, ModDown, transform out.
+		// Shared phase: INTT of the C1 copy, forward NTTs of every digit row
+		// but the digit-own ones (C1's, where they lie).
+		stats.InverseNTTLimbs += qLimbs
+		stats.NTTLimbs += digits*ext1 - qLimbs
+		// Per rotation: the accumulators' P rows out of the NTT domain, two
+		// ModDowns, the results transformed back.
 		nb := len(plan.babySteps)
 		stats.KeySwitches += nb
 		stats.ModDownSweeps += 2 * nb
-		stats.InverseNTTLimbs += nb * 2 * ext1
-		stats.NTTLimbs += nb * 3 * qLimbs
+		stats.InverseNTTLimbs += nb * 2 * (ext1 - qLimbs)
+		stats.NTTLimbs += nb * 2 * qLimbs
 	}
 
 	// Giant steps in sorted order: each group is the literal MulPlain/Add
@@ -436,12 +440,12 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 		stats.PlainMACs += len(g.terms)
 		if g.j != 0 {
 			acc = ev.Rotate(acc, g.j)
-			// A full keyswitch per giant step: INTT both components,
-			// per-digit decompose + forward NTT, close, ModDown, NTT out.
+			// A full keyswitch per giant step: the shared phase and the
+			// per-rotation close above, once each.
 			stats.KeySwitches++
 			stats.ModDownSweeps += 2
-			stats.InverseNTTLimbs += 2*qLimbs + 2*ext1
-			stats.NTTLimbs += digits*ext1 + 3*qLimbs
+			stats.InverseNTTLimbs += qLimbs + 2*(ext1-qLimbs)
+			stats.NTTLimbs += digits*ext1 + qLimbs
 		}
 		if out == nil {
 			out = acc

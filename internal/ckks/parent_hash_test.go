@@ -21,6 +21,15 @@ var parentHashes = map[string]string{
 	"RotateInto":                  "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
 	"Hoisted.Rotate":              "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
 	"MulRelinInto":                "87d5349b8bd00411fb57d309f0477b1070ea3daa4c322f835cc53edee16a0814",
+
+	// Added at 19a7075, the commit before the keyswitch stopped running the
+	// transforms it does not need (NTT-domain ModDown, untransformed digit-own
+	// limbs, C0 permuted in the NTT domain, Rescale as one limb stage): the
+	// ops that change touched and no digest above covered.
+	"RescaleInto":        "8221db58105866161cf555017886c380015d6035d91ef09c7ac6645188690475",
+	"KeySwitchInto":      "2b061de9b75e166e97e9632a32ae09447f697cf01ba493619d7890697f74bdc3",
+	"ConjugateInto":      "a36c446fba1e2277ee49c96a37178762c5e47e4681b8ee5c151bf72507d9f05e",
+	"RotateInto/aliased": "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
 }
 
 func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
@@ -58,9 +67,19 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 				ct := encr.Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
 				ct2 := encr.Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
 
+				// The conjugation key is drawn last, after everything the four
+				// 3fb52a2 digests depend on, so it shifts none of them.
+				conjG := ev.conjG()
+				rtk.Keys[conjG] = kgen.GenGaloisKeys(sk, []uint64{conjG}).Keys[conjG]
+				aliased := ct.CopyNew()
+
 				h := ev.Hoist(ct)
 				defer h.Release()
 				got := map[string]*Ciphertext{
+					"RescaleInto":                 ev.RescaleInto(NewCiphertext(params, ct.Level-1), ct),
+					"KeySwitchInto":               ev.KeySwitchInto(NewCiphertext(params, ct.Level), ct, &rlk.SwitchingKey),
+					"ConjugateInto":               ev.ConjugateInto(NewCiphertext(params, ct.Level), ct),
+					"RotateInto/aliased":          ev.RotateInto(aliased, aliased, 7),
 					"EvaluateLinearTransformInto": ev.EvaluateLinearTransformInto(NewCiphertext(params, lt.Level), ct, lt),
 					"RotateInto":                  ev.RotateInto(NewCiphertext(params, ct.Level), ct, 7),
 					"Hoisted.Rotate":              h.Rotate(7),

@@ -104,7 +104,7 @@ var (
 	opMulByI    = opDesc{name: "MulByI", kernel: kernMulByI}                                                   // not a traced kind
 
 	opHoist         = opDesc{name: "Rotation", noDest: true, pre: preHoist, kernel: kernHoist}
-	opHoistedRotate = opDesc{name: "Rotation", observe: true, trusted: true, pre: preHoistedRotate, kernel: kernHoistedRotate}
+	opHoistedRotate = opDesc{name: "Rotation", observe: true, pre: preHoistedRotate, kernel: kernHoistedRotate}
 )
 
 // otherScale is the scale of the second operand, whichever kind it is: for

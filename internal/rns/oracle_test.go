@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"poseidon/internal/ntt"
 	"poseidon/internal/numeric"
 )
 
@@ -276,6 +277,16 @@ func TestOracleDecomposeAndExtend(t *testing.T) {
 					again := allocLimbs(len(active), n)
 					chunked(n, func(a, b int) { d.DecomposeAndExtend(level, dig, view(in, a, b), view(again, a, b)) })
 					requireSameLimbs(t, label, again, out)
+					// ExtendDigit is the same map with the digit-own rows left
+					// alone, for the caller that holds their transform already.
+					for i := lo; i < hi; i++ {
+						for col := range again[i] {
+							again[i][col] = sentinel
+						}
+						copy(out[i], again[i])
+					}
+					d.ExtendDigit(level, dig, in, again)
+					requireSameLimbs(t, label+" (ExtendDigit)", again, out)
 				}
 			}
 		})
@@ -323,6 +334,81 @@ func TestOracleModDown(t *testing.T) {
 				// Chunked, and in place (out aliasing aQ) as the evaluator allows.
 				chunked(n, func(a, b int) { md.ModDown(view(aQ, a, b), view(aQ, a, b), view(aP, a, b)) })
 				requireSameLimbs(t, fmt.Sprintf("ModDown level %d", level), aQ, out)
+			}
+		})
+	}
+}
+
+// TestOracleModDownNTTForm is the referee of the form the evaluator closes a
+// keyswitch with: the Q half of the accumulator stays in the NTT domain and
+// only ModDown's P-dependent part, Correction, is computed on coefficients.
+// Correction itself is checked against math/big, c_i = −[aP]_P·P⁻¹ mod q_i;
+// then, for an accumulator given by its NTT image âQ,
+//
+//	NTT(Correction(aP))_i + P⁻¹·âQ_i = NTT(ModDown(INTT(âQ), aP))_i
+//
+// word for word on every limb of every level — with P⁻¹ taken from math/big
+// as well, so PInv is checked and not assumed.
+func TestOracleModDownNTTForm(t *testing.T) {
+	const n = 16 // the degree oracleShapes' primes are NTT-friendly for
+	for _, s := range oracleShapes(t) {
+		t.Run(s.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(15))
+			pBasis := newBigBasis(s.p)
+			tables := make([]*ntt.Table, len(s.q))
+			for i, m := range s.q {
+				var err error
+				if tables[i], err = ntt.NewTable(n, m.Q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for level := 0; level < len(s.q); level++ {
+				q := s.q[:level+1]
+				md := NewModDownParams(q, s.p)
+				aP := adversarial(rng, s.p, n)
+				hatQ := adversarial(rng, q, n) // the accumulator's Q rows as the keyswitch holds them
+				slices.Reverse(hatQ[0])
+
+				c := allocLimbs(len(q), n)
+				md.Correction(c, aP)
+				for col := 0; col < n; col++ {
+					x, alt := pBasis.centered(aP, col)
+					match := func(conv *big.Int) bool {
+						for i := range q {
+							qi := new(big.Int).SetUint64(q[i].Q)
+							v := new(big.Int).Neg(conv)
+							v.Mul(v, new(big.Int).ModInverse(pBasis.prod, qi))
+							if c[i][col] != v.Mod(v, qi).Uint64() {
+								return false
+							}
+						}
+						return true
+					}
+					if !match(x) && (alt == nil || !match(alt)) {
+						t.Fatalf("level %d coeff %d: Correction disagrees with exact −[aP]_P/P", level, col)
+					}
+				}
+
+				aQ := allocLimbs(len(q), n)
+				want := allocLimbs(len(q), n)
+				for i := range q {
+					copy(aQ[i], hatQ[i])
+					tables[i].Inverse(aQ[i])
+				}
+				md.ModDown(want, aQ, aP)
+				for i, qi := range q {
+					tables[i].Forward(want[i])
+					tables[i].Forward(c[i])
+					pInv := new(big.Int).ModInverse(pBasis.prod, new(big.Int).SetUint64(qi.Q)).Uint64()
+					if w, ws := md.PInv(i); w != pInv || ws != qi.ShoupConstant(pInv) {
+						t.Fatalf("level %d limb %d: PInv = %d, want %d", level, i, w, pInv)
+					}
+					for col := range c[i] {
+						if got := qi.Add(c[i][col], qi.Mul(pInv, hatQ[i][col])); got != want[i][col] {
+							t.Fatalf("level %d limb %d point %d: NTT(c) + P⁻¹·âQ = %d, NTT(ModDown) = %d", level, i, col, got, want[i][col])
+						}
+					}
+				}
 			}
 		})
 	}

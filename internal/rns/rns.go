@@ -137,11 +137,13 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 // emit writes the staged block's residues modulo destination i into out
 // (len b.n): Σ_j y_j·(B/b_j) − k·B accumulated unreduced in 128 bits and
 // closed by one Barrett reduction (numeric.Modulus.ReduceWide written out
-// with hoisted constants), so the result is the canonical residue.
-func (e *Extender) emit(out []uint64, i int, b *block) {
+// with hoisted constants), so the result is the canonical residue. cols is
+// how many columns of the table row, and staged rows of the block, the sum
+// reads: len(src), plus one when ModDown's seed column rides along.
+func (e *Extender) emit(out []uint64, i, cols int, b *block) {
 	ci := e.dst[i]
 	q, bHi, bLo := ci.Q, ci.BarrettHi, ci.BarrettLo
-	row, nb := e.bHatModC[i], e.negBModC[i]
+	row, nb := e.bHatModC[i][:cols], e.negBModC[i]
 	out = out[:b.n]
 	for t := 0; t < b.n; t += 4 {
 		var hi, lo, r [4]uint64
@@ -198,7 +200,7 @@ func (e *Extender) Extend(out, in [][]uint64) {
 		cnt := min(e.blockLen, n-t0)
 		e.stage(&b, in, t0, cnt)
 		for i := range e.dst {
-			e.emit(out[i][t0:t0+cnt], i, &b)
+			e.emit(out[i][t0:t0+cnt], i, len(e.src), &b)
 		}
 	}
 }
@@ -210,16 +212,21 @@ type ModDownParams struct {
 	// ext is the P → Q extender with P^-1 folded in and a seed column
 	// appended: row i reads −(P/p_j)·P^-1 per source limb, then P^-1 for the
 	// a_i term, and its k weight is +P·P^-1 — so one emit chain yields
-	// (a_i − conv_i)·P^-1 directly.
+	// (a_i − conv_i)·P^-1 directly, and the same chain read without the seed
+	// column yields −conv_i·P^-1 (Correction).
 	ext *Extender
+	// pInv[i] = [P^-1]_{q_i} and its Shoup dual: the factor of the a_i term
+	// when the caller adds it itself (PInv).
+	pInv, pInvShoup []uint64
 }
 
 // NewModDownParams builds ModDown tables for main basis Q and special
 // basis P.
 func NewModDownParams(q, p []numeric.Modulus) *ModDownParams {
-	m := &ModDownParams{Q: q, P: p, ext: NewExtender(p, q)}
+	m := &ModDownParams{Q: q, P: p, ext: NewExtender(p, q), pInv: make([]uint64, len(q)), pInvShoup: make([]uint64, len(q))}
 	for i, qi := range q {
 		pInv := qi.Inv(qi.Q - m.ext.negBModC[i])
+		m.pInv[i], m.pInvShoup[i] = pInv, qi.ShoupConstant(pInv)
 		row := m.ext.bHatModC[i]
 		for j := range row {
 			row[j] = qi.Neg(qi.Mul(row[j], pInv))
@@ -244,10 +251,32 @@ func (m *ModDownParams) ModDown(out, aQ, aP [][]uint64) {
 		seed := b.ys[len(m.P)*b.stride:]
 		for i := range m.Q {
 			copy(seed, aQ[i][t0:t0+cnt])
-			e.emit(out[i][t0:t0+cnt], i, &b)
+			e.emit(out[i][t0:t0+cnt], i, len(m.P)+1, &b)
 		}
 	}
 }
+
+// Correction computes out_i = −conv(aP)_i · P^{-1} mod q_i: the part of
+// ModDown that reads the P limbs, with the same conv — float-corrected k and
+// rounding included — so ModDown(aQ, aP)_i = Correction(aP)_i + P^{-1}·aQ_i
+// as canonical residues. The second term is linear in aQ_i alone; a caller
+// that holds aQ in the NTT domain and wants the result there adds it after
+// transforming out (PInv gives the factor) and never takes aQ out of the NTT
+// domain: NTT(ModDown)_i = NTT(Correction)_i + P^{-1}·NTT(aQ)_i.
+func (m *ModDownParams) Correction(out, aP [][]uint64) {
+	var b block
+	e := m.ext
+	for t0, n := 0, len(aP[0]); t0 < n; t0 += e.blockLen {
+		cnt := min(e.blockLen, n-t0)
+		e.stage(&b, aP, t0, cnt)
+		for i := range m.Q {
+			e.emit(out[i][t0:t0+cnt], i, len(m.P), &b)
+		}
+	}
+}
+
+// PInv returns [P^{-1}]_{q_i} and its Shoup dual.
+func (m *ModDownParams) PInv(i int) (w, wShoup uint64) { return m.pInv[i], m.pInvShoup[i] }
 
 // Rescaler divides by the last prime of a chain with rounding — the CKKS
 // Rescale operation.
@@ -259,7 +288,7 @@ type Rescaler struct {
 
 type rescaleConst struct {
 	qlInv, qlInvShoup uint64 // [q_l^-1]_{q_i} and its Shoup dual
-	qlModQi           uint64 // q_l mod q_i
+	halfModQi         uint64 // (q_l−1)/2 mod q_i
 }
 
 // NewRescaler builds a rescaler over the full modulus chain.
@@ -269,8 +298,8 @@ func NewRescaler(moduli []numeric.Modulus) *Rescaler {
 		r.consts[l] = make([]rescaleConst, l)
 		for i, qi := range moduli[:l] {
 			c := &r.consts[l][i]
-			c.qlModQi = qi.Reduce(ql.Q)
-			c.qlInv = qi.Inv(c.qlModQi)
+			c.halfModQi = qi.Reduce(ql.Q >> 1)
+			c.qlInv = qi.Inv(qi.Reduce(ql.Q))
 			c.qlInvShoup = qi.ShoupConstant(c.qlInv)
 		}
 	}
@@ -281,15 +310,31 @@ func NewRescaler(moduli []numeric.Modulus) *Rescaler {
 // residue (modulo q_l, coefficient domain) reduced modulo q_i, i < l — the
 // value Rescale subtracts from limb i.
 func (r *Rescaler) CenterLast(dst, last []uint64, l, i int) {
-	qi, half, qlModQi := r.moduli[i], r.moduli[l].Q>>1, r.consts[l][i].qlModQi
+	qi, ql, hModQi := r.moduli[i].Q, r.moduli[l].Q, r.consts[l][i].halfModQi
 	last = last[:len(dst)]
 	for t := range dst {
-		c := qi.Reduce(last[t])
-		if last[t] > half {
-			c = qi.Sub(c, qlModQi)
-		}
-		dst[t] = c
+		dst[t] = centered(last[t], ql, qi, hModQi)
 	}
+}
+
+// centered returns, modulo q_i, the representative of x mod q_l in [−h, h],
+// h = (q_l−1)/2, as ((x + h) mod q_l) − h: which of x and x − q_l that is
+// depends on the data half the time, and this form does not branch on it.
+// hModQi is h mod q_i. Plain words in and out so that it inlines — through
+// Modulus methods the same steps run slower than the branch they replace.
+func centered(x, ql, qi, hModQi uint64) uint64 {
+	v := x + ql>>1
+	if v >= ql {
+		v -= ql
+	}
+	if v >= qi {
+		v %= qi
+	}
+	d := v - hModQi
+	if d > v { // borrow
+		d += qi
+	}
+	return d
 }
 
 // SubScale computes out = (a − c)·q_l^{-1} mod q_i — the tail of Rescale on
@@ -297,10 +342,19 @@ func (r *Rescaler) CenterLast(dst, last []uint64, l, i int) {
 // forward transform of CenterLast's output, out is the NTT image of the
 // rescaled limb. out may alias a or c.
 func (r *Rescaler) SubScale(out, a, c []uint64, l, i int) {
-	qi, k := r.moduli[i], r.consts[l][i]
+	qi, w, ws := r.moduli[i].Q, r.consts[l][i].qlInv, r.consts[l][i].qlInvShoup
 	a, c = a[:len(out)], c[:len(out)]
 	for t := range out {
-		out[t] = qi.MulShoup(qi.Sub(a[t], c[t]), k.qlInv, k.qlInvShoup)
+		d := a[t] - c[t]
+		if d > a[t] { // borrow
+			d += qi
+		}
+		hi, _ := bits.Mul64(d, ws)
+		v := d*w - hi*qi
+		if v >= qi {
+			v -= qi
+		}
+		out[t] = v
 	}
 }
 
@@ -312,16 +366,12 @@ func (r *Rescaler) Rescale(out, in [][]uint64) {
 	if l < 1 {
 		panic("rns: rescale needs at least two limbs")
 	}
-	half := r.moduli[l].Q >> 1
+	ql := r.moduli[l].Q
 	for i := 0; i < l; i++ {
 		qi, k := r.moduli[i], r.consts[l][i]
 		o, a, last := out[i], in[i], in[l]
 		for t := range o {
-			// Centered representative of a_l modulo q_i.
-			c := qi.Reduce(last[t])
-			if last[t] > half {
-				c = qi.Sub(c, k.qlModQi)
-			}
+			c := centered(last[t], ql, qi.Q, k.halfModQi)
 			o[t] = qi.MulShoup(qi.Sub(a[t], c), k.qlInv, k.qlInvShoup)
 		}
 	}
@@ -379,16 +429,26 @@ func (d *Decomposer) DigitRange(level, dig int) (lo, hi int) {
 // coefficient domain) and extends it to the active basis: out must have
 // level+1+len(P) limbs ordered Q_0..Q_level, P_0..P_{alpha-1}. Digit-own
 // limbs are copied verbatim; the rest — and only those — are produced by
-// RNSconv, written straight into out.
+// RNSconv (ExtendDigit), written straight into out.
 func (d *Decomposer) DecomposeAndExtend(level, dig int, in, out [][]uint64) {
+	lo, hi := d.DigitRange(level, dig)
+	d.ExtendDigit(level, dig, in, out)
+	for i := lo; i < hi; i++ {
+		copy(out[i], in[i])
+	}
+}
+
+// ExtendDigit is DecomposeAndExtend without the copy: it writes every limb of
+// out except the digit's own [lo, hi), which it leaves untouched. A digit-own
+// limb of the extension is the input limb itself, so a caller that already
+// holds the input's NTT image has that row's transform and needs neither the
+// copy nor the transform of it.
+func (d *Decomposer) ExtendDigit(level, dig int, in, out [][]uint64) {
 	lo, hi := d.DigitRange(level, dig)
 	e := d.extenders[dig][hi-lo-1]
 	nQP := level + 1 + len(d.P)
 	if len(out) != nQP {
 		panic(fmt.Sprintf("rns: out has %d limbs, want %d", len(out), nQP))
-	}
-	for i := lo; i < hi; i++ {
-		copy(out[i], in[i])
 	}
 	var b block
 	for t0, n := 0, len(in[0]); t0 < n; t0 += e.blockLen {
@@ -396,11 +456,11 @@ func (d *Decomposer) DecomposeAndExtend(level, dig int, in, out [][]uint64) {
 		e.stage(&b, in[lo:hi], t0, cnt)
 		for i := 0; i <= level; i++ {
 			if i < lo || i >= hi {
-				e.emit(out[i][t0:t0+cnt], i, &b)
+				e.emit(out[i][t0:t0+cnt], i, hi-lo, &b)
 			}
 		}
 		for j := range d.P {
-			e.emit(out[level+1+j][t0:t0+cnt], len(d.Q)+j, &b)
+			e.emit(out[level+1+j][t0:t0+cnt], len(d.Q)+j, hi-lo, &b)
 		}
 	}
 }
