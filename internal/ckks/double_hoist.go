@@ -1,14 +1,16 @@
 package ckks
 
 import (
-	"fmt"
-
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 	"poseidon/internal/trace"
 )
 
-// Double-hoisted linear transforms.
+// Double-hoisted linear transforms: the one linear-transform engine. The
+// per-rotation schedule it is measured against below is a test reference
+// (per_rotation_test.go), built from the basic ops alone. Every stage here —
+// the P·ct lift included — is an ltState or ksDigits method under ring.Run /
+// ring.RunChunks; the engine reaches the pool no other way.
 //
 // The per-rotation BSGS schedule pays one full keyswitch — digit MACs plus
 // an inverse-NTT sweep and a ModDown — for every baby-step rotation AND
@@ -96,8 +98,10 @@ type ltState struct {
 	gd [][][]uint64         // digit matrices of the giant-step keyswitch
 
 	// ctP0/ctP1 hold P·ct over the Q rows (NTT domain) — the lazy QP image
-	// of the identity rotation; its P rows are identically zero, which the
-	// MAC stage exploits by skipping identity terms on P limbs.
+	// of the identity rotation, lifted from the operand ct; its P rows are
+	// identically zero, which the MAC stage exploits by skipping identity
+	// terms on P limbs.
+	ct         *Ciphertext
 	ctP0, ctP1 *ring.Poly
 
 	babies   []qpAccum       // lazy QP rotations, one per plan baby step
@@ -165,7 +169,7 @@ func (st *ltState) release() {
 		st.wideG = nil
 	}
 	st.g, st.key = nil, nil
-	st.plan = nil
+	st.plan, st.ct = nil, nil
 	st.p0, st.p1 = nil, nil
 	st.ev = nil
 	pushFree(params, &params.ltFree, st)
@@ -177,7 +181,7 @@ func (st *ltState) release() {
 // final close. The result encrypts M·slots(ct) with scale
 // ct.Scale·lt.Scale (rescale afterwards). Requires rotation keys for
 // lt.Plan().GaloisElements(). The result is decrypt-equivalent to — but not
-// bit-identical with — EvaluateLinearTransformPerRotation (ModDown rounding
+// bit-identical with — the per-rotation reference schedule (ModDown rounding
 // is regrouped; the difference is O(1) ring units, far below the noise
 // floor).
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
@@ -207,7 +211,7 @@ func (ev *Evaluator) EvaluateLinearTransformWithStats(ct *Ciphertext, lt *Linear
 // timing detail nested around those ops.
 func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform) LinTransStats {
 	if ct.Level < lt.Level {
-		panic(fmt.Sprintf("ckks: transform needs level %d, ciphertext at %d", lt.Level, ct.Level))
+		panic(opErr("LinTrans", ct.Level, ErrLevelExhausted, "transform needs level %d, ciphertext at %d", lt.Level, ct.Level))
 	}
 	if ct.Level > lt.Level {
 		ct = ev.DropLevel(ct, lt.Level)
@@ -270,9 +274,18 @@ func (st *ltState) hoist(ct *Ciphertext) {
 		st.stats.InverseNTTLimbs += st.qLimbs
 		st.stats.NTTLimbs += params.Digits(st.level)*st.ext1 - st.qLimbs // digit-own rows are ct.C1's
 	}
-	params.RingQ.MulScalarRNSParallel(st.ctP0, ct.C0, params.pModQ[:st.qLimbs], ev.pool)
-	params.RingQ.MulScalarRNSParallel(st.ctP1, ct.C1, params.pModQ[:st.qLimbs], ev.pool)
+	st.ct = ct
+	ring.Run(ev.pool, st.qLimbs, st, (*ltState).liftStage)
 	st.ctP0.IsNTT, st.ctP1.IsNTT = true, true
+}
+
+// liftStage is limb i of P·ct, both components.
+func (st *ltState) liftStage(i int) {
+	mod := st.params.RingQ.Moduli[i]
+	p := mod.Reduce(st.params.pModQ[i])
+	ps := mod.ShoupConstant(p)
+	mod.VecMulShoup(st.ctP0.Coeffs[i], st.ct.C0.Coeffs[i], p, ps)
+	mod.VecMulShoup(st.ctP1.Coeffs[i], st.ct.C1.Coeffs[i], p, ps)
 }
 
 // babyPhase materializes every baby step as a lazy extended-basis rotation

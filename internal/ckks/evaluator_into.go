@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
 
@@ -50,86 +51,109 @@ func aliases(a, b *ring.Poly) bool {
 	return a == b || &a.Coeffs[0][0] == &b.Coeffs[0][0]
 }
 
-func kernAdd(c *opCall) {
-	rq, pool, out := c.ev.params.RingQ, c.ev.pool, c.out
-	reshapeCt(out, c.level)
-	rq.AddParallel(out.C0, c.x.C0, c.y.C0, pool)
-	rq.AddParallel(out.C1, c.x.C1, c.y.C1, pool)
-	out.Scale = c.x.Scale
+// limbwise runs one per-limb stage over both components of the operands cut
+// to the run level; the result lies in the domain the first operand lies in.
+func (c *opCall) limbwise(stage func(*opCall, int), scale float64) {
+	reshapeCt(c.out, c.level)
+	ring.Run(c.ev.pool, c.level+1, c, stage)
+	c.out.C0.IsNTT, c.out.C1.IsNTT = c.x.C0.IsNTT, c.x.C1.IsNTT
+	c.out.Scale = scale
 }
 
-func kernSub(c *opCall) {
-	rq, pool, out := c.ev.params.RingQ, c.ev.pool, c.out
-	reshapeCt(out, c.level)
-	rq.SubParallel(out.C0, c.x.C0, c.y.C0, pool)
-	rq.SubParallel(out.C1, c.x.C1, c.y.C1, pool)
-	out.Scale = c.x.Scale
+// The additive ops are linear over the coefficients and over the NTT points
+// alike, so their stages run in whichever domain the operands share.
+func kernAdd(c *opCall)      { c.limbwise((*opCall).addLimb, c.x.Scale) }
+func kernSub(c *opCall)      { c.limbwise((*opCall).subLimb, c.x.Scale) }
+func kernNeg(c *opCall)      { c.limbwise((*opCall).negLimb, c.x.Scale) }
+func kernAddPlain(c *opCall) { c.limbwise((*opCall).addPlainLimb, c.x.Scale) }
+
+func (c *opCall) addLimb(i int) {
+	mod := c.ev.params.RingQ.Moduli[i]
+	addRows(mod, c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.y.C0.Coeffs[i])
+	addRows(mod, c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.y.C1.Coeffs[i])
 }
 
-func kernNeg(c *opCall) {
-	rq, pool, out := c.ev.params.RingQ, c.ev.pool, c.out
-	reshapeCt(out, c.level)
-	rq.NegParallel(out.C0, c.x.C0, pool)
-	rq.NegParallel(out.C1, c.x.C1, pool)
-	out.Scale = c.x.Scale
-}
-
-// kernAddPlain adds the plaintext to C0; C1 is the operand's, copied unless
-// the destination already is the operand.
-func kernAddPlain(c *opCall) {
-	out, x := c.out, c.x
-	reshapeCt(out, c.level)
-	c.ev.params.RingQ.AddParallel(out.C0, x.C0, prefix(c.pt.Value, c.level+1), c.ev.pool)
-	if !aliases(out.C1, x.C1) {
-		copyInto(out.C1, x.C1)
+func (c *opCall) subLimb(i int) {
+	mod := c.ev.params.RingQ.Moduli[i]
+	for _, p := range [2][3][]uint64{
+		{c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.y.C0.Coeffs[i]},
+		{c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.y.C1.Coeffs[i]},
+	} {
+		o, a, b := p[0], p[1], p[2]
+		for j := range o {
+			o[j] = mod.Sub(a[j], b[j])
+		}
 	}
-	out.Scale = x.Scale
+}
+
+func (c *opCall) negLimb(i int) {
+	mod := c.ev.params.RingQ.Moduli[i]
+	for _, p := range [2][2][]uint64{{c.out.C0.Coeffs[i], c.x.C0.Coeffs[i]}, {c.out.C1.Coeffs[i], c.x.C1.Coeffs[i]}} {
+		o, a := p[0], p[1]
+		for j := range o {
+			o[j] = mod.Neg(a[j])
+		}
+	}
+}
+
+// addPlainLimb adds the plaintext to C0; C1 is the operand's, copied unless
+// the destination already is the operand.
+func (c *opCall) addPlainLimb(i int) {
+	addRows(c.ev.params.RingQ.Moduli[i], c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pt.Value.Coeffs[i])
+	if o, x := c.out.C1.Coeffs[i], c.x.C1.Coeffs[i]; &o[0] != &x[0] {
+		copy(o, x)
+	}
+}
+
+// addRows is o = a + b modulo mod, element-wise.
+func addRows(mod numeric.Modulus, o, a, b []uint64) {
+	for j := range o {
+		o[j] = mod.Add(a[j], b[j])
+	}
 }
 
 // kernMulPlain is PMult. On the lazy-kernel path the plaintext's Montgomery
 // image is memoized on first use (see Plaintext.montImage), so repeated
 // multiplications by the same plaintext skip the per-element lift and run
-// only the REDC tail — bit-identical to the unmemoized product.
+// only the REDC tail — bit-identical to the Barrett product of the reference
+// path.
 func kernMulPlain(c *opCall) {
-	ev, out, x := c.ev, c.out, c.x
-	rq := ev.params.RingQ
-	limbs := c.level + 1
-	reshapeCt(out, c.level)
-	if !rq.StrictKernels() {
+	rq, stage := c.ev.params.RingQ, (*opCall).mulPlainLimb
+	if rq.StrictKernels() {
+		c.pv, stage = c.pt.Value, (*opCall).mulPlainBarrettLimb
+	} else {
 		c.pv = c.pt.montImage(rq)
 	}
-	if c.pv != nil {
-		if !x.C0.IsNTT || !x.C1.IsNTT || !c.pv.IsNTT {
-			panic("ckks: MulPlain: operands must be in NTT domain")
-		}
-		ring.Run(ev.pool, limbs, c, (*opCall).mulPlainLimb)
-		out.C0.IsNTT, out.C1.IsNTT = true, true
-	} else {
-		pv := prefix(c.pt.Value, limbs)
-		rq.MulCoeffwiseParallel(out.C0, x.C0, pv, ev.pool)
-		rq.MulCoeffwiseParallel(out.C1, x.C1, pv, ev.pool)
-	}
-	out.Scale = x.Scale * c.pt.Scale
+	c.pointwise(stage, c.x.Scale*c.pt.Scale)
 }
 
+// mulPlainLimb is the REDC tail against the plaintext's Montgomery image.
 func (c *opCall) mulPlainLimb(i int) {
 	mod := c.ev.params.RingQ.Moduli[i]
 	mod.VecMRed(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pv.Coeffs[i])
 	mod.VecMRed(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.pv.Coeffs[i])
 }
 
-// pointwise is the kernel of the scalar ops: one per-limb stage over
-// NTT-domain operands, where a constant polynomial c is the constant vector c
-// and X^{N/2} a vector of two values. Residues stay canonical, so each pass
-// is bit-identical to the op it stands for on the encoded constant.
+// mulPlainBarrettLimb is the reference product against the rows as encoded.
+func (c *opCall) mulPlainBarrettLimb(i int) {
+	mod, pv := c.ev.params.RingQ.Moduli[i], c.pv.Coeffs[i]
+	for _, p := range [2][2][]uint64{{c.out.C0.Coeffs[i], c.x.C0.Coeffs[i]}, {c.out.C1.Coeffs[i], c.x.C1.Coeffs[i]}} {
+		o, a := p[0], p[1]
+		for j := range o {
+			o[j] = mod.Mul(a[j], pv[j])
+		}
+	}
+}
+
+// pointwise is the kernel of PMult and the scalar ops: one per-limb stage
+// over NTT-domain operands, where a constant polynomial c is the constant
+// vector c and X^{N/2} a vector of two values. Residues stay canonical, so
+// each pass is bit-identical to the op it stands for on the encoded constant.
 func (c *opCall) pointwise(stage func(*opCall, int), scale float64) {
-	if !c.x.C0.IsNTT || !c.x.C1.IsNTT || c.d.binary && !(c.y.C0.IsNTT && c.y.C1.IsNTT) {
+	if !c.x.C0.IsNTT || !c.x.C1.IsNTT || c.d.binary && !(c.y.C0.IsNTT && c.y.C1.IsNTT) || c.d.plain && !c.pv.IsNTT {
 		panic("ckks: " + c.d.name + ": operands must be in NTT domain")
 	}
-	reshapeCt(c.out, c.level)
-	ring.Run(c.ev.pool, c.level+1, c, stage)
-	c.out.C0.IsNTT, c.out.C1.IsNTT = true, true
-	c.out.Scale = scale
+	c.limbwise(stage, scale)
 }
 
 func kernMulScalar(c *opCall) { c.pointwise((*opCall).mulScalarLimb, c.x.Scale*c.s.scale) }

@@ -6,30 +6,40 @@ import (
 )
 
 // Differential suite for the fused radix-2^k NTT kernels: every evaluator
-// operation must be BIT-IDENTICAL between the plain radix-2 kernels (k=1
-// lazy, and strict), the default dispatch (fused k=3) and the fused plans at
-// every other supported degree. The modes
-// run on ONE Parameters instance toggled via SetFusionDegree, so keys,
-// encryption randomness, and inputs are literally the same objects — any
-// coefficient difference is a kernel bug, not setup noise. This is the
-// license for flipping fusion degrees freely in production: like worker
-// counts and strictness, the fusion degree is an execution detail, never a
-// numerical one.
+// operation must be BIT-IDENTICAL between the strict reference, the default
+// dispatch (fused k=3) and the fused kernel at every other degree checked
+// here. The modes run on ONE Parameters instance whose two rings are toggled
+// via ring.Ring.SetFusionDegree — the only place a degree can be set, and
+// nothing but these tests sets one — so keys, encryption randomness, and
+// inputs are literally the same objects: any coefficient difference is a
+// kernel bug, not setup noise. What ties each degree to the plain radix-2
+// transform is pinned where the kernels live: internal/ntt's
+// TestFusedMatchesPlain / TestInverseFusedMatchesPlain (k ∈ [1, 6] against
+// Table.Forward / Inverse) and TestFusedMatchesStrictEveryLogN (against the
+// strict transform, every logN ≤ 14).
 
 // fusedDiffDegrees are the fusion degrees checked against the default
-// dispatch (SetFusionDegree(0), the fused k=3 kernels). k=1 is the plain
-// lazy radix-2 transform — the side that makes this a differential test;
-// k=4 exercises the generic (non-specialized) kernel path.
+// dispatch (the fused k=3 kernels). k=1 runs one butterfly stage per pass —
+// the radix-2 schedule; k=4 exercises the generic (non-specialized) kernel
+// path.
 var fusedDiffDegrees = []int{1, 2, 3, 4}
+
+// setFusionDegree selects degree k (0: the default) on both rings.
+func setFusionDegree(params *Parameters, k int) error {
+	if err := params.RingQ.SetFusionDegree(k); err != nil {
+		return err
+	}
+	return params.RingP.SetFusionDegree(k)
+}
 
 // withFusionCkks runs f under fusion degree k and restores the default.
 func withFusionCkks(t testing.TB, params *Parameters, k int, f func()) {
 	t.Helper()
-	if err := params.SetFusionDegree(k); err != nil {
+	if err := setFusionDegree(params, k); err != nil {
 		t.Fatalf("SetFusionDegree(%d): %v", k, err)
 	}
 	defer func() {
-		if err := params.SetFusionDegree(0); err != nil {
+		if err := setFusionDegree(params, 0); err != nil {
 			t.Fatalf("SetFusionDegree(0): %v", err)
 		}
 	}()
@@ -79,7 +89,7 @@ func TestFusedDiffStrictPrecedence(t *testing.T) {
 	var got *Ciphertext
 	withStrictCkks(params, true, func() {
 		withFusionCkks(t, params, 2, func() {
-			if params.FusionDegree() != 2 {
+			if params.RingQ.FusionDegree() != 2 {
 				t.Fatal("FusionDegree not reported while strict")
 			}
 			got = dc.serial.MulRelin(ct1, ct2)
@@ -124,7 +134,7 @@ func TestFusedDiffIntoDirtyAndAliased(t *testing.T) {
 
 // TestFusedDecryptIdentity is the end-to-end acceptance check: a multi-op
 // chain evaluated under every fusion degree must decrypt to the exact same
-// slot values as the radix-2 chain (the ciphertexts are bit-identical, so
+// slot values as the default chain (the ciphertexts are bit-identical, so
 // the decoded complex values must match exactly, not just approximately).
 func TestFusedDecryptIdentity(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
@@ -158,10 +168,10 @@ func TestFusedDecryptIdentity(t *testing.T) {
 	}
 }
 
-// TestFusionDegreeLiteralFlag: the literal carries no degree — a fresh
-// instance runs the fused radix-8 default on both rings — and
-// SetFusionDegree validates its range, with 0 meaning that default,
-// reported as the degree actually running, never 0.
+// TestFusionDegreeLiteralFlag: neither the literal nor Parameters carries a
+// degree — a fresh instance runs the fused radix-8 default on both rings —
+// and the rings' own setter validates its range, with 0 meaning that
+// default, reported as the degree actually running, never 0.
 func TestFusionDegreeLiteralFlag(t *testing.T) {
 	params, err := NewParameters(ParametersLiteral{
 		LogN:     8,
@@ -172,26 +182,27 @@ func TestFusionDegreeLiteralFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if params.FusionDegree() != 3 || params.RingP.FusionDegree() != 3 {
+	rq, rp := params.RingQ, params.RingP
+	if rq.FusionDegree() != 3 || rp.FusionDegree() != 3 {
 		t.Fatalf("a fresh instance runs degree %d/%d, want the fused radix-8 default",
-			params.FusionDegree(), params.RingP.FusionDegree())
+			rq.FusionDegree(), rp.FusionDegree())
 	}
-	if err := params.SetFusionDegree(1); err != nil {
+	if err := setFusionDegree(params, 1); err != nil {
 		t.Fatal(err)
 	}
-	if params.FusionDegree() != 1 || params.RingP.FusionDegree() != 1 {
+	if rq.FusionDegree() != 1 || rp.FusionDegree() != 1 {
 		t.Fatal("SetFusionDegree(1) not applied to both rings")
 	}
-	if err := params.SetFusionDegree(0); err != nil {
+	if err := setFusionDegree(params, 0); err != nil {
 		t.Fatal(err)
 	}
-	if params.FusionDegree() != 3 {
+	if rq.FusionDegree() != 3 || rp.FusionDegree() != 3 {
 		t.Fatal("SetFusionDegree(0) did not restore the default degree")
 	}
-	if err := params.SetFusionDegree(7); err == nil {
+	if err := rq.SetFusionDegree(7); err == nil {
 		t.Fatal("SetFusionDegree(7) should error")
 	}
-	if err := params.SetFusionDegree(-1); err == nil {
+	if err := rq.SetFusionDegree(-1); err == nil {
 		t.Fatal("SetFusionDegree(-1) should error")
 	}
 }

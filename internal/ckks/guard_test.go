@@ -177,6 +177,12 @@ func TestTrySentinels(t *testing.T) {
 		{"short-row operand", ErrInvalidInput, "", false, func(c *sentinelCase) {
 			c.a = &Ciphertext{C0: c.a.C0, C1: shortRows(c.a.C1), Scale: c.a.Scale, Level: top}
 		}},
+		{"mismatched limb counts", ErrInvalidInput, "", false, func(c *sentinelCase) {
+			c.a = &Ciphertext{C0: c.a.C0, C1: prefix(c.a.C1, top), Scale: c.a.Scale, Level: top}
+		}},
+		{"short-row second operand", ErrInvalidInput, "Add Sub MulRelin", false, func(c *sentinelCase) {
+			c.b = &Ciphertext{C0: shortRows(c.b.C0), C1: c.b.C1, Scale: c.b.Scale, Level: top}
+		}},
 		{"short-row plaintext", ErrInvalidInput, "AddPlain MulPlain", false, func(c *sentinelCase) {
 			c.pt = &Plaintext{Value: shortRows(c.pt.Value), Scale: c.pt.Scale, Level: c.pt.Level}
 		}},

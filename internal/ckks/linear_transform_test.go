@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -12,7 +13,7 @@ import (
 // reference: the double-hoisted result is decrypt-equivalent but not
 // bit-identical (ModDown rounding is regrouped), so cross-path checks go
 // through decryption while within-path checks (strict vs lazy kernels,
-// fused vs radix-2 NTTs, dirty/aliased destinations) demand exact
+// fused degree 3 vs 1, dirty/aliased destinations) demand exact
 // coefficient equality.
 
 // ltMatFromDiags assembles a row-major n×n matrix from its generalized
@@ -86,7 +87,7 @@ func newLtFixture(t testing.TB, params *Parameters, lt *LinearTransform, enc *En
 // TestDoubleHoistedLinearTransform runs a dense random matrix on both
 // differential parameter sets and checks, per set:
 //   - double-hoisted output is bit-identical across strict/lazy kernels,
-//     fused (k=3) vs radix-2 NTTs, and dirty or input-aliased destinations;
+//     fused NTTs at k=3 vs k=1, and dirty or input-aliased destinations;
 //   - both evaluation paths decrypt to the plaintext ground truth M·z.
 func TestDoubleHoistedLinearTransform(t *testing.T) {
 	for name, params := range diffParamSets(t) {
@@ -110,14 +111,9 @@ func TestDoubleHoistedLinearTransform(t *testing.T) {
 			withStrictCkks(params, false, func() { lazyOut = ev.EvaluateLinearTransform(fx.ct, lt) })
 			requireCtEqual(t, lazyOut, strictOut, "double-hoisted strict vs lazy")
 
-			if err := params.SetFusionDegree(1); err != nil {
-				t.Fatal(err)
-			}
-			radix2 := ev.EvaluateLinearTransform(fx.ct, lt)
-			if err := params.SetFusionDegree(0); err != nil {
-				t.Fatal(err)
-			}
-			requireCtEqual(t, lazyOut, radix2, "double-hoisted fused k=3 (default) vs radix-2")
+			withFusionCkks(t, params, 1, func() {
+				requireCtEqual(t, lazyOut, ev.EvaluateLinearTransform(fx.ct, lt), "double-hoisted fused k=3 (default) vs k=1")
+			})
 
 			// A destination full of stale coefficients must be fully
 			// overwritten, including the implicit zero rows.
@@ -263,15 +259,28 @@ func TestLinearTransformLevels(t *testing.T) {
 	assertClose(t, fx.enc.Decode(fx.decr.Decrypt(fx.ev.Rescale(got))), ltMatVec(m, fx.z), 1e-2,
 		"auto-dropped input decrypts to M·z")
 
+	// A ciphertext below the transform's level is a usage error, and the
+	// recovery boundaries must be able to tell: the panic value is a typed
+	// *OpError naming LinTrans and ErrLevelExhausted, which recoverOp passes
+	// through — a bare string would come out as ErrInternal, "a bug".
 	low := fx.ev.DropLevel(fx.ct, level-1)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("transform at level above the ciphertext did not panic")
-			}
+	for name, eval := range map[string]func(){
+		"double-hoisted": func() { fx.ev.EvaluateLinearTransform(low, lt) },
+		"per-rotation":   func() { fx.ev.EvaluateLinearTransformPerRotation(low, lt) },
+	} {
+		var err error
+		func() {
+			defer recoverOp("caller", &low.Level, &err)
+			eval()
 		}()
-		fx.ev.EvaluateLinearTransform(low, lt)
-	}()
+		var oe *OpError
+		if !errors.As(err, &oe) || oe.Op != "LinTrans" || oe.Level != low.Level {
+			t.Errorf("%s at level above the ciphertext: %v, want a LinTrans *OpError at level %d", name, err, low.Level)
+		}
+		if !errors.Is(err, ErrLevelExhausted) || errors.Is(err, ErrInternal) {
+			t.Errorf("%s at level above the ciphertext: %v, want ErrLevelExhausted", name, err)
+		}
+	}
 }
 
 // TestLinearTransformZeroMatrix: the all-zero matrix has an empty plan, no

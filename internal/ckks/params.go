@@ -323,23 +323,6 @@ func (p *Parameters) SetStrictKernels(strict bool) {
 // StrictKernels reports whether the strict reference kernels are selected.
 func (p *Parameters) StrictKernels() bool { return p.RingQ.StrictKernels() }
 
-// SetFusionDegree switches both rings to the radix-2^k NTT kernels: k in
-// [2, 6] fused, 1 plain radix-2, 0 back to the default fused radix-8.
-// Selecting a degree builds nothing — the kernels read the NTT tables'
-// twiddles in place — outputs are bit-identical for every setting and
-// strict mode takes precedence while set. See ring.Ring.SetFusionDegree for
-// the concurrency caveat.
-func (p *Parameters) SetFusionDegree(k int) error {
-	if err := p.RingQ.SetFusionDegree(k); err != nil {
-		return err
-	}
-	return p.RingP.SetFusionDegree(k)
-}
-
-// FusionDegree reports the degree the NTT kernels run at (default 3; 1 =
-// plain radix-2).
-func (p *Parameters) FusionDegree() int { return p.RingQ.FusionDegree() }
-
 // Workers reports the limb-parallel worker bound evaluators inherit from
 // these parameters.
 func (p *Parameters) Workers() int { return p.pool.Workers() }

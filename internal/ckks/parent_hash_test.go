@@ -30,6 +30,15 @@ var parentHashes = map[string]string{
 	"KeySwitchInto":      "2b061de9b75e166e97e9632a32ae09447f697cf01ba493619d7890697f74bdc3",
 	"ConjugateInto":      "a36c446fba1e2277ee49c96a37178762c5e47e4681b8ee5c151bf72507d9f05e",
 	"RotateInto/aliased": "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
+
+	// Added at 65683df, the commit before the elementwise ops and the
+	// transform's P·ct lift became limb stages under ring.Run (they called the
+	// ring's *Parallel twins): the ops that change touched.
+	"AddInto":      "42c3102b7188123a3eaa032d5dd6eb80113490e2c26ba1a47808de32cc0302e7",
+	"SubInto":      "12d47733186492fcb32e0dc9cf0dc609f2b7fe5f389ae8cae3382068571f411b",
+	"NegInto":      "25aa4f1340be4bd1aee02b817ce15bc97e5c1e50d2229b8ca519cf09679ecbc3",
+	"AddPlainInto": "49d7c0a5d2f6f4e4f1a241a790facc752fdf63c73a599985e2fb74357c8d94b6",
+	"MulPlainInto": "676e8f9958a9ddc0217726f9e52608e48458903abf470b0fccf258071e797c5a",
 }
 
 func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
@@ -66,6 +75,7 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 				encr := NewEncryptor(params, kgen.GenPublicKey(sk), 29)
 				ct := encr.Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
 				ct2 := encr.Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
+				pt := enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale)
 
 				// The conjugation key is drawn last, after everything the four
 				// 3fb52a2 digests depend on, so it shifts none of them.
@@ -84,6 +94,11 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 					"RotateInto":                  ev.RotateInto(NewCiphertext(params, ct.Level), ct, 7),
 					"Hoisted.Rotate":              h.Rotate(7),
 					"MulRelinInto":                ev.MulRelinInto(NewCiphertext(params, ct.Level), ct, ct2),
+					"AddInto":                     ev.AddInto(NewCiphertext(params, ct.Level), ct, ct2),
+					"SubInto":                     ev.SubInto(NewCiphertext(params, ct.Level), ct, ct2),
+					"NegInto":                     ev.NegInto(NewCiphertext(params, ct.Level), ct),
+					"AddPlainInto":                ev.AddPlainInto(NewCiphertext(params, ct.Level), ct, pt),
+					"MulPlainInto":                ev.MulPlainInto(NewCiphertext(params, ct.Level), ct, pt),
 				}
 				for name, out := range got {
 					blob, err := out.MarshalBinary()

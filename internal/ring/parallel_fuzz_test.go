@@ -7,7 +7,8 @@ import (
 	"poseidon/internal/automorph"
 )
 
-// FuzzHFAutoParallel drives the limb-parallel HFAuto automorphism path with
+// FuzzHFAutoParallel drives the HFAuto automorphism limb-parallel (one shared
+// routing map, automorphismOver in parallel_test.go) with
 // random Galois elements and coefficients and checks it against the naive
 // per-element index map i ↦ i·g mod N — including the negacyclic sign
 // fix-up (coefficients landing past X^N pick up a minus sign). The two
@@ -30,7 +31,7 @@ func FuzzHFAutoParallel(f *testing.F) {
 		src := randPoly(r, rng, 3, false)
 
 		got := r.NewPoly(3)
-		r.AutomorphismParallel(got, src, g, pool)
+		automorphismOver(r, pool, got, src, g)
 
 		want := r.NewPoly(3)
 		for i := range want.Coeffs {

@@ -16,6 +16,22 @@ func testPools() []*Pool {
 	return []*Pool{nil, NewPool(1), NewPool(2), NewPool(4), NewPool(16), NewPool(100)}
 }
 
+// automorphismOver applies X ↦ X^g limb by limb across the pool, the way a
+// limb stage would: one routing map shared by every task, staging per task.
+// What it leans on — HFCache.Get, Map.ApplyScratch on a shared map, GetVec /
+// PutVec — is documented safe for concurrent use; the tests below hold it to
+// that against the serial Automorphism.
+func automorphismOver(r *Ring, pool *Pool, dst, src *Poly, g uint64) {
+	m := r.HF.Get(g)
+	pool.ForEach(len(src.Coeffs), func(i int) {
+		stage := r.GetVec()
+		m.ApplyScratch(dst.Coeffs[i], src.Coeffs[i], r.Moduli[i], stage)
+		r.PutVec(stage)
+	})
+}
+
+// TestParallelMatchesSerial: NTT is NTTParallel on a nil pool; every pool
+// width must give its bits.
 func TestParallelMatchesSerial(t *testing.T) {
 	r := testRing(t, 256, 8)
 	rng := rand.New(rand.NewSource(70))
@@ -28,63 +44,53 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !a.Equal(b) {
 			t.Fatalf("workers=%d: NTTParallel differs from NTT", pool.Workers())
 		}
-		r.INTT(a)
-		r.INTTParallel(b, pool)
-		if !a.Equal(b) {
-			t.Fatalf("workers=%d: INTTParallel differs from INTT", pool.Workers())
-		}
 	}
 }
 
+// TestParallelElementwiseMatchesSerial: the limbs of an RNS polynomial are
+// independent — an elementwise op over the whole chain is that op over each
+// prime's own ring — which is what lets the evaluator run them as limb stages
+// in any order on any worker. Checked with the serial ops themselves, one
+// single-prime ring per limb, dispatched across every pool width.
 func TestParallelElementwiseMatchesSerial(t *testing.T) {
-	r := testRing(t, 128, 6)
+	const limbs = 6
+	r := testRing(t, 128, limbs)
 	rng := rand.New(rand.NewSource(71))
-	a := randPoly(r, rng, 6, true)
-	b := randPoly(r, rng, 6, true)
-	scalars := make([]uint64, 6)
+	a := randPoly(r, rng, limbs, true)
+	b := randPoly(r, rng, limbs, true)
+	scalars := make([]uint64, limbs)
 	for i := range scalars {
 		scalars[i] = rng.Uint64()
 	}
-
-	want := r.NewPoly(6)
-	got := r.NewPoly(6)
-	for _, pool := range testPools() {
-		w := pool.Workers()
-
-		r.MulCoeffwise(want, a, b)
-		r.MulCoeffwiseParallel(got, a, b, pool)
-		if !got.Equal(want) {
-			t.Errorf("workers=%d: MulCoeffwiseParallel differs from serial", w)
+	sub := make([]*Ring, limbs)
+	for i := range sub {
+		var err error
+		if sub[i], err = NewRing(r.N, []uint64{r.Moduli[i].Q}, 0); err != nil {
+			t.Fatal(err)
 		}
+	}
+	limb := func(p *Poly, i int) *Poly { return &Poly{Coeffs: p.Coeffs[i : i+1], IsNTT: p.IsNTT} }
 
-		r.MulCoeffwiseAdd(want, a, b)
-		r.MulCoeffwiseAddParallel(got, a, b, pool)
-		if !got.Equal(want) {
-			t.Errorf("workers=%d: MulCoeffwiseAddParallel differs from serial", w)
-		}
-
-		r.Add(want, a, b)
-		r.AddParallel(got, a, b, pool)
-		if !got.Equal(want) {
-			t.Errorf("workers=%d: AddParallel differs from serial", w)
-		}
-
-		r.Sub(want, a, b)
-		r.SubParallel(got, a, b, pool)
-		if !got.Equal(want) {
-			t.Errorf("workers=%d: SubParallel differs from serial", w)
-		}
-
-		r.Neg(want, a)
-		r.NegParallel(got, a, pool)
-		if !got.Equal(want) {
-			t.Errorf("workers=%d: NegParallel differs from serial", w)
-		}
-
-		r.MulScalarRNS(want, a, scalars)
-		r.MulScalarRNSParallel(got, a, scalars, pool)
-		if !got.Equal(want) {
-			t.Errorf("workers=%d: MulScalarRNSParallel differs from serial", w)
+	for _, op := range []struct {
+		name string
+		f    func(r *Ring, out, a, b *Poly, scalars []uint64)
+	}{
+		{"MulCoeffwise", func(r *Ring, out, a, b *Poly, _ []uint64) { r.MulCoeffwise(out, a, b) }},
+		{"MulCoeffwiseAdd", func(r *Ring, out, a, b *Poly, _ []uint64) { r.MulCoeffwiseAdd(out, a, b) }},
+		{"Add", func(r *Ring, out, a, b *Poly, _ []uint64) { r.Add(out, a, b) }},
+		{"Sub", func(r *Ring, out, a, b *Poly, _ []uint64) { r.Sub(out, a, b) }},
+		{"Neg", func(r *Ring, out, a, _ *Poly, _ []uint64) { r.Neg(out, a) }},
+		{"MulScalarRNS", func(r *Ring, out, a, _ *Poly, s []uint64) { r.MulScalarRNS(out, a, s) }},
+	} {
+		for _, pool := range testPools() {
+			want, got := a.CopyNew(), a.CopyNew() // MulCoeffwiseAdd accumulates: same start
+			op.f(r, want, a, b, scalars)
+			pool.ForEach(limbs, func(i int) {
+				op.f(sub[i], limb(got, i), limb(a, i), limb(b, i), scalars[i:i+1])
+			})
+			if !got.Equal(want) {
+				t.Errorf("workers=%d: %s limb by limb differs from the whole-chain op", pool.Workers(), op.name)
+			}
 		}
 	}
 }
@@ -99,13 +105,15 @@ func TestParallelAutomorphismMatchesSerial(t *testing.T) {
 		r.Automorphism(want, src, g)
 		for _, pool := range testPools() {
 			got := r.NewPoly(5)
-			r.AutomorphismParallel(got, src, g, pool)
+			automorphismOver(r, pool, got, src, g)
 			if !got.Equal(want) {
-				t.Errorf("g=%d workers=%d: AutomorphismParallel differs", g, pool.Workers())
+				t.Errorf("g=%d workers=%d: limb-parallel automorphism differs", g, pool.Workers())
 			}
 		}
 	}
 
+	// The NTT-domain form as the evaluator's limb stages run it: one cached
+	// permutation table gathered through by every limb task.
 	ntt := src.CopyNew()
 	r.NTT(ntt)
 	for _, g := range []uint64{5, 25, uint64(2*r.N - 1)} {
@@ -113,9 +121,11 @@ func TestParallelAutomorphismMatchesSerial(t *testing.T) {
 		r.AutomorphismNTT(want, ntt, g)
 		for _, pool := range testPools() {
 			got := r.NewPoly(5)
-			r.AutomorphismNTTParallel(got, ntt, g, pool)
+			got.IsNTT = true
+			perm := r.NTTGaloisPermutation(g)
+			pool.ForEach(5, func(i int) { ApplyPermutationNTT(got.Coeffs[i], ntt.Coeffs[i], perm) })
 			if !got.Equal(want) {
-				t.Errorf("g=%d workers=%d: AutomorphismNTTParallel differs", g, pool.Workers())
+				t.Errorf("g=%d workers=%d: limb-parallel NTT-domain permutation differs", g, pool.Workers())
 			}
 		}
 	}
@@ -138,10 +148,10 @@ func TestParallelDomainPanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("INTTParallel on coeff-domain input should panic")
+				t.Error("INTT on coeff-domain input should panic")
 			}
 		}()
-		r.INTTParallel(p, pool)
+		r.INTT(p)
 	}()
 }
 
@@ -161,13 +171,13 @@ func TestConcurrentParallelOps(t *testing.T) {
 		go func(seed int64) {
 			local := src.CopyNew()
 			dst := r.NewPoly(6)
-			r.AutomorphismParallel(dst, local, 5, pool)
+			automorphismOver(r, pool, dst, local, 5)
 			if !dst.Equal(want) {
 				done <- errMismatch
 				return
 			}
 			r.NTTParallel(local, pool)
-			r.INTTParallel(local, pool)
+			r.INTT(local)
 			if !local.Equal(src) {
 				done <- errMismatch
 				return
@@ -228,7 +238,7 @@ func BenchmarkNTTSerialVsParallel(b *testing.B) {
 	b.Run("pool", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			r.NTTParallel(p, pool)
-			r.INTTParallel(p, pool)
+			r.INTT(p)
 		}
 	})
 }

@@ -1,10 +1,7 @@
 package ring
 
 import (
-	"context"
-	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -64,21 +61,6 @@ func DefaultPool() *Pool {
 	return defaultPool
 }
 
-// WorkerPanicError is a panic raised inside a pool worker, captured and
-// surfaced as a structured error by ForEachCtx. Index is the item that
-// panicked, Value the original panic value, Stack the worker's stack at the
-// point of the panic.
-type WorkerPanicError struct {
-	Index int
-	Value any
-	Stack []byte
-}
-
-// Error formats the captured panic with its item index.
-func (e *WorkerPanicError) Error() string {
-	return fmt.Sprintf("ring: pool worker panic on item %d: %v", e.Index, e.Value)
-}
-
 // ForEach runs fn(i) for every i in [0, n), distributing indices across the
 // pool's workers, and returns when all items are done. Items are claimed
 // from a shared atomic counter, so scheduling is dynamic but each index runs
@@ -86,8 +68,9 @@ func (e *WorkerPanicError) Error() string {
 // locations give results bit-identical to a serial loop.
 //
 // Safe for concurrent use, including nested calls (inner calls degrade to
-// inline execution when the pool is saturated). A panic inside fn is
-// captured and re-raised on the calling goroutine.
+// inline execution when the pool is saturated). A panic inside fn stops the
+// other executors claiming items and is re-raised, with its original value,
+// on the calling goroutine (the first one, if several items panic).
 func (p *Pool) ForEach(n int, fn func(i int)) {
 	if p == nil || p.workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
@@ -95,75 +78,26 @@ func (p *Pool) ForEach(n int, fn func(i int)) {
 		}
 		return
 	}
-	if err := p.forEach(nil, n, fn); err != nil {
-		// ctx is nil, so the only possible failure is a captured panic:
-		// re-raise the original value on the calling goroutine.
-		panic(err.(*WorkerPanicError).Value)
-	}
-}
-
-// ForEachCtx is ForEach with two hardenings for long-running or fallible
-// work: it stops claiming items and returns ctx.Err() once ctx is cancelled
-// (items already started run to completion), and a panic inside fn is
-// returned as a *WorkerPanicError — with the panicking item's index and
-// captured stack — instead of being re-raised. Exactly one error is
-// returned even if several workers fail; a captured panic takes precedence
-// over cancellation.
-func (p *Pool) ForEachCtx(ctx context.Context, n int, fn func(i int)) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return p.forEach(ctx, n, fn)
-}
-
-// forEach is the shared executor core. A nil ctx selects the legacy
-// ForEach contract (no cancellation checks on the hot path); the returned
-// error is then always a *WorkerPanicError or nil.
-func (p *Pool) forEach(ctx context.Context, n int, fn func(i int)) error {
 	var next atomic.Int64
 	var mu sync.Mutex
-	var fail error
+	var panicked any // the first panic value an executor recovered
 	loop := func() {
-		cur := -1
 		defer func() {
 			if r := recover(); r != nil {
-				e := &WorkerPanicError{Index: cur, Value: r, Stack: debug.Stack()}
 				mu.Lock()
-				if _, ok := fail.(*WorkerPanicError); !ok {
-					fail = e // panics outrank cancellation
-				}
-				mu.Unlock()
-				next.Store(int64(n)) // stop the other executors early
-			}
-		}()
-		for {
-			if ctx != nil && ctx.Err() != nil {
-				mu.Lock()
-				if fail == nil {
-					fail = ctx.Err()
+				if panicked == nil {
+					panicked = r
 				}
 				mu.Unlock()
 				next.Store(int64(n))
-				return
 			}
-			i := next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			cur = int(i)
-			fn(cur)
+		}()
+		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
+			fn(int(i))
 		}
 	}
 
-	if p == nil || p.workers <= 1 || n <= 1 {
-		loop()
-		return fail
-	}
-
-	helpers := p.workers - 1
-	if helpers > n-1 {
-		helpers = n - 1
-	}
+	helpers := min(p.workers-1, n-1)
 	var wg sync.WaitGroup
 	for h := 0; h < helpers; h++ {
 		select {
@@ -179,7 +113,9 @@ func (p *Pool) forEach(ctx context.Context, n int, fn func(i int)) error {
 	}
 	loop()
 	wg.Wait()
-	return fail
+	if panicked != nil {
+		panic(panicked)
+	}
 }
 
 // Run is the stage runner for pipelines that keep their per-call state in one

@@ -113,6 +113,27 @@ func TestPoolWorkers(t *testing.T) {
 	}
 }
 
+// The original panic value — not a wrapper — is re-raised on the caller, at
+// any pool width.
+func TestForEachStillRethrowsOriginalPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := NewPool(workers)
+		func() {
+			defer func() {
+				r := recover()
+				if r != "original" {
+					t.Fatalf("workers=%d: recovered %v, want the original panic value", workers, r)
+				}
+			}()
+			p.ForEach(32, func(i int) {
+				if i == 7 {
+					panic("original")
+				}
+			})
+		}()
+	}
+}
+
 // runProbe is the state record the stage-runner tests dispatch over: a stage
 // is a method expression on it, exactly how the evaluator's pipelines use
 // Run and RunChunks.

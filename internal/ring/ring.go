@@ -17,8 +17,10 @@ import (
 )
 
 // Ring bundles the modulus chain and per-prime NTT tables for degree N.
-// Construct once, share everywhere; it is immutable and safe for concurrent
-// use.
+// Construct once, configure (SetStrictKernels, SetFusionDegree,
+// SetFaultInjector — each a plain field every hot path reads without
+// synchronization), then share: once a second goroutine can see the ring,
+// its methods are safe for concurrent use and the setters must not be called.
 type Ring struct {
 	N      int
 	LogN   int
@@ -46,10 +48,10 @@ type Ring struct {
 	// pointer compare. See SetFaultInjector.
 	injector *fault.Injector
 
-	// fusionK is the radix-2^k degree every limb transform runs at:
-	// ntt.DefaultFusionDegree unless SetFusionDegree says otherwise, 1 for
-	// the plain lazy radix-2 kernels. The fused kernels read the tables'
-	// own twiddle arrays, so the ring holds no per-limb plan state.
+	// fusionK is the radix-2^k degree the fused limb transforms run at:
+	// ntt.DefaultFusionDegree unless a differential test said otherwise
+	// (SetFusionDegree). The fused kernels read the tables' own twiddle
+	// arrays, so the ring holds no per-limb plan state.
 	fusionK int
 }
 
@@ -121,14 +123,15 @@ func (r *Ring) SetStrictKernels(strict bool) { r.strict = strict }
 // StrictKernels reports whether the strict reference kernels are selected.
 func (r *Ring) StrictKernels() bool { return r.strict }
 
-// SetFusionDegree selects the radix-2^k NTT kernels for every limb
-// transform: k in [2, 6] fuses k butterfly stages per memory pass, k=1 is
-// the plain lazy radix-2 transform (the differential baseline), and k=0
-// restores the default, ntt.DefaultFusionDegree — the paper's Fig-10 sweet
-// spot and the measured one on amd64. Every degree is bit-identical and
-// costs nothing to select: the kernels index the tables' twiddles directly.
-// Strict mode overrides the degree while set. Like SetStrictKernels, call
-// before sharing the ring across goroutines.
+// SetFusionDegree selects the degree of the fused radix-2^k NTT kernel for
+// every limb transform: k in [1, 6] runs k butterfly stages per memory pass
+// (k=1 is one stage per pass), and k=0 restores the default,
+// ntt.DefaultFusionDegree — the paper's Fig-10 sweet spot and the measured
+// one on amd64, the only degree anything but a differential test runs. Every
+// degree is bit-identical (internal/ntt pins each against the radix-2 and the
+// strict transform) and costs nothing to select: the kernels index the
+// tables' twiddles directly. Strict mode overrides the degree while set. Like
+// SetStrictKernels, call before sharing the ring across goroutines.
 func (r *Ring) SetFusionDegree(k int) error {
 	if k == 0 {
 		k = ntt.DefaultFusionDegree
@@ -140,8 +143,7 @@ func (r *Ring) SetFusionDegree(k int) error {
 	return nil
 }
 
-// FusionDegree returns the degree limb transforms run at (1 = plain
-// radix-2; never 0).
+// FusionDegree returns the degree limb transforms run at (never 0).
 func (r *Ring) FusionDegree() int { return r.fusionK }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector on the
@@ -153,22 +155,19 @@ func (r *Ring) SetFaultInjector(in *fault.Injector) { r.injector = in }
 // FaultInjector returns the installed injector (nil when faults are off).
 func (r *Ring) FaultInjector() *fault.Injector { return r.injector }
 
-// ForwardLimb / InverseLimb run one limb's transform — the fused radix-2^k
-// kernel unless a differential test selected strict or plain radix-2
-// (exported for the evaluator, whose keyswitch pipeline drives per-limb
+// ForwardLimb / InverseLimb run one limb's transform on one of two arms: the
+// fused radix-2^k kernel, or the strict reference a differential test
+// selected (exported for the evaluator, whose pipelines drive per-limb
 // transforms directly); mulLimb / mulAddLimb likewise for the elementwise
-// products. All serial and parallel ring operations funnel through these
-// four, so the toggles cover every execution path.
+// products. Every ring operation funnels through these four, so the strict
+// toggle covers every execution path.
 func (r *Ring) ForwardLimb(i int, c []uint64) {
 	if r.injector != nil {
 		r.injector.OnLimbRead(fault.SiteNTT, i, c)
 	}
-	switch {
-	case r.strict:
+	if r.strict {
 		r.Tables[i].ForwardStrict(c)
-	case r.fusionK == 1:
-		r.Tables[i].Forward(c)
-	default:
+	} else {
 		ntt.FusedPlan{Table: r.Tables[i], K: r.fusionK}.Forward(c)
 	}
 }
@@ -177,12 +176,9 @@ func (r *Ring) InverseLimb(i int, c []uint64) {
 	if r.injector != nil {
 		r.injector.OnLimbRead(fault.SiteINTT, i, c)
 	}
-	switch {
-	case r.strict:
+	if r.strict {
 		r.Tables[i].InverseStrict(c)
-	case r.fusionK == 1:
-		r.Tables[i].Inverse(c)
-	default:
+	} else {
 		ntt.InverseFusedPlan{Table: r.Tables[i], K: r.fusionK}.Inverse(c)
 	}
 }
@@ -432,13 +428,15 @@ func (r *Ring) MulScalarRNS(out, a *Poly, scalars []uint64) {
 }
 
 // NTT transforms all limbs to the evaluation domain in place.
-func (r *Ring) NTT(p *Poly) {
+func (r *Ring) NTT(p *Poly) { r.NTTParallel(p, nil) }
+
+// NTTParallel is NTT with the limbs — fully independent, so the result is
+// bit-identical — spread over the pool's workers; a nil pool is serial.
+func (r *Ring) NTTParallel(p *Poly, pool *Pool) {
 	if p.IsNTT {
 		panic("ring: NTT on NTT-domain polynomial")
 	}
-	for i := range p.Coeffs {
-		r.ForwardLimb(i, p.Coeffs[i])
-	}
+	pool.ForEach(len(p.Coeffs), func(i int) { r.ForwardLimb(i, p.Coeffs[i]) })
 	p.IsNTT = true
 }
 

@@ -92,35 +92,23 @@ func TestStrictLazyKernelIdentity(t *testing.T) {
 	})
 }
 
-// The parallel variants dispatch through the same strict toggle; prove
+// The pooled transform dispatches through the same strict toggle; prove
 // lazy-parallel == strict-serial at several worker counts.
 func TestStrictLazyKernelIdentityParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	r := testRing(t, 64, 4)
 	src := randPoly(r, rng, 4, false)
-	a := randPoly(r, rng, 4, true)
-	b := randPoly(r, rng, 4, true)
 
 	r.SetStrictKernels(true)
 	wantNTT := src.CopyNew()
 	r.NTT(wantNTT)
-	wantMul := r.NewPoly(4)
-	wantMul.IsNTT = true
-	r.MulCoeffwise(wantMul, a, b)
 	r.SetStrictKernels(false)
 
 	for _, workers := range []int{1, 2, 4} {
-		pool := NewPool(workers)
 		p := src.CopyNew()
-		r.NTTParallel(p, pool)
+		r.NTTParallel(p, NewPool(workers))
 		if !p.Equal(wantNTT) {
 			t.Fatalf("workers=%d: lazy NTTParallel != strict NTT", workers)
-		}
-		out := r.NewPoly(4)
-		out.IsNTT = true
-		r.MulCoeffwiseParallel(out, a, b, pool)
-		if !out.Equal(wantMul) {
-			t.Fatalf("workers=%d: lazy MulCoeffwiseParallel != strict MulCoeffwise", workers)
 		}
 	}
 }
@@ -150,7 +138,7 @@ func TestPolyEqual(t *testing.T) {
 }
 
 // What ForwardLimb/InverseLimb run when nobody selects anything must be the
-// fused radix-8 kernel, and it — like the plain radix-2 transform a
+// fused radix-8 kernel, and it — like the one-stage-per-pass degree a
 // differential test can still select — must agree bit for bit with the
 // strict per-table reference, for every ring degree the scheme admits up to
 // 2^14 and on a wide and a narrow prime.
