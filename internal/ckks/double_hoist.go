@@ -110,8 +110,6 @@ type ltState struct {
 	grp   qpAccum    // per-group staging (strict residues / reduction target)
 	c1Std *ring.Poly // group c1 after its single ModDown (coeff domain, Q)
 
-	wideG *wideAcc // 128-bit columns for the group's plaintext MACs
-
 	g   *ltGroup      // current group
 	key *SwitchingKey // its giant rotation's key
 
@@ -164,10 +162,6 @@ func (st *ltState) release() {
 	params.putAccum(&st.acc)
 	params.putAccum(&st.grp)
 	releasePoly(rq, &st.c1Std)
-	if st.wideG != nil {
-		params.putWide(st.wideG)
-		st.wideG = nil
-	}
 	st.g, st.key = nil, nil
 	st.plan, st.ct = nil, nil
 	st.p0, st.p1 = nil, nil
@@ -327,7 +321,7 @@ func (st *ltState) babySweepStage(i int) {
 // limbs.
 func (st *ltState) giantPhase() {
 	ev := st.ev
-	params, pool := ev.params, ev.pool
+	pool := ev.pool
 	st.digits, st.own = st.gd, nil
 	for gi := range st.plan.groups {
 		g := &st.plan.groups[gi]
@@ -336,9 +330,6 @@ func (st *ltState) giantPhase() {
 		st.stats.PlainMACs += len(g.terms)
 		if g.j != 0 {
 			st.key = must(ev.rotationKey("LinTrans", st.level, g.gal))
-		}
-		if !st.strict {
-			st.wideG = params.getWide(2 * st.ext1)
 		}
 		ring.Run(pool, st.ext1, st, (*ltState).groupSumStage)
 		if g.j != 0 {
@@ -349,18 +340,14 @@ func (st *ltState) giantPhase() {
 			st.stats.NTTLimbs += len(st.gd) * st.ext1
 			st.stats.KeySwitches++
 		}
-		if st.wideG != nil {
-			params.putWide(st.wideG)
-			st.wideG = nil
-		}
 		ev.emit(sp, trace.OpEvent{Op: "LinTrans", Level: st.level})
 	}
 }
 
 // ltMacBlock is the column-block width of the lazy plaintext-MAC loop: the
 // four 128-bit accumulator half-rows of a block (hi/lo × c0/c1) occupy
-// 4·ltMacBlock·8 B = 16 KiB, which stays L1-resident while the group's
-// diagonals stream through it.
+// 4·ltMacBlock·8 B = 16 KiB of groupMac's frame, which stays L1-resident
+// while the group's diagonals stream through it.
 const ltMacBlock = 512
 
 // resolveTerm returns the plaintext and lazy-rotation rows of term t on
@@ -384,40 +371,29 @@ func (st *ltState) resolveTerm(t *ltPlanTerm, i int) (ptc, r0, r1 []uint64, ok b
 }
 
 // groupSumStage is the plaintext half of a group on extended limb i: MAC
-// every diagonal against its lazy rotation, then either fold the sums into
-// the output accumulator (j = 0) or close the group c1 and return it to the
+// every diagonal against its lazy rotation; a j = 0 group is then already
+// folded into the output accumulator, any other returns its c1 to the
 // coefficient domain, feeding the group's single ModDown.
 func (st *ltState) groupSumStage(i int) {
 	st.groupMac(i)
-	mod := st.modulus(i)
 	if st.g.j == 0 {
-		o0, o1 := st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i)
-		if st.strict {
-			addVec(mod, o0, st.grp.row0(st.qLimbs, i))
-			addVec(mod, o1, st.grp.row1(st.qLimbs, i))
-		} else {
-			mod.VecReduceWideAdd(o0, st.wideG.hi[i], st.wideG.lo[i])
-			mod.VecReduceWideAdd(o1, st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i])
-		}
 		return
 	}
-	c1 := st.grp.row1(st.qLimbs, i)
-	if !st.strict {
-		mod.VecReduceWide(c1, st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i])
-	}
 	r, li := st.extRing(i)
-	r.InverseLimb(li, c1)
+	r.InverseLimb(li, st.grp.row1(st.qLimbs, i))
 }
 
-// groupMac MACs every diagonal of the current group on extended limb i:
-// lazy 128-bit columns in production (rows i for c0, ext1+i for c1), exact
-// residues in st.grp under strict kernels. Identity terms read the
-// precomputed P·ct image and contribute nothing on P limbs.
+// groupMac sums every diagonal of the current group times its lazy rotation
+// on extended limb i, and leaves the two sums as residues where the group
+// wants them: added onto the output rows (st.acc) when j = 0, else in the
+// group rows (st.grp). Identity terms read the precomputed P·ct image and
+// contribute nothing on P limbs.
 func (st *ltState) groupMac(i int) {
 	terms := st.g.terms
 	mod := st.modulus(i)
+	g0, g1 := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i)
+	o0, o1 := st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i)
 	if st.strict {
-		g0, g1 := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i)
 		clear(g0)
 		clear(g1)
 		for k := range terms {
@@ -428,25 +404,27 @@ func (st *ltState) groupMac(i int) {
 			macLimb(g0, r0, ptc, nil, mod)
 			macLimb(g1, r1, ptc, nil, mod)
 		}
+		if st.g.j == 0 {
+			addVec(mod, o0, g0)
+			addVec(mod, o1, g1)
+		}
 		return
 	}
-	// Lazy path: column-blocked loop interchange. Streaming the full
-	// accumulator rows (hi+lo, read+write, both ciphertext components) per
-	// diagonal made the MAC phase memory-bound — roughly 4× the compulsory
-	// traffic. Walking column blocks instead keeps the accumulator block
-	// L1-resident across all of the group's diagonals, and the paired MAC
-	// kernel loads each diagonal's plaintext block once for both ciphertext
-	// rows. The per-coefficient MAC/fold sequence is unchanged, so the
-	// result is bit-identical.
-	hi0, lo0 := st.wideG.hi[i], st.wideG.lo[i]
-	hi1, lo1 := st.wideG.hi[st.ext1+i], st.wideG.lo[st.ext1+i]
+	// Lazy path: column-blocked loop interchange. Streaming full-length
+	// 128-bit accumulator rows (hi+lo, read+write, both ciphertext
+	// components) per diagonal made the MAC phase memory-bound — roughly 4×
+	// the compulsory traffic. A column block's accumulators live on this
+	// frame instead: they stay L1-resident across all of the group's
+	// diagonals, the paired MAC kernel loads each diagonal's plaintext block
+	// once for both ciphertext rows, and the block is reduced into its
+	// destination before the next one starts — the wide sums never reach a
+	// heap row. The per-coefficient MAC/fold sequence is that of a
+	// full-length accumulator, so the result is bit-identical.
 	for jlo := 0; jlo < st.params.N; jlo += ltMacBlock {
-		jhi := jlo + ltMacBlock
-		if jhi > st.params.N {
-			jhi = st.params.N
-		}
-		bh0, bl0 := hi0[jlo:jhi], lo0[jlo:jhi]
-		bh1, bl1 := hi1[jlo:jhi], lo1[jlo:jhi]
+		jhi := min(jlo+ltMacBlock, st.params.N)
+		var wide [4][ltMacBlock]uint64
+		bh0, bl0 := wide[0][:jhi-jlo], wide[1][:jhi-jlo]
+		bh1, bl1 := wide[2][:jhi-jlo], wide[3][:jhi-jlo]
 		cnt := 0
 		for k := range terms {
 			ptc, r0, r1, ok := st.resolveTerm(&terms[k], i)
@@ -459,6 +437,13 @@ func (st *ltState) groupMac(i int) {
 			}
 			numeric.VecMACWidePair(bh0, bl0, bh1, bl1, r0[jlo:jhi], r1[jlo:jhi], ptc[jlo:jhi])
 			cnt++
+		}
+		if st.g.j == 0 {
+			mod.VecReduceWideAdd(o0[jlo:jhi], bh0, bl0)
+			mod.VecReduceWideAdd(o1[jlo:jhi], bh1, bl1)
+		} else {
+			mod.VecReduceWide(g0[jlo:jhi], bh0, bl0)
+			mod.VecReduceWide(g1[jlo:jhi], bh1, bl1)
 		}
 	}
 }
@@ -485,12 +470,7 @@ func (st *ltState) groupKsStage(i int) {
 	st.forwardLimb(i)
 	o0 := st.acc.row0(st.qLimbs, i)
 	st.innerProduct(i, st.key, st.g.perm, o0, st.acc.row1(st.qLimbs, i), true)
-	mod := st.modulus(i)
-	c0 := st.grp.row0(st.qLimbs, i)
-	if !st.strict {
-		mod.VecReduceWide(c0, st.wideG.hi[i], st.wideG.lo[i])
-	}
-	addVecGather(mod, o0, c0, st.g.perm)
+	addVecGather(st.modulus(i), o0, st.grp.row0(st.qLimbs, i), st.g.perm)
 }
 
 // finish closes the output accumulator with the tail every keyswitch ends

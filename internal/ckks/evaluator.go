@@ -715,30 +715,6 @@ func (ev *Evaluator) ksRelease(s *ksState) {
 	pushFree(params, &params.ksFree, s)
 }
 
-// wideAcc is a bank of 128-bit accumulator columns: rows of N (hi, lo)
-// pairs backing the fused plaintext sums of the linear-transform engine
-// (double_hoist.go), whose terms are too many to carry in registers.
-// (Keyswitch sums never touch one: see ksDigits.innerProduct.) Rows are
-// touched by at most one worker at a time (the parallel loops partition by
-// row), so no locking is needed. Banks are recycled through the Parameters
-// free list (getWide/putWide).
-type wideAcc struct {
-	hi [][]uint64
-	lo [][]uint64
-}
-
-// newWideAcc allocates rows×n zeroed accumulator columns in two slabs.
-func newWideAcc(rows, n int) *wideAcc {
-	hiSlab := make([]uint64, rows*n)
-	loSlab := make([]uint64, rows*n)
-	w := &wideAcc{hi: make([][]uint64, rows), lo: make([][]uint64, rows)}
-	for r := 0; r < rows; r++ {
-		w.hi[r] = hiSlab[r*n : (r+1)*n]
-		w.lo[r] = loSlab[r*n : (r+1)*n]
-	}
-	return w
-}
-
 // macLimb computes acc[j] += a[perm[j]]·b[j] mod q over one limb (perm nil
 // reads a in order) — the strict reference schedule: one full reduction and
 // modular add per term.

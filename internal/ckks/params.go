@@ -59,7 +59,6 @@ type Parameters struct {
 	// zero heap allocations.
 	scratchMu sync.Mutex
 	extFree   [][][]uint64 // full (|Q|+|P|)-row extended-digit matrices
-	wideFree  []*wideAcc   // full-capacity 128-bit accumulator banks
 	ksFree    []*ksState   // keyswitch pipeline state records
 	ltFree    []*ltState   // double-hoisted linear-transform state records
 	opFree    []*opCall    // exec's per-call records
@@ -114,28 +113,6 @@ func (p *Parameters) putDigits(ds [][][]uint64) [][][]uint64 {
 		ds[d] = nil
 	}
 	return ds[:0]
-}
-
-// getWide returns a wideAcc with the first `rows` accumulator rows zeroed
-// (capacity always covers 2·(|Q|+|P|) rows, the deepest consumer).
-func (p *Parameters) getWide(rows int) *wideAcc {
-	w := popFree(p, &p.wideFree)
-	if w.hi == nil {
-		*w = *newWideAcc(2*(len(p.Q)+len(p.P)), p.N)
-		return w // fresh slabs are already zero
-	}
-	for r := 0; r < rows; r++ {
-		clear(w.hi[r])
-		clear(w.lo[r])
-	}
-	return w
-}
-
-// putWide returns a wideAcc to the free list.
-func (p *Parameters) putWide(w *wideAcc) {
-	if w != nil {
-		pushFree(p, &p.wideFree, w)
-	}
 }
 
 // popFree pops a recycled record off one of the scratchMu-guarded free lists,

@@ -64,27 +64,15 @@ const MaxLazyProducts = 64
 // (hi[j], lo[j]) — the vector form of MACWide used by the fused keyswitch
 // and linear-transform inner products. Pure integer arithmetic, no
 // reductions: the caller budgets MaxLazyProducts terms between folds.
-// 4×-unrolled over array-pointer blocks like VecMontMul: one bounds check
-// per four columns, four independent multiply/carry chains in flight.
+// One plain loop over slices re-cut to a common length: the compiler drops
+// every bounds check and keeps the whole body in registers, which no
+// hand-unrolled form of it did.
 func VecMACWide(hi, lo, a, b []uint64) {
 	n := len(hi)
 	lo = lo[:n]
 	a = a[:n]
 	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		hb := (*[4]uint64)(hi[i:])
-		lb := (*[4]uint64)(lo[i:])
-		ab := (*[4]uint64)(a[i:])
-		bb := (*[4]uint64)(b[i:])
-		for j := 0; j < 4; j++ {
-			ph, pl := bits.Mul64(ab[j], bb[j])
-			var c uint64
-			lb[j], c = bits.Add64(lb[j], pl, 0)
-			hb[j] += ph + c
-		}
-	}
-	for ; i < n; i++ {
+	for i := range hi {
 		ph, pl := bits.Mul64(a[i], b[i])
 		var c uint64
 		lo[i], c = bits.Add64(lo[i], pl, 0)
@@ -107,28 +95,7 @@ func VecMACWidePair(hi0, lo0, hi1, lo1, a0, a1, b []uint64) {
 	a0 = a0[:n]
 	a1 = a1[:n]
 	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		h0 := (*[4]uint64)(hi0[i:])
-		l0 := (*[4]uint64)(lo0[i:])
-		h1 := (*[4]uint64)(hi1[i:])
-		l1 := (*[4]uint64)(lo1[i:])
-		x0 := (*[4]uint64)(a0[i:])
-		x1 := (*[4]uint64)(a1[i:])
-		bb := (*[4]uint64)(b[i:])
-		for j := 0; j < 4; j++ {
-			m := bb[j]
-			p0h, p0l := bits.Mul64(x0[j], m)
-			p1h, p1l := bits.Mul64(x1[j], m)
-			var c uint64
-			l0[j], c = bits.Add64(l0[j], p0l, 0)
-			h0[j] += p0h + c
-			l1[j], c = bits.Add64(l1[j], p1l, 0)
-			h1[j] += p1h + c
-		}
-	}
-	for ; i < n; i++ {
-		m := b[i]
+	for i, m := range b {
 		p0h, p0l := bits.Mul64(a0[i], m)
 		p1h, p1l := bits.Mul64(a1[i], m)
 		var c uint64

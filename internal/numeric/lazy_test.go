@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -156,7 +157,7 @@ func TestReduceWideFixupSubtraction(t *testing.T) {
 // reduction at the end.
 func TestVecWideKernels(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	const n = 64
+	const n = 67 // not a multiple of any unroll width
 	for _, q := range testModuli {
 		m := NewModulus(q)
 		hi := make([]uint64, n)
@@ -285,8 +286,8 @@ func TestLazyButterflyAlgebra(t *testing.T) {
 }
 
 // VecMACWidePair must be element-for-element identical to two VecMACWide
-// calls over the shared multiplicand — including odd tail lengths that
-// exercise the scalar remainder loop.
+// calls over the shared multiplicand, at lengths on both sides of every
+// small power of two.
 func TestVecMACWidePairMatchesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{1, 3, 4, 7, 64, 129} {
@@ -375,6 +376,45 @@ func TestVecInnerProductPair(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkVecKernels times the accumulate-and-close loops of the evaluator's
+// inner products alone, at a limb that fits L1 (N = 512, the bootstrapping
+// set) and one that does not (N = 8192), and reports ns per coefficient (the
+// inner product over three digits) — so what a toolchain does to them reads
+// off one `go test -bench`.
+func BenchmarkVecKernels(b *testing.B) {
+	m := NewModulus(1152921504606584833)
+	rng := rand.New(rand.NewSource(19))
+	for _, n := range []int{512, 8192} {
+		row := func() []uint64 {
+			r := make([]uint64, n)
+			for j := range r {
+				r[j] = rng.Uint64() % m.Q
+			}
+			return r
+		}
+		x, y, z, c := row(), row(), row(), make([]uint64, n)
+		hi0, lo0, hi1, lo1 := make([]uint64, n), make([]uint64, n), make([]uint64, n), make([]uint64, n)
+		rows := [][]uint64{x, y, z}
+		for _, k := range []struct {
+			name string
+			fn   func()
+		}{
+			{"VecMontMul", func() { m.VecMontMul(c, x, y) }},
+			{"VecMACWide", func() { VecMACWide(hi0, lo0, x, y) }},
+			{"VecMACWidePair", func() { VecMACWidePair(hi0, lo0, hi1, lo1, x, y, z) }},
+			{"VecReduceWide", func() { m.VecReduceWide(c, hi0, lo0) }},
+			{"VecInnerProductPair", func() { m.VecInnerProductPair(hi1, lo1, rows, rows, rows, nil, false) }},
+		} {
+			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/coeff")
+			})
 		}
 	}
 }

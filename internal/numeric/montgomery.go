@@ -58,40 +58,17 @@ func (m Modulus) MontMul(a, b uint64) uint64 {
 // inlining budget as a scalar method, so the hot elementwise loops call this
 // vector form, which hoists the modulus constants out of the loop and pays
 // the method-call overhead once per vector instead of once per element.
-// The loop body is 4×-unrolled over array-pointer blocks: the slice-to-array
-// conversions pay one bounds check per four elements and give the four
-// independent lift/REDC chains to the scheduler at once.
 func (m Modulus) VecMontMul(c, a, b []uint64) {
 	q, qInv := m.Q, m.QInv
 	r, rs := m.RModQ, m.RModQShoup
-	n := len(c)
-	a = a[:n]
-	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		cb := (*[4]uint64)(c[i:])
-		ab := (*[4]uint64)(a[i:])
-		bb := (*[4]uint64)(b[i:])
-		for j := 0; j < 4; j++ {
-			// Lazy lift: bm ≡ b·2^64 (mod q), bm < 2q.
-			bi := bb[j]
-			bh, _ := bits.Mul64(bi, rs)
-			bm := bi*r - bh*q
-			// REDC: a·bm < q·2^63 < q·2^64.
-			hi, lo := bits.Mul64(ab[j], bm)
-			red := lo * qInv
-			h, _ := bits.Mul64(red, q)
-			t := hi - h + q
-			if t >= q {
-				t -= q
-			}
-			cb[j] = t
-		}
-	}
-	for ; i < n; i++ {
+	a = a[:len(c)]
+	b = b[:len(c)]
+	for i := range c {
+		// Lazy lift: bm ≡ b·2^64 (mod q), bm < 2q.
 		bi := b[i]
 		bh, _ := bits.Mul64(bi, rs)
 		bm := bi*r - bh*q
+		// REDC: a·bm < q·2^63 < q·2^64.
 		hi, lo := bits.Mul64(a[i], bm)
 		red := lo * qInv
 		h, _ := bits.Mul64(red, q)
@@ -165,37 +142,12 @@ func (m Modulus) VecMRedAdd(c, a, bm []uint64) {
 // VecMontMulAdd sets c[i] = (c[i] + a[i]·b[i]) mod q, bit-identical to
 // Add(c[i], Mul(a[i], b[i])) — the multiply-accumulate companion of
 // VecMontMul.
-// Same 4×-unrolled block structure as VecMontMul.
 func (m Modulus) VecMontMulAdd(c, a, b []uint64) {
 	q, qInv := m.Q, m.QInv
 	r, rs := m.RModQ, m.RModQShoup
-	n := len(c)
-	a = a[:n]
-	b = b[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		cb := (*[4]uint64)(c[i:])
-		ab := (*[4]uint64)(a[i:])
-		bb := (*[4]uint64)(b[i:])
-		for j := 0; j < 4; j++ {
-			bi := bb[j]
-			bh, _ := bits.Mul64(bi, rs)
-			bm := bi*r - bh*q
-			hi, lo := bits.Mul64(ab[j], bm)
-			red := lo * qInv
-			h, _ := bits.Mul64(red, q)
-			t := hi - h + q
-			if t >= q {
-				t -= q
-			}
-			s := cb[j] + t
-			if s >= q {
-				s -= q
-			}
-			cb[j] = s
-		}
-	}
-	for ; i < n; i++ {
+	a = a[:len(c)]
+	b = b[:len(c)]
+	for i := range c {
 		bi := b[i]
 		bh, _ := bits.Mul64(bi, rs)
 		bm := bi*r - bh*q

@@ -23,14 +23,15 @@ import (
 // destination limb, since k is computed once per coefficient.
 
 // oracleShape is a (Q, P, alpha) triple shaped like one of the benchmark
-// parameter sets, at a ring degree small enough for big-integer checking.
+// parameter sets, at a ring degree small enough for big-integer checking;
+// oracleShapes(t, true) adds one with a source basis too tall for them.
 type oracleShape struct {
 	name  string
 	q, p  []numeric.Modulus
 	alpha int
 }
 
-func oracleShapes(t testing.TB) []oracleShape {
+func oracleShapes(t testing.TB, tall bool) []oracleShape {
 	t.Helper()
 	build := func(name string, qBits, pBits []int) oracleShape {
 		need := map[int]int{}
@@ -64,11 +65,20 @@ func oracleShapes(t testing.TB) []oracleShape {
 		}
 		return out
 	}
-	return []oracleShape{
+	shapes := []oracleShape{
 		build("P13", append([]int{55}, rep(45, 5)...), []int{58, 58}),
 		build("B9", append([]int{55}, rep(45, 27)...), rep(52, 5)),
 		build("S11", []int{50, 40, 40, 40}, []int{51, 51}),
 	}
+	if tall {
+		// No parameter set is shaped like this one: forty 61-bit source primes
+		// sum to a 128-bit value whose high word passes every destination
+		// modulus on random input, which one REDC alone does not take.
+		s := build("Tall", []int{61, 45, 30}, rep(61, 40))
+		s.alpha = len(s.q)
+		shapes = append(shapes, s)
+	}
+	return shapes
 }
 
 // bigBasis is the oracle's view of an RNS basis.
@@ -204,7 +214,7 @@ func requireSameLimbs(t *testing.T, label string, got, want [][]uint64) {
 const oracleN = 2*maxBlock + 91
 
 func TestOracleExtend(t *testing.T) {
-	for _, s := range oracleShapes(t) {
+	for _, s := range oracleShapes(t, true) {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			// P → Q (ModDown's direction) and first digit → everything else.
@@ -230,7 +240,7 @@ func TestOracleExtend(t *testing.T) {
 }
 
 func TestOracleDecomposeAndExtend(t *testing.T) {
-	for _, s := range oracleShapes(t) {
+	for _, s := range oracleShapes(t, false) {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(12))
 			d := NewDecomposer(s.q, s.p, s.alpha)
@@ -294,7 +304,7 @@ func TestOracleDecomposeAndExtend(t *testing.T) {
 }
 
 func TestOracleModDown(t *testing.T) {
-	for _, s := range oracleShapes(t) {
+	for _, s := range oracleShapes(t, true) {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			pBasis := newBigBasis(s.p)
@@ -351,7 +361,7 @@ func TestOracleModDown(t *testing.T) {
 // as well, so PInv is checked and not assumed.
 func TestOracleModDownNTTForm(t *testing.T) {
 	const n = 16 // the degree oracleShapes' primes are NTT-friendly for
-	for _, s := range oracleShapes(t) {
+	for _, s := range oracleShapes(t, false) {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(15))
 			pBasis := newBigBasis(s.p)
@@ -415,7 +425,7 @@ func TestOracleModDownNTTForm(t *testing.T) {
 }
 
 func TestOracleRescale(t *testing.T) {
-	for _, s := range oracleShapes(t) {
+	for _, s := range oracleShapes(t, false) {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(14))
 			rs := NewRescaler(s.q)
@@ -464,5 +474,50 @@ func TestOracleRescale(t *testing.T) {
 				requireSameLimbs(t, fmt.Sprintf("Rescale drop %d", l), in[:l], out)
 			}
 		})
+	}
+}
+
+// BenchmarkConvert times the conversions a keyswitch runs — one digit's ModUp,
+// and ModDown whole and as the Correction the NTT-domain close uses — on the
+// two benchmark shapes (α = 2 at N = 8192, α = 5 at N = 512), in ns per
+// output word, so the cost of stage + emit reads without the harness.
+func BenchmarkConvert(b *testing.B) {
+	shapes := oracleShapes(b, false)
+	for _, c := range []struct {
+		s oracleShape
+		n int
+	}{{shapes[0], 8192}, {shapes[1], 512}} {
+		s, n := c.s, c.n
+		rng := rand.New(rand.NewSource(16))
+		random := func(ms []numeric.Modulus) [][]uint64 {
+			out := allocLimbs(len(ms), n)
+			for i, m := range ms {
+				for t := range out[i] {
+					out[i][t] = rng.Uint64() % m.Q
+				}
+			}
+			return out
+		}
+		level := len(s.q) - 1
+		d := NewDecomposer(s.q, s.p, s.alpha)
+		md := NewModDownParams(s.q, s.p)
+		aQ, aP := random(s.q), random(s.p)
+		ext, out := allocLimbs(len(s.q)+len(s.p), n), allocLimbs(len(s.q), n)
+		for _, k := range []struct {
+			name  string
+			words int
+			fn    func()
+		}{
+			{"ExtendDigit", (len(ext) - s.alpha) * n, func() { d.ExtendDigit(level, 0, aQ, ext) }},
+			{"Correction", len(out) * n, func() { md.Correction(out, aP) }},
+			{"ModDown", len(out) * n, func() { md.ModDown(out, aQ, aP) }},
+		} {
+			b.Run(fmt.Sprintf("%s/%s/alpha=%d", k.name, s.name, s.alpha), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.fn()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.words), "ns/word")
+			})
+		}
 	}
 }

@@ -2,7 +2,9 @@
 // of RNS-CKKS keyswitching and rescaling — the paper's Eq. 1–3:
 //
 //	RNSconv: approximate CRT basis extension of a value from basis B to
-//	         basis C (a chain of fused MA/MM operations in hardware);
+//	         basis C (a chain of fused MA/MM operations in hardware, closed
+//	         by one shared reduction — here one Montgomery REDC a word,
+//	         against tables kept in Montgomery form);
 //	ModUp:   extension of a_Q to the enlarged basis Q ∪ P;
 //	ModDown: exact division by P after keyswitching;
 //	Rescale: division by the last prime of the chain with rounding.
@@ -29,16 +31,18 @@ import (
 // the y_j = [x_j·(B/b_j)^-1]_{b_j} and the overflow count k are computed once
 // (stage), then every destination limb the caller reads is one chain of raw
 // 128-bit multiply-accumulates Σ y_j·(B/b_j) + k·(c_i − B mod c_i) closed by
-// a single shared Barrett reduction (emit) — no per-term reduction, no
-// intermediate matrix.
+// a single REDC (emit) — no per-term reduction, no intermediate matrix. The
+// destination-side tables hold their entries times 2^64 mod c_i, so the
+// 2^-64 of that one REDC is already paid for when the table is built and a
+// word costs two multiplies to close where a 128-bit Barrett costs five.
 type Extender struct {
 	src []numeric.Modulus // source basis B
-	dst []numeric.Modulus // destination moduli C (any set)
+	dst []numeric.Modulus // destination moduli C (any set of odd moduli)
 
 	bHatInv      []uint64   // [ (B/b_j)^-1 ]_{b_j}
 	bHatInvShoup []uint64   // Shoup duals of bHatInv
-	bHatModC     [][]uint64 // [i][j] = (B/b_j) mod c_i
-	negBModC     []uint64   // c_i − (B mod c_i): k of these cancel the CRT overflow k·B
+	bHatModC     [][]uint64 // [i][j] = (B/b_j)·2^64 mod c_i
+	negBModC     []uint64   // −B·2^64 mod c_i: k of these cancel the CRT overflow k·B
 	invB         []float64  // 1 / b_j, for the rounding estimate
 
 	blockLen int // coefficients per block: a multiple of 4, (len(src)+1)·blockLen ≤ stageWords
@@ -69,8 +73,8 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 	if l == 0 {
 		panic("rns: empty source basis")
 	}
-	// l products below 2^122, ModDown's seed term and the k·(c_i − B mod c_i)
-	// term must fit the 128-bit accumulator emit closes with one reduction.
+	// l products below 2^122, ModDown's seed term and the k·(−B mod c_i) term
+	// must fit the 128-bit accumulator emit closes with one reduction.
 	if l+2 > numeric.MaxLazyProducts {
 		panic(fmt.Sprintf("rns: source basis of %d primes exceeds %d", l, numeric.MaxLazyProducts-2))
 	}
@@ -80,37 +84,35 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 	e.invB = make([]float64, l)
 	for j := 0; j < l; j++ {
 		bj := src[j]
-		// (B/b_j) mod b_j = product of all other primes mod b_j.
-		prod := uint64(1)
-		for t := 0; t < l; t++ {
-			if t != j {
-				prod = bj.Mul(prod, bj.Reduce(src[t].Q))
-			}
-		}
-		e.bHatInv[j] = bj.Inv(prod)
+		e.bHatInv[j] = bj.Inv(prodMod(bj, src, j))
 		e.bHatInvShoup[j] = bj.ShoupConstant(e.bHatInv[j])
 		e.invB[j] = 1.0 / float64(bj.Q)
 	}
 	e.bHatModC = make([][]uint64, len(dst))
 	e.negBModC = make([]uint64, len(dst))
 	for i, ci := range dst {
-		e.bHatModC[i] = make([]uint64, l)
-		bMod := uint64(1)
-		for t := 0; t < l; t++ {
-			bMod = ci.Mul(bMod, ci.Reduce(src[t].Q))
+		if ci.Q%2 == 0 { // no q^-1 mod 2^64: REDC would emit wrong residues
+			panic(fmt.Sprintf("rns: even destination modulus %d", ci.Q))
 		}
-		e.negBModC[i] = ci.Q - bMod
+		e.bHatModC[i] = make([]uint64, l)
+		e.negBModC[i] = ci.MForm(ci.Neg(prodMod(ci, src, -1)))
 		for j := 0; j < l; j++ {
-			prod := uint64(1)
-			for t := 0; t < l; t++ {
-				if t != j {
-					prod = ci.Mul(prod, ci.Reduce(src[t].Q))
-				}
-			}
-			e.bHatModC[i][j] = prod
+			e.bHatModC[i][j] = ci.MForm(prodMod(ci, src, j))
 		}
 	}
 	return e
+}
+
+// prodMod returns the product of the moduli ms, ms[skip] left out (skip < 0
+// leaves none out), modulo m.
+func prodMod(m numeric.Modulus, ms []numeric.Modulus, skip int) uint64 {
+	prod := uint64(1)
+	for t := range ms {
+		if t != skip {
+			prod = m.Mul(prod, m.Reduce(ms[t].Q))
+		}
+	}
+	return prod
 }
 
 // stage computes, for the n ≤ blockLen coefficients starting at t0, the
@@ -135,53 +137,78 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 }
 
 // emit writes the staged block's residues modulo destination i into out
-// (len b.n): Σ_j y_j·(B/b_j) − k·B accumulated unreduced in 128 bits and
-// closed by one Barrett reduction (numeric.Modulus.ReduceWide written out
-// with hoisted constants), so the result is the canonical residue. cols is
-// how many columns of the table row, and staged rows of the block, the sum
-// reads: len(src), plus one when ModDown's seed column rides along.
+// (len b.n): Σ_j y_j·(B/b_j) − k·B accumulated unreduced in 128 bits against
+// the Montgomery-form row and closed by one REDC, which takes the table's
+// 2^64 back out — so the result is the canonical residue. cols is how many
+// columns of the table row, and staged rows of the block, the sum reads:
+// len(src), plus one when ModDown's seed column rides along.
+//
+// Four coefficients a step, each accumulator a scalar local: those the
+// compiler holds in registers, where a local array of them lives on the
+// stack. The masks on the two cuts are identities (t and the row offsets are
+// multiples of four inside the staged rows); they are there so that the
+// compiler sees the cuts are in range and drops the check and the length it
+// would carry through the inner loop.
 func (e *Extender) emit(out []uint64, i, cols int, b *block) {
-	ci := e.dst[i]
-	q, bHi, bLo := ci.Q, ci.BarrettHi, ci.BarrettLo
+	ci := &e.dst[i]
 	row, nb := e.bHatModC[i][:cols], e.negBModC[i]
 	out = out[:b.n]
-	for t := 0; t < b.n; t += 4 {
-		var hi, lo, r [4]uint64
-		kb := (*[4]uint64)(b.k[t:])
-		for u := 0; u < 4; u++ {
-			hi[u], lo[u] = bits.Mul64(kb[u], nb)
+	for t := 0; t < len(out); t += 4 {
+		k := b.k[t&(maxBlock-4):][:4]
+		h0, l0 := bits.Mul64(k[0], nb)
+		h1, l1 := bits.Mul64(k[1], nb)
+		h2, l2 := bits.Mul64(k[2], nb)
+		h3, l3 := bits.Mul64(k[3], nb)
+		off := t
+		for _, w := range row {
+			y := b.ys[off&(stageWords-4):][:4]
+			var c uint64
+			ph, pl := bits.Mul64(y[0], w)
+			l0, c = bits.Add64(l0, pl, 0)
+			h0 += ph + c
+			ph, pl = bits.Mul64(y[1], w)
+			l1, c = bits.Add64(l1, pl, 0)
+			h1 += ph + c
+			ph, pl = bits.Mul64(y[2], w)
+			l2, c = bits.Add64(l2, pl, 0)
+			h2 += ph + c
+			ph, pl = bits.Mul64(y[3], w)
+			l3, c = bits.Add64(l3, pl, 0)
+			h3 += ph + c
+			off += b.stride
 		}
-		for j, w := range row {
-			yb := (*[4]uint64)(b.ys[j*b.stride+t:])
-			for u := 0; u < 4; u++ {
-				ph, pl := bits.Mul64(yb[u], w)
-				var c uint64
-				lo[u], c = bits.Add64(lo[u], pl, 0)
-				hi[u] += ph + c
-			}
+		// The last step of a block may hold fewer than four coefficients; its
+		// other lanes ran on the rows' padding and are not stored.
+		o := out[t:]
+		o[0] = redc(h0, l0, ci.Q, ci.QInv)
+		if len(o) > 1 {
+			o[1] = redc(h1, l1, ci.Q, ci.QInv)
 		}
-		for u := 0; u < 4; u++ {
-			h, l := hi[u], lo[u]
-			mh1, _ := bits.Mul64(l, bLo)
-			h2, l2 := bits.Mul64(l, bHi)
-			h3, l3 := bits.Mul64(h, bLo)
-			s, c1 := bits.Add64(mh1, l2, 0)
-			_, c2 := bits.Add64(s, l3, 0)
-			x := l - (h*bHi+h2+h3+c1+c2)*q
-			if x >= q {
-				x -= q
-			}
-			if x >= q {
-				x -= q
-			}
-			r[u] = x
+		if len(o) > 2 {
+			o[2] = redc(h2, l2, ci.Q, ci.QInv)
 		}
-		if t+4 <= b.n {
-			*(*[4]uint64)(out[t:]) = r
-		} else {
-			copy(out[t:], r[:])
+		if len(o) > 3 {
+			o[3] = redc(h3, l3, ci.Q, ci.QInv)
 		}
 	}
+}
+
+// redc returns (h·2^64 + l)·2^-64 mod q as the canonical residue, for any
+// 128-bit input and odd q. Montgomery reduction wants h < q; a sum of about
+// seven or more 61-bit products can leave it larger, and then h is folded
+// first (h·2^64 ≡ (h mod q)·2^64) — a branch the keyswitching bases never
+// take. With m = l·q^-1 mod 2^64 the low words of h·2^64 + l and m·q agree,
+// so their difference over 2^64 is h − hi(m·q), in (−q, q).
+func redc(h, l, q, qInv uint64) uint64 {
+	if h >= q {
+		h %= q
+	}
+	mh, _ := bits.Mul64(l*qInv, q)
+	r := h - mh + q
+	if r >= q {
+		r -= q
+	}
+	return r
 }
 
 // Extend converts the residue vectors in[j][·] (one slice per source prime)
@@ -211,9 +238,10 @@ type ModDownParams struct {
 	Q, P []numeric.Modulus
 	// ext is the P → Q extender with P^-1 folded in and a seed column
 	// appended: row i reads −(P/p_j)·P^-1 per source limb, then P^-1 for the
-	// a_i term, and its k weight is +P·P^-1 — so one emit chain yields
-	// (a_i − conv_i)·P^-1 directly, and the same chain read without the seed
-	// column yields −conv_i·P^-1 (Correction).
+	// a_i term, and its k weight is +P·P^-1 = 1 (all in Montgomery form, like
+	// every Extender table) — so one emit chain yields (a_i − conv_i)·P^-1
+	// directly, and the same chain read without the seed column yields
+	// −conv_i·P^-1 (Correction).
 	ext *Extender
 	// pInv[i] = [P^-1]_{q_i} and its Shoup dual: the factor of the a_i term
 	// when the caller adds it itself (PInv).
@@ -225,14 +253,15 @@ type ModDownParams struct {
 func NewModDownParams(q, p []numeric.Modulus) *ModDownParams {
 	m := &ModDownParams{Q: q, P: p, ext: NewExtender(p, q), pInv: make([]uint64, len(q)), pInvShoup: make([]uint64, len(q))}
 	for i, qi := range q {
-		pInv := qi.Inv(qi.Q - m.ext.negBModC[i])
+		pInv := qi.Inv(prodMod(qi, p, -1))
 		m.pInv[i], m.pInvShoup[i] = pInv, qi.ShoupConstant(pInv)
+		// A Montgomery-form entry times the plain P^-1 stays in Montgomery form.
 		row := m.ext.bHatModC[i]
 		for j := range row {
 			row[j] = qi.Neg(qi.Mul(row[j], pInv))
 		}
-		m.ext.bHatModC[i] = append(row, pInv)
-		m.ext.negBModC[i] = 1 // (P mod q_i)·P^-1
+		m.ext.bHatModC[i] = append(row, qi.MForm(pInv))
+		m.ext.negBModC[i] = qi.RModQ // (P mod q_i)·P^-1 = 1
 	}
 	return m
 }

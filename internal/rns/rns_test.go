@@ -129,6 +129,27 @@ func TestExtenderEdgeValues(t *testing.T) {
 	}
 }
 
+// A table that cannot be right is refused when it is built: no source basis,
+// or a destination modulus REDC has no inverse for (2, the one even modulus
+// numeric.NewModulus accepts).
+func TestNewExtenderPanics(t *testing.T) {
+	odd := primes(t, 30, 8, 2)
+	for name, build := range map[string]func(){
+		"empty source":     func() { NewExtender(nil, odd) },
+		"even destination": func() { NewExtender(odd, []numeric.Modulus{odd[0], numeric.NewModulus(2)}) },
+		"even ModDown Q":   func() { NewModDownParams([]numeric.Modulus{numeric.NewModulus(2)}, odd) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 func TestModDownDividesByP(t *testing.T) {
 	q := primes(t, 45, 10, 4)
 	p := primes(t, 46, 10, 2)
