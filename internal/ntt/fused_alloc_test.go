@@ -9,27 +9,31 @@ import (
 // pass state is precomputed at plan construction, the generic kernel's
 // block buffer lives on the stack, and the specialized kernels touch only
 // their operand slices. This is the ntt-level half of the evaluator's
-// zero-alloc chain gate.
+// zero-alloc chain gate. The 45-bit table runs the IFMA52 lanes where the
+// CPU has them, the 59-bit one the Go bodies.
 func TestFusedZeroAlloc(t *testing.T) {
-	tab := mustTable(t, 1<<10, 59)
-	a := randomPoly(rand.New(rand.NewSource(3)), tab.N, tab.Mod.Q)
-	for k := 1; k <= 6; k++ {
-		fwd, err := NewFusedPlan(tab, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := NewInverseFusedPlan(tab, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm-up transform pair, then measure.
-		fwd.Forward(a)
-		inv.Inverse(a)
-		if allocs := testing.AllocsPerRun(10, func() { fwd.Forward(a) }); allocs != 0 {
-			t.Errorf("k=%d: Forward allocates %.1f/op, want 0", k, allocs)
-		}
-		if allocs := testing.AllocsPerRun(10, func() { inv.Inverse(a) }); allocs != 0 {
-			t.Errorf("k=%d: Inverse allocates %.1f/op, want 0", k, allocs)
+	for _, bitSize := range []int{45, 59} {
+		tab := mustTable(t, 1<<10, bitSize)
+		t.Logf("%d-bit prime: lanes=%v", bitSize, tab.lanes)
+		a := randomPoly(rand.New(rand.NewSource(3)), tab.N, tab.Mod.Q)
+		for k := 1; k <= 6; k++ {
+			fwd, err := NewFusedPlan(tab, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inv, err := NewInverseFusedPlan(tab, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm-up transform pair, then measure.
+			fwd.Forward(a)
+			inv.Inverse(a)
+			if allocs := testing.AllocsPerRun(10, func() { fwd.Forward(a) }); allocs != 0 {
+				t.Errorf("bits=%d k=%d: Forward allocates %.1f/op, want 0", bitSize, k, allocs)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { inv.Inverse(a) }); allocs != 0 {
+				t.Errorf("bits=%d k=%d: Inverse allocates %.1f/op, want 0", bitSize, k, allocs)
+			}
 		}
 	}
 }
@@ -37,7 +41,8 @@ func TestFusedZeroAlloc(t *testing.T) {
 // FuzzFusedNTTRoundTrip drives the fused kernels with fuzzer-chosen
 // coefficients and fusion degree: the fused forward must match the radix-2
 // forward bit-for-bit, and fused forward → fused inverse must reproduce the
-// input exactly (the N^-1 fold undoing the transform).
+// input exactly (the N^-1 fold undoing the transform). The 50-bit table puts
+// 4q right under 2^52, the edge of the IFMA52 lanes.
 func FuzzFusedNTTRoundTrip(f *testing.F) {
 	tab, err := NewTable(256, 7681)
 	if err != nil {
@@ -47,12 +52,13 @@ func FuzzFusedNTTRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	edge := mustTable(f, 256, 50)
 	f.Add(uint64(1), uint8(3))
 	f.Add(uint64(42), uint8(1))
 	f.Add(uint64(7), uint8(6))
 	f.Fuzz(func(t *testing.T, seed uint64, kRaw uint8) {
 		k := int(kRaw)%6 + 1
-		for _, tb := range []*Table{tab, big} {
+		for _, tb := range []*Table{tab, edge, big} {
 			fwd, err := NewFusedPlan(tb, k)
 			if err != nil {
 				t.Fatal(err)

@@ -67,6 +67,8 @@ func (p InverseFusedPlan) inverse(a []uint64, st *Stats) {
 		switch {
 		case st != nil || kappa > 3:
 			t.invPassGeneric(a, kappa, stride, fold, st)
+		case t.lanes && (fold || kappa == 3):
+			t.invPassLanes(a, kappa, stride, segs, fold)
 		case kappa == 3 && fold:
 			invPass8Fold(t, a, stride)
 		case kappa == 3 && stride == 1:

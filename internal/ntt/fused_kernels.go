@@ -8,9 +8,9 @@ import (
 
 // Specialized fused-pass kernels: the production inner loops of FusedPlan
 // and InverseFusedPlan for block widths 2, 4 and 8 (κ = 1, 2, 3). Each
-// kernel keeps its whole block in registers across the fused stages —
-// [8]uint64-shaped register blocks for the κ=3 kernels — with the segment's
-// twiddles hoisted into locals straight from the table's psiBR/psiBRShoup
+// kernel keeps its whole block in scalar locals (a0…a7 at κ=3) across the
+// fused stages, with the segment's twiddles hoisted into locals straight
+// from the table's psiBR/psiBRShoup
 // (psi/sh below): stage s of segment g of a pass starting at stage parameter
 // m0 reads the contiguous run of 2^s factors at (m0+g)·2^s, so no per-plan
 // copy of the twiddles exists. Every slice is pre-cut to its exact extent
@@ -26,6 +26,11 @@ import (
 // the forward final pass performs the deferred ReduceFourQ per coefficient
 // and the inverse final pass folds N^-1 through exact Shoup products, so
 // outputs are fully reduced and bit-identical to the radix-2 kernels.
+//
+// On a table NewTable marked for lanes (Table.lanes), lanes_amd64.s runs
+// these passes instead, eight coefficients a register, when uncounted —
+// all but the κ ≤ 2 passes at a stride below 8 and the inverse's non-final
+// κ ≤ 2 passes, which only the non-default degrees reach.
 
 // --- forward, κ=3 -----------------------------------------------------------
 

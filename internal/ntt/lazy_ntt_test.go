@@ -87,12 +87,13 @@ func TestInverseLazyMatchesStrict(t *testing.T) {
 // below 8 never reach a full radix-8 block: N=2 and N=4 run entirely as the
 // remainder pass; above that every logN mod 3 remainder (first pass forward,
 // last pass inverse), the specialized kernels (k ≤ 3) and the generic one
-// (k ≥ 4, and every counted run) are covered.
+// (k ≥ 4, and every counted run) are covered. Primes under 2^50 run the
+// IFMA52 lanes from N = 64 where the CPU has them; 61 bits never does.
 func TestFusedMatchesStrictEveryLogN(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for logN := 1; logN <= 14; logN++ {
 		n := 1 << uint(logN)
-		for _, bitSize := range []int{31, 61} {
+		for _, bitSize := range []int{31, 45, 50, 61} {
 			tab := mustTable(t, n, bitSize)
 			polys := edgePolys(rng, n, tab.Mod.Q)
 			if logN > 10 {

@@ -8,7 +8,7 @@ import (
 	"poseidon/internal/numeric"
 )
 
-func mustTable(t *testing.T, n int, bitSize int) *Table {
+func mustTable(t testing.TB, n int, bitSize int) *Table {
 	t.Helper()
 	logN := log2(n)
 	ps, err := numeric.GenerateNTTPrimes(bitSize, logN, 1)
