@@ -29,7 +29,7 @@ func main() {
 		traceFile = flag.String("trace", "", "JSON trace file to simulate")
 		dump      = flag.String("dump", "", "write the selected trace as JSON and exit")
 		lanes     = flag.Int("lanes", 512, "vector lanes")
-		fusionK   = flag.Int("k", 3, "NTT fusion degree")
+		fusionDeg = flag.Int("k", 3, "NTT fusion degree")
 		freq      = flag.Float64("freq", 300, "clock, MHz")
 		hbm       = flag.Float64("hbm", 460, "peak HBM bandwidth, GB/s")
 		auto      = flag.String("auto", "hfauto", "automorphism core: hfauto or naive")
@@ -61,7 +61,7 @@ func main() {
 
 	cfg := arch.U280()
 	cfg.Lanes = *lanes
-	cfg.FusionK = *fusionK
+	cfg.FusionK = *fusionDeg
 	cfg.FreqMHz = *freq
 	cfg.HBMGBs = *hbm
 	switch *auto {

@@ -101,9 +101,10 @@ func runTable2(fs *flag.FlagSet, args []string) error {
 	for k := 2; k <= 6; k++ {
 		u := ntt.UnfusedBlockCosts(k)
 		f := ntt.FusedBlockCosts(k)
-		// Measure the lazy Harvey radix-2 kernel on a standalone 2^k-point
-		// block: its executed reductions (Normalizations) come from the real
-		// kernel run, not the analytic formula. The deferred slots account
+		// Measure the lazy radix-2 schedule (ForwardWithStats: the fused plan
+		// at k = 1, one Harvey stage a pass) on a standalone 2^k-point block:
+		// its executed reductions (Normalizations) come from the real kernel
+		// run, not the analytic formula. The deferred slots account
 		// for the remainder of the TAM-convention budget.
 		n := 1 << uint(k)
 		tab, err := nttTableForBlock(n)

@@ -43,10 +43,8 @@ import (
 //
 // Numerically the two schedules are NOT bit-identical: ModDown rounds once
 // per reduction, so regrouping the reductions shifts the rounding noise by
-// O(1) units — far below the encoding noise floor. Within the
-// double-hoisted path, strict and lazy kernels compute the same exact
-// modular sums and agree bit-for-bit; the differential tests pin both
-// properties.
+// O(1) units — far below the encoding noise floor; the differential tests
+// pin that bound.
 
 // qpAccum is a ciphertext-component accumulator over the extended basis
 // Q_l ∪ P: NTT-domain residue polys for the c0 and c1 rows of both the Q
@@ -70,13 +68,6 @@ func (a *qpAccum) row1(qLimbs, i int) []uint64 {
 		return a.c1Q.Coeffs[i]
 	}
 	return a.c1P.Coeffs[i-qLimbs]
-}
-
-// addVec accumulates a into out modulo mod, element-wise.
-func addVec(mod numeric.Modulus, out, a []uint64) {
-	for j := range out {
-		out[j] = mod.Add(out[j], a[j])
-	}
 }
 
 // ltState bundles the double-hoisted engine's per-call state so every stage
@@ -107,7 +98,7 @@ type ltState struct {
 	babies   []qpAccum       // lazy QP rotations, one per plan baby step
 	babyKeys []*SwitchingKey // their rotation keys, resolved before the sweep
 
-	grp   qpAccum    // per-group staging (strict residues / reduction target)
+	grp   qpAccum    // per-group staging (reduction target of a j ≠ 0 group)
 	c1Std *ring.Poly // group c1 after its single ModDown (coeff domain, Q)
 
 	g   *ltGroup      // current group
@@ -130,8 +121,7 @@ func (st *ltState) acquire() {
 	st.ctP0 = rq.GetPolyDirty(st.qLimbs)
 	st.ctP1 = rq.GetPolyDirty(st.qLimbs)
 	// The output sum is built by modular adds and starts zeroed; every other
-	// accumulator is fully written (or cleared, under strict kernels) by the
-	// stage that fills it.
+	// accumulator is fully written by the stage that fills it.
 	st.acc = params.getAccum(st.qLimbs, true)
 	st.grp = params.getAccum(st.qLimbs, false)
 	st.c1Std = rq.GetPolyDirty(st.qLimbs)
@@ -393,24 +383,7 @@ func (st *ltState) groupMac(i int) {
 	mod := st.modulus(i)
 	g0, g1 := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i)
 	o0, o1 := st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i)
-	if st.strict {
-		clear(g0)
-		clear(g1)
-		for k := range terms {
-			ptc, r0, r1, ok := st.resolveTerm(&terms[k], i)
-			if !ok {
-				continue
-			}
-			macLimb(g0, r0, ptc, nil, mod)
-			macLimb(g1, r1, ptc, nil, mod)
-		}
-		if st.g.j == 0 {
-			addVec(mod, o0, g0)
-			addVec(mod, o1, g1)
-		}
-		return
-	}
-	// Lazy path: column-blocked loop interchange. Streaming full-length
+	// Column-blocked loop interchange. Streaming full-length
 	// 128-bit accumulator rows (hi+lo, read+write, both ciphertext
 	// components) per diagonal made the MAC phase memory-bound — roughly 4×
 	// the compulsory traffic. A column block's accumulators live on this

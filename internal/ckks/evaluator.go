@@ -382,7 +382,6 @@ type ksDigits struct {
 	level  int
 	qLimbs int
 	ext1   int // extended limb count qLimbs + alpha
-	strict bool
 
 	digits [][][]uint64 // [digit][extended limb][coeff]
 
@@ -424,7 +423,6 @@ func (k *ksDigits) bind(params *Parameters, level int) {
 	k.level = level
 	k.qLimbs = level + 1
 	k.ext1 = k.qLimbs + params.Alpha()
-	k.strict = params.RingQ.StrictKernels()
 	need := 3 * params.Digits(level) * k.ext1
 	if cap(k.rows) < need {
 		k.rows = make([][]uint64, need)
@@ -478,9 +476,7 @@ func (k *ksDigits) forwardLimb(i int) {
 // add folding onto the residues already in the out rows (the giant step of a
 // linear transform accumulates straight into the transform's output). With
 // q < 2^61 up to numeric.MaxLazyProducts−1 products fit one 128-bit sum;
-// deeper digit chains fold in between. Under StrictKernels the
-// reduce-every-term reference chain (macLimb) runs instead; both leave the
-// canonical residue of the same sum, bit for bit.
+// deeper digit chains fold in between.
 func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1 []uint64, add bool) {
 	nd := len(k.digits)
 	mod := k.modulus(i)
@@ -497,18 +493,7 @@ func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1
 	if d := k.ownDigit(i); d >= 0 {
 		x[d] = k.own[i]
 	}
-	if !k.strict {
-		mod.VecInnerProductPair(out0, out1, x, kb, ka, perm, add)
-		return
-	}
-	if !add {
-		clear(out0)
-		clear(out1)
-	}
-	for d := range x {
-		macLimb(out0, x[d], kb[d], perm, mod)
-		macLimb(out1, x[d], ka[d], perm, mod)
-	}
+	mod.VecInnerProductPair(out0, out1, x, kb, ka, perm, add)
 }
 
 // inverseRowP takes P row t of the accumulator (c0's alpha rows first, then
@@ -713,21 +698,6 @@ func (ev *Evaluator) ksRelease(s *ksState) {
 	clear(s.rows)
 	*s = ksState{ksDigits: ksDigits{digits: s.digits[:0], rows: s.rows[:0]}}
 	pushFree(params, &params.ksFree, s)
-}
-
-// macLimb computes acc[j] += a[perm[j]]·b[j] mod q over one limb (perm nil
-// reads a in order) — the strict reference schedule: one full reduction and
-// modular add per term.
-func macLimb(acc, a, b []uint64, perm []int, mod numeric.Modulus) {
-	if perm == nil {
-		for j := range acc {
-			acc[j] = mod.Add(acc[j], mod.Mul(a[j], b[j]))
-		}
-		return
-	}
-	for j, p := range perm {
-		acc[j] = mod.Add(acc[j], mod.Mul(a[p], b[j]))
-	}
 }
 
 // addVecGather accumulates a[perm[j]] into out[j] modulo mod — a modular

@@ -112,19 +112,13 @@ func addRows(mod numeric.Modulus, o, a, b []uint64) {
 	}
 }
 
-// kernMulPlain is PMult. On the lazy-kernel path the plaintext's Montgomery
-// image is memoized on first use (see Plaintext.montImage), so repeated
-// multiplications by the same plaintext skip the per-element lift and run
-// only the REDC tail — bit-identical to the Barrett product of the reference
-// path.
+// kernMulPlain is PMult. The plaintext's Montgomery image is memoized on
+// first use (see Plaintext.montImage), so repeated multiplications by the
+// same plaintext skip the per-element lift and run only the REDC tail —
+// bit-identical to the Barrett product against the rows as encoded.
 func kernMulPlain(c *opCall) {
-	rq, stage := c.ev.params.RingQ, (*opCall).mulPlainLimb
-	if rq.StrictKernels() {
-		c.pv, stage = c.pt.Value, (*opCall).mulPlainBarrettLimb
-	} else {
-		c.pv = c.pt.montImage(rq)
-	}
-	c.pointwise(stage, c.x.Scale*c.pt.Scale)
+	c.pv = c.pt.montImage(c.ev.params.RingQ)
+	c.pointwise((*opCall).mulPlainLimb, c.x.Scale*c.pt.Scale)
 }
 
 // mulPlainLimb is the REDC tail against the plaintext's Montgomery image.
@@ -132,17 +126,6 @@ func (c *opCall) mulPlainLimb(i int) {
 	mod := c.ev.params.RingQ.Moduli[i]
 	mod.VecMRed(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pv.Coeffs[i])
 	mod.VecMRed(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.pv.Coeffs[i])
-}
-
-// mulPlainBarrettLimb is the reference product against the rows as encoded.
-func (c *opCall) mulPlainBarrettLimb(i int) {
-	mod, pv := c.ev.params.RingQ.Moduli[i], c.pv.Coeffs[i]
-	for _, p := range [2][2][]uint64{{c.out.C0.Coeffs[i], c.x.C0.Coeffs[i]}, {c.out.C1.Coeffs[i], c.x.C1.Coeffs[i]}} {
-		o, a := p[0], p[1]
-		for j := range o {
-			o[j] = mod.Mul(a[j], pv[j])
-		}
-	}
 }
 
 // pointwise is the kernel of PMult and the scalar ops: one per-limb stage
@@ -201,26 +184,18 @@ func (c *opCall) mulByILimb(i int) {
 
 // mulRelinLimb computes limb i of the degree-2 product: o0 = a0·b0,
 // o1 = a0·b1 + a1·b0, o2 = a1·b1 (all NTT-domain, element-wise — the
-// paper's batched MM operator across limbs). o2 is scratch slot 0.
+// paper's batched MM operator across limbs). o2 is scratch slot 0. The
+// squares are Montgomery products; the two cross products accumulate in 128
+// bits and take one Barrett reduction per coefficient instead of two plus an
+// add.
 func (c *opCall) mulRelinLimb(i int) {
 	mod := c.ev.params.RingQ.Moduli[i]
 	a0, a1 := c.x.C0.Coeffs[i], c.x.C1.Coeffs[i]
 	b0, b1 := c.y.C0.Coeffs[i], c.y.C1.Coeffs[i]
 	o0, o1, o2 := c.out.C0.Coeffs[i], c.out.C1.Coeffs[i], c.tmp[0].Coeffs[i]
-	if c.ev.params.RingQ.StrictKernels() {
-		for j := range o0 {
-			o0[j] = mod.Mul(a0[j], b0[j])
-			o1[j] = mod.Add(mod.Mul(a0[j], b1[j]), mod.Mul(a1[j], b0[j]))
-			o2[j] = mod.Mul(a1[j], b1[j])
-		}
-	} else {
-		// Montgomery squares plus the fused cross term: the two cross
-		// products accumulate in 128 bits and take one Barrett
-		// reduction per coefficient instead of two plus an add.
-		mod.VecMontMul(o0, a0, b0)
-		mod.VecMulPairSum(o1, a0, b1, a1, b0)
-		mod.VecMontMul(o2, a1, b1)
-	}
+	mod.VecMontMul(o0, a0, b0)
+	mod.VecMulPairSum(o1, a0, b1, a1, b0)
+	mod.VecMontMul(o2, a1, b1)
 }
 
 // kernMulRelin is CMult: the degree-2 product, then the keyswitch of its d2
@@ -309,8 +284,8 @@ func (c *opCall) rescalePoly(dst *ring.Poly, src [][]uint64) {
 // transform, and out_i = (a_i − that)·q_l^{-1}. On the limb the spot-check
 // picked, the coefficient-domain pre-image is saved and the strict reference
 // transform of the copy must agree bit for bit with what the datapath made
-// (the strict and lazy kernels are proven bit-identical by the differential
-// suites, so a disagreement is a datapath fault, not a rounding artifact).
+// (internal/ntt pins the fused plans bit-identical to that reference, so a
+// disagreement is a datapath fault, not a rounding artifact).
 func (c *opCall) rescaleLimb(i int) {
 	rq, mid := c.ev.params.RingQ, c.tmp[0].Coeffs[i]
 	rs := c.ev.params.rescaler

@@ -25,7 +25,7 @@ import (
 //     no longer fits under the active modulus chain, a rescale at level 0)
 //     as ErrLevelExhausted before results silently degrade into noise.
 //   - Redundant-limb spot-check (EnableSpotCheck): recomputes one random
-//     limb of each elementwise output with the strict reference kernels,
+//     limb of each elementwise output with reduce-every-term arithmetic,
 //     and one random limb of Rescale's forward NTTs from its saved
 //     coefficient-domain pre-image (opCall.rescaleLimb) — catching datapath
 //     faults (stuck lanes, dropped twiddles) checksums sealed earlier

@@ -210,8 +210,10 @@ func requireSurfacesMatch(t *testing.T, ev *Evaluator, row int, out, a, b *Ciphe
 
 // TestIntoMatchesAllocating reuses ONE dirty destination across every op in
 // sequence — the steady-state pattern the API exists for — and bit-compares
-// every surface's result against the allocating form, under both kernel
-// schedules and on both parameter sets.
+// every surface's result against the allocating form, on both parameter
+// sets. The strict=true pass also holds the allocating form to the strict
+// kernels' output (strictDigests) and the last surface's limbs to the strict
+// transforms.
 func TestIntoMatchesAllocating(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
@@ -220,10 +222,14 @@ func TestIntoMatchesAllocating(t *testing.T) {
 			out := dirtyDest(params, 7)
 			for row, op := range intoOps {
 				t.Run(fmt.Sprintf("%s/%s/strict=%v", pname, op.name, strict), func(t *testing.T) {
-					withStrictCkks(params, strict, func() {
-						want := op.alloc(dc.serial, ct1, ct2, pt, dc)
-						requireSurfacesMatch(t, dc.serial, row, out, ct1, ct2, pt, dc, want)
-					})
+					want := op.alloc(dc.serial, ct1, ct2, pt, dc)
+					if strict {
+						requireStrictDigest(t, want, "into/"+pname+"/"+op.name)
+					}
+					requireSurfacesMatch(t, dc.serial, row, out, ct1, ct2, pt, dc, want)
+					if strict {
+						requireRingMatchesStrict(t, params, out, op.name)
+					}
 				})
 			}
 		}

@@ -7,10 +7,11 @@ import (
 	"testing"
 
 	"poseidon/internal/automorph"
+	"poseidon/internal/numeric"
 )
 
 // Tests of the one keyswitch inner-product stage (ksDigits.innerProduct):
-// against the strict macLimb chain it replaces, and against a math/big
+// against the reduce-every-term macLimb chain, and against a math/big
 // schoolbook oracle that shares no arithmetic with internal/numeric.
 
 // ksInnerFixture is a ksDigits over random digit rows plus a random "key" of
@@ -113,6 +114,21 @@ func TestInnerProductMatchesStrictChain(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// macLimb computes acc[j] += a[perm[j]]·b[j] mod q over one limb (perm nil
+// reads a in order) — the reference chain: one full reduction and modular
+// add per term.
+func macLimb(acc, a, b []uint64, perm []int, mod numeric.Modulus) {
+	if perm == nil {
+		for j := range acc {
+			acc[j] = mod.Add(acc[j], mod.Mul(a[j], b[j]))
+		}
+		return
+	}
+	for j, p := range perm {
+		acc[j] = mod.Add(acc[j], mod.Mul(a[p], b[j]))
 	}
 }
 

@@ -288,18 +288,6 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	return p, nil
 }
 
-// SetStrictKernels switches both rings (and the evaluator paths keyed off
-// them) between the lazy production kernels (false, default) and the strict
-// reference kernels (true). Outputs are bit-identical; see
-// ring.Ring.SetStrictKernels for the concurrency caveat.
-func (p *Parameters) SetStrictKernels(strict bool) {
-	p.RingQ.SetStrictKernels(strict)
-	p.RingP.SetStrictKernels(strict)
-}
-
-// StrictKernels reports whether the strict reference kernels are selected.
-func (p *Parameters) StrictKernels() bool { return p.RingQ.StrictKernels() }
-
 // Workers reports the limb-parallel worker bound evaluators inherit from
 // these parameters.
 func (p *Parameters) Workers() int { return p.pool.Workers() }

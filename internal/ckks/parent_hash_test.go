@@ -13,9 +13,10 @@ import (
 // product became one register-resident limb-major stage (3fb52a2: digit-major
 // 128-bit accumulator rows, staged permutations). The rewrite changes loop
 // order and where sums live, never a residue, so every keyswitch path must
-// still reproduce them — at 1 and 2 workers, on the default and the strict
-// kernels. Regenerate only for a change that is meant to alter ciphertext
-// bits: empty the table, run the test, paste what it prints.
+// still reproduce them — at 1 and 2 workers; the strict=true runs also check
+// every output's limbs against the strict transforms. Regenerate only for a
+// change that is meant to alter ciphertext bits: empty the table, run the
+// test, paste what it prints.
 var parentHashes = map[string]string{
 	"EvaluateLinearTransformInto": "13ef041cceb82c417151887b7b4f051e0cd46cb8a16d610bef62cf33e2ce1072",
 	"RotateInto":                  "85cf3c08589e4db5cdcf6721ddd1669b916cf015d42bc3eb2f789e8d4d775860",
@@ -55,7 +56,6 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				params.SetStrictKernels(strict)
 				n := params.Slots
 				rng := rand.New(rand.NewSource(97))
 				enc := NewEncoder(params)
@@ -108,6 +108,9 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 					sum := sha256.Sum256(blob)
 					if hx := hex.EncodeToString(sum[:]); hx != parentHashes[name] {
 						t.Errorf("%s: output hash differs from the parent commit\n\t%q: %q,", name, name, hx)
+					}
+					if strict {
+						requireRingMatchesStrict(t, params, out, name)
 					}
 				}
 			})

@@ -56,7 +56,7 @@ func fusedPasses(logN, k int) (passes, rem int) {
 }
 
 // Forward computes the forward negacyclic NTT of a via the fused plan.
-// Output is bit-identical to Table.Forward (bit-reversed order, fully
+// Output is bit-identical to ForwardStrict (bit-reversed order, fully
 // reduced). Zero allocations.
 func (p FusedPlan) Forward(a []uint64) {
 	p.forward(a, nil)

@@ -13,7 +13,7 @@ import (
 // final stage of the final pass via exact Shoup products (nInv on the sum
 // output, nInv·psiInv on the difference output), so the inverse costs no
 // separate scaling sweep and the output is fully reduced — bit-identical to
-// Table.Inverse. Like FusedPlan it is just (table, k): the kernels read the
+// InverseStrict. Like FusedPlan it is just (table, k): the kernels read the
 // table's psiInvBR runs directly. Inverse allocates nothing and is safe for
 // concurrent use.
 type InverseFusedPlan struct {
@@ -33,7 +33,7 @@ func NewInverseFusedPlan(t *Table, k int) (*InverseFusedPlan, error) {
 
 // Inverse computes the inverse negacyclic NTT of a (input bit-reversed,
 // output natural order, scaled by N^-1) via the fused plan. Output is
-// bit-identical to Table.Inverse. Zero allocations.
+// bit-identical to InverseStrict. Zero allocations.
 func (p InverseFusedPlan) Inverse(a []uint64) {
 	p.inverse(a, nil)
 }

@@ -20,12 +20,12 @@ import (
 // (hi,_ := bits.Mul64(x, ws); v := x*w − hi*q) because the scalar method
 // form is the one call the compiler must not fail to flatten.
 //
-// Band discipline matches Table.Forward/Inverse exactly: forward residues
-// live in [0, 4q) with one conditional 2q-correction on each butterfly's u
-// operand, inverse residues in [0, 2q) with one correction on the sum;
-// the forward final pass performs the deferred ReduceFourQ per coefficient
-// and the inverse final pass folds N^-1 through exact Shoup products, so
-// outputs are fully reduced and bit-identical to the radix-2 kernels.
+// Band discipline: forward residues live in [0, 4q) with one conditional
+// 2q-correction on each butterfly's u operand, inverse residues in [0, 2q)
+// with one correction on the sum; the forward final pass performs the
+// deferred ReduceFourQ per coefficient and the inverse final pass folds N^-1
+// through exact Shoup products, so outputs are fully reduced and
+// bit-identical to the strict reference (strict.go).
 //
 // On a table NewTable marked for lanes (Table.lanes), lanes_amd64.s runs
 // these passes instead, eight coefficients a register, when uncounted —

@@ -28,9 +28,9 @@ func edgePolys(rng *rand.Rand, n int, q uint64) [][]uint64 {
 	return polys
 }
 
-// The lazy Harvey forward kernel must be bit-identical to the strict
-// reference on every size (exercising the n=2 special case, the n=4
-// no-middle-stage case, and deep transforms) at every band edge.
+// Table.Forward — the default-degree fused plan — must be bit-identical to
+// the strict reference on every size (N = 2 and 4 run as a lone remainder
+// pass, deeper transforms as full radix-8 passes) at every band edge.
 func TestForwardLazyMatchesStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{2, 4, 8, 16, 256, 1024} {
@@ -55,7 +55,7 @@ func TestForwardLazyMatchesStrict(t *testing.T) {
 	}
 }
 
-// The lazy GS inverse (with N^-1 folded into the last stage) must be
+// Table.Inverse (with N^-1 folded into the last stage) must be
 // bit-identical to the strict reference with its separate scaling pass.
 func TestInverseLazyMatchesStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -82,10 +82,10 @@ func TestInverseLazyMatchesStrict(t *testing.T) {
 }
 
 // The fused kernels — the default degree the ring layer runs and every other
-// selectable one — must be bit-identical to the strict reference for every
-// transform length a table supports up to 2^14, at every band edge. Sizes
-// below 8 never reach a full radix-8 block: N=2 and N=4 run entirely as the
-// remainder pass; above that every logN mod 3 remainder (first pass forward,
+// degree a plan can be built at — must be bit-identical to the strict
+// reference for every transform length a table supports up to 2^14, at
+// every band edge. Sizes below 8 never reach a full radix-8 block: N=2 and
+// N=4 run entirely as the remainder pass; above that every logN mod 3 remainder (first pass forward,
 // last pass inverse), the specialized kernels (k ≤ 3) and the generic one
 // (k ≥ 4, and every counted run) are covered. Primes under 2^50 run the
 // IFMA52 lanes from N = 64 where the CPU has them; 61 bits never does.
@@ -147,29 +147,40 @@ func TestMulEvalMontgomeryMatchesBarrett(t *testing.T) {
 	}
 }
 
-// The lazy kernel's accounting must keep the TAM-convention Reductions total
-// (N·logN) while splitting it exactly into Deferred + Normalizations, with
-// one performed normalization per output coefficient.
+// ForwardWithStats counts the lazy radix-2 schedule exactly: every stage
+// books N mult, add and TAM reduction slots, all deferred but the last
+// stage's, which performs the one normalization per coefficient; stage s
+// loads its 2^s twiddles, N − 1 in all. The counted run's output is the
+// transform's.
 func TestLazyStatsAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, n := range []int{2, 4, 8, 256, 4096} {
 		tab := mustTable(t, n, 59)
 		a := randomPoly(rng, n, tab.Mod.Q)
+		want := append([]uint64(nil), a...)
+		tab.ForwardStrict(want)
 		var s Stats
-		tab.forwardCounted(a, &s)
-		logN := int64(log2(n))
-		if want := int64(n) * logN; s.Reductions != want {
-			t.Errorf("n=%d: Reductions=%d want %d", n, s.Reductions, want)
+		tab.ForwardWithStats(a, &s)
+		for i := range a {
+			if a[i] != want[i] {
+				t.Fatalf("n=%d: counted forward differs from strict at %d", n, i)
+			}
 		}
-		if s.Reductions != s.Deferred+s.Normalizations {
-			t.Errorf("n=%d: Reductions=%d != Deferred=%d + Normalizations=%d",
-				n, s.Reductions, s.Deferred, s.Normalizations)
-		}
-		if s.Normalizations != int64(n) {
-			t.Errorf("n=%d: Normalizations=%d want %d (one per coefficient)", n, s.Normalizations, n)
-		}
-		if want := int64(n) * logN; s.Mults != want || s.Adds != want {
-			t.Errorf("n=%d: Mults=%d Adds=%d want %d", n, s.Mults, s.Adds, want)
+		N, logN := int64(n), int64(log2(n))
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"Mults", s.Mults, N * logN},
+			{"Adds", s.Adds, N * logN},
+			{"Reductions", s.Reductions, N * logN},
+			{"Deferred", s.Deferred, N * (logN - 1)},
+			{"Normalizations", s.Normalizations, N},
+			{"TwiddleLoads", s.TwiddleLoads, N - 1},
+		} {
+			if c.got != c.want {
+				t.Errorf("n=%d: %s=%d want %d", n, c.name, c.got, c.want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package ntt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -152,6 +153,8 @@ func TestForwardLinearityProperty(t *testing.T) {
 	}
 }
 
+// Every fused degree, through the plan's own constructor, against the
+// reduce-every-butterfly reference.
 func TestFusedMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{8, 64, 512, 4096} {
@@ -164,7 +167,7 @@ func TestFusedMatchesPlain(t *testing.T) {
 				}
 				a := randomPoly(rng, n, tab.Mod.Q)
 				want := append([]uint64(nil), a...)
-				tab.Forward(want)
+				tab.ForwardStrict(want)
 				plan.Forward(a)
 				for i := range a {
 					if a[i] != want[i] {
@@ -202,8 +205,9 @@ func TestFusedPassCount(t *testing.T) {
 
 // Fusion reduces reduction slots (and memory passes) by ~k× without adding
 // arithmetic: the register-blocked kernel executes the same butterfly
-// network as radix-2, so Mults/Adds match the plain transform exactly while
-// Reductions shrinks from one slot per stage to one per pass — the software
+// network at every degree, so Mults/Adds of the k = 3 plan match the radix-2
+// schedule ForwardWithStats counts exactly while Reductions shrinks from one
+// slot per stage to one per pass — the software
 // reading of the Table II tradeoff (the hardware TAM's mult inflation stays
 // modeled in FusedBlockCosts).
 func TestFusionReductionTradeoff(t *testing.T) {
@@ -212,7 +216,7 @@ func TestFusionReductionTradeoff(t *testing.T) {
 
 	var plain Stats
 	a := randomPoly(rng, tab.N, tab.Mod.Q)
-	tab.forwardCounted(append([]uint64(nil), a...), &plain)
+	tab.ForwardWithStats(append([]uint64(nil), a...), &plain)
 
 	plan, err := NewFusedPlan(tab, 3)
 	if err != nil {
@@ -237,8 +241,8 @@ func TestFusionReductionTradeoff(t *testing.T) {
 	if want := int64(Iterations(tab.LogN, 3)); fused.FusedPasses != want {
 		t.Errorf("fused passes=%d want %d", fused.FusedPasses, want)
 	}
-	if plain.FusedPasses != 0 {
-		t.Errorf("plain kernel recorded %d fused passes, want 0", plain.FusedPasses)
+	if want := int64(tab.LogN); plain.FusedPasses != want {
+		t.Errorf("radix-2 schedule recorded %d passes, want one per stage (%d)", plain.FusedPasses, want)
 	}
 }
 
@@ -312,33 +316,21 @@ func TestDistinctTwiddles(t *testing.T) {
 	}
 }
 
-func BenchmarkForwardRadix2(b *testing.B) {
-	for _, n := range []int{4096, 16384, 65536} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			tab := benchTable(b, n)
-			a := randomPoly(rand.New(rand.NewSource(1)), n, tab.Mod.Q)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tab.Forward(a)
-			}
-		})
-	}
-}
-
-func BenchmarkForwardFusedK3(b *testing.B) {
-	for _, n := range []int{4096, 16384} {
-		b.Run(sizeName(n), func(b *testing.B) {
-			tab := benchTable(b, n)
-			plan, err := NewFusedPlan(tab, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			a := randomPoly(rand.New(rand.NewSource(1)), n, tab.Mod.Q)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan.Forward(a)
-			}
-		})
+// BenchmarkForwardFused times the radix-2 schedule (k = 1) against the
+// default degree.
+func BenchmarkForwardFused(b *testing.B) {
+	for _, k := range []int{1, DefaultFusionDegree} {
+		for _, n := range []int{4096, 16384} {
+			b.Run(fmt.Sprintf("k=%d/N=%d", k, n), func(b *testing.B) {
+				tab := benchTable(b, n)
+				plan := FusedPlan{Table: tab, K: k}
+				a := randomPoly(rand.New(rand.NewSource(1)), n, tab.Mod.Q)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					plan.Forward(a)
+				}
+			})
+		}
 	}
 }
 
@@ -353,16 +345,4 @@ func benchTable(b *testing.B, n int) *Table {
 		b.Fatal(err)
 	}
 	return tab
-}
-
-func sizeName(n int) string {
-	switch n {
-	case 4096:
-		return "N=4096"
-	case 16384:
-		return "N=16384"
-	case 65536:
-		return "N=65536"
-	}
-	return "N"
 }

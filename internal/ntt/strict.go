@@ -5,13 +5,13 @@ import "fmt"
 // Strict (fully reduced) reference kernels. Every butterfly output receives
 // its full modular reduction immediately — one conditional correction per
 // Add/Sub and per Shoup multiply — exactly the schedule the paper's
-// unfused TAM row of Table II prices. The lazy Harvey kernels in ntt.go are
-// the production path; these remain as the bit-identity reference for the
-// differential suite and the execution mode selected by
-// ring.SetStrictKernels.
+// unfused TAM row of Table II prices. The fused plans are the one transform
+// the library runs; these have two users: the tests, which pin every plan
+// against them bit for bit, and the evaluator's rescale spot-check, which
+// recomputes one limb through an independent kernel.
 
 // ForwardStrict computes the in-place negacyclic NTT with per-butterfly
-// reductions. Output is bit-identical to Forward.
+// reductions. Output is bit-identical to the fused plans' Forward.
 func (t *Table) ForwardStrict(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: length %d != N=%d", len(a), t.N))
@@ -36,7 +36,7 @@ func (t *Table) ForwardStrict(a []uint64) {
 
 // InverseStrict computes the in-place inverse negacyclic NTT with
 // per-butterfly reductions and a separate N^-1 scaling pass. Output is
-// bit-identical to Inverse.
+// bit-identical to the fused plans' Inverse.
 func (t *Table) InverseStrict(a []uint64) {
 	if len(a) != t.N {
 		panic(fmt.Sprintf("ntt: length %d != N=%d", len(a), t.N))

@@ -17,10 +17,12 @@ import (
 )
 
 // Ring bundles the modulus chain and per-prime NTT tables for degree N.
-// Construct once, configure (SetStrictKernels, SetFusionDegree,
-// SetFaultInjector — each a plain field every hot path reads without
-// synchronization), then share: once a second goroutine can see the ring,
-// its methods are safe for concurrent use and the setters must not be called.
+// Every limb transform runs the tables' fused plan and every elementwise
+// product the Montgomery kernels; nothing selects another body. Construct
+// once, install a fault injector if wanted (a plain field every hot path
+// reads without synchronization), then share: once a second goroutine can
+// see the ring, its methods are safe for concurrent use and
+// SetFaultInjector must not be called.
 type Ring struct {
 	N      int
 	LogN   int
@@ -35,24 +37,11 @@ type Ring struct {
 	// from churning the GC with per-operation allocations. See Arena.
 	arena *Arena
 
-	// strict selects the fully reduced reference kernels (per-butterfly
-	// reductions, Barrett elementwise products) instead of the lazy
-	// Harvey/Montgomery production kernels. Both paths are bit-identical;
-	// the toggle exists for differential testing and before/after
-	// benchmarking. See SetStrictKernels.
-	strict bool
-
 	// injector, when non-nil, corrupts limbs at the ring's injection points
 	// (the datapath loads feeding each NTT/INTT limb transform) according
 	// to its armed fault schedule. Nil in production: the hot paths pay one
 	// pointer compare. See SetFaultInjector.
 	injector *fault.Injector
-
-	// fusionK is the radix-2^k degree the fused limb transforms run at:
-	// ntt.DefaultFusionDegree unless a differential test said otherwise
-	// (SetFusionDegree). The fused kernels read the tables' own twiddle
-	// arrays, so the ring holds no per-limb plan state.
-	fusionK int
 }
 
 // HFCache caches precomputed HFAuto routing maps per Galois element.
@@ -78,7 +67,7 @@ func NewRing(n int, moduli []uint64, laneC int) (*Ring, error) {
 			laneC = n
 		}
 	}
-	r := &Ring{N: n, fusionK: ntt.DefaultFusionDegree}
+	r := &Ring{N: n}
 	for n>>uint(r.LogN+1) > 0 {
 		r.LogN++
 	}
@@ -111,96 +100,34 @@ func NewRing(n int, moduli []uint64, laneC int) (*Ring, error) {
 // checkout for callers that manage polynomial lifetimes themselves).
 func (r *Ring) Arena() *Arena { return r.arena }
 
-// SetStrictKernels selects between the lazy-reduction production kernels
-// (default, false) and the strict fully-reduced reference kernels (true) for
-// NTT/INTT and the elementwise products. The two paths produce bit-identical
-// results; the switch exists so differential tests can prove that identity
-// at the evaluator level and so benchmarks can measure both schedules in one
-// binary. Call before sharing the ring across goroutines: the flag is read
-// without synchronization on every hot path.
-func (r *Ring) SetStrictKernels(strict bool) { r.strict = strict }
-
-// StrictKernels reports whether the strict reference kernels are selected.
-func (r *Ring) StrictKernels() bool { return r.strict }
-
-// SetFusionDegree selects the degree of the fused radix-2^k NTT kernel for
-// every limb transform: k in [1, 6] runs k butterfly stages per memory pass
-// (k=1 is one stage per pass), and k=0 restores the default,
-// ntt.DefaultFusionDegree — the paper's Fig-10 sweet spot and the measured
-// one on amd64, the only degree anything but a differential test runs. Every
-// degree is bit-identical (internal/ntt pins each against the radix-2 and the
-// strict transform) and costs nothing to select: the kernels index the
-// tables' twiddles directly. Strict mode overrides the degree while set. Like
-// SetStrictKernels, call before sharing the ring across goroutines.
-func (r *Ring) SetFusionDegree(k int) error {
-	if k == 0 {
-		k = ntt.DefaultFusionDegree
-	}
-	if _, err := ntt.NewFusedPlan(r.Tables[0], k); err != nil {
-		return fmt.Errorf("ring: %w", err)
-	}
-	r.fusionK = k
-	return nil
-}
-
-// FusionDegree returns the degree limb transforms run at (never 0).
-func (r *Ring) FusionDegree() int { return r.fusionK }
+// FusionDegree returns the degree the limb transforms run at,
+// ntt.DefaultFusionDegree.
+func (r *Ring) FusionDegree() int { return ntt.DefaultFusionDegree }
 
 // SetFaultInjector installs (or, with nil, removes) a fault injector on the
-// ring's injection points. Like SetStrictKernels, call before sharing the
-// ring across goroutines: the pointer is read without synchronization on
-// every hot path (the injector itself is internally locked).
+// ring's injection points. Call before sharing the ring across goroutines:
+// the pointer is read without synchronization on every hot path (the
+// injector itself is internally locked).
 func (r *Ring) SetFaultInjector(in *fault.Injector) { r.injector = in }
 
 // FaultInjector returns the installed injector (nil when faults are off).
 func (r *Ring) FaultInjector() *fault.Injector { return r.injector }
 
-// ForwardLimb / InverseLimb run one limb's transform on one of two arms: the
-// fused radix-2^k kernel, or the strict reference a differential test
-// selected (exported for the evaluator, whose pipelines drive per-limb
-// transforms directly); mulLimb / mulAddLimb likewise for the elementwise
-// products. Every ring operation funnels through these four, so the strict
-// toggle covers every execution path.
+// ForwardLimb / InverseLimb run one limb's transform (exported for the
+// evaluator, whose pipelines drive per-limb transforms directly); every ring
+// transform funnels through them, after the fault injector's read hook.
 func (r *Ring) ForwardLimb(i int, c []uint64) {
 	if r.injector != nil {
 		r.injector.OnLimbRead(fault.SiteNTT, i, c)
 	}
-	if r.strict {
-		r.Tables[i].ForwardStrict(c)
-	} else {
-		ntt.FusedPlan{Table: r.Tables[i], K: r.fusionK}.Forward(c)
-	}
+	r.Tables[i].Forward(c)
 }
 
 func (r *Ring) InverseLimb(i int, c []uint64) {
 	if r.injector != nil {
 		r.injector.OnLimbRead(fault.SiteINTT, i, c)
 	}
-	if r.strict {
-		r.Tables[i].InverseStrict(c)
-	} else {
-		ntt.InverseFusedPlan{Table: r.Tables[i], K: r.fusionK}.Inverse(c)
-	}
-}
-
-func (r *Ring) mulLimb(mod numeric.Modulus, oc, ac, bc []uint64) {
-	if r.strict {
-		for j := range oc {
-			oc[j] = mod.Mul(ac[j], bc[j])
-		}
-	} else {
-		mod.VecMontMul(oc, ac, bc)
-	}
-}
-
-func (r *Ring) mulAddLimb(mod numeric.Modulus, oc, ac, bc []uint64) {
-	if r.strict {
-		for j := range oc {
-			oc[j] = mod.Add(oc[j], mod.Mul(ac[j], bc[j]))
-		}
-	} else {
-		mod.VecMontMulAdd(oc, ac, bc)
-	}
+	r.Tables[i].Inverse(c)
 }
 
 // Get returns (building if needed) the routing map for Galois element g.
@@ -377,7 +304,7 @@ func (r *Ring) MulCoeffwise(out, a, b *Poly) {
 		panic("ring: MulCoeffwise requires NTT-domain operands")
 	}
 	for i := 0; i < limbs; i++ {
-		r.mulLimb(r.Moduli[i], out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
+		r.Moduli[i].VecMontMul(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	}
 	out.IsNTT = true
 }
@@ -389,7 +316,7 @@ func (r *Ring) MulCoeffwiseAdd(out, a, b *Poly) {
 		panic("ring: MulCoeffwiseAdd requires NTT-domain operands")
 	}
 	for i := 0; i < limbs; i++ {
-		r.mulAddLimb(r.Moduli[i], out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
+		r.Moduli[i].VecMontMulAdd(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
 	}
 	out.IsNTT = true
 }

@@ -5,110 +5,132 @@ import (
 	"slices"
 	"testing"
 
-	"poseidon/internal/ntt"
 	"poseidon/internal/numeric"
 )
 
-// withStrict runs f twice — once per kernel mode — and returns the two
-// results for comparison, restoring the original mode afterwards.
-func withStrict(r *Ring, f func() *Poly) (lazy, strict *Poly) {
-	saved := r.StrictKernels()
-	defer r.SetStrictKernels(saved)
-	r.SetStrictKernels(false)
-	lazy = f()
-	r.SetStrictKernels(true)
-	strict = f()
-	return lazy, strict
+// refRing is a two-limb ring of degree 64 over a 45-bit prime, which runs
+// the IFMA52 lanes where the CPU has them, and a 61-bit one, which always
+// runs the Go body.
+func refRing(t testing.TB) *Ring {
+	t.Helper()
+	var qs []uint64
+	for _, bits := range []int{45, 61} {
+		ps, err := numeric.GenerateNTTPrimes(bits, 6, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs = append(qs, ps[0])
+	}
+	r, err := NewRing(64, qs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
-// Every ring operation the lazy kernels rewrote must stay bit-identical to
-// the strict reference path, limb for limb, including edge residues.
+// concurrently runs f on `workers` executors at once — the ring shared,
+// every result private — and returns the results; one worker is a plain call.
+func concurrently(workers int, f func() *Poly) []*Poly {
+	out := make([]*Poly, workers)
+	NewPool(workers).ForEach(workers, func(w int) { out[w] = f() })
+	return out
+}
+
+// The ring's transforms and elementwise products, serial and on two
+// concurrent executors, against direct references: the strict per-table
+// transforms, a mod.Mul loop for the products, and the schoolbook
+// negacyclic convolution for one NTT → product → INTT round, on a lanes
+// prime and a Go-body prime with band-edge residues on every limb.
 func TestStrictLazyKernelIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	r := testRing(t, 64, 3)
-	q0 := r.Moduli[0].Q
-
+	r := refRing(t)
 	mkCoeff := func() *Poly {
-		p := randPoly(r, rng, 3, false)
-		// Pin band edges in limb 0.
-		p.Coeffs[0][0] = 0
-		p.Coeffs[0][1] = 1
-		p.Coeffs[0][2] = q0 - 1
+		p := randPoly(r, rng, 2, false)
+		for i, mod := range r.Moduli {
+			p.Coeffs[i][0], p.Coeffs[i][1], p.Coeffs[i][2] = 0, 1, mod.Q-1
+		}
 		return p
 	}
+	// check runs op on a copy of src at 1 and 2 workers and compares every
+	// result with want, which ref computes limb by limb from src.
+	check := func(t *testing.T, src *Poly, op func(*Poly), ref func(i int, c []uint64)) {
+		want := src.CopyNew()
+		for i := range want.Coeffs {
+			ref(i, want.Coeffs[i])
+		}
+		for _, workers := range []int{1, 2} {
+			for _, got := range concurrently(workers, func() *Poly {
+				p := src.CopyNew()
+				op(p)
+				return p
+			}) {
+				for i := range got.Coeffs {
+					if !slices.Equal(got.Coeffs[i], want.Coeffs[i]) {
+						t.Fatalf("workers=%d limb %d (q=%d): differs from the reference", workers, i, r.Moduli[i].Q)
+					}
+				}
+			}
+		}
+	}
+	a, b := mkCoeff(), mkCoeff()
+	a.IsNTT, b.IsNTT = true, true
 
 	t.Run("NTT", func(t *testing.T) {
-		src := mkCoeff()
-		lazy, strict := withStrict(r, func() *Poly {
-			p := src.CopyNew()
-			r.NTT(p)
-			return p
-		})
-		if !lazy.Equal(strict) {
-			t.Fatal("NTT lazy/strict outputs differ")
-		}
+		check(t, mkCoeff(), r.NTT, func(i int, c []uint64) { r.Tables[i].ForwardStrict(c) })
 	})
-
 	t.Run("INTT", func(t *testing.T) {
 		src := mkCoeff()
 		src.IsNTT = true
-		lazy, strict := withStrict(r, func() *Poly {
-			p := src.CopyNew()
-			r.INTT(p)
-			return p
-		})
-		if !lazy.Equal(strict) {
-			t.Fatal("INTT lazy/strict outputs differ")
-		}
+		check(t, src, r.INTT, func(i int, c []uint64) { r.Tables[i].InverseStrict(c) })
 	})
-
-	a := mkCoeff()
-	b := mkCoeff()
-	a.IsNTT, b.IsNTT = true, true
-
 	t.Run("MulCoeffwise", func(t *testing.T) {
-		lazy, strict := withStrict(r, func() *Poly {
-			out := r.NewPoly(3)
-			out.IsNTT = true
-			r.MulCoeffwise(out, a, b)
-			return out
+		check(t, a, func(p *Poly) { r.MulCoeffwise(p, p, b) }, func(i int, c []uint64) {
+			mod := r.Moduli[i]
+			for j := range c {
+				c[j] = mod.Mul(c[j], b.Coeffs[i][j])
+			}
 		})
-		if !lazy.Equal(strict) {
-			t.Fatal("MulCoeffwise lazy/strict outputs differ")
-		}
 	})
-
 	t.Run("MulCoeffwiseAdd", func(t *testing.T) {
 		acc := mkCoeff()
 		acc.IsNTT = true
-		lazy, strict := withStrict(r, func() *Poly {
-			out := acc.CopyNew()
-			r.MulCoeffwiseAdd(out, a, b)
-			return out
+		check(t, acc, func(p *Poly) { r.MulCoeffwiseAdd(p, a, b) }, func(i int, c []uint64) {
+			mod := r.Moduli[i]
+			for j := range c {
+				c[j] = mod.Add(c[j], mod.Mul(a.Coeffs[i][j], b.Coeffs[i][j]))
+			}
 		})
-		if !lazy.Equal(strict) {
-			t.Fatal("MulCoeffwiseAdd lazy/strict outputs differ")
-		}
+	})
+	t.Run("Convolution", func(t *testing.T) {
+		x, y := mkCoeff(), mkCoeff()
+		check(t, x, func(p *Poly) {
+			yy := y.CopyNew()
+			r.NTT(p)
+			r.NTT(yy)
+			r.MulCoeffwise(p, p, yy)
+			r.INTT(p)
+		}, func(i int, c []uint64) {
+			copy(c, r.Tables[i].NegacyclicConvolution(c, y.Coeffs[i]))
+		})
 	})
 }
 
-// The pooled transform dispatches through the same strict toggle; prove
-// lazy-parallel == strict-serial at several worker counts.
+// The pooled transform runs the same limb body at every worker count.
 func TestStrictLazyKernelIdentityParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	r := testRing(t, 64, 4)
-	src := randPoly(r, rng, 4, false)
-
-	r.SetStrictKernels(true)
-	wantNTT := src.CopyNew()
-	r.NTT(wantNTT)
-	r.SetStrictKernels(false)
+	r := refRing(t)
+	src := randPoly(r, rng, 2, false)
+	want := src.CopyNew()
+	for i := range want.Coeffs {
+		r.Tables[i].ForwardStrict(want.Coeffs[i])
+	}
+	want.IsNTT = true
 
 	for _, workers := range []int{1, 2, 4} {
 		p := src.CopyNew()
 		r.NTTParallel(p, NewPool(workers))
-		if !p.Equal(wantNTT) {
-			t.Fatalf("workers=%d: lazy NTTParallel != strict NTT", workers)
+		if !p.Equal(want) {
+			t.Fatalf("workers=%d: NTTParallel != ForwardStrict", workers)
 		}
 	}
 }
@@ -137,11 +159,9 @@ func TestPolyEqual(t *testing.T) {
 	}
 }
 
-// What ForwardLimb/InverseLimb run when nobody selects anything must be the
-// fused radix-8 kernel, and it — like the one-stage-per-pass degree a
-// differential test can still select — must agree bit for bit with the
-// strict per-table reference, for every ring degree the scheme admits up to
-// 2^14 and on a wide and a narrow prime.
+// ForwardLimb / InverseLimb must agree bit for bit with the strict
+// per-table reference for every ring degree the scheme admits up to 2^14,
+// on a wide and a narrow prime.
 func TestDefaultDispatchMatchesStrict(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	for logN := 3; logN <= 14; logN++ {
@@ -158,30 +178,22 @@ func TestDefaultDispatchMatchesStrict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.FusionDegree() != ntt.DefaultFusionDegree {
-			t.Fatalf("logN=%d: a fresh ring runs degree %d, want the default %d", logN, r.FusionDegree(), ntt.DefaultFusionDegree)
-		}
 		src := randPoly(r, rng, 2, false)
 		for i, q := range qs {
 			src.Coeffs[i][0], src.Coeffs[i][1], src.Coeffs[i][n-1] = 0, q-1, q-1
 		}
-		for _, k := range []int{0, 1} {
-			if err := r.SetFusionDegree(k); err != nil {
-				t.Fatal(err)
+		for i := range qs {
+			got := slices.Clone(src.Coeffs[i])
+			want := slices.Clone(src.Coeffs[i])
+			r.ForwardLimb(i, got)
+			r.Tables[i].ForwardStrict(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("logN=%d limb %d: ForwardLimb differs from ForwardStrict", logN, i)
 			}
-			for i := range qs {
-				got := slices.Clone(src.Coeffs[i])
-				want := slices.Clone(src.Coeffs[i])
-				r.ForwardLimb(i, got)
-				r.Tables[i].ForwardStrict(want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("logN=%d limb %d degree %d: ForwardLimb differs from ForwardStrict", logN, i, r.FusionDegree())
-				}
-				r.InverseLimb(i, got)
-				r.Tables[i].InverseStrict(want)
-				if !slices.Equal(got, want) || !slices.Equal(got, src.Coeffs[i]) {
-					t.Fatalf("logN=%d limb %d degree %d: InverseLimb differs from InverseStrict", logN, i, r.FusionDegree())
-				}
+			r.InverseLimb(i, got)
+			r.Tables[i].InverseStrict(want)
+			if !slices.Equal(got, want) || !slices.Equal(got, src.Coeffs[i]) {
+				t.Fatalf("logN=%d limb %d: InverseLimb differs from InverseStrict", logN, i)
 			}
 		}
 	}
