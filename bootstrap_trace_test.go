@@ -60,7 +60,7 @@ func TestWorkloadTraceMatchesRealBootstrap(t *testing.T) {
 
 	recorded := rec.Trace().CountByKind()
 	t.Logf("recorded bootstrap op mix: %v", recorded)
-	if got := collector.Snapshot().ByKind()[trace.CMult].Ops; float64(got) != recorded[trace.CMult] {
+	if got := collector.Snapshot().ByKind()[trace.CMult].Count; float64(got) != recorded[trace.CMult] {
 		t.Errorf("collector counted %d CMult, recorder %v", got, recorded[trace.CMult])
 	}
 	if got := len(rt.Finish(200, nil).Spans); got <= int(recorded[trace.CMult]) {

@@ -7,23 +7,17 @@ import (
 	"poseidon/internal/trace"
 )
 
-// TestReportCalibJSONRoundTrip proves the calibration block survives the
-// Report's JSON encoding unchanged.
-func TestReportCalibJSONRoundTrip(t *testing.T) {
-	rep := Report{
-		Name:      "calib-roundtrip",
-		TotalTime: 1.5,
-		Calib: &trace.CalibStats{
-			Workload: "chain",
-			PerKind: []trace.KindCalib{
-				{Kind: trace.CMult, Name: "CMult", Count: 12, MeasuredSec: 0.024, ModeledSec: 0.006, Ratio: 4.0},
-				{Kind: trace.Rescale, Name: "Rescale", Count: 12, MeasuredSec: 0.003, ModeledSec: 0.003, Ratio: 1.0},
-			},
-			GeomeanRatio: 2.0,
-			MinRatio:     1.0,
-			MaxRatio:     4.0,
-		},
+// TestReportJSONRoundTrip proves a simulated report survives its JSON
+// encoding unchanged.
+func TestReportJSONRoundTrip(t *testing.T) {
+	m, err := NewModel(U280(), PaperParams())
+	if err != nil {
+		t.Fatal(err)
 	}
+	tr := &trace.Trace{Name: "roundtrip", Workers: 2}
+	tr.AddTagged(trace.CMult, 6, 3, "mul")
+	tr.Add(trace.Rescale, 6, 3)
+	rep := Simulate(m, DefaultEnergy(), tr)
 
 	blob, err := json.Marshal(rep)
 	if err != nil {
@@ -33,35 +27,15 @@ func TestReportCalibJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Calib == nil {
-		t.Fatal("Calib lost in round trip")
+	if back.Name != rep.Name || back.Workers != 2 || back.TotalTime != rep.TotalTime || back.EDP != rep.EDP {
+		t.Fatalf("report = %+v, want %+v", back, rep)
 	}
-	if back.Calib.Workload != "chain" {
-		t.Fatalf("workload = %q", back.Calib.Workload)
-	}
-	if len(back.Calib.PerKind) != 2 {
-		t.Fatalf("PerKind = %+v", back.Calib.PerKind)
-	}
-	for i, kc := range back.Calib.PerKind {
-		orig := rep.Calib.PerKind[i]
-		if kc != orig {
-			t.Fatalf("PerKind[%d] = %+v, want %+v", i, kc, orig)
+	for k, st := range rep.ByKind {
+		if got := back.ByKind[k]; got == nil || *got != *st {
+			t.Fatalf("ByKind[%v] = %+v, want %+v", k, got, st)
 		}
 	}
-	if back.Calib.GeomeanRatio != 2.0 || back.Calib.MinRatio != 1.0 || back.Calib.MaxRatio != 4.0 {
-		t.Fatalf("drift summary = %+v", back.Calib)
-	}
-
-	// A report without calibration must omit the key entirely.
-	blob, err = json.Marshal(Report{Name: "no-calib"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]json.RawMessage
-	if err := json.Unmarshal(blob, &m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := m["Calib"]; ok {
-		t.Fatal("nil Calib should be omitted from JSON")
+	if back.ByTag["mul"] != rep.ByTag["mul"] || len(back.ByOperator) != len(rep.ByOperator) {
+		t.Fatalf("breakdowns = %v / %v, want %v / %v", back.ByTag, back.ByOperator, rep.ByTag, rep.ByOperator)
 	}
 }

@@ -33,21 +33,6 @@ type Report struct {
 	ByTag      map[string]float64   // seconds per workload phase label
 
 	AvgBandwidthUtil float64
-
-	// Mem carries the software run's memory profile through to reports
-	// (allocs/op and the arena high-water mark — the working set a real
-	// accelerator would pin on chip). Nil when the trace has none.
-	Mem *trace.MemStats
-
-	// Fault carries the run's integrity-guard counters (seals, verifies,
-	// detected faults) — the software analogue of ECC/scrubbing telemetry
-	// on the accelerator. Nil when the trace has none.
-	Fault *trace.FaultStats
-
-	// Calib joins measured per-op wall times (from the telemetry layer)
-	// with this model's predictions: per-kind measured/modeled ratios and
-	// their drift summary. Nil when the run carried no telemetry.
-	Calib *trace.CalibStats `json:",omitempty"`
 }
 
 // Simulate executes tr on the model with the given energy model.
@@ -55,8 +40,6 @@ func Simulate(m *Model, em EnergyModel, tr *trace.Trace) Report {
 	rep := Report{
 		Name:       tr.Name,
 		Workers:    tr.Workers,
-		Mem:        tr.Mem,
-		Fault:      tr.Fault,
 		ByKind:     map[trace.Kind]*KindStat{},
 		ByOperator: map[Operator]float64{},
 		ByTag:      map[string]float64{},

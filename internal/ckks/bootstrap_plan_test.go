@@ -155,13 +155,21 @@ func TestBootstrapGuardedMatches(t *testing.T) {
 	ev.EnableGuards(3)
 	ev.EnableSpotCheck()
 	ev.SetRecoveryPolicy(&RecoveryPolicy{MaxAttempts: 3})
+	log := &eventLog{}
+	ev.SetObserver(log)
 	got, err := fx.boot.Bootstrap(fx.ct)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireCtEqual(t, got, want, "guarded Bootstrap")
-	if st := ev.GuardStats(); st.Seals == 0 || st.IntegrityFaults != 0 {
-		t.Errorf("guard stats %+v: want seals and no faults", st)
+	if got.seal == nil {
+		t.Error("guarded Bootstrap output is not sealed")
+	}
+	if len(log.all()) == 0 {
+		t.Error("no op was reported")
+	}
+	if f := log.failed(); len(f) != 0 {
+		t.Errorf("guarded Bootstrap reported failures: %+v", f)
 	}
 	if inUse := fx.params.ArenaStats().BytesInUse; inUse != 0 {
 		t.Errorf("arena holds %d bytes after a guarded Bootstrap", inUse)

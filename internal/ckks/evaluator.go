@@ -45,12 +45,12 @@ type Evaluator struct {
 	// Shared by pointer with evaluators derived via WithWorkers.
 	guards *guardState
 
-	// recovery, when non-nil, re-executes operations that fail with
-	// ErrIntegrity, transactionally (attempts run into arena scratch; the
-	// destination is only written from a verified attempt); see
-	// recovery.go. Shared by pointer with evaluators derived via
-	// WithWorkers, like guards.
-	recovery *recoveryState
+	// recovery, when non-nil, is the installed policy: operations that fail
+	// with ErrIntegrity are re-executed, transactionally (attempts run into
+	// arena scratch; the destination is only written from a verified
+	// attempt); see recovery.go. Shared by pointer with evaluators derived
+	// via WithWorkers, like guards.
+	recovery *RecoveryPolicy
 }
 
 // NewEvaluator creates an evaluator. rlk may be nil if Mul is never

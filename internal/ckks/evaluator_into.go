@@ -269,13 +269,9 @@ func (c *opCall) rescalePoly(dst *ring.Poly, src [][]uint64) {
 	c.release(0)
 	rq.PutVec(c.vec)
 	c.vec = nil
-	if c.spotLimb >= 0 {
-		ev.guards.noteSpot()
-		if c.spotBad {
-			ev.guards.noteFault()
-			panic(&OpError{Op: c.d.name, Level: last - 1, Limb: c.spotLimb, Err: ErrIntegrity,
-				Detail: "redundant NTT limb recomputation mismatch"})
-		}
+	if c.spotBad {
+		panic(&OpError{Op: c.d.name, Level: last - 1, Limb: c.spotLimb, Err: ErrIntegrity,
+			Detail: "redundant NTT limb recomputation mismatch"})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"poseidon/internal/fault"
 )
@@ -37,30 +36,15 @@ import (
 // wrapping ErrIntegrity, returned by the Try forms and panicked with by the
 // others.
 
-// GuardStats counts guard activity, exported into traces.
-type GuardStats struct {
-	Seals           uint64 // limb checksum sets recorded
-	Verifies        uint64 // sealed inputs re-verified at operator boundaries
-	SpotChecks      uint64 // redundant limb recomputations performed
-	IntegrityFaults uint64 // checksum or spot-check mismatches detected
-	NoiseFlags      uint64 // noise-budget exhaustion flags raised
-}
-
 // guardState is shared by evaluators derived via WithWorkers (pointer copy);
-// a nil *guardState on the Evaluator means guards are off. The counters are
-// atomics, not a mutex-guarded struct: noteSeal/noteVerify fire on every
-// operator boundary of every worker, and a shared lock there would
-// serialize exactly the multi-worker batches the scheduler fuses. (The
-// single-worker cost — ckks.guard_overhead_pct in bench/ — is checksum
-// arithmetic, the same under either variant.) Only the spot-check's limb
-// sampling keeps a lock, and only because math/rand.Rand is not
-// concurrency-safe.
+// a nil *guardState on the Evaluator means guards are off. It holds only what
+// detection needs; what a guard found is reported on the failed op's event
+// (an Err wrapping ErrIntegrity or ErrLevelExhausted). The spot-check's limb
+// sampling keeps a lock because math/rand.Rand is not concurrency-safe.
 type guardState struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 	spot  bool
-
-	seals, verifies, spots, faults, noise atomic.Uint64
 }
 
 func (g *guardState) pickLimb(limbs int) int {
@@ -70,21 +54,7 @@ func (g *guardState) pickLimb(limbs int) int {
 	return i
 }
 
-func (g *guardState) noteSeal()    { g.seals.Add(1) }
-func (g *guardState) noteVerify()  { g.verifies.Add(1) }
-func (g *guardState) noteSpot()    { g.spots.Add(1) }
-func (g *guardState) noteFault()   { g.faults.Add(1) }
-func (g *guardState) noteNoise()   { g.noise.Add(1) }
 func (g *guardState) spotOn() bool { return g != nil && g.spot }
-func (g *guardState) snapshot() GuardStats {
-	return GuardStats{
-		Seals:           g.seals.Load(),
-		Verifies:        g.verifies.Load(),
-		SpotChecks:      g.spots.Load(),
-		IntegrityFaults: g.faults.Load(),
-		NoiseFlags:      g.noise.Load(),
-	}
-}
 
 // integritySeal stores the per-limb residue checksums of a ciphertext's two
 // polynomials. Seals are attached by SealIntegrity / exec's output boundary
@@ -115,15 +85,6 @@ func (ev *Evaluator) DisableGuards() { ev.guards = nil }
 // GuardsEnabled reports whether the integrity guards are active.
 func (ev *Evaluator) GuardsEnabled() bool { return ev.guards != nil }
 
-// GuardStats returns a snapshot of the guard counters (zero value when
-// guards are off).
-func (ev *Evaluator) GuardStats() GuardStats {
-	if ev.guards == nil {
-		return GuardStats{}
-	}
-	return ev.guards.snapshot()
-}
-
 // NoiseBudget estimates the remaining headroom, in bits, between the active
 // modulus chain and the ciphertext scale: log2(Q_l) − log2(scale). When it
 // reaches zero the plaintext magnitude no longer fits and decryption
@@ -149,9 +110,6 @@ func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
 		s.c1[i] = fault.Checksum(mods[i], ct.C1.Coeffs[i])
 	}
 	ct.seal = s
-	if ev.guards != nil {
-		ev.guards.noteSeal()
-	}
 }
 
 // VerifyIntegrity models the read-back of ct from (possibly faulty) HBM and
@@ -180,15 +138,9 @@ func (ev *Evaluator) verifySealed(op string, ct *Ciphertext) error {
 	if s == nil || len(s.c0) != ct.Level+1 {
 		return nil
 	}
-	if ev.guards != nil {
-		ev.guards.noteVerify()
-	}
 	for i := 0; i <= ct.Level; i++ {
 		mod := rq.Moduli[i]
 		if fault.Checksum(mod, ct.C0.Coeffs[i]) != s.c0[i] || fault.Checksum(mod, ct.C1.Coeffs[i]) != s.c1[i] {
-			if ev.guards != nil {
-				ev.guards.noteFault()
-			}
 			return &OpError{Op: op, Level: ct.Level, Limb: i, Err: ErrIntegrity,
 				Detail: "residue checksum does not match seal"}
 		}
@@ -203,7 +155,6 @@ func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
 		return nil
 	}
 	if budget := math.Log2(ev.params.QAtLevel(level)) - math.Log2(scale); budget <= 0 {
-		ev.guards.noteNoise()
 		return opErr(op, level, ErrLevelExhausted,
 			"noise budget exhausted: scale 2^%.1f exceeds chain product 2^%.1f",
 			math.Log2(scale), math.Log2(ev.params.QAtLevel(level)))
@@ -215,12 +166,8 @@ func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
 // strict reference arithmetic (the op's spot predicate) and reports a
 // mismatch as ErrIntegrity.
 func (ev *Evaluator) spotCheck(c *opCall) error {
-	g := ev.guards
-	i := g.pickLimb(c.level + 1)
-	ok := c.d.spot(c, ev.params.RingQ.Moduli[i], i)
-	g.noteSpot()
-	if !ok {
-		g.noteFault()
+	i := ev.guards.pickLimb(c.level + 1)
+	if !c.d.spot(c, ev.params.RingQ.Moduli[i], i) {
 		return &OpError{Op: c.d.name, Level: c.level, Limb: i, Err: ErrIntegrity,
 			Detail: "redundant limb recomputation mismatch"}
 	}

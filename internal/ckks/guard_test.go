@@ -66,6 +66,8 @@ func TestTryOpsCleanNoFalsePositives(t *testing.T) {
 	a, b, pt := gc.inputs(t, 1, gc.params.MaxLevel())
 	ev.SealIntegrity(a)
 	ev.SealIntegrity(b)
+	log := &eventLog{}
+	ev.SetObserver(log)
 
 	ref := NewEvaluator(gc.params, ev.rlk, ev.rtks) // guards off
 
@@ -105,12 +107,11 @@ func TestTryOpsCleanNoFalsePositives(t *testing.T) {
 			t.Fatalf("%s: output not sealed with guards enabled", tc.name)
 		}
 	}
-	st := ev.GuardStats()
-	if st.IntegrityFaults != 0 || st.NoiseFlags != 0 {
-		t.Fatalf("clean run raised guard flags: %+v", st)
+	if len(log.all()) == 0 {
+		t.Fatal("no op was reported")
 	}
-	if st.Verifies == 0 || st.Seals == 0 || st.SpotChecks == 0 {
-		t.Fatalf("guards did not run: %+v", st)
+	if f := log.failed(); len(f) != 0 {
+		t.Fatalf("clean run reported failures: %+v", f)
 	}
 }
 
@@ -264,6 +265,8 @@ func TestSealDetectsCorruption(t *testing.T) {
 	}
 
 	a.C1.Coeffs[1][17] ^= 1 << 44
+	log := &eventLog{}
+	ev.SetObserver(log)
 	err := ev.VerifyIntegrity(a)
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("verify after flip: got %v, want ErrIntegrity", err)
@@ -277,8 +280,8 @@ func TestSealDetectsCorruption(t *testing.T) {
 	if _, err := ev.TryAddInto(out, a, b); !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("op input boundary after flip: got %v, want ErrIntegrity", err)
 	}
-	if ev.GuardStats().IntegrityFaults < 2 {
-		t.Fatalf("integrity faults not counted: %+v", ev.GuardStats())
+	if got := log.all(); len(got) != 1 || got[0].Op != "HAdd" || !errors.Is(got[0].Err, ErrIntegrity) {
+		t.Fatalf("events = %+v, want the one failed HAdd carrying ErrIntegrity", got)
 	}
 }
 
@@ -475,9 +478,6 @@ func TestSpotCheckDetectsNTTFault(t *testing.T) {
 	if in.Stats().Injected != 1 {
 		t.Fatal("fault did not fire")
 	}
-	if ev.GuardStats().SpotChecks == 0 {
-		t.Fatal("spot check did not run")
-	}
 
 	got, trials := faultCampaign(t, fault.SiteNTT, fault.BitFlip, fault.StuckLane, fault.DroppedTwiddle)
 	for ci, n := range got {
@@ -500,6 +500,8 @@ func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 
 	// At level 0 the chain holds ~2^50; a squared scale of 2^80 cannot fit.
 	la, lb := ev.DropLevel(a, 0), ev.DropLevel(b, 0)
+	log := &eventLog{}
+	ev.SetObserver(log)
 	out := NewCiphertext(gc.params, 0)
 	if _, err := ev.TryMulRelinInto(out, la, lb); !errors.Is(err, ErrLevelExhausted) {
 		t.Fatalf("exhausted MulRelin: got %v, want ErrLevelExhausted", err)
@@ -508,8 +510,9 @@ func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 	if _, err := ev.TryMulPlainInto(out, la, lpt); !errors.Is(err, ErrLevelExhausted) {
 		t.Fatalf("exhausted MulPlain: got %v, want ErrLevelExhausted", err)
 	}
-	if ev.GuardStats().NoiseFlags != 2 {
-		t.Fatalf("noise flags = %d, want 2", ev.GuardStats().NoiseFlags)
+	f := log.failed()
+	if len(f) != 2 || !errors.Is(f[0].Err, ErrLevelExhausted) || !errors.Is(f[1].Err, ErrLevelExhausted) {
+		t.Fatalf("failed events = %+v, want two carrying ErrLevelExhausted", f)
 	}
 }
 

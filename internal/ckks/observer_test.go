@@ -32,6 +32,17 @@ func (l *eventLog) all() []trace.OpEvent {
 	return slices.Clone(l.events)
 }
 
+// failed returns the events that report a failure.
+func (l *eventLog) failed() []trace.OpEvent {
+	var out []trace.OpEvent
+	for _, e := range l.all() {
+		if e.Err != nil {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // at returns the events reported at one level.
 func (l *eventLog) at(level int) []trace.OpEvent {
 	var out []trace.OpEvent

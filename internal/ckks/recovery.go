@@ -2,7 +2,6 @@ package ckks
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 )
 
@@ -37,20 +36,6 @@ type RecoveryPolicy struct {
 	MaxAttempts int
 }
 
-// RecoveryStats counts recovery activity, exported into traces.
-type RecoveryStats struct {
-	Attempts      uint64 // re-executions performed (first tries not counted)
-	Recovered     uint64 // ops that succeeded after ≥1 re-execution
-	Unrecoverable uint64 // ops that exhausted the budget still failing integrity
-}
-
-// recoveryState is shared by evaluators derived via WithWorkers (pointer
-// copy), like guardState; a nil *recoveryState means recovery is off.
-type recoveryState struct {
-	policy                             RecoveryPolicy
-	attempts, recovered, unrecoverable atomic.Uint64
-}
-
 // SetRecoveryPolicy installs (or, with nil or MaxAttempts ≤ 1, removes)
 // the evaluator's recovery policy. The policy is shared with evaluators
 // later derived via WithWorkers.
@@ -59,7 +44,8 @@ func (ev *Evaluator) SetRecoveryPolicy(p *RecoveryPolicy) {
 		ev.recovery = nil
 		return
 	}
-	ev.recovery = &recoveryState{policy: *p}
+	cp := *p
+	ev.recovery = &cp
 }
 
 // RecoveryPolicy returns a copy of the installed policy, or nil when
@@ -68,22 +54,8 @@ func (ev *Evaluator) RecoveryPolicy() *RecoveryPolicy {
 	if ev.recovery == nil {
 		return nil
 	}
-	p := ev.recovery.policy
+	p := *ev.recovery
 	return &p
-}
-
-// RecoveryStats returns a snapshot of the recovery counters (zero value
-// when recovery is off).
-func (ev *Evaluator) RecoveryStats() RecoveryStats {
-	r := ev.recovery
-	if r == nil {
-		return RecoveryStats{}
-	}
-	return RecoveryStats{
-		Attempts:      r.attempts.Load(),
-		Recovered:     r.recovered.Load(),
-		Unrecoverable: r.unrecoverable.Load(),
-	}
 }
 
 // attemptRecovering is exec's step 3 under a recovery policy: the
@@ -95,7 +67,6 @@ func (ev *Evaluator) RecoveryStats() RecoveryStats {
 // What the loop did rides the op's event: c.retries and c.recovery.
 func (c *opCall) attemptRecovering(out *Ciphertext) (err error) {
 	ev := c.ev
-	rec := ev.recovery
 	dst := out
 	if out != nil {
 		rq := ev.params.RingQ
@@ -110,28 +81,19 @@ func (c *opCall) attemptRecovering(out *Ciphertext) (err error) {
 	for {
 		err = c.attempt(dst)
 		// Only a fault-detection failure is retried, and only within budget.
-		if !errors.Is(err, ErrIntegrity) || c.retries+1 >= rec.policy.MaxAttempts {
+		if !errors.Is(err, ErrIntegrity) || c.retries+1 >= ev.recovery.MaxAttempts {
 			break
 		}
 		if c.retries == 0 {
 			start = time.Now()
 		}
 		c.retries++
-		rec.attempts.Add(1)
 	}
 	if c.retries > 0 {
 		c.recovery = time.Since(start)
 	}
-	switch {
-	case err == nil:
-		if out != nil {
-			commitScratch(out, dst)
-		}
-		if c.retries > 0 {
-			rec.recovered.Add(1)
-		}
-	case errors.Is(err, ErrIntegrity):
-		rec.unrecoverable.Add(1)
+	if err == nil && out != nil {
+		commitScratch(out, dst)
 	}
 	return err
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"poseidon/internal/fault"
+	"poseidon/internal/telemetry"
 )
 
 // armRecovery wires a guarded context to a fault injector and installs a
@@ -23,7 +24,8 @@ func armRecovery(t *testing.T, gc *guardContext, maxAttempts int) (*fault.Inject
 
 // A transient HBM fault that decays on re-read must be recovered by one
 // re-execution: the Try call succeeds, the result matches the clean
-// reference, and the counters attribute exactly one retry.
+// reference, and the op's event — and the collector that adds events up —
+// attribute exactly one retry.
 func TestRecoveryTransientFaultRecovered(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev
@@ -38,6 +40,8 @@ func TestRecoveryTransientFaultRecovered(t *testing.T) {
 	// Fires on the first limb read of the input verification; decay 0 means
 	// the retry's re-read scrubs it clean.
 	in.ArmAtMode(fault.SiteHBM, fault.BitFlip, 0, fault.Transient, 0)
+	col := telemetry.NewCollector("recovery")
+	ev.SetObserver(Fanout(log, col))
 
 	out := NewCiphertext(gc.params, a.Level)
 	got, err := ev.TryAddInto(out, a, b)
@@ -49,9 +53,8 @@ func TestRecoveryTransientFaultRecovered(t *testing.T) {
 		t.Fatal("recovered result not sealed")
 	}
 
-	st := ev.RecoveryStats()
-	if st.Attempts != 1 || st.Recovered != 1 || st.Unrecoverable != 0 {
-		t.Fatalf("stats = %+v, want 1 attempt, 1 recovered", st)
+	if r := col.Snapshot().Recovery; r == nil || r.Attempts != 1 || r.Recovered != 1 || r.Unrecoverable != 0 {
+		t.Fatalf("collector recovery = %+v, want 1 attempt, 1 recovered", r)
 	}
 	if got := log.all(); len(got) != 1 || got[0].Retries != 1 || got[0].Err != nil {
 		t.Fatalf("events = %+v, want the one HAdd reporting 1 retry and no error", got)
@@ -72,15 +75,16 @@ func TestRecoveryStickyFaultExhaustsBudget(t *testing.T) {
 	ev.SealIntegrity(b)
 
 	in.ArmAtMode(fault.SiteHBM, fault.BitFlip, 0, fault.Sticky, 0)
+	col := telemetry.NewCollector("recovery")
+	ev.SetObserver(Fanout(log, col))
 
 	out := NewCiphertext(gc.params, a.Level)
 	_, err := ev.TryAddInto(out, a, b)
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("got %v, want ErrIntegrity after budget exhaustion", err)
 	}
-	st := ev.RecoveryStats()
-	if st.Attempts != 2 || st.Recovered != 0 || st.Unrecoverable != 1 {
-		t.Fatalf("stats = %+v, want 2 attempts, 1 unrecoverable", st)
+	if r := col.Snapshot().Recovery; r == nil || r.Attempts != 2 || r.Recovered != 0 || r.Unrecoverable != 1 {
+		t.Fatalf("collector recovery = %+v, want 2 attempts, 1 unrecoverable", r)
 	}
 	if got := log.all(); len(got) != 1 || got[0].Retries != 2 || got[0].Err != err {
 		t.Fatalf("events = %+v, want the one HAdd reporting 2 retries and the call's error", got)

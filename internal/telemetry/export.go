@@ -30,7 +30,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE poseidon_op_total counter\n")
 	for _, ks := range s.Keys {
 		fmt.Fprintf(w, "poseidon_op_total{workload=%q,op=%q,limbs=\"%d\"} %d\n",
-			s.Workload, ks.Op, ks.Limbs, ks.Ops)
+			s.Workload, ks.Op, ks.Limbs, ks.Count)
 	}
 
 	fmt.Fprintf(w, "# HELP poseidon_op_latency_seconds Measured wall time per FHE basic operation.\n")
@@ -72,7 +72,7 @@ func (s *Snapshot) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# HELP poseidon_recovery_recovered_total Ops that succeeded after at least one re-execution.\n")
 		fmt.Fprintf(w, "# TYPE poseidon_recovery_recovered_total counter\n")
 		fmt.Fprintf(w, "poseidon_recovery_recovered_total{workload=%q} %d\n", s.Workload, r.Recovered)
-		fmt.Fprintf(w, "# HELP poseidon_recovery_unrecoverable_total Ops that exhausted their attempt budget still failing integrity.\n")
+		fmt.Fprintf(w, "# HELP poseidon_recovery_unrecoverable_total Ops re-executed at least once that still failed.\n")
 		fmt.Fprintf(w, "# TYPE poseidon_recovery_unrecoverable_total counter\n")
 		fmt.Fprintf(w, "poseidon_recovery_unrecoverable_total{workload=%q} %d\n", s.Workload, r.Unrecoverable)
 		fmt.Fprintf(w, "# HELP poseidon_recovery_latency_seconds Wall time from first integrity failure to recovered result.\n")

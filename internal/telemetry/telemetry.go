@@ -56,9 +56,9 @@ type Collector struct {
 	phaseMu sync.Mutex
 	phases  map[phaseKey]PhaseStat
 
-	// recovery counters: op re-executions under a recovery policy, their
-	// outcomes, and the latency of recovered ops from first failure to
-	// final success.
+	// recovery counters, read off each event's Retries and Err: op
+	// re-executions under a recovery policy, their outcomes, and the latency
+	// of recovered ops from first failure to final success.
 	recAttempts      atomic.Uint64
 	recRecovered     atomic.Uint64
 	recUnrecoverable atomic.Uint64
@@ -86,11 +86,14 @@ func NewCollector(workload string) *Collector {
 	}
 }
 
-// RecoverySnapshot summarizes the recovery counters.
+// RecoverySnapshot summarizes the recovery counters. An op counts once it
+// was re-executed at least once (Retries > 0): as recovered when its final
+// outcome is success, as unrecoverable when it still failed — whatever the
+// final error, an exhausted integrity budget or a retry that died otherwise.
 type RecoverySnapshot struct {
 	Attempts      uint64  `json:"attempts"`      // re-executions performed
-	Recovered     uint64  `json:"recovered"`     // ops recovered by re-execution
-	Unrecoverable uint64  `json:"unrecoverable"` // ops that exhausted their budget
+	Recovered     uint64  `json:"recovered"`     // re-executed ops that succeeded
+	Unrecoverable uint64  `json:"unrecoverable"` // re-executed ops that still failed
 	P50Ns         float64 `json:"p50_ns"`        // recovery latency (failure → success)
 	P95Ns         float64 `json:"p95_ns"`
 	P99Ns         float64 `json:"p99_ns"`
@@ -147,8 +150,8 @@ func (c *Collector) hist(idx int) *Histogram {
 }
 
 // ObserveOp implements trace.OpSink. What the recovery loop did is counted
-// whatever the op: recovered ops contribute a latency sample, unrecoverable
-// ones only count. Then a failed op counts as an error under its name and
+// whatever the op: an op re-executed at least once is recovered (and a
+// latency sample) when it succeeded, unrecoverable when it still failed. Then a failed op counts as an error under its name and
 // contributes no latency sample, a phase lands in the phase table, and a
 // successful basic op in its (kind, limbs) histogram.
 func (c *Collector) ObserveOp(e trace.OpEvent) {
@@ -191,15 +194,15 @@ func (c *Collector) ObserveOp(e trace.OpEvent) {
 // trace kind set (and were therefore dropped from the histograms).
 func (c *Collector) UnknownOps() uint64 { return c.unknown.Load() }
 
-// KeyStat is one (kind, limbs) row of a snapshot: the ops observed, their
-// latency summary, and the merged bucket counts.
+// KeyStat is one (kind, limbs) row of a snapshot: the successful ops
+// observed (each one latency sample), their latency summary, and the merged
+// bucket counts.
 type KeyStat struct {
 	Kind  trace.Kind `json:"kind"`
 	Op    string     `json:"op"`
 	Limbs int        `json:"limbs"`
 
-	Ops   uint64 `json:"ops"`   // successful operations …
-	Count uint64 `json:"count"` // … each of which is a latency sample
+	Count uint64 `json:"count"`
 	SumNs uint64 `json:"sum_ns"`
 	MaxNs uint64 `json:"max_ns"`
 
@@ -240,7 +243,6 @@ func (c *Collector) Snapshot() *Snapshot {
 			Kind:  kind,
 			Op:    kind.String(),
 			Limbs: idx % (MaxLimbs + 1),
-			Ops:   hs.Count,
 			Count: hs.Count,
 			SumNs: hs.SumNs,
 			MaxNs: hs.MaxNs,
@@ -291,7 +293,6 @@ func (s *Snapshot) ByKind() map[trace.Kind]KeyStat {
 		if !ok {
 			agg = KeyStat{Kind: ks.Kind, Op: ks.Op, Limbs: -1}
 		}
-		agg.Ops += ks.Ops
 		agg.Count += ks.Count
 		agg.SumNs += ks.SumNs
 		if ks.MaxNs > agg.MaxNs {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"poseidon/internal/arch"
+	"poseidon/internal/ckks"
 	"poseidon/internal/trace"
 )
 
@@ -58,17 +59,29 @@ func TestCollectorObserve(t *testing.T) {
 		byKey[ks.Op] = ks
 	}
 	cm := byKey["CMult"]
-	if cm.Ops != 2 || cm.Count != 2 || cm.Limbs != 6 {
+	if cm.Count != 2 || cm.Limbs != 6 {
 		t.Fatalf("CMult stat = %+v", cm)
 	}
 	if cm.SumNs != uint64(300*time.Microsecond) {
 		t.Fatalf("CMult SumNs = %d", cm.SumNs)
 	}
-	if ha := byKey["HAdd"]; ha.Ops != 1 || ha.Count != 1 || ha.SumNs != uint64(5*time.Microsecond) {
+	if ha := byKey["HAdd"]; ha.Count != 1 || ha.SumNs != uint64(5*time.Microsecond) {
 		t.Fatalf("HAdd stat = %+v: the failed one must not add a sample, the recovered one must", ha)
 	}
 	if len(snap.Keys) != 3 {
 		t.Fatalf("keys = %+v, want CMult, Rescale, HAdd: phases, failures and unpriced reports are not ops", snap.Keys)
+	}
+}
+
+// The recovery rule is "re-executed at least once and still failed", not
+// "exhausted the integrity budget": a retry that dies of something else — an
+// injected panic surfacing as ErrInternal — is unrecoverable too.
+func TestRecoveryUnrecoverableAnyFinalError(t *testing.T) {
+	c := NewCollector("unit")
+	c.ObserveOp(trace.OpEvent{Op: "PMult", Level: 3, Retries: 1, Recovery: time.Microsecond,
+		Err: &ckks.OpError{Op: "PMult", Level: 3, Err: ckks.ErrInternal}})
+	if r := c.Snapshot().Recovery; r == nil || r.Attempts != 1 || r.Recovered != 0 || r.Unrecoverable != 1 {
+		t.Fatalf("Recovery = %+v, want 1 attempt, 0 recovered, 1 unrecoverable", r)
 	}
 }
 
@@ -175,7 +188,7 @@ func TestCalibrate(t *testing.T) {
 	if len(cs.PerKind) != 2 {
 		t.Fatalf("PerKind = %+v, want 2 kinds", cs.PerKind)
 	}
-	byName := map[string]trace.KindCalib{}
+	byName := map[string]KindCalib{}
 	for _, kc := range cs.PerKind {
 		byName[kc.Name] = kc
 	}

@@ -16,50 +16,18 @@ type jsonOp struct {
 	Tag   string  `json:"tag,omitempty"`
 }
 
-type jsonMem struct {
-	AllocsPerOp    float64 `json:"allocs_per_op"`
-	BytesPerOp     float64 `json:"bytes_per_op"`
-	ArenaBytes     uint64  `json:"arena_bytes"`
-	PeakArenaBytes uint64  `json:"peak_arena_bytes"`
-}
-
-type jsonFault struct {
-	Seals           uint64 `json:"seals"`
-	Verifies        uint64 `json:"verifies"`
-	SpotChecks      uint64 `json:"spot_checks"`
-	IntegrityFaults uint64 `json:"integrity_faults"`
-	NoiseFlags      uint64 `json:"noise_flags"`
-}
-
+// jsonTrace is the file format. Unknown keys are ignored, so files written
+// with the since-removed "mem" / "fault" profiles still load.
 type jsonTrace struct {
-	Name        string     `json:"name"`
-	Description string     `json:"description,omitempty"`
-	Workers     int        `json:"workers,omitempty"`
-	Mem         *jsonMem   `json:"mem,omitempty"`
-	Fault       *jsonFault `json:"fault,omitempty"`
-	Ops         []jsonOp   `json:"ops"`
+	Name        string   `json:"name"`
+	Description string   `json:"description,omitempty"`
+	Workers     int      `json:"workers,omitempty"`
+	Ops         []jsonOp `json:"ops"`
 }
 
 // WriteJSON serializes the trace.
 func (t *Trace) WriteJSON(w io.Writer) error {
 	jt := jsonTrace{Name: t.Name, Description: t.Description, Workers: t.Workers}
-	if t.Mem != nil {
-		jt.Mem = &jsonMem{
-			AllocsPerOp:    t.Mem.AllocsPerOp,
-			BytesPerOp:     t.Mem.BytesPerOp,
-			ArenaBytes:     t.Mem.ArenaBytes,
-			PeakArenaBytes: t.Mem.PeakArenaBytes,
-		}
-	}
-	if t.Fault != nil {
-		jt.Fault = &jsonFault{
-			Seals:           t.Fault.Seals,
-			Verifies:        t.Fault.Verifies,
-			SpotChecks:      t.Fault.SpotChecks,
-			IntegrityFaults: t.Fault.IntegrityFaults,
-			NoiseFlags:      t.Fault.NoiseFlags,
-		}
-	}
 	for _, op := range t.Ops {
 		jt.Ops = append(jt.Ops, jsonOp{
 			Kind: op.Kind.String(), Limbs: op.Limbs, Count: op.Count, Tag: op.Tag,
@@ -80,23 +48,6 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: missing name")
 	}
 	t := &Trace{Name: jt.Name, Description: jt.Description, Workers: jt.Workers}
-	if jt.Mem != nil {
-		t.Mem = &MemStats{
-			AllocsPerOp:    jt.Mem.AllocsPerOp,
-			BytesPerOp:     jt.Mem.BytesPerOp,
-			ArenaBytes:     jt.Mem.ArenaBytes,
-			PeakArenaBytes: jt.Mem.PeakArenaBytes,
-		}
-	}
-	if jt.Fault != nil {
-		t.Fault = &FaultStats{
-			Seals:           jt.Fault.Seals,
-			Verifies:        jt.Fault.Verifies,
-			SpotChecks:      jt.Fault.SpotChecks,
-			IntegrityFaults: jt.Fault.IntegrityFaults,
-			NoiseFlags:      jt.Fault.NoiseFlags,
-		}
-	}
 	for i, op := range jt.Ops {
 		kind, ok := KindByName(op.Kind)
 		if !ok {

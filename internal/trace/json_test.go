@@ -59,85 +59,43 @@ func TestReadJSONEmptyOps(t *testing.T) {
 	}
 }
 
-// The optional memory profile must survive the JSON round trip and stay
-// absent when never set.
-func TestJSONMemRoundTrip(t *testing.T) {
-	tr := &Trace{Name: "mem", Mem: &MemStats{
-		AllocsPerOp:    2.5,
-		BytesPerOp:     4096,
-		ArenaBytes:     1 << 20,
-		PeakArenaBytes: 1 << 19,
-	}}
-	tr.Add(HAdd, 4, 1)
-
+// legacyRoundTrip loads a trace file written while traces still carried a
+// memory or guard profile under key, checks the ops survive, and writes it
+// back: the profile is dropped and the rewritten file loads to the same ops.
+func legacyRoundTrip(t *testing.T, key, block string) {
+	t.Helper()
+	in := `{"name":"legacy","` + key + `":` + block + `,
+		"ops":[{"kind":"CMult","limbs":4,"count":1}]}`
+	want := Op{Kind: CMult, Limbs: 4, Count: 1}
+	tr, err := ReadJSON(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("legacy %q trace rejected: %v", key, err)
+	}
+	if tr.Name != "legacy" || len(tr.Ops) != 1 || tr.Ops[0] != want {
+		t.Fatalf("legacy %q trace = %+v", key, tr)
+	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), `"`+key+`"`) {
+		t.Errorf("rewritten trace still carries %q:\n%s", key, buf.String())
 	}
 	back, err := ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Mem == nil || *back.Mem != *tr.Mem {
-		t.Fatalf("Mem round trip: %+v != %+v", back.Mem, tr.Mem)
-	}
-
-	plain := &Trace{Name: "plain"}
-	plain.Add(HAdd, 4, 1)
-	buf.Reset()
-	if err := plain.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "\"mem\"") {
-		t.Error("mem key serialized for a trace without a memory profile")
-	}
-	back, err = ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Mem != nil {
-		t.Error("Mem materialized from a trace without one")
+	if back.Name != tr.Name || len(back.Ops) != 1 || back.Ops[0] != want {
+		t.Fatalf("rewritten trace = %+v", back)
 	}
 }
 
-// The optional integrity-guard profile must survive the JSON round trip
-// and stay absent when never set.
+func TestJSONMemRoundTrip(t *testing.T) {
+	legacyRoundTrip(t, "mem",
+		`{"allocs_per_op":2.5,"bytes_per_op":4096,"arena_bytes":1048576,"peak_arena_bytes":524288}`)
+}
+
 func TestJSONFaultRoundTrip(t *testing.T) {
-	tr := &Trace{Name: "fault", Fault: &FaultStats{
-		Seals:           1200,
-		Verifies:        2400,
-		SpotChecks:      300,
-		IntegrityFaults: 7,
-		NoiseFlags:      2,
-	}}
-	tr.Add(CMult, 4, 1)
-
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Fault == nil || *back.Fault != *tr.Fault {
-		t.Fatalf("Fault round trip: %+v != %+v", back.Fault, tr.Fault)
-	}
-
-	plain := &Trace{Name: "plain"}
-	plain.Add(CMult, 4, 1)
-	buf.Reset()
-	if err := plain.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "\"fault\"") {
-		t.Error("fault key serialized for a trace without a guard profile")
-	}
-	back, err = ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Fault != nil {
-		t.Error("Fault materialized from a trace without one")
-	}
+	legacyRoundTrip(t, "fault",
+		`{"seals":1200,"verifies":2400,"spot_checks":300,"integrity_faults":7,"noise_flags":2}`)
 }

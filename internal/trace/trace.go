@@ -94,75 +94,14 @@ type Op struct {
 	Tag   string  // optional phase label (e.g. "CoeffToSlot")
 }
 
-// MemStats is an optional memory profile of the software run that produced
-// a trace. Heap figures come from the Go allocator (testing.AllocsPerRun /
-// benchmark -benchmem); arena figures come from the evaluator's polynomial
-// arena and bound the scratch working set — the software analogue of the
-// accelerator's on-chip scratchpad budget.
-type MemStats struct {
-	AllocsPerOp    float64 // Go heap allocations per evaluator op (steady state)
-	BytesPerOp     float64 // Go heap bytes per evaluator op (steady state)
-	ArenaBytes     uint64  // total coefficient storage the arena ever allocated
-	PeakArenaBytes uint64  // high-water mark of simultaneously checked-out bytes
-}
-
-// FaultStats is an optional integrity-guard profile of the software run
-// that produced a trace: how many checksum seals and verifications the
-// evaluator performed, how many redundant-limb spot checks ran, and how
-// many faults the guards caught — the software analogue of an
-// accelerator's ECC/scrubbing counters.
-type FaultStats struct {
-	Seals           uint64 // integrity seals computed over operator outputs
-	Verifies        uint64 // seal verifications at operator input boundaries
-	SpotChecks      uint64 // redundant-limb recomputations compared
-	IntegrityFaults uint64 // checksum or spot-check mismatches detected
-	NoiseFlags      uint64 // operations refused for exhausted noise budget
-
-	// Recovery counters (zero unless a recovery policy was installed):
-	// detected faults the evaluator re-executed through, and how that went.
-	RetryAttempts uint64 // op re-executions performed by the recovery layer
-	Recovered     uint64 // ops that succeeded after ≥1 re-execution
-	Unrecoverable uint64 // ops that exhausted their attempt budget
-}
-
-// KindCalib is one row of a model-vs-measured calibration: for one basic
-// operation kind, how much wall time the software evaluator actually spent
-// (summed over all limb counts) against what the accelerator model predicts
-// for the same op sequence. Ratio = measured/modeled — the software-vs-
-// accelerator speedup the paper's Table VII evaluation is built on.
-type KindCalib struct {
-	Kind        Kind    `json:"kind"`
-	Name        string  `json:"name"`
-	Count       uint64  `json:"count"`        // timed op executions joined
-	MeasuredSec float64 `json:"measured_sec"` // software wall time (telemetry histograms)
-	ModeledSec  float64 `json:"modeled_sec"`  // accelerator model prediction
-	Ratio       float64 `json:"ratio"`        // measured / modeled
-}
-
-// CalibStats is the calibration summary joining a telemetry snapshot with an
-// accelerator model over the same run: per-kind measured/modeled ratios plus
-// a drift summary (geomean and spread of the ratios). A geomean far from its
-// historical value means either the software or the model drifted.
-type CalibStats struct {
-	Workload     string      `json:"workload,omitempty"`
-	PerKind      []KindCalib `json:"per_kind"`
-	GeomeanRatio float64     `json:"geomean_ratio"`
-	MinRatio     float64     `json:"min_ratio"`
-	MaxRatio     float64     `json:"max_ratio"`
-}
-
 // Trace is a named operation sequence. Workers records the limb-parallel
 // worker count of the software evaluator the trace was captured on (0 =
 // unknown/not captured from a live run), so simulated speedups stay
-// attributable to the execution engine that produced the trace. Mem and
-// Fault, when present, profile the memory and integrity-guard behavior of
-// that same run.
+// attributable to the execution engine that produced the trace.
 type Trace struct {
 	Name        string
 	Description string
 	Workers     int
-	Mem         *MemStats
-	Fault       *FaultStats
 	Ops         []Op
 }
 

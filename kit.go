@@ -204,9 +204,6 @@ func (k *Kit) EnableGuards(seed int64) { k.Eval.EnableGuards(seed) }
 // DisableGuards turns integrity guarding back off.
 func (k *Kit) DisableGuards() { k.Eval.DisableGuards() }
 
-// GuardStats snapshots the evaluator's guard counters.
-func (k *Kit) GuardStats() ckks.GuardStats { return k.Eval.GuardStats() }
-
 // EnableTelemetry installs a telemetry collector on the kit's evaluator:
 // every basic operation's wall time lands in a per-(op, limb-count) latency
 // histogram, ready for Prometheus/expvar export and model calibration. Any

@@ -121,15 +121,9 @@ var (
 // and recover the context with errors.As.
 type OpError = ckks.OpError
 
-// GuardStats counts integrity-guard activity on an evaluator.
-type GuardStats = ckks.GuardStats
-
 // RecoveryPolicy makes an evaluator transparently re-execute Try* ops that
 // fail integrity verification (Evaluator.SetRecoveryPolicy).
 type RecoveryPolicy = ckks.RecoveryPolicy
-
-// RecoveryStats counts op re-executions and their outcomes.
-type RecoveryStats = ckks.RecoveryStats
 
 // Sentinel errors carried by OpError; see internal/ckks/errors.go.
 var (
@@ -241,10 +235,10 @@ type MetricsSnapshot = telemetry.Snapshot
 type MetricsServer = telemetry.Server
 
 // CalibStats joins measured per-op wall time with model predictions.
-type CalibStats = trace.CalibStats
+type CalibStats = telemetry.CalibStats
 
 // KindCalib is one operation kind's measured-vs-modeled calibration row.
-type KindCalib = trace.KindCalib
+type KindCalib = telemetry.KindCalib
 
 // Telemetry constructors and helpers.
 var (

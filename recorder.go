@@ -2,6 +2,7 @@ package poseidon
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,61 +71,14 @@ func (r *TraceRecorder) ObserveOp(e OpEvent) {
 // trace kind set and were therefore excluded from the recorded trace.
 func (r *TraceRecorder) Dropped() uint64 { return r.dropped.Load() }
 
-// CaptureArena snapshots the parameters' polynomial-arena counters into the
-// trace's memory profile: total slab footprint and the high-water mark of
-// simultaneously checked-out scratch. Call it after the workload has run —
-// the peak is cumulative over the arena's lifetime.
-func (r *TraceRecorder) CaptureArena(params *Parameters) {
-	st := params.ArenaStats()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tr.Mem == nil {
-		r.tr.Mem = &trace.MemStats{}
-	}
-	r.tr.Mem.ArenaBytes = st.BytesAllocated
-	r.tr.Mem.PeakArenaBytes = st.PeakBytes
-}
-
-// CaptureGuards snapshots an evaluator's integrity-guard and recovery
-// counters into the trace's fault profile: seals computed, boundary
-// verifications, spot checks, detected faults, noise-budget refusals, and
-// — when a recovery policy is installed — re-execution attempts and their
-// outcomes. Call it after the workload has run; a guard-free evaluator
-// records all zeros.
-func (r *TraceRecorder) CaptureGuards(ev *Evaluator) {
-	gs := ev.GuardStats()
-	rs := ev.RecoveryStats()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tr.Fault = &trace.FaultStats{
-		Seals:           gs.Seals,
-		Verifies:        gs.Verifies,
-		SpotChecks:      gs.SpotChecks,
-		IntegrityFaults: gs.IntegrityFaults,
-		NoiseFlags:      gs.NoiseFlags,
-		RetryAttempts:   rs.Attempts,
-		Recovered:       rs.Recovered,
-		Unrecoverable:   rs.Unrecoverable,
-	}
-}
-
-// SetHeapStats records externally measured Go-heap figures (e.g. from
-// testing.AllocsPerRun or a -benchmem run) in the trace's memory profile.
-func (r *TraceRecorder) SetHeapStats(allocsPerOp, bytesPerOp float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tr.Mem == nil {
-		r.tr.Mem = &trace.MemStats{}
-	}
-	r.tr.Mem.AllocsPerOp = allocsPerOp
-	r.tr.Mem.BytesPerOp = bytesPerOp
-}
-
-// Trace returns the accumulated trace.
+// Trace returns a copy of the accumulated trace, taken under the lock, so a
+// caller may read or price it while other goroutines keep recording.
 func (r *TraceRecorder) Trace() *Trace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.tr
+	tr := *r.tr
+	tr.Ops = slices.Clone(r.tr.Ops)
+	return &tr
 }
 
 // PriceRecorded is a convenience: simulate the recorded trace on a design

@@ -2,6 +2,7 @@ package poseidon
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"poseidon/internal/trace"
@@ -169,37 +170,44 @@ func TestTraceRecorderPhases(t *testing.T) {
 	}
 }
 
-// CaptureArena must snapshot the evaluator arena into the trace's memory
-// profile, and the profile must flow through to the simulator report.
-func TestTraceRecorderCaptureArena(t *testing.T) {
-	params, err := NewParameters(ParametersLiteral{
-		LogN:     10,
-		LogQ:     []int{50, 40},
-		LogP:     []int{51},
-		LogScale: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
+// Trace hands out a copy taken under the lock: one goroutine may read and
+// price it while others keep recording (run under -race, this is the check
+// that no caller reads the recorder's live op slice), and a copy taken
+// earlier does not grow with later recordings.
+func TestTraceRecorderConcurrentReaders(t *testing.T) {
+	const writers, perWriter = 4, 200
+	rec := NewTraceRecorder("concurrent")
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				rec.ObserveOp(OpEvent{Op: "CMult", Level: 3})
+			}
+		}()
 	}
-	kit := NewKit(params, 602)
-	rec := NewTraceRecorder("arena")
-	kit.Eval.SetObserver(rec)
-
-	ct := kit.EncryptReals([]float64{1, 2, 3})
-	_ = kit.Eval.Rescale(kit.Eval.MulRelin(ct, ct))
-	rec.CaptureArena(params)
-	rec.SetHeapStats(0, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if n := rec.Trace().TotalOps(); n > writers*perWriter {
+				t.Errorf("trace holds %v ops, more than were recorded", n)
+			}
+			if _, err := PriceRecorded(rec, U280(), PaperParams()); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+	<-done
 
 	tr := rec.Trace()
-	if tr.Mem == nil || tr.Mem.PeakArenaBytes == 0 || tr.Mem.ArenaBytes < tr.Mem.PeakArenaBytes {
-		t.Fatalf("arena capture: %+v", tr.Mem)
+	if n := tr.TotalOps(); n != writers*perWriter {
+		t.Fatalf("trace holds %v ops, want %d", n, writers*perWriter)
 	}
-	model, err := NewModel(U280(), PaperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Simulate(model, DefaultEnergy(), tr)
-	if rep.Mem == nil || rep.Mem.PeakArenaBytes != tr.Mem.PeakArenaBytes {
-		t.Fatalf("report did not surface the memory profile: %+v", rep.Mem)
+	rec.ObserveOp(OpEvent{Op: "CMult", Level: 3})
+	if n := tr.TotalOps(); n != writers*perWriter {
+		t.Fatalf("an earlier copy grew to %v ops after a later recording", n)
 	}
 }
