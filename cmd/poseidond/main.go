@@ -3,9 +3,10 @@
 // upload evaluation keys to /v1/keys, post binary evaluation envelopes to
 // /v1/eval, and scrape scheduler/arena/latency gauges from the telemetry
 // endpoint. One dispatch lane per worker takes requests off one queue, and
-// queued rotations of the same ciphertext share one hoisted decomposition;
-// admission control sheds load when arena bytes or the request p99 cross
-// their ceilings.
+// queued rotations of the same ciphertext share one hoisted decomposition.
+// Overload — a full queue, or arena bytes over -max-arena-mb — is refused
+// with 503 + Retry-After; an integrity failure runs again, first the op
+// (-op-attempts), then the whole job on its lane (-job-attempts).
 //
 // Quickstart:
 //
@@ -46,7 +47,6 @@ type daemonConfig struct {
 	queueDepth  int
 	registryCap int
 	maxArenaMB  int64
-	maxP99      time.Duration
 	guardSeed   int64
 	opAttempts  int
 	jobAttempts int
@@ -96,14 +96,12 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 		QueueDepth:      cfg.queueDepth,
 		RegistryCap:     cfg.registryCap,
 		MaxArenaBytes:   cfg.maxArenaMB << 20,
-		MaxP99:          cfg.maxP99,
 		GuardSeed:       cfg.guardSeed,
 		OpMaxAttempts:   cfg.opAttempts,
 		MaxJobAttempts:  cfg.jobAttempts,
 		DefaultDeadline: cfg.deadline,
 		Collector:       col,
 		Tracer:          tracer,
-		DegradeCooldown: 2 * time.Second,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -177,10 +175,9 @@ func main() {
 	flag.IntVar(&cfg.queueDepth, "queue", 256, "dispatch queue depth")
 	flag.IntVar(&cfg.registryCap, "registry-cap", 64, "resident tenant key sets")
 	flag.Int64Var(&cfg.maxArenaMB, "max-arena-mb", 0, "arena-bytes admission ceiling in MiB (0 = off)")
-	flag.DurationVar(&cfg.maxP99, "max-p99", 0, "request-p99 admission ceiling (0 = off)")
 	flag.Int64Var(&cfg.guardSeed, "guard-seed", 1, "integrity guard seed (0 disables guards)")
 	flag.IntVar(&cfg.opAttempts, "op-attempts", 1, "op-level recovery attempts per integrity failure (1 = off)")
-	flag.IntVar(&cfg.jobAttempts, "job-attempts", 1, "scheduler attempts per integrity-failed job (1 = off)")
+	flag.IntVar(&cfg.jobAttempts, "job-attempts", 1, "runs per integrity-failed job, in place on its lane (1 = off)")
 	flag.DurationVar(&cfg.deadline, "deadline", 0, "default per-request deadline (0 = unbounded)")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "shutdown drain budget")
 	flag.BoolVar(&cfg.trace, "trace", false, "enable request tracing: span trees on /debug/requests (telemetry mux), trace exemplars on /metrics")

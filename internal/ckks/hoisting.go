@@ -85,9 +85,9 @@ type Hoisted struct {
 // guards on, its seal re-verified — under a recovery policy that
 // verification is what gets retried, since a corrupted input read is the
 // recoverable failure here. (Failures *inside* a hoisted rotation of the
-// serving layer are recovered one level up, by the scheduler's job retry: a
-// re-enqueue rebuilds the decomposition.) Panics with the *OpError TryHoist
-// returns.
+// serving layer are recovered one level up, by the scheduler's job retry: the
+// job runs again through the evaluator, on a fresh decomposition.) Panics
+// with the *OpError TryHoist returns.
 func (ev *Evaluator) Hoist(ct *Ciphertext) *Hoisted { return must(ev.TryHoist(ct)) }
 
 // TryHoist is the error-returning form of Hoist — the serving layer's entry

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 
 	"poseidon/internal/ckks"
 	"poseidon/internal/ring"
@@ -114,12 +113,21 @@ func kgenUpload(t *testing.T, cli *Client, tt *testTenant) {
 	}
 }
 
+// holdArena checks out one arena polynomial until the test ends, so live
+// arena bytes stay above a 1-byte ceiling whatever the requests do.
+func holdArena(t *testing.T, params *ckks.Parameters) {
+	t.Helper()
+	arena := params.RingQ.Arena()
+	p := arena.Get(1)
+	t.Cleanup(func() { arena.Put(p) })
+}
+
 // The HTTP status surface: structural garbage is 400, an unknown tenant
 // 404, a valid envelope that cannot evaluate 422, overload 503 with
 // Retry-After, health always 200.
 func TestHTTPStatusMapping(t *testing.T) {
 	params := newServeParams(t, 1)
-	srv, hs, cli := newHTTPFixture(t, Config{Params: params})
+	_, hs, cli := newHTTPFixture(t, Config{Params: params, MaxArenaBytes: 1})
 	tt := newTestTenant(t, params, "alice", 9, []int{1}, false)
 	kgenUpload(t, cli, tt)
 	rng := rand.New(rand.NewSource(10))
@@ -152,14 +160,12 @@ func TestHTTPStatusMapping(t *testing.T) {
 	if resp := post(noKey); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("missing rotation key: HTTP %d, want 422", resp.StatusCode)
 	}
-	// Shed mode → 503 with Retry-After while the cooldown holds.
-	srv.sched.cfg.DegradeCooldown = time.Minute
-	srv.sched.tripGuard()
-	srv.sched.tripGuard()
+	// Live arena bytes over the ceiling → 503 with Retry-After.
+	holdArena(t, params)
 	ok := EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpNegate, Ct: ctBytes})
 	resp := post(ok)
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("shed mode: HTTP %d, want 503", resp.StatusCode)
+		t.Fatalf("arena over its ceiling: HTTP %d, want 503", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
@@ -180,11 +186,8 @@ func TestHTTPStatusMapping(t *testing.T) {
 	if err := json.NewDecoder(hresp.Body).Decode(&st); err != nil {
 		t.Fatalf("health JSON: %v", err)
 	}
-	if st.Mode != "shed" {
-		t.Fatalf("health mode = %q, want shed", st.Mode)
-	}
-	if st.GuardTrips != 2 {
-		t.Fatalf("health guard trips = %d, want 2", st.GuardTrips)
+	if st.Rejected != 2 {
+		t.Fatalf("health rejected = %d, want the 2 requests over the arena ceiling", st.Rejected)
 	}
 }
 
@@ -292,29 +295,23 @@ func TestHTTPShortKeyIs422(t *testing.T) {
 	assertVecClose(t, tt.decrypt(out), expected(OpRotate, z, nil, 1, 0), 1e-4, "rotation on the short key")
 }
 
-// Admission ceilings: an absurdly low arena-bytes ceiling rejects with
-// 503 before the evaluator is touched.
+// The admission ceiling: with an arena polynomial checked out for the
+// request's duration, live arena bytes exceed a 1-byte ceiling and the
+// request is rejected with 503 before the evaluator is touched.
 func TestHTTPArenaBackpressure(t *testing.T) {
 	params := newServeParams(t, 1)
-	// Warm the arena so BytesInUse is non-zero, then set the ceiling at 1.
-	kgen := ckks.NewKeyGenerator(params, 11)
-	_ = kgen.GenSecretKey()
-	_, _, cli := newHTTPFixture(t, Config{Params: params, MaxArenaBytes: 1})
+	srv, _, cli := newHTTPFixture(t, Config{Params: params, MaxArenaBytes: 1})
 	tt := newTestTenant(t, params, "alice", 12, []int{1}, false)
 	kgenUpload(t, cli, tt)
 	rng := rand.New(rand.NewSource(13))
 	ctBytes := tt.encryptBytes(t, randomVec(rng, params.Slots))
+	holdArena(t, params)
 	_, _, err := cli.Eval(&EvalRequest{Tenant: "alice", Op: OpNegate, Ct: ctBytes})
-	if err == nil {
-		// The arena may legitimately be empty between requests; only a
-		// non-zero floor makes the ceiling trip deterministic.
-		if params.ArenaStats().BytesInUse > 1 {
-			t.Fatal("arena ceiling exceeded but request admitted")
-		}
-		t.Skip("arena idle at admission time; ceiling not exercisable here")
-	}
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("arena ceiling: %v, want ErrOverloaded", err)
+	}
+	if st := srv.Stats(); st.Rejected != 1 || st.Requests != 0 {
+		t.Fatalf("rejected %d, requests %d: want the one request refused at admission", st.Rejected, st.Requests)
 	}
 }
 
@@ -343,7 +340,8 @@ func TestHTTPMetricsIncludeServeGauges(t *testing.T) {
 	buf.ReadFrom(resp.Body)
 	page := buf.String()
 	for _, want := range []string{
-		"poseidon_serve_mode",
+		"poseidon_serve_queue_depth 0",
+		"poseidon_serve_job_unrecoverable_total 0",
 		"poseidon_serve_requests_total 1",
 		"poseidon_serve_resident_tenants 1",
 		"poseidon_serve_arena_bytes",

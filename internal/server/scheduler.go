@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"poseidon/internal/ckks"
 	"poseidon/internal/tracing"
@@ -26,24 +25,9 @@ import (
 // requests have ever shared. Dispatch is work-conserving: a lane never waits
 // while a job is queued, so groups form from backlog, not from a timer, and
 // there is no level rule — a unit is a loop of independent ops, and
-// byte-identical inputs are at one level by construction.
-
-// dispatch modes — the degradation ladder.
-const (
-	modeBatched int32 = iota // normal: hoist groups up to MaxBatch
-	modeSerial               // after a guard trip: units of one request
-	modeShed                 // repeated trips: admission rejects new work
-)
-
-func modeName(m int32) string {
-	switch m {
-	case modeSerial:
-		return "serial"
-	case modeShed:
-		return "shed"
-	}
-	return "batched"
-}
+// byte-identical inputs are at one level by construction. Dispatch has no
+// modes: a fault is answered by running the job again, load by refusing it
+// at admission.
 
 // job is one admitted evaluation request queued for dispatch.
 type job struct {
@@ -62,16 +46,13 @@ type job struct {
 	inputHash uint64
 
 	// ctx is the request's context (nil = none): an expired job is skipped
-	// cheaply by the executor and never re-enqueued by the retry path.
+	// cheaply by the executor and not run again after an integrity failure.
 	ctx context.Context
-	// attempt counts scheduler-level re-executions of this job after
-	// integrity failures (0 = first run).
-	attempt int
 
 	// trace is the request's span tree (nil with tracing off; every use is
 	// a nil check). The request moves through it as a sequence of stage
-	// transitions (RequestTrace.NextStage): queue opens at enqueue (and per
-	// retry) and ends where a lane opens exec; deliver opens just
+	// transitions (RequestTrace.NextStage): queue opens at enqueue and ends
+	// where a lane opens exec (one exec stage per attempt); deliver opens just
 	// before the executor sends on done and ends where the caller, having
 	// received, opens finalize — on a saturated machine the caller
 	// goroutine's wake-up can lag the result by many milliseconds, and that
@@ -132,27 +113,22 @@ type scheduler struct {
 	closed bool
 	done   chan struct{}
 
-	mode      atomic.Int32
-	coolUntil atomic.Int64     // unix nanos; mode decays one rung per elapsed cooldown
-	now       func() time.Time // the ladder's clock: time.Now, scripted by tests
-
 	batches     atomic.Uint64   // units taken
 	occupancy   []atomic.Uint64 // index = unit size, [0] unused
 	hoistGroups atomic.Uint64   // units of ≥2 rotations sharing a decomposition
 	hoistShared atomic.Uint64   // decompositions saved by sharing
-	guardTrips  atomic.Uint64
 
-	// job-level recovery counters: re-enqueues after integrity failures,
-	// jobs that eventually succeeded on a retry, and jobs that exhausted
-	// the attempt budget (the only ones that trip the degradation ladder).
+	// job-level recovery counters: re-runs after integrity failures, jobs
+	// that succeeded on a re-run, and jobs answered with ErrIntegrity.
 	jobRetries       atomic.Uint64
 	jobRecovered     atomic.Uint64
 	jobUnrecoverable atomic.Uint64
 
-	// testExec, when set (tests only), runs before a job's evaluator call; a
-	// non-nil return is delivered as the op's failure in place of evaluating.
-	// Degradation tests inject a deterministic integrity fault with it (no
-	// global fault injector), dispatch tests hold a lane to build a backlog.
+	// testExec, when set (tests only), runs before each of a job's evaluator
+	// calls; a non-nil return is that attempt's failure in place of
+	// evaluating. Recovery tests inject a deterministic integrity fault with
+	// it (no global fault injector), dispatch tests hold a lane to build a
+	// backlog.
 	testExec func(*job) error
 }
 
@@ -172,7 +148,6 @@ func newScheduler(cfg Config, params *ckks.Parameters) *scheduler {
 		queue:     make([]*job, 0, cfg.QueueDepth),
 		done:      make(chan struct{}),
 		occupancy: make([]atomic.Uint64, cfg.MaxBatch+1),
-		now:       time.Now,
 	}
 	s.ready.L = &s.qmu
 	return s
@@ -197,14 +172,14 @@ func (s *scheduler) start(sinks []*tracing.EvalObserver) {
 	}()
 }
 
-// beginExec moves the job from its queue-wait stage into its exec stage,
-// pointing the lane's observation sink at this job's trace. Nil-safe
-// throughout.
-func (ln *lane) beginExec(j *job, batchSize int) tracing.SpanRef {
+// beginExec opens the exec stage of a job's attempt-th run (the first ends
+// its queue wait), pointing the lane's observation sink at this job's trace.
+// Nil-safe throughout.
+func (ln *lane) beginExec(j *job, batchSize, attempt int) tracing.SpanRef {
 	ex := j.trace.NextStage("exec")
 	j.trace.AnnotateInt(ex, "batch", int64(batchSize))
-	if j.attempt > 0 {
-		j.trace.AnnotateInt(ex, "attempt", int64(j.attempt+1))
+	if attempt > 1 {
+		j.trace.AnnotateInt(ex, "attempt", int64(attempt))
 	}
 	if ln.sink != nil && j.trace != nil {
 		ln.sink.Activate(j.trace, ex)
@@ -213,7 +188,7 @@ func (ln *lane) beginExec(j *job, batchSize int) tracing.SpanRef {
 }
 
 // endExec detaches the sink and records the outcome on the exec stage,
-// which stays open until the job is delivered or backs off.
+// which stays open until the job is delivered or runs again.
 func (ln *lane) endExec(j *job, err error) {
 	if ln.sink != nil {
 		ln.sink.Deactivate()
@@ -259,9 +234,7 @@ func (s *scheduler) stop() { s.stopCtx(context.Background()) }
 // stopCtx is stop with a drain bound: when ctx expires before the lanes
 // have drained the queue, stopCtx returns the expiry error with the lanes
 // still running (they keep draining in the background — abandoning them
-// would strand queued requesters on their done channels). Jobs parked in
-// retry backoff are not waited for: their re-enqueue fails against the
-// closed queue and delivers the original failure.
+// would strand queued requesters on their done channels).
 func (s *scheduler) stopCtx(ctx context.Context) error {
 	s.qmu.Lock()
 	s.closed = true
@@ -275,42 +248,6 @@ func (s *scheduler) stopCtx(ctx context.Context) error {
 	}
 }
 
-// currentMode returns the dispatch mode after applying cooldown decay:
-// each elapsed DegradeCooldown since the last escalation steps the ladder
-// down one rung.
-func (s *scheduler) currentMode() int32 {
-	now := s.now().UnixNano()
-	for {
-		m := s.mode.Load()
-		if m == modeBatched {
-			return m
-		}
-		cu := s.coolUntil.Load()
-		if now < cu {
-			return m
-		}
-		if s.mode.CompareAndSwap(m, m-1) {
-			s.coolUntil.CompareAndSwap(cu, cu+s.cfg.DegradeCooldown.Nanoseconds())
-		}
-	}
-}
-
-// tripGuard escalates the ladder one rung and restarts the cooldown.
-func (s *scheduler) tripGuard() {
-	s.guardTrips.Add(1)
-	for {
-		m := s.mode.Load()
-		next := m + 1
-		if next > modeShed {
-			next = modeShed
-		}
-		if s.mode.CompareAndSwap(m, next) {
-			s.coolUntil.Store(s.now().Add(s.cfg.DegradeCooldown).UnixNano())
-			return
-		}
-	}
-}
-
 // run is one lane's loop: take a unit, execute it, until the queue is closed
 // and drained.
 func (s *scheduler) run(ln *lane) {
@@ -320,11 +257,10 @@ func (s *scheduler) run(ln *lane) {
 }
 
 // take blocks until a job is queued and removes the next unit of dispatch:
-// the head job and, when dispatch is batched and the head is a rotation,
-// every queued rotation that shares its hoist (same tenant entry, same
-// input bytes), in arrival order, at most MaxBatch in all. Everything else
-// stays queued in arrival order for the other lanes. It returns nil once
-// the queue is closed and drained.
+// the head job and, when the head is a rotation, every queued rotation that
+// shares its hoist (same tenant entry, same input bytes), in arrival order,
+// at most MaxBatch in all. Everything else stays queued in arrival order for
+// the other lanes. It returns nil once the queue is closed and drained.
 func (s *scheduler) take() []*job {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
@@ -336,13 +272,9 @@ func (s *scheduler) take() []*job {
 	}
 	head := s.queue[0]
 	unit := []*job{head}
-	max := 1 // degraded to serial, queued work still drains, one job a unit
-	if head.input != nil && s.currentMode() == modeBatched {
-		max = s.cfg.MaxBatch
-	}
 	rest := s.queue[:0]
 	for _, j := range s.queue[1:] {
-		if len(unit) < max && head.sharesHoist(j) {
+		if len(unit) < s.cfg.MaxBatch && head.sharesHoist(j) {
 			unit = append(unit, j)
 		} else {
 			rest = append(rest, j)
@@ -357,8 +289,8 @@ func (s *scheduler) take() []*job {
 // while queued are answered with that error and skipped; two or more that
 // remain share one digit decomposition, and a lone job — or every member,
 // when the shared phase fails: none sees a worse outcome than serial
-// dispatch — runs through its tenant's evaluator. An integrity failure
-// degrades the dispatch mode but never drops the rest of the unit or queue.
+// dispatch — runs through its tenant's evaluator. An integrity failure of
+// one member never drops the rest of the unit or the queue.
 func (s *scheduler) execUnit(ln *lane, unit []*job) {
 	size := len(unit)
 	s.batches.Add(1)
@@ -392,8 +324,7 @@ func (s *scheduler) execUnit(ln *lane, unit []*job) {
 
 // hoist takes the digit decomposition a group's live members share, as the
 // leader's first exec work. It returns nil when that fails: the members
-// then run individually, where the job-retry path applies; with retries off
-// the failure drives the ladder here (execOne sees per-job errors itself).
+// then run individually, each through its tenant's evaluator.
 func (s *scheduler) hoist(ln *lane, group []*job) *ckks.Hoisted {
 	lead := group[0]
 	hs := lead.trace.NextStage("hoist")
@@ -401,9 +332,6 @@ func (s *scheduler) hoist(ln *lane, group []*job) *ckks.Hoisted {
 	h, err := lead.entry.evaluator(ln.id).TryHoist(lead.ct)
 	if err != nil {
 		lead.trace.StageErr(err)
-		if !s.retryEnabled() && errors.Is(err, ckks.ErrIntegrity) {
-			s.tripGuard()
-		}
 		return nil
 	}
 	s.hoistGroups.Add(1)
@@ -411,13 +339,30 @@ func (s *scheduler) hoist(ln *lane, group []*job) *ckks.Hoisted {
 	return h
 }
 
-// execOne is one job's exec stage: a rotation through h, its unit's shared
-// decomposition, when there is one, anything else through the lane's view of
-// its tenant's evaluator.
+// execOne runs one job and delivers its answer. A job that still fails with
+// ErrIntegrity after op-level recovery runs again in place, on this lane,
+// at most MaxJobAttempts times in all and only while its context lives;
+// every run after the first goes through the tenant's evaluator, so a
+// hoist-group member gets a fresh decomposition.
 func (s *scheduler) execOne(ln *lane, j *job, batchSize int, h *ckks.Hoisted, lead bool) {
-	ex := ln.beginExec(j, batchSize)
-	var res *ckks.Ciphertext
-	var err error
+	res, err := s.attempt(ln, j, batchSize, 1, h, lead)
+	for n := 2; n <= s.cfg.MaxJobAttempts && errors.Is(err, ckks.ErrIntegrity) && j.ctxErr() == nil; n++ {
+		s.jobRetries.Add(1)
+		if res, err = s.attempt(ln, j, batchSize, n, nil, false); err == nil {
+			s.jobRecovered.Add(1)
+		}
+	}
+	if errors.Is(err, ckks.ErrIntegrity) {
+		s.jobUnrecoverable.Add(1)
+	}
+	s.deliver(j, jobResult{ct: res, batch: batchSize, err: err})
+}
+
+// attempt is one exec stage of a job: a rotation through h, its unit's
+// shared decomposition, when there is one, anything else through the lane's
+// view of its tenant's evaluator.
+func (s *scheduler) attempt(ln *lane, j *job, batchSize, n int, h *ckks.Hoisted, lead bool) (res *ckks.Ciphertext, err error) {
+	ex := ln.beginExec(j, batchSize, n)
 	if s.testExec != nil {
 		err = s.testExec(j)
 	}
@@ -434,66 +379,7 @@ func (s *scheduler) execOne(ln *lane, j *job, batchSize int, h *ckks.Hoisted, le
 		res, err = s.eval(j.entry.evaluator(ln.id), j)
 	}
 	ln.endExec(j, err)
-	s.finish(j, res, batchSize, err)
-}
-
-func (s *scheduler) retryEnabled() bool { return s.cfg.MaxJobAttempts > 1 }
-
-// finish delivers a job outcome, routing integrity failures through the
-// job-retry path first: a retryable job is re-enqueued after a backoff and
-// its response deferred; only a job that exhausts the attempt budget (or
-// fails for a non-integrity reason) is answered with the error, and only
-// that unrecoverable integrity failure trips the degradation ladder — a
-// fault the system recovers from is not a reason to shed load.
-func (s *scheduler) finish(j *job, res *ckks.Ciphertext, batchSize int, err error) {
-	if err == nil {
-		if j.attempt > 0 {
-			s.jobRecovered.Add(1)
-		}
-		s.deliver(j, jobResult{ct: res, batch: batchSize})
-		return
-	}
-	if errors.Is(err, ckks.ErrIntegrity) {
-		if s.retryJob(j, batchSize, err) {
-			return
-		}
-		s.jobUnrecoverable.Add(1)
-		s.tripGuard()
-	}
-	s.deliver(j, jobResult{batch: batchSize, err: err})
-}
-
-// retryJob re-enqueues an integrity-failed job with exponential backoff,
-// bounded by MaxJobAttempts and the job's context. The backoff runs on a
-// timer so a lane never sleeps; if the re-enqueue races a closed
-// or full queue, the original failure is delivered instead of being lost.
-func (s *scheduler) retryJob(j *job, batchSize int, cause error) bool {
-	if !s.retryEnabled() || j.attempt+1 >= s.cfg.MaxJobAttempts {
-		return false
-	}
-	if j.ctxErr() != nil {
-		return false
-	}
-	j.attempt++
-	s.jobRetries.Add(1)
-	backoff := s.cfg.RetryBackoff << uint(j.attempt-1)
-	if lim := 250 * time.Millisecond; backoff > lim {
-		backoff = lim
-	}
-	if j.trace != nil {
-		bo := j.trace.NextStage("backoff")
-		j.trace.AnnotateInt(bo, "attempt", int64(j.attempt))
-		j.trace.Annotate(bo, "cause", cause.Error())
-	}
-	time.AfterFunc(backoff, func() {
-		j.trace.NextStage("queue")
-		if err := s.enqueue(j); err != nil {
-			j.trace.StageErr(err)
-			s.deliver(j, jobResult{batch: batchSize,
-				err: fmt.Errorf("%w (retry %d not enqueued: %v)", cause, j.attempt, err)})
-		}
-	})
-	return true
+	return res, err
 }
 
 func (s *scheduler) eval(ev *ckks.Evaluator, j *job) (*ckks.Ciphertext, error) {

@@ -19,14 +19,6 @@ import (
 // drive take and execUnit itself or start lanes over a backlog it chose.
 func bareScheduler(cfg Config) *scheduler { return newScheduler(cfg.withDefaults(), nil) }
 
-// scriptClock replaces the scheduler's ladder clock with one that moves only
-// when the returned function is called.
-func scriptClock(s *scheduler) (advance func(time.Duration)) {
-	at := time.Unix(1_700_000_000, 0)
-	s.now = func() time.Time { return at }
-	return func(d time.Duration) { at = at.Add(d) }
-}
-
 // fakeJob makes a dispatchable job no evaluator ever sees (tests that run it
 // answer it from testExec): a rotation of the given input bytes for the
 // given tenant entry, or — with a nil input — any other op.
@@ -50,7 +42,6 @@ func TestCollectEdgeCases(t *testing.T) {
 	cases := []struct {
 		name     string
 		maxBatch int
-		serial   bool
 		queue    []func() *job // enqueued in order
 		wantUnit []int         // indices into queue, in unit order
 		wantRest []int         // indices left queued, in queue order
@@ -85,19 +76,10 @@ func TestCollectEdgeCases(t *testing.T) {
 			queue:    []func() *job{add, rot(a, x), add, rot(a, x)},
 			wantUnit: []int{0}, wantRest: []int{1, 2, 3},
 		},
-		{
-			name:     "serial mode yields singletons",
-			maxBatch: 8, serial: true,
-			queue:    []func() *job{rot(a, x), rot(a, x), rot(a, x)},
-			wantUnit: []int{0}, wantRest: []int{1, 2},
-		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := bareScheduler(Config{MaxBatch: tc.maxBatch, QueueDepth: 64, DegradeCooldown: time.Minute})
-			if tc.serial {
-				s.tripGuard() // batched → serial
-			}
+			s := bareScheduler(Config{MaxBatch: tc.maxBatch, QueueDepth: 64})
 			jobs := make([]*job, len(tc.queue))
 			for i, mk := range tc.queue {
 				jobs[i] = mk()
@@ -210,39 +192,6 @@ func TestEnqueueBackpressure(t *testing.T) {
 	}
 }
 
-// The degradation ladder: guard trips escalate batched → serial → shed and
-// saturate; each elapsed cooldown decays one rung.
-func TestModeLadderEscalationAndDecay(t *testing.T) {
-	s := bareScheduler(Config{DegradeCooldown: 40 * time.Millisecond})
-	advance := scriptClock(s)
-	if m := s.currentMode(); m != modeBatched {
-		t.Fatalf("initial mode %s", modeName(m))
-	}
-	s.tripGuard()
-	if m := s.currentMode(); m != modeSerial {
-		t.Fatalf("after one trip: %s, want serial", modeName(m))
-	}
-	s.tripGuard()
-	if m := s.currentMode(); m != modeShed {
-		t.Fatalf("after two trips: %s, want shed", modeName(m))
-	}
-	s.tripGuard() // saturates
-	if m := s.currentMode(); m != modeShed {
-		t.Fatalf("ladder overflowed: %s", modeName(m))
-	}
-	advance(55 * time.Millisecond)
-	if m := s.currentMode(); m != modeSerial {
-		t.Fatalf("after one cooldown: %s, want serial", modeName(m))
-	}
-	advance(55 * time.Millisecond)
-	if m := s.currentMode(); m != modeBatched {
-		t.Fatalf("after two cooldowns: %s, want batched", modeName(m))
-	}
-	if s.guardTrips.Load() != 3 {
-		t.Fatalf("guardTrips = %d, want 3", s.guardTrips.Load())
-	}
-}
-
 // holdLanes parks every dispatch lane inside a negate request's testExec and
 // returns the function that lets them go (and waits for those requests), so
 // a test can queue a known backlog first: the units the lanes then take form
@@ -318,68 +267,89 @@ func rotateAll(srv *EvalServer, tenant string, ctBytes []byte, steps []int) ([]*
 	return rots, wg
 }
 
-// A guard trip in the middle of a hoist group, on two lanes, degrades the
-// dispatch mode but drops nothing: every member of the tripping group still
-// gets its answer — the right one, for all but the poisoned job — and
-// rotations arriving after the trip are dispatched in units of one.
+// A guard trip in the middle of a hoist group, on two lanes, drops nothing:
+// every member of the tripping group still gets its answer, in the group's
+// unit — the right one, for all but the poisoned job. With the job retry off
+// the poisoned member is answered ErrIntegrity; with MaxJobAttempts 2 it runs
+// once more, in place, through its tenant's evaluator (a fresh
+// decomposition) and decrypts correctly. Dispatch keeps no mode either way:
+// rotations queued after the trip form a group again.
 func TestGuardTripMidBatchDegradesWithoutDropping(t *testing.T) {
-	params := newServeParams(t, 2)
-	srv, err := NewEvalServer(Config{Params: params, MaxBatch: 8, QueueDepth: 16, GuardSeed: 5, DegradeCooldown: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	tt := newTestTenant(t, params, "alice", 110, []int{1, 2}, false)
-	tt.upload(t, srv)
-	z := randomVec(rand.New(rand.NewSource(111)), params.Slots)
-	ctBytes := tt.encryptBytes(t, z)
+	for _, tc := range []struct {
+		jobAttempts int
+		poisoned    int // members answered ErrIntegrity
+		retries     uint64
+		recovered   uint64
+	}{
+		{jobAttempts: 1, poisoned: 1},
+		{jobAttempts: 2, retries: 1, recovered: 1},
+	} {
+		t.Run(fmt.Sprintf("job_attempts=%d", tc.jobAttempts), func(t *testing.T) {
+			params := newServeParams(t, 2)
+			srv, err := NewEvalServer(Config{Params: params, MaxBatch: 8, QueueDepth: 16, GuardSeed: 5, MaxJobAttempts: tc.jobAttempts})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			tt := newTestTenant(t, params, "alice", 110, []int{1, 2}, false)
+			tt.upload(t, srv)
+			z := randomVec(rand.New(rand.NewSource(111)), params.Slots)
+			ctBytes := tt.encryptBytes(t, z)
 
-	var rotationsRun atomic.Int32
-	release := holdLanes(t, srv, tt, func(j *job) error {
-		if rotationsRun.Add(1) == 3 { // the third member of the group
-			return fmt.Errorf("%w: injected residue mismatch", ckks.ErrIntegrity)
-		}
-		return nil
-	})
-	rots, wg := rotateAll(srv, "alice", ctBytes, []int{1, 2, 1, 2, 1, 2})
-	waitQueued(t, srv, len(rots))
-	release()
-	wg.Wait()
+			var rotationsRun atomic.Int32
+			release := holdLanes(t, srv, tt, func(j *job) error {
+				if rotationsRun.Add(1) == 3 { // the third member of the group, first run only
+					return fmt.Errorf("%w: injected residue mismatch", ckks.ErrIntegrity)
+				}
+				return nil
+			})
+			rots, wg := rotateAll(srv, "alice", ctBytes, []int{1, 2, 1, 2, 1, 2})
+			waitQueued(t, srv, len(rots))
+			release()
+			wg.Wait()
 
-	poisoned := 0
-	for i, r := range rots {
-		if r.batch != len(rots) {
-			t.Errorf("rotation %d rode a unit of %d, want the whole group of %d", i, r.batch, len(rots))
-		}
-		if errors.Is(r.err, ckks.ErrIntegrity) {
-			poisoned++
-			continue
-		}
-		if r.err != nil {
-			t.Fatalf("rotation %d dropped by its sibling's trip: %v", i, r.err)
-		}
-		assertVecClose(t, tt.decrypt(r.ct), expected(OpRotate, z, nil, r.steps, 0), 1e-4, fmt.Sprintf("group member %d", i))
-	}
-	if poisoned != 1 {
-		t.Fatalf("%d rotations answered ErrIntegrity, want exactly the poisoned one", poisoned)
-	}
-	if st := srv.Stats(); st.Mode != "serial" || st.GuardTrips != 1 {
-		t.Fatalf("after the mid-group trip: mode %s, %d trips; want serial, 1", st.Mode, st.GuardTrips)
-	}
+			poisoned := 0
+			for i, r := range rots {
+				if r.batch != len(rots) {
+					t.Errorf("rotation %d rode a unit of %d, want the whole group of %d", i, r.batch, len(rots))
+				}
+				if errors.Is(r.err, ckks.ErrIntegrity) {
+					poisoned++
+					continue
+				}
+				if r.err != nil {
+					t.Fatalf("rotation %d dropped by its sibling's trip: %v", i, r.err)
+				}
+				assertVecClose(t, tt.decrypt(r.ct), expected(OpRotate, z, nil, r.steps, 0), 1e-4, fmt.Sprintf("group member %d", i))
+			}
+			if poisoned != tc.poisoned {
+				t.Fatalf("%d rotations answered ErrIntegrity, want %d", poisoned, tc.poisoned)
+			}
+			if got, want := int(rotationsRun.Load()), len(rots)+int(tc.retries); got != want {
+				t.Fatalf("%d rotation runs, want %d: the poisoned member runs again only with the job retry on", got, want)
+			}
+			st := srv.Stats()
+			if st.JobRetries != tc.retries || st.JobRecovered != tc.recovered || st.JobUnrecovered != uint64(tc.poisoned) {
+				t.Fatalf("retries %d recovered %d unrecoverable %d, want %d/%d/%d",
+					st.JobRetries, st.JobRecovered, st.JobUnrecovered, tc.retries, tc.recovered, tc.poisoned)
+			}
 
-	// Siblings queued after the trip drain in units of one, none dropped.
-	release = holdLanes(t, srv, tt, nil)
-	late, wg := rotateAll(srv, "alice", ctBytes, []int{1, 2, 1})
-	waitQueued(t, srv, len(late))
-	release()
-	wg.Wait()
-	for i, r := range late {
-		if r.err != nil {
-			t.Fatalf("post-trip rotation %d: %v", i, r.err)
-		}
-		if r.batch != 1 {
-			t.Fatalf("post-trip rotation %d rode a unit of %d, want 1 (serial)", i, r.batch)
-		}
+			// Siblings queued after the trip form a group again, none dropped.
+			release = holdLanes(t, srv, tt, nil)
+			late, wg := rotateAll(srv, "alice", ctBytes, []int{1, 2, 1})
+			waitQueued(t, srv, len(late))
+			release()
+			wg.Wait()
+			for i, r := range late {
+				if r.err != nil {
+					t.Fatalf("post-trip rotation %d: %v", i, r.err)
+				}
+				if r.batch != len(late) {
+					t.Fatalf("post-trip rotation %d rode a unit of %d, want the whole group of %d", i, r.batch, len(late))
+				}
+				assertVecClose(t, tt.decrypt(r.ct), expected(OpRotate, z, nil, r.steps, 0), 1e-4, fmt.Sprintf("post-trip rotation %d", i))
+			}
+		})
 	}
 }
 

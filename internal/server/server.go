@@ -29,30 +29,28 @@ type Config struct {
 	// deleted together with bench's mention by the next `benchmark` PR.
 	FlushTimeout time.Duration
 
-	// Admission ceilings. A request is rejected with 503 when live arena
-	// bytes exceed MaxArenaBytes or the windowed request p99 exceeds
-	// MaxP99. Zero disables the respective ceiling.
-	MaxArenaBytes int64
-	MaxP99        time.Duration
-	P99Window     time.Duration // p99 refresh window (default 2s)
+	// DegradeCooldown is accepted and ignored: dispatch has no modes to
+	// decay; deleted together with bench's mention by the next `benchmark` PR.
+	DegradeCooldown time.Duration
 
-	DegradeCooldown time.Duration // ladder decay interval (default 2s)
+	// MaxArenaBytes is the admission ceiling: a request is rejected with
+	// 503 while live arena bytes exceed it, as one is when the dispatch
+	// queue is full. Zero disables it.
+	MaxArenaBytes int64
 
 	// GuardSeed, when non-zero, arms integrity guards on every tenant
-	// evaluator; guard trips drive the degradation ladder.
+	// evaluator.
 	GuardSeed int64
 
 	// Fault recovery. OpMaxAttempts > 1 installs a ckks.RecoveryPolicy on
 	// every tenant evaluator: ops failing with ErrIntegrity re-execute
 	// transactionally up to that many total attempts. MaxJobAttempts > 1
-	// additionally re-enqueues integrity-failed jobs with exponential
-	// backoff (base RetryBackoff, doubled per attempt, capped at 250ms)
-	// instead of failing the response; only a job that exhausts the budget
-	// trips the degradation ladder. Both default to 1 (off), preserving
-	// the zero-allocation steady state.
+	// additionally runs a job that still fails with ErrIntegrity again on
+	// its lane, through its tenant's evaluator, up to that many total
+	// attempts while its context lives, instead of failing the response.
+	// Both default to 1 (off), preserving the zero-allocation steady state.
 	OpMaxAttempts  int
 	MaxJobAttempts int
-	RetryBackoff   time.Duration // default 5ms
 
 	// DefaultDeadline bounds every HTTP evaluation request that does not
 	// carry its own X-Poseidon-Deadline header (0 = unbounded). Expiry
@@ -65,7 +63,7 @@ type Config struct {
 
 	// Tracer, when set, enables end-to-end request tracing: every request
 	// grows a span tree (ingest → queue → exec, with per-op evaluator
-	// spans, hoist attribution and retry/backoff children) that is
+	// spans, hoist attribution and one exec stage per job attempt) that is
 	// tail-sampled into the tracer's flight recorder on completion. Nil
 	// disables tracing entirely — the hot path then pays only nil checks,
 	// preserving the zero-allocation steady state.
@@ -82,15 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.RegistryCap <= 0 {
 		c.RegistryCap = 64
 	}
-	if c.P99Window <= 0 {
-		c.P99Window = 2 * time.Second
-	}
-	if c.DegradeCooldown <= 0 {
-		c.DegradeCooldown = 2 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * time.Millisecond
-	}
 	return c
 }
 
@@ -106,13 +95,6 @@ type EvalServer struct {
 	sched    *scheduler
 
 	reqHist *telemetry.Histogram // end-to-end request latency
-
-	// windowed p99 cache: refreshed at most once per P99Window by
-	// differencing cumulative histogram snapshots.
-	p99Mu     chan struct{} // 1-buffered: a non-blocking mutex
-	p99Snap   telemetry.HistSnapshot
-	p99At     time.Time
-	p99Cached atomic.Int64 // ns
 
 	requests    atomic.Uint64
 	rejected    atomic.Uint64 // 503s from admission control
@@ -139,7 +121,6 @@ func NewEvalServer(cfg Config) (*EvalServer, error) {
 		cfg:     cfg,
 		params:  cfg.Params,
 		reqHist: telemetry.NewHistogram(),
-		p99Mu:   make(chan struct{}, 1),
 		health:  newHealthTracker(),
 	}
 	var collector trace.OpSink
@@ -173,27 +154,23 @@ func NewEvalServer(cfg Config) (*EvalServer, error) {
 // histograms on the collector's /metrics page.
 func (s *EvalServer) initGauges() {
 	g := telemetry.NewGaugeSet()
-	g.NewFunc("poseidon_serve_mode", "dispatch mode: 0 batched, 1 serial, 2 shed",
-		func() float64 { return float64(s.sched.currentMode()) })
 	g.NewFunc("poseidon_serve_queue_depth", "jobs waiting for dispatch",
 		func() float64 { return float64(s.sched.queued()) })
 	g.NewFunc("poseidon_serve_arena_bytes", "live arena bytes (admission signal)",
 		func() float64 { return float64(s.params.ArenaStats().BytesInUse) })
 	g.NewFunc("poseidon_serve_resident_tenants", "tenant key sets resident in the registry",
 		func() float64 { return float64(s.registry.Resident()) })
-	g.NewFunc("poseidon_serve_request_p99_seconds", "windowed end-to-end request p99",
-		func() float64 { return time.Duration(s.windowedP99()).Seconds() })
+	g.NewFunc("poseidon_serve_request_p99_seconds", "end-to-end request p99 since start",
+		func() float64 { h := s.reqHist.Snapshot(); return h.Quantile(0.99) / 1e9 })
 	g.NewFunc("poseidon_serve_requests_total", "evaluation requests accepted",
 		func() float64 { return float64(s.requests.Load()) })
 	g.NewFunc("poseidon_serve_rejected_total", "requests rejected by admission control",
 		func() float64 { return float64(s.rejected.Load()) })
-	g.NewFunc("poseidon_serve_guard_trips_total", "integrity guard trips observed by the scheduler",
-		func() float64 { return float64(s.sched.guardTrips.Load()) })
-	g.NewFunc("poseidon_serve_job_retries_total", "integrity-failed jobs re-enqueued by the scheduler",
+	g.NewFunc("poseidon_serve_job_retries_total", "integrity-failed jobs run again by the scheduler",
 		func() float64 { return float64(s.sched.jobRetries.Load()) })
 	g.NewFunc("poseidon_serve_job_recovered_total", "jobs that succeeded on a retry attempt",
 		func() float64 { return float64(s.sched.jobRecovered.Load()) })
-	g.NewFunc("poseidon_serve_job_unrecoverable_total", "jobs that exhausted the retry budget",
+	g.NewFunc("poseidon_serve_job_unrecoverable_total", "jobs answered with an integrity error",
 		func() float64 { return float64(s.sched.jobUnrecoverable.Load()) })
 	g.NewFunc("poseidon_serve_timeouts_total", "requests abandoned at their context deadline",
 		func() float64 { return float64(s.timeouts.Load()) })
@@ -220,49 +197,13 @@ func (s *EvalServer) Shutdown(ctx context.Context) error { return s.sched.stopCt
 // Registry exposes the tenant key registry (tests, in-process embedding).
 func (s *EvalServer) Registry() *Registry { return s.registry }
 
-// windowedP99 returns the request p99 over roughly the last P99Window,
-// computed by differencing cumulative histogram snapshots. Refresh is
-// lazy and non-blocking: concurrent callers read the cached value.
-func (s *EvalServer) windowedP99() int64 {
-	select {
-	case s.p99Mu <- struct{}{}:
-	default:
-		return s.p99Cached.Load()
-	}
-	defer func() { <-s.p99Mu }()
-	now := time.Now()
-	if now.Sub(s.p99At) < s.cfg.P99Window {
-		return s.p99Cached.Load()
-	}
-	cur := s.reqHist.Snapshot()
-	win := cur
-	win.Sub(s.p99Snap)
-	s.p99Snap = cur
-	s.p99At = now
-	if win.Count == 0 {
-		s.p99Cached.Store(0)
-		return 0
-	}
-	p99 := int64(win.Quantile(0.99))
-	s.p99Cached.Store(p99)
-	return p99
-}
-
-// admit applies backpressure before a request touches the evaluator:
-// shed mode, the arena-bytes ceiling, and the windowed-p99 ceiling each
-// reject with ErrOverloaded (HTTP 503 + Retry-After).
+// admit applies backpressure before a request touches the evaluator: live
+// arena bytes over MaxArenaBytes reject with ErrOverloaded (HTTP 503 +
+// Retry-After), as a full dispatch queue does at enqueue.
 func (s *EvalServer) admit() error {
-	if s.sched.currentMode() == modeShed {
-		return errOverloadedf("shedding load after integrity guard trips")
-	}
 	if max := s.cfg.MaxArenaBytes; max > 0 {
 		if inUse := int64(s.params.ArenaStats().BytesInUse); inUse > max {
 			return errOverloadedf("arena bytes %d over ceiling %d", inUse, max)
-		}
-	}
-	if max := s.cfg.MaxP99; max > 0 {
-		if p99 := s.windowedP99(); p99 > int64(max) {
-			return errOverloadedf("request p99 %s over ceiling %s", time.Duration(p99), max)
 		}
 	}
 	return nil
@@ -278,7 +219,8 @@ func (s *EvalServer) Eval(req *EvalRequest) (*ckks.Ciphertext, int, error) {
 // EvalCtx is Eval under a caller-supplied context: when ctx expires before
 // the job's result is delivered, EvalCtx returns ctx's error immediately
 // (the HTTP layer maps DeadlineExceeded to 504) and the scheduler notices
-// the abandoned job at dispatch or retry time and skips the evaluation.
+// the abandoned job at dispatch, or before running it again, and skips the
+// evaluation.
 // Returns the result ciphertext and the size of the unit it was dispatched
 // in. A rotation's req.Ct is compared against other queued rotations until
 // the job is taken — which an expired ctx does not wait for — so callers
@@ -400,8 +342,9 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		}
 		return res.ct, res.batch, nil
 	case <-ctx.Done():
-		// The job stays queued; the scheduler skips it (or its retry) once
-		// it notices the context is dead. Count it as accepted work.
+		// The job stays queued; the scheduler skips it (or does not run it
+		// again) once it notices the context is dead. Count it as accepted
+		// work.
 		s.requests.Add(1)
 		return nil, 0, fmt.Errorf("server: request deadline: %w", ctx.Err())
 	}
@@ -449,7 +392,6 @@ func (s *EvalServer) RegisterKeys(u *KeyUpload) error {
 // Stats is a point-in-time summary of the serving layer, exported by
 // /v1/health and the bench harness.
 type Stats struct {
-	Mode           string   `json:"mode"`
 	Requests       uint64   `json:"requests"`
 	Rejected       uint64   `json:"rejected"`
 	BadRequests    uint64   `json:"bad_requests"`
@@ -457,12 +399,11 @@ type Stats struct {
 	Batches        uint64   `json:"batches"`   // units dispatched: a hoist group or a lone request
 	Occupancy      []uint64 `json:"occupancy"` // index = unit size; [0] unused
 	HoistGroups    uint64   `json:"hoist_groups"`
-	HoistShared    uint64   `json:"hoist_shared"` // decompositions saved by sharing
-	GuardTrips     uint64   `json:"guard_trips"`
+	HoistShared    uint64   `json:"hoist_shared"`      // decompositions saved by sharing
 	Timeouts       uint64   `json:"timeouts"`          // requests abandoned at their deadline
-	JobRetries     uint64   `json:"job_retries"`       // integrity-failed jobs re-enqueued
+	JobRetries     uint64   `json:"job_retries"`       // integrity-failed jobs run again
 	JobRecovered   uint64   `json:"job_recovered"`     // jobs that succeeded on a retry attempt
-	JobUnrecovered uint64   `json:"job_unrecoverable"` // jobs that exhausted the attempt budget
+	JobUnrecovered uint64   `json:"job_unrecoverable"` // jobs answered with ErrIntegrity
 	ResidentKeys   int      `json:"resident_keys"`
 	Evictions      uint64   `json:"evictions"`
 	PinnedSkips    uint64   `json:"pinned_skips"`
@@ -491,7 +432,6 @@ func (s *EvalServer) Stats() Stats {
 	}
 	hist := s.reqHist.Snapshot()
 	st := Stats{
-		Mode:           modeName(s.sched.currentMode()),
 		Requests:       s.requests.Load(),
 		Rejected:       s.rejected.Load(),
 		BadRequests:    s.badRequests.Load(),
@@ -500,7 +440,6 @@ func (s *EvalServer) Stats() Stats {
 		Occupancy:      occ,
 		HoistGroups:    s.sched.hoistGroups.Load(),
 		HoistShared:    s.sched.hoistShared.Load(),
-		GuardTrips:     s.sched.guardTrips.Load(),
 		Timeouts:       s.timeouts.Load(),
 		JobRetries:     s.sched.jobRetries.Load(),
 		JobRecovered:   s.sched.jobRecovered.Load(),
@@ -510,7 +449,7 @@ func (s *EvalServer) Stats() Stats {
 		PinnedSkips:    s.registry.PinnedSkips(),
 		QueueLen:       s.sched.queued(),
 		ArenaBytes:     s.params.ArenaStats().BytesInUse,
-		RequestP99Ns:   s.windowedP99(),
+		RequestP99Ns:   int64(hist.Quantile(0.99)),
 		BytesIn:        s.bytesIn.Load(),
 		BytesOut:       s.bytesOut.Load(),
 		RequestMeanNs:  hist.MeanNs(),

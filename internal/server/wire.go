@@ -11,12 +11,13 @@
 //
 //	POST /v1/keys    register a tenant's evaluation keys (binary envelope)
 //	POST /v1/eval    evaluate one operation (binary envelope in, ciphertext out)
-//	GET  /v1/health  scheduler mode, queue depth, stats (JSON)
+//	GET  /v1/health  queue depth and serving counters (JSON)
 //	GET  /metrics    Prometheus exposition (when a telemetry collector is attached)
 //
-// Degradation ladder: hoist-group dispatch → serial dispatch (after an
-// integrity-guard trip) → load shedding with Retry-After (repeated trips
-// or admission-control pressure), recovering one rung per cooldown.
+// One answer to a fault, one to overload, and no mode state: an integrity
+// failure runs again (op-level recovery, then the whole job on its lane),
+// and a full queue or live arena bytes over their ceiling is refused with
+// 503 + Retry-After for the client to resend.
 package server
 
 import (
@@ -40,9 +41,9 @@ var (
 	// re-uploads and retries.
 	ErrUnknownTenant = errors.New("unknown tenant")
 
-	// ErrOverloaded reports admission-control rejection: a full queue,
-	// arena bytes or request p99 over their ceilings, or shedding mode.
-	// Responses carry Retry-After.
+	// ErrOverloaded reports admission-control rejection: a full queue, arena
+	// bytes over their ceiling, or a server shutting down. Responses carry
+	// Retry-After.
 	ErrOverloaded = errors.New("server overloaded")
 )
 

@@ -125,11 +125,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // Sub removes an earlier snapshot's samples from this one, leaving the
-// window between the two capture points — the building block for sliding
-// backpressure signals (the serving layer's windowed p99). MaxNs cannot be
-// un-merged, so the window keeps the cumulative maximum: quantile reads
-// stay conservative (never under-report), which is the safe direction for
-// an overload signal. Counts must come from the same histogram, with o
+// window between the two capture points. MaxNs cannot be un-merged, so the
+// window keeps the cumulative maximum: quantile reads stay conservative
+// (never under-report). Counts must come from the same histogram, with o
 // captured no later than s.
 func (s *HistSnapshot) Sub(o HistSnapshot) {
 	s.Count -= o.Count

@@ -121,7 +121,7 @@ func TestCollectorAuxWriters(t *testing.T) {
 	c := NewCollector("aux-test")
 	c.ObserveOp(op("HAdd", 3, 42*time.Microsecond))
 	gs := NewGaugeSet()
-	gs.New("poseidon_serve_mode", "Dispatch mode.").Set(1)
+	gs.New("poseidon_serve_queue_depth", "Jobs waiting for dispatch.").Set(1)
 	c.RegisterAux(gs.WritePrometheus)
 
 	srv, err := StartServer("127.0.0.1:0", c)
@@ -137,7 +137,7 @@ func TestCollectorAuxWriters(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	out := string(b)
 	opIdx := strings.Index(out, "poseidon_op_total")
-	auxIdx := strings.Index(out, "poseidon_serve_mode 1")
+	auxIdx := strings.Index(out, "poseidon_serve_queue_depth 1")
 	if opIdx < 0 || auxIdx < 0 {
 		t.Fatalf("scrape missing op or aux families:\n%s", out)
 	}

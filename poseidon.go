@@ -269,11 +269,11 @@ type Hoisted = ckks.Hoisted
 type EvalServer = server.EvalServer
 
 // EvalServerConfig sizes an EvalServer (hoist-group cap, queue depth,
-// registry capacity, admission-control thresholds).
+// registry capacity, the arena admission ceiling, op and job attempts).
 type EvalServerConfig = server.Config
 
 // EvalServerStats is a point-in-time snapshot of serving counters
-// (dispatch-unit occupancy, hoist sharing, degradation mode, rejections).
+// (dispatch-unit occupancy, hoist sharing, rejections, job retries).
 type EvalServerStats = server.Stats
 
 // ServeClient is a thin HTTP client for the poseidond wire protocol.
