@@ -58,10 +58,12 @@ func safeNegLog2(x float64) float64 {
 	return -math.Log2(x)
 }
 
-// BudgetBits estimates the remaining multiplicative noise budget of ct: the
-// log2 ratio between the active modulus and the current scale, minus a
-// safety margin per remaining level. A non-positive budget means further
-// multiplications will destroy the plaintext.
+// BudgetBits returns the modulus headroom left above ct's scale: log2 Q_l −
+// log2 scale − 10, where Q_l is the product of ct's active primes and the
+// flat 10 bits are kept back for the noise below the scale. No noise is
+// tracked or measured: the figure depends only on ct's level and scale. A
+// non-positive value means another multiplication leaves the plaintext no
+// room.
 func BudgetBits(params *Parameters, ct *Ciphertext) float64 {
 	logQ := 0.0
 	for i := 0; i <= ct.Level; i++ {

@@ -86,7 +86,7 @@ func (p FusedPlan) forward(a []uint64, st *Stats) {
 		// performs the one deferred normalization per coefficient.
 		last := stride == 1
 		switch {
-		case st != nil || kappa > 3:
+		case st != nil || kappa > 3 || kappa < 3 && last:
 			t.fwdPassGeneric(a, kappa, m0, last, st)
 		case t.lanes && (stride >= 8 || kappa == 3 && last):
 			t.fwdPassLanes(a, kappa, m0, stride)
@@ -94,12 +94,8 @@ func (p FusedPlan) forward(a []uint64, st *Stats) {
 			fwdPass8Last(mod, a, psi, sh, m0)
 		case kappa == 3:
 			fwdPass8(mod, a, psi, sh, m0, stride)
-		case kappa == 2 && last:
-			fwdPass4Last(mod, a, psi, sh, m0)
 		case kappa == 2:
 			fwdPass4(mod, a, psi, sh, m0, stride)
-		case last:
-			fwdPass2Last(mod, a, psi, sh, m0)
 		default:
 			fwdPass2(mod, a, psi, sh, m0, stride)
 		}
@@ -107,9 +103,9 @@ func (p FusedPlan) forward(a []uint64, st *Stats) {
 }
 
 // fwdPassGeneric executes one fused pass of kappa stages starting at stage
-// parameter m0 through a stack block buffer — the reference path for
-// arbitrary kappa (up to 6), also used for counted runs. Bit-identical to
-// the specialized kernels.
+// parameter m0 through a stack block buffer — the body of every counted run
+// and of each shape the default plan never runs at N ≥ 8: κ > 3 and a
+// κ < 3 final pass. Bit-identical to the specialized kernels.
 func (t *Table) fwdPassGeneric(a []uint64, kappa, m0 int, final bool, st *Stats) {
 	mod := t.Mod
 	q := mod.Q

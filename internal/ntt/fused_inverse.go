@@ -65,7 +65,7 @@ func (p InverseFusedPlan) inverse(a []uint64, st *Stats) {
 		segs := t.N / (stride << uint(kappa))
 		fold := segs == 1
 		switch {
-		case st != nil || kappa > 3:
+		case st != nil || kappa > 3 || kappa < 3 && !fold:
 			t.invPassGeneric(a, kappa, stride, fold, st)
 		case t.lanes && (fold || kappa == 3):
 			t.invPassLanes(a, kappa, stride, segs, fold)
@@ -75,27 +75,19 @@ func (p InverseFusedPlan) inverse(a []uint64, st *Stats) {
 			invPass8First(mod, a, psi, sh, segs)
 		case kappa == 3:
 			invPass8(mod, a, psi, sh, stride, segs)
-		case kappa == 2 && fold:
-			invPass4Fold(t, a, stride)
-		case kappa == 2 && stride == 1:
-			invPass4First(mod, a, psi, sh, segs)
 		case kappa == 2:
-			invPass4(mod, a, psi, sh, stride, segs)
-		case fold:
-			invPass2Fold(t, a, stride)
-		case stride == 1:
-			invPass2First(mod, a, psi, sh, segs)
+			invPass4Fold(t, a, stride)
 		default:
-			invPass2(mod, a, psi, sh, stride, segs)
+			invPass2Fold(t, a, stride)
 		}
 		stride <<= uint(kappa)
 	}
 }
 
 // invPassGeneric executes one fused GS pass of kappa stages starting at span
-// `stride` through a stack block buffer — the reference path for arbitrary
-// kappa (up to 6), also used for counted runs. Bit-identical to the
-// specialized kernels.
+// `stride` through a stack block buffer — the body of every counted run and
+// of each shape the default plan never runs: κ > 3 and a κ < 3 pass that
+// does not fold. Bit-identical to the specialized kernels.
 func (t *Table) invPassGeneric(a []uint64, kappa, stride int, fold bool, st *Stats) {
 	mod := t.Mod
 	q := mod.Q

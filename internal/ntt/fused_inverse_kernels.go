@@ -7,14 +7,17 @@ import (
 )
 
 // Specialized inverse fused-pass kernels, mirroring fused_kernels.go for the
-// Gentleman-Sande direction. Residues stay in the [0, 2q) lazy band: each
-// butterfly's sum output takes one conditional 2q-correction and its
-// difference output is a lazy Shoup product of u−v+2q. The fold kernels run
-// the final pass: their last stage multiplies sums by N^-1 and differences
-// by N^-1·psiInv through exact Shoup products, leaving outputs fully
-// reduced. Twiddles come straight from the table's psiInvBR/psiInvBRShoup
-// (psi/sh below): with `segs` segments in the pass, segment g reads the runs
-// at (segs+g)·2^(κ−1−s) for stage s — the mirror of the forward indexing.
+// Gentleman-Sande direction and, like it, one body for each pass shape the
+// default plan runs: the radix-8 first, middle and fold passes and the κ = 1
+// or 2 remainder, which at k = 3 is always the fold. Residues stay in the
+// [0, 2q) lazy band: each butterfly's sum output takes one conditional
+// 2q-correction and its difference output is a lazy Shoup product of
+// u−v+2q. The fold kernels run the final pass: their last stage multiplies
+// sums by N^-1 and differences by N^-1·psiInv through exact Shoup products,
+// leaving outputs fully reduced. Twiddles come straight from the table's
+// psiInvBR/psiInvBRShoup (psi/sh below): with `segs` segments in the pass,
+// segment g reads the runs at (segs+g)·2^(κ−1−s) for stage s — the mirror of
+// the forward indexing.
 
 // --- inverse, κ=3 -----------------------------------------------------------
 
@@ -356,105 +359,7 @@ func mulShoupExact(a, w, ws, q uint64) uint64 {
 
 // --- inverse, κ=2 -----------------------------------------------------------
 
-func invPass4First(mod numeric.Modulus, a, psi, sh []uint64, segs int) {
-	q := mod.Q
-	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		i := segs + seg
-		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
-		w1, s1, w2, s2 := p2[0], z2[0], p2[1], z2[1]
-		w3, s3 := psi[i], sh[i]
-		x := a[seg*4 : seg*4+4 : seg*4+4]
-		a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
-
-		// Stage 1 (span 1): (0,1)×w1 (2,3)×w2.
-		s := a0 + a1
-		if s >= twoQ {
-			s -= twoQ
-		}
-		d := a0 + twoQ - a1
-		h, _ := bits.Mul64(d, s1)
-		a0, a1 = s, d*w1-h*q
-		s = a2 + a3
-		if s >= twoQ {
-			s -= twoQ
-		}
-		d = a2 + twoQ - a3
-		h, _ = bits.Mul64(d, s2)
-		a2, a3 = s, d*w2-h*q
-
-		// Stage 2 (span 2): (0,2)(1,3)×w3.
-		s = a0 + a2
-		if s >= twoQ {
-			s -= twoQ
-		}
-		d = a0 + twoQ - a2
-		h, _ = bits.Mul64(d, s3)
-		a0, a2 = s, d*w3-h*q
-		s = a1 + a3
-		if s >= twoQ {
-			s -= twoQ
-		}
-		d = a1 + twoQ - a3
-		h, _ = bits.Mul64(d, s3)
-		a1, a3 = s, d*w3-h*q
-
-		x[0], x[1], x[2], x[3] = a0, a1, a2, a3
-	}
-}
-
-func invPass4(mod numeric.Modulus, a, psi, sh []uint64, stride, segs int) {
-	q := mod.Q
-	twoQ := q << 1
-	segLen := stride << 2
-	for seg := 0; seg < segs; seg++ {
-		i := segs + seg
-		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
-		w1, s1, w2, s2 := p2[0], z2[0], p2[1], z2[1]
-		w3, s3 := psi[i], sh[i]
-		base := seg * segLen
-		x0 := a[base : base+stride : base+stride]
-		x1 := a[base+stride : base+2*stride : base+2*stride]
-		x2 := a[base+2*stride : base+3*stride : base+3*stride]
-		x3 := a[base+3*stride : base+4*stride : base+4*stride]
-		for j := 0; j < stride; j++ {
-			a0, a1, a2, a3 := x0[j], x1[j], x2[j], x3[j]
-
-			s := a0 + a1
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d := a0 + twoQ - a1
-			h, _ := bits.Mul64(d, s1)
-			a0, a1 = s, d*w1-h*q
-			s = a2 + a3
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d = a2 + twoQ - a3
-			h, _ = bits.Mul64(d, s2)
-			a2, a3 = s, d*w2-h*q
-
-			s = a0 + a2
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d = a0 + twoQ - a2
-			h, _ = bits.Mul64(d, s3)
-			a0, a2 = s, d*w3-h*q
-			s = a1 + a3
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d = a1 + twoQ - a3
-			h, _ = bits.Mul64(d, s3)
-			a1, a3 = s, d*w3-h*q
-
-			x0[j], x1[j], x2[j], x3[j] = a0, a1, a2, a3
-		}
-	}
-}
-
+// invPass4Fold is the remainder fold when log2(N) ≡ 2 (mod 3).
 func invPass4Fold(t *Table, a []uint64, stride int) {
 	q := t.Mod.Q
 	twoQ := q << 1
@@ -493,46 +398,7 @@ func invPass4Fold(t *Table, a []uint64, stride int) {
 
 // --- inverse, κ=1 -----------------------------------------------------------
 
-func invPass2First(mod numeric.Modulus, a, psi, sh []uint64, segs int) {
-	q := mod.Q
-	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		w, ws := psi[segs+seg], sh[segs+seg]
-		x := a[seg*2 : seg*2+2 : seg*2+2]
-		u, v := x[0], x[1]
-		s := u + v
-		if s >= twoQ {
-			s -= twoQ
-		}
-		d := u + twoQ - v
-		hi, _ := bits.Mul64(d, ws)
-		x[0] = s
-		x[1] = d*w - hi*q
-	}
-}
-
-func invPass2(mod numeric.Modulus, a, psi, sh []uint64, stride, segs int) {
-	q := mod.Q
-	twoQ := q << 1
-	for seg := 0; seg < segs; seg++ {
-		w, ws := psi[segs+seg], sh[segs+seg]
-		base := seg * stride * 2
-		x0 := a[base : base+stride : base+stride]
-		x1 := a[base+stride : base+2*stride : base+2*stride]
-		for j := 0; j < stride; j++ {
-			u, v := x0[j], x1[j]
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d := u + twoQ - v
-			hi, _ := bits.Mul64(d, ws)
-			x0[j] = s
-			x1[j] = d*w - hi*q
-		}
-	}
-}
-
+// invPass2Fold is the remainder fold when log2(N) ≡ 1 (mod 3).
 func invPass2Fold(t *Table, a []uint64, stride int) {
 	q := t.Mod.Q
 	twoQ := q << 1

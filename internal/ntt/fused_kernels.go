@@ -7,18 +7,21 @@ import (
 )
 
 // Specialized fused-pass kernels: the production inner loops of FusedPlan
-// and InverseFusedPlan for block widths 2, 4 and 8 (κ = 1, 2, 3). Each
-// kernel keeps its whole block in scalar locals (a0…a7 at κ=3) across the
-// fused stages, with the segment's twiddles hoisted into locals straight
-// from the table's psiBR/psiBRShoup
-// (psi/sh below): stage s of segment g of a pass starting at stage parameter
-// m0 reads the contiguous run of 2^s factors at (m0+g)·2^s, so no per-plan
-// copy of the twiddles exists. Every slice is pre-cut to its exact extent
-// so the inner loops carry no bounds checks, no twiddle reloads, and no
-// per-butterfly reduction beyond the single conditional band correction the
-// Harvey schedule requires. The Shoup products are written out inline
-// (hi,_ := bits.Mul64(x, ws); v := x*w − hi*q) because the scalar method
-// form is the one call the compiler must not fail to flatten.
+// and InverseFusedPlan, one for each pass shape the default plan (k = 3)
+// runs — the radix-8 passes and the κ = 1 or 2 remainder pass (forward
+// first, inverse the N^-1 fold). Every other shape, which only the lower
+// degrees reach, takes the generic body, bit for bit the same. Each kernel
+// keeps its whole block in scalar locals (a0…a7 at κ=3) across the fused
+// stages, with the segment's twiddles hoisted into locals straight from the
+// table's psiBR/psiBRShoup (psi/sh below): stage s of segment g of a pass
+// starting at stage parameter m0 reads the contiguous run of 2^s factors at
+// (m0+g)·2^s, so no per-plan copy of the twiddles exists. Every slice is
+// pre-cut to its exact extent so the inner loops carry no bounds checks, no
+// twiddle reloads, and no per-butterfly reduction beyond the single
+// conditional band correction the Harvey schedule requires. The Shoup
+// products are written out inline (hi,_ := bits.Mul64(x, ws); v := x*w −
+// hi*q) because the scalar method form is the one call the compiler must
+// not fail to flatten.
 //
 // Band discipline: forward residues live in [0, 4q) with one conditional
 // 2q-correction on each butterfly's u operand, inverse residues in [0, 2q)
@@ -28,9 +31,8 @@ import (
 // bit-identical to the strict reference (strict.go).
 //
 // On a table NewTable marked for lanes (Table.lanes), lanes_amd64.s runs
-// these passes instead, eight coefficients a register, when uncounted —
-// all but the κ ≤ 2 passes at a stride below 8 and the inverse's non-final
-// κ ≤ 2 passes, which only the non-default degrees reach.
+// every uncounted pass of the default plan instead, eight coefficients a
+// register.
 
 // --- forward, κ=3 -----------------------------------------------------------
 
@@ -263,6 +265,7 @@ func reduceFourQ(x, q, twoQ uint64) uint64 {
 
 // --- forward, κ=2 -----------------------------------------------------------
 
+// fwdPass4 is the remainder pass when log2(N) ≡ 2 (mod 3), run first.
 func fwdPass4(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 	q := mod.Q
 	twoQ := q << 1
@@ -313,55 +316,10 @@ func fwdPass4(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 	}
 }
 
-func fwdPass4Last(mod numeric.Modulus, a, psi, sh []uint64, m0 int) {
-	q := mod.Q
-	twoQ := q << 1
-	for seg := 0; seg < m0; seg++ {
-		i := m0 + seg
-		w1, s1 := psi[i], sh[i]
-		p2, z2 := psi[2*i:2*i+2:2*i+2], sh[2*i:2*i+2:2*i+2]
-		w2, s2, w3, s3 := p2[0], z2[0], p2[1], z2[1]
-		x := a[seg*4 : seg*4+4 : seg*4+4]
-		a0, a1, a2, a3 := x[0], x[1], x[2], x[3]
-
-		if a0 >= twoQ {
-			a0 -= twoQ
-		}
-		if a1 >= twoQ {
-			a1 -= twoQ
-		}
-		h2, _ := bits.Mul64(a2, s1)
-		v2 := a2*w1 - h2*q
-		h3, _ := bits.Mul64(a3, s1)
-		v3 := a3*w1 - h3*q
-		a0, a2 = a0+v2, a0+twoQ-v2
-		a1, a3 = a1+v3, a1+twoQ-v3
-
-		if a0 >= twoQ {
-			a0 -= twoQ
-		}
-		if a2 >= twoQ {
-			a2 -= twoQ
-		}
-		h1, _ := bits.Mul64(a1, s2)
-		v1 := a1*w2 - h1*q
-		h3, _ = bits.Mul64(a3, s3)
-		v3 = a3*w3 - h3*q
-		a0, a1 = a0+v1, a0+twoQ-v1
-		a2, a3 = a2+v3, a2+twoQ-v3
-
-		x[0] = reduceFourQ(a0, q, twoQ)
-		x[1] = reduceFourQ(a1, q, twoQ)
-		x[2] = reduceFourQ(a2, q, twoQ)
-		x[3] = reduceFourQ(a3, q, twoQ)
-	}
-}
-
 // --- forward, κ=1 -----------------------------------------------------------
 
 // fwdPass2 is a single radix-2 stage in fused-pass clothing — the remainder
-// pass when log2(N) is not a multiple of k (run first, where the stride and
-// the inner loop are longest).
+// pass when log2(N) ≡ 1 (mod 3), run first where the stride is longest.
 func fwdPass2(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 	q := mod.Q
 	twoQ := q << 1
@@ -381,23 +339,5 @@ func fwdPass2(mod numeric.Modulus, a, psi, sh []uint64, m0, stride int) {
 			x0[j] = u + v
 			x1[j] = u + twoQ - v
 		}
-	}
-}
-
-func fwdPass2Last(mod numeric.Modulus, a, psi, sh []uint64, m0 int) {
-	q := mod.Q
-	twoQ := q << 1
-	for seg := 0; seg < m0; seg++ {
-		w, ws := psi[m0+seg], sh[m0+seg]
-		x := a[seg*2 : seg*2+2 : seg*2+2]
-		u := x[0]
-		if u >= twoQ {
-			u -= twoQ
-		}
-		y := x[1]
-		hi, _ := bits.Mul64(y, ws)
-		v := y*w - hi*q
-		x[0] = reduceFourQ(u+v, q, twoQ)
-		x[1] = reduceFourQ(u+twoQ-v, q, twoQ)
 	}
 }

@@ -85,9 +85,10 @@ func TestInverseLazyMatchesStrict(t *testing.T) {
 // degree a plan can be built at — must be bit-identical to the strict
 // reference for every transform length a table supports up to 2^14, at
 // every band edge. Sizes below 8 never reach a full radix-8 block: N=2 and
-// N=4 run entirely as the remainder pass; above that every logN mod 3 remainder (first pass forward,
-// last pass inverse), the specialized kernels (k ≤ 3) and the generic one
-// (k ≥ 4, and every counted run) are covered. Primes under 2^50 run the
+// N=4 run entirely as the remainder pass; above that every logN mod 3
+// remainder (first pass forward, last pass inverse), the specialized
+// kernels and the generic one (k ≥ 4, the lower degrees' other κ ≤ 2
+// shapes, and every counted run) are covered. Primes under 2^50 run the
 // IFMA52 lanes from N = 64 where the CPU has them; 61 bits never does.
 func TestFusedMatchesStrictEveryLogN(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))

@@ -203,6 +203,38 @@ func TestFusedPassCount(t *testing.T) {
 	}
 }
 
+// Every pass the default plan runs at a production ring size must have a
+// specialized body: forward passes are radix-8 or the remainder, which runs
+// first and is not the last; inverse passes are radix-8 or the N^-1 fold. A
+// shape outside these takes the generic body (fused.go), so a schedule
+// change that broke this would move production transforms onto it. The
+// loops walk the passes as FusedPlan.forward and InverseFusedPlan.inverse do.
+func TestDefaultPlanShapes(t *testing.T) {
+	const k = DefaultFusionDegree
+	for logN := 6; logN <= 17; logN++ {
+		n := 1 << uint(logN)
+		_, kappa := fusedPasses(logN, k)
+		for m0 := 1; m0 < n; m0, kappa = m0<<uint(kappa), k {
+			first, last := m0 == 1, n/(m0<<uint(kappa)) == 1
+			if kappa != 3 && !(first && !last) {
+				t.Errorf("logN=%d: forward pass at m0=%d has κ=%d (first=%v last=%v)", logN, m0, kappa, first, last)
+			}
+		}
+		passes, rem := fusedPasses(logN, k)
+		stride := 1
+		for pi := 0; pi < passes; pi++ {
+			kappa := k
+			if pi == passes-1 {
+				kappa = rem
+			}
+			if fold := n/(stride<<uint(kappa)) == 1; kappa != 3 && !fold {
+				t.Errorf("logN=%d: inverse pass %d at stride %d has κ=%d and does not fold", logN, pi, stride, kappa)
+			}
+			stride <<= uint(kappa)
+		}
+	}
+}
+
 // Fusion reduces reduction slots (and memory passes) by ~k× without adding
 // arithmetic: the register-blocked kernel executes the same butterfly
 // network at every degree, so Mults/Adds of the k = 3 plan match the radix-2

@@ -253,7 +253,7 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		}
 		if err == nil {
 			// Runs inside the finalize stage opened on receive: the
-			// noise-budget estimate walks the ciphertext.
+			// headroom figure walks the ciphertext's active primes.
 			s.health.sample(req.Tenant, ct, s.params)
 			if rt != nil && ct != nil {
 				rt.AnnotateInt(rt.Root(), "ct_level", int64(ct.Level))

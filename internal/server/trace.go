@@ -28,8 +28,8 @@ func statusOf(err error) int {
 const healthMaxTenants = 1024
 
 // healthTracker is the ciphertext-health telemetry: per-tenant gauges for
-// the result ciphertext's level, scale drift and estimated remaining
-// noise budget, sampled at response encode. This is the FHE-specific
+// the result ciphertext's level, scale drift and modulus headroom
+// (ckks.BudgetBits), sampled at response encode. This is the FHE-specific
 // signal no generic tracer carries — a tenant whose circuit is about to
 // exhaust its modulus chain (level → 0, budget → 0) or whose scale has
 // drifted from Δ (lost precision) is visible here before results decrypt
@@ -43,7 +43,7 @@ type healthTracker struct {
 type tenantHealth struct {
 	level      int
 	scaleDrift float64 // log2(ct.Scale / Δ): 0 = on-scale
-	budgetBits float64 // estimated remaining noise budget
+	budgetBits float64 // ckks.BudgetBits: log2 Q_l − log2 scale − 10
 	samples    uint64
 }
 
@@ -113,7 +113,7 @@ func (h *healthTracker) WritePrometheus(w io.Writer) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "poseidon_ct_scale_drift_bits{tenant=%q} %g\n", r.name, r.th.scaleDrift)
 	}
-	fmt.Fprintf(w, "# HELP poseidon_ct_noise_budget_bits Estimated remaining noise budget of the result ciphertext.\n")
+	fmt.Fprintf(w, "# HELP poseidon_ct_noise_budget_bits Modulus headroom of the result ciphertext: log2 Q_l - log2 scale - 10 bits (not a noise measurement).\n")
 	fmt.Fprintf(w, "# TYPE poseidon_ct_noise_budget_bits gauge\n")
 	for _, r := range rows {
 		fmt.Fprintf(w, "poseidon_ct_noise_budget_bits{tenant=%q} %g\n", r.name, r.th.budgetBits)

@@ -36,10 +36,10 @@ type Span struct {
 
 // RequestTrace accumulates one request's span tree. All methods are safe
 // on a nil receiver (no-ops returning zero values) and safe for
-// concurrent use — the HTTP goroutine, the scheduler dispatcher, and
-// time.AfterFunc retry timers all append spans. After Finish, further
-// mutations are dropped: a late span from an abandoned job can never race
-// a flight-recorder reader.
+// concurrent use — the HTTP goroutine, the dispatch lane running the job
+// and the caller waiting on its result all append spans. After Finish,
+// further mutations are dropped: a late span from an abandoned job can
+// never race a flight-recorder reader.
 type RequestTrace struct {
 	mu       sync.Mutex
 	tc       Context
