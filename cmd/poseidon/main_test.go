@@ -110,8 +110,7 @@ func TestCPUExperimentSmall(t *testing.T) {
 // trace_event JSON that a viewer can load.
 func TestTraceReportConverts(t *testing.T) {
 	rt := tracing.NewRequest(tracing.NewContext(), "unit")
-	sp := rt.StartSpan(0, "work")
-	rt.EndSpan(sp)
+	rt.NextStage("work")
 	f := rt.Finish(200, nil)
 
 	dump, err := json.Marshal(map[string]any{"traces": []*tracing.Finished{f}})

@@ -29,7 +29,7 @@ func main() {
 	// keeps the op sequence for accelerator pricing, the collector each op's
 	// wall time. EnableTelemetry fans the collector in beside the recorder.
 	rec := poseidon.NewTraceRecorder("weighted-score")
-	rec.SetWorkers(kit.Workers())
+	rec.SetWorkers(kit.Eval.Workers())
 	kit.Eval.SetObserver(rec)
 	collector := kit.EnableTelemetry("weighted-score")
 

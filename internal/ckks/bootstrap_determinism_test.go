@@ -49,10 +49,10 @@ func TestBootstrapperDeterministic(t *testing.T) {
 	// index out of range inside a worker.
 	above := NewCiphertext(params, bootA.raise+1)
 	above.Scale = params.Scale
-	if _, err := bootA.Evaluator().TryMulRelin(above, above); !errors.Is(err, ErrKeyMissing) {
+	if _, err := bootA.Evaluator().TryMulRelinInto(nil, above, above); !errors.Is(err, ErrKeyMissing) {
 		t.Errorf("MulRelin at level %d on keys cut at %d: %v, want ErrKeyMissing", above.Level, bootA.raise, err)
 	}
-	if _, err := bootA.Evaluator().TryConjugate(above); !errors.Is(err, ErrKeyMissing) {
+	if _, err := bootA.Evaluator().TryConjugateInto(nil, above); !errors.Is(err, ErrKeyMissing) {
 		t.Errorf("Conjugate at level %d on keys cut at %d: %v, want ErrKeyMissing", above.Level, bootA.raise, err)
 	}
 

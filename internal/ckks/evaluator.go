@@ -15,14 +15,15 @@ import (
 // 512-lane datapath over limbs. Results are bit-identical for every worker
 // count; the differential suite in parallel_diff_test.go enforces this.
 //
-// Every basic operation has up to four surfaces — X and XInto panic on
-// failure, TryX and TryXInto return the error; X and TryX allocate the
-// result, the *Into forms write a caller-owned ciphertext — and all of them
-// are one-line calls of exec (exec.go), which validates, guards, runs the
-// op's kernel (evaluator_into.go) and reports it. All internal scratch is
-// drawn from the ring arena, so a steady-state *Into loop at fixed level
-// performs zero heap allocations at workers=1 (the alloc gates in
-// alloc_test.go enforce this, Try forms included).
+// Every basic operation has three surfaces — X panics on failure and
+// allocates the result, XInto panics and writes a caller-owned ciphertext,
+// TryXInto returns the error and writes one; a nil destination asks for a
+// fresh result — and all of them are one-line calls of exec (exec.go),
+// which validates, guards, runs the op's kernel (evaluator_into.go) and
+// reports it. All internal scratch is drawn from the ring arena, so a
+// steady-state *Into loop at fixed level performs zero heap allocations at
+// workers=1 (the alloc gates in alloc_test.go enforce this, Try forms
+// included).
 //
 // Concurrency: an Evaluator is safe for concurrent use by multiple
 // goroutines — keys and parameters are read-only, per-operation scratch is
@@ -130,11 +131,6 @@ func (ev *Evaluator) AddInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext {
 	return must(ev.exec(&opAdd, out, operands{a: a, b: b}))
 }
 
-// TryAdd returns a + b or a typed error.
-func (ev *Evaluator) TryAdd(a, b *Ciphertext) (*Ciphertext, error) {
-	return ev.exec(&opAdd, nil, operands{a: a, b: b})
-}
-
 // TryAddInto computes out = a + b or returns a typed error.
 func (ev *Evaluator) TryAddInto(out, a, b *Ciphertext) (*Ciphertext, error) {
 	return ev.exec(&opAdd, out, operands{a: a, b: b})
@@ -148,11 +144,6 @@ func (ev *Evaluator) Sub(a, b *Ciphertext) *Ciphertext {
 // SubInto computes out = a − b.
 func (ev *Evaluator) SubInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext {
 	return must(ev.exec(&opSub, out, operands{a: a, b: b}))
-}
-
-// TrySub returns a − b or a typed error.
-func (ev *Evaluator) TrySub(a, b *Ciphertext) (*Ciphertext, error) {
-	return ev.exec(&opSub, nil, operands{a: a, b: b})
 }
 
 // TrySubInto computes out = a − b or returns a typed error.
@@ -221,11 +212,6 @@ func (ev *Evaluator) MulRelinInto(out *Ciphertext, a, b *Ciphertext) *Ciphertext
 	return must(ev.exec(&opMulRelin, out, operands{a: a, b: b}))
 }
 
-// TryMulRelin returns a·b with relinearization or a typed error.
-func (ev *Evaluator) TryMulRelin(a, b *Ciphertext) (*Ciphertext, error) {
-	return ev.exec(&opMulRelin, nil, operands{a: a, b: b})
-}
-
 // TryMulRelinInto computes out = a·b with relinearization or returns a
 // typed error.
 func (ev *Evaluator) TryMulRelinInto(out, a, b *Ciphertext) (*Ciphertext, error) {
@@ -242,11 +228,6 @@ func (ev *Evaluator) Rescale(ct *Ciphertext) *Ciphertext {
 // result into out.
 func (ev *Evaluator) RescaleInto(out *Ciphertext, ct *Ciphertext) *Ciphertext {
 	return must(ev.exec(&opRescale, out, operands{a: ct}))
-}
-
-// TryRescale returns ct rescaled one level down or a typed error.
-func (ev *Evaluator) TryRescale(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.exec(&opRescale, nil, operands{a: ct})
 }
 
 // TryRescaleInto divides ct by the last active prime into out or returns a
@@ -274,11 +255,6 @@ func (ev *Evaluator) RotateInto(out *Ciphertext, ct *Ciphertext, steps int) *Cip
 	return must(ev.exec(&opGalois, out, operands{a: ct, g: ev.rotG(steps)}))
 }
 
-// TryRotate returns the slot vector rotated by steps or a typed error.
-func (ev *Evaluator) TryRotate(ct *Ciphertext, steps int) (*Ciphertext, error) {
-	return ev.exec(&opGalois, nil, operands{a: ct, g: ev.rotG(steps)})
-}
-
 // TryRotateInto rotates the slot vector by steps into out or returns a
 // typed error.
 func (ev *Evaluator) TryRotateInto(out *Ciphertext, ct *Ciphertext, steps int) (*Ciphertext, error) {
@@ -293,11 +269,6 @@ func (ev *Evaluator) Conjugate(ct *Ciphertext) *Ciphertext {
 // ConjugateInto conjugates every slot, writing into out.
 func (ev *Evaluator) ConjugateInto(out *Ciphertext, ct *Ciphertext) *Ciphertext {
 	return must(ev.exec(&opGalois, out, operands{a: ct, g: ev.conjG()}))
-}
-
-// TryConjugate returns the slot-wise conjugate or a typed error.
-func (ev *Evaluator) TryConjugate(ct *Ciphertext) (*Ciphertext, error) {
-	return ev.exec(&opGalois, nil, operands{a: ct, g: ev.conjG()})
 }
 
 // TryConjugateInto conjugates every slot into out or returns a typed error.

@@ -34,15 +34,9 @@ func (ev *Evaluator) mulConst(ct *Ciphertext, c complex128, scale float64) *Ciph
 // MulConst multiplies every slot by the constant c. The constant is encoded
 // at the next prime's size so a following Rescale restores the input scale;
 // the returned ciphertext has scale ct.Scale·q_level and must be rescaled
-// by the caller (or use MulConstRescale).
+// by the caller.
 func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
 	return ev.mulConst(ct, c, float64(ev.params.Q[ct.Level]))
-}
-
-// MulConstRescale multiplies by a constant and rescales, returning a
-// ciphertext at level−1 with (approximately) the input scale.
-func (ev *Evaluator) MulConstRescale(ct *Ciphertext, c complex128) *Ciphertext {
-	return ev.Rescale(ev.MulConst(ct, c))
 }
 
 // MulConstToScale multiplies every slot by c and rescales so the result
@@ -71,17 +65,22 @@ func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) *Ciphertext {
 
 // TryInnerSum is the rotate-and-add reduction every rotation-based workload
 // builds on: log2(n) rotations by 1, 2, 4, … each added back, after which
-// slot i holds the sum of slots i … i+n−1 (n a power of two; the caller
-// checks that). Requires the power-of-two rotation keys below n; the first
-// failing Rotate or Add is returned as is.
+// slot i holds the sum of slots i … i+n−1. n must be a power of two in
+// [1, Slots] (ErrInvalidInput otherwise: any other width would sum the next
+// power of two's slots). Requires the power-of-two rotation keys below n;
+// the first failing Rotate or Add is returned as is.
 func (ev *Evaluator) TryInnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
+	if n < 1 || n > ev.params.Slots || n&(n-1) != 0 {
+		return nil, opErr("InnerSum", lvlOf(ct), ErrInvalidInput,
+			"width %d is not a power of two in [1, %d]", n, ev.params.Slots)
+	}
 	acc := ct
 	for s := 1; s < n; s <<= 1 {
-		rot, err := ev.TryRotate(acc, s)
+		rot, err := ev.TryRotateInto(nil, acc, s)
 		if err != nil {
 			return nil, err
 		}
-		if acc, err = ev.TryAdd(acc, rot); err != nil {
+		if acc, err = ev.TryAddInto(nil, acc, rot); err != nil {
 			return nil, err
 		}
 	}

@@ -11,9 +11,9 @@ import (
 // How an op runs. The accelerator has one control path that issues every
 // basic operation as a short program over five shared operator cores; the
 // evaluator has one exec. Each basic op is described once, as an opDesc (the
-// table is in safe.go, the kernels in evaluator_into.go), and every surface
-// of it — X, XInto, TryX, TryXInto — is a one-line call of exec, which owns,
-// in this order and nowhere else:
+// table is in safe.go, the kernels in evaluator_into.go), and each of its
+// three surfaces — X, XInto, TryXInto — is a one-line call of exec, which
+// owns, in this order and nowhere else:
 //
 //  1. structural validation of the operands (validIn / validPt);
 //  2. the op's preconditions (scale match, key present, level left to drop,
@@ -26,8 +26,9 @@ import (
 //  4. the output seal;
 //  5. the op's one event, for either outcome, retries included (observer.go).
 //
-// The surfaces differ only in how the outcome is delivered: the Try forms
-// return the *OpError, the others panic with that same *OpError (must).
+// The surfaces differ only in how the outcome is delivered: TryXInto returns
+// the *OpError, X and XInto panic with that same *OpError (must). A nil
+// destination asks exec to allocate the result, so X is XInto(nil, …).
 
 // opDesc describes one basic operation.
 type opDesc struct {

@@ -85,14 +85,6 @@ func (ev *Evaluator) DisableGuards() { ev.guards = nil }
 // GuardsEnabled reports whether the integrity guards are active.
 func (ev *Evaluator) GuardsEnabled() bool { return ev.guards != nil }
 
-// NoiseBudget estimates the remaining headroom, in bits, between the active
-// modulus chain and the ciphertext scale: log2(Q_l) − log2(scale). When it
-// reaches zero the plaintext magnitude no longer fits and decryption
-// degrades into noise.
-func (ev *Evaluator) NoiseBudget(ct *Ciphertext) float64 {
-	return math.Log2(ev.params.QAtLevel(ct.Level)) - math.Log2(ct.Scale)
-}
-
 // SealIntegrity records per-limb residue checksums for ct, arming the
 // checksum guard: every subsequent operation consuming ct re-verifies
 // the seal at its input boundary. Re-sealing an already-sealed ciphertext
@@ -149,15 +141,16 @@ func (ev *Evaluator) verifySealed(op string, ct *Ciphertext) error {
 }
 
 // guardNoise flags noise-budget exhaustion for a result about to be
-// produced at the given level and scale.
+// produced at the given level and scale: a scale the active chain product
+// no longer holds (headroomBits ≤ 0).
 func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
 	if ev.guards == nil || scale <= 0 {
 		return nil
 	}
-	if budget := math.Log2(ev.params.QAtLevel(level)) - math.Log2(scale); budget <= 0 {
+	if budget := headroomBits(ev.params, level, scale); budget <= 0 {
 		return opErr(op, level, ErrLevelExhausted,
 			"noise budget exhausted: scale 2^%.1f exceeds chain product 2^%.1f",
-			math.Log2(scale), math.Log2(ev.params.QAtLevel(level)))
+			math.Log2(scale), budget+math.Log2(scale))
 	}
 	return nil
 }

@@ -76,25 +76,25 @@ func TestTryOpsCleanNoFalsePositives(t *testing.T) {
 		try  func() (*Ciphertext, error)
 		want func() *Ciphertext
 	}{
-		{"Add", func() (*Ciphertext, error) { return ev.TryAdd(a, b) },
+		{"Add", func() (*Ciphertext, error) { return ev.TryAddInto(nil, a, b) },
 			func() *Ciphertext { return ref.Add(a, b) }},
-		{"Sub", func() (*Ciphertext, error) { return ev.TrySub(a, b) },
+		{"Sub", func() (*Ciphertext, error) { return ev.TrySubInto(nil, a, b) },
 			func() *Ciphertext { return ref.Sub(a, b) }},
-		{"Neg", func() (*Ciphertext, error) { return ev.TryNegInto(NewCiphertext(gc.params, a.Level), a) },
+		{"Neg", func() (*Ciphertext, error) { return ev.TryNegInto(nil, a) },
 			func() *Ciphertext { return ref.Neg(a) }},
 		{"AddPlain", func() (*Ciphertext, error) {
-			return ev.TryAddPlainInto(NewCiphertext(gc.params, a.Level), a, pt)
+			return ev.TryAddPlainInto(nil, a, pt)
 		}, func() *Ciphertext { return ref.AddPlain(a, pt) }},
 		{"MulPlain", func() (*Ciphertext, error) {
-			return ev.TryMulPlainInto(NewCiphertext(gc.params, a.Level), a, pt)
+			return ev.TryMulPlainInto(nil, a, pt)
 		}, func() *Ciphertext { return ref.MulPlain(a, pt) }},
-		{"MulRelin", func() (*Ciphertext, error) { return ev.TryMulRelin(a, b) },
+		{"MulRelin", func() (*Ciphertext, error) { return ev.TryMulRelinInto(nil, a, b) },
 			func() *Ciphertext { return ref.MulRelin(a, b) }},
-		{"Rescale", func() (*Ciphertext, error) { return ev.TryRescale(ref.MulRelin(a, b)) },
+		{"Rescale", func() (*Ciphertext, error) { return ev.TryRescaleInto(nil, ref.MulRelin(a, b)) },
 			func() *Ciphertext { return ref.Rescale(ref.MulRelin(a, b)) }},
-		{"Rotate", func() (*Ciphertext, error) { return ev.TryRotate(a, 1) },
+		{"Rotate", func() (*Ciphertext, error) { return ev.TryRotateInto(nil, a, 1) },
 			func() *Ciphertext { return ref.Rotate(a, 1) }},
-		{"Conjugate", func() (*Ciphertext, error) { return ev.TryConjugate(a) },
+		{"Conjugate", func() (*Ciphertext, error) { return ev.TryConjugateInto(nil, a) },
 			func() *Ciphertext { return ref.Conjugate(a) }},
 	}
 	for _, tc := range cases {
@@ -229,8 +229,9 @@ func TestTrySentinels(t *testing.T) {
 				}
 				if !cond.intoOnly {
 					surfaces[op.name] = func() error { op.alloc(c.ev, c.a, c.b, c.pt, dc); return nil }
-					if op.try != nil {
-						surfaces["Try"+op.name] = func() error { _, err := op.try(c.ev, c.a, c.b, c.pt, dc); return err }
+					surfaces["Try"+op.name+"Into(nil)"] = func() error {
+						_, err := op.tryInto(c.ev, nil, c.a, c.b, c.pt, dc)
+						return err
 					}
 				}
 				var first *OpError
@@ -330,15 +331,15 @@ func (gc *guardContext) faultChain(a, b *Ciphertext) error {
 	ev.SealIntegrity(a)
 	ev.SealIntegrity(b)
 	var drop, rot, acc *Ciphertext
-	prod, err := ev.TryMulRelin(a, b)
+	prod, err := ev.TryMulRelinInto(nil, a, b)
 	if err == nil {
-		drop, err = ev.TryRescale(prod)
+		drop, err = ev.TryRescaleInto(nil, prod)
 	}
 	if err == nil {
-		rot, err = ev.TryRotate(drop, 1)
+		rot, err = ev.TryRotateInto(nil, drop, 1)
 	}
 	if err == nil {
-		acc, err = ev.TryAdd(drop, rot)
+		acc, err = ev.TryAddInto(nil, drop, rot)
 	}
 	if err == nil {
 		err = ev.VerifyIntegrity(acc)
@@ -471,7 +472,7 @@ func TestSpotCheckDetectsNTTFault(t *testing.T) {
 	defer gc.params.RingQ.SetFaultInjector(nil)
 
 	in.ArmAt(fault.SiteNTT, fault.StuckLane, 0)
-	_, err := ev.TryRescale(a)
+	_, err := ev.TryRescaleInto(nil, a)
 	if !errors.Is(err, ErrIntegrity) {
 		t.Fatalf("got %v, want ErrIntegrity from the NTT spot-check", err)
 	}
@@ -494,7 +495,7 @@ func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 	ev.EnableGuards(13)
 	a, b, pt := gc.inputs(t, 6, gc.params.MaxLevel())
 
-	if nb := ev.NoiseBudget(a); nb <= 0 {
+	if nb := headroomBits(gc.params, a.Level, a.Scale); nb <= 0 {
 		t.Fatalf("fresh ciphertext has non-positive budget %f", nb)
 	}
 
@@ -536,7 +537,7 @@ func TestInjectedPanicRecovered(t *testing.T) {
 
 	base := gc.params.ArenaStats().BytesInUse
 	in.ArmAt(fault.SiteNTT, fault.Panic, 2)
-	_, err := ev.TryMulRelin(a, b)
+	_, err := ev.TryMulRelinInto(nil, a, b)
 	if !errors.Is(err, ErrInternal) {
 		t.Fatalf("got %v, want ErrInternal wrap of injected panic", err)
 	}

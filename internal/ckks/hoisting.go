@@ -6,9 +6,10 @@ import "poseidon/internal/ring"
 // rotations — the BSGS linear transform and every matrix-heavy workload —
 // the expensive part of each keyswitch (digit decomposition, basis
 // extension and the forward NTTs of the extended digits) depends only on
-// the input, not on the Galois element. RotateHoisted performs that work
-// once and replays it per rotation as a cheap NTT-domain permutation,
-// because the decomposition commutes with the automorphism.
+// the input, not on the Galois element. Hoist performs that work once and
+// Hoisted.Rotate replays it per rotation as a cheap NTT-domain permutation,
+// because the decomposition commutes with the automorphism; Release returns
+// the borrowed digits. That handle is the one hoisted-rotation path.
 //
 // Both phases run on the evaluator's worker pool through the pooled
 // keyswitch state's stage methods: the shared decomposition chunks across
@@ -62,11 +63,10 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 }
 
 // Hoisted is a reusable handle over one ciphertext's shared keyswitch
-// decomposition — the batch-friendly entry point to rotation hoisting.
-// Where RotateHoisted fixes the step set up front, a Hoisted handle lets a
-// caller (the serving layer's batch scheduler, a BSGS loop discovering its
-// steps incrementally) pay the decomposition once and request rotations one
-// at a time, possibly interleaved with other work. The handle borrows digit
+// decomposition — the entry point to rotation hoisting. It lets a caller
+// (the serving layer's batch scheduler, a BSGS loop discovering its steps
+// incrementally) pay the decomposition once and request rotations one at a
+// time, possibly interleaved with other work. The handle borrows digit
 // matrices from the parameter set's free lists: call Release when done, or
 // the arena reports the bytes as permanently in use. It holds no copy of the
 // ciphertext: every rotation reads ct.C0, and the digit-own rows of the
@@ -138,19 +138,6 @@ func (h *Hoisted) Release() {
 		h.hd.release(h.ev.params)
 		h.hd = nil
 	}
-}
-
-// RotateHoisted rotates ct by every step in steps, sharing one digit
-// decomposition across all of them. Returns a map from step to result.
-// Requires rotation keys for every step.
-func (ev *Evaluator) RotateHoisted(ct *Ciphertext, steps []int) map[int]*Ciphertext {
-	h := ev.Hoist(ct)
-	defer h.Release()
-	out := make(map[int]*Ciphertext, len(steps))
-	for _, step := range steps {
-		out[step] = h.Rotate(step)
-	}
-	return out
 }
 
 // kernHoistedRotate replays the shared decomposition through the keyswitch

@@ -54,7 +54,19 @@ func TestAutomorphismNTTPanics(t *testing.T) {
 	}()
 }
 
-// RotateHoisted must agree with individual Rotate calls on every step.
+// rotateHoisted rotates ct by every step through one Hoist: the shared
+// decomposition, one Hoisted.Rotate per step, then Release.
+func rotateHoisted(ev *Evaluator, ct *Ciphertext, steps []int) map[int]*Ciphertext {
+	h := ev.Hoist(ct)
+	defer h.Release()
+	out := make(map[int]*Ciphertext, len(steps))
+	for _, s := range steps {
+		out[s] = h.Rotate(s)
+	}
+	return out
+}
+
+// Hoist + Rotate must agree with individual Rotate calls on every step.
 func TestRotateHoistedMatchesRotate(t *testing.T) {
 	tc := newTestContext(t)
 	steps := []int{1, 2, 5, -3, 0}
@@ -64,7 +76,7 @@ func TestRotateHoistedMatchesRotate(t *testing.T) {
 	z := randomComplex(rng, tc.params.Slots, 1.0)
 	ct := tc.encryptVec(z)
 
-	hoisted := ev.RotateHoisted(ct, steps)
+	hoisted := rotateHoisted(ev, ct, steps)
 	n := tc.params.Slots
 	for _, s := range steps {
 		want := make([]complex128, n)
@@ -89,7 +101,7 @@ func TestRotateHoistedAtLowerLevel(t *testing.T) {
 	z := randomComplex(rng, tc.params.Slots, 1.0)
 	ct := ev.DropLevel(tc.encryptVec(z), 1)
 
-	hoisted := ev.RotateHoisted(ct, steps)
+	hoisted := rotateHoisted(ev, ct, steps)
 	n := tc.params.Slots
 	for _, s := range steps {
 		want := make([]complex128, n)
@@ -110,11 +122,11 @@ func TestRotateHoistedMissingKeyPanics(t *testing.T) {
 			t.Fatal("missing key should panic")
 		}
 	}()
-	ev.RotateHoisted(ct, []int{7})
+	rotateHoisted(ev, ct, []int{7})
 }
 
 // The incremental Hoisted handle must agree with the plain rotation path
-// and with RotateHoisted, one step at a time.
+// and with rotateHoisted, one step at a time.
 func TestHoistedHandleMatchesRotate(t *testing.T) {
 	tc := newTestContext(t)
 	steps := []int{1, 3, -2, 0}

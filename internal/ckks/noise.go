@@ -65,9 +65,16 @@ func safeNegLog2(x float64) float64 {
 // non-positive value means another multiplication leaves the plaintext no
 // room.
 func BudgetBits(params *Parameters, ct *Ciphertext) float64 {
+	return headroomBits(params, ct.Level, ct.Scale) - 10 // ~10 bits of headroom for noise
+}
+
+// headroomBits is log2 Q_level − log2 scale: how many bits of the active
+// chain product lie above a plaintext at that scale. BudgetBits and the
+// noise-budget guard (guardNoise) both read it.
+func headroomBits(params *Parameters, level int, scale float64) float64 {
 	logQ := 0.0
-	for i := 0; i <= ct.Level; i++ {
+	for i := 0; i <= level; i++ {
 		logQ += math.Log2(float64(params.Q[i]))
 	}
-	return logQ - math.Log2(ct.Scale) - 10 // ~10 bits of headroom for noise
+	return logQ - math.Log2(scale)
 }

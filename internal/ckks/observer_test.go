@@ -329,7 +329,7 @@ func TestOpEventsPerCall(t *testing.T) {
 	in.ResetVisits()
 	in.ArmAtMode(fault.SiteHBM, fault.BitFlip, 0, fault.Sticky, 0)
 	var err error
-	got := fx.step(t, log, "sticky Add", func() { _, err = ev.TryAdd(victim, a) })
+	got := fx.step(t, log, "sticky Add", func() { _, err = ev.TryAddInto(nil, victim, a) })
 	if !errors.Is(err, ErrIntegrity) || !slices.Equal(sigsOf(got), []string{"HAdd failed retried"}) || got[0].Retries != 2 {
 		t.Errorf("unrecoverable Add: %v with events %+v, want ErrIntegrity and one failed HAdd retried twice of a 3-attempt budget", err, got)
 	}

@@ -84,7 +84,7 @@ func (fx *panicLeakFixture) ops() []struct {
 		{"RotateInto", func() { ev.RotateInto(NewCiphertext(params, level), fx.ct1, 1) }},
 		{"ConjugateInto", func() { ev.ConjugateInto(NewCiphertext(params, level), fx.ct1) }},
 		{"KeySwitchInto", func() { ev.KeySwitchInto(NewCiphertext(params, level), fx.ct1, fx.swk) }},
-		{"RotateHoisted", func() { ev.RotateHoisted(fx.ct1, []int{0, 1}) }},
+		{"RotateHoisted", func() { rotateHoisted(ev, fx.ct1, []int{0, 1}) }},
 	}
 }
 

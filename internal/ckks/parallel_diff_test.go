@@ -156,7 +156,7 @@ var diffOps = []struct {
 		return ev.MulConst(a, complex(0.75, -1.25))
 	}},
 	{"MulConstRescale", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
-		return ev.MulConstRescale(a, complex(-2.5, 0.5))
+		return ev.Rescale(ev.MulConst(a, complex(-2.5, 0.5)))
 	}},
 	{"AddConst", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 		return ev.AddConst(a, complex(1.5, -0.25))
@@ -165,7 +165,7 @@ var diffOps = []struct {
 		return ev.MulByI(a)
 	}},
 	{"MulConstReal", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
-		return ev.MulConstRescale(a, -0.625)
+		return ev.Rescale(ev.MulConst(a, -0.625))
 	}},
 	{"AddConstReal", func(ev *Evaluator, a, _ *Ciphertext, _ *Plaintext, _ *diffContext) *Ciphertext {
 		return ev.AddConst(a, 1.5)
@@ -211,10 +211,10 @@ func TestParallelDiffRotateHoisted(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
 		ct1, _, _ := dc.freshInputs(11)
-		want := dc.serial.RotateHoisted(ct1, steps)
+		want := rotateHoisted(dc.serial, ct1, steps)
 		for _, w := range diffWorkerCounts() {
 			t.Run(fmt.Sprintf("%s/workers=%d", pname, w), func(t *testing.T) {
-				got := dc.serial.WithWorkers(w).RotateHoisted(ct1, steps)
+				got := rotateHoisted(dc.serial.WithWorkers(w), ct1, steps)
 				if len(got) != len(want) {
 					t.Fatalf("result count %d != %d", len(got), len(want))
 				}

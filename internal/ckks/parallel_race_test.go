@@ -117,7 +117,7 @@ func TestConcurrentHoistedRotations(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	z := randomComplex(rng, rc.params.Slots, 1.0)
 	ct := rc.encr.Encrypt(rc.enc.Encode(z, rc.params.MaxLevel(), rc.params.Scale))
-	want := rc.ev.WithWorkers(1).RotateHoisted(ct, steps)
+	want := rotateHoisted(rc.ev.WithWorkers(1), ct, steps)
 
 	const goroutines = 6
 	var wg sync.WaitGroup
@@ -126,7 +126,7 @@ func TestConcurrentHoistedRotations(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got := rc.ev.RotateHoisted(ct, steps)
+			got := rotateHoisted(rc.ev, ct, steps)
 			for _, s := range steps {
 				g, w := got[s], want[s]
 				if !g.C0.Equal(w.C0) || !g.C1.Equal(w.C1) {

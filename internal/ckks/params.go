@@ -302,19 +302,6 @@ func (p *Parameters) Alpha() int { return len(p.P) }
 // Digits returns the digit count at the given level.
 func (p *Parameters) Digits(level int) int { return p.decomposer.Digits(level) }
 
-// QAtLevel returns the product of the active chain primes as a float, used
-// for bound checks and bootstrapping scaling.
-func (p *Parameters) QAtLevel(level int) float64 {
-	prod := 1.0
-	for i := 0; i <= level; i++ {
-		prod *= float64(p.Q[i])
-	}
-	return prod
-}
-
-// DefaultScale returns Δ.
-func (p *Parameters) DefaultScale() float64 { return p.Scale }
-
 // TestParameters returns a small, fast instance for unit tests:
 // N=2^12, 6-level chain of 45-bit primes under a 40-bit scale.
 func TestParameters() (*Parameters, error) {

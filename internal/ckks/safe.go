@@ -8,7 +8,8 @@ import (
 // The validators exec (exec.go) runs before any kernel, and the table of
 // basic-op descriptors it runs them for. Everything here reports through
 // sentinel errors wrapped in *OpError; which surface was called only decides
-// whether that error is returned (Try*) or panicked with.
+// whether that error is returned (TryXInto, TryHoist, Hoisted.TryRotate,
+// TryInnerSum) or panicked with (every other form).
 
 func lvlOf(ct *Ciphertext) int {
 	if ct == nil {

@@ -293,8 +293,8 @@ func TestCutKeyCoversItsLevels(t *testing.T) {
 		decr *Decryptor
 		want []complex128
 	}{
-		{"MulRelin", func(ct *Ciphertext) (*Ciphertext, error) { return ev.TryMulRelin(ct, ct) }, tc.decr, sq},
-		{"Rotate", func(ct *Ciphertext) (*Ciphertext, error) { return ev.TryRotate(ct, 1) }, tc.decr, rot},
+		{"MulRelin", func(ct *Ciphertext) (*Ciphertext, error) { return ev.TryMulRelinInto(nil, ct, ct) }, tc.decr, sq},
+		{"Rotate", func(ct *Ciphertext) (*Ciphertext, error) { return ev.TryRotateInto(nil, ct, 1) }, tc.decr, rot},
 		{"KeySwitch", func(ct *Ciphertext) (*Ciphertext, error) {
 			return ev.TryKeySwitchInto(NewCiphertext(params, ct.Level), ct, swk)
 		}, NewDecryptor(params, sk2), z},

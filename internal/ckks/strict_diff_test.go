@@ -26,7 +26,7 @@ import (
 // strictDigests maps table/parameter set/op to the first 8 bytes (hex) of
 // the SHA-256 of the strict kernels' output as MarshalBinary encodes it.
 // ops: diffOps on freshInputs(17); into: intoOps' allocating forms on
-// freshInputs(41); hoisted: RotateHoisted by each step on freshInputs(19);
+// freshInputs(41); hoisted: Hoist + Rotate by each step on freshInputs(19);
 // chain: the TestFusedDecryptIdentity chain on freshInputs(43); lt: the
 // TestStrictLazyLinearTransform matrix.
 var strictDigests = map[string]string{
@@ -190,7 +190,7 @@ func TestStrictLazyRotateHoisted(t *testing.T) {
 	for pname, params := range diffParamSets(t) {
 		dc := newDiffContext(t, params)
 		ct1, _, _ := dc.freshInputs(19)
-		got := dc.serial.RotateHoisted(ct1, steps)
+		got := rotateHoisted(dc.serial, ct1, steps)
 		for _, s := range steps {
 			requireStrictDigest(t, got[s], fmt.Sprintf("hoisted/%s/%d", pname, s))
 			requireRingMatchesStrict(t, params, got[s], fmt.Sprintf("%s: hoisted step %d", pname, s))

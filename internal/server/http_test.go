@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 
 	"poseidon/internal/ckks"
@@ -159,6 +161,12 @@ func TestHTTPStatusMapping(t *testing.T) {
 	noKey := EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpRotate, Steps: 7, Ct: ctBytes})
 	if resp := post(noKey); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("missing rotation key: HTTP %d, want 422", resp.StatusCode)
+	}
+	// Inner sum over a width that is not a power of two → 400 at admission:
+	// rotations by 1 and 2 would sum four slots, not three.
+	width3 := EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpInnerSum, Width: 3, Ct: ctBytes})
+	if resp := post(width3); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("inner-sum width 3: HTTP %d, want 400", resp.StatusCode)
 	}
 	// Live arena bytes over the ceiling → 503 with Retry-After.
 	holdArena(t, params)
@@ -349,6 +357,39 @@ func TestHTTPMetricsIncludeServeGauges(t *testing.T) {
 		if !bytes.Contains([]byte(page), []byte(want)) {
 			t.Errorf("metrics page missing %q", want)
 		}
+	}
+	// The ten serving families keep the names, HELP text and TYPE they had
+	// as registered gauges, in the same (sorted) order.
+	var got []string
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "# HELP poseidon_serve_") || strings.HasPrefix(line, "# TYPE poseidon_serve_") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"# HELP poseidon_serve_arena_bytes live arena bytes (admission signal)",
+		"# TYPE poseidon_serve_arena_bytes gauge",
+		"# HELP poseidon_serve_job_recovered_total jobs that succeeded on a retry attempt",
+		"# TYPE poseidon_serve_job_recovered_total gauge",
+		"# HELP poseidon_serve_job_retries_total integrity-failed jobs run again by the scheduler",
+		"# TYPE poseidon_serve_job_retries_total gauge",
+		"# HELP poseidon_serve_job_unrecoverable_total jobs answered with an integrity error",
+		"# TYPE poseidon_serve_job_unrecoverable_total gauge",
+		"# HELP poseidon_serve_queue_depth jobs waiting for dispatch",
+		"# TYPE poseidon_serve_queue_depth gauge",
+		"# HELP poseidon_serve_rejected_total requests rejected by admission control",
+		"# TYPE poseidon_serve_rejected_total gauge",
+		"# HELP poseidon_serve_request_p99_seconds end-to-end request p99 since start",
+		"# TYPE poseidon_serve_request_p99_seconds gauge",
+		"# HELP poseidon_serve_requests_total evaluation requests accepted",
+		"# TYPE poseidon_serve_requests_total gauge",
+		"# HELP poseidon_serve_resident_tenants tenant key sets resident in the registry",
+		"# TYPE poseidon_serve_resident_tenants gauge",
+		"# HELP poseidon_serve_timeouts_total requests abandoned at their context deadline",
+		"# TYPE poseidon_serve_timeouts_total gauge",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("serving families:\n got %q\nwant %q", got, want)
 	}
 	// The tenant evaluator observed its op through the collector too.
 	if !bytes.Contains([]byte(page), []byte("poseidon_op_count")) && !bytes.Contains([]byte(page), []byte("poseidon_ops")) {

@@ -385,20 +385,19 @@ func (s *scheduler) attempt(ln *lane, j *job, batchSize, n int, h *ckks.Hoisted,
 func (s *scheduler) eval(ev *ckks.Evaluator, j *job) (*ckks.Ciphertext, error) {
 	switch j.op {
 	case OpAdd:
-		return ev.TryAdd(j.ct, j.ct2)
+		return ev.TryAddInto(nil, j.ct, j.ct2)
 	case OpSub:
-		return ev.TrySub(j.ct, j.ct2)
+		return ev.TrySubInto(nil, j.ct, j.ct2)
 	case OpMulRelin:
-		return ev.TryMulRelin(j.ct, j.ct2)
+		return ev.TryMulRelinInto(nil, j.ct, j.ct2)
 	case OpRescale:
-		return ev.TryRescale(j.ct)
+		return ev.TryRescaleInto(nil, j.ct)
 	case OpRotate:
-		return ev.TryRotate(j.ct, j.steps)
+		return ev.TryRotateInto(nil, j.ct, j.steps)
 	case OpConjugate:
-		return ev.TryConjugate(j.ct)
+		return ev.TryConjugateInto(nil, j.ct)
 	case OpNegate:
-		out := ckks.NewCiphertext(s.params, j.ct.Level)
-		return ev.TryNegInto(out, j.ct)
+		return ev.TryNegInto(nil, j.ct)
 	case OpInnerSum:
 		return ev.TryInnerSum(j.ct, j.width) // width checked at admission
 	}

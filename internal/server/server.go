@@ -107,8 +107,6 @@ type EvalServer struct {
 	// tracer is nil when tracing is disabled; health is always on.
 	tracer *tracing.Tracer
 	health *healthTracker
-
-	gauges *telemetry.GaugeSet
 }
 
 // NewEvalServer builds the service and starts its dispatch lanes.
@@ -146,41 +144,38 @@ func NewEvalServer(cfg Config) (*EvalServer, error) {
 	s.registry = newRegistry(cfg.Params, cfg.RegistryCap, observers, cfg.GuardSeed, cfg.OpMaxAttempts)
 	s.sched = newScheduler(cfg, cfg.Params)
 	s.sched.start(sinks)
-	s.initGauges()
+	// The serving-layer signals ride the collector's /metrics page next to
+	// the evaluator histograms.
+	if c := cfg.Collector; c != nil {
+		c.RegisterAux(s.writeServeMetrics)
+		c.RegisterAux(s.health.WritePrometheus)
+		if s.tracer != nil && s.tracer.Recorder != nil {
+			c.RegisterAux(s.writeLatencyMetrics)
+		}
+	}
 	return s, nil
 }
 
-// initGauges exports the serving-layer signals next to the evaluator
-// histograms on the collector's /metrics page.
-func (s *EvalServer) initGauges() {
-	g := telemetry.NewGaugeSet()
-	g.NewFunc("poseidon_serve_queue_depth", "jobs waiting for dispatch",
-		func() float64 { return float64(s.sched.queued()) })
-	g.NewFunc("poseidon_serve_arena_bytes", "live arena bytes (admission signal)",
-		func() float64 { return float64(s.params.ArenaStats().BytesInUse) })
-	g.NewFunc("poseidon_serve_resident_tenants", "tenant key sets resident in the registry",
-		func() float64 { return float64(s.registry.Resident()) })
-	g.NewFunc("poseidon_serve_request_p99_seconds", "end-to-end request p99 since start",
-		func() float64 { h := s.reqHist.Snapshot(); return h.Quantile(0.99) / 1e9 })
-	g.NewFunc("poseidon_serve_requests_total", "evaluation requests accepted",
-		func() float64 { return float64(s.requests.Load()) })
-	g.NewFunc("poseidon_serve_rejected_total", "requests rejected by admission control",
-		func() float64 { return float64(s.rejected.Load()) })
-	g.NewFunc("poseidon_serve_job_retries_total", "integrity-failed jobs run again by the scheduler",
-		func() float64 { return float64(s.sched.jobRetries.Load()) })
-	g.NewFunc("poseidon_serve_job_recovered_total", "jobs that succeeded on a retry attempt",
-		func() float64 { return float64(s.sched.jobRecovered.Load()) })
-	g.NewFunc("poseidon_serve_job_unrecoverable_total", "jobs answered with an integrity error",
-		func() float64 { return float64(s.sched.jobUnrecoverable.Load()) })
-	g.NewFunc("poseidon_serve_timeouts_total", "requests abandoned at their context deadline",
-		func() float64 { return float64(s.timeouts.Load()) })
-	s.gauges = g
-	if s.cfg.Collector != nil {
-		s.cfg.Collector.RegisterAux(g.WritePrometheus)
-		s.cfg.Collector.RegisterAux(s.health.WritePrometheus)
-		if s.tracer != nil && s.tracer.Recorder != nil {
-			s.cfg.Collector.RegisterAux(s.writeLatencyMetrics)
-		}
+// writeServeMetrics renders the poseidon_serve_* gauge families, sorted by
+// name, from one Stats snapshot — the figures /v1/health serves.
+func (s *EvalServer) writeServeMetrics(w io.Writer) {
+	st := s.Stats()
+	for _, g := range []struct {
+		name, help string
+		v          float64
+	}{
+		{"poseidon_serve_arena_bytes", "live arena bytes (admission signal)", float64(st.ArenaBytes)},
+		{"poseidon_serve_job_recovered_total", "jobs that succeeded on a retry attempt", float64(st.JobRecovered)},
+		{"poseidon_serve_job_retries_total", "integrity-failed jobs run again by the scheduler", float64(st.JobRetries)},
+		{"poseidon_serve_job_unrecoverable_total", "jobs answered with an integrity error", float64(st.JobUnrecovered)},
+		{"poseidon_serve_queue_depth", "jobs waiting for dispatch", float64(st.QueueLen)},
+		{"poseidon_serve_rejected_total", "requests rejected by admission control", float64(st.Rejected)},
+		{"poseidon_serve_request_p99_seconds", "end-to-end request p99 since start", float64(st.RequestP99Ns) / 1e9},
+		{"poseidon_serve_requests_total", "evaluation requests accepted", float64(st.Requests)},
+		{"poseidon_serve_resident_tenants", "tenant key sets resident in the registry", float64(st.ResidentKeys)},
+		{"poseidon_serve_timeouts_total", "requests abandoned at their context deadline", float64(st.Timeouts)},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", g.name, g.help, g.name, g.name, g.v)
 	}
 }
 
@@ -351,15 +346,14 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 }
 
 // validateEval checks the request fields the wire decoder cannot: opcode
-// range against the server's parameter set.
+// range, and an inner-sum width that is a power of two in [1, Slots] of the
+// server's parameter set.
 func (s *EvalServer) validateEval(req *EvalRequest) error {
 	if req.Op <= 0 || req.Op >= opEnd {
 		return badf("opcode %d out of range", uint64(req.Op))
 	}
-	if req.Op == OpInnerSum {
-		if req.Width < 1 || req.Width > s.params.Slots {
-			return badf("inner-sum width %d outside [1, %d]", req.Width, s.params.Slots)
-		}
+	if w := req.Width; req.Op == OpInnerSum && (w < 1 || w > s.params.Slots || w&(w-1) != 0) {
+		return badf("inner-sum width %d is not a power of two in [1, %d]", w, s.params.Slots)
 	}
 	if len(req.Ct) == 0 {
 		return badf("empty ciphertext")

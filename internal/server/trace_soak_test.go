@@ -189,7 +189,12 @@ func TestTraceOpSpansStayOnTheirLane(t *testing.T) {
 		t.Fatalf("recorder retained %d traces, want all %d", len(traces), 2*perOp)
 	}
 	for _, f := range traces {
-		op := f.RootAttr("op")
+		var op string
+		for _, a := range f.Spans[0].Attrs {
+			if a.Key == "op" {
+				op = a.Value
+			}
+		}
 		var exec *tracing.Span
 		var opSpans []tracing.Span
 		for i, sp := range f.Spans {

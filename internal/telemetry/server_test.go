@@ -82,47 +82,14 @@ func TestServerShutdownDrainsInflightScrape(t *testing.T) {
 	}
 }
 
-func TestGaugeSetWritePrometheus(t *testing.T) {
-	gs := NewGaugeSet()
-	depth := gs.New("poseidon_serve_queue_depth", "Jobs waiting for the dispatcher.")
-	shed := gs.New("poseidon_serve_shed_total", "Requests rejected by admission control.")
-	gs.NewFunc("poseidon_serve_arena_bytes", "Live arena bytes.", func() float64 { return 12345 })
-
-	depth.Set(7)
-	shed.Inc()
-	shed.Add(2)
-	if got := shed.Value(); got != 3 {
-		t.Fatalf("shed = %d, want 3", got)
-	}
-
-	var sb strings.Builder
-	gs.WritePrometheus(&sb)
-	out := sb.String()
-	for _, want := range []string{
-		"# TYPE poseidon_serve_queue_depth gauge",
-		"poseidon_serve_queue_depth 7",
-		"poseidon_serve_shed_total 3",
-		"poseidon_serve_arena_bytes 12345",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-	// Deterministic ordering: arena < queue_depth < shed.
-	if strings.Index(out, "arena_bytes") > strings.Index(out, "queue_depth") ||
-		strings.Index(out, "queue_depth") > strings.Index(out, "shed_total") {
-		t.Errorf("gauges not sorted by name:\n%s", out)
-	}
-}
-
 // Aux writers registered on a collector must appear on /metrics scrapes
 // after the collector's own families.
 func TestCollectorAuxWriters(t *testing.T) {
 	c := NewCollector("aux-test")
 	c.ObserveOp(op("HAdd", 3, 42*time.Microsecond))
-	gs := NewGaugeSet()
-	gs.New("poseidon_serve_queue_depth", "Jobs waiting for dispatch.").Set(1)
-	c.RegisterAux(gs.WritePrometheus)
+	c.RegisterAux(func(w io.Writer) {
+		fmt.Fprintf(w, "# TYPE poseidon_serve_queue_depth gauge\nposeidon_serve_queue_depth 1\n")
+	})
 
 	srv, err := StartServer("127.0.0.1:0", c)
 	if err != nil {

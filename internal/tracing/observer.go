@@ -49,7 +49,7 @@ func (o *EvalObserver) ObserveOp(e trace.OpEvent) {
 		return
 	}
 	if e.Retries > 0 {
-		ref := sc.rt.AddSpan(sc.parent, "recovery", e.Recovery, nil)
+		ref := sc.rt.AddSpan(sc.parent, "recovery", 0, e.Recovery, nil)
 		sc.rt.Annotate(ref, "op", e.Op)
 		sc.rt.AnnotateInt(ref, "retries", int64(e.Retries))
 		if e.Err == nil {
@@ -65,5 +65,5 @@ func (o *EvalObserver) ObserveOp(e trace.OpEvent) {
 	if e.Phase != "" {
 		name += "/" + e.Phase
 	}
-	sc.rt.AddOpSpan(sc.parent, name, e.Level, e.Dur, e.Err)
+	sc.rt.AddSpan(sc.parent, name, e.Level+1, e.Dur, e.Err)
 }

@@ -43,13 +43,13 @@ type Span struct {
 type RequestTrace struct {
 	mu       sync.Mutex
 	tc       Context
-	start    time.Time
 	spans    []Span
 	finished bool
 
 	// stage is the request's open stage — the root child NextStage opened
-	// last, 0 before the first. now is the unix-nanosecond clock stage
-	// transitions and Finish read; tests script it.
+	// last, 0 before the first. now is the unix-nanosecond clock every
+	// timestamp of the trace is read from — the root's start, stage
+	// transitions, AddSpan's end and Finish; tests script it.
 	stage SpanRef
 	now   func() int64
 }
@@ -58,11 +58,11 @@ type RequestTrace struct {
 // span ID (the caller's span, when propagated) is recorded as the root's
 // remote parent attribute.
 func NewRequest(tc Context, name string) *RequestTrace {
-	rt := &RequestTrace{tc: tc, start: time.Now(), now: wallClock}
+	rt := &RequestTrace{tc: tc, now: wallClock}
 	rt.spans = append(rt.spans, Span{
 		Ref:     1,
 		Name:    name,
-		StartNs: rt.start.UnixNano(),
+		StartNs: rt.now(),
 		DurNs:   -1,
 	})
 	if tc.Span != 0 {
@@ -97,31 +97,6 @@ func (rt *RequestTrace) Root() SpanRef {
 	return 1
 }
 
-// StartSpan opens a child span under parent (0 means the root) and
-// returns its ref. Returns 0 on a nil or finished trace.
-func (rt *RequestTrace) StartSpan(parent SpanRef, name string) SpanRef {
-	if rt == nil {
-		return 0
-	}
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.finished {
-		return 0
-	}
-	if parent == 0 {
-		parent = 1
-	}
-	ref := SpanRef(len(rt.spans) + 1)
-	rt.spans = append(rt.spans, Span{
-		Ref:     ref,
-		Parent:  parent,
-		Name:    name,
-		StartNs: time.Now().UnixNano(),
-		DurNs:   -1,
-	})
-	return ref
-}
-
 // NextStage moves the request into its next stage: one clock reading closes
 // the open stage and starts the new one (the first stage starts with the
 // root), and Finish closes the last stage at the instant it closes the root.
@@ -129,8 +104,8 @@ func (rt *RequestTrace) StartSpan(parent SpanRef, name string) SpanRef {
 // therefore tile the root by construction: whatever happens between two
 // transitions, a scheduler preemption included, is charged to the stage it
 // hit, and Coverage is 1 without any appeal to the clock. The returned ref
-// is for annotations and child spans; never End it (use StageErr to fail a
-// stage). Returns 0 on a nil or finished trace.
+// is for annotations and child spans (AddSpan); StageErr fails the stage.
+// Returns 0 on a nil or finished trace.
 func (rt *RequestTrace) NextStage(name string) SpanRef {
 	if rt == nil {
 		return 0
@@ -166,48 +141,15 @@ func (rt *RequestTrace) StageErr(err error) {
 	}
 }
 
-// EndSpan closes a span opened with StartSpan.
-func (rt *RequestTrace) EndSpan(ref SpanRef) { rt.EndSpanErr(ref, nil) }
-
-// EndSpanErr closes a span, recording err (if any) on it.
-func (rt *RequestTrace) EndSpanErr(ref SpanRef, err error) {
-	if rt == nil || ref == 0 {
-		return
-	}
-	now := time.Now().UnixNano()
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.finished || int(ref) > len(rt.spans) {
-		return
-	}
-	sp := &rt.spans[ref-1]
-	if sp.DurNs >= 0 {
-		return // already closed
-	}
-	sp.DurNs = now - sp.StartNs
-	if err != nil {
-		sp.Err = err.Error()
-	}
-}
-
-// AddSpan records an already-completed span (start inferred as now-dur)
-// under parent. Used for post-hoc regions measured elsewhere.
-func (rt *RequestTrace) AddSpan(parent SpanRef, name string, dur time.Duration, err error) SpanRef {
-	return rt.addCompleted(parent, name, 0, dur, err)
-}
-
-// AddOpSpan records a completed evaluator-op span: name is the op (or
-// "<op>/<phase>") and level the FHE level it ran at. This is EvalObserver's
-// fan-in path.
-func (rt *RequestTrace) AddOpSpan(parent SpanRef, op string, level int, dur time.Duration, err error) {
-	rt.addCompleted(parent, op, level+1, dur, err)
-}
-
-func (rt *RequestTrace) addCompleted(parent SpanRef, name string, limbs int, dur time.Duration, err error) SpanRef {
+// AddSpan records an already-completed span under parent (0 means the
+// root), ending now and starting dur earlier: a region measured elsewhere —
+// an evaluator op (name the op or "<op>/<phase>", limbs its level+1; this is
+// EvalObserver's fan-in path) or a structural one (limbs 0). Returns 0 on a
+// nil or finished trace.
+func (rt *RequestTrace) AddSpan(parent SpanRef, name string, limbs int, dur time.Duration, err error) SpanRef {
 	if rt == nil {
 		return 0
 	}
-	now := time.Now().UnixNano()
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.finished {
@@ -216,6 +158,7 @@ func (rt *RequestTrace) addCompleted(parent SpanRef, name string, limbs int, dur
 	if parent == 0 {
 		parent = 1
 	}
+	now := rt.now()
 	ref := SpanRef(len(rt.spans) + 1)
 	sp := Span{
 		Ref:     ref,
@@ -291,10 +234,10 @@ type Finished struct {
 	Spans   []Span `json:"spans"`
 }
 
-// Finish seals the trace: the root span (and any span left open — e.g.
-// the exec span of a job abandoned mid-retry) is closed at the finish
-// instant, further mutations are dropped, and the immutable result is
-// returned. Returns nil on a nil trace or a double Finish.
+// Finish seals the trace: the root span and the open stage — the last
+// NextStage, e.g. the exec stage of a job abandoned mid-retry — are closed
+// at the finish instant, further mutations are dropped, and the immutable
+// result is returned. Returns nil on a nil trace or a double Finish.
 func (rt *RequestTrace) Finish(status int, err error) *Finished {
 	if rt == nil {
 		return nil
@@ -326,19 +269,6 @@ func (rt *RequestTrace) Finish(status int, err error) *Finished {
 		f.Err = err.Error()
 	}
 	return f
-}
-
-// RootAttr returns the value of a root-span attribute, or "".
-func (f *Finished) RootAttr(key string) string {
-	if f == nil || len(f.Spans) == 0 {
-		return ""
-	}
-	for _, a := range f.Spans[0].Attrs {
-		if a.Key == key {
-			return a.Value
-		}
-	}
-	return ""
 }
 
 // Coverage returns the fraction of the root span's wall-clock accounted

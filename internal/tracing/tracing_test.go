@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -66,15 +67,28 @@ func TestTraceIDsUnique(t *testing.T) {
 	}
 }
 
+// scripted returns a trace on a clock that starts at 1 ms and advances by
+// step nanoseconds at every reading — the root's start included — from any
+// goroutine, so no assertion reads the wall clock.
+func scripted(step int64) *RequestTrace {
+	rt := NewRequest(NewContext(), "request")
+	var clock atomic.Int64
+	clock.Store(1_000_000 - step)
+	rt.now = func() int64 { return clock.Add(step) }
+	rt.spans[0].StartNs = rt.now()
+	return rt
+}
+
 func TestNilTraceIsSafe(t *testing.T) {
 	var rt *RequestTrace
-	ref := rt.StartSpan(0, "x")
+	ref := rt.NextStage("x")
 	if ref != 0 {
-		t.Fatalf("nil StartSpan ref = %d, want 0", ref)
+		t.Fatalf("nil NextStage ref = %d, want 0", ref)
 	}
-	rt.EndSpan(ref)
-	rt.EndSpanErr(ref, errors.New("boom"))
-	rt.AddOpSpan(0, "HAdd", 2, time.Millisecond, nil)
+	rt.StageErr(errors.New("boom"))
+	if ref := rt.AddSpan(0, "HAdd", 3, time.Millisecond, nil); ref != 0 {
+		t.Fatalf("nil AddSpan ref = %d, want 0", ref)
+	}
 	rt.Annotate(ref, "k", "v")
 	rt.AnnotateInt(ref, "k", 42)
 	if f := rt.Finish(200, nil); f != nil {
@@ -91,16 +105,14 @@ func TestNilTraceIsSafe(t *testing.T) {
 }
 
 func TestSpanTree(t *testing.T) {
-	rt := NewRequest(NewContext(), "request")
+	rt := scripted(int64(2 * time.Millisecond))
 	rt.Annotate(rt.Root(), "tenant", "t0")
-	ingest := rt.StartSpan(rt.Root(), "ingest")
-	time.Sleep(2 * time.Millisecond)
-	rt.EndSpan(ingest)
-	ex := rt.StartSpan(0, "exec")
+	rt.NextStage("ingest")
+	ex := rt.NextStage("exec")
 	rt.AnnotateInt(ex, "batch", 4)
-	rt.AddOpSpan(ex, "HAdd", 2, 500*time.Microsecond, nil)
-	rt.AddOpSpan(ex, "LinTrans/hoist", 2, time.Millisecond, nil)
-	rt.EndSpanErr(ex, errors.New("integrity"))
+	rt.AddSpan(ex, "HAdd", 3, 500*time.Microsecond, nil)
+	rt.AddSpan(ex, "LinTrans/hoist", 3, time.Millisecond, nil)
+	rt.StageErr(errors.New("integrity"))
 	f := rt.Finish(500, errors.New("integrity"))
 	if f == nil {
 		t.Fatal("Finish returned nil")
@@ -124,15 +136,15 @@ func TestSpanTree(t *testing.T) {
 	if byName["exec"].Err != "integrity" {
 		t.Fatalf("exec err = %q", byName["exec"].Err)
 	}
-	if f.RootAttr("tenant") != "t0" {
-		t.Fatalf("root attr tenant = %q", f.RootAttr("tenant"))
+	if attrs := f.Spans[0].Attrs; !slices.Contains(attrs, Attr{Key: "tenant", Value: "t0"}) {
+		t.Fatalf("root attrs = %v, want tenant t0", attrs)
 	}
 	if f.Status != 500 || f.Err != "integrity" {
 		t.Fatalf("finished status/err = %d/%q", f.Status, f.Err)
 	}
 	// Mutations after Finish are dropped.
-	if ref := rt.StartSpan(0, "late"); ref != 0 {
-		t.Fatal("StartSpan after Finish returned a live ref")
+	if ref := rt.AddSpan(0, "late", 0, time.Millisecond, nil); ref != 0 {
+		t.Fatal("AddSpan after Finish returned a live ref")
 	}
 	if rt.Finish(200, nil) != nil {
 		t.Fatal("double Finish returned non-nil")
@@ -143,30 +155,27 @@ func TestSpanTree(t *testing.T) {
 }
 
 func TestFinishClosesOpenSpans(t *testing.T) {
-	rt := NewRequest(NewContext(), "request")
-	open := rt.StartSpan(0, "queue")
-	time.Sleep(time.Millisecond)
+	rt := scripted(int64(time.Millisecond))
+	rt.NextStage("queue")
 	f := rt.Finish(504, context.DeadlineExceeded)
 	for _, sp := range f.Spans {
 		if sp.DurNs < 0 {
 			t.Fatalf("span %q left open after Finish", sp.Name)
 		}
 	}
-	_ = open
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	rt := NewRequest(NewContext(), "request")
+	rt := scripted(int64(10 * time.Microsecond))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				ref := rt.StartSpan(0, "exec")
+				ref := rt.NextStage("exec")
 				rt.AnnotateInt(ref, "i", int64(i))
-				rt.AddOpSpan(ref, "HAdd", 1, time.Microsecond, nil)
-				rt.EndSpan(ref)
+				rt.AddSpan(ref, "HAdd", 2, time.Microsecond, nil)
 			}
 		}()
 	}
@@ -178,13 +187,10 @@ func TestConcurrentSpans(t *testing.T) {
 }
 
 func TestCoverage(t *testing.T) {
-	rt := NewRequest(NewContext(), "request")
-	a := rt.StartSpan(0, "a")
-	time.Sleep(4 * time.Millisecond)
-	rt.EndSpan(a)
-	b := rt.StartSpan(0, "b")
-	time.Sleep(4 * time.Millisecond)
-	rt.EndSpan(b)
+	rt := scripted(int64(4 * time.Millisecond))    // the root starts at 1 ms
+	rt.AddSpan(0, "a", 0, 4*time.Millisecond, nil) // [1, 5] ms
+	rt.AddSpan(0, "b", 0, 4*time.Millisecond, nil) // [5, 9] ms
+	rt.now = func() int64 { return int64(9 * time.Millisecond) }
 	f := rt.Finish(200, nil)
 	if cov := f.Coverage(); cov < 0.9 || cov > 1 {
 		t.Fatalf("coverage = %.3f, want ~1 (back-to-back children)", cov)
@@ -219,7 +225,7 @@ func TestStagesTileRoot(t *testing.T) {
 				defer close(done)
 				ref := rt.NextStage(name)
 				rt.AnnotateInt(ref, "batch", 4)
-				rt.AddOpSpan(ref, "HAdd", 3, time.Microsecond, nil)
+				rt.AddSpan(ref, "HAdd", 4, time.Microsecond, nil)
 				if rng.Intn(4) == 0 {
 					rt.StageErr(errors.New("integrity"))
 				}
@@ -252,11 +258,20 @@ func TestStagesTileRoot(t *testing.T) {
 		if stages != len(names) {
 			t.Fatalf("seed %d: %d stages recorded, want %d", seed, stages, len(names))
 		}
-		if end := f.StartNs + f.DurNs; at != end {
+		end := f.StartNs + f.DurNs
+		if at != end {
 			t.Fatalf("seed %d: last stage ends at %d, root at %d", seed, at, end)
 		}
 		if cov := f.Coverage(); cov != 1 {
 			t.Fatalf("seed %d: coverage %v, want exactly 1", seed, cov)
+		}
+		// Every span, op spans included, is stamped on the trace's one
+		// clock, so it lies inside the root.
+		for _, sp := range f.Spans[1:] {
+			if sp.StartNs < f.StartNs || sp.StartNs+sp.DurNs > end {
+				t.Fatalf("seed %d: span %q [%d, %d] outside root [%d, %d]",
+					seed, sp.Name, sp.StartNs, sp.StartNs+sp.DurNs, f.StartNs, end)
+			}
 		}
 	}
 }
@@ -368,7 +383,7 @@ func TestEvalObserverAttachesToActiveScope(t *testing.T) {
 	o.ObserveOp(hadd)
 
 	rt := NewRequest(NewContext(), "request")
-	ex := rt.StartSpan(0, "exec")
+	ex := rt.NextStage("exec")
 	o.Activate(rt, ex)
 	// A recovered op is its own span after a recovery span; a phase is named
 	// "<op>/<phase>"; an unpriced report is only its recovery span.
@@ -402,9 +417,8 @@ func TestEvalObserverAttachesToActiveScope(t *testing.T) {
 
 func TestChromeTraceExport(t *testing.T) {
 	rt := NewRequest(NewContext(), "request")
-	ex := rt.StartSpan(0, "exec")
-	rt.AddOpSpan(ex, "Rescale", 2, time.Millisecond, nil)
-	rt.EndSpan(ex)
+	ex := rt.NextStage("exec")
+	rt.AddSpan(ex, "Rescale", 3, time.Millisecond, nil)
 	f := rt.Finish(200, nil)
 
 	var buf strings.Builder
@@ -448,9 +462,8 @@ func TestDebugRequestsHandler(t *testing.T) {
 	r := NewFlightRecorder(16, 1, 0.95)
 	rt := NewRequest(NewContext(), "request")
 	rt.Annotate(rt.Root(), "tenant", "acme<script>")
-	ex := rt.StartSpan(0, "exec")
-	rt.AddOpSpan(ex, "HAdd", 1, time.Millisecond, nil)
-	rt.EndSpan(ex)
+	ex := rt.NextStage("exec")
+	rt.AddSpan(ex, "HAdd", 2, time.Millisecond, nil)
 	f := rt.Finish(200, nil)
 	r.Offer(f)
 

@@ -84,15 +84,6 @@ func (k *Kit) LinearTransformKeys(lt *LinearTransform) []uint64 {
 	return gals
 }
 
-// SetWorkers re-routes the kit's evaluator through a limb-parallel pool of
-// n workers (n ≤ 0 selects the shared GOMAXPROCS-sized pool, 1 is fully
-// serial). Results are bit-identical for every worker count; see the
-// differential suite in internal/ckks.
-func (k *Kit) SetWorkers(n int) { k.Eval = k.Eval.WithWorkers(n) }
-
-// Workers reports the evaluator's current limb-parallel worker bound.
-func (k *Kit) Workers() int { return k.Eval.Workers() }
-
 // EncryptValues encodes and encrypts a complex vector at the top level and
 // default scale.
 func (k *Kit) EncryptValues(values []complex128) *Ciphertext {
@@ -121,7 +112,7 @@ func (k *Kit) DecryptValues(ct *Ciphertext) []complex128 {
 func (k *Kit) InnerSum(ct *Ciphertext, n int) *Ciphertext {
 	out, err := k.TryInnerSum(ct, n)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return out
 }
@@ -181,28 +172,12 @@ func (k *Kit) TryDecryptValues(ct *Ciphertext) (values []complex128, err error) 
 	return k.Enc.Decode(k.Decr.Decrypt(ct)), nil
 }
 
-// TryInnerSum is InnerSum with input validation and typed errors: a
-// non-power-of-two width is ErrInvalidInput, a missing rotation key is
-// ErrKeyMissing.
-func (k *Kit) TryInnerSum(ct *Ciphertext, n int) (out *Ciphertext, err error) {
-	defer recoverKit("InnerSum", &err)
-	if n < 1 || n&(n-1) != 0 {
-		return nil, &ckks.OpError{
-			Op: "InnerSum", Level: -1, Limb: -1, Err: ckks.ErrInvalidInput,
-			Detail: fmt.Sprintf("width %d is not a power of two", n),
-		}
-	}
+// TryInnerSum is InnerSum with typed errors: a width that is not a power of
+// two in [1, Slots] is ErrInvalidInput, a missing rotation key is
+// ErrKeyMissing (ckks.Evaluator.TryInnerSum).
+func (k *Kit) TryInnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 	return k.Eval.TryInnerSum(ct, n)
 }
-
-// EnableGuards switches the kit's evaluator into fault-detecting mode:
-// inputs and outputs of every Try operation are sealed with per-limb
-// residue checksums and verified at operator boundaries, and the noise
-// budget is checked before multiplications. See Evaluator.EnableGuards.
-func (k *Kit) EnableGuards(seed int64) { k.Eval.EnableGuards(seed) }
-
-// DisableGuards turns integrity guarding back off.
-func (k *Kit) DisableGuards() { k.Eval.DisableGuards() }
 
 // EnableTelemetry installs a telemetry collector on the kit's evaluator:
 // every basic operation's wall time lands in a per-(op, limb-count) latency

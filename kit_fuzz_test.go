@@ -24,7 +24,7 @@ func FuzzKitTryAPI(f *testing.F) {
 		f.Fatal(err)
 	}
 	kit := NewKit(params, 321)
-	kit.EnableGuards(322)
+	kit.Eval.EnableGuards(322)
 
 	valid, err := kit.EncryptValues([]complex128{1, 2i, -3}).MarshalBinary()
 	if err != nil {
@@ -123,8 +123,8 @@ func TestKitTryAPI(t *testing.T) {
 	}
 
 	// Guarded decrypt flags a corrupted ciphertext instead of decoding it.
-	kit.EnableGuards(7)
-	defer kit.DisableGuards()
+	kit.Eval.EnableGuards(7)
+	defer kit.Eval.DisableGuards()
 	sealed, err := kit.TryEncryptValues(in)
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package poseidon
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -63,8 +64,12 @@ func TestKitInnerSumPanicsOnBadWidth(t *testing.T) {
 	kit := testKit(t)
 	ct := kit.EncryptReals([]float64{1, 2, 3})
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("non-power-of-two width should panic")
+		}
+		if err, ok := r.(error); !ok || !errors.Is(err, ErrInvalidInput) {
+			t.Fatalf("InnerSum panicked with %#v, want an error wrapping ErrInvalidInput", r)
 		}
 	}()
 	kit.InnerSum(ct, 3)

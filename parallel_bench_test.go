@@ -58,7 +58,13 @@ func BenchmarkParallelEvaluator(b *testing.B) {
 	}{
 		{"CMult", func(ev *Evaluator) { ev.MulRelin(ct1, ct2) }},
 		{"Keyswitch", func(ev *Evaluator) { ev.Rotate(ct1, 1) }},
-		{"RotateHoisted8", func(ev *Evaluator) { ev.RotateHoisted(ct1, hoistSteps) }},
+		{"RotateHoisted8", func(ev *Evaluator) {
+			h := ev.Hoist(ct1)
+			for _, s := range hoistSteps {
+				h.Rotate(s)
+			}
+			h.Release()
+		}},
 		{"Rescale", func(ev *Evaluator) { ev.Rescale(ct1) }},
 	}
 	for _, tc := range cases {

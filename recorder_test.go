@@ -125,8 +125,8 @@ func TestTraceRecorderSkipsFailedOps(t *testing.T) {
 			}
 			kit.Eval.SetObserver(Fanout(sinks...))
 			defer kit.Eval.SetObserver(nil)
-			if _, err := kit.Eval.TryRescale(ct); !errors.Is(err, ErrLevelExhausted) {
-				t.Fatalf("TryRescale at level 0: %v, want ErrLevelExhausted", err)
+			if _, err := kit.Eval.TryRescaleInto(nil, ct); !errors.Is(err, ErrLevelExhausted) {
+				t.Fatalf("TryRescaleInto at level 0: %v, want ErrLevelExhausted", err)
 			}
 			if n := rec.Trace().TotalOps(); n != 0 || rec.Dropped() != 0 {
 				t.Errorf("recorder holds %v ops and dropped %d after one failed Rescale, want 0 and 0", n, rec.Dropped())
