@@ -83,3 +83,18 @@ func TestCPUMeasurementSmall(t *testing.T) {
 		t.Error("PMult should outpace CMult on CPU")
 	}
 }
+
+// The rows are labelled single-thread, so the evaluator must run on one
+// worker whatever GOMAXPROCS is.
+func TestCPUMeasurementSingleWorker(t *testing.T) {
+	m, err := NewCPUMeasurement(10, 3, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := m.ev.Workers(); w != 1 {
+		t.Errorf("evaluator runs on %d workers, want 1", w)
+	}
+	if rows := m.Measure(1); len(rows) != 7 || rows[5].Op != "Keyswitch" || rows[5].OpsPerS <= 0 {
+		t.Errorf("Measure rows %+v: want 7 with a timed Keyswitch sixth", rows)
+	}
+}

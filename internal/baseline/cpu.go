@@ -4,13 +4,15 @@ import (
 	"fmt"
 	"time"
 
+	"poseidon/internal/automorph"
 	"poseidon/internal/ckks"
+	"poseidon/internal/ring"
 )
 
 // CPUMeasurement measures this machine's single-thread software throughput
 // for the FHE basic operations, using the same operator implementations the
 // accelerator model is built on — the "CPU (measured)" column of the
-// Table IV reproduction.
+// Table IV reproduction. Its evaluator runs on one worker.
 type CPUMeasurement struct {
 	params *ckks.Parameters
 	enc    *ckks.Encoder
@@ -18,6 +20,9 @@ type CPUMeasurement struct {
 	ct1    *ckks.Ciphertext
 	ct2    *ckks.Ciphertext
 	pt     *ckks.Plaintext
+	swk    *ckks.SwitchingKey // step-1 rotation key
+	ksOut  *ckks.Ciphertext   // keyswitch destination
+	poly   *ring.Poly         // NTT round-trip scratch
 }
 
 // NewCPUMeasurement sets up keys and operands for the given geometry.
@@ -33,6 +38,7 @@ func NewCPUMeasurement(logN int, limbs int, logScale int) (*CPUMeasurement, erro
 		LogQ:     logQ,
 		LogP:     []int{logScale + 6, logScale + 6, logScale + 6, logScale + 6},
 		LogScale: logScale,
+		Workers:  1,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
@@ -51,13 +57,17 @@ func NewCPUMeasurement(logN int, limbs int, logScale int) (*CPUMeasurement, erro
 		vals[i] = complex(float64(i%7)/7, float64(i%5)/5)
 	}
 	pt := enc.Encode(vals, params.MaxLevel(), params.Scale)
+	ct1 := encr.Encrypt(pt)
 	m := &CPUMeasurement{
 		params: params,
 		enc:    enc,
 		ev:     ev,
-		ct1:    encr.Encrypt(pt),
+		ct1:    ct1,
 		ct2:    encr.Encrypt(pt),
 		pt:     pt,
+		swk:    rtks.Keys[automorph.GaloisElementForRotation(1, params.N)],
+		ksOut:  ckks.NewCiphertext(params, params.MaxLevel()),
+		poly:   ct1.C0.CopyNew(),
 	}
 	return m, nil
 }
@@ -91,15 +101,11 @@ func (m *CPUMeasurement) Measure(reps int) []OpThroughput {
 	add("CMult", timeOp(reps, func() { m.ev.MulRelin(m.ct1, m.ct2) }))
 	add("Rescale", timeOp(reps, func() { m.ev.Rescale(m.ct1) }))
 	add("Rotation", timeOp(reps, func() { m.ev.Rotate(m.ct1, 1) }))
-	// Keyswitch: isolate via a rotation minus the automorphism is awkward;
-	// measure the exposed KeySwitch on C1 with the relinearization key's
-	// switching core by rotating with step 1 — dominated by keyswitching —
-	// and NTT via a raw round trip on a full ciphertext copy.
-	add("Keyswitch", timeOp(reps, func() { m.ev.Rotate(m.ct1, 1) }))
+	add("Keyswitch", timeOp(reps, func() { m.ev.KeySwitchInto(m.ksOut, m.ct1, m.swk) }))
+	// NTT: an INTT/NTT round trip on one preallocated polynomial.
 	add("NTT", timeOp(reps, func() {
-		c := m.ct1.C0.CopyNew()
-		m.params.RingQ.INTT(c)
-		m.params.RingQ.NTT(c)
+		m.params.RingQ.INTT(m.poly)
+		m.params.RingQ.NTT(m.poly)
 	}))
 	return out
 }

@@ -193,7 +193,6 @@ type ParametersLiteral struct {
 	LogQ     []int // bit size of each chain prime, q0 first
 	LogP     []int // bit sizes of the special primes
 	LogScale int   // Δ = 2^LogScale
-	LaneC    int   // HFAuto sub-vector width; 0 = default min(512, N)
 
 	// Workers bounds the limb-parallel worker pool evaluators run on:
 	// 0 shares the package-level pool sized by runtime.GOMAXPROCS,
@@ -253,10 +252,10 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 	}
 
 	var err error
-	if p.RingQ, err = ring.NewRing(p.N, p.Q, lit.LaneC); err != nil {
+	if p.RingQ, err = ring.NewRing(p.N, p.Q); err != nil {
 		return nil, err
 	}
-	if p.RingP, err = ring.NewRing(p.N, p.P, lit.LaneC); err != nil {
+	if p.RingP, err = ring.NewRing(p.N, p.P); err != nil {
 		return nil, err
 	}
 

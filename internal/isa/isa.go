@@ -5,8 +5,10 @@
 // functionally (on real residues) and temporally (accumulating the same
 // cycle/byte costs the analytic model charges).
 //
-// This is the executable form of the paper's Table I: every FHE basic
-// operation is a short program over the five shared operators.
+// One program is compiled here: the hybrid keyswitch (CompileKeySwitch),
+// the pipeline every keyed basic operation shares. The steps around it —
+// the tensor product of CMult, the automorphism of Rotation, the final
+// additions — run on the host.
 package isa
 
 import "fmt"
@@ -31,36 +33,14 @@ const (
 	NTT
 	// INTT transforms back to the coefficient domain.
 	INTT
-	// Auto applies the Galois automorphism X ↦ X^Imm (HFAuto core).
-	Auto
-	// Copy duplicates a buffer inside the scratchpad.
-	Copy
-	numOpcodes
 )
+
+var mnemonics = [...]string{"LOAD", "STORE", "MADD", "MSUB", "MMUL", "MMULS", "NTT", "INTT"}
 
 // String returns the mnemonic.
 func (o Opcode) String() string {
-	switch o {
-	case Load:
-		return "LOAD"
-	case Store:
-		return "STORE"
-	case MAdd:
-		return "MADD"
-	case MSub:
-		return "MSUB"
-	case MMul:
-		return "MMUL"
-	case MMulScalar:
-		return "MMULS"
-	case NTT:
-		return "NTT"
-	case INTT:
-		return "INTT"
-	case Auto:
-		return "AUTO"
-	case Copy:
-		return "COPY"
+	if o >= 0 && int(o) < len(mnemonics) {
+		return mnemonics[o]
 	}
 	return fmt.Sprintf("OP(%d)", int(o))
 }
@@ -70,7 +50,7 @@ type Reg int
 
 // Instr is one datapath instruction. Limb selects the modulus the operator
 // reduces under. For Load/Store, Sym names the HBM-resident vector; Imm
-// carries the scalar operand or Galois element.
+// carries the scalar operand.
 type Instr struct {
 	Op   Opcode
 	Dst  Reg
@@ -89,9 +69,7 @@ func (in Instr) String() string {
 		return fmt.Sprintf("%-5s [%s], r%d (q%d)", in.Op, in.Sym, in.A, in.Limb)
 	case MMulScalar:
 		return fmt.Sprintf("%-5s r%d, r%d, #%d (q%d)", in.Op, in.Dst, in.A, in.Imm, in.Limb)
-	case Auto:
-		return fmt.Sprintf("%-5s r%d, r%d, g=%d (q%d)", in.Op, in.Dst, in.A, in.Imm, in.Limb)
-	case NTT, INTT, Copy:
+	case NTT, INTT:
 		return fmt.Sprintf("%-5s r%d, r%d (q%d)", in.Op, in.Dst, in.A, in.Limb)
 	default:
 		return fmt.Sprintf("%-5s r%d, r%d, r%d (q%d)", in.Op, in.Dst, in.A, in.B, in.Limb)
@@ -150,7 +128,7 @@ func (b *Builder) Bin(op Opcode, a, c Reg, limb int) Reg {
 	return r
 }
 
-// Unary emits a one-operand core op (NTT/INTT/Copy/Auto/MMulScalar).
+// Unary emits a one-operand core op (NTT/INTT/MMulScalar).
 func (b *Builder) Unary(op Opcode, a Reg, limb int, imm uint64) Reg {
 	r := b.Alloc()
 	b.Emit(Instr{Op: op, Dst: r, A: a, Limb: limb, Imm: imm})

@@ -1,20 +1,19 @@
 package isa
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestOpcodeStrings(t *testing.T) {
 	want := map[Opcode]string{
 		Load: "LOAD", Store: "STORE", MAdd: "MADD", MSub: "MSUB",
 		MMul: "MMUL", MMulScalar: "MMULS", NTT: "NTT", INTT: "INTT",
-		Auto: "AUTO", Copy: "COPY",
 	}
 	for op, s := range want {
 		if op.String() != s {
 			t.Errorf("opcode %d: %q want %q", int(op), op.String(), s)
 		}
+	}
+	if got := Opcode(len(want)).String(); got != "OP(8)" {
+		t.Errorf("out-of-range opcode: %q want OP(8)", got)
 	}
 }
 
@@ -44,7 +43,7 @@ func TestInstrString(t *testing.T) {
 		{Instr{Op: Load, Dst: 1, Sym: "a.c0", Limb: 2}, "LOAD  r1, [a.c0] (q2)"},
 		{Instr{Op: Store, A: 3, Sym: "out", Limb: 0}, "STORE [out], r3 (q0)"},
 		{Instr{Op: MAdd, Dst: 2, A: 0, B: 1, Limb: 1}, "MADD  r2, r0, r1 (q1)"},
-		{Instr{Op: Auto, Dst: 4, A: 2, Imm: 5, Limb: 0}, "AUTO  r4, r2, g=5 (q0)"},
+		{Instr{Op: NTT, Dst: 4, A: 2, Limb: 0}, "NTT   r4, r2 (q0)"},
 		{Instr{Op: MMulScalar, Dst: 1, A: 0, Imm: 7, Limb: 0}, "MMULS r1, r0, #7 (q0)"},
 	}
 	for _, c := range cases {
@@ -52,27 +51,4 @@ func TestInstrString(t *testing.T) {
 			t.Errorf("String()=%q want %q", got, c.want)
 		}
 	}
-}
-
-func TestCompiledProgramsStructure(t *testing.T) {
-	// Rescale must chain INTT → MSub → MMULS → NTT per surviving limb.
-	qlInv := []uint64{1, 1}
-	p := CompileRescale(3, qlInv)
-	counts := p.OpCounts()
-	if counts[INTT] != 4 || counts[NTT] != 4 || counts[MSub] != 4 || counts[MMulScalar] != 4 {
-		t.Errorf("Rescale structure wrong: %v", counts)
-	}
-	// Automorphism program mentions the Galois element in its name.
-	if !strings.Contains(CompileAutomorphism(1, 25).Name, "25") {
-		t.Error("automorphism program name should carry the Galois element")
-	}
-}
-
-func TestCompileRescalePanicsOnShortInverses(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short inverse slice should panic")
-		}
-	}()
-	CompileRescale(4, []uint64{1})
 }

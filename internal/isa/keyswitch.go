@@ -41,29 +41,62 @@ func NewKeySwitchConstants(q, p []numeric.Modulus, level int) KeySwitchConstants
 	ks := KeySwitchConstants{Level: level, Alpha: alpha, LQ: len(q)}
 	digits := (level + 1 + alpha - 1) / alpha
 
-	targets := make([]numeric.Modulus, 0, level+1+alpha)
-	targets = append(targets, q[:level+1]...)
-	targets = append(targets, p...)
-
+	targets := append(append([]numeric.Modulus{}, q[:level+1]...), p...)
 	for d := 0; d < digits; d++ {
 		lo := d * alpha
-		hi := lo + alpha
-		if hi > level+1 {
-			hi = level + 1
-		}
-		src := q[lo:hi]
-		conv := NewRNSConvConstants(src, targets)
+		hi := min(lo+alpha, level+1)
+		bHatInv, bHatMod := convConstants(q[lo:hi], targets)
 		ks.DigitLo = append(ks.DigitLo, lo)
 		ks.DigitHi = append(ks.DigitHi, hi)
-		ks.BHatInv = append(ks.BHatInv, conv.BHatInv)
-		ks.BHatMod = append(ks.BHatMod, conv.BHatModC)
+		ks.BHatInv = append(ks.BHatInv, bHatInv)
+		ks.BHatMod = append(ks.BHatMod, bHatMod)
 	}
 
-	md := NewModDownConstants(q[:level+1], p)
-	ks.MDBHatInv = md.Conv.BHatInv
-	ks.MDBHatMod = md.Conv.BHatModC
-	ks.PInv = md.PInv
+	ks.MDBHatInv, ks.MDBHatMod = convConstants(p, q[:level+1])
+	for _, qi := range q[:level+1] {
+		ks.PInv = append(ks.PInv, qi.Inv(productMod(qi, p, -1)))
+	}
 	return ks
+}
+
+// convConstants derives the scalars of the basis conversion src → dst as
+// the program runs it (the paper's Fig 4: MM/MA cascades, no dedicated
+// vector-scalar core): y_j = x_j · bHatInv[j] mod b_j, then
+// Σ_j y_j · bHatMod[i][j] mod c_i. The conversion is the approximate
+// (correction-free) hardware form.
+func convConstants(src, dst []numeric.Modulus) (bHatInv []uint64, bHatMod [][]uint64) {
+	for j, s := range src {
+		bHatInv = append(bHatInv, s.Inv(productMod(s, src, j)))
+	}
+	for _, d := range dst {
+		row := make([]uint64, len(src))
+		for j := range src {
+			row[j] = productMod(d, src, j)
+		}
+		bHatMod = append(bHatMod, row)
+	}
+	return bHatInv, bHatMod
+}
+
+// productMod returns Π_{t≠skip} ms[t] reduced under m.
+func productMod(m numeric.Modulus, ms []numeric.Modulus, skip int) uint64 {
+	prod := uint64(1)
+	for t, mt := range ms {
+		if t != skip {
+			prod = m.Mul(prod, m.Reduce(mt.Q))
+		}
+	}
+	return prod
+}
+
+// dot emits the inner product Σ_j ys[j]·c[j] under limb's modulus as an
+// MMULS/MADD chain — the extension step of every basis conversion.
+func (b *Builder) dot(ys []Reg, c []uint64, limb int) Reg {
+	acc := b.Unary(MMulScalar, ys[0], limb, c[0])
+	for j := 1; j < len(ys); j++ {
+		acc = b.Bin(MAdd, acc, b.Unary(MMulScalar, ys[j], limb, c[j]), limb)
+	}
+	return acc
 }
 
 // targetLimb maps an active-target index (0..level, then P) to the machine
@@ -87,7 +120,6 @@ func (ks KeySwitchConstants) compileKeySwitchInto(b *Builder, in []Reg, key stri
 
 	acc0 := make([]Reg, nTargets)
 	acc1 := make([]Reg, nTargets)
-	accSet := false
 
 	for d := 0; d < digits; d++ {
 		lo, hi := ks.DigitLo[d], ks.DigitHi[d]
@@ -102,21 +134,14 @@ func (ks KeySwitchConstants) compileKeySwitchInto(b *Builder, in []Reg, key stri
 			if t >= lo && t < hi {
 				ext = in[t] // digit-own limb passes through
 			} else {
-				for j := range ys {
-					term := b.Unary(MMulScalar, ys[j], limb, ks.BHatMod[d][t][j])
-					if j == 0 {
-						ext = term
-					} else {
-						ext = b.Bin(MAdd, ext, term, limb)
-					}
-				}
+				ext = b.dot(ys, ks.BHatMod[d][t], limb)
 			}
 			nttExt := b.Unary(NTT, ext, limb, 0)
 			kb := b.Load(fmt.Sprintf("%s.b%d", key, d), limb)
 			ka := b.Load(fmt.Sprintf("%s.a%d", key, d), limb)
 			t0 := b.Bin(MMul, nttExt, kb, limb)
 			t1 := b.Bin(MMul, nttExt, ka, limb)
-			if !accSet {
+			if d == 0 {
 				acc0[t] = t0
 				acc1[t] = t1
 			} else {
@@ -124,7 +149,6 @@ func (ks KeySwitchConstants) compileKeySwitchInto(b *Builder, in []Reg, key stri
 				acc1[t] = b.Bin(MAdd, acc1[t], t1, limb)
 			}
 		}
-		accSet = true
 	}
 
 	// ModDown both accumulators: INTT, convert the P part to Q, subtract,
@@ -141,16 +165,7 @@ func (ks KeySwitchConstants) compileKeySwitchInto(b *Builder, in []Reg, key stri
 		}
 		out := make([]Reg, level+1)
 		for i := 0; i <= level; i++ {
-			var conv Reg
-			for j := 0; j < alpha; j++ {
-				term := b.Unary(MMulScalar, ys[j], i, ks.MDBHatMod[i][j])
-				if j == 0 {
-					conv = term
-				} else {
-					conv = b.Bin(MAdd, conv, term, i)
-				}
-			}
-			diff := b.Bin(MSub, coeff[i], conv, i)
+			diff := b.Bin(MSub, coeff[i], b.dot(ys, ks.MDBHatMod[i], i), i)
 			scaled := b.Unary(MMulScalar, diff, i, ks.PInv[i])
 			out[i] = b.Unary(NTT, scaled, i, 0)
 		}
@@ -172,66 +187,6 @@ func CompileKeySwitch(ks KeySwitchConstants, in, key string) *Program {
 	for l := 0; l <= ks.Level; l++ {
 		b.Store("out.p0", p0[l], l)
 		b.Store("out.p1", p1[l], l)
-	}
-	return b.Build()
-}
-
-// CompileCMult lowers a complete ciphertext-ciphertext multiplication with
-// relinearization: the degree-2 tensor product on the MM/MA cores, INTT of
-// d2, the keyswitch against the relinearization key, and the final
-// accumulation. Inputs "a.c0"/"a.c1"/"b.c0"/"b.c1" are NTT-domain; outputs
-// "out.c0"/"out.c1" are NTT-domain.
-func CompileCMult(ks KeySwitchConstants, key string) *Program {
-	b := NewBuilder(fmt.Sprintf("CMult(level=%d)", ks.Level))
-	level := ks.Level
-
-	d0 := make([]Reg, level+1)
-	d1 := make([]Reg, level+1)
-	d2c := make([]Reg, level+1)
-	for l := 0; l <= level; l++ {
-		a0 := b.Load("a.c0", l)
-		a1 := b.Load("a.c1", l)
-		b0 := b.Load("b.c0", l)
-		b1 := b.Load("b.c1", l)
-		d0[l] = b.Bin(MMul, a0, b0, l)
-		x := b.Bin(MMul, a0, b1, l)
-		y := b.Bin(MMul, a1, b0, l)
-		d1[l] = b.Bin(MAdd, x, y, l)
-		d2 := b.Bin(MMul, a1, b1, l)
-		d2c[l] = b.Unary(INTT, d2, l, 0)
-	}
-	p0, p1 := ks.compileKeySwitchInto(b, d2c, key)
-	for l := 0; l <= level; l++ {
-		c0 := b.Bin(MAdd, d0[l], p0[l], l)
-		c1 := b.Bin(MAdd, d1[l], p1[l], l)
-		b.Store("out.c0", c0, l)
-		b.Store("out.c1", c1, l)
-	}
-	return b.Build()
-}
-
-// CompileRotation lowers a complete Rotation: automorphism of both
-// components (coefficient domain inputs "a.c0"/"a.c1"), keyswitch of the
-// automorphed c1 against the rotation key, and the final accumulation.
-// Outputs "out.c0"/"out.c1" in the NTT domain.
-func CompileRotation(ks KeySwitchConstants, galois uint64, key string) *Program {
-	b := NewBuilder(fmt.Sprintf("Rotation(g=%d,level=%d)", galois, ks.Level))
-	level := ks.Level
-
-	// σ_g on both components.
-	a1 := make([]Reg, level+1)
-	for l := 0; l <= level; l++ {
-		c1 := b.Load("a.c1", l)
-		a1[l] = b.Unary(Auto, c1, l, galois)
-	}
-	p0, p1 := ks.compileKeySwitchInto(b, a1, key)
-	for l := 0; l <= level; l++ {
-		c0 := b.Load("a.c0", l)
-		ac0 := b.Unary(Auto, c0, l, galois)
-		nttC0 := b.Unary(NTT, ac0, l, 0)
-		sum := b.Bin(MAdd, nttC0, p0[l], l)
-		b.Store("out.c0", sum, l)
-		b.Store("out.c1", p1[l], l)
 	}
 	return b.Build()
 }

@@ -7,29 +7,35 @@ import (
 	"poseidon/internal/numeric"
 )
 
-func ksConstants(t *testing.T, level int) KeySwitchConstants {
+// ksConstants derives keyswitch constants over nq 45-bit Q primes and np
+// 46-bit P primes at N = 2^8.
+func ksConstants(t *testing.T, nq, np, level int) KeySwitchConstants {
 	t.Helper()
-	q, err := numeric.GenerateNTTPrimes(45, 8, 4)
-	if err != nil {
-		t.Fatal(err)
+	moduli := func(bits, count int) []numeric.Modulus {
+		ps, err := numeric.GenerateNTTPrimes(bits, 8, count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms := make([]numeric.Modulus, len(ps))
+		for i, p := range ps {
+			ms[i] = numeric.NewModulus(p)
+		}
+		return ms
 	}
-	p, err := numeric.GenerateNTTPrimes(46, 8, 2)
-	if err != nil {
-		t.Fatal(err)
+	return NewKeySwitchConstants(moduli(45, nq), moduli(46, np), level)
+}
+
+// opCounts tallies a program's instructions per opcode.
+func opCounts(p *Program) map[Opcode]int {
+	m := map[Opcode]int{}
+	for _, in := range p.Instrs {
+		m[in.Op]++
 	}
-	qm := make([]numeric.Modulus, len(q))
-	for i := range q {
-		qm[i] = numeric.NewModulus(q[i])
-	}
-	pm := make([]numeric.Modulus, len(p))
-	for i := range p {
-		pm[i] = numeric.NewModulus(p[i])
-	}
-	return NewKeySwitchConstants(qm, pm, level)
+	return m
 }
 
 func TestKeySwitchConstantsDigits(t *testing.T) {
-	ks := ksConstants(t, 3)
+	ks := ksConstants(t, 4, 2, 3)
 	if len(ks.DigitLo) != 2 {
 		t.Fatalf("digits=%d want 2 (level 3, alpha 2)", len(ks.DigitLo))
 	}
@@ -40,24 +46,22 @@ func TestKeySwitchConstantsDigits(t *testing.T) {
 		t.Errorf("digit 1 range [%d,%d) want [2,4)", ks.DigitLo[1], ks.DigitHi[1])
 	}
 	// Partial trailing digit at a lower level.
-	ks1 := ksConstants(t, 2)
+	ks1 := ksConstants(t, 4, 2, 2)
 	if len(ks1.DigitLo) != 2 || ks1.DigitHi[1] != 3 {
 		t.Errorf("level-2 digits wrong: %v %v", ks1.DigitLo, ks1.DigitHi)
 	}
 }
 
 func TestCompileKeySwitchStructure(t *testing.T) {
-	ks := ksConstants(t, 3)
+	ks := ksConstants(t, 4, 2, 3)
 	p := CompileKeySwitch(ks, "d2", "key")
-	counts := p.OpCounts()
+	counts := opCounts(p)
 
-	// Every operator family except Auto participates.
-	if counts[NTT] == 0 || counts[INTT] == 0 || counts[MMul] == 0 ||
-		counts[MAdd] == 0 || counts[MSub] == 0 || counts[MMulScalar] == 0 {
-		t.Errorf("keyswitch op mix incomplete: %v", counts)
-	}
-	if counts[Auto] != 0 {
-		t.Error("keyswitch must not use the automorphism core")
+	// Every operator family the program has participates.
+	for op := Load; op <= INTT; op++ {
+		if counts[op] == 0 {
+			t.Errorf("keyswitch op mix lacks %v: %v", op, counts)
+		}
 	}
 	// Outputs: p0 and p1 per active Q limb.
 	if counts[Store] != 2*(ks.Level+1) {
@@ -76,38 +80,47 @@ func TestCompileKeySwitchStructure(t *testing.T) {
 	}
 }
 
-func TestCompileRotationStructure(t *testing.T) {
-	ks := ksConstants(t, 3)
-	p := CompileRotation(ks, 5, "rk")
-	counts := p.OpCounts()
-	// Automorphism on both components: 2·(level+1).
-	if counts[Auto] != 2*(ks.Level+1) {
-		t.Errorf("auto ops=%d want %d", counts[Auto], 2*(ks.Level+1))
-	}
-	if !strings.Contains(p.Name, "g=5") {
-		t.Errorf("program name %q should carry the Galois element", p.Name)
-	}
-}
-
-func TestCompileCMultStructure(t *testing.T) {
-	ks := ksConstants(t, 2)
-	p := CompileCMult(ks, "rlk")
-	counts := p.OpCounts()
-	if counts[Auto] != 0 {
-		t.Error("CMult must not use the automorphism core")
-	}
-	// Tensor: 4 MMul per limb plus the keyswitch MACs.
-	if counts[MMul] < 4*(ks.Level+1) {
-		t.Errorf("MMul=%d, want ≥ %d for the tensor alone", counts[MMul], 4*(ks.Level+1))
-	}
-	// Inputs: both ciphertexts on every limb.
-	loads := 0
-	for _, in := range p.Instrs {
-		if in.Op == Load && (strings.HasPrefix(in.Sym, "a.") || strings.HasPrefix(in.Sym, "b.")) {
-			loads++
+// The keyswitch program's operator mix, opcode by opcode, against the
+// closed forms of its three phases over l = level+1 active limbs, digit
+// width α and digit sizes s_d: ModUp (per digit s_d y_j scalings, then
+// s_d-term MMULS/MADD chains onto the l+α−s_d other limbs), the NTT of the
+// extended digit and the MAC against both key components, and ModDown of
+// both accumulators (INTT, α y_j, α-term chains onto the l Q limbs, the
+// subtraction, the P^-1 scaling, the NTT back).
+func TestCompiledProgramsStructure(t *testing.T) {
+	for _, c := range []struct{ nq, np, level int }{
+		{4, 2, 3}, {4, 2, 2}, {4, 1, 3}, {6, 2, 5}, {5, 3, 4}, {5, 2, 0},
+	} {
+		ks := ksConstants(t, c.nq, c.np, c.level)
+		l, a, dnum := ks.Level+1, ks.Alpha, len(ks.DigitLo)
+		ext := l + a
+		want := map[Opcode]int{
+			Load:       l + 2*dnum*ext,
+			Store:      2 * l,
+			MMul:       2 * dnum * ext,
+			MSub:       2 * l,
+			NTT:        dnum*ext + 2*l,
+			INTT:       2 * ext,
+			MMulScalar: 2 * (a + l*a + l),
+			MAdd:       2*(dnum-1)*ext + 2*l*(a-1),
 		}
-	}
-	if loads != 4*(ks.Level+1) {
-		t.Errorf("ciphertext loads=%d want %d", loads, 4*(ks.Level+1))
+		for d := range ks.DigitLo {
+			s := ks.DigitHi[d] - ks.DigitLo[d]
+			want[MMulScalar] += s + (ext-s)*s
+			want[MAdd] += (ext - s) * (s - 1)
+		}
+		p := CompileKeySwitch(ks, "in", "key")
+		got := opCounts(p)
+		for op, n := range want {
+			if got[op] != n {
+				t.Errorf("|Q|=%d |P|=%d level %d: %v count %d want %d", c.nq, c.np, c.level, op, got[op], n)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("|Q|=%d |P|=%d level %d: opcodes %v beyond the keyswitch mix", c.nq, c.np, c.level, got)
+		}
+		if !strings.Contains(p.Name, "level=") {
+			t.Errorf("program name %q should carry the level", p.Name)
+		}
 	}
 }

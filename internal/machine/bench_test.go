@@ -10,45 +10,6 @@ import (
 	"poseidon/internal/numeric"
 )
 
-func benchMachine(b *testing.B, n, limbs int) *Machine {
-	b.Helper()
-	logN := 0
-	for 1<<uint(logN) < n {
-		logN++
-	}
-	ps, err := numeric.GenerateNTTPrimes(45, logN, limbs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := arch.U280()
-	m, err := New(cfg, n, ps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
-// BenchmarkMachineHAdd measures the functional datapath executing the HAdd
-// operator program.
-func BenchmarkMachineHAdd(b *testing.B) {
-	n, limbs := 4096, 4
-	m := benchMachine(b, n, limbs)
-	rng := rand.New(rand.NewSource(1))
-	for _, comp := range []string{"c0", "c1"} {
-		for l := 0; l < limbs; l++ {
-			m.WriteHBM("a."+comp, l, randVec(rng, n, m.Moduli[l].Q))
-			m.WriteHBM("b."+comp, l, randVec(rng, n, m.Moduli[l].Q))
-		}
-	}
-	p := isa.CompileHAdd(limbs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Run(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkMachineKeySwitch measures the full keyswitch program — the
 // heaviest operator pipeline — with synthetic key digits.
 func BenchmarkMachineKeySwitch(b *testing.B) {

@@ -1,28 +1,18 @@
 package machine
 
 import (
-	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
-	"poseidon/internal/arch"
 	"poseidon/internal/ckks"
-	"poseidon/internal/isa"
 )
 
-// CMult with relinearization executed entirely on the datapath must agree
-// with the software evaluator and decrypt to the slot-wise product.
+// CMult with relinearization, its keyswitch executed on the datapath, must
+// decrypt to the slot-wise product. The host forms the degree-2 tensor
+// product, hands INTT(d2) to the machine, and adds (p0, p1) to (d0, d1).
 func TestMachineFullCMult(t *testing.T) {
-	params, err := ckks.NewParameters(ckks.ParametersLiteral{
-		LogN:     9,
-		LogQ:     []int{50, 40, 40},
-		LogP:     []int{51, 51},
-		LogScale: 40,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	params := fullParams(t)
 	kgen := ckks.NewKeyGenerator(params, 90)
 	sk := kgen.GenSecretKey()
 	pk := kgen.GenPublicKey(sk)
@@ -42,60 +32,20 @@ func TestMachineFullCMult(t *testing.T) {
 	ct2 := encr.Encrypt(enc.Encode(z2, params.MaxLevel(), params.Scale))
 	level := ct1.Level
 
-	cfg := arch.U280()
-	cfg.Lanes = 64
-	chain := append(append([]uint64{}, params.Q...), params.P...)
-	m, err := New(cfg, params.N, chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for l := 0; l <= level; l++ {
-		m.WriteHBM("a.c0", l, ct1.C0.Coeffs[l])
-		m.WriteHBM("a.c1", l, ct1.C1.Coeffs[l])
-		m.WriteHBM("b.c0", l, ct2.C0.Coeffs[l])
-		m.WriteHBM("b.c1", l, ct2.C1.Coeffs[l])
-	}
-	lq := len(params.Q)
-	for d := range rlk.B {
-		bSym := fmt.Sprintf("rlk.b%d", d)
-		aSym := fmt.Sprintf("rlk.a%d", d)
-		for l := 0; l <= level; l++ {
-			m.WriteHBM(bSym, l, rlk.B[d].Q.Coeffs[l])
-			m.WriteHBM(aSym, l, rlk.A[d].Q.Coeffs[l])
-		}
-		for j := 0; j < params.Alpha(); j++ {
-			m.WriteHBM(bSym, lq+j, rlk.B[d].P.Coeffs[j])
-			m.WriteHBM(aSym, lq+j, rlk.A[d].P.Coeffs[j])
-		}
-	}
+	// Host: tensor product in the NTT domain.
+	rq := params.RingQ
+	d0, d1, d2 := newNTTPoly(params, level+1), newNTTPoly(params, level+1), newNTTPoly(params, level+1)
+	rq.MulCoeffwise(d0, ct1.C0, ct2.C0)
+	rq.MulCoeffwise(d1, ct1.C0, ct2.C1)
+	rq.MulCoeffwiseAdd(d1, ct1.C1, ct2.C0)
+	rq.MulCoeffwise(d2, ct1.C1, ct2.C1)
+	rq.INTT(d2)
 
-	ks := isa.NewKeySwitchConstants(m.Moduli[:lq], m.Moduli[lq:], level)
-	st, err := m.Run(isa.CompileCMult(ks, "rlk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Cycles[isa.Auto] != 0 {
-		t.Error("CMult must not use the automorphism core")
-	}
+	p0, p1, _ := keySwitchOnMachine(t, params, d2, level, &rlk.SwitchingKey)
+	rq.Add(p0, p0, d0)
+	rq.Add(p1, p1, d1)
 
-	out := &ckks.Ciphertext{
-		C0:    newNTTPoly(params, level+1),
-		C1:    newNTTPoly(params, level+1),
-		Scale: ct1.Scale * ct2.Scale,
-		Level: level,
-	}
-	for l := 0; l <= level; l++ {
-		v0, err := m.ReadHBM("out.c0", l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		v1, err := m.ReadHBM("out.c1", l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(out.C0.Coeffs[l], v0)
-		copy(out.C1.Coeffs[l], v1)
-	}
+	out := &ckks.Ciphertext{C0: p0, C1: p1, Scale: ct1.Scale * ct2.Scale, Level: level}
 	got := enc.Decode(decr.Decrypt(out))
 	worst := 0.0
 	for i := range z1 {
@@ -103,7 +53,7 @@ func TestMachineFullCMult(t *testing.T) {
 			worst = e
 		}
 	}
-	t.Logf("machine-executed CMult: max slot error %.3e", worst)
+	t.Logf("machine-keyswitched CMult: max slot error %.3e", worst)
 	if worst > 1e-3 {
 		t.Errorf("machine CMult error %g too large", worst)
 	}

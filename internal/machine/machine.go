@@ -1,16 +1,17 @@
 // Package machine executes operator-level ISA programs on a functional
 // model of the Poseidon datapath: real residue arithmetic through the MA,
-// MM, NTT and Automorphism cores, a capacity-checked scratchpad, and an
-// HBM traffic/cycle account that matches the analytic model in
-// internal/arch. Running a program yields both the correct data and the
-// cost the hardware would pay — the executable form of the paper's Fig 2.
+// MM and NTT cores, a capacity-checked scratchpad, and an HBM
+// traffic/cycle account that matches the analytic model in internal/arch.
+// Running a program yields both the correct data and the cost the hardware
+// would pay — the executable form of the paper's Fig 2. The program it runs
+// is isa.CompileKeySwitch; the tests finish CMult and Rotation around it on
+// the host.
 package machine
 
 import (
 	"fmt"
 
 	"poseidon/internal/arch"
-	"poseidon/internal/automorph"
 	"poseidon/internal/isa"
 	"poseidon/internal/ntt"
 	"poseidon/internal/numeric"
@@ -22,18 +23,6 @@ type Stats struct {
 	HBMBytes     float64
 	PeakSpad     int // peak scratchpad bytes in use
 	Instructions int
-	MaxLimbs     int // widest limb index touched + 1: the program's RNS width
-}
-
-// TotalCoreCycles sums non-memory cycles.
-func (s Stats) TotalCoreCycles() float64 {
-	t := 0.0
-	for op, c := range s.Cycles {
-		if op != isa.Load && op != isa.Store {
-			t += c
-		}
-	}
-	return t
 }
 
 // Machine is one datapath instance bound to a modulus chain.
@@ -44,21 +33,18 @@ type Machine struct {
 
 	tables []*ntt.Table
 	plans  []*ntt.FusedPlan
-	hf     *automorph.HFAuto
-	maps   map[uint64]*automorph.Map
 
 	// hbm[sym][limb] is an off-chip resident vector.
 	hbm map[string][][]uint64
 }
 
 // New builds a machine of ring degree n over the given NTT-friendly prime
-// chain, with the datapath parameters of cfg (lanes become the HFAuto
-// sub-vector width, clamped to n).
+// chain, with the datapath parameters of cfg.
 func New(cfg arch.Config, n int, moduli []uint64) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Cfg: cfg, N: n, hbm: map[string][][]uint64{}, maps: map[uint64]*automorph.Map{}}
+	m := &Machine{Cfg: cfg, N: n, hbm: map[string][][]uint64{}}
 	for _, q := range moduli {
 		tab, err := ntt.NewTable(n, q)
 		if err != nil {
@@ -72,15 +58,6 @@ func New(cfg arch.Config, n int, moduli []uint64) (*Machine, error) {
 		m.plans = append(m.plans, plan)
 		m.Moduli = append(m.Moduli, tab.Mod)
 	}
-	c := cfg.Lanes
-	if c > n {
-		c = n
-	}
-	hf, err := automorph.NewHFAuto(n, c)
-	if err != nil {
-		return nil, err
-	}
-	m.hf = hf
 	return m, nil
 }
 
@@ -137,9 +114,6 @@ func (m *Machine) Run(p *isa.Program) (Stats, error) {
 		st.Instructions++
 		if in.Limb < 0 || in.Limb >= len(m.Moduli) {
 			return st, fmt.Errorf("machine: instr %d: limb %d out of range", idx, in.Limb)
-		}
-		if in.Limb+1 > st.MaxLimbs {
-			st.MaxLimbs = in.Limb + 1
 		}
 		mod := m.Moduli[in.Limb]
 		switch in.Op {
@@ -211,28 +185,6 @@ func (m *Machine) Run(p *isa.Program) (Stats, error) {
 			m.tables[in.Limb].Inverse(out)
 			define(in.Dst, out)
 			st.Cycles[isa.NTT] += float64(m.plans[in.Limb].Passes()) * elems / lanes
-		case isa.Auto:
-			if err := touch(in.A); err != nil {
-				return st, err
-			}
-			am, ok := m.maps[in.Imm]
-			if !ok {
-				am = m.hf.Precompute(in.Imm)
-				m.maps[in.Imm] = am
-			}
-			out := make([]uint64, m.N)
-			am.Apply(out, regs[in.A], mod)
-			define(in.Dst, out)
-			if m.Cfg.Auto == arch.NaiveAutoCore {
-				st.Cycles[isa.Auto] += elems
-			} else {
-				st.Cycles[isa.Auto] += 4 * elems / lanes
-			}
-		case isa.Copy:
-			if err := touch(in.A); err != nil {
-				return st, err
-			}
-			define(in.Dst, append([]uint64(nil), regs[in.A]...))
 		default:
 			return st, fmt.Errorf("machine: instr %d: unknown opcode %v", idx, in.Op)
 		}
@@ -242,38 +194,4 @@ func (m *Machine) Run(p *isa.Program) (Stats, error) {
 		}
 	}
 	return st, nil
-}
-
-// Seconds converts the stats into wall time under the machine's clock and
-// bandwidth, overlapping compute with HBM streaming like arch.Model.
-func (m *Machine) Seconds(st Stats) float64 {
-	tc := st.TotalCoreCycles() / m.Cfg.CyclesPerSec()
-	tm := st.HBMBytes / m.Cfg.EffectiveHBM()
-	if tm > tc {
-		return tm
-	}
-	return tc
-}
-
-// SecondsParallel models the same program replicated across `workers`
-// datapath instances, one residue limb per instance. Core cycles divide by
-// the effective parallel width min(workers, MaxLimbs) — limbs are the unit
-// of parallelism, so extra workers beyond the RNS width sit idle, exactly
-// like the software evaluator's limb-parallel pool. HBM bandwidth is a
-// shared resource: the memory stream does not speed up, so it remains the
-// floor. workers ≤ 1 (or an empty program) degenerates to Seconds.
-func (m *Machine) SecondsParallel(st Stats, workers int) float64 {
-	w := workers
-	if st.MaxLimbs > 0 && w > st.MaxLimbs {
-		w = st.MaxLimbs
-	}
-	if w < 1 {
-		w = 1
-	}
-	tc := st.TotalCoreCycles() / m.Cfg.CyclesPerSec() / float64(w)
-	tm := st.HBMBytes / m.Cfg.EffectiveHBM()
-	if tm > tc {
-		return tm
-	}
-	return tc
 }

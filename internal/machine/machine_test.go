@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"poseidon/internal/arch"
-	"poseidon/internal/automorph"
 	"poseidon/internal/isa"
 	"poseidon/internal/numeric"
 )
@@ -37,6 +36,26 @@ func randVec(rng *rand.Rand, n int, q uint64) []uint64 {
 	return v
 }
 
+// perLimb builds a program that runs body once per ciphertext component
+// (c0, c1) and limb: the element-wise programs the tests below use to
+// check each executor arm on its own against reference arithmetic.
+func perLimb(name string, limbs int, body func(b *isa.Builder, comp string, l int)) *isa.Program {
+	b := isa.NewBuilder(name)
+	for _, comp := range []string{"c0", "c1"} {
+		for l := 0; l < limbs; l++ {
+			body(b, comp, l)
+		}
+	}
+	return b.Build()
+}
+
+// haddProgram adds ciphertexts "a" and "b" into "out" on the MA core.
+func haddProgram(limbs int) *isa.Program {
+	return perLimb("HAdd", limbs, func(b *isa.Builder, comp string, l int) {
+		b.Store("out."+comp, b.Bin(isa.MAdd, b.Load("a."+comp, l), b.Load("b."+comp, l), l), l)
+	})
+}
+
 func TestMachineRejectsBadPrograms(t *testing.T) {
 	m := testMachine(t, 64, 2)
 	// Undefined register read.
@@ -61,7 +80,7 @@ func TestMachineRejectsBadPrograms(t *testing.T) {
 	}
 }
 
-// The HAdd program must compute exactly what the reference modular addition
+// The MADD arm must compute exactly what the reference modular addition
 // computes, while charging only MA cycles.
 func TestProgramHAdd(t *testing.T) {
 	n, limbs := 128, 3
@@ -73,7 +92,7 @@ func TestProgramHAdd(t *testing.T) {
 			m.WriteHBM("b."+comp, l, randVec(rng, n, m.Moduli[l].Q))
 		}
 	}
-	st, err := m.Run(isa.CompileHAdd(limbs))
+	st, err := m.Run(haddProgram(limbs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +111,7 @@ func TestProgramHAdd(t *testing.T) {
 			}
 		}
 	}
-	if st.Cycles[isa.MMul] != 0 || st.Cycles[isa.NTT] != 0 || st.Cycles[isa.Auto] != 0 {
+	if st.Cycles[isa.MMul] != 0 || st.Cycles[isa.NTT] != 0 {
 		t.Error("HAdd must use only the MA core")
 	}
 	if st.Cycles[isa.MAdd] == 0 {
@@ -105,7 +124,7 @@ func TestProgramHAdd(t *testing.T) {
 	}
 }
 
-// The PMult program must agree with reference modular multiplication.
+// The MMUL arm must agree with reference modular multiplication.
 func TestProgramPMult(t *testing.T) {
 	n, limbs := 64, 2
 	m := testMachine(t, n, limbs)
@@ -115,7 +134,10 @@ func TestProgramPMult(t *testing.T) {
 		m.WriteHBM("a.c1", l, randVec(rng, n, m.Moduli[l].Q))
 		m.WriteHBM("pt.m", l, randVec(rng, n, m.Moduli[l].Q))
 	}
-	if _, err := m.Run(isa.CompilePMult(limbs)); err != nil {
+	pmult := perLimb("PMult", limbs, func(b *isa.Builder, comp string, l int) {
+		b.Store("out."+comp, b.Bin(isa.MMul, b.Load("a."+comp, l), b.Load("pt.m", l), l), l)
+	})
+	if _, err := m.Run(pmult); err != nil {
 		t.Fatal(err)
 	}
 	for _, comp := range []string{"c0", "c1"} {
@@ -132,73 +154,53 @@ func TestProgramPMult(t *testing.T) {
 	}
 }
 
-// The NTT program must match the reference table transform bit-exactly
-// (the machine uses the fused plan internally).
+// The NTT arm must match the reference table transform bit-exactly (the
+// machine uses the fused plan internally) and charge the fused pass count;
+// the INTT arm must bring the result back.
 func TestProgramNTT(t *testing.T) {
 	n, limbs := 256, 2
 	m := testMachine(t, n, limbs)
 	rng := rand.New(rand.NewSource(3))
 	want := make([][]uint64, limbs)
+	b := isa.NewBuilder("NTT")
 	for l := 0; l < limbs; l++ {
 		v := randVec(rng, n, m.Moduli[l].Q)
 		m.WriteHBM("a.m", l, v)
 		want[l] = append([]uint64(nil), v...)
 		m.tables[l].Forward(want[l])
+		fwd := b.Unary(isa.NTT, b.Load("a.m", l), l, 0)
+		b.Store("out.m", fwd, l)
+		b.Store("back.m", b.Unary(isa.INTT, fwd, l, 0), l)
 	}
-	st, err := m.Run(isa.CompileNTT(limbs))
+	st, err := m.Run(b.Build())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for l := 0; l < limbs; l++ {
 		out, _ := m.ReadHBM("out.m", l)
+		back, _ := m.ReadHBM("back.m", l)
+		in, _ := m.ReadHBM("a.m", l)
 		for i := range out {
 			if out[i] != want[l][i] {
 				t.Fatalf("limb %d index %d: NTT mismatch", l, i)
 			}
+			if back[i] != in[i] {
+				t.Fatalf("limb %d index %d: INTT did not invert the NTT", l, i)
+			}
 		}
 	}
-	// NTT cycles must reflect the fused pass count.
+	// NTT cycles must reflect the fused pass count, one pass set per
+	// transform in either direction.
 	passes := float64(m.plans[0].Passes())
-	wantCycles := passes * float64(n) / float64(m.Cfg.Lanes) * float64(limbs)
+	wantCycles := passes * float64(n) / float64(m.Cfg.Lanes) * float64(2*limbs)
 	if st.Cycles[isa.NTT] != wantCycles {
 		t.Errorf("NTT cycles %.1f want %.1f", st.Cycles[isa.NTT], wantCycles)
 	}
 }
 
-// The automorphism program must match the naive reference map.
-func TestProgramAutomorphism(t *testing.T) {
-	n, limbs := 128, 2
-	m := testMachine(t, n, limbs)
-	rng := rand.New(rand.NewSource(4))
-	g := uint64(5)
-	want := make(map[string][][]uint64)
-	for _, comp := range []string{"c0", "c1"} {
-		want[comp] = make([][]uint64, limbs)
-		for l := 0; l < limbs; l++ {
-			v := randVec(rng, n, m.Moduli[l].Q)
-			m.WriteHBM("a."+comp, l, v)
-			ref := make([]uint64, n)
-			automorph.Naive(ref, v, g, m.Moduli[l])
-			want[comp][l] = ref
-		}
-	}
-	if _, err := m.Run(isa.CompileAutomorphism(limbs, g)); err != nil {
-		t.Fatal(err)
-	}
-	for _, comp := range []string{"c0", "c1"} {
-		for l := 0; l < limbs; l++ {
-			out, _ := m.ReadHBM("out."+comp, l)
-			for i := range out {
-				if out[i] != want[comp][l][i] {
-					t.Fatalf("%s limb %d: automorphism mismatch", comp, l)
-				}
-			}
-		}
-	}
-}
-
-// The rescale program must divide by the last prime with rounding, matching
-// the rns.Rescaler reference within ±1.
+// A rescale built from the INTT, MSUB, MMULS and NTT arms must divide by
+// the last prime with rounding, matching the rns.Rescaler reference within
+// ±1.
 func TestProgramRescale(t *testing.T) {
 	n, limbs := 64, 3
 	m := testMachine(t, n, limbs)
@@ -248,7 +250,15 @@ func TestProgramRescale(t *testing.T) {
 		}
 	}
 
-	if _, err := m.Run(isa.CompileRescale(limbs, qlInv)); err != nil {
+	// INTT, subtract the host-centered dropped limb, scale by q_last^{-1},
+	// NTT back — per surviving limb.
+	rescale := perLimb("Rescale", limbs-1, func(b *isa.Builder, comp string, l int) {
+		xc := b.Unary(isa.INTT, b.Load("a."+comp, l), l, 0)
+		diff := b.Bin(isa.MSub, xc, b.Load("a."+comp+".last", l), l)
+		scaled := b.Unary(isa.MMulScalar, diff, l, qlInv[l])
+		b.Store("out."+comp, b.Unary(isa.NTT, scaled, l, 0), l)
+	})
+	if _, err := m.Run(rescale); err != nil {
 		t.Fatal(err)
 	}
 	// The embedded value v rescales to round(v/q_last) ≈ 0 for v < 2^20
@@ -269,31 +279,6 @@ func TestProgramRescale(t *testing.T) {
 	}
 }
 
-func TestMachineTimeAgreesWithModelShape(t *testing.T) {
-	// The ISA machine's HAdd must be memory-bound like the analytic model.
-	n, limbs := 4096, 4
-	m := testMachine(t, n, limbs)
-	rng := rand.New(rand.NewSource(6))
-	for _, comp := range []string{"c0", "c1"} {
-		for l := 0; l < limbs; l++ {
-			m.WriteHBM("a."+comp, l, randVec(rng, n, m.Moduli[l].Q))
-			m.WriteHBM("b."+comp, l, randVec(rng, n, m.Moduli[l].Q))
-		}
-	}
-	st, err := m.Run(isa.CompileHAdd(limbs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := st.TotalCoreCycles() / m.Cfg.CyclesPerSec()
-	tm := st.HBMBytes / m.Cfg.EffectiveHBM()
-	if tm <= tc {
-		t.Skip("HAdd compute-bound at this small lane count — expected for tiny configs")
-	}
-	if m.Seconds(st) != tm {
-		t.Error("memory-bound op should take the memory time")
-	}
-}
-
 func TestScratchpadOverflowDetected(t *testing.T) {
 	cfg := arch.U280()
 	cfg.ScratchpadMB = 0.001 // 1 KB — too small for any vector
@@ -310,16 +295,5 @@ func TestScratchpadOverflowDetected(t *testing.T) {
 	b.Load("a.c0", 0)
 	if _, err := m.Run(b.Build()); err == nil {
 		t.Error("scratchpad overflow should error")
-	}
-}
-
-func TestProgramOpCounts(t *testing.T) {
-	p := isa.CompileHAdd(3)
-	counts := p.OpCounts()
-	if counts[isa.Load] != 12 || counts[isa.MAdd] != 6 || counts[isa.Store] != 6 {
-		t.Errorf("HAdd op counts wrong: %v", counts)
-	}
-	if got := isa.CompilePMult(2).OpCounts()[isa.MMul]; got != 4 {
-		t.Errorf("PMult MMul count %d want 4", got)
 	}
 }

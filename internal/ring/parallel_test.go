@@ -65,7 +65,7 @@ func TestParallelElementwiseMatchesSerial(t *testing.T) {
 	sub := make([]*Ring, limbs)
 	for i := range sub {
 		var err error
-		if sub[i], err = NewRing(r.N, []uint64{r.Moduli[i].Q}, 0); err != nil {
+		if sub[i], err = NewRing(r.N, []uint64{r.Moduli[i].Q}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -55,17 +55,11 @@ type HFCache struct {
 }
 
 // NewRing constructs a ring of degree n over the given prime moduli. Every
-// modulus must satisfy q ≡ 1 (mod 2n). laneC is the HFAuto sub-vector
-// width; pass 0 for the default min(512, n).
-func NewRing(n int, moduli []uint64, laneC int) (*Ring, error) {
+// modulus must satisfy q ≡ 1 (mod 2n). The HFAuto sub-vector width is
+// min(512, n).
+func NewRing(n int, moduli []uint64) (*Ring, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("ring: empty modulus chain")
-	}
-	if laneC == 0 {
-		laneC = 512
-		if laneC > n {
-			laneC = n
-		}
 	}
 	r := &Ring{N: n}
 	for n>>uint(r.LogN+1) > 0 {
@@ -87,7 +81,7 @@ func NewRing(n int, moduli []uint64, laneC int) (*Ring, error) {
 		r.Moduli = append(r.Moduli, tab.Mod)
 		r.Tables = append(r.Tables, tab)
 	}
-	hf, err := automorph.NewHFAuto(n, laneC)
+	hf, err := automorph.NewHFAuto(n, min(512, n))
 	if err != nil {
 		return nil, err
 	}

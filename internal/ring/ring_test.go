@@ -18,7 +18,7 @@ func testRing(t testing.TB, n, limbs int) *Ring {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRing(n, ps, 0)
+	r, err := NewRing(n, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +37,16 @@ func randPoly(r *Ring, rng *rand.Rand, limbs int, isNTT bool) *Poly {
 }
 
 func TestNewRingErrors(t *testing.T) {
-	if _, err := NewRing(16, nil, 0); err == nil {
+	if _, err := NewRing(16, nil); err == nil {
 		t.Error("empty moduli should error")
 	}
-	if _, err := NewRing(12, []uint64{97}, 0); err == nil {
+	if _, err := NewRing(12, []uint64{97}); err == nil {
 		t.Error("non-power-of-two N should error")
 	}
-	if _, err := NewRing(16, []uint64{97, 97}, 0); err == nil {
+	if _, err := NewRing(16, []uint64{97, 97}); err == nil {
 		t.Error("duplicate moduli should error")
 	}
-	if _, err := NewRing(16, []uint64{19}, 0); err == nil {
+	if _, err := NewRing(16, []uint64{19}); err == nil {
 		t.Error("non-NTT-friendly modulus should error")
 	}
 }

@@ -1,13 +1,10 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Prometheus text exposition (version 0.0.4). Metric families:
@@ -118,29 +115,5 @@ func (c *Collector) MetricsHandler() http.Handler {
 		for _, write := range aux {
 			write(w)
 		}
-	})
-}
-
-// expvar integration: one process-wide "poseidon_telemetry" variable that
-// always reflects the most recently published collector, so /debug/vars
-// keeps working across collector generations (expvar forbids re-publishing
-// a name).
-var (
-	expvarCurrent atomic.Pointer[Collector]
-	expvarOnce    sync.Once
-)
-
-// PublishExpvar exposes this collector's snapshot under the
-// "poseidon_telemetry" expvar (served at /debug/vars). The most recently
-// published collector wins.
-func (c *Collector) PublishExpvar() {
-	expvarCurrent.Store(c)
-	expvarOnce.Do(func() {
-		expvar.Publish("poseidon_telemetry", expvar.Func(func() any {
-			if cur := expvarCurrent.Load(); cur != nil {
-				return cur.Snapshot()
-			}
-			return nil
-		}))
 	})
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -12,7 +11,6 @@ import (
 // Server is the optional live-metrics HTTP endpoint:
 //
 //	/metrics      Prometheus text exposition of the collector
-//	/debug/vars   expvar JSON (includes poseidon_telemetry)
 //	/debug/pprof  the standard Go profiling handlers
 //
 // It binds its own listener and mux, so it never pollutes
@@ -32,13 +30,10 @@ type Route struct {
 
 // StartServer starts serving the collector's metrics on addr ("host:port";
 // use "127.0.0.1:0" to bind an ephemeral port and read it back from Addr).
-// The collector is also published to expvar so /debug/vars carries the
-// same snapshot. Extra routes are mounted after the built-ins.
+// Extra routes are mounted after the built-ins.
 func StartServer(addr string, c *Collector, extra ...Route) (*Server, error) {
-	c.PublishExpvar()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", c.MetricsHandler())
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

@@ -2,8 +2,8 @@
 // reproduction: low-overhead per-operation latency histograms keyed by
 // (op kind, limb count), profiling hooks (pprof labels, runtime/trace
 // regions — the regions themselves are opened by the evaluator around every
-// op it reports), live exporters (Prometheus text format, expvar, an
-// optional HTTP endpoint with /debug/pprof), and a model-vs-measured
+// op it reports), live exporters (Prometheus text format on an optional
+// HTTP endpoint with /debug/pprof), and a model-vs-measured
 // calibration that joins measured wall time with the accelerator model's
 // predictions — the software analogue of the comparison Poseidon's Table VII
 // evaluation rests on.

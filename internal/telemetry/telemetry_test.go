@@ -251,11 +251,6 @@ func TestServerEndpoints(t *testing.T) {
 		t.Fatalf("/metrics missing HAdd series:\n%s", body)
 	}
 
-	vars, _ := get("/debug/vars")
-	if !strings.Contains(vars, "poseidon_telemetry") {
-		t.Fatalf("/debug/vars missing poseidon_telemetry:\n%s", vars)
-	}
-
 	idx, _ := get("/debug/pprof/")
 	if !strings.Contains(idx, "goroutine") {
 		t.Fatalf("/debug/pprof/ missing profile index")

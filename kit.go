@@ -181,7 +181,7 @@ func (k *Kit) TryInnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
 
 // EnableTelemetry installs a telemetry collector on the kit's evaluator:
 // every basic operation's wall time lands in a per-(op, limb-count) latency
-// histogram, ready for Prometheus/expvar export and model calibration. Any
+// histogram, ready for Prometheus export and model calibration. Any
 // sink already installed (e.g. a TraceRecorder) keeps receiving its events
 // via a fanout. Returns the collector; calling again while
 // telemetry is enabled returns the existing collector unchanged.

@@ -245,7 +245,7 @@ var (
 	// NewCollector creates a standalone collector for a named workload.
 	NewCollector = telemetry.NewCollector
 	// StartMetricsServer serves a collector on addr ("127.0.0.1:0" for an
-	// ephemeral port): /metrics, /debug/vars, /debug/pprof.
+	// ephemeral port): /metrics, /debug/pprof.
 	StartMetricsServer = telemetry.StartServer
 	// Calibrate computes per-kind measured/modeled ratios for a snapshot.
 	Calibrate = telemetry.Calibrate

@@ -84,17 +84,6 @@ func TestMetricsEndpointServesWorkloadOps(t *testing.T) {
 		}
 	}
 
-	// expvar rides along on the same endpoint.
-	vresp, err := http.Get("http://" + srv.Addr() + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vresp.Body.Close()
-	vraw, _ := io.ReadAll(vresp.Body)
-	if !strings.Contains(string(vraw), "poseidon_telemetry") {
-		t.Error("/debug/vars missing poseidon_telemetry")
-	}
-
 	// Disabling restores the pre-telemetry observer and stops collection.
 	kit.DisableTelemetry()
 	if kit.Metrics() != nil {
