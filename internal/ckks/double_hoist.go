@@ -104,6 +104,11 @@ type ltState struct {
 	g   *ltGroup      // current group
 	key *SwitchingKey // its giant rotation's key
 
+	// macRows is slice-header scratch for groupMac on lane limbs: the
+	// group's diagonal, c0 and c1 rows, 3·len(terms) headers per extended
+	// limb.
+	macRows [][]uint64
+
 	stats LinTransStats
 }
 
@@ -141,6 +146,7 @@ func (st *ltState) release() {
 	st.gd = params.putDigits(st.gd)
 	st.digits, st.own = nil, nil
 	clear(st.rows)
+	clear(st.macRows[:cap(st.macRows)])
 	releasePoly(rq, &st.ctP0)
 	releasePoly(rq, &st.ctP1)
 	for k := range st.babies {
@@ -321,6 +327,11 @@ func (st *ltState) giantPhase() {
 		if g.j != 0 {
 			st.key = must(ev.rotationKey("LinTrans", st.level, g.gal))
 		}
+		need := 3 * len(g.terms) * st.ext1
+		if cap(st.macRows) < need {
+			st.macRows = make([][]uint64, need)
+		}
+		st.macRows = st.macRows[:need]
 		ring.Run(pool, st.ext1, st, (*ltState).groupSumStage)
 		if g.j != 0 {
 			ring.RunChunks(pool, st.params.N, st, (*ltState).groupBasisChunk)
@@ -381,8 +392,27 @@ func (st *ltState) groupSumStage(i int) {
 func (st *ltState) groupMac(i int) {
 	terms := st.g.terms
 	mod := st.modulus(i)
-	g0, g1 := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i)
-	o0, o1 := st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i)
+	out0, out1, add := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i), false
+	if st.g.j == 0 {
+		out0, out1, add = st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i), true
+	}
+	if mod.Lanes() {
+		// On the IFMA52 lanes the sum is the keyswitch inner product's shape
+		// — one shared operand (the diagonal) against two rows — and its two
+		// sums stay in registers across every diagonal, so the limb is one
+		// call over its term rows and no accumulator reaches memory.
+		nt := len(terms)
+		rows := st.macRows[3*nt*i : 3*nt*(i+1)]
+		n := 0
+		for k := range terms {
+			if ptc, r0, r1, ok := st.resolveTerm(&terms[k], i); ok {
+				rows[n], rows[nt+n], rows[2*nt+n] = ptc, r0, r1
+				n++
+			}
+		}
+		mod.VecInnerProductPair(out0, out1, rows[:n], rows[nt:nt+n], rows[2*nt:2*nt+n], nil, add)
+		return
+	}
 	// Column-blocked loop interchange. Streaming full-length
 	// 128-bit accumulator rows (hi+lo, read+write, both ciphertext
 	// components) per diagonal made the MAC phase memory-bound — roughly 4×
@@ -411,12 +441,12 @@ func (st *ltState) groupMac(i int) {
 			numeric.VecMACWidePair(bh0, bl0, bh1, bl1, r0[jlo:jhi], r1[jlo:jhi], ptc[jlo:jhi])
 			cnt++
 		}
-		if st.g.j == 0 {
-			mod.VecReduceWideAdd(o0[jlo:jhi], bh0, bl0)
-			mod.VecReduceWideAdd(o1[jlo:jhi], bh1, bl1)
+		if add {
+			mod.VecReduceWideAdd(out0[jlo:jhi], bh0, bl0)
+			mod.VecReduceWideAdd(out1[jlo:jhi], bh1, bl1)
 		} else {
-			mod.VecReduceWide(g0[jlo:jhi], bh0, bl0)
-			mod.VecReduceWide(g1[jlo:jhi], bh1, bl1)
+			mod.VecReduceWide(out0[jlo:jhi], bh0, bl0)
+			mod.VecReduceWide(out1[jlo:jhi], bh1, bl1)
 		}
 	}
 }

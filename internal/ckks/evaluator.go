@@ -447,7 +447,9 @@ func (k *ksDigits) forwardLimb(i int) {
 // add folding onto the residues already in the out rows (the giant step of a
 // linear transform accumulates straight into the transform's output). With
 // q < 2^61 up to numeric.MaxLazyProducts−1 products fit one 128-bit sum;
-// deeper digit chains fold in between.
+// deeper digit chains fold in between. On a limb whose prime has the IFMA52
+// lanes (numeric.Modulus.Lanes) the same call sums eight coefficients a
+// register, with the same result.
 func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1 []uint64, add bool) {
 	nd := len(k.digits)
 	mod := k.modulus(i)

@@ -19,8 +19,6 @@ func inv8Lanes(a, psi, sh []uint64, segs, stride int, q uint64)
 //go:noescape
 func invFoldLanes(a, psi, sh []uint64, kappa, stride int, q, nInv, nInvShoup, nInvW, nInvWShoup uint64)
 
-func cpuHasIFMA() bool
-
 // fwdPassLanes runs one forward pass of kappa ≤ 3 stages on the lanes:
 // strided at stride ≥ 8, or the final radix-8 pass (stride 1).
 func (t *Table) fwdPassLanes(a []uint64, kappa, m0, stride int) {

@@ -570,37 +570,3 @@ fold2:
 	JNZ  fold2
 	VZEROUPPER
 	RET
-
-// func cpuHasIFMA() bool
-//
-// AVX512F and AVX512IFMA (CPUID leaf 7: EBX bits 16 and 21), with the
-// operating system saving opmask and ZMM state (OSXSAVE, then XCR0 bits 1,
-// 2 and 5–7).
-TEXT ·cpuHasIFMA(SB), NOSPLIT, $0-1
-	XORL CX, CX
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JCS  no
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	BTL  $27, CX
-	JCC  no
-	XORL CX, CX
-	XGETBV
-	ANDL $0xe6, AX
-	CMPL AX, $0xe6
-	JNE  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x210000, BX
-	CMPL BX, $0x210000
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET

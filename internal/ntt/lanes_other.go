@@ -5,8 +5,6 @@ package ntt
 // Without amd64 there are no lanes: NewTable never sets Table.lanes, so the
 // pass bodies below are unreachable.
 
-func cpuHasIFMA() bool { return false }
-
 func (t *Table) fwdPassLanes(a []uint64, kappa, m0, stride int) {
 	panic("ntt: IFMA52 lanes on a non-amd64 build")
 }

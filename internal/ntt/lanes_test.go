@@ -3,13 +3,16 @@ package ntt
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"slices"
-	"strings"
 	"testing"
 	"time"
+
+	"poseidon/internal/numeric"
 )
+
+// hasLanes reports whether this CPU runs the IFMA52 lanes: every odd modulus
+// below 2^50 gets them exactly then (numeric.NewModulus holds the probe).
+var hasLanes = numeric.NewModulus(65537).Lanes()
 
 // The lanes must give the Go bodies' bits on every transform a table
 // supports up to 2^14, at every fusion degree, on primes of 31, 40, 45 and
@@ -56,30 +59,6 @@ func TestLanesMatchGoBody(t *testing.T) {
 		}
 	}
 	t.Logf("IFMA52 lanes on this CPU: %v; lanes body ran on %d tables, Go body on %d", hasLanes, ran[true], ran[false])
-}
-
-// A probe that wrongly said "no" would send every host to the Go body and no
-// differential test would notice, so on Linux it must agree with the
-// kernel's own feature list.
-func TestCPUProbeMatchesCpuinfo(t *testing.T) {
-	if runtime.GOOS != "linux" {
-		t.Skip("/proc/cpuinfo is Linux-only")
-	}
-	b, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("reading /proc/cpuinfo: %v", err)
-	}
-	listed := false
-	for _, line := range strings.Split(string(b), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			listed = slices.Contains(strings.Fields(flags), "avx512ifma")
-			break
-		}
-	}
-	if got := cpuHasIFMA(); got != listed {
-		t.Fatalf("cpuHasIFMA() = %v, /proc/cpuinfo lists avx512ifma: %v", got, listed)
-	}
-	t.Logf("cpuHasIFMA() = %v, agreeing with /proc/cpuinfo", listed)
 }
 
 // BenchmarkLanes reads the two pass bodies without the harness: the default

@@ -1,0 +1,12 @@
+package numeric
+
+// innerProductPairLanes is the IFMA52 body of lanes_amd64.s: one run of at
+// most laneRunLength(q) digits over len(out0) coefficients, a nonzero
+// multiple of 8, every row at least that long (innerProductLanes checks
+// both). It reports false, having stopped part way, when a perm entry is
+// not below len(out0).
+//
+//go:noescape
+func innerProductPairLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool, q, qInv, r2 uint64) bool
+
+func cpuHasIFMA() bool

@@ -1,0 +1,182 @@
+// IFMA52 body of the keyswitch inner product, eight coefficients a ZMM
+// register, and the CPU probe every lanes body is selected by. The callers
+// guarantee q < 2^50 and residue inputs, so every multiplier input fits the
+// 52-bit multiplier, and a run no longer than laneRunLength(q), so neither
+// accumulator half overflows and the close's first result stays below 2^52.
+// DESIGN.md §12 "Lanes" has the derivations.
+//
+// Register plan:
+//   Z0, Z1   L0, H0: out0's split accumulator, the sum being L0 + H0·2^52
+//   Z2, Z3   L1, H1: out1's
+//   Z4       the digit's x (loaded, or gathered through perm)
+//   Z5, Z6   the digit's k0 and k1
+//   Z7       the block's perm entries
+//   Z8, Z9   close scratch
+//   Z28 = n, Z29 = 2^104 mod q, Z30 = q^-1 mod 2^52, Z31 = q
+//   K1       perm entries ≥ n, K2 the gather mask, K3 = add ? all : none
+
+#include "textflag.h"
+
+// One digit's products onto both accumulators: R12 = 24·d indexes the row
+// headers, AX = 8·j the block.
+#define MAC \
+	MOVQ (R9)(R12*1), BX; \
+	VMOVDQU64 (BX)(AX*1), Z5; \
+	MOVQ (R10)(R12*1), DX; \
+	VMOVDQU64 (DX)(AX*1), Z6; \
+	VPMADD52LUQ Z5, Z4, Z0; \
+	VPMADD52HUQ Z5, Z4, Z1; \
+	VPMADD52LUQ Z6, Z4, Z2; \
+	VPMADD52HUQ Z6, Z4, Z3
+
+// L + H·2^52 → its residue in [0, q), left in L. First REDC: with
+// m = L·q^-1 mod 2^52, L − m·q is (⌊L/2^52⌋ − ⌊m·q/2^52⌋)·2^52 exactly, so
+// A = H + ⌊L/2^52⌋ + q − ⌊m·q/2^52⌋ ≡ (L + H·2^52)·2^-52, in [1, 2^52).
+// Second REDC of A·(2^104 mod q) ≡ (L + H·2^52)·2^52: the same steps give
+// P_hi + q − ⌊m'·q/2^52⌋ in [1, 2q), and one correction lands it in [0, q).
+#define CLOSE(L, H) \
+	VPXORQ Z8, Z8, Z8; \
+	VPMADD52LUQ Z30, L, Z8; \
+	VPXORQ Z9, Z9, Z9; \
+	VPMADD52HUQ Z31, Z8, Z9; \
+	VPSRLQ $52, L, L; \
+	VPADDQ L, H, H; \
+	VPADDQ Z31, H, H; \
+	VPSUBQ Z9, H, H; \
+	VPXORQ Z8, Z8, Z8; \
+	VPMADD52LUQ Z29, H, Z8; \
+	VPXORQ L, L, L; \
+	VPMADD52HUQ Z29, H, L; \
+	VPXORQ Z9, Z9, Z9; \
+	VPMADD52LUQ Z30, Z8, Z9; \
+	VPXORQ H, H, H; \
+	VPMADD52HUQ Z31, Z9, H; \
+	VPADDQ Z31, L, L; \
+	VPSUBQ H, L, L; \
+	VPSUBQ Z31, L, Z8; \
+	VPMINUQ Z8, L, L
+
+// Open a block: the accumulators start at out (add) or zero.
+#define OPEN \
+	VMOVDQU64.Z (DI)(AX*1), K3, Z0; \
+	VMOVDQU64.Z (SI)(AX*1), K3, Z2; \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z3, Z3, Z3; \
+	XORQ R12, R12
+
+// Close a block into out0 / out1 and step to the next.
+#define SHUT \
+	CLOSE(Z0, Z1); \
+	CLOSE(Z2, Z3); \
+	VMOVDQU64 Z0, (DI)(AX*1); \
+	VMOVDQU64 Z2, (SI)(AX*1); \
+	ADDQ $64, AX
+
+// func innerProductPairLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool, q, qInv, r2 uint64) bool
+TEXT ·innerProductPairLanes(SB), NOSPLIT, $0-177
+	MOVQ out0_base+0(FP), DI
+	MOVQ out0_len+8(FP), CX
+	MOVQ out1_base+24(FP), SI
+	MOVQ x_base+48(FP), R8
+	MOVQ x_len+56(FP), R13
+	MOVQ k0_base+72(FP), R9
+	MOVQ k1_base+96(FP), R10
+	MOVQ perm_base+120(FP), R11
+	VPBROADCASTQ CX, Z28
+	MOVQ q+152(FP), AX
+	VPBROADCASTQ AX, Z31
+	MOVQ qInv+160(FP), AX
+	VPBROADCASTQ AX, Z30
+	MOVQ r2+168(FP), AX
+	VPBROADCASTQ AX, Z29
+	KXORW K3, K3, K3
+	MOVBQZX add+144(FP), AX
+	TESTQ AX, AX
+	JZ    start
+	KXNORW K3, K3, K3
+
+start:
+	LEAQ (R13)(R13*2), R13
+	SHLQ $3, R13
+	SHLQ $3, CX
+	XORQ AX, AX
+	TESTQ R11, R11
+	JNZ   gathered
+
+inorder:
+	OPEN
+
+inorderdigit:
+	MOVQ (R8)(R12*1), BX
+	VMOVDQU64 (BX)(AX*1), Z4
+	MAC
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JNE  inorderdigit
+	SHUT
+	CMPQ AX, CX
+	JNE  inorder
+	JMP  done
+
+gathered:
+	VMOVDQU64 (R11)(AX*1), Z7
+	VPCMPUQ $5, Z28, Z7, K1
+	KORTESTW K1, K1
+	JNZ  bad
+	OPEN
+
+gathereddigit:
+	MOVQ (R8)(R12*1), BX
+	KXNORW K2, K2, K2
+	VPGATHERQQ (BX)(Z7*8), K2, Z4
+	MAC
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JNE  gathereddigit
+	SHUT
+	CMPQ AX, CX
+	JNE  gathered
+
+done:
+	VZEROUPPER
+	MOVB $1, ret+176(FP)
+	RET
+
+bad:
+	VZEROUPPER
+	MOVB $0, ret+176(FP)
+	RET
+
+// func cpuHasIFMA() bool
+//
+// AVX512F and AVX512IFMA (CPUID leaf 7: EBX bits 16 and 21), with the
+// operating system saving opmask and ZMM state (OSXSAVE, then XCR0 bits 1,
+// 2 and 5–7).
+TEXT ·cpuHasIFMA(SB), NOSPLIT, $0-1
+	XORL CX, CX
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JCS  no
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	BTL  $27, CX
+	JCC  no
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x210000, BX
+	CMPL BX, $0x210000
+	JNE  no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET

@@ -194,7 +194,22 @@ func (m Modulus) VecFoldWide(hi, lo []uint64) {
 // is the most one 128-bit sum may hold, so longer chains are closed run by
 // run, each later run folding onto the residue of the ones before — the
 // result is the canonical residue of the whole sum either way.
+//
+// On a modulus with lanes (Lanes), a length that is a nonzero multiple of 8
+// runs eight coefficients a register (lanes.go) with the same output; perm
+// entries must then lie in [0, len(out0)).
 func (m Modulus) VecInnerProductPair(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
+	if m.Lanes() && len(x) > 0 && len(out0) > 0 && len(out0)%8 == 0 {
+		m.innerProductLanes(out0, out1, x, k0, k1, perm, add)
+		return
+	}
+	m.innerProductGo(out0, out1, x, k0, k1, perm, add)
+}
+
+// innerProductGo is the Go body of VecInnerProductPair, run by run of
+// innerProductRun digits: every modulus off the lanes takes it, and the
+// tests compare the lanes against it.
+func (m Modulus) innerProductGo(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
 	for len(x) > innerProductRun {
 		m.innerProductRun(out0, out1, x[:innerProductRun], k0[:innerProductRun], k1[:innerProductRun], perm, add)
 		x, k0, k1, add = x[innerProductRun:], k0[innerProductRun:], k1[innerProductRun:], true

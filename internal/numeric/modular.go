@@ -5,7 +5,9 @@
 // generation.
 //
 // All moduli are odd integers below 2^61 so that a+b and 4*q never overflow
-// a uint64 and a 128-bit product fits in two 64-bit words.
+// a uint64 and a 128-bit product fits in two 64-bit words. On amd64 CPUs
+// with AVX-512 IFMA, the keyswitch inner product over a modulus below 2^50
+// runs eight coefficients a register (lanes_amd64.s), with the same output.
 package numeric
 
 import (
@@ -64,6 +66,19 @@ func NewModulus(q uint64) Modulus {
 	}
 	return m
 }
+
+// hasLanes reports AVX512F + AVX512IFMA with OS-enabled ZMM state; always
+// false off amd64. It is the one CPU probe, taken once; everything else asks
+// a modulus (Lanes).
+var hasLanes = cpuHasIFMA()
+
+// Lanes reports whether this modulus runs the IFMA52 lanes: the CPU has
+// them and Q is odd and below 2^50, so every residue, and 4Q, fits the
+// 52-bit multiplier. It is the one run-time kernel selection, which
+// ntt.NewTable also reads. A function of Q and the probe, it needs no field:
+// Modulus stays seven words, which the register ABI passes whole beside two
+// scalar arguments (Mul's call of ReduceWide).
+func (m Modulus) Lanes() bool { return hasLanes && m.Q&1 == 1 && m.Q < 1<<50 }
 
 // montgomeryInverse returns q^-1 mod 2^64 for odd q by Newton iteration:
 // x_{k+1} = x_k·(2 − q·x_k) doubles the number of correct low bits, and

@@ -13,6 +13,9 @@ var testModuli = []uint64{
 	2305843009213554689, // 61-bit NTT prime
 	1073479681,          // ~30-bit
 	998244353,           // classic NTT prime
+	1099510054913,       // 40-bit NTT prime: lanes, a run of 4095
+	35184371138561,      // 45-bit NTT prime: lanes, a run of 4095
+	1125899904679937,    // NTT prime just under 2^50: lanes, a run of 12
 }
 
 func TestNewModulusPanics(t *testing.T) {
