@@ -8,8 +8,8 @@ import (
 // Zero-allocation gates for the steady-state loop the arena exists for: a
 // serial evaluator running destination-passing ops at a fixed level must
 // touch the Go heap zero times per op. testing.AllocsPerRun runs each op
-// once as warm-up (lazy pool growth, Montgomery memoization, NTT Galois
-// permutation tables all land there) and then demands exact zero.
+// once as warm-up (lazy pool growth and NTT Galois permutation tables both
+// land there) and then demands exact zero.
 //
 // These gates are the PR's contract. If a change reintroduces a per-op
 // allocation — a closure capturing loop state, a slice header escaping, a

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/big"
 	"math/cmplx"
-	"sync"
 
 	"poseidon/internal/ring"
 )
@@ -44,51 +43,6 @@ type Plaintext struct {
 	Value *ring.Poly
 	Scale float64
 	Level int
-
-	// mont memoizes the lazy Montgomery lift of Value (limb i holds
-	// Value.Coeffs[i]·2^64 mod q_i, entries < 2q_i) so repeated plaintext
-	// multiplications — the BSGS inner loop — skip the per-element lift
-	// inside VecMontMul and run the cheaper VecMRed tail instead. Built on
-	// first use, guarded by montMu, invalidated when Value's limb count
-	// changes (level drop) or via Invalidate.
-	montMu    sync.Mutex
-	mont      *ring.Poly
-	montLimbs int
-}
-
-// Invalidate drops the memoized Montgomery image. Call after mutating Value
-// in place; level changes are detected automatically.
-func (pt *Plaintext) Invalidate() {
-	pt.montMu.Lock()
-	pt.mont = nil
-	pt.montLimbs = 0
-	pt.montMu.Unlock()
-}
-
-// montImage returns the memoized lazy Montgomery lift of pt.Value, building
-// (or rebuilding, after a level drop) it on first use. The composition
-// VecMFormLazy + VecMRed is bit-identical to VecMontMul — it is the same
-// arithmetic split at the same intermediate value — so multiplying against
-// the memo changes no output bit. Safe for concurrent use.
-func (pt *Plaintext) montImage(rq *ring.Ring) *ring.Poly {
-	limbs := len(pt.Value.Coeffs)
-	pt.montMu.Lock()
-	defer pt.montMu.Unlock()
-	if pt.mont != nil && pt.montLimbs == limbs {
-		return pt.mont
-	}
-	m := pt.mont
-	if m == nil || len(m.Coeffs) < limbs {
-		m = rq.NewPoly(limbs)
-	}
-	m.Coeffs = m.Coeffs[:limbs]
-	m.IsNTT = pt.Value.IsNTT
-	for i := 0; i < limbs; i++ {
-		rq.Moduli[i].VecMFormLazy(m.Coeffs[i], pt.Value.Coeffs[i])
-	}
-	pt.mont = m
-	pt.montLimbs = limbs
-	return m
 }
 
 // Encode embeds up to Slots complex values into a fresh plaintext at the

@@ -16,7 +16,7 @@ type Ciphertext struct {
 
 	// seal holds the per-limb residue checksums recorded by
 	// Evaluator.SealIntegrity; nil when the ciphertext is unsealed.
-	// Invalidated whenever the ciphertext is used as an *Into destination.
+	// Dropped when the ciphertext is an *Into destination or is decoded into.
 	seal *integritySeal
 }
 

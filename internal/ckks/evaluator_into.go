@@ -112,20 +112,14 @@ func addRows(mod numeric.Modulus, o, a, b []uint64) {
 	}
 }
 
-// kernMulPlain is PMult. The plaintext's Montgomery image is memoized on
-// first use (see Plaintext.montImage), so repeated multiplications by the
-// same plaintext skip the per-element lift and run only the REDC tail —
-// bit-identical to the Barrett product against the rows as encoded.
-func kernMulPlain(c *opCall) {
-	c.pv = c.pt.montImage(c.ev.params.RingQ)
-	c.pointwise((*opCall).mulPlainLimb, c.x.Scale*c.pt.Scale)
-}
+// kernMulPlain is PMult: the ring's elementwise Montgomery product of each
+// ciphertext row with the plaintext row, the kernel ring.MulCoeffwise runs.
+func kernMulPlain(c *opCall) { c.pointwise((*opCall).mulPlainLimb, c.x.Scale*c.pt.Scale) }
 
-// mulPlainLimb is the REDC tail against the plaintext's Montgomery image.
 func (c *opCall) mulPlainLimb(i int) {
-	mod := c.ev.params.RingQ.Moduli[i]
-	mod.VecMRed(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pv.Coeffs[i])
-	mod.VecMRed(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.pv.Coeffs[i])
+	mod, p := c.ev.params.RingQ.Moduli[i], c.pt.Value.Coeffs[i]
+	mod.VecMontMul(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], p)
+	mod.VecMontMul(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], p)
 }
 
 // pointwise is the kernel of PMult and the scalar ops: one per-limb stage
@@ -133,7 +127,7 @@ func (c *opCall) mulPlainLimb(i int) {
 // vector c and X^{N/2} a vector of two values. Residues stay canonical, so
 // each pass is bit-identical to the op it stands for on the encoded constant.
 func (c *opCall) pointwise(stage func(*opCall, int), scale float64) {
-	if !c.x.C0.IsNTT || !c.x.C1.IsNTT || c.d.binary && !(c.y.C0.IsNTT && c.y.C1.IsNTT) || c.d.plain && !c.pv.IsNTT {
+	if !c.x.C0.IsNTT || !c.x.C1.IsNTT || c.d.binary && !(c.y.C0.IsNTT && c.y.C1.IsNTT) || c.d.plain && !c.pt.Value.IsNTT {
 		panic("ckks: " + c.d.name + ": operands must be in NTT domain")
 	}
 	c.limbwise(stage, scale)

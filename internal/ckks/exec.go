@@ -82,7 +82,6 @@ type opCall struct {
 	// ends. The rest are stage operands.
 	tmp [4]*ring.Poly
 	vec []uint64
-	pv  *ring.Poly // plaintext rows (or their Montgomery image) at the run level
 	dst *ring.Poly // rescale: the polynomial being written …
 	src [][]uint64 // … and the rows it is computed from
 

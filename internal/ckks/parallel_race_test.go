@@ -11,8 +11,8 @@ import (
 // Concurrency tests for the shared-evaluator contract. These are designed to
 // FAIL UNDER `go test -race` if any shared state is written without
 // synchronization: the lazily built caches (HFAuto maps, NTT Galois
-// permutations, RNS digit extenders), the sync.Pool scratch allocators, and
-// the worker pool's admission path. Without -race they also assert
+// permutations, RNS digit extenders), the arena and free-list scratch
+// stacks, and the worker pool's admission path. Without -race they also assert
 // bit-identical results, so an unsynchronized cache that corrupts data (not
 // just races benignly) fails everywhere.
 
@@ -57,7 +57,8 @@ func newRaceContext(t testing.TB) *raceContext {
 // evaluator from many goroutines, each against a serially precomputed
 // expected result. Exercises: concurrent NTT table reads, concurrent lazy
 // HFAuto/permutation cache fills (first touch of each Galois element races
-// on purpose), pool reuse under contention, and the keyswitch scratch pools.
+// on purpose), pool reuse under contention, the keyswitch scratch pools, and
+// one plaintext that every goroutine multiplies by (PMult only reads it).
 func TestConcurrentEvaluationsShareEvaluator(t *testing.T) {
 	rc := newRaceContext(t)
 	const goroutines = 8
@@ -68,6 +69,7 @@ func TestConcurrentEvaluationsShareEvaluator(t *testing.T) {
 		name string
 	}
 	serial := rc.ev.WithWorkers(1)
+	pt := rc.enc.Encode(randomComplex(rand.New(rand.NewSource(99)), rc.params.Slots, 1.0), rc.params.MaxLevel(), rc.params.Scale)
 	jobs := make([]job, goroutines)
 	for i := range jobs {
 		rng := rand.New(rand.NewSource(int64(100 + i)))
@@ -77,7 +79,7 @@ func TestConcurrentEvaluationsShareEvaluator(t *testing.T) {
 		// Precompute the expected result serially, before any concurrency.
 		x := serial.Rescale(serial.MulRelin(ct, ct))
 		x = serial.Add(x, serial.Rotate(x, step))
-		x = serial.Conjugate(x)
+		x = serial.Conjugate(serial.MulPlain(x, pt))
 		jobs[i] = job{ct: ct, want: x, name: fmt.Sprintf("job%d/step%d", i, step)}
 	}
 
@@ -94,7 +96,7 @@ func TestConcurrentEvaluationsShareEvaluator(t *testing.T) {
 			step := []int{1, -1, 2, -2}[i%4]
 			x := ev.Rescale(ev.MulRelin(j.ct, j.ct))
 			x = ev.Add(x, ev.Rotate(x, step))
-			x = ev.Conjugate(x)
+			x = ev.Conjugate(ev.MulPlain(x, pt))
 			if x.Level != j.want.Level || x.Scale != j.want.Scale || !x.C0.Equal(j.want.C0) || !x.C1.Equal(j.want.C1) {
 				errs[i] = fmt.Errorf("%s: concurrent result differs from serial precompute", j.name)
 			}

@@ -227,8 +227,8 @@ func (ev *Evaluator) rotationKey(op string, level int, g uint64) (*SwitchingKey,
 
 // The spot-check predicates: limb i of the elementwise result against the
 // strict reference arithmetic, row by row. MulPlain's recompute is the
-// Barrett product — a genuinely different kernel from the memoized
-// Montgomery path, pinned bit-identical by the numeric package's tests.
+// Barrett product — a different kernel from the Montgomery VecMontMul the
+// op runs, pinned bit-identical by the numeric package's tests.
 
 // rowsAgree reports whether, on limb i, out.C0 == f(x.C0, b0) and
 // out.C1 == f(x.C1, b1) coefficient by coefficient.

@@ -135,7 +135,7 @@ func (ct *Ciphertext) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalBinary decodes into ct (overwriting it).
+// UnmarshalBinary decodes into ct, overwriting it and dropping its seal.
 func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	h, rest, err := parseHeader(data)
 	if err != nil {
@@ -155,7 +155,7 @@ func (ct *Ciphertext) UnmarshalBinary(data []byte) error {
 	if len(rest) != 0 {
 		return corruptErr("%d trailing bytes", len(rest))
 	}
-	ct.C0, ct.C1, ct.Scale, ct.Level = c0, c1, h.scale, h.level
+	ct.C0, ct.C1, ct.Scale, ct.Level, ct.seal = c0, c1, h.scale, h.level, nil
 	return nil
 }
 

@@ -3,6 +3,7 @@ package ckks
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Serialization for evaluation-key material. Switching keys are the bulk of
@@ -98,15 +99,21 @@ func (rlk *RelinearizationKey) UnmarshalBinary(data []byte) error {
 }
 
 // MarshalBinary encodes the rotation key set: a count followed by
-// (galois element, switching key) pairs.
+// (galois element, switching key) pairs in ascending Galois-element order,
+// so one set always marshals to the same bytes.
 func (set *RotationKeySet) MarshalBinary() ([]byte, error) {
 	buf := make([]byte, 0)
 	buf = binary.LittleEndian.AppendUint64(buf, serialMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, serialVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, kindRotationKeySet)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(set.Keys)))
-	for g, swk := range set.Keys {
-		kb, err := swk.MarshalBinary()
+	gs := make([]uint64, 0, len(set.Keys))
+	for g := range set.Keys {
+		gs = append(gs, g)
+	}
+	slices.Sort(gs)
+	for _, g := range gs {
+		kb, err := set.Keys[g].MarshalBinary()
 		if err != nil {
 			return nil, err
 		}

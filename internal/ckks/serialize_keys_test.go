@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 )
@@ -100,5 +101,37 @@ func TestKeySerializationErrors(t *testing.T) {
 	empty := &SwitchingKey{}
 	if _, err := empty.MarshalBinary(); err == nil {
 		t.Error("empty key should refuse to marshal")
+	}
+}
+
+// A rotation key set marshals to the same bytes every time, and two sets
+// generated from one seed marshal alike: keys go out in ascending Galois
+// element order, not in map order.
+func TestRotationKeySetMarshalDeterministic(t *testing.T) {
+	tc := newTestContext(t)
+	steps := []int{1, 2, -3, 5, 8}
+	marshal := func(set *RotationKeySet) []byte {
+		t.Helper()
+		data, err := set.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	set := tc.kgen.GenRotationKeys(tc.sk, steps, true)
+	first := marshal(set)
+	for i := 0; i < 4; i++ {
+		if !bytes.Equal(marshal(set), first) {
+			t.Fatalf("marshal %d of one key set differs from the first", i+2)
+		}
+	}
+
+	kgen := NewKeyGenerator(tc.params, 7)
+	sk := kgen.GenSecretKey()
+	a := marshal(kgen.GenRotationKeys(sk, steps, true))
+	kgen = NewKeyGenerator(tc.params, 7)
+	sk = kgen.GenSecretKey()
+	if b := marshal(kgen.GenRotationKeys(sk, steps, true)); !bytes.Equal(a, b) {
+		t.Fatal("two key sets generated from one seed marshal to different bytes")
 	}
 }

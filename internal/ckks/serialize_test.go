@@ -100,3 +100,50 @@ func TestSerializationErrors(t *testing.T) {
 		t.Error("kind mismatch should error")
 	}
 }
+
+// A plaintext decoded over another multiplies as the one it now holds: PMult
+// reads the plaintext's rows and keeps nothing derived from an earlier call.
+func TestMulPlainAfterPlaintextReload(t *testing.T) {
+	gc := newGuardContext(t)
+	ct, _, pa := gc.inputs(t, 3, gc.params.MaxLevel())
+	_, _, pb := gc.inputs(t, 4, gc.params.MaxLevel())
+	gc.ev.MulPlain(ct, pa)
+
+	data, err := pb.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pa.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	got, want := gc.ev.MulPlain(ct, pa), gc.ev.MulPlain(ct, pb)
+	if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) {
+		t.Fatal("MulPlain by a reloaded plaintext differs from MulPlain by the plaintext it was loaded from")
+	}
+}
+
+// Decoding into a sealed ciphertext drops the seal, which described the old
+// contents: with guards on, the decoded value is an operand like any other.
+func TestCiphertextUnmarshalDropsSeal(t *testing.T) {
+	gc := newGuardContext(t)
+	ev := gc.ev
+	ev.EnableGuards(7)
+	a, b, _ := gc.inputs(t, 5, gc.params.MaxLevel())
+	ev.SealIntegrity(a)
+
+	data, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ev.TryAddInto(nil, a, a)
+	if err != nil {
+		t.Fatalf("Add of a ciphertext decoded over a sealed one: %v", err)
+	}
+	want := NewEvaluator(gc.params, nil, nil).Add(b, b)
+	if !got.C0.Equal(want.C0) || !got.C1.Equal(want.C1) {
+		t.Fatal("Add of the decoded ciphertext differs from Add of its source")
+	}
+}

@@ -75,7 +75,7 @@ func TestConvolutionTheorem(t *testing.T) {
 		tab.Forward(fa)
 		tab.Forward(fb)
 		c := make([]uint64, n)
-		tab.MulEval(c, fa, fb)
+		tab.Mod.VecMontMul(c, fa, fb)
 		tab.Inverse(c)
 		for i := range c {
 			if c[i] != want[i] {

@@ -80,65 +80,6 @@ func (m Modulus) VecMontMul(c, a, b []uint64) {
 	}
 }
 
-// VecMFormLazy sets dst[i] to the lazy Montgomery lift of src[i]:
-// dst[i] ≡ src[i]·2^64 (mod q) with dst[i] < 2q. This is EXACTLY the lift
-// VecMontMul computes internally for its b operand, hoisted out so callers
-// multiplying by the same vector repeatedly (memoized plaintext operands)
-// can pay for it once and then use VecMRed/VecMRedAdd.
-func (m Modulus) VecMFormLazy(dst, src []uint64) {
-	q := m.Q
-	r, rs := m.RModQ, m.RModQShoup
-	src = src[:len(dst)]
-	for i := range dst {
-		bi := src[i]
-		bh, _ := bits.Mul64(bi, rs)
-		dst[i] = bi*r - bh*q
-	}
-}
-
-// VecMRed sets c[i] = a[i]·bm[i]·2^-64 mod q where bm is a lazy Montgomery
-// lift (bm[i] < 2q, e.g. from VecMFormLazy). Composing VecMFormLazy with
-// VecMRed is bit-identical to VecMontMul — it is the same code split at the
-// same intermediate value.
-func (m Modulus) VecMRed(c, a, bm []uint64) {
-	q, qInv := m.Q, m.QInv
-	a = a[:len(c)]
-	bm = bm[:len(c)]
-	for i := range c {
-		hi, lo := bits.Mul64(a[i], bm[i])
-		red := lo * qInv
-		h, _ := bits.Mul64(red, q)
-		t := hi - h + q
-		if t >= q {
-			t -= q
-		}
-		c[i] = t
-	}
-}
-
-// VecMRedAdd sets c[i] = (c[i] + a[i]·bm[i]·2^-64) mod q for a lazy
-// Montgomery-lifted bm — the multiply-accumulate companion of VecMRed,
-// bit-identical to VecMontMulAdd after VecMFormLazy.
-func (m Modulus) VecMRedAdd(c, a, bm []uint64) {
-	q, qInv := m.Q, m.QInv
-	a = a[:len(c)]
-	bm = bm[:len(c)]
-	for i := range c {
-		hi, lo := bits.Mul64(a[i], bm[i])
-		red := lo * qInv
-		h, _ := bits.Mul64(red, q)
-		t := hi - h + q
-		if t >= q {
-			t -= q
-		}
-		s := c[i] + t
-		if s >= q {
-			s -= q
-		}
-		c[i] = s
-	}
-}
-
 // VecMontMulAdd sets c[i] = (c[i] + a[i]·b[i]) mod q, bit-identical to
 // Add(c[i], Mul(a[i], b[i])) — the multiply-accumulate companion of
 // VecMontMul.

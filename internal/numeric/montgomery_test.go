@@ -102,8 +102,9 @@ func TestMRedLazyBounds(t *testing.T) {
 	}
 }
 
-// The vector Montgomery kernels (the ring's elementwise path) must be
-// bit-identical to the scalar Barrett reference.
+// The vector Montgomery kernels (the ring's elementwise path, PMult
+// included) must be bit-identical to the scalar Barrett reference, on edge
+// residues as on random ones.
 func TestVecMontMulMatchesMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	const n = 33 // odd length: no accidental alignment
@@ -115,20 +116,24 @@ func TestVecMontMulMatchesMul(t *testing.T) {
 		for j := 0; j < n; j++ {
 			a[j], b[j], acc[j] = rng.Uint64()%q, rng.Uint64()%q, rng.Uint64()%q
 		}
-		a[0], b[0] = q-1, q-1
-		a[1], b[1] = 0, q-1
-		c := make([]uint64, n)
-		m.VecMontMul(c, a, b)
-		for j := 0; j < n; j++ {
-			if want := m.Mul(a[j], b[j]); c[j] != want {
-				t.Fatalf("q=%d VecMontMul[%d]=%d want %d", q, j, c[j], want)
-			}
-		}
-		got := append([]uint64(nil), acc...)
-		m.VecMontMulAdd(got, a, b)
-		for j := 0; j < n; j++ {
-			if want := m.Add(acc[j], m.Mul(a[j], b[j])); got[j] != want {
-				t.Fatalf("q=%d VecMontMulAdd[%d]=%d want %d", q, j, got[j], want)
+		copy(a, []uint64{0, 1, q - 1, q / 2, q - 1})
+		copy(b, []uint64{q - 1, 0, q - 1, 1, q - 1})
+		copy(acc, []uint64{q - 1, 0, q - 1, q - 1, 0})
+		for _, k := range []struct {
+			name string
+			run  func(c, a, b []uint64)
+			want func(j int) uint64
+			init []uint64
+		}{
+			{"VecMontMul", m.VecMontMul, func(j int) uint64 { return m.Mul(a[j], b[j]) }, make([]uint64, n)},
+			{"VecMontMulAdd", m.VecMontMulAdd, func(j int) uint64 { return m.Add(acc[j], m.Mul(a[j], b[j])) }, acc},
+		} {
+			got := append([]uint64(nil), k.init...)
+			k.run(got, a, b)
+			for j := 0; j < n; j++ {
+				if want := k.want(j); got[j] != want {
+					t.Fatalf("q=%d %s[%d]=%d want %d (a=%d b=%d)", q, k.name, j, got[j], want, a[j], b[j])
+				}
 			}
 		}
 	}
