@@ -1,9 +1,13 @@
 package ckks
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
+
+	"poseidon/internal/fault"
+	"poseidon/internal/trace"
 )
 
 // bootFixture is a B9-shaped bootstrapper (K = 28) on a ring of the given
@@ -144,7 +148,9 @@ func TestNewBootstrapperShortChain(t *testing.T) {
 // recovery policy on the bootstrapper's evaluator — every plan op sealed,
 // re-verified and staged through recovery scratch, the new scalar ops
 // included — the refreshed ciphertext is the unguarded one, bit for bit,
-// and every slot comes back.
+// and every slot comes back. Both linear-transform outputs inside it are
+// sealed: a sticky flip on the first read of either — by the Rescale that
+// follows it — fails the Bootstrap with ErrIntegrity, returned, not panicked.
 func TestBootstrapGuardedMatches(t *testing.T) {
 	fx := newBootFixture(t, 7, 0)
 	want, err := fx.boot.Bootstrap(fx.ct)
@@ -174,4 +180,33 @@ func TestBootstrapGuardedMatches(t *testing.T) {
 	if inUse := fx.params.ArenaStats().BytesInUse; inUse != 0 {
 		t.Errorf("arena holds %d bytes after a guarded Bootstrap", inUse)
 	}
+
+	// The HBM read-back count when each transform has finished is the visit
+	// of the first read of its output.
+	in := fault.NewInjector(17)
+	fx.params.RingQ.SetFaultInjector(in)
+	defer fx.params.RingQ.SetFaultInjector(nil)
+	var marks []uint64
+	ev.SetObserver(sinkFunc(func(e trace.OpEvent) {
+		if e.Op == "LinTrans" && e.Phase == "finish" {
+			marks = append(marks, in.Stats().VisitsAt(fault.SiteHBM))
+		}
+	}))
+	if _, err := fx.boot.Bootstrap(fx.ct); err != nil || len(marks) != 2 {
+		t.Fatalf("marking run: %v, %d transforms finished, want 2", err, len(marks))
+	}
+	for k, visit := range marks {
+		in.ResetVisits()
+		in.ArmAtMode(fault.SiteHBM, fault.BitFlip, visit, fault.Sticky, 0)
+		var oe *OpError
+		if _, err := fx.boot.Bootstrap(fx.ct); !errors.As(err, &oe) || oe.Op != "Rescale" || !errors.Is(err, ErrIntegrity) {
+			t.Errorf("transform %d: a flip in its output gave %v, want the Rescale reading it to fail with ErrIntegrity", k, err)
+		}
+	}
 }
+
+// sinkFunc is a trace.OpSink that calls itself, as safe for concurrent
+// events as the function is.
+type sinkFunc func(trace.OpEvent)
+
+func (f sinkFunc) ObserveOp(e trace.OpEvent) { f(e) }

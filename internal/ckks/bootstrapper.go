@@ -197,11 +197,16 @@ func (b *Bootstrapper) SlotToCoeff(ct0, ct1 *Ciphertext) *Ciphertext {
 // otherwise. On a pool of two those streams are the whole bound — their limb
 // stages would find it saturated and run inline — so they get a serial
 // evaluator and skip the dispatch; on a wider pool spare tokens, and the
-// early finisher's, flow to the inner stages.
-func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (*Ciphertext, error) {
-	if ct == nil || !sameScale(ct.Scale, b.params.Scale) {
+// early finisher's, flow to the inner stages. A malformed ct is
+// ErrInvalidInput, and the *OpError any step fails with is returned.
+func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (_ *Ciphertext, err error) {
+	if err := b.ev.validIn("Bootstrap", ct); err != nil {
+		return nil, err
+	}
+	if !sameScale(ct.Scale, b.params.Scale) {
 		return nil, fmt.Errorf("ckks: bootstrap expects a ciphertext at scale Δ=%g", b.params.Scale)
 	}
+	defer recoverOp("Bootstrap", &ct.Level, &err)
 	var half [2]*Ciphertext
 	half[0], half[1] = b.CoeffToSlot(b.ModRaise(ct))
 	ev := b.ev

@@ -6,11 +6,13 @@ import (
 	"poseidon/internal/trace"
 )
 
-// Double-hoisted linear transforms: the one linear-transform engine. The
-// per-rotation schedule it is measured against below is a test reference
-// (per_rotation_test.go), built from the basic ops alone. Every stage here —
-// the P·ct lift included — is an ltState or ksDigits method under ring.Run /
-// ring.RunChunks; the engine reaches the pool no other way.
+// Double-hoisted linear transforms: the one linear-transform engine, the
+// kernel exec runs for opLinTrans (preLinTrans in safe.go cuts the level and
+// resolves the keys). The per-rotation schedule it is measured against below
+// is a test reference (per_rotation_test.go), built from the basic ops alone.
+// Every stage here — the P·ct lift included — is an ltState or ksDigits
+// method under ring.Run / ring.RunChunks; the engine reaches the pool no
+// other way.
 //
 // The per-rotation BSGS schedule pays one full keyswitch — digit MACs plus
 // an inverse-NTT sweep and a ModDown — for every baby-step rotation AND
@@ -73,7 +75,7 @@ func (a *qpAccum) row1(qLimbs, i int) []uint64 {
 // ltState bundles the double-hoisted engine's per-call state so every stage
 // is a method the stage runner (ring.Run) dispatches — a plain loop at
 // workers=1, no closures, no allocations. Records are recycled
-// through the Parameters free list (getLtState/putLtState) and keep their
+// through the Parameters free list (popFree / pushFree) and keep their
 // slice capacities across checkouts, so a steady-state transform loop
 // allocates nothing beyond the result ciphertext.
 type ltState struct {
@@ -95,8 +97,8 @@ type ltState struct {
 	ct         *Ciphertext
 	ctP0, ctP1 *ring.Poly
 
-	babies   []qpAccum       // lazy QP rotations, one per plan baby step
-	babyKeys []*SwitchingKey // their rotation keys, resolved before the sweep
+	babies []qpAccum       // lazy QP rotations, one per plan baby step
+	keys   []*SwitchingKey // the call's rotation keys, in plan.keyGal order
 
 	grp   qpAccum    // per-group staging (reduction target of a j ≠ 0 group)
 	c1Std *ring.Poly // group c1 after its single ModDown (coeff domain, Q)
@@ -112,16 +114,12 @@ type ltState struct {
 	stats LinTransStats
 }
 
-// reset binds the record to one evaluation; acquire draws the scratch.
-func (st *ltState) reset(ev *Evaluator, plan *LinearTransformPlan, level int) {
-	st.bind(ev.params, level)
-	st.ev = ev
-	st.plan = plan
-	st.stats = LinTransStats{}
-}
-
-func (st *ltState) acquire() {
-	params := st.ev.params
+// acquire binds the record to one evaluation and draws its scratch.
+func (st *ltState) acquire(c *opCall) {
+	params, plan := c.ev.params, c.lt.plan
+	st.bind(params, c.level)
+	st.ev, st.plan, st.keys = c.ev, plan, c.keys
+	st.stats = LinTransStats{BabySteps: len(plan.babySteps), GiantSteps: len(plan.groups)}
 	rq := params.RingQ
 	st.ctP0 = rq.GetPolyDirty(st.qLimbs)
 	st.ctP1 = rq.GetPolyDirty(st.qLimbs)
@@ -153,12 +151,10 @@ func (st *ltState) release() {
 		params.putAccum(&st.babies[k])
 	}
 	st.babies = st.babies[:0]
-	clear(st.babyKeys)
-	st.babyKeys = st.babyKeys[:0]
 	params.putAccum(&st.acc)
 	params.putAccum(&st.grp)
 	releasePoly(rq, &st.c1Std)
-	st.g, st.key = nil, nil
+	st.g, st.key, st.keys = nil, nil, nil
 	st.plan, st.ct = nil, nil
 	st.p0, st.p1 = nil, nil
 	st.ev = nil
@@ -168,49 +164,37 @@ func (st *ltState) release() {
 // EvaluateLinearTransform applies lt to ct with the double-hoisted schedule
 // described at the top of this file: shared baby-step decomposition, lazy
 // extended-basis baby rotations, one ModDown per giant-step group, one
-// final close. The result encrypts M·slots(ct) with scale
-// ct.Scale·lt.Scale (rescale afterwards). Requires rotation keys for
-// lt.Plan().GaloisElements(). The result is decrypt-equivalent to — but not
-// bit-identical with — the per-rotation reference schedule (ModDown rounding
-// is regrouped; the difference is O(1) ring units, far below the noise
-// floor).
+// final close. The result, at lt.Level (a higher ct is dropped to it),
+// encrypts M·slots(ct) with scale ct.Scale·lt.Scale (rescale afterwards).
+// It needs the keys of lt.Plan().GaloisElements(): without one it panics
+// with ErrKeyMissing before any work. The result is decrypt-equivalent to —
+// but not bit-identical with — the per-rotation reference schedule (ModDown
+// rounding is regrouped; the difference is O(1) ring units, far below the
+// noise floor).
 func (ev *Evaluator) EvaluateLinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	out := NewCiphertext(ev.params, lt.Level)
-	ev.evalDoubleHoisted(out, ct, lt)
-	return out
+	return must(ev.exec(&opLinTrans, nil, operands{a: ct, lt: lt}))
 }
 
 // EvaluateLinearTransformInto is EvaluateLinearTransform writing into dst
 // (resliced to the transform level; dst may alias ct). Returns dst.
 func (ev *Evaluator) EvaluateLinearTransformInto(dst, ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	ev.evalDoubleHoisted(dst, ct, lt)
-	return dst
+	return must(ev.exec(&opLinTrans, dst, operands{a: ct, lt: lt}))
 }
 
 // EvaluateLinearTransformWithStats is EvaluateLinearTransform returning the
 // per-call work counters (counted inline by the engine, not estimated).
-func (ev *Evaluator) EvaluateLinearTransformWithStats(ct *Ciphertext, lt *LinearTransform) (*Ciphertext, LinTransStats) {
-	out := NewCiphertext(ev.params, lt.Level)
-	stats := ev.evalDoubleHoisted(out, ct, lt)
+func (ev *Evaluator) EvaluateLinearTransformWithStats(ct *Ciphertext, lt *LinearTransform) (out *Ciphertext, stats LinTransStats) {
+	out = must(ev.exec(&opLinTrans, nil, operands{a: ct, lt: lt, stats: &stats}))
 	return out, stats
 }
 
-// evalDoubleHoisted is the engine driver. One timed "LinTrans" op is
-// reported per giant-step group — matching the accelerator model, whose
-// trace.LinTrans profile prices one group — plus one event per engine phase,
-// timing detail nested around those ops.
-func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform) LinTransStats {
-	if ct.Level < lt.Level {
-		panic(opErr("LinTrans", ct.Level, ErrLevelExhausted, "transform needs level %d, ciphertext at %d", lt.Level, ct.Level))
-	}
-	if ct.Level > lt.Level {
-		ct = ev.DropLevel(ct, lt.Level)
-	}
-	plan := lt.Plan()
-	params := ev.params
-	level := lt.Level
-	scale := ct.Scale * lt.Scale
-
+// kernLinTrans is the engine on c.x into c.out. The descriptor is unobserved:
+// one timed "LinTrans" op is reported per giant-step group — the unit the
+// accelerator model's trace.LinTrans profile prices — plus one event per
+// engine phase, timing detail nested around those ops.
+func kernLinTrans(c *opCall) {
+	ev, plan, level, dst := c.ev, c.lt.plan, c.level, c.out
+	scale := c.x.Scale * c.lt.Scale
 	if len(plan.groups) == 0 {
 		// All-zero matrix: write a zero ciphertext without staging a copy.
 		reshapeCt(dst, level)
@@ -220,21 +204,15 @@ func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform)
 		}
 		dst.C0.IsNTT, dst.C1.IsNTT = true, true
 		dst.Scale = scale
-		return LinTransStats{BabySteps: 0, GiantSteps: 0}
+		return
 	}
 
-	st := popFree(params, &params.ltFree)
+	st := popFree(ev.params, &ev.params.ltFree)
 	defer st.release()
-	st.reset(ev, plan, level)
-	for _, g := range plan.babyGal {
-		st.babyKeys = append(st.babyKeys, must(ev.rotationKey("LinTrans", level, g)))
-	}
-	st.acquire()
-	st.stats.BabySteps = len(plan.babySteps)
-	st.stats.GiantSteps = len(plan.groups)
+	st.acquire(c)
 
 	sp := ev.beginOp("hoist")
-	st.hoist(ct)
+	st.hoist(c.x)
 	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "hoist", Level: level})
 
 	sp = ev.beginOp("baby")
@@ -249,7 +227,9 @@ func (ev *Evaluator) evalDoubleHoisted(dst, ct *Ciphertext, lt *LinearTransform)
 	st.finish(dst, scale)
 	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "finish", Level: level})
 
-	return st.stats
+	if c.stats != nil {
+		*c.stats = st.stats
+	}
 }
 
 // hoist runs the shared phase: the baby-step digit decomposition of ct.C1
@@ -301,7 +281,7 @@ func (st *ltState) babySweepStage(i int) {
 	for k, perm := range st.plan.babyPerm {
 		b := &st.babies[k]
 		o0 := b.row0(st.qLimbs, i)
-		st.innerProduct(i, st.babyKeys[k], perm, o0, b.row1(st.qLimbs, i), false)
+		st.innerProduct(i, st.keys[k], perm, o0, b.row1(st.qLimbs, i), false)
 		if i < st.qLimbs {
 			addVecGather(mod, o0, st.ctP0.Coeffs[i], perm)
 		}
@@ -322,11 +302,8 @@ func (st *ltState) giantPhase() {
 	for gi := range st.plan.groups {
 		g := &st.plan.groups[gi]
 		sp := ev.beginOp("LinTrans")
-		st.g = g
+		st.g, st.key = g, st.keys[len(st.plan.babySteps)+gi]
 		st.stats.PlainMACs += len(g.terms)
-		if g.j != 0 {
-			st.key = must(ev.rotationKey("LinTrans", st.level, g.gal))
-		}
 		need := 3 * len(g.terms) * st.ext1
 		if cap(st.macRows) < need {
 			st.macRows = make([][]uint64, need)
@@ -490,5 +467,4 @@ func (st *ltState) finish(dst *Ciphertext, scale float64) {
 	st.stats.ModDownSweeps += 2
 	st.stats.NTTLimbs += 2 * st.qLimbs
 	dst.Scale = scale
-	st.p0, st.p1 = nil, nil
 }

@@ -94,10 +94,11 @@ func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
 	return ev.DropLevel(ct, level)
 }
 
-// DropLevel returns a view of ct at the lower level newLevel.
+// DropLevel returns a view of ct at the lower level newLevel. Raising the
+// level, or a negative one, panics with an *OpError wrapping ErrInvalidInput.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, newLevel int) *Ciphertext {
-	if newLevel > ct.Level {
-		panic("ckks: DropLevel cannot raise level")
+	if newLevel > ct.Level || newLevel < 0 {
+		panic(opErr("DropLevel", ct.Level, ErrInvalidInput, "cannot drop level %d to %d", ct.Level, newLevel))
 	}
 	return &Ciphertext{
 		C0:    prefix(ct.C0, newLevel+1),

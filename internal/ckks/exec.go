@@ -9,11 +9,11 @@ import (
 )
 
 // How an op runs. The accelerator has one control path that issues every
-// basic operation as a short program over five shared operator cores; the
-// evaluator has one exec. Each basic op is described once, as an opDesc (the
-// table is in safe.go, the kernels in evaluator_into.go), and each of its
-// three surfaces — X, XInto, TryXInto — is a one-line call of exec, which
-// owns, in this order and nowhere else:
+// operation, slot transforms included, as a short program over five shared
+// operator cores; the evaluator has one exec. Each op — the ten basic ops and
+// the linear transform — is described once, as an opDesc (the table is in
+// safe.go), and each of its surfaces — X, XInto, TryXInto — is a one-line
+// call of exec, which owns, in this order and nowhere else:
 //
 //  1. structural validation of the operands (validIn / validPt);
 //  2. the op's preconditions (scale match, key present, level left to drop,
@@ -24,7 +24,8 @@ import (
 //     RecoveryPolicy installed attempts run into arena scratch and are
 //     re-executed on ErrIntegrity (recovery.go);
 //  4. the output seal;
-//  5. the op's one event, for either outcome, retries included (observer.go).
+//  5. the op's one event, for either outcome, retries included (observer.go);
+//     the transform's kernel reports its phases and giant-step groups instead.
 //
 // The surfaces differ only in how the outcome is delivered: TryXInto returns
 // the *OpError, X and XInto panic with that same *OpError (must). A nil
@@ -56,6 +57,9 @@ type operands struct {
 	key  *SwitchingKey
 	g    uint64   // Galois element of a rotation or conjugation
 	h    *Hoisted // hoisted handle (Hoist fills it, Hoisted.Rotate replays it)
+
+	lt    *LinearTransform
+	stats *LinTransStats // when non-nil, the transform's kernel fills it
 }
 
 // opCall is exec's per-call record: the operands, what validation derived
@@ -68,10 +72,11 @@ type opCall struct {
 	ev *Evaluator
 	d  *opDesc
 
-	run   int         // level the op runs (and is observed) at: the lowest operand level
-	level int         // result level, run − d.drop; what an OpError of this call reports
-	x, y  *Ciphertext // a and b cut to the run level
-	out   *Ciphertext // destination of the running attempt
+	run   int             // level the op runs (and is observed) at: the lowest operand level, unless pre moves it
+	level int             // result level, run − d.drop; what an OpError of this call reports
+	x, y  *Ciphertext     // a and b cut to the run level
+	keys  []*SwitchingKey // a transform's rotation keys, resolved by preLinTrans
+	out   *Ciphertext     // destination of the running attempt
 	span  opSpan
 
 	retries  int           // re-executions the recovery loop performed …
@@ -167,9 +172,9 @@ func (c *opCall) validate(out *Ciphertext) error {
 			return opErr(d.name, c.level, ErrAliasedDestination, "destination must not alias an operand")
 		}
 	}
-	c.x = ev.atLevel(c.a, run)
+	c.x = ev.atLevel(c.a, c.run)
 	if d.binary {
-		c.y = ev.atLevel(c.b, run)
+		c.y = ev.atLevel(c.b, c.run)
 	}
 	return nil
 }
@@ -247,6 +252,7 @@ func (c *opCall) finish(err *error) {
 	} else {
 		c.span.cancel()
 	}
-	*c = opCall{}
+	clear(c.keys)
+	*c = opCall{keys: c.keys[:0]} // the key slice keeps its capacity, as ltState's do
 	pushFree(ev.params, &ev.params.opFree, c)
 }

@@ -3,7 +3,6 @@ package ckks
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"poseidon/internal/automorph"
 	"poseidon/internal/ring"
@@ -17,7 +16,7 @@ import (
 // lazy (not-yet-ModDowned) baby-step rotations; see double_hoist.go.
 type LinearTransform struct {
 	N1    int // baby-step width
-	Level int // evaluation level (input must be at this level)
+	Level int // evaluation level: a higher input is dropped to it, a lower one refused
 	Scale float64
 
 	ringQ *ring.Ring // fixes the ring degree and resolves Galois permutations
@@ -30,10 +29,7 @@ type LinearTransform struct {
 	diag  map[int]*Plaintext
 	diagP map[int]*ring.Poly
 
-	// plan caches the evaluation plan (diagonal grouping, Galois elements,
-	// key layout), built once on first use.
-	planMu sync.Mutex
-	plan   *LinearTransformPlan
+	plan *LinearTransformPlan // built with the transform
 }
 
 // LinearTransformPlan is the precomputed evaluation schedule of one
@@ -44,12 +40,9 @@ type LinearTransform struct {
 // per-rotation) run off the plan, so operator traces and telemetry spans are
 // reproducible run-to-run.
 type LinearTransformPlan struct {
-	lt *LinearTransform
-	n1 int
-
 	babySteps []int    // sorted nonzero inner rotation steps
-	babyGal   []uint64 // Galois element per baby step
-	babyPerm  [][]int  // its NTT-domain permutation
+	babyPerm  [][]int  // the NTT-domain permutation of each
+	keyGal    []uint64 // Galois element of each baby step, then of each group (1 for j = 0)
 
 	groups []ltGroup // giant-step groups, sorted by outer step j
 
@@ -60,8 +53,7 @@ type LinearTransformPlan struct {
 // ltGroup is one giant-step group: the diagonals sharing outer step j.
 type ltGroup struct {
 	j     int
-	gal   uint64 // Galois element of the giant rotation (1 when j == 0)
-	perm  []int  // its NTT-domain permutation (nil when j == 0)
+	perm  []int // the giant rotation's NTT-domain permutation (nil when j == 0)
 	terms []ltPlanTerm
 }
 
@@ -73,23 +65,15 @@ type ltPlanTerm struct {
 	ptP     *ring.Poly
 }
 
-// Plan returns the transform's cached evaluation plan, building it on first
-// use. Safe for concurrent use.
-func (lt *LinearTransform) Plan() *LinearTransformPlan {
-	lt.planMu.Lock()
-	defer lt.planMu.Unlock()
-	if lt.plan == nil {
-		lt.plan = lt.buildPlan()
-	}
-	return lt.plan
-}
+// Plan returns the transform's evaluation plan.
+func (lt *LinearTransform) Plan() *LinearTransformPlan { return lt.plan }
 
 func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	n1 := lt.N1
 	ds := lt.ds
 	ringN := lt.ringQ.N
 
-	p := &LinearTransformPlan{lt: lt, n1: n1}
+	p := &LinearTransformPlan{}
 
 	// Baby steps, sorted, with a step → slot index for the group terms.
 	seenBaby := map[int]bool{}
@@ -101,12 +85,11 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 	}
 	sort.Ints(p.babySteps)
 	babyIdx := make(map[int]int, len(p.babySteps))
-	p.babyGal = make([]uint64, len(p.babySteps))
 	p.babyPerm = make([][]int, len(p.babySteps))
 	for k, s := range p.babySteps {
 		babyIdx[s] = k
-		p.babyGal[k] = automorph.GaloisElementForRotation(s, ringN)
-		p.babyPerm[k] = lt.ringQ.NTTGaloisPermutation(p.babyGal[k])
+		p.keyGal = append(p.keyGal, automorph.GaloisElementForRotation(s, ringN))
+		p.babyPerm[k] = lt.ringQ.NTTGaloisPermutation(p.keyGal[k])
 	}
 
 	// Giant-step groups: ds is sorted, so j = ⌊d/n1⌋·n1 is nondecreasing
@@ -115,9 +98,10 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 		i := d % n1
 		j := d - i
 		if len(p.groups) == 0 || p.groups[len(p.groups)-1].j != j {
-			g := ltGroup{j: j, gal: automorph.GaloisElementForRotation(j, ringN)}
+			g := ltGroup{j: j}
+			p.keyGal = append(p.keyGal, automorph.GaloisElementForRotation(j, ringN))
 			if j != 0 {
-				g.perm = lt.ringQ.NTTGaloisPermutation(g.gal)
+				g.perm = lt.ringQ.NTTGaloisPermutation(p.keyGal[len(p.keyGal)-1])
 			}
 			p.groups = append(p.groups, g)
 		}
@@ -158,8 +142,7 @@ func (p *LinearTransformPlan) GaloisElements() []uint64 {
 }
 
 // Rotations returns the rotation steps required to evaluate the transform,
-// sorted ascending (delegates to the cached plan, so repeated calls are
-// cheap and the order is reproducible).
+// sorted ascending (delegates to the plan, so the order is reproducible).
 func (lt *LinearTransform) Rotations() []int {
 	return lt.Plan().Rotations()
 }
@@ -246,6 +229,7 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 		}
 		lt.diag[d], lt.diagP[d] = enc.encodeQP(rot, level, scale)
 	}
+	lt.plan = lt.buildPlan()
 	return lt, nil
 }
 
@@ -270,7 +254,7 @@ func (p *Parameters) ltShape(level int) ltShape {
 
 // splitCost prices the double-hoisted evaluation of the non-zero diagonals
 // ds (ascending) at baby-step width n1, in row traversals: every N-word row
-// a stage of evalDoubleHoisted loads or stores counts one, a gathered read
+// a stage of kernLinTrans loads or stores counts one, a gathered read
 // included, a read-modify-write two, and an in-place transform pass two per
 // limb. One line per stage the engine executes; stages whose cost does not
 // depend on the split (the P·ct lift, the final close) are left out. keys

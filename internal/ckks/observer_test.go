@@ -255,10 +255,11 @@ func (fx *eventFixture) runAll(t *testing.T, log *eventLog) {
 }
 
 // TestOpEventsPerCall is the emit contract, site by site: what each of the
-// fifteen descriptors and the linear-transform engine reports for each
-// outcome, what the recovery loop adds, and that two evaluators sharing the
-// parameter set's record free list and one sink neither lose, duplicate nor
-// mix up events (the point of running it under -race).
+// fifteen basic-op descriptors and the linear transform (the sixteenth,
+// driven through its surface) reports for each outcome, what the recovery
+// loop adds, and that two evaluators sharing the parameter set's record free
+// list and one sink neither lose, duplicate nor mix up events (the point of
+// running it under -race).
 func TestOpEventsPerCall(t *testing.T) {
 	params := eventParams(t)
 	kgen := NewKeyGenerator(params, 42)
@@ -286,7 +287,7 @@ func TestOpEventsPerCall(t *testing.T) {
 
 	fx := newEventFixture(t, ev, kgen, sk, lts[0])
 	if len(fx.rows) != 15 {
-		t.Fatalf("%d descriptors in the table, safe.go declares 15", len(fx.rows))
+		t.Fatalf("%d descriptors in the table, safe.go declares 15 besides opLinTrans", len(fx.rows))
 	}
 	fx.runAll(t, log)
 	solo := sigsOf(log.at(fx.level))

@@ -82,12 +82,14 @@ func (ev *Evaluator) validDest(op string, out *Ciphertext, level int) error {
 	return ev.validRows(op, "destination", level, out.C1.Coeffs[:limbs], limbs)
 }
 
-// The ten basic ops plus the two halves of a hoisted rotation, each described
-// once. Sub shares HAdd's trace name (the accelerator prices them alike);
-// Rotate and Conjugate are one descriptor and differ in the Galois element
-// their surfaces pass. HNeg is not a traced kind, so Neg is not observed.
-// The scalar ops are PMult and HAddPlain by a real constant with no
-// polynomial built or transformed (see opCall.pointwise).
+// The ten basic ops, the two halves of a hoisted rotation and the linear
+// transform, each described once. Sub shares HAdd's trace name (the
+// accelerator prices them alike); Rotate and Conjugate are one descriptor
+// and differ in the Galois element their surfaces pass. HNeg is not a traced
+// kind, so Neg is not observed; the transform reports from its kernel, per
+// phase and per giant-step group (double_hoist.go). The scalar ops are PMult
+// and HAddPlain by a real constant with no polynomial built or transformed
+// (see opCall.pointwise).
 var (
 	opAdd       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernAdd, spot: spotAdd}
 	opSub       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernSub, spot: spotSub}
@@ -106,6 +108,8 @@ var (
 
 	opHoist         = opDesc{name: "Rotation", noDest: true, pre: preHoist, kernel: kernHoist}
 	opHoistedRotate = opDesc{name: "Rotation", observe: true, pre: preHoistedRotate, kernel: kernHoistedRotate}
+
+	opLinTrans = opDesc{name: "LinTrans", pre: preLinTrans, kernel: kernLinTrans}
 )
 
 // otherScale is the scale of the second operand, whichever kind it is: for
@@ -114,6 +118,8 @@ func (c *opCall) otherScale() float64 {
 	switch {
 	case c.d.plain:
 		return c.pt.Scale
+	case c.lt != nil:
+		return c.lt.Scale
 	case c.s == nil:
 		return c.b.Scale
 	case c.d.binary:
@@ -151,11 +157,9 @@ func preRescale(c *opCall) error {
 	return nil
 }
 
-// preGalois resolves the rotation key of c.g; the identity needs none.
+// preGalois resolves the rotation key of c.g.
 func preGalois(c *opCall) (err error) {
-	if c.g != 1 {
-		c.key, err = c.ev.rotationKey(c.d.name, c.level, c.g)
-	}
+	c.key, err = c.ev.rotationKey(c.d.name, c.level, c.g)
 	return err
 }
 
@@ -164,6 +168,27 @@ func preKeySwitch(c *opCall) error {
 		return opErr(c.d.name, c.level, ErrKeyMissing, "nil switching key")
 	}
 	return c.key.covers(c.ev.params, c.d.name, c.level)
+}
+
+// preLinTrans runs a transform at its own level — a higher input is cut to
+// it, a lower one refused — checks the product scale as PMult does, and
+// resolves every rotation key the plan reads before any stage runs.
+func preLinTrans(c *opCall) error {
+	if c.run < c.lt.Level {
+		return opErr(c.d.name, c.run, ErrLevelExhausted, "transform needs level %d, ciphertext at %d", c.lt.Level, c.run)
+	}
+	c.run, c.level = c.lt.Level, c.lt.Level
+	if err := preNoise(c); err != nil {
+		return err
+	}
+	for _, g := range c.lt.plan.keyGal {
+		key, err := c.ev.rotationKey(c.d.name, c.level, g)
+		if err != nil {
+			return err
+		}
+		c.keys = append(c.keys, key)
+	}
+	return nil
 }
 
 // covers reports whether the key holds what a keyswitch of op at the given
@@ -213,8 +238,11 @@ func preHoistedRotate(c *opCall) error {
 
 // rotationKey resolves the switching key of Galois element g — the one place
 // a missing rotation key is reported, for the basic ops, the hoisted handle
-// and the linear-transform engines alike.
+// and the linear transform alike. The identity (g = 1) needs none: nil.
 func (ev *Evaluator) rotationKey(op string, level int, g uint64) (*SwitchingKey, error) {
+	if g == 1 {
+		return nil, nil
+	}
 	if ev.rtks == nil {
 		return nil, opErr(op, level, ErrKeyMissing, "rotation keys not loaded")
 	}

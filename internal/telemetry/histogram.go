@@ -124,19 +124,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return out
 }
 
-// Sub removes an earlier snapshot's samples from this one, leaving the
-// window between the two capture points. MaxNs cannot be un-merged, so the
-// window keeps the cumulative maximum: quantile reads stay conservative
-// (never under-report). Counts must come from the same histogram, with o
-// captured no later than s.
-func (s *HistSnapshot) Sub(o HistSnapshot) {
-	s.Count -= o.Count
-	s.SumNs -= o.SumNs
-	for b := range s.Buckets {
-		s.Buckets[b] -= o.Buckets[b]
-	}
-}
-
 // Merge adds another snapshot's samples into this one.
 func (s *HistSnapshot) Merge(o HistSnapshot) {
 	s.Count += o.Count

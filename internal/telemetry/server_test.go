@@ -112,25 +112,3 @@ func TestCollectorAuxWriters(t *testing.T) {
 		t.Errorf("aux families should follow collector families:\n%s", out)
 	}
 }
-
-// Sub must leave exactly the samples observed between two snapshots, so a
-// windowed quantile reflects recent traffic, not process lifetime.
-func TestHistSnapshotSub(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 1000; i++ {
-		h.Observe(1000) // 1µs era
-	}
-	old := h.Snapshot()
-	for i := 0; i < 100; i++ {
-		h.Observe(1_000_000) // 1ms era
-	}
-	cur := h.Snapshot()
-	cur.Sub(old)
-	if cur.Count != 100 {
-		t.Fatalf("window count = %d, want 100", cur.Count)
-	}
-	p50 := cur.Quantile(0.5)
-	if p50 < 500_000 {
-		t.Fatalf("windowed p50 = %gns still dominated by pre-window samples", p50)
-	}
-}
