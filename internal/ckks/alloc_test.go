@@ -154,3 +154,43 @@ func TestArenaSteadyState(t *testing.T) {
 		t.Errorf("arena leak: BytesInUse %d → %d", before.BytesInUse, after.BytesInUse)
 	}
 }
+
+// TestHoistedDigitsInArena: the keyswitch digit matrices are arena scratch
+// like every other buffer. A live Hoisted at level l holds exactly Digits(l)
+// full-width (|Q|+|P|)-limb polys of the one arena RingQ and RingP share,
+// Release hands them back, and a checkout from either ring is counted once.
+func TestHoistedDigitsInArena(t *testing.T) {
+	fx := newAllocFixture(t)
+	ev, params := fx.ev, fx.params
+	if params.RingQ.Arena() != params.RingP.Arena() {
+		t.Fatal("RingQ and RingP draw from different arenas")
+	}
+	full := uint64(len(params.Q)+len(params.P)) * uint64(params.N) * 8
+	for _, level := range []int{params.MaxLevel(), 1} {
+		ct := ev.DropLevel(fx.ct1, level)
+		base := params.ArenaStats().BytesInUse
+		h := ev.Hoist(ct)
+		want := base + uint64(params.Digits(level))*full
+		if got := params.ArenaStats().BytesInUse; got != want {
+			t.Errorf("level %d: live Hoisted: BytesInUse %d, want %d (baseline %d + %d digits × %d B)",
+				level, got, want, base, params.Digits(level), full)
+		}
+		h.Rotate(1)
+		if got := params.ArenaStats().BytesInUse; got != want {
+			t.Errorf("level %d: after a hoisted rotation: BytesInUse %d, want %d", level, got, want)
+		}
+		h.Release()
+		if got := params.ArenaStats().BytesInUse; got != base {
+			t.Errorf("level %d: after Release: BytesInUse %d, want the baseline %d", level, got, base)
+		}
+	}
+
+	base := params.ArenaStats()
+	p := params.RingP.GetPolyDirty(1)
+	got := params.ArenaStats()
+	if got.Gets-base.Gets != 1 || got.BytesInUse-base.BytesInUse != uint64(params.N)*8 {
+		t.Errorf("one 1-limb RingP checkout moved Gets by %d and BytesInUse by %d, want 1 and %d",
+			got.Gets-base.Gets, got.BytesInUse-base.BytesInUse, params.N*8)
+	}
+	params.RingP.PutPoly(p)
+}

@@ -88,7 +88,7 @@ type ltState struct {
 	plan *LinearTransformPlan
 
 	hd hoistedDecomposition // shared baby-step digit decomposition
-	gd [][][]uint64         // digit matrices of the giant-step keyswitch
+	gd []*ring.Poly         // digit matrices of the giant-step keyswitch
 
 	// ctP0/ctP1 hold P·ct over the Q rows (NTT domain) — the lazy QP image
 	// of the identity rotation, lifted from the operand ct; its P rows are
@@ -438,7 +438,7 @@ func (st *ltState) groupBasisChunk(lo, hi int) {
 	c1 := rangeView(st.c1Std.Coeffs, lo, hi)
 	st.params.modDown[st.level].ModDown(c1, rangeView(st.grp.c1Q.Coeffs, lo, hi), rangeView(st.grp.c1P.Coeffs, lo, hi))
 	for d, ext := range st.gd {
-		st.params.decomposer.DecomposeAndExtend(st.level, d, c1, rangeView(ext, lo, hi))
+		st.params.decomposer.DecomposeAndExtend(st.level, d, c1, rangeView(ext.Coeffs[:st.ext1], lo, hi))
 	}
 }
 

@@ -355,7 +355,9 @@ type ksDigits struct {
 	qLimbs int
 	ext1   int // extended limb count qLimbs + alpha
 
-	digits [][][]uint64 // [digit][extended limb][coeff]
+	// digits are the extended-digit matrices, full-width arena polys of
+	// which the first ext1 rows are the digit over Q_l ∪ P.
+	digits []*ring.Poly
 
 	// own, when set, is the NTT image of the decomposed polynomial (qLimbs
 	// rows): limb i of digit i/alpha is the input's own limb, so its transform
@@ -432,7 +434,7 @@ func (k *ksDigits) forwardLimb(i int) {
 	skip := k.ownDigit(i)
 	for d, ext := range k.digits {
 		if d != skip {
-			r.ForwardLimb(li, ext[i])
+			r.ForwardLimb(li, ext.Coeffs[i])
 		}
 	}
 }
@@ -457,7 +459,7 @@ func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1
 	rows := k.rows[3*nd*i : 3*nd*(i+1)]
 	x, kb, ka := rows[:nd], rows[nd:2*nd], rows[2*nd:]
 	for d, ext := range k.digits {
-		x[d] = ext[i]
+		x[d] = ext.Coeffs[i]
 		if i < k.qLimbs {
 			kb[d], ka[d] = key.B[d].Q.Coeffs[i], key.A[d].Q.Coeffs[i]
 		} else {
@@ -612,7 +614,7 @@ func (ev *Evaluator) decompose(s *ksState, cx, x *ring.Poly) {
 func (s *ksState) decomposeChunk(lo, hi int) {
 	src := rangeView(s.cx.Coeffs, lo, hi)
 	for d, ext := range s.digits {
-		s.params.decomposer.ExtendDigit(s.level, d, src, rangeView(ext, lo, hi))
+		s.params.decomposer.ExtendDigit(s.level, d, src, rangeView(ext.Coeffs[:s.ext1], lo, hi))
 	}
 }
 
@@ -646,9 +648,9 @@ func (s *ksState) limbStage(i int) {
 // residue of an exact integer, so the result is bit-identical for every
 // worker count and kernel tier. Every stage is a method of the pooled ksState
 // dispatched by the stage runner: at workers=1 that is a plain loop — no
-// closures, no allocations — and all scratch (accumulators, extended digits,
-// the state record itself) is recycled through the arena and the Parameters
-// free lists.
+// closures, no allocations — and all scratch is recycled: accumulators and
+// extended digits through the arena, the state record itself through the
+// Parameters free list.
 func (ev *Evaluator) ksRun(s *ksState) {
 	ring.Run(ev.pool, s.ext1, s, (*ksState).limbStage)
 	s.closeAccum(ev.pool)

@@ -142,12 +142,12 @@ func (ev *Evaluator) verifySealed(op string, ct *Ciphertext) error {
 
 // guardNoise flags noise-budget exhaustion for a result about to be
 // produced at the given level and scale: a scale the active chain product
-// no longer holds (headroomBits ≤ 0).
+// no longer holds (bitsAboveScale ≤ 0).
 func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
 	if ev.guards == nil || scale <= 0 {
 		return nil
 	}
-	if budget := headroomBits(ev.params, level, scale); budget <= 0 {
+	if budget := bitsAboveScale(ev.params, level, scale); budget <= 0 {
 		return opErr(op, level, ErrLevelExhausted,
 			"noise budget exhausted: scale 2^%.1f exceeds chain product 2^%.1f",
 			math.Log2(scale), budget+math.Log2(scale))

@@ -495,7 +495,7 @@ func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 	ev.EnableGuards(13)
 	a, b, pt := gc.inputs(t, 6, gc.params.MaxLevel())
 
-	if nb := headroomBits(gc.params, a.Level, a.Scale); nb <= 0 {
+	if nb := bitsAboveScale(gc.params, a.Level, a.Scale); nb <= 0 {
 		t.Fatalf("fresh ciphertext has non-positive budget %f", nb)
 	}
 

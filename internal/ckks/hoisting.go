@@ -21,16 +21,16 @@ import "poseidon/internal/ring"
 // themselves.
 
 // hoistedDecomposition caches the shared per-input keyswitch state. The
-// digit matrices are borrowed from the parameter set's free list; call
-// release when every rotation has been evaluated.
+// digit matrices are checked out of the parameter set's arena; call release
+// when every rotation has been evaluated.
 type hoistedDecomposition struct {
 	level  int
-	digits [][][]uint64 // [digit][limb][coeff], NTT domain over Q_l ∪ P, digit-own rows unwritten
+	digits []*ring.Poly // first level+1+Alpha rows: NTT domain over Q_l ∪ P, digit-own rows unwritten
 	own    [][]uint64   // the digit-own rows: the decomposed C1 itself, as the ciphertext holds it
 }
 
-// release returns the borrowed digit matrices. Nil-safe so it can double as
-// the panic-path sweep of a partially built decomposition.
+// release returns the digit matrices to the arena. Nil-safe so it can
+// double as the panic-path sweep of a partially built decomposition.
 func (hd *hoistedDecomposition) release(params *Parameters) {
 	hd.digits = params.putDigits(hd.digits)
 	hd.own = nil
@@ -66,14 +66,14 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 // decomposition — the entry point to rotation hoisting. It lets a caller
 // (the serving layer's batch scheduler, a BSGS loop discovering its steps
 // incrementally) pay the decomposition once and request rotations one at a
-// time, possibly interleaved with other work. The handle borrows digit
-// matrices from the parameter set's free lists: call Release when done, or
-// the arena reports the bytes as permanently in use. It holds no copy of the
-// ciphertext: every rotation reads ct.C0, and the digit-own rows of the
-// decomposition are ct.C1's, where they lie — the ciphertext must not be
-// modified while the handle is live; with guards on, every TryRotate
-// re-verifies its seal. A Hoisted is bound to the evaluator that created it
-// and is not safe for concurrent use.
+// time, possibly interleaved with other work. The handle holds Digits(level)
+// full-width digit matrices checked out of the parameter set's arena: call
+// Release when done, or the arena reports the bytes as permanently in use.
+// It holds no copy of the ciphertext: every rotation reads ct.C0, and the
+// digit-own rows of the decomposition are ct.C1's, where they lie — the
+// ciphertext must not be modified while the handle is live; with guards on,
+// every TryRotate re-verifies its seal. A Hoisted is bound to the evaluator
+// that created it and is not safe for concurrent use.
 type Hoisted struct {
 	ev *Evaluator
 	ct *Ciphertext
@@ -106,7 +106,7 @@ func (ev *Evaluator) TryHoist(ct *Ciphertext) (*Hoisted, error) {
 // of C1 are returned before the panic propagates.
 func kernHoist(c *opCall) {
 	params := c.ev.params
-	hd := &hoistedDecomposition{digits: make([][][]uint64, 0, params.Digits(c.level))}
+	hd := &hoistedDecomposition{digits: make([]*ring.Poly, 0, params.Digits(c.level))}
 	defer func() {
 		if c.h.hd == nil {
 			hd.release(params)
@@ -131,7 +131,7 @@ func (h *Hoisted) TryRotate(steps int) (*Ciphertext, error) {
 	return h.ev.exec(&opHoistedRotate, nil, operands{a: h.ct, h: h, g: h.ev.rotG(steps)})
 }
 
-// Release returns the borrowed digit matrices to the parameter free lists.
+// Release returns the digit matrices to the parameter set's arena.
 // Safe to call more than once; the handle rejects rotations afterwards.
 func (h *Hoisted) Release() {
 	if h.hd != nil {

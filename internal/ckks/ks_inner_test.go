@@ -8,6 +8,7 @@ import (
 
 	"poseidon/internal/automorph"
 	"poseidon/internal/numeric"
+	"poseidon/internal/ring"
 )
 
 // Tests of the one keyswitch inner-product stage (ksDigits.innerProduct):
@@ -57,10 +58,10 @@ func newKsInnerFixture(params *Parameters, level, digits int, rng *rand.Rand) *k
 		perm: rq.NTTGaloisPermutation(automorph.GaloisElementForRotation(3, params.N)),
 	}
 	for d := 0; d < digits; d++ {
-		ext := make([][]uint64, ext1)
-		for i := range ext {
-			ext[i] = make([]uint64, params.N)
-			randRow(i, ext[i])
+		ext := &ring.Poly{Coeffs: make([][]uint64, ext1)}
+		for i := range ext.Coeffs {
+			ext.Coeffs[i] = make([]uint64, params.N)
+			randRow(i, ext.Coeffs[i])
 		}
 		f.k.digits = append(f.k.digits, ext)
 		f.key.B = append(f.key.B, randQP())
@@ -103,8 +104,8 @@ func TestInnerProductMatchesStrictChain(t *testing.T) {
 					}
 					for d := 0; d < digits; d++ {
 						b, a := f.keyRows(d, i)
-						macLimb(want0, f.k.digits[d][i], b, perm, mod)
-						macLimb(want1, f.k.digits[d][i], a, perm, mod)
+						macLimb(want0, f.k.digits[d].Coeffs[i], b, perm, mod)
+						macLimb(want1, f.k.digits[d].Coeffs[i], a, perm, mod)
 					}
 					f.k.innerProduct(i, f.key, perm, got0, got1, add)
 					if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
@@ -204,7 +205,7 @@ func TestInnerProductBigOracle(t *testing.T) {
 							w1.SetUint64(prev1[j])
 						}
 						for d := range f.k.digits {
-							x := new(big.Int).SetUint64(f.k.digits[d][i][perm[j]])
+							x := new(big.Int).SetUint64(f.k.digits[d].Coeffs[i][perm[j]])
 							b, a := f.keyRows(d, i)
 							w0.Add(w0, new(big.Int).Mul(x, new(big.Int).SetUint64(b[j])))
 							w1.Add(w1, new(big.Int).Mul(x, new(big.Int).SetUint64(a[j])))

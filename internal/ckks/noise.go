@@ -58,20 +58,20 @@ func safeNegLog2(x float64) float64 {
 	return -math.Log2(x)
 }
 
-// BudgetBits returns the modulus headroom left above ct's scale: log2 Q_l −
+// HeadroomBits returns the modulus headroom left above ct's scale: log2 Q_l −
 // log2 scale − 10, where Q_l is the product of ct's active primes and the
 // flat 10 bits are kept back for the noise below the scale. No noise is
 // tracked or measured: the figure depends only on ct's level and scale. A
 // non-positive value means another multiplication leaves the plaintext no
 // room.
-func BudgetBits(params *Parameters, ct *Ciphertext) float64 {
-	return headroomBits(params, ct.Level, ct.Scale) - 10 // ~10 bits of headroom for noise
+func HeadroomBits(params *Parameters, ct *Ciphertext) float64 {
+	return bitsAboveScale(params, ct.Level, ct.Scale) - 10 // ~10 bits kept back for noise
 }
 
-// headroomBits is log2 Q_level − log2 scale: how many bits of the active
-// chain product lie above a plaintext at that scale. BudgetBits and the
-// noise-budget guard (guardNoise) both read it.
-func headroomBits(params *Parameters, level int, scale float64) float64 {
+// bitsAboveScale is log2 Q_level − log2 scale: how many bits of the active
+// chain product lie above a plaintext at that scale. HeadroomBits and the
+// headroom guard (guardNoise) both read it.
+func bitsAboveScale(params *Parameters, level int, scale float64) float64 {
 	logQ := 0.0
 	for i := 0; i <= level; i++ {
 		logQ += math.Log2(float64(params.Q[i]))

@@ -55,16 +55,16 @@ func TestNoiseGrowsWithDepth(t *testing.T) {
 	}
 }
 
-func TestBudgetBits(t *testing.T) {
+func TestHeadroomBits(t *testing.T) {
 	tc := newTestContext(t)
 	ev := NewEvaluator(tc.params, tc.rlk, nil)
 	ct := tc.encr.EncryptZero(tc.params.MaxLevel(), tc.params.Scale)
 
-	full := BudgetBits(tc.params, ct)
+	full := HeadroomBits(tc.params, ct)
 	if full <= 0 {
 		t.Fatalf("fresh budget %.1f bits should be positive", full)
 	}
-	low := BudgetBits(tc.params, ev.DropLevel(ct, 0))
+	low := HeadroomBits(tc.params, ev.DropLevel(ct, 0))
 	if low >= full {
 		t.Error("budget must shrink as levels drop")
 	}

@@ -26,6 +26,10 @@ type panicLeakFixture struct {
 	ct1    *Ciphertext
 	ct2    *Ciphertext
 	inj    *fault.Injector
+	// baby and giant are the transform with diagonals 0 and 1 at baby-step
+	// widths 2 and 1: the shared decomposition with a baby rotation, and a
+	// giant-step keyswitch — both on the fixture's one rotation key.
+	baby, giant *LinearTransform
 }
 
 func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
@@ -54,6 +58,19 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 	ct1 := encr.EncryptZero(level, params.Scale)
 	ct2 := encr.EncryptZero(level, params.Scale)
 
+	enc := NewEncoder(params)
+	ones := make([]complex128, params.Slots)
+	for i := range ones {
+		ones[i] = 1
+	}
+	m := ltMatFromDiags(params.Slots, map[int][]complex128{0: ones, 1: ones})
+	var lts [2]*LinearTransform
+	for k, n1 := range []int{2, 1} {
+		if lts[k], err = NewLinearTransformBSGS(enc, m, level, params.Scale, n1); err != nil {
+			t.Fatal(err)
+		}
+	}
+
 	inj := fault.NewInjector(423)
 	params.RingQ.SetFaultInjector(inj)
 	params.RingP.SetFaultInjector(inj)
@@ -63,7 +80,7 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 		params.RingQ.SetFaultInjector(nil)
 		params.RingP.SetFaultInjector(nil)
 	})
-	return &panicLeakFixture{params: params, ev: ev, swk: swk, ct1: ct1, ct2: ct2, inj: inj}
+	return &panicLeakFixture{params: params, ev: ev, swk: swk, ct1: ct1, ct2: ct2, inj: inj, baby: lts[0], giant: lts[1]}
 }
 
 // panicLeakOps enumerates every op that owns arena scratch mid-flight.
@@ -85,6 +102,8 @@ func (fx *panicLeakFixture) ops() []struct {
 		{"ConjugateInto", func() { ev.ConjugateInto(NewCiphertext(params, level), fx.ct1) }},
 		{"KeySwitchInto", func() { ev.KeySwitchInto(NewCiphertext(params, level), fx.ct1, fx.swk) }},
 		{"RotateHoisted", func() { rotateHoisted(ev, fx.ct1, []int{0, 1}) }},
+		{"EvaluateLinearTransformInto/baby", func() { ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.baby) }},
+		{"EvaluateLinearTransformInto/giant", func() { ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.giant) }},
 	}
 }
 

@@ -52,64 +52,35 @@ type Parameters struct {
 	// X^{N/2} — the slot-wise factor i — evaluates to at the NTT points.
 	imagUnit []uint64
 
-	// Deterministic scratch free lists for the keyswitch pipeline. Like the
-	// ring arena these are mutex-guarded typed stacks, not sync.Pools: they
-	// are never cleared by the GC and pushing onto them does not box, so a
-	// steady-state evaluator loop checks the same buffers in and out with
-	// zero heap allocations.
+	// Deterministic free lists for the pipelines' per-call records. Like
+	// the ring arena these are mutex-guarded typed stacks, not sync.Pools:
+	// they are never cleared by the GC and pushing onto them does not box,
+	// so a steady-state evaluator loop checks the same records in and out
+	// with zero heap allocations. Every coefficient buffer the records point
+	// at comes from the arena RingQ and RingP share.
 	scratchMu sync.Mutex
-	extFree   [][][]uint64 // full (|Q|+|P|)-row extended-digit matrices
-	ksFree    []*ksState   // keyswitch pipeline state records
-	ltFree    []*ltState   // double-hoisted linear-transform state records
-	opFree    []*opCall    // exec's per-call records
-}
-
-// getExt returns a `limbs`-row extended-digit scratch buffer (each row N
-// words, contents unspecified) from the parameter set's free list. The
-// underlying matrix always spans |Q|+|P| rows, so one free list serves
-// every level; putExt recovers the full matrix through the slice capacity.
-func (p *Parameters) getExt(limbs int) [][]uint64 {
-	p.scratchMu.Lock()
-	if n := len(p.extFree); n > 0 {
-		m := p.extFree[n-1]
-		p.extFree[n-1] = nil
-		p.extFree = p.extFree[:n-1]
-		p.scratchMu.Unlock()
-		return m[:limbs]
-	}
-	p.scratchMu.Unlock()
-	rows := len(p.Q) + len(p.P)
-	backing := make([]uint64, rows*p.N)
-	m := make([][]uint64, rows)
-	for i := range m {
-		m[i] = backing[i*p.N : (i+1)*p.N]
-	}
-	return m[:limbs]
-}
-
-// putExt returns a getExt buffer to the free list.
-func (p *Parameters) putExt(ext [][]uint64) {
-	if cap(ext) == 0 {
-		return
-	}
-	p.scratchMu.Lock()
-	p.extFree = append(p.extFree, ext[:cap(ext)])
-	p.scratchMu.Unlock()
+	ksFree    []*ksState // keyswitch pipeline state records
+	ltFree    []*ltState // double-hoisted linear-transform state records
+	opFree    []*opCall  // exec's per-call records
 }
 
 // getDigits appends one extended-digit matrix per keyswitch digit of the
 // given level to ds — the scratch a full decomposition over Q_l ∪ P needs —
 // and putDigits returns them, handing back ds emptied with its capacity.
-func (p *Parameters) getDigits(ds [][][]uint64, level int) [][][]uint64 {
+// Each matrix is a full-width (|Q|+|P|)-limb arena poly, one size class for
+// every level; the pipeline reads its first level+1+Alpha rows.
+func (p *Parameters) getDigits(ds []*ring.Poly, level int) []*ring.Poly {
+	arena := p.RingQ.Arena()
 	for d := p.Digits(level); d > 0; d-- {
-		ds = append(ds, p.getExt(level+1+p.Alpha()))
+		ds = append(ds, arena.GetDirty(len(p.Q)+len(p.P)))
 	}
 	return ds
 }
 
-func (p *Parameters) putDigits(ds [][][]uint64) [][][]uint64 {
+func (p *Parameters) putDigits(ds []*ring.Poly) []*ring.Poly {
+	arena := p.RingQ.Arena()
 	for d, ext := range ds {
-		p.putExt(ext)
+		arena.Put(ext)
 		ds[d] = nil
 	}
 	return ds[:0]
@@ -118,8 +89,8 @@ func (p *Parameters) putDigits(ds [][][]uint64) [][][]uint64 {
 // popFree pops a recycled record off one of the scratchMu-guarded free lists,
 // or hands out a fresh zero one. ksState and opCall records come back zeroed
 // (their owners reset them on release); ltState keeps its slice capacities
-// across checkouts — its per-call reset happens in ltState.reset — so the
-// baby-step tables never reallocate in steady state.
+// across checkouts — its release empties them and ltState.acquire draws them
+// again per call — so the baby-step tables never reallocate in steady state.
 func popFree[T any](p *Parameters, list *[]*T) *T {
 	p.scratchMu.Lock()
 	defer p.scratchMu.Unlock()
@@ -141,7 +112,7 @@ func pushFree[T any](p *Parameters, list *[]*T, s *T) {
 }
 
 // getAccum draws an extended-basis accumulator for qLimbs Q limbs from the
-// arenas — zeroed for one that is built up by modular adds, dirty for one
+// arena — zeroed for one that is built up by modular adds, dirty for one
 // whose every row is overwritten by the stage that fills it.
 func (p *Parameters) getAccum(qLimbs int, zeroed bool) qpAccum {
 	rq, rp, alpha := p.RingQ, p.RingP, p.Alpha()
@@ -170,21 +141,12 @@ func releasePoly(r *ring.Ring, q **ring.Poly) {
 	}
 }
 
-// ArenaStats aggregates the scratch-arena counters of both rings — the
-// observable for the memory model: in a steady-state evaluator loop
-// BytesAllocated stops growing and Misses stays flat while Gets climbs.
-func (p *Parameters) ArenaStats() ring.ArenaStats {
-	q := p.RingQ.Arena().Stats()
-	r := p.RingP.Arena().Stats()
-	return ring.ArenaStats{
-		Gets:           q.Gets + r.Gets,
-		Puts:           q.Puts + r.Puts,
-		Misses:         q.Misses + r.Misses,
-		BytesAllocated: q.BytesAllocated + r.BytesAllocated,
-		BytesInUse:     q.BytesInUse + r.BytesInUse,
-		PeakBytes:      q.PeakBytes + r.PeakBytes,
-	}
-}
+// ArenaStats reports the counters of the one scratch arena RingQ and RingP
+// share — every coefficient buffer the evaluator draws, keyswitch digits
+// included. It is the observable for the memory model: in a steady-state
+// evaluator loop BytesAllocated stops growing and Misses stays flat while
+// Gets climbs, and PeakBytes is the whole working set.
+func (p *Parameters) ArenaStats() ring.ArenaStats { return p.RingQ.Arena().Stats() }
 
 // ParametersLiteral is the user-facing specification: prime bit sizes
 // rather than concrete primes.
@@ -251,11 +213,14 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		p.P = append(p.P, take(b))
 	}
 
+	// One scratch arena for the parameter set: both rings draw from it, and
+	// its widest class is a full extended-digit matrix over Q ∪ P.
+	arena := ring.NewArena(p.N, len(p.Q)+len(p.P))
 	var err error
-	if p.RingQ, err = ring.NewRing(p.N, p.Q); err != nil {
+	if p.RingQ, err = ring.NewRing(p.N, p.Q, arena); err != nil {
 		return nil, err
 	}
-	if p.RingP, err = ring.NewRing(p.N, p.P); err != nil {
+	if p.RingP, err = ring.NewRing(p.N, p.P, arena); err != nil {
 		return nil, err
 	}
 

@@ -42,8 +42,9 @@ type ArenaStats struct {
 //
 // Safe for concurrent use. Polynomials handed out are exclusively owned by
 // the caller until Put; the arena never retains a reference to a checked-out
-// poly, so evaluators sharing one arena (e.g. via a common Kit) can never
-// observe each other's scratch.
+// poly, so rings and evaluators sharing one arena (a parameter set's RingQ
+// and RingP, every evaluator built on it) can never observe each other's
+// scratch.
 type Arena struct {
 	n  int
 	mu sync.Mutex
@@ -91,13 +92,6 @@ func (a *Arena) SetPoison(on bool) {
 	}
 	a.poison = on
 	a.mu.Unlock()
-}
-
-// Poisoned reports whether poison mode is on.
-func (a *Arena) Poisoned() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.poison
 }
 
 // Stats returns a snapshot of the arena's counters.
@@ -234,13 +228,20 @@ func (a *Arena) GetVec() []uint64 {
 	return v
 }
 
-// PutVec returns a staging vector to the arena.
+// PutVec returns a staging vector to the arena. Like Put, it panics on a
+// vector that is not N words long and, in poison mode, on a double return.
 func (a *Arena) PutVec(v []uint64) {
 	if len(v) != a.n {
-		return
+		panic(fmt.Sprintf("ring: foreign vector returned to arena (len=%d, want n=%d)", len(v), a.n))
 	}
 	a.mu.Lock()
 	if a.poison {
+		for _, w := range a.vecs {
+			if &w[0] == &v[0] {
+				a.mu.Unlock()
+				panic("ring: double PutVec of arena vector")
+			}
+		}
 		for j := range v {
 			v[j] = poisonWord
 		}

@@ -147,6 +147,36 @@ func TestArenaVecPoison(t *testing.T) {
 	a.GetVec()
 }
 
+// PutVec of a vector that is not N words long panics, as Put does on a
+// foreign poly, instead of leaving BytesInUse inflated for good.
+func TestArenaPutVecForeignPanics(t *testing.T) {
+	a := NewArena(32, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("foreign vector was accepted")
+		}
+		if st := a.Stats(); st.Puts != 0 {
+			t.Fatalf("foreign vector counted as a return: %+v", st)
+		}
+	}()
+	a.PutVec(make([]uint64, 16))
+}
+
+// Poison mode: returning the same staging vector twice panics, as a double
+// Put does.
+func TestArenaPoisonDoublePutVec(t *testing.T) {
+	a := NewArena(32, 2)
+	a.SetPoison(true)
+	v := a.GetVec()
+	a.PutVec(v)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("double PutVec was not detected")
+		}
+	}()
+	a.PutVec(v)
+}
+
 // Aliasing fuzz: a random interleaving of checkouts, full overwrites, and
 // returns across all size classes, with poison verification on. Every
 // checked-out poly is exclusively owned, so however the interleaving goes,

@@ -34,7 +34,9 @@ type Ring struct {
 
 	// arena recycles polynomial scratch (size-classed by limb count) and
 	// single N-word staging vectors, keeping the limb-parallel hot paths
-	// from churning the GC with per-operation allocations. See Arena.
+	// from churning the GC with per-operation allocations. The caller
+	// supplies it, so rings that work together (a parameter set's Q and P)
+	// share one scratch pool and one set of counters. See Arena.
 	arena *Arena
 
 	// injector, when non-nil, corrupts limbs at the ring's injection points
@@ -54,14 +56,18 @@ type HFCache struct {
 	maps map[uint64]*automorph.Map
 }
 
-// NewRing constructs a ring of degree n over the given prime moduli. Every
-// modulus must satisfy q ≡ 1 (mod 2n). The HFAuto sub-vector width is
-// min(512, n).
-func NewRing(n int, moduli []uint64) (*Ring, error) {
+// NewRing constructs a ring of degree n over the given prime moduli, drawing
+// its scratch from arena — which must hold degree-n polynomials of at least
+// len(moduli) limbs and may be shared with other rings. Every modulus must
+// satisfy q ≡ 1 (mod 2n). The HFAuto sub-vector width is min(512, n).
+func NewRing(n int, moduli []uint64, arena *Arena) (*Ring, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("ring: empty modulus chain")
 	}
-	r := &Ring{N: n}
+	if arena == nil || arena.n != n || len(arena.classes) < len(moduli) {
+		return nil, fmt.Errorf("ring: arena does not hold degree-%d polys of %d limbs", n, len(moduli))
+	}
+	r := &Ring{N: n, arena: arena}
 	for n>>uint(r.LogN+1) > 0 {
 		r.LogN++
 	}
@@ -86,11 +92,10 @@ func NewRing(n int, moduli []uint64) (*Ring, error) {
 		return nil, err
 	}
 	r.HF = &HFCache{h: hf, maps: make(map[uint64]*automorph.Map)}
-	r.arena = NewArena(n, len(moduli))
 	return r, nil
 }
 
-// Arena exposes the ring's scratch arena (stats, poison mode, direct
+// Arena exposes the arena NewRing was given (stats, poison mode, direct
 // checkout for callers that manage polynomial lifetimes themselves).
 func (r *Ring) Arena() *Arena { return r.arena }
 

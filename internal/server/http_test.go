@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -337,16 +338,7 @@ func TestHTTPMetricsIncludeServeGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms := httptest.NewServer(col.MetricsHandler())
-	defer ms.Close()
-	resp, err := ms.Client().Get(ms.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	page := buf.String()
+	page := metricsPage(t, col)
 	for _, want := range []string{
 		"poseidon_serve_queue_depth 0",
 		"poseidon_serve_job_unrecoverable_total 0",
@@ -394,5 +386,60 @@ func TestHTTPMetricsIncludeServeGauges(t *testing.T) {
 	// The tenant evaluator observed its op through the collector too.
 	if !bytes.Contains([]byte(page), []byte("poseidon_op_count")) && !bytes.Contains([]byte(page), []byte("poseidon_ops")) {
 		t.Logf("page:\n%s", page)
+	}
+}
+
+// metricsPage fetches the collector's /metrics page.
+func metricsPage(t *testing.T, col *telemetry.Collector) string {
+	t.Helper()
+	ms := httptest.NewServer(col.MetricsHandler())
+	defer ms.Close()
+	resp, err := ms.Client().Get(ms.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	return buf.String()
+}
+
+// TestHTTPMetricsIncludeCtHealth pins the four ciphertext-health families
+// on /metrics — names, HELP, TYPE, order and the values one response leaves:
+// the result's level, its scale drift and its modulus headroom
+// (ckks.HeadroomBits), and the sample count.
+func TestHTTPMetricsIncludeCtHealth(t *testing.T) {
+	params := newServeParams(t, 1)
+	col := telemetry.NewCollector("ct-health-test")
+	_, _, cli := newHTTPFixture(t, Config{Params: params, Collector: col})
+	tt := newTestTenant(t, params, "alice", 14, []int{1}, false)
+	kgenUpload(t, cli, tt)
+	rng := rand.New(rand.NewSource(16))
+	ct, _, err := cli.Eval(&EvalRequest{Tenant: "alice", Op: OpNegate, Ct: tt.encryptBytes(t, randomVec(rng, params.Slots))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(metricsPage(t, col), "\n") {
+		if strings.HasPrefix(line, "poseidon_ct_") || strings.HasPrefix(line, "# HELP poseidon_ct_") || strings.HasPrefix(line, "# TYPE poseidon_ct_") {
+			got = append(got, line)
+		}
+	}
+	want := []string{
+		"# HELP poseidon_ct_level Level of the tenant's most recent result ciphertext.",
+		"# TYPE poseidon_ct_level gauge",
+		fmt.Sprintf(`poseidon_ct_level{tenant="alice"} %d`, ct.Level),
+		"# HELP poseidon_ct_scale_drift_bits log2 of the result scale over the default scale (0 = on-scale).",
+		"# TYPE poseidon_ct_scale_drift_bits gauge",
+		`poseidon_ct_scale_drift_bits{tenant="alice"} 0`,
+		"# HELP poseidon_ct_headroom_bits Modulus headroom of the result ciphertext: log2 Q_l - log2 scale - 10 bits (not a noise measurement).",
+		"# TYPE poseidon_ct_headroom_bits gauge",
+		fmt.Sprintf(`poseidon_ct_headroom_bits{tenant="alice"} %g`, ckks.HeadroomBits(params, ct)),
+		"# HELP poseidon_ct_health_samples_total Responses sampled for ciphertext health.",
+		"# TYPE poseidon_ct_health_samples_total counter",
+		`poseidon_ct_health_samples_total{tenant="alice"} 1`,
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("ciphertext-health families:\n got %q\nwant %q", got, want)
 	}
 }

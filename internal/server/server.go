@@ -35,7 +35,9 @@ type Config struct {
 
 	// MaxArenaBytes is the admission ceiling: a request is rejected with
 	// 503 while live arena bytes exceed it, as one is when the dispatch
-	// queue is full. Zero disables it.
+	// queue is full. It counts every buffer checked out of the parameter
+	// set's one arena — a hoist group's shared digit decomposition too.
+	// Zero disables it.
 	MaxArenaBytes int64
 
 	// GuardSeed, when non-zero, arms integrity guards on every tenant
@@ -252,7 +254,7 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 			s.health.sample(req.Tenant, ct, s.params)
 			if rt != nil && ct != nil {
 				rt.AnnotateInt(rt.Root(), "ct_level", int64(ct.Level))
-				rt.AnnotateInt(rt.Root(), "noise_budget_bits", int64(ckks.BudgetBits(s.params, ct)))
+				rt.AnnotateInt(rt.Root(), "headroom_bits", int64(ckks.HeadroomBits(s.params, ct)))
 			}
 		}
 		if ownTrace {

@@ -29,9 +29,9 @@ const healthMaxTenants = 1024
 
 // healthTracker is the ciphertext-health telemetry: per-tenant gauges for
 // the result ciphertext's level, scale drift and modulus headroom
-// (ckks.BudgetBits), sampled at response encode. This is the FHE-specific
+// (ckks.HeadroomBits), sampled at response encode. This is the FHE-specific
 // signal no generic tracer carries — a tenant whose circuit is about to
-// exhaust its modulus chain (level → 0, budget → 0) or whose scale has
+// exhaust its modulus chain (level → 0, headroom → 0) or whose scale has
 // drifted from Δ (lost precision) is visible here before results decrypt
 // to garbage.
 type healthTracker struct {
@@ -41,10 +41,10 @@ type healthTracker struct {
 }
 
 type tenantHealth struct {
-	level      int
-	scaleDrift float64 // log2(ct.Scale / Δ): 0 = on-scale
-	budgetBits float64 // ckks.BudgetBits: log2 Q_l − log2 scale − 10
-	samples    uint64
+	level        int
+	scaleDrift   float64 // log2(ct.Scale / Δ): 0 = on-scale
+	headroomBits float64 // ckks.HeadroomBits: log2 Q_l − log2 scale − 10
+	samples      uint64
 }
 
 func newHealthTracker() *healthTracker {
@@ -62,7 +62,7 @@ func (h *healthTracker) sample(tenant string, ct *ckks.Ciphertext, params *ckks.
 	if ct.Scale > 0 && params.Scale > 0 {
 		drift = math.Log2(ct.Scale / params.Scale)
 	}
-	budget := ckks.BudgetBits(params, ct)
+	headroom := ckks.HeadroomBits(params, ct)
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	th := h.tenants[tenant]
@@ -76,7 +76,7 @@ func (h *healthTracker) sample(tenant string, ct *ckks.Ciphertext, params *ckks.
 	}
 	th.level = ct.Level
 	th.scaleDrift = drift
-	th.budgetBits = budget
+	th.headroomBits = headroom
 	th.samples++
 }
 
@@ -113,10 +113,10 @@ func (h *healthTracker) WritePrometheus(w io.Writer) {
 	for _, r := range rows {
 		fmt.Fprintf(w, "poseidon_ct_scale_drift_bits{tenant=%q} %g\n", r.name, r.th.scaleDrift)
 	}
-	fmt.Fprintf(w, "# HELP poseidon_ct_noise_budget_bits Modulus headroom of the result ciphertext: log2 Q_l - log2 scale - 10 bits (not a noise measurement).\n")
-	fmt.Fprintf(w, "# TYPE poseidon_ct_noise_budget_bits gauge\n")
+	fmt.Fprintf(w, "# HELP poseidon_ct_headroom_bits Modulus headroom of the result ciphertext: log2 Q_l - log2 scale - 10 bits (not a noise measurement).\n")
+	fmt.Fprintf(w, "# TYPE poseidon_ct_headroom_bits gauge\n")
 	for _, r := range rows {
-		fmt.Fprintf(w, "poseidon_ct_noise_budget_bits{tenant=%q} %g\n", r.name, r.th.budgetBits)
+		fmt.Fprintf(w, "poseidon_ct_headroom_bits{tenant=%q} %g\n", r.name, r.th.headroomBits)
 	}
 	fmt.Fprintf(w, "# HELP poseidon_ct_health_samples_total Responses sampled for ciphertext health.\n")
 	fmt.Fprintf(w, "# TYPE poseidon_ct_health_samples_total counter\n")
