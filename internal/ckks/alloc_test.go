@@ -3,6 +3,8 @@ package ckks
 import (
 	"math/rand"
 	"testing"
+
+	"poseidon/internal/trace"
 )
 
 // Zero-allocation gates for the steady-state loop the arena exists for: a
@@ -193,4 +195,96 @@ func TestHoistedDigitsInArena(t *testing.T) {
 			got.Gets-base.Gets, got.BytesInUse-base.BytesInUse, params.N*8)
 	}
 	params.RingP.PutPoly(p)
+}
+
+// arenaAtPhase is a sink that reads the arena's BytesInUse when the linear
+// transform reports the given engine phase — the working set the engine
+// holds at that point.
+type arenaAtPhase struct {
+	params *Parameters
+	phase  string
+	inUse  uint64
+	seen   int
+}
+
+func (s *arenaAtPhase) ObserveOp(e trace.OpEvent) {
+	if e.Op == "LinTrans" && e.Phase == s.phase {
+		s.inUse = s.params.ArenaStats().BytesInUse
+		s.seen++
+	}
+}
+
+// TestLinearTransformWorkingSet pins the transform's working set at its baby
+// phase to the exact bytes the plan needs: the hoisted digits (Digits(l)
+// full-width matrices), the P·ct lift (two Q_l polys), the output
+// accumulator and one per baby step (ext1-row pairs), and — only when a
+// group is rotated — the giant step's staging pair, its Q_l c1 and its
+// digits. A j = 0-only plan draws no giant-step scratch.
+func TestLinearTransformWorkingSet(t *testing.T) {
+	params, err := NewParameters(ParametersLiteral{
+		LogN:     9,
+		LogQ:     []int{55, 45, 45, 45, 45},
+		LogP:     []int{58, 58},
+		LogScale: 45,
+		Workers:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := params.Slots
+	rng := rand.New(rand.NewSource(73))
+	enc := NewEncoder(params)
+	shapes := []struct {
+		name  string
+		diags []int
+	}{
+		{"j=0 only", []int{0, 1, 2, 3}},
+		{"giant steps", []int{0, 1, 2, 9, 17}},
+	}
+	kgen := NewKeyGenerator(params, 42)
+	sk := kgen.GenSecretKey()
+	rtk := kgen.GenRotationKeys(sk, []int{1, 2, 3, 8, 16}, false)
+	ev := NewEvaluator(params, nil, rtk)
+	ct := NewEncryptor(params, kgen.GenPublicKey(sk), 29).Encrypt(enc.Encode(randomComplex(rng, n, 1.0), params.MaxLevel(), params.Scale))
+	sink := &arenaAtPhase{params: params, phase: "baby"}
+	ev.SetObserver(sink)
+
+	row := uint64(params.N) * 8
+	full := uint64(len(params.Q) + len(params.P))
+	for _, sh := range shapes {
+		name := sh.name
+		for _, level := range []int{params.MaxLevel(), 2} {
+			lt, err := NewLinearTransformBSGS(enc, ltMatFromDiags(n, ltRandDiags(rng, n, sh.diags)), level, params.Scale, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := lt.Plan()
+			rotated := plan.groups[len(plan.groups)-1].j != 0
+			if rotated != (name == "giant steps") {
+				t.Fatalf("%s: plan groups %v", name, plan.groups)
+			}
+			q, e := uint64(level+1), uint64(level+1+params.Alpha())
+			d := uint64(params.Digits(level))
+			want := d*full + 2*q + 2*e + uint64(len(plan.babySteps))*2*e
+			if rotated {
+				want += 2*e + q + d*full
+			}
+			want *= row
+
+			out := NewCiphertext(params, level)
+			base := params.ArenaStats().BytesInUse
+			sink.seen = 0
+			ev.EvaluateLinearTransformInto(out, ct, lt)
+			if sink.seen != 1 {
+				t.Fatalf("%s level %d: %d baby phase events, want 1", name, level, sink.seen)
+			}
+			if got := sink.inUse - base; got != want {
+				t.Errorf("%s level %d: working set at the baby phase %d B, want %d B (%d rows of %d B)",
+					name, level, got, want, want/row, row)
+			}
+			if got := params.ArenaStats().BytesInUse; got != base {
+				t.Errorf("%s level %d: BytesInUse %d after the transform, want the baseline %d", name, level, got, base)
+			}
+		}
+	}
 }

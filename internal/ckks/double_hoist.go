@@ -36,6 +36,12 @@ import (
 //     very end: one inverse-NTT sweep and two ModDowns close the whole
 //     transform.
 //
+// Every extended-basis operand — the output, group and baby-step
+// accumulators and each encoded diagonal — has the keyswitch digits' row
+// layout: rows Q_0…Q_l, then P_0…P_{α−1}, one poly per ciphertext component.
+// A stage on extended limb i reads row i of each; the ModDowns slice the Q
+// and P rows off the same poly.
+//
 // For a transform with b baby steps and g giant-step groups the per-rotation
 // schedule runs 2·(b+g) ModDown sweeps; the double-hoisted schedule runs
 // g+1 (j≠0 groups plus the final close, +1 when a j=0 group exists). The
@@ -48,30 +54,6 @@ import (
 // O(1) units — far below the encoding noise floor; the differential tests
 // pin that bound.
 
-// qpAccum is a ciphertext-component accumulator over the extended basis
-// Q_l ∪ P: NTT-domain residue polys for the c0 and c1 rows of both the Q
-// and the P half.
-type qpAccum struct {
-	c0Q, c1Q *ring.Poly // qLimbs rows over RingQ
-	c0P, c1P *ring.Poly // alpha rows over RingP
-}
-
-// row0 returns the c0 row of extended limb i (Q rows first, then P).
-func (a *qpAccum) row0(qLimbs, i int) []uint64 {
-	if i < qLimbs {
-		return a.c0Q.Coeffs[i]
-	}
-	return a.c0P.Coeffs[i-qLimbs]
-}
-
-// row1 returns the c1 row of extended limb i.
-func (a *qpAccum) row1(qLimbs, i int) []uint64 {
-	if i < qLimbs {
-		return a.c1Q.Coeffs[i]
-	}
-	return a.c1P.Coeffs[i-qLimbs]
-}
-
 // ltState bundles the double-hoisted engine's per-call state so every stage
 // is a method the stage runner (ring.Run) dispatches — a plain loop at
 // workers=1, no closures, no allocations. Records are recycled
@@ -82,13 +64,15 @@ type ltState struct {
 	// ksDigits.digits is whichever decomposition the running keyswitch
 	// stage reads: hd.digits during the baby sweep, gd during a giant step.
 	// ksDigits.acc is the running transform result over the extended basis,
-	// closed into the destination rows (p0, p1) by finish.
+	// closed into the destination rows (out) by finish. Every extended-basis
+	// operand below — acc, grp, each baby — is a (c0, c1) pair of ext1-row
+	// arena polys in the digit layout, so every stage indexes row i directly.
 	ksDigits
 	ev   *Evaluator
 	plan *LinearTransformPlan
 
 	hd hoistedDecomposition // shared baby-step digit decomposition
-	gd []*ring.Poly         // digit matrices of the giant-step keyswitch
+	gd []*ring.Poly         // digit matrices of the giant-step keyswitch; drawn only for a plan with a j ≠ 0 group
 
 	// ctP0/ctP1 hold P·ct over the Q rows (NTT domain) — the lazy QP image
 	// of the identity rotation, lifted from the operand ct; its P rows are
@@ -97,11 +81,11 @@ type ltState struct {
 	ct         *Ciphertext
 	ctP0, ctP1 *ring.Poly
 
-	babies []qpAccum       // lazy QP rotations, one per plan baby step
+	babies [][2]*ring.Poly // lazy QP rotations, one per plan baby step
 	keys   []*SwitchingKey // the call's rotation keys, in plan.keyGal order
 
-	grp   qpAccum    // per-group staging (reduction target of a j ≠ 0 group)
-	c1Std *ring.Poly // group c1 after its single ModDown (coeff domain, Q)
+	grp   [2]*ring.Poly // per-group staging (reduction target of a j ≠ 0 group)
+	c1Std *ring.Poly    // group c1 after its single ModDown (coeff domain, Q)
 
 	g   *ltGroup      // current group
 	key *SwitchingKey // its giant rotation's key
@@ -114,7 +98,10 @@ type ltState struct {
 	stats LinTransStats
 }
 
-// acquire binds the record to one evaluation and draws its scratch.
+// acquire binds the record to one evaluation and draws its scratch. The
+// giant-step keyswitch's scratch — group staging, the group c1 and the digit
+// matrices — is drawn only when some group is rotated: groups are sorted by
+// j ≥ 0, so that is when the last one's j is not 0.
 func (st *ltState) acquire(c *opCall) {
 	params, plan := c.ev.params, c.lt.plan
 	st.bind(params, c.level)
@@ -125,12 +112,14 @@ func (st *ltState) acquire(c *opCall) {
 	st.ctP1 = rq.GetPolyDirty(st.qLimbs)
 	// The output sum is built by modular adds and starts zeroed; every other
 	// accumulator is fully written by the stage that fills it.
-	st.acc = params.getAccum(st.qLimbs, true)
-	st.grp = params.getAccum(st.qLimbs, false)
-	st.c1Std = rq.GetPolyDirty(st.qLimbs)
-	st.gd = params.getDigits(st.gd, st.level)
+	st.acc = params.getPair(st.ext1, true)
+	if plan.groups[len(plan.groups)-1].j != 0 {
+		st.grp = params.getPair(st.ext1, false)
+		st.c1Std = rq.GetPolyDirty(st.qLimbs)
+		st.gd = params.getDigits(st.gd, st.level)
+	}
 	for range st.plan.babySteps {
-		st.babies = append(st.babies, params.getAccum(st.qLimbs, false))
+		st.babies = append(st.babies, params.getPair(st.ext1, false))
 	}
 }
 
@@ -141,22 +130,22 @@ func (st *ltState) release() {
 	params := st.ev.params
 	rq := params.RingQ
 	st.hd.release(params)
-	st.gd = params.putDigits(st.gd)
+	st.gd = params.putPolys(st.gd)
 	st.digits, st.own = nil, nil
 	clear(st.rows)
 	clear(st.macRows[:cap(st.macRows)])
 	releasePoly(rq, &st.ctP0)
 	releasePoly(rq, &st.ctP1)
 	for k := range st.babies {
-		params.putAccum(&st.babies[k])
+		params.putPolys(st.babies[k][:])
 	}
 	st.babies = st.babies[:0]
-	params.putAccum(&st.acc)
-	params.putAccum(&st.grp)
+	params.putPolys(st.acc[:])
+	params.putPolys(st.grp[:])
 	releasePoly(rq, &st.c1Std)
 	st.g, st.key, st.keys = nil, nil, nil
 	st.plan, st.ct = nil, nil
-	st.p0, st.p1 = nil, nil
+	st.out = [2]*ring.Poly{}
 	st.ev = nil
 	pushFree(params, &params.ltFree, st)
 }
@@ -280,10 +269,9 @@ func (st *ltState) babySweepStage(i int) {
 	mod := st.modulus(i)
 	for k, perm := range st.plan.babyPerm {
 		b := &st.babies[k]
-		o0 := b.row0(st.qLimbs, i)
-		st.innerProduct(i, st.keys[k], perm, o0, b.row1(st.qLimbs, i), false)
+		st.innerProduct(i, st.keys[k], perm, b[0].Coeffs[i], b[1].Coeffs[i], false)
 		if i < st.qLimbs {
-			addVecGather(mod, o0, st.ctP0.Coeffs[i], perm)
+			addVecGather(mod, b[0].Coeffs[i], st.ctP0.Coeffs[i], perm)
 		}
 	}
 }
@@ -328,24 +316,18 @@ func (st *ltState) giantPhase() {
 // while the group's diagonals stream through it.
 const ltMacBlock = 512
 
-// resolveTerm returns the plaintext and lazy-rotation rows of term t on
+// resolveTerm returns the diagonal and lazy-rotation rows of term t on
 // extended limb i, or ok=false for the nothing-to-add case (identity term,
 // P limb).
 func (st *ltState) resolveTerm(t *ltPlanTerm, i int) (ptc, r0, r1 []uint64, ok bool) {
-	if i < st.qLimbs {
-		ptc = t.pt.Value.Coeffs[i]
-		if t.babyIdx < 0 {
-			return ptc, st.ctP0.Coeffs[i], st.ctP1.Coeffs[i], true
-		}
+	switch {
+	case t.babyIdx >= 0:
 		b := &st.babies[t.babyIdx]
-		return ptc, b.c0Q.Coeffs[i], b.c1Q.Coeffs[i], true
+		return t.diag.Coeffs[i], b[0].Coeffs[i], b[1].Coeffs[i], true
+	case i < st.qLimbs:
+		return t.diag.Coeffs[i], st.ctP0.Coeffs[i], st.ctP1.Coeffs[i], true
 	}
-	if t.babyIdx < 0 {
-		return nil, nil, nil, false
-	}
-	r := i - st.qLimbs
-	b := &st.babies[t.babyIdx]
-	return t.ptP.Coeffs[r], b.c0P.Coeffs[r], b.c1P.Coeffs[r], true
+	return nil, nil, nil, false
 }
 
 // groupSumStage is the plaintext half of a group on extended limb i: MAC
@@ -358,7 +340,7 @@ func (st *ltState) groupSumStage(i int) {
 		return
 	}
 	r, li := st.extRing(i)
-	r.InverseLimb(li, st.grp.row1(st.qLimbs, i))
+	r.InverseLimb(li, st.grp[1].Coeffs[i])
 }
 
 // groupMac sums every diagonal of the current group times its lazy rotation
@@ -369,10 +351,11 @@ func (st *ltState) groupSumStage(i int) {
 func (st *ltState) groupMac(i int) {
 	terms := st.g.terms
 	mod := st.modulus(i)
-	out0, out1, add := st.grp.row0(st.qLimbs, i), st.grp.row1(st.qLimbs, i), false
+	out, add := &st.grp, false
 	if st.g.j == 0 {
-		out0, out1, add = st.acc.row0(st.qLimbs, i), st.acc.row1(st.qLimbs, i), true
+		out, add = &st.acc, true
 	}
+	out0, out1 := out[0].Coeffs[i], out[1].Coeffs[i]
 	if mod.Lanes() {
 		// On the IFMA52 lanes the sum is the keyswitch inner product's shape
 		// — one shared operand (the diagonal) against two rows — and its two
@@ -436,7 +419,8 @@ func (st *ltState) groupMac(i int) {
 // extended own rows included and groupKsStage transforms them all.
 func (st *ltState) groupBasisChunk(lo, hi int) {
 	c1 := rangeView(st.c1Std.Coeffs, lo, hi)
-	st.params.modDown[st.level].ModDown(c1, rangeView(st.grp.c1Q.Coeffs, lo, hi), rangeView(st.grp.c1P.Coeffs, lo, hi))
+	g1 := st.grp[1].Coeffs
+	st.params.modDown[st.level].ModDown(c1, rangeView(g1[:st.qLimbs], lo, hi), rangeView(g1[st.qLimbs:st.ext1], lo, hi))
 	for d, ext := range st.gd {
 		st.params.decomposer.DecomposeAndExtend(st.level, d, c1, rangeView(ext.Coeffs[:st.ext1], lo, hi))
 	}
@@ -448,9 +432,9 @@ func (st *ltState) groupBasisChunk(lo, hi int) {
 // σ_j(c0_group) added in the extended basis — no keyswitch, just the gather.
 func (st *ltState) groupKsStage(i int) {
 	st.forwardLimb(i)
-	o0 := st.acc.row0(st.qLimbs, i)
-	st.innerProduct(i, st.key, st.g.perm, o0, st.acc.row1(st.qLimbs, i), true)
-	addVecGather(st.modulus(i), o0, st.grp.row0(st.qLimbs, i), st.g.perm)
+	o0 := st.acc[0].Coeffs[i]
+	st.innerProduct(i, st.key, st.g.perm, o0, st.acc[1].Coeffs[i], true)
+	addVecGather(st.modulus(i), o0, st.grp[0].Coeffs[i], st.g.perm)
 }
 
 // finish closes the output accumulator with the tail every keyswitch ends
@@ -459,7 +443,7 @@ func (st *ltState) groupKsStage(i int) {
 func (st *ltState) finish(dst *Ciphertext, scale float64) {
 	pool := st.ev.pool
 	reshapeCt(dst, st.level)
-	st.p0, st.p1 = dst.C0, dst.C1
+	st.out = [2]*ring.Poly{dst.C0, dst.C1}
 	alpha := st.ext1 - st.qLimbs
 	ring.Run(pool, 2*alpha, &st.ksDigits, (*ksDigits).inverseRowP)
 	st.closeAccum(pool)

@@ -48,68 +48,52 @@ type Plaintext struct {
 // Encode embeds up to Slots complex values into a fresh plaintext at the
 // given level and scale. Shorter inputs are zero-padded.
 func (e *Encoder) Encode(values []complex128, level int, scale float64) *Plaintext {
-	n := e.params.Slots
-	if len(values) > n {
+	if len(values) > e.params.Slots {
 		panic("ckks: too many values to encode")
 	}
-	vals := make([]complex128, n)
+	vals := make([]complex128, e.params.Slots)
 	copy(vals, values)
-	e.specialIFFT(vals)
-
-	pt := &Plaintext{
-		Value: e.params.RingQ.NewPoly(level + 1),
-		Scale: scale,
-		Level: level,
-	}
-	rq := e.params.RingQ
-	for j := 0; j < n; j++ {
-		re := int64(math.Round(real(vals[j]) * scale))
-		im := int64(math.Round(imag(vals[j]) * scale))
-		for i := 0; i <= level; i++ {
-			pt.Value.Coeffs[i][j] = rq.Moduli[i].ReduceSigned(re)
-			pt.Value.Coeffs[i][j+n] = rq.Moduli[i].ReduceSigned(im)
-		}
-	}
-	rq.NTT(pt.Value)
-	return pt
+	v := e.params.RingQ.NewPoly(level + 1)
+	e.embed(v, vals, level+1, scale)
+	return &Plaintext{Value: v, Scale: scale, Level: level}
 }
 
-// encodeQP is Encode extended to the keyswitching basis: alongside the
-// Q-basis plaintext it reduces the same rounded message integers over the
-// special primes P and transforms them — the image double-hoisted linear
-// transforms multiply against lazy (QP-basis) baby-step rotations. The
-// input slice is clobbered in place by the IFFT, so callers can reuse one
-// scratch vector across many diagonals; it must span exactly Slots values.
-func (e *Encoder) encodeQP(values []complex128, level int, scale float64) (*Plaintext, *ring.Poly) {
-	n := e.params.Slots
-	if len(values) != n {
-		panic("ckks: encodeQP requires a full slot vector")
+// encodeExt is Encode onto the extended basis Q_level ∪ P: one poly of
+// level+1+Alpha rows in the digit layout holding the same rounded message
+// integers — a transform diagonal, which the double-hoisted engine
+// multiplies against lazy (extended-basis) baby-step rotations. The input
+// slice is clobbered in place, so callers can reuse one scratch vector
+// across many diagonals; it must span exactly Slots values.
+func (e *Encoder) encodeExt(values []complex128, level int, scale float64) *ring.Poly {
+	if len(values) != e.params.Slots {
+		panic("ckks: encodeExt requires a full slot vector")
 	}
-	e.specialIFFT(values)
+	qLimbs := level + 1
+	v := &ring.Poly{Coeffs: append(e.params.RingQ.NewPoly(qLimbs).Coeffs, e.params.RingP.NewPoly(e.params.Alpha()).Coeffs...)}
+	e.embed(v, values, qLimbs, scale)
+	return v
+}
 
-	rq, rp := e.params.RingQ, e.params.RingP
-	alpha := e.params.Alpha()
-	pt := &Plaintext{
-		Value: rq.NewPoly(level + 1),
-		Scale: scale,
-		Level: level,
+// embed writes the slot vector vals (clobbered) into v: the inverse
+// canonical embedding, each coefficient scaled and rounded once, reduced row
+// by row — the first qLimbs rows over Q, any further ones over P — and each
+// row transformed with its own ring's table.
+func (e *Encoder) embed(v *ring.Poly, vals []complex128, qLimbs int, scale float64) {
+	n := e.params.Slots
+	e.specialIFFT(vals)
+	for j, x := range vals {
+		vals[j] = complex(math.Round(real(x)*scale), math.Round(imag(x)*scale))
 	}
-	ptP := rp.NewPoly(alpha)
-	for j := 0; j < n; j++ {
-		re := int64(math.Round(real(values[j]) * scale))
-		im := int64(math.Round(imag(values[j]) * scale))
-		for i := 0; i <= level; i++ {
-			pt.Value.Coeffs[i][j] = rq.Moduli[i].ReduceSigned(re)
-			pt.Value.Coeffs[i][j+n] = rq.Moduli[i].ReduceSigned(im)
+	for i, row := range v.Coeffs {
+		r, li := e.params.extRing(qLimbs, i)
+		mod := r.Moduli[li]
+		for j, x := range vals {
+			row[j] = mod.ReduceSigned(int64(real(x)))
+			row[j+n] = mod.ReduceSigned(int64(imag(x)))
 		}
-		for i := 0; i < alpha; i++ {
-			ptP.Coeffs[i][j] = rp.Moduli[i].ReduceSigned(re)
-			ptP.Coeffs[i][j+n] = rp.Moduli[i].ReduceSigned(im)
-		}
+		r.ForwardLimb(li, row)
 	}
-	rq.NTT(pt.Value)
-	rp.NTT(ptP)
-	return pt, ptP
+	v.IsNTT = true
 }
 
 // EncodeReal embeds real values (convenience wrapper).

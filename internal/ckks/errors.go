@@ -14,7 +14,7 @@ import (
 var (
 	// ErrLevelExhausted reports that the modulus chain cannot absorb the
 	// operation: a rescale at level 0, or a scale that no longer fits under
-	// the active chain product (the noise-budget guard fired).
+	// the active chain product (the modulus-headroom guard fired).
 	ErrLevelExhausted = errors.New("level exhausted")
 
 	// ErrScaleMismatch reports operands whose scales differ where the

@@ -41,7 +41,7 @@ type Evaluator struct {
 	pool   *ring.Pool
 
 	// guards, when non-nil, activates the runtime integrity guards
-	// (residue-checksum seals, noise-budget checks, the opt-in
+	// (residue-checksum seals, modulus-headroom checks, the opt-in
 	// redundant-limb spot-check) exec runs around every op; see guard.go.
 	// Shared by pointer with evaluators derived via WithWorkers.
 	guards *guardState
@@ -346,7 +346,8 @@ func rangeView(coeffs [][]uint64, lo, hi int) [][]uint64 {
 // done to it — RNSconv/ModUp of a coefficient range, forward transform of a
 // limb, and the inner product of a limb against a switching key — and the
 // extended-basis accumulator a pipeline ends by closing (ModDown by P, in the
-// NTT domain). The plain keyswitch, the hoisted replay and the
+// NTT domain). Digits and accumulator share one row layout, Q_0…Q_l then
+// P_0…P_{α−1}, so extended limb i is row i of each. The plain keyswitch, the hoisted replay and the
 // double-hoisted linear-transform engine run these same methods; they
 // differ only in where the digits come from and what is summed into acc.
 type ksDigits struct {
@@ -374,14 +375,15 @@ type ksDigits struct {
 	// checkouts of the owning state record.
 	rows [][]uint64
 
-	// acc holds the sums over Q_l ∪ P — Q rows in the NTT domain, P rows in
-	// the coefficient domain by the time it is closed; closeAccum divides it
-	// by P into (p0, p1), qLimbs limbs each.
-	acc    qpAccum
-	p0, p1 *ring.Poly
+	// acc holds the sums of both ciphertext components over Q_l ∪ P, one
+	// ext1-row arena poly each in the digit layout (Q_0…Q_l, then P_0…P_{α−1})
+	// — Q rows in the NTT domain, P rows in the coefficient domain by the time
+	// it is closed; closeAccum divides it by P into out, qLimbs limbs each.
+	acc [2]*ring.Poly
+	out [2]*ring.Poly
 
 	// sum[c], when set, is what the close does with result component c
-	// (p0, p1) while its row is still in cache: dst = σ(src) + p_c, limb by
+	// (out[c]) while its row is still in cache: dst = σ(src) + out[c], limb by
 	// limb — the addition every keyswitch kernel ends with (MulRelin's d0/d1,
 	// KeySwitch's c0, a rotation's σ(c0)). perm is that σ as an NTT-domain
 	// gather, nil for the identity: the Galois permutation a rotation's
@@ -406,12 +408,7 @@ func (k *ksDigits) bind(params *Parameters, level int) {
 
 // extRing resolves extended-limb index i to its ring and the limb's index
 // there: Q limbs first, then P limbs.
-func (k *ksDigits) extRing(i int) (*ring.Ring, int) {
-	if i < k.qLimbs {
-		return k.params.RingQ, i
-	}
-	return k.params.RingP, i - k.qLimbs
-}
+func (k *ksDigits) extRing(i int) (*ring.Ring, int) { return k.params.extRing(k.qLimbs, i) }
 
 // modulus resolves extended-limb index i to its modulus.
 func (k *ksDigits) modulus(i int) numeric.Modulus {
@@ -476,24 +473,22 @@ func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1
 // c1's) to the coefficient domain — the only rows ModDown reads there. The Q
 // rows stay as they are: closeAccum divides them in the NTT domain.
 func (k *ksDigits) inverseRowP(t int) {
-	p, li := k.acc.c0P, t
-	if alpha := k.ext1 - k.qLimbs; t >= alpha {
-		p, li = k.acc.c1P, t-alpha
-	}
-	k.params.RingP.InverseLimb(li, p.Coeffs[li])
+	alpha := k.ext1 - k.qLimbs
+	k.params.RingP.InverseLimb(t%alpha, k.acc[t/alpha].Coeffs[k.qLimbs+t%alpha])
 }
 
 // modDownChunk writes, on coefficient range [lo, hi), the part of the
 // ModDown of both accumulators that reads their P rows — c = −conv(a_P)·P⁻¹,
-// coefficient domain — into p0/p1.
+// coefficient domain — into out.
 func (k *ksDigits) modDownChunk(lo, hi int) {
 	md := k.params.modDown[k.level]
-	md.Correction(rangeView(k.p0.Coeffs, lo, hi), rangeView(k.acc.c0P.Coeffs, lo, hi))
-	md.Correction(rangeView(k.p1.Coeffs, lo, hi), rangeView(k.acc.c1P.Coeffs, lo, hi))
+	for c, a := range k.acc {
+		md.Correction(rangeView(k.out[c].Coeffs, lo, hi), rangeView(a.Coeffs[k.qLimbs:k.ext1], lo, hi))
+	}
 }
 
-// nttOutStage closes output limb t (p0 rows first, then p1): the row holds
-// c, and
+// nttOutStage closes output limb t (out[0]'s rows first, then out[1]'s): the
+// row holds c, and
 //
 //	NTT(ModDown(a_Q, a_P)) = NTT(c) + P⁻¹·NTT(a_Q)
 //
@@ -503,15 +498,11 @@ func (k *ksDigits) modDownChunk(lo, hi int) {
 // is added into it here.
 func (k *ksDigits) nttOutStage(t int) {
 	c, i := t/k.qLimbs, t%k.qLimbs
-	p, aQ := k.p0, k.acc.c0Q
-	if c == 1 {
-		p, aQ = k.p1, k.acc.c1Q
-	}
 	rq := k.params.RingQ
-	mod, row := rq.Moduli[i], p.Coeffs[i]
+	mod, row := rq.Moduli[i], k.out[c].Coeffs[i]
 	rq.ForwardLimb(i, row)
 	w, ws := k.params.modDown[k.level].PInv(i)
-	mod.VecMulShoupAdd(row, row, aQ.Coeffs[i], w, ws)
+	mod.VecMulShoupAdd(row, row, k.acc[c].Coeffs[i], w, ws)
 
 	sum := &k.sum[c]
 	switch {
@@ -531,13 +522,13 @@ func (k *ksDigits) nttOutStage(t int) {
 
 // closeAccum is the tail of every extended-basis pipeline: ModDown by P of
 // the accumulator — its P rows in the coefficient domain (inverseRowP), its
-// Q rows still in the NTT domain — into (p0, p1), NTT domain. The P rows'
+// Q rows still in the NTT domain — into out, NTT domain. The P rows'
 // share is computed chunked across coefficients, then each output limb is
 // transformed and closed in one task.
 func (k *ksDigits) closeAccum(pool *ring.Pool) {
 	ring.RunChunks(pool, k.params.N, k, (*ksDigits).modDownChunk)
 	ring.Run(pool, 2*k.qLimbs, k, (*ksDigits).nttOutStage)
-	k.p0.IsNTT, k.p1.IsNTT = true, true
+	k.out[0].IsNTT, k.out[1].IsNTT = true, true
 	for _, sum := range k.sum {
 		if sum.dst != nil {
 			sum.dst.IsNTT = true
@@ -546,7 +537,7 @@ func (k *ksDigits) closeAccum(pool *ring.Pool) {
 	// Eager release; the owner's deferred release finds the fields nil and
 	// never double-Puts. Nothing is drawn from the arena between the two
 	// stages, so holding the Q rows through the second costs no peak.
-	k.params.putAccum(&k.acc)
+	k.params.putPolys(k.acc[:])
 }
 
 // ksState bundles the keyswitch pipeline's per-call state so every stage is
@@ -575,8 +566,8 @@ func (ev *Evaluator) newKsState(level int, key *SwitchingKey, p0, p1 *ring.Poly)
 	s := popFree(params, &params.ksFree)
 	s.bind(params, level)
 	s.key = key
-	s.p0, s.p1 = p0, p1
-	s.acc = params.getAccum(s.qLimbs, false)
+	s.out = [2]*ring.Poly{p0, p1}
+	s.acc = params.getPair(s.ext1, false)
 	return s
 }
 
@@ -627,7 +618,7 @@ func (s *ksState) limbStage(i int) {
 	if s.cx != nil {
 		s.forwardLimb(i)
 	}
-	s.innerProduct(i, s.key, s.perm, s.acc.row0(s.qLimbs, i), s.acc.row1(s.qLimbs, i), false)
+	s.innerProduct(i, s.key, s.perm, s.acc[0].Coeffs[i], s.acc[1].Coeffs[i], false)
 	if li := i - s.qLimbs; li >= 0 {
 		s.inverseRowP(li)
 		s.inverseRowP(s.ext1 - s.qLimbs + li)
@@ -636,7 +627,7 @@ func (s *ksState) limbStage(i int) {
 
 // ksRun is the paper's Keyswitch pipeline from the extended digits on, shared
 // by the direct and hoisted paths: inner product with the key digits in the
-// NTT domain, then ModDown by P — (p0, p1), NTT domain, qLimbs limbs, fully
+// NTT domain, then ModDown by P — out, NTT domain, qLimbs limbs, fully
 // overwritten — and the sums the kernel asked for.
 //
 // Loop order is limb-major, the order that keeps the working set on chip:
@@ -664,9 +655,9 @@ func (ev *Evaluator) ksRun(s *ksState) {
 // replay borrows them from the shared decomposition.
 func (ev *Evaluator) ksRelease(s *ksState) {
 	params := ev.params
-	params.putAccum(&s.acc)
+	params.putPolys(s.acc[:])
 	if !s.borrowed {
-		s.digits = params.putDigits(s.digits)
+		s.digits = params.putPolys(s.digits)
 	}
 	// The digit and row-header tables keep their capacity (emptied, so
 	// nothing they pointed at stays reachable through the free list).

@@ -17,7 +17,7 @@ import (
 //
 //  1. structural validation of the operands (validIn / validPt);
 //  2. the op's preconditions (scale match, key present, level left to drop,
-//     noise budget), then the destination: validated — aliasing included —
+//     modulus headroom), then the destination: validated — aliasing included —
 //     when the caller passed one, allocated at the result level when not;
 //  3. the attempt, inside the recovery boundary: re-verification of sealed
 //     inputs, the kernel, the redundant-limb spot-check. With a

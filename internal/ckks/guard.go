@@ -64,7 +64,7 @@ type integritySeal struct {
 }
 
 // EnableGuards turns the runtime integrity guards on: operations verify
-// sealed inputs, seal outputs, and run the noise-budget check. The
+// sealed inputs, seal outputs, and run the modulus-headroom check. The
 // seed fixes the spot-check's limb sampling. Guards are shared with
 // evaluators later derived via WithWorkers.
 func (ev *Evaluator) EnableGuards(seed int64) {
@@ -140,17 +140,18 @@ func (ev *Evaluator) verifySealed(op string, ct *Ciphertext) error {
 	return nil
 }
 
-// guardNoise flags noise-budget exhaustion for a result about to be
+// guardHeadroom flags modulus-headroom exhaustion for a result about to be
 // produced at the given level and scale: a scale the active chain product
-// no longer holds (bitsAboveScale ≤ 0).
-func (ev *Evaluator) guardNoise(op string, level int, scale float64) error {
+// no longer holds (bitsAboveScale ≤ 0). It checks scale against modulus,
+// not noise.
+func (ev *Evaluator) guardHeadroom(op string, level int, scale float64) error {
 	if ev.guards == nil || scale <= 0 {
 		return nil
 	}
-	if budget := bitsAboveScale(ev.params, level, scale); budget <= 0 {
+	if above := bitsAboveScale(ev.params, level, scale); above <= 0 {
 		return opErr(op, level, ErrLevelExhausted,
-			"noise budget exhausted: scale 2^%.1f exceeds chain product 2^%.1f",
-			math.Log2(scale), budget+math.Log2(scale))
+			"modulus headroom exhausted: scale 2^%.1f exceeds chain product 2^%.1f",
+			math.Log2(scale), above+math.Log2(scale))
 	}
 	return nil
 }

@@ -204,7 +204,7 @@ func TestTrySentinels(t *testing.T) {
 		}},
 		{"rescale at level 0", ErrLevelExhausted, "Rescale", false, func(c *sentinelCase) { c.a = c.ev.DropLevel(c.a, 0) }},
 		// At level 0 the chain holds ~2^50; a squared scale of 2^80 cannot fit.
-		{"exhausted noise budget", ErrLevelExhausted, "MulPlain MulRelin", false, func(c *sentinelCase) {
+		{"exhausted modulus headroom", ErrLevelExhausted, "MulPlain MulRelin", false, func(c *sentinelCase) {
 			c.ev = guarded
 			c.a, c.b = c.ev.DropLevel(c.a, 0), c.ev.DropLevel(c.b, 0)
 			c.pt = &Plaintext{Value: c.pt.Value, Scale: c.pt.Scale, Level: 0}
@@ -245,6 +245,9 @@ func TestTrySentinels(t *testing.T) {
 					}
 					if oe.Level != first.Level {
 						t.Fatalf("%s reports level %d, another surface %d", name, oe.Level, first.Level)
+					}
+					if cond.name == "exhausted modulus headroom" && !strings.Contains(oe.Detail, "modulus headroom exhausted") {
+						t.Fatalf("%s detail %q does not name the modulus headroom", name, oe.Detail)
 					}
 				}
 			})
@@ -488,7 +491,7 @@ func TestSpotCheckDetectsNTTFault(t *testing.T) {
 	}
 }
 
-// The noise guard flags a product scale the active chain cannot represent.
+// The headroom guard flags a product scale the active chain cannot represent.
 func TestNoiseGuardFlagsExhaustion(t *testing.T) {
 	gc := newGuardContext(t)
 	ev := gc.ev

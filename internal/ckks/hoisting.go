@@ -24,7 +24,6 @@ import "poseidon/internal/ring"
 // digit matrices are checked out of the parameter set's arena; call release
 // when every rotation has been evaluated.
 type hoistedDecomposition struct {
-	level  int
 	digits []*ring.Poly // first level+1+Alpha rows: NTT domain over Q_l ∪ P, digit-own rows unwritten
 	own    [][]uint64   // the digit-own rows: the decomposed C1 itself, as the ciphertext holds it
 }
@@ -32,7 +31,7 @@ type hoistedDecomposition struct {
 // release returns the digit matrices to the arena. Nil-safe so it can
 // double as the panic-path sweep of a partially built decomposition.
 func (hd *hoistedDecomposition) release(params *Parameters) {
-	hd.digits = params.putDigits(hd.digits)
+	hd.digits = params.putPolys(hd.digits)
 	hd.own = nil
 }
 
@@ -55,7 +54,7 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 	defer rq.PutPoly(s.cx)
 	ev.inttCopyInto(&s.intt, s.cx, ct.C1)
 
-	hd.level, hd.own = level, ct.C1.Coeffs
+	hd.own = ct.C1.Coeffs
 	hd.digits = params.getDigits(hd.digits[:0], level)
 	s.borrow(hd) // hd owns the digits from the moment they are drawn
 	ring.RunChunks(ev.pool, params.N, s, (*ksState).decomposeChunk)
@@ -75,9 +74,10 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 // every TryRotate re-verifies its seal. A Hoisted is bound to the evaluator
 // that created it and is not safe for concurrent use.
 type Hoisted struct {
-	ev *Evaluator
-	ct *Ciphertext
-	hd *hoistedDecomposition
+	ev    *Evaluator
+	ct    *Ciphertext
+	hd    *hoistedDecomposition
+	level int // the decomposition's level, kept past Release
 }
 
 // Hoist performs the shared decomposition phase for ct and returns the
@@ -113,11 +113,12 @@ func kernHoist(c *opCall) {
 		}
 	}()
 	c.ev.decomposeHoistedInto(hd, c.x)
-	c.h.hd = hd
+	c.h.hd, c.h.level = hd, c.level
 }
 
-// Level reports the level the decomposition was taken at.
-func (h *Hoisted) Level() int { return h.hd.level }
+// Level reports the level the decomposition was taken at — also after
+// Release.
+func (h *Hoisted) Level() int { return h.level }
 
 // Rotate applies one rotation through the shared decomposition. Panics with
 // the *OpError TryRotate returns.

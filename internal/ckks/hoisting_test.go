@@ -152,6 +152,24 @@ func TestHoistedHandleMatchesRotate(t *testing.T) {
 	}
 }
 
+// TestHoistedLevelAfterRelease: Release is safe to repeat and leaves the
+// handle held, so Level keeps answering the decomposition's level after it
+// (it read the released decomposition and panicked).
+func TestHoistedLevelAfterRelease(t *testing.T) {
+	tc := newTestContext(t)
+	ev := NewEvaluator(tc.params, nil, tc.kgen.GenRotationKeys(tc.sk, []int{1}, false))
+	ct := ev.DropLevel(tc.encr.EncryptZero(tc.params.MaxLevel(), tc.params.Scale), 2)
+	h := ev.Hoist(ct)
+	h.Release()
+	if got := h.Level(); got != 2 {
+		t.Fatalf("Level() after Release = %d, want 2", got)
+	}
+	h.Release()
+	if got := h.Level(); got != 2 {
+		t.Fatalf("Level() after a second Release = %d, want 2", got)
+	}
+}
+
 // TryHoist/TryRotate carry the Try* error contract: missing keys are
 // ErrKeyMissing, a released handle is ErrInvalidInput, and valid inputs
 // round-trip. Releasing twice is safe, and releasing must return every

@@ -11,9 +11,9 @@ import (
 // LinearTransform is an encoded n×n slot-wise matrix multiplication,
 // evaluated with the baby-step/giant-step diagonal method: the matrix is
 // stored as its generalized diagonals, pre-rotated so evaluation needs only
-// ~2·√n rotations. Diagonals are encoded over the extended basis Q·P as
-// well, so the double-hoisted evaluation path can multiply them against
-// lazy (not-yet-ModDowned) baby-step rotations; see double_hoist.go.
+// ~2·√n rotations. Diagonals are encoded over the extended basis Q_l ∪ P,
+// so the double-hoisted evaluation path can multiply them against lazy
+// (not-yet-ModDowned) baby-step rotations; see double_hoist.go.
 type LinearTransform struct {
 	N1    int // baby-step width
 	Level int // evaluation level: a higher input is dropped to it, a lower one refused
@@ -21,13 +21,12 @@ type LinearTransform struct {
 
 	ringQ *ring.Ring // fixes the ring degree and resolves Galois permutations
 
-	// ds lists the non-zero diagonals, ascending. diag[d] is the plaintext
-	// of diagonal d (already rotated by −(d/N1)·N1 for the giant-step
-	// regrouping); diagP[d] is the same message encoded over the special
-	// primes P.
-	ds    []int
-	diag  map[int]*Plaintext
-	diagP map[int]*ring.Poly
+	// ds lists the non-zero diagonals, ascending. diag[d] is diagonal d
+	// (already rotated by −(d/N1)·N1 for the giant-step regrouping) encoded
+	// at scale Scale as one NTT-domain poly of Level+1+Alpha rows: Q_0…Q_Level,
+	// then P_0…P_{α−1}, the digit layout.
+	ds   []int
+	diag map[int]*ring.Poly
 
 	plan *LinearTransformPlan // built with the transform
 }
@@ -59,10 +58,9 @@ type ltGroup struct {
 
 // ltPlanTerm is one diagonal's contribution to a group sum.
 type ltPlanTerm struct {
-	i       int // inner (baby) step
-	babyIdx int // index into babySteps; −1 for i == 0 (the input itself)
-	pt      *Plaintext
-	ptP     *ring.Poly
+	i       int        // inner (baby) step
+	babyIdx int        // index into babySteps; −1 for i == 0 (the input itself)
+	diag    *ring.Poly // the encoded diagonal over Q_l ∪ P
 }
 
 // Plan returns the transform's evaluation plan.
@@ -110,7 +108,7 @@ func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
 		if i != 0 {
 			bi = babyIdx[i]
 		}
-		g.terms = append(g.terms, ltPlanTerm{i: i, babyIdx: bi, pt: lt.diag[d], ptP: lt.diagP[d]})
+		g.terms = append(g.terms, ltPlanTerm{i: i, babyIdx: bi, diag: lt.diag[d]})
 	}
 
 	p.rotations = append(p.rotations, p.babySteps...)
@@ -208,14 +206,13 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 	}
 	lt := &LinearTransform{
 		N1: n1, Level: level, Scale: scale, ringQ: enc.params.RingQ,
-		ds:    ds,
-		diag:  make(map[int]*Plaintext, len(ds)),
-		diagP: make(map[int]*ring.Poly, len(ds)),
+		ds:   ds,
+		diag: make(map[int]*ring.Poly, len(ds)),
 	}
 
 	// One scratch vector serves every diagonal: the pre-rotation by −j·n1
 	// is folded into the gather itself (rot[t] = diag_d[t−j]), so nothing
-	// is copied — j=0 diagonals included. encodeQP clobbers the scratch in
+	// is copied — j=0 diagonals included. encodeExt clobbers the scratch in
 	// place; it is refilled each iteration.
 	rot := make([]complex128, n)
 	for _, d := range ds {
@@ -227,7 +224,7 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 			}
 			rot[t] = m[src][(src+d)%n]
 		}
-		lt.diag[d], lt.diagP[d] = enc.encodeQP(rot, level, scale)
+		lt.diag[d] = enc.encodeExt(rot, level, scale)
 	}
 	lt.plan = lt.buildPlan()
 	return lt, nil

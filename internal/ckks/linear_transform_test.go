@@ -479,8 +479,8 @@ func FuzzLinearTransformPlan(f *testing.F) {
 				} else if term.babyIdx < 0 || term.babyIdx >= len(p.babySteps) || p.babySteps[term.babyIdx] != term.i {
 					t.Fatalf("term (j=%d, i=%d) baby index %d inconsistent with %v", g.j, term.i, term.babyIdx, p.babySteps)
 				}
-				if term.pt == nil || term.ptP == nil {
-					t.Fatalf("term (j=%d, i=%d) missing encoded diagonal", g.j, term.i)
+				if term.diag == nil || len(term.diag.Coeffs) != lt.Level+1+params.Alpha() || !term.diag.IsNTT {
+					t.Fatalf("term (j=%d, i=%d) missing its extended-basis diagonal", g.j, term.i)
 				}
 				if !diagSet[g.j+term.i] {
 					t.Fatalf("plan invented diagonal %d", g.j+term.i)

@@ -8,7 +8,7 @@ import (
 // Noise diagnostics: measure how far a ciphertext's decryption drifts from
 // a known reference, in bits of slot precision. Used by tests and by
 // parameter-tuning experiments; the accelerator paper's workloads all
-// depend on noise budgets holding through deep circuits.
+// depend on precision holding through deep circuits.
 
 // NoiseEstimator measures slot-level precision against references.
 type NoiseEstimator struct {
@@ -70,7 +70,7 @@ func HeadroomBits(params *Parameters, ct *Ciphertext) float64 {
 
 // bitsAboveScale is log2 Q_level − log2 scale: how many bits of the active
 // chain product lie above a plaintext at that scale. HeadroomBits and the
-// headroom guard (guardNoise) both read it.
+// headroom guard (guardHeadroom) both read it.
 func bitsAboveScale(params *Parameters, level int, scale float64) float64 {
 	logQ := 0.0
 	for i := 0; i <= level; i++ {

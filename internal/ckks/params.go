@@ -65,8 +65,7 @@ type Parameters struct {
 }
 
 // getDigits appends one extended-digit matrix per keyswitch digit of the
-// given level to ds — the scratch a full decomposition over Q_l ∪ P needs —
-// and putDigits returns them, handing back ds emptied with its capacity.
+// given level to ds — the scratch a full decomposition over Q_l ∪ P needs.
 // Each matrix is a full-width (|Q|+|P|)-limb arena poly, one size class for
 // every level; the pipeline reads its first level+1+Alpha rows.
 func (p *Parameters) getDigits(ds []*ring.Poly, level int) []*ring.Poly {
@@ -77,13 +76,39 @@ func (p *Parameters) getDigits(ds []*ring.Poly, level int) []*ring.Poly {
 	return ds
 }
 
-func (p *Parameters) putDigits(ds []*ring.Poly) []*ring.Poly {
+// getPair draws a keyswitch accumulator: one arena poly per ciphertext
+// component, each exactly ext1 rows over Q_l ∪ P in the digit layout —
+// zeroed for one built up by modular adds, dirty for one whose every row the
+// filling stage overwrites. Unlike the digits it is drawn at its exact
+// width: a full-width pair would add to every keyswitch's footprint.
+func (p *Parameters) getPair(ext1 int, zeroed bool) [2]*ring.Poly {
 	arena := p.RingQ.Arena()
-	for d, ext := range ds {
-		arena.Put(ext)
-		ds[d] = nil
+	if zeroed {
+		return [2]*ring.Poly{arena.Get(ext1), arena.Get(ext1)}
 	}
-	return ds[:0]
+	return [2]*ring.Poly{arena.GetDirty(ext1), arena.GetDirty(ext1)}
+}
+
+// putPolys returns digit matrices or an accumulator pair to the arena and
+// forgets them, handing back ps emptied with its capacity. Nil entries are
+// skipped, so it doubles as the panic-path sweep of a half-drawn or
+// already-returned set.
+func (p *Parameters) putPolys(ps []*ring.Poly) []*ring.Poly {
+	arena := p.RingQ.Arena()
+	for k, q := range ps {
+		arena.Put(q)
+		ps[k] = nil
+	}
+	return ps[:0]
+}
+
+// extRing resolves row i of an extended-basis poly over Q_l ∪ P (qLimbs Q
+// rows, then the P rows) to its ring and the limb's index there.
+func (p *Parameters) extRing(qLimbs, i int) (*ring.Ring, int) {
+	if i < qLimbs {
+		return p.RingQ, i
+	}
+	return p.RingP, i - qLimbs
 }
 
 // popFree pops a recycled record off one of the scratchMu-guarded free lists,
@@ -109,27 +134,6 @@ func pushFree[T any](p *Parameters, list *[]*T, s *T) {
 	p.scratchMu.Lock()
 	*list = append(*list, s)
 	p.scratchMu.Unlock()
-}
-
-// getAccum draws an extended-basis accumulator for qLimbs Q limbs from the
-// arena — zeroed for one that is built up by modular adds, dirty for one
-// whose every row is overwritten by the stage that fills it.
-func (p *Parameters) getAccum(qLimbs int, zeroed bool) qpAccum {
-	rq, rp, alpha := p.RingQ, p.RingP, p.Alpha()
-	if zeroed {
-		return qpAccum{c0Q: rq.GetPoly(qLimbs), c1Q: rq.GetPoly(qLimbs), c0P: rp.GetPoly(alpha), c1P: rp.GetPoly(alpha)}
-	}
-	return qpAccum{c0Q: rq.GetPolyDirty(qLimbs), c1Q: rq.GetPolyDirty(qLimbs), c0P: rp.GetPolyDirty(alpha), c1P: rp.GetPolyDirty(alpha)}
-}
-
-// putAccum returns an accumulator's polynomials and empties it. Nil-safe
-// field by field, so it doubles as the panic-path sweep of a half-built or
-// already-closed accumulator.
-func (p *Parameters) putAccum(a *qpAccum) {
-	releasePoly(p.RingQ, &a.c0Q)
-	releasePoly(p.RingQ, &a.c1Q)
-	releasePoly(p.RingP, &a.c0P)
-	releasePoly(p.RingP, &a.c1P)
 }
 
 // releasePoly returns *q to r's arena and forgets it; a nil *q is a no-op. Every

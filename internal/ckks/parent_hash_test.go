@@ -40,6 +40,17 @@ var parentHashes = map[string]string{
 	"NegInto":      "25aa4f1340be4bd1aee02b817ce15bc97e5c1e50d2229b8ca519cf09679ecbc3",
 	"AddPlainInto": "49d7c0a5d2f6f4e4f1a241a790facc752fdf63c73a599985e2fb74357c8d94b6",
 	"MulPlainInto": "676e8f9958a9ddc0217726f9e52608e48458903abf470b0fccf258071e797c5a",
+
+	// Added at 6b9275d, the commit before every extended-basis accumulator
+	// and transform diagonal became one poly over Q_l ∪ P: below the top
+	// level the extended width ext1 is narrower than the full |Q|+|P|, so a
+	// row-slicing slip shows here and in no row above. Operands are
+	// DropLevel views of ct / ct2 and the transform is m at level 2 with the
+	// same split, so no key or RNG draw is added.
+	"MulRelinInto/level2":                "3f3c6bd54ad9c59c1931ae8f46a5e3d79a07682f3895420ec398b33bb43eadca",
+	"RotateInto/level2":                  "391c8b138e56436d86e309d0373bc56d91aaa20e4d475e309645e6d4927261a8",
+	"Hoisted.Rotate/level2":              "391c8b138e56436d86e309d0373bc56d91aaa20e4d475e309645e6d4927261a8",
+	"EvaluateLinearTransformInto/level2": "bb9b699fe01e83a820e0836bbae72aebdbb1cf493405c2d42193f399a0dc9dd2",
 }
 
 func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
@@ -85,6 +96,14 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 
 				h := ev.Hoist(ct)
 				defer h.Release()
+				const low = 2
+				ctLow, ct2Low := ev.DropLevel(ct, low), ev.DropLevel(ct2, low)
+				ltLow, err := NewLinearTransformBSGS(enc, m, low, params.Scale, 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				hLow := ev.Hoist(ctLow)
+				defer hLow.Release()
 				got := map[string]*Ciphertext{
 					"RescaleInto":                 ev.RescaleInto(NewCiphertext(params, ct.Level-1), ct),
 					"KeySwitchInto":               ev.KeySwitchInto(NewCiphertext(params, ct.Level), ct, &rlk.SwitchingKey),
@@ -99,6 +118,11 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 					"NegInto":                     ev.NegInto(NewCiphertext(params, ct.Level), ct),
 					"AddPlainInto":                ev.AddPlainInto(NewCiphertext(params, ct.Level), ct, pt),
 					"MulPlainInto":                ev.MulPlainInto(NewCiphertext(params, ct.Level), ct, pt),
+
+					"MulRelinInto/level2":                ev.MulRelinInto(NewCiphertext(params, low), ctLow, ct2Low),
+					"RotateInto/level2":                  ev.RotateInto(NewCiphertext(params, low), ctLow, 7),
+					"Hoisted.Rotate/level2":              hLow.Rotate(7),
+					"EvaluateLinearTransformInto/level2": ev.EvaluateLinearTransformInto(NewCiphertext(params, low), ctLow, ltLow),
 				}
 				for name, out := range got {
 					blob, err := out.MarshalBinary()

@@ -82,7 +82,8 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 			if t.babyIdx >= 0 {
 				c = inner[t.babyIdx]
 			}
-			prod := ev.MulPlain(c, t.pt)
+			// The diagonal's Q rows are the plaintext PMult multiplies by.
+			prod := ev.MulPlain(c, &Plaintext{Value: prefix(t.diag, qLimbs), Scale: lt.Scale, Level: level})
 			if acc == nil {
 				acc = prod
 			} else {

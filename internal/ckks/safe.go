@@ -95,13 +95,13 @@ var (
 	opSub       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernSub, spot: spotSub}
 	opNeg       = opDesc{name: "HNeg", kernel: kernNeg, spot: spotNeg}
 	opAddPlain  = opDesc{name: "HAddPlain", observe: true, plain: true, pre: preSameScale, kernel: kernAddPlain, spot: spotAddPlain}
-	opMulPlain  = opDesc{name: "PMult", observe: true, plain: true, pre: preNoise, kernel: kernMulPlain, spot: spotMulPlain}
+	opMulPlain  = opDesc{name: "PMult", observe: true, plain: true, pre: preHeadroom, kernel: kernMulPlain, spot: spotMulPlain}
 	opMulRelin  = opDesc{name: "CMult", observe: true, binary: true, noAlias: true, pre: preMulRelin, kernel: kernMulRelin}
 	opRescale   = opDesc{name: "Rescale", observe: true, drop: 1, pre: preRescale, kernel: kernRescale}
 	opGalois    = opDesc{name: "Rotation", observe: true, pre: preGalois, kernel: kernGalois}
 	opKeySwitch = opDesc{name: "Keyswitch", observe: true, pre: preKeySwitch, kernel: kernKeySwitch}
 
-	opMulScalar = opDesc{name: "PMult", observe: true, pre: preNoise, kernel: kernMulScalar}                   // s·a
+	opMulScalar = opDesc{name: "PMult", observe: true, pre: preHeadroom, kernel: kernMulScalar}                // s·a
 	opMacScalar = opDesc{name: "PMult", observe: true, binary: true, pre: preSameScale, kernel: kernMacScalar} // a + s·b
 	opAddScalar = opDesc{name: "HAddPlain", observe: true, pre: preSameScale, kernel: kernAddScalar}           // a + s
 	opMulByI    = opDesc{name: "MulByI", kernel: kernMulByI}                                                   // not a traced kind
@@ -135,9 +135,9 @@ func preSameScale(c *opCall) error {
 	return nil
 }
 
-// preNoise flags a product scale the active modulus chain cannot hold.
-func preNoise(c *opCall) error {
-	return c.ev.guardNoise(c.d.name, c.level, c.a.Scale*c.otherScale())
+// preHeadroom flags a product scale the active modulus chain cannot hold.
+func preHeadroom(c *opCall) error {
+	return c.ev.guardHeadroom(c.d.name, c.level, c.a.Scale*c.otherScale())
 }
 
 func preMulRelin(c *opCall) error {
@@ -147,7 +147,7 @@ func preMulRelin(c *opCall) error {
 	if err := c.ev.rlk.covers(c.ev.params, c.d.name, c.level); err != nil {
 		return err
 	}
-	return preNoise(c)
+	return preHeadroom(c)
 }
 
 func preRescale(c *opCall) error {
@@ -178,7 +178,7 @@ func preLinTrans(c *opCall) error {
 		return opErr(c.d.name, c.run, ErrLevelExhausted, "transform needs level %d, ciphertext at %d", c.lt.Level, c.run)
 	}
 	c.run, c.level = c.lt.Level, c.lt.Level
-	if err := preNoise(c); err != nil {
+	if err := preHeadroom(c); err != nil {
 		return err
 	}
 	for _, g := range c.lt.plan.keyGal {
