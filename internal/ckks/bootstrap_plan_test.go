@@ -37,8 +37,8 @@ func newBootFixture(t testing.TB, logN, workers int) *bootFixture {
 // destination on a serial evaluator touches the Go heap zero times, and the
 // arena not at all once warm — no misses, no growth, nothing left checked
 // out. The last is the slot-shape rule: a slot is checked out at the level
-// its sum is formed at, rescaled in place, and would re-file two classes down
-// (and miss on every later run) were its shape not restored before Put.
+// its sum is formed at and rescaled in place, and must still return to the
+// class it was drawn from (or every later run would miss).
 func TestZeroAllocEvalMod(t *testing.T) {
 	fx := newBootFixture(t, 7, 1)
 	half, _ := fx.boot.CoeffToSlot(fx.boot.ModRaise(fx.ct))

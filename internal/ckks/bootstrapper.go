@@ -198,13 +198,14 @@ func (b *Bootstrapper) SlotToCoeff(ct0, ct1 *Ciphertext) *Ciphertext {
 // stages would find it saturated and run inline — so they get a serial
 // evaluator and skip the dispatch; on a wider pool spare tokens, and the
 // early finisher's, flow to the inner stages. A malformed ct is
-// ErrInvalidInput, and the *OpError any step fails with is returned.
+// ErrInvalidInput, one not at scale Δ ErrScaleMismatch, and the *OpError any
+// step fails with is returned.
 func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (_ *Ciphertext, err error) {
 	if err := b.ev.validIn("Bootstrap", ct); err != nil {
 		return nil, err
 	}
 	if !sameScale(ct.Scale, b.params.Scale) {
-		return nil, fmt.Errorf("ckks: bootstrap expects a ciphertext at scale Δ=%g", b.params.Scale)
+		return nil, opErr("Bootstrap", ct.Level, ErrScaleMismatch, "expects a ciphertext at scale Δ=%g, has %g", b.params.Scale, ct.Scale)
 	}
 	defer recoverOp("Bootstrap", &ct.Level, &err)
 	var half [2]*Ciphertext

@@ -10,9 +10,11 @@ import (
 // kernel exec runs for opLinTrans (preLinTrans in safe.go cuts the level and
 // resolves the keys). The per-rotation schedule it is measured against below
 // is a test reference (per_rotation_test.go), built from the basic ops alone.
-// Every stage here — the P·ct lift included — is an ltState or ksDigits
-// method under ring.Run / ring.RunChunks; the engine reaches the pool no
-// other way.
+// Its state lives on the op's one record (opCall, whose ltState part is
+// below), and the record's sweep returns every buffer it draws. Every stage
+// here — the P·ct lift included — is a method of that record or of the
+// ltState / ksDigits it embeds, under ring.Run / ring.RunChunks; the engine
+// reaches the pool no other way.
 //
 // The per-rotation BSGS schedule pays one full keyswitch — digit MACs plus
 // an inverse-NTT sweep and a ModDown — for every baby-step rotation AND
@@ -54,100 +56,65 @@ import (
 // O(1) units — far below the encoding noise floor; the differential tests
 // pin that bound.
 
-// ltState bundles the double-hoisted engine's per-call state so every stage
-// is a method the stage runner (ring.Run) dispatches — a plain loop at
-// workers=1, no closures, no allocations. Records are recycled
-// through the Parameters free list (popFree / pushFree) and keep their
-// slice capacities across checkouts, so a steady-state transform loop
-// allocates nothing beyond the result ciphertext.
+// ltState is the double-hoisted engine's part of the op's record (opCall),
+// beside the keyswitch datapath it embeds, so every stage is a method the
+// stage runner (ring.Run) dispatches — a plain loop at workers=1, no
+// closures, no allocations. Its slices keep their capacities across the
+// record's checkouts, and the record's sweep returns every buffer it holds,
+// so a steady-state transform loop allocates nothing beyond the result
+// ciphertext.
 type ltState struct {
 	// ksDigits.digits is whichever decomposition the running keyswitch
-	// stage reads: hd.digits during the baby sweep, gd during a giant step.
-	// ksDigits.acc is the running transform result over the extended basis,
-	// closed into the destination rows (out) by finish. Every extended-basis
-	// operand below — acc, grp, each baby — is a (c0, c1) pair of ext1-row
-	// arena polys in the digit layout, so every stage indexes row i directly.
+	// stage reads: the shared baby-step decomposition during the baby sweep,
+	// the giant step's once giantPhase swaps gd in. ksDigits.acc is the
+	// running transform result over the extended basis, closed into the
+	// destination rows by closeLinTrans. Every extended-basis operand below —
+	// acc, grp, each baby — is a (c0, c1) pair of ext1-row arena polys in the
+	// digit layout, so every stage indexes row i directly.
 	ksDigits
-	ev   *Evaluator
-	plan *LinearTransformPlan
 
-	hd hoistedDecomposition // shared baby-step digit decomposition
-	gd []*ring.Poly         // digit matrices of the giant-step keyswitch; drawn only for a plan with a j ≠ 0 group
+	gd []*ring.Poly // digit matrices of the giant-step keyswitch; drawn only for a plan with a j ≠ 0 group
 
 	// ctP0/ctP1 hold P·ct over the Q rows (NTT domain) — the lazy QP image
 	// of the identity rotation, lifted from the operand ct; its P rows are
 	// identically zero, which the MAC stage exploits by skipping identity
 	// terms on P limbs.
-	ct         *Ciphertext
 	ctP0, ctP1 *ring.Poly
 
 	babies [][2]*ring.Poly // lazy QP rotations, one per plan baby step
-	keys   []*SwitchingKey // the call's rotation keys, in plan.keyGal order
 
 	grp   [2]*ring.Poly // per-group staging (reduction target of a j ≠ 0 group)
 	c1Std *ring.Poly    // group c1 after its single ModDown (coeff domain, Q)
 
-	g   *ltGroup      // current group
-	key *SwitchingKey // its giant rotation's key
+	group *ltGroup // current group
 
 	// macRows is slice-header scratch for groupMac on lane limbs: the
 	// group's diagonal, c0 and c1 rows, 3·len(terms) headers per extended
 	// limb.
 	macRows [][]uint64
-
-	stats LinTransStats
 }
 
-// acquire binds the record to one evaluation and draws its scratch. The
+// bindLinTrans binds the record to one evaluation and draws its scratch. The
 // giant-step keyswitch's scratch — group staging, the group c1 and the digit
 // matrices — is drawn only when some group is rotated: groups are sorted by
 // j ≥ 0, so that is when the last one's j is not 0.
-func (st *ltState) acquire(c *opCall) {
+func (c *opCall) bindLinTrans() {
 	params, plan := c.ev.params, c.lt.plan
-	st.bind(params, c.level)
-	st.ev, st.plan, st.keys = c.ev, plan, c.keys
-	st.stats = LinTransStats{BabySteps: len(plan.babySteps), GiantSteps: len(plan.groups)}
+	c.bind(params, c.level)
 	rq := params.RingQ
-	st.ctP0 = rq.GetPolyDirty(st.qLimbs)
-	st.ctP1 = rq.GetPolyDirty(st.qLimbs)
+	c.ctP0 = rq.GetPolyDirty(c.qLimbs)
+	c.ctP1 = rq.GetPolyDirty(c.qLimbs)
 	// The output sum is built by modular adds and starts zeroed; every other
 	// accumulator is fully written by the stage that fills it.
-	st.acc = params.getPair(st.ext1, true)
+	c.acc = params.getPair(c.ext1, true)
 	if plan.groups[len(plan.groups)-1].j != 0 {
-		st.grp = params.getPair(st.ext1, false)
-		st.c1Std = rq.GetPolyDirty(st.qLimbs)
-		st.gd = params.getDigits(st.gd, st.level)
+		c.grp = params.getPair(c.ext1, false)
+		c.c1Std = rq.GetPolyDirty(c.qLimbs)
+		c.gd = params.getDigits(c.gd, c.level)
 	}
-	for range st.plan.babySteps {
-		st.babies = append(st.babies, params.getPair(st.ext1, false))
+	for range plan.babySteps {
+		c.babies = append(c.babies, params.getPair(c.ext1, false))
 	}
-}
-
-// release returns every borrowed buffer and recycles the record. Nil-safe
-// field by field, so it doubles as the panic-path sweep (deferred by the
-// driver); slice capacities are kept for the next checkout.
-func (st *ltState) release() {
-	params := st.ev.params
-	rq := params.RingQ
-	st.hd.release(params)
-	st.gd = params.putPolys(st.gd)
-	st.digits, st.own = nil, nil
-	clear(st.rows)
-	clear(st.macRows[:cap(st.macRows)])
-	releasePoly(rq, &st.ctP0)
-	releasePoly(rq, &st.ctP1)
-	for k := range st.babies {
-		params.putPolys(st.babies[k][:])
-	}
-	st.babies = st.babies[:0]
-	params.putPolys(st.acc[:])
-	params.putPolys(st.grp[:])
-	releasePoly(rq, &st.c1Std)
-	st.g, st.key, st.keys = nil, nil, nil
-	st.plan, st.ct = nil, nil
-	st.out = [2]*ring.Poly{}
-	st.ev = nil
-	pushFree(params, &params.ltFree, st)
 }
 
 // EvaluateLinearTransform applies lt to ct with the double-hoisted schedule
@@ -180,7 +147,8 @@ func (ev *Evaluator) EvaluateLinearTransformWithStats(ct *Ciphertext, lt *Linear
 // kernLinTrans is the engine on c.x into c.out. The descriptor is unobserved:
 // one timed "LinTrans" op is reported per giant-step group — the unit the
 // accelerator model's trace.LinTrans profile prices — plus one event per
-// engine phase, timing detail nested around those ops.
+// engine phase, timing detail nested around those ops. The phases count
+// their work into a local the caller's stats receive.
 func kernLinTrans(c *opCall) {
 	ev, plan, level, dst := c.ev, c.lt.plan, c.level, c.out
 	scale := c.x.Scale * c.lt.Scale
@@ -196,68 +164,63 @@ func kernLinTrans(c *opCall) {
 		return
 	}
 
-	st := popFree(ev.params, &ev.params.ltFree)
-	defer st.release()
-	st.acquire(c)
+	c.bindLinTrans()
+	stats := LinTransStats{BabySteps: len(plan.babySteps), GiantSteps: len(plan.groups)}
 
 	sp := ev.beginOp("hoist")
-	st.hoist(c.x)
+	c.hoistLinTrans(&stats)
 	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "hoist", Level: level})
 
 	sp = ev.beginOp("baby")
-	st.babyPhase()
+	c.babyPhase(&stats)
 	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "baby", Level: level})
 
 	sp = ev.beginOp("giant")
-	st.giantPhase()
+	c.giantPhase(&stats)
 	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "giant", Level: level})
 
 	sp = ev.beginOp("finish")
-	st.finish(dst, scale)
+	c.closeLinTrans(&stats, scale)
 	ev.emit(sp, trace.OpEvent{Op: "LinTrans", Phase: "finish", Level: level})
 
 	if c.stats != nil {
-		*c.stats = st.stats
+		*c.stats = stats
 	}
 }
 
-// hoist runs the shared phase: the baby-step digit decomposition of ct.C1
-// (skipped when the plan has no baby steps) and the scalar lift
-// ctP0/ctP1 = P·ct over the Q rows — the lazy QP image of the identity
-// rotation.
-func (st *ltState) hoist(ct *Ciphertext) {
-	ev := st.ev
-	params := ev.params
-	if len(st.plan.babySteps) > 0 {
-		ev.decomposeHoistedInto(&st.hd, ct)
-		st.stats.InverseNTTLimbs += st.qLimbs
-		st.stats.NTTLimbs += params.Digits(st.level)*st.ext1 - st.qLimbs // digit-own rows are ct.C1's
+// hoistLinTrans runs the shared phase: the baby-step digit decomposition of
+// ct.C1 into the record (skipped when the plan has no baby steps), its
+// forward transforms, and the scalar lift ctP0/ctP1 = P·ct over the Q rows —
+// the lazy QP image of the identity rotation.
+func (c *opCall) hoistLinTrans(stats *LinTransStats) {
+	if len(c.lt.plan.babySteps) > 0 {
+		c.hoistDigits(c.x.C1)
+		stats.InverseNTTLimbs += c.qLimbs
+		stats.NTTLimbs += len(c.digits)*c.ext1 - c.qLimbs // digit-own rows are ct.C1's
 	}
-	st.ct = ct
-	ring.Run(ev.pool, st.qLimbs, st, (*ltState).liftStage)
-	st.ctP0.IsNTT, st.ctP1.IsNTT = true, true
+	ring.Run(c.ev.pool, c.qLimbs, c, (*opCall).liftStage)
+	c.ctP0.IsNTT, c.ctP1.IsNTT = true, true
 }
 
 // liftStage is limb i of P·ct, both components.
-func (st *ltState) liftStage(i int) {
-	mod := st.params.RingQ.Moduli[i]
-	p := mod.Reduce(st.params.pModQ[i])
+func (c *opCall) liftStage(i int) {
+	mod := c.params.RingQ.Moduli[i]
+	p := mod.Reduce(c.params.pModQ[i])
 	ps := mod.ShoupConstant(p)
-	mod.VecMulShoup(st.ctP0.Coeffs[i], st.ct.C0.Coeffs[i], p, ps)
-	mod.VecMulShoup(st.ctP1.Coeffs[i], st.ct.C1.Coeffs[i], p, ps)
+	mod.VecMulShoup(c.ctP0.Coeffs[i], c.x.C0.Coeffs[i], p, ps)
+	mod.VecMulShoup(c.ctP1.Coeffs[i], c.x.C1.Coeffs[i], p, ps)
 }
 
 // babyPhase materializes every baby step as a lazy extended-basis rotation
 // in ONE limb-major sweep: a task owns an extended limb and walks all of the
 // plan's baby rotations on it, so the limb's digit rows are fetched once and
 // stay cache-resident while every rotation key streams past them.
-func (st *ltState) babyPhase() {
-	if len(st.plan.babySteps) == 0 {
+func (c *opCall) babyPhase(stats *LinTransStats) {
+	if len(c.lt.plan.babySteps) == 0 {
 		return
 	}
-	st.digits, st.own = st.hd.digits, st.hd.own
-	ring.Run(st.ev.pool, st.ext1, st, (*ltState).babySweepStage)
-	st.stats.KeySwitches += len(st.plan.babySteps)
+	ring.Run(c.ev.pool, c.ext1, c, (*opCall).babySweepStage)
+	stats.KeySwitches += len(c.lt.plan.babySteps)
 }
 
 // babySweepStage builds extended limb i of every baby rotation: the
@@ -265,13 +228,13 @@ func (st *ltState) babyPhase() {
 // rotation's permutation) against the rotation key, then on Q limbs the
 // P·σ_g(c0) correction — the same gather applied to the precomputed P·c0
 // image. P rows need no correction: P·x vanishes mod every p_j.
-func (st *ltState) babySweepStage(i int) {
-	mod := st.modulus(i)
-	for k, perm := range st.plan.babyPerm {
-		b := &st.babies[k]
-		st.innerProduct(i, st.keys[k], perm, b[0].Coeffs[i], b[1].Coeffs[i], false)
-		if i < st.qLimbs {
-			addVecGather(mod, b[0].Coeffs[i], st.ctP0.Coeffs[i], perm)
+func (c *opCall) babySweepStage(i int) {
+	mod := c.modulus(i)
+	for k, perm := range c.lt.plan.babyPerm {
+		b := &c.babies[k]
+		c.innerProduct(i, c.keys[k], perm, b[0].Coeffs[i], b[1].Coeffs[i], false)
+		if i < c.qLimbs {
+			addVecGather(mod, b[0].Coeffs[i], c.ctP0.Coeffs[i], perm)
 		}
 	}
 }
@@ -282,31 +245,33 @@ func (st *ltState) babySweepStage(i int) {
 // spends its single ModDown on the group c1, runs the giant rotation's
 // keyswitch inner product into the output residues, and permute-adds the
 // group c0. Three pool dispatches per j≠0 group: limbs, coefficient chunks,
-// limbs.
-func (st *ltState) giantPhase() {
-	ev := st.ev
+// limbs. The giant-step digits are swapped in for the baby decomposition,
+// which the sweep returns from gd.
+func (c *opCall) giantPhase(stats *LinTransStats) {
+	ev, plan := c.ev, c.lt.plan
 	pool := ev.pool
-	st.digits, st.own = st.gd, nil
-	for gi := range st.plan.groups {
-		g := &st.plan.groups[gi]
+	c.digits, c.gd, c.own = c.gd, c.digits, nil
+	st := &c.ltState
+	for gi := range plan.groups {
+		g := &plan.groups[gi]
 		sp := ev.beginOp("LinTrans")
-		st.g, st.key = g, st.keys[len(st.plan.babySteps)+gi]
-		st.stats.PlainMACs += len(g.terms)
-		need := 3 * len(g.terms) * st.ext1
-		if cap(st.macRows) < need {
-			st.macRows = make([][]uint64, need)
+		c.group, c.swk = g, c.keys[len(plan.babySteps)+gi]
+		stats.PlainMACs += len(g.terms)
+		need := 3 * len(g.terms) * c.ext1
+		if cap(c.macRows) < need {
+			c.macRows = make([][]uint64, need)
 		}
-		st.macRows = st.macRows[:need]
-		ring.Run(pool, st.ext1, st, (*ltState).groupSumStage)
+		c.macRows = c.macRows[:need]
+		ring.Run(pool, c.ext1, st, (*ltState).groupSumStage)
 		if g.j != 0 {
-			ring.RunChunks(pool, st.params.N, st, (*ltState).groupBasisChunk)
-			ring.Run(pool, st.ext1, st, (*ltState).groupKsStage)
-			st.stats.InverseNTTLimbs += st.ext1
-			st.stats.ModDownSweeps++
-			st.stats.NTTLimbs += len(st.gd) * st.ext1
-			st.stats.KeySwitches++
+			ring.RunChunks(pool, c.params.N, st, (*ltState).groupBasisChunk)
+			ring.Run(pool, c.ext1, st, (*ltState).groupKsStage)
+			stats.InverseNTTLimbs += c.ext1
+			stats.ModDownSweeps++
+			stats.NTTLimbs += len(c.digits) * c.ext1
+			stats.KeySwitches++
 		}
-		ev.emit(sp, trace.OpEvent{Op: "LinTrans", Level: st.level})
+		ev.emit(sp, trace.OpEvent{Op: "LinTrans", Level: c.level})
 	}
 }
 
@@ -336,7 +301,7 @@ func (st *ltState) resolveTerm(t *ltPlanTerm, i int) (ptc, r0, r1 []uint64, ok b
 // coefficient domain, feeding the group's single ModDown.
 func (st *ltState) groupSumStage(i int) {
 	st.groupMac(i)
-	if st.g.j == 0 {
+	if st.group.j == 0 {
 		return
 	}
 	r, li := st.extRing(i)
@@ -349,10 +314,10 @@ func (st *ltState) groupSumStage(i int) {
 // group rows (st.grp). Identity terms read the precomputed P·ct image and
 // contribute nothing on P limbs.
 func (st *ltState) groupMac(i int) {
-	terms := st.g.terms
+	terms := st.group.terms
 	mod := st.modulus(i)
 	out, add := &st.grp, false
-	if st.g.j == 0 {
+	if st.group.j == 0 {
 		out, add = &st.acc, true
 	}
 	out0, out1 := out[0].Coeffs[i], out[1].Coeffs[i]
@@ -421,7 +386,7 @@ func (st *ltState) groupBasisChunk(lo, hi int) {
 	c1 := rangeView(st.c1Std.Coeffs, lo, hi)
 	g1 := st.grp[1].Coeffs
 	st.params.modDown[st.level].ModDown(c1, rangeView(g1[:st.qLimbs], lo, hi), rangeView(g1[st.qLimbs:st.ext1], lo, hi))
-	for d, ext := range st.gd {
+	for d, ext := range st.digits {
 		st.params.decomposer.DecomposeAndExtend(st.level, d, c1, rangeView(ext.Coeffs[:st.ext1], lo, hi))
 	}
 }
@@ -433,22 +398,22 @@ func (st *ltState) groupBasisChunk(lo, hi int) {
 func (st *ltState) groupKsStage(i int) {
 	st.forwardLimb(i)
 	o0 := st.acc[0].Coeffs[i]
-	st.innerProduct(i, st.key, st.g.perm, o0, st.acc[1].Coeffs[i], true)
-	addVecGather(st.modulus(i), o0, st.grp[0].Coeffs[i], st.g.perm)
+	st.innerProduct(i, st.swk, st.group.perm, o0, st.acc[1].Coeffs[i], true)
+	addVecGather(st.modulus(i), o0, st.grp[0].Coeffs[i], st.group.perm)
 }
 
-// finish closes the output accumulator with the tail every keyswitch ends
-// with (closeAccum): its P rows to the coefficient domain, then two ModDowns
-// (c0, c1) in the NTT domain straight into the destination.
-func (st *ltState) finish(dst *Ciphertext, scale float64) {
-	pool := st.ev.pool
-	reshapeCt(dst, st.level)
-	st.out = [2]*ring.Poly{dst.C0, dst.C1}
-	alpha := st.ext1 - st.qLimbs
-	ring.Run(pool, 2*alpha, &st.ksDigits, (*ksDigits).inverseRowP)
-	st.closeAccum(pool)
-	st.stats.InverseNTTLimbs += 2 * alpha
-	st.stats.ModDownSweeps += 2
-	st.stats.NTTLimbs += 2 * st.qLimbs
+// closeLinTrans closes the output accumulator with the tail every keyswitch
+// ends with (closeAccum): its P rows to the coefficient domain, then two
+// ModDowns (c0, c1) in the NTT domain straight into the destination.
+func (c *opCall) closeLinTrans(stats *LinTransStats, scale float64) {
+	pool, dst := c.ev.pool, c.out
+	reshapeCt(dst, c.level)
+	c.res = [2]*ring.Poly{dst.C0, dst.C1}
+	alpha := c.ext1 - c.qLimbs
+	ring.Run(pool, 2*alpha, &c.ksDigits, (*ksDigits).inverseRowP)
+	c.closeAccum(pool)
+	stats.InverseNTTLimbs += 2 * alpha
+	stats.ModDownSweeps += 2
+	stats.NTTLimbs += 2 * c.qLimbs
 	dst.Scale = scale
 }

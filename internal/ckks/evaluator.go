@@ -20,19 +20,20 @@ import (
 // TryXInto returns the error and writes one; a nil destination asks for a
 // fresh result — and all of them are one-line calls of exec (exec.go),
 // which validates, guards, runs the op's kernel (evaluator_into.go) and
-// reports it. All internal scratch is drawn from the ring arena, so a
-// steady-state *Into loop at fixed level performs zero heap allocations at
-// workers=1 (the alloc gates in alloc_test.go enforce this, Try forms
-// included).
+// reports it. Each call runs on one pooled record (opCall), which carries
+// the keyswitch datapath (ksDigits, below) and the transform's state, and
+// all internal scratch is drawn from the ring arena, so a steady-state *Into
+// loop at fixed level performs zero heap allocations at workers=1 (the alloc
+// gates in alloc_test.go enforce this, Try forms included).
 //
 // Concurrency: an Evaluator is safe for concurrent use by multiple
-// goroutines — keys and parameters are read-only, per-operation scratch is
-// checked out of mutex-guarded arenas (each checkout is exclusively owned
-// until returned), the shared caches (HFAuto routing maps, NTT-domain
-// permutations) are internally locked, and the keyswitch digit extenders
-// are immutable tables built with the parameters — provided
-// any installed trace.OpSink is itself safe (TraceRecorder is). Evaluators
-// derived via WithWorkers share keys but not pools.
+// goroutines — keys and parameters are read-only, per-operation records and
+// scratch are checked out of mutex-guarded free lists and the arena (each
+// checkout is exclusively owned until returned), the shared caches (HFAuto
+// routing maps, NTT-domain permutations) are internally locked, and the
+// keyswitch digit extenders are immutable tables built with the parameters —
+// provided any installed trace.OpSink is itself safe (TraceRecorder is).
+// Evaluators derived via WithWorkers share keys but not pools.
 type Evaluator struct {
 	params *Parameters
 	rlk    *RelinearizationKey
@@ -301,31 +302,6 @@ func copyInto(dst, src *ring.Poly) {
 	dst.IsNTT = src.IsNTT
 }
 
-// inttJob is the fused copy + inverse transform of one polynomial, a limb
-// per task. It lives inside the pooled records (opCall, ksState) so that
-// dispatching it through the stage runner allocates nothing.
-type inttJob struct {
-	rq       *ring.Ring
-	dst, src *ring.Poly
-}
-
-func (j *inttJob) limb(i int) {
-	copy(j.dst.Coeffs[i], j.src.Coeffs[i])
-	j.rq.InverseLimb(i, j.dst.Coeffs[i])
-}
-
-// inttCopyInto writes the coefficient-domain image of the NTT-domain
-// polynomial p into dst (same limb count, fully overwritten), with copy and
-// inverse transform fused into one limb-parallel pass.
-func (ev *Evaluator) inttCopyInto(j *inttJob, dst, p *ring.Poly) {
-	if !p.IsNTT {
-		panic("ckks: inttCopy requires NTT-domain input")
-	}
-	*j = inttJob{rq: ev.params.RingQ, dst: dst, src: p}
-	ring.Run(ev.pool, len(p.Coeffs), j, (*inttJob).limb)
-	dst.IsNTT = false
-}
-
 // rangeView returns per-limb subslice views of the coefficient range
 // [lo, hi) — how coefficient-chunked stages address disjoint work. The
 // full range returns the input itself, so serial (single-chunk) execution
@@ -347,9 +323,11 @@ func rangeView(coeffs [][]uint64, lo, hi int) [][]uint64 {
 // limb, and the inner product of a limb against a switching key — and the
 // extended-basis accumulator a pipeline ends by closing (ModDown by P, in the
 // NTT domain). Digits and accumulator share one row layout, Q_0…Q_l then
-// P_0…P_{α−1}, so extended limb i is row i of each. The plain keyswitch, the hoisted replay and the
-// double-hoisted linear-transform engine run these same methods; they
-// differ only in where the digits come from and what is summed into acc.
+// P_0…P_{α−1}, so extended limb i is row i of each. It is part of the op's
+// one record (opCall): the plain keyswitch, the hoisted replay and the
+// double-hoisted linear-transform engine run these same methods; they differ
+// only in where the digits come from and what is summed into acc. Every
+// arena buffer it points at is returned by the record's sweep.
 type ksDigits struct {
 	params *Parameters
 	level  int
@@ -357,8 +335,11 @@ type ksDigits struct {
 	ext1   int // extended limb count qLimbs + alpha
 
 	// digits are the extended-digit matrices, full-width arena polys of
-	// which the first ext1 rows are the digit over Q_l ∪ P.
-	digits []*ring.Poly
+	// which the first ext1 rows are the digit over Q_l ∪ P. borrowed marks
+	// a hoisted replay's: the Hoisted handle owns them, so the sweep forgets
+	// them instead of returning them.
+	digits   []*ring.Poly
+	borrowed bool
 
 	// own, when set, is the NTT image of the decomposed polynomial (qLimbs
 	// rows): limb i of digit i/alpha is the input's own limb, so its transform
@@ -369,21 +350,30 @@ type ksDigits struct {
 	// copied and transformed.
 	own [][]uint64
 
+	// cx is the coefficient-domain copy of the decomposed polynomial, which
+	// the basis extension reads: one of the call's scratch slots.
+	cx *ring.Poly
+
+	// swk is the switching key the limb stage runs against: the op's key on
+	// the direct path and a hoisted replay, the running giant rotation's in a
+	// linear transform.
+	swk *SwitchingKey
+
 	// rows is slice-header scratch for the inner product: 3·len(digits)
 	// headers per extended limb (the limb's digit rows and both key rows),
-	// so concurrent limb tasks never share an entry. Capacity is kept across
-	// checkouts of the owning state record.
+	// so concurrent limb tasks never share an entry. Its capacity is kept
+	// across the record's checkouts.
 	rows [][]uint64
 
 	// acc holds the sums of both ciphertext components over Q_l ∪ P, one
 	// ext1-row arena poly each in the digit layout (Q_0…Q_l, then P_0…P_{α−1})
 	// — Q rows in the NTT domain, P rows in the coefficient domain by the time
-	// it is closed; closeAccum divides it by P into out, qLimbs limbs each.
+	// it is closed; closeAccum divides it by P into res, qLimbs limbs each.
 	acc [2]*ring.Poly
-	out [2]*ring.Poly
+	res [2]*ring.Poly
 
 	// sum[c], when set, is what the close does with result component c
-	// (out[c]) while its row is still in cache: dst = σ(src) + out[c], limb by
+	// (res[c]) while its row is still in cache: dst = σ(src) + res[c], limb by
 	// limb — the addition every keyswitch kernel ends with (MulRelin's d0/d1,
 	// KeySwitch's c0, a rotation's σ(c0)). perm is that σ as an NTT-domain
 	// gather, nil for the identity: the Galois permutation a rotation's
@@ -479,15 +469,15 @@ func (k *ksDigits) inverseRowP(t int) {
 
 // modDownChunk writes, on coefficient range [lo, hi), the part of the
 // ModDown of both accumulators that reads their P rows — c = −conv(a_P)·P⁻¹,
-// coefficient domain — into out.
+// coefficient domain — into res.
 func (k *ksDigits) modDownChunk(lo, hi int) {
 	md := k.params.modDown[k.level]
 	for c, a := range k.acc {
-		md.Correction(rangeView(k.out[c].Coeffs, lo, hi), rangeView(a.Coeffs[k.qLimbs:k.ext1], lo, hi))
+		md.Correction(rangeView(k.res[c].Coeffs, lo, hi), rangeView(a.Coeffs[k.qLimbs:k.ext1], lo, hi))
 	}
 }
 
-// nttOutStage closes output limb t (out[0]'s rows first, then out[1]'s): the
+// nttOutStage closes output limb t (res[0]'s rows first, then res[1]'s): the
 // row holds c, and
 //
 //	NTT(ModDown(a_Q, a_P)) = NTT(c) + P⁻¹·NTT(a_Q)
@@ -499,7 +489,7 @@ func (k *ksDigits) modDownChunk(lo, hi int) {
 func (k *ksDigits) nttOutStage(t int) {
 	c, i := t/k.qLimbs, t%k.qLimbs
 	rq := k.params.RingQ
-	mod, row := rq.Moduli[i], k.out[c].Coeffs[i]
+	mod, row := rq.Moduli[i], k.res[c].Coeffs[i]
 	rq.ForwardLimb(i, row)
 	w, ws := k.params.modDown[k.level].PInv(i)
 	mod.VecMulShoupAdd(row, row, k.acc[c].Coeffs[i], w, ws)
@@ -528,106 +518,92 @@ func (k *ksDigits) nttOutStage(t int) {
 func (k *ksDigits) closeAccum(pool *ring.Pool) {
 	ring.RunChunks(pool, k.params.N, k, (*ksDigits).modDownChunk)
 	ring.Run(pool, 2*k.qLimbs, k, (*ksDigits).nttOutStage)
-	k.out[0].IsNTT, k.out[1].IsNTT = true, true
+	k.res[0].IsNTT, k.res[1].IsNTT = true, true
 	for _, sum := range k.sum {
 		if sum.dst != nil {
 			sum.dst.IsNTT = true
 		}
 	}
-	// Eager release; the owner's deferred release finds the fields nil and
-	// never double-Puts. Nothing is drawn from the arena between the two
-	// stages, so holding the Q rows through the second costs no peak.
+	// Eager release; the record's sweep finds the fields nil and never
+	// double-Puts. Nothing is drawn from the arena between the two stages, so
+	// holding the Q rows through the second costs no peak.
 	k.params.putPolys(k.acc[:])
 }
 
-// ksState bundles the keyswitch pipeline's per-call state so every stage is
-// a method the stage runner (ring.Run) can dispatch without a closure.
-// Records are recycled through the Parameters free list; every field is
-// (re)assigned per call.
-type ksState struct {
-	ksDigits
-
-	// cx is the coefficient-domain input the direct path decomposes. A
-	// hoisted replay leaves it nil: its digits are the shared NTT-domain
-	// decomposition, borrowed from a hoistedDecomposition (whose owner
-	// releases them).
-	cx       *ring.Poly
-	borrowed bool
-	key      *SwitchingKey
-
-	intt inttJob // the coefficient-domain copy of the input
-}
-
-// newKsState checks a state record out and binds it to one keyswitch at the
-// given level writing (p0, p1), accumulators drawn dirty from the arena —
-// the inner-product stage overwrites every row. Release with ksRelease.
-func (ev *Evaluator) newKsState(level int, key *SwitchingKey, p0, p1 *ring.Poly) *ksState {
-	params := ev.params
-	s := popFree(params, &params.ksFree)
-	s.bind(params, level)
-	s.key = key
-	s.out = [2]*ring.Poly{p0, p1}
-	s.acc = params.getPair(s.ext1, false)
-	return s
-}
-
-// borrow points the pipeline at a shared NTT-domain decomposition whose owner
-// releases it.
-func (s *ksState) borrow(hd *hoistedDecomposition) {
-	s.borrowed = true
-	s.digits = append(s.digits, hd.digits...)
-	s.own = hd.own
-}
-
-// replayUnder makes the pipeline a rotation's: the digits are gathered
-// through perm — σ_g in the NTT domain; nil is the identity, a plain
-// keyswitch — and the close sets dst = σ_g(c0) + p0 through the same
-// permutation.
-func (s *ksState) replayUnder(perm []int, dst, c0 *ring.Poly) {
-	s.perm = perm
-	s.sum[0].dst, s.sum[0].src = dst, c0
-}
-
-// decompose takes the coefficient-domain copy of x into cx (scratch of x's
-// shape, fully overwritten), draws the digit matrices and extends the digits
-// — x itself, NTT domain, standing for the digit-own rows — chunked across
-// coefficients: every coefficient's basis extension is self-contained. The
-// forward transforms are left to the limb stage.
-func (ev *Evaluator) decompose(s *ksState, cx, x *ring.Poly) {
-	ev.inttCopyInto(&s.intt, cx, x)
-	s.cx, s.own = cx, x.Coeffs
-	s.digits = s.params.getDigits(s.digits, s.level)
-	ring.RunChunks(ev.pool, s.params.N, s, (*ksState).decomposeChunk)
+// inttLimb is limb i of the coefficient-domain copy of the decomposed
+// polynomial: its NTT image (own) copied into cx and inverse-transformed in
+// one task.
+func (k *ksDigits) inttLimb(i int) {
+	copy(k.cx.Coeffs[i], k.own[i])
+	k.params.RingQ.InverseLimb(i, k.cx.Coeffs[i])
 }
 
 // decomposeChunk is the RNSconv/ModUp of every digit on the coefficient
 // range [lo, hi).
-func (s *ksState) decomposeChunk(lo, hi int) {
-	src := rangeView(s.cx.Coeffs, lo, hi)
-	for d, ext := range s.digits {
-		s.params.decomposer.ExtendDigit(s.level, d, src, rangeView(ext.Coeffs[:s.ext1], lo, hi))
+func (k *ksDigits) decomposeChunk(lo, hi int) {
+	src := rangeView(k.cx.Coeffs, lo, hi)
+	for d, ext := range k.digits {
+		k.params.decomposer.ExtendDigit(k.level, d, src, rangeView(ext.Coeffs[:k.ext1], lo, hi))
 	}
 }
 
 // limbStage runs everything extended limb i needs between the basis
 // extension and the ModDown in one task, so the limb's digit rows are
 // transformed, multiplied and dropped while they are cache-resident: the
-// forward NTT of each digit row (direct path only), the inner product
-// against the key, and — on a P limb — the inverse NTT of both sums.
-func (s *ksState) limbStage(i int) {
-	if s.cx != nil {
-		s.forwardLimb(i)
+// forward NTT of each digit row (direct path only: borrowed digits are
+// already transformed), the inner product against the key, and — on a P limb
+// — the inverse NTT of both sums.
+func (k *ksDigits) limbStage(i int) {
+	if !k.borrowed {
+		k.forwardLimb(i)
 	}
-	s.innerProduct(i, s.key, s.perm, s.acc[0].Coeffs[i], s.acc[1].Coeffs[i], false)
-	if li := i - s.qLimbs; li >= 0 {
-		s.inverseRowP(li)
-		s.inverseRowP(s.ext1 - s.qLimbs + li)
+	k.innerProduct(i, k.swk, k.perm, k.acc[0].Coeffs[i], k.acc[1].Coeffs[i], false)
+	if li := i - k.qLimbs; li >= 0 {
+		k.inverseRowP(li)
+		k.inverseRowP(k.ext1 - k.qLimbs + li)
 	}
+}
+
+// replayUnder makes the pipeline a rotation's: the digits are gathered
+// through perm — σ_g in the NTT domain; nil is the identity, a plain
+// keyswitch — and the close sets dst = σ_g(c0) + res[0] through the same
+// permutation.
+func (k *ksDigits) replayUnder(perm []int, dst, c0 *ring.Poly) {
+	k.perm = perm
+	k.sum[0].dst, k.sum[0].src = dst, c0
+}
+
+// bindKeySwitch binds the record's keyswitch state to one keyswitch at the
+// op's level under key writing (p0, p1), the accumulators drawn dirty from
+// the arena — the inner-product stage overwrites every row.
+func (c *opCall) bindKeySwitch(key *SwitchingKey, p0, p1 *ring.Poly) {
+	params := c.ev.params
+	c.bind(params, c.level)
+	c.swk = key
+	c.res = [2]*ring.Poly{p0, p1}
+	c.acc = params.getPair(c.ext1, false)
+}
+
+// decompose takes the coefficient-domain copy of x into cx (scratch of x's
+// shape, fully overwritten), draws the digit matrices into the record and
+// extends the digits — x itself, NTT domain, standing for the digit-own
+// rows — chunked across coefficients: every coefficient's basis extension
+// is self-contained. The forward transforms are left to the limb stage.
+func (c *opCall) decompose(cx, x *ring.Poly) {
+	if !x.IsNTT {
+		panic("ckks: decompose requires NTT-domain input")
+	}
+	k := &c.ksDigits
+	k.cx, k.own = cx, x.Coeffs
+	ring.Run(c.ev.pool, k.qLimbs, k, (*ksDigits).inttLimb)
+	cx.IsNTT = false
+	k.digits = k.params.getDigits(k.digits, k.level)
+	ring.RunChunks(c.ev.pool, k.params.N, k, (*ksDigits).decomposeChunk)
 }
 
 // ksRun is the paper's Keyswitch pipeline from the extended digits on, shared
 // by the direct and hoisted paths: inner product with the key digits in the
-// NTT domain, then ModDown by P — out, NTT domain, qLimbs limbs, fully
+// NTT domain, then ModDown by P — res, NTT domain, qLimbs limbs, fully
 // overwritten — and the sums the kernel asked for.
 //
 // Loop order is limb-major, the order that keeps the working set on chip:
@@ -637,34 +613,14 @@ func (s *ksState) limbStage(i int) {
 // digit-major order streams every partial sum through memory once per digit.
 // The close chunks across coefficients again. Every sum is the canonical
 // residue of an exact integer, so the result is bit-identical for every
-// worker count and kernel tier. Every stage is a method of the pooled ksState
-// dispatched by the stage runner: at workers=1 that is a plain loop — no
-// closures, no allocations — and all scratch is recycled: accumulators and
-// extended digits through the arena, the state record itself through the
-// Parameters free list.
-func (ev *Evaluator) ksRun(s *ksState) {
-	ring.Run(ev.pool, s.ext1, s, (*ksState).limbStage)
-	s.closeAccum(ev.pool)
-}
-
-// ksRelease returns every piece of scratch still attached to s to its arena
-// or free list and recycles the state record. Kernels defer it — the
-// leak-proof discipline: it is safe after a normal ksRun (the accumulator
-// already returned by closeAccum) and after a panic anywhere in the
-// pipeline. Digits are released only when this pipeline drew them: a hoisted
-// replay borrows them from the shared decomposition.
-func (ev *Evaluator) ksRelease(s *ksState) {
-	params := ev.params
-	params.putPolys(s.acc[:])
-	if !s.borrowed {
-		s.digits = params.putPolys(s.digits)
-	}
-	// The digit and row-header tables keep their capacity (emptied, so
-	// nothing they pointed at stays reachable through the free list).
-	clear(s.digits)
-	clear(s.rows)
-	*s = ksState{ksDigits: ksDigits{digits: s.digits[:0], rows: s.rows[:0]}}
-	pushFree(params, &params.ksFree, s)
+// worker count and kernel tier. Every stage is a method of the op's pooled
+// record dispatched by the stage runner: at workers=1 that is a plain loop —
+// no closures, no allocations — and all scratch is recycled: accumulators
+// and extended digits through the arena, the record through the Parameters
+// free list.
+func (c *opCall) ksRun() {
+	ring.Run(c.ev.pool, c.ext1, &c.ksDigits, (*ksDigits).limbStage)
+	c.closeAccum(c.ev.pool)
 }
 
 // addVecGather accumulates a[perm[j]] into out[j] modulo mod — a modular

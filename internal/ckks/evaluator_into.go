@@ -19,10 +19,12 @@ import (
 // Scratch is drawn through c.scratch and handed back through c.release as
 // soon as each piece is done; whatever a panic leaves checked out (a worker
 // fault, an injected abort, inside the keyswitch pipeline or anywhere else)
-// is returned by the attempt's sweep. Limb stages are opCall methods run by
-// ring.Run, so at workers=1 a kernel builds no closure: together with the
-// ring arena that is what makes the steady state allocation-free (enforced
-// by alloc_test.go).
+// is returned by the attempt's sweep. A keyswitch binds the record's own
+// keyswitch state (bindKeySwitch) rather than a second record. Limb stages
+// are methods of the record or of the state it embeds, run by ring.Run, so
+// at workers=1 a kernel builds no closure: together with the ring arena that
+// is what makes the steady state allocation-free (enforced by
+// alloc_test.go).
 
 // reshapePoly re-slices p to `limbs` limbs through its capacity. The
 // backing rows persist across down/up reshapes, so a destination created at
@@ -207,12 +209,11 @@ func kernMulRelin(c *opCall) {
 	// extension reads goes into p0's rows, which nothing writes before the
 	// close.
 	p0, p1 := c.scratch(1, level+1), c.scratch(2, level+1)
-	s := ev.newKsState(level, &ev.rlk.SwitchingKey, p0, p1)
-	defer ev.ksRelease(s)
-	s.sum[0].dst, s.sum[0].src = out.C0, out.C0
-	s.sum[1].dst, s.sum[1].src = out.C1, out.C1
-	ev.decompose(s, p0, d2)
-	ev.ksRun(s)
+	c.bindKeySwitch(&ev.rlk.SwitchingKey, p0, p1)
+	c.sum[0].dst, c.sum[0].src = out.C0, out.C0
+	c.sum[1].dst, c.sum[1].src = out.C1, out.C1
+	c.decompose(p0, d2)
+	c.ksRun()
 	c.release(0)
 	c.release(1)
 	c.release(2)
@@ -327,13 +328,12 @@ func kernKeySwitch(c *opCall) { c.switchC1(nil) }
 // stages, before the close writes out.C1, and the close reads each row of c0
 // before it writes it (through scratch when permuted).
 func (c *opCall) switchC1(perm []int) {
-	ev, out, level := c.ev, c.out, c.level
+	out, level := c.out, c.level
 	reshapeCt(out, level)
-	s := ev.newKsState(level, c.key, c.scratch(1, level+1), out.C1)
-	defer ev.ksRelease(s)
-	s.replayUnder(perm, out.C0, c.x.C0)
-	ev.decompose(s, c.scratch(0, level+1), c.x.C1)
-	ev.ksRun(s)
+	c.bindKeySwitch(c.key, c.scratch(1, level+1), out.C1)
+	c.replayUnder(perm, out.C0, c.x.C0)
+	c.decompose(c.scratch(0, level+1), c.x.C1)
+	c.ksRun()
 	c.release(0)
 	c.release(1)
 	out.Scale = c.x.Scale

@@ -20,12 +20,18 @@ import (
 //     modulus headroom), then the destination: validated — aliasing included —
 //     when the caller passed one, allocated at the result level when not;
 //  3. the attempt, inside the recovery boundary: re-verification of sealed
-//     inputs, the kernel, the redundant-limb spot-check. With a
-//     RecoveryPolicy installed attempts run into arena scratch and are
-//     re-executed on ErrIntegrity (recovery.go);
+//     inputs, the kernel, the redundant-limb spot-check, then the sweep
+//     that returns whatever arena scratch the kernel still holds, however
+//     it ended. With a RecoveryPolicy installed attempts run into arena
+//     scratch and are re-executed on ErrIntegrity (recovery.go);
 //  4. the output seal;
 //  5. the op's one event, for either outcome, retries included (observer.go);
 //     the transform's kernel reports its phases and giant-step groups instead.
+//
+// A call has one record, an opCall from the Parameters free list: the
+// operands, the kernel's scratch and the stage state of a keyswitch or a
+// linear transform all live on it, so no kernel pops a second record or
+// defers a release of its own.
 //
 // The surfaces differ only in how the outcome is delivered: TryXInto returns
 // the *OpError, X and XInto panic with that same *OpError (must). A nil
@@ -62,11 +68,15 @@ type operands struct {
 	stats *LinTransStats // when non-nil, the transform's kernel fills it
 }
 
-// opCall is exec's per-call record: the operands, what validation derived
-// from them, and the state the kernel's stages share — it is the *S the
-// closure-free stage runner (ring.Run) hands to every limb stage. Records
-// are recycled through the Parameters free list like ksState, so a
-// steady-state op allocates nothing.
+// opCall is exec's per-call record, the one record an op has: the operands,
+// what validation derived from them, and the state the kernel's stages share
+// — the keyswitch datapath (ksDigits) and the linear transform's (ltState)
+// included. It is the *S the closure-free stage runner (ring.Run) hands to
+// every limb stage, or the embedded part of it a stage is a method of.
+// Records are recycled through the Parameters free list and keep their slice
+// capacities, so a steady-state op allocates nothing; every arena buffer the
+// kernel draws hangs off the record, so the attempt's sweep is the one path
+// that returns them.
 type opCall struct {
 	operands
 	ev *Evaluator
@@ -94,6 +104,10 @@ type opCall struct {
 	// recomputed (−1: none) and whether the recomputation disagreed.
 	spotLimb int
 	spotBad  bool
+
+	// The keyswitch and linear-transform state (its embedded ksDigits): a
+	// kernel binds what it needs here.
+	ltState
 }
 
 // must turns the error outcome of exec into the panicking surfaces'
@@ -223,16 +237,37 @@ func (c *opCall) scratch(k, limbs int) *ring.Poly {
 // piece, which keeps the peak arena footprint down.
 func (c *opCall) release(k int) { releasePoly(c.ev.params.RingQ, &c.tmp[k]) }
 
-// sweep returns every piece of scratch the kernel still holds: a no-op after
-// a clean run (the kernels release eagerly), the leak-proofing after a panic
-// anywhere inside one.
+// sweep returns every arena buffer the kernel still holds — the scratch
+// slots and staging vector, the keyswitch accumulators and the digits it
+// drew, the transform's P·ct lift, baby rotations, group scratch and
+// giant-step digits: a no-op after a clean keyswitch (the kernels release
+// eagerly), the end of a transform's buffers, and the leak-proofing after a
+// panic anywhere inside one. Borrowed digits are forgotten, not returned:
+// their Hoisted handle owns them.
 func (c *opCall) sweep() {
+	params := c.ev.params
 	for k := range c.tmp {
 		c.release(k)
 	}
 	if c.vec != nil {
-		c.ev.params.RingQ.PutVec(c.vec)
+		params.RingQ.PutVec(c.vec)
 		c.vec = nil
+	}
+	params.putPolys(c.acc[:])
+	if c.borrowed {
+		clear(c.digits)
+		c.digits, c.borrowed = c.digits[:0], false
+	} else {
+		c.digits = params.putPolys(c.digits)
+	}
+	c.gd = params.putPolys(c.gd)
+	for k := range c.babies {
+		params.putPolys(c.babies[k][:])
+	}
+	c.babies = c.babies[:0]
+	params.putPolys(c.grp[:])
+	for _, q := range [3]**ring.Poly{&c.ctP0, &c.ctP1, &c.c1Std} {
+		releasePoly(params.RingQ, q)
 	}
 }
 
@@ -252,7 +287,15 @@ func (c *opCall) finish(err *error) {
 	} else {
 		c.span.cancel()
 	}
+	// The slices keep their capacity, emptied so nothing they pointed at
+	// stays reachable through the free list (the sweep emptied the digit
+	// and baby tables).
 	clear(c.keys)
-	*c = opCall{keys: c.keys[:0]} // the key slice keeps its capacity, as ltState's do
+	clear(c.rows)
+	clear(c.macRows[:cap(c.macRows)])
+	*c = opCall{keys: c.keys[:0], ltState: ltState{
+		ksDigits: ksDigits{digits: c.digits[:0], rows: c.rows[:0]},
+		gd:       c.gd[:0], babies: c.babies[:0], macRows: c.macRows[:0],
+	}}
 	pushFree(ev.params, &ev.params.opFree, c)
 }

@@ -1,6 +1,10 @@
 package ckks
 
-import "poseidon/internal/ring"
+import (
+	"slices"
+
+	"poseidon/internal/ring"
+)
 
 // Rotation hoisting (Halevi–Shoup): when one ciphertext feeds many
 // rotations — the BSGS linear transform and every matrix-heavy workload —
@@ -11,55 +15,14 @@ import "poseidon/internal/ring"
 // because the decomposition commutes with the automorphism; Release returns
 // the borrowed digits. That handle is the one hoisted-rotation path.
 //
-// Both phases run on the evaluator's worker pool through the pooled
-// keyswitch state's stage methods: the shared decomposition chunks across
+// Both phases run on the evaluator's worker pool through the op record's
+// keyswitch stage methods (ksDigits): the shared decomposition chunks across
 // coefficients and then transforms limb by limb, and each rotation replays
-// the limb-major inner product (ksDigits.innerProduct) over the borrowed
+// the limb-major inner product (ksDigits.innerProduct) over the handle's
 // digits with the rotation's permutation gathered inside the multiply — no
 // permuted copy is staged. All per-rotation scratch is recycled, so the
 // steady-state cost of a hoisted batch is the output ciphertexts
 // themselves.
-
-// hoistedDecomposition caches the shared per-input keyswitch state. The
-// digit matrices are checked out of the parameter set's arena; call release
-// when every rotation has been evaluated.
-type hoistedDecomposition struct {
-	digits []*ring.Poly // first level+1+Alpha rows: NTT domain over Q_l ∪ P, digit-own rows unwritten
-	own    [][]uint64   // the digit-own rows: the decomposed C1 itself, as the ciphertext holds it
-}
-
-// release returns the digit matrices to the arena. Nil-safe so it can
-// double as the panic-path sweep of a partially built decomposition.
-func (hd *hoistedDecomposition) release(params *Parameters) {
-	hd.digits = params.putPolys(hd.digits)
-	hd.own = nil
-}
-
-// decomposeHoistedInto performs the shared phase on ct.C1 into a
-// caller-owned record, reusing hd.digits capacity across calls — the
-// zero-allocation entry the pooled linear-transform state uses. The
-// decomposition keeps reading ct.C1's rows (hd.own) until it is released. The
-// caller owns the release of hd (panic paths included); the c1 scratch and
-// the state record borrowed for its stage methods are swept locally.
-func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Ciphertext) {
-	params := ev.params
-	rq := params.RingQ
-	level := ct.Level
-
-	s := popFree(params, &params.ksFree)
-	defer ev.ksRelease(s)
-	s.bind(params, level)
-
-	s.cx = rq.GetPolyDirty(level + 1)
-	defer rq.PutPoly(s.cx)
-	ev.inttCopyInto(&s.intt, s.cx, ct.C1)
-
-	hd.own = ct.C1.Coeffs
-	hd.digits = params.getDigits(hd.digits[:0], level)
-	s.borrow(hd) // hd owns the digits from the moment they are drawn
-	ring.RunChunks(ev.pool, params.N, s, (*ksState).decomposeChunk)
-	ring.Run(ev.pool, s.ext1, &s.ksDigits, (*ksDigits).forwardLimb)
-}
 
 // Hoisted is a reusable handle over one ciphertext's shared keyswitch
 // decomposition — the entry point to rotation hoisting. It lets a caller
@@ -74,10 +37,13 @@ func (ev *Evaluator) decomposeHoistedInto(hd *hoistedDecomposition, ct *Cipherte
 // every TryRotate re-verifies its seal. A Hoisted is bound to the evaluator
 // that created it and is not safe for concurrent use.
 type Hoisted struct {
-	ev    *Evaluator
-	ct    *Ciphertext
-	hd    *hoistedDecomposition
-	level int // the decomposition's level, kept past Release
+	ev *Evaluator
+	ct *Ciphertext
+	// digits are the decomposition of ct.C1: their first level+1+Alpha rows
+	// over Q_l ∪ P in the NTT domain, the digit-own rows unwritten (they are
+	// ct.C1's). Nil once released.
+	digits []*ring.Poly
+	level  int // the decomposition's level, kept past Release
 }
 
 // Hoist performs the shared decomposition phase for ct and returns the
@@ -101,19 +67,26 @@ func (ev *Evaluator) TryHoist(ct *Ciphertext) (*Hoisted, error) {
 	return h, nil
 }
 
-// kernHoist performs the shared phase for a handle. On a panic anywhere in
-// the decomposition, every digit matrix acquired so far and the arena copy
-// of C1 are returned before the panic propagates.
+// kernHoist performs the shared phase for a handle: the decomposition of C1
+// is drawn into the record and transformed, then handed to the handle. On a
+// panic anywhere before the hand-over, the record's sweep returns every digit
+// matrix acquired so far and the arena copy of C1.
 func kernHoist(c *opCall) {
-	params := c.ev.params
-	hd := &hoistedDecomposition{digits: make([]*ring.Poly, 0, params.Digits(c.level))}
-	defer func() {
-		if c.h.hd == nil {
-			hd.release(params)
-		}
-	}()
-	c.ev.decomposeHoistedInto(hd, c.x)
-	c.h.hd, c.h.level = hd, c.level
+	c.bind(c.ev.params, c.level)
+	c.hoistDigits(c.x.C1)
+	c.h.digits, c.h.level = slices.Clone(c.digits), c.level
+	clear(c.digits)
+	c.digits = c.digits[:0] // the handle owns them now
+}
+
+// hoistDigits is the shared phase of Hoist and of a transform's baby steps:
+// x decomposed into the record's digits, every digit row but the own ones
+// (x's) taken to the NTT domain, and the coefficient-domain copy of x
+// returned at once.
+func (c *opCall) hoistDigits(x *ring.Poly) {
+	c.decompose(c.scratch(0, c.qLimbs), x)
+	ring.Run(c.ev.pool, c.ext1, &c.ksDigits, (*ksDigits).forwardLimb)
+	c.release(0)
 }
 
 // Level reports the level the decomposition was taken at — also after
@@ -135,9 +108,9 @@ func (h *Hoisted) TryRotate(steps int) (*Ciphertext, error) {
 // Release returns the digit matrices to the parameter set's arena.
 // Safe to call more than once; the handle rejects rotations afterwards.
 func (h *Hoisted) Release() {
-	if h.hd != nil {
-		h.hd.release(h.ev.params)
-		h.hd = nil
+	if h.digits != nil {
+		h.ev.params.putPolys(h.digits)
+		h.digits = nil
 	}
 }
 
@@ -146,19 +119,18 @@ func (h *Hoisted) Release() {
 // cached NTT-domain digit row through the rotation's Galois permutation
 // (resolved once, here) instead of decomposing again, and the close sets
 // out.C0 = σ_g(c0) + p0 through the same permutation. The borrowed digit
-// matrices stay owned by the handle.
+// matrices stay owned by the handle; the digit-own rows are c.x.C1's.
 func kernHoistedRotate(c *opCall) {
-	ev, out, level := c.ev, c.out, c.level
+	out, level := c.out, c.level
 	reshapeCt(out, level)
 	if c.g == 1 {
 		c.copyIdentity()
 		return
 	}
-	s := ev.newKsState(level, c.key, c.scratch(0, level+1), out.C1)
-	defer ev.ksRelease(s)
-	s.borrow(c.h.hd)
-	s.replayUnder(ev.params.RingQ.NTTGaloisPermutation(c.g), out.C0, c.x.C0)
-	ev.ksRun(s)
+	c.bindKeySwitch(c.key, c.scratch(0, level+1), out.C1)
+	c.digits, c.borrowed, c.own = append(c.digits, c.h.digits...), true, c.x.C1.Coeffs
+	c.replayUnder(c.ev.params.RingQ.NTTGaloisPermutation(c.g), out.C0, c.x.C0)
+	c.ksRun()
 	c.release(0)
 	out.Scale = c.x.Scale
 }

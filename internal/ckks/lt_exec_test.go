@@ -149,7 +149,8 @@ func TestDropLevelTypedErrors(t *testing.T) {
 }
 
 // TestBootstrapInvalidInput: a malformed input comes back as ErrInvalidInput
-// from Bootstrap, which returns its errors rather than panicking.
+// and one at the wrong scale as ErrScaleMismatch from Bootstrap, which
+// returns its typed errors rather than panicking.
 func TestBootstrapInvalidInput(t *testing.T) {
 	fx := newBootFixture(t, 5, 1)
 	for name, ct := range map[string]*Ciphertext{
@@ -165,5 +166,15 @@ func TestBootstrapInvalidInput(t *testing.T) {
 		if out != nil || !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("%s: Bootstrap returned %v, %v; want ErrInvalidInput", name, out, err)
 		}
+	}
+
+	// A well-formed ciphertext at the wrong scale is the typed scale error,
+	// reported by Bootstrap at the input's level.
+	twice := *fx.ct
+	twice.Scale *= 2
+	out, err := fx.boot.Bootstrap(&twice)
+	var oe *OpError
+	if out != nil || !errors.Is(err, ErrScaleMismatch) || !errors.As(err, &oe) || oe.Op != "Bootstrap" || oe.Level != fx.ct.Level {
+		t.Errorf("scale 2Δ: Bootstrap returned %v, %v; want a Bootstrap *OpError wrapping ErrScaleMismatch", out, err)
 	}
 }

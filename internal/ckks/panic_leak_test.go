@@ -85,26 +85,47 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 
 // panicLeakOps enumerates every op that owns arena scratch mid-flight.
 // Each closure gets fresh output containers so a half-written destination
-// from an aborted run never feeds the next one.
+// from an aborted run never feeds the next one, and returns what it computed.
 func (fx *panicLeakFixture) ops() []struct {
 	name string
-	f    func()
+	f    func() []*Ciphertext
 } {
 	ev, params := fx.ev, fx.params
 	level := fx.ct1.Level
+	one := func(ct *Ciphertext) []*Ciphertext { return []*Ciphertext{ct} }
 	return []struct {
 		name string
-		f    func()
+		f    func() []*Ciphertext
 	}{
-		{"MulRelinInto", func() { ev.MulRelinInto(NewCiphertext(params, level), fx.ct1, fx.ct2) }},
-		{"RescaleInto", func() { ev.RescaleInto(NewCiphertext(params, level-1), fx.ct1) }},
-		{"RotateInto", func() { ev.RotateInto(NewCiphertext(params, level), fx.ct1, 1) }},
-		{"ConjugateInto", func() { ev.ConjugateInto(NewCiphertext(params, level), fx.ct1) }},
-		{"KeySwitchInto", func() { ev.KeySwitchInto(NewCiphertext(params, level), fx.ct1, fx.swk) }},
-		{"RotateHoisted", func() { rotateHoisted(ev, fx.ct1, []int{0, 1}) }},
-		{"EvaluateLinearTransformInto/baby", func() { ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.baby) }},
-		{"EvaluateLinearTransformInto/giant", func() { ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.giant) }},
+		{"MulRelinInto", func() []*Ciphertext { return one(ev.MulRelinInto(NewCiphertext(params, level), fx.ct1, fx.ct2)) }},
+		{"RescaleInto", func() []*Ciphertext { return one(ev.RescaleInto(NewCiphertext(params, level-1), fx.ct1)) }},
+		{"RotateInto", func() []*Ciphertext { return one(ev.RotateInto(NewCiphertext(params, level), fx.ct1, 1)) }},
+		{"ConjugateInto", func() []*Ciphertext { return one(ev.ConjugateInto(NewCiphertext(params, level), fx.ct1)) }},
+		{"KeySwitchInto", func() []*Ciphertext { return one(ev.KeySwitchInto(NewCiphertext(params, level), fx.ct1, fx.swk)) }},
+		{"RotateHoisted", func() []*Ciphertext {
+			rot := rotateHoisted(ev, fx.ct1, []int{0, 1})
+			return []*Ciphertext{rot[0], rot[1]}
+		}},
+		{"EvaluateLinearTransformInto/baby", func() []*Ciphertext {
+			return one(ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.baby))
+		}},
+		{"EvaluateLinearTransformInto/giant", func() []*Ciphertext {
+			return one(ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.giant))
+		}},
 	}
+}
+
+// sameCts reports whether two runs' outputs are bit-equal.
+func sameCts(a, b []*Ciphertext) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Level != b[k].Level || a[k].Scale != b[k].Scale || !a[k].C0.Equal(b[k].C0) || !a[k].C1.Equal(b[k].C1) {
+			return false
+		}
+	}
+	return true
 }
 
 // isInjectedPanic reports whether a recovered panic value is the injected
@@ -120,7 +141,7 @@ func isInjectedPanic(rec any) bool {
 // the given visit of the given site, recovers, and returns the recovered
 // value (nil when the visit number was past the op's last visit, in which
 // case the injector stays armed and is disarmed here).
-func (fx *panicLeakFixture) runWithInjectedPanic(site fault.Site, visit uint64, f func()) (recovered any) {
+func (fx *panicLeakFixture) runWithInjectedPanic(site fault.Site, visit uint64, f func() []*Ciphertext) (recovered any) {
 	fx.inj.ResetVisits()
 	fx.inj.ArmAt(site, fault.Panic, visit)
 	defer fx.inj.Disarm()
@@ -132,13 +153,16 @@ func (fx *panicLeakFixture) runWithInjectedPanic(site fault.Site, visit uint64, 
 // TestMidOpPanicArenaBaseline sweeps every NTT/INTT visit of every
 // scratch-owning op, injecting a panic there, and requires (a) the
 // recovered value is the injected panic — not a poison-mode double-Put
-// tripped on the unwind path — and (b) the arena returns to its pre-op
-// BytesInUse baseline.
+// tripped on the unwind path —, (b) the arena returns to its pre-op
+// BytesInUse baseline, and (c) the op run again with the injector disarmed
+// — on the record the panic recycled — computes bit for bit what the
+// warm-up did: no state the unwind left behind (a permutation, a pending
+// sum, borrowed digits, baby rotations) reaches the next op.
 func TestMidOpPanicArenaBaseline(t *testing.T) {
 	fx := newPanicLeakFixture(t)
 	for _, op := range fx.ops() {
 		t.Run(op.name, func(t *testing.T) {
-			op.f() // warm-up: free lists populated, no injector visits armed
+			want := op.f() // warm-up: free lists populated, no injector visits armed
 			for _, site := range []fault.Site{fault.SiteNTT, fault.SiteINTT} {
 				fx.inj.ResetVisits()
 				op.f() // clean run counts this op's visits at the site
@@ -157,6 +181,9 @@ func TestMidOpPanicArenaBaseline(t *testing.T) {
 					}
 					if inUse := fx.params.ArenaStats().BytesInUse; inUse != baseline {
 						t.Fatalf("%s: %v visit %d: arena leaked across panic: in-use %d, baseline %d", op.name, site, v, inUse, baseline)
+					}
+					if got := op.f(); !sameCts(got, want) {
+						t.Fatalf("%s: %v visit %d: the clean run after the panic differs from the warm-up", op.name, site, v)
 					}
 				}
 			}

@@ -52,16 +52,15 @@ type Parameters struct {
 	// X^{N/2} — the slot-wise factor i — evaluates to at the NTT points.
 	imagUnit []uint64
 
-	// Deterministic free lists for the pipelines' per-call records. Like
-	// the ring arena these are mutex-guarded typed stacks, not sync.Pools:
-	// they are never cleared by the GC and pushing onto them does not box,
-	// so a steady-state evaluator loop checks the same records in and out
-	// with zero heap allocations. Every coefficient buffer the records point
-	// at comes from the arena RingQ and RingP share.
+	// opFree is the deterministic free list of exec's per-call records, one
+	// record per op (opCall). Like the ring arena it is a mutex-guarded typed
+	// stack, not a sync.Pool: never cleared by the GC, and pushing onto it
+	// does not box, so a steady-state evaluator loop checks the same records
+	// in and out with zero heap allocations. Every coefficient buffer a
+	// record points at comes from the arena RingQ and RingP share. scratchMu
+	// also guards the record lists of compiled polynomial plans (polyplan.go).
 	scratchMu sync.Mutex
-	ksFree    []*ksState // keyswitch pipeline state records
-	ltFree    []*ltState // double-hoisted linear-transform state records
-	opFree    []*opCall  // exec's per-call records
+	opFree    []*opCall
 }
 
 // getDigits appends one extended-digit matrix per keyswitch digit of the
@@ -112,10 +111,9 @@ func (p *Parameters) extRing(qLimbs, i int) (*ring.Ring, int) {
 }
 
 // popFree pops a recycled record off one of the scratchMu-guarded free lists,
-// or hands out a fresh zero one. ksState and opCall records come back zeroed
-// (their owners reset them on release); ltState keeps its slice capacities
-// across checkouts — its release empties them and ltState.acquire draws them
-// again per call — so the baby-step tables never reallocate in steady state.
+// or hands out a fresh zero one. A record comes back reset by its owner but
+// keeping its slice capacities, so the per-call tables never reallocate in
+// steady state.
 func popFree[T any](p *Parameters, list *[]*T) *T {
 	p.scratchMu.Lock()
 	defer p.scratchMu.Unlock()

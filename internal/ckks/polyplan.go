@@ -324,15 +324,10 @@ func (r *planRun) at(k int, ct *Ciphertext, level int) *Ciphertext {
 	return &v.ct
 }
 
-// release returns node i's polynomials in the shape they were checked out
-// in: the in-place rescales shortened them, and the arena files by length.
+// release returns node i's polynomials to the arena.
 func (p *polyPlan) release(r *planRun, i int) {
-	for _, q := range [2]**ring.Poly{&r.cts[i].C0, &r.cts[i].C1} {
-		if *q != nil {
-			reshapePoly(*q, p.level-p.nodes[i].pre+1)
-			releasePoly(p.params.RingQ, q)
-		}
-	}
+	releasePoly(p.params.RingQ, &r.cts[i].C0)
+	releasePoly(p.params.RingQ, &r.cts[i].C1)
 	r.cts[i] = Ciphertext{}
 }
 

@@ -230,7 +230,7 @@ func preHoist(c *opCall) error {
 }
 
 func preHoistedRotate(c *opCall) error {
-	if c.h.hd == nil {
+	if c.h.digits == nil {
 		return opErr(c.d.name, c.level, ErrInvalidInput, "hoisted handle already released")
 	}
 	return preGalois(c)

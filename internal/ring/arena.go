@@ -48,8 +48,9 @@ type ArenaStats struct {
 type Arena struct {
 	n  int
 	mu sync.Mutex
-	// classes[c] holds free polys with exactly c+1 limbs. A poly whose limbs
-	// were dropped (Rescale/ModDown) re-files under its new, smaller class.
+	// classes[c] holds free polys with exactly c+1 limbs. A poly is filed
+	// by the limbs it was checked out with (its capacity), whatever it was
+	// resliced to since.
 	classes [][]*Poly
 	vecs    [][]uint64 // free N-word staging vectors
 	poison  bool
@@ -162,12 +163,14 @@ func (a *Arena) Get(limbs int) *Poly {
 // Put returns a polynomial to its size class. The poly must have been
 // checked out of this arena (or created by the owning ring for it), must own
 // its backing storage — never a prefix view of a live polynomial — and must
-// not be referenced afterwards. Polys that lost limbs via DropLimb re-file
-// under their current (smaller) class.
+// not be referenced afterwards. A poly resliced to fewer limbs since (by
+// DropLimb or a reshape) is restored to its full capacity first, so it is
+// filed, accounted and poisoned as the size it was checked out at.
 func (a *Arena) Put(p *Poly) {
-	if p == nil || len(p.Coeffs) == 0 {
+	if p == nil || cap(p.Coeffs) == 0 {
 		return
 	}
+	p.Coeffs = p.Coeffs[:cap(p.Coeffs)]
 	limbs := len(p.Coeffs)
 	if limbs > len(a.classes) || len(p.Coeffs[0]) != a.n {
 		panic(fmt.Sprintf("ring: foreign poly returned to arena (limbs=%d, row=%d, want n=%d)",

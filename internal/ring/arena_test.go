@@ -26,8 +26,8 @@ func TestArenaRecycles(t *testing.T) {
 }
 
 // Size classes are keyed by limb count: a 2-limb poly never serves a 3-limb
-// request, and a poly that lost a limb (Rescale/ModDown) re-files under its
-// new class.
+// request, and a poly that lost a limb since its checkout is filed under the
+// class it was drawn from (its capacity).
 func TestArenaSizeClasses(t *testing.T) {
 	a := NewArena(32, 4)
 	p2 := a.GetDirty(2)
@@ -39,10 +39,19 @@ func TestArenaSizeClasses(t *testing.T) {
 	if &p3.Coeffs[0][0] == &p2.Coeffs[0][0] {
 		t.Fatal("3-limb request served from the 2-limb class")
 	}
+	// A poly resliced since its checkout returns to the class it was drawn
+	// from, and its bytes leave BytesInUse in full.
+	baseline := a.Stats().BytesInUse - 3*32*8
 	p3.DropLimb()
 	a.Put(p3)
-	if a.FreeCount(2) != 2 {
-		t.Fatalf("dropped poly should re-file under class 2, FreeCount(2)=%d", a.FreeCount(2))
+	if inUse := a.Stats().BytesInUse; inUse != baseline {
+		t.Fatalf("BytesInUse %d after returning a dropped poly, baseline %d", inUse, baseline)
+	}
+	if a.FreeCount(3) != 1 || a.FreeCount(2) != 1 {
+		t.Fatalf("dropped poly should return to class 3, FreeCount(3)=%d FreeCount(2)=%d", a.FreeCount(3), a.FreeCount(2))
+	}
+	if q := a.GetDirty(3); len(q.Coeffs) != 3 || &q.Coeffs[0][0] != &p3.Coeffs[0][0] {
+		t.Fatal("3-limb request not served the returned 3-limb poly in full")
 	}
 }
 

@@ -233,7 +233,8 @@ func (p *Poly) Equal(o *Poly) bool {
 	return true
 }
 
-// DropLimb removes the last limb in place (used by Rescale and ModDown).
+// DropLimb removes the last limb in place. The dropped row stays in the
+// slice's capacity: an arena poly returns to the class it was drawn from.
 func (p *Poly) DropLimb() {
 	if len(p.Coeffs) == 1 {
 		panic("ring: cannot drop the last limb")
