@@ -118,23 +118,16 @@ func (h *HFAuto) Precompute(g uint64) *Map {
 // as an R×C row-major matrix; dst receives the permuted result. dst and
 // src must not alias.
 func (m *Map) Apply(dst, src []uint64, mod numeric.Modulus) {
-	m.ApplyScratch(dst, src, mod, make([]uint64, m.H.N))
-}
-
-// ApplyScratch is Apply with a caller-provided staging buffer of length N,
-// letting hot paths (and limb-parallel workers) recycle the stage-1 "FIFO"
-// memory instead of allocating per call. scratch must not alias dst or src.
-func (m *Map) ApplyScratch(dst, src []uint64, mod numeric.Modulus, scratch []uint64) {
 	h := m.H
-	if len(src) != h.N || len(dst) != h.N || len(scratch) != h.N {
-		panic("automorph: ApplyScratch: dst/src/scratch length mismatch")
+	if len(src) != h.N || len(dst) != h.N {
+		panic("automorph: Apply: dst/src length mismatch")
 	}
 	r, c := h.R, h.C
 	twoR := uint64(2 * r)
 
 	// Stage 1: row mapping row_i → row_(i·g mod R). We write rows into a
 	// staging buffer ("FIFOs" in the hardware) in permuted order.
-	stage1 := scratch
+	stage1 := make([]uint64, h.N)
 	for i := 0; i < r; i++ {
 		copy(stage1[m.rowDest[i]*c:(m.rowDest[i]+1)*c], src[i*c:(i+1)*c])
 	}

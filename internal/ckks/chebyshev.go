@@ -46,10 +46,18 @@ func EvalChebyshevScalar(coeffs []float64, a, b, x float64) float64 {
 // Chebyshev basis, every scale tracked exactly, the result on ct's own
 // scale. Consumes one level for the change of variable (which also brings a
 // scale above Δ down to it), one per doubling of the degree and one for the
-// coefficients; a chain too short for that is ErrLevelExhausted.
+// coefficients; a chain too short for that is ErrLevelExhausted. The bounds
+// must be finite with a < b and a finite change of variable, and the
+// coefficients finite and at least one (ErrInvalidInput otherwise).
 func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
-	p := newPolyPlan(ev.params, true, coeffs, 2/(b-a), -(a+b)/(b-a), ct.Scale)
-	return must(p.eval(ev, ct))
+	alpha, beta := 2/(b-a), -(a+b)/(b-a)
+	if !(a < b) || !finite(alpha) || !finite(beta) { // an infinite bound makes β NaN
+		panic(opErr("EvalPoly", lvlOf(ct), ErrInvalidInput, "bounds [%g, %g] are not finite with a < b", a, b))
+	}
+	if err := checkCoeffs(lvlOf(ct), coeffs); err != nil {
+		panic(err)
+	}
+	return must(newPolyPlan(ev.params, true, coeffs, alpha, beta, ct.Scale).eval(ev, ct))
 }
 
 // chebDiv divides a Chebyshev-basis polynomial by T_m:

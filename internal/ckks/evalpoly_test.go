@@ -1,6 +1,8 @@
 package ckks
 
 import (
+	"errors"
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -119,5 +121,43 @@ func TestEvalPolyAgainstChebyshev(t *testing.T) {
 	}
 	if worst > 1e-3 {
 		t.Errorf("power vs Chebyshev disagreement %g", worst)
+	}
+}
+
+// TestPolyHelpersTypedErrors: the polynomial and constant helpers are
+// panicking surfaces, so a bad input panics with an *OpError wrapping
+// ErrInvalidInput, checked before any plan is compiled or any scalar sized —
+// never with a runtime error from inside the compiler.
+func TestPolyHelpersTypedErrors(t *testing.T) {
+	tc := newTestContext(t)
+	ev := NewEvaluator(tc.params, tc.rlk, nil)
+	ct := tc.encryptVec(make([]complex128, tc.params.Slots))
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tt := range []struct {
+		name string
+		f    func()
+	}{
+		{"EvalChebyshev/empty", func() { ev.EvalChebyshev(ct, nil, -1, 1) }},
+		{"EvalChebyshev/a=b", func() { ev.EvalChebyshev(ct, []float64{1, 2}, 1, 1) }},
+		{"EvalChebyshev/a>b", func() { ev.EvalChebyshev(ct, []float64{1, 2}, 1, -1) }},
+		{"EvalChebyshev/infinite bound", func() { ev.EvalChebyshev(ct, []float64{1, 2}, -inf, 1) }},
+		{"EvalChebyshev/NaN bound", func() { ev.EvalChebyshev(ct, []float64{1, 2}, -1, nan) }},
+		{"EvalChebyshev/NaN coefficient", func() { ev.EvalChebyshev(ct, []float64{1, nan}, -1, 1) }},
+		{"EvalPoly/empty", func() { ev.EvalPoly(ct, nil) }},
+		{"EvalPoly/infinite coefficient", func() { ev.EvalPoly(ct, []float64{0, inf}) }},
+		{"EvalPoly/unsizable coefficient", func() { ev.EvalPoly(ct, []float64{0, 1e300, 1e300}) }},
+		{"MulConstToScale/target too small", func() { ev.MulConstToScale(ct, 2, 1e-30) }},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			defer func() {
+				rec := recover()
+				err, _ := rec.(error)
+				var oe *OpError
+				if !errors.As(err, &oe) || !errors.Is(err, ErrInvalidInput) {
+					t.Fatalf("panicked with %v (%T), want an *OpError wrapping ErrInvalidInput", rec, rec)
+				}
+			}()
+			tt.f()
+		})
 	}
 }

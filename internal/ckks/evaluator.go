@@ -29,9 +29,10 @@ import (
 // Concurrency: an Evaluator is safe for concurrent use by multiple
 // goroutines — keys and parameters are read-only, per-operation records and
 // scratch are checked out of mutex-guarded free lists and the arena (each
-// checkout is exclusively owned until returned), the shared caches (HFAuto
-// routing maps, NTT-domain permutations) are internally locked, and the
-// keyswitch digit extenders are immutable tables built with the parameters —
+// checkout is exclusively owned until returned), the one shared cache —
+// RingQ's NTT-domain Galois permutations — is built under the ring's own
+// lock, and the keyswitch digit extenders are immutable tables built with
+// the parameters —
 // provided any installed trace.OpSink is itself safe (TraceRecorder is).
 // Evaluators derived via WithWorkers share keys but not pools.
 type Evaluator struct {

@@ -45,8 +45,9 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
 // scale targetScale·q_level/ct.Scale, which must be ≥ 1.
 func (ev *Evaluator) MulConstToScale(ct *Ciphertext, c complex128, targetScale float64) *Ciphertext {
 	cscale := targetScale * float64(ev.params.Q[ct.Level]) / ct.Scale
-	if cscale < 1 {
-		panic("ckks: MulConstToScale target too small for this level")
+	if !(cscale >= 1) { // NaN included
+		panic(opErr("MulConstToScale", ct.Level, ErrInvalidInput,
+			"target scale %g is too small for level %d", targetScale, ct.Level))
 	}
 	out := ev.mulConst(ct, c, cscale)
 	ev.RescaleInto(out, out)

@@ -242,28 +242,29 @@ func kernRescale(c *opCall) {
 
 // rescalePoly writes the NTT-domain rescale of src (run+1 NTT-domain rows)
 // into dst (run limbs; rows may be src's own): the last limb to the
-// coefficient domain, then one stage per remaining limb. When the spot-check
-// is armed it samples one of exactly the transforms this operation runs
-// (rescaleLimb) and a disagreement fails the op here.
+// coefficient domain in the one-limb slot 1, then one stage per remaining
+// limb. When the spot-check is armed it samples one of exactly the
+// transforms this operation runs (rescaleLimb), whose pre-image goes to the
+// one-limb slot 2, and a disagreement fails the op here.
 func (c *opCall) rescalePoly(dst *ring.Poly, src [][]uint64) {
 	ev, last := c.ev, c.run
-	rq := ev.params.RingQ
 	c.dst, c.src = dst, src
 
-	c.vec = rq.GetVec()
-	copy(c.vec, src[last])
-	rq.InverseLimb(last, c.vec)
+	row := c.scratch(1, 1).Coeffs[0]
+	copy(row, src[last])
+	ev.params.RingQ.InverseLimb(last, row)
 
 	c.spotLimb, c.spotBad = -1, false
 	if g := ev.guards; g.spotOn() {
 		c.spotLimb = g.pickLimb(last)
+		c.scratch(2, 1)
 	}
 	c.scratch(0, last)
 	ring.Run(ev.pool, last, c, (*opCall).rescaleLimb)
 	dst.IsNTT = true
 	c.release(0)
-	rq.PutVec(c.vec)
-	c.vec = nil
+	c.release(1)
+	c.release(2)
 	if c.spotBad {
 		panic(&OpError{Op: c.d.name, Level: last - 1, Limb: c.spotLimb, Err: ErrIntegrity,
 			Detail: "redundant NTT limb recomputation mismatch"})
@@ -280,16 +281,15 @@ func (c *opCall) rescalePoly(dst *ring.Poly, src [][]uint64) {
 func (c *opCall) rescaleLimb(i int) {
 	rq, mid := c.ev.params.RingQ, c.tmp[0].Coeffs[i]
 	rs := c.ev.params.rescaler
-	rs.CenterLast(mid, c.vec, c.run, i)
+	rs.CenterLast(mid, c.tmp[1].Coeffs[0], c.run, i)
 	if i != c.spotLimb {
 		rq.ForwardLimb(i, mid)
 	} else {
-		pre := rq.GetVec()
+		pre := c.tmp[2].Coeffs[0]
 		copy(pre, mid)
 		rq.ForwardLimb(i, mid)
-		rq.Tables[i].ForwardStrict(pre[:len(mid)])
-		c.spotBad = !slices.Equal(pre[:len(mid)], mid)
-		rq.PutVec(pre)
+		rq.Tables[i].ForwardStrict(pre)
+		c.spotBad = !slices.Equal(pre, mid)
 	}
 	rs.SubScale(c.dst.Coeffs[i], c.src[i], mid, c.run, i)
 }

@@ -92,11 +92,12 @@ type opCall struct {
 	retries  int           // re-executions the recovery loop performed …
 	recovery time.Duration // … and the time from the first failure to its outcome
 
-	// Kernel state. tmp and vec are RingQ scratch the kernel has checked out;
-	// sweep returns whatever is still held when the attempt ends, however it
-	// ends. The rest are stage operands.
+	// Kernel state. tmp is the RingQ scratch the kernel has checked out, in
+	// one shape: a staging row (a rescale's last limb, the spot-check's
+	// pre-image) is a one-limb poly in a slot like any other. sweep returns
+	// whatever is still held when the attempt ends, however it ends. The
+	// rest are stage operands.
 	tmp [4]*ring.Poly
-	vec []uint64
 	dst *ring.Poly // rescale: the polynomial being written …
 	src [][]uint64 // … and the rows it is computed from
 
@@ -238,7 +239,7 @@ func (c *opCall) scratch(k, limbs int) *ring.Poly {
 func (c *opCall) release(k int) { releasePoly(c.ev.params.RingQ, &c.tmp[k]) }
 
 // sweep returns every arena buffer the kernel still holds — the scratch
-// slots and staging vector, the keyswitch accumulators and the digits it
+// slots (staging rows included), the keyswitch accumulators and the digits it
 // drew, the transform's P·ct lift, baby rotations, group scratch and
 // giant-step digits: a no-op after a clean keyswitch (the kernels release
 // eagerly), the end of a transform's buffers, and the leak-proofing after a
@@ -248,10 +249,6 @@ func (c *opCall) sweep() {
 	params := c.ev.params
 	for k := range c.tmp {
 		c.release(k)
-	}
-	if c.vec != nil {
-		params.RingQ.PutVec(c.vec)
-		c.vec = nil
 	}
 	params.putPolys(c.acc[:])
 	if c.borrowed {

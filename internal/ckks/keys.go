@@ -256,12 +256,12 @@ func (kg *KeyGenerator) GenGaloisKeys(sk *SecretKey, galEls []uint64) *RotationK
 	return set
 }
 
+// genGaloisKey switches from σ_g(s) to s. σ_g(s) is the secret's NTT image
+// permuted: the NTT is a bijection of residues, so this is bit for bit the
+// coefficient-domain map transformed, without a limb transform.
 func (kg *KeyGenerator) genGaloisKey(sk *SecretKey, g uint64, level int) *SwitchingKey {
 	rq := kg.params.RingQ
-	sCoeff := prefix(sk.Value.Q, level+1).CopyNew()
-	rq.INTT(sCoeff)
 	sG := rq.NewPoly(level + 1)
-	rq.Automorphism(sG, sCoeff, g)
-	rq.NTT(sG)
+	rq.AutomorphismNTT(sG, prefix(sk.Value.Q, level+1), g)
 	return kg.genSwitchingKey(sG, sk, level)
 }

@@ -34,8 +34,8 @@ type LinearTransform struct {
 // LinearTransformPlan is the precomputed evaluation schedule of one
 // transform: baby steps and giant-step groups in deterministic (sorted)
 // order, with the Galois element and the NTT-domain permutation of every
-// rotation resolved once, so the engine's hot loops never touch the
-// process-wide permutation cache. Both evaluation paths (double-hoisted and
+// rotation resolved once, so the engine's hot loops never touch the ring's
+// permutation table. Both evaluation paths (double-hoisted and
 // per-rotation) run off the plan, so operator traces and telemetry spans are
 // reproducible run-to-run.
 type LinearTransformPlan struct {

@@ -22,10 +22,14 @@ import (
 type panicLeakFixture struct {
 	params *Parameters
 	ev     *Evaluator
-	swk    *SwitchingKey
-	ct1    *Ciphertext
-	ct2    *Ciphertext
-	inj    *fault.Injector
+	// guarded is a second evaluator on the same keys with the guards and
+	// the rescale spot-check on, so the sampled limb's pre-image is drawn
+	// mid-op; ev stays unguarded for every other row.
+	guarded *Evaluator
+	swk     *SwitchingKey
+	ct1     *Ciphertext
+	ct2     *Ciphertext
+	inj     *fault.Injector
 	// baby and giant are the transform with diagonals 0 and 1 at baby-step
 	// widths 2 and 1: the shared decomposition with a baby rotation, and a
 	// giant-step keyswitch — both on the fixture's one rotation key.
@@ -51,6 +55,9 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 	rtk := kgen.GenRotationKeys(sk, []int{1}, true)
 	swk := kgen.genSwitchingKey(sk.Value.Q, sk2, params.MaxLevel())
 	ev := NewEvaluator(params, rlk, rtk)
+	guarded := NewEvaluator(params, rlk, rtk)
+	guarded.EnableGuards(424)
+	guarded.EnableSpotCheck()
 
 	pk := kgen.GenPublicKey(sk)
 	encr := NewEncryptor(params, pk, 422)
@@ -80,7 +87,7 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 		params.RingQ.SetFaultInjector(nil)
 		params.RingP.SetFaultInjector(nil)
 	})
-	return &panicLeakFixture{params: params, ev: ev, swk: swk, ct1: ct1, ct2: ct2, inj: inj, baby: lts[0], giant: lts[1]}
+	return &panicLeakFixture{params: params, ev: ev, guarded: guarded, swk: swk, ct1: ct1, ct2: ct2, inj: inj, baby: lts[0], giant: lts[1]}
 }
 
 // panicLeakOps enumerates every op that owns arena scratch mid-flight.
@@ -111,6 +118,9 @@ func (fx *panicLeakFixture) ops() []struct {
 		}},
 		{"EvaluateLinearTransformInto/giant", func() []*Ciphertext {
 			return one(ev.EvaluateLinearTransformInto(NewCiphertext(params, level), fx.ct1, fx.giant))
+		}},
+		{"RescaleInto/spot-checked", func() []*Ciphertext {
+			return one(fx.guarded.RescaleInto(NewCiphertext(params, level-1), fx.ct1))
 		}},
 	}
 }

@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
@@ -51,6 +52,15 @@ var parentHashes = map[string]string{
 	"RotateInto/level2":                  "391c8b138e56436d86e309d0373bc56d91aaa20e4d475e309645e6d4927261a8",
 	"Hoisted.Rotate/level2":              "391c8b138e56436d86e309d0373bc56d91aaa20e4d475e309645e6d4927261a8",
 	"EvaluateLinearTransformInto/level2": "bb9b699fe01e83a820e0836bbae72aebdbb1cf493405c2d42193f399a0dc9dd2",
+
+	// Added at 625b295, the commit before key generation permuted the
+	// secret's NTT image instead of running INTT → HFAuto → NTT: the bytes of
+	// the keys themselves. The rotation set carries both signs, a step past
+	// the slot count's half and the conjugation key; the Galois set is the
+	// transform's exact elements. Drawn after every ciphertext row above.
+	"GenRelinearizationKey": "7b1313d49d7628a18d73701938626586730a5bca2b2e533ab3e2bce53ed58576",
+	"GenRotationKeys":       "e5f9772afd92dbbd67101c2e202113d8f86c70268f7b5dba2b59d8073655007e",
+	"GenGaloisKeys":         "bf20509ac222d9739bc5a4e99c762b3f56522c42aab54a2d6bb5dca2a861dfc0",
 }
 
 func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
@@ -135,6 +145,23 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 					}
 					if strict {
 						requireRingMatchesStrict(t, params, out, name)
+					}
+				}
+
+				rotKeys := kgen.GenRotationKeys(sk, []int{-1, 1, 5, 17, 300}, true)
+				galKeys := kgen.GenGaloisKeys(sk, lt.Plan().GaloisElements())
+				for name, key := range map[string]encoding.BinaryMarshaler{
+					"GenRelinearizationKey": rlk,
+					"GenRotationKeys":       rotKeys,
+					"GenGaloisKeys":         galKeys,
+				} {
+					blob, err := key.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(blob)
+					if hx := hex.EncodeToString(sum[:]); hx != parentHashes[name] {
+						t.Errorf("%s: key bytes differ from the parent commit\n\t%q: %q,", name, name, hx)
 					}
 				}
 			})

@@ -98,6 +98,23 @@ type polyPlan struct {
 	free []*planRun // recycled under params.scratchMu
 }
 
+// checkCoeffs rejects a coefficient list no plan can be compiled from: an
+// empty one, or one holding an infinity or a NaN.
+func checkCoeffs(level int, coeffs []float64) error {
+	if len(coeffs) == 0 {
+		return opErr("EvalPoly", level, ErrInvalidInput, "no coefficients")
+	}
+	for k, c := range coeffs {
+		if !finite(c) {
+			return opErr("EvalPoly", level, ErrInvalidInput, "coefficient %d is %g", k, c)
+		}
+	}
+	return nil
+}
+
+// finite reports whether v is neither infinite nor NaN.
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+
 // newPolyPlan compiles Σ coeffs[k]·T_k(αx+β) (cheb) or Σ coeffs[k]·x^k for
 // inputs at the given scale; size binds it to a level.
 func newPolyPlan(params *Parameters, cheb bool, coeffs []float64, alpha, beta, scale float64) *polyPlan {
@@ -254,6 +271,14 @@ func (p *polyPlan) sizeNode(n *planNode) error {
 		}
 		return opErr("EvalPoly", l, ErrLevelExhausted, "scale 2^%.0f is too large for the chain's primes", math.Log2(p.scale))
 	}
+	// A constant sized at a scale is the integer round(c·scale), which must
+	// be finite to have residues: a finite coefficient can still be too large.
+	unsized := func(c, scale float64) error {
+		if finite(math.Round(c * scale)) {
+			return nil
+		}
+		return opErr("EvalPoly", l, ErrInvalidInput, "coefficient %g has no finite integer at scale 2^%.0f", c, math.Log2(scale))
+	}
 	switch {
 	case n.a >= 0:
 		// The integer lands the product as near its target as an integer can:
@@ -275,7 +300,11 @@ func (p *polyPlan) sizeNode(n *planNode) error {
 		}
 	case n.basis: // the input map: its one integer decides its scale
 		t, in := n.terms[0], nodes[0].scale
-		mul := math.Round(t.c * ratio([]float64{q, p.work}, []float64{in}))
+		sc := ratio([]float64{q, p.work}, []float64{in})
+		if err := unsized(t.c, sc); err != nil {
+			return err
+		}
+		mul := math.Round(t.c * sc)
 		if err := tooLarge(math.Abs(mul)); err != nil {
 			return err
 		}
@@ -286,7 +315,14 @@ func (p *polyPlan) sizeNode(n *planNode) error {
 	}
 	for k := range n.terms {
 		t := &n.terms[k]
-		t.s = p.params.newScalar(t.c, ratio([]float64{q, n.scale}, []float64{nodes[t.src].scale}), l)
+		sc := ratio([]float64{q, n.scale}, []float64{nodes[t.src].scale})
+		if err := unsized(t.c, sc); err != nil {
+			return err
+		}
+		t.s = p.params.newScalar(t.c, sc, l)
+	}
+	if err := unsized(n.c0, n.scale); err != nil {
+		return err
 	}
 	n.add = p.params.newScalar(n.c0, n.scale, p.level-n.depth)
 	return nil

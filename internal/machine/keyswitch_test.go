@@ -110,8 +110,10 @@ func TestMachineFullRotation(t *testing.T) {
 	rq.INTT(c0)
 	rq.INTT(c1)
 	a0, a1 := rq.NewPoly(level+1), rq.NewPoly(level+1)
-	rq.Automorphism(a0, c0, g)
-	rq.Automorphism(a1, c1, g)
+	for i := range c0.Coeffs {
+		automorph.Naive(a0.Coeffs[i], c0.Coeffs[i], g, rq.Moduli[i])
+		automorph.Naive(a1.Coeffs[i], c1.Coeffs[i], g, rq.Moduli[i])
+	}
 
 	p0, p1, st := keySwitchOnMachine(t, params, a1, level, rtks.Keys[g])
 	for _, op := range []isa.Opcode{isa.MAdd, isa.MSub, isa.MMul, isa.NTT} {

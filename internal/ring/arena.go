@@ -14,7 +14,7 @@ const poisonWord = 0xDEADBEEFDEADBEEF
 // ArenaStats is a snapshot of the arena's accounting counters. Byte figures
 // count coefficient backing storage only (8 bytes per coefficient word).
 type ArenaStats struct {
-	Gets   uint64 // checkouts (polys + staging vectors)
+	Gets   uint64 // checkouts
 	Puts   uint64 // returns
 	Misses uint64 // checkouts that had to allocate because the free list was empty
 	// BytesAllocated is the total backing storage the arena has ever
@@ -29,11 +29,11 @@ type ArenaStats struct {
 }
 
 // Arena is a size-classed free list of RNS polynomials: one stack per limb
-// count, plus a stack of single-limb staging vectors. It is the software
-// stand-in for Poseidon's fixed on-chip scratchpad — every evaluator
-// temporary is checked out with Get/GetDirty and returned with Put, so a
-// steady-state evaluation loop recirculates the same backing arrays instead
-// of allocating.
+// count, and nothing else — a single N-word staging row is a one-limb poly.
+// It is the software stand-in for Poseidon's fixed on-chip scratchpad, which
+// holds everything in limb-sized units: every evaluator temporary is checked
+// out with Get/GetDirty and returned with Put, so a steady-state evaluation
+// loop recirculates the same backing arrays instead of allocating.
 //
 // Unlike sync.Pool, the free lists are deterministic: they are never cleared
 // by the garbage collector, and pushing a slice onto a typed stack does not
@@ -52,7 +52,6 @@ type Arena struct {
 	// by the limbs it was checked out with (its capacity), whatever it was
 	// resliced to since.
 	classes [][]*Poly
-	vecs    [][]uint64 // free N-word staging vectors
 	poison  bool
 	stats   ArenaStats
 }
@@ -77,17 +76,7 @@ func (a *Arena) SetPoison(on bool) {
 	if on && !a.poison {
 		for _, cl := range a.classes {
 			for _, p := range cl {
-				for i := range p.Coeffs {
-					row := p.Coeffs[i]
-					for j := range row {
-						row[j] = poisonWord
-					}
-				}
-			}
-		}
-		for _, v := range a.vecs {
-			for j := range v {
-				v[j] = poisonWord
+				fillPoison(p)
 			}
 		}
 	}
@@ -145,7 +134,7 @@ func (a *Arena) GetDirty(limbs int) *Poly {
 		return newPoly(a.n, limbs)
 	}
 	if poison {
-		a.verifyPoison(p.Coeffs, limbs)
+		a.verifyPoison(p)
 	}
 	p.IsNTT = false
 	return p
@@ -160,12 +149,14 @@ func (a *Arena) Get(limbs int) *Poly {
 	return p
 }
 
-// Put returns a polynomial to its size class. The poly must have been
-// checked out of this arena (or created by the owning ring for it), must own
-// its backing storage — never a prefix view of a live polynomial — and must
-// not be referenced afterwards. A poly resliced to fewer limbs since (by
-// DropLimb or a reshape) is restored to its full capacity first, so it is
-// filed, accounted and poisoned as the size it was checked out at.
+// Put returns a polynomial to its size class. It takes back only what this
+// arena handed out: a poly that was never checked out (NewPoly's, say) would
+// subtract bytes that were never added and wrap BytesInUse, the figure
+// MaxArenaBytes admission reads. The poly must own its backing storage —
+// never a prefix view of a live polynomial — and must not be referenced
+// afterwards. A poly resliced to fewer limbs since (by DropLimb or a
+// reshape) is restored to its full capacity first, so it is filed,
+// accounted and poisoned as the size it was checked out at.
 func (a *Arena) Put(p *Poly) {
 	if p == nil || cap(p.Coeffs) == 0 {
 		return
@@ -186,12 +177,7 @@ func (a *Arena) Put(p *Poly) {
 				panic("ring: double Put of arena poly")
 			}
 		}
-		for i := range p.Coeffs {
-			row := p.Coeffs[i]
-			for j := range row {
-				row[j] = poisonWord
-			}
-		}
+		fillPoison(p)
 	}
 	a.classes[limbs-1] = append(a.classes[limbs-1], p)
 	a.stats.Puts++
@@ -199,68 +185,21 @@ func (a *Arena) Put(p *Poly) {
 	a.mu.Unlock()
 }
 
-// GetVec checks out an N-word staging vector (contents unspecified). Pair
-// with PutVec.
-func (a *Arena) GetVec() []uint64 {
-	bytes := uint64(a.n) * 8
-	a.mu.Lock()
-	var v []uint64
-	if n := len(a.vecs); n > 0 {
-		v = a.vecs[n-1]
-		a.vecs[n-1] = nil
-		a.vecs = a.vecs[:n-1]
-	}
-	a.stats.Gets++
-	if v == nil {
-		a.stats.Misses++
-		a.stats.BytesAllocated += bytes
-	}
-	a.stats.BytesInUse += bytes
-	if a.stats.BytesInUse > a.stats.PeakBytes {
-		a.stats.PeakBytes = a.stats.BytesInUse
-	}
-	poison := a.poison
-	a.mu.Unlock()
-
-	if v == nil {
-		return make([]uint64, a.n)
-	}
-	if poison {
-		a.verifyPoison([][]uint64{v}, 1)
-	}
-	return v
-}
-
-// PutVec returns a staging vector to the arena. Like Put, it panics on a
-// vector that is not N words long and, in poison mode, on a double return.
-func (a *Arena) PutVec(v []uint64) {
-	if len(v) != a.n {
-		panic(fmt.Sprintf("ring: foreign vector returned to arena (len=%d, want n=%d)", len(v), a.n))
-	}
-	a.mu.Lock()
-	if a.poison {
-		for _, w := range a.vecs {
-			if &w[0] == &v[0] {
-				a.mu.Unlock()
-				panic("ring: double PutVec of arena vector")
-			}
-		}
-		for j := range v {
-			v[j] = poisonWord
+// fillPoison overwrites every coefficient of p with the sentinel.
+func fillPoison(p *Poly) {
+	for _, row := range p.Coeffs {
+		for j := range row {
+			row[j] = poisonWord
 		}
 	}
-	a.vecs = append(a.vecs, v)
-	a.stats.Puts++
-	a.stats.BytesInUse -= uint64(a.n) * 8
-	a.mu.Unlock()
 }
 
 // verifyPoison panics if any recycled word was overwritten while the buffer
 // sat on the free list — evidence that some caller kept writing through a
 // reference after Put (use-after-put / aliasing bug).
-func (a *Arena) verifyPoison(rows [][]uint64, limbs int) {
-	for i := 0; i < limbs; i++ {
-		for j, w := range rows[i] {
+func (a *Arena) verifyPoison(p *Poly) {
+	for i, row := range p.Coeffs {
+		for j, w := range row {
 			if w != poisonWord {
 				panic(fmt.Sprintf(
 					"ring: arena poison broken at limb %d coeff %d (got %#x): write-after-Put detected",

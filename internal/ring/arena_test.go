@@ -99,12 +99,16 @@ func TestArenaByteAccounting(t *testing.T) {
 
 // A poly that does not belong to the arena's geometry must be rejected —
 // returning a prefix view or another ring's poly would corrupt the free
-// lists silently.
+// lists silently — and not counted as a return, which would leave
+// BytesInUse off for good.
 func TestArenaForeignPolyPanics(t *testing.T) {
 	a := NewArena(32, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Put of a foreign poly did not panic")
+		}
+		if st := a.Stats(); st.Puts != 0 || st.BytesInUse != 0 {
+			t.Fatalf("foreign poly counted as a return: %+v", st)
 		}
 	}()
 	a.Put(newPoly(16, 2)) // wrong N
@@ -139,51 +143,6 @@ func TestArenaPoisonDoublePut(t *testing.T) {
 		}
 	}()
 	a.Put(p)
-}
-
-// Staging vectors follow the same poison discipline.
-func TestArenaVecPoison(t *testing.T) {
-	a := NewArena(32, 2)
-	a.SetPoison(true)
-	v := a.GetVec()
-	a.PutVec(v)
-	v[3] = 99
-	defer func() {
-		if recover() == nil {
-			t.Fatal("vector write-after-Put was not detected")
-		}
-	}()
-	a.GetVec()
-}
-
-// PutVec of a vector that is not N words long panics, as Put does on a
-// foreign poly, instead of leaving BytesInUse inflated for good.
-func TestArenaPutVecForeignPanics(t *testing.T) {
-	a := NewArena(32, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign vector was accepted")
-		}
-		if st := a.Stats(); st.Puts != 0 {
-			t.Fatalf("foreign vector counted as a return: %+v", st)
-		}
-	}()
-	a.PutVec(make([]uint64, 16))
-}
-
-// Poison mode: returning the same staging vector twice panics, as a double
-// Put does.
-func TestArenaPoisonDoublePutVec(t *testing.T) {
-	a := NewArena(32, 2)
-	a.SetPoison(true)
-	v := a.GetVec()
-	a.PutVec(v)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double PutVec was not detected")
-		}
-	}()
-	a.PutVec(v)
 }
 
 // Aliasing fuzz: a random interleaving of checkouts, full overwrites, and

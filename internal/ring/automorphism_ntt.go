@@ -1,34 +1,26 @@
 package ring
 
-import (
-	"math/bits"
-	"sync"
-)
+import "math/bits"
 
-// NTT-domain automorphism. In the evaluation domain the Galois map X ↦ X^g
-// is a pure permutation of the point values (no sign fix-up): output slot j
-// holds the evaluation at ψ^{e_j·g}, which is input slot i with
-// e_i = e_j·g mod 2N, where e_i = 2·brv(i)+1 indexes the bit-reversed CT
-// output layout. This enables rotation hoisting: decomposed keyswitch
-// digits can be permuted after their (shared) forward NTT.
+// NTT-domain automorphism, the one automorphism the library runs. In the
+// evaluation domain the Galois map X ↦ X^g is a pure permutation of the point
+// values (no sign fix-up): output slot j holds the evaluation at ψ^{e_j·g},
+// which is input slot i with e_i = e_j·g mod 2N, where e_i = 2·brv(i)+1
+// indexes the bit-reversed CT output layout. Key generation permutes the
+// secret's NTT image with it, and rotation hoisting permutes decomposed
+// keyswitch digits after their (shared) forward NTT. The permutation depends
+// on N and g alone; each ring keeps its own table (Ring.perms), so the tables
+// of a parameter set go when it does.
 
-// nttPerms caches one permutation per (N, g), process-wide. It is
-// read-mostly: after the first use of an element every caller only reads,
-// so lookups take the read lock and limb workers never serialise on it.
-var nttPerms = struct {
-	sync.RWMutex
-	m map[uint64][]int
-}{m: map[uint64][]int{}}
-
-// nttPermutation returns perm with dst[j] = src[perm[j]].
+// nttPermutation returns perm with dst[j] = src[perm[j]], building it on the
+// element's first use.
 func (r *Ring) nttPermutation(g uint64) []int {
 	n := r.N
 	twoN := uint64(2 * n)
 	g %= twoN
-	key := uint64(n)<<32 | g
-	nttPerms.RLock()
-	perm, ok := nttPerms.m[key]
-	nttPerms.RUnlock()
+	r.permMu.RLock()
+	perm, ok := r.perms[g]
+	r.permMu.RUnlock()
 	if ok {
 		return perm
 	}
@@ -40,13 +32,13 @@ func (r *Ring) nttPermutation(g uint64) []int {
 		i := bits.Reverse64((t-1)/2) >> (64 - logn)
 		perm[j] = int(i)
 	}
-	nttPerms.Lock()
-	if first, ok := nttPerms.m[key]; ok {
+	r.permMu.Lock()
+	if first, ok := r.perms[g]; ok {
 		perm = first // a concurrent builder won: every caller shares one table
 	} else {
-		nttPerms.m[key] = perm
+		r.perms[g] = perm
 	}
-	nttPerms.Unlock()
+	r.permMu.Unlock()
 	return perm
 }
 
@@ -62,10 +54,7 @@ func (r *Ring) AutomorphismNTT(dst, src *Poly, g uint64) {
 	}
 	perm := r.nttPermutation(g)
 	for i := 0; i < limbs; i++ {
-		d, s := dst.Coeffs[i], src.Coeffs[i]
-		for j, p := range perm {
-			d[j] = s[p]
-		}
+		ApplyPermutationNTT(dst.Coeffs[i], src.Coeffs[i], perm)
 	}
 	dst.IsNTT = true
 }
@@ -79,7 +68,7 @@ func ApplyPermutationNTT(dst, src []uint64, perm []int) {
 }
 
 // NTTGaloisPermutation exposes the permutation for element g (for callers
-// operating on raw limb slices). It depends on N and g alone, so rings of
-// one degree — RingQ and RingP — share the table; hot loops resolve it once
-// and keep the slice.
+// operating on raw limb slices). It depends on N and g alone, so one ring's
+// table serves every ring of its degree — RingQ's serves the P limbs too;
+// hot loops resolve it once and keep the slice.
 func (r *Ring) NTTGaloisPermutation(g uint64) []int { return r.nttPermutation(g) }

@@ -44,7 +44,7 @@ func FuzzHFAutoParallel(f *testing.F) {
 
 		// The serial HFAuto path must agree too (same map cache).
 		serial := r.NewPoly(3)
-		r.Automorphism(serial, src, g)
+		hfSerial(r, serial, src, g)
 		if !serial.Equal(want) {
 			t.Fatalf("g=%d seed=%d: serial HFAuto differs from naive map", g, seed)
 		}

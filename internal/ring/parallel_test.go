@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -17,17 +18,23 @@ func testPools() []*Pool {
 }
 
 // automorphismOver applies X ↦ X^g limb by limb across the pool, the way a
-// limb stage would: one routing map shared by every task, staging per task.
-// What it leans on — HFCache.Get, Map.ApplyScratch on a shared map, GetVec /
-// PutVec — is documented safe for concurrent use; the tests below hold it to
-// that against the serial Automorphism.
+// limb stage would: one routing map shared by every task. What it leans on —
+// HFCache.Get and Map.Apply on a shared map — is documented safe for
+// concurrent use; the tests below hold it to that against the serial map.
 func automorphismOver(r *Ring, pool *Pool, dst, src *Poly, g uint64) {
 	m := r.HF.Get(g)
 	pool.ForEach(len(src.Coeffs), func(i int) {
-		stage := r.GetVec()
-		m.ApplyScratch(dst.Coeffs[i], src.Coeffs[i], r.Moduli[i], stage)
-		r.PutVec(stage)
+		m.Apply(dst.Coeffs[i], src.Coeffs[i], r.Moduli[i])
 	})
+}
+
+// hfSerial is the HFAuto map applied limb after limb on the caller's
+// goroutine: what automorphismOver must reproduce at every pool width.
+func hfSerial(r *Ring, dst, src *Poly, g uint64) {
+	m := r.HF.Get(g)
+	for i := range src.Coeffs {
+		m.Apply(dst.Coeffs[i], src.Coeffs[i], r.Moduli[i])
+	}
 }
 
 // TestParallelMatchesSerial: NTT is NTTParallel on a nil pool; every pool
@@ -102,7 +109,7 @@ func TestParallelAutomorphismMatchesSerial(t *testing.T) {
 
 	for _, g := range []uint64{1, 5, 25, uint64(2*r.N - 1), 77} {
 		want := r.NewPoly(5)
-		r.Automorphism(want, src, g)
+		hfSerial(r, want, src, g)
 		for _, pool := range testPools() {
 			got := r.NewPoly(5)
 			automorphismOver(r, pool, got, src, g)
@@ -156,7 +163,7 @@ func TestParallelDomainPanics(t *testing.T) {
 }
 
 // TestConcurrentParallelOps exercises shared state under -race: one ring
-// (shared NTT tables, HFAuto map cache, scratch pools) and one pool used by
+// (shared NTT tables, HFAuto map cache, scratch arena) and one pool used by
 // many goroutines at once.
 func TestConcurrentParallelOps(t *testing.T) {
 	r := testRing(t, 128, 6)
@@ -164,7 +171,7 @@ func TestConcurrentParallelOps(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	src := randPoly(r, rng, 6, false)
 	want := r.NewPoly(6)
-	r.Automorphism(want, src, 5)
+	hfSerial(r, want, src, 5)
 
 	done := make(chan error, 8)
 	for goroutine := 0; goroutine < 8; goroutine++ {
@@ -213,12 +220,6 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 		}
 	}
 	r.PutPoly(q)
-
-	v := r.GetVec()
-	if len(v) != r.N {
-		t.Fatalf("GetVec length %d, want %d", len(v), r.N)
-	}
-	r.PutVec(v)
 }
 
 func BenchmarkNTTSerialVsParallel(b *testing.B) {
@@ -246,9 +247,11 @@ func BenchmarkNTTSerialVsParallel(b *testing.B) {
 // TestNTTGaloisPermutationConcurrent: limb workers of several evaluators
 // resolve permutations at once. First use of an element from many goroutines
 // must hand every caller the same table, and it must be the permutation a
-// serial caller gets.
+// serial caller gets. The table is the ring's own: a second ring of the same
+// degree builds its own copy of the same permutation.
 func TestNTTGaloisPermutationConcurrent(t *testing.T) {
 	r := testRing(t, 1<<6, 1)
+	other := testRing(t, 1<<6, 1)
 	const workers = 8
 	for _, g := range []uint64{5, 25, 2*64 - 1, 5 * 5 * 5 * 5 * 5 % (2 * 64)} {
 		got := make([][]int, workers)
@@ -273,6 +276,9 @@ func TestNTTGaloisPermutationConcurrent(t *testing.T) {
 				t.Fatalf("g=%d: not a permutation", g)
 			}
 			seen[p] = true
+		}
+		if o := other.NTTGaloisPermutation(g); &o[0] == &want[0] || !slices.Equal(o, want) {
+			t.Fatalf("g=%d: a second ring must hold its own table of the same permutation", g)
 		}
 	}
 }

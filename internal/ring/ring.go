@@ -1,7 +1,11 @@
 // Package ring provides the RNS polynomial arithmetic layer: polynomials in
 // Z_Q[X]/(X^N+1) with Q a product of NTT-friendly primes, stored as one
 // residue vector per prime ("limb"). All Poseidon operators — MA, MM,
-// NTT/INTT, Automorphism — act limb-wise on this representation.
+// NTT/INTT, Automorphism — act limb-wise on this representation. A ring owns
+// what its parameter set needs beside the moduli — the NTT tables, the
+// NTT-domain Galois permutations, the HFAuto routing maps — and draws its
+// scratch, in one shape (polys of 1…|Q|+|P| limbs), from the arena it is
+// given; all of it lives and dies with the parameter set.
 package ring
 
 import (
@@ -29,11 +33,20 @@ type Ring struct {
 	Moduli []numeric.Modulus
 	Tables []*ntt.Table
 
-	// HF is the sub-vector automorphism engine shared by all limbs.
+	// HF caches the HFAuto routing maps of the paper's sub-vector
+	// automorphism core. No library path runs it — every automorphism is an
+	// NTT-domain permutation (AutomorphismNTT) — it serves bench and the
+	// tests.
 	HF *HFCache
 
-	// arena recycles polynomial scratch (size-classed by limb count) and
-	// single N-word staging vectors, keeping the limb-parallel hot paths
+	// perms caches the NTT-domain Galois permutation of each element g,
+	// built on first use (automorphism_ntt.go). Read-mostly: lookups take
+	// the read lock, so limb workers never serialise on it.
+	permMu sync.RWMutex
+	perms  map[uint64][]int
+
+	// arena recycles polynomial scratch, size-classed by limb count (a
+	// staging row is a one-limb poly), keeping the limb-parallel hot paths
 	// from churning the GC with per-operation allocations. The caller
 	// supplies it, so rings that work together (a parameter set's Q and P)
 	// share one scratch pool and one set of counters. See Arena.
@@ -67,7 +80,7 @@ func NewRing(n int, moduli []uint64, arena *Arena) (*Ring, error) {
 	if arena == nil || arena.n != n || len(arena.classes) < len(moduli) {
 		return nil, fmt.Errorf("ring: arena does not hold degree-%d polys of %d limbs", n, len(moduli))
 	}
-	r := &Ring{N: n, arena: arena}
+	r := &Ring{N: n, arena: arena, perms: map[uint64][]int{}}
 	for n>>uint(r.LogN+1) > 0 {
 		r.LogN++
 	}
@@ -191,18 +204,6 @@ func (r *Ring) GetPolyDirty(limbs int) *Poly {
 // backing array (never a prefix view of a live polynomial).
 func (r *Ring) PutPoly(p *Poly) {
 	r.arena.Put(p)
-}
-
-// GetVec returns an N-word scratch vector from the ring's arena — per-task
-// staging space for parallel automorphisms and hoisted keyswitch
-// permutations. Pair with PutVec.
-func (r *Ring) GetVec() []uint64 {
-	return r.arena.GetVec()
-}
-
-// PutVec returns a GetVec vector to the arena.
-func (r *Ring) PutVec(v []uint64) {
-	r.arena.PutVec(v)
 }
 
 // Level returns the polynomial's level (limbs − 1).
@@ -376,23 +377,6 @@ func (r *Ring) INTT(p *Poly) {
 		r.InverseLimb(i, p.Coeffs[i])
 	}
 	p.IsNTT = false
-}
-
-// Automorphism applies X ↦ X^g to every limb using the shared HFAuto
-// engine. The polynomial must be in the coefficient domain. dst and src
-// must not alias.
-func (r *Ring) Automorphism(dst, src *Poly, g uint64) {
-	limbs := r.check(dst, src)
-	if src.IsNTT {
-		panic("ring: Automorphism requires coefficient domain")
-	}
-	m := r.HF.Get(g)
-	stage := r.GetVec()
-	for i := 0; i < limbs; i++ {
-		m.ApplyScratch(dst.Coeffs[i], src.Coeffs[i], r.Moduli[i], stage)
-	}
-	r.PutVec(stage)
-	dst.IsNTT = false
 }
 
 // ToBigCentered reconstructs coefficient j of p (coefficient domain) as a

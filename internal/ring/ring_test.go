@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"poseidon/internal/automorph"
 	"poseidon/internal/numeric"
 )
 
@@ -191,13 +192,26 @@ func TestMulScalar(t *testing.T) {
 	}
 }
 
+// TestAutomorphismLimbwise: the ring's automorphism permutes the NTT image,
+// limb by limb, into the NTT image of the map's definition (automorph.Naive
+// on each limb), and composing it with the inverse Galois element restores
+// the original.
 func TestAutomorphismLimbwise(t *testing.T) {
 	r := testRing(t, 64, 2)
 	rng := rand.New(rand.NewSource(7))
 	a := randPoly(r, rng, 2, false)
+	want := r.NewPoly(2)
+	for i := range a.Coeffs {
+		automorph.Naive(want.Coeffs[i], a.Coeffs[i], 5, r.Moduli[i])
+	}
+	r.NTT(want)
+	ntt := a.CopyNew()
+	r.NTT(ntt)
 	dst := r.NewPoly(2)
-	r.Automorphism(dst, a, 5)
-	// Composing with the inverse Galois element restores the original.
+	r.AutomorphismNTT(dst, ntt, 5)
+	if !dst.Equal(want) {
+		t.Error("NTT-domain automorphism differs from the naive map")
+	}
 	gInv := uint64(0)
 	for g := uint64(1); g < uint64(2*r.N); g += 2 {
 		if g*5%uint64(2*r.N) == 1 {
@@ -206,8 +220,8 @@ func TestAutomorphismLimbwise(t *testing.T) {
 		}
 	}
 	back := r.NewPoly(2)
-	r.Automorphism(back, dst, gInv)
-	if !back.Equal(a) {
+	r.AutomorphismNTT(back, dst, gInv)
+	if !back.Equal(ntt) {
 		t.Error("automorphism inverse does not restore input")
 	}
 }
