@@ -2,6 +2,7 @@ package ckks
 
 import (
 	"math"
+	"slices"
 
 	"poseidon/internal/automorph"
 	"poseidon/internal/numeric"
@@ -88,26 +89,41 @@ func sameScale(a, b float64) bool {
 }
 
 // atLevel returns ct cut down to the given level: ct itself when it is
-// already there (no view allocation), a prefix view otherwise.
+// already there (no view allocation), an unsealed view otherwise — exec
+// verifies ct's own seal before it cuts.
 func (ev *Evaluator) atLevel(ct *Ciphertext, level int) *Ciphertext {
 	if ct.Level == level {
 		return ct
 	}
-	return ev.DropLevel(ct, level)
+	return cut(ct, level)
+}
+
+// cut returns an unsealed view of ct's first level+1 limbs.
+func cut(ct *Ciphertext, level int) *Ciphertext {
+	return &Ciphertext{
+		C0:    prefix(ct.C0, level+1),
+		C1:    prefix(ct.C1, level+1),
+		Scale: ct.Scale,
+		Level: level,
+	}
 }
 
 // DropLevel returns a view of ct at the lower level newLevel. Raising the
 // level, or a negative one, panics with an *OpError wrapping ErrInvalidInput.
+// A sealed ct's view carries a copy of the seal's first newLevel+1
+// checksums, so an op on the view re-verifies the limbs it reads.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, newLevel int) *Ciphertext {
 	if newLevel > ct.Level || newLevel < 0 {
 		panic(opErr("DropLevel", ct.Level, ErrInvalidInput, "cannot drop level %d to %d", ct.Level, newLevel))
 	}
-	return &Ciphertext{
-		C0:    prefix(ct.C0, newLevel+1),
-		C1:    prefix(ct.C1, newLevel+1),
-		Scale: ct.Scale,
-		Level: newLevel,
+	view := cut(ct, newLevel)
+	if s := ct.seal; s != nil && len(s.c0) == ct.Level+1 {
+		view.seal = &integritySeal{
+			c0: slices.Clone(s.c0[:newLevel+1]),
+			c1: slices.Clone(s.c1[:newLevel+1]),
+		}
 	}
+	return view
 }
 
 // The surfaces of the basic ops. A destination (out) is a caller-owned

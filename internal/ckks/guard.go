@@ -20,9 +20,10 @@ import (
 //     seals its output. A single-bit flip anywhere in a sealed limb is
 //     detected with certainty: the flip changes the word by ±2^b and 2^b is
 //     never ≡ 0 mod an odd prime q.
-//   - Noise-budget guard: flags level/scale exhaustion (a product scale that
-//     no longer fits under the active modulus chain, a rescale at level 0)
-//     as ErrLevelExhausted before results silently degrade into noise.
+//   - Modulus-headroom guard (guardHeadroom): flags a product scale the
+//     active chain product no longer holds as ErrLevelExhausted before
+//     results silently degrade. It checks scale against modulus, not noise
+//     (a rescale at level 0 is refused with guards on or off).
 //   - Redundant-limb spot-check (EnableSpotCheck): recomputes one random
 //     limb of each elementwise output with reduce-every-term arithmetic,
 //     and one random limb of Rescale's forward NTTs from its saved
@@ -109,8 +110,12 @@ func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
 // limb first, then each limb's residue checksum is compared against the
 // seal. Returns nil for unsealed ciphertexts (after still firing the
 // hooks); a mismatch returns an *OpError wrapping ErrIntegrity naming the
-// first corrupted limb. Never panics.
+// first corrupted limb, and a nil or malformed ct one wrapping
+// ErrInvalidInput. Never panics.
 func (ev *Evaluator) VerifyIntegrity(ct *Ciphertext) (err error) {
+	if err := ev.validIn("VerifyIntegrity", ct); err != nil {
+		return err
+	}
 	defer recoverOp("VerifyIntegrity", &ct.Level, &err)
 	return ev.verifySealed("VerifyIntegrity", ct)
 }

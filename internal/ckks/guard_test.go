@@ -289,6 +289,65 @@ func TestSealDetectsCorruption(t *testing.T) {
 	}
 }
 
+// VerifyIntegrity never panics: a nil, hollow or short-row ciphertext is an
+// *OpError wrapping ErrInvalidInput, as it is at an op's input boundary.
+func TestVerifyIntegrityInvalidInput(t *testing.T) {
+	gc := newGuardContext(t)
+	a, _, _ := gc.inputs(t, 5, gc.params.MaxLevel())
+	short := a.CopyNew()
+	short.C0.Coeffs[1] = short.C0.Coeffs[1][:gc.params.N/2]
+	for _, tc := range []struct {
+		name string
+		ct   *Ciphertext
+	}{{"nil", nil}, {"hollow", &Ciphertext{}}, {"short row", short}} {
+		var err error
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			err = gc.ev.VerifyIntegrity(tc.ct)
+		}()
+		var oe *OpError
+		if !errors.As(err, &oe) || !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: got %v, want an *OpError wrapping ErrInvalidInput", tc.name, err)
+		}
+	}
+}
+
+// A view DropLevel cuts from a sealed ciphertext keeps the seal of the limbs
+// it holds: a bit flipped in one of them is caught on the view, by
+// VerifyIntegrity and at an op's input boundary, and re-sealing the view
+// leaves the original's seal as it was.
+func TestDropLevelKeepsSeal(t *testing.T) {
+	gc := newGuardContext(t)
+	ev := gc.ev
+	ev.EnableGuards(9)
+	top := gc.params.MaxLevel()
+	a, b, _ := gc.inputs(t, 9, top)
+	ev.SealIntegrity(a)
+	if err := ev.VerifyIntegrity(ev.DropLevel(a, top-1)); err != nil {
+		t.Fatalf("clean view: %v", err)
+	}
+	if _, err := ev.TryAddInto(nil, ev.DropLevel(a, top-1), b); err != nil {
+		t.Fatalf("op on a clean view: %v", err)
+	}
+
+	a.C0.Coeffs[0][5] ^= 1 << 30
+	view := ev.DropLevel(a, top-1)
+	if err := ev.VerifyIntegrity(view); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("verify view after flip: got %v, want ErrIntegrity", err)
+	}
+	if _, err := ev.TryAddInto(nil, view, b); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("op input boundary on the view after flip: got %v, want ErrIntegrity", err)
+	}
+	ev.SealIntegrity(view)
+	if err := ev.VerifyIntegrity(a); !errors.Is(err, ErrIntegrity) {
+		t.Fatalf("re-sealing the view re-armed the original: got %v, want ErrIntegrity", err)
+	}
+}
+
 // A Hoisted handle holds no copy of its ciphertext: every rotation reads
 // ct.C0 (and ct.C1, the digit-own rows of the decomposition) where they lie.
 // With guards on each TryRotate therefore re-verifies the seal, so a

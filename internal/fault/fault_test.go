@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"math"
+	"math/big"
+	"math/rand"
 	"testing"
 
 	"poseidon/internal/numeric"
@@ -130,6 +133,46 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 	}
 	if Checksum(mod, c) != base {
 		t.Fatal("checksum not restored after un-flipping")
+	}
+}
+
+// Checksum is the sum of a limb's words mod q, whatever the words: math/big,
+// which shares no code with numeric.Modulus, referees it on edge words (0,
+// 1, q−1, q and words above q up to 2^64−1) and on full N = 8192 rows at the
+// prime widths production runs.
+func TestChecksumMatchesBigSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	row := func(f func() uint64) []uint64 {
+		c := make([]uint64, 8192)
+		for j := range c {
+			c[j] = f()
+		}
+		return c
+	}
+	for _, bits := range []int{45, 55, 58} {
+		ps, err := numeric.GenerateNTTPrimes(bits, 13, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod := numeric.NewModulus(ps[0])
+		q := mod.Q
+		rows := map[string][]uint64{
+			"edges":    {0, 1, q - 1, q, q + 1, 2*q - 1, 2 * q, math.MaxUint64 - 1, math.MaxUint64},
+			"residues": row(func() uint64 { return rng.Uint64() % q }),
+			"words":    row(rng.Uint64),
+			"q-1":      row(func() uint64 { return q - 1 }),
+			"2^64-1":   row(func() uint64 { return math.MaxUint64 }),
+		}
+		for name, c := range rows {
+			want := new(big.Int)
+			for _, v := range c {
+				want.Add(want, new(big.Int).SetUint64(v))
+			}
+			want.Mod(want, new(big.Int).SetUint64(q))
+			if got := Checksum(mod, c); got != want.Uint64() {
+				t.Errorf("%d-bit q, %s: Checksum = %d, math/big sum = %d", bits, name, got, want.Uint64())
+			}
+		}
 	}
 }
 

@@ -62,24 +62,29 @@ func TestForwardInverseRoundTrip(t *testing.T) {
 	}
 }
 
+// The schoolbook product referees the transforms at every prime width
+// production runs. A prime under 2^50 takes the lane bodies at n = 128 on a
+// CPU with IFMA; n < 64 and the wider primes take the Go bodies.
 func TestConvolutionTheorem(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{4, 16, 128} {
-		tab := mustTable(t, n, 40)
-		a := randomPoly(rng, n, tab.Mod.Q)
-		b := randomPoly(rng, n, tab.Mod.Q)
-		want := tab.NegacyclicConvolution(a, b)
+	for _, bits := range []int{40, 45, 55, 58, 61} {
+		for _, n := range []int{4, 16, 128} {
+			tab := mustTable(t, n, bits)
+			a := randomPoly(rng, n, tab.Mod.Q)
+			b := randomPoly(rng, n, tab.Mod.Q)
+			want := tab.NegacyclicConvolution(a, b)
 
-		fa := append([]uint64(nil), a...)
-		fb := append([]uint64(nil), b...)
-		tab.Forward(fa)
-		tab.Forward(fb)
-		c := make([]uint64, n)
-		tab.Mod.VecMontMul(c, fa, fb)
-		tab.Inverse(c)
-		for i := range c {
-			if c[i] != want[i] {
-				t.Fatalf("n=%d: convolution mismatch at %d", n, i)
+			fa := append([]uint64(nil), a...)
+			fb := append([]uint64(nil), b...)
+			tab.Forward(fa)
+			tab.Forward(fb)
+			c := make([]uint64, n)
+			tab.Mod.VecMontMul(c, fa, fb)
+			tab.Inverse(c)
+			for i := range c {
+				if c[i] != want[i] {
+					t.Fatalf("%d-bit q, n=%d (lanes %v): convolution mismatch at %d", bits, n, tab.lanes, i)
+				}
 			}
 		}
 	}
