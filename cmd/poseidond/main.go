@@ -37,20 +37,15 @@ import (
 )
 
 // daemonConfig collects the tunables main parses from flags, so tests can
-// start the same daemon in-process on ephemeral ports.
+// start the same daemon in-process on ephemeral ports. The eval server's own
+// knobs are its server.Config, which the flags write into directly;
+// startDaemon fills in Params, Collector and Tracer.
 type daemonConfig struct {
+	server.Config
 	addr        string
 	metricsAddr string
 	logN        int
 	workers     int
-	maxBatch    int
-	queueDepth  int
-	registryCap int
-	maxArenaMB  int64
-	guardSeed   int64
-	opAttempts  int
-	jobAttempts int
-	deadline    time.Duration
 	drain       time.Duration
 	trace       bool
 	traceRing   int
@@ -90,19 +85,9 @@ func startDaemon(cfg daemonConfig) (*daemon, error) {
 			Recorder: tracing.NewFlightRecorder(cfg.traceRing, cfg.traceSample, 0.95),
 		}
 	}
-	srv, err := server.NewEvalServer(server.Config{
-		Params:          params,
-		MaxBatch:        cfg.maxBatch,
-		QueueDepth:      cfg.queueDepth,
-		RegistryCap:     cfg.registryCap,
-		MaxArenaBytes:   cfg.maxArenaMB << 20,
-		GuardSeed:       cfg.guardSeed,
-		OpMaxAttempts:   cfg.opAttempts,
-		MaxJobAttempts:  cfg.jobAttempts,
-		DefaultDeadline: cfg.deadline,
-		Collector:       col,
-		Tracer:          tracer,
-	})
+	sc := cfg.Config
+	sc.Params, sc.Collector, sc.Tracer = params, col, tracer
+	srv, err := server.NewEvalServer(sc)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -171,20 +156,21 @@ func main() {
 	flag.StringVar(&cfg.metricsAddr, "metrics", "127.0.0.1:9090", "telemetry listen address ('' disables)")
 	flag.IntVar(&cfg.logN, "logn", 11, "ring degree log2")
 	flag.IntVar(&cfg.workers, "workers", 0, "evaluator workers, one dispatch lane each (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.maxBatch, "max-batch", 16, "max same-ciphertext rotations sharing one hoist")
-	flag.IntVar(&cfg.queueDepth, "queue", 256, "dispatch queue depth")
-	flag.IntVar(&cfg.registryCap, "registry-cap", 64, "resident tenant key sets")
-	flag.Int64Var(&cfg.maxArenaMB, "max-arena-mb", 0, "arena-bytes admission ceiling in MiB (0 = off)")
-	flag.Int64Var(&cfg.guardSeed, "guard-seed", 1, "integrity guard seed (0 disables guards)")
-	flag.IntVar(&cfg.opAttempts, "op-attempts", 1, "op-level recovery attempts per integrity failure (1 = off)")
-	flag.IntVar(&cfg.jobAttempts, "job-attempts", 1, "runs per integrity-failed job, in place on its lane (1 = off)")
-	flag.DurationVar(&cfg.deadline, "deadline", 0, "default per-request deadline (0 = unbounded)")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", 16, "max same-ciphertext rotations sharing one hoist")
+	flag.IntVar(&cfg.QueueDepth, "queue", 256, "dispatch queue depth")
+	flag.IntVar(&cfg.RegistryCap, "registry-cap", 64, "resident tenant key sets")
+	maxArenaMB := flag.Int64("max-arena-mb", 0, "arena-bytes admission ceiling in MiB (0 = off)")
+	flag.Int64Var(&cfg.GuardSeed, "guard-seed", 1, "integrity guard seed (0 disables guards)")
+	flag.IntVar(&cfg.OpMaxAttempts, "op-attempts", 1, "op-level recovery attempts per integrity failure (1 = off)")
+	flag.IntVar(&cfg.MaxJobAttempts, "job-attempts", 1, "runs per integrity-failed job, in place on its lane (1 = off)")
+	flag.DurationVar(&cfg.DefaultDeadline, "deadline", 0, "default per-request deadline (0 = unbounded)")
 	flag.DurationVar(&cfg.drain, "drain", 10*time.Second, "shutdown drain budget")
 	flag.BoolVar(&cfg.trace, "trace", false, "enable request tracing: span trees on /debug/requests (telemetry mux), trace exemplars on /metrics")
 	flag.IntVar(&cfg.traceRing, "trace-ring", 1024, "flight-recorder capacity (retained request traces)")
 	flag.IntVar(&cfg.traceSample, "trace-sample", 16, "keep 1/N of ordinary requests (errored and slowest are always kept)")
 	demoDir := flag.String("demo", "", "write curl-able demo request files to this directory")
 	flag.Parse()
+	cfg.MaxArenaBytes = *maxArenaMB << 20
 
 	d, err := startDaemon(cfg)
 	if err != nil {
@@ -202,7 +188,7 @@ func main() {
 		}
 	}
 	log.Printf("poseidond serving LogN=%d on http://%s (%d lanes, hoist group ≤%d, registry cap %d)",
-		cfg.logN, d.Addr(), d.params.Workers(), cfg.maxBatch, cfg.registryCap)
+		cfg.logN, d.Addr(), d.params.Workers(), cfg.MaxBatch, cfg.RegistryCap)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -25,14 +25,11 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 
 func shutdownDrainsInFlight(t *testing.T, workers int) {
 	d, err := startDaemon(daemonConfig{
+		Config:      server.Config{MaxBatch: 4, QueueDepth: 64, RegistryCap: 4, GuardSeed: 1},
 		addr:        "127.0.0.1:0",
 		metricsAddr: "", // no telemetry listener in tests
 		logN:        8,
 		workers:     workers,
-		maxBatch:    4,
-		queueDepth:  64,
-		registryCap: 4,
-		guardSeed:   1,
 		drain:       10 * time.Second,
 	})
 	if err != nil {

@@ -159,14 +159,11 @@ func TestArenaSteadyState(t *testing.T) {
 
 // TestHoistedDigitsInArena: the keyswitch digit matrices are arena scratch
 // like every other buffer. A live Hoisted at level l holds exactly Digits(l)
-// full-width (|Q|+|P|)-limb polys of the one arena RingQ and RingP share,
-// Release hands them back, and a checkout from either ring is counted once.
+// full-width (|Q|+|P|)-limb polys of the parameter set's one arena, Release
+// hands them back, and a direct checkout from Arena() is counted once.
 func TestHoistedDigitsInArena(t *testing.T) {
 	fx := newAllocFixture(t)
 	ev, params := fx.ev, fx.params
-	if params.RingQ.Arena() != params.RingP.Arena() {
-		t.Fatal("RingQ and RingP draw from different arenas")
-	}
 	full := uint64(len(params.Q)+len(params.P)) * uint64(params.N) * 8
 	for _, level := range []int{params.MaxLevel(), 1} {
 		ct := ev.DropLevel(fx.ct1, level)
@@ -188,13 +185,13 @@ func TestHoistedDigitsInArena(t *testing.T) {
 	}
 
 	base := params.ArenaStats()
-	p := params.RingP.GetPolyDirty(1)
+	p := params.Arena().GetDirty(1)
 	got := params.ArenaStats()
 	if got.Gets-base.Gets != 1 || got.BytesInUse-base.BytesInUse != uint64(params.N)*8 {
-		t.Errorf("one 1-limb RingP checkout moved Gets by %d and BytesInUse by %d, want 1 and %d",
+		t.Errorf("one 1-limb checkout moved Gets by %d and BytesInUse by %d, want 1 and %d",
 			got.Gets-base.Gets, got.BytesInUse-base.BytesInUse, params.N*8)
 	}
-	params.RingP.PutPoly(p)
+	params.Arena().Put(p)
 }
 
 // arenaAtPhase is a sink that reads the arena's BytesInUse when the linear
@@ -258,14 +255,13 @@ func TestLinearTransformWorkingSet(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan := lt.Plan()
-			rotated := plan.groups[len(plan.groups)-1].j != 0
+			rotated := lt.groups[len(lt.groups)-1].j != 0
 			if rotated != (name == "giant steps") {
-				t.Fatalf("%s: plan groups %v", name, plan.groups)
+				t.Fatalf("%s: groups %v", name, lt.groups)
 			}
 			q, e := uint64(level+1), uint64(level+1+params.Alpha())
 			d := uint64(params.Digits(level))
-			want := d*full + 2*q + 2*e + uint64(len(plan.babySteps))*2*e
+			want := d*full + 2*q + 2*e + uint64(len(lt.babySteps))*2*e
 			if rotated {
 				want += 2*e + q + d*full
 			}

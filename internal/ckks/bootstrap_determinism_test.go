@@ -32,7 +32,7 @@ func TestBootstrapperDeterministic(t *testing.T) {
 	requireCtEqual(t, ctA, ctB, "same seed, same input ciphertext")
 
 	steps := map[int]bool{}
-	for _, s := range append(bootA.ctsLT.Plan().Rotations(), bootA.stcLT.Plan().Rotations()...) {
+	for _, s := range append(bootA.ctsLT.Rotations(), bootA.stcLT.Rotations()...) {
 		steps[s] = true
 	}
 	keys := bootA.Evaluator().rtks.Keys

@@ -74,8 +74,7 @@ func TestZeroAllocEvalMod(t *testing.T) {
 // slot after its Put, or Put of a slot still in use, loud.
 func TestBootstrapWorkersBitIdentical(t *testing.T) {
 	fx := newBootFixture(t, 7, 0)
-	fx.params.RingQ.Arena().SetPoison(true)
-	fx.params.RingP.Arena().SetPoison(true)
+	fx.params.Arena().SetPoison(true)
 	in := fx.ct.CopyNew()
 	var first, firstCopy *Ciphertext
 	for _, w := range []int{1, 2, 4} {

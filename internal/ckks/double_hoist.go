@@ -73,7 +73,7 @@ type ltState struct {
 	// digit layout, so every stage indexes row i directly.
 	ksDigits
 
-	gd []*ring.Poly // digit matrices of the giant-step keyswitch; drawn only for a plan with a j ≠ 0 group
+	gd []*ring.Poly // digit matrices of the giant-step keyswitch; drawn only for a transform with a j ≠ 0 group
 
 	// ctP0/ctP1 hold P·ct over the Q rows (NTT domain) — the lazy QP image
 	// of the identity rotation, lifted from the operand ct; its P rows are
@@ -81,7 +81,7 @@ type ltState struct {
 	// terms on P limbs.
 	ctP0, ctP1 *ring.Poly
 
-	babies [][2]*ring.Poly // lazy QP rotations, one per plan baby step
+	babies [][2]*ring.Poly // lazy QP rotations, one per baby step
 
 	grp   [2]*ring.Poly // per-group staging (reduction target of a j ≠ 0 group)
 	c1Std *ring.Poly    // group c1 after its single ModDown (coeff domain, Q)
@@ -99,20 +99,19 @@ type ltState struct {
 // matrices — is drawn only when some group is rotated: groups are sorted by
 // j ≥ 0, so that is when the last one's j is not 0.
 func (c *opCall) bindLinTrans() {
-	params, plan := c.ev.params, c.lt.plan
+	params, lt := c.ev.params, c.lt
 	c.bind(params, c.level)
-	rq := params.RingQ
-	c.ctP0 = rq.GetPolyDirty(c.qLimbs)
-	c.ctP1 = rq.GetPolyDirty(c.qLimbs)
+	c.ctP0 = params.arena.GetDirty(c.qLimbs)
+	c.ctP1 = params.arena.GetDirty(c.qLimbs)
 	// The output sum is built by modular adds and starts zeroed; every other
 	// accumulator is fully written by the stage that fills it.
 	c.acc = params.getPair(c.ext1, true)
-	if plan.groups[len(plan.groups)-1].j != 0 {
+	if lt.groups[len(lt.groups)-1].j != 0 {
 		c.grp = params.getPair(c.ext1, false)
-		c.c1Std = rq.GetPolyDirty(c.qLimbs)
+		c.c1Std = params.arena.GetDirty(c.qLimbs)
 		c.gd = params.getDigits(c.gd, c.level)
 	}
-	for range plan.babySteps {
+	for range lt.babySteps {
 		c.babies = append(c.babies, params.getPair(c.ext1, false))
 	}
 }
@@ -122,7 +121,7 @@ func (c *opCall) bindLinTrans() {
 // extended-basis baby rotations, one ModDown per giant-step group, one
 // final close. The result, at lt.Level (a higher ct is dropped to it),
 // encrypts M·slots(ct) with scale ct.Scale·lt.Scale (rescale afterwards).
-// It needs the keys of lt.Plan().GaloisElements(): without one it panics
+// It needs the keys of lt.GaloisElements(): without one it panics
 // with ErrKeyMissing before any work. The result is decrypt-equivalent to —
 // but not bit-identical with — the per-rotation reference schedule (ModDown
 // rounding is regrouped; the difference is O(1) ring units, far below the
@@ -150,9 +149,9 @@ func (ev *Evaluator) EvaluateLinearTransformWithStats(ct *Ciphertext, lt *Linear
 // engine phase, timing detail nested around those ops. The phases count
 // their work into a local the caller's stats receive.
 func kernLinTrans(c *opCall) {
-	ev, plan, level, dst := c.ev, c.lt.plan, c.level, c.out
+	ev, lt, level, dst := c.ev, c.lt, c.level, c.out
 	scale := c.x.Scale * c.lt.Scale
-	if len(plan.groups) == 0 {
+	if len(lt.groups) == 0 {
 		// All-zero matrix: write a zero ciphertext without staging a copy.
 		reshapeCt(dst, level)
 		for i := range dst.C0.Coeffs {
@@ -165,7 +164,7 @@ func kernLinTrans(c *opCall) {
 	}
 
 	c.bindLinTrans()
-	stats := LinTransStats{BabySteps: len(plan.babySteps), GiantSteps: len(plan.groups)}
+	stats := LinTransStats{BabySteps: len(lt.babySteps), GiantSteps: len(lt.groups)}
 
 	sp := ev.beginOp("hoist")
 	c.hoistLinTrans(&stats)
@@ -189,11 +188,11 @@ func kernLinTrans(c *opCall) {
 }
 
 // hoistLinTrans runs the shared phase: the baby-step digit decomposition of
-// ct.C1 into the record (skipped when the plan has no baby steps), its
+// ct.C1 into the record (skipped when the transform has no baby steps), its
 // forward transforms, and the scalar lift ctP0/ctP1 = P·ct over the Q rows —
 // the lazy QP image of the identity rotation.
 func (c *opCall) hoistLinTrans(stats *LinTransStats) {
-	if len(c.lt.plan.babySteps) > 0 {
+	if len(c.lt.babySteps) > 0 {
 		c.hoistDigits(c.x.C1)
 		stats.InverseNTTLimbs += c.qLimbs
 		stats.NTTLimbs += len(c.digits)*c.ext1 - c.qLimbs // digit-own rows are ct.C1's
@@ -213,14 +212,14 @@ func (c *opCall) liftStage(i int) {
 
 // babyPhase materializes every baby step as a lazy extended-basis rotation
 // in ONE limb-major sweep: a task owns an extended limb and walks all of the
-// plan's baby rotations on it, so the limb's digit rows are fetched once and
+// transform's baby rotations on it, so the limb's digit rows are fetched once and
 // stay cache-resident while every rotation key streams past them.
 func (c *opCall) babyPhase(stats *LinTransStats) {
-	if len(c.lt.plan.babySteps) == 0 {
+	if len(c.lt.babySteps) == 0 {
 		return
 	}
 	ring.Run(c.ev.pool, c.ext1, c, (*opCall).babySweepStage)
-	stats.KeySwitches += len(c.lt.plan.babySteps)
+	stats.KeySwitches += len(c.lt.babySteps)
 }
 
 // babySweepStage builds extended limb i of every baby rotation: the
@@ -230,7 +229,7 @@ func (c *opCall) babyPhase(stats *LinTransStats) {
 // image. P rows need no correction: P·x vanishes mod every p_j.
 func (c *opCall) babySweepStage(i int) {
 	mod := c.modulus(i)
-	for k, perm := range c.lt.plan.babyPerm {
+	for k, perm := range c.lt.babyPerm {
 		b := &c.babies[k]
 		c.innerProduct(i, c.keys[k], perm, b[0].Coeffs[i], b[1].Coeffs[i], false)
 		if i < c.qLimbs {
@@ -239,7 +238,7 @@ func (c *opCall) babySweepStage(i int) {
 	}
 }
 
-// giantPhase evaluates the groups in plan order. Each group MACs its
+// giantPhase evaluates the groups in order. Each group MACs its
 // diagonals against the lazy rotations over the full extended basis; a j=0
 // group folds straight into the output accumulator, while a j≠0 group
 // spends its single ModDown on the group c1, runs the giant rotation's
@@ -248,14 +247,14 @@ func (c *opCall) babySweepStage(i int) {
 // limbs. The giant-step digits are swapped in for the baby decomposition,
 // which the sweep returns from gd.
 func (c *opCall) giantPhase(stats *LinTransStats) {
-	ev, plan := c.ev, c.lt.plan
+	ev, lt := c.ev, c.lt
 	pool := ev.pool
 	c.digits, c.gd, c.own = c.gd, c.digits, nil
 	st := &c.ltState
-	for gi := range plan.groups {
-		g := &plan.groups[gi]
+	for gi := range lt.groups {
+		g := &lt.groups[gi]
 		sp := ev.beginOp("LinTrans")
-		c.group, c.swk = g, c.keys[len(plan.babySteps)+gi]
+		c.group, c.swk = g, c.keys[len(lt.babySteps)+gi]
 		stats.PlainMACs += len(g.terms)
 		need := 3 * len(g.terms) * c.ext1
 		if cap(c.macRows) < need {

@@ -106,8 +106,8 @@ func (e *Encoder) EncodeReal(values []float64, level int, scale float64) *Plaint
 }
 
 // Decode recovers the slot vector from a plaintext. Coefficients are
-// CRT-reconstructed and centered, so the result is exact up to the
-// encoding/evaluation noise.
+// CRT-reconstructed and centered, the CRT constants computed once for the
+// call, so the result is exact up to the encoding/evaluation noise.
 func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 	n := e.params.Slots
 	rq := e.params.RingQ
@@ -116,10 +116,11 @@ func (e *Encoder) Decode(pt *Plaintext) []complex128 {
 		p = p.CopyNew()
 		rq.INTT(p)
 	}
+	crt := rq.NewCRT(len(p.Coeffs))
 	vals := make([]complex128, n)
 	for j := 0; j < n; j++ {
-		re := bigToFloat(rq.ToBigCentered(p, j)) / pt.Scale
-		im := bigToFloat(rq.ToBigCentered(p, j+n)) / pt.Scale
+		re := bigToFloat(crt.Centered(p, j)) / pt.Scale
+		im := bigToFloat(crt.Centered(p, j+n)) / pt.Scale
 		vals[j] = complex(re, im)
 	}
 	e.specialFFT(vals)

@@ -2,9 +2,12 @@ package ckks
 
 import (
 	"math"
+	"math/big"
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"poseidon/internal/ring"
 )
 
 func smallParams(t testing.TB) *Parameters {
@@ -192,6 +195,63 @@ func TestAutomorphismConjugates(t *testing.T) {
 	for i := range z {
 		if cmplx.Abs(got[i]-cmplx.Conj(z[i])) > 1e-7 {
 			t.Fatalf("slot %d: conjugation mismatch", i)
+		}
+	}
+}
+
+// TestDecodeMatchesPerCoefficientCRT: Decode reconstructs every coefficient
+// from one set of CRT constants, and its output is bit for bit what the
+// per-coefficient ToBigCentered reference gives — on random residues, on
+// the centered range's edges (0, ±1, ±(Q−1)/2, ±((Q−1)/2 − 1)) and on the
+// all-zero and all-(q_i−1) polys, at several levels.
+func TestDecodeMatchesPerCoefficientCRT(t *testing.T) {
+	params := smallParams(t)
+	enc := NewEncoder(params)
+	rq, n := params.RingQ, params.Slots
+	rng := rand.New(rand.NewSource(5))
+	for _, level := range []int{0, 1, params.MaxLevel()} {
+		bigQ := big.NewInt(1)
+		for _, m := range rq.Moduli[:level+1] {
+			bigQ.Mul(bigQ, new(big.Int).SetUint64(m.Q))
+		}
+		half := new(big.Int).Rsh(bigQ, 1)
+		halfLess := new(big.Int).Sub(half, big.NewInt(1))
+		edges := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(-1), half, new(big.Int).Neg(half), halfLess, new(big.Int).Neg(halfLess)}
+
+		polys := map[string]*ring.Poly{}
+		for _, name := range []string{"random", "edges", "zero", "max residues"} {
+			p := rq.NewPoly(level + 1)
+			for j := 0; j < params.N; j++ {
+				switch name {
+				case "edges":
+					rq.SetBigCentered(p, j, edges[j%len(edges)])
+				case "random":
+					for i, m := range rq.Moduli[:level+1] {
+						p.Coeffs[i][j] = rng.Uint64() % m.Q
+					}
+				case "max residues":
+					for i, m := range rq.Moduli[:level+1] {
+						p.Coeffs[i][j] = m.Q - 1
+					}
+				}
+			}
+			polys[name] = p
+		}
+
+		for name, p := range polys {
+			pt := &Plaintext{Value: p, Scale: params.Scale, Level: level}
+			want := make([]complex128, n)
+			for j := range want {
+				want[j] = complex(bigToFloat(rq.ToBigCentered(p, j))/pt.Scale, bigToFloat(rq.ToBigCentered(p, j+n))/pt.Scale)
+			}
+			enc.specialFFT(want)
+			got := enc.Decode(pt)
+			for j := range want {
+				if math.Float64bits(real(got[j])) != math.Float64bits(real(want[j])) ||
+					math.Float64bits(imag(got[j])) != math.Float64bits(imag(want[j])) {
+					t.Fatalf("level %d, %s poly: slot %d decodes to %v, per-coefficient reference %v", level, name, j, got[j], want[j])
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,8 @@ package ckks
 // EvalChebyshev, which is better conditioned. The coefficients must be
 // finite and at least one (ErrInvalidInput otherwise).
 func (ev *Evaluator) EvalPoly(ct *Ciphertext, coeffs []float64) *Ciphertext {
-	if err := checkCoeffs(lvlOf(ct), coeffs); err != nil {
+	ev.mustValidIn("EvalPoly", ct)
+	if err := checkCoeffs(ct.Level, coeffs); err != nil {
 		panic(err)
 	}
 	return must(newPolyPlan(ev.params, false, coeffs, 1, 0, ct.Scale).eval(ev, ct))

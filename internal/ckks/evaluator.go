@@ -108,11 +108,13 @@ func cut(ct *Ciphertext, level int) *Ciphertext {
 	}
 }
 
-// DropLevel returns a view of ct at the lower level newLevel. Raising the
-// level, or a negative one, panics with an *OpError wrapping ErrInvalidInput.
+// DropLevel returns a view of ct at the lower level newLevel. An invalid ct,
+// raising the level, or a negative one panics with an *OpError wrapping
+// ErrInvalidInput.
 // A sealed ct's view carries a copy of the seal's first newLevel+1
 // checksums, so an op on the view re-verifies the limbs it reads.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, newLevel int) *Ciphertext {
+	ev.mustValidIn("DropLevel", ct)
 	if newLevel > ct.Level || newLevel < 0 {
 		panic(opErr("DropLevel", ct.Level, ErrInvalidInput, "cannot drop level %d to %d", ct.Level, newLevel))
 	}

@@ -36,6 +36,7 @@ func (ev *Evaluator) mulConst(ct *Ciphertext, c complex128, scale float64) *Ciph
 // the returned ciphertext has scale ct.Scale·q_level and must be rescaled
 // by the caller.
 func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
+	ev.mustValidIn("MulConst", ct)
 	return ev.mulConst(ct, c, float64(ev.params.Q[ct.Level]))
 }
 
@@ -44,6 +45,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
 // two evaluation branches before adding them. The constant is encoded at
 // scale targetScale·q_level/ct.Scale, which must be ≥ 1.
 func (ev *Evaluator) MulConstToScale(ct *Ciphertext, c complex128, targetScale float64) *Ciphertext {
+	ev.mustValidIn("MulConstToScale", ct)
 	cscale := targetScale * float64(ev.params.Q[ct.Level]) / ct.Scale
 	if !(cscale >= 1) { // NaN included
 		panic(opErr("MulConstToScale", ct.Level, ErrInvalidInput,
@@ -57,6 +59,7 @@ func (ev *Evaluator) MulConstToScale(ct *Ciphertext, c complex128, targetScale f
 
 // AddConst adds the constant c to every slot without consuming a level.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) *Ciphertext {
+	ev.mustValidIn("AddConst", ct)
 	if imag(c) == 0 {
 		s := ev.params.newScalar(real(c), ct.Scale, ct.Level)
 		return must(ev.exec(&opAddScalar, nil, operands{a: ct, s: &s}))

@@ -92,7 +92,7 @@ type opCall struct {
 	retries  int           // re-executions the recovery loop performed …
 	recovery time.Duration // … and the time from the first failure to its outcome
 
-	// Kernel state. tmp is the RingQ scratch the kernel has checked out, in
+	// Kernel state. tmp is the arena scratch the kernel has checked out, in
 	// one shape: a staging row (a rescale's last limb, the spot-check's
 	// pre-image) is a one-limb poly in a slot like any other. sweep returns
 	// whatever is still held when the attempt ends, however it ends. The
@@ -228,15 +228,15 @@ func (c *opCall) attempt(dst *Ciphertext) (err error) {
 	return nil
 }
 
-// scratch checks a dirty `limbs`-limb RingQ polynomial out into slot k.
+// scratch checks a dirty `limbs`-limb polynomial out into slot k.
 func (c *opCall) scratch(k, limbs int) *ring.Poly {
-	c.tmp[k] = c.ev.params.RingQ.GetPolyDirty(limbs)
+	c.tmp[k] = c.ev.params.arena.GetDirty(limbs)
 	return c.tmp[k]
 }
 
 // release returns slot k; kernels call it as soon as they are done with a
 // piece, which keeps the peak arena footprint down.
-func (c *opCall) release(k int) { releasePoly(c.ev.params.RingQ, &c.tmp[k]) }
+func (c *opCall) release(k int) { c.ev.params.releasePoly(&c.tmp[k]) }
 
 // sweep returns every arena buffer the kernel still holds — the scratch
 // slots (staging rows included), the keyswitch accumulators and the digits it
@@ -264,7 +264,7 @@ func (c *opCall) sweep() {
 	c.babies = c.babies[:0]
 	params.putPolys(c.grp[:])
 	for _, q := range [3]**ring.Poly{&c.ctP0, &c.ctP1, &c.c1Std} {
-		releasePoly(params.RingQ, q)
+		params.releasePoly(q)
 	}
 }
 

@@ -89,8 +89,10 @@ func (ev *Evaluator) GuardsEnabled() bool { return ev.guards != nil }
 // SealIntegrity records per-limb residue checksums for ct, arming the
 // checksum guard: every subsequent operation consuming ct re-verifies
 // the seal at its input boundary. Re-sealing an already-sealed ciphertext
-// reuses the seal storage.
+// reuses the seal storage. An invalid ct panics with an *OpError wrapping
+// ErrInvalidInput.
 func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
+	ev.mustValidIn("SealIntegrity", ct)
 	limbs := ct.Level + 1
 	s := ct.seal
 	if s == nil || cap(s.c0) < limbs {

@@ -238,7 +238,7 @@ func (kg *KeyGenerator) genRotationKeys(sk *SecretKey, steps []int, conjugate bo
 }
 
 // GenGaloisKeys builds switching keys for exactly the given Galois
-// elements — the companion to LinearTransformPlan.GaloisElements, letting a
+// elements — the companion to LinearTransform.GaloisElements, letting a
 // tenant provision precisely the rotation keys one transform needs instead
 // of guessing a power-of-two ladder. Duplicates and the identity element
 // are skipped.

@@ -2,7 +2,7 @@ package ckks
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"poseidon/internal/automorph"
 	"poseidon/internal/ring"
@@ -14,31 +14,17 @@ import (
 // ~2·√n rotations. Diagonals are encoded over the extended basis Q_l ∪ P,
 // so the double-hoisted evaluation path can multiply them against lazy
 // (not-yet-ModDowned) baby-step rotations; see double_hoist.go.
+//
+// The transform is its own evaluation schedule, resolved at construction:
+// baby steps and giant-step groups in deterministic (sorted) order, with the
+// Galois element and the NTT-domain permutation of every rotation, so the
+// engine's hot loops never touch the ring's permutation table and operator
+// traces and telemetry spans are reproducible run-to-run.
 type LinearTransform struct {
 	N1    int // baby-step width
 	Level int // evaluation level: a higher input is dropped to it, a lower one refused
 	Scale float64
 
-	ringQ *ring.Ring // fixes the ring degree and resolves Galois permutations
-
-	// ds lists the non-zero diagonals, ascending. diag[d] is diagonal d
-	// (already rotated by −(d/N1)·N1 for the giant-step regrouping) encoded
-	// at scale Scale as one NTT-domain poly of Level+1+Alpha rows: Q_0…Q_Level,
-	// then P_0…P_{α−1}, the digit layout.
-	ds   []int
-	diag map[int]*ring.Poly
-
-	plan *LinearTransformPlan // built with the transform
-}
-
-// LinearTransformPlan is the precomputed evaluation schedule of one
-// transform: baby steps and giant-step groups in deterministic (sorted)
-// order, with the Galois element and the NTT-domain permutation of every
-// rotation resolved once, so the engine's hot loops never touch the ring's
-// permutation table. Both evaluation paths (double-hoisted and
-// per-rotation) run off the plan, so operator traces and telemetry spans are
-// reproducible run-to-run.
-type LinearTransformPlan struct {
 	babySteps []int    // sorted nonzero inner rotation steps
 	babyPerm  [][]int  // the NTT-domain permutation of each
 	keyGal    []uint64 // Galois element of each baby step, then of each group (1 for j = 0)
@@ -49,100 +35,35 @@ type LinearTransformPlan struct {
 	galois    []uint64 // distinct non-identity Galois elements, sorted
 }
 
-// ltGroup is one giant-step group: the diagonals sharing outer step j.
+// ltGroup is one giant-step group: the non-zero diagonals sharing outer step
+// j, in ascending inner-step order.
 type ltGroup struct {
 	j     int
 	perm  []int // the giant rotation's NTT-domain permutation (nil when j == 0)
 	terms []ltPlanTerm
 }
 
-// ltPlanTerm is one diagonal's contribution to a group sum.
+// ltPlanTerm is one diagonal's contribution to a group sum. The diagonal
+// d = j + i, already rotated by −j for the giant-step regrouping, is encoded
+// at the transform's scale as one NTT-domain poly of Level+1+Alpha rows:
+// Q_0…Q_Level, then P_0…P_{α−1}, the digit layout.
 type ltPlanTerm struct {
 	i       int        // inner (baby) step
 	babyIdx int        // index into babySteps; −1 for i == 0 (the input itself)
 	diag    *ring.Poly // the encoded diagonal over Q_l ∪ P
 }
 
-// Plan returns the transform's evaluation plan.
-func (lt *LinearTransform) Plan() *LinearTransformPlan { return lt.plan }
-
-func (lt *LinearTransform) buildPlan() *LinearTransformPlan {
-	n1 := lt.N1
-	ds := lt.ds
-	ringN := lt.ringQ.N
-
-	p := &LinearTransformPlan{}
-
-	// Baby steps, sorted, with a step → slot index for the group terms.
-	seenBaby := map[int]bool{}
-	for _, d := range ds {
-		if i := d % n1; i != 0 && !seenBaby[i] {
-			seenBaby[i] = true
-			p.babySteps = append(p.babySteps, i)
-		}
-	}
-	sort.Ints(p.babySteps)
-	babyIdx := make(map[int]int, len(p.babySteps))
-	p.babyPerm = make([][]int, len(p.babySteps))
-	for k, s := range p.babySteps {
-		babyIdx[s] = k
-		p.keyGal = append(p.keyGal, automorph.GaloisElementForRotation(s, ringN))
-		p.babyPerm[k] = lt.ringQ.NTTGaloisPermutation(p.keyGal[k])
-	}
-
-	// Giant-step groups: ds is sorted, so j = ⌊d/n1⌋·n1 is nondecreasing
-	// and the terms of each group arrive in ascending inner-step order.
-	for _, d := range ds {
-		i := d % n1
-		j := d - i
-		if len(p.groups) == 0 || p.groups[len(p.groups)-1].j != j {
-			g := ltGroup{j: j}
-			p.keyGal = append(p.keyGal, automorph.GaloisElementForRotation(j, ringN))
-			if j != 0 {
-				g.perm = lt.ringQ.NTTGaloisPermutation(p.keyGal[len(p.keyGal)-1])
-			}
-			p.groups = append(p.groups, g)
-		}
-		g := &p.groups[len(p.groups)-1]
-		bi := -1
-		if i != 0 {
-			bi = babyIdx[i]
-		}
-		g.terms = append(g.terms, ltPlanTerm{i: i, babyIdx: bi, diag: lt.diag[d]})
-	}
-
-	p.rotations = append(p.rotations, p.babySteps...)
-	for _, g := range p.groups {
-		if g.j != 0 {
-			p.rotations = append(p.rotations, g.j)
-		}
-	}
-	sort.Ints(p.rotations)
-	for _, s := range p.rotations {
-		if g := automorph.GaloisElementForRotation(s, ringN); g != 1 {
-			p.galois = append(p.galois, g)
-		}
-	}
-	sort.Slice(p.galois, func(a, b int) bool { return p.galois[a] < p.galois[b] })
-	return p
-}
-
-// Rotations returns the rotation steps the plan needs, sorted ascending.
-func (p *LinearTransformPlan) Rotations() []int {
-	return append([]int(nil), p.rotations...)
-}
-
-// GaloisElements returns the distinct non-identity Galois elements the plan
-// needs keys for, sorted ascending — the exact key set a serving tenant
-// should upload before submitting transform evaluations.
-func (p *LinearTransformPlan) GaloisElements() []uint64 {
-	return append([]uint64(nil), p.galois...)
-}
-
 // Rotations returns the rotation steps required to evaluate the transform,
-// sorted ascending (delegates to the plan, so the order is reproducible).
+// sorted ascending.
 func (lt *LinearTransform) Rotations() []int {
-	return lt.Plan().Rotations()
+	return slices.Clone(lt.rotations)
+}
+
+// GaloisElements returns the distinct non-identity Galois elements the
+// transform needs keys for, sorted ascending — the exact key set a serving
+// tenant should upload before submitting transform evaluations.
+func (lt *LinearTransform) GaloisElements() []uint64 {
+	return slices.Clone(lt.galois)
 }
 
 // NewLinearTransform encodes matrix M (row-major, n×n with n = Slots) for
@@ -204,19 +125,49 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 	if n1 == 0 {
 		n1 = enc.params.ltShape(level).planSplit(ds, n)
 	}
-	lt := &LinearTransform{
-		N1: n1, Level: level, Scale: scale, ringQ: enc.params.RingQ,
-		ds:   ds,
-		diag: make(map[int]*ring.Poly, len(ds)),
-	}
+	lt := &LinearTransform{N1: n1, Level: level, Scale: scale}
+	rq := enc.params.RingQ
 
-	// One scratch vector serves every diagonal: the pre-rotation by −j·n1
-	// is folded into the gather itself (rot[t] = diag_d[t−j]), so nothing
-	// is copied — j=0 diagonals included. encodeExt clobbers the scratch in
-	// place; it is refilled each iteration.
+	// Baby steps: the distinct nonzero inner steps, ascending, each with its
+	// Galois element and permutation; babyIdx maps a step to its slot.
+	inner := make([]bool, n1)
+	for _, d := range ds {
+		inner[d%n1] = true
+	}
+	babyIdx := make([]int, n1)
+	for i := 1; i < n1; i++ {
+		if inner[i] {
+			babyIdx[i] = len(lt.babySteps)
+			g := automorph.GaloisElementForRotation(i, rq.N)
+			lt.babySteps = append(lt.babySteps, i)
+			lt.keyGal = append(lt.keyGal, g)
+			lt.babyPerm = append(lt.babyPerm, rq.NTTGaloisPermutation(g))
+		}
+	}
+	lt.rotations = slices.Clone(lt.babySteps)
+
+	// Giant-step groups, each diagonal encoded straight into its group's
+	// term: ds is sorted, so j = ⌊d/n1⌋·n1 is nondecreasing and the terms of
+	// each group arrive in ascending inner-step order; every j ≠ 0 is at
+	// least n1, above every baby step, so the rotations stay sorted. One
+	// scratch vector serves every diagonal: the pre-rotation by −j is folded
+	// into the gather itself (rot[t] = diag_d[t−j]), so nothing is copied —
+	// j=0 diagonals included. encodeExt clobbers the scratch in place; it is
+	// refilled each iteration.
 	rot := make([]complex128, n)
 	for _, d := range ds {
-		j := (d / n1) * n1
+		i := d % n1
+		j := d - i
+		if len(lt.groups) == 0 || lt.groups[len(lt.groups)-1].j != j {
+			g := automorph.GaloisElementForRotation(j, rq.N)
+			lt.keyGal = append(lt.keyGal, g)
+			grp := ltGroup{j: j}
+			if j != 0 {
+				grp.perm = rq.NTTGaloisPermutation(g)
+				lt.rotations = append(lt.rotations, j)
+			}
+			lt.groups = append(lt.groups, grp)
+		}
 		for t := 0; t < n; t++ {
 			src := t - j
 			if src < 0 {
@@ -224,9 +175,21 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 			}
 			rot[t] = m[src][(src+d)%n]
 		}
-		lt.diag[d] = enc.encodeExt(rot, level, scale)
+		term := ltPlanTerm{i: i, babyIdx: -1, diag: enc.encodeExt(rot, level, scale)}
+		if i != 0 {
+			term.babyIdx = babyIdx[i]
+		}
+		g := &lt.groups[len(lt.groups)-1]
+		g.terms = append(g.terms, term)
 	}
-	lt.plan = lt.buildPlan()
+	// The key set: each rotation's Galois element once, the j = 0 group's
+	// identity dropped.
+	for _, g := range lt.keyGal {
+		if g != 1 {
+			lt.galois = append(lt.galois, g)
+		}
+	}
+	slices.Sort(lt.galois)
 	return lt, nil
 }
 

@@ -183,38 +183,38 @@ func TestLinearTransformStats(t *testing.T) {
 	enc := NewEncoder(params)
 
 	// diags {0,1,2,17,33} at n1=16: babies {1,2}, groups j ∈ {0,16,32}.
-	m := ltMatFromDiags(n, ltRandDiags(rng, n, []int{0, 1, 2, 17, 33}))
+	ds := []int{0, 1, 2, 17, 33}
+	m := ltMatFromDiags(n, ltRandDiags(rng, n, ds))
 	lt, err := NewLinearTransformBSGS(enc, m, params.MaxLevel(), params.Scale, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx := newLtFixture(t, params, lt, enc, rng)
 
-	plan := lt.Plan()
 	nzGroups := 0
-	for _, g := range plan.groups {
+	for _, g := range lt.groups {
 		if g.j != 0 {
 			nzGroups++
 		}
 	}
-	if got, want := len(plan.babySteps), 2; got != want {
-		t.Fatalf("plan baby steps = %d, want %d", got, want)
+	if got, want := len(lt.babySteps), 2; got != want {
+		t.Fatalf("baby steps = %d, want %d", got, want)
 	}
-	if got, want := len(plan.groups), 3; got != want {
-		t.Fatalf("plan groups = %d, want %d", got, want)
+	if got, want := len(lt.groups), 3; got != want {
+		t.Fatalf("groups = %d, want %d", got, want)
 	}
 
 	_, dh := fx.ev.EvaluateLinearTransformWithStats(fx.ct, lt)
 	_, pr := fx.ev.EvaluateLinearTransformPerRotationWithStats(fx.ct, lt)
 
-	if dh.BabySteps != len(plan.babySteps) || dh.GiantSteps != len(plan.groups) {
-		t.Errorf("DH step counts (%d, %d) disagree with plan (%d, %d)",
-			dh.BabySteps, dh.GiantSteps, len(plan.babySteps), len(plan.groups))
+	if dh.BabySteps != len(lt.babySteps) || dh.GiantSteps != len(lt.groups) {
+		t.Errorf("DH step counts (%d, %d) disagree with the transform (%d, %d)",
+			dh.BabySteps, dh.GiantSteps, len(lt.babySteps), len(lt.groups))
 	}
 	if want := nzGroups + 2; dh.ModDownSweeps != want {
 		t.Errorf("DH ModDown sweeps = %d, want %d (one per nonzero group + two to close)", dh.ModDownSweeps, want)
 	}
-	if want := 2 * (len(plan.babySteps) + nzGroups); pr.ModDownSweeps != want {
+	if want := 2 * (len(lt.babySteps) + nzGroups); pr.ModDownSweeps != want {
 		t.Errorf("per-rotation ModDown sweeps = %d, want %d", pr.ModDownSweeps, want)
 	}
 	if dh.ModDownSweeps >= pr.ModDownSweeps {
@@ -223,8 +223,8 @@ func TestLinearTransformStats(t *testing.T) {
 	if dh.KeySwitches != pr.KeySwitches {
 		t.Errorf("key-switch MAC count differs: DH %d, per-rotation %d", dh.KeySwitches, pr.KeySwitches)
 	}
-	if dh.PlainMACs != pr.PlainMACs || dh.PlainMACs != len(lt.diag) {
-		t.Errorf("plain MACs: DH %d, per-rotation %d, want %d", dh.PlainMACs, pr.PlainMACs, len(lt.diag))
+	if dh.PlainMACs != pr.PlainMACs || dh.PlainMACs != len(ds) {
+		t.Errorf("plain MACs: DH %d, per-rotation %d, want %d", dh.PlainMACs, pr.PlainMACs, len(ds))
 	}
 }
 
@@ -290,8 +290,8 @@ func TestLinearTransformZeroMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lt.Rotations()) != 0 || len(lt.Plan().GaloisElements()) != 0 {
-		t.Fatalf("zero matrix wants rotations %v, galois %v", lt.Rotations(), lt.Plan().GaloisElements())
+	if len(lt.Rotations()) != 0 || len(lt.GaloisElements()) != 0 {
+		t.Fatalf("zero matrix wants rotations %v, galois %v", lt.Rotations(), lt.GaloisElements())
 	}
 	rng := rand.New(rand.NewSource(61))
 	fx := newLtFixture(t, params, lt, enc, rng)
@@ -309,8 +309,8 @@ func TestLinearTransformZeroMatrix(t *testing.T) {
 }
 
 // TestLinearTransformPlanDeterministic: two transforms built from the same
-// matrix produce identical plans — same rotation order, group order, and
-// Galois layout — despite the diagonal maps' random iteration order.
+// matrix produce identical schedules — same rotation order, group order, and
+// Galois layout.
 func TestLinearTransformPlanDeterministic(t *testing.T) {
 	params := diffParamSets(t)["LogN8-L2"]
 	n := params.Slots
@@ -318,12 +318,12 @@ func TestLinearTransformPlanDeterministic(t *testing.T) {
 	enc := NewEncoder(params)
 	m := ltMatFromDiags(n, ltRandDiags(rng, n, []int{0, 1, 5, 17, 18, 33, 100, n - 1}))
 
-	build := func() *LinearTransformPlan {
+	build := func() *LinearTransform {
 		lt, err := NewLinearTransform(enc, m, params.MaxLevel(), params.Scale)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return lt.Plan()
+		return lt
 	}
 	a, b := build(), build()
 	if !reflect.DeepEqual(a.Rotations(), b.Rotations()) {
@@ -427,39 +427,38 @@ func FuzzLinearTransformPlan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("construction rejected valid width %d: %v", n1, err)
 		}
-		p := lt.Plan()
 
-		for k := 1; k < len(p.rotations); k++ {
-			if p.rotations[k-1] >= p.rotations[k] {
-				t.Fatalf("rotations not strictly ascending: %v", p.rotations)
+		for k := 1; k < len(lt.rotations); k++ {
+			if lt.rotations[k-1] >= lt.rotations[k] {
+				t.Fatalf("rotations not strictly ascending: %v", lt.rotations)
 			}
 		}
-		for k := 1; k < len(p.galois); k++ {
-			if p.galois[k-1] >= p.galois[k] {
-				t.Fatalf("galois elements not strictly ascending: %v", p.galois)
+		for k := 1; k < len(lt.galois); k++ {
+			if lt.galois[k-1] >= lt.galois[k] {
+				t.Fatalf("galois elements not strictly ascending: %v", lt.galois)
 			}
 		}
-		for _, g := range p.galois {
+		for _, g := range lt.galois {
 			if g == 1 {
 				t.Fatal("identity Galois element in key requirement set")
 			}
 		}
 		seen := map[int]bool{}
-		for k, s := range p.babySteps {
+		for k, s := range lt.babySteps {
 			if s <= 0 || s >= n1 || seen[s] {
-				t.Fatalf("bad baby step %d (n1=%d) in %v", s, n1, p.babySteps)
+				t.Fatalf("bad baby step %d (n1=%d) in %v", s, n1, lt.babySteps)
 			}
 			seen[s] = true
-			if k > 0 && p.babySteps[k-1] >= s {
-				t.Fatalf("baby steps not sorted: %v", p.babySteps)
+			if k > 0 && lt.babySteps[k-1] >= s {
+				t.Fatalf("baby steps not sorted: %v", lt.babySteps)
 			}
 		}
 		terms := 0
-		for gi, g := range p.groups {
+		for gi, g := range lt.groups {
 			if g.j%n1 != 0 || g.j < 0 || g.j >= n {
 				t.Fatalf("group %d has invalid outer step %d", gi, g.j)
 			}
-			if gi > 0 && p.groups[gi-1].j >= g.j {
+			if gi > 0 && lt.groups[gi-1].j >= g.j {
 				t.Fatal("groups not sorted by outer step")
 			}
 			if len(g.terms) == 0 {
@@ -476,8 +475,8 @@ func FuzzLinearTransformPlan(f *testing.F) {
 					if term.babyIdx != -1 {
 						t.Fatalf("identity term carries baby index %d", term.babyIdx)
 					}
-				} else if term.babyIdx < 0 || term.babyIdx >= len(p.babySteps) || p.babySteps[term.babyIdx] != term.i {
-					t.Fatalf("term (j=%d, i=%d) baby index %d inconsistent with %v", g.j, term.i, term.babyIdx, p.babySteps)
+				} else if term.babyIdx < 0 || term.babyIdx >= len(lt.babySteps) || lt.babySteps[term.babyIdx] != term.i {
+					t.Fatalf("term (j=%d, i=%d) baby index %d inconsistent with %v", g.j, term.i, term.babyIdx, lt.babySteps)
 				}
 				if term.diag == nil || len(term.diag.Coeffs) != lt.Level+1+params.Alpha() || !term.diag.IsNTT {
 					t.Fatalf("term (j=%d, i=%d) missing its extended-basis diagonal", g.j, term.i)
@@ -494,8 +493,8 @@ func FuzzLinearTransformPlan(f *testing.F) {
 
 		sh := params.ltShape(params.MaxLevel())
 		sort.Ints(ds)
-		if _, keys := sh.splitCost(ds, n1); keys != len(p.galois) {
-			t.Fatalf("n1=%d: model counts %d rotation keys, plan needs %d", n1, keys, len(p.galois))
+		if _, keys := sh.splitCost(ds, n1); keys != len(lt.galois) {
+			t.Fatalf("n1=%d: model counts %d rotation keys, plan needs %d", n1, keys, len(lt.galois))
 		}
 		auto := sh.planSplit(ds, n)
 		autoRows, autoKeys := sh.splitCost(ds, auto)

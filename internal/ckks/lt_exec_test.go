@@ -111,9 +111,8 @@ func TestLinearTransformRecovered(t *testing.T) {
 // ErrKeyMissing, no phase event, nothing left checked out of the arena.
 func TestLinearTransformKeysUpFront(t *testing.T) {
 	fx, lt, _ := newLtExecFixture(t)
-	plan := lt.Plan()
 	baby := &RotationKeySet{Keys: map[uint64]*SwitchingKey{}}
-	for _, g := range plan.keyGal[:len(plan.babySteps)] {
+	for _, g := range lt.keyGal[:len(lt.babySteps)] {
 		baby.Keys[g] = fx.ev.rtks.Keys[g]
 	}
 	ev := NewEvaluator(fx.ev.params, nil, baby)

@@ -92,8 +92,8 @@ func TestPlannedSplitDrivesEngine(t *testing.T) {
 			t.Fatalf("requested n1=%d: transform built at %d, want %d", pinned, lt.N1, want)
 		}
 		_, keys := sh.splitCost(ds, lt.N1)
-		if got := len(lt.Plan().GaloisElements()); got != keys {
-			t.Errorf("n1=%d: plan needs %d rotation keys, model counts %d", lt.N1, got, keys)
+		if got := len(lt.GaloisElements()); got != keys {
+			t.Errorf("n1=%d: transform needs %d rotation keys, model counts %d", lt.N1, got, keys)
 		}
 		fx := newLtFixture(t, params, lt, enc, rng)
 		out, stats := fx.ev.EvaluateLinearTransformWithStats(fx.ct, lt)

@@ -81,8 +81,7 @@ func newPanicLeakFixture(t testing.TB) *panicLeakFixture {
 	inj := fault.NewInjector(423)
 	params.RingQ.SetFaultInjector(inj)
 	params.RingP.SetFaultInjector(inj)
-	params.RingQ.Arena().SetPoison(true)
-	params.RingP.Arena().SetPoison(true)
+	params.Arena().SetPoison(true)
 	t.Cleanup(func() {
 		params.RingQ.SetFaultInjector(nil)
 		params.RingP.SetFaultInjector(nil)
@@ -250,8 +249,8 @@ func TestMidOpPanicEvalMod(t *testing.T) {
 	inj := fault.NewInjector(424)
 	for _, r := range []*ring.Ring{params.RingQ, params.RingP} {
 		r.SetFaultInjector(inj)
-		r.Arena().SetPoison(true)
 	}
+	params.Arena().SetPoison(true)
 	if _, err := boot.Bootstrap(fx.ct); err != nil { // warm-up
 		t.Fatal(err)
 	}

@@ -32,6 +32,12 @@ type Parameters struct {
 	RingQ *ring.Ring
 	RingP *ring.Ring
 
+	// arena is the one scratch arena of the parameter set — the software
+	// scratchpad every evaluator built on it shares. Every coefficient
+	// buffer ckks checks out, over Q or P, is drawn from and returned to it;
+	// its widest class is a full extended-digit matrix over Q ∪ P.
+	arena *ring.Arena
+
 	decomposer *rns.Decomposer
 	rescaler   *rns.Rescaler
 	modDown    []*rns.ModDownParams // per level, built eagerly
@@ -57,8 +63,8 @@ type Parameters struct {
 	// stack, not a sync.Pool: never cleared by the GC, and pushing onto it
 	// does not box, so a steady-state evaluator loop checks the same records
 	// in and out with zero heap allocations. Every coefficient buffer a
-	// record points at comes from the arena RingQ and RingP share. scratchMu
-	// also guards the record lists of compiled polynomial plans (polyplan.go).
+	// record points at comes from arena. scratchMu also guards the record
+	// lists of compiled polynomial plans (polyplan.go).
 	scratchMu sync.Mutex
 	opFree    []*opCall
 }
@@ -68,9 +74,8 @@ type Parameters struct {
 // Each matrix is a full-width (|Q|+|P|)-limb arena poly, one size class for
 // every level; the pipeline reads its first level+1+Alpha rows.
 func (p *Parameters) getDigits(ds []*ring.Poly, level int) []*ring.Poly {
-	arena := p.RingQ.Arena()
 	for d := p.Digits(level); d > 0; d-- {
-		ds = append(ds, arena.GetDirty(len(p.Q)+len(p.P)))
+		ds = append(ds, p.arena.GetDirty(len(p.Q)+len(p.P)))
 	}
 	return ds
 }
@@ -81,11 +86,10 @@ func (p *Parameters) getDigits(ds []*ring.Poly, level int) []*ring.Poly {
 // filling stage overwrites. Unlike the digits it is drawn at its exact
 // width: a full-width pair would add to every keyswitch's footprint.
 func (p *Parameters) getPair(ext1 int, zeroed bool) [2]*ring.Poly {
-	arena := p.RingQ.Arena()
 	if zeroed {
-		return [2]*ring.Poly{arena.Get(ext1), arena.Get(ext1)}
+		return [2]*ring.Poly{p.arena.Get(ext1), p.arena.Get(ext1)}
 	}
-	return [2]*ring.Poly{arena.GetDirty(ext1), arena.GetDirty(ext1)}
+	return [2]*ring.Poly{p.arena.GetDirty(ext1), p.arena.GetDirty(ext1)}
 }
 
 // putPolys returns digit matrices or an accumulator pair to the arena and
@@ -93,9 +97,8 @@ func (p *Parameters) getPair(ext1 int, zeroed bool) [2]*ring.Poly {
 // skipped, so it doubles as the panic-path sweep of a half-drawn or
 // already-returned set.
 func (p *Parameters) putPolys(ps []*ring.Poly) []*ring.Poly {
-	arena := p.RingQ.Arena()
 	for k, q := range ps {
-		arena.Put(q)
+		p.arena.Put(q)
 		ps[k] = nil
 	}
 	return ps[:0]
@@ -134,21 +137,24 @@ func pushFree[T any](p *Parameters, list *[]*T, s *T) {
 	p.scratchMu.Unlock()
 }
 
-// releasePoly returns *q to r's arena and forgets it; a nil *q is a no-op. Every
-// release path that must also serve as a panic-path sweep is built from it.
-func releasePoly(r *ring.Ring, q **ring.Poly) {
-	if *q != nil {
-		r.PutPoly(*q)
-		*q = nil
-	}
+// releasePoly returns *q to the arena and forgets it; a nil *q is a no-op.
+// Every release path that must also serve as a panic-path sweep is built
+// from it.
+func (p *Parameters) releasePoly(q **ring.Poly) {
+	p.arena.Put(*q)
+	*q = nil
 }
 
-// ArenaStats reports the counters of the one scratch arena RingQ and RingP
-// share — every coefficient buffer the evaluator draws, keyswitch digits
-// included. It is the observable for the memory model: in a steady-state
-// evaluator loop BytesAllocated stops growing and Misses stays flat while
-// Gets climbs, and PeakBytes is the whole working set.
-func (p *Parameters) ArenaStats() ring.ArenaStats { return p.RingQ.Arena().Stats() }
+// Arena is the parameter set's one scratch arena (poison mode, direct
+// checkout for callers that manage polynomial lifetimes themselves).
+func (p *Parameters) Arena() *ring.Arena { return p.arena }
+
+// ArenaStats reports the counters of the one scratch arena — every
+// coefficient buffer the evaluator draws, keyswitch digits included. It is
+// the observable for the memory model: in a steady-state evaluator loop
+// BytesAllocated stops growing and Misses stays flat while Gets climbs, and
+// PeakBytes is the whole working set.
+func (p *Parameters) ArenaStats() ring.ArenaStats { return p.arena.Stats() }
 
 // ParametersLiteral is the user-facing specification: prime bit sizes
 // rather than concrete primes.
@@ -215,16 +221,14 @@ func NewParameters(lit ParametersLiteral) (*Parameters, error) {
 		p.P = append(p.P, take(b))
 	}
 
-	// One scratch arena for the parameter set: both rings draw from it, and
-	// its widest class is a full extended-digit matrix over Q ∪ P.
-	arena := ring.NewArena(p.N, len(p.Q)+len(p.P))
 	var err error
-	if p.RingQ, err = ring.NewRing(p.N, p.Q, arena); err != nil {
+	if p.RingQ, err = ring.NewRing(p.N, p.Q); err != nil {
 		return nil, err
 	}
-	if p.RingP, err = ring.NewRing(p.N, p.P, arena); err != nil {
+	if p.RingP, err = ring.NewRing(p.N, p.P); err != nil {
 		return nil, err
 	}
+	p.arena = ring.NewArena(p.N, len(p.Q)+len(p.P))
 
 	p.pModQ = make([]uint64, len(p.Q))
 	p.pModQShoup = make([]uint64, len(p.Q))

@@ -149,7 +149,7 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 				}
 
 				rotKeys := kgen.GenRotationKeys(sk, []int{-1, 1, 5, 17, 300}, true)
-				galKeys := kgen.GenGaloisKeys(sk, lt.Plan().GaloisElements())
+				galKeys := kgen.GenGaloisKeys(sk, lt.GaloisElements())
 				for name, key := range map[string]encoding.BinaryMarshaler{
 					"GenRelinearizationKey": rlk,
 					"GenRotationKeys":       rotKeys,

@@ -30,7 +30,6 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 	if ct.Level > lt.Level {
 		ct = ev.DropLevel(ct, lt.Level)
 	}
-	plan := lt.Plan()
 	params := ev.params
 	level := lt.Level
 	qLimbs := level + 1
@@ -38,10 +37,10 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 	digits := params.Digits(level)
 
 	var stats LinTransStats
-	stats.BabySteps = len(plan.babySteps)
-	stats.GiantSteps = len(plan.groups)
+	stats.BabySteps = len(lt.babySteps)
+	stats.GiantSteps = len(lt.groups)
 
-	if len(plan.groups) == 0 {
+	if len(lt.groups) == 0 {
 		// All-zero matrix: a zero ciphertext is the result — fresh
 		// containers are zero by construction, no copy-and-clear needed.
 		z := NewCiphertext(params, level)
@@ -51,10 +50,10 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 	}
 
 	// Baby steps in sorted order through one shared hoisted decomposition.
-	inner := make([]*Ciphertext, len(plan.babySteps))
-	if len(plan.babySteps) > 0 {
+	inner := make([]*Ciphertext, len(lt.babySteps))
+	if len(lt.babySteps) > 0 {
 		h := ev.Hoist(ct)
-		for k, s := range plan.babySteps {
+		for k, s := range lt.babySteps {
 			inner[k] = h.Rotate(s)
 		}
 		h.Release()
@@ -64,7 +63,7 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 		stats.NTTLimbs += digits*ext1 - qLimbs
 		// Per rotation: the accumulators' P rows out of the NTT domain, two
 		// ModDowns, the results transformed back.
-		nb := len(plan.babySteps)
+		nb := len(lt.babySteps)
 		stats.KeySwitches += nb
 		stats.ModDownSweeps += 2 * nb
 		stats.InverseNTTLimbs += nb * 2 * (ext1 - qLimbs)
@@ -75,7 +74,7 @@ func (ev *Evaluator) evalPerRotation(ct *Ciphertext, lt *LinearTransform) (*Ciph
 	// chain over its diagonals (k PMult and k−1 HAdd, each reported by exec),
 	// then its sum is rotated and added into the running result.
 	var out *Ciphertext
-	for _, g := range plan.groups {
+	for _, g := range lt.groups {
 		var acc *Ciphertext
 		for _, t := range g.terms {
 			c := ct

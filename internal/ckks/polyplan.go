@@ -362,8 +362,8 @@ func (r *planRun) at(k int, ct *Ciphertext, level int) *Ciphertext {
 
 // release returns node i's polynomials to the arena.
 func (p *polyPlan) release(r *planRun, i int) {
-	releasePoly(p.params.RingQ, &r.cts[i].C0)
-	releasePoly(p.params.RingQ, &r.cts[i].C1)
+	p.params.releasePoly(&r.cts[i].C0)
+	p.params.releasePoly(&r.cts[i].C1)
 	r.cts[i] = Ciphertext{}
 }
 
@@ -390,13 +390,13 @@ func (p *polyPlan) evalInto(ev *Evaluator, out, in *Ciphertext) error {
 		pushFree(p.params, &p.free, r)
 	}()
 
-	rq, last := p.params.RingQ, len(p.nodes)-1
+	arena, last := p.params.arena, len(p.nodes)-1
 	r.cts[0] = *r.at(2, in, p.level)
 	r.cts[0].Scale = p.scale
 	for i := 1; i <= last && r.err == nil; i++ {
 		n, lvl := &p.nodes[i], p.level-p.nodes[i].pre
 		acc := &r.cts[i]
-		acc.C0, acc.C1 = rq.GetPolyDirty(lvl+1), rq.GetPolyDirty(lvl+1)
+		acc.C0, acc.C1 = arena.GetDirty(lvl+1), arena.GetDirty(lvl+1)
 		if n.a >= 0 {
 			r.do(&opMulRelin, acc, operands{a: r.at(0, &r.cts[n.a], lvl), b: r.at(1, &r.cts[n.b], lvl)})
 			if n.mul.val != 1 {

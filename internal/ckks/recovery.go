@@ -69,11 +69,11 @@ func (c *opCall) attemptRecovering(out *Ciphertext) (err error) {
 	ev := c.ev
 	dst := out
 	if out != nil {
-		rq := ev.params.RingQ
-		dst = &Ciphertext{C0: rq.GetPolyDirty(c.level + 1), C1: rq.GetPolyDirty(c.level + 1), Level: c.level}
+		arena := ev.params.arena
+		dst = &Ciphertext{C0: arena.GetDirty(c.level + 1), C1: arena.GetDirty(c.level + 1), Level: c.level}
 		defer func() {
-			rq.PutPoly(dst.C0)
-			rq.PutPoly(dst.C1)
+			arena.Put(dst.C0)
+			arena.Put(dst.C1)
 		}()
 	}
 

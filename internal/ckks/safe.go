@@ -52,6 +52,14 @@ func (ev *Evaluator) validIn(op string, ct *Ciphertext) error {
 	return ev.validRows(op, "polynomial", ct.Level, ct.C1.Coeffs, ct.Level+1)
 }
 
+// mustValidIn is validIn at a panicking surface: an invalid ct panics with
+// the *OpError, before the surface reads any field of it.
+func (ev *Evaluator) mustValidIn(op string, ct *Ciphertext) {
+	if err := ev.validIn(op, ct); err != nil {
+		panic(err)
+	}
+}
+
 // validPt checks a plaintext operand the same way.
 func (ev *Evaluator) validPt(op string, pt *Plaintext) error {
 	if pt == nil || pt.Value == nil {
@@ -172,7 +180,7 @@ func preKeySwitch(c *opCall) error {
 
 // preLinTrans runs a transform at its own level — a higher input is cut to
 // it, a lower one refused — checks the product scale as PMult does, and
-// resolves every rotation key the plan reads before any stage runs.
+// resolves every rotation key the transform reads before any stage runs.
 func preLinTrans(c *opCall) error {
 	if c.run < c.lt.Level {
 		return opErr(c.d.name, c.run, ErrLevelExhausted, "transform needs level %d, ciphertext at %d", c.lt.Level, c.run)
@@ -181,7 +189,7 @@ func preLinTrans(c *opCall) error {
 	if err := preHeadroom(c); err != nil {
 		return err
 	}
-	for _, g := range c.lt.plan.keyGal {
+	for _, g := range c.lt.keyGal {
 		key, err := c.ev.rotationKey(c.d.name, c.level, g)
 		if err != nil {
 			return err

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"poseidon/internal/ring"
 )
 
 // gridOps are the ten basic ops. Each has exactly three public forms: X
@@ -47,6 +49,45 @@ func TestSurfaceGrid(t *testing.T) {
 		}
 	}
 	t.Logf("%d ops × 3 forms", len(gridOps))
+}
+
+// TestPanickingSurfacesValidateFirst: every panicking surface that reads a
+// field of its ciphertext checks the ciphertext first, so a nil or hollow
+// one panics with the *OpError the panicking forms promise — of the
+// surface's own op, wrapping ErrInvalidInput — never with a runtime error.
+func TestPanickingSurfacesValidateFirst(t *testing.T) {
+	params := diffParamSets(t)["LogN8-L2"]
+	ev := NewEvaluator(params, nil, nil)
+	surfaces := []struct {
+		op string
+		f  func(ct *Ciphertext)
+	}{
+		{"DropLevel", func(ct *Ciphertext) { ev.DropLevel(ct, 0) }},
+		{"SealIntegrity", func(ct *Ciphertext) { ev.SealIntegrity(ct) }},
+		{"MulConst", func(ct *Ciphertext) { ev.MulConst(ct, 2) }},
+		{"MulConstToScale", func(ct *Ciphertext) { ev.MulConstToScale(ct, 2, params.Scale) }},
+		{"AddConst", func(ct *Ciphertext) { ev.AddConst(ct, 1) }},
+		{"EvalPoly", func(ct *Ciphertext) { ev.EvalPoly(ct, []float64{1, 2}) }},
+		{"EvalPoly", func(ct *Ciphertext) { ev.EvalChebyshev(ct, []float64{1, 2}, -1, 1) }},
+	}
+	inputs := []struct {
+		name string
+		ct   *Ciphertext
+	}{
+		{"nil", nil},
+		{"zero value", &Ciphertext{}},
+		{"no rows", &Ciphertext{C0: &ring.Poly{}, C1: &ring.Poly{}, Level: 1}},
+		{"level above the chain", &Ciphertext{C0: &ring.Poly{}, C1: &ring.Poly{}, Level: 9}},
+	}
+	for i, s := range surfaces {
+		for _, in := range inputs {
+			err := panicked(func() { s.f(in.ct) })
+			var oe *OpError
+			if !errors.As(err, &oe) || oe.Op != s.op || !errors.Is(err, ErrInvalidInput) {
+				t.Errorf("surface %d (%s), %s ciphertext: %v, want a %s *OpError wrapping ErrInvalidInput", i, s.op, in.name, err, s.op)
+			}
+		}
+	}
 }
 
 // TestTryInnerSumWidth: a power-of-two width in [1, Slots] sums that many

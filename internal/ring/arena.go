@@ -42,9 +42,8 @@ type ArenaStats struct {
 //
 // Safe for concurrent use. Polynomials handed out are exclusively owned by
 // the caller until Put; the arena never retains a reference to a checked-out
-// poly, so rings and evaluators sharing one arena (a parameter set's RingQ
-// and RingP, every evaluator built on it) can never observe each other's
-// scratch.
+// poly, so the evaluators sharing one arena (every evaluator built on one
+// parameter set, which owns it) can never observe each other's scratch.
 type Arena struct {
 	n  int
 	mu sync.Mutex

@@ -72,7 +72,7 @@ func TestParallelElementwiseMatchesSerial(t *testing.T) {
 	sub := make([]*Ring, limbs)
 	for i := range sub {
 		var err error
-		if sub[i], err = NewRing(r.N, []uint64{r.Moduli[i].Q}, NewArena(r.N, 1)); err != nil {
+		if sub[i], err = NewRing(r.N, []uint64{r.Moduli[i].Q}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,26 +200,26 @@ func TestConcurrentParallelOps(t *testing.T) {
 }
 
 func TestScratchPoolRoundTrip(t *testing.T) {
-	r := testRing(t, 64, 4)
-	p := r.GetPoly(3)
+	a := NewArena(64, 4)
+	p := a.Get(3)
 	for i := range p.Coeffs {
 		for j := range p.Coeffs[i] {
 			if p.Coeffs[i][j] != 0 {
-				t.Fatal("GetPoly must return a zeroed polynomial")
+				t.Fatal("Get must return a zeroed polynomial")
 			}
 			p.Coeffs[i][j] = 7
 		}
 	}
-	r.PutPoly(p)
-	q := r.GetPoly(4)
+	a.Put(p)
+	q := a.Get(3)
 	for i := range q.Coeffs {
 		for j := range q.Coeffs[i] {
 			if q.Coeffs[i][j] != 0 {
-				t.Fatal("recycled GetPoly must still be zeroed")
+				t.Fatal("recycled Get must still be zeroed")
 			}
 		}
 	}
-	r.PutPoly(q)
+	a.Put(q)
 }
 
 func BenchmarkNTTSerialVsParallel(b *testing.B) {

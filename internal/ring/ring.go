@@ -3,9 +3,10 @@
 // residue vector per prime ("limb"). All Poseidon operators — MA, MM,
 // NTT/INTT, Automorphism — act limb-wise on this representation. A ring owns
 // what its parameter set needs beside the moduli — the NTT tables, the
-// NTT-domain Galois permutations, the HFAuto routing maps — and draws its
-// scratch, in one shape (polys of 1…|Q|+|P| limbs), from the arena it is
-// given; all of it lives and dies with the parameter set.
+// NTT-domain Galois permutations, the HFAuto routing maps — and draws no
+// scratch: its operations write into the polys they are given. Scratch is
+// an Arena's, which the parameter set owns; all of it lives and dies with
+// the parameter set.
 package ring
 
 import (
@@ -45,13 +46,6 @@ type Ring struct {
 	permMu sync.RWMutex
 	perms  map[uint64][]int
 
-	// arena recycles polynomial scratch, size-classed by limb count (a
-	// staging row is a one-limb poly), keeping the limb-parallel hot paths
-	// from churning the GC with per-operation allocations. The caller
-	// supplies it, so rings that work together (a parameter set's Q and P)
-	// share one scratch pool and one set of counters. See Arena.
-	arena *Arena
-
 	// injector, when non-nil, corrupts limbs at the ring's injection points
 	// (the datapath loads feeding each NTT/INTT limb transform) according
 	// to its armed fault schedule. Nil in production: the hot paths pay one
@@ -69,18 +63,14 @@ type HFCache struct {
 	maps map[uint64]*automorph.Map
 }
 
-// NewRing constructs a ring of degree n over the given prime moduli, drawing
-// its scratch from arena — which must hold degree-n polynomials of at least
-// len(moduli) limbs and may be shared with other rings. Every modulus must
-// satisfy q ≡ 1 (mod 2n). The HFAuto sub-vector width is min(512, n).
-func NewRing(n int, moduli []uint64, arena *Arena) (*Ring, error) {
+// NewRing constructs a ring of degree n over the given prime moduli. Every
+// modulus must satisfy q ≡ 1 (mod 2n). The HFAuto sub-vector width is
+// min(512, n).
+func NewRing(n int, moduli []uint64) (*Ring, error) {
 	if len(moduli) == 0 {
 		return nil, fmt.Errorf("ring: empty modulus chain")
 	}
-	if arena == nil || arena.n != n || len(arena.classes) < len(moduli) {
-		return nil, fmt.Errorf("ring: arena does not hold degree-%d polys of %d limbs", n, len(moduli))
-	}
-	r := &Ring{N: n, arena: arena, perms: map[uint64][]int{}}
+	r := &Ring{N: n, perms: map[uint64][]int{}}
 	for n>>uint(r.LogN+1) > 0 {
 		r.LogN++
 	}
@@ -107,10 +97,6 @@ func NewRing(n int, moduli []uint64, arena *Arena) (*Ring, error) {
 	r.HF = &HFCache{h: hf, maps: make(map[uint64]*automorph.Map)}
 	return r, nil
 }
-
-// Arena exposes the arena NewRing was given (stats, poison mode, direct
-// checkout for callers that manage polynomial lifetimes themselves).
-func (r *Ring) Arena() *Arena { return r.arena }
 
 // FusionDegree returns the degree the limb transforms run at,
 // ntt.DefaultFusionDegree.
@@ -171,39 +157,12 @@ type Poly struct {
 
 // NewPoly allocates a zero polynomial with `limbs` limbs in a single
 // backing array. The result is NOT arena-tracked: use for long-lived values
-// (keys, ciphertexts); scratch should come from GetPoly/GetPolyDirty.
+// (keys, ciphertexts); scratch should come from an Arena.
 func (r *Ring) NewPoly(limbs int) *Poly {
 	if limbs < 1 || limbs > len(r.Moduli) {
 		panic(fmt.Sprintf("ring: limbs=%d out of range [1,%d]", limbs, len(r.Moduli)))
 	}
 	return newPoly(r.N, limbs)
-}
-
-// GetPoly returns a zeroed `limbs`-limb polynomial drawn from the ring's
-// arena. Pair with PutPoly when the value is no longer referenced;
-// polynomials that escape to callers should use NewPoly instead. Safe for
-// concurrent use.
-func (r *Ring) GetPoly(limbs int) *Poly {
-	if limbs > len(r.Moduli) {
-		panic(fmt.Sprintf("ring: limbs=%d out of range [1,%d]", limbs, len(r.Moduli)))
-	}
-	return r.arena.Get(limbs)
-}
-
-// GetPolyDirty is GetPoly without the zero fill: the contents are
-// unspecified. Use when every coefficient is about to be overwritten.
-func (r *Ring) GetPolyDirty(limbs int) *Poly {
-	if limbs > len(r.Moduli) {
-		panic(fmt.Sprintf("ring: limbs=%d out of range [1,%d]", limbs, len(r.Moduli)))
-	}
-	return r.arena.GetDirty(limbs)
-}
-
-// PutPoly returns a polynomial obtained from GetPoly/GetPolyDirty to the
-// arena. The poly must not be referenced afterwards, and must own its
-// backing array (never a prefix view of a live polynomial).
-func (r *Ring) PutPoly(p *Poly) {
-	r.arena.Put(p)
 }
 
 // Level returns the polynomial's level (limbs − 1).
@@ -379,32 +338,55 @@ func (r *Ring) INTT(p *Poly) {
 	p.IsNTT = false
 }
 
-// ToBigCentered reconstructs coefficient j of p (coefficient domain) as a
-// centered big integer via the CRT over the first `limbs` moduli.
-func (r *Ring) ToBigCentered(p *Poly, j int) *big.Int {
-	limbs := len(p.Coeffs)
-	bigQ := big.NewInt(1)
-	for i := 0; i < limbs; i++ {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(r.Moduli[i].Q))
+// CRT reconstructs coefficients over the first limbs moduli of a ring as
+// centered big integers, with Q, every Q/q_i and every (Q/q_i)⁻¹ mod q_i
+// computed once — for a caller that reconstructs many coefficients.
+type CRT struct {
+	bigQ, half *big.Int
+	qi, qHat   []*big.Int // q_i and Q/q_i
+	qHatInv    []*big.Int // (Q/q_i)⁻¹ mod q_i
+}
+
+// NewCRT precomputes the reconstruction constants over the first limbs
+// moduli.
+func (r *Ring) NewCRT(limbs int) *CRT {
+	c := &CRT{bigQ: big.NewInt(1)}
+	for _, m := range r.Moduli[:limbs] {
+		qi := new(big.Int).SetUint64(m.Q)
+		c.qi = append(c.qi, qi)
+		c.bigQ.Mul(c.bigQ, qi)
 	}
-	acc := new(big.Int)
-	tmp := new(big.Int)
-	for i := 0; i < limbs; i++ {
-		qi := new(big.Int).SetUint64(r.Moduli[i].Q)
-		Qi := new(big.Int).Div(bigQ, qi)
-		inv := new(big.Int).ModInverse(Qi, qi)
+	for _, qi := range c.qi {
+		qHat := new(big.Int).Div(c.bigQ, qi)
+		c.qHat = append(c.qHat, qHat)
+		c.qHatInv = append(c.qHatInv, new(big.Int).ModInverse(qHat, qi))
+	}
+	c.half = new(big.Int).Rsh(c.bigQ, 1)
+	return c
+}
+
+// Centered reconstructs coefficient j of p (coefficient domain, at least as
+// many limbs as c) as a centered big integer.
+func (c *CRT) Centered(p *Poly, j int) *big.Int {
+	acc, tmp := new(big.Int), new(big.Int)
+	for i, qi := range c.qi {
 		tmp.SetUint64(p.Coeffs[i][j])
-		tmp.Mul(tmp, inv)
+		tmp.Mul(tmp, c.qHatInv[i])
 		tmp.Mod(tmp, qi)
-		tmp.Mul(tmp, Qi)
+		tmp.Mul(tmp, c.qHat[i])
 		acc.Add(acc, tmp)
 	}
-	acc.Mod(acc, bigQ)
-	half := new(big.Int).Rsh(bigQ, 1)
-	if acc.Cmp(half) > 0 {
-		acc.Sub(acc, bigQ)
+	acc.Mod(acc, c.bigQ)
+	if acc.Cmp(c.half) > 0 {
+		acc.Sub(acc, c.bigQ)
 	}
 	return acc
+}
+
+// ToBigCentered reconstructs coefficient j of p (coefficient domain) as a
+// centered big integer via the CRT over all of p's limbs.
+func (r *Ring) ToBigCentered(p *Poly, j int) *big.Int {
+	return r.NewCRT(len(p.Coeffs)).Centered(p, j)
 }
 
 // SetBigCentered writes big integer v into coefficient j of p across all

@@ -19,7 +19,7 @@ func testRing(t testing.TB, n, limbs int) *Ring {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewRing(n, ps, NewArena(n, len(ps)))
+	r, err := NewRing(n, ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,22 +38,17 @@ func randPoly(r *Ring, rng *rand.Rand, limbs int, isNTT bool) *Poly {
 }
 
 func TestNewRingErrors(t *testing.T) {
-	if _, err := NewRing(16, nil, NewArena(16, 1)); err == nil {
+	if _, err := NewRing(16, nil); err == nil {
 		t.Error("empty moduli should error")
 	}
-	if _, err := NewRing(12, []uint64{97}, NewArena(12, 1)); err == nil {
+	if _, err := NewRing(12, []uint64{97}); err == nil {
 		t.Error("non-power-of-two N should error")
 	}
-	if _, err := NewRing(16, []uint64{97, 97}, NewArena(16, 2)); err == nil {
+	if _, err := NewRing(16, []uint64{97, 97}); err == nil {
 		t.Error("duplicate moduli should error")
 	}
-	if _, err := NewRing(16, []uint64{19}, NewArena(16, 1)); err == nil {
+	if _, err := NewRing(16, []uint64{19}); err == nil {
 		t.Error("non-NTT-friendly modulus should error")
-	}
-	for _, a := range []*Arena{nil, NewArena(32, 1), NewArena(16, 1)} {
-		if _, err := NewRing(16, []uint64{97, 193}, a); err == nil {
-			t.Errorf("arena %v: a missing, wrong-degree or too-narrow arena should error", a)
-		}
 	}
 }
 

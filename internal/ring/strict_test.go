@@ -21,7 +21,7 @@ func refRing(t testing.TB) *Ring {
 		}
 		qs = append(qs, ps[0])
 	}
-	r, err := NewRing(64, qs, NewArena(64, len(qs)))
+	r, err := NewRing(64, qs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDefaultDispatchMatchesStrict(t *testing.T) {
 			}
 			qs = append(qs, ps[0])
 		}
-		r, err := NewRing(n, qs, NewArena(n, len(qs)))
+		r, err := NewRing(n, qs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,7 @@ func kgenUpload(t *testing.T, cli *Client, tt *testTenant) {
 // arena bytes stay above a 1-byte ceiling whatever the requests do.
 func holdArena(t *testing.T, params *ckks.Parameters) {
 	t.Helper()
-	arena := params.RingQ.Arena()
+	arena := params.Arena()
 	p := arena.Get(1)
 	t.Cleanup(func() { arena.Put(p) })
 }

@@ -90,6 +90,15 @@ var retiredNames = []retiredName{
 		re: `ksFree|ltFree|newKsState|ksRelease|hoistedDecomposition|EncodeSparse|DecodeSparse`},
 	{pr: 40, design: "One scratch shape", flags: "-nE", in: everyGo,
 		re: `GetVec|PutVec|ApplyScratch|nttPerms|\) Automorphism\(`},
+	// A transform is its own schedule, and the parameter set owns the arena
+	// (Parameters.Arena stays: the Arena rows match a Ring's method only).
+	// The tests named after the schedule keep their names, hence -w.
+	{pr: 42, design: "One schedule per transform", flags: "-rnwE", in: everyGo, tests: true,
+		re: `LinearTransformPlan`},
+	{pr: 42, design: "One schedule per transform", flags: "-rnE", in: everyGo, tests: true,
+		re: `\.Plan\(\)|\) Plan\(\)`},
+	{pr: 42, design: "One arena", flags: "-rnE", in: everyGo, tests: true,
+		re: `\*Ring\) Arena\(|Ring[QP]\.Arena\(|GetPoly|GetPolyDirty|PutPoly`},
 
 	{pr: 24, design: "Kernels in registers", flags: "-nE", in: []string{"internal/numeric/*.go", "internal/rns/*.go"},
 		re: `\(\*\[[0-9]+\]uint64\)`},

@@ -61,17 +61,16 @@ func NewKit(params *Parameters, seed int64) *Kit {
 	}
 }
 
-// LinearTransformKeys provisions rotation keys for the Galois elements lt's
-// evaluation plan needs (lt.Plan().GaloisElements()) and merges them into
-// the kit's key set. The kit's evaluator holds the same RotationKeySet, so
-// the new keys are usable immediately — no rebuild, observers and guards
-// stay installed. Elements the kit already holds a key for (the
-// power-of-two ladder, an earlier transform's steps) are skipped: a second
-// key for the same element would be several megabytes of garbage. Returns
-// every Galois element the plan needs — the list a serving tenant uploads
-// alongside the transform.
+// LinearTransformKeys provisions rotation keys for the Galois elements lt
+// needs (lt.GaloisElements()) and merges them into the kit's key set. The
+// kit's evaluator holds the same RotationKeySet, so the new keys are usable
+// immediately — no rebuild, observers and guards stay installed. Elements
+// the kit already holds a key for (the power-of-two ladder, an earlier
+// transform's steps) are skipped: a second key for the same element would be
+// several megabytes of garbage. Returns every Galois element the transform
+// needs — the list a serving tenant uploads alongside the transform.
 func (k *Kit) LinearTransformKeys(lt *LinearTransform) []uint64 {
-	gals := lt.Plan().GaloisElements()
+	gals := lt.GaloisElements()
 	var missing []uint64
 	for _, g := range gals {
 		if _, held := k.RTK.Keys[g]; !held {

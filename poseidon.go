@@ -77,12 +77,10 @@ type (
 	Decryptor = ckks.Decryptor
 	// Evaluator executes the homomorphic basic operations.
 	Evaluator = ckks.Evaluator
-	// LinearTransform is an encoded slot-matrix multiplication (BSGS).
+	// LinearTransform is an encoded slot-matrix multiplication (BSGS) and
+	// its evaluation schedule: sorted baby steps, giant-step groups, and the
+	// exact Galois element set to provision keys for (GaloisElements).
 	LinearTransform = ckks.LinearTransform
-	// LinearTransformPlan is a transform's cached evaluation schedule:
-	// sorted baby steps, giant-step groups, and the exact Galois element
-	// set to provision keys for (GaloisElements).
-	LinearTransformPlan = ckks.LinearTransformPlan
 	// LinTransStats counts the work one linear-transform evaluation did
 	// (keyswitches, ModDown sweeps, NTT limbs) — bench/ reads them as the
 	// ckks.lintrans.* counts.
