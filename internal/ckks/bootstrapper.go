@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"poseidon/internal/ring"
 )
 
 // BootstrapConfig tunes the packed bootstrapping pipeline.
@@ -193,7 +195,7 @@ func (b *Bootstrapper) SlotToCoeff(ct0, ct1 *Ciphertext) *Ciphertext {
 // same plaintext at level stcLevel−1, scale Δ, leaving ct untouched.
 //
 // The two EvalMod halves share nothing, so they run as the two items of one
-// ForEach on the evaluator's pool: a plain loop at one worker, two streams
+// ring.Run on the evaluator's pool: a plain loop at one worker, two streams
 // otherwise. On a pool of two those streams are the whole bound — their limb
 // stages would find it saturated and run inline — so they get a serial
 // evaluator and skip the dispatch; on a wider pool spare tokens, and the
@@ -201,7 +203,7 @@ func (b *Bootstrapper) SlotToCoeff(ct0, ct1 *Ciphertext) *Ciphertext {
 // ErrInvalidInput, one not at scale Δ ErrScaleMismatch, and the *OpError any
 // step fails with is returned.
 func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (_ *Ciphertext, err error) {
-	if err := b.ev.validIn("Bootstrap", ct); err != nil {
+	if err := b.ev.params.validIn("Bootstrap", ct); err != nil {
 		return nil, err
 	}
 	if !sameScale(ct.Scale, b.params.Scale) {
@@ -215,7 +217,7 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (_ *Ciphertext, err error) {
 		ev = ev.WithWorkers(1)
 	}
 	var errs [2]error
-	b.ev.pool.ForEach(2, func(i int) { half[i], errs[i] = b.evalMod(ev, half[i]) })
+	ring.Run(b.ev.pool, 2, &half, func(half *[2]*Ciphertext, i int) { half[i], errs[i] = b.evalMod(ev, half[i]) })
 	if err := errors.Join(errs[:]...); err != nil {
 		return nil, err
 	}

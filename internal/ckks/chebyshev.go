@@ -50,7 +50,7 @@ func EvalChebyshevScalar(coeffs []float64, a, b, x float64) float64 {
 // must be finite with a < b and a finite change of variable, and the
 // coefficients finite and at least one (ErrInvalidInput otherwise).
 func (ev *Evaluator) EvalChebyshev(ct *Ciphertext, coeffs []float64, a, b float64) *Ciphertext {
-	ev.mustValidIn("EvalPoly", ct)
+	ev.params.mustValidIn("EvalPoly", ct)
 	alpha, beta := 2/(b-a), -(a+b)/(b-a)
 	if !(a < b) || !finite(alpha) || !finite(beta) { // an infinite bound makes β NaN
 		panic(opErr("EvalPoly", ct.Level, ErrInvalidInput, "bounds [%g, %g] are not finite with a < b", a, b))

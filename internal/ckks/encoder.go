@@ -46,10 +46,12 @@ type Plaintext struct {
 }
 
 // Encode embeds up to Slots complex values into a fresh plaintext at the
-// given level and scale. Shorter inputs are zero-padded.
+// given level and scale. Shorter inputs are zero-padded. More values than
+// slots, or one that is not a finite int64 coefficient once scaled, panics
+// with an ErrInvalidInput *OpError.
 func (e *Encoder) Encode(values []complex128, level int, scale float64) *Plaintext {
 	if len(values) > e.params.Slots {
-		panic("ckks: too many values to encode")
+		panic(opErr("Encode", level, ErrInvalidInput, "%d values exceed %d slots", len(values), e.params.Slots))
 	}
 	vals := make([]complex128, e.params.Slots)
 	copy(vals, values)
@@ -77,12 +79,18 @@ func (e *Encoder) encodeExt(values []complex128, level int, scale float64) *ring
 // embed writes the slot vector vals (clobbered) into v: the inverse
 // canonical embedding, each coefficient scaled and rounded once, reduced row
 // by row — the first qLimbs rows over Q, any further ones over P — and each
-// row transformed with its own ring's table.
+// row transformed with its own ring's table. A coefficient that is not a
+// finite int64 — a slot value NaN, infinite or too large for the scale — is
+// ErrInvalidInput.
 func (e *Encoder) embed(v *ring.Poly, vals []complex128, qLimbs int, scale float64) {
 	n := e.params.Slots
 	e.specialIFFT(vals)
 	for j, x := range vals {
-		vals[j] = complex(math.Round(real(x)*scale), math.Round(imag(x)*scale))
+		re, im := math.Round(real(x)*scale), math.Round(imag(x)*scale)
+		if !(math.Abs(re) < 0x1p63 && math.Abs(im) < 0x1p63) {
+			panic(opErr("Encode", qLimbs-1, ErrInvalidInput, "coefficient %g is not a finite int64 at scale %g", complex(re, im), scale))
+		}
+		vals[j] = complex(re, im)
 	}
 	for i, row := range v.Coeffs {
 		r, li := e.params.extRing(qLimbs, i)

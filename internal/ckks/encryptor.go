@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"fmt"
 	"math/rand"
 
 	"poseidon/internal/ring"
@@ -113,16 +112,15 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 	return &Decryptor{params: params, sk: sk}
 }
 
-// Decrypt computes C0 + C1·s.
+// Decrypt computes C0 + C1·s on the ciphertext cut to its level. A
+// malformed ciphertext panics with the evaluator's ErrInvalidInput *OpError.
 func (d *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
+	d.params.mustValidIn("Decrypt", ct)
 	rq := d.params.RingQ
 	limbs := ct.Level + 1
-	if len(ct.C0.Coeffs) != limbs {
-		panic(fmt.Sprintf("ckks: ciphertext limbs %d != level+1 %d", len(ct.C0.Coeffs), limbs))
-	}
 	m := rq.NewPoly(limbs)
 	m.IsNTT = true
-	rq.MulCoeffwise(m, ct.C1, prefix(d.sk.Value.Q, limbs))
-	rq.Add(m, m, ct.C0)
+	rq.MulCoeffwise(m, prefix(ct.C1, limbs), prefix(d.sk.Value.Q, limbs))
+	rq.Add(m, m, prefix(ct.C0, limbs))
 	return &Plaintext{Value: m, Scale: ct.Scale, Level: ct.Level}
 }

@@ -9,7 +9,7 @@ package ckks
 // EvalChebyshev, which is better conditioned. The coefficients must be
 // finite and at least one (ErrInvalidInput otherwise).
 func (ev *Evaluator) EvalPoly(ct *Ciphertext, coeffs []float64) *Ciphertext {
-	ev.mustValidIn("EvalPoly", ct)
+	ev.params.mustValidIn("EvalPoly", ct)
 	if err := checkCoeffs(ct.Level, coeffs); err != nil {
 		panic(err)
 	}

@@ -114,7 +114,7 @@ func cut(ct *Ciphertext, level int) *Ciphertext {
 // A sealed ct's view carries a copy of the seal's first newLevel+1
 // checksums, so an op on the view re-verifies the limbs it reads.
 func (ev *Evaluator) DropLevel(ct *Ciphertext, newLevel int) *Ciphertext {
-	ev.mustValidIn("DropLevel", ct)
+	ev.params.mustValidIn("DropLevel", ct)
 	if newLevel > ct.Level || newLevel < 0 {
 		panic(opErr("DropLevel", ct.Level, ErrInvalidInput, "cannot drop level %d to %d", ct.Level, newLevel))
 	}

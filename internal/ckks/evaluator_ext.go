@@ -1,21 +1,17 @@
 package ckks
 
-import "math"
-
 // encodeConst builds a plaintext whose every slot equals the complex
 // constant c, at the given level. Its coefficients are round(Re c·scale) and
-// round(Im c·scale) and its Scale is the requested one: the constant the
-// slots actually hold is c perturbed by at most 1/(√2·scale).
+// round(Im c·scale), reduced as newScalar reduces a real constant, and its
+// Scale is the requested one: the constant the slots actually hold is c
+// perturbed by at most 1/(√2·scale).
 // A constant needs no FFT: slots all c ⇔ polynomial Re(c) + Im(c)·X^{N/2}.
 func (ev *Evaluator) encodeConst(c complex128, level int, scale float64) *Plaintext {
 	rq := ev.params.RingQ
-	n := ev.params.Slots
 	pt := &Plaintext{Value: rq.NewPoly(level + 1), Scale: scale, Level: level}
-	re := int64(math.Round(real(c) * scale))
-	im := int64(math.Round(imag(c) * scale))
+	re, im := ev.params.newScalar(real(c), scale, level), ev.params.newScalar(imag(c), scale, level)
 	for i := 0; i <= level; i++ {
-		pt.Value.Coeffs[i][0] = rq.Moduli[i].ReduceSigned(re)
-		pt.Value.Coeffs[i][n] = rq.Moduli[i].ReduceSigned(im)
+		pt.Value.Coeffs[i][0], pt.Value.Coeffs[i][ev.params.Slots] = re.q[i], im.q[i]
 	}
 	rq.NTTParallel(pt.Value, ev.pool)
 	return pt
@@ -36,7 +32,7 @@ func (ev *Evaluator) mulConst(ct *Ciphertext, c complex128, scale float64) *Ciph
 // the returned ciphertext has scale ct.Scale·q_level and must be rescaled
 // by the caller.
 func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
-	ev.mustValidIn("MulConst", ct)
+	ev.params.mustValidIn("MulConst", ct)
 	return ev.mulConst(ct, c, float64(ev.params.Q[ct.Level]))
 }
 
@@ -45,7 +41,7 @@ func (ev *Evaluator) MulConst(ct *Ciphertext, c complex128) *Ciphertext {
 // two evaluation branches before adding them. The constant is encoded at
 // scale targetScale·q_level/ct.Scale, which must be ≥ 1.
 func (ev *Evaluator) MulConstToScale(ct *Ciphertext, c complex128, targetScale float64) *Ciphertext {
-	ev.mustValidIn("MulConstToScale", ct)
+	ev.params.mustValidIn("MulConstToScale", ct)
 	cscale := targetScale * float64(ev.params.Q[ct.Level]) / ct.Scale
 	if !(cscale >= 1) { // NaN included
 		panic(opErr("MulConstToScale", ct.Level, ErrInvalidInput,
@@ -59,7 +55,7 @@ func (ev *Evaluator) MulConstToScale(ct *Ciphertext, c complex128, targetScale f
 
 // AddConst adds the constant c to every slot without consuming a level.
 func (ev *Evaluator) AddConst(ct *Ciphertext, c complex128) *Ciphertext {
-	ev.mustValidIn("AddConst", ct)
+	ev.params.mustValidIn("AddConst", ct)
 	if imag(c) == 0 {
 		s := ev.params.newScalar(real(c), ct.Scale, ct.Level)
 		return must(ev.exec(&opAddScalar, nil, operands{a: ct, s: &s}))

@@ -157,12 +157,12 @@ func (ev *Evaluator) exec(d *opDesc, out *Ciphertext, in operands) (res *Ciphert
 // preconditions, the destination.
 func (c *opCall) validate(out *Ciphertext) error {
 	ev, d := c.ev, c.d
-	if err := ev.validIn(d.name, c.a); err != nil {
+	if err := ev.params.validIn(d.name, c.a); err != nil {
 		return err
 	}
 	run := c.a.Level
 	if d.binary {
-		if err := ev.validIn(d.name, c.b); err != nil {
+		if err := ev.params.validIn(d.name, c.b); err != nil {
 			return err
 		}
 		run = min(run, c.b.Level)

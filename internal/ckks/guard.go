@@ -92,7 +92,7 @@ func (ev *Evaluator) GuardsEnabled() bool { return ev.guards != nil }
 // reuses the seal storage. An invalid ct panics with an *OpError wrapping
 // ErrInvalidInput.
 func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
-	ev.mustValidIn("SealIntegrity", ct)
+	ev.params.mustValidIn("SealIntegrity", ct)
 	limbs := ct.Level + 1
 	s := ct.seal
 	if s == nil || cap(s.c0) < limbs {
@@ -115,7 +115,7 @@ func (ev *Evaluator) SealIntegrity(ct *Ciphertext) {
 // first corrupted limb, and a nil or malformed ct one wrapping
 // ErrInvalidInput. Never panics.
 func (ev *Evaluator) VerifyIntegrity(ct *Ciphertext) (err error) {
-	if err := ev.validIn("VerifyIntegrity", ct); err != nil {
+	if err := ev.params.validIn("VerifyIntegrity", ct); err != nil {
 		return err
 	}
 	defer recoverOp("VerifyIntegrity", &ct.Level, &err)

@@ -85,8 +85,10 @@ const ltZeroSq = 1e-28
 // width n1 (a power of two in [1, Slots]; 0 lets the planner choose). Pin
 // the width when several transforms must share one rotation-key set — the
 // planner sees one matrix at a time, so plan the costliest and pass its N1 to
-// the rest — or to sweep it.
-func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
+// the rest — or to sweep it. An entry that is not finite, or too large for
+// the scale, is ErrInvalidInput.
+func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale float64, n1 int) (_ *LinearTransform, err error) {
+	defer recoverOp("NewLinearTransform", &level, &err)
 	n := enc.params.Slots
 	if len(m) != n {
 		return nil, fmt.Errorf("ckks: matrix has %d rows, want %d", len(m), n)
@@ -107,7 +109,8 @@ func NewLinearTransformBSGS(enc *Encoder, m [][]complex128, level int, scale flo
 	nz := make([]bool, n)
 	for r, row := range m {
 		for c, v := range row {
-			if re, im := real(v), imag(v); re*re+im*im > ltZeroSq {
+			// NaN counts as non-zero: its diagonal is encoded, and refused there.
+			if re, im := real(v), imag(v); !(re*re+im*im <= ltZeroSq) {
 				d := c - r
 				if d < 0 {
 					d += n

@@ -35,6 +35,9 @@ type rnsScalar struct {
 
 func (p *Parameters) newScalar(c, scale float64, level int) rnsScalar {
 	s := rnsScalar{val: math.Round(c * scale), scale: scale, q: make([]uint64, 2*(level+1))}
+	if !(math.Abs(s.val) <= math.MaxFloat64) { // NaN, ±Inf
+		panic(opErr("Encode", level, ErrInvalidInput, "constant %g at scale %g is not finite", c, scale))
+	}
 	s.q, s.qs = s.q[:level+1:level+1], s.q[level+1:]
 	// Through math/big: a leaf coefficient sized for a 2^100 sum is no int64.
 	v, _ := big.NewFloat(s.val).Int(nil)
@@ -371,7 +374,7 @@ func (p *polyPlan) release(r *planRun, i int) {
 // in.Level − depth and the input's scale — into out, a caller-owned
 // ciphertext that is the only storage to outlive the call.
 func (p *polyPlan) evalInto(ev *Evaluator, out, in *Ciphertext) error {
-	if err := ev.validIn("EvalPoly", in); err != nil {
+	if err := ev.params.validIn("EvalPoly", in); err != nil {
 		return err
 	}
 	if in.Level < p.level || !sameScale(in.Scale, p.scale) {

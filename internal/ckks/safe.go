@@ -25,37 +25,38 @@ func aliasCt(out, in *Ciphertext) bool {
 
 // validRows checks that the first `limbs` rows of a polynomial exist and
 // have length N — the shape every kernel indexes without looking.
-func (ev *Evaluator) validRows(op, what string, level int, rows [][]uint64, limbs int) error {
+func (p *Parameters) validRows(op, what string, level int, rows [][]uint64, limbs int) error {
 	if len(rows) < limbs {
 		return opErr(op, level, ErrInvalidInput, "%s holds %d limbs, level %d needs %d", what, len(rows), level, limbs)
 	}
 	for i := 0; i < limbs; i++ {
-		if len(rows[i]) != ev.params.N {
-			return opErr(op, level, ErrInvalidInput, "%s limb %d length != N=%d", what, i, ev.params.N)
+		if len(rows[i]) != p.N {
+			return opErr(op, level, ErrInvalidInput, "%s limb %d length != N=%d", what, i, p.N)
 		}
 	}
 	return nil
 }
 
 // validIn checks a ciphertext operand for structural sanity: non-nil, level
-// within the modulus chain, enough limbs for its level, rows of length N.
-func (ev *Evaluator) validIn(op string, ct *Ciphertext) error {
+// within the modulus chain, enough limbs for its level, rows of length N —
+// the one check the evaluator and the decryptor share.
+func (p *Parameters) validIn(op string, ct *Ciphertext) error {
 	if ct == nil || ct.C0 == nil || ct.C1 == nil {
 		return opErr(op, lvlOf(ct), ErrInvalidInput, "nil ciphertext")
 	}
-	if ct.Level < 0 || ct.Level > ev.params.MaxLevel() {
-		return opErr(op, ct.Level, ErrInvalidInput, "level %d outside [0, %d]", ct.Level, ev.params.MaxLevel())
+	if ct.Level < 0 || ct.Level > p.MaxLevel() {
+		return opErr(op, ct.Level, ErrInvalidInput, "level %d outside [0, %d]", ct.Level, p.MaxLevel())
 	}
-	if err := ev.validRows(op, "polynomial", ct.Level, ct.C0.Coeffs, ct.Level+1); err != nil {
+	if err := p.validRows(op, "polynomial", ct.Level, ct.C0.Coeffs, ct.Level+1); err != nil {
 		return err
 	}
-	return ev.validRows(op, "polynomial", ct.Level, ct.C1.Coeffs, ct.Level+1)
+	return p.validRows(op, "polynomial", ct.Level, ct.C1.Coeffs, ct.Level+1)
 }
 
 // mustValidIn is validIn at a panicking surface: an invalid ct panics with
 // the *OpError, before the surface reads any field of it.
-func (ev *Evaluator) mustValidIn(op string, ct *Ciphertext) {
-	if err := ev.validIn(op, ct); err != nil {
+func (p *Parameters) mustValidIn(op string, ct *Ciphertext) {
+	if err := p.validIn(op, ct); err != nil {
 		panic(err)
 	}
 }
@@ -68,7 +69,7 @@ func (ev *Evaluator) validPt(op string, pt *Plaintext) error {
 	if pt.Level < 0 || pt.Level > ev.params.MaxLevel() {
 		return opErr(op, pt.Level, ErrInvalidInput, "plaintext level %d outside [0, %d]", pt.Level, ev.params.MaxLevel())
 	}
-	return ev.validRows(op, "plaintext", pt.Level, pt.Value.Coeffs, pt.Level+1)
+	return ev.params.validRows(op, "plaintext", pt.Level, pt.Value.Coeffs, pt.Level+1)
 }
 
 // validDest checks that the destination can hold a level-`level` result:
@@ -84,10 +85,10 @@ func (ev *Evaluator) validDest(op string, out *Ciphertext, level int) error {
 			"destination capacity %d limbs, result needs %d — create it at a higher level",
 			min(cap(out.C0.Coeffs), cap(out.C1.Coeffs)), limbs)
 	}
-	if err := ev.validRows(op, "destination", level, out.C0.Coeffs[:limbs], limbs); err != nil {
+	if err := ev.params.validRows(op, "destination", level, out.C0.Coeffs[:limbs], limbs); err != nil {
 		return err
 	}
-	return ev.validRows(op, "destination", level, out.C1.Coeffs[:limbs], limbs)
+	return ev.params.validRows(op, "destination", level, out.C1.Coeffs[:limbs], limbs)
 }
 
 // The ten basic ops, the two halves of a hoisted rotation and the linear

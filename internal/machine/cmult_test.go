@@ -37,7 +37,8 @@ func TestMachineFullCMult(t *testing.T) {
 	d0, d1, d2 := newNTTPoly(params, level+1), newNTTPoly(params, level+1), newNTTPoly(params, level+1)
 	rq.MulCoeffwise(d0, ct1.C0, ct2.C0)
 	rq.MulCoeffwise(d1, ct1.C0, ct2.C1)
-	rq.MulCoeffwiseAdd(d1, ct1.C1, ct2.C0)
+	rq.MulCoeffwise(d2, ct1.C1, ct2.C0)
+	rq.Add(d1, d1, d2)
 	rq.MulCoeffwise(d2, ct1.C1, ct2.C1)
 	rq.INTT(d2)
 

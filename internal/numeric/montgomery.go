@@ -2,55 +2,16 @@ package numeric
 
 import "math/bits"
 
-// Montgomery multiplication: the elementwise-product path of the lazy
-// kernels. REDC with the precomputed q^-1 mod 2^64 replaces the 128-bit
-// Barrett sequence (≈5 full multiplications plus a long carry chain) with
-// 2 full and 2 low multiplications, roughly halving the scalar cost of
-// ring.MulCoeffwise and the encoder/encryptor elementwise loops. All
-// methods require odd q (every NTT modulus is an odd prime); they are
-// undefined for the degenerate q = 2 modulus.
-
-// MRed returns a·b·2^-64 mod q, fully reduced. Requires a·b < q·2^64
-// (satisfied whenever a < 2^63 and b < 2q, in particular for residue
-// inputs).
-func (m Modulus) MRed(a, b uint64) uint64 {
-	r := m.MRedLazy(a, b)
-	if r >= m.Q {
-		r -= m.Q
-	}
-	return r
-}
-
-// MRedLazy is MRed without the final conditional subtraction: the result
-// lies in (0, 2q). Same precondition as MRed.
-func (m Modulus) MRedLazy(a, b uint64) uint64 {
-	hi, lo := bits.Mul64(a, b)
-	red := lo * m.QInv
-	h, _ := bits.Mul64(red, m.Q)
-	return hi - h + m.Q
-}
+// Montgomery multiplication: the elementwise product of the lazy kernels.
+// REDC with the precomputed q^-1 mod 2^64 replaces the 128-bit Barrett
+// sequence (≈5 full multiplications plus a long carry chain) with 2 full and
+// 2 low multiplications, roughly halving the cost of ring.MulCoeffwise and
+// PMult. Requires odd q (every NTT modulus is an odd prime); undefined for
+// the degenerate q = 2 modulus.
 
 // MForm lifts a into Montgomery form: a·2^64 mod q, fully reduced.
 func (m Modulus) MForm(a uint64) uint64 {
 	return m.MulShoup(a, m.RModQ, m.RModQShoup)
-}
-
-// MFormLazy lifts a into Montgomery form lazily: result in [0, 2q).
-func (m Modulus) MFormLazy(a uint64) uint64 {
-	return m.MulShoupLazy(a, m.RModQ, m.RModQShoup)
-}
-
-// IMForm drops a out of Montgomery form: a·2^-64 mod q.
-func (m Modulus) IMForm(a uint64) uint64 {
-	return m.MRed(a, 1)
-}
-
-// MontMul returns (a·b) mod q for residues a, b < q: one lazy Shoup
-// multiplication lifts b to Montgomery form, one REDC folds the radix back
-// out. Bit-identical to Mul (both are the fully reduced residue) at about
-// half its scalar cost.
-func (m Modulus) MontMul(a, b uint64) uint64 {
-	return m.MRed(a, m.MFormLazy(b))
 }
 
 // VecMontMul sets c[i] = a[i]·b[i] mod q for residue vectors, bit-identical
@@ -77,33 +38,6 @@ func (m Modulus) VecMontMul(c, a, b []uint64) {
 			t -= q
 		}
 		c[i] = t
-	}
-}
-
-// VecMontMulAdd sets c[i] = (c[i] + a[i]·b[i]) mod q, bit-identical to
-// Add(c[i], Mul(a[i], b[i])) — the multiply-accumulate companion of
-// VecMontMul.
-func (m Modulus) VecMontMulAdd(c, a, b []uint64) {
-	q, qInv := m.Q, m.QInv
-	r, rs := m.RModQ, m.RModQShoup
-	a = a[:len(c)]
-	b = b[:len(c)]
-	for i := range c {
-		bi := b[i]
-		bh, _ := bits.Mul64(bi, rs)
-		bm := bi*r - bh*q
-		hi, lo := bits.Mul64(a[i], bm)
-		red := lo * qInv
-		h, _ := bits.Mul64(red, q)
-		t := hi - h + q
-		if t >= q {
-			t -= q
-		}
-		s := c[i] + t
-		if s >= q {
-			s -= q
-		}
-		c[i] = s
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package report renders experiment results as aligned text tables and CSV,
-// the output format of the cmd/poseidon harness.
+// Package report renders experiment results as aligned text tables, the
+// output format of the cmd/poseidon harness.
 package report
 
 import (
@@ -102,22 +102,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// CSV renders comma-separated values (quoting cells containing commas).
-func (t *Table) CSV(w io.Writer) {
-	writeRow := func(cells []string) {
-		q := make([]string, len(cells))
-		for i, c := range cells {
-			if strings.ContainsAny(c, ",\"\n") {
-				c = "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
-			}
-			q[i] = c
-		}
-		fmt.Fprintln(w, strings.Join(q, ","))
-	}
-	writeRow(t.Headers)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
 }

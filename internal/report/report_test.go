@@ -41,18 +41,3 @@ func TestFormatFloat(t *testing.T) {
 		}
 	}
 }
-
-func TestCSV(t *testing.T) {
-	tab := New("x", "a", "b")
-	tab.AddRow("v,1", "plain")
-	tab.AddRow(`qu"ote`, 2.0)
-	var buf bytes.Buffer
-	tab.CSV(&buf)
-	out := buf.String()
-	if !strings.Contains(out, `"v,1",plain`) {
-		t.Errorf("comma cell not quoted: %s", out)
-	}
-	if !strings.Contains(out, `"qu""ote"`) {
-		t.Errorf("quote cell not escaped: %s", out)
-	}
-}

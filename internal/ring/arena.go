@@ -153,7 +153,7 @@ func (a *Arena) Get(limbs int) *Poly {
 // subtract bytes that were never added and wrap BytesInUse, the figure
 // MaxArenaBytes admission reads. The poly must own its backing storage —
 // never a prefix view of a live polynomial — and must not be referenced
-// afterwards. A poly resliced to fewer limbs since (by DropLimb or a
+// afterwards. A poly resliced to fewer limbs since (by a rescale or a
 // reshape) is restored to its full capacity first, so it is filed,
 // accounted and poisoned as the size it was checked out at.
 func (a *Arena) Put(p *Poly) {

@@ -23,7 +23,7 @@ func testPools() []*Pool {
 // concurrent use; the tests below hold it to that against the serial map.
 func automorphismOver(r *Ring, pool *Pool, dst, src *Poly, g uint64) {
 	m := r.HF.Get(g)
-	pool.ForEach(len(src.Coeffs), func(i int) {
+	Run(pool, len(src.Coeffs), dst, func(dst *Poly, i int) {
 		m.Apply(dst.Coeffs[i], src.Coeffs[i], r.Moduli[i])
 	})
 }
@@ -65,10 +65,6 @@ func TestParallelElementwiseMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	a := randPoly(r, rng, limbs, true)
 	b := randPoly(r, rng, limbs, true)
-	scalars := make([]uint64, limbs)
-	for i := range scalars {
-		scalars[i] = rng.Uint64()
-	}
 	sub := make([]*Ring, limbs)
 	for i := range sub {
 		var err error
@@ -80,20 +76,18 @@ func TestParallelElementwiseMatchesSerial(t *testing.T) {
 
 	for _, op := range []struct {
 		name string
-		f    func(r *Ring, out, a, b *Poly, scalars []uint64)
+		f    func(r *Ring, out, a, b *Poly)
 	}{
-		{"MulCoeffwise", func(r *Ring, out, a, b *Poly, _ []uint64) { r.MulCoeffwise(out, a, b) }},
-		{"MulCoeffwiseAdd", func(r *Ring, out, a, b *Poly, _ []uint64) { r.MulCoeffwiseAdd(out, a, b) }},
-		{"Add", func(r *Ring, out, a, b *Poly, _ []uint64) { r.Add(out, a, b) }},
-		{"Sub", func(r *Ring, out, a, b *Poly, _ []uint64) { r.Sub(out, a, b) }},
-		{"Neg", func(r *Ring, out, a, _ *Poly, _ []uint64) { r.Neg(out, a) }},
-		{"MulScalarRNS", func(r *Ring, out, a, _ *Poly, s []uint64) { r.MulScalarRNS(out, a, s) }},
+		{"MulCoeffwise", (*Ring).MulCoeffwise},
+		{"Add", (*Ring).Add},
+		{"Sub", (*Ring).Sub},
+		{"Neg", func(r *Ring, out, a, _ *Poly) { r.Neg(out, a) }},
 	} {
 		for _, pool := range testPools() {
-			want, got := a.CopyNew(), a.CopyNew() // MulCoeffwiseAdd accumulates: same start
-			op.f(r, want, a, b, scalars)
-			pool.ForEach(limbs, func(i int) {
-				op.f(sub[i], limb(got, i), limb(a, i), limb(b, i), scalars[i:i+1])
+			want, got := a.CopyNew(), a.CopyNew() // got's domain flag is a's: limb views set their own
+			op.f(r, want, a, b)
+			Run(pool, limbs, got, func(got *Poly, i int) {
+				op.f(sub[i], limb(got, i), limb(a, i), limb(b, i))
 			})
 			if !got.Equal(want) {
 				t.Errorf("workers=%d: %s limb by limb differs from the whole-chain op", pool.Workers(), op.name)
@@ -130,7 +124,7 @@ func TestParallelAutomorphismMatchesSerial(t *testing.T) {
 			got := r.NewPoly(5)
 			got.IsNTT = true
 			perm := r.NTTGaloisPermutation(g)
-			pool.ForEach(5, func(i int) { ApplyPermutationNTT(got.Coeffs[i], ntt.Coeffs[i], perm) })
+			Run(pool, 5, got, func(got *Poly, i int) { ApplyPermutationNTT(got.Coeffs[i], ntt.Coeffs[i], perm) })
 			if !got.Equal(want) {
 				t.Errorf("g=%d workers=%d: limb-parallel NTT-domain permutation differs", g, pool.Workers())
 			}

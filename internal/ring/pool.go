@@ -13,10 +13,10 @@ import (
 // behind a worker pool that fans independent limbs (or coefficient ranges)
 // out across CPUs.
 //
-// A Pool bounds *concurrency*, not goroutine identity: each ForEach call
+// A Pool bounds *concurrency*, not goroutine identity: each parallel Run
 // spawns up to Workers−1 short-lived helpers, admitted through a semaphore
 // shared by every caller of the same Pool, and the calling goroutine always
-// participates in the work. This makes nested or concurrent ForEach calls
+// participates in the work. This makes nested or concurrent Run calls
 // deadlock-free by construction — when the semaphore is exhausted the
 // caller simply runs its items inline.
 //
@@ -61,121 +61,95 @@ func DefaultPool() *Pool {
 	return defaultPool
 }
 
-// ForEach runs fn(i) for every i in [0, n), distributing indices across the
-// pool's workers, and returns when all items are done. Items are claimed
-// from a shared atomic counter, so scheduling is dynamic but each index runs
-// exactly once. fn must not depend on execution order; writes to disjoint
-// locations give results bit-identical to a serial loop.
+// Run is the pool's one executor: it calls stage(s, i) for every i in
+// [0, n) and returns when all are done. Items are claimed from a shared
+// atomic counter, so scheduling is dynamic but each index runs exactly once.
+// stage must not depend on execution order; writes to disjoint locations
+// give results bit-identical to a serial loop.
+//
+// Handing it a method expression ((*T).stage) and a pooled record means the
+// serial path — a plain loop, taken on a serial pool or for one item —
+// builds no closure and allocates nothing, so a pipeline stage is written
+// once. s escapes (the helpers share it): pass heap records, not the address
+// of a local.
 //
 // Safe for concurrent use, including nested calls (inner calls degrade to
-// inline execution when the pool is saturated). A panic inside fn stops the
-// other executors claiming items and is re-raised, with its original value,
-// on the calling goroutine (the first one, if several items panic).
-func (p *Pool) ForEach(n int, fn func(i int)) {
-	if p == nil || p.workers <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var mu sync.Mutex
-	var panicked any // the first panic value an executor recovered
-	loop := func() {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				if panicked == nil {
-					panicked = r
-				}
-				mu.Unlock()
-				next.Store(int64(n))
-			}
-		}()
-		for i := next.Add(1) - 1; i < int64(n); i = next.Add(1) - 1 {
-			fn(int(i))
-		}
-	}
-
-	helpers := min(p.workers-1, n-1)
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		select {
-		case p.sem <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer func() { <-p.sem; wg.Done() }()
-				loop()
-			}()
-		default:
-			// Pool saturated: the caller picks up the slack inline.
-		}
-	}
-	loop()
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-}
-
-// Run is the stage runner for pipelines that keep their per-call state in one
-// record: it calls stage(s, i) for every i in [0, n) — a plain loop on a
-// serial pool, ForEach otherwise. Handing it a method expression
-// ((*T).stage) and a pooled record means the serial path builds no closure
-// and allocates nothing, so a pipeline stage is written once instead of as a
-// loop and a ForEach twin. s escapes (the parallel branch captures it): pass
-// heap records, not the address of a local.
+// inline execution when the pool is saturated). A panic inside stage stops
+// the other executors claiming items and is re-raised, with its original
+// value, on the calling goroutine (the first one, if several items panic).
 func Run[S any](p *Pool, n int, s *S, stage func(*S, int)) {
-	if p.Workers() <= 1 {
+	if p.Workers() <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {
 			stage(s, i)
 		}
 		return
 	}
-	p.ForEach(n, func(i int) { stage(s, i) })
+	d := &dispatch[S]{n: int64(n), s: s, stage: stage}
+	for range min(p.workers-1, n-1) {
+		select {
+		case p.sem <- struct{}{}:
+			d.wg.Add(1)
+			go func() {
+				defer func() { <-p.sem; d.wg.Done() }()
+				d.claim()
+			}()
+		default:
+			// Pool saturated: the caller picks up the slack inline.
+		}
+	}
+	d.claim()
+	d.wg.Wait()
+	if d.panicked != nil {
+		panic(d.panicked)
+	}
 }
 
-// RunChunks is Run for stages whose unit of independence is a coefficient
-// range: stage(s, lo, hi) covers [0, n) exactly once, as the single range
-// [0, n) on a serial pool and as ForEachChunk's ranges otherwise.
+// dispatch is one parallel Run: the claim counter its executors share, the
+// first panic one of them recovered, and the helpers the caller waits for.
+type dispatch[S any] struct {
+	next     atomic.Int64
+	n        int64
+	s        *S
+	stage    func(*S, int)
+	mu       sync.Mutex
+	panicked any
+	wg       sync.WaitGroup
+}
+
+// claim runs items until none is left; a panic ends the claiming for every
+// executor.
+func (d *dispatch[S]) claim() {
+	defer func() {
+		if r := recover(); r != nil {
+			d.mu.Lock()
+			if d.panicked == nil {
+				d.panicked = r
+			}
+			d.mu.Unlock()
+			d.next.Store(d.n)
+		}
+	}()
+	for i := d.next.Add(1) - 1; i < d.n; i = d.next.Add(1) - 1 {
+		d.stage(d.s, int(i))
+	}
+}
+
+// RunChunks is Run for stages whose unit of independence is the coefficient
+// rather than the limb (RNSconv, ModDown, Rescale): stage(s, lo, hi) covers
+// [0, n) exactly once, as the single range [0, n) on a serial pool and as
+// contiguous ranges claimed through Run otherwise. Chunk boundaries never
+// affect results: every coefficient's arithmetic is self-contained.
 func RunChunks[S any](p *Pool, n int, s *S, stage func(*S, int, int)) {
-	if p.Workers() <= 1 {
+	w := p.Workers()
+	if w <= 1 || n <= 1 {
 		if n > 0 {
 			stage(s, 0, n)
 		}
 		return
 	}
-	p.ForEachChunk(n, func(lo, hi int) { stage(s, lo, hi) })
-}
-
-// ForEachChunk partitions [0, n) into contiguous ranges and runs
-// fn(lo, hi) on each, parallelized like ForEach. Used for operations whose
-// unit of independence is the coefficient rather than the limb (RNSconv,
-// ModDown, Rescale). Chunk boundaries never affect results: every
-// coefficient's arithmetic is self-contained.
-func (p *Pool) ForEachChunk(n int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	w := p.Workers()
-	if w <= 1 || n == 1 {
-		fn(0, n)
-		return
-	}
 	// Oversubscribe chunks 4× the worker count so dynamic claiming
 	// balances uneven progress without shrinking chunks into cache churn.
-	chunks := 4 * w
-	if chunks > n {
-		chunks = n
-	}
+	chunks := min(4*w, n)
 	size := (n + chunks - 1) / chunks
-	chunks = (n + size - 1) / size
-	p.ForEach(chunks, func(c int) {
-		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
+	Run(p, (n+size-1)/size, s, func(s *S, c int) { stage(s, c*size, min(c*size+size, n)) })
 }

@@ -6,40 +6,34 @@ import (
 	"testing"
 )
 
+// The executor tests keep the names they had when Pool.ForEach and
+// ForEachChunk were the dispatchers; Run and RunChunks are now the only two.
+
+// Every index runs exactly once, at every pool width.
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, pool := range testPools() {
 		for _, n := range []int{0, 1, 2, 3, 17, 100, 1000} {
-			hits := make([]int32, n)
-			pool.ForEach(n, func(i int) {
-				atomic.AddInt32(&hits[i], 1)
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d ran %d times", pool.Workers(), n, i, h)
-				}
-			}
+			p := &runProbe{hits: make([]int32, n), boom: -1}
+			Run(pool, n, p, (*runProbe).stage)
+			p.requireOnce(t, "Run", pool.Workers())
 		}
 	}
 }
 
+// Every range is inside [0, n) and non-empty, and together they cover it
+// exactly once.
 func TestForEachChunkCoversEveryIndexOnce(t *testing.T) {
 	for _, pool := range testPools() {
 		for _, n := range []int{0, 1, 2, 7, 64, 1000, 4097} {
-			hits := make([]int32, n)
-			pool.ForEachChunk(n, func(lo, hi int) {
+			p := &runProbe{hits: make([]int32, n), boom: -1}
+			RunChunks(pool, n, p, func(p *runProbe, lo, hi int) {
 				if lo < 0 || hi > n || lo >= hi {
 					t.Errorf("bad chunk [%d,%d) for n=%d", lo, hi, n)
 					return
 				}
-				for i := lo; i < hi; i++ {
-					atomic.AddInt32(&hits[i], 1)
-				}
+				p.chunk(lo, hi)
 			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d covered %d times", pool.Workers(), n, i, h)
-				}
-			}
+			p.requireOnce(t, "RunChunks", pool.Workers())
 		}
 	}
 }
@@ -52,27 +46,21 @@ func TestForEachPanicPropagates(t *testing.T) {
 					t.Errorf("workers=%d: recovered %v, want \"boom\"", pool.Workers(), r)
 				}
 			}()
-			pool.ForEach(64, func(i int) {
-				if i == 13 {
-					panic("boom")
-				}
-			})
+			Run(pool, 64, &runProbe{hits: make([]int32, 64), boom: 13}, (*runProbe).stage)
 		}()
 	}
 }
 
-// TestForEachNested ensures nested ForEach calls complete rather than
-// deadlock when the pool is saturated (inner calls degrade to inline).
+// TestForEachNested ensures nested Run calls complete rather than deadlock
+// when the pool is saturated (inner calls degrade to inline).
 func TestForEachNested(t *testing.T) {
 	pool := NewPool(2)
 	var total atomic.Int64
-	pool.ForEach(8, func(i int) {
-		pool.ForEach(8, func(j int) {
-			total.Add(1)
-		})
+	Run(pool, 8, &total, func(total *atomic.Int64, i int) {
+		Run(pool, 8, total, func(total *atomic.Int64, j int) { total.Add(1) })
 	})
 	if total.Load() != 64 {
-		t.Fatalf("nested ForEach ran %d items, want 64", total.Load())
+		t.Fatalf("nested Run ran %d items, want 64", total.Load())
 	}
 }
 
@@ -86,9 +74,9 @@ func TestForEachConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var sum atomic.Int64
-			pool.ForEach(100, func(i int) { sum.Add(int64(i)) })
+			Run(pool, 100, &sum, func(sum *atomic.Int64, i int) { sum.Add(int64(i)) })
 			if sum.Load() != 4950 {
-				t.Error("concurrent ForEach lost items")
+				t.Error("concurrent Run lost items")
 			}
 		}()
 	}
@@ -114,23 +102,23 @@ func TestPoolWorkers(t *testing.T) {
 }
 
 // The original panic value — not a wrapper — is re-raised on the caller, at
-// any pool width.
+// any pool width and through either entry point.
 func TestForEachStillRethrowsOriginalPanic(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPool(workers)
-		func() {
-			defer func() {
-				r := recover()
-				if r != "original" {
-					t.Fatalf("workers=%d: recovered %v, want the original panic value", workers, r)
-				}
+		for name, run := range map[string]func(){
+			"Run":       func() { Run(p, 32, &runProbe{hits: make([]int32, 32), boom: 7}, (*runProbe).stage) },
+			"RunChunks": func() { RunChunks(p, 32, &runProbe{hits: make([]int32, 32), boom: 7}, (*runProbe).chunk) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != "boom" {
+						t.Fatalf("%s workers=%d: recovered %v, want the original panic value", name, workers, r)
+					}
+				}()
+				run()
 			}()
-			p.ForEach(32, func(i int) {
-				if i == 7 {
-					panic("original")
-				}
-			})
-		}()
+		}
 	}
 }
 
@@ -223,5 +211,23 @@ func TestRunChunks(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, func() { RunChunks(pool, 64, p, (*runProbe).chunk) }); allocs != 0 {
 			t.Errorf("RunChunks at workers=1: %v allocs/op, want 0", allocs)
 		}
+	}
+}
+
+// One parallel dispatch's allocations at two workers — the baseline a
+// replacement executor is measured against: Run's shared claim record and
+// its helper's closure; RunChunks adds the closure that cuts the ranges. The
+// bounds are ≤: a helper the saturated pool does not admit allocates nothing.
+func TestRunDispatchAllocs(t *testing.T) {
+	pool := NewPool(2)
+	for _, n := range []int{2, 6, 28} {
+		p := &runProbe{hits: make([]int32, n), boom: -1}
+		if allocs := testing.AllocsPerRun(50, func() { Run(pool, n, p, (*runProbe).stage) }); allocs > 2 {
+			t.Errorf("Run n=%d at workers=2: %v allocs a dispatch, want ≤ 2", n, allocs)
+		}
+	}
+	p := &runProbe{hits: make([]int32, 8192), boom: -1}
+	if allocs := testing.AllocsPerRun(50, func() { RunChunks(pool, 8192, p, (*runProbe).chunk) }); allocs > 3 {
+		t.Errorf("RunChunks n=8192 at workers=2: %v allocs a dispatch, want ≤ 3", allocs)
 	}
 }

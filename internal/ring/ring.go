@@ -193,15 +193,6 @@ func (p *Poly) Equal(o *Poly) bool {
 	return true
 }
 
-// DropLimb removes the last limb in place. The dropped row stays in the
-// slice's capacity: an arena poly returns to the class it was drawn from.
-func (p *Poly) DropLimb() {
-	if len(p.Coeffs) == 1 {
-		panic("ring: cannot drop the last limb")
-	}
-	p.Coeffs = p.Coeffs[:len(p.Coeffs)-1]
-}
-
 func (r *Ring) check(ps ...*Poly) int {
 	limbs := len(ps[0].Coeffs)
 	for _, p := range ps {
@@ -269,51 +260,6 @@ func (r *Ring) MulCoeffwise(out, a, b *Poly) {
 	out.IsNTT = true
 }
 
-// MulCoeffwiseAdd computes out += a ⊙ b limb-wise (NTT domain).
-func (r *Ring) MulCoeffwiseAdd(out, a, b *Poly) {
-	limbs := r.check(out, a, b)
-	if !a.IsNTT || !b.IsNTT {
-		panic("ring: MulCoeffwiseAdd requires NTT-domain operands")
-	}
-	for i := 0; i < limbs; i++ {
-		r.Moduli[i].VecMontMulAdd(out.Coeffs[i], a.Coeffs[i], b.Coeffs[i])
-	}
-	out.IsNTT = true
-}
-
-// MulScalar computes out = a · scalar, with the scalar reduced per limb.
-func (r *Ring) MulScalar(out, a *Poly, scalar uint64) {
-	limbs := r.check(out, a)
-	for i := 0; i < limbs; i++ {
-		mod := r.Moduli[i]
-		s := mod.Reduce(scalar)
-		ss := mod.ShoupConstant(s)
-		oc, ac := out.Coeffs[i], a.Coeffs[i]
-		for j := range oc {
-			oc[j] = mod.MulShoup(ac[j], s, ss)
-		}
-	}
-	out.IsNTT = a.IsNTT
-}
-
-// MulScalarRNS multiplies limb i by scalars[i] (one residue per limb).
-func (r *Ring) MulScalarRNS(out, a *Poly, scalars []uint64) {
-	limbs := r.check(out, a)
-	if len(scalars) < limbs {
-		panic("ring: MulScalarRNS: not enough scalars for limb count")
-	}
-	for i := 0; i < limbs; i++ {
-		mod := r.Moduli[i]
-		s := mod.Reduce(scalars[i])
-		ss := mod.ShoupConstant(s)
-		oc, ac := out.Coeffs[i], a.Coeffs[i]
-		for j := range oc {
-			oc[j] = mod.MulShoup(ac[j], s, ss)
-		}
-	}
-	out.IsNTT = a.IsNTT
-}
-
 // NTT transforms all limbs to the evaluation domain in place.
 func (r *Ring) NTT(p *Poly) { r.NTTParallel(p, nil) }
 
@@ -323,7 +269,7 @@ func (r *Ring) NTTParallel(p *Poly, pool *Pool) {
 	if p.IsNTT {
 		panic("ring: NTT on NTT-domain polynomial")
 	}
-	pool.ForEach(len(p.Coeffs), func(i int) { r.ForwardLimb(i, p.Coeffs[i]) })
+	Run(pool, len(p.Coeffs), r, func(r *Ring, i int) { r.ForwardLimb(i, p.Coeffs[i]) })
 	p.IsNTT = true
 }
 

@@ -32,7 +32,7 @@ func refRing(t testing.TB) *Ring {
 // every result private — and returns the results; one worker is a plain call.
 func concurrently(workers int, f func() *Poly) []*Poly {
 	out := make([]*Poly, workers)
-	NewPool(workers).ForEach(workers, func(w int) { out[w] = f() })
+	Run(NewPool(workers), workers, &out, func(out *[]*Poly, w int) { (*out)[w] = f() })
 	return out
 }
 
@@ -88,16 +88,6 @@ func TestStrictLazyKernelIdentity(t *testing.T) {
 			mod := r.Moduli[i]
 			for j := range c {
 				c[j] = mod.Mul(c[j], b.Coeffs[i][j])
-			}
-		})
-	})
-	t.Run("MulCoeffwiseAdd", func(t *testing.T) {
-		acc := mkCoeff()
-		acc.IsNTT = true
-		check(t, acc, func(p *Poly) { r.MulCoeffwiseAdd(p, a, b) }, func(i int, c []uint64) {
-			mod := r.Moduli[i]
-			for j := range c {
-				c[j] = mod.Add(c[j], mod.Mul(a.Coeffs[i][j], b.Coeffs[i][j]))
 			}
 		})
 	})

@@ -100,6 +100,18 @@ var retiredNames = []retiredName{
 	{pr: 42, design: "One arena", flags: "-rnE", in: everyGo, tests: true,
 		re: `\*Ring\) Arena\(|Ring[QP]\.Arena\(|GetPoly|GetPolyDirty|PutPoly`},
 
+	// One executor, and every kernel under ckks has a caller. The executor
+	// tests keep the names they had as ForEach's, hence \b; the Montgomery row
+	// is word-bounded so MForm and VecMontMul stay, and the ring row's leading
+	// dot keeps ckks's kernMulScalar / opMulScalar clear.
+	{pr: 43, design: "One executor", flags: "-rnE", in: everyGo, tests: true,
+		re: `\.ForEach\(|\bForEachChunk\b`},
+	{pr: 43, design: "One elementwise product", flags: "-rnwE", in: everyGo, tests: true,
+		re: `MRed|MRedLazy|MFormLazy|IMForm|MontMul|VecMontMulAdd`},
+	{pr: 43, design: "No orphan kernels", flags: "-rnE", in: everyGo, tests: true,
+		re: `\.MulCoeffwiseAdd\(|\.MulScalar\(|\.MulScalarRNS\(|\.DropLimb\(`},
+	{pr: 43, design: "No orphan kernels", flags: "-rnE", in: everyGo, tests: true, re: `\.CSV\(`},
+
 	{pr: 24, design: "Kernels in registers", flags: "-nE", in: []string{"internal/numeric/*.go", "internal/rns/*.go"},
 		re: `\(\*\[[0-9]+\]uint64\)`},
 	{pr: 26, design: "Lanes", flags: "-rnE", in: []string{"internal/ntt/*.go", "internal/numeric/*.go"}, tests: true,

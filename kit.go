@@ -138,15 +138,10 @@ func recoverKit(op string, err *error) {
 }
 
 // TryEncryptValues encodes and encrypts a complex vector at the top level
-// and default scale, rejecting vectors longer than the slot count.
+// and default scale. A vector longer than the slot count, or a value that is
+// not finite or too large for the scale, is ErrInvalidInput.
 func (k *Kit) TryEncryptValues(values []complex128) (ct *Ciphertext, err error) {
 	defer recoverKit("EncryptValues", &err)
-	if len(values) > k.Params.Slots {
-		return nil, &ckks.OpError{
-			Op: "EncryptValues", Level: -1, Limb: -1, Err: ckks.ErrInvalidInput,
-			Detail: fmt.Sprintf("%d values exceed %d slots", len(values), k.Params.Slots),
-		}
-	}
 	pt := k.Enc.Encode(values, k.Params.MaxLevel(), k.Params.Scale)
 	return k.Encr.Encrypt(pt), nil
 }
@@ -154,15 +149,9 @@ func (k *Kit) TryEncryptValues(values []complex128) (ct *Ciphertext, err error) 
 // TryDecryptValues decrypts and decodes back to the slot vector. When
 // integrity guards are enabled the ciphertext's checksum seal is verified
 // first, so a corrupted result is reported as ErrIntegrity instead of
-// silently decoding garbage.
+// silently decoding garbage. A malformed ciphertext is ErrInvalidInput.
 func (k *Kit) TryDecryptValues(ct *Ciphertext) (values []complex128, err error) {
 	defer recoverKit("DecryptValues", &err)
-	if ct == nil || ct.C0 == nil || ct.C1 == nil {
-		return nil, &ckks.OpError{
-			Op: "DecryptValues", Level: -1, Limb: -1, Err: ckks.ErrInvalidInput,
-			Detail: "nil ciphertext",
-		}
-	}
 	if k.Eval.GuardsEnabled() {
 		if verr := k.Eval.VerifyIntegrity(ct); verr != nil {
 			return nil, verr

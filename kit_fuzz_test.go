@@ -42,14 +42,25 @@ func FuzzKitTryAPI(f *testing.F) {
 			re := math.Float64frombits(bits + uint64(i))
 			vals[i] = complex(re, -re)
 		}
+		// A non-finite value must be refused; values well inside int64 once
+		// scaled (a coefficient is at most the largest slot) accepted.
+		finite, small := true, true
+		for _, v := range vals {
+			for _, x := range []float64{real(v), imag(v)} {
+				finite = finite && !math.IsNaN(x) && !math.IsInf(x, 0)
+				small = small && math.Abs(x)*params.Scale < 0x1p60
+			}
+		}
 		ct, err := kit.TryEncryptValues(vals)
-		if err != nil {
-			if len(vals) <= params.Slots {
-				t.Fatalf("TryEncryptValues rejected %d valid slots: %v", len(vals), err)
+		switch {
+		case len(vals) > params.Slots || !finite:
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("TryEncryptValues(%d values, finite %v): %v, want ErrInvalidInput", len(vals), finite, err)
 			}
-			if !errors.Is(err, ErrInvalidInput) && !errors.Is(err, ErrInternal) {
-				t.Fatalf("TryEncryptValues: untyped error %v", err)
-			}
+		case small && err != nil:
+			t.Fatalf("TryEncryptValues rejected %d valid slots: %v", len(vals), err)
+		case err != nil && !errors.Is(err, ErrInvalidInput):
+			t.Fatalf("TryEncryptValues: untyped error %v", err)
 		}
 		if ct != nil {
 			if _, err := kit.TryInnerSum(ct, int(width)); err != nil &&

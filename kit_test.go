@@ -2,6 +2,7 @@ package poseidon
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -156,6 +157,136 @@ func TestKitLinearTransformKeysSkipsHeld(t *testing.T) {
 		}
 		if cmplx.Abs(out[r]-want) > 1e-4 {
 			t.Errorf("slot %d: %v != %v", r, out[r], want)
+		}
+	}
+}
+
+// panicErr runs f and returns what it panicked with as an error: nil if it
+// did not panic, a panic value that is no error as plain text.
+func panicErr(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if err, _ = r.(error); err == nil {
+				err = fmt.Errorf("panicked with %v", r)
+			}
+		}
+	}()
+	f()
+	return nil
+}
+
+// Every float that becomes a residue — a slot value, a constant, a matrix
+// entry — goes through a checked conversion: one that is not finite, or
+// whose scaled coefficient leaves int64, is an ErrInvalidInput *OpError,
+// returned by the Try and constructor forms and panicked with by the others.
+// A complex constant whose scaled value only leaves int64 is still exact.
+func TestFloatsBecomeResiduesChecked(t *testing.T) {
+	kit := testKit(t)
+	ct := kit.EncryptValues([]complex128{0.5, -0.25})
+	nan, inf := math.NaN(), math.Inf(1)
+	encrypt := func(v complex128) func() error {
+		return func() error { _, err := kit.TryEncryptValues([]complex128{v, 1}); return err }
+	}
+	panics := func(f func()) func() error { return func() error { return panicErr(f) } }
+	transform := func(v complex128) func() error {
+		return func() error {
+			m := make([][]complex128, kit.Params.Slots)
+			for i := range m {
+				m[i] = make([]complex128, kit.Params.Slots)
+				m[i][i] = 1
+			}
+			m[0][1] = v
+			_, err := NewLinearTransform(kit.Enc, m, kit.Params.MaxLevel(), kit.Params.Scale)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"TryEncryptValues/NaN", encrypt(complex(nan, 0))},
+		{"TryEncryptValues/+Inf", encrypt(complex(inf, 0))},
+		{"TryEncryptValues/1e12", encrypt(1e12)},
+		{"Encode/too many values", panics(func() {
+			kit.Enc.Encode(make([]complex128, kit.Params.Slots+1), kit.Params.MaxLevel(), kit.Params.Scale)
+		})},
+		{"MulConst/NaN", panics(func() { kit.Eval.MulConst(ct, complex(nan, 0)) })},
+		{"MulConst/+Inf", panics(func() { kit.Eval.MulConst(ct, complex(inf, 0)) })},
+		{"MulConst/i·NaN", panics(func() { kit.Eval.MulConst(ct, complex(0, nan)) })},
+		{"AddConst/NaN", panics(func() { kit.Eval.AddConst(ct, complex(nan, 0)) })},
+		{"NewLinearTransform/NaN", transform(complex(nan, 0))},
+		{"NewLinearTransform/+Inf", transform(complex(0, inf))},
+	} {
+		var oe *OpError
+		if err := tc.run(); !errors.As(err, &oe) || !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: %v, want an ErrInvalidInput *OpError", tc.name, err)
+		}
+	}
+
+	// At the top prime (40 bits) 1e8 scales past int64: the residues come
+	// from the exact integer, not a wrapped one. The product carries the
+	// input's noise times 1e8, hence the relative bound.
+	c := complex(1e8, 1)
+	got := kit.DecryptValues(kit.Eval.Rescale(kit.Eval.MulConst(ct, c)))
+	for i, v := range []complex128{0.5, -0.25} {
+		if cmplx.Abs(got[i]-v*c) > 1e-6*cmplx.Abs(v*c) {
+			t.Errorf("MulConst(%v) slot %d = %v, want %v", c, i, got[i], v*c)
+		}
+	}
+}
+
+// Decryption validates a ciphertext with the evaluator's own check: a nil
+// one, a level outside the chain or above the limbs, or a short C1 is the
+// ErrInvalidInput *OpError the evaluator reports (TryDecryptValues returns
+// it, Decrypt panics with it), and a ciphertext wider than its level
+// decrypts as the one cut to it.
+func TestDecryptValidatesLikeEvaluator(t *testing.T) {
+	kit := testKit(t)
+	in := []complex128{0.5, -0.25i}
+	ct := kit.EncryptValues(in)
+	low := kit.Eval.Rescale(kit.EncryptValues(in))
+	with := func(base *Ciphertext, f func(*Ciphertext)) *Ciphertext {
+		c := *base
+		f(&c)
+		return &c
+	}
+	for _, tc := range []struct {
+		name string
+		ct   *Ciphertext
+	}{
+		{"nil", nil},
+		{"negative level", with(ct, func(c *Ciphertext) { c.Level = -1 })},
+		{"level above the chain", with(ct, func(c *Ciphertext) { c.Level = kit.Params.MaxLevel() + 1 })},
+		{"level above the limbs", with(low, func(c *Ciphertext) { c.Level = low.Level + 1 })},
+		{"short C1", with(ct, func(c *Ciphertext) {
+			c1 := *ct.C1
+			c1.Coeffs = c1.Coeffs[:ct.Level]
+			c.C1 = &c1
+		})},
+	} {
+		_, evalErr := kit.Eval.TryAddInto(nil, tc.ct, tc.ct)
+		var want *OpError
+		if !errors.As(evalErr, &want) || !errors.Is(evalErr, ErrInvalidInput) {
+			t.Fatalf("%s: the evaluator reports %v", tc.name, evalErr)
+		}
+		_, tryErr := kit.TryDecryptValues(tc.ct)
+		panicked := panicErr(func() { kit.Decr.Decrypt(tc.ct) })
+		for surface, err := range map[string]error{"TryDecryptValues": tryErr, "Decrypt": panicked} {
+			var oe *OpError
+			if !errors.As(err, &oe) || !errors.Is(err, ErrInvalidInput) || oe.Detail != want.Detail {
+				t.Errorf("%s: %s gives %v, want ErrInvalidInput (%s)", tc.name, surface, err, want.Detail)
+			}
+		}
+	}
+
+	wide := with(ct, func(c *Ciphertext) { c.Level = 1 })
+	got, err := kit.TryDecryptValues(wide)
+	if err != nil {
+		t.Fatalf("a ciphertext wider than its level: %v", err)
+	}
+	for i, v := range in {
+		if cmplx.Abs(got[i]-v) > 1e-6 {
+			t.Errorf("wide slot %d = %v, want %v", i, got[i], v)
 		}
 	}
 }
