@@ -49,6 +49,7 @@ func TestBootstrapperDeterministic(t *testing.T) {
 	// index out of range inside a worker.
 	above := NewCiphertext(params, bootA.raise+1)
 	above.Scale = params.Scale
+	above.C0.IsNTT, above.C1.IsNTT = true, true // the zero ciphertext, a valid operand
 	if _, err := bootA.Evaluator().TryMulRelinInto(nil, above, above); !errors.Is(err, ErrKeyMissing) {
 		t.Errorf("MulRelin at level %d on keys cut at %d: %v, want ErrKeyMissing", above.Level, bootA.raise, err)
 	}

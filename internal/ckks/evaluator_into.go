@@ -54,16 +54,15 @@ func aliases(a, b *ring.Poly) bool {
 }
 
 // limbwise runs one per-limb stage over both components of the operands cut
-// to the run level; the result lies in the domain the first operand lies in.
+// to the run level. The validators admit NTT-domain operands only, so the
+// result is in the NTT domain too.
 func (c *opCall) limbwise(stage func(*opCall, int), scale float64) {
 	reshapeCt(c.out, c.level)
 	ring.Run(c.ev.pool, c.level+1, c, stage)
-	c.out.C0.IsNTT, c.out.C1.IsNTT = c.x.C0.IsNTT, c.x.C1.IsNTT
+	c.out.C0.IsNTT, c.out.C1.IsNTT = true, true
 	c.out.Scale = scale
 }
 
-// The additive ops are linear over the coefficients and over the NTT points
-// alike, so their stages run in whichever domain the operands share.
 func kernAdd(c *opCall)      { c.limbwise((*opCall).addLimb, c.x.Scale) }
 func kernSub(c *opCall)      { c.limbwise((*opCall).subLimb, c.x.Scale) }
 func kernNeg(c *opCall)      { c.limbwise((*opCall).negLimb, c.x.Scale) }
@@ -116,7 +115,7 @@ func addRows(mod numeric.Modulus, o, a, b []uint64) {
 
 // kernMulPlain is PMult: the ring's elementwise Montgomery product of each
 // ciphertext row with the plaintext row, the kernel ring.MulCoeffwise runs.
-func kernMulPlain(c *opCall) { c.pointwise((*opCall).mulPlainLimb, c.x.Scale*c.pt.Scale) }
+func kernMulPlain(c *opCall) { c.limbwise((*opCall).mulPlainLimb, c.x.Scale*c.pt.Scale) }
 
 func (c *opCall) mulPlainLimb(i int) {
 	mod, p := c.ev.params.RingQ.Moduli[i], c.pt.Value.Coeffs[i]
@@ -124,21 +123,14 @@ func (c *opCall) mulPlainLimb(i int) {
 	mod.VecMontMul(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], p)
 }
 
-// pointwise is the kernel of PMult and the scalar ops: one per-limb stage
-// over NTT-domain operands, where a constant polynomial c is the constant
-// vector c and X^{N/2} a vector of two values. Residues stay canonical, so
-// each pass is bit-identical to the op it stands for on the encoded constant.
-func (c *opCall) pointwise(stage func(*opCall, int), scale float64) {
-	if !c.x.C0.IsNTT || !c.x.C1.IsNTT || c.d.binary && !(c.y.C0.IsNTT && c.y.C1.IsNTT) || c.d.plain && !c.pt.Value.IsNTT {
-		panic("ckks: " + c.d.name + ": operands must be in NTT domain")
-	}
-	c.limbwise(stage, scale)
-}
-
-func kernMulScalar(c *opCall) { c.pointwise((*opCall).mulScalarLimb, c.x.Scale*c.s.scale) }
-func kernMacScalar(c *opCall) { c.pointwise((*opCall).macScalarLimb, c.x.Scale) }
-func kernAddScalar(c *opCall) { c.pointwise((*opCall).addScalarLimb, c.x.Scale) }
-func kernMulByI(c *opCall)    { c.pointwise((*opCall).mulByILimb, c.x.Scale) }
+// The scalar ops are pointwise over the NTT points, where a constant
+// polynomial c is the constant vector c and X^{N/2} a vector of two values.
+// Residues stay canonical, so each pass is bit-identical to the op it stands
+// for on the encoded constant.
+func kernMulScalar(c *opCall) { c.limbwise((*opCall).mulScalarLimb, c.x.Scale*c.s.scale) }
+func kernMacScalar(c *opCall) { c.limbwise((*opCall).macScalarLimb, c.x.Scale) }
+func kernAddScalar(c *opCall) { c.limbwise((*opCall).addScalarLimb, c.x.Scale) }
+func kernMulByI(c *opCall)    { c.limbwise((*opCall).mulByILimb, c.x.Scale) }
 
 // mulScalarLimb is out = s·x.
 func (c *opCall) mulScalarLimb(i int) {

@@ -20,10 +20,11 @@ import (
 //     modulus headroom), then the destination: validated — aliasing included —
 //     when the caller passed one, allocated at the result level when not;
 //  3. the attempt, inside the recovery boundary: re-verification of sealed
-//     inputs, the kernel, the redundant-limb spot-check, then the sweep
-//     that returns whatever arena scratch the kernel still holds, however
-//     it ended. With a RecoveryPolicy installed attempts run into arena
-//     scratch and are re-executed on ErrIntegrity (recovery.go);
+//     inputs (an operand passed twice is read once), the kernel, the
+//     redundant-limb spot-check, then the sweep that returns whatever arena
+//     scratch the kernel still holds, however it ended. With a
+//     RecoveryPolicy installed attempts run into arena scratch and are
+//     re-executed on ErrIntegrity (recovery.go);
 //  4. the output seal;
 //  5. the op's one event, for either outcome, retries included (observer.go);
 //     the transform's kernel reports its phases and giant-step groups instead.
@@ -211,7 +212,8 @@ func (c *opCall) attempt(dst *Ciphertext) (err error) {
 		if err := ev.verifySealed(d.name, c.a); err != nil {
 			return err
 		}
-		if d.binary {
+		// An operand passed twice (a squaring, a doubling) is one read.
+		if d.binary && c.b != c.a {
 			if err := ev.verifySealed(d.name, c.b); err != nil {
 				return err
 			}

@@ -13,13 +13,17 @@ import (
 // on the table. Three mechanisms, all opt-in (EnableGuards) and all free
 // when off — the hot paths pay one nil pointer compare:
 //
-//   - Residue checksums: SealIntegrity records a sum-mod-q checksum per limb
-//     of each ciphertext polynomial; every operation re-verifies its
-//     sealed inputs at the operator boundary (modeling the read-back from
-//     HBM, which is also where the fault injector's SiteHBM hook fires) and
-//     seals its output. A single-bit flip anywhere in a sealed limb is
-//     detected with certainty: the flip changes the word by ±2^b and 2^b is
-//     never ≡ 0 mod an odd prime q.
+//   - Residue checksums: SealIntegrity records a checksum per limb of each
+//     ciphertext polynomial — the limb's raw words summed in 128 bits and
+//     reduced once per limb (fault.Checksum). A sum mod q does not depend on
+//     when it is reduced, so that is the sum of the reduced words mod q, and
+//     every detection property below holds for it. Every operation
+//     re-verifies its sealed inputs at the operator boundary (modeling the
+//     read-back from HBM, which is also where the fault injector's SiteHBM
+//     hook fires; an operand passed twice is read once) and seals its
+//     output. A single-bit flip anywhere in a sealed limb is detected with
+//     certainty: the flip changes the word by ±2^b and 2^b is never ≡ 0 mod
+//     an odd prime q.
 //   - Modulus-headroom guard (guardHeadroom): flags a product scale the
 //     active chain product no longer holds as ErrLevelExhausted before
 //     results silently degrade. It checks scale against modulus, not noise

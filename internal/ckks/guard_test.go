@@ -138,6 +138,15 @@ func opErrorOf(f func() error) (oe *OpError) {
 	return oe
 }
 
+// coeffDomain returns a copy of ct with its polys moved out of the NTT
+// domain: well-formed rows no evaluator op may accept.
+func coeffDomain(params *Parameters, ct *Ciphertext) *Ciphertext {
+	ct = ct.CopyNew()
+	params.RingQ.INTT(ct.C0)
+	params.RingQ.INTT(ct.C1)
+	return ct
+}
+
 // TestTrySentinels is one table over the op list: for every op × every misuse
 // that applies to it, every surface the op has must deliver the *same*
 // *OpError — same sentinel (errors.Is), same Op, same Level — the Try forms
@@ -180,6 +189,13 @@ func TestTrySentinels(t *testing.T) {
 		}},
 		{"mismatched limb counts", ErrInvalidInput, "", false, func(c *sentinelCase) {
 			c.a = &Ciphertext{C0: c.a.C0, C1: prefix(c.a.C1, top), Scale: c.a.Scale, Level: top}
+		}},
+		{"coefficient-domain operand", ErrInvalidInput, "", false, func(c *sentinelCase) { c.a = coeffDomain(params, c.a) }},
+		{"coefficient-domain second operand", ErrInvalidInput, "Add Sub MulRelin", false, func(c *sentinelCase) { c.b = coeffDomain(params, c.b) }},
+		{"coefficient-domain plaintext", ErrInvalidInput, "AddPlain MulPlain", false, func(c *sentinelCase) {
+			v := c.pt.Value.CopyNew()
+			params.RingQ.INTT(v)
+			c.pt = &Plaintext{Value: v, Scale: c.pt.Scale, Level: c.pt.Level}
 		}},
 		{"short-row second operand", ErrInvalidInput, "Add Sub MulRelin", false, func(c *sentinelCase) {
 			c.b = &Ciphertext{C0: shortRows(c.b.C0), C1: c.b.C1, Scale: c.b.Scale, Level: top}
@@ -513,6 +529,67 @@ func TestInjectedHBMFaultDetected(t *testing.T) {
 	got, trials := faultCampaign(t, fault.SiteHBM, fault.BitFlip, fault.MultiBitFlip, fault.StuckLane)
 	if got[0] != trials || got[1] == 0 || got[2] == 0 {
 		t.Fatalf("HBM detections %v of %d: want every single-bit flip and some of each other class", got, trials)
+	}
+}
+
+// An operand passed twice — a squaring MulRelin(ct, ct), a doubling
+// Add(ct, ct) — is read back and verified once: the op visits SiteHBM for one
+// ciphertext, 2·(level+1) limbs, where two distinct operands make
+// 4·(level+1). The one read still guards the operand: a single-bit flip at
+// any of its visits is ErrIntegrity.
+func TestSharedOperandVerifiedOnce(t *testing.T) {
+	gc := newGuardContext(t) // one worker
+	ev := gc.ev
+	ev.EnableGuards(6)
+	level := gc.params.MaxLevel()
+	a, b, _ := gc.inputs(t, 6, level)
+	ev.SealIntegrity(a)
+	ev.SealIntegrity(b)
+
+	in := fault.NewInjector(7)
+	gc.params.RingQ.SetFaultInjector(in)
+	defer gc.params.RingQ.SetFaultInjector(nil)
+
+	perCt := uint64(2 * (level + 1))
+	ops := []struct {
+		name string
+		run  func() error
+		want uint64
+	}{
+		{"MulRelin(a, a)", func() error { _, err := ev.TryMulRelinInto(nil, a, a); return err }, perCt},
+		{"Add(a, a)", func() error { _, err := ev.TryAddInto(nil, a, a); return err }, perCt},
+		{"MulRelin(a, b)", func() error { _, err := ev.TryMulRelinInto(nil, a, b); return err }, 2 * perCt},
+		{"Add(a, b)", func() error { _, err := ev.TryAddInto(nil, a, b); return err }, 2 * perCt},
+	}
+	for _, op := range ops {
+		in.ResetVisits()
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: clean pass: %v", op.name, err)
+		}
+		if got := in.Stats().VisitsAt(fault.SiteHBM); got != op.want {
+			t.Errorf("%s: %d HBM read-back visits, want %d", op.name, got, op.want)
+		}
+	}
+	for _, op := range ops[:2] {
+		for v := uint64(0); v < perCt; v++ {
+			in.ResetVisits()
+			in.ArmAt(fault.SiteHBM, fault.BitFlip, v)
+			if err := op.run(); !errors.Is(err, ErrIntegrity) {
+				t.Fatalf("%s, flip at visit %d: %v, want ErrIntegrity", op.name, v, err)
+			}
+			// Undo the flip; the seal holds again. Visits alternate C0, C1
+			// per limb.
+			inj := in.Injections()
+			last := inj[len(inj)-1]
+			poly := a.C0
+			if last.Visit%2 == 1 {
+				poly = a.C1
+			}
+			poly.Coeffs[last.Limb][last.Coeff] ^= 1 << uint(last.Bit)
+		}
+	}
+	if err := ev.VerifyIntegrity(a); err != nil {
+		t.Fatalf("repaired operand: %v", err)
 	}
 }
 

@@ -189,7 +189,8 @@ func TestHoistedLevelAfterRelease(t *testing.T) {
 }
 
 // TryHoist/TryRotate carry the Try* error contract: missing keys are
-// ErrKeyMissing, a released handle is ErrInvalidInput, and valid inputs
+// ErrKeyMissing, a nil or coefficient-domain operand and a released handle
+// are ErrInvalidInput, and valid inputs
 // round-trip. Releasing twice is safe, and releasing must return every
 // borrowed buffer to the arena and free lists.
 func TestHoistedHandleTryAndRelease(t *testing.T) {
@@ -202,6 +203,9 @@ func TestHoistedHandleTryAndRelease(t *testing.T) {
 
 	if _, err := ev.TryHoist(nil); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("TryHoist(nil) = %v, want ErrInvalidInput", err)
+	}
+	if _, err := ev.TryHoist(coeffDomain(tc.params, ct)); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("TryHoist(coefficient domain) = %v, want ErrInvalidInput", err)
 	}
 	evNoKeys := NewEvaluator(tc.params, tc.rlk, nil)
 	if _, err := evNoKeys.TryHoist(ct); !errors.Is(err, ErrKeyMissing) {

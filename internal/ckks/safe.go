@@ -38,7 +38,8 @@ func (p *Parameters) validRows(op, what string, level int, rows [][]uint64, limb
 }
 
 // validIn checks a ciphertext operand for structural sanity: non-nil, level
-// within the modulus chain, enough limbs for its level, rows of length N —
+// within the modulus chain, both polynomials in the NTT domain (every kernel
+// computes on evaluations), enough limbs for its level, rows of length N —
 // the one check the evaluator and the decryptor share.
 func (p *Parameters) validIn(op string, ct *Ciphertext) error {
 	if ct == nil || ct.C0 == nil || ct.C1 == nil {
@@ -47,10 +48,21 @@ func (p *Parameters) validIn(op string, ct *Ciphertext) error {
 	if ct.Level < 0 || ct.Level > p.MaxLevel() {
 		return opErr(op, ct.Level, ErrInvalidInput, "level %d outside [0, %d]", ct.Level, p.MaxLevel())
 	}
+	if !ct.C0.IsNTT || !ct.C1.IsNTT {
+		return opErr(op, ct.Level, ErrInvalidInput, "ciphertext is not in the NTT domain")
+	}
 	if err := p.validRows(op, "polynomial", ct.Level, ct.C0.Coeffs, ct.Level+1); err != nil {
 		return err
 	}
 	return p.validRows(op, "polynomial", ct.Level, ct.C1.Coeffs, ct.Level+1)
+}
+
+// CheckCiphertext reports whether ct is an operand this parameter set's
+// evaluator accepts: validIn, the structural check every op runs first, as
+// an *OpError wrapping ErrInvalidInput. A server checks the ciphertexts it
+// parses from untrusted bytes with it before sealing or queueing them.
+func (p *Parameters) CheckCiphertext(ct *Ciphertext) error {
+	return p.validIn("CheckCiphertext", ct)
 }
 
 // mustValidIn is validIn at a panicking surface: an invalid ct panics with
@@ -68,6 +80,9 @@ func (ev *Evaluator) validPt(op string, pt *Plaintext) error {
 	}
 	if pt.Level < 0 || pt.Level > ev.params.MaxLevel() {
 		return opErr(op, pt.Level, ErrInvalidInput, "plaintext level %d outside [0, %d]", pt.Level, ev.params.MaxLevel())
+	}
+	if !pt.Value.IsNTT {
+		return opErr(op, pt.Level, ErrInvalidInput, "plaintext is not in the NTT domain")
 	}
 	return ev.params.validRows(op, "plaintext", pt.Level, pt.Value.Coeffs, pt.Level+1)
 }
@@ -98,7 +113,7 @@ func (ev *Evaluator) validDest(op string, out *Ciphertext, level int) error {
 // kind, so Neg is not observed; the transform reports from its kernel, per
 // phase and per giant-step group (double_hoist.go). The scalar ops are PMult
 // and HAddPlain by a real constant with no polynomial built or transformed
-// (see opCall.pointwise).
+// (see kernMulScalar).
 var (
 	opAdd       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernAdd, spot: spotAdd}
 	opSub       = opDesc{name: "HAdd", observe: true, binary: true, pre: preSameScale, kernel: kernSub, spot: spotSub}

@@ -91,8 +91,9 @@ func TestPanickingSurfacesValidateFirst(t *testing.T) {
 }
 
 // TestTryInnerSumWidth: a power-of-two width in [1, Slots] sums that many
-// slots; any other width is ErrInvalidInput before a rotation runs (width 3
-// would otherwise rotate by 1 and 2 and sum four slots).
+// slots; any other width, or a coefficient-domain operand, is
+// ErrInvalidInput before a rotation runs (width 3 would otherwise rotate by 1
+// and 2 and sum four slots).
 func TestTryInnerSumWidth(t *testing.T) {
 	tc := newTestContext(t)
 	ev := NewEvaluator(tc.params, nil, tc.kgen.GenRotationKeys(tc.sk, []int{1, 2}, false))
@@ -104,6 +105,9 @@ func TestTryInnerSumWidth(t *testing.T) {
 		if _, err := ev.TryInnerSum(ct, width); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("width %d: %v, want ErrInvalidInput", width, err)
 		}
+	}
+	if _, err := ev.TryInnerSum(coeffDomain(tc.params, ct), 4); !errors.Is(err, ErrInvalidInput) {
+		t.Errorf("coefficient-domain operand: %v, want ErrInvalidInput", err)
 	}
 	for _, width := range []int{1, 4} {
 		sum, err := ev.TryInnerSum(ct, width)

@@ -27,6 +27,7 @@ package fault
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -441,14 +442,40 @@ func (in *Injector) corrupt(class Class, c []uint64, h *healRecord) Injection {
 	return rec
 }
 
-// Checksum returns the sum-mod-q residue checksum of one limb. Values are
-// Barrett-reduced before summing, so the checksum is well defined even for
-// corrupted words ≥ q, and any single-bit flip changes it: the flip alters
-// the word by ±2^b, and 2^b mod q is never zero for an odd prime q.
+// Checksum returns the residue checksum of one limb: the sum of its words
+// mod q. The raw words are summed in 128 bits and the total is reduced once,
+// by ReduceWide, which is exact for any 128-bit value. A sum mod q does not
+// depend on when it is reduced, so the value is Σ (v mod q) mod q for every
+// input, words ≥ q included: the checksum is defined for corrupted words, and
+// any single-bit flip changes it — the flip alters the word by ±2^b, and 2^b
+// mod q is never zero for an odd prime q.
 func Checksum(mod numeric.Modulus, c []uint64) uint64 {
-	var s uint64
-	for _, v := range c {
-		s = mod.Add(s, mod.Reduce(v))
+	return mod.ReduceWide(wideSum(c))
+}
+
+// wideSum returns the 128-bit sum of c, kept in four independent
+// accumulators — a 64-bit sum and a count of its carries each — so the adds
+// of one round do not wait on each other. It is apart from Checksum so the
+// loop's registers hold the accumulators, not the modulus.
+func wideSum(c []uint64) (hi, lo uint64) {
+	var s0, s1, s2, s3, k0, k1, k2, k3, cy uint64
+	n := len(c) &^ 3
+	for j := 3; j < n; j += 4 {
+		s0, cy = bits.Add64(s0, c[j-3], 0)
+		k0 += cy
+		s1, cy = bits.Add64(s1, c[j-2], 0)
+		k1 += cy
+		s2, cy = bits.Add64(s2, c[j-1], 0)
+		k2 += cy
+		s3, cy = bits.Add64(s3, c[j], 0)
+		k3 += cy
 	}
-	return s
+	for _, v := range c[n:] {
+		s0, cy = bits.Add64(s0, v, 0)
+		k0 += cy
+	}
+	lo, c1 := bits.Add64(s0, s1, 0)
+	lo, c2 := bits.Add64(lo, s2, 0)
+	lo, c3 := bits.Add64(lo, s3, 0)
+	return k0 + k1 + k2 + k3 + c1 + c2 + c3, lo
 }

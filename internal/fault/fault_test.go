@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -136,20 +139,42 @@ func TestChecksumDetectsEverySingleBitFlip(t *testing.T) {
 	}
 }
 
-// Checksum is the sum of a limb's words mod q, whatever the words: math/big,
-// which shares no code with numeric.Modulus, referees it on edge words (0,
-// 1, q−1, q and words above q up to 2^64−1) and on full N = 8192 rows at the
-// prime widths production runs.
+// bigSum is the checksum's referee: the sum of c mod q in math/big, which
+// shares no code with numeric.Modulus.
+func bigSum(q uint64, c []uint64) uint64 {
+	s := new(big.Int)
+	for _, v := range c {
+		s.Add(s, new(big.Int).SetUint64(v))
+	}
+	return s.Mod(s, new(big.Int).SetUint64(q)).Uint64()
+}
+
+// checksumReduceEach is the checksum body Checksum replaced: every word
+// reduced and added mod q. It stays here as BenchmarkChecksum's reference.
+func checksumReduceEach(mod numeric.Modulus, c []uint64) uint64 {
+	var s uint64
+	for _, v := range c {
+		s = mod.Add(s, mod.Reduce(v))
+	}
+	return s
+}
+
+// Checksum is the sum of a limb's words mod q, whatever the words: math/big
+// referees it on edge words (0, 1, q−1, q and words above q up to 2^64−1),
+// on every length 0–7 (the tails of the four-way unrolled loop), on full
+// N = 8192 rows at the prime widths production runs and at the widest
+// modulus numeric allows, and on an N = 2^16 row of 2^64−1 words — the
+// largest carry count a ring of this repo can produce.
 func TestChecksumMatchesBigSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	row := func(f func() uint64) []uint64 {
-		c := make([]uint64, 8192)
+	row := func(n int, f func() uint64) []uint64 {
+		c := make([]uint64, n)
 		for j := range c {
 			c[j] = f()
 		}
 		return c
 	}
-	for _, bits := range []int{45, 55, 58} {
+	for _, bits := range []int{45, 55, 58, numeric.MaxModulusBits} {
 		ps, err := numeric.GenerateNTTPrimes(bits, 13, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -158,19 +183,84 @@ func TestChecksumMatchesBigSum(t *testing.T) {
 		q := mod.Q
 		rows := map[string][]uint64{
 			"edges":    {0, 1, q - 1, q, q + 1, 2*q - 1, 2 * q, math.MaxUint64 - 1, math.MaxUint64},
-			"residues": row(func() uint64 { return rng.Uint64() % q }),
-			"words":    row(rng.Uint64),
-			"q-1":      row(func() uint64 { return q - 1 }),
-			"2^64-1":   row(func() uint64 { return math.MaxUint64 }),
+			"residues": row(8192, func() uint64 { return rng.Uint64() % q }),
+			"words":    row(8192, rng.Uint64),
+			"q-1":      row(8192, func() uint64 { return q - 1 }),
+			"2^64-1":   row(8192, func() uint64 { return math.MaxUint64 }),
+		}
+		for n := 0; n < 8; n++ {
+			rows[fmt.Sprintf("len%d", n)] = row(n, rng.Uint64)
+			rows[fmt.Sprintf("len%d/2^64-1", n)] = row(n, func() uint64 { return math.MaxUint64 })
+		}
+		if bits == numeric.MaxModulusBits {
+			rows["N=2^16/2^64-1"] = row(1<<16, func() uint64 { return math.MaxUint64 })
 		}
 		for name, c := range rows {
-			want := new(big.Int)
-			for _, v := range c {
-				want.Add(want, new(big.Int).SetUint64(v))
+			if got, want := Checksum(mod, c), bigSum(q, c); got != want {
+				t.Errorf("%d-bit q, %s: Checksum = %d, math/big sum = %d", bits, name, got, want)
 			}
-			want.Mod(want, new(big.Int).SetUint64(q))
-			if got := Checksum(mod, c); got != want.Uint64() {
-				t.Errorf("%d-bit q, %s: Checksum = %d, math/big sum = %d", bits, name, got, want.Uint64())
+		}
+	}
+}
+
+// FuzzChecksum referees Checksum against math/big on fuzzed words (the
+// input's bytes, eight to a word) and a fuzzed prime width.
+func FuzzChecksum(f *testing.F) {
+	f.Add([]byte(nil), uint8(0))
+	f.Add(bytes.Repeat([]byte{0xff}, 8*13), uint8(57))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(41))
+	mods := map[int]numeric.Modulus{}
+	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+		bits := 4 + int(width)%(numeric.MaxModulusBits-3) // [4, MaxModulusBits]
+		mod, ok := mods[bits]
+		if !ok {
+			ps, err := numeric.GenerateNTTPrimes(bits, 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod = numeric.NewModulus(ps[0])
+			mods[bits] = mod
+		}
+		c := make([]uint64, len(data)/8)
+		for j := range c {
+			c[j] = binary.LittleEndian.Uint64(data[8*j:])
+		}
+		if got, want := Checksum(mod, c), bigSum(mod.Q, c); got != want {
+			t.Fatalf("q = %d, %d words: Checksum = %d, math/big sum = %d", mod.Q, len(c), got, want)
+		}
+	})
+}
+
+// BenchmarkChecksum times Checksum beside the reduce-every-word body it
+// replaced, in ns a coefficient, at two ring sizes and two prime widths on
+// rows of residues (what a sealed limb holds).
+func BenchmarkChecksum(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	for _, bits := range []int{45, 58} {
+		ps, err := numeric.GenerateNTTPrimes(bits, 13, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		mod := numeric.NewModulus(ps[0])
+		for _, n := range []int{2048, 8192} {
+			c := make([]uint64, n)
+			for j := range c {
+				c[j] = rng.Uint64() % mod.Q
+			}
+			for _, body := range []struct {
+				name string
+				fn   func(numeric.Modulus, []uint64) uint64
+			}{{"carry-save", Checksum}, {"reduce-each", checksumReduceEach}} {
+				b.Run(fmt.Sprintf("%s/N=%d/q=%dbit", body.name, n, bits), func(b *testing.B) {
+					var sink uint64
+					for i := 0; i < b.N; i++ {
+						sink += body.fn(mod, c)
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/coeff")
+					if sink == 1 {
+						b.Log(sink) // keeps the result live
+					}
+				})
 			}
 		}
 	}

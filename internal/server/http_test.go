@@ -158,6 +158,11 @@ func TestHTTPStatusMapping(t *testing.T) {
 	if resp := post(corrupt); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupt ciphertext: HTTP %d, want 400", resp.StatusCode)
 	}
+	// Valid envelope, a ciphertext outside the NTT domain (header NTT word
+	// 0) → 400: it decodes, but no evaluator op accepts it.
+	if resp := post(EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpAdd, Ct: ctBytes, Ct2: coeffDomainBytes(t, params, ctBytes)})); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("coefficient-domain ciphertext: HTTP %d, want 400", resp.StatusCode)
+	}
 	// Rotation with no key for the step → 422 (evaluation failure).
 	noKey := EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpRotate, Steps: 7, Ct: ctBytes})
 	if resp := post(noKey); resp.StatusCode != http.StatusUnprocessableEntity {

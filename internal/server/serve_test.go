@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"poseidon/internal/ckks"
@@ -172,4 +175,105 @@ func expected(op Op, a, b []complex128, steps, width int) []complex128 {
 		}
 	}
 	return out
+}
+
+// coeffDomainBytes re-encodes a serialized ciphertext with its polys moved
+// out of the NTT domain: well-formed bytes the evaluator must refuse.
+func coeffDomainBytes(t testing.TB, params *ckks.Parameters, b []byte) []byte {
+	t.Helper()
+	ct := new(ckks.Ciphertext)
+	if err := ct.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	params.RingQ.INTT(ct.C0)
+	params.RingQ.INTT(ct.C1)
+	out, err := ct.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A two-operand request whose Ct2 bytes equal its Ct (a squaring, a
+// doubling) is parsed and sealed once — the job's two operands are one
+// ciphertext — and answers bit-identically to the evaluator on two
+// separately parsed copies of the bytes. A request whose operands differ
+// still parses two ciphertexts and seals both: a bit flipped in the second
+// while the job waits for its lane is ErrIntegrity. Either operand outside
+// the NTT domain is a bad request, refused before it is sealed.
+func TestSharedOperandParsedOnce(t *testing.T) {
+	params := newServeParams(t, 1)
+	srv, err := NewEvalServer(Config{Params: params, GuardSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	tt := newTestTenant(t, params, "alice", 31, nil, false)
+	tt.upload(t, srv)
+	rlk := new(ckks.RelinearizationKey)
+	if err := rlk.UnmarshalBinary(tt.rlkBytes); err != nil {
+		t.Fatal(err)
+	}
+	ref := ckks.NewEvaluator(params, rlk, nil)
+
+	var shared atomic.Bool
+	srv.sched.testExec = func(j *job) error {
+		shared.Store(j.ct2 == j.ct)
+		return nil
+	}
+	rng := rand.New(rand.NewSource(32))
+	ctBytes := tt.encryptBytes(t, randomVec(rng, params.Slots))
+	for _, op := range []Op{OpMulRelin, OpAdd} {
+		got, _, err := srv.Eval(&EvalRequest{Tenant: "alice", Op: op, Ct: ctBytes, Ct2: ctBytes})
+		if err != nil {
+			t.Fatalf("%s(ct, ct): %v", op, err)
+		}
+		if !shared.Load() {
+			t.Errorf("%s(ct, ct): the repeated operand was parsed twice", op)
+		}
+		x, y := new(ckks.Ciphertext), new(ckks.Ciphertext)
+		if err := x.UnmarshalBinary(ctBytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := y.UnmarshalBinary(ctBytes); err != nil {
+			t.Fatal(err)
+		}
+		want := ref.Add(x, y)
+		if op == OpMulRelin {
+			want = ref.MulRelin(x, y)
+		}
+		gotBytes, _ := got.MarshalBinary()
+		wantBytes, _ := want.MarshalBinary()
+		if !bytes.Equal(gotBytes, wantBytes) {
+			t.Errorf("%s(ct, ct): answer differs from the evaluator on two parsed copies", op)
+		}
+	}
+
+	other := tt.encryptBytes(t, randomVec(rng, params.Slots))
+	var flipped atomic.Bool
+	srv.sched.testExec = func(j *job) error {
+		shared.Store(j.ct2 == j.ct)
+		if !flipped.Swap(true) {
+			j.ct2.C1.Coeffs[0][0] ^= 1
+		}
+		return nil
+	}
+	if _, _, err := srv.Eval(&EvalRequest{Tenant: "alice", Op: OpMulRelin, Ct: ctBytes, Ct2: other}); !errors.Is(err, ckks.ErrIntegrity) {
+		t.Errorf("second operand corrupted after ingest: %v, want ErrIntegrity (a sealed second operand)", err)
+	}
+	if shared.Load() {
+		t.Error("distinct operands were parsed as one ciphertext")
+	}
+
+	srv.sched.testExec = nil
+	coeff := coeffDomainBytes(t, params, ctBytes)
+	for _, req := range []*EvalRequest{
+		{Tenant: "alice", Op: OpNegate, Ct: coeff},
+		{Tenant: "alice", Op: OpAdd, Ct: coeff, Ct2: coeff},
+		{Tenant: "alice", Op: OpAdd, Ct: ctBytes, Ct2: coeff},
+	} {
+		if _, _, err := srv.Eval(req); !errors.Is(err, ErrBadRequest) || !errors.Is(err, ckks.ErrInvalidInput) {
+			t.Errorf("%s with a coefficient-domain operand: %v, want ErrBadRequest wrapping ErrInvalidInput", req.Op, err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -290,21 +291,19 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		trace: rt,
 		done:  make(chan jobResult, 1),
 	}
-	j.ct = new(ckks.Ciphertext)
-	if err := j.ct.UnmarshalBinary(req.Ct); err != nil {
+	j.ct, err = s.parseOperand("ciphertext", req.Ct)
+	if err == nil && req.Op.twoOperand() {
+		// An operand passed twice (a squaring, a doubling) is parsed and
+		// sealed once, and exec then verifies it once.
+		j.ct2 = j.ct
+		if !bytes.Equal(req.Ct2, req.Ct) {
+			j.ct2, err = s.parseOperand("second ciphertext", req.Ct2)
+		}
+	}
+	if err != nil {
 		s.badRequests.Add(1)
-		err = fmt.Errorf("%w: ciphertext: %w", ErrBadRequest, err)
 		rt.StageErr(err)
 		return nil, 0, err
-	}
-	if req.Op.twoOperand() {
-		j.ct2 = new(ckks.Ciphertext)
-		if err := j.ct2.UnmarshalBinary(req.Ct2); err != nil {
-			s.badRequests.Add(1)
-			err = fmt.Errorf("%w: second ciphertext: %w", ErrBadRequest, err)
-			rt.StageErr(err)
-			return nil, 0, err
-		}
 	}
 	if ev := entry.evaluator(0); ev.GuardsEnabled() { // guards are shared by every view
 		// Seal inputs at ingest so faults corrupting request operands while
@@ -312,7 +311,7 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		// are caught at the operator's input boundary — and so a scheduler
 		// retry re-verifies the operands it re-executes from.
 		ev.SealIntegrity(j.ct)
-		if j.ct2 != nil {
+		if j.ct2 != nil && j.ct2 != j.ct {
 			ev.SealIntegrity(j.ct2)
 		}
 	}
@@ -345,6 +344,21 @@ func (s *EvalServer) EvalCtx(ctx context.Context, req *EvalRequest) (ct *ckks.Ci
 		s.requests.Add(1)
 		return nil, 0, fmt.Errorf("server: request deadline: %w", ctx.Err())
 	}
+}
+
+// parseOperand decodes one request ciphertext and checks it against the
+// server's parameter set; bytes that do not decode, or decode to a
+// ciphertext the evaluator would refuse, are a bad request.
+func (s *EvalServer) parseOperand(what string, b []byte) (*ckks.Ciphertext, error) {
+	ct := new(ckks.Ciphertext)
+	err := ct.UnmarshalBinary(b)
+	if err == nil {
+		err = s.params.CheckCiphertext(ct)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s: %w", ErrBadRequest, what, err)
+	}
+	return ct, nil
 }
 
 // validateEval checks the request fields the wire decoder cannot: opcode

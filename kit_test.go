@@ -236,7 +236,9 @@ func TestFloatsBecomeResiduesChecked(t *testing.T) {
 }
 
 // Decryption validates a ciphertext with the evaluator's own check: a nil
-// one, a level outside the chain or above the limbs, or a short C1 is the
+// one, a level outside the chain or above the limbs, polys outside the NTT
+// domain (what UnmarshalBinary builds from a header NTT word of 0), or a
+// short C1 is the
 // ErrInvalidInput *OpError the evaluator reports (TryDecryptValues returns
 // it, Decrypt panics with it), and a ciphertext wider than its level
 // decrypts as the one cut to it.
@@ -258,6 +260,11 @@ func TestDecryptValidatesLikeEvaluator(t *testing.T) {
 		{"negative level", with(ct, func(c *Ciphertext) { c.Level = -1 })},
 		{"level above the chain", with(ct, func(c *Ciphertext) { c.Level = kit.Params.MaxLevel() + 1 })},
 		{"level above the limbs", with(low, func(c *Ciphertext) { c.Level = low.Level + 1 })},
+		{"coefficient domain", with(ct, func(c *Ciphertext) {
+			c.C0, c.C1 = ct.C0.CopyNew(), ct.C1.CopyNew()
+			kit.Params.RingQ.INTT(c.C0)
+			kit.Params.RingQ.INTT(c.C1)
+		})},
 		{"short C1", with(ct, func(c *Ciphertext) {
 			c1 := *ct.C1
 			c1.Coeffs = c1.Coeffs[:ct.Level]
