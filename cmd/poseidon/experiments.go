@@ -42,7 +42,6 @@ func init() {
 	register("fig10", "fusion-degree sweep: resources and NTT time vs k", runFig10)
 	register("fig11", "lane-count sweep: time and EDP (ResNet-20)", runFig11)
 	register("fig12", "energy breakdown per benchmark", runFig12)
-	register("cpu", "measure this machine's single-thread CPU baseline", runCPU)
 }
 
 func runTable1(fs *flag.FlagSet, args []string) error {
@@ -534,29 +533,6 @@ func runFig12(fs *flag.FlagSet, args []string) error {
 		t.AddRow(tr.Name, total, b.HBM/total*100, b.MM/total*100, b.NTT/total*100,
 			b.MA/total*100, b.Auto/total*100, b.Static/total*100)
 	}
-	t.Write(os.Stdout)
-	return nil
-}
-
-func runCPU(fs *flag.FlagSet, args []string) error {
-	logN := fs.Int("logn", 13, "ring degree log2 (paper uses 16; 13 is faster)")
-	limbs := fs.Int("limbs", 12, "RNS limbs (paper uses 45)")
-	reps := fs.Int("reps", 5, "repetitions per operation")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "setting up keys for N=2^%d, %d limbs (this can take a while)...\n", *logN, *limbs)
-	meas, err := baseline.NewCPUMeasurement(*logN, *limbs, 45)
-	if err != nil {
-		return err
-	}
-	rows := meas.Measure(*reps)
-	t := report.New(fmt.Sprintf("CPU baseline (this machine, single thread, N=2^%d, %d limbs)", *logN, *limbs),
-		"operation", "ops/s", "ms/op")
-	for _, r := range rows {
-		t.AddRow(r.Op, r.OpsPerS, 1000/r.OpsPerS)
-	}
-	t.AddNote("compare shapes with the paper's CPU column (Xeon 6234, N=2^16, L=44)")
 	t.Write(os.Stdout)
 	return nil
 }

@@ -1,12 +1,14 @@
 // Command poseidon regenerates every table and figure of the paper's
 // evaluation from the models in this repository. Each subcommand maps to
-// one experiment; `all` runs everything.
+// one experiment; `all` runs everything. This machine's measured software
+// timings are bench/'s per-layer ledger, and a served request's trace is
+// exported by poseidond's /debug/requests?format=chrome.
 //
 // Usage:
 //
 //	poseidon <experiment> [flags]
 //
-// Experiments: table1 … table12, fig7 … fig12, cpu, tracereport, all
+// Experiments: table1 … table12, fig7 … fig12, all
 package main
 
 import (
@@ -37,9 +39,6 @@ func main() {
 	if name == "all" {
 		sort.Slice(experiments, func(i, j int) bool { return experiments[i].name < experiments[j].name })
 		for _, e := range experiments {
-			if e.name == "cpu" || e.name == "tracereport" {
-				continue // slow / needs an input dump; run explicitly
-			}
 			fs := flag.NewFlagSet(e.name, flag.ExitOnError)
 			if err := e.run(fs, nil); err != nil {
 				fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
@@ -71,5 +70,5 @@ func usage() {
 	for _, e := range sorted {
 		fmt.Fprintf(os.Stderr, "  %-10s %s\n", e.name, e.desc)
 	}
-	fmt.Fprintln(os.Stderr, "  all        run every experiment except cpu and tracereport")
+	fmt.Fprintln(os.Stderr, "  all        run every experiment")
 }

@@ -1,15 +1,11 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"poseidon/internal/tracing"
 )
 
 // dirState fingerprints the package directory (the tests' working
@@ -31,9 +27,9 @@ func dirState(t *testing.T) string {
 	return b.String()
 }
 
-// Every registered experiment (except the slow CPU measurement) must run
-// without error — the harness stays wired as the models evolve — and must
-// leave the source tree exactly as it found it.
+// Every registered experiment must run without error — the harness stays
+// wired as the models evolve — and must leave the source tree exactly as it
+// found it.
 func TestAllExperimentsRun(t *testing.T) {
 	// Silence the experiment output during the test.
 	old := os.Stdout
@@ -49,9 +45,6 @@ func TestAllExperimentsRun(t *testing.T) {
 
 	before := dirState(t)
 	for _, e := range experiments {
-		if e.name == "cpu" || e.name == "tracereport" {
-			continue // slow / needs an input dump; TestCPUExperimentSmall and TestTraceReportConverts run them
-		}
 		e := e
 		t.Run(e.name, func(t *testing.T) {
 			fs := flag.NewFlagSet(e.name, flag.ContinueOnError)
@@ -69,7 +62,7 @@ func TestExperimentRegistry(t *testing.T) {
 	want := []string{
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10", "table11", "table12",
-		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "cpu",
+		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
 	}
 	have := map[string]bool{}
 	for _, e := range experiments {
@@ -82,68 +75,5 @@ func TestExperimentRegistry(t *testing.T) {
 		if !have[name] {
 			t.Errorf("experiment %s not registered", name)
 		}
-	}
-}
-
-func TestCPUExperimentSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("CPU measurement is slow")
-	}
-	old := os.Stdout
-	devnull, _ := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	os.Stdout = devnull
-	defer func() {
-		os.Stdout = old
-		devnull.Close()
-	}()
-	fs := flag.NewFlagSet("cpu", flag.ContinueOnError)
-	for _, e := range experiments {
-		if e.name == "cpu" {
-			if err := e.run(fs, []string{"-logn", "9", "-limbs", "4", "-reps", "2"}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
-// tracereport must round-trip a flight-recorder dump into Chrome
-// trace_event JSON that a viewer can load.
-func TestTraceReportConverts(t *testing.T) {
-	rt := tracing.NewRequest(tracing.NewContext(), "unit")
-	rt.NextStage("work")
-	f := rt.Finish(200, nil)
-
-	dump, err := json.Marshal(map[string]any{"traces": []*tracing.Finished{f}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	in := filepath.Join(dir, "dump.json")
-	out := filepath.Join(dir, "chrome.json")
-	if err := os.WriteFile(in, dump, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs := flag.NewFlagSet("tracereport", flag.ContinueOnError)
-	if err := runTraceReport(fs, []string{"-in", in, "-o", out}); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chrome struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(blob, &chrome); err != nil {
-		t.Fatalf("output is not JSON: %v", err)
-	}
-	var slices int
-	for _, ev := range chrome.TraceEvents {
-		if ev["ph"] == "X" {
-			slices++
-		}
-	}
-	if slices != 2 {
-		t.Fatalf("got %d complete events, want root+work: %v", slices, chrome.TraceEvents)
 	}
 }

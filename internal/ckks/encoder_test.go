@@ -88,8 +88,9 @@ func TestDecodeMatchesDirectEvaluation(t *testing.T) {
 	poly := pt.Value.CopyNew()
 	p.RingQ.INTT(poly)
 	coeffs := make([]float64, p.N)
+	crt := p.RingQ.NewCRT(len(poly.Coeffs))
 	for j := 0; j < p.N; j++ {
-		coeffs[j] = bigToFloat(p.RingQ.ToBigCentered(poly, j))
+		coeffs[j] = bigToFloat(crt.Centered(poly, j))
 	}
 
 	// Direct evaluation at ζ^{5^i}.
@@ -199,9 +200,17 @@ func TestAutomorphismConjugates(t *testing.T) {
 	}
 }
 
+// setCentered writes the integer v into coefficient j of p, one residue a
+// limb.
+func setCentered(r *ring.Ring, p *ring.Poly, j int, v *big.Int) {
+	for i := range p.Coeffs {
+		p.Coeffs[i][j] = new(big.Int).Mod(v, new(big.Int).SetUint64(r.Moduli[i].Q)).Uint64()
+	}
+}
+
 // TestDecodeMatchesPerCoefficientCRT: Decode reconstructs every coefficient
 // from one set of CRT constants, and its output is bit for bit what the
-// per-coefficient ToBigCentered reference gives — on random residues, on
+// per-coefficient ring.CRT.Centered reference gives — on random residues, on
 // the centered range's edges (0, ±1, ±(Q−1)/2, ±((Q−1)/2 − 1)) and on the
 // all-zero and all-(q_i−1) polys, at several levels.
 func TestDecodeMatchesPerCoefficientCRT(t *testing.T) {
@@ -224,7 +233,7 @@ func TestDecodeMatchesPerCoefficientCRT(t *testing.T) {
 			for j := 0; j < params.N; j++ {
 				switch name {
 				case "edges":
-					rq.SetBigCentered(p, j, edges[j%len(edges)])
+					setCentered(rq, p, j, edges[j%len(edges)])
 				case "random":
 					for i, m := range rq.Moduli[:level+1] {
 						p.Coeffs[i][j] = rng.Uint64() % m.Q
@@ -241,8 +250,9 @@ func TestDecodeMatchesPerCoefficientCRT(t *testing.T) {
 		for name, p := range polys {
 			pt := &Plaintext{Value: p, Scale: params.Scale, Level: level}
 			want := make([]complex128, n)
+			crt := rq.NewCRT(len(p.Coeffs))
 			for j := range want {
-				want[j] = complex(bigToFloat(rq.ToBigCentered(p, j))/pt.Scale, bigToFloat(rq.ToBigCentered(p, j+n))/pt.Scale)
+				want[j] = complex(bigToFloat(crt.Centered(p, j))/pt.Scale, bigToFloat(crt.Centered(p, j+n))/pt.Scale)
 			}
 			enc.specialFFT(want)
 			got := enc.Decode(pt)

@@ -90,17 +90,6 @@ func (a *Arena) Stats() ArenaStats {
 	return a.stats
 }
 
-// FreeCount reports how many polys of the given limb count sit on the free
-// list (primarily for tests).
-func (a *Arena) FreeCount(limbs int) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if limbs < 1 || limbs > len(a.classes) {
-		return 0
-	}
-	return len(a.classes[limbs-1])
-}
-
 // GetDirty checks out a `limbs`-limb polynomial with unspecified contents
 // (poison-mode buffers come back filled with the sentinel). Use when every
 // coefficient is about to be overwritten; pair with Put.

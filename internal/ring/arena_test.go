@@ -32,11 +32,9 @@ func TestArenaSizeClasses(t *testing.T) {
 	a := NewArena(32, 4)
 	p2 := a.GetDirty(2)
 	a.Put(p2)
-	if a.FreeCount(2) != 1 || a.FreeCount(3) != 0 {
-		t.Fatal("free counts do not reflect size classes")
-	}
+	misses := a.Stats().Misses
 	p3 := a.GetDirty(3)
-	if &p3.Coeffs[0][0] == &p2.Coeffs[0][0] {
+	if &p3.Coeffs[0][0] == &p2.Coeffs[0][0] || a.Stats().Misses != misses+1 {
 		t.Fatal("3-limb request served from the 2-limb class")
 	}
 	// A poly resliced since its checkout returns to the class it was drawn
@@ -47,11 +45,16 @@ func TestArenaSizeClasses(t *testing.T) {
 	if inUse := a.Stats().BytesInUse; inUse != baseline {
 		t.Fatalf("BytesInUse %d after returning a dropped poly, baseline %d", inUse, baseline)
 	}
-	if a.FreeCount(3) != 1 || a.FreeCount(2) != 1 {
-		t.Fatalf("dropped poly should return to class 3, FreeCount(3)=%d FreeCount(2)=%d", a.FreeCount(3), a.FreeCount(2))
-	}
+	// Each class serves back the poly filed under it, with no miss.
+	misses = a.Stats().Misses
 	if q := a.GetDirty(3); len(q.Coeffs) != 3 || &q.Coeffs[0][0] != &p3.Coeffs[0][0] {
 		t.Fatal("3-limb request not served the returned 3-limb poly in full")
+	}
+	if q := a.GetDirty(2); &q.Coeffs[0][0] != &p2.Coeffs[0][0] {
+		t.Fatal("2-limb request not served the returned 2-limb poly")
+	}
+	if m := a.Stats().Misses; m != misses {
+		t.Fatalf("recycled draws missed %d times", m-misses)
 	}
 }
 

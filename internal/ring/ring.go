@@ -328,23 +328,3 @@ func (c *CRT) Centered(p *Poly, j int) *big.Int {
 	}
 	return acc
 }
-
-// ToBigCentered reconstructs coefficient j of p (coefficient domain) as a
-// centered big integer via the CRT over all of p's limbs.
-func (r *Ring) ToBigCentered(p *Poly, j int) *big.Int {
-	return r.NewCRT(len(p.Coeffs)).Centered(p, j)
-}
-
-// SetBigCentered writes big integer v into coefficient j of p across all
-// limbs.
-func (r *Ring) SetBigCentered(p *Poly, j int, v *big.Int) {
-	tmp := new(big.Int)
-	for i := range p.Coeffs {
-		qi := new(big.Int).SetUint64(r.Moduli[i].Q)
-		tmp.Mod(v, qi)
-		if tmp.Sign() < 0 {
-			tmp.Add(tmp, qi)
-		}
-		p.Coeffs[i][j] = tmp.Uint64()
-	}
-}

@@ -188,10 +188,13 @@ func TestBigCenteredRoundTrip(t *testing.T) {
 		big.NewInt(123456789), big.NewInt(-987654321),
 	}
 	for j, v := range vals {
-		r.SetBigCentered(p, j, v)
+		for i := range p.Coeffs {
+			p.Coeffs[i][j] = new(big.Int).Mod(v, new(big.Int).SetUint64(r.Moduli[i].Q)).Uint64()
+		}
 	}
+	crt := r.NewCRT(3)
 	for j, v := range vals {
-		if got := r.ToBigCentered(p, j); got.Cmp(v) != 0 {
+		if got := crt.Centered(p, j); got.Cmp(v) != 0 {
 			t.Errorf("coefficient %d: got %v want %v", j, got, v)
 		}
 	}

@@ -22,10 +22,10 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChromeTrace renders traces (e.g. a FlightRecorder snapshot or the
-// "traces" array of /debug/requests?format=json) as Chrome trace_event
-// JSON, loadable in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func WriteChromeTrace(w io.Writer, traces []*Finished) error {
+// writeChromeTrace renders the traces a /debug/requests?format=chrome
+// request selects as Chrome trace_event JSON, loadable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing.
+func writeChromeTrace(w io.Writer, traces []*Finished) error {
 	var base int64
 	for _, f := range traces {
 		if f == nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"html"
 	"net/http"
+	"net/url"
 	"sort"
 	"time"
 )
@@ -15,15 +16,16 @@ import (
 //	                 span tree per retained trace, newest first
 //	?format=json     {"stats": RecorderStats, "traces": [Finished...]}
 //	?format=chrome   Chrome trace_event JSON (pipe straight into Perfetto)
-//	?trace=<32 hex>  restrict to one trace ID
+//	?trace=<32 hex>  restrict to one trace ID (none if it is not retained);
+//	                 the HTML view's export links keep the filter
 func (r *FlightRecorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		traces := r.Snapshot()
-		if id := req.URL.Query().Get("trace"); id != "" {
+		id := req.URL.Query().Get("trace")
+		if id != "" {
+			traces = []*Finished{}
 			if f := r.Find(id); f != nil {
 				traces = []*Finished{f}
-			} else {
-				traces = nil
 			}
 		}
 		switch req.URL.Query().Get("format") {
@@ -36,15 +38,25 @@ func (r *FlightRecorder) Handler() http.Handler {
 		case "chrome":
 			w.Header().Set("Content-Type", "application/json")
 			w.Header().Set("Content-Disposition", `attachment; filename="poseidon-trace.json"`)
-			WriteChromeTrace(w, traces)
+			writeChromeTrace(w, traces)
 		default:
 			w.Header().Set("Content-Type", "text/html; charset=utf-8")
-			writeHTML(w, r.Stats(), traces)
+			writeHTML(w, r.Stats(), traces, id)
 		}
 	})
 }
 
-func writeHTML(w http.ResponseWriter, st RecorderStats, traces []*Finished) {
+// exportLink is the href of a format=<format> export of the trace with ID
+// id, or of every retained trace when id is empty.
+func exportLink(format, id string) string {
+	q := url.Values{"format": {format}}
+	if id != "" {
+		q.Set("trace", id)
+	}
+	return html.EscapeString("?" + q.Encode())
+}
+
+func writeHTML(w http.ResponseWriter, st RecorderStats, traces []*Finished, id string) {
 	fmt.Fprintf(w, `<!DOCTYPE html><html><head><title>poseidon flight recorder</title><style>
 body{font-family:monospace;margin:1.5em;background:#fafafa}
 table{border-collapse:collapse}td,th{padding:2px 10px;text-align:left}
@@ -53,9 +65,10 @@ details{margin:4px 0}summary{cursor:pointer}
 .bar{display:inline-block;height:9px;background:#4a90d9;vertical-align:middle}
 .lvl{color:#888}</style></head><body><h2>flight recorder</h2>`)
 	fmt.Fprintf(w, `<p>offered %d · kept %d error / %d slow / %d sampled · dropped %d · slow&ge;%s · sample 1/%d · ring %d
- · <a href="?format=json">json</a> · <a href="?format=chrome">chrome trace</a></p>`,
+ · <a href="%s">json</a> · <a href="%s">chrome trace</a></p>`,
 		st.Total, st.KeptError, st.KeptSlow, st.KeptSampled, st.Dropped,
-		time.Duration(st.SlowThresholdNs), st.SampleEvery, st.Capacity)
+		time.Duration(st.SlowThresholdNs), st.SampleEvery, st.Capacity,
+		exportLink("json", id), exportLink("chrome", id))
 	for _, f := range traces {
 		cls := f.Keep
 		if cls == "" {
@@ -65,9 +78,10 @@ details{margin:4px 0}summary{cursor:pointer}
 		if f.Err != "" {
 			status += " " + html.EscapeString(f.Err)
 		}
-		fmt.Fprintf(w, `<details><summary><span class=%q>[%s]</span> %s <b>%s</b> %s · %v · coverage %.0f%%</summary><table>`,
+		fmt.Fprintf(w, `<details><summary><span class=%q>[%s]</span> %s <b>%s</b> %s · %v · coverage %.0f%% · <a href="%s">chrome trace</a></summary><table>`,
 			cls, cls, time.Unix(0, f.StartNs).Format("15:04:05.000"),
-			html.EscapeString(f.Name), f.TraceID, time.Duration(f.DurNs), 100*f.Coverage())
+			html.EscapeString(f.Name), f.TraceID, time.Duration(f.DurNs), 100*f.Coverage(),
+			exportLink("chrome", f.TraceID))
 		fmt.Fprintf(w, "<tr><th></th><th>span</th><th>dur</th><th>offset</th><th>attrs</th></tr>")
 		writeSpanRows(w, f, 0, 0)
 		fmt.Fprintf(w, "<tr><td></td><td>status</td><td colspan=3>%s</td></tr></table></details>\n", status)

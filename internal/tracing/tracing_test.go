@@ -422,7 +422,7 @@ func TestChromeTraceExport(t *testing.T) {
 	f := rt.Finish(200, nil)
 
 	var buf strings.Builder
-	if err := WriteChromeTrace(&buf, []*Finished{f}); err != nil {
+	if err := writeChromeTrace(&buf, []*Finished{f}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -495,7 +495,7 @@ func TestDebugRequestsHandler(t *testing.T) {
 	if strings.Contains(rec.Body.String(), "<script>") {
 		t.Fatal("HTML view does not escape attribute values")
 	}
-	// JSON round-trips into []*Finished for tracereport.
+	// JSON round-trips into []*Finished.
 	rec = httptest.NewRecorder()
 	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/requests?format=json", nil))
 	var doc struct {
@@ -507,6 +507,44 @@ func TestDebugRequestsHandler(t *testing.T) {
 	}
 	if len(doc.Traces) != 1 || len(doc.Traces[0].Spans) != 3 {
 		t.Fatalf("JSON round trip lost spans: %+v", doc.Traces)
+	}
+
+	// With a second trace retained, ?trace=<id> selects one trace in every
+	// view, and the HTML view's export links keep the filter.
+	g := NewRequest(NewContext(), "other").Finish(200, nil)
+	r.Offer(g)
+	get := func(url string) string {
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d", url, rec.Code)
+		}
+		return rec.Body.String()
+	}
+	tracks := func(url string) int { return strings.Count(get(url), `"thread_name"`) }
+	if n := tracks("/debug/requests?format=chrome"); n != 2 {
+		t.Errorf("unfiltered chrome export has %d tracks, want 2", n)
+	}
+	if n := tracks("/debug/requests?trace=" + f.TraceID + "&format=chrome"); n != 1 {
+		t.Errorf("?trace=<id>&format=chrome has %d tracks, want 1", n)
+	}
+	page := get("/debug/requests?trace=" + f.TraceID)
+	for _, format := range []string{"json", "chrome"} {
+		link := `href="?format=` + format + `&amp;trace=` + f.TraceID + `"`
+		if !strings.Contains(page, link) {
+			t.Errorf("filtered HTML view lacks %s", link)
+		}
+	}
+	// Each trace row links its own chrome export.
+	page = get("/debug/requests")
+	for _, id := range []string{f.TraceID, g.TraceID} {
+		if link := `href="?format=chrome&amp;trace=` + id + `"`; !strings.Contains(page, link) {
+			t.Errorf("HTML view lacks the row link %s", link)
+		}
+	}
+	// An unknown ID selects nothing: an empty list, not null.
+	if body := get("/debug/requests?format=json&trace=" + strings.Repeat("0", 32)); !strings.Contains(body, `"traces":[]`) {
+		t.Errorf("unknown trace ID answered %s, want an empty traces list", body)
 	}
 }
 

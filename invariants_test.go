@@ -112,6 +112,19 @@ var retiredNames = []retiredName{
 		re: `\.MulCoeffwiseAdd\(|\.MulScalar\(|\.MulScalarRNS\(|\.DropLimb\(`},
 	{pr: 43, design: "No orphan kernels", flags: "-rnE", in: everyGo, tests: true, re: `\.CSV\(`},
 
+	// Software timings are bench/'s and the Chrome export is the
+	// /debug/requests handler's; baseline keeps literature rows only. The
+	// Kit row matches the method and its calls on a kit, so the evaluator's
+	// Eval.TryInnerSum stays.
+	{pr: 45, design: "One timer, one exporter", flags: "-rnE", in: everyGo, tests: true,
+		re: `CPUMeasurement|runCPU|runTraceReport|WriteChromeTrace`},
+	{pr: 45, design: "One timer, one exporter", flags: "-rnwE", in: []string{"internal/baseline/"}, tests: true,
+		re: `Source|Measured|Reported`},
+	{pr: 45, design: "No test-only exports", flags: "-rnE", in: everyGo, tests: true,
+		re: `ToBigCentered|SetBigCentered|FreeCount`},
+	{pr: 45, design: "One path per capability", flags: "-rnE", in: everyGo, tests: true,
+		re: `Kit\) TryInnerSum\(|\b(k|kit)\.TryInnerSum\(`},
+
 	{pr: 24, design: "Kernels in registers", flags: "-nE", in: []string{"internal/numeric/*.go", "internal/rns/*.go"},
 		re: `\(\*\[[0-9]+\]uint64\)`},
 	{pr: 26, design: "Lanes", flags: "-rnE", in: []string{"internal/ntt/*.go", "internal/numeric/*.go"}, tests: true,
@@ -251,12 +264,11 @@ func shortest(n []string) int {
 	return m
 }
 
-// TestRetiredNames runs every row of retiredNames over the tree: a line a
-// row matches fails the test, named by file, line and the row's PR. The walk
-// leaves out directories whose names start with a dot (.git, build caches)
-// and this file, which spells every row.
-func TestRetiredNames(t *testing.T) {
-	const self = "invariants_test.go"
+// treeFiles lists every file of the checkout as a slash path relative to
+// the module root, leaving out directories whose names start with a dot
+// (.git, build caches).
+func treeFiles(t *testing.T) []string {
+	t.Helper()
 	var files []string
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -268,14 +280,22 @@ func TestRetiredNames(t *testing.T) {
 			}
 			return nil
 		}
-		if p != self {
-			files = append(files, filepath.ToSlash(p))
-		}
+		files = append(files, filepath.ToSlash(p))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return files
+}
+
+// TestRetiredNames runs every row of retiredNames over the tree: a line a
+// row matches fails the test, named by file, line and the row's PR. The walk
+// leaves out directories whose names start with a dot (.git, build caches)
+// and this file, which spells every row.
+func TestRetiredNames(t *testing.T) {
+	const self = "invariants_test.go"
+	files := slices.DeleteFunc(treeFiles(t), func(f string) bool { return f == self })
 
 	texts := map[string]string{}
 	for _, r := range retiredNames {
@@ -323,6 +343,63 @@ func TestRetiredNames(t *testing.T) {
 		}
 		if read == 0 {
 			t.Errorf("PR %d %q (%s) reads no file: %v names nothing in the tree", r.pr, r.re, r.design, r.in)
+		}
+	}
+}
+
+// TestDocsNameWhatExists holds README.md and DESIGN.md to names the tree
+// defines: every BenchmarkXxx they cite is a func in some _test.go, bench/
+// included, and every `cmd/poseidon <sub>` is a subcommand cmd/poseidon
+// dispatches — one it registers, or one its main matches by name.
+func TestDocsNameWhatExists(t *testing.T) {
+	benchFunc := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
+	subcommand := regexp.MustCompile(`register\("(\w+)"|name == "(\w+)"`)
+	benchmarks, subs := map[string]bool{}, map[string]bool{}
+	for _, f := range treeFiles(t) {
+		isTest, isCmd := strings.HasSuffix(f, "_test.go"), path.Dir(f) == "cmd/poseidon"
+		if !isTest && !(isCmd && strings.HasSuffix(f, ".go")) {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := code(f, src)
+		if isTest {
+			for _, m := range benchFunc.FindAllStringSubmatch(text, -1) {
+				benchmarks[m[1]] = true
+			}
+		}
+		if isCmd && !isTest {
+			for _, m := range subcommand.FindAllStringSubmatch(text, -1) {
+				subs[m[1]+m[2]] = true
+			}
+		}
+	}
+	if len(benchmarks) == 0 || len(subs) == 0 {
+		t.Fatalf("found %d benchmarks and %d subcommands: the scan reads nothing", len(benchmarks), len(subs))
+	}
+
+	// go test runs a BenchmarkXxx whose Xxx does not start with a lower-case
+	// letter, so "Benchmarks" in prose is not a name.
+	benchRef := regexp.MustCompile(`\bBenchmark[A-Z0-9_]\w*`)
+	subRef := regexp.MustCompile(`cmd/poseidon (\w+)`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, name := range benchRef.FindAllString(line, -1) {
+				if !benchmarks[name] {
+					t.Errorf("%s:%d names %s, which no _test.go defines", doc, i+1, name)
+				}
+			}
+			for _, m := range subRef.FindAllStringSubmatch(line, -1) {
+				if !subs[m[1]] {
+					t.Errorf("%s:%d names cmd/poseidon %s, which cmd/poseidon does not dispatch", doc, i+1, m[1])
+				}
+			}
 		}
 	}
 }

@@ -107,9 +107,9 @@ func (k *Kit) DecryptValues(ct *Ciphertext) []complex128 {
 // InnerSum rotates-and-adds so that slot 0 of the result holds the sum of
 // the first n slots (n must be a power of two) — the standard reduction
 // every rotation-based workload builds on. Panics on invalid input; use
-// TryInnerSum for an error-returning variant.
+// k.Eval.TryInnerSum for an error-returning variant.
 func (k *Kit) InnerSum(ct *Ciphertext, n int) *Ciphertext {
-	out, err := k.TryInnerSum(ct, n)
+	out, err := k.Eval.TryInnerSum(ct, n)
 	if err != nil {
 		panic(err)
 	}
@@ -158,13 +158,6 @@ func (k *Kit) TryDecryptValues(ct *Ciphertext) (values []complex128, err error) 
 		}
 	}
 	return k.Enc.Decode(k.Decr.Decrypt(ct)), nil
-}
-
-// TryInnerSum is InnerSum with typed errors: a width that is not a power of
-// two in [1, Slots] is ErrInvalidInput, a missing rotation key is
-// ErrKeyMissing (ckks.Evaluator.TryInnerSum).
-func (k *Kit) TryInnerSum(ct *Ciphertext, n int) (*Ciphertext, error) {
-	return k.Eval.TryInnerSum(ct, n)
 }
 
 // EnableTelemetry installs a telemetry collector on the kit's evaluator:

@@ -63,7 +63,7 @@ func FuzzKitTryAPI(f *testing.F) {
 			t.Fatalf("TryEncryptValues: untyped error %v", err)
 		}
 		if ct != nil {
-			if _, err := kit.TryInnerSum(ct, int(width)); err != nil &&
+			if _, err := kit.Eval.TryInnerSum(ct, int(width)); err != nil &&
 				!errors.Is(err, ErrInvalidInput) && !errors.Is(err, ErrKeyMissing) &&
 				!errors.Is(err, ErrIntegrity) && !errors.Is(err, ErrInternal) {
 				t.Fatalf("TryInnerSum: untyped error %v", err)
@@ -111,7 +111,7 @@ func TestKitTryAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := kit.TryInnerSum(ct, 4)
+	sum, err := kit.Eval.TryInnerSum(ct, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestKitTryAPI(t *testing.T) {
 		t.Errorf("TryInnerSum = %.6f, want %.6f", got, want)
 	}
 
-	if _, err := kit.TryInnerSum(ct, 3); !errors.Is(err, ErrInvalidInput) {
+	if _, err := kit.Eval.TryInnerSum(ct, 3); !errors.Is(err, ErrInvalidInput) {
 		t.Errorf("width 3: got %v, want ErrInvalidInput", err)
 	}
 	if _, err := kit.TryEncryptValues(make([]complex128, kit.Params.Slots+1)); !errors.Is(err, ErrInvalidInput) {
