@@ -70,50 +70,6 @@ func BenchmarkFig10ModelSweep(b *testing.B) {
 
 // --- Table IV / Fig 7: basic operations ------------------------------------
 
-// BenchmarkTable4BasicOpsSoftware measures the software (CPU-baseline)
-// implementations of the basic operations.
-func BenchmarkTable4BasicOpsSoftware(b *testing.B) {
-	params, err := NewParameters(ParametersLiteral{
-		LogN:     12,
-		LogQ:     []int{55, 45, 45, 45, 45, 45},
-		LogP:     []int{58, 58},
-		LogScale: 45,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	kit := NewKit(params, 3)
-	ct1 := kit.EncryptReals([]float64{1, 2, 3})
-	ct2 := kit.EncryptReals([]float64{4, 5, 6})
-	pt := kit.Enc.EncodeReal([]float64{7, 8, 9}, params.MaxLevel(), params.Scale)
-
-	b.Run("HAdd", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kit.Eval.Add(ct1, ct2)
-		}
-	})
-	b.Run("PMult", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kit.Eval.MulPlain(ct1, pt)
-		}
-	})
-	b.Run("CMult", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kit.Eval.MulRelin(ct1, ct2)
-		}
-	})
-	b.Run("Rescale", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kit.Eval.Rescale(ct1)
-		}
-	})
-	b.Run("Rotation", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			kit.Eval.Rotate(ct1, 1)
-		}
-	})
-}
-
 // BenchmarkTable4ModelThroughput prices the basic operations on the
 // accelerator model (the Poseidon column of Table IV).
 func BenchmarkTable4ModelThroughput(b *testing.B) {
@@ -245,55 +201,4 @@ func BenchmarkFig12Energy(b *testing.B) {
 			_ = arch.SimulateEnergyBreakdown(m, em, tr)
 		}
 	}
-}
-
-// --- Scheme-level microbenches ----------------------------------------------
-
-// BenchmarkKeyswitch isolates the hybrid keyswitch (the paper's dominant
-// operation) in software.
-func BenchmarkKeyswitch(b *testing.B) {
-	params, err := NewParameters(ParametersLiteral{
-		LogN:     12,
-		LogQ:     []int{55, 45, 45, 45, 45, 45},
-		LogP:     []int{58, 58},
-		LogScale: 45,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	kit := NewKit(params, 4)
-	ct := kit.EncryptReals([]float64{1})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kit.Eval.Rotate(ct, 1)
-	}
-}
-
-// BenchmarkEncodeDecode measures the canonical-embedding transforms.
-func BenchmarkEncodeDecode(b *testing.B) {
-	params, err := NewParameters(ParametersLiteral{
-		LogN:     13,
-		LogQ:     []int{55, 45},
-		LogP:     []int{58},
-		LogScale: 45,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	enc := NewEncoder(params)
-	vals := make([]complex128, params.Slots)
-	for i := range vals {
-		vals[i] = complex(float64(i%17)/17, float64(i%11)/11)
-	}
-	b.Run("encode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			enc.Encode(vals, params.MaxLevel(), params.Scale)
-		}
-	})
-	pt := enc.Encode(vals, params.MaxLevel(), params.Scale)
-	b.Run("decode", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			enc.Decode(pt)
-		}
-	})
 }

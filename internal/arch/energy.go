@@ -67,9 +67,3 @@ func (e EnergyModel) Energy(m *Model, p Profile) Breakdown {
 	b.Static = e.StaticW * t
 	return b
 }
-
-// EDP is the energy-delay product in joule-seconds.
-func (e EnergyModel) EDP(m *Model, p Profile) float64 {
-	t := m.Latency(p)
-	return e.Energy(m, p).Total() * t
-}

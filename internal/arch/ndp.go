@@ -35,35 +35,3 @@ func NDPEnergy() EnergyModel {
 	e.StaticW = 6
 	return e
 }
-
-// WorkingSetBytes estimates the scratchpad residency one basic operation
-// needs to avoid spilling intermediates to off-chip memory: the operands,
-// the result, and the operation's largest intermediate, in bytes. The
-// paper sizes its scratchpad at 8.6 MB — enough for Rescale's full reuse
-// (its low bandwidth utilization in Table VII) but deliberately not for
-// entire keyswitch working sets, which stream instead.
-func (m *Model) WorkingSetBytes(p Profile, limbs int) float64 {
-	n := float64(m.Params.N())
-	w := float64(m.Cfg.LimbBytes)
-	l := float64(limbs)
-	alpha := float64(m.Params.Alpha)
-	switch p.Name {
-	case "HAdd", "HAddPlain", "PMult":
-		return 3 * n * l * w // two inputs + one output tile
-	case "Rescale":
-		return 4 * n * l * w // both components + coefficient-domain copies
-	case "NTT", "Automorphism":
-		return 2 * n * l * w
-	case "Keyswitch", "CMult", "Rotation":
-		// One extended digit plus both accumulators must be resident.
-		return 3*n*(l+alpha)*w + 2*n*l*w
-	default:
-		return 2 * n * l * w
-	}
-}
-
-// FitsScratchpad reports whether the op's working set is scratchpad
-// resident at this design point.
-func (m *Model) FitsScratchpad(p Profile, limbs int) bool {
-	return m.WorkingSetBytes(p, limbs) <= m.Cfg.ScratchpadMB*1e6
-}

@@ -41,28 +41,3 @@ func TestNDPTradeoff(t *testing.T) {
 		t.Errorf("NDP data-movement energy %.3g J should be ≪ HBM's %.3g J", bNDP.HBM, bHBM.HBM)
 	}
 }
-
-// The paper's 8.6 MB scratchpad must hold Rescale's working set (enabling
-// its low bandwidth utilization) but not a full keyswitch at top level
-// (which streams keys instead).
-func TestScratchpadSizingRationale(t *testing.T) {
-	m, err := NewModel(U280(), PaperParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := m.Params.Limbs
-
-	// At a mid-pipeline level the rescale working set is resident.
-	midLimbs := 7
-	if !m.FitsScratchpad(m.Rescale(midLimbs), midLimbs) {
-		t.Error("Rescale at mid level should fit the scratchpad")
-	}
-	// A full-level keyswitch cannot be resident.
-	if m.FitsScratchpad(m.Keyswitch(l), l) {
-		t.Error("full-level keyswitch should exceed the scratchpad (it streams)")
-	}
-	// Working sets must grow with level.
-	if m.WorkingSetBytes(m.HAdd(10), 10) >= m.WorkingSetBytes(m.HAdd(40), 40) {
-		t.Error("working set must grow with limb count")
-	}
-}

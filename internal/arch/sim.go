@@ -85,25 +85,6 @@ func Simulate(m *Model, em EnergyModel, tr *trace.Trace) Report {
 	return rep
 }
 
-// SimulateOverlapped models the double-buffered steady state: with the
-// scratchpad ping-ponging between compute and transfer, the memory stream
-// of one operation hides behind the compute of its neighbors, so the trace
-// takes max(Σ compute, Σ memory) rather than Σ max(compute, memory) — an
-// optimistic bound that brackets the per-op roofline of Simulate from
-// below. The pair approximates the paper's "fully pipelined" claim.
-func SimulateOverlapped(m *Model, em EnergyModel, tr *trace.Trace) (seconds float64) {
-	var compute, memory float64
-	for _, op := range tr.Ops {
-		prof := m.ProfileFor(op.Kind, op.Limbs)
-		compute += prof.TotalComputeCycles() / m.Cfg.CyclesPerSec() * op.Count
-		memory += prof.HBMBytes / m.Cfg.EffectiveHBM() * op.Count
-	}
-	if memory > compute {
-		return memory
-	}
-	return compute
-}
-
 // ProfileFor maps a trace operation kind to its cost profile.
 func (m *Model) ProfileFor(kind trace.Kind, limbs int) Profile {
 	switch kind {
@@ -145,8 +126,8 @@ func (r Report) KindsByTime() []*KindStat {
 	return out
 }
 
-// EnergyByContributor re-runs the energy attribution to produce the Fig 12
-// breakdown for the whole trace.
+// SimulateEnergyBreakdown re-runs the energy attribution to produce the
+// Fig 12 breakdown for the whole trace.
 func SimulateEnergyBreakdown(m *Model, em EnergyModel, tr *trace.Trace) Breakdown {
 	var total Breakdown
 	for _, op := range tr.Ops {

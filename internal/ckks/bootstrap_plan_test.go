@@ -66,32 +66,38 @@ func TestZeroAllocEvalMod(t *testing.T) {
 	}
 }
 
-// TestBootstrapWorkersBitIdentical: one input refreshed at 1, 2 and 4
-// workers — a plain loop, two serial streams, two streams sharing spare
-// tokens — comes out bit for bit the same, the input is left untouched, and
-// a returned ciphertext is unchanged by the calls that follow it (nothing
-// handed to the caller is arena storage). Poison mode makes any use of a
-// slot after its Put, or Put of a slot still in use, loud.
+// TestBootstrapWorkersBitIdentical: one input refreshed by bootstrappers
+// built at 1, 2 and 4 workers — a plain loop, two serial streams, two
+// streams sharing spare tokens — comes out bit for bit the same, the input
+// is left untouched, and a returned ciphertext is unchanged by the next call
+// on its bootstrapper (nothing handed to the caller is arena storage).
+// Poison mode makes any use of a slot after its Put, or Put of a slot still
+// in use, loud.
 func TestBootstrapWorkersBitIdentical(t *testing.T) {
-	fx := newBootFixture(t, 7, 0)
-	fx.params.Arena().SetPoison(true)
-	in := fx.ct.CopyNew()
-	var first, firstCopy *Ciphertext
+	var want *Ciphertext
 	for _, w := range []int{1, 2, 4} {
-		fx.boot.SetWorkers(w)
-		out, err := fx.boot.Bootstrap(fx.ct)
-		if err != nil {
-			t.Fatal(err)
+		fx := newBootFixture(t, 7, w)
+		fx.params.Arena().SetPoison(true)
+		in := fx.ct.CopyNew()
+		var first *Ciphertext
+		for range 2 {
+			out, err := fx.boot.Bootstrap(fx.ct)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Level != stcLevel-1 || out.Scale != fx.params.Scale {
+				t.Errorf("workers=%d: refreshed at level %d scale %v, want level %d scale Δ", w, out.Level, out.Scale, stcLevel-1)
+			}
+			if want == nil {
+				want = out.CopyNew()
+			}
+			if first == nil {
+				first = out
+			}
+			requireCtEqual(t, out, want, "refreshed ciphertext across worker counts")
+			requireCtEqual(t, first, want, "an earlier refreshed ciphertext after a later Bootstrap call")
+			requireCtEqual(t, fx.ct, in, "Bootstrap input")
 		}
-		if out.Level != stcLevel-1 || out.Scale != fx.params.Scale {
-			t.Errorf("workers=%d: refreshed at level %d scale %v, want level %d scale Δ", w, out.Level, out.Scale, stcLevel-1)
-		}
-		if first == nil {
-			first, firstCopy = out, out.CopyNew()
-		}
-		requireCtEqual(t, out, firstCopy, "refreshed ciphertext across worker counts")
-		requireCtEqual(t, first, firstCopy, "an earlier refreshed ciphertext after later Bootstrap calls")
-		requireCtEqual(t, fx.ct, in, "Bootstrap input")
 	}
 }
 

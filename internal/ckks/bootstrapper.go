@@ -230,8 +230,3 @@ func (b *Bootstrapper) Bootstrap(ct *Ciphertext) (_ *Ciphertext, err error) {
 // computation after a refresh in examples and tests). Its keys cover levels
 // ≤ the raise level: a keyswitch op above it is ErrKeyMissing.
 func (b *Bootstrapper) Evaluator() *Evaluator { return b.ev }
-
-// SetWorkers re-routes the bootstrapper's internal evaluator through a
-// limb-parallel pool of n workers (see Evaluator.WithWorkers). Bootstrapping
-// results are bit-identical for every worker count.
-func (b *Bootstrapper) SetWorkers(n int) { b.ev = b.ev.WithWorkers(n) }

@@ -9,26 +9,6 @@ import "math/bits"
 // lazy sums below fit a uint64 with headroom. The Harvey NTT butterflies
 // and the fused inner-product accumulators build on these primitives.
 
-// MulShoupLazy returns a value ≡ a·w (mod q) in [0, 2q) given the
-// precomputed Shoup constant wShoup = floor(w·2^64/q) with w < q. Unlike
-// MulShoup it skips the final conditional subtraction, removing the only
-// data-dependent branch from the butterfly's twiddle multiply. Valid for
-// ANY 64-bit a: the quotient estimate floor(a·wShoup/2^64) undershoots
-// a·w/q by less than 2, so the true difference lies in [0, 2q) and its
-// 64-bit wraparound computation is exact.
-func (m Modulus) MulShoupLazy(a, w, wShoup uint64) uint64 {
-	hi, _ := bits.Mul64(a, wShoup)
-	return a*w - hi*m.Q
-}
-
-// ReduceTwoQ normalizes a value in [0, 2q) to [0, q).
-func (m Modulus) ReduceTwoQ(a uint64) uint64 {
-	if a >= m.Q {
-		a -= m.Q
-	}
-	return a
-}
-
 // ReduceFourQ normalizes a value in [0, 4q) to [0, q) with two conditional
 // subtractions — the single deferred normalization the lazy forward NTT
 // pays per coefficient.
@@ -43,25 +23,14 @@ func (m Modulus) ReduceFourQ(a uint64) uint64 {
 	return a
 }
 
-// MACWide accumulates the 128-bit product a·b onto the accumulator
-// (hi, lo), returning the updated pair. Overflow of the 128-bit accumulator
-// is the caller's responsibility: with q < 2^61 each product is < 2^122, so
-// up to 64 products accumulate without wrapping (64·(2^61−1)^2 < 2^128).
-func MACWide(hi, lo, a, b uint64) (uint64, uint64) {
-	ph, pl := bits.Mul64(a, b)
-	var c uint64
-	lo, c = bits.Add64(lo, pl, 0)
-	hi += ph + c
-	return hi, lo
-}
-
 // MaxLazyProducts is the largest number of residue products (q < 2^61)
-// that MACWide can accumulate in 128 bits without overflow; accumulators
-// that may exceed it must fold (ReduceWide) and restart.
+// that VecMACWide can accumulate in 128 bits without overflow
+// (64·(2^61−1)^2 < 2^128); accumulators that may exceed it must fold
+// (ReduceWide) and restart.
 const MaxLazyProducts = 64
 
 // VecMACWide accumulates a[j]·b[j] onto the 128-bit accumulator columns
-// (hi[j], lo[j]) — the vector form of MACWide used by the fused keyswitch
+// (hi[j], lo[j]) — the 128-bit multiply-accumulate of the fused keyswitch
 // and linear-transform inner products. Pure integer arithmetic, no
 // reductions: the caller budgets MaxLazyProducts terms between folds.
 // One plain loop over slices re-cut to a common length: the compiler drops

@@ -121,9 +121,6 @@ func (c *Collector) Phases() map[string]PhaseStat {
 	return out
 }
 
-// Workload returns the collector's workload label.
-func (c *Collector) Workload() string { return c.workload }
-
 func keyIdx(kind trace.Kind, level int) int {
 	limbs := level + 1
 	if limbs < 0 {
@@ -189,10 +186,6 @@ func (c *Collector) ObserveOp(e trace.OpEvent) {
 		c.hist(keyIdx(kind, e.Level)).Observe(uint64(e.Dur))
 	}
 }
-
-// UnknownOps reports how many observations carried an op name outside the
-// trace kind set (and were therefore dropped from the histograms).
-func (c *Collector) UnknownOps() uint64 { return c.unknown.Load() }
 
 // KeyStat is one (kind, limbs) row of a snapshot: the successful ops
 // observed (each one latency sample), their latency summary, and the merged

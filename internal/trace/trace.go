@@ -118,11 +118,6 @@ func (t *Trace) AddTagged(kind Kind, limbs int, count float64, tag string) {
 	t.Ops = append(t.Ops, Op{Kind: kind, Limbs: limbs, Count: count, Tag: tag})
 }
 
-// Append concatenates another trace's operations.
-func (t *Trace) Append(o *Trace) {
-	t.Ops = append(t.Ops, o.Ops...)
-}
-
 // TotalOps sums operation counts.
 func (t *Trace) TotalOps() float64 {
 	total := 0.0

@@ -39,13 +39,11 @@ func TestTraceAdd(t *testing.T) {
 func TestTraceAppendAndTags(t *testing.T) {
 	a := &Trace{Name: "a"}
 	a.AddTagged(Rotation, 5, 2, "CoeffToSlot")
-	b := &Trace{Name: "b"}
-	b.Add(Rescale, 5, 1)
-	a.Append(b)
+	a.Add(Rescale, 5, 1)
 	if len(a.Ops) != 2 {
 		t.Fatalf("ops=%d want 2", len(a.Ops))
 	}
-	if a.Ops[0].Tag != "CoeffToSlot" {
-		t.Errorf("tag lost: %q", a.Ops[0].Tag)
+	if a.Ops[0].Tag != "CoeffToSlot" || a.Ops[1].Tag != "" {
+		t.Errorf("tags %q, %q: want CoeffToSlot, untagged", a.Ops[0].Tag, a.Ops[1].Tag)
 	}
 }

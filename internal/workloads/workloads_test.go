@@ -123,23 +123,6 @@ func TestBootstrapPhaseBreakdown(t *testing.T) {
 	}
 }
 
-// The overlapped (double-buffered) bound must never exceed the per-op
-// roofline total, and must be at least the larger single resource total.
-func TestSimulateOverlappedBounds(t *testing.T) {
-	m, _ := arch.NewModel(arch.U280(), arch.PaperParams())
-	em := arch.DefaultEnergy()
-	for _, tr := range All(PaperSpec()) {
-		perOp := arch.Simulate(m, em, tr).TotalTime
-		overlapped := arch.SimulateOverlapped(m, em, tr)
-		if overlapped > perOp*(1+1e-12) {
-			t.Errorf("%s: overlapped %.4g > per-op %.4g", tr.Name, overlapped, perOp)
-		}
-		if overlapped <= 0 {
-			t.Errorf("%s: overlapped time must be positive", tr.Name)
-		}
-	}
-}
-
 func TestSimulateReportConsistency(t *testing.T) {
 	m, _ := arch.NewModel(arch.U280(), arch.PaperParams())
 	em := arch.DefaultEnergy()

@@ -1,6 +1,8 @@
 package poseidon
 
 import (
+	"go/ast"
+	"go/parser"
 	"go/scanner"
 	"go/token"
 	"io/fs"
@@ -124,6 +126,20 @@ var retiredNames = []retiredName{
 		re: `ToBigCentered|SetBigCentered|FreeCount`},
 	{pr: 45, design: "One path per capability", flags: "-rnE", in: everyGo, tests: true,
 		re: `Kit\) TryInnerSum\(|\b(k|kit)\.TryInnerSum\(`},
+
+	// The root package's software op timers were duplicates of bench/'s, and
+	// a bootstrapper runs on the pool its parameters give it. The SetWorkers
+	// row matches the Bootstrapper's method and calls on a bootstrapper, so
+	// TraceRecorder.SetWorkers stays; the model and kernel rows are code only
+	// its own tests called (-w keeps VecMACWide and the tests' names clear).
+	{pr: 46, design: "One timer, one model", flags: "-rnwE", in: everyGo, tests: true,
+		re: `BenchmarkTable4BasicOpsSoftware|BenchmarkKeyswitch|BenchmarkEncodeDecode|BenchmarkParallelEvaluator|BenchmarkParallelBootstrapSlot`},
+	{pr: 46, design: "One timer, one model", flags: "-rnE", in: everyGo, tests: true,
+		re: `Bootstrapper\) SetWorkers\(|\bboot\.SetWorkers\(`},
+	{pr: 46, design: "No test-only exports", flags: "-rnwE", in: everyGo, tests: true,
+		re: `HBMGeometry|U280HBM|WorkingSetBytes|FitsScratchpad|SimulateOverlapped|MulShoupLazy|ReduceTwoQ|MACWide`},
+	{pr: 46, design: "No test-only exports", flags: "-rnE", in: everyGo, tests: true,
+		re: `EnergyModel\) EDP\(|\.EDP\(|\*Trace\) Append\(|\*Collector\) (Workload|UnknownOps)\(`},
 
 	{pr: 24, design: "Kernels in registers", flags: "-nE", in: []string{"internal/numeric/*.go", "internal/rns/*.go"},
 		re: `\(\*\[[0-9]+\]uint64\)`},
@@ -349,14 +365,47 @@ func TestRetiredNames(t *testing.T) {
 
 // TestDocsNameWhatExists holds README.md and DESIGN.md to names the tree
 // defines: every BenchmarkXxx they cite is a func in some _test.go, bench/
-// included, and every `cmd/poseidon <sub>` is a subcommand cmd/poseidon
-// dispatches — one it registers, or one its main matches by name.
+// included; every `cmd/poseidon <sub>` is a subcommand cmd/poseidon
+// dispatches — one it registers, or one its main matches by name; and every
+// `pkg.Ident` in backticks, where pkg is a package under internal/ and Ident
+// is exported, is declared in pkg's non-test files: a top-level name, or a
+// method, which prose names as `numeric.VecMontMul` for Modulus.VecMontMul.
 func TestDocsNameWhatExists(t *testing.T) {
 	benchFunc := regexp.MustCompile(`(?m)^func (Benchmark\w+)\(`)
 	subcommand := regexp.MustCompile(`register\("(\w+)"|name == "(\w+)"`)
 	benchmarks, subs := map[string]bool{}, map[string]bool{}
+	decls := map[string]map[string]bool{} // internal package → its declared names
 	for _, f := range treeFiles(t) {
 		isTest, isCmd := strings.HasSuffix(f, "_test.go"), path.Dir(f) == "cmd/poseidon"
+		if !isTest && strings.HasPrefix(f, "internal/") && strings.HasSuffix(f, ".go") {
+			file, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			names := decls[file.Name.Name]
+			if names == nil {
+				names = map[string]bool{}
+				decls[file.Name.Name] = names
+			}
+			for _, d := range file.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					names[d.Name.Name] = true
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							names[s.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+			continue
+		}
 		if !isTest && !(isCmd && strings.HasSuffix(f, ".go")) {
 			continue
 		}
@@ -376,14 +425,16 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
-	if len(benchmarks) == 0 || len(subs) == 0 {
-		t.Fatalf("found %d benchmarks and %d subcommands: the scan reads nothing", len(benchmarks), len(subs))
+	if len(benchmarks) == 0 || len(subs) == 0 || len(decls) == 0 {
+		t.Fatalf("found %d benchmarks, %d subcommands and %d internal packages: the scan reads nothing", len(benchmarks), len(subs), len(decls))
 	}
 
 	// go test runs a BenchmarkXxx whose Xxx does not start with a lower-case
 	// letter, so "Benchmarks" in prose is not a name.
 	benchRef := regexp.MustCompile(`\bBenchmark[A-Z0-9_]\w*`)
 	subRef := regexp.MustCompile(`cmd/poseidon (\w+)`)
+	codeSpan := regexp.MustCompile("`[^`]+`")
+	qualified := regexp.MustCompile(`(?:^|[^\w.])([a-z]\w*)\.([A-Z]\w*)`)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -398,6 +449,13 @@ func TestDocsNameWhatExists(t *testing.T) {
 			for _, m := range subRef.FindAllStringSubmatch(line, -1) {
 				if !subs[m[1]] {
 					t.Errorf("%s:%d names cmd/poseidon %s, which cmd/poseidon does not dispatch", doc, i+1, m[1])
+				}
+			}
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range qualified.FindAllStringSubmatch(span, -1) {
+					if names, ok := decls[m[1]]; ok && !names[m[2]] {
+						t.Errorf("%s:%d names %s.%s, which package %s does not declare", doc, i+1, m[1], m[2], m[1])
+					}
 				}
 			}
 		}

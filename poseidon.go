@@ -176,25 +176,20 @@ type CoreResources = arch.CoreResources
 // AutoKind selects the automorphism core design (HFAuto vs naive).
 type AutoKind = arch.AutoKind
 
-// HBMGeometry is the channel-level memory-system model.
-type HBMGeometry = arch.HBMGeometry
-
 // NoiseEstimator measures slot precision against references.
 type NoiseEstimator = ckks.NoiseEstimator
 
 // Accelerator constructors and presets.
 var (
-	U280               = arch.U280
-	U280HBM            = arch.U280HBM
-	SmartSSD           = arch.SmartSSD
-	NDPEnergy          = arch.NDPEnergy
-	PaperParams        = arch.PaperParams
-	NewModel           = arch.NewModel
-	DefaultEnergy      = arch.DefaultEnergy
-	Simulate           = arch.Simulate
-	SimulateOverlapped = arch.SimulateOverlapped
-	NewCoreResources   = arch.NewCoreResources
-	NewNoiseEstimator  = ckks.NewNoiseEstimator
+	U280              = arch.U280
+	SmartSSD          = arch.SmartSSD
+	NDPEnergy         = arch.NDPEnergy
+	PaperParams       = arch.PaperParams
+	NewModel          = arch.NewModel
+	DefaultEnergy     = arch.DefaultEnergy
+	Simulate          = arch.Simulate
+	NewCoreResources  = arch.NewCoreResources
+	NewNoiseEstimator = ckks.NewNoiseEstimator
 )
 
 // Operator core families.

@@ -59,7 +59,7 @@ func TestTelemetryConcurrentEvaluators(t *testing.T) {
 			t.Errorf("no %s telemetry recorded", op)
 		}
 	}
-	if unknown := collector.UnknownOps(); unknown != 0 {
+	if unknown := collector.Snapshot().UnknownOps; unknown != 0 {
 		t.Errorf("collector dropped %d observations as unknown", unknown)
 	}
 }
