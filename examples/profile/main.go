@@ -61,21 +61,23 @@ func main() {
 	// Price the recorded trace across design points.
 	tr := rec.Trace()
 	fmt.Printf("\nrecorded %d basic operations; modeled cost at N=2^16, L=44:\n", len(tr.Ops))
-	em := poseidon.DefaultEnergy()
+	// Each design point is priced with its own energy model: the near-data
+	// card's HBM access and static power are not the U280's.
 	for _, pt := range []struct {
 		name string
 		cfg  poseidon.Config
+		em   poseidon.EnergyModel
 	}{
-		{"U280, 512 lanes, HFAuto", poseidon.U280()},
-		{"U280, 128 lanes", withLanes(poseidon.U280(), 128)},
-		{"U280, naive automorphism", withNaive(poseidon.U280())},
-		{"SmartSSD (near-data)", poseidon.SmartSSD()},
+		{"U280, 512 lanes, HFAuto", poseidon.U280(), poseidon.DefaultEnergy()},
+		{"U280, 128 lanes", withLanes(poseidon.U280(), 128), poseidon.DefaultEnergy()},
+		{"U280, naive automorphism", withNaive(poseidon.U280()), poseidon.DefaultEnergy()},
+		{"SmartSSD (near-data)", poseidon.SmartSSD(), poseidon.NDPEnergy()},
 	} {
 		model, err := poseidon.NewModel(pt.cfg, poseidon.PaperParams())
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep := poseidon.Simulate(model, em, tr)
+		rep := poseidon.Simulate(model, pt.em, tr)
 		fmt.Printf("  %-28s %8.3f ms   %.3g J\n", pt.name, rep.TotalTime*1e3, rep.TotalEnergy)
 	}
 

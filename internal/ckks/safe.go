@@ -1,6 +1,9 @@
 package ckks
 
 import (
+	"fmt"
+	"slices"
+
 	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
@@ -58,11 +61,69 @@ func (p *Parameters) validIn(op string, ct *Ciphertext) error {
 }
 
 // CheckCiphertext reports whether ct is an operand this parameter set's
-// evaluator accepts: validIn, the structural check every op runs first, as
-// an *OpError wrapping ErrInvalidInput. A server checks the ciphertexts it
-// parses from untrusted bytes with it before sealing or queueing them.
+// evaluator accepts: validIn, the structural check every op runs first, and
+// every word of its level+1 limbs a canonical residue, below its limb's
+// prime — as an *OpError wrapping ErrInvalidInput that names the
+// polynomial, limb and index of the first word that is not. A server checks
+// the ciphertexts it parses from untrusted bytes with it before sealing or
+// queueing them. The range check is for that boundary: the kernels assume
+// canonical words (the IFMA52 lanes read only a word's low 52 bits) and
+// every op produces them, so exec's per-op validIn does not repeat it.
 func (p *Parameters) CheckCiphertext(ct *Ciphertext) error {
-	return p.validIn("CheckCiphertext", ct)
+	const op = "CheckCiphertext"
+	if err := p.validIn(op, ct); err != nil {
+		return err
+	}
+	for c, poly := range [2]*ring.Poly{ct.C0, ct.C1} {
+		if err := canonical(op, fmt.Sprintf("C%d", c), ct.Level, poly.Coeffs[:ct.Level+1], p.RingQ.Moduli); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// CheckSwitchingKey reports whether swk is key material this parameter
+// set's evaluator can use: as many B as A digits, each digit's components
+// holding at most len(Q) Q rows and α P rows of length N (fits), and every
+// word a canonical residue of its row's prime — as an *OpError wrapping
+// ErrInvalidInput. A key that covers fewer levels than an op needs is that
+// op's ErrKeyMissing (covers), not an invalid key.
+func (p *Parameters) CheckSwitchingKey(swk *SwitchingKey) error {
+	const op = "CheckSwitchingKey"
+	if swk == nil || len(swk.B) == 0 || len(swk.B) != len(swk.A) {
+		return opErr(op, -1, ErrInvalidInput, "switching key needs as many B as A digits, at least one")
+	}
+	for d := range swk.B {
+		for c, pq := range [2]PolyQP{swk.B[d], swk.A[d]} {
+			what := fmt.Sprintf("digit %d %c", d, "BA"[c])
+			if !pq.fits(p) || len(pq.Q.Coeffs) > len(p.Q) {
+				return opErr(op, -1, ErrInvalidInput, "switching key %s does not fit the parameter set", what)
+			}
+			if err := canonical(op, what+" Q", -1, pq.Q.Coeffs, p.RingQ.Moduli); err != nil {
+				return err
+			}
+			if err := canonical(op, what+" P", -1, pq.P.Coeffs, p.RingP.Moduli); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// canonical checks that every word of the nonempty rows[i] is below
+// moduli[i].Q — one max pass a row, the index looked up only for a row that
+// fails — and names the first word that is not as an *OpError of op, limb i.
+func canonical(op, what string, level int, rows [][]uint64, moduli []numeric.Modulus) error {
+	for i, row := range rows {
+		q := moduli[i].Q
+		if slices.Max(row) < q {
+			continue
+		}
+		j := slices.IndexFunc(row, func(w uint64) bool { return w >= q })
+		return &OpError{Op: op, Level: level, Limb: i, Err: ErrInvalidInput,
+			Detail: fmt.Sprintf("%s index %d: word %d is not below q = %d", what, j, row[j], q)}
+	}
+	return nil
 }
 
 // mustValidIn is validIn at a panicking surface: an invalid ct panics with
@@ -225,7 +286,7 @@ func (swk *SwitchingKey) covers(params *Parameters, op string, level int) error 
 	upTo := digits*params.Alpha() - 1
 	for d := 0; d < digits; d++ {
 		for _, c := range [2]PolyQP{swk.B[d], swk.A[d]} {
-			if c.Q == nil || c.P == nil || len(c.P.Coeffs) != params.Alpha() || !rowsOfN(c.Q, params.N) || !rowsOfN(c.P, params.N) {
+			if !c.fits(params) {
 				return opErr(op, level, ErrKeyMissing, "switching key digit %d does not fit the parameter set", d)
 			}
 			upTo = min(upTo, len(c.Q.Coeffs)-1)
@@ -235,6 +296,12 @@ func (swk *SwitchingKey) covers(params *Parameters, op string, level int) error 
 		return opErr(op, level, ErrKeyMissing, "key covers levels ≤ %d, op runs at %d", upTo, level)
 	}
 	return nil
+}
+
+// fits reports whether a key component has the rows a keyswitch indexes
+// without looking: a Q part and α P rows, every row of length N.
+func (pq PolyQP) fits(params *Parameters) bool {
+	return pq.Q != nil && pq.P != nil && len(pq.P.Coeffs) == params.Alpha() && rowsOfN(pq.Q, params.N) && rowsOfN(pq.P, params.N)
 }
 
 func rowsOfN(p *ring.Poly, n int) bool {

@@ -9,4 +9,10 @@ package numeric
 //go:noescape
 func innerProductPairLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool, q, qInv, r2 uint64) bool
 
+// convertLanes is the IFMA52 body of lanes_amd64.s behind ConvertLanes,
+// which checks its arguments.
+//
+//go:noescape
+func convertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
+
 func cpuHasIFMA() bool

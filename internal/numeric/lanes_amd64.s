@@ -1,11 +1,13 @@
-// IFMA52 body of the keyswitch inner product, eight coefficients a ZMM
-// register, and the CPU probe every lanes body is selected by. The callers
-// guarantee q < 2^50 and residue inputs, so every multiplier input fits the
-// 52-bit multiplier, and a run no longer than laneRunLength(q), so neither
-// accumulator half overflows and the close's first result stays below 2^52.
-// DESIGN.md §12 "Lanes" has the derivations.
+// IFMA52 bodies of the keyswitch inner product and of the RNS conversion's
+// emit step, eight coefficients a ZMM register, and the CPU probe every
+// lanes body is selected by. The inner product's callers guarantee q < 2^50
+// and residue inputs, so every multiplier input fits the 52-bit multiplier,
+// and a run no longer than laneRunLength(q), so neither accumulator half
+// overflows and the close's first result stays below 2^52; the
+// conversion's caller checks the same for its terms (LanesFit). DESIGN.md
+// §12 "Lanes" has the derivations.
 //
-// Register plan:
+// Register plan of the inner product:
 //   Z0, Z1   L0, H0: out0's split accumulator, the sum being L0 + H0·2^52
 //   Z2, Z3   L1, H1: out1's
 //   Z4       the digit's x (loaded, or gathered through perm)
@@ -15,6 +17,7 @@
 //   Z28 = n, Z29 = 2^104 mod q, Z30 = q^-1 mod 2^52, Z31 = q
 //   K1       perm entries ≥ n, K2 the gather mask, K3 = add ? all : none
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // One digit's products onto both accumulators: R12 = 24·d indexes the row
@@ -32,7 +35,9 @@
 // L + H·2^52 → its residue in [0, q), left in L. First REDC: with
 // m = L·q^-1 mod 2^52, L − m·q is (⌊L/2^52⌋ − ⌊m·q/2^52⌋)·2^52 exactly, so
 // A = H + ⌊L/2^52⌋ + q − ⌊m·q/2^52⌋ ≡ (L + H·2^52)·2^-52, in [1, 2^52).
-// Second REDC of A·(2^104 mod q) ≡ (L + H·2^52)·2^52: the same steps give
+// Second REDC of A·Z29 — A·(2^104 mod q) ≡ (L + H·2^52)·2^52 for the inner
+// product, A·2^40 ≡ (L + H·2^52)·2^-12 for the conversion, whose sum
+// carries a factor 2^64 to take out: the same steps give
 // P_hi + q − ⌊m'·q/2^52⌋ in [1, 2q), and one correction lands it in [0, q).
 #define CLOSE(L, H) \
 	VPXORQ Z8, Z8, Z8; \
@@ -55,6 +60,14 @@
 	VPSUBQ H, L, L; \
 	VPSUBQ Z31, L, Z8; \
 	VPMINUQ Z8, L, L
+
+// One conversion term, y·w for two groups of eight: Z4 and Z6 hold y,
+// Z5 the broadcast w.
+#define TERM2 \
+	VPMADD52LUQ Z5, Z4, Z0; \
+	VPMADD52HUQ Z5, Z4, Z1; \
+	VPMADD52LUQ Z5, Z6, Z2; \
+	VPMADD52HUQ Z5, Z6, Z3
 
 // Open a block: the accumulators start at out (add) or zero.
 #define OPEN \
@@ -145,6 +158,148 @@ done:
 bad:
 	VZEROUPPER
 	MOVB $0, ret+176(FP)
+	RET
+
+// func convertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
+//
+// The RNS conversion's emit step on the lanes, one destination row after
+// another, sixteen coefficients a step (two independent chains; a last
+// group of eight alone): the split accumulator opens with
+// k·nb, adds each staged row y_j times the broadcast table entry w_j (and
+// the seed row times w_cols), and closes as CLOSE does, with 2^40 as the
+// second constant — the tables carry 2^64, so the result is the sum times
+// 2^-64, the Go body's REDC. 2^40 need not be reduced mod q: within the
+// budget A < (T+1)·q, so P_hi = ⌊A/2^12⌋ < q for T < 4096 terms, which is
+// all the second REDC asks. ConvertLanes has checked every row and the
+// caller the budget (LanesFit).
+//
+// Register plan:
+//   BX       destination r;  DI  out[r] + t0;  R10  seed[r] + t0, or 0
+//   R11, R12 w[r] and w[r] + cols;  R8, R9  the term's y and w pointers
+//   AX       8·t within the block;  CX  8·n;  SI  8·stride
+//   R13, R14 ys and k
+//   Z0, Z1   L, H of the first group;  Z2, Z3  of the second
+//   Z4, Z6   the term's y (k when opening);  Z5  the broadcast w
+//   Z8, Z9   close scratch;  DX  the pair test
+//   Z28 = nb[r], Z29 = 2^40, Z30 = q^-1 mod 2^52, Z31 = q
+TEXT ·convertLanes(SB), NOSPLIT, $0-200
+	MOVQ ys_base+120(FP), R13
+	MOVQ k_base+144(FP), R14
+	MOVQ n+176(FP), CX
+	SHLQ $3, CX
+	MOVQ stride+184(FP), SI
+	SHLQ $3, SI
+	MOVQ $0x10000000000, AX
+	VPBROADCASTQ AX, Z29
+	XORQ BX, BX
+
+dest:
+	MOVQ mods_base+48(FP), R8
+	IMUL3Q $Modulus__size, BX, R9
+	ADDQ R9, R8
+	MOVQ Modulus_Q(R8), R9
+	VPBROADCASTQ R9, Z31
+	MOVQ Modulus_QInv(R8), AX
+	MOVQ $0xfffffffffffff, DX
+	ANDQ DX, AX
+	VPBROADCASTQ AX, Z30
+	MOVQ nb_base+96(FP), R8
+	VPBROADCASTQ (R8)(BX*8), Z28
+	LEAQ (BX)(BX*2), R9
+	MOVQ t0+168(FP), AX
+	MOVQ out_base+0(FP), R8
+	MOVQ (R8)(R9*8), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ seed_base+24(FP), R10
+	TESTQ R10, R10
+	JZ   rows
+	MOVQ (R10)(R9*8), R10
+	LEAQ (R10)(AX*8), R10
+
+rows:
+	MOVQ w_base+72(FP), R8
+	MOVQ (R8)(R9*8), R11
+	MOVQ cols+192(FP), R12
+	LEAQ (R11)(R12*8), R12
+	XORQ AX, AX
+
+pair:
+	LEAQ 64(AX), DX
+	CMPQ DX, CX
+	JEQ  single
+	VMOVDQU64 (R14)(AX*1), Z4
+	VMOVDQU64 64(R14)(AX*1), Z6
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPMADD52LUQ Z28, Z4, Z0
+	VPMADD52HUQ Z28, Z4, Z1
+	VPMADD52LUQ Z28, Z6, Z2
+	VPMADD52HUQ Z28, Z6, Z3
+	LEAQ (R13)(AX*1), R8
+	MOVQ R11, R9
+
+pairterm:
+	VPBROADCASTQ (R9), Z5
+	VMOVDQU64 (R8), Z4
+	VMOVDQU64 64(R8), Z6
+	TERM2
+	ADDQ SI, R8
+	ADDQ $8, R9
+	CMPQ R9, R12
+	JNE  pairterm
+	TESTQ R10, R10
+	JZ   pairclose
+	VPBROADCASTQ (R12), Z5
+	VMOVDQU64 (R10)(AX*1), Z4
+	VMOVDQU64 64(R10)(AX*1), Z6
+	TERM2
+
+pairclose:
+	CLOSE(Z0, Z1)
+	CLOSE(Z2, Z3)
+	VMOVDQU64 Z0, (DI)(AX*1)
+	VMOVDQU64 Z2, 64(DI)(AX*1)
+	ADDQ $128, AX
+	CMPQ AX, CX
+	JNE  pair
+	JMP  next
+
+single:
+	VMOVDQU64 (R14)(AX*1), Z4
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPMADD52LUQ Z28, Z4, Z0
+	VPMADD52HUQ Z28, Z4, Z1
+	LEAQ (R13)(AX*1), R8
+	MOVQ R11, R9
+
+singleterm:
+	VPBROADCASTQ (R9), Z5
+	VMOVDQU64 (R8), Z4
+	VPMADD52LUQ Z5, Z4, Z0
+	VPMADD52HUQ Z5, Z4, Z1
+	ADDQ SI, R8
+	ADDQ $8, R9
+	CMPQ R9, R12
+	JNE  singleterm
+	TESTQ R10, R10
+	JZ   singleclose
+	VPBROADCASTQ (R12), Z5
+	VMOVDQU64 (R10)(AX*1), Z4
+	VPMADD52LUQ Z5, Z4, Z0
+	VPMADD52HUQ Z5, Z4, Z1
+
+singleclose:
+	CLOSE(Z0, Z1)
+	VMOVDQU64 Z0, (DI)(AX*1)
+
+next:
+	INCQ BX
+	CMPQ BX, out_len+8(FP)
+	JNE  dest
+	VZEROUPPER
 	RET
 
 // func cpuHasIFMA() bool

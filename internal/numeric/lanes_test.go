@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"math/big"
 	"math/rand"
 	"os"
 	"runtime"
@@ -192,4 +193,61 @@ func TestMACLanesMatchGoBody(t *testing.T) {
 		}
 	}
 	t.Logf("IFMA52 lanes on this CPU: %v; lanes body ran %d times, Go body %d", hasLanes, ran[true], ran[false])
+}
+
+// The conversion's lanes close every sum the rule admits: at the most terms
+// LanesFit allows, every factor maximal — staged rows and the k row at
+// yMax − 1, the table row and nb at q − 1, a seed row at q − 1 — ConvertLanes
+// gives the canonical residue of the sum times 2^-64 (math/big), for
+// destinations from 30 bits to just under 2^50 and sources up to 2^52. So
+// the budget is enough, and 2^40 serves unreduced as the close's second
+// constant however small q is.
+func TestConvertLanesAtBudget(t *testing.T) {
+	if !hasLanes {
+		t.Skip("no IFMA52 lanes on this CPU")
+	}
+	fill := func(n int, v uint64) []uint64 {
+		s := make([]uint64, n)
+		for i := range s {
+			s[i] = v
+		}
+		return s
+	}
+	const n = 16
+	for _, q := range []uint64{1073479681, 1099510054913, 35184371138561, 1125899904679937} {
+		m := NewModulus(q)
+		for _, yMax := range []uint64{q, 1 << 52} {
+			for _, seeded := range []bool{false, true} {
+				terms := 4095
+				for terms > 0 && !m.LanesFit(yMax, terms) {
+					terms--
+				}
+				cols := terms - 1
+				var seed [][]uint64
+				if seeded {
+					cols--
+					seed = [][]uint64{fill(n, q-1)}
+				}
+				if cols < 1 {
+					continue
+				}
+				out := [][]uint64{make([]uint64, n)}
+				ConvertLanes(out, seed, []Modulus{m}, [][]uint64{fill(cols+1, q-1)}, []uint64{q - 1},
+					fill(cols*n, yMax-1), fill(n, yMax-1), 0, n, n, cols)
+				bq := new(big.Int).SetUint64(q)
+				prod := new(big.Int).Mul(new(big.Int).SetUint64(yMax-1), new(big.Int).SetUint64(q-1))
+				sum := new(big.Int).Mul(prod, big.NewInt(int64(cols+1)))
+				if seeded {
+					sum.Add(sum, new(big.Int).Mul(new(big.Int).SetUint64(q-1), new(big.Int).SetUint64(q-1)))
+				}
+				r64 := new(big.Int).Lsh(big.NewInt(1), 64)
+				sum.Mul(sum, r64.ModInverse(r64.Mod(r64, bq), bq)).Mod(sum, bq)
+				for c, got := range out[0] {
+					if got != sum.Uint64() {
+						t.Fatalf("q=%d yMax=%d seeded=%v at %d terms: coefficient %d is %d, want %d", q, yMax, seeded, terms, c, got, sum.Uint64())
+					}
+				}
+			}
+		}
+	}
 }

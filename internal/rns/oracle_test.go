@@ -477,10 +477,14 @@ func TestOracleRescale(t *testing.T) {
 	}
 }
 
-// BenchmarkConvert times the conversions a keyswitch runs — one digit's ModUp,
-// and ModDown whole and as the Correction the NTT-domain close uses — on the
-// two benchmark shapes (α = 2 at N = 8192, α = 5 at N = 512), in ns per
-// output word, so the cost of stage + emit reads without the harness.
+// BenchmarkConvert times the conversions a keyswitch runs — ModUp of digit
+// 0 (it holds q0, so the Go body) and of digit 1, and ModDown whole and as
+// the Correction the NTT-domain close uses — on the two benchmark shapes
+// (α = 2 at N = 8192, α = 5 at N = 512), in ns per output word, so the cost
+// of stage + emit reads without the harness. Each case runs twice in one
+// binary: body=lanes is the package's own call, the rule picking the body
+// per destination; body=go is the same conversion with every destination on
+// the Go body (goConvert). On a CPU without the lanes both read the Go body.
 func BenchmarkConvert(b *testing.B) {
 	shapes := oracleShapes(b, false)
 	for _, c := range []struct {
@@ -503,21 +507,33 @@ func BenchmarkConvert(b *testing.B) {
 		md := NewModDownParams(s.q, s.p)
 		aQ, aP := random(s.q), random(s.p)
 		ext, out := allocLimbs(len(s.q)+len(s.p), n), allocLimbs(len(s.q), n)
-		for _, k := range []struct {
-			name  string
-			words int
-			fn    func()
-		}{
-			{"ExtendDigit", (len(ext) - s.alpha) * n, func() { d.ExtendDigit(level, 0, aQ, ext) }},
-			{"Correction", len(out) * n, func() { md.Correction(out, aP) }},
-			{"ModDown", len(out) * n, func() { md.ModDown(out, aQ, aP) }},
-		} {
-			b.Run(fmt.Sprintf("%s/%s/alpha=%d", k.name, s.name, s.alpha), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					k.fn()
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.words), "ns/word")
-			})
+		qs := upTo(len(s.q))
+		type body struct {
+			name   string
+			words  int
+			lanes  func()
+			goBody func()
+		}
+		cases := []body{
+			{"Correction", len(out) * n, func() { md.Correction(out, aP) }, func() { goConvert(md.ext, out, aP, qs, nil) }},
+			{"ModDown", len(out) * n, func() { md.ModDown(out, aQ, aP) }, func() { goConvert(md.ext, out, aP, qs, aQ) }},
+		}
+		for dig := range 2 {
+			cases = append(cases, body{fmt.Sprintf("ExtendDigit/digit=%d", dig), (len(ext) - s.alpha) * n,
+				func() { d.ExtendDigit(level, dig, aQ, ext) }, func() { goExtendDigit(d, level, dig, aQ, ext) }})
+		}
+		for _, k := range cases {
+			for _, run := range []struct {
+				body string
+				fn   func()
+			}{{"go", k.goBody}, {"lanes", k.lanes}} {
+				b.Run(fmt.Sprintf("%s/%s/alpha=%d/body=%s", k.name, s.name, s.alpha, run.body), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						run.fn()
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(k.words), "ns/word")
+				})
+			}
 		}
 	}
 }

@@ -9,6 +9,15 @@
 //	ModDown: exact division by P after keyswitching;
 //	Rescale: division by the last prime of the chain with rounding.
 //
+// RNSconv's sum has two bodies. The Go body (Extender.emit) runs four
+// coefficients a step in 128-bit accumulators closed by one REDC. Where the
+// operands fit the 52-bit multiplier — every source prime below 2^52, a
+// destination with the IFMA52 lanes and the sum within their budget
+// (Extender.lanes) — numeric.ConvertLanes runs eight coefficients a ZMM
+// register in a split 52-bit accumulator closed by two radix-2^52 REDCs.
+// Both close to the canonical residue of the same integer, so the words
+// are the same whichever body ran.
+//
 // All routines operate limb-wise on raw residue slices so both the CKKS
 // evaluator and the accelerator's functional model can drive them.
 package rns
@@ -35,6 +44,13 @@ import (
 // destination-side tables hold their entries times 2^64 mod c_i, so the
 // 2^-64 of that one REDC is already paid for when the table is built and a
 // word costs two multiplies to close where a 128-bit Barrett costs five.
+//
+// emit is that chain in Go, four coefficients a step. emitRows sends each
+// run of destinations the lanes rule admits (lanes) to the IFMA52 body,
+// numeric.ConvertLanes, which reads the same tables eight coefficients a
+// register and takes the same 2^64 out in its close; q0, the P primes as
+// destinations, 58- and 61-bit sources and a block's last b.n mod 8
+// coefficients keep the Go body. The words are the same either way.
 type Extender struct {
 	src []numeric.Modulus // source basis B
 	dst []numeric.Modulus // destination moduli C (any set of odd moduli)
@@ -45,7 +61,7 @@ type Extender struct {
 	negBModC     []uint64   // −B·2^64 mod c_i: k of these cancel the CRT overflow k·B
 	invB         []float64  // 1 / b_j, for the rounding estimate
 
-	blockLen int // coefficients per block: a multiple of 4, (len(src)+1)·blockLen ≤ stageWords
+	blockLen int // coefficients per block: a multiple of 8, (len(src)+1)·blockLen ≤ stageWords
 }
 
 const (
@@ -78,7 +94,7 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 	if l+2 > numeric.MaxLazyProducts {
 		panic(fmt.Sprintf("rns: source basis of %d primes exceeds %d", l, numeric.MaxLazyProducts-2))
 	}
-	e := &Extender{src: src, dst: dst, blockLen: min(maxBlock, stageWords/(l+1)&^3)}
+	e := &Extender{src: src, dst: dst, blockLen: min(maxBlock, stageWords/(l+1)&^7)}
 	e.bHatInv = make([]uint64, l)
 	e.bHatInvShoup = make([]uint64, l)
 	e.invB = make([]float64, l)
@@ -136,10 +152,67 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 	}
 }
 
-// emit writes the staged block's residues modulo destination i into out
-// (len b.n): Σ_j y_j·(B/b_j) − k·B accumulated unreduced in 128 bits against
-// the Montgomery-form row and closed by one REDC, which takes the table's
-// 2^64 back out — so the result is the canonical residue. cols is how many
+// emitRows writes the staged block's residues modulo destinations i0,
+// i0+1, … into out[r][t0:t0+b.n], one row of out a destination. Each run of
+// destinations the lanes take (lanes) is one ConvertLanes call over the
+// block's whole groups of eight coefficients; the Go body (emit) writes the
+// other destinations and the last b.n mod 8 coefficients. seed, when not
+// nil, holds ModDown's a_i rows, one per row of out (and may be out): the
+// lanes read them in place, the Go body from the block's seed row.
+func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]uint64) {
+	cols, nl := len(e.src), b.n&^7
+	if seed != nil {
+		cols++
+	}
+	for r := 0; r < len(out); {
+		s, from := r+1, 0
+		if nl > 0 && e.lanes(i0+r, cols) {
+			for s < len(out) && e.lanes(i0+s, cols) {
+				s++
+			}
+			var sd [][]uint64
+			if seed != nil {
+				sd = seed[r:s]
+			}
+			numeric.ConvertLanes(out[r:s], sd, e.dst[i0+r:i0+s], e.bHatModC[i0+r:i0+s], e.negBModC[i0+r:i0+s],
+				b.ys[:], b.k[:], t0, nl, b.stride, len(e.src))
+			from = nl
+		}
+		for ; r < s; r++ {
+			if from == b.n {
+				continue
+			}
+			if seed != nil {
+				copy(b.ys[len(e.src)*b.stride:][from:b.n], seed[r][t0+from:t0+b.n])
+			}
+			e.emit(out[r][t0:t0+b.n], i0+r, cols, b, from)
+		}
+	}
+}
+
+// lanes is the one rule that sends destination i of a sum over cols staged
+// columns to the lanes: the destination passes numeric.LanesFit for cols+1
+// terms (the k column too) against the widest y — the widest source prime,
+// or c_i itself when ModDown's seed column (a residue of c_i) rides along.
+// So every source prime must be below 2^52; q0 (55 bits), the P primes as
+// destinations and P13's 58-bit P sources keep the Go body.
+func (e *Extender) lanes(i, cols int) bool {
+	c := e.dst[i]
+	var y uint64
+	for _, bj := range e.src {
+		y = max(y, bj.Q)
+	}
+	if cols > len(e.src) {
+		y = max(y, c.Q)
+	}
+	return c.LanesFit(y, cols+1)
+}
+
+// emit is the Go body: it writes the staged block's residues modulo
+// destination i into out[from:] (len(out) = b.n, from a multiple of 4):
+// Σ_j y_j·(B/b_j) − k·B accumulated unreduced in 128 bits against the
+// Montgomery-form row and closed by one REDC, which takes the table's 2^64
+// back out — so the result is the canonical residue. cols is how many
 // columns of the table row, and staged rows of the block, the sum reads:
 // len(src), plus one when ModDown's seed column rides along.
 //
@@ -149,11 +222,11 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 // multiples of four inside the staged rows); they are there so that the
 // compiler sees the cuts are in range and drops the check and the length it
 // would carry through the inner loop.
-func (e *Extender) emit(out []uint64, i, cols int, b *block) {
+func (e *Extender) emit(out []uint64, i, cols int, b *block, from int) {
 	ci := &e.dst[i]
 	row, nb := e.bHatModC[i][:cols], e.negBModC[i]
 	out = out[:b.n]
-	for t := 0; t < len(out); t += 4 {
+	for t := from; t < len(out); t += 4 {
 		k := b.k[t&(maxBlock-4):][:4]
 		h0, l0 := bits.Mul64(k[0], nb)
 		h1, l1 := bits.Mul64(k[1], nb)
@@ -226,9 +299,7 @@ func (e *Extender) Extend(out, in [][]uint64) {
 	for t0, n := 0, len(in[0]); t0 < n; t0 += e.blockLen {
 		cnt := min(e.blockLen, n-t0)
 		e.stage(&b, in, t0, cnt)
-		for i := range e.dst {
-			e.emit(out[i][t0:t0+cnt], i, len(e.src), &b)
-		}
+		e.emitRows(out, 0, &b, t0, nil)
 	}
 }
 
@@ -277,11 +348,7 @@ func (m *ModDownParams) ModDown(out, aQ, aP [][]uint64) {
 	for t0, n := 0, len(aQ[0]); t0 < n; t0 += e.blockLen {
 		cnt := min(e.blockLen, n-t0)
 		e.stage(&b, aP, t0, cnt)
-		seed := b.ys[len(m.P)*b.stride:]
-		for i := range m.Q {
-			copy(seed, aQ[i][t0:t0+cnt])
-			e.emit(out[i][t0:t0+cnt], i, len(m.P)+1, &b)
-		}
+		e.emitRows(out[:len(m.Q)], 0, &b, t0, aQ[:len(m.Q)])
 	}
 }
 
@@ -298,9 +365,7 @@ func (m *ModDownParams) Correction(out, aP [][]uint64) {
 	for t0, n := 0, len(aP[0]); t0 < n; t0 += e.blockLen {
 		cnt := min(e.blockLen, n-t0)
 		e.stage(&b, aP, t0, cnt)
-		for i := range m.Q {
-			e.emit(out[i][t0:t0+cnt], i, len(m.P), &b)
-		}
+		e.emitRows(out[:len(m.Q)], 0, &b, t0, nil)
 	}
 }
 
@@ -483,13 +548,8 @@ func (d *Decomposer) ExtendDigit(level, dig int, in, out [][]uint64) {
 	for t0, n := 0, len(in[0]); t0 < n; t0 += e.blockLen {
 		cnt := min(e.blockLen, n-t0)
 		e.stage(&b, in[lo:hi], t0, cnt)
-		for i := 0; i <= level; i++ {
-			if i < lo || i >= hi {
-				e.emit(out[i][t0:t0+cnt], i, hi-lo, &b)
-			}
-		}
-		for j := range d.P {
-			e.emit(out[level+1+j][t0:t0+cnt], len(d.Q)+j, hi-lo, &b)
-		}
+		e.emitRows(out[:lo], 0, &b, t0, nil)
+		e.emitRows(out[hi:level+1], hi, &b, t0, nil)
+		e.emitRows(out[level+1:], len(d.Q), &b, t0, nil)
 	}
 }

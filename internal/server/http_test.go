@@ -205,6 +205,61 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
+// A word that is not a canonical residue — w + q, w + 2q, 2^64 − 1, on the
+// 50-bit limb 0 and on a 40-bit limb — is a 400 at ingest, in either eval
+// operand and in an uploaded relinearization or rotation key, and the
+// registry never takes such a key; the same requests with every word a
+// residue are served.
+func TestHTTPNonCanonicalWordsRefused(t *testing.T) {
+	params := newServeParams(t, 1)
+	_, hs, cli := newHTTPFixture(t, Config{Params: params})
+	tt := newTestTenant(t, params, "alice", 9, []int{1}, false)
+	kgenUpload(t, cli, tt)
+	ctBytes := tt.encryptBytes(t, randomVec(rand.New(rand.NewSource(11)), params.Slots))
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := hs.Client().Post(hs.URL+path, "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/v1/eval", EncodeEvalRequest(&EvalRequest{Tenant: "alice", Op: OpAdd, Ct: ctBytes, Ct2: ctBytes})); code != http.StatusOK {
+		t.Fatalf("canonical operands: HTTP %d, want 200", code)
+	}
+	for name, f := range nonCanonical {
+		for _, limb := range []int{0, 2} {
+			q := params.RingQ.Moduli[limb].Q
+			label := fmt.Sprintf("%s on the %d-bit limb %d", name, params.RingQ.Moduli[limb].Bits, limb)
+			bad := edited(t, ctBytes, func(ct *ckks.Ciphertext) { ct.C1.Coeffs[limb][7] = f(ct.C1.Coeffs[limb][7], q) })
+			for _, req := range []*EvalRequest{
+				{Tenant: "alice", Op: OpNegate, Ct: bad},
+				{Tenant: "alice", Op: OpAdd, Ct: ctBytes, Ct2: bad},
+			} {
+				if code := post("/v1/eval", EncodeEvalRequest(req)); code != http.StatusBadRequest {
+					t.Fatalf("%s, %s operand: HTTP %d, want 400", label, req.Op, code)
+				}
+			}
+			rlk := edited(t, tt.rlkBytes, func(k *ckks.RelinearizationKey) { row := k.B[0].Q.Coeffs[limb]; row[7] = f(row[7], q) })
+			rtk := edited(t, tt.rtkBytes, func(ks *ckks.RotationKeySet) {
+				for _, k := range ks.Keys {
+					row := k.A[0].Q.Coeffs[limb]
+					row[7] = f(row[7], q)
+				}
+			})
+			for _, u := range []*KeyUpload{{Tenant: "bob", Relin: rlk, Rotations: tt.rtkBytes}, {Tenant: "bob", Relin: tt.rlkBytes, Rotations: rtk}} {
+				if code := post("/v1/keys", EncodeKeyUpload(u)); code != http.StatusBadRequest {
+					t.Fatalf("%s in an uploaded key: HTTP %d, want 400", label, code)
+				}
+			}
+		}
+	}
+	if code := post("/v1/eval", EncodeEvalRequest(&EvalRequest{Tenant: "bob", Op: OpNegate, Ct: ctBytes})); code != http.StatusNotFound {
+		t.Fatalf("tenant whose every upload was refused: HTTP %d, want 404", code)
+	}
+}
+
 // The body is read at its declared length when there is one: an exact
 // length is served, a body shorter or longer than it declared is 400, and an
 // absent or over-limit declaration falls back to the capped ReadAll, which

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding"
 	"errors"
 	"math"
 	"math/cmplx"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"poseidon/internal/ckks"
+	"poseidon/internal/numeric"
 )
 
 // newServeParams builds the small parameter set the serving tests share:
@@ -192,6 +194,50 @@ func coeffDomainBytes(t testing.TB, params *ckks.Parameters, b []byte) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// nonCanonical are the words a boundary check must refuse in place of a
+// residue w of q: one and two q above it (the second still fits the 52 bits
+// the IFMA52 lanes read) and the widest word.
+var nonCanonical = map[string]func(w, q uint64) uint64{
+	"w+q":    func(w, q uint64) uint64 { return w + q },
+	"w+2q":   func(w, q uint64) uint64 { return w + 2*q },
+	"2^64-1": func(uint64, uint64) uint64 { return math.MaxUint64 },
+}
+
+// wireValue is a type with a binary form: a ciphertext or key set.
+type wireValue[E any] interface {
+	*E
+	encoding.BinaryMarshaler
+	encoding.BinaryUnmarshaler
+}
+
+// edited decodes b, applies edit to the value and encodes it again — how a
+// test builds bytes that decode but carry a word no client should send.
+func edited[E any, T wireValue[E]](t testing.TB, b []byte, edit func(T)) []byte {
+	t.Helper()
+	v := T(new(E))
+	if err := v.UnmarshalBinary(b); err != nil {
+		t.Fatal(err)
+	}
+	edit(v)
+	out, err := v.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// canonicalRows reports whether every word of rows[i] is below moduli[i].
+func canonicalRows(rows [][]uint64, moduli []numeric.Modulus) bool {
+	for i, row := range rows {
+		for _, w := range row {
+			if w >= moduli[i].Q {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // A two-operand request whose Ct2 bytes equal its Ct (a squaring, a

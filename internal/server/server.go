@@ -380,12 +380,19 @@ func (s *EvalServer) validateEval(req *EvalRequest) error {
 	return nil
 }
 
-// RegisterKeys decodes and installs a tenant's uploaded key material.
+// RegisterKeys decodes a tenant's uploaded key material, checks every key's
+// shape and words against the server's parameter set
+// (Parameters.CheckSwitchingKey), and installs it; a key that does not
+// decode or does not pass is a bad request, and the registry never sees it.
 func (s *EvalServer) RegisterKeys(u *KeyUpload) error {
 	var rlk *ckks.RelinearizationKey
 	if len(u.Relin) > 0 {
 		rlk = new(ckks.RelinearizationKey)
-		if err := rlk.UnmarshalBinary(u.Relin); err != nil {
+		err := rlk.UnmarshalBinary(u.Relin)
+		if err == nil {
+			err = s.params.CheckSwitchingKey(&rlk.SwitchingKey)
+		}
+		if err != nil {
 			return fmt.Errorf("%w: relinearization key: %w", ErrBadRequest, err)
 		}
 	}
@@ -394,6 +401,11 @@ func (s *EvalServer) RegisterKeys(u *KeyUpload) error {
 		rtk = new(ckks.RotationKeySet)
 		if err := rtk.UnmarshalBinary(u.Rotations); err != nil {
 			return fmt.Errorf("%w: rotation key set: %w", ErrBadRequest, err)
+		}
+		for g, k := range rtk.Keys {
+			if err := s.params.CheckSwitchingKey(k); err != nil {
+				return fmt.Errorf("%w: rotation key %d: %w", ErrBadRequest, g, err)
+			}
 		}
 	}
 	return s.registry.Register(u.Tenant, rlk, rtk)

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"testing"
+
+	"poseidon/internal/ckks"
 )
 
 func TestEvalRequestRoundTrip(t *testing.T) {
@@ -121,8 +124,36 @@ func FuzzServeRequest(f *testing.F) {
 	binary.LittleEndian.PutUint64(flip[16:], kindKeys)
 	f.Add(flip)
 
+	// Envelopes that decode to a ciphertext or key with one word that is not
+	// a canonical residue: the server must refuse them at ingest.
+	params := newServeParams(f, 1)
+	srv, err := NewEvalServer(Config{Params: params})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	tt := newTestTenant(f, params, "erin", 3, []int{1}, false)
+	ctBytes := tt.encryptBytes(f, randomVec(rand.New(rand.NewSource(4)), params.Slots))
+	for _, fn := range nonCanonical {
+		for _, limb := range []int{0, 2} {
+			q := params.RingQ.Moduli[limb].Q
+			bump := func(row []uint64) { row[5] = fn(row[5], q) }
+			f.Add(EncodeEvalRequest(&EvalRequest{Tenant: "erin", Op: OpNegate,
+				Ct: edited(f, ctBytes, func(ct *ckks.Ciphertext) { bump(ct.C0.Coeffs[limb]) })}))
+			f.Add(EncodeKeyUpload(&KeyUpload{Tenant: "erin", Rotations: tt.rtkBytes,
+				Relin: edited(f, tt.rlkBytes, func(k *ckks.RelinearizationKey) { bump(k.A[1].Q.Coeffs[limb]) })}))
+		}
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if req, err := DecodeEvalRequest(data); err == nil {
+			for _, b := range [][]byte{req.Ct, req.Ct2} {
+				if ct, err := srv.parseOperand("operand", b); err == nil {
+					if !canonicalRows(ct.C0.Coeffs[:ct.Level+1], params.RingQ.Moduli) || !canonicalRows(ct.C1.Coeffs[:ct.Level+1], params.RingQ.Moduli) {
+						t.Fatal("ingest accepted a ciphertext word that is not a canonical residue")
+					}
+				}
+			}
 			again, err := DecodeEvalRequest(EncodeEvalRequest(req))
 			if err != nil {
 				t.Fatalf("re-encode of decoded request rejected: %v", err)
@@ -136,6 +167,26 @@ func FuzzServeRequest(f *testing.F) {
 		if u, err := DecodeKeyUpload(data); err == nil {
 			if _, err := DecodeKeyUpload(EncodeKeyUpload(u)); err != nil {
 				t.Fatalf("re-encode of decoded upload rejected: %v", err)
+			}
+			if srv.RegisterKeys(u) == nil {
+				var keys []*ckks.SwitchingKey
+				if rlk := new(ckks.RelinearizationKey); len(u.Relin) > 0 && rlk.UnmarshalBinary(u.Relin) == nil {
+					keys = append(keys, &rlk.SwitchingKey)
+				}
+				if rtk := new(ckks.RotationKeySet); len(u.Rotations) > 0 && rtk.UnmarshalBinary(u.Rotations) == nil {
+					for _, k := range rtk.Keys {
+						keys = append(keys, k)
+					}
+				}
+				for _, k := range keys {
+					for d := range k.B {
+						for _, c := range []ckks.PolyQP{k.B[d], k.A[d]} {
+							if !canonicalRows(c.Q.Coeffs, params.RingQ.Moduli) || !canonicalRows(c.P.Coeffs, params.RingP.Moduli) {
+								t.Fatal("RegisterKeys accepted a key word that is not a canonical residue")
+							}
+						}
+					}
+				}
 			}
 		} else if !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("key decode error %v does not wrap ErrBadRequest", err)
