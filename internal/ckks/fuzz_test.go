@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+
+	"poseidon/internal/ring"
 )
 
 // Unmarshal must reject arbitrary byte strings with errors, never panics
@@ -34,10 +36,32 @@ func FuzzCiphertextUnmarshal(f *testing.F) {
 	huge := append([]byte(nil), valid...)
 	binary.LittleEndian.PutUint64(huge[6*8:], 1<<40) // absurd N
 	f.Add(huge)
+	// Well-formed bytes whose one word is not a canonical residue: w + q,
+	// w + 2q and 2^64 − 1 on the 50-bit and on the 40-bit limb.
+	for limb := range params.Q {
+		for _, bad := range offRange(ct.C0.Coeffs[limb][3], params.Q[limb]) {
+			off := ct.CopyNew()
+			off.C0.Coeffs[limb][3] = bad
+			data, err := off.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var back Ciphertext
-		_ = back.UnmarshalBinary(data) // must not panic
+		if back.UnmarshalBinary(data) == nil && params.CheckCiphertext(&back) == nil {
+			// What parses and passes the check is canonical, row by row.
+			for c, poly := range [2]*ring.Poly{back.C0, back.C1} {
+				for i, row := range poly.Coeffs[:back.Level+1] {
+					if j := aboveModulus(row, params.Q[i]); j >= 0 {
+						t.Fatalf("CheckCiphertext passed C%d limb %d word %d = %d ≥ q = %d", c, i, j, row[j], params.Q[i])
+					}
+				}
+			}
+		}
 		var pt Plaintext
 		_ = pt.UnmarshalBinary(data)
 		var key SecretKey
@@ -97,6 +121,22 @@ func FuzzKeyUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(short)
+	// Well-formed keys whose one word is not a canonical residue: w + q,
+	// w + 2q and 2^64 − 1 on the 50-bit and on the 40-bit Q limb.
+	for limb := range params.Q {
+		for _, bad := range offRange(rlk.B[0].Q.Coeffs[limb][3], params.Q[limb]) {
+			var off SwitchingKey
+			if err := off.UnmarshalBinary(swkBytes); err != nil {
+				f.Fatal(err)
+			}
+			off.B[0].Q.Coeffs[limb][3] = bad
+			data, err := off.MarshalBinary()
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(data)
+		}
+	}
 
 	ev := NewEvaluator(params, nil, nil)
 	ct := NewEncryptor(params, kgen.GenPublicKey(sk), 105).EncryptZero(params.MaxLevel(), params.Scale)
@@ -105,6 +145,23 @@ func FuzzKeyUnmarshal(f *testing.F) {
 		if err := swk.UnmarshalBinary(data); err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("switching key rejection not wrapping ErrCorrupt: %v", err)
 		} else if err == nil {
+			if params.CheckSwitchingKey(&swk) == nil {
+				// What parses and passes the check is canonical, row by row.
+				for d := range swk.B {
+					for c, pq := range [2]PolyQP{swk.B[d], swk.A[d]} {
+						for i, row := range pq.Q.Coeffs {
+							if j := aboveModulus(row, params.Q[i]); j >= 0 {
+								t.Fatalf("CheckSwitchingKey passed digit %d %c Q limb %d word %d = %d ≥ q = %d", d, "BA"[c], i, j, row[j], params.Q[i])
+							}
+						}
+						for i, row := range pq.P.Coeffs {
+							if j := aboveModulus(row, params.P[i]); j >= 0 {
+								t.Fatalf("CheckSwitchingKey passed digit %d %c P limb %d word %d = %d ≥ p = %d", d, "BA"[c], i, j, row[j], params.P[i])
+							}
+						}
+					}
+				}
+			}
 			// Whatever geometry its header named, a key that parsed either
 			// switches at the top of this chain or is refused before a kernel
 			// indexes it.
@@ -121,6 +178,24 @@ func FuzzKeyUnmarshal(f *testing.F) {
 			t.Fatalf("secret key rejection not wrapping ErrCorrupt: %v", err)
 		}
 	})
+}
+
+// offRange returns the three non-canonical stand-ins for residue w of q
+// that the fuzzers seed: w + q, w + 2q and 2^64 − 1.
+func offRange(w, q uint64) []uint64 {
+	return []uint64{w + q, w + 2*q, 1<<64 - 1}
+}
+
+// aboveModulus returns the index of the first word of row that is not
+// below q, or −1: the fuzzers' own range check, independent of the one
+// under test.
+func aboveModulus(row []uint64, q uint64) int {
+	for j, w := range row {
+		if w >= q {
+			return j
+		}
+	}
+	return -1
 }
 
 // Every deserializer must report corruption through the ErrCorrupt

@@ -10,11 +10,12 @@ import (
 // block buffer lives on the stack, and the specialized kernels touch only
 // their operand slices. This is the ntt-level half of the evaluator's
 // zero-alloc chain gate. The 45-bit table runs the IFMA52 lanes where the
-// CPU has them, the 59-bit one the Go bodies.
+// CPU has them, the 59-bit one the DQ lanes (or the Go bodies without
+// AVX-512).
 func TestFusedZeroAlloc(t *testing.T) {
 	for _, bitSize := range []int{45, 59} {
 		tab := mustTable(t, 1<<10, bitSize)
-		t.Logf("%d-bit prime: lanes=%v", bitSize, tab.lanes)
+		t.Logf("%d-bit prime: body %v", bitSize, tab.body)
 		a := randomPoly(rand.New(rand.NewSource(3)), tab.N, tab.Mod.Q)
 		for k := 1; k <= 6; k++ {
 			fwd, err := NewFusedPlan(tab, k)

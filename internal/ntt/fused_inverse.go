@@ -67,7 +67,7 @@ func (p InverseFusedPlan) inverse(a []uint64, st *Stats) {
 		switch {
 		case st != nil || kappa > 3 || kappa < 3 && !fold:
 			t.invPassGeneric(a, kappa, stride, fold, st)
-		case t.lanes && (fold || kappa == 3):
+		case t.body != bodyGo && (fold || kappa == 3):
 			t.invPassLanes(a, kappa, stride, segs, fold)
 		case kappa == 3 && fold:
 			invPass8Fold(t, a, stride)

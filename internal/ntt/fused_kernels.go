@@ -30,9 +30,9 @@ import (
 // through exact Shoup products, so outputs are fully reduced and
 // bit-identical to the strict reference (strict.go).
 //
-// On a table NewTable marked for lanes (Table.lanes), lanes_amd64.s runs
-// every uncounted pass of the default plan instead, eight coefficients a
-// register.
+// On a table NewTable gave a vector body (Table.body), lanes_amd64.s or
+// dq_amd64.s runs every uncounted pass of the default plan instead, eight
+// coefficients a register.
 
 // --- forward, κ=3 -----------------------------------------------------------
 

@@ -2,13 +2,14 @@
 
 package ntt
 
-// Without amd64 there are no lanes: NewTable never sets Table.lanes, so the
-// pass bodies below are unreachable.
+// Without amd64 there are no vector bodies: numeric.Modulus.Lanes and
+// numeric.HasDQ are false, so pickBody always answers bodyGo and the pass
+// bodies below are unreachable.
 
 func (t *Table) fwdPassLanes(a []uint64, kappa, m0, stride int) {
-	panic("ntt: IFMA52 lanes on a non-amd64 build")
+	panic("ntt: vector pass body on a non-amd64 build")
 }
 
 func (t *Table) invPassLanes(a []uint64, kappa, stride, segs int, fold bool) {
-	panic("ntt: IFMA52 lanes on a non-amd64 build")
+	panic("ntt: vector pass body on a non-amd64 build")
 }

@@ -83,7 +83,7 @@ func TestConvolutionTheorem(t *testing.T) {
 			tab.Inverse(c)
 			for i := range c {
 				if c[i] != want[i] {
-					t.Fatalf("%d-bit q, n=%d (lanes %v): convolution mismatch at %d", bits, n, tab.lanes, i)
+					t.Fatalf("%d-bit q, n=%d (body %v): convolution mismatch at %d", bits, n, tab.body, i)
 				}
 			}
 		}

@@ -15,4 +15,5 @@ func innerProductPairLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int
 //go:noescape
 func convertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
 
-func cpuHasIFMA() bool
+// cpuAVX512 is the CPU probe of lanes_amd64.s.
+func cpuAVX512() (ifma, dq bool)

@@ -302,12 +302,14 @@ next:
 	VZEROUPPER
 	RET
 
-// func cpuHasIFMA() bool
+// func cpuAVX512() (ifma, dq bool)
 //
-// AVX512F and AVX512IFMA (CPUID leaf 7: EBX bits 16 and 21), with the
-// operating system saving opmask and ZMM state (OSXSAVE, then XCR0 bits 1,
-// 2 and 5–7).
-TEXT ·cpuHasIFMA(SB), NOSPLIT, $0-1
+// AVX512F with AVX512IFMA, and AVX512F with AVX512DQ (CPUID leaf 7: EBX
+// bits 16, 21 and 17), each with the operating system saving opmask and
+// ZMM state (OSXSAVE, then XCR0 bits 1, 2 and 5–7).
+TEXT ·cpuAVX512(SB), NOSPLIT, $0-2
+	MOVB $0, ifma+0(FP)
+	MOVB $0, dq+1(FP)
 	XORL CX, CX
 	XORL AX, AX
 	CPUID
@@ -326,12 +328,12 @@ TEXT ·cpuHasIFMA(SB), NOSPLIT, $0-1
 	MOVL $7, AX
 	XORL CX, CX
 	CPUID
-	ANDL $0x210000, BX
-	CMPL BX, $0x210000
-	JNE  no
-	MOVB $1, ret+0(FP)
-	RET
+	BTL  $16, BX
+	JCC  no
+	BTL  $21, BX
+	SETCS ifma+0(FP)
+	BTL  $17, BX
+	SETCS dq+1(FP)
 
 no:
-	MOVB $0, ret+0(FP)
 	RET

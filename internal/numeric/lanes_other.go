@@ -2,10 +2,10 @@
 
 package numeric
 
-// Without amd64 there are no lanes: Modulus.Lanes is always false, so the
-// bodies below are unreachable.
+// Without amd64 there are no lanes: Modulus.Lanes and HasDQ are always
+// false, so the bodies below are unreachable.
 
-func cpuHasIFMA() bool { return false }
+func cpuAVX512() (ifma, dq bool) { return false, false }
 
 func innerProductPairLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool, q, qInv, r2 uint64) bool {
 	panic("numeric: IFMA52 lanes on a non-amd64 build")

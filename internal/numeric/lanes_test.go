@@ -12,7 +12,8 @@ import (
 
 // A probe that wrongly said "no" would send every host to the Go body and no
 // differential test would notice, so on Linux it must agree with the
-// kernel's own feature list.
+// kernel's own feature list, for both halves: IFMA (this package's lanes and
+// the NTT's narrow body) and DQ (the NTT's 64-bit body).
 func TestCPUProbeMatchesCpuinfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("/proc/cpuinfo is Linux-only")
@@ -21,17 +22,25 @@ func TestCPUProbeMatchesCpuinfo(t *testing.T) {
 	if err != nil {
 		t.Skipf("reading /proc/cpuinfo: %v", err)
 	}
-	listed := false
+	var flags []string
 	for _, line := range strings.Split(string(b), "\n") {
-		if name, flags, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			listed = slices.Contains(strings.Fields(flags), "avx512ifma")
+		if name, list, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			flags = strings.Fields(list)
 			break
 		}
 	}
-	if got := cpuHasIFMA(); got != listed {
-		t.Fatalf("cpuHasIFMA() = %v, /proc/cpuinfo lists avx512ifma: %v", got, listed)
+	f := slices.Contains(flags, "avx512f")
+	ifma, dq := cpuAVX512()
+	if want := f && slices.Contains(flags, "avx512ifma"); ifma != want {
+		t.Fatalf("cpuAVX512() ifma = %v, /proc/cpuinfo lists avx512f + avx512ifma: %v", ifma, want)
 	}
-	t.Logf("cpuHasIFMA() = %v, agreeing with /proc/cpuinfo", listed)
+	if want := f && slices.Contains(flags, "avx512dq"); dq != want {
+		t.Fatalf("cpuAVX512() dq = %v, /proc/cpuinfo lists avx512f + avx512dq: %v", dq, want)
+	}
+	if ifma != hasLanes || dq != HasDQ() {
+		t.Fatalf("probe (%v, %v) differs from the package's (%v, %v)", ifma, dq, hasLanes, HasDQ())
+	}
+	t.Logf("cpuAVX512() = (ifma %v, dq %v), agreeing with /proc/cpuinfo", ifma, dq)
 }
 
 // Every odd modulus below 2^50 has the lanes on a CPU that has them, and

@@ -67,15 +67,21 @@ func NewModulus(q uint64) Modulus {
 	return m
 }
 
-// hasLanes reports AVX512F + AVX512IFMA with OS-enabled ZMM state; always
-// false off amd64. It is the one CPU probe, taken once; everything else asks
-// a modulus (Lanes).
-var hasLanes = cpuHasIFMA()
+// hasLanes reports AVX512F + AVX512IFMA, hasDQ AVX512F + AVX512DQ, each with
+// OS-enabled ZMM state; both false off amd64. They are the one CPU probe,
+// taken once; the kernels ask a modulus (Lanes) or, for the NTT's 64-bit
+// lanes, HasDQ.
+var hasLanes, hasDQ = cpuAVX512()
+
+// HasDQ reports whether the CPU runs 64-bit AVX-512 F + DQ lanes: the body
+// ntt.NewTable picks for a transform whose modulus the IFMA52 lanes refuse
+// (every modulus is below 2^61, so 4q fits a 64-bit lane).
+func HasDQ() bool { return hasDQ }
 
 // Lanes reports whether this modulus runs the IFMA52 lanes: the CPU has
 // them and Q is odd and below 2^50, so every residue, and 4Q, fits the
-// 52-bit multiplier. It is the one run-time kernel selection, which
-// ntt.NewTable also reads. A function of Q and the probe, it needs no field:
+// 52-bit multiplier. It is the run-time kernel selection of this package's
+// kernels; ntt.NewTable reads it and HasDQ. A function of Q and the probe, it needs no field:
 // Modulus stays seven words, which the register ABI passes whole beside two
 // scalar arguments (Mul's call of ReduceWide).
 func (m Modulus) Lanes() bool { return hasLanes && m.Q&1 == 1 && m.Q < 1<<50 }

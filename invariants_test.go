@@ -147,6 +147,10 @@ var retiredNames = []retiredName{
 		re: `os\.Getenv|flag\.`},
 	{pr: 31, design: "Lanes", flags: "-rnwE", in: []string{"internal/ntt/"}, tests: true,
 		re: `fwdPass4Last|fwdPass2Last|invPass4First|invPass4|invPass2First|invPass2`},
+	// One probe answers both halves (IFMA, DQ), and a table holds one body
+	// choice, not a lanes flag beside it.
+	{pr: 48, design: "Lanes", flags: "-rnE", in: []string{"internal/ntt/*.go", "internal/numeric/*.go"}, tests: true,
+		re: `cpuHasIFMA|\.lanes|lanes +bool`},
 
 	{pr: 33, design: "One program on the datapath", flags: "-rnE", in: everyGo,
 		re: `Compile(HAdd|PMult|NTT|Automorphism|Rescale|RNSConv|ModUp|ModDown|CMult|Rotation)\b|OpCounts|SecondsParallel|isa\.(Auto|Copy)\b|\bLaneC\b|PublishExpvar`},
