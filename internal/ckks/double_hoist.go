@@ -1,7 +1,6 @@
 package ckks
 
 import (
-	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 	"poseidon/internal/trace"
 )
@@ -88,9 +87,9 @@ type ltState struct {
 
 	group *ltGroup // current group
 
-	// macRows is slice-header scratch for groupMac on lane limbs: the
-	// group's diagonal, c0 and c1 rows, 3·len(terms) headers per extended
-	// limb.
+	// macRows is slice-header scratch for groupMac: the group's diagonal,
+	// c0 and c1 rows, 3·len(terms) headers per extended limb, which either
+	// body (VecInnerProductPair or VecMACPairBlocked) reads.
 	macRows [][]uint64
 }
 
@@ -274,12 +273,6 @@ func (c *opCall) giantPhase(stats *LinTransStats) {
 	}
 }
 
-// ltMacBlock is the column-block width of the lazy plaintext-MAC loop: the
-// four 128-bit accumulator half-rows of a block (hi/lo × c0/c1) occupy
-// 4·ltMacBlock·8 B = 16 KiB of groupMac's frame, which stays L1-resident
-// while the group's diagonals stream through it.
-const ltMacBlock = 512
-
 // resolveTerm returns the diagonal and lazy-rotation rows of term t on
 // extended limb i, or ok=false for the nothing-to-add case (identity term,
 // P limb).
@@ -311,7 +304,13 @@ func (st *ltState) groupSumStage(i int) {
 // on extended limb i, and leaves the two sums as residues where the group
 // wants them: added onto the output rows (st.acc) when j = 0, else in the
 // group rows (st.grp). Identity terms read the precomputed P·ct image and
-// contribute nothing on P limbs.
+// contribute nothing on P limbs. The sum is the keyswitch inner product's
+// shape — one shared operand (the diagonal) against two rows — so where
+// VecInnerProductPair runs a vector body for the limb (the IFMA52 lanes, or
+// the DQ lanes on q0 and the P primes) the limb is summed in calls of
+// ltMacTerms diagonals, its two sums in registers across each call's terms;
+// elsewhere it is the column-blocked Go loop, VecMACPairBlocked. Both close
+// to the same canonical residues.
 func (st *ltState) groupMac(i int) {
 	terms := st.group.terms
 	mod := st.modulus(i)
@@ -319,61 +318,38 @@ func (st *ltState) groupMac(i int) {
 	if st.group.j == 0 {
 		out, add = &st.acc, true
 	}
-	out0, out1 := out[0].Coeffs[i], out[1].Coeffs[i]
-	if mod.Lanes() {
-		// On the IFMA52 lanes the sum is the keyswitch inner product's shape
-		// — one shared operand (the diagonal) against two rows — and its two
-		// sums stay in registers across every diagonal, so the limb is one
-		// call over its term rows and no accumulator reaches memory.
-		nt := len(terms)
-		rows := st.macRows[3*nt*i : 3*nt*(i+1)]
-		n := 0
-		for k := range terms {
-			if ptc, r0, r1, ok := st.resolveTerm(&terms[k], i); ok {
-				rows[n], rows[nt+n], rows[2*nt+n] = ptc, r0, r1
-				n++
-			}
+	nt := len(terms)
+	rows := st.macRows[3*nt*i : 3*nt*(i+1)]
+	n := 0
+	for k := range terms {
+		if ptc, r0, r1, ok := st.resolveTerm(&terms[k], i); ok {
+			rows[n], rows[nt+n], rows[2*nt+n] = ptc, r0, r1
+			n++
 		}
-		mod.VecInnerProductPair(out0, out1, rows[:n], rows[nt:nt+n], rows[2*nt:2*nt+n], nil, add)
+	}
+	out0, out1 := out[0].Coeffs[i], out[1].Coeffs[i]
+	pt, r0, r1 := rows[:n], rows[nt:nt+n], rows[2*nt:2*nt+n]
+	if !mod.InnerProductLanes(len(out0)) {
+		mod.VecMACPairBlocked(out0, out1, pt, r0, r1, add)
 		return
 	}
-	// Column-blocked loop interchange. Streaming full-length
-	// 128-bit accumulator rows (hi+lo, read+write, both ciphertext
-	// components) per diagonal made the MAC phase memory-bound — roughly 4×
-	// the compulsory traffic. A column block's accumulators live on this
-	// frame instead: they stay L1-resident across all of the group's
-	// diagonals, the paired MAC kernel loads each diagonal's plaintext block
-	// once for both ciphertext rows, and the block is reduced into its
-	// destination before the next one starts — the wide sums never reach a
-	// heap row. The per-coefficient MAC/fold sequence is that of a
-	// full-length accumulator, so the result is bit-identical.
-	for jlo := 0; jlo < st.params.N; jlo += ltMacBlock {
-		jhi := min(jlo+ltMacBlock, st.params.N)
-		var wide [4][ltMacBlock]uint64
-		bh0, bl0 := wide[0][:jhi-jlo], wide[1][:jhi-jlo]
-		bh1, bl1 := wide[2][:jhi-jlo], wide[3][:jhi-jlo]
-		cnt := 0
-		for k := range terms {
-			ptc, r0, r1, ok := st.resolveTerm(&terms[k], i)
-			if !ok {
-				continue
-			}
-			if cnt > 0 && cnt%(numeric.MaxLazyProducts-1) == 0 {
-				mod.VecFoldWide(bh0, bl0)
-				mod.VecFoldWide(bh1, bl1)
-			}
-			numeric.VecMACWidePair(bh0, bl0, bh1, bl1, r0[jlo:jhi], r1[jlo:jhi], ptc[jlo:jhi])
-			cnt++
+	for lo := 0; ; lo += ltMacTerms {
+		hi := min(lo+ltMacTerms, n)
+		mod.VecInnerProductPair(out0, out1, pt[lo:hi], r0[lo:hi], r1[lo:hi], nil, add)
+		if hi == n {
+			return
 		}
-		if add {
-			mod.VecReduceWideAdd(out0[jlo:jhi], bh0, bl0)
-			mod.VecReduceWideAdd(out1[jlo:jhi], bh1, bl1)
-		} else {
-			mod.VecReduceWide(out0[jlo:jhi], bh0, bl0)
-			mod.VecReduceWide(out1[jlo:jhi], bh1, bl1)
-		}
+		add = true
 	}
 }
+
+// ltMacTerms is how many terms groupMac hands a vector body a call. A call
+// reads its 3·terms rows side by side, eight coefficients of each a step;
+// past a few dozen such streams the loads of rows from beyond L2 stall, and
+// a group of 16 to 64 diagonals summed in one call ran 1.3–2.8× slower a
+// term than in calls of 8 (EXPERIMENTS.md "DQ MAC — before/after"). Each
+// later call adds onto the residues of the ones before: the same words.
+const ltMacTerms = 8
 
 // groupBasisChunk takes the group c1 out of the extended basis on the
 // coefficient range [lo, hi) — the ONE ModDown this group pays — and

@@ -67,7 +67,8 @@ func (p *Parameters) validIn(op string, ct *Ciphertext) error {
 // polynomial, limb and index of the first word that is not. A server checks
 // the ciphertexts it parses from untrusted bytes with it before sealing or
 // queueing them. The range check is for that boundary: the kernels assume
-// canonical words (the IFMA52 lanes read only a word's low 52 bits) and
+// canonical words — the IFMA52 lanes read only a word's low 52 bits, and
+// the DQ lanes' run length and close budget every factor below q — and
 // every op produces them, so exec's per-op validIn does not repeat it.
 func (p *Parameters) CheckCiphertext(ct *Ciphertext) error {
 	const op = "CheckCiphertext"

@@ -2,12 +2,55 @@ package numeric
 
 import "math/bits"
 
-// The IFMA52 lanes of the keyswitch inner product (lanes_amd64.s): eight
-// coefficients a ZMM register, each product x·k added as its low and high
-// 52-bit halves into a split accumulator L + H·2^52 — no carry and no
-// reduction per term — and closed once per run by two radix-2^52 REDCs and
-// one correction. DESIGN.md §12 "Lanes" has the derivation of the budget
-// below; the output is the canonical residue, as the Go body's is.
+// The vector bodies of the keyswitch inner product, eight coefficients a
+// ZMM register (lanes_amd64.s), each closing a run of digits once to the
+// canonical residue, as the Go body's one Barrett reduction does — so the
+// words are the same whichever body ran. The IFMA52 lanes (q < 2^50) add
+// each product x·k as its low and high 52-bit halves into a split
+// accumulator L + H·2^52 and close it with two radix-2^52 REDCs and one
+// correction. The DQ lanes (any other odd q < 2^61) form x·k from four
+// 32 × 32 partial products, sum them in three 64-bit accumulators and close
+// them with one Barrett reduction. DESIGN.md §12 "Lanes" has the
+// derivations of both budgets below.
+
+// innerBody is a body of VecInnerProductPair.
+type innerBody uint8
+
+const (
+	innerGo   innerBody = iota // innerProductGo: any modulus and length
+	innerIFMA                  // the IFMA52 lanes: odd q < 2^50
+	innerDQ                    // the AVX-512 DQ lanes: any odd q
+)
+
+// pickInner is the one body rule of VecInnerProductPair, made from q, the
+// row length n, the digit count and the CPU probe (ifma: AVX512F + IFMA,
+// dq: AVX512F + DQ): the IFMA52 lanes where q is odd and below 2^50 — the
+// moduli Lanes admits — else the DQ lanes for any odd q, else Go; and Go
+// for a length that is not a nonzero multiple of 8 or for no digits. No
+// option, flag or environment variable reaches it.
+func pickInner(q uint64, n, digits int, ifma, dq bool) innerBody {
+	switch {
+	case n == 0 || n%8 != 0 || digits == 0 || q&1 == 0:
+		return innerGo
+	case ifma && q < 1<<50:
+		return innerIFMA
+	case dq:
+		return innerDQ
+	}
+	return innerGo
+}
+
+// innerBody is the body VecInnerProductPair runs for n-word rows and the
+// given digit count on this CPU.
+func (m Modulus) innerBody(n, digits int) innerBody {
+	return pickInner(m.Q, n, digits, hasLanes, hasDQ)
+}
+
+// InnerProductLanes reports whether VecInnerProductPair sums rows of n
+// words on a vector body, the IFMA52 or the DQ lanes — the same rule, read
+// by a caller that has a Go loop of its own for the other case (a linear
+// transform's plaintext MAC, VecMACPairBlocked).
+func (m Modulus) InnerProductLanes(n int) bool { return m.innerBody(n, 1) != innerGo }
 
 // laneRunLength returns how many products of residues below q the lanes may
 // sum before they must close. With one residue r < q carried in L (the
@@ -22,7 +65,7 @@ import "math/bits"
 // L itself must not wrap: (q−1) + T·(2^52−1) < 2^64 holds for T ≤ 4095.
 // For q < 2^50 the run is at least 12 — 12 just under 2^50, the cap of
 // 4095 for the 40- and 45-bit primes of the ladder rings. One division,
-// paid per call of innerProductLanes.
+// paid per call of innerProductVec.
 func laneRunLength(q uint64) int {
 	return min(4095, int((1<<52-1-q)/(laneHigh(q, q)+1)))
 }
@@ -49,12 +92,30 @@ func (m Modulus) LanesFit(yMax uint64, terms int) bool {
 	return uint64(terms)*(laneHigh(yMax, m.Q)+1)+m.Q < 1<<52
 }
 
-// innerProductLanes is VecInnerProductPair on the lanes, for len(out0) a
-// nonzero multiple of 8 and at least one digit: run by run of
-// laneRunLength(q) digits, each later run folding onto the residues of the
-// ones before. The rows are checked here, so the assembly reads no word
-// outside them; a permutation entry outside [0, len(out0)) panics.
-func (m Modulus) innerProductLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
+// dqRunLength returns how many products of residues below q the DQ lanes
+// may sum before they must close. With b = bits(q), s = b − 1, one residue
+// r < q carried in A0 and T products after it, the sum is
+//
+//	V = r + Σ x·k ≤ (q−1) + T·(q−1)² < 2^b + T·2^(2b),
+//
+// which is below 2^(63+b) = 2^(64+s) — so V1 = ⌊V/2^s⌋ fits a word and the
+// close's Barrett estimate is at most two short — for
+// T ≤ 2^(63−b) − 1. The same T keeps A1 from wrapping: each product adds
+// lh + hl < 2·2^32·2^(b−32) = 2^(b+1) to it, and T·2^(b+1) < 2^64. A2 is
+// at most ⌊V/2^64⌋, and A0 wraps at most once a product. So the run is 3
+// for a 61-bit q, 31 at 58 bits, 255 at 55, and the cap of 4095 from 51
+// bits down. No division: the run is a shift of bits(q).
+func dqRunLength(q uint64) int {
+	return int(min(4095, uint64(1)<<(63-bits.Len64(q))-1))
+}
+
+// innerProductVec is VecInnerProductPair on vector body b (innerIFMA or
+// innerDQ), for len(out0) a nonzero multiple of 8 and at least one digit:
+// run by run of at most the body's run length, each later run folding onto
+// the residues of the ones before. The rows are checked here, so the
+// assembly reads no word outside them; a permutation entry outside
+// [0, len(out0)) panics.
+func (m Modulus) innerProductVec(b innerBody, out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
 	n := len(out0)
 	out1 = out1[:n]
 	if perm != nil {
@@ -64,12 +125,25 @@ func (m Modulus) innerProductLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, pe
 	for d := range x {
 		_, _, _ = x[d][:n], k0[d][:n], k1[d][:n]
 	}
-	qInv := m.QInv & (1<<52 - 1)                   // q^-1 mod 2^52
-	r2 := m.MulShoup(1<<40, m.RModQ, m.RModQShoup) // 2^40·2^64 mod q
-	run := laneRunLength(m.Q)
+	var run int
+	var c1, c2 uint64
+	if b == innerIFMA {
+		// q^-1 mod 2^52 and 2^40·2^64 mod q, the two REDCs' constants.
+		run, c1, c2 = laneRunLength(m.Q), m.QInv&(1<<52-1), m.MulShoup(1<<40, m.RModQ, m.RModQShoup)
+	} else {
+		// μ = ⌊2^(64+s)/q⌋ = ⌊⌊2^128/q⌋/2^(64−s)⌋, from the Barrett constant.
+		s := uint64(m.Bits - 1)
+		run, c1, c2 = dqRunLength(m.Q), m.BarrettHi<<s|m.BarrettLo>>(64-s), s
+	}
 	for len(x) > 0 {
 		r := min(len(x), run)
-		if !innerProductPairLanes(out0, out1, x[:r], k0[:r], k1[:r], perm, add, m.Q, qInv, r2) {
+		var ok bool
+		if b == innerIFMA {
+			ok = innerProductPairLanes(out0, out1, x[:r], k0[:r], k1[:r], perm, add, m.Q, c1, c2)
+		} else {
+			ok = innerProductPairDQ(out0, out1, x[:r], k0[:r], k1[:r], perm, add, m.Q, c1, c2)
+		}
+		if !ok {
 			panic("numeric: permutation entry out of range")
 		}
 		x, k0, k1, add = x[r:], k0[r:], k1[r:], true

@@ -1,13 +1,14 @@
 // IFMA52 bodies of the keyswitch inner product and of the RNS conversion's
-// emit step, eight coefficients a ZMM register, and the CPU probe every
-// lanes body is selected by. The inner product's callers guarantee q < 2^50
+// emit step, the AVX-512 DQ body of the inner product (below), eight
+// coefficients a ZMM register, and the CPU probe every lanes body is
+// selected by. The IFMA52 inner product's callers guarantee q < 2^50
 // and residue inputs, so every multiplier input fits the 52-bit multiplier,
 // and a run no longer than laneRunLength(q), so neither accumulator half
 // overflows and the close's first result stays below 2^52; the
 // conversion's caller checks the same for its terms (LanesFit). DESIGN.md
 // §12 "Lanes" has the derivations.
 //
-// Register plan of the inner product:
+// Register plan of the IFMA52 inner product:
 //   Z0, Z1   L0, H0: out0's split accumulator, the sum being L0 + H0·2^52
 //   Z2, Z3   L1, H1: out1's
 //   Z4       the digit's x (loaded, or gathered through perm)
@@ -156,6 +157,198 @@ done:
 	RET
 
 bad:
+	VZEROUPPER
+	MOVB $0, ret+176(FP)
+	RET
+
+// The AVX-512 DQ body of the inner product, for any odd q < 2^61 (DESIGN.md
+// §12 "Lanes"): 64-bit words, eight coefficients a ZMM register. Each
+// product x·k is formed from four VPMULUDQ partial products of its 32-bit
+// halves, ll + (lh + hl)·2^32 + hh·2^64, and summed unreduced into three
+// accumulators: A0 takes ll modulo 2^64 and every wrap of it adds one to
+// A2, A1 takes lh + hl, A2 takes hh. A run of at most dqRunLength(q)
+// digits keeps A1 from wrapping and the whole sum V = A0 + A1·2^32 +
+// A2·2^64 below 2^(64+s), s = bits(q) − 1, so the close is one Barrett
+// reduction: V1 = ⌊V/2^s⌋ fits a word, t = ⌊V1·μ/2^64⌋ with
+// μ = ⌊2^(64+s)/q⌋ is at most two short of ⌊V/q⌋, and V − t·q, taken
+// modulo 2^64, is below 3q; two conditional subtractions leave the
+// canonical residue.
+//
+// Register plan of the DQ inner product:
+//   Z0, Z1, Z2   A0, A1, A2 of out0;  Z3, Z4, Z5  of out1
+//   Z6, Z7       the digit's x (loaded, or gathered through perm) and x >> 32
+//   Z8           the block's perm entries
+//   Z9–Z18       product temporaries, then close scratch
+//   Z19–Z23      close scratch
+//   Z24 = 64 − s, Z25 = s, Z27 = 1, Z28 = n, Z29 = μ >> 32, Z30 = μ, Z31 = q
+//   K1           perm entries ≥ n, K2 the gather mask, K3 = add ? all : none
+//   K4, K5       wraps of A0 (out0, out1), K6 = the low dword of each word
+
+// One digit's products onto the six accumulators: R12 = 24·d indexes the
+// row headers, AX = 8·j the block; Z6 and Z7 hold x and x >> 32.
+#define DQMAC \
+	MOVQ (R9)(R12*1), BX; \
+	MOVQ (R10)(R12*1), DX; \
+	VPSRLQ $32, (BX)(AX*1), Z9; \
+	VPSRLQ $32, (DX)(AX*1), Z14; \
+	VPMULUDQ (BX)(AX*1), Z6, Z10; \
+	VPMULUDQ (DX)(AX*1), Z6, Z15; \
+	VPMULUDQ (BX)(AX*1), Z7, Z11; \
+	VPMULUDQ (DX)(AX*1), Z7, Z16; \
+	VPMULUDQ Z9, Z6, Z12; \
+	VPMULUDQ Z14, Z6, Z17; \
+	VPMULUDQ Z9, Z7, Z13; \
+	VPMULUDQ Z14, Z7, Z18; \
+	VPADDQ Z10, Z0, Z0; \
+	VPADDQ Z15, Z3, Z3; \
+	VPCMPUQ $1, Z10, Z0, K4; \
+	VPCMPUQ $1, Z15, Z3, K5; \
+	VPADDQ Z12, Z11, Z11; \
+	VPADDQ Z17, Z16, Z16; \
+	VPADDQ Z11, Z1, Z1; \
+	VPADDQ Z16, Z4, Z4; \
+	VPADDQ Z13, Z2, Z2; \
+	VPADDQ Z18, Z5, Z5; \
+	VPADDQ Z27, Z2, K4, Z2; \
+	VPADDQ Z27, Z5, K5, Z5
+
+// A0 + A1·2^32 + A2·2^64 → its residue in [0, q), left in A0; T0–T3 and
+// K are scratch. lo = A0 + A1·2^32 modulo 2^64 and hi = A2 + ⌊A1/2^32⌋ +
+// the carry are the sum's two words; V1 = hi·2^(64−s) + ⌊lo/2^s⌋, and
+// t = ⌊V1·μ/2^64⌋ from four 32 × 32 partial products as dq_amd64.s's MUL
+// forms it: V1 = vh·2^32 + vl, μ = mh·2^32 + ml,
+//   m1 = vh·ml + ⌊vl·ml/2^32⌋,  m2 = vl·mh + (m1 mod 2^32),
+//   t = vh·mh + ⌊m1/2^32⌋ + ⌊m2/2^32⌋.
+#define DQCLOSE(A0, A1, A2, T0, T1, T2, T3, K) \
+	VPSLLQ $32, A1, T0; \
+	VPADDQ A0, T0, T0; \
+	VPCMPUQ $1, A0, T0, K; \
+	VPSRLQ $32, A1, A1; \
+	VPADDQ A1, A2, A2; \
+	VPADDQ Z27, A2, K, A2; \
+	VPSLLVQ Z24, A2, A2; \
+	VPSRLVQ Z25, T0, T1; \
+	VPORQ T1, A2, A2; \
+	VPSRLQ $32, A2, T1; \
+	VPMULUDQ Z30, A2, T2; \
+	VPSRLQ $32, T2, T2; \
+	VPMULUDQ Z30, T1, T3; \
+	VPADDQ T2, T3, T3; \
+	VMOVDQU32.Z T3, K6, T2; \
+	VPSRLQ $32, T3, T3; \
+	VPMULUDQ Z29, A2, A1; \
+	VPADDQ T2, A1, A1; \
+	VPSRLQ $32, A1, A1; \
+	VPMULUDQ Z29, T1, T1; \
+	VPADDQ T3, T1, T1; \
+	VPADDQ A1, T1, T1; \
+	VPMULLQ Z31, T1, T1; \
+	VPSUBQ T1, T0, A0; \
+	VPSUBQ Z31, A0, T1; \
+	VPMINUQ T1, A0, A0; \
+	VPSUBQ Z31, A0, T1; \
+	VPMINUQ T1, A0, A0
+
+// Open a block: A0 starts at out (add) or zero, A1 and A2 at zero.
+#define DQOPEN \
+	VMOVDQU64.Z (DI)(AX*1), K3, Z0; \
+	VMOVDQU64.Z (SI)(AX*1), K3, Z3; \
+	VPXORQ Z1, Z1, Z1; \
+	VPXORQ Z2, Z2, Z2; \
+	VPXORQ Z4, Z4, Z4; \
+	VPXORQ Z5, Z5, Z5; \
+	XORQ R12, R12
+
+// Close a block into out0 / out1 and step to the next.
+#define DQSHUT \
+	DQCLOSE(Z0, Z1, Z2, Z19, Z20, Z21, Z22, K4); \
+	DQCLOSE(Z3, Z4, Z5, Z9, Z10, Z11, Z12, K5); \
+	VMOVDQU64 Z0, (DI)(AX*1); \
+	VMOVDQU64 Z3, (SI)(AX*1); \
+	ADDQ $64, AX
+
+// func innerProductPairDQ(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool, q, mu, s uint64) bool
+TEXT ·innerProductPairDQ(SB), NOSPLIT, $0-177
+	MOVQ out0_base+0(FP), DI
+	MOVQ out0_len+8(FP), CX
+	MOVQ out1_base+24(FP), SI
+	MOVQ x_base+48(FP), R8
+	MOVQ x_len+56(FP), R13
+	MOVQ k0_base+72(FP), R9
+	MOVQ k1_base+96(FP), R10
+	MOVQ perm_base+120(FP), R11
+	VPBROADCASTQ CX, Z28
+	MOVQ q+152(FP), AX
+	VPBROADCASTQ AX, Z31
+	MOVQ mu+160(FP), AX
+	VPBROADCASTQ AX, Z30
+	SHRQ $32, AX
+	VPBROADCASTQ AX, Z29
+	MOVQ s+168(FP), AX
+	VPBROADCASTQ AX, Z25
+	NEGQ AX
+	ADDQ $64, AX
+	VPBROADCASTQ AX, Z24
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z27
+	MOVQ $0x5555, AX
+	KMOVW AX, K6
+	KXORW K3, K3, K3
+	MOVBQZX add+144(FP), AX
+	TESTQ AX, AX
+	JZ    dqstart
+	KXNORW K3, K3, K3
+
+dqstart:
+	LEAQ (R13)(R13*2), R13
+	SHLQ $3, R13
+	SHLQ $3, CX
+	XORQ AX, AX
+	TESTQ R11, R11
+	JNZ   dqgathered
+
+dqinorder:
+	DQOPEN
+
+dqinorderdigit:
+	MOVQ (R8)(R12*1), BX
+	VMOVDQU64 (BX)(AX*1), Z6
+	VPSRLQ $32, Z6, Z7
+	DQMAC
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JNE  dqinorderdigit
+	DQSHUT
+	CMPQ AX, CX
+	JNE  dqinorder
+	JMP  dqdone
+
+dqgathered:
+	VMOVDQU64 (R11)(AX*1), Z8
+	VPCMPUQ $5, Z28, Z8, K1
+	KORTESTW K1, K1
+	JNZ  dqbad
+	DQOPEN
+
+dqgathereddigit:
+	MOVQ (R8)(R12*1), BX
+	KXNORW K2, K2, K2
+	VPGATHERQQ (BX)(Z8*8), K2, Z6
+	VPSRLQ $32, Z6, Z7
+	DQMAC
+	ADDQ $24, R12
+	CMPQ R12, R13
+	JNE  dqgathereddigit
+	DQSHUT
+	CMPQ AX, CX
+	JNE  dqgathered
+
+dqdone:
+	VZEROUPPER
+	MOVB $1, ret+176(FP)
+	RET
+
+dqbad:
 	VZEROUPPER
 	MOVB $0, ret+176(FP)
 	RET

@@ -164,26 +164,75 @@ func (m Modulus) VecFoldWide(hi, lo []uint64) {
 // run, each later run folding onto the residue of the ones before — the
 // result is the canonical residue of the whole sum either way.
 //
-// On a modulus with lanes (Lanes), a length that is a nonzero multiple of 8
-// runs eight coefficients a register (lanes.go) with the same output; perm
-// entries must then lie in [0, len(out0)).
+// Where the CPU has them, a length that is a nonzero multiple of 8 runs
+// eight coefficients a register (lanes.go) with the same output: on the
+// IFMA52 lanes for an odd q below 2^50 (Lanes), on the AVX-512 DQ lanes for
+// any other odd q — one rule, pickInner, made from q, the length and the
+// CPU probe. perm entries must then lie in [0, len(out0)).
 func (m Modulus) VecInnerProductPair(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
-	if m.Lanes() && len(x) > 0 && len(out0) > 0 && len(out0)%8 == 0 {
-		m.innerProductLanes(out0, out1, x, k0, k1, perm, add)
+	if b := m.innerBody(len(out0), len(x)); b != innerGo {
+		m.innerProductVec(b, out0, out1, x, k0, k1, perm, add)
 		return
 	}
 	m.innerProductGo(out0, out1, x, k0, k1, perm, add)
 }
 
 // innerProductGo is the Go body of VecInnerProductPair, run by run of
-// innerProductRun digits: every modulus off the lanes takes it, and the
-// tests compare the lanes against it.
+// innerProductRun digits: every modulus and length the vector bodies do not
+// take runs it, and the tests compare them against it.
 func (m Modulus) innerProductGo(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
 	for len(x) > innerProductRun {
 		m.innerProductRun(out0, out1, x[:innerProductRun], k0[:innerProductRun], k1[:innerProductRun], perm, add)
 		x, k0, k1, add = x[innerProductRun:], k0[innerProductRun:], k1[innerProductRun:], true
 	}
 	m.innerProductRun(out0, out1, x, k0, k1, perm, add)
+}
+
+// macBlock is the column-block width of VecMACPairBlocked: the four 128-bit
+// accumulator half-rows of a block (hi/lo × out0/out1) occupy
+// 4·macBlock·8 B = 16 KiB of its frame, which stays L1-resident while the
+// terms stream through it.
+const macBlock = 512
+
+// VecMACPairBlocked is the Go loop of a linear transform's plaintext MAC,
+// for the rows InnerProductLanes refuses: for every coefficient j
+//
+//	out0[j] (+)= Σ_k pt[k][j]·r0[k][j] mod q    out1[j] (+)= Σ_k pt[k][j]·r1[k][j] mod q
+//
+// — VecInnerProductPair's value with the plaintext rows as the shared
+// operand, summed column block by column block. Streaming full-length
+// 128-bit accumulator rows (hi+lo, read+write, both outputs) per term made
+// the MAC memory-bound — roughly 4× the compulsory traffic. A block's
+// accumulators live on this frame instead: they stay L1-resident across
+// every term, the paired MAC kernel loads each plaintext block once for
+// both rows, a fold restarts the 128-bit budget every MaxLazyProducts−1
+// terms, and the block is reduced into out0/out1 (added onto them with add)
+// before the next one starts. Every sum closes to its canonical residue, so
+// the words are those of VecInnerProductPair.
+func (m Modulus) VecMACPairBlocked(out0, out1 []uint64, pt, r0, r1 [][]uint64, add bool) {
+	n := len(out0)
+	out1 = out1[:n]
+	r0, r1 = r0[:len(pt)], r1[:len(pt)]
+	for jlo := 0; jlo < n; jlo += macBlock {
+		jhi := min(jlo+macBlock, n)
+		var wide [4][macBlock]uint64
+		bh0, bl0 := wide[0][:jhi-jlo], wide[1][:jhi-jlo]
+		bh1, bl1 := wide[2][:jhi-jlo], wide[3][:jhi-jlo]
+		for k := range pt {
+			if k > 0 && k%(MaxLazyProducts-1) == 0 {
+				m.VecFoldWide(bh0, bl0)
+				m.VecFoldWide(bh1, bl1)
+			}
+			VecMACWidePair(bh0, bl0, bh1, bl1, r0[k][jlo:jhi], r1[k][jlo:jhi], pt[k][jlo:jhi])
+		}
+		if add {
+			m.VecReduceWideAdd(out0[jlo:jhi], bh0, bl0)
+			m.VecReduceWideAdd(out1[jlo:jhi], bh1, bl1)
+		} else {
+			m.VecReduceWide(out0[jlo:jhi], bh0, bl0)
+			m.VecReduceWide(out1[jlo:jhi], bh1, bl1)
+		}
+	}
 }
 
 const innerProductRun = MaxLazyProducts - 1

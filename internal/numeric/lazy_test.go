@@ -350,16 +350,21 @@ func TestVecInnerProductPair(t *testing.T) {
 // inner products alone, at a limb that fits L1 (N = 512, the bootstrapping
 // set) and one that does not (N = 8192), and reports ns per coefficient (the
 // inner product over three digits) — so what a toolchain does to them reads
-// off one `go test -bench`. These rows run the Go bodies (a 60-bit prime).
-// The lanes/ rows time the IFMA52 lanes against the Go body on a 45-bit
-// prime in one binary, each iteration a burst of one and a burst of the
-// other in alternating order, so host drift lands on both: the keyswitch
+// off one `go test -bench`. These rows run the Go bodies (a 60-bit prime;
+// the inner product calls innerProductGo, which the DQ lanes would
+// otherwise replace).
+//
+// The lanes/ and dq/ rows time a vector body against the Go body in one
+// binary, each iteration a burst of one and a burst of the other in
+// alternating order, so host drift lands on both: the IFMA52 lanes on a
+// 45-bit prime (lanes-ns/coeff), the DQ lanes on a 55- and a 58-bit prime
+// (dq-ns/coeff), each beside go-ns/coeff. The shapes are the keyswitch
 // inner product at (N, digits) = (8192, 3), in order and gathered through a
 // Galois permutation, and (512, 6); and one 512-column block of a linear
-// transform's plaintext MAC over 16 diagonals, whose Go body is the paired
-// MAC and the reduce groupMac runs off the lanes.
+// transform's plaintext MAC over 16 diagonals, whose Go body is
+// VecMACPairBlocked, the loop groupMac runs off the lanes.
 //
-//	go test -run '^$' -bench 'BenchmarkVecKernels/lanes' -count 5 ./internal/numeric/
+//	go test -run '^$' -bench 'BenchmarkVecKernels/(lanes|dq)' -count 5 ./internal/numeric/
 func BenchmarkVecKernels(b *testing.B) {
 	m := NewModulus(1152921504606584833)
 	rng := rand.New(rand.NewSource(19))
@@ -382,7 +387,7 @@ func BenchmarkVecKernels(b *testing.B) {
 			{"VecMACWide", func() { VecMACWide(hi0, lo0, x, y) }},
 			{"VecMACWidePair", func() { VecMACWidePair(hi0, lo0, hi1, lo1, x, y, z) }},
 			{"VecReduceWide", func() { m.VecReduceWide(c, hi0, lo0) }},
-			{"VecInnerProductPair", func() { m.VecInnerProductPair(hi1, lo1, rows, rows, rows, nil, false) }},
+			{"VecInnerProductPair", func() { m.innerProductGo(hi1, lo1, rows, rows, rows, nil, false) }},
 		} {
 			b.Run(fmt.Sprintf("%s/N=%d", k.name, n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
@@ -392,63 +397,65 @@ func BenchmarkVecKernels(b *testing.B) {
 			})
 		}
 	}
-	lanes := NewModulus(35184371138561)
-	for _, c := range []struct {
-		name     string
-		n, terms int
-		gather   bool
-		mac      bool
+	for _, v := range []struct {
+		prefix string
+		q      uint64
+		body   innerBody
+		unit   string
 	}{
-		{"lanes/InnerProductPair/N=8192/digits=3", 8192, 3, false, false},
-		{"lanes/InnerProductPair/N=8192/digits=3/gathered", 8192, 3, true, false},
-		{"lanes/InnerProductPair/N=512/digits=6", 512, 6, false, false},
-		{"lanes/MACBlock/N=512/diagonals=16", 512, 16, false, true},
+		{"lanes", 35184371138561, innerIFMA, "lanes-ns/coeff"},
+		{"dq/q55", 36028797018652673, innerDQ, "dq-ns/coeff"},
+		{"dq/q58", 288230376150876161, innerDQ, "dq-ns/coeff"},
 	} {
-		b.Run(c.name, func(b *testing.B) {
-			if !lanes.Lanes() {
-				b.Skip("no IFMA52 lanes on this CPU")
-			}
-			x := laneRows(rng, c.terms, c.n, lanes.Q, nil, false)
-			k0 := laneRows(rng, c.terms, c.n, lanes.Q, nil, false)
-			k1 := laneRows(rng, c.terms, c.n, lanes.Q, nil, false)
-			out0, out1 := make([]uint64, c.n), make([]uint64, c.n)
-			var perm []int
-			if c.gather {
-				perm = rng.Perm(c.n)
-			}
-			bodies := [2]func(){
-				func() { lanes.VecInnerProductPair(out0, out1, x, k0, k1, perm, false) },
-				func() { lanes.innerProductGo(out0, out1, x, k0, k1, perm, false) },
-			}
-			if c.mac {
-				var wide [4][512]uint64
-				bodies[0] = func() { lanes.VecInnerProductPair(out0, out1, x, k0, k1, nil, true) }
-				bodies[1] = func() {
-					wide = [4][512]uint64{}
-					h0, l0, h1, l1 := wide[0][:], wide[1][:], wide[2][:], wide[3][:]
-					for k := range x {
-						VecMACWidePair(h0, l0, h1, l1, k0[k], k1[k], x[k])
-					}
-					lanes.VecReduceWideAdd(out0, h0, l0)
-					lanes.VecReduceWideAdd(out1, h1, l1)
+		mod := NewModulus(v.q)
+		for _, c := range []struct {
+			name     string
+			n, terms int
+			gather   bool
+			mac      bool
+		}{
+			{"InnerProductPair/N=8192/digits=3", 8192, 3, false, false},
+			{"InnerProductPair/N=8192/digits=3/gathered", 8192, 3, true, false},
+			{"InnerProductPair/N=512/digits=6", 512, 6, false, false},
+			{"MACBlock/N=512/diagonals=16", 512, 16, false, true},
+		} {
+			b.Run(v.prefix+"/"+c.name, func(b *testing.B) {
+				if mod.innerBody(c.n, c.terms) != v.body {
+					b.Skipf("no %s body on this CPU", v.prefix)
 				}
-			}
-			const burst = 8
-			var spent [2]time.Duration
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 2; j++ {
-					body := (i + j) % 2
-					start := time.Now()
-					for r := 0; r < burst; r++ {
-						bodies[body]()
-					}
-					spent[body] += time.Since(start)
+				x := laneRows(rng, c.terms, c.n, mod.Q, nil, false)
+				k0 := laneRows(rng, c.terms, c.n, mod.Q, nil, false)
+				k1 := laneRows(rng, c.terms, c.n, mod.Q, nil, false)
+				out0, out1 := make([]uint64, c.n), make([]uint64, c.n)
+				var perm []int
+				if c.gather {
+					perm = rng.Perm(c.n)
 				}
-			}
-			coeffs := float64(b.N) * burst * float64(c.n)
-			b.ReportMetric(float64(spent[0].Nanoseconds())/coeffs, "lanes-ns/coeff")
-			b.ReportMetric(float64(spent[1].Nanoseconds())/coeffs, "go-ns/coeff")
-		})
+				bodies := [2]func(){
+					func() { mod.innerProductVec(v.body, out0, out1, x, k0, k1, perm, false) },
+					func() { mod.innerProductGo(out0, out1, x, k0, k1, perm, false) },
+				}
+				if c.mac {
+					bodies[0] = func() { mod.innerProductVec(v.body, out0, out1, x, k0, k1, nil, true) }
+					bodies[1] = func() { mod.VecMACPairBlocked(out0, out1, x, k0, k1, true) }
+				}
+				const burst = 8
+				var spent [2]time.Duration
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < 2; j++ {
+						body := (i + j) % 2
+						start := time.Now()
+						for r := 0; r < burst; r++ {
+							bodies[body]()
+						}
+						spent[body] += time.Since(start)
+					}
+				}
+				coeffs := float64(b.N) * burst * float64(c.n)
+				b.ReportMetric(float64(spent[0].Nanoseconds())/coeffs, v.unit)
+				b.ReportMetric(float64(spent[1].Nanoseconds())/coeffs, "go-ns/coeff")
+			})
+		}
 	}
 }

@@ -6,8 +6,9 @@
 //
 // All moduli are odd integers below 2^61 so that a+b and 4*q never overflow
 // a uint64 and a 128-bit product fits in two 64-bit words. On amd64 CPUs
-// with AVX-512 IFMA, the keyswitch inner product over a modulus below 2^50
-// runs eight coefficients a register (lanes_amd64.s), with the same output.
+// with AVX-512, the keyswitch inner product runs eight coefficients a
+// register (lanes_amd64.s), with the same output: on the IFMA52 lanes over
+// a modulus below 2^50, on the DQ lanes over any other.
 package numeric
 
 import (
@@ -75,13 +76,15 @@ var hasLanes, hasDQ = cpuAVX512()
 
 // HasDQ reports whether the CPU runs 64-bit AVX-512 F + DQ lanes: the body
 // ntt.NewTable picks for a transform whose modulus the IFMA52 lanes refuse
-// (every modulus is below 2^61, so 4q fits a 64-bit lane).
+// (every modulus is below 2^61, so 4q fits a 64-bit lane), and the body
+// VecInnerProductPair picks for such a modulus (pickInner).
 func HasDQ() bool { return hasDQ }
 
 // Lanes reports whether this modulus runs the IFMA52 lanes: the CPU has
 // them and Q is odd and below 2^50, so every residue, and 4Q, fits the
-// 52-bit multiplier. It is the run-time kernel selection of this package's
-// kernels; ntt.NewTable reads it and HasDQ. A function of Q and the probe, it needs no field:
+// 52-bit multiplier. It is the first step of this package's kernel
+// selection (pickInner, LanesFit); ntt.NewTable reads it and HasDQ. A
+// function of Q and the probe, it needs no field:
 // Modulus stays seven words, which the register ABI passes whole beside two
 // scalar arguments (Mul's call of ReduceWide).
 func (m Modulus) Lanes() bool { return hasLanes && m.Q&1 == 1 && m.Q < 1<<50 }

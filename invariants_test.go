@@ -150,7 +150,11 @@ var retiredNames = []retiredName{
 	// One probe answers both halves (IFMA, DQ), and a table holds one body
 	// choice, not a lanes flag beside it.
 	{pr: 48, design: "Lanes", flags: "-rnE", in: []string{"internal/ntt/*.go", "internal/numeric/*.go"}, tests: true,
-		re: `cpuHasIFMA|\.lanes|lanes +bool`},
+		re: `cpuHasIFMA|\.lanes\b|lanes +bool`},
+	// The plaintext MAC's Go loop is numeric.VecMACPairBlocked, the loop the
+	// body tests compare the vector bodies against: no copy of it in ckks or
+	// in a test.
+	{pr: 49, design: "Lanes", flags: "-rnE", in: everyGo, tests: true, re: `ltMacBlock|macBlockGo`},
 
 	{pr: 33, design: "One program on the datapath", flags: "-rnE", in: everyGo,
 		re: `Compile(HAdd|PMult|NTT|Automorphism|Rescale|RNSConv|ModUp|ModDown|CMult|Rotation)\b|OpCounts|SecondsParallel|isa\.(Auto|Copy)\b|\bLaneC\b|PublishExpvar`},
