@@ -88,8 +88,8 @@ type ltState struct {
 	group *ltGroup // current group
 
 	// macRows is slice-header scratch for groupMac: the group's diagonal,
-	// c0 and c1 rows, 3·len(terms) headers per extended limb, which either
-	// body (VecInnerProductPair or VecMACPairBlocked) reads.
+	// c0 and c1 rows, 3·len(terms) headers per extended limb, which
+	// numeric.VecMACPair reads.
 	macRows [][]uint64
 }
 
@@ -305,15 +305,11 @@ func (st *ltState) groupSumStage(i int) {
 // wants them: added onto the output rows (st.acc) when j = 0, else in the
 // group rows (st.grp). Identity terms read the precomputed P·ct image and
 // contribute nothing on P limbs. The sum is the keyswitch inner product's
-// shape — one shared operand (the diagonal) against two rows — so where
-// VecInnerProductPair runs a vector body for the limb (the IFMA52 lanes, or
-// the DQ lanes on q0 and the P primes) the limb is summed in calls of
-// ltMacTerms diagonals, its two sums in registers across each call's terms;
-// elsewhere it is the column-blocked Go loop, VecMACPairBlocked. Both close
-// to the same canonical residues.
+// shape — one shared operand (the diagonal) against two rows — and one
+// numeric.VecMACPair call on the limb's modulus, which runs the limb's body
+// (numeric.Modulus.Body).
 func (st *ltState) groupMac(i int) {
 	terms := st.group.terms
-	mod := st.modulus(i)
 	out, add := &st.grp, false
 	if st.group.j == 0 {
 		out, add = &st.acc, true
@@ -327,29 +323,8 @@ func (st *ltState) groupMac(i int) {
 			n++
 		}
 	}
-	out0, out1 := out[0].Coeffs[i], out[1].Coeffs[i]
-	pt, r0, r1 := rows[:n], rows[nt:nt+n], rows[2*nt:2*nt+n]
-	if !mod.InnerProductLanes(len(out0)) {
-		mod.VecMACPairBlocked(out0, out1, pt, r0, r1, add)
-		return
-	}
-	for lo := 0; ; lo += ltMacTerms {
-		hi := min(lo+ltMacTerms, n)
-		mod.VecInnerProductPair(out0, out1, pt[lo:hi], r0[lo:hi], r1[lo:hi], nil, add)
-		if hi == n {
-			return
-		}
-		add = true
-	}
+	st.modulus(i).VecMACPair(out[0].Coeffs[i], out[1].Coeffs[i], rows[:n], rows[nt:nt+n], rows[2*nt:2*nt+n], add)
 }
-
-// ltMacTerms is how many terms groupMac hands a vector body a call. A call
-// reads its 3·terms rows side by side, eight coefficients of each a step;
-// past a few dozen such streams the loads of rows from beyond L2 stall, and
-// a group of 16 to 64 diagonals summed in one call ran 1.3–2.8× slower a
-// term than in calls of 8 (EXPERIMENTS.md "DQ MAC — before/after"). Each
-// later call adds onto the residues of the ones before: the same words.
-const ltMacTerms = 8
 
 // groupBasisChunk takes the group c1 out of the extended basis on the
 // coefficient range [lo, hi) — the ONE ModDown this group pays — and

@@ -457,10 +457,9 @@ func (k *ksDigits) forwardLimb(i int) {
 // linear transform accumulates straight into the transform's output). With
 // q < 2^61 up to numeric.MaxLazyProducts−1 products fit one 128-bit sum;
 // deeper digit chains fold in between. On an AVX-512 host the same call
-// sums eight coefficients a register, with the same result: on the IFMA52
-// lanes for a prime below 2^50 (numeric.Modulus.Lanes), on the DQ lanes for
-// q0 and the P primes (numeric.Modulus.InnerProductLanes says which limbs
-// leave the Go body).
+// sums eight coefficients a register on the limb's body
+// (numeric.Modulus.Body), with the same result: the IFMA52 lanes for a
+// prime below 2^50, the DQ lanes for q0 and the P primes.
 func (k *ksDigits) innerProduct(i int, key *SwitchingKey, perm []int, out0, out1 []uint64, add bool) {
 	nd := len(k.digits)
 	mod := k.modulus(i)

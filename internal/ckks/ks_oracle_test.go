@@ -94,15 +94,12 @@ func randCoeffRows(rng *rand.Rand, r *ring.Ring, i0 int, mods []numeric.Modulus,
 }
 
 // ipBody names the inner-product body VecInnerProductPair runs for m at
-// length n on this CPU.
+// length n on this CPU: m's body where n is a nonzero multiple of 8.
 func ipBody(m numeric.Modulus, n int) string {
-	switch {
-	case !m.InnerProductLanes(n):
-		return "Go"
-	case m.Lanes():
-		return "IFMA52"
+	if n == 0 || n%8 != 0 {
+		return numeric.BodyGo.String()
 	}
-	return "DQ"
+	return m.Body().String()
 }
 
 func TestKeySwitchBigOracle(t *testing.T) {

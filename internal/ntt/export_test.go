@@ -1,12 +1,14 @@
 package ntt
 
+import "poseidon/internal/numeric"
+
 // goBody returns a copy of t whose fused plans run the pure-Go pass bodies
 // whatever NewTable selected: the reference the vector bodies are compared
 // against. A test hook, not a knob — nothing outside this package's tests
 // can reach it.
 func goBody(t *Table) *Table {
 	c := *t
-	c.body = bodyGo
+	c.body = numeric.BodyGo
 	return &c
 }
 
@@ -15,10 +17,8 @@ func goBody(t *Table) *Table {
 // where the CPU has DQ and N ≥ 64; elsewhere it is goBody(t).
 func dqBody(t *Table) *Table {
 	c := goBody(t)
-	c.body = pickBody(t.N, false, hasDQ)
+	if hasDQ && t.N >= 64 {
+		c.body = numeric.BodyDQ
+	}
 	return c
-}
-
-func (b body) String() string {
-	return [...]string{bodyGo: "Go", bodyIFMA: "IFMA52", bodyDQ: "DQ"}[b]
 }

@@ -3,6 +3,8 @@ package ntt
 import (
 	"fmt"
 	"math/bits"
+
+	"poseidon/internal/numeric"
 )
 
 // DefaultFusionDegree is the fusion degree production transforms run at:
@@ -88,7 +90,7 @@ func (p FusedPlan) forward(a []uint64, st *Stats) {
 		switch {
 		case st != nil || kappa > 3 || kappa < 3 && last:
 			t.fwdPassGeneric(a, kappa, m0, last, st)
-		case t.body != bodyGo && (stride >= 8 || kappa == 3 && last):
+		case t.body != numeric.BodyGo && (stride >= 8 || kappa == 3 && last):
 			t.fwdPassLanes(a, kappa, m0, stride)
 		case kappa == 3 && last:
 			fwdPass8Last(mod, a, psi, sh, m0)

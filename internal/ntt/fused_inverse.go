@@ -3,6 +3,8 @@ package ntt
 import (
 	"fmt"
 	"math/bits"
+
+	"poseidon/internal/numeric"
 )
 
 // InverseFusedPlan is the radix-2^k execution plan for the inverse
@@ -67,7 +69,7 @@ func (p InverseFusedPlan) inverse(a []uint64, st *Stats) {
 		switch {
 		case st != nil || kappa > 3 || kappa < 3 && !fold:
 			t.invPassGeneric(a, kappa, stride, fold, st)
-		case t.body != bodyGo && (fold || kappa == 3):
+		case t.body != numeric.BodyGo && (fold || kappa == 3):
 			t.invPassLanes(a, kappa, stride, segs, fold)
 		case kappa == 3 && fold:
 			invPass8Fold(t, a, stride)

@@ -1,11 +1,13 @@
 package ntt
 
+import "poseidon/internal/numeric"
+
 // The vector pass bodies: lanes_amd64.s (IFMA52) and dq_amd64.s (AVX-512
 // DQ), one loop skeleton (passes_amd64.h) with two multipliers. Each
 // function runs the pass of the Go kernel named in the skeleton's comment,
 // eight coefficients a register; the callers below pass only shapes that
-// kernel accepts, and only on a table whose body is that function's (see
-// pickBody).
+// kernel accepts, and only on a table whose body is that function's
+// (Table.body).
 
 //go:noescape
 func fwdLanes(a, psi, sh []uint64, kappa, m0, stride int, q uint64)
@@ -41,7 +43,7 @@ func invFoldDQ(a, psi, sh []uint64, kappa, stride int, q, nInv, nInvShoup, nInvW
 // vector body: strided at stride ≥ 8, or the final radix-8 pass (stride 1).
 func (t *Table) fwdPassLanes(a []uint64, kappa, m0, stride int) {
 	psi, sh, q := t.psiBR, t.psiBRShoup, t.Mod.Q
-	dq := t.body == bodyDQ
+	dq := t.body == numeric.BodyDQ
 	switch {
 	case stride == 1 && dq:
 		fwd8LastDQ(a, psi, sh, m0, q)
@@ -59,7 +61,7 @@ func (t *Table) fwdPassLanes(a []uint64, kappa, m0, stride int) {
 // strided radix-8 pass.
 func (t *Table) invPassLanes(a []uint64, kappa, stride, segs int, fold bool) {
 	psi, sh, q := t.psiInvBR, t.psiInvBRShoup, t.Mod.Q
-	dq := t.body == bodyDQ
+	dq := t.body == numeric.BodyDQ
 	switch {
 	case fold && dq:
 		invFoldDQ(a, psi, sh, kappa, stride, q, t.nInv, t.nInvShoup, t.nInvPsiInv, t.nInvPsiInvShoup)

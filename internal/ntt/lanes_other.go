@@ -2,8 +2,8 @@
 
 package ntt
 
-// Without amd64 there are no vector bodies: numeric.Modulus.Lanes and
-// numeric.HasDQ are false, so pickBody always answers bodyGo and the pass
+// Without amd64 there are no vector bodies: numeric.Modulus.Body is
+// BodyGo for every modulus, so every table's body is Go and the pass
 // bodies below are unreachable.
 
 func (t *Table) fwdPassLanes(a []uint64, kappa, m0, stride int) {

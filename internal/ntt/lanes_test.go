@@ -12,11 +12,11 @@ import (
 )
 
 // hasLanes reports whether this CPU runs the IFMA52 lanes: every odd modulus
-// below 2^50 gets them exactly then (numeric.NewModulus holds the probe).
-// hasDQ reports the AVX-512 DQ lanes, which every other modulus gets.
+// below 2^50 has that body exactly then (numeric.Modulus.Body). hasDQ
+// reports the AVX-512 DQ lanes, the body of every wider one.
 var (
-	hasLanes = numeric.NewModulus(65537).Lanes()
-	hasDQ    = numeric.HasDQ()
+	hasLanes = numeric.NewModulus(65537).Body() == numeric.BodyIFMA52
+	hasDQ    = numeric.NewModulus(2305843009213554689).Body() == numeric.BodyDQ
 )
 
 // The lanes must give the Go bodies' bits on every transform a table
@@ -27,12 +27,12 @@ var (
 // and the log says which ran.
 func TestLanesMatchGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	ran := map[body]int{}
+	ran := map[numeric.Body]int{}
 	for logN := 3; logN <= 14; logN++ {
 		n := 1 << uint(logN)
 		for _, bitSize := range []int{31, 40, 45, 50, 51} {
 			tab := mustTable(t, n, bitSize)
-			if want := hasLanes && bitSize <= 50 && logN >= 6; (tab.body == bodyIFMA) != want {
+			if want := hasLanes && bitSize <= 50 && logN >= 6; (tab.body == numeric.BodyIFMA52) != want {
 				t.Fatalf("logN=%d bits=%d: body %v, want IFMA52 %v", logN, bitSize, tab.body, want)
 			}
 			ran[tab.body]++
@@ -103,7 +103,7 @@ func bandRows(rng *rand.Rand, n int, top uint64, edges ...uint64) [][]uint64 {
 // DQ both sides run the Go body, and the log says so.
 func TestDQMatchesGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
-	ran := map[body]int{}
+	ran := map[numeric.Body]int{}
 	for logN := 6; logN <= 13; logN++ {
 		n := 1 << uint(logN)
 		for _, bitSize := range []int{50, 52, 55, 58, 61} {
@@ -146,31 +146,19 @@ func firstDiff(a, b []uint64) int {
 	return -1
 }
 
-// The three-way body rule, on every combination of the modulus width, the
-// two halves of the CPU probe and N: IFMA52 where the IFMA probe says yes
-// and q < 2^50, else DQ where the DQ probe says yes, else Go; and Go below
-// N = 64 whatever the rest. NewTable on this host must agree with the rule
-// fed this host's probe.
-func TestBodyRule(t *testing.T) {
+// A table's body is its modulus's (numeric.Modulus.Body, whose rule
+// numeric's TestBodyRule checks) from N = 64 up, and Go below, where the
+// vector bodies' passes are not whole registers.
+func TestTableBody(t *testing.T) {
 	for _, bitSize := range []int{31, 45, 50, 51, 52, 55, 58, 61} {
 		for _, logN := range []int{3, 5, 6, 13} {
-			for _, probe := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
-				ifma, dq := probe[0], probe[1]
-				want := bodyGo
-				switch {
-				case logN < 6:
-				case ifma && bitSize <= 50:
-					want = bodyIFMA
-				case dq:
-					want = bodyDQ
-				}
-				if got := pickBody(1<<uint(logN), ifma && bitSize <= 50, dq); got != want {
-					t.Fatalf("bits=%d logN=%d ifma=%v dq=%v: %v, want %v", bitSize, logN, ifma, dq, got, want)
-				}
-			}
 			tab := mustTable(t, 1<<uint(logN), bitSize)
-			if want := pickBody(tab.N, hasLanes && bitSize <= 50, hasDQ); tab.body != want {
-				t.Fatalf("bits=%d logN=%d: NewTable chose %v, the rule on this CPU %v", bitSize, logN, tab.body, want)
+			want := tab.Mod.Body()
+			if logN < 6 {
+				want = numeric.BodyGo
+			}
+			if tab.body != want {
+				t.Fatalf("bits=%d logN=%d: NewTable chose %v, want %v", bitSize, logN, tab.body, want)
 			}
 		}
 	}
@@ -240,7 +228,7 @@ func BenchmarkLanes(b *testing.B) {
 			for _, dir := range []string{"fwd", "inv"} {
 				b.Run(fmt.Sprintf("q%d/%s/n%d", bitSize, dir, logN), func(b *testing.B) {
 					tab := mustTable(b, 1<<uint(logN), bitSize)
-					unit := map[body]string{bodyIFMA: "lanes-ns/bfly", bodyDQ: "dq-ns/bfly"}[tab.body]
+					unit := map[numeric.Body]string{numeric.BodyIFMA52: "lanes-ns/bfly", numeric.BodyDQ: "dq-ns/bfly"}[tab.body]
 					if unit == "" {
 						b.Skip("no vector body for this prime on this CPU")
 					}

@@ -13,44 +13,16 @@ import "math/bits"
 // them with one Barrett reduction. DESIGN.md §12 "Lanes" has the
 // derivations of both budgets below.
 
-// innerBody is a body of VecInnerProductPair.
-type innerBody uint8
-
-const (
-	innerGo   innerBody = iota // innerProductGo: any modulus and length
-	innerIFMA                  // the IFMA52 lanes: odd q < 2^50
-	innerDQ                    // the AVX-512 DQ lanes: any odd q
-)
-
-// pickInner is the one body rule of VecInnerProductPair, made from q, the
-// row length n, the digit count and the CPU probe (ifma: AVX512F + IFMA,
-// dq: AVX512F + DQ): the IFMA52 lanes where q is odd and below 2^50 — the
-// moduli Lanes admits — else the DQ lanes for any odd q, else Go; and Go
-// for a length that is not a nonzero multiple of 8 or for no digits. No
-// option, flag or environment variable reaches it.
-func pickInner(q uint64, n, digits int, ifma, dq bool) innerBody {
-	switch {
-	case n == 0 || n%8 != 0 || digits == 0 || q&1 == 0:
-		return innerGo
-	case ifma && q < 1<<50:
-		return innerIFMA
-	case dq:
-		return innerDQ
+// vecBody is the body a kernel over rows of n words and terms products
+// (VecInnerProductPair's digits, VecMACPair's diagonals) runs: m.Body()
+// where the rows are whole registers — n a nonzero multiple of 8 — and
+// there is at least one term, else Go.
+func (m Modulus) vecBody(n, terms int) Body {
+	if n == 0 || n%8 != 0 || terms == 0 {
+		return BodyGo
 	}
-	return innerGo
+	return m.Body()
 }
-
-// innerBody is the body VecInnerProductPair runs for n-word rows and the
-// given digit count on this CPU.
-func (m Modulus) innerBody(n, digits int) innerBody {
-	return pickInner(m.Q, n, digits, hasLanes, hasDQ)
-}
-
-// InnerProductLanes reports whether VecInnerProductPair sums rows of n
-// words on a vector body, the IFMA52 or the DQ lanes — the same rule, read
-// by a caller that has a Go loop of its own for the other case (a linear
-// transform's plaintext MAC, VecMACPairBlocked).
-func (m Modulus) InnerProductLanes(n int) bool { return m.innerBody(n, 1) != innerGo }
 
 // laneRunLength returns how many products of residues below q the lanes may
 // sum before they must close. With one residue r < q carried in L (the
@@ -78,15 +50,15 @@ func laneHigh(x, w uint64) uint64 {
 }
 
 // LanesFit reports whether the lanes may sum terms products y·w, every y
-// below yMax and every w a residue of m, and close the sum once: m has the
-// lanes, yMax ≤ 2^52 so the multiplier reads all of y, and — with no
-// residue carried in L, so ⌊L/2^52⌋ < terms — the close's bound
+// below yMax and every w a residue of m, and close the sum once: m's Body
+// is BodyIFMA52, yMax ≤ 2^52 so the multiplier reads all of y, and — with
+// no residue carried in L, so ⌊L/2^52⌋ < terms — the close's bound
 // terms·(h+1) + q < 2^52 holds, h = laneHigh(yMax, q). L wraps at 4096
-// terms. It is the selection rule of the RNS conversion's lanes body
+// terms. It is the shape gate of the RNS conversion's lanes body
 // (ConvertLanes), where y is a residue of a source prime that may be wider
 // than m; DESIGN.md §12 "Lanes" has the derivation.
 func (m Modulus) LanesFit(yMax uint64, terms int) bool {
-	if !m.Lanes() || yMax > 1<<52 || terms < 1 || terms > 4095 {
+	if m.Body() != BodyIFMA52 || yMax > 1<<52 || terms < 1 || terms > 4095 {
 		return false
 	}
 	return uint64(terms)*(laneHigh(yMax, m.Q)+1)+m.Q < 1<<52
@@ -109,13 +81,13 @@ func dqRunLength(q uint64) int {
 	return int(min(4095, uint64(1)<<(63-bits.Len64(q))-1))
 }
 
-// innerProductVec is VecInnerProductPair on vector body b (innerIFMA or
-// innerDQ), for len(out0) a nonzero multiple of 8 and at least one digit:
+// innerProductVec is VecInnerProductPair on vector body b (BodyIFMA52 or
+// BodyDQ), for len(out0) a nonzero multiple of 8 and at least one digit:
 // run by run of at most the body's run length, each later run folding onto
 // the residues of the ones before. The rows are checked here, so the
 // assembly reads no word outside them; a permutation entry outside
 // [0, len(out0)) panics.
-func (m Modulus) innerProductVec(b innerBody, out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
+func (m Modulus) innerProductVec(b Body, out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
 	n := len(out0)
 	out1 = out1[:n]
 	if perm != nil {
@@ -127,7 +99,7 @@ func (m Modulus) innerProductVec(b innerBody, out0, out1 []uint64, x, k0, k1 [][
 	}
 	var run int
 	var c1, c2 uint64
-	if b == innerIFMA {
+	if b == BodyIFMA52 {
 		// q^-1 mod 2^52 and 2^40·2^64 mod q, the two REDCs' constants.
 		run, c1, c2 = laneRunLength(m.Q), m.QInv&(1<<52-1), m.MulShoup(1<<40, m.RModQ, m.RModQShoup)
 	} else {
@@ -138,7 +110,7 @@ func (m Modulus) innerProductVec(b innerBody, out0, out1 []uint64, x, k0, k1 [][
 	for len(x) > 0 {
 		r := min(len(x), run)
 		var ok bool
-		if b == innerIFMA {
+		if b == BodyIFMA52 {
 			ok = innerProductPairLanes(out0, out1, x[:r], k0[:r], k1[:r], perm, add, m.Q, c1, c2)
 		} else {
 			ok = innerProductPairDQ(out0, out1, x[:r], k0[:r], k1[:r], perm, add, m.Q, c1, c2)

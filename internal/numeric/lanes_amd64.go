@@ -12,7 +12,7 @@ func innerProductPairLanes(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int
 // innerProductPairDQ is the AVX-512 DQ body of lanes_amd64.s: one run of
 // at most dqRunLength(q) digits, with innerProductPairLanes' contract;
 // mu = ⌊2^(64+s)/q⌋ and s = bits(q) − 1 are its Barrett constants
-// (innerProductDQ derives both).
+// (innerProductVec derives both).
 //
 //go:noescape
 func innerProductPairDQ(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool, q, mu, s uint64) bool

@@ -2,9 +2,9 @@
 
 package numeric
 
-// Without amd64 there are no lanes: Modulus.Lanes and HasDQ are always
-// false, so pickInner answers the Go body and the bodies below are
-// unreachable.
+// Without amd64 the probe answers no to both halves, so Modulus.Body is
+// BodyGo for every modulus, VecInnerProductPair, VecMACPair and ntt's
+// passes run Go, LanesFit refuses, and the bodies below are unreachable.
 
 func cpuAVX512() (ifma, dq bool) { return false, false }
 

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // A probe that wrongly said "no" would send every host to the Go body and no
@@ -38,24 +39,69 @@ func TestCPUProbeMatchesCpuinfo(t *testing.T) {
 	if want := f && slices.Contains(flags, "avx512dq"); dq != want {
 		t.Fatalf("cpuAVX512() dq = %v, /proc/cpuinfo lists avx512f + avx512dq: %v", dq, want)
 	}
-	if ifma != hasLanes || dq != HasDQ() {
-		t.Fatalf("probe (%v, %v) differs from the package's (%v, %v)", ifma, dq, hasLanes, HasDQ())
+	if ifma != hasLanes || dq != hasDQ {
+		t.Fatalf("probe (%v, %v) differs from the package's (%v, %v)", ifma, dq, hasLanes, hasDQ)
 	}
 	t.Logf("cpuAVX512() = (ifma %v, dq %v), agreeing with /proc/cpuinfo", ifma, dq)
 }
 
-// Every odd modulus below 2^50 has the lanes on a CPU that has them, and
-// nothing else does; laneRunLength's bound gives 4095 for the 40- and
-// 45-bit primes, 12 just under 2^50 and at 2^50 − 1, the widest modulus
-// with lanes. dqRunLength is 2^(63−b) − 1 for a b-bit modulus, capped at
-// 4095 from 51 bits down.
-func TestModulusLanes(t *testing.T) {
-	for _, q := range append(slices.Clone(testModuli), 2, 1<<50-1, 1<<50+1, 2251799813554177) {
-		m := NewModulus(q)
-		if want := hasLanes && q%2 == 1 && q < 1<<50; m.Lanes() != want {
-			t.Fatalf("q=%d: Lanes() = %v, want %v", q, m.Lanes(), want)
+// The module's one body rule over prime widths 20–61 — the widest prime of
+// each width and the narrowest, so both sides of 2^50 — with q = 2 and the
+// odd neighbours of 2^50, against both answers of each half of the probe:
+// IFMA52 for an odd q below 2^50 where the CPU has IFMA, else DQ for an odd
+// q where it has DQ, else Go. On this host Modulus.Body is the rule fed the
+// probe (which TestCPUProbeMatchesCpuinfo ties to /proc/cpuinfo).
+func TestBodyRule(t *testing.T) {
+	moduli := []uint64{2, 1<<50 - 1, 1<<50 + 1}
+	for width := 20; width <= MaxModulusBits; width++ {
+		low := uint64(1)<<(width-1) + 1
+		for !IsPrime(low) {
+			low += 2
 		}
+		moduli = append(moduli, low, prevPrime(1<<width-1))
 	}
+	ifmaHere, dqHere := cpuAVX512()
+	taken := map[Body]int{}
+	for _, q := range moduli {
+		for _, ifma := range []bool{false, true} {
+			for _, dq := range []bool{false, true} {
+				want := BodyGo
+				switch {
+				case q%2 == 0:
+				case ifma && bits.Len64(q) <= 50:
+					want = BodyIFMA52
+				case dq:
+					want = BodyDQ
+				}
+				if got := bodyOf(q, ifma, dq); got != want {
+					t.Fatalf("q=%d ifma=%v dq=%v: %v, want %v", q, ifma, dq, got, want)
+				}
+			}
+		}
+		got := NewModulus(q).Body()
+		if want := bodyOf(q, ifmaHere, dqHere); got != want {
+			t.Fatalf("q=%d: Body() = %v, the rule on this CPU %v", q, got, want)
+		}
+		taken[got]++
+	}
+	t.Logf("IFMA52 lanes %v, DQ lanes %v on this CPU; moduli by body: %v", ifmaHere, dqHere, taken)
+}
+
+// The derived facts live in functions (Body) because Modulus must stay
+// seven words: the register ABI passes it whole beside two scalar
+// arguments (Mul's call of ReduceWide), and an eighth word — a cached body,
+// a run length — would spill those arguments to the stack.
+func TestModulusWords(t *testing.T) {
+	if got := unsafe.Sizeof(Modulus{}); got != 7*8 {
+		t.Fatalf("Modulus is %d bytes, want seven words (56)", got)
+	}
+}
+
+// laneRunLength's bound gives 4095 for the 40- and 45-bit primes, 12 just
+// under 2^50 and at 2^50 − 1, the widest modulus with the IFMA52 lanes.
+// dqRunLength is 2^(63−b) − 1 for a b-bit modulus, capped at 4095 from 51
+// bits down.
+func TestRunLengths(t *testing.T) {
 	for q, want := range map[uint64]int{1099510054913: 4095, 35184371138561: 4095, 1125899904679937: 12, 1<<50 - 1: 12} {
 		if got := laneRunLength(q); got != want {
 			t.Fatalf("q=%d: lane run %d, want %d", q, got, want)
@@ -69,61 +115,27 @@ func TestModulusLanes(t *testing.T) {
 			t.Fatalf("q=%d: DQ run %d, want %d", q, got, want)
 		}
 	}
-	t.Logf("IFMA52 lanes on this CPU: %v, DQ lanes: %v", hasLanes, hasDQ)
 }
 
-// String names a body as the logs print it.
-func (b innerBody) String() string {
-	return [...]string{innerGo: "Go", innerIFMA: "IFMA52", innerDQ: "DQ"}[b]
-}
-
-// The body rule over every modulus width, both answers of each half of the
-// probe and lengths around the register width: IFMA52 for an odd q below
-// 2^50 where the CPU has IFMA, else DQ for any odd q where it has DQ, else
-// Go — and Go for no digits, an even q or a length that is not a nonzero
-// multiple of 8. On this CPU VecInnerProductPair's rule is the probe's, and
-// InnerProductLanes says whether it leaves Go.
+// The shape gate every vector kernel over rows adds to the body rule
+// (vecBody, read by VecInnerProductPair and VecMACPair): the modulus's body
+// for a length that is a nonzero multiple of 8 and at least one term, Go
+// for any other length or no terms.
 func TestInnerProductBodyRule(t *testing.T) {
-	taken := map[innerBody]int{}
-	for width := 3; width <= MaxModulusBits; width++ {
-		for _, q := range []uint64{1<<(width-1) + 1, 1<<width - 1, 1 << (width - 1)} {
-			for _, n := range []int{0, 1, 7, 8, 12, 16, 64, 8192} {
-				for _, digits := range []int{0, 1, 3} {
-					for _, ifma := range []bool{false, true} {
-						for _, dq := range []bool{false, true} {
-							want := innerGo
-							switch {
-							case n == 0 || n%8 != 0 || digits == 0 || q%2 == 0:
-							case ifma && width <= 50:
-								want = innerIFMA
-							case dq:
-								want = innerDQ
-							}
-							if got := pickInner(q, n, digits, ifma, dq); got != want {
-								t.Fatalf("q=%d n=%d digits=%d ifma=%v dq=%v: %v, want %v", q, n, digits, ifma, dq, got, want)
-							}
-						}
-					}
-					if q%2 == 0 {
-						continue // NewModulus refuses an even modulus
-					}
-					m := NewModulus(q)
-					got := m.innerBody(n, digits)
-					if want := pickInner(q, n, digits, hasLanes, hasDQ); got != want {
-						t.Fatalf("q=%d n=%d digits=%d: VecInnerProductPair takes %v, the rule on this CPU %v", q, n, digits, got, want)
-					}
-					if digits > 0 && m.InnerProductLanes(n) != (got != innerGo) {
-						t.Fatalf("q=%d n=%d: InnerProductLanes = %v, body %v", q, n, m.InnerProductLanes(n), got)
-					}
-					if got == innerIFMA && !m.Lanes() {
-						t.Fatalf("q=%d: IFMA52 body on a modulus without lanes", q)
-					}
-					taken[got]++
+	for _, q := range append(slices.Clone(testModuli), dqTestModuli...) {
+		m := NewModulus(q)
+		for _, n := range []int{0, 1, 7, 8, 12, 16, 64, 8192} {
+			for _, terms := range []int{0, 1, 3} {
+				want := m.Body()
+				if n == 0 || n%8 != 0 || terms == 0 {
+					want = BodyGo
+				}
+				if got := m.vecBody(n, terms); got != want {
+					t.Fatalf("q=%d n=%d terms=%d: %v, want %v", q, n, terms, got, want)
 				}
 			}
 		}
 	}
-	t.Logf("IFMA52 lanes %v, DQ lanes %v on this CPU; bodies taken: %v", hasLanes, hasDQ, taken)
 }
 
 // dqTestModuli are the widths the DQ lanes take in the benchmark sets — the
@@ -147,10 +159,10 @@ func runDigits(m Modulus, n int) []int {
 		return ds
 	}
 	run := 0
-	switch m.innerBody(n, 1) {
-	case innerIFMA:
+	switch m.vecBody(n, 1) {
+	case BodyIFMA52:
 		run = laneRunLength(m.Q)
-	case innerDQ:
+	case BodyDQ:
 		run = dqRunLength(m.Q)
 	}
 	for d := run - 1; d <= run+1; d++ {
@@ -194,7 +206,7 @@ func laneRows(rng *rand.Rand, count, n int, q uint64, perm []int, allMax bool) [
 // call took.
 func TestInnerProductLanesMatchGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	ran := map[innerBody]int{}
+	ran := map[Body]int{}
 	for _, q := range append(slices.Clone(testModuli), dqTestModuli...) {
 		m := NewModulus(q)
 		for _, n := range []int{8, 13, 64, 512, 8192} {
@@ -212,9 +224,9 @@ func TestInnerProductLanesMatchGoBody(t *testing.T) {
 							m.innerProductGo(want0, want1, x, k0, k1, p, add)
 							if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
 								t.Fatalf("q=%d n=%d digits=%d allMax=%v gather=%v add=%v body=%v: diverges from the Go body",
-									q, n, digits, allMax, p != nil, add, m.innerBody(n, digits))
+									q, n, digits, allMax, p != nil, add, m.vecBody(n, digits))
 							}
-							ran[m.innerBody(n, digits)]++
+							ran[m.vecBody(n, digits)]++
 						}
 					}
 				}
@@ -229,7 +241,7 @@ func TestInnerProductLanesMatchGoBody(t *testing.T) {
 func TestInnerProductLanesPermBounds(t *testing.T) {
 	for _, q := range []uint64{35184371138561, 288230376150876161} {
 		m := NewModulus(q)
-		if m.innerBody(16, 1) == innerGo {
+		if m.vecBody(16, 1) == BodyGo {
 			t.Logf("q=%d: no vector body on this CPU", q)
 			continue
 		}
@@ -240,7 +252,7 @@ func TestInnerProductLanesPermBounds(t *testing.T) {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatalf("q=%d body %v perm entry %d: no panic", q, m.innerBody(16, 1), bad)
+						t.Fatalf("q=%d body %v perm entry %d: no panic", q, m.vecBody(16, 1), bad)
 					}
 				}()
 				m.VecInnerProductPair(make([]uint64, 16), make([]uint64, 16), rows, rows, rows, perm, false)
@@ -251,14 +263,13 @@ func TestInnerProductLanesPermBounds(t *testing.T) {
 
 // The linear-transform MAC on a vector body — VecInnerProductPair with the
 // plaintext diagonals as the shared operand — must give the bits of
-// VecMACPairBlocked, the loop groupMac runs where InnerProductLanes says
-// no, for the digit counts of runDigits over a 512-column block, shorter
+// macPairBlocked, VecMACPair's Go body, for the digit counts of runDigits over a 512-column block, shorter
 // ones and 1000 columns (two blocks, the second short), random and
 // all-(q−1) columns, adding onto the output or overwriting it, on testModuli
 // and the DQ widths. The log counts the body each call took.
 func TestMACLanesMatchGoBody(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
-	ran := map[innerBody]int{}
+	ran := map[Body]int{}
 	for _, q := range append(slices.Clone(testModuli), dqTestModuli...) {
 		m := NewModulus(q)
 		for _, n := range []int{8, 64, 512, 1000} {
@@ -271,12 +282,47 @@ func TestMACLanesMatchGoBody(t *testing.T) {
 						got0, got1 := laneRows(rng, 1, n, q, nil, allMax)[0], laneRows(rng, 1, n, q, nil, false)[0]
 						want0, want1 := slices.Clone(got0), slices.Clone(got1)
 						m.VecInnerProductPair(got0, got1, pt, r0, r1, nil, add)
-						m.VecMACPairBlocked(want0, want1, pt, r0, r1, add)
+						m.macPairBlocked(want0, want1, pt, r0, r1, add)
 						if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
-							t.Fatalf("q=%d n=%d terms=%d allMax=%v add=%v body=%v: diverges from VecMACPairBlocked",
-								q, n, terms, allMax, add, m.innerBody(n, terms))
+							t.Fatalf("q=%d n=%d terms=%d allMax=%v add=%v body=%v: diverges from macPairBlocked",
+								q, n, terms, allMax, add, m.vecBody(n, terms))
 						}
-						ran[m.innerBody(n, terms)]++
+						ran[m.vecBody(n, terms)]++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("IFMA52 lanes %v, DQ lanes %v on this CPU; calls by body: %v", hasLanes, hasDQ, ran)
+}
+
+// VecMACPair — the vector body in calls of ltMacTerms terms, the
+// column-blocked Go loop elsewhere — gives macPairBlocked's bits on term
+// counts around the call boundaries (none, 1, 7–9, 16, 17), lengths that
+// are and are not whole registers and a second, short column block (1000),
+// adding and overwriting, random and all-(q−1) columns, on testModuli and
+// the DQ widths.
+func TestVecMACPairMatchesBlocked(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	ran := map[Body]int{}
+	for _, q := range append(slices.Clone(testModuli), dqTestModuli...) {
+		m := NewModulus(q)
+		for _, n := range []int{8, 13, 64, 1000} {
+			for _, terms := range []int{0, 1, 7, 8, 9, 16, 17} {
+				for _, allMax := range []bool{false, true} {
+					pt := laneRows(rng, terms, n, q, nil, allMax)
+					r0 := laneRows(rng, terms, n, q, nil, allMax)
+					r1 := laneRows(rng, terms, n, q, nil, allMax)
+					for _, add := range []bool{false, true} {
+						got0, got1 := laneRows(rng, 1, n, q, nil, allMax)[0], laneRows(rng, 1, n, q, nil, false)[0]
+						want0, want1 := slices.Clone(got0), slices.Clone(got1)
+						m.VecMACPair(got0, got1, pt, r0, r1, add)
+						m.macPairBlocked(want0, want1, pt, r0, r1, add)
+						if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
+							t.Fatalf("q=%d n=%d terms=%d allMax=%v add=%v body=%v: VecMACPair diverges from macPairBlocked",
+								q, n, terms, allMax, add, m.vecBody(n, terms))
+						}
+						ran[m.vecBody(n, terms)]++
 					}
 				}
 			}
@@ -361,7 +407,7 @@ func TestInnerProductDQAtBudget(t *testing.T) {
 				}
 			}
 			out0, out1 := slices.Clone(r), slices.Clone(r)
-			m.innerProductVec(innerDQ, out0, out1, x, k, k, nil, true)
+			m.innerProductVec(BodyDQ, out0, out1, x, k, k, nil, true)
 			for j := range want {
 				if out0[j] != want[j] || out1[j] != want[j] {
 					t.Fatalf("q=%d (%d bits) run %d coefficient %d: DQ close gives (%d, %d), want %d", q, b, T, j, out0[j], out1[j], want[j])
@@ -443,7 +489,7 @@ func FuzzInnerProductBodies(f *testing.F) {
 		m.VecInnerProductPair(got0, got1, x, k0, k1, perm, add)
 		if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
 			t.Fatalf("q=%d n=%d digits=%d gather=%v add=%v: VecInnerProductPair (body %v) diverges from the Go body",
-				q, n, digits, gather, add, m.innerBody(n, digits))
+				q, n, digits, gather, add, m.vecBody(n, digits))
 		}
 		// Each vector body on the length's whole registers, the perm cut to
 		// them (a gathered entry past the cut is redrawn inside it).
@@ -470,8 +516,8 @@ func FuzzInnerProductBodies(f *testing.F) {
 		xv, k0v, k1v := cut(x), cut(k0), cut(k1)
 		want0, want1 = slices.Clone(out[0][:nv]), slices.Clone(out[1][:nv])
 		m.innerProductGo(want0, want1, xv, k0v, k1v, pv, add)
-		for _, b := range []innerBody{innerIFMA, innerDQ} {
-			if b != pickInner(q, nv, digits, hasLanes && b == innerIFMA, hasDQ && b == innerDQ) {
+		for _, b := range []Body{BodyIFMA52, BodyDQ} {
+			if b != bodyOf(q, hasLanes && b == BodyIFMA52, hasDQ && b == BodyDQ) {
 				continue // not on this CPU, or not for this modulus
 			}
 			got0, got1 := slices.Clone(out[0][:nv]), slices.Clone(out[1][:nv])

@@ -164,13 +164,11 @@ func (m Modulus) VecFoldWide(hi, lo []uint64) {
 // run, each later run folding onto the residue of the ones before — the
 // result is the canonical residue of the whole sum either way.
 //
-// Where the CPU has them, a length that is a nonzero multiple of 8 runs
-// eight coefficients a register (lanes.go) with the same output: on the
-// IFMA52 lanes for an odd q below 2^50 (Lanes), on the AVX-512 DQ lanes for
-// any other odd q — one rule, pickInner, made from q, the length and the
-// CPU probe. perm entries must then lie in [0, len(out0)).
+// Where m has a vector body (Body), a length that is a nonzero multiple of
+// 8 runs eight coefficients a register on it (lanes.go, vecBody) with the
+// same output; perm entries must then lie in [0, len(out0)).
 func (m Modulus) VecInnerProductPair(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, add bool) {
-	if b := m.innerBody(len(out0), len(x)); b != innerGo {
+	if b := m.vecBody(len(out0), len(x)); b != BodyGo {
 		m.innerProductVec(b, out0, out1, x, k0, k1, perm, add)
 		return
 	}
@@ -188,28 +186,50 @@ func (m Modulus) innerProductGo(out0, out1 []uint64, x, k0, k1 [][]uint64, perm 
 	m.innerProductRun(out0, out1, x, k0, k1, perm, add)
 }
 
-// macBlock is the column-block width of VecMACPairBlocked: the four 128-bit
+// VecMACPair is a linear transform's plaintext MAC: for every coefficient j
+//
+//	out0[j] (+)= Σ_k pt[k][j]·r0[k][j] mod q    out1[j] (+)= Σ_k pt[k][j]·r1[k][j] mod q
+//
+// — VecInnerProductPair's value with the plaintext rows as the shared
+// operand, added onto out0/out1 with add. On a vector body (vecBody) the
+// terms go to VecInnerProductPair in calls of ltMacTerms, each later call
+// adding onto the residues of the ones before; on Go they run the
+// column-blocked loop, macPairBlocked. Every sum closes to its canonical
+// residue, so the words are the same whichever body ran.
+func (m Modulus) VecMACPair(out0, out1 []uint64, pt, r0, r1 [][]uint64, add bool) {
+	if m.vecBody(len(out0), len(pt)) == BodyGo {
+		m.macPairBlocked(out0, out1, pt, r0, r1, add)
+		return
+	}
+	for lo := 0; lo < len(pt); lo += ltMacTerms {
+		hi := min(lo+ltMacTerms, len(pt))
+		m.VecInnerProductPair(out0, out1, pt[lo:hi], r0[lo:hi], r1[lo:hi], nil, add)
+		add = true
+	}
+}
+
+// ltMacTerms is how many terms VecMACPair hands a vector body a call. A
+// call reads its 3·terms rows side by side, eight coefficients of each a
+// step; past a few dozen such streams the loads of rows from beyond L2
+// stall, and a group of 16 to 64 diagonals summed in one call ran 1.3–2.8×
+// slower a term than in calls of 8 (EXPERIMENTS.md "DQ MAC — before/after").
+const ltMacTerms = 8
+
+// macBlock is the column-block width of macPairBlocked: the four 128-bit
 // accumulator half-rows of a block (hi/lo × out0/out1) occupy
 // 4·macBlock·8 B = 16 KiB of its frame, which stays L1-resident while the
 // terms stream through it.
 const macBlock = 512
 
-// VecMACPairBlocked is the Go loop of a linear transform's plaintext MAC,
-// for the rows InnerProductLanes refuses: for every coefficient j
-//
-//	out0[j] (+)= Σ_k pt[k][j]·r0[k][j] mod q    out1[j] (+)= Σ_k pt[k][j]·r1[k][j] mod q
-//
-// — VecInnerProductPair's value with the plaintext rows as the shared
-// operand, summed column block by column block. Streaming full-length
-// 128-bit accumulator rows (hi+lo, read+write, both outputs) per term made
-// the MAC memory-bound — roughly 4× the compulsory traffic. A block's
-// accumulators live on this frame instead: they stay L1-resident across
-// every term, the paired MAC kernel loads each plaintext block once for
-// both rows, a fold restarts the 128-bit budget every MaxLazyProducts−1
-// terms, and the block is reduced into out0/out1 (added onto them with add)
-// before the next one starts. Every sum closes to its canonical residue, so
-// the words are those of VecInnerProductPair.
-func (m Modulus) VecMACPairBlocked(out0, out1 []uint64, pt, r0, r1 [][]uint64, add bool) {
+// macPairBlocked is VecMACPair's Go body, summed column block by column
+// block. Streaming full-length 128-bit accumulator rows (hi+lo, read+write,
+// both outputs) per term made the MAC memory-bound — roughly 4× the
+// compulsory traffic. A block's accumulators live on this frame instead:
+// they stay L1-resident across every term, the paired MAC kernel loads each
+// plaintext block once for both rows, a fold restarts the 128-bit budget
+// every MaxLazyProducts−1 terms, and the block is reduced into out0/out1
+// (added onto them with add) before the next one starts.
+func (m Modulus) macPairBlocked(out0, out1 []uint64, pt, r0, r1 [][]uint64, add bool) {
 	n := len(out0)
 	out1 = out1[:n]
 	r0, r1 = r0[:len(pt)], r1[:len(pt)]

@@ -362,7 +362,7 @@ func TestVecInnerProductPair(t *testing.T) {
 // inner product at (N, digits) = (8192, 3), in order and gathered through a
 // Galois permutation, and (512, 6); and one 512-column block of a linear
 // transform's plaintext MAC over 16 diagonals, whose Go body is
-// VecMACPairBlocked, the loop groupMac runs off the lanes.
+// macPairBlocked.
 //
 //	go test -run '^$' -bench 'BenchmarkVecKernels/(lanes|dq)' -count 5 ./internal/numeric/
 func BenchmarkVecKernels(b *testing.B) {
@@ -400,12 +400,12 @@ func BenchmarkVecKernels(b *testing.B) {
 	for _, v := range []struct {
 		prefix string
 		q      uint64
-		body   innerBody
+		body   Body
 		unit   string
 	}{
-		{"lanes", 35184371138561, innerIFMA, "lanes-ns/coeff"},
-		{"dq/q55", 36028797018652673, innerDQ, "dq-ns/coeff"},
-		{"dq/q58", 288230376150876161, innerDQ, "dq-ns/coeff"},
+		{"lanes", 35184371138561, BodyIFMA52, "lanes-ns/coeff"},
+		{"dq/q55", 36028797018652673, BodyDQ, "dq-ns/coeff"},
+		{"dq/q58", 288230376150876161, BodyDQ, "dq-ns/coeff"},
 	} {
 		mod := NewModulus(v.q)
 		for _, c := range []struct {
@@ -420,7 +420,7 @@ func BenchmarkVecKernels(b *testing.B) {
 			{"MACBlock/N=512/diagonals=16", 512, 16, false, true},
 		} {
 			b.Run(v.prefix+"/"+c.name, func(b *testing.B) {
-				if mod.innerBody(c.n, c.terms) != v.body {
+				if mod.vecBody(c.n, c.terms) != v.body {
 					b.Skipf("no %s body on this CPU", v.prefix)
 				}
 				x := laneRows(rng, c.terms, c.n, mod.Q, nil, false)
@@ -437,7 +437,7 @@ func BenchmarkVecKernels(b *testing.B) {
 				}
 				if c.mac {
 					bodies[0] = func() { mod.innerProductVec(v.body, out0, out1, x, k0, k1, nil, true) }
-					bodies[1] = func() { mod.VecMACPairBlocked(out0, out1, x, k0, k1, true) }
+					bodies[1] = func() { mod.macPairBlocked(out0, out1, x, k0, k1, true) }
 				}
 				const burst = 8
 				var spent [2]time.Duration

@@ -6,9 +6,11 @@
 //
 // All moduli are odd integers below 2^61 so that a+b and 4*q never overflow
 // a uint64 and a 128-bit product fits in two 64-bit words. On amd64 CPUs
-// with AVX-512, the keyswitch inner product runs eight coefficients a
-// register (lanes_amd64.s), with the same output: on the IFMA52 lanes over
-// a modulus below 2^50, on the DQ lanes over any other.
+// with AVX-512 a modulus has a vector body (Modulus.Body, the module's one
+// body rule: the IFMA52 lanes below 2^50, else the DQ lanes), and the
+// keyswitch inner product (VecInnerProductPair), the plaintext MAC
+// (VecMACPair) and ntt's passes run eight coefficients a register on it,
+// with the same output.
 package numeric
 
 import (
@@ -22,7 +24,9 @@ const MaxModulusBits = 61
 
 // Modulus bundles a prime modulus with the precomputed constants needed for
 // Barrett and Shoup reductions. It is immutable after creation and safe for
-// concurrent use.
+// concurrent use. It is seven words, which the register ABI passes whole
+// beside two scalar arguments (Mul's call of ReduceWide), so what follows
+// from Q and the CPU (Body) is a function, not a field.
 type Modulus struct {
 	Q uint64 // the modulus itself
 
@@ -70,24 +74,40 @@ func NewModulus(q uint64) Modulus {
 
 // hasLanes reports AVX512F + AVX512IFMA, hasDQ AVX512F + AVX512DQ, each with
 // OS-enabled ZMM state; both false off amd64. They are the one CPU probe,
-// taken once; the kernels ask a modulus (Lanes) or, for the NTT's 64-bit
-// lanes, HasDQ.
+// taken once, and only Body reads it.
 var hasLanes, hasDQ = cpuAVX512()
 
-// HasDQ reports whether the CPU runs 64-bit AVX-512 F + DQ lanes: the body
-// ntt.NewTable picks for a transform whose modulus the IFMA52 lanes refuse
-// (every modulus is below 2^61, so 4q fits a 64-bit lane), and the body
-// VecInnerProductPair picks for such a modulus (pickInner).
-func HasDQ() bool { return hasDQ }
+// Body names a kernel body: how a modulus's vector kernels run.
+type Body uint8
 
-// Lanes reports whether this modulus runs the IFMA52 lanes: the CPU has
-// them and Q is odd and below 2^50, so every residue, and 4Q, fits the
-// 52-bit multiplier. It is the first step of this package's kernel
-// selection (pickInner, LanesFit); ntt.NewTable reads it and HasDQ. A
-// function of Q and the probe, it needs no field:
-// Modulus stays seven words, which the register ABI passes whole beside two
-// scalar arguments (Mul's call of ReduceWide).
-func (m Modulus) Lanes() bool { return hasLanes && m.Q&1 == 1 && m.Q < 1<<50 }
+const (
+	BodyGo     Body = iota // scalar Go: every modulus, every host
+	BodyIFMA52             // the IFMA52 lanes: 52-bit multiplies, odd q < 2^50
+	BodyDQ                 // the AVX-512 F + DQ lanes: 64-bit words, any odd q
+)
+
+func (b Body) String() string { return [...]string{"Go", "IFMA52", "DQ"}[b] }
+
+// Body is the module's one body rule, a function of Q and the CPU probe:
+// the IFMA52 lanes for an odd Q below 2^50 (every residue, and 4Q, fits the
+// 52-bit multiplier) on an IFMA CPU, else the DQ lanes for an odd Q on an
+// AVX-512 F + DQ CPU (Q < 2^61, so 4Q fits a 64-bit lane), else Go. Each
+// kernel adds only its shape gate (vecBody, LanesFit, ntt's N ≥ 64). No
+// option, flag or environment variable reaches it.
+func (m Modulus) Body() Body { return bodyOf(m.Q, hasLanes, hasDQ) }
+
+// bodyOf is Body's rule for modulus q under the probe answers ifma and dq.
+func bodyOf(q uint64, ifma, dq bool) Body {
+	switch {
+	case q&1 == 0:
+		return BodyGo
+	case ifma && q < 1<<50:
+		return BodyIFMA52
+	case dq:
+		return BodyDQ
+	}
+	return BodyGo
+}
 
 // montgomeryInverse returns q^-1 mod 2^64 for odd q by Newton iteration:
 // x_{k+1} = x_k·(2 − q·x_k) doubles the number of correct low bits, and

@@ -162,7 +162,7 @@ func TestLanesMatchGoBody(t *testing.T) {
 		})
 	}
 	t.Logf("IFMA52 lanes on this CPU: %v; the rule sent %d destination checks to the lanes, %d to the Go body",
-		numeric.NewModulus(35184371138561).Lanes(), ran[true], ran[false])
+		numeric.NewModulus(35184371138561).Body() == numeric.BodyIFMA52, ran[true], ran[false])
 }
 
 // The rule keeps the Go body wherever the lanes would read a word the
@@ -185,7 +185,7 @@ func TestLanesRule(t *testing.T) {
 					if got && keepGo {
 						t.Fatalf("%s digit %d size %d: destination %d takes the lanes", s.name, dig, size+1, i)
 					}
-					if want := !keepGo && s.q[i].Lanes(); got != want {
+					if want := !keepGo && s.q[i].Body() == numeric.BodyIFMA52; got != want {
 						t.Fatalf("%s digit %d size %d: destination %d lanes = %v, want %v", s.name, dig, size+1, i, got, want)
 					}
 				}
@@ -195,13 +195,13 @@ func TestLanesRule(t *testing.T) {
 			for _, cols := range []int{len(s.p), len(s.p) + 1} {
 				got := md.ext.lanes(i, cols)
 				keepGo := s.name == "P13" || s.name == "Tall"
-				if want := !keepGo && s.q[i].Lanes(); got != want {
+				if want := !keepGo && s.q[i].Body() == numeric.BodyIFMA52; got != want {
 					t.Fatalf("%s ModDown cols %d: destination %d lanes = %v, want %v", s.name, cols, i, got, want)
 				}
 			}
 		}
 	}
-	if b9 := shapes[1]; b9.q[1].Lanes() {
+	if b9 := shapes[1]; b9.q[1].Body() == numeric.BodyIFMA52 {
 		md := NewModDownParams(b9.q, b9.p)
 		taken := 0
 		for i := range b9.q {

@@ -60,6 +60,7 @@ type Extender struct {
 	bHatModC     [][]uint64 // [i][j] = (B/b_j)·2^64 mod c_i
 	negBModC     []uint64   // −B·2^64 mod c_i: k of these cancel the CRT overflow k·B
 	invB         []float64  // 1 / b_j, for the rounding estimate
+	srcMax       uint64     // the widest source prime, the lanes rule's y bound
 
 	blockLen int // coefficients per block: a multiple of 8, (len(src)+1)·blockLen ≤ stageWords
 }
@@ -103,6 +104,7 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 		e.bHatInv[j] = bj.Inv(prodMod(bj, src, j))
 		e.bHatInvShoup[j] = bj.ShoupConstant(e.bHatInv[j])
 		e.invB[j] = 1.0 / float64(bj.Q)
+		e.srcMax = max(e.srcMax, bj.Q)
 	}
 	e.bHatModC = make([][]uint64, len(dst))
 	e.negBModC = make([]uint64, len(dst))
@@ -197,11 +199,7 @@ func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]u
 // So every source prime must be below 2^52; q0 (55 bits), the P primes as
 // destinations and P13's 58-bit P sources keep the Go body.
 func (e *Extender) lanes(i, cols int) bool {
-	c := e.dst[i]
-	var y uint64
-	for _, bj := range e.src {
-		y = max(y, bj.Q)
-	}
+	c, y := e.dst[i], e.srcMax
 	if cols > len(e.src) {
 		y = max(y, c.Q)
 	}

@@ -151,10 +151,15 @@ var retiredNames = []retiredName{
 	// choice, not a lanes flag beside it.
 	{pr: 48, design: "Lanes", flags: "-rnE", in: []string{"internal/ntt/*.go", "internal/numeric/*.go"}, tests: true,
 		re: `cpuHasIFMA|\.lanes\b|lanes +bool`},
-	// The plaintext MAC's Go loop is numeric.VecMACPairBlocked, the loop the
+	// The plaintext MAC's Go loop is numeric's macPairBlocked, the loop the
 	// body tests compare the vector bodies against: no copy of it in ckks or
 	// in a test.
 	{pr: 49, design: "Lanes", flags: "-rnE", in: everyGo, tests: true, re: `ltMacBlock|macBlockGo`},
+	// One body enum and one rule, numeric.Modulus.Body: no second rule or
+	// enum, no probe read outside numeric, and no caller choosing between two
+	// numeric kernels (the plaintext MAC is one VecMACPair call).
+	{pr: 50, design: "Lanes", flags: "-rnE", in: everyGo,
+		re: `pickBody|pickInner|innerBody|HasDQ|InnerProductLanes|VecMACPairBlocked|\.Lanes\(\)`},
 
 	{pr: 33, design: "One program on the datapath", flags: "-rnE", in: everyGo,
 		re: `Compile(HAdd|PMult|NTT|Automorphism|Rescale|RNSConv|ModUp|ModDown|CMult|Rotation)\b|OpCounts|SecondsParallel|isa\.(Auto|Copy)\b|\bLaneC\b|PublishExpvar`},
