@@ -1,6 +1,7 @@
 package ckks
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"slices"
@@ -215,6 +216,88 @@ func TestKeySwitchBigOracle(t *testing.T) {
 					}
 				}
 
+				// The same keyswitch, its stages driven one by one, with every
+				// word of each stage's output checked to be below its prime
+				// before any comparison: ModUp out (every digit's extension,
+				// its own rows excepted), inner-product out and ModDown out
+				// (the Correction rows, then the closed output). Later stages
+				// accept any word, so a body that closes to [q, 2q) would
+				// still give the right ciphertext; it fails here, by name.
+				// The accumulator must also be the canonical residue of acc —
+				// Q rows in the NTT domain, P rows in the coefficient domain,
+				// as closeAccum reads them — and the staged output the oracle's.
+				canonical := func(stage string, row []uint64, m numeric.Modulus) {
+					t.Helper()
+					if j := slices.IndexFunc(row, func(v uint64) bool { return v >= m.Q }); j >= 0 {
+						t.Fatalf("%s level %d steps %d: %s word %d is %d, not below its %d-bit prime",
+							sh.name, level, steps, stage, j, row[j], m.Bits)
+					}
+				}
+				k := &ksDigits{}
+				k.bind(params, level)
+				k.swk = key
+				if steps != 0 {
+					k.perm = rq.NTTGaloisPermutation(g)
+				}
+				k.acc = params.getPair(k.ext1, false)
+				k.cx, k.own = rq.NewPoly(level+1), ct.C1.Coeffs
+				for i := 0; i <= level; i++ {
+					k.inttLimb(i)
+				}
+				k.digits = params.getDigits(nil, level)
+				k.decomposeChunk(0, n)
+				for d, ext := range k.digits {
+					lo, hi := params.decomposer.DigitRange(level, d)
+					for i, m := range extMods {
+						if i < lo || i >= hi {
+							canonical(fmt.Sprintf("ModUp digit %d row %d", d, i), ext.Coeffs[i], m)
+						}
+					}
+				}
+				for i := 0; i < k.ext1; i++ {
+					k.limbStage(i)
+				}
+				for c := range acc {
+					for i, m := range extMods {
+						got := k.acc[c].Coeffs[i]
+						canonical(fmt.Sprintf("inner product %d row %d (body %s)", c, i, ipBody(m, n)), got, m)
+						bq := new(big.Int).SetUint64(m.Q)
+						row := make([]uint64, n)
+						for j := range row {
+							row[j] = new(big.Int).Mod(acc[c][j], bq).Uint64()
+						}
+						if i <= level {
+							rq.ForwardLimb(i, row)
+						}
+						if !slices.Equal(got, row) {
+							t.Fatalf("%s level %d steps %d: accumulator %d row %d (%d bits, body %s) is not the canonical residue of the big-integer sum",
+								sh.name, level, steps, c, i, m.Bits, ipBody(m, n))
+						}
+					}
+				}
+				c0Out := rq.NewPoly(level + 1)
+				k.res = [2]*ring.Poly{rq.NewPoly(level + 1), rq.NewPoly(level + 1)}
+				k.replayUnder(k.perm, c0Out, ct.C0)
+				k.modDownChunk(0, n)
+				for c, res := range k.res {
+					for i, m := range qMods {
+						canonical(fmt.Sprintf("ModDown (Correction) %d row %d", c, i), res.Coeffs[i], m)
+					}
+				}
+				for row := 0; row < 2*k.qLimbs; row++ {
+					k.nttOutStage(row)
+				}
+				for c, res := range []*ring.Poly{c0Out, k.res[1]} {
+					for i, m := range qMods {
+						canonical(fmt.Sprintf("ModDown out %d row %d", c, i), res.Coeffs[i], m)
+						if !slices.Equal(res.Coeffs[i], want[c][i]) {
+							t.Fatalf("%s level %d steps %d: staged output %d limb %d disagrees with the big-integer keyswitch", sh.name, level, steps, c, i)
+						}
+					}
+				}
+				params.putPolys(k.acc[:])
+				params.putPolys(k.digits)
+
 				// The evaluator's keyswitch, composed as it ships.
 				var out *Ciphertext
 				if steps == 0 {
@@ -231,48 +314,9 @@ func TestKeySwitchBigOracle(t *testing.T) {
 						}
 					}
 				}
-
-				// The same keyswitch's accumulator, its stages driven one by
-				// one: every word the inner product hands ModDown is the
-				// canonical residue of acc — Q rows in the NTT domain, P
-				// rows in the coefficient domain, as closeAccum reads them.
-				k := &ksDigits{}
-				k.bind(params, level)
-				k.swk = key
-				if steps != 0 {
-					k.perm = rq.NTTGaloisPermutation(g)
-				}
-				k.acc = params.getPair(k.ext1, false)
-				k.cx, k.own = rq.NewPoly(level+1), ct.C1.Coeffs
-				for i := 0; i <= level; i++ {
-					k.inttLimb(i)
-				}
-				k.digits = params.getDigits(nil, level)
-				k.decomposeChunk(0, n)
-				for i := 0; i < k.ext1; i++ {
-					k.limbStage(i)
-				}
-				for c := range acc {
-					for i, m := range extMods {
-						bq := new(big.Int).SetUint64(m.Q)
-						row := make([]uint64, n)
-						for j := range row {
-							row[j] = new(big.Int).Mod(acc[c][j], bq).Uint64()
-						}
-						if i <= level {
-							rq.ForwardLimb(i, row)
-						}
-						if got := k.acc[c].Coeffs[i]; !slices.Equal(got, row) {
-							t.Fatalf("%s level %d steps %d: accumulator %d row %d (%d bits, body %s) is not the canonical residue of the big-integer sum",
-								sh.name, level, steps, c, i, m.Bits, ipBody(m, n))
-						}
-					}
-				}
 				for _, m := range extMods {
 					bodies[ipBody(m, n)]++
 				}
-				params.putPolys(k.acc[:])
-				params.putPolys(k.digits)
 			}
 		}
 		t.Logf("%s: keyswitch and rotation match math/big at levels %d and 2; limbs by inner-product body: %v", sh.name, params.MaxLevel(), bodies)

@@ -61,6 +61,12 @@ var parentHashes = map[string]string{
 	"GenRelinearizationKey": "7b1313d49d7628a18d73701938626586730a5bca2b2e533ab3e2bce53ed58576",
 	"GenRotationKeys":       "e5f9772afd92dbbd67101c2e202113d8f86c70268f7b5dba2b59d8073655007e",
 	"GenGaloisKeys":         "bf20509ac222d9739bc5a4e99c762b3f56522c42aab54a2d6bb5dca2a861dfc0",
+
+	// Added at 17d803c, the commit before the RNS conversion of q0 and the P
+	// primes moved to the DQ lanes: a transform whose groups hold more than
+	// ltMacTerms = 8 diagonals, so its plaintext MAC runs two calls a group,
+	// as the bootstrap's does. Drawn after every row above.
+	"EvaluateLinearTransformInto/groups16": "0ee57c83fa53651b8145487820071da0d844c18b1c7dcdd5a995c697ec3e689e",
 }
 
 func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
@@ -163,6 +169,38 @@ func TestKeyswitchPathsMatchParentCommit(t *testing.T) {
 					if hx := hex.EncodeToString(sum[:]); hx != parentHashes[name] {
 						t.Errorf("%s: key bytes differ from the parent commit\n\t%q: %q,", name, name, hx)
 					}
+				}
+
+				// A transform of 29 diagonals in groups of 16 and 13: each
+				// group's plaintext MAC runs past one call of ltMacTerms = 8
+				// diagonals (8 + 8 and 8 + 5), the shape of every bootstrap
+				// CoeffToSlot / SlotToCoeff group. Its diagonals and keys are
+				// drawn after everything above, so no digest above moves.
+				wideDiags := make([]int, 29)
+				for i := range wideDiags {
+					wideDiags[i] = i
+				}
+				ltWide, err := NewLinearTransformBSGS(enc, ltMatFromDiags(n, ltRandDiags(rng, n, wideDiags)), params.MaxLevel(), params.Scale, 16)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for g, key := range kgen.GenRotationKeys(sk, ltWide.Rotations(), false).Keys {
+					if _, ok := rtk.Keys[g]; !ok {
+						rtk.Keys[g] = key
+					}
+				}
+				const wideName = "EvaluateLinearTransformInto/groups16"
+				out := ev.EvaluateLinearTransformInto(NewCiphertext(params, ltWide.Level), ct, ltWide)
+				blob, err := out.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sum := sha256.Sum256(blob)
+				if hx := hex.EncodeToString(sum[:]); hx != parentHashes[wideName] {
+					t.Errorf("%s: output hash differs from the parent commit\n\t%q: %q,", wideName, wideName, hx)
+				}
+				if strict {
+					requireRingMatchesStrict(t, params, out, wideName)
 				}
 			})
 		}

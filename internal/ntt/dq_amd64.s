@@ -1,3 +1,5 @@
+//go:build !purego
+
 // AVX-512 F + DQ body of the fused NTT passes (passes_amd64.h holds the
 // loops): 64-bit lanes for every prime the IFMA52 body refuses. Every
 // modulus is below 2^61, so every multiplier input (< 4q) is below 2^63 and

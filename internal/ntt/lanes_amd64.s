@@ -1,3 +1,5 @@
+//go:build !purego
+
 // IFMA52 body of the fused NTT passes (passes_amd64.h holds the loops).
 // Callers guarantee q < 2^50, so every multiplier input (< 4q) fits the
 // 52-bit multiplier. DESIGN.md §12 "Lanes" has the derivations.

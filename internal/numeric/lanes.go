@@ -10,8 +10,9 @@ import "math/bits"
 // accumulator L + H·2^52 and close it with two radix-2^52 REDCs and one
 // correction. The DQ lanes (any other odd q < 2^61) form x·k from four
 // 32 × 32 partial products, sum them in three 64-bit accumulators and close
-// them with one Barrett reduction. DESIGN.md §12 "Lanes" has the
-// derivations of both budgets below.
+// them with one Barrett reduction. The RNS conversion's emit step has a
+// body on each (ConvertLanes), chosen by ConvertBody. DESIGN.md §12 "Lanes"
+// has the derivations of every budget below.
 
 // vecBody is the body a kernel over rows of n words and terms products
 // (VecInnerProductPair's digits, VecMACPair's diagonals) runs: m.Body()
@@ -49,19 +50,53 @@ func laneHigh(x, w uint64) uint64 {
 	return hi<<12 | lo>>52
 }
 
-// LanesFit reports whether the lanes may sum terms products y·w, every y
-// below yMax and every w a residue of m, and close the sum once: m's Body
-// is BodyIFMA52, yMax ≤ 2^52 so the multiplier reads all of y, and — with
-// no residue carried in L, so ⌊L/2^52⌋ < terms — the close's bound
-// terms·(h+1) + q < 2^52 holds, h = laneHigh(yMax, q). L wraps at 4096
-// terms. It is the shape gate of the RNS conversion's lanes body
-// (ConvertLanes), where y is a residue of a source prime that may be wider
-// than m; DESIGN.md §12 "Lanes" has the derivation.
-func (m Modulus) LanesFit(yMax uint64, terms int) bool {
-	if m.Body() != BodyIFMA52 || yMax > 1<<52 || terms < 1 || terms > 4095 {
+// ConvertBody is the shape gate of the RNS conversion's vector bodies
+// (ConvertLanes): the body on which a sum of terms products y·w, every y
+// below yMax and every w a residue of m, closes once to its canonical
+// residue times 2^-64. y is a residue of a source prime that may be wider
+// than m. It is BodyIFMA52 where m's body is and the split-52 budget holds
+// (convertFitsLanes), else BodyDQ where m has the DQ lanes — the body rule
+// with the IFMA52 half off, so a narrow m whose IFMA52 budget refuses the
+// sum takes them too — and the DQ budget holds (convertFitsDQ), else
+// BodyGo. DESIGN.md §12 "Lanes for the RNS conversion" has both budgets.
+func (m Modulus) ConvertBody(yMax uint64, terms int) Body {
+	switch {
+	case terms < 1:
+		return BodyGo
+	case m.Body() == BodyIFMA52 && convertFitsLanes(m.Q, yMax, terms):
+		return BodyIFMA52
+	case bodyOf(m.Q, false, hasDQ) == BodyDQ && convertFitsDQ(m.Q, yMax, terms):
+		return BodyDQ
+	}
+	return BodyGo
+}
+
+// convertFitsLanes is the IFMA52 conversion budget: yMax ≤ 2^52 so the
+// multiplier reads all of y, and — with no residue carried in L, so
+// ⌊L/2^52⌋ < terms — the close's bound terms·(h+1) + q < 2^52 holds,
+// h = laneHigh(yMax, q). L wraps at 4096 terms.
+func convertFitsLanes(q, yMax uint64, terms int) bool {
+	if yMax > 1<<52 || terms > 4095 {
 		return false
 	}
-	return uint64(terms)*(laneHigh(yMax, m.Q)+1)+m.Q < 1<<52
+	return uint64(terms)*(laneHigh(yMax, q)+1)+q < 1<<52
+}
+
+// convertFitsDQ is the DQ conversion budget. The close, a REDC by 2^64 in
+// two 32-bit steps, needs the sum V below q·2^64: every product is at most
+// (yMax−1)·(q−1), so V ≤ terms·(yMax−1)·(q−1) < q·2^64 once
+// terms·(yMax−1) < 2^64. Its first step's word adds A1 to less than 2^62,
+// so A1 must stay below 2^63; A1 takes each product's cross terms
+// yl·wh + yh·wl ≤ (2^32−1)·(⌊(yMax−1)/2^32⌋ + ⌊(q−1)/2^32⌋). y is a
+// residue, so yMax ≤ 2^61 and that bound fits a word.
+func convertFitsDQ(q, yMax uint64, terms int) bool {
+	if yMax > 1<<MaxModulusBits {
+		return false
+	}
+	cross := (1<<32 - 1) * ((yMax-1)>>32 + (q-1)>>32)
+	hiS, _ := bits.Mul64(uint64(terms), yMax-1)
+	hiA1, a1 := bits.Mul64(uint64(terms), cross)
+	return hiS == 0 && hiA1 == 0 && a1 < 1<<63
 }
 
 // dqRunLength returns how many products of residues below q the DQ lanes
@@ -122,24 +157,27 @@ func (m Modulus) innerProductVec(b Body, out0, out1 []uint64, x, k0, k1 [][]uint
 	}
 }
 
-// ConvertLanes is the lanes body of an RNS conversion's emit step over one
-// staged block of n coefficients, n a nonzero multiple of 8. For each
-// destination r it writes out[r][t0+t], t < n, as the canonical residue
-// modulo mods[r].Q of
+// ConvertLanes is a vector body of an RNS conversion's emit step over one
+// staged block of n coefficients, n a nonzero multiple of 8: body b, which
+// is BodyIFMA52 or BodyDQ. For each destination r it writes out[r][t0+t],
+// t < n, as the canonical residue modulo mods[r].Q of
 //
 //	(Σ_{j<cols} ys[j·stride+t]·w[r][j] + k[t]·nb[r] + seed[r][t0+t]·w[r][cols])·2^-64
 //
 // the seed term only when seed is not nil — the same value the Go body's
-// single REDC closes, so the same words. The caller has checked
-// mods[r].LanesFit for every r against the widest y (cols+1 terms, one more
-// with the seed); the slices are checked here, so the assembly reads and
-// writes nothing outside them. out[r] may be seed[r].
-func ConvertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int) {
+// single REDC closes, so the same words. The caller has checked that
+// mods[r].ConvertBody is b for every r against the widest y (cols+1 terms,
+// one more with the seed), and that every k[t] is below 2^32 (k is an
+// overflow count, at most the source count). The slices are checked here,
+// so the assembly reads and writes nothing outside them; ys must hold one
+// word past its last staged row, where the DQ body reads the high half of
+// the row's last y with one unaligned load. out[r] may be seed[r].
+func ConvertLanes(b Body, out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int) {
 	if n <= 0 || n%8 != 0 || cols < 1 || stride < n {
 		panic("numeric: ConvertLanes block shape")
 	}
 	mods, w, nb = mods[:len(out)], w[:len(out)], nb[:len(out)]
-	_, _ = ys[:(cols-1)*stride+n], k[:n]
+	_, _ = ys[:(cols-1)*stride+n+1], k[:n]
 	wCols := cols
 	if seed != nil {
 		seed = seed[:len(out)]
@@ -151,5 +189,12 @@ func ConvertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k 
 			_ = seed[r][t0 : t0+n]
 		}
 	}
-	convertLanes(out, seed, mods, w, nb, ys, k, t0, n, stride, cols)
+	switch b {
+	case BodyIFMA52:
+		convertLanes(out, seed, mods, w, nb, ys, k, t0, n, stride, cols)
+	case BodyDQ:
+		convertDQ(out, seed, mods, w, nb, ys, k, t0, n, stride, cols)
+	default:
+		panic("numeric: ConvertLanes on the Go body")
+	}
 }

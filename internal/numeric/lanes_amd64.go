@@ -1,3 +1,5 @@
+//go:build !purego
+
 package numeric
 
 // innerProductPairLanes is the IFMA52 body of lanes_amd64.s: one run of at
@@ -22,6 +24,16 @@ func innerProductPairDQ(out0, out1 []uint64, x, k0, k1 [][]uint64, perm []int, a
 //
 //go:noescape
 func convertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
+
+// convertDQ is the AVX-512 DQ body of lanes_amd64.s behind ConvertLanes,
+// which checks its arguments.
+//
+//go:noescape
+func convertDQ(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
+
+// asmBodies reports whether this build has lanes_amd64.s: amd64 without
+// the purego tag (lanes_other.go is every other build).
+const asmBodies = true
 
 // cpuAVX512 is the CPU probe of lanes_amd64.s.
 func cpuAVX512() (ifma, dq bool)

@@ -1,12 +1,14 @@
-// IFMA52 bodies of the keyswitch inner product and of the RNS conversion's
-// emit step, the AVX-512 DQ body of the inner product (below), eight
-// coefficients a ZMM register, and the CPU probe every lanes body is
+//go:build !purego
+
+// IFMA52 and AVX-512 DQ bodies of the keyswitch inner product and of the
+// RNS conversion's emit step (the DQ ones below the IFMA52 ones), eight
+// coefficients a ZMM register, and the CPU probe every vector body is
 // selected by. The IFMA52 inner product's callers guarantee q < 2^50
 // and residue inputs, so every multiplier input fits the 52-bit multiplier,
 // and a run no longer than laneRunLength(q), so neither accumulator half
 // overflows and the close's first result stays below 2^52; the
-// conversion's caller checks the same for its terms (LanesFit). DESIGN.md
-// §12 "Lanes" has the derivations.
+// conversion's caller checks each body's budget for its terms
+// (ConvertBody). DESIGN.md §12 "Lanes" has the derivations.
 //
 // Register plan of the IFMA52 inner product:
 //   Z0, Z1   L0, H0: out0's split accumulator, the sum being L0 + H0·2^52
@@ -364,7 +366,7 @@ dqbad:
 // 2^-64, the Go body's REDC. 2^40 need not be reduced mod q: within the
 // budget A < (T+1)·q, so P_hi = ⌊A/2^12⌋ < q for T < 4096 terms, which is
 // all the second REDC asks. ConvertLanes has checked every row and the
-// caller the budget (LanesFit).
+// caller the budget (ConvertBody).
 //
 // Register plan:
 //   BX       destination r;  DI  out[r] + t0;  R10  seed[r] + t0, or 0
@@ -492,6 +494,218 @@ next:
 	INCQ BX
 	CMPQ BX, out_len+8(FP)
 	JNE  dest
+	VZEROUPPER
+	RET
+
+// The AVX-512 DQ body of the conversion's emit step, for every destination
+// whose sum the IFMA52 budget refuses (DESIGN.md §12 "Lanes for the RNS
+// conversion"): 64-bit words, eight coefficients a register, one
+// destination row after another, sixteen coefficients a step (two
+// independent chains; a last group of eight alone). Each term y·w is
+// formed as DQMAC forms x·k, from four VPMULUDQ partial products of the
+// 32-bit halves of y and of the broadcast w, and summed unreduced into
+// A0 / A1 / A2, the sum being V = A0 + A1·2^32 + A2·2^64. A staged row's
+// high halves are one more load, four bytes on — VPMULUDQ reads the low
+// dword of each word, which there is y's high dword — so ConvertLanes
+// checks one word of ys past the last row; the seed row, read in place,
+// is shifted instead. The k row opens the sum: k ≤ the source count
+// < 2^32, so k·nb is two partial products, k·nbl into A0 and k·nbh into A1.
+// The close is the Go body's REDC by 2^64 as two Montgomery steps of 2^32
+// (CVCLOSE), and the tables carry 2^64, so the word is the canonical
+// residue of the sum times 2^-64, the Go body's. ConvertLanes has checked
+// every row and the caller the budget (ConvertBody: V < c·2^64, A1 < 2^63).
+//
+// Register plan:
+//   BX       destination r;  DI  out[r] + t0;  R10  seed[r] + t0, or 0
+//   R11, R12 w[r] and w[r] + cols;  R8, R9  the term's y and w pointers
+//   AX       8·t within the block;  CX  8·n;  SI  8·stride
+//   R13, R14 ys and k;  DX  the pair test
+//   Z0–Z2    A0, A1, A2 of the first group;  Z3–Z5  of the second
+//   Z6, Z7   the broadcast w's low and high halves (the low dword of each word)
+//   Z8–Z13   the first group's y, y's high halves and partial products, then
+//            close scratch;  Z14–Z19  the second group's
+//   Z25 = 2^32, Z26 = c >> 32, Z27 = 1, Z28 = nb[r], Z29 = nb[r] >> 32,
+//   Z30 = −c^-1 (its low dword is −c^-1 mod 2^32), Z31 = c
+//   K1, K2   the two groups' carries
+
+// One term onto one group's accumulators: Y holds y, YH y's high halves in
+// the low dwords. A0 takes ll modulo 2^64 and each wrap adds one to A2, A1
+// takes lh + hl, A2 takes hh.
+#define CVTERM(Y, YH, LL, LH, HL, HH, A0, A1, A2, K) \
+	VPMULUDQ Z6, Y, LL; \
+	VPMULUDQ Z7, Y, LH; \
+	VPMULUDQ Z6, YH, HL; \
+	VPMULUDQ Z7, YH, HH; \
+	VPADDQ LL, A0, A0; \
+	VPCMPUQ $1, LL, A0, K; \
+	VPADDQ LH, A1, A1; \
+	VPADDQ HL, A1, A1; \
+	VPADDQ HH, A2, A2; \
+	VPADDQ Z27, A2, K, A2
+
+// Open one group's accumulators at k·nb: KV holds k.
+#define CVOPEN(KV, A0, A1, A2) \
+	VPMULUDQ Z28, KV, A0; \
+	VPMULUDQ Z29, KV, A1; \
+	VPXORQ A2, A2, A2
+
+// V = A0 + A1·2^32 + A2·2^64 → V·2^-64 mod c, canonical, left in A0; T0,
+// T1 and K are scratch. Step one: m = lo32(A0)·(−c^-1) mod 2^32 makes
+// A0 + m·c ≡ 0 mod 2^32, and with c = ch·2^32 + cl
+//
+//	(V + m·c)/2^32 = ⌊(A0 + m·cl)/2^32⌋ + A1 + m·ch + A2·2^32 = B + A2·2^32,
+//
+// A0 + m·cl taken modulo 2^64 and its carry added back as 2^32; B < 2^64
+// because A1 < 2^63. Step two does the same to B + A2·2^32, leaving
+// ⌊(B + m'·cl)/2^32⌋ + A2 + m'·ch = (V + (m + m'·2^32)·c)/2^64, which is
+// ≡ V·2^-64 and, as V < c·2^64, below 2c; one conditional subtraction.
+#define CVCLOSE(A0, A1, A2, T0, T1, K) \
+	VPMULUDQ Z30, A0, T0; \
+	VPMULUDQ Z31, T0, T1; \
+	VPMULUDQ Z26, T0, T0; \
+	VPADDQ A0, T1, T1; \
+	VPCMPUQ $1, A0, T1, K; \
+	VPSRLQ $32, T1, T1; \
+	VPADDQ A1, T0, T0; \
+	VPADDQ Z25, T0, K, T0; \
+	VPADDQ T1, T0, A1; \
+	VPMULUDQ Z30, A1, T0; \
+	VPMULUDQ Z31, T0, T1; \
+	VPMULUDQ Z26, T0, T0; \
+	VPADDQ A1, T1, T1; \
+	VPCMPUQ $1, A1, T1, K; \
+	VPSRLQ $32, T1, T1; \
+	VPADDQ A2, T0, T0; \
+	VPADDQ Z25, T0, K, T0; \
+	VPADDQ T1, T0, A2; \
+	VPSUBQ Z31, A2, T0; \
+	VPMINUQ T0, A2, A0
+
+// func convertDQ(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
+TEXT ·convertDQ(SB), NOSPLIT, $0-200
+	MOVQ ys_base+120(FP), R13
+	MOVQ k_base+144(FP), R14
+	MOVQ n+176(FP), CX
+	SHLQ $3, CX
+	MOVQ stride+184(FP), SI
+	SHLQ $3, SI
+	MOVQ $1, AX
+	VPBROADCASTQ AX, Z27
+	MOVQ $0x100000000, AX
+	VPBROADCASTQ AX, Z25
+	XORQ BX, BX
+
+cvdest:
+	MOVQ mods_base+48(FP), R8
+	IMUL3Q $Modulus__size, BX, R9
+	ADDQ R9, R8
+	MOVQ Modulus_Q(R8), R9
+	VPBROADCASTQ R9, Z31
+	SHRQ $32, R9
+	VPBROADCASTQ R9, Z26
+	MOVQ Modulus_QInv(R8), AX
+	NEGQ AX
+	VPBROADCASTQ AX, Z30
+	MOVQ nb_base+96(FP), R8
+	MOVQ (R8)(BX*8), AX
+	VPBROADCASTQ AX, Z28
+	SHRQ $32, AX
+	VPBROADCASTQ AX, Z29
+	LEAQ (BX)(BX*2), R9
+	MOVQ t0+168(FP), AX
+	MOVQ out_base+0(FP), R8
+	MOVQ (R8)(R9*8), DI
+	LEAQ (DI)(AX*8), DI
+	MOVQ seed_base+24(FP), R10
+	TESTQ R10, R10
+	JZ   cvrows
+	MOVQ (R10)(R9*8), R10
+	LEAQ (R10)(AX*8), R10
+
+cvrows:
+	MOVQ w_base+72(FP), R8
+	MOVQ (R8)(R9*8), R11
+	MOVQ cols+192(FP), R12
+	LEAQ (R11)(R12*8), R12
+	XORQ AX, AX
+
+cvpair:
+	LEAQ 64(AX), DX
+	CMPQ DX, CX
+	JEQ  cvsingle
+	VMOVDQU64 (R14)(AX*1), Z8
+	VMOVDQU64 64(R14)(AX*1), Z14
+	CVOPEN(Z8, Z0, Z1, Z2)
+	CVOPEN(Z14, Z3, Z4, Z5)
+	LEAQ (R13)(AX*1), R8
+	MOVQ R11, R9
+
+cvpairterm:
+	VPBROADCASTQ (R9), Z6
+	VPBROADCASTD 4(R9), Z7
+	VMOVDQU64 (R8), Z8
+	VMOVDQU64 4(R8), Z9
+	VMOVDQU64 64(R8), Z14
+	VMOVDQU64 68(R8), Z15
+	CVTERM(Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, K1)
+	CVTERM(Z14, Z15, Z16, Z17, Z18, Z19, Z3, Z4, Z5, K2)
+	ADDQ SI, R8
+	ADDQ $8, R9
+	CMPQ R9, R12
+	JNE  cvpairterm
+	TESTQ R10, R10
+	JZ   cvpairclose
+	VPBROADCASTQ (R12), Z6
+	VPBROADCASTD 4(R12), Z7
+	VMOVDQU64 (R10)(AX*1), Z8
+	VMOVDQU64 64(R10)(AX*1), Z14
+	VPSRLQ $32, Z8, Z9
+	VPSRLQ $32, Z14, Z15
+	CVTERM(Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, K1)
+	CVTERM(Z14, Z15, Z16, Z17, Z18, Z19, Z3, Z4, Z5, K2)
+
+cvpairclose:
+	CVCLOSE(Z0, Z1, Z2, Z8, Z9, K1)
+	CVCLOSE(Z3, Z4, Z5, Z14, Z15, K2)
+	VMOVDQU64 Z0, (DI)(AX*1)
+	VMOVDQU64 Z3, 64(DI)(AX*1)
+	ADDQ $128, AX
+	CMPQ AX, CX
+	JNE  cvpair
+	JMP  cvnext
+
+cvsingle:
+	VMOVDQU64 (R14)(AX*1), Z8
+	CVOPEN(Z8, Z0, Z1, Z2)
+	LEAQ (R13)(AX*1), R8
+	MOVQ R11, R9
+
+cvsingleterm:
+	VPBROADCASTQ (R9), Z6
+	VPBROADCASTD 4(R9), Z7
+	VMOVDQU64 (R8), Z8
+	VMOVDQU64 4(R8), Z9
+	CVTERM(Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, K1)
+	ADDQ SI, R8
+	ADDQ $8, R9
+	CMPQ R9, R12
+	JNE  cvsingleterm
+	TESTQ R10, R10
+	JZ   cvsingleclose
+	VPBROADCASTQ (R12), Z6
+	VPBROADCASTD 4(R12), Z7
+	VMOVDQU64 (R10)(AX*1), Z8
+	VPSRLQ $32, Z8, Z9
+	CVTERM(Z8, Z9, Z10, Z11, Z12, Z13, Z0, Z1, Z2, K1)
+
+cvsingleclose:
+	CVCLOSE(Z0, Z1, Z2, Z8, Z9, K1)
+	VMOVDQU64 Z0, (DI)(AX*1)
+
+cvnext:
+	INCQ BX
+	CMPQ BX, out_len+8(FP)
+	JNE  cvdest
 	VZEROUPPER
 	RET
 

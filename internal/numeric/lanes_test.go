@@ -1,6 +1,7 @@
 package numeric
 
 import (
+	"fmt"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -15,8 +16,17 @@ import (
 // A probe that wrongly said "no" would send every host to the Go body and no
 // differential test would notice, so on Linux it must agree with the
 // kernel's own feature list, for both halves: IFMA (this package's lanes and
-// the NTT's narrow body) and DQ (the NTT's 64-bit body).
+// the NTT's narrow body) and DQ (the 64-bit bodies). A build without the
+// assembly (non-amd64, or the purego tag) has no probe: there both halves
+// must answer no, whatever the CPU, so every body is Go.
 func TestCPUProbeMatchesCpuinfo(t *testing.T) {
+	if !asmBodies {
+		if ifma, dq := cpuAVX512(); ifma || dq || hasLanes || hasDQ {
+			t.Fatalf("build without assembly: probe (%v, %v), package (%v, %v), want all false", ifma, dq, hasLanes, hasDQ)
+		}
+		t.Logf("build without assembly: cpuAVX512() = (ifma false, dq false); every body is Go")
+		return
+	}
 	if runtime.GOOS != "linux" {
 		t.Skip("/proc/cpuinfo is Linux-only")
 	}
@@ -195,6 +205,18 @@ func laneRows(rng *rand.Rand, count, n int, q uint64, perm []int, allMax bool) [
 	return rows
 }
 
+// requireBelow fails unless every word of rows is below q: a body that
+// closes to [q, 2q) fails on that property by name, before any comparison
+// with the Go body.
+func requireBelow(t *testing.T, what string, q uint64, rows ...[]uint64) {
+	t.Helper()
+	for r, row := range rows {
+		if j := slices.IndexFunc(row, func(v uint64) bool { return v >= q }); j >= 0 {
+			t.Fatalf("%s: output %d word %d is %d, not below q = %d", what, r, j, row[j], q)
+		}
+	}
+}
+
 // The vector bodies must give the Go body's bits on every shape the
 // evaluator feeds VecInnerProductPair: the digit counts of runDigits (past
 // the Go body's run, past the IFMA52 run of 12 just under 2^50 and the DQ
@@ -222,6 +244,7 @@ func TestInnerProductLanesMatchGoBody(t *testing.T) {
 							want0, want1 := slices.Clone(got0), slices.Clone(got1)
 							m.VecInnerProductPair(got0, got1, x, k0, k1, p, add)
 							m.innerProductGo(want0, want1, x, k0, k1, p, add)
+							requireBelow(t, fmt.Sprintf("q=%d n=%d digits=%d body=%v", q, n, digits, m.vecBody(n, digits)), q, got0, got1)
 							if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
 								t.Fatalf("q=%d n=%d digits=%d allMax=%v gather=%v add=%v body=%v: diverges from the Go body",
 									q, n, digits, allMax, p != nil, add, m.vecBody(n, digits))
@@ -283,6 +306,7 @@ func TestMACLanesMatchGoBody(t *testing.T) {
 						want0, want1 := slices.Clone(got0), slices.Clone(got1)
 						m.VecInnerProductPair(got0, got1, pt, r0, r1, nil, add)
 						m.macPairBlocked(want0, want1, pt, r0, r1, add)
+						requireBelow(t, fmt.Sprintf("q=%d n=%d terms=%d body=%v", q, n, terms, m.vecBody(n, terms)), q, got0, got1)
 						if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
 							t.Fatalf("q=%d n=%d terms=%d allMax=%v add=%v body=%v: diverges from macPairBlocked",
 								q, n, terms, allMax, add, m.vecBody(n, terms))
@@ -318,6 +342,7 @@ func TestVecMACPairMatchesBlocked(t *testing.T) {
 						want0, want1 := slices.Clone(got0), slices.Clone(got1)
 						m.VecMACPair(got0, got1, pt, r0, r1, add)
 						m.macPairBlocked(want0, want1, pt, r0, r1, add)
+						requireBelow(t, fmt.Sprintf("VecMACPair q=%d n=%d terms=%d", q, n, terms), q, got0, got1)
 						if !slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
 							t.Fatalf("q=%d n=%d terms=%d allMax=%v add=%v body=%v: VecMACPair diverges from macPairBlocked",
 								q, n, terms, allMax, add, m.vecBody(n, terms))
@@ -529,17 +554,68 @@ func FuzzInnerProductBodies(f *testing.F) {
 	})
 }
 
-// The conversion's lanes close every sum the rule admits: at the most terms
-// LanesFit allows, every factor maximal — staged rows and the k row at
-// yMax − 1, the table row and nb at q − 1, a seed row at q − 1 — ConvertLanes
-// gives the canonical residue of the sum times 2^-64 (math/big), for
-// destinations from 30 bits to just under 2^50 and sources up to 2^52. So
-// the budget is enough, and 2^40 serves unreduced as the close's second
-// constant however small q is.
-func TestConvertLanesAtBudget(t *testing.T) {
-	if !hasLanes {
-		t.Skip("no IFMA52 lanes on this CPU")
+// The conversion's budgets at the widths the benchmark sets convert across
+// (destination q, widest source y): the IFMA52 lanes' T·(h+1) + q < 2^52,
+// capped at 4095 — 127 terms for 52-bit sources into a 45-bit limb, three
+// into a prime just under 2^50 — and the DQ lanes' T·(y−1) < 2^64 with A1
+// below 2^63: 31 terms for 58-bit sources into a 45-bit limb (P13's
+// ModDown), 255 for q0 into one (digit 0), 16 for 58 into 58 bits, 2 for
+// 61 into 61 bits. ConvertBody is the IFMA52 budget on a modulus whose body
+// is BodyIFMA52, else the DQ budget on one with the DQ lanes, else Go.
+func TestConvertBodyRule(t *testing.T) {
+	const (
+		q30, q45, q50 = 1073479681, 35184371138561, 1125899904679937
+		q52, q55, q58 = 4503599627124737, 36028797018652673, 288230376150876161
+		q61           = 2305843009213554689
+	)
+	most := func(fits func(q, yMax uint64, terms int) bool, q, y uint64) int {
+		terms := 0
+		for fits(q, y, terms+1) && terms < 1<<20 {
+			terms++
+		}
+		return terms
 	}
+	for _, c := range []struct {
+		q, y     uint64
+		ifma, dq int
+	}{
+		{q45, q45, 4095, 131088}, {q45, q52, 127, 2032}, {q45, q55, 0, 255}, {q45, q58, 0, 31},
+		{q50, q52, 3, 1638}, {q30, q52, 4095, 2048}, {q52, q52, 0, 1024}, {q55, q55, 0, 128},
+		{q58, q45, 0, 31}, {q58, q58, 0, 16}, {q61, q58, 0, 3}, {q61, q61, 0, 2},
+	} {
+		if got := most(convertFitsLanes, c.q, c.y); got != c.ifma {
+			t.Fatalf("q=%d y=%d: IFMA52 budget %d terms, want %d", c.q, c.y, got, c.ifma)
+		}
+		if got := most(convertFitsDQ, c.q, c.y); got != c.dq {
+			t.Fatalf("q=%d y=%d: DQ budget %d terms, want %d", c.q, c.y, got, c.dq)
+		}
+		m := NewModulus(c.q)
+		for _, terms := range []int{0, 1, c.ifma, c.ifma + 1, c.dq, c.dq + 1} {
+			want := BodyGo
+			switch {
+			case terms < 1:
+			case m.Body() == BodyIFMA52 && terms <= c.ifma:
+				want = BodyIFMA52
+			case hasDQ && terms <= c.dq:
+				want = BodyDQ
+			}
+			if got := m.ConvertBody(c.y, terms); got != want {
+				t.Fatalf("q=%d y=%d terms=%d: ConvertBody %v, want %v", c.q, c.y, terms, got, want)
+			}
+		}
+	}
+}
+
+// Each conversion body closes every sum its budget admits: at the most
+// terms the budget allows (up to 4095), every factor maximal — staged rows
+// at yMax − 1, the k row at yMax − 1 (below 2^32 on DQ, where k is the
+// source count), the table row and nb at q − 1, a seed row at q − 1 —
+// ConvertLanes gives the canonical residue of the sum times 2^-64
+// (math/big), every word below q, for IFMA52 destinations from 30 bits to
+// just under 2^50 with sources up to 2^52 and DQ destinations from 30 to 61
+// bits with sources up to 2^61. So each budget is enough, and 2^40 serves
+// the IFMA52 close unreduced however small q is.
+func TestConvertLanesAtBudget(t *testing.T) {
 	fill := func(n int, v uint64) []uint64 {
 		s := make([]uint64, n)
 		for i := range s {
@@ -548,37 +624,60 @@ func TestConvertLanesAtBudget(t *testing.T) {
 		return s
 	}
 	const n = 16
-	for _, q := range []uint64{1073479681, 1099510054913, 35184371138561, 1125899904679937} {
-		m := NewModulus(q)
-		for _, yMax := range []uint64{q, 1 << 52} {
-			for _, seeded := range []bool{false, true} {
-				terms := 4095
-				for terms > 0 && !m.LanesFit(yMax, terms) {
-					terms--
-				}
-				cols := terms - 1
-				var seed [][]uint64
-				if seeded {
-					cols--
-					seed = [][]uint64{fill(n, q-1)}
-				}
-				if cols < 1 {
-					continue
-				}
-				out := [][]uint64{make([]uint64, n)}
-				ConvertLanes(out, seed, []Modulus{m}, [][]uint64{fill(cols+1, q-1)}, []uint64{q - 1},
-					fill(cols*n, yMax-1), fill(n, yMax-1), 0, n, n, cols)
-				bq := new(big.Int).SetUint64(q)
-				prod := new(big.Int).Mul(new(big.Int).SetUint64(yMax-1), new(big.Int).SetUint64(q-1))
-				sum := new(big.Int).Mul(prod, big.NewInt(int64(cols+1)))
-				if seeded {
-					sum.Add(sum, new(big.Int).Mul(new(big.Int).SetUint64(q-1), new(big.Int).SetUint64(q-1)))
-				}
-				r64 := new(big.Int).Lsh(big.NewInt(1), 64)
-				sum.Mul(sum, r64.ModInverse(r64.Mod(r64, bq), bq)).Mod(sum, bq)
-				for c, got := range out[0] {
-					if got != sum.Uint64() {
-						t.Fatalf("q=%d yMax=%d seeded=%v at %d terms: coefficient %d is %d, want %d", q, yMax, seeded, terms, c, got, sum.Uint64())
+	for _, c := range []struct {
+		b    Body
+		on   bool
+		fits func(q, yMax uint64, terms int) bool
+		qs   []uint64
+		yTop uint64
+	}{
+		{BodyIFMA52, hasLanes, convertFitsLanes, []uint64{1073479681, 1099510054913, 35184371138561, 1125899904679937}, 1 << 52},
+		{BodyDQ, hasDQ, convertFitsDQ, []uint64{1073479681, 35184371138561, 4503599627124737, 36028797018652673,
+			288230376150876161, 2305843009213554689}, 1 << 61},
+	} {
+		if !c.on {
+			t.Logf("no %v lanes on this CPU", c.b)
+			continue
+		}
+		for _, q := range c.qs {
+			m := NewModulus(q)
+			for _, yMax := range []uint64{q, c.yTop} {
+				for _, seeded := range []bool{false, true} {
+					terms := 4095
+					for terms > 0 && !c.fits(q, yMax, terms) {
+						terms--
+					}
+					cols := terms - 1
+					var seed [][]uint64
+					if seeded {
+						cols--
+						seed = [][]uint64{fill(n, q-1)}
+					}
+					if cols < 1 {
+						continue
+					}
+					kMax := yMax - 1
+					if c.b == BodyDQ {
+						kMax = min(kMax, 1<<32-1)
+					}
+					out := [][]uint64{make([]uint64, n)}
+					ConvertLanes(c.b, out, seed, []Modulus{m}, [][]uint64{fill(cols+1, q-1)}, []uint64{q - 1},
+						fill(cols*n+1, yMax-1), fill(n, kMax), 0, n, n, cols)
+					bq := new(big.Int).SetUint64(q)
+					big1 := func(v uint64) *big.Int { return new(big.Int).SetUint64(v) }
+					sum := new(big.Int).Mul(big1(yMax-1), big1(q-1))
+					sum.Mul(sum, big.NewInt(int64(cols)))
+					sum.Add(sum, new(big.Int).Mul(big1(kMax), big1(q-1)))
+					if seeded {
+						sum.Add(sum, new(big.Int).Mul(big1(q-1), big1(q-1)))
+					}
+					r64 := new(big.Int).Lsh(big.NewInt(1), 64)
+					sum.Mul(sum, r64.ModInverse(r64.Mod(r64, bq), bq)).Mod(sum, bq)
+					requireBelow(t, fmt.Sprintf("%v q=%d yMax=%d seeded=%v at %d terms", c.b, q, yMax, seeded, terms), q, out[0])
+					for i, got := range out[0] {
+						if got != sum.Uint64() {
+							t.Fatalf("%v q=%d yMax=%d seeded=%v at %d terms: coefficient %d is %d, want %d", c.b, q, yMax, seeded, terms, i, got, sum.Uint64())
+						}
 					}
 				}
 			}

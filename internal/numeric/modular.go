@@ -10,7 +10,10 @@
 // body rule: the IFMA52 lanes below 2^50, else the DQ lanes), and the
 // keyswitch inner product (VecInnerProductPair), the plaintext MAC
 // (VecMACPair) and ntt's passes run eight coefficients a register on it,
-// with the same output.
+// with the same output. So does the RNS conversion (ConvertLanes), on the
+// body its one shape gate ConvertBody picks from the widest source: the
+// IFMA52 lanes where its budget holds, else the DQ lanes — q0, the P primes
+// and 55- and 58-bit sources included — where theirs does.
 package numeric
 
 import (
@@ -92,7 +95,7 @@ func (b Body) String() string { return [...]string{"Go", "IFMA52", "DQ"}[b] }
 // the IFMA52 lanes for an odd Q below 2^50 (every residue, and 4Q, fits the
 // 52-bit multiplier) on an IFMA CPU, else the DQ lanes for an odd Q on an
 // AVX-512 F + DQ CPU (Q < 2^61, so 4Q fits a 64-bit lane), else Go. Each
-// kernel adds only its shape gate (vecBody, LanesFit, ntt's N ≥ 64). No
+// kernel adds only its shape gate (vecBody, ConvertBody, ntt's N ≥ 64). No
 // option, flag or environment variable reaches it.
 func (m Modulus) Body() Body { return bodyOf(m.Q, hasLanes, hasDQ) }
 

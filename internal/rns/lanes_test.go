@@ -88,8 +88,8 @@ func laneInput(rng *rand.Rand, ms []numeric.Modulus, n, variant int, staged bool
 }
 
 // laneCount tallies, for one extender and column count, how many
-// destinations the rule sends to the lanes and how many keep the Go body.
-func laneCount(ran map[bool]int, e *Extender, cols int, dsts []int) {
+// destinations the rule sends to each body.
+func laneCount(ran map[numeric.Body]int, e *Extender, cols int, dsts []int) {
 	for _, i := range dsts {
 		ran[e.lanes(i, cols)]++
 	}
@@ -99,18 +99,21 @@ func laneCount(ran map[bool]int, e *Extender, cols int, dsts []int) {
 // at the top level and at a short one, ModDown and Correction — must give
 // the Go body's words on every oracle shape, at N = 512 and 8192 and at
 // lengths that leave a tail of fewer than eight coefficients, on all-zero,
-// all-(m−1), random and widest-staged rows. Where the CPU has no IFMA52
-// lanes both sides run the Go body, and the log says so.
+// all-(m−1), random and widest-staged rows — and every word must be below
+// its prime first, so a body that closes to [q, 2q) fails on that by name.
+// Where the CPU lacks a vector body both sides run the Go body for those
+// destinations, and the log's count by body says so.
 func TestLanesMatchGoBody(t *testing.T) {
-	ran := map[bool]int{}
+	ran := map[numeric.Body]int{}
 	for _, s := range oracleShapes(t, true) {
 		t.Run(s.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(47))
 			for _, n := range []int{13, 517, 512, 8192} {
 				for variant := range 4 {
 					label := fmt.Sprintf("n=%d variant=%d", n, variant)
-					same := func(what string, got, want [][]uint64) {
+					same := func(what string, got, want [][]uint64, mods []numeric.Modulus) {
 						t.Helper()
+						requireCanonical(t, label+" "+what, got, mods)
 						for i := range want {
 							if !slices.Equal(got[i], want[i]) {
 								t.Fatalf("%s %s: row %d differs from the Go body", label, what, i)
@@ -126,7 +129,7 @@ func TestLanesMatchGoBody(t *testing.T) {
 						got, want := allocLimbs(len(c.dst), n), allocLimbs(len(c.dst), n)
 						e.Extend(got, in)
 						goConvert(e, want, in, upTo(len(c.dst)), nil)
-						same("Extend", got, want)
+						same("Extend", got, want, c.dst)
 						laneCount(ran, e, len(c.src), upTo(len(c.dst)))
 					}
 					d := NewDecomposer(s.q, s.p, s.alpha)
@@ -140,7 +143,7 @@ func TestLanesMatchGoBody(t *testing.T) {
 							got, want := allocLimbs(level+1+len(s.p), n), allocLimbs(level+1+len(s.p), n)
 							d.ExtendDigit(level, dig, in, got)
 							goExtendDigit(d, level, dig, in, want)
-							same(fmt.Sprintf("ExtendDigit level %d digit %d", level, dig), got, want)
+							same(fmt.Sprintf("ExtendDigit level %d digit %d", level, dig), got, want, append(slices.Clone(s.q[:level+1]), s.p...))
 						}
 					}
 					md := NewModDownParams(s.q, s.p)
@@ -149,68 +152,85 @@ func TestLanesMatchGoBody(t *testing.T) {
 					got, want := allocLimbs(len(s.q), n), allocLimbs(len(s.q), n)
 					md.Correction(got, aP)
 					goConvert(md.ext, want, aP, upTo(len(s.q)), nil)
-					same("Correction", got, want)
+					same("Correction", got, want, s.q)
 					md.ModDown(got, aQ, aP)
 					goConvert(md.ext, want, aP, upTo(len(s.q)), aQ)
-					same("ModDown", got, want)
+					same("ModDown", got, want, s.q)
 					// In place, as the evaluator may call it.
 					md.ModDown(aQ, aQ, aP)
-					same("ModDown in place", aQ, want)
+					same("ModDown in place", aQ, want, s.q)
 					laneCount(ran, md.ext, len(s.p)+1, upTo(len(s.q)))
 				}
 			}
 		})
 	}
-	t.Logf("IFMA52 lanes on this CPU: %v; the rule sent %d destination checks to the lanes, %d to the Go body",
-		numeric.NewModulus(35184371138561).Body() == numeric.BodyIFMA52, ran[true], ran[false])
+	t.Logf("destination checks by body: %v", ran)
 }
 
-// The rule keeps the Go body wherever the lanes would read a word the
-// multiplier truncates or close a sum past its budget: digit 0 of P13 and
-// B9 (q0 is 55 bits), every P destination (51 bits and up), P13's ModDown
-// (58-bit P sources) and the Tall shape (61-bit sources). On a CPU with the
-// lanes it takes every other destination of B9's ModDown and Correction,
-// the 45-bit Q rows of its all-45-bit digits, and every Q row of S11.
+// The rule's split on every oracle shape. The IFMA52 lanes take what they
+// took before the DQ lanes could convert: every other destination of B9's
+// ModDown and Correction, the 45-bit Q rows of its all-45-bit digits, every
+// Q row of S11 and P13's digits 1–2 into its 45-bit Q rows. On a DQ host
+// the DQ lanes take everything else of the benchmark shapes — digit 0 of
+// P13 and B9 (q0 is 55 bits, past the 52-bit multiplier), every P
+// destination, q0 as a destination and P13's ModDown (58-bit P sources).
+// Only the Tall shape's 61-bit sources meet the DQ budget: each term adds
+// up to (⌊y/2^32⌋ + ⌊c/2^32⌋)·2^32 to A1, which must stay below 2^63, so its
+// ModUp takes the DQ lanes for at most two terms into a 61-bit destination
+// and three into a 45-bit one, four into the 30-bit one, and its ModDown,
+// forty terms, keeps Go.
 func TestLanesRule(t *testing.T) {
 	shapes := oracleShapes(t, true)
+	dqHost := shapes[0].q[0].Body() == numeric.BodyDQ // q0 is 55 bits
+	want := func(ifma, dq bool, m numeric.Modulus) numeric.Body {
+		switch {
+		case ifma && m.Body() == numeric.BodyIFMA52:
+			return numeric.BodyIFMA52
+		case dq && dqHost:
+			return numeric.BodyDQ
+		}
+		return numeric.BodyGo
+	}
+	// tallDQ is the DQ budget where the Tall shape's sources bind it.
+	tallDQ := func(e *Extender, terms int, c numeric.Modulus) bool {
+		var y uint64
+		for _, m := range e.src {
+			y = max(y, m.Q)
+		}
+		return uint64(terms)*(y>>32+c.Q>>32)<<32 < 1<<63
+	}
 	for _, s := range shapes {
 		d := NewDecomposer(s.q, s.p, s.alpha)
 		md := NewModDownParams(s.q, s.p)
-		nQP := len(s.q) + len(s.p)
+		all := append(slices.Clone(s.q), s.p...)
 		for dig, sizes := range d.extenders {
 			for size, e := range sizes {
-				for i := 0; i < nQP; i++ {
-					got := e.lanes(i, size+1)
-					keepGo := i >= len(s.q) || s.name == "Tall" || (dig == 0 && (s.name == "P13" || s.name == "B9"))
-					if got && keepGo {
-						t.Fatalf("%s digit %d size %d: destination %d takes the lanes", s.name, dig, size+1, i)
-					}
-					if want := !keepGo && s.q[i].Body() == numeric.BodyIFMA52; got != want {
-						t.Fatalf("%s digit %d size %d: destination %d lanes = %v, want %v", s.name, dig, size+1, i, got, want)
+				for i, m := range all {
+					ifma := i < len(s.q) && s.name != "Tall" && !(dig == 0 && (s.name == "P13" || s.name == "B9"))
+					dq := s.name != "Tall" || tallDQ(e, size+2, m)
+					if got, w := e.lanes(i, size+1), want(ifma, dq, m); got != w {
+						t.Fatalf("%s digit %d size %d: destination %d (%d bits) takes %v, want %v", s.name, dig, size+1, i, m.Bits, got, w)
 					}
 				}
 			}
 		}
-		for i := range s.q {
+		for i, m := range s.q {
 			for _, cols := range []int{len(s.p), len(s.p) + 1} {
-				got := md.ext.lanes(i, cols)
-				keepGo := s.name == "P13" || s.name == "Tall"
-				if want := !keepGo && s.q[i].Body() == numeric.BodyIFMA52; got != want {
-					t.Fatalf("%s ModDown cols %d: destination %d lanes = %v, want %v", s.name, cols, i, got, want)
+				ifma := s.name != "P13" && s.name != "Tall"
+				if got, w := md.ext.lanes(i, cols), want(ifma, s.name != "Tall", m); got != w {
+					t.Fatalf("%s ModDown cols %d: destination %d (%d bits) takes %v, want %v", s.name, cols, i, m.Bits, got, w)
 				}
 			}
 		}
 	}
-	if b9 := shapes[1]; b9.q[1].Body() == numeric.BodyIFMA52 {
+	if b9 := shapes[1]; b9.q[1].Body() == numeric.BodyIFMA52 && dqHost {
 		md := NewModDownParams(b9.q, b9.p)
-		taken := 0
+		taken := map[numeric.Body]int{}
 		for i := range b9.q {
-			if md.ext.lanes(i, len(b9.p)+1) {
-				taken++
-			}
+			taken[md.ext.lanes(i, len(b9.p)+1)]++
 		}
-		if taken != 27 {
-			t.Fatalf("B9 ModDown: %d of 28 Q limbs take the lanes, want 27", taken)
+		if taken[numeric.BodyIFMA52] != 27 || taken[numeric.BodyDQ] != 1 {
+			t.Fatalf("B9 ModDown: Q limbs by body %v, want 27 on IFMA52 and q0 on DQ", taken)
 		}
 	}
 }
@@ -219,9 +239,14 @@ func TestLanesRule(t *testing.T) {
 // for, enough for a source and a destination basis of one width.
 var fuzzPrimes = map[int][]numeric.Modulus{}
 
-func fuzzBasis(t *testing.T, bits, count, skip int) []numeric.Modulus {
+// maxFuzzSources is the most source primes FuzzEmit draws: past the DQ
+// budget of 58-bit sums (16 terms) and of the IFMA52 budget of 52-bit
+// sources into a 50-bit prime (three).
+const maxFuzzSources = 40
+
+func fuzzBasis(t testing.TB, bits, count, skip int) []numeric.Modulus {
 	if _, ok := fuzzPrimes[bits]; !ok {
-		ps, err := numeric.GenerateNTTPrimes(bits, 4, 8)
+		ps, err := numeric.GenerateNTTPrimes(bits, 4, maxFuzzSources+2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,31 +255,66 @@ func fuzzBasis(t *testing.T, bits, count, skip int) []numeric.Modulus {
 	return fuzzPrimes[bits][skip : skip+count]
 }
 
+// fuzzBases returns FuzzEmit's l source primes of sb bits and two
+// destination primes of db bits, disjoint from the sources.
+func fuzzBases(t testing.TB, sb, db, l int) (src, dst []numeric.Modulus) {
+	skip := 0
+	if db == sb {
+		skip = l
+	}
+	return fuzzBasis(t, sb, l, 0), fuzzBasis(t, db, 2, skip)
+}
+
+// requireCanonical fails unless every word of out is below its row's prime.
+func requireCanonical(t *testing.T, what string, out [][]uint64, mods []numeric.Modulus) {
+	t.Helper()
+	for i, row := range out {
+		if j := slices.IndexFunc(row, func(v uint64) bool { return v >= mods[i].Q }); j >= 0 {
+			t.Fatalf("%s: row %d word %d is %d, not below its prime %d", what, i, j, row[j], mods[i].Q)
+		}
+	}
+}
+
 // FuzzEmit feeds fuzzer-chosen words through Extend and ModDown, with source
-// and destination widths of 30–61 bits, one to five source primes and
-// lengths 1–64, so whichever body the rule picks — the lanes where the
-// widths let it, the Go body elsewhere and on the tail — is checked against
-// the math/big conversion.
+// and destination widths of 30–61 bits, one to maxFuzzSources source primes
+// and lengths 1–64, so whichever body the rule picks — IFMA52 or DQ where
+// the widths let it, the Go body elsewhere and on the tail — is checked
+// against the math/big conversion, and every word it writes must be below
+// its prime. The seeds include, for sources and destinations of 45 to 61
+// bits, the source counts on both sides of every change of body, so each
+// budget's edge runs at once with the widest words.
 func FuzzEmit(f *testing.F) {
 	f.Add(uint8(22), uint8(15), uint8(4), uint8(63), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Add(uint8(14), uint8(10), uint8(0), uint8(16), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9})
 	f.Add(uint8(21), uint8(19), uint8(1), uint8(7), []byte{})
 	f.Add(uint8(31), uint8(0), uint8(2), uint8(40), []byte{0x80, 0, 0, 0, 0, 0, 0, 0x7f})
-	// 52-bit sources into a 50-bit destination: one or two sources fit the
-	// lanes' budget, five do not.
 	ones := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-	for _, l := range []uint8{0, 1, 4} {
-		f.Add(uint8(22), uint8(20), l, uint8(47), ones)
+	widths := []int{45, 50, 52, 55, 58, 61}
+	for _, sb := range widths {
+		for _, db := range widths {
+			// The body of each destination, as l sources go to l+1.
+			bodies := func(l int, seeded bool) [2]numeric.Body {
+				src, dst := fuzzBases(f, sb, db, l)
+				e := NewExtender(src, dst)
+				if seeded {
+					e = NewModDownParams(dst, src).ext
+					return [2]numeric.Body{e.lanes(0, l+1), e.lanes(1, l+1)}
+				}
+				return [2]numeric.Body{e.lanes(0, l), e.lanes(1, l)}
+			}
+			for l := 1; l < maxFuzzSources; l++ {
+				if bodies(l, false) != bodies(l+1, false) || bodies(l, true) != bodies(l+1, true) {
+					for _, edge := range []int{l, l + 1} {
+						f.Add(uint8(sb-30), uint8(db-30), uint8(edge-1), uint8(63), ones)
+					}
+				}
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, srcBits, dstBits, srcCount, length uint8, words []byte) {
 		sb, db := 30+int(srcBits%32), 30+int(dstBits%32)
-		l, n := 1+int(srcCount%5), 1+int(length%64)
-		src := fuzzBasis(t, sb, l, 0)
-		skip := 0
-		if db == sb {
-			skip = l
-		}
-		dst := fuzzBasis(t, db, 2, skip)
+		l, n := 1+int(srcCount%maxFuzzSources), 1+int(length%64)
+		src, dst := fuzzBases(t, sb, db, l)
 		word := func(i int) uint64 {
 			var w [8]byte
 			for b := range w {
@@ -282,12 +342,14 @@ func FuzzEmit(f *testing.F) {
 
 		out := allocLimbs(len(dst), n)
 		NewExtender(src, dst).Extend(out, in)
+		requireCanonical(t, "Extend", out, dst)
 		basis := newBigBasis(src)
 		for c := 0; c < n; c++ {
 			x, alt := basis.centered(in, c)
 			checkConverted(t, "Extend", out, dst, c, x, alt)
 		}
 		NewModDownParams(dst, src).ModDown(out, aQ, in)
+		requireCanonical(t, "ModDown", out, dst)
 		for c := 0; c < n; c++ {
 			x, alt := basis.centered(in, c)
 			match := func(conv *big.Int) bool {

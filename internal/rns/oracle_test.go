@@ -478,13 +478,16 @@ func TestOracleRescale(t *testing.T) {
 }
 
 // BenchmarkConvert times the conversions a keyswitch runs — ModUp of digit
-// 0 (it holds q0, so the Go body) and of digit 1, and ModDown whole and as
-// the Correction the NTT-domain close uses — on the two benchmark shapes
-// (α = 2 at N = 8192, α = 5 at N = 512), in ns per output word, so the cost
-// of stage + emit reads without the harness. Each case runs twice in one
-// binary: body=lanes is the package's own call, the rule picking the body
-// per destination; body=go is the same conversion with every destination on
-// the Go body (goConvert). On a CPU without the lanes both read the Go body.
+// 0 (it holds q0, 55 bits, so every destination takes the DQ lanes) and of
+// digit 1 (IFMA52 into the 45-bit Q limbs, DQ into q0 and the P primes),
+// and ModDown whole and as the Correction the NTT-domain close uses (DQ at
+// P13, whose P primes are 58 bits; IFMA52 but for q0 at B9) — on the two
+// benchmark shapes (α = 2 at N = 8192, α = 5 at N = 512), in ns per output
+// word, so the cost of stage + emit reads without the harness. Each case
+// runs twice in one binary: body=lanes is the package's own call, the rule
+// picking the body per destination; body=go is the same conversion with
+// every destination on the Go body (goConvert). On a CPU without AVX-512
+// both read the Go body.
 func BenchmarkConvert(b *testing.B) {
 	shapes := oracleShapes(b, false)
 	for _, c := range []struct {

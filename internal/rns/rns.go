@@ -9,14 +9,18 @@
 //	ModDown: exact division by P after keyswitching;
 //	Rescale: division by the last prime of the chain with rounding.
 //
-// RNSconv's sum has two bodies. The Go body (Extender.emit) runs four
-// coefficients a step in 128-bit accumulators closed by one REDC. Where the
-// operands fit the 52-bit multiplier — every source prime below 2^52, a
-// destination with the IFMA52 lanes and the sum within their budget
-// (Extender.lanes) — numeric.ConvertLanes runs eight coefficients a ZMM
-// register in a split 52-bit accumulator closed by two radix-2^52 REDCs.
-// Both close to the canonical residue of the same integer, so the words
-// are the same whichever body ran.
+// RNSconv's sum has three bodies. The Go body (Extender.emit) runs four
+// coefficients a step in 128-bit accumulators closed by one REDC. On an
+// AVX-512 host numeric.ConvertLanes runs it eight coefficients a ZMM
+// register, on the body numeric.Modulus.ConvertBody picks per destination
+// (Extender.lanes): the IFMA52 lanes — a split 52-bit accumulator closed by
+// two radix-2^52 REDCs — where every source prime is below 2^52, the
+// destination below 2^50 and the sum within their budget, else the DQ
+// lanes — 32 × 32-bit partial products in three 64-bit accumulators, closed
+// by a REDC by 2^64 in two steps — for q0, the P primes and the wide
+// sources of digit 0 and of ModDown. All three close to the canonical
+// residue of the same integer, so the words are the same whichever body
+// ran.
 //
 // All routines operate limb-wise on raw residue slices so both the CKKS
 // evaluator and the accelerator's functional model can drive them.
@@ -46,11 +50,11 @@ import (
 // word costs two multiplies to close where a 128-bit Barrett costs five.
 //
 // emit is that chain in Go, four coefficients a step. emitRows sends each
-// run of destinations the lanes rule admits (lanes) to the IFMA52 body,
-// numeric.ConvertLanes, which reads the same tables eight coefficients a
-// register and takes the same 2^64 out in its close; q0, the P primes as
-// destinations, 58- and 61-bit sources and a block's last b.n mod 8
-// coefficients keep the Go body. The words are the same either way.
+// run of destinations on one vector body (lanes) to numeric.ConvertLanes,
+// which reads the same tables eight coefficients a register and takes the
+// same 2^64 out in its close; only sums past the DQ budget (many 61-bit
+// terms) and a block's last b.n mod 8 coefficients keep the Go body. The
+// words are the same either way.
 type Extender struct {
 	src []numeric.Modulus // source basis B
 	dst []numeric.Modulus // destination moduli C (any set of odd moduli)
@@ -60,7 +64,7 @@ type Extender struct {
 	bHatModC     [][]uint64 // [i][j] = (B/b_j)·2^64 mod c_i
 	negBModC     []uint64   // −B·2^64 mod c_i: k of these cancel the CRT overflow k·B
 	invB         []float64  // 1 / b_j, for the rounding estimate
-	srcMax       uint64     // the widest source prime, the lanes rule's y bound
+	srcMax       uint64     // the widest source prime, the body rule's y bound
 
 	blockLen int // coefficients per block: a multiple of 8, (len(src)+1)·blockLen ≤ stageWords
 }
@@ -156,11 +160,12 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 
 // emitRows writes the staged block's residues modulo destinations i0,
 // i0+1, … into out[r][t0:t0+b.n], one row of out a destination. Each run of
-// destinations the lanes take (lanes) is one ConvertLanes call over the
+// destinations on one vector body (lanes) is one ConvertLanes call over the
 // block's whole groups of eight coefficients; the Go body (emit) writes the
-// other destinations and the last b.n mod 8 coefficients. seed, when not
-// nil, holds ModDown's a_i rows, one per row of out (and may be out): the
-// lanes read them in place, the Go body from the block's seed row.
+// destinations the rule keeps on Go and the last b.n mod 8 coefficients.
+// seed, when not nil, holds ModDown's a_i rows, one per row of out (and may
+// be out): the lanes read them in place, the Go body from the block's seed
+// row.
 func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]uint64) {
 	cols, nl := len(e.src), b.n&^7
 	if seed != nil {
@@ -168,15 +173,15 @@ func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]u
 	}
 	for r := 0; r < len(out); {
 		s, from := r+1, 0
-		if nl > 0 && e.lanes(i0+r, cols) {
-			for s < len(out) && e.lanes(i0+s, cols) {
+		if body := e.lanes(i0+r, cols); nl > 0 && body != numeric.BodyGo {
+			for s < len(out) && e.lanes(i0+s, cols) == body {
 				s++
 			}
 			var sd [][]uint64
 			if seed != nil {
 				sd = seed[r:s]
 			}
-			numeric.ConvertLanes(out[r:s], sd, e.dst[i0+r:i0+s], e.bHatModC[i0+r:i0+s], e.negBModC[i0+r:i0+s],
+			numeric.ConvertLanes(body, out[r:s], sd, e.dst[i0+r:i0+s], e.bHatModC[i0+r:i0+s], e.negBModC[i0+r:i0+s],
 				b.ys[:], b.k[:], t0, nl, b.stride, len(e.src))
 			from = nl
 		}
@@ -192,18 +197,21 @@ func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]u
 	}
 }
 
-// lanes is the one rule that sends destination i of a sum over cols staged
-// columns to the lanes: the destination passes numeric.LanesFit for cols+1
-// terms (the k column too) against the widest y — the widest source prime,
-// or c_i itself when ModDown's seed column (a residue of c_i) rides along.
-// So every source prime must be below 2^52; q0 (55 bits), the P primes as
-// destinations and P13's 58-bit P sources keep the Go body.
-func (e *Extender) lanes(i, cols int) bool {
+// lanes is the one rule that picks the body of destination i's sum over
+// cols staged columns: numeric.Modulus.ConvertBody for cols+1 terms (the k
+// column too) against the widest y — the widest source prime, or c_i
+// itself when ModDown's seed column (a residue of c_i) rides along. The
+// IFMA52 lanes take a destination below 2^50 whose sources are all below
+// 2^52 and whose sum fits their budget; the DQ lanes take every other one
+// whose sum fits theirs — q0, the P primes, the 55- and 58-bit sources of
+// digit 0 and of P13's ModDown — and only a sum of many 61-bit terms (the
+// Tall test shape's ModDown) keeps Go.
+func (e *Extender) lanes(i, cols int) numeric.Body {
 	c, y := e.dst[i], e.srcMax
 	if cols > len(e.src) {
 		y = max(y, c.Q)
 	}
-	return c.LanesFit(y, cols+1)
+	return c.ConvertBody(y, cols+1)
 }
 
 // emit is the Go body: it writes the staged block's residues modulo

@@ -160,6 +160,10 @@ var retiredNames = []retiredName{
 	// numeric kernels (the plaintext MAC is one VecMACPair call).
 	{pr: 50, design: "Lanes", flags: "-rnE", in: everyGo,
 		re: `pickBody|pickInner|innerBody|HasDQ|InnerProductLanes|VecMACPairBlocked|\.Lanes\(\)`},
+	// The RNS conversion's body is one shape gate, Modulus.ConvertBody,
+	// returning a Body (IFMA52, DQ or Go), not a yes/no for the IFMA52
+	// lanes beside a second rule.
+	{pr: 51, design: "Lanes", flags: "-rnE", in: everyGo, tests: true, re: `LanesFit`},
 
 	{pr: 33, design: "One program on the datapath", flags: "-rnE", in: everyGo,
 		re: `Compile(HAdd|PMult|NTT|Automorphism|Rescale|RNSConv|ModUp|ModDown|CMult|Rotation)\b|OpCounts|SecondsParallel|isa\.(Auto|Copy)\b|\bLaneC\b|PublishExpvar`},
