@@ -62,7 +62,9 @@ func newAllocFixture(t testing.TB) *allocFixture {
 // TestZeroAllocSteadyState gates every destination-passing op at 0 heap
 // allocations per run on a serial evaluator at fixed level — the panicking
 // and the error-returning surface alike: both are exec, whose per-call record
-// is pooled.
+// is pooled — and the scalar ops as exec runs them, so every elementwise
+// kernel an op calls (VecAdd, VecAddScalar, VecMontMul, VecTensor, the Shoup
+// forms) is under the gate.
 func TestZeroAllocSteadyState(t *testing.T) {
 	fx := newAllocFixture(t)
 	ev, params := fx.ev, fx.params
@@ -71,6 +73,12 @@ func TestZeroAllocSteadyState(t *testing.T) {
 	out := NewCiphertext(params, level)
 	outLow := NewCiphertext(params, level-1)
 	mulIn := ev.MulPlain(fx.ct1, fx.pt) // fixed higher-scale input for RescaleInto
+	// The scalar ops have no Into form; the polynomial evaluator runs them
+	// into its own destinations through exec, as these cases do.
+	three, half := params.newScalar(3, 1, level), params.newScalar(0.5, fx.ct1.Scale, level)
+	scalar := func(d *opDesc, b *Ciphertext, s *rnsScalar) func() {
+		return func() { must(ev.exec(d, out, operands{a: fx.ct1, b: b, s: s})) }
+	}
 
 	cases := []struct {
 		name string
@@ -86,6 +94,9 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		{"RotateInto", func() { ev.RotateInto(out, fx.ct1, 1) }},
 		{"ConjugateInto", func() { ev.ConjugateInto(out, fx.ct1) }},
 		{"KeySwitchInto", func() { ev.KeySwitchInto(out, fx.ct1, fx.swk) }},
+		{"MulScalar", scalar(&opMulScalar, nil, &three)},
+		{"MacScalar", scalar(&opMacScalar, fx.ct2, &three)},
+		{"AddScalar", scalar(&opAddScalar, nil, &half)},
 		{"TryAddInto", func() { ev.TryAddInto(out, fx.ct1, fx.ct2) }},
 		{"TrySubInto", func() { ev.TrySubInto(out, fx.ct1, fx.ct2) }},
 		{"TryNegInto", func() { ev.TryNegInto(out, fx.ct1) }},

@@ -505,26 +505,27 @@ func (k *ksDigits) modDownChunk(lo, hi int) {
 // is an identity on canonical residues (the transform is linear and ModDown's
 // sum takes one reduction either way), so the accumulator's Q row is used as
 // it lies and was never inverse-transformed. A component with a sum target
-// is added into it here.
+// is added into it here. Under the identity permutation that is one pass,
+// dst = src + c + P⁻¹·a_Q, and the row itself is left as c: a bound sum
+// target makes res[c] scratch that nothing reads after the close (MulRelin's
+// and switchC1's slots, released when the op ends).
 func (k *ksDigits) nttOutStage(t int) {
 	c, i := t/k.qLimbs, t%k.qLimbs
 	rq := k.params.RingQ
-	mod, row := rq.Moduli[i], k.res[c].Coeffs[i]
+	mod, row, acc := rq.Moduli[i], k.res[c].Coeffs[i], k.acc[c].Coeffs[i]
 	rq.ForwardLimb(i, row)
 	w, ws := k.params.modDown[k.level].PInv(i)
-	mod.VecMulShoupAdd(row, row, k.acc[c].Coeffs[i], w, ws)
 
 	sum := &k.sum[c]
 	switch {
 	case sum.dst == nil:
+		mod.VecMulShoupAdd(row, row, acc, w, ws)
 	case k.perm == nil:
-		dst, src := sum.dst.Coeffs[i], sum.src.Coeffs[i]
-		for j := range dst {
-			dst[j] = mod.Add(src[j], row[j])
-		}
+		mod.VecMulShoupAddSum(sum.dst.Coeffs[i], row, sum.src.Coeffs[i], acc, w, ws)
 	default:
 		// Gathered in the scratch row, then copied: dst may be src (a rotation
 		// into its own operand), which a gather must not overwrite as it reads.
+		mod.VecMulShoupAdd(row, row, acc, w, ws)
 		addVecGather(mod, row, sum.src.Coeffs[i], k.perm)
 		copy(sum.dst.Coeffs[i], row)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"poseidon/internal/numeric"
 	"poseidon/internal/ring"
 )
 
@@ -70,8 +69,8 @@ func kernAddPlain(c *opCall) { c.limbwise((*opCall).addPlainLimb, c.x.Scale) }
 
 func (c *opCall) addLimb(i int) {
 	mod := c.ev.params.RingQ.Moduli[i]
-	addRows(mod, c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.y.C0.Coeffs[i])
-	addRows(mod, c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.y.C1.Coeffs[i])
+	mod.VecAdd(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.y.C0.Coeffs[i])
+	mod.VecAdd(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i], c.y.C1.Coeffs[i])
 }
 
 func (c *opCall) subLimb(i int) {
@@ -100,16 +99,9 @@ func (c *opCall) negLimb(i int) {
 // addPlainLimb adds the plaintext to C0; C1 is the operand's, copied unless
 // the destination already is the operand.
 func (c *opCall) addPlainLimb(i int) {
-	addRows(c.ev.params.RingQ.Moduli[i], c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pt.Value.Coeffs[i])
+	c.ev.params.RingQ.Moduli[i].VecAdd(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.pt.Value.Coeffs[i])
 	if o, x := c.out.C1.Coeffs[i], c.x.C1.Coeffs[i]; &o[0] != &x[0] {
 		copy(o, x)
-	}
-}
-
-// addRows is o = a + b modulo mod, element-wise.
-func addRows(mod numeric.Modulus, o, a, b []uint64) {
-	for j := range o {
-		o[j] = mod.Add(a[j], b[j])
 	}
 }
 
@@ -148,11 +140,7 @@ func (c *opCall) macScalarLimb(i int) {
 
 // addScalarLimb is out = x + s: the constant joins every NTT point of C0.
 func (c *opCall) addScalarLimb(i int) {
-	mod, s := c.ev.params.RingQ.Moduli[i], c.s.q[i]
-	o, x := c.out.C0.Coeffs[i], c.x.C0.Coeffs[i]
-	for j := range o {
-		o[j] = mod.Add(x[j], s)
-	}
+	c.ev.params.RingQ.Moduli[i].VecAddScalar(c.out.C0.Coeffs[i], c.x.C0.Coeffs[i], c.s.q[i])
 	copy(c.out.C1.Coeffs[i], c.x.C1.Coeffs[i])
 }
 
@@ -172,18 +160,11 @@ func (c *opCall) mulByILimb(i int) {
 
 // mulRelinLimb computes limb i of the degree-2 product: o0 = a0·b0,
 // o1 = a0·b1 + a1·b0, o2 = a1·b1 (all NTT-domain, element-wise — the
-// paper's batched MM operator across limbs). o2 is scratch slot 0. The
-// squares are Montgomery products; the two cross products accumulate in 128
-// bits and take one Barrett reduction per coefficient instead of two plus an
-// add.
+// paper's batched MM operator across limbs), one VecTensor pass that reads
+// each operand row once. o2 is scratch slot 0.
 func (c *opCall) mulRelinLimb(i int) {
-	mod := c.ev.params.RingQ.Moduli[i]
-	a0, a1 := c.x.C0.Coeffs[i], c.x.C1.Coeffs[i]
-	b0, b1 := c.y.C0.Coeffs[i], c.y.C1.Coeffs[i]
-	o0, o1, o2 := c.out.C0.Coeffs[i], c.out.C1.Coeffs[i], c.tmp[0].Coeffs[i]
-	mod.VecMontMul(o0, a0, b0)
-	mod.VecMulPairSum(o1, a0, b1, a1, b0)
-	mod.VecMontMul(o2, a1, b1)
+	c.ev.params.RingQ.Moduli[i].VecTensor(c.out.C0.Coeffs[i], c.out.C1.Coeffs[i], c.tmp[0].Coeffs[i],
+		c.x.C0.Coeffs[i], c.x.C1.Coeffs[i], c.y.C0.Coeffs[i], c.y.C1.Coeffs[i])
 }
 
 // kernMulRelin is CMult: the degree-2 product, then the keyswitch of its d2

@@ -132,15 +132,10 @@ func (m Modulus) innerProductVec(b Body, out0, out1 []uint64, x, k0, k1 [][]uint
 	for d := range x {
 		_, _, _ = x[d][:n], k0[d][:n], k1[d][:n]
 	}
-	var run int
-	var c1, c2 uint64
+	c1, c2 := m.closeConsts(b)
+	run := dqRunLength(m.Q)
 	if b == BodyIFMA52 {
-		// q^-1 mod 2^52 and 2^40·2^64 mod q, the two REDCs' constants.
-		run, c1, c2 = laneRunLength(m.Q), m.QInv&(1<<52-1), m.MulShoup(1<<40, m.RModQ, m.RModQShoup)
-	} else {
-		// μ = ⌊2^(64+s)/q⌋ = ⌊⌊2^128/q⌋/2^(64−s)⌋, from the Barrett constant.
-		s := uint64(m.Bits - 1)
-		run, c1, c2 = dqRunLength(m.Q), m.BarrettHi<<s|m.BarrettLo>>(64-s), s
+		run = laneRunLength(m.Q)
 	}
 	for len(x) > 0 {
 		r := min(len(x), run)

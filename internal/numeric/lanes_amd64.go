@@ -31,6 +31,36 @@ func convertLanes(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k 
 //go:noescape
 func convertDQ(out, seed [][]uint64, mods []Modulus, w [][]uint64, nb, ys, k []uint64, t0, n, stride, cols int)
 
+// tensorLanes and montMulLanes are the IFMA52 products of lanes_amd64.s,
+// tensorDQ and montMulDQ the DQ ones, behind productVec; shoupLanes and
+// shoupDQ the products by a constant, behind shoupVec; addLanes and
+// addScalarLanes the modular adds of both vector bodies. Their Go callers
+// check every row against len of the first, a nonzero multiple of 8.
+//
+//go:noescape
+func tensorLanes(o0, o1, o2, a0, a1, b0, b1 []uint64, q, qInv, r2 uint64)
+
+//go:noescape
+func montMulLanes(c, a, b []uint64, q, qInv, r2 uint64)
+
+//go:noescape
+func tensorDQ(o0, o1, o2, a0, a1, b0, b1 []uint64, q, mu, s uint64)
+
+//go:noescape
+func montMulDQ(c, a, b []uint64, q, mu, s uint64)
+
+//go:noescape
+func shoupLanes(c, a, sub, add0, add1 []uint64, w, ws, q, has uint64)
+
+//go:noescape
+func shoupDQ(c, a, sub, add0, add1 []uint64, w, ws, q, has uint64)
+
+//go:noescape
+func addLanes(c, a, b []uint64, q uint64)
+
+//go:noescape
+func addScalarLanes(c, a []uint64, s, q uint64)
+
 // asmBodies reports whether this build has lanes_amd64.s: amd64 without
 // the purego tag (lanes_other.go is every other build).
 const asmBodies = true

@@ -709,6 +709,476 @@ cvnext:
 	VZEROUPPER
 	RET
 
+// The elementwise family, MM and MA: eight coefficients a register, one
+// register-wide step a loop, every output the canonical residue the Go body
+// writes (elementwise.go has the Go bodies and the shape gate, DESIGN.md
+// §12 "Lanes for the elementwise family" the budgets). Every row is at
+// least len(c) words, a nonzero multiple of 8, which the Go side checks;
+// each step loads all its inputs before it stores, so an output may be any
+// of its inputs.
+
+// func tensorLanes(o0, o1, o2, a0, a1, b0, b1 []uint64, q, qInv, r2 uint64)
+//
+// The IFMA52 tensor: o0 = a0·b0, o1 = a0·b1 + a1·b0, o2 = a1·b1, each sum on
+// its own split accumulator and closed by CLOSE with r2 = 2^104 mod q — two
+// products, well inside laneRunLength's budget of twelve.
+//
+// Register plan: Z4, Z5 a0, a1;  Z6, Z7 b0, b1;  Z0/Z1, Z2/Z3, Z10/Z11 the
+// three outputs' L/H;  Z8, Z9 close scratch;  Z29 = r2, Z30 = q^-1 mod
+// 2^52, Z31 = q;  DI, SI, DX the outputs;  R8–R11 the inputs;  AX 8·j,
+// CX 8·n.
+TEXT ·tensorLanes(SB), NOSPLIT, $0-192
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ o1_base+24(FP), SI
+	MOVQ o2_base+48(FP), DX
+	MOVQ a0_base+72(FP), R8
+	MOVQ a1_base+96(FP), R9
+	MOVQ b0_base+120(FP), R10
+	MOVQ b1_base+144(FP), R11
+	VPBROADCASTQ q+168(FP), Z31
+	VPBROADCASTQ qInv+176(FP), Z30
+	VPBROADCASTQ r2+184(FP), Z29
+	XORQ AX, AX
+
+tensorstep:
+	VMOVDQU64 (R8)(AX*1), Z4
+	VMOVDQU64 (R9)(AX*1), Z5
+	VMOVDQU64 (R10)(AX*1), Z6
+	VMOVDQU64 (R11)(AX*1), Z7
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z10, Z10, Z10
+	VPXORQ Z11, Z11, Z11
+	VPMADD52LUQ Z6, Z4, Z0
+	VPMADD52HUQ Z6, Z4, Z1
+	VPMADD52LUQ Z7, Z4, Z2
+	VPMADD52HUQ Z7, Z4, Z3
+	VPMADD52LUQ Z6, Z5, Z2
+	VPMADD52HUQ Z6, Z5, Z3
+	VPMADD52LUQ Z7, Z5, Z10
+	VPMADD52HUQ Z7, Z5, Z11
+	CLOSE(Z0, Z1)
+	CLOSE(Z2, Z3)
+	CLOSE(Z10, Z11)
+	VMOVDQU64 Z0, (DI)(AX*1)
+	VMOVDQU64 Z2, (SI)(AX*1)
+	VMOVDQU64 Z10, (DX)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  tensorstep
+	VZEROUPPER
+	RET
+
+// func montMulLanes(c, a, b []uint64, q, qInv, r2 uint64)
+//
+// The IFMA52 product c = a·b, the tensor's one-product case; the register
+// plan is the tensor's, with a in Z4 and b in Z6.
+TEXT ·montMulLanes(SB), NOSPLIT, $0-96
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a_base+24(FP), R8
+	MOVQ b_base+48(FP), R10
+	VPBROADCASTQ q+72(FP), Z31
+	VPBROADCASTQ qInv+80(FP), Z30
+	VPBROADCASTQ r2+88(FP), Z29
+	XORQ AX, AX
+
+mulstep:
+	VMOVDQU64 (R8)(AX*1), Z4
+	VMOVDQU64 (R10)(AX*1), Z6
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPMADD52LUQ Z6, Z4, Z0
+	VPMADD52HUQ Z6, Z4, Z1
+	CLOSE(Z0, Z1)
+	VMOVDQU64 Z0, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  mulstep
+	VZEROUPPER
+	RET
+
+// One DQ product x·y from its 32-bit halves (XH, YH hold x >> 32, y >> 32):
+// A0 = xl·yl, A1 = xl·yh + xh·yl, A2 = xh·yh, so x·y = A0 + A1·2^32 +
+// A2·2^64; T is scratch.
+#define DQMUL(X, XH, Y, YH, A0, A1, A2, T) \
+	VPMULUDQ Y, X, A0; \
+	VPMULUDQ YH, X, A1; \
+	VPMULUDQ Y, XH, T; \
+	VPADDQ T, A1, A1; \
+	VPMULUDQ YH, XH, A2
+
+// One more DQ product onto A0 / A1 / A2, as DQMAC adds one: a wrap of A0
+// adds one to A2 (Z27 = 1). T and K are scratch.
+#define DQMULADD(X, XH, Y, YH, A0, A1, A2, T, K) \
+	VPMULUDQ Y, X, T; \
+	VPADDQ T, A0, A0; \
+	VPCMPUQ $1, T, A0, K; \
+	VPMULUDQ YH, X, T; \
+	VPADDQ T, A1, A1; \
+	VPMULUDQ Y, XH, T; \
+	VPADDQ T, A1, A1; \
+	VPMULUDQ YH, XH, T; \
+	VPADDQ T, A2, A2; \
+	VPADDQ Z27, A2, K, A2
+
+// The DQ constants of DQCLOSE, from q in R12, μ in R13 and s in R14.
+#define DQCONSTS \
+	VPBROADCASTQ R12, Z31; \
+	VPBROADCASTQ R13, Z30; \
+	SHRQ $32, R13; \
+	VPBROADCASTQ R13, Z29; \
+	VPBROADCASTQ R14, Z25; \
+	NEGQ R14; \
+	ADDQ $64, R14; \
+	VPBROADCASTQ R14, Z24; \
+	MOVQ $1, R12; \
+	VPBROADCASTQ R12, Z27; \
+	MOVQ $0x5555, R12; \
+	KMOVW R12, K6
+
+// func tensorDQ(o0, o1, o2, a0, a1, b0, b1 []uint64, q, mu, s uint64)
+//
+// The DQ tensor: each output's products summed unreduced into A0 / A1 / A2
+// and closed by DQCLOSE, the MAC's Barrett reduction — two products, inside
+// dqRunLength's budget of three at 61 bits.
+//
+// Register plan: Z0–Z3 a0, a0 >> 32, a1, a1 >> 32;  Z4–Z7 b0, b0 >> 32, b1,
+// b1 >> 32;  Z8–Z10, Z11–Z13, Z14–Z16 the three outputs' A0 / A1 / A2;
+// Z17 product scratch;  Z18–Z23 close scratch;  DQCLOSE's constants in
+// Z24, Z25, Z27, Z29–Z31 and K6;  K1–K3 carries.
+TEXT ·tensorDQ(SB), NOSPLIT, $0-192
+	MOVQ o0_base+0(FP), DI
+	MOVQ o0_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ o1_base+24(FP), SI
+	MOVQ o2_base+48(FP), DX
+	MOVQ a0_base+72(FP), R8
+	MOVQ a1_base+96(FP), R9
+	MOVQ b0_base+120(FP), R10
+	MOVQ b1_base+144(FP), R11
+	MOVQ q+168(FP), R12
+	MOVQ mu+176(FP), R13
+	MOVQ s+184(FP), R14
+	DQCONSTS
+	XORQ AX, AX
+
+tensordqstep:
+	VMOVDQU64 (R8)(AX*1), Z0
+	VMOVDQU64 (R9)(AX*1), Z2
+	VMOVDQU64 (R10)(AX*1), Z4
+	VMOVDQU64 (R11)(AX*1), Z6
+	VPSRLQ $32, Z0, Z1
+	VPSRLQ $32, Z2, Z3
+	VPSRLQ $32, Z4, Z5
+	VPSRLQ $32, Z6, Z7
+	DQMUL(Z0, Z1, Z4, Z5, Z8, Z9, Z10, Z17)
+	DQMUL(Z0, Z1, Z6, Z7, Z11, Z12, Z13, Z17)
+	DQMULADD(Z2, Z3, Z4, Z5, Z11, Z12, Z13, Z17, K1)
+	DQMUL(Z2, Z3, Z6, Z7, Z14, Z15, Z16, Z17)
+	DQCLOSE(Z8, Z9, Z10, Z18, Z19, Z20, Z21, K1)
+	DQCLOSE(Z11, Z12, Z13, Z22, Z23, Z17, Z0, K2)
+	DQCLOSE(Z14, Z15, Z16, Z1, Z2, Z3, Z4, K3)
+	VMOVDQU64 Z8, (DI)(AX*1)
+	VMOVDQU64 Z11, (SI)(AX*1)
+	VMOVDQU64 Z14, (DX)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  tensordqstep
+	VZEROUPPER
+	RET
+
+// func montMulDQ(c, a, b []uint64, q, mu, s uint64)
+//
+// The DQ product c = a·b, the tensor's one-product case.
+TEXT ·montMulDQ(SB), NOSPLIT, $0-96
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a_base+24(FP), R8
+	MOVQ b_base+48(FP), R10
+	MOVQ q+72(FP), R12
+	MOVQ mu+80(FP), R13
+	MOVQ s+88(FP), R14
+	DQCONSTS
+	XORQ AX, AX
+
+muldqstep:
+	VMOVDQU64 (R8)(AX*1), Z0
+	VMOVDQU64 (R10)(AX*1), Z4
+	VPSRLQ $32, Z0, Z1
+	VPSRLQ $32, Z4, Z5
+	DQMUL(Z0, Z1, Z4, Z5, Z8, Z9, Z10, Z17)
+	DQCLOSE(Z8, Z9, Z10, Z18, Z19, Z20, Z21, K1)
+	VMOVDQU64 Z8, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  muldqstep
+	VZEROUPPER
+	RET
+
+// The products by a constant, c = (a − sub)·w + add0 + add1, one group of
+// eight at byte offset OFF from AX, in four steps around the body's product
+// (SHOUP52, SHOUPDQ), which forms v = x·w − ⌊x·ws/2^r⌋·q in [0, 2q):
+// SHOUPIN loads x = a (SI); SHOUPSUB, where sub (R8) is given, makes it
+// a − sub, canonical — the difference wraps where a < sub, and
+// min(a − sub, a − sub + q) is then the second; SHOUPADD adds add0 (R9)
+// and add1 (R10), each read under K3 / K4 — all lanes where the row is
+// given, none (a zero) where it is not — and takes the sum, below 4q,
+// below 2q; SHOUPOUT lands it in [0, q) and stores it to c (DI). Z26 = w,
+// Z28 = 2q, Z31 = q; a subtraction that wraps leaves the larger word, so
+// min picks the right one. The other registers are scratch.
+#define SHOUPIN(OFF, X) \
+	VMOVDQU64 OFF(SI)(AX*1), X
+
+#define SHOUPSUB(OFF, X, T) \
+	VMOVDQU64 OFF(R8)(AX*1), T; \
+	VPSUBQ T, X, X; \
+	VPADDQ Z31, X, T; \
+	VPMINUQ T, X, X
+
+#define SHOUPADD(OFF, V, T) \
+	VMOVDQU64.Z OFF(R9)(AX*1), K3, T; \
+	VPADDQ T, V, V; \
+	VMOVDQU64.Z OFF(R10)(AX*1), K4, T; \
+	VPADDQ T, V, V; \
+	VPSUBQ Z28, V, T; \
+	VPMINUQ T, V, V
+
+#define SHOUPOUT(OFF, V, T) \
+	VPSUBQ Z31, V, T; \
+	VPMINUQ T, V, V; \
+	VMOVDQU64 V, OFF(DI)(AX*1)
+
+// The IFMA52 product, ntt's lazy MUL with ws the factor over 2^52 (wShoup
+// >> 12, Z27): the high product, the low halves of x·w and of the estimate
+// times 2^52 − q (Z30), summed modulo 2^52 (Z29 = 2^52 − 1); in [0, 2q)
+// for x < 2^52.
+#define SHOUP52(X, V, T) \
+	VPXORQ T, T, T; \
+	VPMADD52HUQ Z27, X, T; \
+	VPXORQ V, V, V; \
+	VPMADD52LUQ Z26, X, V; \
+	VPMADD52LUQ Z30, T, V; \
+	VPANDQ Z29, V, V
+
+// The DQ product, the Go kernels' lazy Shoup product with the 64-bit
+// factor ws = sh·2^32 + sl (Z27, Z25): the high word of x·ws from four
+// 32 × 32 partial products as dq_amd64.s's MUL forms it (K1 the low dword
+// of each word), then x·w − hi·q modulo 2^64; in [0, 2q) for x < 2^63.
+#define SHOUPDQ(X, V, XH, T1, T2, T3) \
+	VPSRLQ $32, X, XH; \
+	VPMULUDQ Z27, X, T1; \
+	VPSRLQ $32, T1, T1; \
+	VPMULUDQ Z27, XH, T2; \
+	VPADDQ T1, T2, T2; \
+	VMOVDQU32.Z T2, K1, T1; \
+	VPSRLQ $32, T2, T2; \
+	VPMULUDQ Z25, X, T3; \
+	VPADDQ T1, T3, T3; \
+	VPSRLQ $32, T3, T3; \
+	VPMULUDQ Z25, XH, XH; \
+	VPADDQ T2, XH, XH; \
+	VPADDQ T3, XH, XH; \
+	VPMULLQ Z31, XH, XH; \
+	VPMULLQ Z26, X, V; \
+	VPSUBQ XH, V, V
+
+// func shoupLanes(c, a, sub, add0, add1 []uint64, w, ws, q, has uint64)
+//
+// The IFMA52 body, one group of eight a step; has holds one byte each
+// (0xff or 0) for sub, add0 and add1.
+TEXT ·shoupLanes(SB), NOSPLIT, $0-152
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a_base+24(FP), SI
+	MOVQ sub_base+48(FP), R8
+	MOVQ add0_base+72(FP), R9
+	MOVQ add1_base+96(FP), R10
+	VPBROADCASTQ w+120(FP), Z26
+	MOVQ q+136(FP), AX
+	VPBROADCASTQ AX, Z31
+	ADDQ AX, AX
+	VPBROADCASTQ AX, Z28
+	VPBROADCASTQ ws+128(FP), Z27
+	MOVQ $0xfffffffffffff, DX
+	VPBROADCASTQ DX, Z29
+	MOVQ $0x10000000000000, DX
+	SUBQ q+136(FP), DX
+	VPBROADCASTQ DX, Z30
+	MOVQ has+144(FP), BX
+	MOVQ BX, DX
+	SHRQ $8, DX
+	KMOVW DX, K3
+	SHRQ $8, DX
+	KMOVW DX, K4
+	XORQ AX, AX
+
+shoupstep:
+	SHOUPIN(0, Z0)
+	TESTQ $1, BX
+	JZ   shoupmul
+	SHOUPSUB(0, Z0, Z1)
+
+shoupmul:
+	SHOUP52(Z0, Z3, Z2)
+	SHOUPADD(0, Z3, Z4)
+	SHOUPOUT(0, Z3, Z4)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  shoupstep
+	VZEROUPPER
+	RET
+
+// func shoupDQ(c, a, sub, add0, add1 []uint64, w, ws, q, has uint64)
+//
+// The DQ body, sixteen coefficients a step in two independent chains after
+// a first group of eight alone where n/8 is odd. The plain product
+// (has = 0) runs a loop without the difference and the adds: the 64-bit
+// products leave no vector port to spare for masked no-ops.
+TEXT ·shoupDQ(SB), NOSPLIT, $0-152
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a_base+24(FP), SI
+	MOVQ sub_base+48(FP), R8
+	MOVQ add0_base+72(FP), R9
+	MOVQ add1_base+96(FP), R10
+	VPBROADCASTQ w+120(FP), Z26
+	MOVQ q+136(FP), AX
+	VPBROADCASTQ AX, Z31
+	ADDQ AX, AX
+	VPBROADCASTQ AX, Z28
+	MOVQ ws+128(FP), DX
+	VPBROADCASTQ DX, Z27
+	SHRQ $32, DX
+	VPBROADCASTQ DX, Z25
+	MOVQ $0x5555, DX
+	KMOVW DX, K1
+	MOVQ has+144(FP), BX
+	MOVQ BX, DX
+	SHRQ $8, DX
+	KMOVW DX, K3
+	SHRQ $8, DX
+	KMOVW DX, K4
+	XORQ AX, AX
+	TESTQ BX, BX
+	JNZ  shoupdq
+	TESTQ $64, CX
+	JZ   plaindqpair
+	SHOUPIN(0, Z0)
+	SHOUPDQ(Z0, Z3, Z1, Z2, Z4, Z5)
+	SHOUPOUT(0, Z3, Z4)
+	MOVQ $64, AX
+	CMPQ AX, CX
+	JEQ  shoupdqdone
+
+plaindqpair:
+	SHOUPIN(0, Z0)
+	SHOUPIN(64, Z8)
+	SHOUPDQ(Z0, Z3, Z1, Z2, Z4, Z5)
+	SHOUPDQ(Z8, Z11, Z9, Z10, Z12, Z13)
+	SHOUPOUT(0, Z3, Z4)
+	SHOUPOUT(64, Z11, Z12)
+	ADDQ $128, AX
+	CMPQ AX, CX
+	JNE  plaindqpair
+	JMP  shoupdqdone
+
+shoupdq:
+	TESTQ $64, CX
+	JZ   shoupdqpair
+	SHOUPIN(0, Z0)
+	TESTQ $1, BX
+	JZ   shoupdqfirst
+	SHOUPSUB(0, Z0, Z1)
+
+shoupdqfirst:
+	SHOUPDQ(Z0, Z3, Z1, Z2, Z4, Z5)
+	SHOUPADD(0, Z3, Z4)
+	SHOUPOUT(0, Z3, Z4)
+	MOVQ $64, AX
+	CMPQ AX, CX
+	JEQ  shoupdqdone
+
+shoupdqpair:
+	SHOUPIN(0, Z0)
+	SHOUPIN(64, Z8)
+	TESTQ $1, BX
+	JZ   shoupdqmul
+	SHOUPSUB(0, Z0, Z1)
+	SHOUPSUB(64, Z8, Z9)
+
+shoupdqmul:
+	SHOUPDQ(Z0, Z3, Z1, Z2, Z4, Z5)
+	SHOUPDQ(Z8, Z11, Z9, Z10, Z12, Z13)
+	SHOUPADD(0, Z3, Z4)
+	SHOUPADD(64, Z11, Z12)
+	SHOUPOUT(0, Z3, Z4)
+	SHOUPOUT(64, Z11, Z12)
+	ADDQ $128, AX
+	CMPQ AX, CX
+	JNE  shoupdqpair
+
+shoupdqdone:
+	VZEROUPPER
+	RET
+
+// func addLanes(c, a, b []uint64, q uint64)
+//
+// MA: c = a + b mod q as min(a + b, a + b − q) — below 2q, the second wraps
+// exactly where the first is already canonical. AVX-512 F only, so both
+// vector bodies run it.
+TEXT ·addLanes(SB), NOSPLIT, $0-80
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R8
+	VPBROADCASTQ q+72(FP), Z31
+	XORQ AX, AX
+
+addstep:
+	VMOVDQU64 (SI)(AX*1), Z0
+	VPADDQ (R8)(AX*1), Z0, Z0
+	VPSUBQ Z31, Z0, Z1
+	VPMINUQ Z1, Z0, Z0
+	VMOVDQU64 Z0, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  addstep
+	VZEROUPPER
+	RET
+
+// func addScalarLanes(c, a []uint64, s, q uint64)
+//
+// MA by a constant: c = a + s mod q, addLanes with s broadcast.
+TEXT ·addScalarLanes(SB), NOSPLIT, $0-64
+	MOVQ c_base+0(FP), DI
+	MOVQ c_len+8(FP), CX
+	SHLQ $3, CX
+	MOVQ a_base+24(FP), SI
+	VPBROADCASTQ s+48(FP), Z2
+	VPBROADCASTQ q+56(FP), Z31
+	XORQ AX, AX
+
+addscalarstep:
+	VPADDQ (SI)(AX*1), Z2, Z0
+	VPSUBQ Z31, Z0, Z1
+	VPMINUQ Z1, Z0, Z0
+	VMOVDQU64 Z0, (DI)(AX*1)
+	ADDQ $64, AX
+	CMPQ AX, CX
+	JNE  addscalarstep
+	VZEROUPPER
+	RET
+
 // func cpuAVX512() (ifma, dq bool)
 //
 // AVX512F with AVX512IFMA, and AVX512F with AVX512DQ (CPUID leaf 7: EBX

@@ -343,38 +343,3 @@ func (m Modulus) innerProductRun(out0, out1 []uint64, x, k0, k1 [][]uint64, perm
 		out0[j], out1[j] = r0, r1
 	}
 }
-
-// VecMulPairSum sets c[j] = (a0[j]·b0[j] + a1[j]·b1[j]) mod q with one fused
-// 128-bit accumulation and a single Barrett reduction per coefficient —
-// bit-identical to Add(Mul(a0,b0), Mul(a1,b1)). This is the cross-term
-// kernel of the degree-2 ciphertext product.
-func (m Modulus) VecMulPairSum(c, a0, b0, a1, b1 []uint64) {
-	q, bHi, bLo := m.Q, m.BarrettHi, m.BarrettLo
-	n := len(c)
-	a0 = a0[:n]
-	b0 = b0[:n]
-	a1 = a1[:n]
-	b1 = b1[:n]
-	for j := range c {
-		hi, lo := bits.Mul64(a0[j], b0[j])
-		ph, pl := bits.Mul64(a1[j], b1[j])
-		var cy uint64
-		lo, cy = bits.Add64(lo, pl, 0)
-		hi += ph + cy
-		mh1, _ := bits.Mul64(lo, bLo)
-		h2, l2 := bits.Mul64(lo, bHi)
-		h3, l3 := bits.Mul64(hi, bLo)
-		l4 := hi * bHi
-		s, c1 := bits.Add64(mh1, l2, 0)
-		_, c2 := bits.Add64(s, l3, 0)
-		t := l4 + h2 + h3 + c1 + c2
-		r := lo - t*q
-		if r >= q {
-			r -= q
-		}
-		if r >= q {
-			r -= q
-		}
-		c[j] = r
-	}
-}

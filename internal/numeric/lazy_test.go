@@ -190,27 +190,35 @@ func TestVecWideAddKernels(t *testing.T) {
 	}
 }
 
-// VecMulPairSum must match Add(Mul, Mul) bit for bit, including maximal
-// residues.
-func TestVecMulPairSum(t *testing.T) {
+// VecTensor must match Mul and Add bit for bit on all three outputs,
+// including maximal operands, on the Go body (n = 33, no whole registers)
+// and on the modulus's own body (n = 32).
+func TestVecTensor(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	const n = 32
-	for _, q := range testModuli {
-		m := NewModulus(q)
-		a0 := make([]uint64, n)
-		b0 := make([]uint64, n)
-		a1 := make([]uint64, n)
-		b1 := make([]uint64, n)
-		for j := 0; j < n; j++ {
-			a0[j], b0[j] = rng.Uint64()%q, rng.Uint64()%q
-			a1[j], b1[j] = rng.Uint64()%q, rng.Uint64()%q
-		}
-		a0[0], b0[0], a1[0], b1[0] = q-1, q-1, q-1, q-1
-		c := make([]uint64, n)
-		m.VecMulPairSum(c, a0, b0, a1, b1)
-		for j := 0; j < n; j++ {
-			if want := m.Add(m.Mul(a0[j], b0[j]), m.Mul(a1[j], b1[j])); c[j] != want {
-				t.Fatalf("q=%d col %d: pair sum %d want %d", q, j, c[j], want)
+	for _, n := range []int{32, 33} {
+		for _, q := range testModuli {
+			m := NewModulus(q)
+			a0 := make([]uint64, n)
+			b0 := make([]uint64, n)
+			a1 := make([]uint64, n)
+			b1 := make([]uint64, n)
+			for j := 0; j < n; j++ {
+				a0[j], b0[j] = rng.Uint64()%q, rng.Uint64()%q
+				a1[j], b1[j] = rng.Uint64()%q, rng.Uint64()%q
+			}
+			a0[0], b0[0], a1[0], b1[0] = q-1, q-1, q-1, q-1
+			o0, o1, o2 := make([]uint64, n), make([]uint64, n), make([]uint64, n)
+			m.VecTensor(o0, o1, o2, a0, a1, b0, b1)
+			for j := 0; j < n; j++ {
+				if want := m.Mul(a0[j], b0[j]); o0[j] != want {
+					t.Fatalf("q=%d n=%d col %d: o0 %d want %d", q, n, j, o0[j], want)
+				}
+				if want := m.Add(m.Mul(a0[j], b1[j]), m.Mul(a1[j], b0[j])); o1[j] != want {
+					t.Fatalf("q=%d n=%d col %d: o1 %d want %d", q, n, j, o1[j], want)
+				}
+				if want := m.Mul(a1[j], b1[j]); o2[j] != want {
+					t.Fatalf("q=%d n=%d col %d: o2 %d want %d", q, n, j, o2[j], want)
+				}
 			}
 		}
 	}

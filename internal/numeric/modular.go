@@ -13,7 +13,9 @@
 // with the same output. So does the RNS conversion (ConvertLanes), on the
 // body its one shape gate ConvertBody picks from the widest source: the
 // IFMA52 lanes where its budget holds, else the DQ lanes — q0, the P primes
-// and 55- and 58-bit sources included — where theirs does.
+// and 55- and 58-bit sources included — where theirs does. The elementwise
+// MM / MA family (elementwise.go: VecTensor, VecMontMul, the Shoup forms,
+// VecAdd) runs on the body rule for rows of whole registers.
 package numeric
 
 import (

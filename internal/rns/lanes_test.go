@@ -203,8 +203,10 @@ func TestLanesRule(t *testing.T) {
 		d := NewDecomposer(s.q, s.p, s.alpha)
 		md := NewModDownParams(s.q, s.p)
 		all := append(slices.Clone(s.q), s.p...)
+		requireCachedBodies(t, s.name+" ModDown", md.ext)
 		for dig, sizes := range d.extenders {
 			for size, e := range sizes {
+				requireCachedBodies(t, fmt.Sprintf("%s digit %d size %d", s.name, dig, size+1), e)
 				for i, m := range all {
 					ifma := i < len(s.q) && s.name != "Tall" && !(dig == 0 && (s.name == "P13" || s.name == "B9"))
 					dq := s.name != "Tall" || tallDQ(e, size+2, m)
@@ -231,6 +233,25 @@ func TestLanesRule(t *testing.T) {
 		}
 		if taken[numeric.BodyIFMA52] != 27 || taken[numeric.BodyDQ] != 1 {
 			t.Fatalf("B9 ModDown: Q limbs by body %v, want 27 on IFMA52 and q0 on DQ", taken)
+		}
+	}
+}
+
+// requireCachedBodies fails unless the bodies NewExtender cached for e are
+// Modulus.ConvertBody's answers, for both column counts, against the widest
+// y — the widest source prime, with the seed column c_i itself too.
+func requireCachedBodies(t *testing.T, what string, e *Extender) {
+	t.Helper()
+	for s, bodies := range e.bodies {
+		cols := len(e.src) + s
+		for i, c := range e.dst {
+			y := e.srcMax
+			if s == 1 {
+				y = max(y, c.Q)
+			}
+			if want := c.ConvertBody(y, cols+1); bodies[i] != want {
+				t.Fatalf("%s: cached body of destination %d over %d columns is %v, ConvertBody says %v", what, i, cols, bodies[i], want)
+			}
 		}
 	}
 }

@@ -28,7 +28,6 @@ package rns
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"poseidon/internal/numeric"
@@ -65,6 +64,10 @@ type Extender struct {
 	negBModC     []uint64   // −B·2^64 mod c_i: k of these cancel the CRT overflow k·B
 	invB         []float64  // 1 / b_j, for the rounding estimate
 	srcMax       uint64     // the widest source prime, the body rule's y bound
+
+	// bodies[s][i] is destination i's body (lanes) for the len(src)
+	// staged columns, s = 0, and with ModDown's seed column, s = 1.
+	bodies [2][]numeric.Body
 
 	blockLen int // coefficients per block: a multiple of 8, (len(src)+1)·blockLen ≤ stageWords
 }
@@ -122,6 +125,12 @@ func NewExtender(src, dst []numeric.Modulus) *Extender {
 			e.bHatModC[i][j] = ci.MForm(prodMod(ci, src, j))
 		}
 	}
+	for s := range e.bodies {
+		e.bodies[s] = make([]numeric.Body, len(dst))
+		for i := range dst {
+			e.bodies[s][i] = e.lanes(i, l+s)
+		}
+	}
 	return e
 }
 
@@ -139,7 +148,10 @@ func prodMod(m numeric.Modulus, ms []numeric.Modulus, skip int) uint64 {
 
 // stage computes, for the n ≤ blockLen coefficients starting at t0, the
 // y_j = [x_j·(B/b_j)^-1]_{b_j} of every source limb and the overflow count
-// k = round(Σ_j y_j/b_j), summed in source-limb order.
+// k = round(Σ_j y_j/b_j), summed in source-limb order. Every sum v is ≥ 0,
+// so round(v) is its truncation f, plus one where v − f ≥ 1/2; that
+// difference is exact (f ≤ v < 2f, or f = 0), so k is math.Round's bit for
+// bit — without its call, which amd64 does not inline.
 func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 	b.n, b.stride = n, (n+3)&^3
 	var v [maxBlock]float64
@@ -153,8 +165,12 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 			v[t] += float64(r) * inv
 		}
 	}
-	for t := 0; t < n; t++ {
-		b.k[t] = uint64(math.Round(v[t]))
+	for t, vt := range v[:n] {
+		f := uint64(vt)
+		if vt-float64(f) >= 0.5 {
+			f++
+		}
+		b.k[t] = f
 	}
 }
 
@@ -167,14 +183,14 @@ func (e *Extender) stage(b *block, in [][]uint64, t0, n int) {
 // be out): the lanes read them in place, the Go body from the block's seed
 // row.
 func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]uint64) {
-	cols, nl := len(e.src), b.n&^7
+	cols, nl, bodies := len(e.src), b.n&^7, e.bodies[0]
 	if seed != nil {
-		cols++
+		cols, bodies = cols+1, e.bodies[1]
 	}
 	for r := 0; r < len(out); {
 		s, from := r+1, 0
-		if body := e.lanes(i0+r, cols); nl > 0 && body != numeric.BodyGo {
-			for s < len(out) && e.lanes(i0+s, cols) == body {
+		if body := bodies[i0+r]; nl > 0 && body != numeric.BodyGo {
+			for s < len(out) && bodies[i0+s] == body {
 				s++
 			}
 			var sd [][]uint64
@@ -205,7 +221,8 @@ func (e *Extender) emitRows(out [][]uint64, i0 int, b *block, t0 int, seed [][]u
 // 2^52 and whose sum fits their budget; the DQ lanes take every other one
 // whose sum fits theirs — q0, the P primes, the 55- and 58-bit sources of
 // digit 0 and of P13's ModDown — and only a sum of many 61-bit terms (the
-// Tall test shape's ModDown) keeps Go.
+// Tall test shape's ModDown) keeps Go. NewExtender takes it once per
+// destination and column count (bodies); emitRows reads that.
 func (e *Extender) lanes(i, cols int) numeric.Body {
 	c, y := e.dst[i], e.srcMax
 	if cols > len(e.src) {
@@ -442,20 +459,8 @@ func centered(x, ql, qi, hModQi uint64) uint64 {
 // forward transform of CenterLast's output, out is the NTT image of the
 // rescaled limb. out may alias a or c.
 func (r *Rescaler) SubScale(out, a, c []uint64, l, i int) {
-	qi, w, ws := r.moduli[i].Q, r.consts[l][i].qlInv, r.consts[l][i].qlInvShoup
-	a, c = a[:len(out)], c[:len(out)]
-	for t := range out {
-		d := a[t] - c[t]
-		if d > a[t] { // borrow
-			d += qi
-		}
-		hi, _ := bits.Mul64(d, ws)
-		v := d*w - hi*qi
-		if v >= qi {
-			v -= qi
-		}
-		out[t] = v
-	}
+	k := r.consts[l][i]
+	r.moduli[i].VecSubMulShoup(out, a, c, k.qlInv, k.qlInvShoup)
 }
 
 // Rescale computes out_i = q_l^{-1} · (a_i − a_l) mod q_i for i < l, where

@@ -164,6 +164,10 @@ var retiredNames = []retiredName{
 	// returning a Body (IFMA52, DQ or Go), not a yes/no for the IFMA52
 	// lanes beside a second rule.
 	{pr: 51, design: "Lanes", flags: "-rnE", in: everyGo, tests: true, re: `LanesFit`},
+	// The elementwise MA / MM loops live in numeric, one kernel per form on
+	// the body rule: ckks's add loop and the tensor's separate pair-sum
+	// kernel are gone (the tensor is one VecTensor pass).
+	{pr: 52, design: "Lanes", flags: "-rnwE", in: everyGo, tests: true, re: `addRows|VecMulPairSum`},
 
 	{pr: 33, design: "One program on the datapath", flags: "-rnE", in: everyGo,
 		re: `Compile(HAdd|PMult|NTT|Automorphism|Rescale|RNSConv|ModUp|ModDown|CMult|Rotation)\b|OpCounts|SecondsParallel|isa\.(Auto|Copy)\b|\bLaneC\b|PublishExpvar`},
